@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-json bench-hotpath bench-shard bench-obs bench-dist trace-demo experiments clean
+.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-compare bench-json bench-hotpath bench-shard bench-obs bench-dist trace-demo experiments clean
 
 build:
 	$(GO) build ./...
@@ -24,10 +24,13 @@ check: build vet race shard-equiv
 # detector: every paper scheme over the standard workloads at shard
 # counts {1,2,3,8,16} bit-identical to sequential, the table-driven
 # Dir1NB core against its executable specification, and the shard fault
-# tests (injected panic -> structured error, no goroutine leaks).
+# tests (injected panic -> structured error, no goroutine leaks) — plus
+# the storage and accounting oracles: the golden fingerprint table of
+# every engine, AccessBatch against per-reference Access, the batched
+# loop's zero-allocation and the block table's footprint bounds.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestEngineShard|TestDir1NBTable' \
+		-run 'TestSharded|TestShardOf|TestEngineShard|TestDir1NBTable|TestGolden|TestBatch|TestBlock|TestZeroState' \
 		./internal/sim ./internal/engine ./internal/core
 
 # Run the fault-injection soak under the race detector: the widened
@@ -65,6 +68,32 @@ service-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Judge the working tree against an earlier revision on one benchmark
+# workload: build ./bench from both, run PAIRS pairs alternating which
+# side goes first (interference on a shared box then hits both alike),
+# and let `bench -compare` apply the contract's bounds and the claim
+# rule. Everything lands under .bench_build/ (ignored).
+#   make bench-compare BASE=HEAD~1 WORKLOAD=sim_replay PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?= sim_replay
+PAIRS ?= 10
+SEED ?= 1
+COMPARE_DIR := .bench_build/compare
+bench-compare:
+	rm -rf $(COMPARE_DIR) && mkdir -p $(COMPARE_DIR)/base
+	git archive $(BASE) | tar -x -C $(COMPARE_DIR)/base
+	cd $(COMPARE_DIR)/base && $(GO) build -o ../bench_base ./bench
+	$(GO) build -o $(COMPARE_DIR)/bench_change ./bench
+	@for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			echo "pair $$i/$(PAIRS): $$side"; \
+			$(COMPARE_DIR)/bench_$$side -workload $(WORKLOAD) -seed $(SEED) \
+				-out $(COMPARE_DIR)/$$side.jsonl > /dev/null || exit 1; \
+		done; \
+	done
+	$(GO) run ./bench -compare $(COMPARE_DIR)/base.jsonl $(COMPARE_DIR)/change.jsonl
 
 # Measure the execution engine under each executor and write the
 # machine-readable BENCH_engine.json at the repo root.

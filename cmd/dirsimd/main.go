@@ -196,6 +196,11 @@ func run(cfg config) error {
 	if coord != nil {
 		dist.Register(mux, coord)
 	}
+	// Catch signals before the first request can be answered: a client
+	// that gets its results and sends SIGTERM at once must find the
+	// handler installed, not the default disposition.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	srv, err := httpmon.Serve(cfg.listen, mux)
 	if err != nil {
 		return err
@@ -206,8 +211,6 @@ func run(cfg config) error {
 	log.Info("serving", "addr", srv.Addr(), "discipline", cfg.discipline,
 		"max_inflight", cfg.maxInflight, "quota", cfg.quota, "fleet", cfg.fleet)
 
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	sig := <-sigs
 	log.Info("draining", "signal", sig.String(), "timeout", cfg.drainTimeout)
 

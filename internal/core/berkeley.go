@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"dirsim/internal/event"
@@ -25,8 +26,7 @@ import (
 // the estimate can be validated against a real state machine.
 type berkeley struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*berkeleyBlock
+	blocks BlockTable[berkeleyBlock]
 
 	Checker *Checker
 }
@@ -37,12 +37,13 @@ type berkeleyBlock struct {
 	// data. Unlike the MRSW engines, an owned block may be shared.
 	owned bool
 	owner uint8
+	seenBit
 }
 
 // NewBerkeley returns a Berkeley Ownership engine for ncpu caches.
 func NewBerkeley(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &berkeley{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*berkeleyBlock{}}
+	return &berkeley{ncpu: ncpu}
 }
 
 func (p *berkeley) Name() string { return "Berkeley" }
@@ -50,15 +51,6 @@ func (p *berkeley) CPUs() int    { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *berkeley) SetChecker(c *Checker) { p.Checker = c }
-
-func (p *berkeley) block(b trace.Block) *berkeleyBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &berkeleyBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
 
 func (p *berkeley) Access(r trace.Ref) event.Result {
 	if int(r.CPU) >= p.ncpu {
@@ -76,12 +68,12 @@ func (p *berkeley) Access(r trace.Ref) event.Result {
 }
 
 func (p *berkeley) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.seen.touch(b)
+	first := bl.touch()
 	res := event.Result{Holders: bl.holders.Count()}
 	switch {
 	case bl.owned:
@@ -105,7 +97,7 @@ func (p *berkeley) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *berkeley) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	var res event.Result
 	others := bl.holders.Del(c)
 	switch {
@@ -127,7 +119,7 @@ func (p *berkeley) write(c uint8, b trace.Block) event.Result {
 		}
 		p.Checker.Write(c, b)
 	default:
-		first := p.seen.touch(b)
+		first := bl.touch()
 		res.Holders = bl.holders.Count()
 		switch {
 		case bl.owned:
@@ -165,14 +157,10 @@ func (p *berkeley) write(c uint8, b trace.Block) event.Result {
 }
 
 func (p *berkeley) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *berkeleyBlock) error {
 		if bl.owned && !bl.holders.Has(bl.owner) {
 			return fmt.Errorf("Berkeley: block %#x owned by non-holder %d", b, bl.owner)
 		}
-		if !bl.owned && bl.holders.Empty() && len(p.seen) > 0 {
-			// Unowned, uncached blocks are fine (never written).
-			continue
-		}
-	}
-	return p.Checker.Err()
+		return nil
+	}), p.Checker.Err())
 }

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"dirsim/internal/event"
+	"dirsim/internal/trace"
+	"dirsim/internal/workload"
+)
+
+// everyEngine builds one of each engine in the package: every fixed
+// scheme name, the parameterized pointer schemes, the Dir1NB
+// specification and the finite-cache engine.
+func everyEngine(t *testing.T, ncpu int) []Protocol {
+	t.Helper()
+	var engines []Protocol
+	for _, name := range append(Schemes(), "Dir2NB", "Dir1B", "Dir2B") {
+		p, err := NewByName(name, ncpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, p)
+	}
+	return append(engines, NewDir1NBSpec(ncpu), newFinite(t, ncpu, 32))
+}
+
+// paperSchemes are the six schemes of the paper's Figure 2, the ones with
+// a native batched loop.
+var paperSchemes = []string{"Dir1NB", "WTI", "Dir0B", "DirNNB", "Dir1B", "Dragon"}
+
+// TestBatchMatchesAccess holds AccessBatch identical to per-reference
+// Access for every engine, with and without a value-coherence checker,
+// over the standard workloads and a contended random stream, in batches
+// whose size never divides the stream.
+func TestBatchMatchesAccess(t *testing.T) {
+	streams := map[string][]trace.Ref{"random": randomRefs(3, 4, 48, 30000)}
+	for _, cfg := range workload.StandardConfigs(4, 20000) {
+		streams[cfg.Name] = workload.MustGenerate(cfg).Refs
+	}
+	for name, refs := range streams {
+		for _, checked := range []bool{false, true} {
+			batched, single := everyEngine(t, 4), everyEngine(t, 4)
+			for i, p := range batched {
+				q := single[i]
+				if checked && (!Attach(p, NewChecker()) || !Attach(q, NewChecker())) {
+					t.Fatalf("%s does not accept a checker", p.Name())
+				}
+				var got []event.Result
+				for rest := refs; len(rest) > 0; {
+					n := min(len(rest), 1021)
+					got = AccessBatch(p, rest[:n], got)
+					rest = rest[n:]
+				}
+				for j, r := range refs {
+					if want := q.Access(r); got[j] != want {
+						t.Fatalf("%s over %s (checked=%v) ref %d %v: batch %+v, access %+v",
+							p.Name(), name, checked, j, r, got[j], want)
+					}
+				}
+				for _, e := range []Protocol{p, q} {
+					if err := e.CheckInvariants(); err != nil {
+						t.Errorf("%s over %s (checked=%v): %v", e.Name(), name, checked, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchAllocs asserts the steady-state batched loop of every paper
+// scheme allocates nothing: once a trace's pages exist, classifying it
+// again touches only the table and the caller's result buffer.
+func TestBatchAllocs(t *testing.T) {
+	refs := workload.POPS(4, 20000).Refs
+	for _, scheme := range paperSchemes {
+		p, err := NewByName(scheme, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.(Batcher); !ok {
+			t.Errorf("%s has no native AccessBatch", scheme)
+		}
+		out := AccessBatch(p, refs, nil)
+		if allocs := testing.AllocsPerRun(5, func() { out = AccessBatch(p, refs, out[:0]) }); allocs != 0 {
+			t.Errorf("%s: steady-state batch allocates %.0f times", scheme, allocs)
+		}
+	}
+}
+
+// TestBlockStateSizes pins the sizing the block table was measured with:
+// 24 bytes of state per block at most, 512 blocks per page at most,
+// nothing allocated before the first reference.
+// Larger states or pages spend the run zeroing memory and show up in the
+// resident set of every short simulation.
+func TestBlockStateSizes(t *testing.T) {
+	if pageSize > 512 {
+		t.Errorf("pages hold %d blocks, limit 512", pageSize)
+	}
+	// The service builds engines just to validate scheme names: an
+	// untouched table must stay two words, its page cache unallocated.
+	if size := unsafe.Sizeof(BlockTable[mrswBlock]{}); size > 16 {
+		t.Errorf("an untouched BlockTable is %d bytes, limit 16", size)
+	}
+	for name, size := range map[string]uintptr{
+		"mrswBlock":     unsafe.Sizeof(mrswBlock{}),
+		"dragonBlock":   unsafe.Sizeof(dragonBlock{}),
+		"fireflyBlock":  unsafe.Sizeof(fireflyBlock{}),
+		"berkeleyBlock": unsafe.Sizeof(berkeleyBlock{}),
+		"mesiBlock":     unsafe.Sizeof(mesiBlock{}),
+		"dir1nbBlock":   unsafe.Sizeof(dir1nbBlock{}),
+		"lostCopies":    unsafe.Sizeof(lostCopies{}),
+	} {
+		if size > 24 {
+			t.Errorf("%s is %d bytes, limit 24", name, size)
+		}
+	}
+}
+
+// TestBlockTableSparseFootprint touches 10 000 blocks that each sit alone
+// on a page — the worst case for a paged table — through the widest
+// state, and bounds the heap each touched page costs.
+func TestBlockTableSparseFootprint(t *testing.T) {
+	const blocks = 10_000
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	p := NewDirNNB(4)
+	before := heap()
+	for i := 0; i < blocks; i++ {
+		b := trace.Block(uint64(i) << 40)
+		p.Access(trace.Ref{Addr: b.Addr(), CPU: uint8(i % 4), Kind: trace.Write})
+	}
+	perPage := float64(heap()-before) / blocks
+	runtime.KeepAlive(p)
+	// 512 states of 24 bytes are 12 KiB; the page map's entry is noise.
+	if perPage > 13<<10 {
+		t.Errorf("a touched page costs %.0f bytes of heap, limit %d", perPage, 13<<10)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestZeroStateInvariants checks that every engine's invariants accept
+// the never-referenced slots of a touched page: one reference allocates a
+// page whose other 511 states are zero.
+func TestZeroStateInvariants(t *testing.T) {
+	for _, p := range everyEngine(t, 4) {
+		if err := p.CheckInvariants(); err != nil {
+			t.Errorf("%s, untouched: %v", p.Name(), err)
+		}
+		p.Access(rd(1, 7))
+		if err := p.CheckInvariants(); err != nil {
+			t.Errorf("%s, one block touched: %v", p.Name(), err)
+		}
+	}
+}

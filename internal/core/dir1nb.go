@@ -21,8 +21,7 @@ import (
 // which is exactly the pathology the evaluation exposes.
 type dir1nb struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*dir1nbBlock
+	blocks BlockTable[dir1nbBlock]
 
 	Checker *Checker
 }
@@ -31,6 +30,7 @@ type dir1nbBlock struct {
 	held   bool
 	holder uint8
 	dirty  bool
+	seenBit
 }
 
 // NewDir1NBSpec returns the method-dispatch Dir1NB engine. It is the
@@ -40,7 +40,7 @@ type dir1nbBlock struct {
 // bit-identical over random and standard workloads.
 func NewDir1NBSpec(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &dir1nb{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*dir1nbBlock{}}
+	return &dir1nb{ncpu: ncpu}
 }
 
 func (p *dir1nb) Name() string { return "Dir1NB" }
@@ -65,11 +65,7 @@ func (p *dir1nb) Access(r trace.Ref) event.Result {
 }
 
 func (p *dir1nb) access(c uint8, b trace.Block, write bool) event.Result {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &dir1nbBlock{}
-		p.blocks[b] = bl
-	}
+	bl := p.blocks.At(b)
 	if bl.held && bl.holder == c {
 		// Hit. The copy is exclusive, so even a write to a clean block
 		// proceeds without a directory query; the local dirty bit is
@@ -83,7 +79,7 @@ func (p *dir1nb) access(c uint8, b trace.Block, write bool) event.Result {
 		return event.Result{Type: event.RdHit}
 	}
 	// Miss: steal the block from the holder, if any.
-	first := p.seen.touch(b)
+	first := bl.touch()
 	var res event.Result
 	switch {
 	case bl.held && bl.dirty:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"dirsim/internal/event"
@@ -12,9 +13,8 @@ import (
 // no interface dispatch and no branch tree per reference.
 //
 // Per-block state is three flag bits plus the holder index packed into one
-// uint16, stored in fixed-size pages keyed by the high block bits (the zero
-// value is exactly the "never referenced" state, so fresh pages need no
-// initialisation). Each reference builds a 5-bit situation key —
+// uint16 in the shared BlockTable (the zero value is exactly the "never
+// referenced" state). Each reference builds a 5-bit situation key —
 //
 //	bit 0  held   (some cache holds the block)
 //	bit 1  dirty  (the holder's copy is modified)
@@ -32,11 +32,8 @@ import (
 // NewDir1NBSpec remains the specification; TestDir1NBTableMatchesSpec holds
 // the two bit-identical over random and standard reference streams.
 type dir1nbTable struct {
-	ncpu int
-
-	pages    map[uint64]*dir1nbPage
-	lastKey  uint64
-	lastPage *dir1nbPage
+	ncpu   int
+	blocks BlockTable[uint16]
 
 	Checker *Checker
 }
@@ -58,17 +55,6 @@ const (
 	d1tKeyWrite = 1 << 4
 	d1tKeys     = 1 << 5
 )
-
-// Pages are 4096 blocks (8 KiB) — big enough that the one-entry last-page
-// cache almost always hits under the workloads' block locality, small
-// enough that sparse address spaces stay cheap.
-const (
-	d1tPageBits = 12
-	d1tPageSize = 1 << d1tPageBits
-	d1tPageMask = d1tPageSize - 1
-)
-
-type dir1nbPage [d1tPageSize]uint16
 
 // The precomputed tables: per-key classification and transition masks.
 var (
@@ -141,7 +127,7 @@ func init() {
 // implementation, validated bit-identical against NewDir1NBSpec.
 func NewDir1NB(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &dir1nbTable{ncpu: ncpu, pages: map[uint64]*dir1nbPage{}}
+	return &dir1nbTable{ncpu: ncpu}
 }
 
 func (p *dir1nbTable) Name() string { return "Dir1NB" }
@@ -151,23 +137,6 @@ func (p *dir1nbTable) CPUs() int    { return p.ncpu }
 // checker attached the batched loop falls back to per-reference Access so
 // data-movement callbacks fire in specification order.
 func (p *dir1nbTable) SetChecker(c *Checker) { p.Checker = c }
-
-// page returns the state page containing block index bi, allocating it on
-// first touch. The one-entry cache makes consecutive same-page lookups a
-// compare instead of a map probe.
-func (p *dir1nbTable) page(bi uint64) *dir1nbPage {
-	key := bi >> d1tPageBits
-	if pg := p.lastPage; pg != nil && key == p.lastKey {
-		return pg
-	}
-	pg := p.pages[key]
-	if pg == nil {
-		pg = new(dir1nbPage)
-		p.pages[key] = pg
-	}
-	p.lastKey, p.lastPage = key, pg
-	return pg
-}
 
 // AccessBatch implements Batcher: the allocation-free hot loop.
 func (p *dir1nbTable) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
@@ -193,17 +162,15 @@ func (p *dir1nbTable) AccessBatch(refs []trace.Ref, out []event.Result) []event.
 		if int(r.CPU) >= ncpu {
 			panic(fmt.Sprintf("core: Dir1NB: cpu %d out of range [0,%d)", r.CPU, ncpu))
 		}
-		bi := uint64(r.Block())
-		pg := p.page(bi)
-		idx := bi & d1tPageMask
-		st := pg[idx]
+		slot := p.blocks.At(r.Block())
+		st := *slot
 
 		key := st&7 | write
 		if st&d1tHeld != 0 && uint8(st>>d1tHolderShift) == r.CPU {
 			key |= d1tKeyOwn
 		}
 		out = append(out, d1tRes[key])
-		pg[idx] = st&d1tAnd[key] | d1tOr[key] |
+		*slot = st&d1tAnd[key] | d1tOr[key] |
 			uint16(r.CPU)<<d1tHolderShift&d1tHolderMask[key]
 	}
 	return out
@@ -224,17 +191,15 @@ func (p *dir1nbTable) Access(r trace.Ref) event.Result {
 		panic(fmt.Sprintf("core: Dir1NB: cpu %d out of range [0,%d)", r.CPU, p.ncpu))
 	}
 	b := r.Block()
-	bi := uint64(b)
-	pg := p.page(bi)
-	idx := bi & d1tPageMask
-	st := pg[idx]
+	slot := p.blocks.At(b)
+	st := *slot
 
 	key := st&7 | write
 	own := st&d1tHeld != 0 && uint8(st>>d1tHolderShift) == r.CPU
 	if own {
 		key |= d1tKeyOwn
 	}
-	pg[idx] = st&d1tAnd[key] | d1tOr[key] |
+	*slot = st&d1tAnd[key] | d1tOr[key] |
 		uint16(r.CPU)<<d1tHolderShift&d1tHolderMask[key]
 
 	if p.Checker != nil {
@@ -272,24 +237,17 @@ func (p *dir1nbTable) CheckInvariants() error {
 	// the specification engine — the only invariant to verify is
 	// checker-level value coherence, plus basic state sanity: a dirty or
 	// held flag on a block implies the block has been seen.
-	for pk, pg := range p.pages {
-		for i, st := range pg {
-			if st == 0 {
-				continue
-			}
-			if st&(d1tHeld|d1tDirty) != 0 && st&d1tSeen == 0 {
-				return fmt.Errorf("core: Dir1NB: block %#x held or dirty but never seen",
-					pk<<d1tPageBits|uint64(i))
-			}
-			if st&d1tDirty != 0 && st&d1tHeld == 0 {
-				return fmt.Errorf("core: Dir1NB: block %#x dirty but not held",
-					pk<<d1tPageBits|uint64(i))
-			}
-			if int(st>>d1tHolderShift) >= p.ncpu {
-				return fmt.Errorf("core: Dir1NB: block %#x holder %d out of range",
-					pk<<d1tPageBits|uint64(i), st>>d1tHolderShift)
-			}
+	return cmp.Or(p.blocks.Each(func(b trace.Block, slot *uint16) error {
+		st := *slot
+		if st&(d1tHeld|d1tDirty) != 0 && st&d1tSeen == 0 {
+			return fmt.Errorf("core: Dir1NB: block %#x held or dirty but never seen", b)
 		}
-	}
-	return p.Checker.Err()
+		if st&d1tDirty != 0 && st&d1tHeld == 0 {
+			return fmt.Errorf("core: Dir1NB: block %#x dirty but not held", b)
+		}
+		if int(st>>d1tHolderShift) >= p.ncpu {
+			return fmt.Errorf("core: Dir1NB: block %#x holder %d out of range", b, st>>d1tHolderShift)
+		}
+		return nil
+	}), p.Checker.Err())
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dirsim/internal/event"
 	"dirsim/internal/trace"
@@ -19,8 +21,7 @@ import (
 // shared blocks (wh-distrib), which each cost a bus transaction.
 type dragon struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*dragonBlock
+	blocks BlockTable[dragonBlock]
 
 	Checker *Checker
 }
@@ -31,12 +32,13 @@ type dragonBlock struct {
 	// writer (owner) is responsible for supplying data on a miss.
 	stale bool
 	owner uint8
+	seenBit
 }
 
 // NewDragon returns a Dragon engine for ncpu caches.
 func NewDragon(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &dragon{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*dragonBlock{}}
+	return &dragon{ncpu: ncpu}
 }
 
 func (p *dragon) Name() string { return "Dragon" }
@@ -45,28 +47,38 @@ func (p *dragon) CPUs() int    { return p.ncpu }
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *dragon) SetChecker(c *Checker) { p.Checker = c }
 
-func (p *dragon) Access(r trace.Ref) event.Result {
+func (p *dragon) Access(r trace.Ref) (res event.Result) {
+	p.access(r, &res)
+	return res
+}
+
+// AccessBatch implements Batcher: each result is classified in place in
+// the grown slice, with no per-reference dispatch or copy.
+func (p *dragon) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
+	n := len(out)
+	out = slices.Grow(out, len(refs))[:n+len(refs)]
+	for i, r := range refs {
+		p.access(r, &out[n+i])
+	}
+	return out
+}
+
+// access classifies one reference into res.
+func (p *dragon) access(r trace.Ref, res *event.Result) {
 	if int(r.CPU) >= p.ncpu {
 		panic(fmt.Sprintf("core: Dragon: cpu %d out of range [0,%d)", r.CPU, p.ncpu))
 	}
+	*res = event.Result{}
 	switch r.Kind {
 	case trace.Instr:
-		return event.Result{Type: event.Instr}
+		res.Type = event.Instr
 	case trace.Read:
-		return p.read(r.CPU, r.Block())
+		p.read(r.CPU, r.Block(), res)
 	case trace.Write:
-		return p.write(r.CPU, r.Block())
+		p.write(r.CPU, r.Block(), res)
+	default:
+		panic(fmt.Sprintf("core: Dragon: invalid reference kind %d", r.Kind))
 	}
-	panic(fmt.Sprintf("core: Dragon: invalid reference kind %d", r.Kind))
-}
-
-func (p *dragon) block(b trace.Block) *dragonBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &dragonBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
 }
 
 func (p *dragon) fill(bl *dragonBlock, c uint8, b trace.Block, res *event.Result) {
@@ -81,14 +93,14 @@ func (p *dragon) fill(bl *dragonBlock, c uint8, b trace.Block, res *event.Result
 	bl.holders = bl.holders.Add(c)
 }
 
-func (p *dragon) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+func (p *dragon) read(c uint8, b trace.Block, res *event.Result) {
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
-		return event.Result{Type: event.RdHit}
+		res.Type = event.RdHit
+		return
 	}
-	first := p.seen.touch(b)
-	var res event.Result
+	first := bl.touch()
 	switch {
 	case bl.stale:
 		res.Type = event.RdMissDirty
@@ -99,32 +111,30 @@ func (p *dragon) read(c uint8, b trace.Block) event.Result {
 	default:
 		res.Type = event.RdMissMem
 	}
-	p.fill(bl, c, b, &res)
-	return res
+	p.fill(bl, c, b, res)
 }
 
-func (p *dragon) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+func (p *dragon) write(c uint8, b trace.Block, res *event.Result) {
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		others := bl.holders.Del(c)
 		p.Checker.Write(c, b)
 		bl.stale = true
 		bl.owner = c
 		if others.Empty() {
-			return event.Result{Type: event.WrHitLocal}
+			res.Type = event.WrHitLocal
+			return
 		}
 		// Shared line asserted: broadcast the word, sharers update.
 		p.Checker.UpdateSharers(b)
-		return event.Result{
-			Type:      event.WrHitShared,
-			Holders:   others.Count(),
-			Broadcast: true,
-			Update:    true,
-		}
+		res.Type = event.WrHitShared
+		res.Holders = others.Count()
+		res.Broadcast = true
+		res.Update = true
+		return
 	}
 	// Write miss: fetch the block, then behave like a write hit.
-	first := p.seen.touch(b)
-	var res event.Result
+	first := bl.touch()
 	switch {
 	case bl.stale:
 		res.Type = event.WrMissDirty
@@ -135,7 +145,7 @@ func (p *dragon) write(c uint8, b trace.Block) event.Result {
 	default:
 		res.Type = event.WrMissMem
 	}
-	p.fill(bl, c, b, &res)
+	p.fill(bl, c, b, res)
 	p.Checker.Write(c, b)
 	bl.stale = true
 	bl.owner = c
@@ -144,14 +154,13 @@ func (p *dragon) write(c uint8, b trace.Block) event.Result {
 		res.Broadcast = true
 		p.Checker.UpdateSharers(b)
 	}
-	return res
 }
 
 func (p *dragon) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *dragonBlock) error {
 		if bl.stale && !bl.holders.Has(bl.owner) {
 			return fmt.Errorf("Dragon: block %#x stale but owner %d is not a holder", b, bl.owner)
 		}
-	}
-	return p.Checker.Err()
+		return nil
+	}), p.Checker.Err())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"dirsim/internal/cache"
@@ -28,10 +29,9 @@ type finiteDir struct {
 	ncpu   int
 	cfg    cache.Config
 	caches []*cache.Cache
-	blocks map[trace.Block]*mrswBlock
-	seen   seenSet
-	// gone[c][b] records why CPU c lost block b.
-	gone []map[trace.Block]lossReason
+	blocks BlockTable[mrswBlock]
+	// gone records, per block, which CPUs lost their copy and why.
+	gone BlockTable[lostCopies]
 
 	// Miss-cause accounting (data misses, first references excluded
 	// from Coherence/Capacity by construction).
@@ -40,12 +40,12 @@ type finiteDir struct {
 	Checker *Checker
 }
 
-type lossReason uint8
-
-const (
-	lostInvalidated lossReason = iota + 1
-	lostEvicted
-)
+// lostCopies is the set of CPUs whose copy of a block was invalidated
+// away and the set whose copy was evicted away; a CPU is in at most one,
+// and leaves both when it refills the block.
+type lostCopies struct {
+	invalidated, evicted Set
+}
 
 // NewFiniteDirNNB returns a full-map directory engine over per-CPU finite
 // caches of the given configuration.
@@ -58,13 +58,9 @@ func NewFiniteDirNNB(ncpu int, cfg cache.Config) (Protocol, error) {
 		ncpu:   ncpu,
 		cfg:    cfg,
 		caches: make([]*cache.Cache, ncpu),
-		blocks: map[trace.Block]*mrswBlock{},
-		seen:   seenSet{},
-		gone:   make([]map[trace.Block]lossReason, ncpu),
 	}
 	for i := range p.caches {
 		p.caches[i] = cache.New(cfg)
-		p.gone[i] = map[trace.Block]lossReason{}
 	}
 	return p, nil
 }
@@ -74,15 +70,6 @@ func (p *finiteDir) CPUs() int    { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *finiteDir) SetChecker(c *Checker) { p.Checker = c }
-
-func (p *finiteDir) block(b trace.Block) *mrswBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &mrswBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
 
 func (p *finiteDir) Access(r trace.Ref) event.Result {
 	if int(r.CPU) >= p.ncpu {
@@ -102,7 +89,7 @@ func (p *finiteDir) Access(r trace.Ref) event.Result {
 }
 
 func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		// Residency and directory state agree by construction; touch
 		// the cache to keep LRU order honest.
@@ -123,25 +110,22 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 			Inval:    others.Count(),
 			DirCheck: true,
 		}
-		for _, v := range others.Members(nil) {
-			p.dropCopy(v, b, lostInvalidated)
-			p.Checker.Invalidate(v, b)
-		}
+		p.invalidate(others, b)
 		p.Checker.Write(c, b)
-		bl.holders = 0
-		bl.holders = bl.holders.Add(c)
+		bl.holders = Set(0).Add(c)
 		bl.dirty = true
 		bl.owner = c
 		return res
 	}
 	// Miss. Attribute the cause before refilling.
-	first := p.seen.touch(b)
+	first := bl.touch()
+	gone := p.gone.At(b)
 	switch {
 	case first:
 		// First reference in the whole trace: uniprocessor cold.
-	case p.gone[c][b] == lostInvalidated:
+	case gone.invalidated.Has(c):
 		p.Coherence++
-	case p.gone[c][b] == lostEvicted:
+	case gone.evicted.Has(c):
 		p.Capacity++
 	default:
 		// First touch by this CPU (the block lives elsewhere or was
@@ -149,7 +133,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		// as cold for this cache.
 		p.Cold++
 	}
-	delete(p.gone[c], b)
+	gone.invalidated, gone.evicted = gone.invalidated.Del(c), gone.evicted.Del(c)
 
 	var res event.Result
 	res.Holders = bl.holders.Count()
@@ -165,8 +149,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		p.Checker.WriteBack(bl.owner, b)
 		p.Checker.FillFromCache(c, bl.owner, b)
 		if write {
-			p.dropCopy(bl.owner, b, lostInvalidated)
-			p.Checker.Invalidate(bl.owner, b)
+			p.invalidate(bl.holders, b)
 		}
 		bl.dirty = false
 	case !bl.holders.Empty():
@@ -174,10 +157,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		if write {
 			res.Type = event.WrMissClean
 			res.Inval = bl.holders.Count()
-			for _, v := range bl.holders.Members(nil) {
-				p.dropCopy(v, b, lostInvalidated)
-				p.Checker.Invalidate(v, b)
-			}
+			p.invalidate(bl.holders, b)
 		}
 		p.Checker.FillFromMemory(c, b)
 	default:
@@ -202,24 +182,28 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 	bl.holders = bl.holders.Add(c)
 	if write {
 		p.Checker.Write(c, b)
-		bl.holders = 0
-		bl.holders = bl.holders.Add(c)
+		bl.holders = Set(0).Add(c)
 		bl.dirty = true
 		bl.owner = c
 	}
 	return res
 }
 
-// dropCopy removes CPU v's copy of b from its cache and records why.
-func (p *finiteDir) dropCopy(v uint8, b trace.Block, why lossReason) {
-	p.caches[v].Invalidate(b)
-	p.gone[v][b] = why
+// invalidate removes every victim's copy of b from its cache and records
+// the loss as coherence-caused.
+func (p *finiteDir) invalidate(victims Set, b trace.Block) {
+	gone := p.gone.At(b)
+	gone.invalidated |= victims
+	for _, v := range victims.Members(nil) {
+		p.caches[v].Invalidate(b)
+		p.Checker.Invalidate(v, b)
+	}
 }
 
 // evict handles a replacement victim: dirty victims flush to memory,
 // clean ones notify the directory; either way the full map stays exact.
 func (p *finiteDir) evict(c uint8, victim trace.Block, res *event.Result) {
-	vbl := p.block(victim)
+	vbl := p.blocks.At(victim)
 	if vbl.dirty && vbl.owner == c {
 		res.EvictWB = true
 		p.Checker.WriteBack(c, victim)
@@ -230,7 +214,8 @@ func (p *finiteDir) evict(c uint8, victim trace.Block, res *event.Result) {
 	}
 	vbl.holders = vbl.holders.Del(c)
 	p.Checker.Invalidate(c, victim)
-	p.gone[c][victim] = lostEvicted
+	gone := p.gone.At(victim)
+	gone.evicted = gone.evicted.Add(c)
 }
 
 // Counters returns the miss-cause accounting: per-cache cold fills,
@@ -242,7 +227,7 @@ func (p *finiteDir) Counters() (cold, coherence, capacity int64) {
 
 // CheckInvariants verifies the directory map matches cache residency.
 func (p *finiteDir) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *mrswBlock) error {
 		for cpu := 0; cpu < p.ncpu; cpu++ {
 			inDir := bl.holders.Has(uint8(cpu))
 			inCache := p.caches[cpu].Contains(b)
@@ -254,6 +239,6 @@ func (p *finiteDir) CheckInvariants() error {
 		if bl.dirty && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("FiniteDirNNB: block %#x dirty with holders %b", b, bl.holders)
 		}
-	}
-	return p.Checker.Err()
+		return nil
+	}), p.Checker.Err())
 }

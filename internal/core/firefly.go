@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"dirsim/internal/event"
@@ -15,8 +16,7 @@ import (
 // asserted, by memory otherwise.
 type firefly struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*fireflyBlock
+	blocks BlockTable[fireflyBlock]
 
 	Checker *Checker
 }
@@ -27,12 +27,13 @@ type fireflyBlock struct {
 	// write refreshes memory, so stale implies one holder.
 	stale bool
 	owner uint8
+	seenBit
 }
 
 // NewFirefly returns a Firefly engine for ncpu caches.
 func NewFirefly(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &firefly{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*fireflyBlock{}}
+	return &firefly{ncpu: ncpu}
 }
 
 func (p *firefly) Name() string { return "Firefly" }
@@ -40,15 +41,6 @@ func (p *firefly) CPUs() int    { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *firefly) SetChecker(c *Checker) { p.Checker = c }
-
-func (p *firefly) block(b trace.Block) *fireflyBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &fireflyBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
 
 func (p *firefly) Access(r trace.Ref) event.Result {
 	if int(r.CPU) >= p.ncpu {
@@ -86,12 +78,12 @@ func (p *firefly) fill(bl *fireflyBlock, c uint8, b trace.Block, res *event.Resu
 }
 
 func (p *firefly) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.seen.touch(b)
+	first := bl.touch()
 	var res event.Result
 	switch {
 	case bl.stale:
@@ -108,7 +100,7 @@ func (p *firefly) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *firefly) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		others := bl.holders.Del(c)
 		p.Checker.Write(c, b)
@@ -131,7 +123,7 @@ func (p *firefly) write(c uint8, b trace.Block) event.Result {
 			Update:    true,
 		}
 	}
-	first := p.seen.touch(b)
+	first := bl.touch()
 	var res event.Result
 	switch {
 	case bl.stale:
@@ -159,11 +151,11 @@ func (p *firefly) write(c uint8, b trace.Block) event.Result {
 }
 
 func (p *firefly) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *fireflyBlock) error {
 		if bl.stale && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("Firefly: block %#x stale with holders %b (owner %d)",
 				b, bl.holders, bl.owner)
 		}
-	}
-	return p.Checker.Err()
+		return nil
+	}), p.Checker.Err())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"dirsim/internal/event"
@@ -16,8 +17,7 @@ import (
 // modified supplier writes memory back in the same transaction.
 type mesi struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*mesiBlock
+	blocks BlockTable[mesiBlock]
 
 	Checker *Checker
 }
@@ -29,12 +29,13 @@ type mesiBlock struct {
 	modified  bool
 	exclusive bool
 	owner     uint8
+	seenBit
 }
 
 // NewMESI returns an Illinois/MESI engine for ncpu caches.
 func NewMESI(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mesi{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*mesiBlock{}}
+	return &mesi{ncpu: ncpu}
 }
 
 func (p *mesi) Name() string { return "MESI" }
@@ -42,15 +43,6 @@ func (p *mesi) CPUs() int    { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *mesi) SetChecker(c *Checker) { p.Checker = c }
-
-func (p *mesi) block(b trace.Block) *mesiBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &mesiBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
 
 func (p *mesi) Access(r trace.Ref) event.Result {
 	if int(r.CPU) >= p.ncpu {
@@ -68,12 +60,12 @@ func (p *mesi) Access(r trace.Ref) event.Result {
 }
 
 func (p *mesi) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.seen.touch(b)
+	first := bl.touch()
 	res := event.Result{Holders: bl.holders.Count()}
 	switch {
 	case bl.modified:
@@ -108,7 +100,7 @@ func (p *mesi) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *mesi) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	var res event.Result
 	switch {
 	case bl.holders.Has(c) && bl.holders.Only(c) && (bl.modified || bl.exclusive):
@@ -126,7 +118,7 @@ func (p *mesi) write(c uint8, b trace.Block) event.Result {
 		}
 		p.Checker.Write(c, b)
 	default:
-		first := p.seen.touch(b)
+		first := bl.touch()
 		res.Holders = bl.holders.Count()
 		switch {
 		case bl.modified:
@@ -163,7 +155,7 @@ func (p *mesi) write(c uint8, b trace.Block) event.Result {
 }
 
 func (p *mesi) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *mesiBlock) error {
 		if bl.modified && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("MESI: block %#x modified with holders %b", b, bl.holders)
 		}
@@ -173,6 +165,6 @@ func (p *mesi) CheckInvariants() error {
 		if bl.modified && bl.exclusive {
 			return fmt.Errorf("MESI: block %#x both M and E", b)
 		}
-	}
-	return p.Checker.Err()
+		return nil
+	}), p.Checker.Err())
 }

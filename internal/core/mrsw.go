@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dirsim/internal/event"
 	"dirsim/internal/trace"
@@ -48,24 +50,26 @@ type mrsw struct {
 	// from one copy to two (the extra bus bandwidth the paper notes).
 	singleBit bool
 
-	seen   seenSet
-	blocks map[trace.Block]*mrswBlock
+	blocks BlockTable[mrswBlock]
+	// fifo is each block's pointer fill order, the DiriNB victim choice.
+	// Only the limitCopies overflow path reads it, so it is kept out of
+	// the per-block state and nil for every other variant.
+	fifo map[trace.Block][]uint8
 
 	// Checker, when non-nil, receives data-movement callbacks so tests
 	// can assert value coherence.
 	Checker *Checker
 }
 
-// mrswBlock is the global coherence state of one block.
+// mrswBlock is the global coherence state of one block: 24 bytes, the
+// zero value being a block no cache has referenced.
 type mrswBlock struct {
 	holders Set   // caches with a valid copy
-	dirty   bool  // memory is stale; owner holds the only copy
+	ptrSet  Set   // directory pointer contents for DiriB/DiriNB/full-map
 	owner   uint8 // valid when dirty
-
-	// Directory knowledge (what the hardware entry would record):
-	ptrSet  Set     // pointer contents for DiriB/DiriNB/full-map
-	ptrFIFO []uint8 // pointer fill order, for DiriNB victim choice
-	bcast   bool    // DiriB broadcast bit / Dir0B "clean in unknown caches"
+	dirty   bool  // memory is stale; owner holds the only copy
+	bcast   bool  // DiriB broadcast bit / Dir0B "clean in unknown caches"
+	seenBit
 }
 
 // Variant constructors ---------------------------------------------------
@@ -75,8 +79,7 @@ type mrswBlock struct {
 // with broadcast invalidations.
 func NewDir0B(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "Dir0B", ncpu: ncpu, ptrs: 0, broadcast: true,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "Dir0B", ncpu: ncpu, ptrs: 0, broadcast: true}
 }
 
 // NewDirNNB returns the Censier–Feautrier full-map scheme: one valid bit
@@ -84,8 +87,7 @@ func NewDir0B(ncpu int) Protocol {
 // sequential messages, no broadcasts ever.
 func NewDirNNB(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "DirNNB", ncpu: ncpu, ptrs: ncpu,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "DirNNB", ncpu: ncpu, ptrs: ncpu}
 }
 
 // NewDiriNB returns the limited-pointer no-broadcast scheme Dir_i NB: at
@@ -103,8 +105,7 @@ func NewDiriNB(ncpu, i int) Protocol {
 		return p
 	}
 	return &mrsw{name: fmt.Sprintf("Dir%dNB", i), ncpu: ncpu, ptrs: i,
-		limitCopies: true,
-		seen:        seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+		limitCopies: true, fifo: map[trace.Block][]uint8{}}
 }
 
 // NewDiriB returns the limited-pointer broadcast scheme Dir_i B: the entry
@@ -116,9 +117,7 @@ func NewDiriB(ncpu, i int) Protocol {
 	if i < 1 {
 		panic("core: DiriB requires at least one pointer (use NewDir0B for i=0)")
 	}
-	return &mrsw{name: fmt.Sprintf("Dir%dB", i), ncpu: ncpu, ptrs: i,
-		broadcast: true,
-		seen:      seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: fmt.Sprintf("Dir%dB", i), ncpu: ncpu, ptrs: i, broadcast: true}
 }
 
 // NewYenFu returns the Yen–Fu refinement of the Censier–Feautrier
@@ -128,8 +127,7 @@ func NewDiriB(ncpu, i int) Protocol {
 // of control traffic to keep the bits current.
 func NewYenFu(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "YenFu", ncpu: ncpu, ptrs: ncpu, singleBit: true,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "YenFu", ncpu: ncpu, ptrs: ncpu, singleBit: true}
 }
 
 // NewWTI returns the write-through-with-invalidate snoopy protocol: all
@@ -137,8 +135,7 @@ func NewYenFu(ncpu int) Protocol {
 // is never stale.
 func NewWTI(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "WTI", ncpu: ncpu, writeThrough: true, broadcast: true,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "WTI", ncpu: ncpu, writeThrough: true, broadcast: true}
 }
 
 // Engine ------------------------------------------------------------------
@@ -149,38 +146,49 @@ func (p *mrsw) CPUs() int    { return p.ncpu }
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *mrsw) SetChecker(c *Checker) { p.Checker = c }
 
-func (p *mrsw) block(b trace.Block) *mrswBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &mrswBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
+func (p *mrsw) Access(r trace.Ref) (res event.Result) {
+	p.access(r, &res)
+	return res
 }
 
-func (p *mrsw) Access(r trace.Ref) event.Result {
+// AccessBatch implements Batcher: each result is classified in place in
+// the grown slice, with no per-reference dispatch or copy.
+func (p *mrsw) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
+	n := len(out)
+	out = slices.Grow(out, len(refs))[:n+len(refs)]
+	for i, r := range refs {
+		p.access(r, &out[n+i])
+	}
+	return out
+}
+
+// access classifies one reference into res.
+func (p *mrsw) access(r trace.Ref, res *event.Result) {
 	if int(r.CPU) >= p.ncpu {
 		panic(fmt.Sprintf("core: %s: cpu %d out of range [0,%d)", p.name, r.CPU, p.ncpu))
 	}
+	*res = event.Result{}
 	switch r.Kind {
 	case trace.Instr:
-		return event.Result{Type: event.Instr}
+		res.Type = event.Instr
 	case trace.Read:
-		return p.read(r.CPU, r.Block())
+		p.read(r.CPU, r.Block(), res)
 	case trace.Write:
-		return p.write(r.CPU, r.Block())
+		p.write(r.CPU, r.Block(), res)
+	default:
+		panic(fmt.Sprintf("core: %s: invalid reference kind %d", p.name, r.Kind))
 	}
-	panic(fmt.Sprintf("core: %s: invalid reference kind %d", p.name, r.Kind))
 }
 
-func (p *mrsw) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+func (p *mrsw) read(c uint8, b trace.Block, res *event.Result) {
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
-		return event.Result{Type: event.RdHit}
+		res.Type = event.RdHit
+		return
 	}
-	first := p.seen.touch(b)
-	res := event.Result{Holders: bl.holders.Count()}
+	first := bl.touch()
+	res.Holders = bl.holders.Count()
 	switch {
 	case bl.dirty:
 		// The owner flushes the dirty block to memory; the requester
@@ -216,8 +224,7 @@ func (p *mrsw) read(c uint8, b trace.Block) event.Result {
 		p.Checker.FillFromMemory(c, b)
 		bl.holders = bl.holders.Add(c)
 	}
-	p.dirRecordFill(bl, c, b, &res)
-	return res
+	p.dirRecordFill(bl, c, b, res)
 }
 
 // dirRecordFill updates the directory entry after a read fill and, for
@@ -236,29 +243,31 @@ func (p *mrsw) dirRecordFill(bl *mrswBlock, c uint8, b trace.Block, res *event.R
 	}
 	if bl.ptrSet.Count() < p.ptrs {
 		bl.ptrSet = bl.ptrSet.Add(c)
-		bl.ptrFIFO = append(bl.ptrFIFO, c)
+		if p.limitCopies {
+			p.fifo[b] = append(p.fifo[b], c)
+		}
 		return
 	}
 	// Pointer overflow.
 	if p.limitCopies {
-		// DiriNB: invalidate the oldest copy to make room.
-		victim := bl.ptrFIFO[0]
-		bl.ptrFIFO = bl.ptrFIFO[1:]
-		bl.ptrSet = bl.ptrSet.Del(victim)
+		// DiriNB: invalidate the oldest copy to make room; the newcomer
+		// takes the youngest place in the (full) fill order.
+		fifo := p.fifo[b]
+		victim := fifo[0]
+		copy(fifo, fifo[1:])
+		fifo[len(fifo)-1] = c
+		bl.ptrSet = bl.ptrSet.Del(victim).Add(c)
 		bl.holders = bl.holders.Del(victim)
 		p.Checker.Invalidate(victim, b)
 		res.ForcedInval++
-		bl.ptrSet = bl.ptrSet.Add(c)
-		bl.ptrFIFO = append(bl.ptrFIFO, c)
 		return
 	}
 	// DiriB: set the broadcast bit, leave pointers as they are.
 	bl.bcast = true
 }
 
-func (p *mrsw) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
-	var res event.Result
+func (p *mrsw) write(c uint8, b trace.Block, res *event.Result) {
+	bl := p.blocks.At(b)
 	switch {
 	case bl.dirty && bl.owner == c:
 		res.Type = event.WrHitOwn
@@ -267,11 +276,11 @@ func (p *mrsw) write(c uint8, b trace.Block) event.Result {
 		others := bl.holders.Del(c)
 		res.Type = event.WrHitClean
 		res.Holders = others.Count()
-		p.invalidate(bl, others, b, &res, true)
+		p.invalidate(bl, others, b, res, true)
 		p.Checker.Write(c, b)
 		p.takeExclusive(bl, c, b)
 	default:
-		first := p.seen.touch(b)
+		first := bl.touch()
 		res.Holders = bl.holders.Count()
 		switch {
 		case bl.dirty:
@@ -284,12 +293,12 @@ func (p *mrsw) write(c uint8, b trace.Block) event.Result {
 				p.Checker.WriteBack(bl.owner, b)
 				p.Checker.FillFromCache(c, bl.owner, b)
 			}
-			p.flushInval(bl, &res)
+			p.flushInval(bl, res)
 			p.Checker.Invalidate(bl.owner, b)
 		case !bl.holders.Empty():
 			res.Type = event.WrMissClean
 			p.Checker.FillFromMemory(c, b)
-			p.invalidate(bl, bl.holders, b, &res, false)
+			p.invalidate(bl, bl.holders, b, res, false)
 		default:
 			if first {
 				res.Type = event.WrMissFirst
@@ -305,7 +314,6 @@ func (p *mrsw) write(c uint8, b trace.Block) event.Result {
 		res.Update = true
 		p.Checker.WriteThrough(c, b)
 	}
-	return res
 }
 
 // invalidate fills the Result's invalidation fields for eliminating the
@@ -339,8 +347,10 @@ func (p *mrsw) invalidate(bl *mrswBlock, victims Set, b trace.Block, res *event.
 			res.Inval = k
 		}
 	}
-	for _, v := range victims.Members(nil) {
-		p.Checker.Invalidate(v, b)
+	if p.Checker != nil {
+		for _, v := range victims.Members(nil) {
+			p.Checker.Invalidate(v, b)
+		}
 	}
 }
 
@@ -361,22 +371,21 @@ func (p *mrsw) flushInval(bl *mrswBlock, res *event.Result) {
 // takeExclusive installs c as the sole (dirty) holder and resets the
 // directory entry accordingly.
 func (p *mrsw) takeExclusive(bl *mrswBlock, c uint8, b trace.Block) {
-	bl.holders = 0
-	bl.holders = bl.holders.Add(c)
+	bl.holders = Set(0).Add(c)
 	bl.dirty = true
 	bl.owner = c
 	bl.bcast = false
 	if p.ptrs > 0 {
-		bl.ptrSet = 0
-		bl.ptrSet = bl.ptrSet.Add(c)
-		bl.ptrFIFO = bl.ptrFIFO[:0]
-		bl.ptrFIFO = append(bl.ptrFIFO, c)
+		bl.ptrSet = bl.holders
+	}
+	if p.limitCopies {
+		p.fifo[b] = append(p.fifo[b][:0], c)
 	}
 }
 
 // CheckInvariants validates the engine's internal consistency.
 func (p *mrsw) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *mrswBlock) error {
 		if bl.dirty {
 			if !bl.holders.Only(bl.owner) {
 				return fmt.Errorf("%s: block %#x dirty but holders=%b owner=%d", p.name, b, bl.holders, bl.owner)
@@ -399,6 +408,6 @@ func (p *mrsw) CheckInvariants() error {
 				return fmt.Errorf("%s: block %#x clean-many bit %v but %d holders", p.name, b, bl.bcast, bl.holders.Count())
 			}
 		}
-	}
-	return p.Checker.Err()
+		return nil
+	}), p.Checker.Err())
 }

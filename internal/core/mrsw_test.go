@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dirsim/internal/event"
@@ -151,10 +152,14 @@ func TestDiriNBLimitsCopies(t *testing.T) {
 func TestDiriNBHolderLimitInvariant(t *testing.T) {
 	p := NewDiriNB(8, 3).(*mrsw)
 	apply(t, p, randomRefs(11, 8, 24, 30000)...)
-	for b, bl := range p.blocks {
+	err := p.blocks.Each(func(b trace.Block, bl *mrswBlock) error {
 		if n := bl.holders.Count(); n > 3 {
-			t.Fatalf("block %#x has %d holders, limit 3", b, n)
+			return fmt.Errorf("block %#x has %d holders, limit 3", b, n)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dirsim/internal/event"
 	"dirsim/internal/trace"
@@ -89,13 +90,7 @@ func (s Set) Add(cpu uint8) Set { return s | 1<<cpu }
 func (s Set) Del(cpu uint8) Set { return s &^ (1 << cpu) }
 
 // Count returns the number of caches in the set.
-func (s Set) Count() int {
-	n := 0
-	for ; s != 0; s &= s - 1 {
-		n++
-	}
-	return n
-}
+func (s Set) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // Empty reports whether the set has no members.
 func (s Set) Empty() bool { return s == 0 }
@@ -109,12 +104,7 @@ func (s Set) First() uint8 {
 	if s == 0 {
 		panic("core: First on empty set")
 	}
-	var i uint8
-	for s&1 == 0 {
-		s >>= 1
-		i++
-	}
-	return i
+	return uint8(bits.TrailingZeros64(uint64(s)))
 }
 
 // Members appends the set's cache indices to dst and returns it.
@@ -126,18 +116,4 @@ func (s Set) Members(dst []uint8) []uint8 {
 		s >>= 1
 	}
 	return dst
-}
-
-// seenSet tracks which blocks have ever been referenced, so engines can
-// classify first-reference misses (rm-first-ref / wm-first-ref), which the
-// paper excludes from the multiprocessing overhead.
-type seenSet map[trace.Block]struct{}
-
-// touch records a reference to b and reports whether it was the first one.
-func (s seenSet) touch(b trace.Block) (first bool) {
-	if _, ok := s[b]; ok {
-		return false
-	}
-	s[b] = struct{}{}
-	return true
 }

@@ -13,22 +13,23 @@ import (
 // named cache is always safe, at the cost of some unnecessary messages.
 //
 // The representation uses two bitmasks over digit positions: value[i] is
-// the digit's bit value where fixed, and wild marks "both" digits.
+// the digit's bit value where fixed, and wild marks "both" digits. The
+// zero Code names no cache at all.
 type Code struct {
 	value uint32 // digit values at fixed positions
 	wild  uint32 // positions coded "both"
-	empty bool   // no cache named at all
+	named bool   // at least one cache is named
 }
 
 // EmptyCode returns the code naming no caches.
-func EmptyCode() Code { return Code{empty: true} }
+func EmptyCode() Code { return Code{} }
 
 // CodeOf returns the code naming exactly cache c.
-func CodeOf(c uint8) Code { return Code{value: uint32(c)} }
+func CodeOf(c uint8) Code { return Code{value: uint32(c), named: true} }
 
 // Add returns the smallest code covering both the current set and cache c.
 func (k Code) Add(c uint8) Code {
-	if k.empty {
+	if !k.named {
 		return CodeOf(c)
 	}
 	diff := (k.value ^ uint32(c)) &^ k.wild
@@ -39,7 +40,7 @@ func (k Code) Add(c uint8) Code {
 
 // Covers reports whether the code names cache c.
 func (k Code) Covers(c uint8) bool {
-	if k.empty {
+	if !k.named {
 		return false
 	}
 	return (k.value^uint32(c))&^k.wild == 0
@@ -49,7 +50,7 @@ func (k Code) Covers(c uint8) bool {
 // n must be a power of two for the digit encoding to be exact; other
 // machine sizes are handled by clipping to n.
 func (k Code) Count(n int) int {
-	if k.empty {
+	if !k.named {
 		return 0
 	}
 	d := log2Ceil(n)
@@ -85,7 +86,7 @@ func (k Code) Members(n int, dst []uint8) []uint8 {
 // String renders the code most-significant digit first for d digits
 // covering machines up to 256 caches.
 func (k Code) String() string {
-	if k.empty {
+	if !k.named {
 		return "<empty>"
 	}
 	const d = 8

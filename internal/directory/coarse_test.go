@@ -19,6 +19,11 @@ func TestEmptyCode(t *testing.T) {
 	if k.String() != "<empty>" {
 		t.Errorf("String = %q", k.String())
 	}
+	// The block table relies on it: a never-referenced directory entry is
+	// all zeros and must name no cache.
+	if k != (Code{}) {
+		t.Error("the zero Code is not the empty code")
+	}
 }
 
 func TestCodeOfSingle(t *testing.T) {

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"cmp"
 	"fmt"
 
 	"dirsim/internal/core"
@@ -19,8 +20,7 @@ import (
 // experiment measures.
 type CoarseVector struct {
 	ncpu   int
-	seen   map[trace.Block]struct{}
-	blocks map[trace.Block]*cvBlock
+	blocks core.BlockTable[cvBlock]
 
 	// Wasted counts invalidation messages sent to caches that held no
 	// copy; Useful counts those that did.
@@ -29,11 +29,14 @@ type CoarseVector struct {
 	checker *core.Checker
 }
 
+// cvBlock is one directory entry; the zero value (no holders, the empty
+// code) is a block no cache has referenced.
 type cvBlock struct {
 	holders core.Set
 	code    Code
 	dirty   bool
 	owner   uint8
+	seen    bool
 }
 
 // NewCoarseVector returns a coarse-vector directory engine for ncpu
@@ -42,11 +45,7 @@ func NewCoarseVector(ncpu int) *CoarseVector {
 	if ncpu <= 0 || ncpu > core.MaxCPUs {
 		panic(fmt.Sprintf("directory: cpu count %d out of range", ncpu))
 	}
-	return &CoarseVector{
-		ncpu:   ncpu,
-		seen:   make(map[trace.Block]struct{}),
-		blocks: make(map[trace.Block]*cvBlock),
-	}
+	return &CoarseVector{ncpu: ncpu}
 }
 
 // Name implements core.Protocol.
@@ -58,21 +57,12 @@ func (p *CoarseVector) CPUs() int { return p.ncpu }
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *CoarseVector) SetChecker(c *core.Checker) { p.checker = c }
 
-func (p *CoarseVector) block(b trace.Block) *cvBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &cvBlock{code: EmptyCode()}
-		p.blocks[b] = bl
-	}
-	return bl
-}
-
-func (p *CoarseVector) first(b trace.Block) bool {
-	if _, ok := p.seen[b]; ok {
-		return false
-	}
-	p.seen[b] = struct{}{}
-	return true
+// first marks the block referenced and reports whether this was the first
+// reference to it.
+func (bl *cvBlock) first() bool {
+	first := !bl.seen
+	bl.seen = true
+	return first
 }
 
 // Access implements core.Protocol.
@@ -92,12 +82,12 @@ func (p *CoarseVector) Access(r trace.Ref) event.Result {
 }
 
 func (p *CoarseVector) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.first(b)
+	first := bl.first()
 	res := event.Result{Holders: bl.holders.Count()}
 	switch {
 	case bl.dirty:
@@ -126,7 +116,7 @@ func (p *CoarseVector) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *CoarseVector) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	var res event.Result
 	switch {
 	case bl.dirty && bl.owner == c:
@@ -140,7 +130,7 @@ func (p *CoarseVector) write(c uint8, b trace.Block) event.Result {
 		res.Inval = p.invalidateNamed(bl, c, b)
 		p.checker.Write(c, b)
 	default:
-		first := p.first(b)
+		first := bl.first()
 		res.Holders = bl.holders.Count()
 		switch {
 		case bl.dirty:
@@ -197,7 +187,7 @@ func (p *CoarseVector) invalidateNamed(bl *cvBlock, writer uint8, b trace.Block)
 // CheckInvariants implements core.Protocol: the code must always cover the
 // holder set, and dirty blocks must have a single holder.
 func (p *CoarseVector) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *cvBlock) error {
 		if err := bl.code.Validate(); err != nil {
 			return err
 		}
@@ -209,11 +199,8 @@ func (p *CoarseVector) CheckInvariants() error {
 		if bl.dirty && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("directory: block %#x dirty with holders %b", b, bl.holders)
 		}
-	}
-	if p.checker != nil {
-		return p.checker.Err()
-	}
-	return nil
+		return nil
+	}), p.checker.Err())
 }
 
 // Overshoot returns the fraction of invalidation messages that were

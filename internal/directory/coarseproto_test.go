@@ -46,6 +46,19 @@ func TestCoarseVectorBasics(t *testing.T) {
 	}
 }
 
+// TestCoarseVectorZeroState checks the invariants accept never-referenced
+// entries: an untouched engine, and the 511 zero slots beside one block.
+func TestCoarseVectorZeroState(t *testing.T) {
+	p := NewCoarseVector(8)
+	if err := p.CheckInvariants(); err != nil {
+		t.Errorf("untouched: %v", err)
+	}
+	p.Access(cvRef(3, trace.Write, 5))
+	if err := p.CheckInvariants(); err != nil {
+		t.Errorf("one block touched: %v", err)
+	}
+}
+
 func TestCoarseVectorOvershoot(t *testing.T) {
 	p := NewCoarseVector(8)
 	p.SetChecker(core.NewChecker())

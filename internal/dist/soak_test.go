@@ -103,8 +103,10 @@ func runSoakFleet(t *testing.T, cfg soakFleetConfig, specs []engine.SimSpec) soa
 		f.launch(worker(i))
 	}
 	<-done
-	stats := f.coord.Stats()
+	// Read both books only once the fleet is quiet: a worker still running
+	// can land a late duplicate push between the two snapshots.
 	f.stop()
+	stats := f.coord.Stats()
 
 	out := soakOutcome{
 		results: results,

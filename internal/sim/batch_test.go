@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dirsim/internal/bus"
@@ -17,6 +18,7 @@ import (
 // verbatim as the oracle for the batched hot path: one Next call per
 // reference and map iteration over the tallies in record. Any divergence
 // between this and Simulate is a correctness bug, not a tuning artifact.
+// opts.Telemetry, when set, sees every coherence signal in stream order.
 func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) {
 	if src.CPUCount() > p.CPUs() {
 		return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
@@ -41,6 +43,9 @@ func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (*Result
 			break
 		}
 		out := p.Access(r)
+		if opts.Telemetry != nil && out.CoherenceSignal() {
+			opts.Telemetry.Coherence(out)
+		}
 		res.Counts.Add(out.Type)
 		switch out.Type {
 		case event.WrHitClean, event.WrMissClean:
@@ -73,33 +78,55 @@ func batchTestOpts() Options {
 	return Options{Topologies: []network.Topology{network.Bus(4), network.Mesh(2, 2)}}
 }
 
+// signalLog is a Telemetry that keeps every event it is handed.
+type signalLog []event.Result
+
+func (l *signalLog) Coherence(out event.Result) { *l = append(*l, out) }
+
 // TestBatchedEquivalence is the tentpole's oracle: for every paper scheme
 // over the three standard workloads, the batched Simulate produces a
 // Result bit-identical to the seed's per-reference loop, bus and network
-// tallies included.
+// tallies included, and hands an attached Telemetry the same coherence
+// signals in the same order. YenFu is here for its quiet wh-blk-cln (an
+// unshared write its single bit resolves locally: no action to price, yet
+// a Figure 1 observation and a coherence signal), Dir2NB for forced
+// invalidations.
 func TestBatchedEquivalence(t *testing.T) {
-	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB"}
+	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB", "YenFu", "Dir2NB"}
 	for _, cfg := range workload.StandardConfigs(4, 30_000) {
 		tr, err := workload.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, scheme := range schemes {
-			want, err := runReference(scheme, tr)
-			if err != nil {
-				t.Fatal(err)
+			var results [2]*Result
+			var signals [2]signalLog
+			for i, simulate := range []func(core.Protocol, trace.Source, Options) (*Result, error){
+				Simulate, referenceSimulate,
+			} {
+				p, err := core.NewByName(scheme, tr.CPUs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := batchTestOpts()
+				opts.Telemetry = &signals[i]
+				if results[i], err = simulate(p, tr.Iterator(), opts); err != nil {
+					t.Fatal(err)
+				}
 			}
-			p, err := core.NewByName(scheme, tr.CPUs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Simulate(p, tr.Iterator(), batchTestOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, want := results[0], results[1]
+			gotSignals, wantSignals := signals[0], signals[1]
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s over %s: batched result differs from per-ref reference",
 					scheme, cfg.Name)
+			}
+			if len(wantSignals) == 0 || !reflect.DeepEqual(gotSignals, wantSignals) {
+				t.Errorf("%s over %s: telemetry saw %d coherence signals, reference %d (or they differ)",
+					scheme, cfg.Name, len(gotSignals), len(wantSignals))
+			}
+			quietSignal := func(out event.Result) bool { return out.Quiet() }
+			if scheme == "YenFu" && !slices.ContainsFunc(gotSignals, quietSignal) {
+				t.Errorf("YenFu over %s: no quiet wh-blk-cln reached telemetry", cfg.Name)
 			}
 		}
 	}

@@ -1,0 +1,151 @@
+package sim
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"dirsim/internal/cache"
+	"dirsim/internal/core"
+	"dirsim/internal/directory"
+	"dirsim/internal/network"
+	"dirsim/internal/trace"
+	"dirsim/internal/workload"
+)
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/golden_fingerprints.txt from the current engines")
+
+const goldenFile = "testdata/golden_fingerprints.txt"
+
+// goldenEngine is one protocol engine the golden table pins: every fixed
+// scheme name, the parameterized pointer schemes, and the two engines
+// built outside NewByName.
+type goldenEngine struct {
+	name  string
+	build func(ncpu int) (core.Protocol, error)
+}
+
+func goldenEngines() []goldenEngine {
+	byName := func(scheme string) goldenEngine {
+		return goldenEngine{scheme, func(ncpu int) (core.Protocol, error) {
+			return core.NewByName(scheme, ncpu)
+		}}
+	}
+	var engines []goldenEngine
+	for _, scheme := range core.Schemes() {
+		engines = append(engines, byName(scheme))
+	}
+	for _, scheme := range []string{"Dir2NB", "Dir1B", "Dir2B"} {
+		engines = append(engines, byName(scheme))
+	}
+	return append(engines,
+		goldenEngine{"FiniteDirNNB", func(ncpu int) (core.Protocol, error) {
+			// Small enough that the standard workloads evict.
+			return core.NewFiniteDirNNB(ncpu, cache.Config{SizeBytes: 512, Assoc: 2, HashIndex: true})
+		}},
+		goldenEngine{"DirCV", func(ncpu int) (core.Protocol, error) {
+			return directory.NewCoarseVector(ncpu), nil
+		}},
+	)
+}
+
+// sparseTrace is a seeded random stream over a footprint no dense table
+// could hold: consecutive blocks are 2^40 block indices apart, so every
+// block sits alone on its page whatever the page size.
+func sparseTrace(seed int64, cpus, blocks, n int) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	tr := trace.New("sparse", cpus)
+	for i := 0; i < n; i++ {
+		cpu := uint8(rng.Intn(cpus))
+		kind := trace.Read
+		switch x := rng.Intn(10); {
+		case x == 0:
+			kind = trace.Instr
+		case x <= 3:
+			kind = trace.Write
+		}
+		b := trace.Block(uint64(rng.Intn(blocks)) << 40)
+		tr.Append(trace.Ref{Addr: b.Addr(), CPU: cpu, Proc: uint16(cpu), Kind: kind})
+	}
+	return tr
+}
+
+func goldenTraces(t *testing.T) []*trace.Trace {
+	var traces []*trace.Trace
+	for _, cpus := range []int{4, 16} {
+		for _, cfg := range workload.StandardConfigs(cpus, 50_000) {
+			tr, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Name = fmt.Sprintf("%s%d", tr.Name, cpus)
+			traces = append(traces, tr)
+		}
+	}
+	return append(traces, sparseTrace(13, 8, 96, 30_000))
+}
+
+// TestGoldenFingerprints pins Result.Fingerprint() — and the engine-side
+// counters the fingerprint does not cover — for every engine over the
+// standard workloads at two machine sizes and over a sparse random
+// stream. The table was recorded from the map-backed engines; a change of
+// per-block storage or of the accounting loop must leave every line as it
+// is. -update-golden rewrites it (only for a deliberate protocol change).
+func TestGoldenFingerprints(t *testing.T) {
+	var lines []string
+	for _, tr := range goldenTraces(t) {
+		opts := Options{Topologies: []network.Topology{network.Bus(tr.CPUs)}}
+		for _, e := range goldenEngines() {
+			p, err := e.build(tr.CPUs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Simulate(p, tr.Iterator(), opts)
+			if err != nil {
+				t.Fatalf("%s over %s: %v", e.name, tr.Name, err)
+			}
+			res.Trace = tr.Name
+			if err := p.CheckInvariants(); err != nil {
+				t.Errorf("%s over %s: %v", e.name, tr.Name, err)
+			}
+			line := fmt.Sprintf("%s %s %016x", e.name, tr.Name, res.Fingerprint())
+			switch p := p.(type) {
+			case interface{ Counters() (int64, int64, int64) }:
+				cold, coherence, capacity := p.Counters()
+				line += fmt.Sprintf(" cold=%d coherence=%d capacity=%d", cold, coherence, capacity)
+			case *directory.CoarseVector:
+				line += fmt.Sprintf(" wasted=%d useful=%d", p.Wasted, p.Useful)
+			}
+			lines = append(lines, line)
+		}
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(goldenFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("golden table has %d entries, engines produced %d", len(wantLines), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != wantLines[i] {
+			t.Errorf("got  %s\nwant %s", lines[i], wantLines[i])
+		}
+	}
+}

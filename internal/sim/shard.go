@@ -302,9 +302,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			}
 		} else {
 			outs = core.AccessBatch(p, buf, outs[:0])
-			for i := range outs {
-				res.record(outs[i], busTallies, netTallies, tel)
-			}
+			res.recordBatch(outs, busTallies, netTallies, tel)
 			n += int64(len(buf))
 		}
 		free <- buf[:0]

@@ -53,7 +53,7 @@ type Options struct {
 	// telemetry channel the observability layer samples into histograms
 	// and trace instants. It is called from the simulation goroutine and
 	// never changes the Result; nil (the default) costs one nil check per
-	// reference. Under SimulateSharded the value is shared by every shard
+	// reference that is not a plain hit or fetch. Under SimulateSharded the value is shared by every shard
 	// behind a mutex, so event *order* across shards is scheduling-
 	// dependent — results remain bit-identical regardless.
 	Telemetry Telemetry
@@ -195,9 +195,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			continue
 		}
 		outs = core.AccessBatch(p, buf[:k], outs[:0])
-		for i := range outs {
-			res.record(outs[i], busTallies, netTallies, tel)
-		}
+		res.recordBatch(outs, busTallies, netTallies, tel)
 		n += int64(k)
 	}
 	if opts.Check {
@@ -247,6 +245,38 @@ func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.T
 		}
 	}
 	return res, busTallies, netTallies
+}
+
+// recordBatch accumulates one batch of classified references. The paper's
+// method is "classify once, price afterwards", and most of any trace is
+// instruction fetches and plain hits. Those that are Quiet touch no
+// histogram, traffic counter or telemetry and price at zero under every
+// model, so each only bumps its event count, and the reference totals
+// they add to Counts and to every tally are settled once for the whole
+// batch. Everything else goes through record — including quiet results of
+// other types, such as Yen–Fu's locally resolved wh-blk-cln, which is
+// still a Figure 1 observation and a coherence signal.
+func (r *Result) recordBatch(outs []event.Result, busTallies []*bus.Tally, netTallies []*network.Tally, tel Telemetry) {
+	var plain int64
+	for i := range outs {
+		out := &outs[i]
+		switch out.Type {
+		case event.Instr, event.RdHit, event.WrHitOwn, event.WrHitLocal:
+			if out.Quiet() {
+				r.Counts.N[out.Type]++
+				plain++
+				continue
+			}
+		}
+		r.record(*out, busTallies, netTallies, tel)
+	}
+	r.Counts.Total += plain
+	for _, t := range busTallies {
+		t.Refs += plain
+	}
+	for _, t := range netTallies {
+		t.Refs += plain
+	}
 }
 
 // record accumulates one classified reference. The tally lists are the
