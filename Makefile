@@ -26,11 +26,13 @@ check: build vet race shard-equiv
 # Dir1NB core against its executable specification, and the shard fault
 # tests (injected panic -> structured error, no goroutine leaks) — plus
 # the storage and accounting oracles: the golden fingerprint table of
-# every engine, AccessBatch against per-reference Access, the batched
-# loop's zero-allocation and the block table's footprint bounds.
+# every engine, AccessBatch and AccessSparse against per-reference Access
+# (and the simulator's use of the sparse stream behind an AccessBatch-only
+# wrapper), the batched and sparse loops' zero-allocation and the block
+# table's footprint bounds.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestEngineShard|TestDir1NBTable|TestGolden|TestBatch|TestBlock|TestZeroState' \
+		-run 'TestSharded|TestShardOf|TestEngineShard|TestDir1NBTable|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState' \
 		./internal/sim ./internal/engine ./internal/core
 
 # Run the fault-injection soak under the race detector: the widened

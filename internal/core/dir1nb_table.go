@@ -63,16 +63,19 @@ var (
 	d1tHolderMask [d1tKeys]uint16
 )
 
+// d1tHit reports whether a situation key is a hit: the referencing CPU is
+// the holder. Its result is RdHit or WrHitOwn with no action attached.
+func d1tHit(key uint16) bool { return key&d1tHeld != 0 && key&d1tKeyOwn != 0 }
+
 func init() {
 	for key := 0; key < d1tKeys; key++ {
 		held := key&d1tHeld != 0
 		dirty := key&d1tDirty != 0
 		seen := key&d1tSeen != 0
-		own := key&d1tKeyOwn != 0
 		write := key&d1tKeyWrite != 0
 
 		var res event.Result
-		if held && own {
+		if d1tHit(uint16(key)) {
 			// Hit: the copy is exclusive by construction, so even a
 			// write to a clean block just sets the local dirty bit.
 			if write {
@@ -172,6 +175,47 @@ func (p *dir1nbTable) AccessBatch(refs []trace.Ref, out []event.Result) []event.
 		out = append(out, d1tRes[key])
 		*slot = st&d1tAnd[key] | d1tOr[key] |
 			uint16(r.CPU)<<d1tHolderShift&d1tHolderMask[key]
+	}
+	return out
+}
+
+// AccessSparse implements Sparser: AccessBatch's loop, except that an
+// instruction fetch or a hit is counted under its type instead of being
+// copied out of the table.
+func (p *dir1nbTable) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	if p.Checker != nil {
+		return sparseFromDense(p, refs, plain, out)
+	}
+	ncpu := p.ncpu
+	for _, r := range refs {
+		var write uint16
+		switch r.Kind {
+		case trace.Instr:
+			plain[event.Instr]++
+			continue
+		case trace.Read:
+		case trace.Write:
+			write = d1tKeyWrite
+		default:
+			panic(fmt.Sprintf("core: Dir1NB: invalid reference kind %d", r.Kind))
+		}
+		if int(r.CPU) >= ncpu {
+			panic(fmt.Sprintf("core: Dir1NB: cpu %d out of range [0,%d)", r.CPU, ncpu))
+		}
+		slot := p.blocks.At(r.Block())
+		st := *slot
+
+		key := st&7 | write
+		if st&d1tHeld != 0 && uint8(st>>d1tHolderShift) == r.CPU {
+			key |= d1tKeyOwn
+		}
+		*slot = st&d1tAnd[key] | d1tOr[key] |
+			uint16(r.CPU)<<d1tHolderShift&d1tHolderMask[key]
+		if d1tHit(key) {
+			plain[d1tRes[key].Type]++
+			continue
+		}
+		out = append(out, d1tRes[key])
 	}
 	return out
 }

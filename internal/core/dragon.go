@@ -35,6 +35,18 @@ type dragonBlock struct {
 	seenBit
 }
 
+// writeLocal applies a write by c if c holds the only copy — the shared
+// line stays low and the write goes no further than c's cache (wh-local) —
+// and reports whether it did.
+func (bl *dragonBlock) writeLocal(c uint8) bool {
+	if !bl.holders.Only(c) {
+		return false
+	}
+	bl.stale = true
+	bl.owner = c
+	return true
+}
+
 // NewDragon returns a Dragon engine for ncpu caches.
 func NewDragon(ncpu int) Protocol {
 	checkCPUs(ncpu)
@@ -52,13 +64,65 @@ func (p *dragon) Access(r trace.Ref) (res event.Result) {
 	return res
 }
 
+// Both batch loops run the hit tests of read and write ahead of access, as
+// mrsw's do: a reference that passes is plain, its whole result its type.
+// A local write hit is plain too, but not a no-op — writeLocal marks the
+// sole copy stale.
+
 // AccessBatch implements Batcher: each result is classified in place in
 // the grown slice, with no per-reference dispatch or copy.
 func (p *dragon) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
 	n := len(out)
 	out = slices.Grow(out, len(refs))[:n+len(refs)]
 	for i, r := range refs {
-		p.access(r, &out[n+i])
+		res := &out[n+i]
+		if int(r.CPU) < p.ncpu && p.Checker == nil {
+			switch r.Kind {
+			case trace.Instr:
+				*res = event.Result{Type: event.Instr}
+				continue
+			case trace.Read:
+				if p.blocks.At(r.Block()).holders.Has(r.CPU) {
+					*res = event.Result{Type: event.RdHit}
+					continue
+				}
+			case trace.Write:
+				if p.blocks.At(r.Block()).writeLocal(r.CPU) {
+					*res = event.Result{Type: event.WrHitLocal}
+					continue
+				}
+			}
+		}
+		p.access(r, res)
+	}
+	return out
+}
+
+// AccessSparse implements Sparser.
+func (p *dragon) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	if p.Checker != nil {
+		return sparseFromDense(p, refs, plain, out)
+	}
+	for _, r := range refs {
+		if int(r.CPU) < p.ncpu {
+			switch r.Kind {
+			case trace.Instr:
+				plain[event.Instr]++
+				continue
+			case trace.Read:
+				if p.blocks.At(r.Block()).holders.Has(r.CPU) {
+					plain[event.RdHit]++
+					continue
+				}
+			case trace.Write:
+				if p.blocks.At(r.Block()).writeLocal(r.CPU) {
+					plain[event.WrHitLocal]++
+					continue
+				}
+			}
+		}
+		out = append(out, event.Result{})
+		p.access(r, &out[len(out)-1])
 	}
 	return out
 }
@@ -116,19 +180,19 @@ func (p *dragon) read(c uint8, b trace.Block, res *event.Result) {
 
 func (p *dragon) write(c uint8, b trace.Block, res *event.Result) {
 	bl := p.blocks.At(b)
+	if bl.writeLocal(c) {
+		p.Checker.Write(c, b)
+		res.Type = event.WrHitLocal
+		return
+	}
 	if bl.holders.Has(c) {
-		others := bl.holders.Del(c)
+		// Shared line asserted: broadcast the word, sharers update.
 		p.Checker.Write(c, b)
 		bl.stale = true
 		bl.owner = c
-		if others.Empty() {
-			res.Type = event.WrHitLocal
-			return
-		}
-		// Shared line asserted: broadcast the word, sharers update.
 		p.Checker.UpdateSharers(b)
 		res.Type = event.WrHitShared
-		res.Holders = others.Count()
+		res.Holders = bl.holders.Del(c).Count()
 		res.Broadcast = true
 		res.Update = true
 		return

@@ -72,6 +72,10 @@ type mrswBlock struct {
 	seenBit
 }
 
+// ownedBy reports whether c holds the block dirty: a write by c needs no
+// one's permission and no one's copy dies.
+func (bl *mrswBlock) ownedBy(c uint8) bool { return bl.dirty && bl.owner == c }
+
 // Variant constructors ---------------------------------------------------
 
 // NewDir0B returns the Archibald–Baer scheme: a two-bit directory entry
@@ -151,13 +155,69 @@ func (p *mrsw) Access(r trace.Ref) (res event.Result) {
 	return res
 }
 
+// Both batch loops run the hit tests of read and write ahead of access. A
+// reference that passes is plain: it changes no state and takes no action,
+// so its whole result is its type, and it costs one table lookup and then
+// one store (AccessBatch) or one count (AccessSparse). Whatever the tests
+// let through, access classifies as it always has; a CPU out of range
+// skips them for access to reject. With a Checker attached, hits move
+// data too and every reference goes through access.
+
 // AccessBatch implements Batcher: each result is classified in place in
 // the grown slice, with no per-reference dispatch or copy.
 func (p *mrsw) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
 	n := len(out)
 	out = slices.Grow(out, len(refs))[:n+len(refs)]
 	for i, r := range refs {
-		p.access(r, &out[n+i])
+		res := &out[n+i]
+		if int(r.CPU) < p.ncpu && p.Checker == nil {
+			switch r.Kind {
+			case trace.Instr:
+				*res = event.Result{Type: event.Instr}
+				continue
+			case trace.Read:
+				if p.blocks.At(r.Block()).holders.Has(r.CPU) {
+					*res = event.Result{Type: event.RdHit}
+					continue
+				}
+			case trace.Write:
+				if !p.writeThrough && p.blocks.At(r.Block()).ownedBy(r.CPU) {
+					*res = event.Result{Type: event.WrHitOwn}
+					continue
+				}
+			}
+		}
+		p.access(r, res)
+	}
+	return out
+}
+
+// AccessSparse implements Sparser.
+func (p *mrsw) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	if p.Checker != nil {
+		return sparseFromDense(p, refs, plain, out)
+	}
+	for _, r := range refs {
+		if int(r.CPU) < p.ncpu {
+			switch r.Kind {
+			case trace.Instr:
+				plain[event.Instr]++
+				continue
+			case trace.Read:
+				if p.blocks.At(r.Block()).holders.Has(r.CPU) {
+					plain[event.RdHit]++
+					continue
+				}
+			case trace.Write:
+				// A write-through write is on the bus even when it hits.
+				if !p.writeThrough && p.blocks.At(r.Block()).ownedBy(r.CPU) {
+					plain[event.WrHitOwn]++
+					continue
+				}
+			}
+		}
+		out = append(out, event.Result{})
+		p.access(r, &out[len(out)-1])
 	}
 	return out
 }
@@ -269,7 +329,7 @@ func (p *mrsw) dirRecordFill(bl *mrswBlock, c uint8, b trace.Block, res *event.R
 func (p *mrsw) write(c uint8, b trace.Block, res *event.Result) {
 	bl := p.blocks.At(b)
 	switch {
-	case bl.dirty && bl.owner == c:
+	case bl.ownedBy(c):
 		res.Type = event.WrHitOwn
 		p.Checker.Write(c, b)
 	case bl.holders.Has(c):

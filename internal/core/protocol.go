@@ -70,6 +70,52 @@ func AccessBatch(p Protocol, refs []trace.Ref, out []event.Result) []event.Resul
 	return out
 }
 
+// Plain counts, by event type, the references of a batch that did
+// nothing: instruction fetches, read hits and writes to a block the writer
+// already owns (event.Result.Plain). They are the bulk of any trace, they
+// touch no histogram, traffic counter or telemetry, and every cost model
+// prices them at zero, so a simulation needs their number and nothing else.
+type Plain [event.NumTypes]int64
+
+// Sparser is implemented by engines that recognise a plain reference
+// before classifying it: their loop counts it and moves on, and only the
+// references that did something are materialised as results. Semantics
+// must be identical to Access on each reference in order, with the plain
+// results left out — TestSparseMatchesAccess asserts exactly that.
+type Sparser interface {
+	AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result
+}
+
+// AccessSparse applies every reference in refs to p in order. Plain
+// references are added to plain by type; the result of every other
+// reference — misses, invalidations, updates, write-backs, control
+// traffic: a few per cent of a trace — is appended to out, in order, and
+// the extended slice returned. Engines that implement Sparser get their
+// own loop; every other engine, and any wrapper that only knows
+// AccessBatch, is classified densely and compacted.
+func AccessSparse(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	if s, ok := p.(Sparser); ok {
+		return s.AccessSparse(refs, plain, out)
+	}
+	return sparseFromDense(p, refs, plain, out)
+}
+
+// sparseFromDense is the fallback behind AccessSparse: one dense
+// AccessBatch, then the plain results counted and squeezed out in place.
+func sparseFromDense(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	n := len(out)
+	out = AccessBatch(p, refs, out)
+	for i := n; i < len(out); i++ {
+		if res := &out[i]; res.Plain() {
+			plain[res.Type]++
+		} else {
+			out[n] = *res
+			n++
+		}
+	}
+	return out[:n]
+}
+
 // checkCPUs validates a processor count for an engine constructor.
 func checkCPUs(ncpu int) {
 	if ncpu <= 0 || ncpu > MaxCPUs {

@@ -1,0 +1,234 @@
+package core_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dirsim/internal/cache"
+	"dirsim/internal/core"
+	"dirsim/internal/directory"
+	"dirsim/internal/event"
+	"dirsim/internal/trace"
+	"dirsim/internal/workload"
+)
+
+// sparseEngines names every engine the sparse entry point must serve: the
+// fixed scheme names, the parameterized pointer schemes, the Dir1NB
+// specification, and the two engines built outside NewByName (the last
+// three have only Access, so they take the dense fallback).
+func sparseEngines() map[string]func(ncpu int) core.Protocol {
+	engines := map[string]func(int) core.Protocol{
+		"Dir1NBSpec": core.NewDir1NBSpec,
+		"FiniteDirNNB": func(ncpu int) core.Protocol {
+			// Small enough that the standard workloads evict.
+			p, err := core.NewFiniteDirNNB(ncpu, cache.Config{SizeBytes: 512, Assoc: 2, HashIndex: true})
+			if err != nil {
+				panic(err)
+			}
+			return p
+		},
+		"DirCV": func(ncpu int) core.Protocol { return directory.NewCoarseVector(ncpu) },
+	}
+	for _, scheme := range append(core.Schemes(), "Dir2NB", "Dir1B", "Dir2B") {
+		engines[scheme] = func(ncpu int) core.Protocol {
+			p, err := core.NewByName(scheme, ncpu)
+			if err != nil {
+				panic(err)
+			}
+			return p
+		}
+	}
+	return engines
+}
+
+// sparseStreams are the three standard workloads plus a seeded random
+// stream whose blocks sit 2^40 apart, each alone on its page.
+func sparseStreams(cpus, n int) map[string][]trace.Ref {
+	streams := map[string][]trace.Ref{}
+	for _, cfg := range workload.StandardConfigs(cpus, n) {
+		streams[cfg.Name] = workload.MustGenerate(cfg).Refs
+	}
+	rng := rand.New(rand.NewSource(13))
+	sparse := make([]trace.Ref, n)
+	for i := range sparse {
+		cpu := uint8(rng.Intn(cpus))
+		kind := trace.Read
+		switch x := rng.Intn(10); {
+		case x == 0:
+			kind = trace.Instr
+		case x <= 3:
+			kind = trace.Write
+		}
+		b := trace.Block(uint64(rng.Intn(96)) << 40)
+		sparse[i] = trace.Ref{Addr: b.Addr(), CPU: cpu, Proc: uint16(cpu), Kind: kind}
+	}
+	streams["sparse"] = sparse
+	return streams
+}
+
+// plainResult restates the definition the sparse stream rests on,
+// independently of the code under test: an instruction fetch, a read hit
+// or a write to an already-owned block that took no coherence action.
+func plainResult(res event.Result) bool {
+	switch res.Type {
+	case event.Instr, event.RdHit, event.WrHitOwn, event.WrHitLocal:
+		return res.Quiet()
+	}
+	return false
+}
+
+// TestSparseMatchesAccess holds AccessSparse to per-reference Access for
+// every engine, with and without a value-coherence checker, over the
+// standard workloads and a sparse random stream, at batch sizes from one
+// reference to more than the stream: the plain counts plus the sparse
+// results reproduce the per-type counts and the exact ordered sequence of
+// results that did something, and the engine is left in the state Access
+// leaves it in.
+func TestSparseMatchesAccess(t *testing.T) {
+	const cpus, n = 4, 12_000
+	for stream, refs := range sparseStreams(cpus, n) {
+		for name, build := range sparseEngines() {
+			for _, checked := range []bool{false, true} {
+				// The oracle: one Access per reference.
+				oracle := build(cpus)
+				if checked && !core.Attach(oracle, core.NewChecker()) {
+					t.Fatalf("%s does not accept a checker", name)
+				}
+				var wantCounts event.Counts
+				var want []event.Result
+				for _, r := range refs {
+					res := oracle.Access(r)
+					wantCounts.Add(res.Type)
+					if !plainResult(res) {
+						want = append(want, res)
+					}
+				}
+				if len(want) == 0 || len(want) == len(refs) {
+					t.Fatalf("%s over %s: %d of %d results are not plain; the stream tests nothing",
+						name, stream, len(want), len(refs))
+				}
+				tail := refs[:2000]
+				var wantTail []event.Result
+				for _, r := range tail {
+					wantTail = append(wantTail, oracle.Access(r))
+				}
+
+				for _, batch := range []int{1, 7, 4096} {
+					label := fmt.Sprintf("%s over %s (checked=%v, batch=%d)", name, stream, checked, batch)
+					p := build(cpus)
+					if checked {
+						core.Attach(p, core.NewChecker())
+					}
+					var plain core.Plain
+					var got []event.Result
+					for rest := refs; len(rest) > 0; {
+						k := min(len(rest), batch)
+						got = core.AccessSparse(p, rest[:k], &plain, got)
+						rest = rest[k:]
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: %d sparse results, Access produced %d that are not plain (or they differ)",
+							label, len(got), len(want))
+					}
+					gotCounts := event.Counts{N: plain}
+					for _, c := range plain {
+						gotCounts.Total += c
+					}
+					for _, res := range got {
+						gotCounts.Add(res.Type)
+					}
+					if gotCounts != wantCounts {
+						t.Errorf("%s: counts\n%v, Access counted\n%v", label, &gotCounts, &wantCounts)
+					}
+					if err := p.CheckInvariants(); err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+					// Same state afterwards: a dense batch classifies the
+					// same way on both engines.
+					if gotTail := core.AccessBatch(p, tail, nil); !slices.Equal(gotTail, wantTail) {
+						t.Errorf("%s: a following dense batch differs from the Access engine's", label)
+					}
+				}
+				if err := oracle.CheckInvariants(); err != nil {
+					t.Errorf("%s over %s (checked=%v): %v", name, stream, checked, err)
+				}
+			}
+		}
+	}
+}
+
+// recovered runs f and returns what it panicked with, nil if it did not.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestSparsePanicsLikeAccess feeds every engine references no trace may
+// contain — a CPU the engine does not have, a Kind that does not exist —
+// behind two good ones, and requires the sparse path to panic exactly
+// where and as Access does.
+func TestSparsePanicsLikeAccess(t *testing.T) {
+	good := []trace.Ref{
+		{Addr: 64, CPU: 1, Kind: trace.Write},
+		{Addr: 64, CPU: 1, Kind: trace.Read},
+	}
+	bad := map[string]trace.Ref{
+		"instr from cpu 9": {Addr: 64, CPU: 9, Kind: trace.Instr},
+		"read from cpu 9":  {Addr: 64, CPU: 9, Kind: trace.Read},
+		"write from cpu 9": {Addr: 64, CPU: 9, Kind: trace.Write},
+		"read from cpu 64": {Addr: 64, CPU: 64, Kind: trace.Read},
+		"kind 7":           {Addr: 64, CPU: 1, Kind: 7},
+		"kind 7 on a miss": {Addr: 4096, CPU: 2, Kind: 7},
+	}
+	panicked := 0
+	for name, build := range sparseEngines() {
+		for what, r := range bad {
+			p, q := build(4), build(4)
+			for _, g := range good {
+				q.Access(g)
+			}
+			want := recovered(func() { q.Access(r) })
+			var plain core.Plain
+			got := recovered(func() { core.AccessSparse(p, append(slices.Clone(good), r), &plain, nil) })
+			if got != want {
+				t.Errorf("%s, %s: sparse path panicked with %v, Access with %v", name, what, got, want)
+			}
+			if want != nil {
+				panicked++
+			}
+		}
+	}
+	if panicked == 0 {
+		t.Error("no engine rejected any bad reference; the test compares nothing")
+	}
+}
+
+// TestSparseAllocs asserts the steady-state sparse loop of every paper
+// scheme allocates nothing: once a trace's pages exist and the results
+// buffer has grown to the batch's few misses, classifying it again
+// touches only the table, the counts and that buffer.
+func TestSparseAllocs(t *testing.T) {
+	refs := workload.POPS(4, 20_000).Refs
+	for _, scheme := range []string{"Dir1NB", "WTI", "Dir0B", "DirNNB", "Dir1B", "Dragon"} {
+		p, err := core.NewByName(scheme, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.(core.Sparser); !ok {
+			t.Errorf("%s has no native AccessSparse", scheme)
+		}
+		var plain core.Plain
+		out := core.AccessSparse(p, refs, &plain, nil)
+		if len(out) == 0 || len(out) > len(refs)/2 {
+			t.Errorf("%s: %d of %d references in the sparse stream", scheme, len(out), len(refs))
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			out = core.AccessSparse(p, refs, &plain, out[:0])
+		}); allocs != 0 {
+			t.Errorf("%s: steady-state sparse batch allocates %.0f times", scheme, allocs)
+		}
+	}
+}

@@ -49,10 +49,13 @@ func TestQuotaPushbackHonoredPerTenant(t *testing.T) {
 		Headers: map[string]string{service.TenantHeader: "team-a"},
 		Metrics: regA,
 		// Record the server-indicated wait, then nap briefly so the test
-		// doesn't run in real Retry-After seconds.
+		// doesn't run in real Retry-After seconds. The client gives up
+		// after 32 waits, so 32 naps must outlast the 500 ms vigil below:
+		// at 10 ms they did only while the long sweep kept both CPUs busy
+		// enough to stretch every round trip past 5 ms.
 		Sleep: func(d time.Duration) {
 			recA.sleep(d)
-			time.Sleep(10 * time.Millisecond)
+			time.Sleep(20 * time.Millisecond)
 		},
 	}
 	var sub struct {

@@ -185,8 +185,24 @@ func (r Result) CoherenceSignal() bool {
 // the overwhelming majority of any trace — cost nothing under every cost
 // model, so pricing hot loops branch on this before touching category
 // arithmetic.
-func (r Result) Quiet() bool {
+func (r Result) Quiet() bool { return r.noAction() && !r.Type.IsMiss() }
+
+// noAction reports that no action field is set; a miss fill is an action
+// too, but one the Type records. It and Plain take a pointer because they
+// run once per reference over a dense results buffer, where copying the
+// 56-byte Result costs more than the test.
+func (r *Result) noAction() bool {
 	return !r.Broadcast && !r.WriteBack && !r.DirCheck && !r.Update &&
-		!r.EvictWB && r.Inval == 0 && r.ForcedInval == 0 && r.Control == 0 &&
-		!r.Type.IsMiss()
+		!r.EvictWB && r.Inval == 0 && r.ForcedInval == 0 && r.Control == 0
 }
+
+// plainTypes is the set of types a plain result can have, as a bit mask.
+const plainTypes = 1<<Instr | 1<<RdHit | 1<<WrHitOwn | 1<<WrHitLocal
+
+// Plain reports whether the result is an instruction fetch, a read hit or
+// a write to a block the writer already owns, and Quiet: a reference that
+// did nothing. A simulation needs only the number of these, by type.
+// Quiet results of other types are not plain — a Yen–Fu wh-blk-cln that
+// the writer's single bit resolves locally takes no action, yet it is a
+// Figure 1 observation and a coherence signal.
+func (r *Result) Plain() bool { return plainTypes>>r.Type&1 != 0 && r.noAction() }

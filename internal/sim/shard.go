@@ -192,7 +192,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 			if opts.ShardObserver != nil {
 				ws = time.Now()
 			}
-			res, n, err := runShard(s, protos[s], checkers[s], work[s], free, batch, opts, tel)
+			res, n, err := runShard(s, protos[s], checkers[s], work[s], free, opts, tel)
 			results[s], errs[s] = res, err
 			// A failed worker stops consuming early; drain what the
 			// splitter still sends so it never blocks on a full queue or
@@ -263,7 +263,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 // protocol bug or injected fault — is recovered into a *ShardError so the
 // other shards finish their drain undisturbed.
 func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []trace.Ref,
-	free chan<- []trace.Ref, batch int, opts Options, tel Telemetry) (res *Result, n int64, err error) {
+	free chan<- []trace.Ref, opts Options, tel Telemetry) (res *Result, n int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rerr, ok := r.(error)
@@ -284,7 +284,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 	if every <= 0 {
 		every = 8192
 	}
-	outs := make([]event.Result, 0, batch)
+	var sparse sparseBatch
 	for buf := range work {
 		if opts.Check {
 			// Per-reference like the sequential checked path, so a
@@ -301,8 +301,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 				}
 			}
 		} else {
-			outs = core.AccessBatch(p, buf, outs[:0])
-			res.recordBatch(outs, busTallies, netTallies, tel)
+			res.simulateBatch(p, buf, &sparse, busTallies, netTallies, tel)
 			n += int64(len(buf))
 		}
 		free <- buf[:0]

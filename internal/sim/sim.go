@@ -167,12 +167,11 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 		start = time.Now()
 	}
 	// References move in batches through two reusable buffers (refs in,
-	// classifications out), so the steady-state loop allocates nothing
-	// and pays the Source interface dispatch once per batch instead of
-	// once per reference.
+	// sparse results out), so the steady-state loop allocates nothing and
+	// pays the Source interface dispatch once per batch, not per reference.
 	bsrc := trace.Batched(src)
 	buf := make([]trace.Ref, batch)
-	outs := make([]event.Result, 0, batch)
+	var sparse sparseBatch
 	var n int64
 	for {
 		k := bsrc.NextBatch(buf)
@@ -194,8 +193,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			}
 			continue
 		}
-		outs = core.AccessBatch(p, buf[:k], outs[:0])
-		res.recordBatch(outs, busTallies, netTallies, tel)
+		res.simulateBatch(p, buf[:k], &sparse, busTallies, netTallies, tel)
 		n += int64(k)
 	}
 	if opts.Check {
@@ -247,35 +245,38 @@ func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.T
 	return res, busTallies, netTallies
 }
 
-// recordBatch accumulates one batch of classified references. The paper's
-// method is "classify once, price afterwards", and most of any trace is
-// instruction fetches and plain hits. Those that are Quiet touch no
-// histogram, traffic counter or telemetry and price at zero under every
-// model, so each only bumps its event count, and the reference totals
-// they add to Counts and to every tally are settled once for the whole
-// batch. Everything else goes through record — including quiet results of
-// other types, such as Yen–Fu's locally resolved wh-blk-cln, which is
-// still a Figure 1 observation and a coherence signal.
-func (r *Result) recordBatch(outs []event.Result, busTallies []*bus.Tally, netTallies []*network.Tally, tel Telemetry) {
-	var plain int64
-	for i := range outs {
-		out := &outs[i]
-		switch out.Type {
-		case event.Instr, event.RdHit, event.WrHitOwn, event.WrHitLocal:
-			if out.Quiet() {
-				r.Counts.N[out.Type]++
-				plain++
-				continue
-			}
-		}
-		r.record(*out, busTallies, netTallies, tel)
+// sparseBatch is the reusable scratch of a simulation's hot loop, what
+// core.AccessSparse fills for one batch. The results buffer starts empty
+// and grows to the few per cent of a batch that did something.
+type sparseBatch struct {
+	plain core.Plain
+	outs  []event.Result
+}
+
+// simulateBatch classifies one batch and accumulates it. Most of any
+// trace is instruction fetches and plain hits, which touch no histogram,
+// traffic counter or telemetry and price at zero under every model: the
+// core only counts those, and their number is settled here once for the
+// batch. Everything else goes through record — quiet results that are not
+// plain included (Yen–Fu's wh-blk-cln: a Figure 1 point, a coherence signal).
+func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch,
+	busTallies []*bus.Tally, netTallies []*network.Tally, tel Telemetry) {
+	b.plain = core.Plain{}
+	b.outs = core.AccessSparse(p, refs, &b.plain, b.outs[:0])
+	var total int64
+	for t, n := range b.plain {
+		r.Counts.N[t] += n
+		total += n
 	}
-	r.Counts.Total += plain
+	r.Counts.Total += total
 	for _, t := range busTallies {
-		t.Refs += plain
+		t.Refs += total
 	}
 	for _, t := range netTallies {
-		t.Refs += plain
+		t.Refs += total
+	}
+	for i := range b.outs {
+		r.record(b.outs[i], busTallies, netTallies, tel)
 	}
 }
 

@@ -1,0 +1,161 @@
+package sim
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"dirsim/internal/core"
+	"dirsim/internal/event"
+	"dirsim/internal/trace"
+	"dirsim/internal/workload"
+)
+
+// batchOnly is a core.Protocol wrapper that knows AccessBatch and nothing
+// newer — the shape of the benchmark's traced protocol, which times each
+// batch crossing into core. Embedding the interface hides whatever sparse
+// loop the wrapped engine has.
+type batchOnly struct {
+	core.Protocol
+	calls, refs int
+}
+
+func (p *batchOnly) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
+	p.calls++
+	p.refs += len(refs)
+	return core.AccessBatch(p.Protocol, refs, out)
+}
+
+// countedSource counts the batches a simulation pulls.
+type countedSource struct {
+	trace.BatchSource
+	batches int
+}
+
+func (s *countedSource) NextBatch(buf []trace.Ref) int {
+	n := s.BatchSource.NextBatch(buf)
+	if n > 0 {
+		s.batches++
+	}
+	return n
+}
+
+// TestSparseFallbackKeepsBatchCalls holds the simulator to the contract a
+// wrapper that only implements AccessBatch relies on: Simulate hands it
+// every batch it pulls in exactly one AccessBatch call, each shard worker
+// does the same with every buffer it is sent, the Result is the one the
+// bare engine yields, and an attached Telemetry sees the per-reference
+// loop's coherence signals in the per-reference loop's order.
+func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
+	const batch = 1000
+	tr := workload.MustGenerate(workload.POPSConfig(4, 30_500))
+	for _, scheme := range []string{"Dir1NB", "Dir0B", "YenFu", "Dragon", "Berkeley"} {
+		build := func() core.Protocol {
+			p, err := core.NewByName(scheme, tr.CPUs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		var wantSignals signalLog
+		opts := batchTestOpts()
+		opts.Telemetry = &wantSignals
+		want, err := referenceSimulate(build(), tr.Iterator(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var signals signalLog
+		opts = batchTestOpts()
+		opts.BatchRefs = batch
+		opts.Telemetry = &signals
+		p := &batchOnly{Protocol: build()}
+		src := &countedSource{BatchSource: trace.Batched(tr.Iterator())}
+		got, err := Simulate(p, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.calls != src.batches || p.refs != tr.Len() {
+			t.Errorf("%s: %d AccessBatch calls over %d refs for %d batches of %d refs",
+				scheme, p.calls, p.refs, src.batches, tr.Len())
+		}
+		if got.Fingerprint() != want.Fingerprint() || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result behind an AccessBatch-only wrapper differs from the per-ref reference", scheme)
+		}
+		if len(wantSignals) == 0 || !reflect.DeepEqual(signals, wantSignals) {
+			t.Errorf("%s: telemetry saw %d coherence signals, reference %d (or they differ)",
+				scheme, len(signals), len(wantSignals))
+		}
+
+		// Sharded: worker s receives its shard's references in buffers
+		// of batch, the last one short.
+		const shards = 3
+		var perShard [shards]int
+		for _, r := range tr.Refs {
+			perShard[ShardOf(r.Block(), shards)]++
+		}
+		var wrappers []*batchOnly
+		opts = batchTestOpts()
+		opts.BatchRefs = batch
+		opts.Shards = shards
+		sharded, err := SimulateSharded(func() (core.Protocol, error) {
+			w := &batchOnly{Protocol: build()}
+			wrappers = append(wrappers, w)
+			return w, nil
+		}, tr.Iterator(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, w := range wrappers {
+			if wantCalls := (perShard[s] + batch - 1) / batch; w.calls != wantCalls || w.refs != perShard[s] {
+				t.Errorf("%s shard %d: %d AccessBatch calls over %d refs, want %d over %d",
+					scheme, s, w.calls, w.refs, wantCalls, perShard[s])
+			}
+		}
+		if sharded.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: sharded result behind AccessBatch-only wrappers differs from the per-ref reference", scheme)
+		}
+	}
+}
+
+// TestSparseResultsBufferGrowsOnDemand bounds what a simulation allocates
+// for classification results. The buffer used to be sized for a batch in
+// which every reference produced one — 56 bytes a reference, 58 MB at the
+// batch size below; a sparse stream needs room for the few per cent of a
+// batch that did something.
+func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
+	const batch = 1 << 20
+	tr := workload.MustGenerate(workload.POPSConfig(4, 100_000))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := SimulateTrace("Dir0B", tr, Options{BatchRefs: batch}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// The reference buffer is sized by BatchRefs too, and is not what this
+	// test is about.
+	rest := int64(after.TotalAlloc-before.TotalAlloc) - batch*int64(unsafe.Sizeof(trace.Ref{}))
+	if rest > 1<<20 {
+		t.Errorf("%d bytes allocated besides the reference buffer, limit 1 MB", rest)
+	}
+}
+
+// TestSparseLoopAllocatesPerSimulation holds the hot loop to allocating
+// nothing per batch: a thousand batches must not cost a simulation more
+// allocations than its tables, tallies and the growth of one results
+// buffer account for.
+func TestSparseLoopAllocatesPerSimulation(t *testing.T) {
+	tr := workload.MustGenerate(workload.POPSConfig(4, 100_000))
+	for _, shards := range []int{1, 2} {
+		opts := Options{BatchRefs: 100, Shards: shards}
+		if allocs := testing.AllocsPerRun(3, func() {
+			if _, err := SimulateTrace("Dir0B", tr, opts); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 300 {
+			t.Errorf("shards=%d: %.0f allocations for %d batches", shards, allocs, tr.Len()/opts.BatchRefs)
+		}
+	}
+}
