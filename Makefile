@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-compare bench-json bench-hotpath bench-shard bench-obs bench-dist trace-demo experiments clean
+.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-compare bench-hotpath bench-obs loc trace-demo experiments clean
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,11 @@ race:
 check: build vet race shard-equiv
 
 # The sharded-simulation equivalence suite on its own under the race
-# detector: every paper scheme over the standard workloads at shard
-# counts {1,2,3,8,16} bit-identical to sequential, the table-driven
-# Dir1NB core against its executable specification, and the shard fault
-# tests (injected panic -> structured error, no goroutine leaks) — plus
+# detector (sim.SimulateSharded is a library function the benchmark
+# measures and no binary offers): every paper scheme over the standard
+# workloads at shard counts {1,2,3,8,16} bit-identical to sequential, the
+# table-driven Dir1NB core against its executable specification, and the
+# shard fault tests (panic -> structured error, no goroutine leaks) — plus
 # the storage and accounting oracles: the golden fingerprint table of
 # every engine, AccessBatch and AccessSparse against per-reference Access
 # (and the simulator's use of the sparse stream behind an AccessBatch-only
@@ -32,8 +33,8 @@ check: build vet race shard-equiv
 # table's footprint bounds.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestEngineShard|TestDir1NBTable|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState' \
-		./internal/sim ./internal/engine ./internal/core
+		-run 'TestSharded|TestShardOf|TestDir1NBTable|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState' \
+		./internal/sim ./internal/core
 
 # Run the fault-injection soak under the race detector: the widened
 # fixed-seed fault matrix (DIRSIM_SOAK=1) plus every fault and hardening
@@ -49,7 +50,7 @@ soak:
 # coordinator and an in-process worker fleet under every transport fault
 # class (drops, dropped replies, duplicates, wire corruption, injected
 # latency, disconnects, partition windows, worker crashes), worker-side
-# shard panics crossing the wire as structured errors, and a total fleet
+# job panics crossing the wire as structured errors, and a total fleet
 # kill degrading to local — asserting same seed same outcome, survivors
 # bit-identical to a clean sequential run, balanced dist.* books, and no
 # goroutine leaks. Also runs the real-process fleet e2e (dirsimd -fleet
@@ -97,21 +98,10 @@ bench-compare:
 	done
 	$(GO) run ./bench -compare $(COMPARE_DIR)/base.jsonl $(COMPARE_DIR)/change.jsonl
 
-# Measure the execution engine under each executor and write the
-# machine-readable BENCH_engine.json at the repo root.
-bench-json:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteEngineBenchJSON -v .
-
 # Measure the batched simulation hot path against the per-reference
 # baseline at workers=1 and write BENCH_hotpath.json at the repo root.
 bench-hotpath:
 	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteHotpathBenchJSON -v ./internal/sim
-
-# Measure intra-trace sharding at shard counts {1,2,4,8,GOMAXPROCS}
-# against the sequential batched simulator, verify every sharded result
-# bit-identical in-process, and write BENCH_shard.json at the repo root.
-bench-shard:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteShardBenchJSON -v ./internal/sim
 
 # Measure the observability overhead — the hot loop with telemetry off
 # (the default nil path, must stay within noise of BENCH_hotpath.json)
@@ -121,12 +111,12 @@ bench-shard:
 bench-obs:
 	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteObsBenchJSON -v .
 
-# Measure the fleet coordination tax against local execution — the same
-# sweep run locally, through in-process fleets of 1/2/4 workers, and
-# through a 4-worker fleet under transport faults — and write
-# BENCH_dist.json at the repo root.
-bench-dist:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteDistBenchJSON -v ./internal/dist
+# Non-test Go lines per package, largest first — the figure ROADMAP
+# tracks and every simplicity PR states before and after.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k1,1nr
 
 # Produce a sample execution trace from the POPS workload: trace-demo.json
 # is Chrome trace-event JSON — open it in Perfetto (ui.perfetto.dev) or

@@ -11,10 +11,7 @@
 // -conformance runs the correctness battery on each scheme instead of a
 // simulation; -journal streams structured JSONL events (one
 // simulate.finish per scheme with its wall time and headline numbers) to
-// a file or stderr. -shards N simulates block-sharded across N concurrent
-// protocol cores — results are bit-identical to sequential, and the
-// journal gains one sim.shard event per shard (dirsimq stats aggregates
-// them into throughput and skew).
+// a file or stderr.
 //
 // -tracejson exports the run's timeline — one span per simulated scheme
 // plus sampled coherence-protocol instants (invalidations of clean
@@ -53,7 +50,6 @@ func main() {
 		events  = flag.Bool("events", false, "print the full event-frequency table per scheme")
 		nospins = flag.Bool("nospins", false, "filter lock-test spin reads out of the trace first")
 		check   = flag.Bool("check", false, "run with coherence checking enabled")
-		shards  = flag.Int("shards", 0, "intra-trace shard count: >1 simulates block-sharded across that many concurrent cores, bit-identical to sequential; 0 or 1 sequential, negative means all cores")
 		csvOut  = flag.String("csv", "", "additionally write results as CSV to this file ('-' for stdout)")
 		conform = flag.Bool("conformance", false, "run the full correctness battery (model check + kernels + application trace) on each scheme instead of a simulation")
 		journal = flag.String("journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
@@ -73,7 +69,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*wl, *traceIn, *cpus, *refs, *schemes, *stats, *events, *nospins, *check, *shards, *csvOut, *journal, *traceJS, *protoN); err != nil {
+	if err := run(*wl, *traceIn, *cpus, *refs, *schemes, *stats, *events, *nospins, *check, *csvOut, *journal, *traceJS, *protoN); err != nil {
 		fmt.Fprintln(os.Stderr, "dirsim:", err)
 		os.Exit(1)
 	}
@@ -105,7 +101,7 @@ func runConformance(schemes string) error {
 	return nil
 }
 
-func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nospins, check bool, shards int, csvOut, journal, traceJS string, protoN int) error {
+func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nospins, check bool, csvOut, journal, traceJS string, protoN int) error {
 	var jnl *obs.Journal
 	if journal != "" {
 		var err error
@@ -166,24 +162,7 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		if protoN > 0 {
 			opts.Telemetry = obs.NewProtoSampler(reg, scheme, protoN, lane, span.ID())
 		}
-		var res *sim.Result
-		if shards != 0 && shards != 1 {
-			// Block-sharded path — bit-identical to sequential, so the
-			// printed tables and CSV are unchanged by -shards.
-			opts.Shards = shards
-			if jnl != nil {
-				opts.ShardObserver = func(st sim.ShardStat) {
-					jnl.Event("sim.shard", "workload", t.Name, "scheme", scheme,
-						"shard", st.Shard, "shards", st.Shards,
-						"refs", st.Refs, "dur_us", st.Elapsed.Microseconds())
-				}
-			}
-			res, err = sim.SimulateSharded(func() (core.Protocol, error) {
-				return core.NewByName(scheme, t.CPUs)
-			}, src, opts)
-		} else {
-			res, err = sim.Simulate(p, src, opts)
-		}
+		res, err := sim.Simulate(p, src, opts)
 		if span != nil {
 			span.Arg("refs", len(t.Refs)).End(err)
 			lane.Release()

@@ -54,7 +54,7 @@ func TestLoadTraceFromFile(t *testing.T) {
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "out.csv")
-	if err := run("pingpong", "", 2, 2000, "Dir0B,Dragon", true, true, false, true, 0, csvPath, "", "", 0); err != nil {
+	if err := run("pingpong", "", 2, 2000, "Dir0B,Dragon", true, true, false, true, csvPath, "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csvPath)
@@ -68,10 +68,10 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("pingpong", "", 2, 100, "NotAScheme", false, false, false, false, 0, "", "", "", 0); err == nil {
+	if err := run("pingpong", "", 2, 100, "NotAScheme", false, false, false, false, "", "", "", 0); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if err := run("bogus", "", 2, 100, "Dir0B", false, false, false, false, 0, "", "", "", 0); err == nil {
+	if err := run("bogus", "", 2, 100, "Dir0B", false, false, false, false, "", "", "", 0); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestRunConformance(t *testing.T) {
 }
 
 func TestRunWithSpinsFiltered(t *testing.T) {
-	if err := run("spincontend", "", 4, 2000, "Dir1NB", false, false, true, false, 0, "", "", "", 0); err != nil {
+	if err := run("spincontend", "", 4, 2000, "Dir1NB", false, false, true, false, "", "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +96,7 @@ func TestRunWithSpinsFiltered(t *testing.T) {
 // protocol instants.
 func TestRunWithTraceJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := run("pingpong", "", 2, 4000, "Dir0B,WTI", false, false, false, false, 0, "", "", path, 4); err != nil {
+	if err := run("pingpong", "", 2, 4000, "Dir0B,WTI", false, false, false, false, "", "", path, 4); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -137,7 +137,7 @@ func TestRunWithTraceJSON(t *testing.T) {
 // simulate.finish span per scheme, each with its wall time.
 func TestRunWithJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := run("pingpong", "", 2, 2000, "Dir0B,Dragon", false, false, false, false, 0, "", journal, "", 0); err != nil {
+	if err := run("pingpong", "", 2, 2000, "Dir0B,Dragon", false, false, false, false, "", journal, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(journal)
@@ -168,63 +168,5 @@ func TestRunWithJournal(t *testing.T) {
 	}
 	if sims != 2 {
 		t.Errorf("simulate.finish events = %d, want 2", sims)
-	}
-}
-
-// TestRunSharded: -shards produces CSV byte-identical to the sequential
-// run and journals one sim.shard event per shard worker plus the
-// splitter's, with worker refs partitioning the trace.
-func TestRunSharded(t *testing.T) {
-	dir := t.TempDir()
-	seqCSV := filepath.Join(dir, "seq.csv")
-	shdCSV := filepath.Join(dir, "shd.csv")
-	journal := filepath.Join(dir, "run.jsonl")
-	if err := run("pingpong", "", 2, 4000, "Dir0B,Dragon", false, false, false, false, 0, seqCSV, "", "", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("pingpong", "", 2, 4000, "Dir0B,Dragon", false, false, false, false, 3, shdCSV, journal, "", 0); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := os.ReadFile(seqCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shd, err := os.ReadFile(shdCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(seq) != string(shd) {
-		t.Errorf("sharded CSV differs from sequential:\n%s\nvs\n%s", shd, seq)
-	}
-
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers, splitters := 0, 0
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("journal line not valid JSON: %v\n%s", err, line)
-		}
-		if m["msg"].(string) != "sim.shard" {
-			continue
-		}
-		if m["shards"].(float64) != 3 {
-			t.Errorf("sim.shard event reports %v shards, want 3", m["shards"])
-		}
-		if m["workload"].(string) != "pingpong" {
-			t.Errorf("sim.shard event names workload %v, want pingpong", m["workload"])
-		}
-		if m["shard"].(float64) == -1 {
-			splitters++
-		} else {
-			workers++
-		}
-	}
-	// Two schemes, three workers + one splitter each.
-	if workers != 6 || splitters != 2 {
-		t.Errorf("journal holds %d worker + %d splitter sim.shard events, want 6 + 2",
-			workers, splitters)
 	}
 }

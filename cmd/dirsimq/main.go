@@ -12,10 +12,8 @@
 //	dirsimq diff   [-threshold 0.10] baseline.jsonl current.jsonl
 //
 // stats aggregates: events by type, engine-job latency breakdowns per
-// kind and per phase, cache and durable-store hit ratios, the
-// traces/tenants seen, and — when the run simulated block-sharded
-// (dirsim/experiments -shards) — per-simulation shard throughput and
-// load skew from the sim.shard events. filter re-emits matching raw JSONL lines (for
+// kind and per phase, cache and durable-store hit ratios, and the
+// traces/tenants seen. filter re-emits matching raw JSONL lines (for
 // piping into jq or another dirsimq). follow reconstructs one request's
 // causal chain end-to-end — submission, admission wait, every engine
 // job, store access, and retry it caused — in time order. timeline does
@@ -303,7 +301,6 @@ type summary struct {
 	stores    int64
 	retries   int64
 	rejects   int64
-	shardSims map[string]*shardSim
 
 	// Distributed execution (internal/dist journal events): the
 	// coordinator's ledger of queue/lease/result traffic plus the worker
@@ -337,35 +334,6 @@ type workerAgg struct {
 	skewSet  bool
 }
 
-// shardSim aggregates one block-sharded simulation's worker events
-// (sim.shard with shard >= 0; the splitter's shard -1 event is routing
-// accounting and excluded). maxDur is the slowest worker — the shard
-// critical path, the wall-clock the sharded simulation cannot beat.
-type shardSim struct {
-	shards  int
-	workers int
-	refs    int64
-	minRefs int64
-	maxRefs int64
-	maxDur  int64
-}
-
-// skew is the worker load imbalance: max/min refs over the shards.
-func (ss *shardSim) skew() float64 {
-	if ss.minRefs == 0 {
-		return 0
-	}
-	return float64(ss.maxRefs) / float64(ss.minRefs)
-}
-
-// rate converts a ref count over microseconds to refs/s.
-func rate(refs, us int64) float64 {
-	if us == 0 {
-		return 0
-	}
-	return float64(refs) / (float64(us) / 1e6)
-}
-
 func summarize(lines []line, skipped int) *summary {
 	s := &summary{
 		skipped:     skipped,
@@ -374,7 +342,6 @@ func summarize(lines []line, skipped int) *summary {
 		byPhase:     map[string]*dist{},
 		traces:      map[string]struct{}{},
 		tenants:     map[string]struct{}{},
-		shardSims:   map[string]*shardSim{},
 		distWorkers: map[string]struct{}{},
 		workers:     map[string]*workerAgg{},
 	}
@@ -479,39 +446,6 @@ func summarize(lines []line, skipped int) *summary {
 			if w := l.str("worker"); w != "" {
 				worker(w).jobErrs++
 			}
-		case "sim.shard":
-			shard, ok := l.num("shard")
-			if !ok || shard < 0 {
-				break
-			}
-			wl := l.str("workload")
-			if wl == "" {
-				// Journals from before the dedicated key, or hand-rolled
-				// ones: the workload rode the (collision-prone) trace key.
-				wl = l.str("trace")
-			}
-			key := l.str("scheme") + "@" + wl
-			ss := s.shardSims[key]
-			if ss == nil {
-				ss = &shardSim{}
-				s.shardSims[key] = ss
-			}
-			if n, ok := l.num("shards"); ok {
-				ss.shards = int(n)
-			}
-			refs, _ := l.num("refs")
-			dur, _ := l.num("dur_us")
-			if ss.workers == 0 || refs < ss.minRefs {
-				ss.minRefs = refs
-			}
-			if refs > ss.maxRefs {
-				ss.maxRefs = refs
-			}
-			if dur > ss.maxDur {
-				ss.maxDur = dur
-			}
-			ss.workers++
-			ss.refs += refs
 		}
 	}
 	return s
@@ -615,22 +549,6 @@ func writeStats(w io.Writer, s *summary) {
 			fmt.Fprintf(w, "  %-20s %7d %8d %6d %8d %8d %10s\n",
 				name, wa.leases, wa.finishes, wa.jobErrs, wa.crashes, wa.shipped, skew)
 		}
-	}
-
-	if len(s.shardSims) > 0 {
-		fmt.Fprintln(w, "\nsharded simulations (from sim.shard worker events):")
-		fmt.Fprintf(w, "  %-24s %6s %10s %6s %10s %12s\n",
-			"sim", "shards", "refs", "skew", "crit_us", "refs/s")
-		var totRefs, totCrit int64
-		for _, k := range sortedKeys(s.shardSims) {
-			ss := s.shardSims[k]
-			fmt.Fprintf(w, "  %-24s %6d %10d %6.2f %10d %12.0f\n",
-				k, ss.shards, ss.refs, ss.skew(), ss.maxDur, rate(ss.refs, ss.maxDur))
-			totRefs += ss.refs
-			totCrit += ss.maxDur
-		}
-		fmt.Fprintf(w, "  aggregate: %d refs / %d us critical path = %.0f refs/s\n",
-			totRefs, totCrit, rate(totRefs, totCrit))
 	}
 }
 

@@ -220,36 +220,49 @@ func TestUsageAndErrors(t *testing.T) {
 	}
 }
 
-// journalShards is one block-sharded simulation (3 workers + the
-// splitter's shard -1 routing event, which must not count as a worker)
-// plus a second simulation to prove grouping.
-const journalShards = `{"time":"2026-08-08T12:00:00.000Z","level":"INFO","msg":"sim.shard","schema":2,"workload":"pops","scheme":"Dir1NB","shard":0,"shards":3,"refs":4000,"dur_us":1000}
-{"time":"2026-08-08T12:00:00.001Z","level":"INFO","msg":"sim.shard","schema":2,"workload":"pops","scheme":"Dir1NB","shard":1,"shards":3,"refs":2000,"dur_us":700}
-{"time":"2026-08-08T12:00:00.002Z","level":"INFO","msg":"sim.shard","schema":2,"workload":"pops","scheme":"Dir1NB","shard":2,"shards":3,"refs":4000,"dur_us":2000}
-{"time":"2026-08-08T12:00:00.003Z","level":"INFO","msg":"sim.shard","schema":2,"workload":"pops","scheme":"Dir1NB","shard":-1,"shards":3,"refs":10000,"dur_us":3000}
-{"time":"2026-08-08T12:00:00.004Z","level":"INFO","msg":"sim.shard","schema":2,"trace":"thor","scheme":"Dir0B","shard":0,"shards":2,"refs":500,"dur_us":400}
-{"time":"2026-08-08T12:00:00.005Z","level":"INFO","msg":"sim.shard","schema":2,"trace":"thor","scheme":"Dir0B","shard":1,"shards":2,"refs":500,"dur_us":100}
-`
+// TestRetiredJournalEvents: journals written before intra-trace sharding
+// left the engine still carry sim.shard lines (testdata/legacy_shard.jsonl
+// holds one simulation's two workers and splitter, on request trace tr1).
+// Every command reads them as ordinary events of a kind it has no
+// section for: stats counts them by type and prints nothing else about
+// them, filter re-emits them raw, and timeline's books still balance.
+func TestRetiredJournalEvents(t *testing.T) {
+	const legacy = "testdata/legacy_shard.jsonl"
+	fleet := writeJournal(t, "fleet.jsonl", fleetJournal)
 
-func TestStatsShardAggregation(t *testing.T) {
-	path := writeJournal(t, "s.jsonl", journalShards)
-	code, out, errb := runCLI(t, "stats", path)
+	code, base, errb := runCLI(t, "stats", fleet)
 	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
+		t.Fatalf("stats exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{
-		"sharded simulations",
-		// 10000 worker refs over the 2000us slowest worker = 5M refs/s;
-		// skew = 4000/2000. The splitter's 10000-ref event is excluded —
-		// counting it would double refs and break both columns.
-		"Dir1NB@pops                   3      10000   2.00       2000      5000000",
-		"Dir0B@thor                    2       1000   1.00        400      2500000",
-		// Aggregate: 11000 refs over summed critical paths (2400us).
-		"aggregate: 11000 refs / 2400 us critical path = 4583333 refs/s",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stats output missing %q:\n%s", want, out)
+	code, out, errb := runCLI(t, "stats", fleet, legacy)
+	if code != 0 {
+		t.Fatalf("stats with legacy lines exit %d, stderr: %s", code, errb)
+	}
+	if !strings.Contains(out, "sim.shard") || strings.Contains(out, "sharded") {
+		t.Errorf("stats should count sim.shard by type and print no sharded section:\n%s", out)
+	}
+	// Apart from the event tally, the legacy lines change nothing.
+	strip := func(s string) string {
+		var keep []string
+		for _, l := range strings.Split(s, "\n") {
+			if !strings.Contains(l, "sim.shard") && !strings.Contains(l, "events") {
+				keep = append(keep, l)
+			}
 		}
+		return strings.Join(keep, "\n")
+	}
+	if strip(out) != strip(base) {
+		t.Errorf("legacy sim.shard lines changed stats beyond the event tally:\n%s\nvs\n%s", out, base)
+	}
+
+	code, out, errb = runCLI(t, "filter", "-msg", "sim.shard", fleet, legacy)
+	if code != 0 || strings.Count(out, "\n") != 3 || strings.Count(out, `"msg":"sim.shard"`) != 3 {
+		t.Errorf("filter exit %d, want the 3 raw legacy lines, got:\n%s%s", code, out, errb)
+	}
+
+	code, out, errb = runCLI(t, "timeline", "-strict", "all", fleet, legacy)
+	if code != 0 || !strings.Contains(out, "[balanced]") || strings.Contains(out, "sharded") {
+		t.Errorf("timeline -strict exit %d over legacy lines:\n%s%s", code, out, errb)
 	}
 }
 

@@ -73,7 +73,6 @@ type config struct {
 	list      bool
 	parallel  int
 	batch     int
-	shards    int
 	journal   string
 	metrics   string
 	pprofDir  string
@@ -101,7 +100,6 @@ func main() {
 	flag.BoolVar(&cfg.list, "list", false, "list experiment IDs and exit")
 	flag.IntVar(&cfg.parallel, "parallel", 1, "simulation worker pool size; >1 runs experiments concurrently, 0 means all cores")
 	flag.IntVar(&cfg.batch, "batch", 0, "simulation batch size in references; 0 means the engine's chunk size (results never depend on it)")
-	flag.IntVar(&cfg.shards, "shards", 0, "intra-trace shard count: >1 runs each simulation block-sharded across that many concurrent cores, bit-identical to sequential; 0 or 1 sequential, negative means all cores")
 	flag.StringVar(&cfg.journal, "journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
 	flag.StringVar(&cfg.metrics, "metrics", "", "write the metric registry's text exposition to this file after the run ('-' for stdout)")
 	flag.StringVar(&cfg.pprofDir, "pprof", "", "capture cpu.pprof and heap.pprof into this directory")
@@ -199,7 +197,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		jnl = raw.WithTrace(runTC)
 	}
 	var rec *obs.Recorder
-	opts := engine.Options{Workers: parallel, BatchRefs: cfg.batch, Shards: cfg.shards,
+	opts := engine.Options{Workers: parallel, BatchRefs: cfg.batch,
 		Metrics: reg, Verify: cfg.verify, Retries: cfg.retries, JobTimeout: cfg.timeout,
 		Tracer: tr, ProtoSample: protoSample}
 	var st *store.Store
@@ -392,7 +390,6 @@ func buildManifest(cfg config, ctx *report.Context, exec engine.Executor, parall
 			Check:       ctx.Check,
 			Parallel:    parallel,
 			Batch:       ctx.Engine().BatchRefs(),
-			Shards:      ctx.Engine().Shards(),
 			Executor:    exec.Name(),
 			Seeds:       seeds,
 			Trace:       cfg.trace,
@@ -445,10 +442,6 @@ func printSummary(ew io.Writer, rec *obs.Recorder, stats engine.Stats, st *store
 	fmt.Fprintf(ew, "engine       %d jobs, %d sims, %d traces generated, %d streamed (%d chunks, %d back-pressure stalls)\n",
 		stats.JobsRun, stats.SimsRun, stats.TracesGenerated, stats.TracesStreamed,
 		stats.StreamChunks, stats.StreamStalls)
-	if stats.ShardedSims > 0 {
-		fmt.Fprintf(ew, "sharding     %d of %d sims block-sharded, %d refs through shard workers\n",
-			stats.ShardedSims, stats.SimsRun, stats.ShardRefs)
-	}
 	fmt.Fprintf(ew, "phases:\n")
 	for _, p := range rec.Phases() {
 		fmt.Fprintf(ew, "  %-12s %5d spans  %s\n", p.Phase, p.Count, p.Total.Round(time.Millisecond))

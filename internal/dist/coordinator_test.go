@@ -430,7 +430,7 @@ func TestCoordinatorBreaker(t *testing.T) {
 // TestCoordinatorRemoteErrorIsTerminal: a structured execution failure
 // pushed by a worker surfaces at the waiter as the same errors.As
 // matchable chain — no requeue, no degrade, the worker's stack intact.
-// This is the wire half of the ShardError propagation contract.
+// This is the wire half of the job-panic propagation contract.
 func TestCoordinatorRemoteErrorIsTerminal(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Options{Clock: clk.Now})
@@ -440,23 +440,21 @@ func TestCoordinatorRemoteErrorIsTerminal(t *testing.T) {
 	waitSubmitted(t, c, 1)
 	job := mustLease(t, c, "w1")
 
-	shard := &sim.ShardError{Shard: 3, Panicked: true,
-		Stack: "goroutine 9 [running]:\nworker stack", Err: errors.New("boom")}
-	wireErr := EncodeError(&engine.JobError{
-		ID: "sim:" + testSpec(0).Scheme, Kind: "sim", Attempts: 1,
-		Err: fmt.Errorf("simulate: %w", shard),
-	})
+	raised := &engine.JobError{
+		ID: "sim:" + testSpec(0).Scheme, Kind: "sim", Attempts: 1, Panicked: true,
+		Stack: []byte("goroutine 9 [running]:\nworker stack"), Err: errors.New("panic: boom"),
+	}
+	wireErr := EncodeError(fmt.Errorf("simulate: %w", raised))
 	if got := c.Push(&resultPush{Worker: "w1", Lease: job.Lease, Key: job.Key, Error: wireErr}); got != PushAccepted {
 		t.Fatalf("error push = %v, want accepted", got)
 	}
 	o := <-ch
 	var je *engine.JobError
-	var se *sim.ShardError
-	if !errors.As(o.err, &je) || !errors.As(o.err, &se) {
+	if !errors.As(o.err, &je) {
 		t.Fatalf("remote failure lost structure: %v", o.err)
 	}
-	if se.Shard != 3 || !se.Panicked || se.Stack != shard.Stack {
-		t.Errorf("shard fields lost: %+v", se)
+	if diff := sameJobLayers(raised, o.err); diff != "" {
+		t.Errorf("job fields lost: %s", diff)
 	}
 	if errors.Is(o.err, engine.ErrRemoteUnavailable) {
 		t.Error("execution error classified as unavailability")

@@ -17,7 +17,7 @@
 //     engine.ErrRemoteUnavailable (attempts exhausted, fleet drained or
 //     unreachable);
 //   - fail: the worker delivered a structured execution error
-//     (engine.JobError / sim.ShardError); simulations are deterministic,
+//     (engine.JobError); simulations are deterministic,
 //     so the failure is terminal and surfaces to the caller with the
 //     worker's stack intact rather than burning a local retry.
 //

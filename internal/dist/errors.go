@@ -5,19 +5,19 @@ import (
 	"fmt"
 
 	"dirsim/internal/engine"
-	"dirsim/internal/sim"
 )
 
 // WireError is the JSON codec for structured execution errors crossing
 // the worker → coordinator wire. A worker-side failure must surface at
 // the coordinator as the same errors.As-matchable value it would be
-// locally — a shard panic arrives as a *sim.ShardError with the worker's
-// stack, wrapped in the *engine.JobError the worker's engine produced,
-// not as a generic 500 — so EncodeError flattens the error chain into
-// typed layers and DecodeError rebuilds real error values from them.
+// locally — a job panic arrives as the *engine.JobError the worker's
+// engine produced, with the worker's stack, not as a generic 500 — so
+// EncodeError flattens the error chain into typed layers and Err rebuilds
+// real error values from them.
 type WireError struct {
-	// Kind discriminates the layer: "job" (*engine.JobError), "shard"
-	// (*sim.ShardError), or "plain" (an opaque message).
+	// Kind discriminates the layer: "job" (*engine.JobError) or "plain"
+	// (an opaque message). Any other kind — a peer that predates this
+	// one sent "shard" layers — decodes as plain.
 	Kind string `json:"kind"`
 	Msg  string `json:"msg,omitempty"`
 
@@ -27,78 +27,40 @@ type WireError struct {
 	JobKey   string `json:"job_key,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 	Timeout  bool   `json:"timeout,omitempty"`
-
-	// Shared by job and shard layers.
 	Panicked bool   `json:"panicked,omitempty"`
 	Stack    string `json:"stack,omitempty"`
-
-	// *sim.ShardError fields.
-	Shard int `json:"shard,omitempty"`
 
 	// Cause is the next layer down the chain.
 	Cause *WireError `json:"cause,omitempty"`
 }
 
-// EncodeError flattens err into its wire form, preserving the
-// JobError/ShardError layers and collapsing everything else to a plain
-// message. nil encodes to nil.
+// EncodeError flattens err into its wire form, preserving every JobError
+// layer of the chain and collapsing everything else to a plain message.
+// nil encodes to nil.
 func EncodeError(err error) *WireError {
 	if err == nil {
 		return nil
 	}
 	var je *engine.JobError
-	if errors.As(err, &je) {
-		return &WireError{
-			Kind:     "job",
-			JobID:    je.ID,
-			JobKind:  je.Kind,
-			JobKey:   je.Key,
-			Attempts: je.Attempts,
-			Panicked: je.Panicked,
-			Timeout:  je.Timeout,
-			Stack:    string(je.Stack),
-			Cause:    encodeCause(je.Err),
-		}
+	if !errors.As(err, &je) {
+		return &WireError{Kind: "plain", Msg: err.Error()}
 	}
-	var se *sim.ShardError
-	if errors.As(err, &se) {
-		return &WireError{
-			Kind:     "shard",
-			Shard:    se.Shard,
-			Panicked: se.Panicked,
-			Stack:    se.Stack,
-			Cause:    encodeCause(se.Err),
-		}
+	return &WireError{
+		Kind:     "job",
+		JobID:    je.ID,
+		JobKind:  je.Kind,
+		JobKey:   je.Key,
+		Attempts: je.Attempts,
+		Panicked: je.Panicked,
+		Timeout:  je.Timeout,
+		Stack:    string(je.Stack),
+		Cause:    EncodeError(je.Err),
 	}
-	return &WireError{Kind: "plain", Msg: err.Error()}
 }
 
-// encodeCause encodes the layers below a matched one. A shard error is
-// recovered from anywhere in the cause chain (simulateSource wraps it in
-// message context), so shard structure survives even when the job layer
-// added prose around it.
-func encodeCause(err error) *WireError {
-	if err == nil {
-		return nil
-	}
-	var se *sim.ShardError
-	if errors.As(err, &se) {
-		return &WireError{
-			Kind:     "shard",
-			Msg:      err.Error(),
-			Shard:    se.Shard,
-			Panicked: se.Panicked,
-			Stack:    se.Stack,
-			Cause:    encodeCause(se.Err),
-		}
-	}
-	return &WireError{Kind: "plain", Msg: err.Error()}
-}
-
-// Err rebuilds the real error value: a *engine.JobError or
-// *sim.ShardError with every field restored (so errors.As matches at the
-// coordinator), or a plain error for opaque layers. nil for a nil
-// receiver.
+// Err rebuilds the real error value: a *engine.JobError with every field
+// restored (so errors.As matches at the coordinator), or a plain error
+// for opaque layers. nil for a nil receiver.
 func (w *WireError) Err() error {
 	if w == nil {
 		return nil
@@ -107,8 +69,8 @@ func (w *WireError) Err() error {
 	if w.Cause != nil {
 		cause = w.Cause.Err()
 	}
-	switch w.Kind {
-	case "job":
+	switch {
+	case w.Kind == "job":
 		if cause == nil {
 			cause = errors.New(w.Msg)
 		}
@@ -122,20 +84,10 @@ func (w *WireError) Err() error {
 			Stack:    []byte(w.Stack),
 			Err:      cause,
 		}
-	case "shard":
-		if cause == nil {
-			cause = errors.New(w.Msg)
-		}
-		return &sim.ShardError{
-			Shard:    w.Shard,
-			Panicked: w.Panicked,
-			Stack:    w.Stack,
-			Err:      cause,
-		}
-	default:
-		if cause != nil {
-			return fmt.Errorf("%s: %w", w.Msg, cause)
-		}
+	case cause == nil:
 		return errors.New(w.Msg)
+	case w.Msg == "":
+		return cause
 	}
+	return fmt.Errorf("%s: %w", w.Msg, cause)
 }

@@ -251,7 +251,7 @@ func TestDistSoakTransportFaults(t *testing.T) {
 }
 
 // TestDistSoakExecutionFaults: worker-side execution failures (injected
-// shard panics) are content-deterministic, so the same seed produces the
+// job panics) are content-deterministic, so the same seed produces the
 // same failure set across runs, the failures surface as structured
 // errors, and the survivors stay bit-identical to a clean local run —
 // never silently recomputed, never wrong.
@@ -270,8 +270,7 @@ func TestDistSoakExecutionFaults(t *testing.T) {
 				seed: seed, workers: 3, coord: soakCoordOptions(),
 				workerEng: func() *engine.Engine {
 					return engine.New(engine.Options{
-						Shards: 2,
-						Faults: faults.New(faults.Config{Seed: seed, ShardPanic: 0.4}),
+						Faults: faults.New(faults.Config{Seed: seed, Panic: 0.4}),
 					})
 				},
 			}
@@ -282,9 +281,8 @@ func TestDistSoakExecutionFaults(t *testing.T) {
 				}
 				var keys []string
 				for k, ferr := range p.Failed {
-					var se *sim.ShardError
-					if !errors.As(ferr, &se) || !se.Panicked {
-						t.Errorf("failure %s lost shard structure: %v", k, ferr)
+					if workerPanic(ferr) == nil {
+						t.Errorf("failure %s lost the worker's panicked job layer: %v", k, ferr)
 					}
 					keys = append(keys, k)
 				}
@@ -312,7 +310,7 @@ func TestDistSoakExecutionFaults(t *testing.T) {
 				checkSoakAccounting(t, o)
 			}
 			if len(f1) == 0 {
-				t.Error("ShardPanic at 0.4 over 6 specs injected nothing; tighten the config")
+				t.Error("Panic at 0.4 over 6 specs injected nothing; tighten the config")
 			}
 			if err := before.Leaked(2 * time.Second); err != nil {
 				t.Errorf("goroutine leak after soak: %v", err)

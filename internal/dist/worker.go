@@ -302,8 +302,8 @@ func (w *Worker) push(ctx context.Context, tc obs.TraceContext, p *resultPush) e
 
 // simulate runs the job's spec through the worker's engine, unwrapping
 // the engine's one-element batch envelope to the job's own structured
-// error (a *engine.JobError, possibly wrapping a *sim.ShardError — the
-// value EncodeError ships across the wire intact).
+// error (a *engine.JobError — the value EncodeError ships across the
+// wire intact).
 func (w *Worker) simulate(ctx context.Context, job *JobSpec) (*sim.Result, error) {
 	rs, err := w.Engine.Results(ctx, w.Exec, []engine.SimSpec{job.Spec})
 	if err != nil {

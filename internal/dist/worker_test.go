@@ -251,20 +251,30 @@ func TestFleetExecutesSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetShardPanicSurfaces is the end-to-end half of the error
-// propagation contract: a shard panic inside a worker's engine — a real
+// workerPanic returns the *engine.JobError layer of err that records a
+// job panic raised by the fault injector — which only worker engines carry
+// in these tests, so its stack can only be a worker's — or nil.
+func workerPanic(err error) *engine.JobError {
+	layers, _ := jobLayers(err)
+	for _, je := range layers {
+		if je.Panicked && strings.Contains(string(je.Stack), "faults.(*Injector).JobFault") {
+			return je
+		}
+	}
+	return nil
+}
+
+// TestFleetJobPanicSurfaces is the end-to-end half of the error
+// propagation contract: a job panic inside a worker's engine — a real
 // injected one, not a hand-built error — crosses the wire and surfaces
-// at the coordinator's engine as an errors.As-matchable *sim.ShardError
+// at the coordinator's engine as an errors.As-matchable *engine.JobError
 // carrying the worker's stack, not a generic failure, and never falls
 // back to local execution.
-func TestFleetShardPanicSurfaces(t *testing.T) {
+func TestFleetJobPanicSurfaces(t *testing.T) {
 	f := startFleet(t, Options{LeaseTTL: 2 * time.Second})
 	f.launch(&Worker{
-		Name: "w1",
-		Engine: engine.New(engine.Options{
-			Shards: 2,
-			Faults: faults.New(faults.Config{Seed: 1, ShardPanic: 1}),
-		}),
+		Name:   "w1",
+		Engine: engine.New(engine.Options{Faults: faults.New(faults.Config{Seed: 1, Panic: 1})}),
 	})
 
 	specs := distSpecs(3_000)[:1]
@@ -275,12 +285,19 @@ func TestFleetShardPanicSurfaces(t *testing.T) {
 		t.Fatalf("want a one-failure Partial, got %v", err)
 	}
 	for _, ferr := range p.Failed {
-		var se *sim.ShardError
-		if !errors.As(ferr, &se) {
-			t.Fatalf("worker shard panic lost structure across the wire: %v", ferr)
+		var je *engine.JobError
+		if !errors.As(ferr, &je) {
+			t.Fatalf("worker job panic lost structure across the wire: %v", ferr)
 		}
-		if !se.Panicked || !strings.Contains(se.Stack, "goroutine") {
-			t.Errorf("worker stack not preserved: panicked=%v stack=%q", se.Panicked, se.Stack)
+		wp := workerPanic(ferr)
+		if wp == nil {
+			t.Fatalf("no panicked job layer with the worker's stack in: %v", ferr)
+		}
+		if wp.Retryable() {
+			t.Errorf("worker panic decoded as retryable: %v", ferr)
+		}
+		if !strings.Contains(ferr.Error(), "injected panic") {
+			t.Errorf("error loses the injected-panic cause: %v", ferr)
 		}
 	}
 	st := f.coord.Stats()

@@ -56,16 +56,6 @@ type Options struct {
 	// from its source per call. 0 means ChunkRefs, so streamed chunks
 	// are consumed whole. Results never depend on it.
 	BatchRefs int
-	// Shards is the intra-trace parallelism handed to sim.Options.Shards:
-	// > 1 runs every simulation's references through that many concurrent
-	// block-sharded protocol cores with a deterministic merge, bit-identical
-	// to the sequential path, so cache keys and fingerprints are unchanged.
-	// 0 or 1 (the default) keeps simulations sequential. Negative means
-	// auto: runtime.GOMAXPROCS(0) shards. Sharding composes with Workers —
-	// inter-job parallelism multiplies by intra-trace parallelism — so on a
-	// saturated batch sweep leave it off; it earns its overhead when jobs
-	// are fewer than cores.
-	Shards int
 	// DiscardStreamedTraces stops streamed generations from also being
 	// captured into the trace cache. The default (false) captures them,
 	// so a later experiment needing the raw trace — or the same trace
@@ -199,19 +189,6 @@ type TierObserver interface {
 	TierStored(ctx context.Context, kind, key string, d time.Duration)
 }
 
-// ShardObserver extends Observer with intra-trace sharding (Options.
-// Shards) events: one ShardFinished per shard of every sharded
-// simulation, plus one with shard == -1 for the splitter that partitioned
-// the reference stream. Like FaultObserver it is optional and
-// type-asserted once at construction. Calls for one simulation arrive
-// serialized; calls from concurrent simulations may interleave, so
-// implementations must be safe for concurrent use. trace and scheme name
-// the simulation, refs is how many references the shard simulated (the
-// full trace for the splitter), and d the shard's wall-clock busy time.
-type ShardObserver interface {
-	ShardFinished(ctx context.Context, trace, scheme string, shard, shards int, refs int64, d time.Duration)
-}
-
 // JobKind classifies a job by its ID prefix — "trace", "stream", "sim",
 // "merge", "protocol" — or "" for ad-hoc jobs without one.
 func JobKind(id string) string {
@@ -229,7 +206,6 @@ type Engine struct {
 	chunkRefs   int
 	chunkWindow int
 	batchRefs   int
-	shards      int
 	discard     bool
 
 	jobTimeout time.Duration
@@ -247,7 +223,6 @@ type Engine struct {
 	obs    Observer          // nil disables observation
 	fobs   FaultObserver     // obs narrowed to failure events, nil when not implemented
 	tobs   TierObserver      // obs narrowed to durable-tier events, nil when not implemented
-	sobs   ShardObserver     // obs narrowed to shard events, nil when not implemented
 	tracer *exectrace.Tracer // nil disables execution tracing
 	// protoSample is the coherence-telemetry stride; 0 disables it.
 	protoSample int
@@ -268,8 +243,6 @@ type Engine struct {
 	jobTimeouts     *obs.Counter
 	cacheRejected   *obs.Counter
 	integrityFaults *obs.Counter
-	shardedSims     *obs.Counter
-	shardRefs       *obs.Counter
 	simsRemote      *obs.Counter
 	remoteDegraded  *obs.Counter
 }
@@ -300,19 +273,13 @@ func New(opts Options) *Engine {
 	if bo <= 0 {
 		bo = 10 * time.Millisecond
 	}
-	sh := opts.Shards
-	if sh < 0 {
-		sh = runtime.GOMAXPROCS(0)
-	}
 	fobs, _ := opts.Observer.(FaultObserver)
 	tobs, _ := opts.Observer.(TierObserver)
-	sobs, _ := opts.Observer.(ShardObserver)
 	return &Engine{
 		workers:         w,
 		chunkRefs:       cr,
 		chunkWindow:     cw,
 		batchRefs:       br,
-		shards:          sh,
 		discard:         opts.DiscardStreamedTraces,
 		jobTimeout:      opts.JobTimeout,
 		retries:         opts.Retries,
@@ -327,7 +294,6 @@ func New(opts Options) *Engine {
 		obs:             opts.Observer,
 		fobs:            fobs,
 		tobs:            tobs,
-		sobs:            sobs,
 		tracer:          opts.Tracer,
 		protoSample:     opts.ProtoSample,
 		jobsRun:         reg.Counter("engine.jobs.run"),
@@ -344,8 +310,6 @@ func New(opts Options) *Engine {
 		jobTimeouts:     reg.Counter("engine.jobs.timeouts"),
 		cacheRejected:   reg.Counter("engine.cache.rejected"),
 		integrityFaults: reg.Counter("engine.stream.integrity"),
-		shardedSims:     reg.Counter("engine.sims.sharded"),
-		shardRefs:       reg.Counter("engine.shards.refs"),
 		simsRemote:      reg.Counter("engine.sims.remote"),
 		remoteDegraded:  reg.Counter("engine.remote.degraded"),
 	}
@@ -385,11 +349,6 @@ type Stats struct {
 	// reference-count shortfalls, refcount corruption).
 	CacheRejected   int64
 	IntegrityFaults int64
-	// ShardedSims counts simulations that ran block-sharded (Options.
-	// Shards > 1); ShardRefs totals references simulated by shard workers
-	// across them (equal to those simulations' share of RefsSimulated).
-	ShardedSims int64
-	ShardRefs   int64
 	// SimsRemote counts simulations whose results a Remote executor
 	// delivered (included in SimsRun); RemoteDegraded counts remote
 	// dispatches that fell back to local execution because the Remote
@@ -418,8 +377,6 @@ func (e *Engine) Stats() Stats {
 		JobTimeouts:     e.jobTimeouts.Value(),
 		CacheRejected:   e.cacheRejected.Value(),
 		IntegrityFaults: e.integrityFaults.Value(),
-		ShardedSims:     e.shardedSims.Value(),
-		ShardRefs:       e.shardRefs.Value(),
 		SimsRemote:      e.simsRemote.Value(),
 		RemoteDegraded:  e.remoteDegraded.Value(),
 		CachedResults:   e.results.size(),
@@ -433,10 +390,6 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 // BatchRefs returns the resolved simulation batch size: Options.BatchRefs,
 // or the chunk size when that was left zero.
 func (e *Engine) BatchRefs() int { return e.batchRefs }
-
-// Shards returns the resolved intra-trace shard count: Options.Shards,
-// with negative resolved to GOMAXPROCS. 0 or 1 means sequential.
-func (e *Engine) Shards() int { return e.shards }
 
 // Job is one node of an execution DAG. Jobs are single-use: build a fresh
 // graph per Execute call (cached work is cheap to re-plan).
@@ -801,7 +754,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 			// a fingerprint-validated entry written by an earlier run (or
 			// another process sharing the store) is a cache hit without a
 			// simulation.
-			if out, sum, ok := e.tierLoadResult(ctx, j.Key); ok {
+			if out, sum, ok := tierLoad(ctx, e, "result", j.Key, Tier.LoadResult); ok {
 				e.results.fulfillStamped(j.Key, f, out, nil, sum, e.verify)
 				j.met.CacheHit = true
 				j.out, j.err = out, nil
@@ -810,8 +763,8 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 			out, err := e.runBody(ctx, j)
 			sum, stamped := e.stampFor(observedKey(j.Key), out)
 			e.results.fulfillStamped(j.Key, f, out, err, sum, stamped)
-			if err == nil {
-				e.tierStoreResult(ctx, j.Key, out)
+			if r, ok := out.(*sim.Result); ok && err == nil {
+				tierStore(ctx, e, "result", j.Key, r, Tier.StoreResult)
 			}
 			j.out, j.err = out, err
 			return err
@@ -970,115 +923,71 @@ func (e *Engine) stampFor(key string, v any) (uint64, bool) {
 	return sum, true
 }
 
-// tierLoadResult consults the durable second tier for a job's result. A
-// validated hit returns the result and its fingerprint (which becomes the
-// in-memory stamp, so later memory hits revalidate against the same sum).
-// A corrupt entry has already been evicted by the store; the engine
-// counts it like any other integrity rejection and recomputes. The
-// lookup is spanned on the caller's trace lane and reported to the tier
-// observer, so store traffic shows up both on the request's timeline and
-// in its journal.
-func (e *Engine) tierLoadResult(ctx context.Context, k Key) (*sim.Result, uint64, bool) {
-	if e.tier == nil {
-		return nil, 0, false
-	}
-	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "load:result").Arg("key", observedKey(k))
-	start := time.Now()
-	r, ok, err := e.tier.LoadResult(k.hex())
-	hit := err == nil && ok && r != nil
-	sp.Arg("hit", hit).End(err)
-	if e.tobs != nil {
-		e.tobs.TierFetched(ctx, "result", observedKey(k), hit, time.Since(start))
-	}
-	if err != nil {
-		if isCorrupt(err) {
-			e.cacheRejected.Add(1)
-			if e.fobs != nil {
-				e.fobs.CacheRejected(ctx, observedKey(k))
-			}
-		}
-		return nil, 0, false
-	}
-	if !hit {
-		return nil, 0, false
-	}
-	return r, r.Fingerprint(), true
+// fingerprinted is what the durable tier holds: *sim.Result and
+// *trace.Trace, each validated by its own content fingerprint.
+type fingerprinted interface {
+	comparable
+	Fingerprint() uint64
 }
 
-// tierStoreResult writes a freshly computed result through to the durable
-// tier, best-effort: the store accounts its own write failures and a
-// broken disk must not fail the simulation that just succeeded. In fault
-// mode the persisted stamp may be deliberately poisoned — the same
-// mechanism stampFor uses — so injected corruption exercises the store's
-// load-time revalidation end to end.
-func (e *Engine) tierStoreResult(ctx context.Context, k Key, v any) {
+// tierLoad consults the durable second tier for the value under k; kind is
+// "result" or "trace" and load the matching Tier method. A validated hit
+// returns the value and its fingerprint (which becomes the in-memory
+// stamp, so later memory hits revalidate against the same sum). A corrupt
+// entry has already been evicted by the store; the engine counts it like
+// any other integrity rejection and recomputes. The lookup is spanned on
+// the caller's trace lane and reported to the tier observer, so store
+// traffic shows up both on the request's timeline and in its journal.
+func tierLoad[T fingerprinted](ctx context.Context, e *Engine, kind string, k Key,
+	load func(Tier, string) (T, bool, error)) (T, uint64, bool) {
+	var zero T
 	if e.tier == nil {
+		return zero, 0, false
+	}
+	lane, parent := exectrace.FromContext(ctx)
+	sp := lane.Span(parent, "store", "load:"+kind).Arg("key", observedKey(k))
+	start := time.Now()
+	v, ok, err := load(e.tier, k.hex())
+	hit := err == nil && ok && v != zero
+	sp.Arg("hit", hit).End(err)
+	if e.tobs != nil {
+		e.tobs.TierFetched(ctx, kind, observedKey(k), hit, time.Since(start))
+	}
+	if isCorrupt(err) {
+		e.cacheRejected.Add(1)
+		if e.fobs != nil {
+			e.fobs.CacheRejected(ctx, observedKey(k))
+		}
+	}
+	if !hit {
+		return zero, 0, false
+	}
+	return v, v.Fingerprint(), true
+}
+
+// tierStore writes a freshly computed value through to the durable tier,
+// best-effort: the store accounts its own write failures and a broken disk
+// must not fail the work that just succeeded. In fault mode the persisted
+// stamp may be deliberately poisoned — the same mechanism stampFor uses —
+// so injected corruption exercises the store's load-time revalidation end
+// to end.
+func tierStore[T fingerprinted](ctx context.Context, e *Engine, kind string, k Key, v T,
+	store func(Tier, string, T, uint64) error) {
+	var zero T
+	if e.tier == nil || v == zero {
 		return
 	}
-	r, ok := v.(*sim.Result)
-	if !ok || r == nil {
-		return
-	}
-	sum := r.Fingerprint()
+	sum := v.Fingerprint()
 	if e.faults.PoisonStamp(observedKey(k)) {
 		sum = ^sum
 	}
 	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "store:result").Arg("key", observedKey(k))
+	sp := lane.Span(parent, "store", "store:"+kind).Arg("key", observedKey(k))
 	start := time.Now()
-	err := e.tier.StoreResult(k.hex(), r, sum)
+	err := store(e.tier, k.hex(), v, sum)
 	sp.End(err)
 	if e.tobs != nil {
-		e.tobs.TierStored(ctx, "result", observedKey(k), time.Since(start))
-	}
-}
-
-// tierLoadTrace and tierStoreTrace are the trace-cache analogues of the
-// result helpers above.
-func (e *Engine) tierLoadTrace(ctx context.Context, k Key) (*trace.Trace, uint64, bool) {
-	if e.tier == nil {
-		return nil, 0, false
-	}
-	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "load:trace").Arg("key", observedKey(k))
-	start := time.Now()
-	t, ok, err := e.tier.LoadTrace(k.hex())
-	hit := err == nil && ok && t != nil
-	sp.Arg("hit", hit).End(err)
-	if e.tobs != nil {
-		e.tobs.TierFetched(ctx, "trace", observedKey(k), hit, time.Since(start))
-	}
-	if err != nil {
-		if isCorrupt(err) {
-			e.cacheRejected.Add(1)
-			if e.fobs != nil {
-				e.fobs.CacheRejected(ctx, observedKey(k))
-			}
-		}
-		return nil, 0, false
-	}
-	if !hit {
-		return nil, 0, false
-	}
-	return t, t.Fingerprint(), true
-}
-
-func (e *Engine) tierStoreTrace(ctx context.Context, k Key, t *trace.Trace) {
-	if e.tier == nil || t == nil {
-		return
-	}
-	sum := t.Fingerprint()
-	if e.faults.PoisonStamp(observedKey(k)) {
-		sum = ^sum
-	}
-	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "store:trace").Arg("key", observedKey(k))
-	start := time.Now()
-	err := e.tier.StoreTrace(k.hex(), t, sum)
-	sp.End(err)
-	if e.tobs != nil {
-		e.tobs.TierStored(ctx, "trace", observedKey(k), time.Since(start))
+		e.tobs.TierStored(ctx, kind, observedKey(k), time.Since(start))
 	}
 }
 

@@ -144,8 +144,8 @@ func TestRemoteUnavailableDegradesToLocal(t *testing.T) {
 func TestRemoteExecutionErrorSurfaces(t *testing.T) {
 	ctx := context.Background()
 	specs := remoteSpecs()[:2]
-	boom := &sim.ShardError{Shard: 1, Panicked: true, Stack: "goroutine 7 [running]:",
-		Err: errors.New("injected shard panic")}
+	boom := &JobError{ID: "sim:Dir1NB@pops", Kind: "sim", Attempts: 1, Panicked: true,
+		Stack: []byte("goroutine 7 [running]:"), Err: errors.New("panic: injected")}
 	rem := &fakeRemote{exec: New(Options{}), fail: func(s SimSpec) error {
 		if s.Scheme == "Dir1NB" {
 			return boom
@@ -159,8 +159,11 @@ func TestRemoteExecutionErrorSurfaces(t *testing.T) {
 		t.Fatalf("want one-failure Partial, got %v", err)
 	}
 	for _, ferr := range p.Failed {
-		var se *sim.ShardError
-		if !errors.As(ferr, &se) || !se.Panicked || se.Stack == "" {
+		// The local job's own JobError wraps the worker's; the worker's
+		// layer must still be reachable with its panic flag and stack.
+		var je *JobError
+		if !errors.As(ferr, &je) || je == boom || !errors.As(je.Err, &je) ||
+			je != boom || !je.Panicked || len(je.Stack) == 0 {
 			t.Fatalf("worker failure lost structure: %v", ferr)
 		}
 	}

@@ -53,14 +53,14 @@ func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, 
 		f, owner := e.traces.claim(k)
 		if owner {
 			e.cacheMisses.Add(1)
-			if t, sum, ok := e.tierLoadTrace(ctx, k); ok {
+			if t, sum, ok := tierLoad(ctx, e, "trace", k, Tier.LoadTrace); ok {
 				e.traces.fulfillStamped(k, f, t, nil, sum, e.verify)
 				return t, nil
 			}
 			t, err := workload.Generate(cfg)
 			if err == nil {
 				e.tracesGenerated.Add(1)
-				e.tierStoreTrace(ctx, k, t)
+				tierStore(ctx, e, "trace", k, t, Tier.StoreTrace)
 			}
 			sum, stamped := e.stampFor(observedKey(k), t)
 			e.traces.fulfillStamped(k, f, t, err, sum, stamped)
@@ -219,12 +219,7 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 // materialized traces (optionally filtered) and merges the results. It is
 // the engine's escape hatch for non-registry protocols and filtered
 // replays; the work parallelizes across traces but is uncached, since an
-// arbitrary builder or filter has no content identity. Options.Shards is
-// deliberately not honored here either: an arbitrary engine may carry
-// cross-block state (a finite cache evicts by set occupancy), which
-// breaks the per-block independence the sharded path's bit-identity
-// rests on — only registry schemes, whose state is strictly per-block,
-// go through SimulateSharded.
+// arbitrary builder or filter has no content identity.
 func (e *Engine) RunProtocolOverTraces(ctx context.Context, exec Executor,
 	build func(ncpu int) core.Protocol, traces []*trace.Trace,
 	filter func(trace.Source) trace.Source, opts sim.Options) (*sim.Result, error) {
@@ -580,7 +575,7 @@ func (e *Engine) streamGroup(ctx context.Context, cfg workload.Config,
 			e.tracesGenerated.Add(1)
 			sum, stamped := e.stampFor(observedKey(k), produced)
 			e.traces.fulfillStamped(k, f, produced, nil, sum, stamped)
-			e.tierStoreTrace(ctx, k, produced)
+			tierStore(ctx, e, "trace", k, produced, Tier.StoreTrace)
 		}
 	}
 	return out, nil
@@ -627,35 +622,7 @@ func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Sou
 		// accumulate into one family.
 		opts.Telemetry = obs.NewProtoSampler(e.reg, spec.Scheme, e.protoSample, lane, sp.ID())
 	}
-	var r *sim.Result
-	if e.shards > 1 {
-		// Block-sharded path: bit-identical to sim.Simulate by the shard
-		// equivalence suite, so the cache key and fingerprint are shared
-		// with sequential runs. p above already validated the scheme; the
-		// builder mints one fresh core per shard.
-		opts.Shards = e.shards
-		if e.faults != nil {
-			site := fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name)
-			opts.ShardFault = func(shard int) error {
-				return e.faults.ShardFault(site, shard)
-			}
-		}
-		if e.sobs != nil {
-			opts.ShardObserver = func(st sim.ShardStat) {
-				e.sobs.ShardFinished(ctx, spec.Trace.Name, spec.Scheme,
-					st.Shard, st.Shards, st.Refs, st.Elapsed)
-			}
-		}
-		opts.ShardObserver = countShards(e, opts.ShardObserver)
-		r, err = sim.SimulateSharded(func() (core.Protocol, error) {
-			return core.NewByName(spec.Scheme, spec.Trace.CPUs)
-		}, cancellable(ctx, src), opts)
-		if err == nil {
-			e.shardedSims.Add(1)
-		}
-	} else {
-		r, err = sim.Simulate(p, cancellable(ctx, src), opts)
-	}
+	r, err := sim.Simulate(p, cancellable(ctx, src), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -673,21 +640,6 @@ func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Sou
 	e.refsSimulated.Add(r.Counts.Total)
 	r.Trace = spec.Trace.Name
 	return r, nil
-}
-
-// countShards folds the engine's shard counter into a ShardObserver
-// chain: worker stats (shard >= 0) accumulate onto engine.shards.refs,
-// then the wrapped observer — nil when none is configured — sees every
-// stat. sim serializes the calls, so plain counter adds suffice.
-func countShards(e *Engine, next func(sim.ShardStat)) func(sim.ShardStat) {
-	return func(st sim.ShardStat) {
-		if st.Shard >= 0 {
-			e.shardRefs.Add(st.Refs)
-		}
-		if next != nil {
-			next(st)
-		}
-	}
 }
 
 func dedupJobs(jobs []*Job) []*Job {

@@ -53,11 +53,6 @@ type Config struct {
 	// stamped with a corrupted checksum, so every subsequent hit is
 	// rejected and recomputed (exercising cache-poisoning defense).
 	Poison float64
-	// ShardPanic is the probability, per shard worker of a sharded
-	// simulation, that the worker panics at start (exercising the shard
-	// pipeline's panic isolation: the failing shard must surface as a
-	// structured error while the others drain cleanly).
-	ShardPanic float64
 
 	// The transport class below models an unreliable network between
 	// distributed-execution processes (internal/dist). Each decision is
@@ -108,7 +103,7 @@ type Config struct {
 // Enabled reports whether any fault class has a non-zero probability.
 func (c Config) Enabled() bool {
 	return c.Panic > 0 || c.Spurious > 0 || c.Truncate > 0 ||
-		c.Corrupt > 0 || c.Slow > 0 || c.Poison > 0 || c.ShardPanic > 0 ||
+		c.Corrupt > 0 || c.Slow > 0 || c.Poison > 0 ||
 		c.TransportEnabled() || c.Crash > 0
 }
 
@@ -225,21 +220,6 @@ func (i *Injector) JobFault(site string, attempt int) error {
 	}
 	if i.cfg.Spurious > 0 && i.roll("spurious", site, int64(attempt)) < i.cfg.Spurious {
 		return &Spurious{Site: site, Attempt: attempt}
-	}
-	return nil
-}
-
-// ShardFault decides the fate of one shard worker at the given site: it
-// panics with a *Panic (the shard index standing in for the attempt) or
-// returns nil. Decisions are per (site, shard), so the same seed kills
-// the same shard of the same simulation on every run — and the shard
-// partition itself is seedless, so that shard holds the same blocks too.
-func (i *Injector) ShardFault(site string, shard int) error {
-	if i == nil {
-		return nil
-	}
-	if i.cfg.ShardPanic > 0 && i.roll("shardpanic", site, int64(shard)) < i.cfg.ShardPanic {
-		panic(&Panic{Site: fmt.Sprintf("%s#shard%d", site, shard), Attempt: shard})
 	}
 	return nil
 }

@@ -420,9 +420,14 @@ func TestWorkerCrash(t *testing.T) {
 }
 
 func TestGoroutineLeakHelper(t *testing.T) {
+	// A goroutine alive at the snapshot that exits afterwards — under load,
+	// the previous test's runner still unwinding — must not offset a new one.
+	old := make(chan struct{})
+	go func() { <-old }()
 	snap := Goroutines()
 	done := make(chan struct{})
 	go func() { <-done }()
+	close(old)
 	if err := snap.Leaked(20 * time.Millisecond); err == nil {
 		t.Error("helper blind to a live extra goroutine")
 	}

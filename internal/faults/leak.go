@@ -1,42 +1,62 @@
 package faults
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"time"
 )
 
-// GoroutineSnapshot records the goroutine population at a point in time,
-// for asserting that an operation left no goroutines behind. Take one
-// before the operation under test and call Leaked after it.
-type GoroutineSnapshot struct {
-	n int
-}
+// GoroutineSnapshot records which goroutines were alive at a point in
+// time, for asserting that an operation left none behind: take one before
+// the operation under test and call Leaked after it. Identities are
+// compared, not a count, so a goroutine already unwinding at the snapshot
+// cannot, by exiting later, hide a new one.
+type GoroutineSnapshot struct{ ids map[uint64]bool }
 
-// Goroutines snapshots the current goroutine count.
+// Goroutines snapshots the live goroutines.
 func Goroutines() GoroutineSnapshot {
-	return GoroutineSnapshot{n: runtime.NumGoroutine()}
+	ids, _ := liveGoroutines()
+	return GoroutineSnapshot{ids}
 }
 
-// Leaked polls until the goroutine count returns to at most the
-// snapshot's baseline, or the timeout elapses. Goroutines unwind
-// asynchronously after a cancel, so a single immediate count would flag
-// leaks that are merely slow exits; polling separates "still shutting
-// down" from "stuck". On timeout it returns an error carrying a full
-// stack dump of every live goroutine, so the stuck one is identifiable
+// liveGoroutines returns a stack dump of every live goroutine and the IDs
+// parsed from its "goroutine N [state]:" headers.
+func liveGoroutines() (map[uint64]bool, []byte) {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*n)
+		n = runtime.Stack(buf, true)
+	}
+	ids := make(map[uint64]bool)
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+		var id uint64
+		if _, err := fmt.Sscanf(string(g), "goroutine %d ", &id); err == nil {
+			ids[id] = true
+		}
+	}
+	return ids, buf[:n]
+}
+
+// Leaked polls until every live goroutine is one the snapshot held, or the
+// timeout elapses. Goroutines unwind asynchronously after a cancel, so a
+// single immediate look would flag leaks that are merely slow exits;
+// polling separates "still shutting down" from "stuck". On timeout the
+// error carries the stack dump, so the stuck goroutine is identifiable
 // from the failure alone.
 func (s GoroutineSnapshot) Leaked(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		n := runtime.NumGoroutine()
-		if n <= s.n {
+		ids, dump := liveGoroutines()
+		for id := range s.ids {
+			delete(ids, id)
+		}
+		if len(ids) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			return fmt.Errorf("faults: %d goroutines leaked (%d now, %d at baseline); stacks:\n%s",
-				n-s.n, n, s.n, buf)
+			return fmt.Errorf("faults: %d goroutines leaked since the snapshot; stacks:\n%s", len(ids), dump)
 		}
 		runtime.Gosched()
 		time.Sleep(2 * time.Millisecond)

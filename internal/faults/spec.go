@@ -12,13 +12,13 @@ import (
 //
 //	panic=0.05,error=0.2,truncate=0.1,corrupt=0.1,slow=0.01,slowdelay=1ms,poison=0.05
 //
-// Keys: panic, error (spurious failures), truncate, corrupt, slow,
-// poison, shardpanic, and the transport class drop, dropreply, dup,
-// wirecorrupt, wiredelay, disconnect, partition, crash take probabilities
-// in [0, 1]; slowdelay and wiredelaydur take Go durations; partitionwindow
-// takes a positive integer message count.
-// The seed is supplied separately so the same fault mix can be replayed
-// under different schedules. An empty spec yields a zero Config.
+// Keys: panic, error (spurious failures), truncate, corrupt, slow, poison,
+// and the transport class drop, dropreply, dup, wirecorrupt, wiredelay,
+// disconnect, partition, crash take probabilities in [0, 1]; slowdelay
+// and wiredelaydur take Go durations; partitionwindow takes a positive
+// integer message count. The seed is supplied separately so the same
+// fault mix can be replayed under different schedules. An empty spec
+// yields a zero Config.
 func ParseSpec(spec string, seed uint64) (Config, error) {
 	cfg := Config{Seed: seed}
 	if strings.TrimSpace(spec) == "" {
@@ -75,8 +75,6 @@ func ParseSpec(spec string, seed uint64) (Config, error) {
 			cfg.Slow = p
 		case "poison":
 			cfg.Poison = p
-		case "shardpanic":
-			cfg.ShardPanic = p
 		case "drop":
 			cfg.Drop = p
 		case "dropreply":

@@ -57,11 +57,7 @@ type ManifestConfig struct {
 	Parallel int    `json:"parallel"`
 	// Batch is the resolved simulation batch size in references; it
 	// tunes throughput only, never results.
-	Batch int `json:"batch"`
-	// Shards is the resolved intra-trace shard count (-shards); 0 or 1
-	// means sequential simulation. Sharded results are bit-identical to
-	// sequential, so it tunes throughput only, never results.
-	Shards   int               `json:"shards,omitempty"`
+	Batch    int               `json:"batch"`
 	Executor string            `json:"executor"`
 	Seeds    map[string]uint64 `json:"seeds,omitempty"`
 	// Faults is the fault-injection spec the run was executed under and

@@ -109,18 +109,6 @@ func (r *Recorder) TierStored(ctx context.Context, kind, key string, d time.Dura
 		"dur_us", d.Microseconds()})...)
 }
 
-// ShardFinished implements the engine's ShardObserver: one event per
-// shard of a block-sharded simulation (shard -1 is the splitter that
-// partitioned the reference stream). The per-shard refs and busy time
-// are what dirsimq's stats command aggregates into throughput and skew.
-func (r *Recorder) ShardFinished(ctx context.Context, trace, scheme string, shard, shards int, refs int64, d time.Duration) {
-	// The workload gets its own key: the "trace" key is the request
-	// trace-context ID appended by traceAttrs, and duplicate keys decode
-	// last-wins downstream.
-	r.jnl.Event("sim.shard", traceAttrs(ctx, []any{"workload", trace, "scheme", scheme,
-		"shard", shard, "shards", shards, "refs", refs, "dur_us", d.Microseconds()})...)
-}
-
 // The failure-path events below implement the engine's FaultObserver.
 // They journal only: the engine's own registry counters (engine.jobs.
 // panics/retries/timeouts, engine.cache.rejected) already count these, so

@@ -14,7 +14,7 @@ func remoteTrace() *Tracer {
 	tr := New()
 	l := tr.Lane()
 	root := l.Span(0, "job", "sim:Dir1NB@pops")
-	child := l.Span(root.ID(), "shard", "shard-0")
+	child := l.Span(root.ID(), "attempt", "attempt:0")
 	l.Instant(child.ID(), "engine", "chunk", "n", 1)
 	child.End(nil)
 	root.End(nil)
@@ -58,7 +58,7 @@ func TestWireRoundTripReparents(t *testing.T) {
 	for _, ev := range evs {
 		byName[ev.Name] = ev
 	}
-	d, root, child, inst := byName["dist:lease"], byName["sim:Dir1NB@pops"], byName["shard-0"], byName["chunk"]
+	d, root, child, inst := byName["dist:lease"], byName["sim:Dir1NB@pops"], byName["attempt:0"], byName["chunk"]
 	if root.Parent != d.ID {
 		t.Errorf("remote root parent = %d, want dispatch %d", root.Parent, d.ID)
 	}

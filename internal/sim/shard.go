@@ -32,21 +32,6 @@ func ShardOf(b trace.Block, shards int) int {
 	return int(x % uint64(shards))
 }
 
-// ShardStat is one ShardObserver notification: the work one shard
-// performed, or — with Shard == -1 — the splitter's totals.
-type ShardStat struct {
-	// Shard is the worker's index in [0, Shards), or -1 for the splitter.
-	Shard int
-	// Shards is the worker count the run used (after resolving
-	// Options.Shards == 0 to GOMAXPROCS).
-	Shards int
-	// Refs is the number of references this shard simulated (for the
-	// splitter: the total routed).
-	Refs int64
-	// Elapsed is the shard's wall time from first batch wait to drain.
-	Elapsed time.Duration
-}
-
 // ShardError reports the failure of one shard worker. It is the structured
 // error SimulateSharded returns (lowest failing shard wins, so the error is
 // deterministic when several shards fail); the engine wraps it into its
@@ -155,18 +140,8 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	if tel != nil {
 		tel = &lockedTelemetry{tel: opts.Telemetry}
 	}
-	var obsMu sync.Mutex
-	notify := func(st ShardStat) {
-		if opts.ShardObserver == nil {
-			return
-		}
-		obsMu.Lock()
-		defer obsMu.Unlock()
-		opts.ShardObserver(st)
-	}
-
 	var start time.Time
-	if opts.Observer != nil || opts.ShardObserver != nil {
+	if opts.Observer != nil {
 		start = time.Now()
 	}
 
@@ -188,11 +163,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	for s := 0; s < shards; s++ {
 		go func(s int) {
 			defer wg.Done()
-			var ws time.Time
-			if opts.ShardObserver != nil {
-				ws = time.Now()
-			}
-			res, n, err := runShard(s, protos[s], checkers[s], work[s], free, opts, tel)
+			res, err := runShard(s, protos[s], checkers[s], work[s], free, opts, tel)
 			results[s], errs[s] = res, err
 			// A failed worker stops consuming early; drain what the
 			// splitter still sends so it never blocks on a full queue or
@@ -200,7 +171,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 			for buf := range work[s] {
 				free <- buf[:0]
 			}
-			notify(ShardStat{Shard: s, Shards: shards, Refs: n, Elapsed: time.Since(ws)})
 		}(s)
 	}
 
@@ -237,7 +207,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 		}
 		close(work[s])
 	}
-	notify(ShardStat{Shard: -1, Shards: shards, Refs: total, Elapsed: time.Since(start)})
 	wg.Wait()
 
 	for _, err := range errs {
@@ -263,7 +232,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 // protocol bug or injected fault — is recovered into a *ShardError so the
 // other shards finish their drain undisturbed.
 func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []trace.Ref,
-	free chan<- []trace.Ref, opts Options, tel Telemetry) (res *Result, n int64, err error) {
+	free chan<- []trace.Ref, opts Options, tel Telemetry) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rerr, ok := r.(error)
@@ -276,7 +245,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 	}()
 	if opts.ShardFault != nil {
 		if ferr := opts.ShardFault(shard); ferr != nil {
-			return nil, 0, &ShardError{Shard: shard, Err: ferr}
+			return nil, &ShardError{Shard: shard, Err: ferr}
 		}
 	}
 	res, busTallies, netTallies := newResult(p.Name(), opts)
@@ -285,6 +254,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 		every = 8192
 	}
 	var sparse sparseBatch
+	var n int64
 	for buf := range work {
 		if opts.Check {
 			// Per-reference like the sequential checked path, so a
@@ -295,7 +265,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 				if n%every == 0 {
 					if cerr := p.CheckInvariants(); cerr != nil {
 						free <- buf[:0]
-						return nil, n, &ShardError{Shard: shard,
+						return nil, &ShardError{Shard: shard,
 							Err: fmt.Errorf("after %d refs: %w", n, cerr)}
 					}
 				}
@@ -308,11 +278,11 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 	}
 	if opts.Check {
 		if cerr := p.CheckInvariants(); cerr != nil {
-			return nil, n, &ShardError{Shard: shard, Err: cerr}
+			return nil, &ShardError{Shard: shard, Err: cerr}
 		}
 		if cerr := checker.Err(); cerr != nil {
-			return nil, n, &ShardError{Shard: shard, Err: cerr}
+			return nil, &ShardError{Shard: shard, Err: cerr}
 		}
 	}
-	return res, n, nil
+	return res, nil
 }

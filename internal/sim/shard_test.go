@@ -134,57 +134,24 @@ func TestShardedChecked(t *testing.T) {
 	}
 }
 
-// TestShardedObserver: per-shard stats must partition the trace — shard
-// refs sum to the total, match the ShardOf partition exactly, and the
-// splitter reports Shard == -1 with the full count.
+// TestShardedObserver: the completion observer fires once under the
+// sharded path too, with the full reference count the splitter routed.
 func TestShardedObserver(t *testing.T) {
-	const shards = 5
 	tr, err := workload.Generate(workload.POPSConfig(4, 9_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPerShard := make([]int64, shards)
-	for _, r := range tr.Refs {
-		wantPerShard[ShardOf(r.Block(), shards)]++
-	}
-	var stats []ShardStat
+	var calls int
 	var total int64
 	opts := batchTestOpts()
-	opts.Shards = shards
-	opts.ShardObserver = func(st ShardStat) { stats = append(stats, st) }
-	opts.Observer = func(refs int64, _ time.Duration) { total = refs }
+	opts.Shards = 5
+	opts.Observer = func(refs int64, _ time.Duration) { calls++; total = refs }
 	if _, err := SimulateSharded(shardBuild("Dragon", tr.CPUs), tr.Iterator(), opts); err != nil {
 		t.Fatal(err)
 	}
-	if total != int64(len(tr.Refs)) {
-		t.Errorf("observer total = %d, want %d", total, len(tr.Refs))
-	}
-	if len(stats) != shards+1 {
-		t.Fatalf("got %d shard stats, want %d", len(stats), shards+1)
-	}
-	var sum int64
-	splitters := 0
-	for _, st := range stats {
-		if st.Shards != shards {
-			t.Errorf("stat reports %d shards, want %d", st.Shards, shards)
-		}
-		if st.Shard == -1 {
-			splitters++
-			if st.Refs != int64(len(tr.Refs)) {
-				t.Errorf("splitter routed %d refs, want %d", st.Refs, len(tr.Refs))
-			}
-			continue
-		}
-		if st.Refs != wantPerShard[st.Shard] {
-			t.Errorf("shard %d simulated %d refs, want %d", st.Shard, st.Refs, wantPerShard[st.Shard])
-		}
-		sum += st.Refs
-	}
-	if splitters != 1 {
-		t.Errorf("got %d splitter stats, want 1", splitters)
-	}
-	if sum != int64(len(tr.Refs)) {
-		t.Errorf("shard refs sum to %d, want %d", sum, len(tr.Refs))
+	if calls != 1 || total != int64(len(tr.Refs)) {
+		t.Errorf("observer saw %d calls totalling %d refs, want 1 call with %d",
+			calls, total, len(tr.Refs))
 	}
 }
 

@@ -63,16 +63,10 @@ type Options struct {
 	// tallies (see SimulateSharded) — bit-identical to the sequential
 	// path. 0 or 1 runs the single-goroutine loop above.
 	Shards int
-	// ShardObserver, when set, receives one ShardStat as each shard
-	// worker finishes, plus one with Shard == -1 for the splitter — the
-	// hook behind per-shard journal events and skew reporting. Calls are
-	// serialized by SimulateSharded; the single-goroutine path never
-	// calls it.
-	ShardObserver func(ShardStat)
 	// ShardFault, when set, is invoked once at each shard worker's start;
-	// a non-nil return (or a panic) fails that shard. It exists for fault
-	// injection: the engine wires faults.Injector.ShardFault here so soak
-	// tests can kill one shard and assert the others drain cleanly.
+	// a non-nil return (or a panic) fails that shard. It is the test seam
+	// the shard fault suite uses to kill one shard and assert the others
+	// drain cleanly.
 	ShardFault func(shard int) error
 }
 
