@@ -43,7 +43,7 @@ shard-equiv:
 # clean run — with races checked throughout.
 soak:
 	DIRSIM_SOAK=1 $(GO) test -race -count=1 \
-		-run 'Fault|Panic|Retry|Timeout|Truncat|Corrupt|Poison|Cancel|Refcount|ExecuteAll|Leak|Spec' \
+		-run 'Fault|Panic|Retry|Timeout|Truncat|TierCorrupt|CorruptByte|Poison|Cancel|ExecuteAll|Leak|Spec' \
 		./internal/engine ./internal/faults ./cmd/experiments
 
 # Run the distributed-execution soak under the race detector: a

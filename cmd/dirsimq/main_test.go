@@ -220,49 +220,75 @@ func TestUsageAndErrors(t *testing.T) {
 	}
 }
 
-// TestRetiredJournalEvents: journals written before intra-trace sharding
-// left the engine still carry sim.shard lines (testdata/legacy_shard.jsonl
-// holds one simulation's two workers and splitter, on request trace tr1).
-// Every command reads them as ordinary events of a kind it has no
-// section for: stats counts them by type and prints nothing else about
-// them, filter re-emits them raw, and timeline's books still balance.
+// TestRetiredJournalEvents: journals written before a mechanism left the
+// engine still carry its lines, and every command reads them under
+// -strict. testdata/legacy_shard.jsonl holds one sharded simulation's
+// sim.shard lines (two workers and the splitter, on request trace tr1):
+// ordinary events of a type no command has a section for, so stats counts
+// them by type and prints nothing else about them. testdata/
+// legacy_stream.jsonl holds one streamed generation (the job.* lines of a
+// kind "stream" job and its stream.end): the job still folds into the
+// generate phase and -kind stream still selects it.
 func TestRetiredJournalEvents(t *testing.T) {
-	const legacy = "testdata/legacy_shard.jsonl"
 	fleet := writeJournal(t, "fleet.jsonl", fleetJournal)
-
 	code, base, errb := runCLI(t, "stats", fleet)
 	if code != 0 {
 		t.Fatalf("stats exit %d, stderr: %s", code, errb)
 	}
-	code, out, errb := runCLI(t, "stats", fleet, legacy)
-	if code != 0 {
-		t.Fatalf("stats with legacy lines exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, "sim.shard") || strings.Contains(out, "sharded") {
-		t.Errorf("stats should count sim.shard by type and print no sharded section:\n%s", out)
-	}
-	// Apart from the event tally, the legacy lines change nothing.
-	strip := func(s string) string {
-		var keep []string
-		for _, l := range strings.Split(s, "\n") {
-			if !strings.Contains(l, "sim.shard") && !strings.Contains(l, "events") {
-				keep = append(keep, l)
+	for _, tc := range []struct {
+		file      string
+		inStats   []string // stats mentions each of these
+		tallyOnly string   // if set, lines naming it are all that stats adds to base
+		filter    []string // a selection re-emitting exactly want raw lines
+		want      int
+	}{
+		{"testdata/legacy_shard.jsonl", []string{"sim.shard"}, "sim.shard",
+			[]string{"-msg", "sim.shard"}, 3},
+		{"testdata/legacy_stream.jsonl", []string{"stream.end", "stream  ", "generate"}, "",
+			[]string{"-kind", "stream"}, 3},
+	} {
+		code, out, errb := runCLI(t, "stats", fleet, tc.file)
+		if code != 0 {
+			t.Fatalf("stats with %s exit %d, stderr: %s", tc.file, code, errb)
+		}
+		for _, sub := range tc.inStats {
+			if !strings.Contains(out, sub) {
+				t.Errorf("stats over %s does not mention %q:\n%s", tc.file, sub, out)
 			}
 		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(out) != strip(base) {
-		t.Errorf("legacy sim.shard lines changed stats beyond the event tally:\n%s\nvs\n%s", out, base)
-	}
+		if strings.Contains(out, "sharded") {
+			t.Errorf("stats over %s prints a sharded section:\n%s", tc.file, out)
+		}
+		if tc.tallyOnly != "" {
+			strip := func(s string) string {
+				var keep []string
+				for _, l := range strings.Split(s, "\n") {
+					if !strings.Contains(l, tc.tallyOnly) && !strings.Contains(l, "events") {
+						keep = append(keep, l)
+					}
+				}
+				return strings.Join(keep, "\n")
+			}
+			if strip(out) != strip(base) {
+				t.Errorf("%s changed stats beyond the event tally:\n%s\nvs\n%s", tc.file, out, base)
+			}
+		}
 
-	code, out, errb = runCLI(t, "filter", "-msg", "sim.shard", fleet, legacy)
-	if code != 0 || strings.Count(out, "\n") != 3 || strings.Count(out, `"msg":"sim.shard"`) != 3 {
-		t.Errorf("filter exit %d, want the 3 raw legacy lines, got:\n%s%s", code, out, errb)
-	}
+		code, out, errb = runCLI(t, append(append([]string{"filter"}, tc.filter...), fleet, tc.file)...)
+		if code != 0 || strings.Count(out, "\n") != tc.want {
+			t.Errorf("filter %v exit %d, want the %d raw legacy lines, got:\n%s%s",
+				tc.filter, code, tc.want, out, errb)
+		}
+		for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
+			if !strings.Contains(l, `"`+tc.filter[1]+`"`) {
+				t.Errorf("filter %v re-emitted an unselected line: %s", tc.filter, l)
+			}
+		}
 
-	code, out, errb = runCLI(t, "timeline", "-strict", "all", fleet, legacy)
-	if code != 0 || !strings.Contains(out, "[balanced]") || strings.Contains(out, "sharded") {
-		t.Errorf("timeline -strict exit %d over legacy lines:\n%s%s", code, out, errb)
+		code, out, errb = runCLI(t, "timeline", "-strict", "all", fleet, tc.file)
+		if code != 0 || !strings.Contains(out, "[balanced]") || strings.Contains(out, "sharded") {
+			t.Errorf("timeline -strict exit %d over %s:\n%s%s", code, tc.file, out, errb)
+		}
 	}
 }
 

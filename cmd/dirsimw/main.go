@@ -200,7 +200,7 @@ func run(cfg config) error {
 	}
 	w.Journal = journal
 
-	// The recorder journals engine job/stream lifecycle worker-side, so a
+	// The recorder journals the engine job lifecycle worker-side, so a
 	// shipped journal carries the execution story, not just leases.
 	eng := engine.New(engine.Options{
 		Metrics:  reg,

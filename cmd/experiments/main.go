@@ -16,17 +16,17 @@
 // report is byte-identical to the serial run, just produced faster.
 //
 // The observability flags instrument the run: -journal streams typed
-// JSONL events (engine job spans, streamed generations, experiment
-// brackets) to a file or stderr, -metrics writes the instrument
-// registry's text exposition after the run, -pprof captures CPU and heap
-// profiles, and -manifest records the run's configuration, seeds,
-// per-experiment wall times, and engine counters as JSON. Any of them
-// also prints a per-phase timing and cache summary to stderr.
+// JSONL events (engine job spans, experiment brackets) to a file or
+// stderr, -metrics writes the instrument registry's text exposition
+// after the run, -pprof captures CPU and heap profiles, and -manifest
+// records the run's configuration, seeds, per-experiment wall times, and
+// engine counters as JSON. Any of them also prints a per-phase timing
+// and cache summary to stderr.
 //
 // -trace exports the run's execution timeline — job DAG, worker
-// occupancy, stream back-pressure, retries, sampled protocol events — as
-// Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. -listen starts a live HTTP monitor serving /metrics
+// occupancy, retries, sampled protocol events — as Chrome trace-event
+// JSON loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// -listen starts a live HTTP monitor serving /metrics
 // (Prometheus text exposition), /runz (JSON run progress), and
 // /debug/pprof/*. Either flag auto-enables sampled coherence-protocol
 // telemetry; -protosample tunes its stride (every Nth coherence event
@@ -99,14 +99,14 @@ func main() {
 	flag.BoolVar(&cfg.check, "check", false, "enable coherence checking (slower)")
 	flag.BoolVar(&cfg.list, "list", false, "list experiment IDs and exit")
 	flag.IntVar(&cfg.parallel, "parallel", 1, "simulation worker pool size; >1 runs experiments concurrently, 0 means all cores")
-	flag.IntVar(&cfg.batch, "batch", 0, "simulation batch size in references; 0 means the engine's chunk size (results never depend on it)")
+	flag.IntVar(&cfg.batch, "batch", 0, "simulation batch size in references; 0 means 4096 (results never depend on it)")
 	flag.StringVar(&cfg.journal, "journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
 	flag.StringVar(&cfg.metrics, "metrics", "", "write the metric registry's text exposition to this file after the run ('-' for stdout)")
 	flag.StringVar(&cfg.pprofDir, "pprof", "", "capture cpu.pprof and heap.pprof into this directory")
 	flag.StringVar(&cfg.manifest, "manifest", "", "write a JSON run manifest to this file after the run ('-' for stdout)")
-	flag.StringVar(&cfg.faults, "faults", "", "inject deterministic faults, e.g. 'panic=0.05,error=0.1,truncate=0.1,corrupt=0.1,slow=0.01,poison=0.05' (implies -verify)")
+	flag.StringVar(&cfg.faults, "faults", "", "inject deterministic faults, e.g. 'panic=0.05,error=0.1,truncate=0.1,poison=0.05' (implies -verify)")
 	flag.Uint64Var(&cfg.faultSeed, "faultseed", 1, "seed for the fault-injection schedule (same spec+seed replays the same faults)")
-	flag.BoolVar(&cfg.verify, "verify", false, "validate stream checksums, reference counts, and cached results during the run")
+	flag.BoolVar(&cfg.verify, "verify", false, "validate simulated reference counts and cached traces and results during the run")
 	flag.IntVar(&cfg.retries, "retries", 0, "re-attempts per job body after a retryable failure")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "per-job deadline (0 disables)")
 	flag.StringVar(&cfg.trace, "trace", "", "export the run's execution timeline as Chrome trace-event JSON to this file ('-' for stdout; load in Perfetto or chrome://tracing)")
@@ -439,9 +439,8 @@ func printSummary(ew io.Writer, rec *obs.Recorder, stats engine.Stats, st *store
 			ss.Hits, ss.Misses, ss.Writes, ss.Rejected, ss.Entries,
 			float64(ss.Bytes)/(1<<20))
 	}
-	fmt.Fprintf(ew, "engine       %d jobs, %d sims, %d traces generated, %d streamed (%d chunks, %d back-pressure stalls)\n",
-		stats.JobsRun, stats.SimsRun, stats.TracesGenerated, stats.TracesStreamed,
-		stats.StreamChunks, stats.StreamStalls)
+	fmt.Fprintf(ew, "engine       %d jobs, %d sims, %d traces generated\n",
+		stats.JobsRun, stats.SimsRun, stats.TracesGenerated)
 	fmt.Fprintf(ew, "phases:\n")
 	for _, p := range rec.Phases() {
 		fmt.Fprintf(ew, "  %-12s %5d spans  %s\n", p.Phase, p.Count, p.Total.Round(time.Millisecond))

@@ -278,7 +278,7 @@ func TestJournalAndSummary(t *testing.T) {
 	}
 
 	s := summary.String()
-	for _, want := range []string{"run summary", "hit rate", "phases:", "experiments:", "table3"} {
+	for _, want := range []string{"run summary", "hit rate", "traces generated\n", "phases:", "experiments:", "table3"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
@@ -326,6 +326,22 @@ func TestManifestFlag(t *testing.T) {
 	// table3 is generation-only: traces are produced but no sim jobs run.
 	if m.Engine["engine.traces.generated"] == 0 {
 		t.Errorf("manifest engine counters wrong: %v", m.Engine)
+	}
+	// The engine's thirteen counters, with nothing left of streamed
+	// generation among them.
+	for _, gone := range []string{"engine.traces.streamed", "engine.stream.chunks", "engine.stream.stalls"} {
+		if _, ok := m.Engine[gone]; ok {
+			t.Errorf("manifest still carries %s: %v", gone, m.Engine)
+		}
+	}
+	n := 0
+	for name := range m.Engine {
+		if strings.HasPrefix(name, "engine.") {
+			n++
+		}
+	}
+	if n != 13 {
+		t.Errorf("manifest carries %d engine.* counters, want 13: %v", n, m.Engine)
 	}
 }
 

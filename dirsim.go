@@ -156,8 +156,8 @@ func GenerateCustom(cfg WorkloadConfig) (*Trace, error) { return workload.Genera
 
 // POPSConfig, THORConfig and PEROConfig return the generation specs of
 // the standard workloads without materializing them — the currency of
-// the execution engine, which generates (or streams) a spec on demand
-// and caches by its content hash.
+// the execution engine, which generates a spec on demand and caches by
+// its content hash.
 func POPSConfig(cpus, refs int) WorkloadConfig { return workload.POPSConfig(cpus, refs) }
 
 // THORConfig returns the logic-simulator workload's generation spec.
@@ -282,13 +282,12 @@ func NewExperimentContext(refs, cpus int) *ExperimentContext {
 
 // Execution engine: experiments expressed as DAGs of jobs (trace
 // generation → per-scheme simulation → aggregation) run on a bounded
-// worker pool with content-addressed caching of traces and results, and
-// streamed trace delivery under the Parallel executor.
+// worker pool with content-addressed caching of traces and results.
 type (
 	// Engine schedules simulation jobs and owns the result caches.
 	Engine = engine.Engine
-	// EngineOptions configures a new engine (worker pool size, streaming
-	// chunk geometry, trace retention).
+	// EngineOptions configures a new engine (worker pool size, retries,
+	// observers, cache tiers).
 	EngineOptions = engine.Options
 	// EngineStats snapshots an engine's cache and execution counters.
 	EngineStats = engine.Stats
@@ -312,12 +311,12 @@ func SequentialExecutor() Executor { return engine.Sequential{} }
 func ParallelExecutor(workers int) Executor { return engine.Parallel{Workers: workers} }
 
 // RunSchemes simulates several schemes over one workload configuration,
-// generating the trace once and streaming its references to all
-// simulators concurrently. It returns each scheme's result; use an
+// generating the trace once and replaying it through the simulators
+// concurrently. It returns each scheme's result; use an
 // explicit Engine (NewEngine + Engine.Compare) to keep a result cache
 // across calls.
 func RunSchemes(schemes []string, cfg WorkloadConfig) (map[string]*Result, error) {
-	eng := engine.New(engine.Options{DiscardStreamedTraces: true})
+	eng := engine.New(engine.Options{})
 	return eng.Compare(context.Background(), engine.Parallel{}, schemes,
 		[]workload.Config{cfg}, false)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dirsim/internal/workload"
@@ -15,10 +16,10 @@ var paperSchemes = []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB"}
 
 // TestExecutorsProduceIdenticalResults is the engine's acceptance test:
 // for every paper scheme over the three standard workloads, the Parallel
-// executor (streamed traces, concurrent simulations) produces results
-// bit-identical to the Sequential executor (materialized traces, one job
-// at a time). Results are plain data — counters, histograms, bus-cycle
-// tallies — so reflect.DeepEqual is an exact bit-level comparison.
+// executor (concurrent generations and simulations) produces results
+// bit-identical to the Sequential executor (one job at a time). Results
+// are plain data — counters, histograms, bus-cycle tallies — so
+// reflect.DeepEqual is an exact bit-level comparison.
 func TestExecutorsProduceIdenticalResults(t *testing.T) {
 	ctx := context.Background()
 	cfgs := workload.StandardConfigs(4, 40_000)
@@ -26,7 +27,7 @@ func TestExecutorsProduceIdenticalResults(t *testing.T) {
 	// Separate engines so the parallel run cannot borrow the sequential
 	// run's cache (which would make the comparison vacuous).
 	seq := New(Options{})
-	par := New(Options{Workers: 8, ChunkRefs: 512, ChunkWindow: 2})
+	par := New(Options{Workers: 8})
 
 	for _, scheme := range paperSchemes {
 		sPer, sMerged, err := seq.SchemeOverTraces(ctx, Sequential{}, scheme, cfgs, false)
@@ -48,11 +49,46 @@ func TestExecutorsProduceIdenticalResults(t *testing.T) {
 		}
 	}
 
-	if streamed := par.Stats().TracesStreamed; streamed == 0 {
-		t.Error("parallel engine never streamed; the comparison did not exercise streaming")
+	// Neither engine borrowed anything: each generated every workload
+	// itself, once for all five schemes.
+	for name, e := range map[string]*Engine{"sequential": seq, "parallel": par} {
+		if got := e.Stats().TracesGenerated; got != int64(len(cfgs)) {
+			t.Errorf("%s engine generated %d traces, want %d", name, got, len(cfgs))
+		}
 	}
-	if streamed := seq.Stats().TracesStreamed; streamed != 0 {
-		t.Errorf("sequential engine streamed %d traces; expected materialized delivery", streamed)
+}
+
+// TestConcurrentComparesSimulateOnce: callers racing to submit the same
+// comparison to one engine share every generation and every simulation —
+// each keyed job runs in exactly one of them and the rest wait on it.
+func TestConcurrentComparesSimulateOnce(t *testing.T) {
+	schemes := append([]string{"Dir1B"}, paperSchemes...)
+	cfgs := workload.StandardConfigs(4, 30_000)
+	e := New(Options{})
+
+	const callers = 8
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = e.Compare(context.Background(), Parallel{}, schemes, cfgs, false)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	s := e.Stats()
+	if want := int64(len(schemes) * len(cfgs)); s.SimsRun != want {
+		t.Errorf("SimsRun = %d, want %d", s.SimsRun, want)
+	}
+	if want := int64(len(cfgs)); s.TracesGenerated != want {
+		t.Errorf("TracesGenerated = %d, want %d", s.TracesGenerated, want)
 	}
 }
 

@@ -3,23 +3,21 @@
 // per-scheme simulations feeding aggregation — run on a bounded worker
 // pool with cancellable contexts and per-job timing.
 //
-// Two properties make large sweeps cheap:
+// Large sweeps are cheap because results are deduplicated and cached by a
+// content hash of everything that can influence them (workload spec
+// including seed and CPU count, scheme, cost options, block geometry):
+// the paper's method — a trace taken once and replayed through every
+// scheme — falls out of the cache, so a trace shared by twenty
+// experiments is generated once, by whichever caller asks first, and a
+// scheme priced by five figures is simulated once.
 //
-//   - Results are deduplicated and cached by a content hash of everything
-//     that can influence them (workload spec including seed and CPU
-//     count, scheme, cost options, block geometry), so a trace shared by
-//     twenty experiments is generated once and a scheme priced by five
-//     figures is simulated once.
-//   - Under the Parallel executor an uncached trace is not materialized
-//     first and replayed later: the generator streams references in
-//     chunks through bounded channels to all subscribed simulators
-//     running concurrently, so generation and simulation overlap and the
-//     peak footprint is a chunk window, not a full trace.
-//
-// The Sequential executor runs the identical DAG one job at a time with
-// materialized traces; because simulations are pure functions of the
-// reference sequence, both executors produce bit-identical results, which
-// the tests assert.
+// Every batch is the same DAG whichever executor runs it: one
+// trace:<workload> job through the single-flight Engine.Trace, one keyed
+// sim:<scheme>@<workload> job per scheme replaying the materialized
+// trace, then a merge. Sequential runs it one job at a time and Parallel
+// on a bounded pool; they differ in worker count and nothing else, and
+// because simulations are pure functions of the reference sequence both
+// produce bit-identical results, which the tests assert.
 package engine
 
 import (
@@ -44,38 +42,24 @@ type Options struct {
 	// Workers bounds the number of jobs executing concurrently under the
 	// Parallel executor; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// ChunkRefs is the streaming granularity: references travel from
-	// generator to simulators in chunks of this many (default 4096).
-	ChunkRefs int
-	// ChunkWindow is the per-simulator channel capacity in chunks
-	// (default 16); it bounds how far the generator runs ahead of the
-	// slowest simulator before back-pressure stalls it.
-	ChunkWindow int
 	// BatchRefs is the simulation hot-loop batch size handed to
 	// sim.Options.BatchRefs: how many references each simulator pulls
-	// from its source per call. 0 means ChunkRefs, so streamed chunks
-	// are consumed whole. Results never depend on it.
+	// from its source per call. 0 means sim.DefaultBatchRefs (4096).
+	// Results never depend on it.
 	BatchRefs int
-	// DiscardStreamedTraces stops streamed generations from also being
-	// captured into the trace cache. The default (false) captures them,
-	// so a later experiment needing the raw trace — or the same trace
-	// under another scheme — finds it materialized; set it for
-	// lowest-memory batch sweeps over traces that will not be revisited.
-	DiscardStreamedTraces bool
 	// Metrics is the registry the engine's lifetime counters live on,
 	// shared with whatever else the caller instruments; nil means a
 	// private registry (reachable via Engine.Metrics).
 	Metrics *obs.Registry
-	// Observer receives job and stream lifecycle notifications. nil (the
+	// Observer receives job lifecycle notifications. nil (the
 	// default) disables observation entirely; the only cost left on the
 	// hot path is a nil check. An Observer that also implements
 	// FaultObserver additionally receives retry, panic, and
 	// cache-rejection events.
 	Observer Observer
 	// Tracer, when non-nil, records the run's execution timeline: a span
-	// per job, attempt, stream production/consumption, and simulation,
-	// plus instants for retries, back-pressure stalls, and streamed
-	// chunks, exportable as Chrome trace-event JSON. nil (the default)
+	// per job, attempt, and simulation, plus an instant per retry,
+	// exportable as Chrome trace-event JSON. nil (the default)
 	// disables tracing; the only cost left anywhere is a nil check.
 	Tracer *exectrace.Tracer
 	// ProtoSample, when positive, attaches sampled coherence-protocol
@@ -97,14 +81,13 @@ type Options struct {
 	// attempt (default 10ms when Retries > 0).
 	RetryBackoff time.Duration
 	// Faults, when non-nil, injects deterministic faults into job bodies,
-	// streams, and cache stores, and switches Verify on. nil — the
+	// simulation sources, and cache stores, and switches Verify on. nil — the
 	// default — costs a nil check per site and nothing more.
 	Faults *faults.Injector
 	// Verify turns on integrity checking without fault injection: cached
 	// results and traces are fingerprinted when stored and revalidated on
-	// every hit, streamed chunks carry checksums validated before
-	// simulation, and streamed reference counts are reconciled against
-	// what the producer emitted.
+	// every hit, and each simulation's reference count is reconciled
+	// against the length of the trace it replayed.
 	Verify bool
 
 	// Store, when non-nil, is a durable second tier behind the in-memory
@@ -145,21 +128,18 @@ type Tier interface {
 
 // Observer receives the engine's execution events: one JobScheduled per
 // DAG node at submission, a JobStarted/JobFinished span around every job
-// body (cache hits included, flagged as such), and one StreamEnded per
-// streamed generation with its chunk count and producer back-pressure
-// stalls. Every method receives the context the work ran under, which
-// carries the originating request's obs.TraceContext when there is one —
-// observers attribute events to requests by reading it (obs.TraceFrom),
-// never by guessing. kind classifies the job (see JobKind); key is the
-// short content hash of keyed jobs, empty otherwise. Implementations
-// must be safe for concurrent use — under the Parallel executor, jobs
-// finish on many goroutines at once. obs.Recorder satisfies this
-// interface.
+// body (cache hits included, flagged as such). Every method receives the
+// context the work ran under, which carries the originating request's
+// obs.TraceContext when there is one — observers attribute events to
+// requests by reading it (obs.TraceFrom), never by guessing. kind
+// classifies the job (see JobKind); key is the short content hash of
+// keyed jobs, empty otherwise. Implementations must be safe for
+// concurrent use — under the Parallel executor, jobs finish on many
+// goroutines at once. obs.Recorder satisfies this interface.
 type Observer interface {
 	JobScheduled(ctx context.Context, id, kind, key string)
 	JobStarted(ctx context.Context, id, kind, key string)
 	JobFinished(ctx context.Context, id, kind, key string, d time.Duration, cacheHit bool, err error)
-	StreamEnded(ctx context.Context, trace string, chunks, stalls int64)
 }
 
 // FaultObserver extends Observer with the engine's failure-path events.
@@ -189,8 +169,8 @@ type TierObserver interface {
 	TierStored(ctx context.Context, kind, key string, d time.Duration)
 }
 
-// JobKind classifies a job by its ID prefix — "trace", "stream", "sim",
-// "merge", "protocol" — or "" for ad-hoc jobs without one.
+// JobKind classifies a job by its ID prefix — "trace", "sim", "merge",
+// "protocol" — or "" for ad-hoc jobs without one.
 func JobKind(id string) string {
 	if i := strings.IndexByte(id, ':'); i > 0 {
 		return id[:i]
@@ -202,11 +182,8 @@ func JobKind(id string) string {
 // is safe for concurrent use by multiple goroutines; all submissions
 // share its caches and its worker bound.
 type Engine struct {
-	workers     int
-	chunkRefs   int
-	chunkWindow int
-	batchRefs   int
-	discard     bool
+	workers   int
+	batchRefs int
 
 	jobTimeout time.Duration
 	retries    int
@@ -235,9 +212,6 @@ type Engine struct {
 	simsRun         *obs.Counter
 	refsSimulated   *obs.Counter
 	tracesGenerated *obs.Counter
-	tracesStreamed  *obs.Counter
-	streamChunks    *obs.Counter
-	streamStalls    *obs.Counter
 	jobPanics       *obs.Counter
 	jobRetries      *obs.Counter
 	jobTimeouts     *obs.Counter
@@ -253,17 +227,9 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	cr := opts.ChunkRefs
-	if cr <= 0 {
-		cr = 4096
-	}
-	cw := opts.ChunkWindow
-	if cw <= 0 {
-		cw = 16
-	}
 	br := opts.BatchRefs
 	if br <= 0 {
-		br = cr
+		br = sim.DefaultBatchRefs
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -277,10 +243,7 @@ func New(opts Options) *Engine {
 	tobs, _ := opts.Observer.(TierObserver)
 	return &Engine{
 		workers:         w,
-		chunkRefs:       cr,
-		chunkWindow:     cw,
 		batchRefs:       br,
-		discard:         opts.DiscardStreamedTraces,
 		jobTimeout:      opts.JobTimeout,
 		retries:         opts.Retries,
 		backoff:         bo,
@@ -302,9 +265,6 @@ func New(opts Options) *Engine {
 		simsRun:         reg.Counter("engine.sims.run"),
 		refsSimulated:   reg.Counter("engine.refs.simulated"),
 		tracesGenerated: reg.Counter("engine.traces.generated"),
-		tracesStreamed:  reg.Counter("engine.traces.streamed"),
-		streamChunks:    reg.Counter("engine.stream.chunks"),
-		streamStalls:    reg.Counter("engine.stream.stalls"),
 		jobPanics:       reg.Counter("engine.jobs.panics"),
 		jobRetries:      reg.Counter("engine.jobs.retries"),
 		jobTimeouts:     reg.Counter("engine.jobs.timeouts"),
@@ -327,15 +287,11 @@ type Stats struct {
 	// the references they processed — the numerator of refs/s.
 	SimsRun       int64
 	RefsSimulated int64
-	// TracesGenerated counts materialized trace generations;
-	// TracesStreamed counts streamed (chunked multicast) generations.
+	// TracesGenerated counts trace generations.
 	TracesGenerated int64
-	TracesStreamed  int64
-	// StreamChunks counts chunks multicast by streamed generations;
-	// StreamStalls counts producer sends that found a subscriber's
-	// channel full and had to block — the back-pressure signal that
-	// drives ChunkWindow tuning.
-	StreamChunks int64
+	// StreamStalls is always 0: the streamed delivery it counted is gone.
+	// The field stays only because the frozen bench/layers.go reads it
+	// for engine.stream_stalls; it goes when that metric does.
 	StreamStalls int64
 	// JobPanics counts job-body panics recovered; JobRetries counts
 	// re-attempts after retryable failures; JobTimeouts counts per-job
@@ -345,8 +301,8 @@ type Stats struct {
 	JobTimeouts int64
 	// CacheRejected counts cached entries that failed integrity
 	// revalidation and were evicted for recompute; IntegrityFaults counts
-	// stream-integrity violations detected (checksum mismatches,
-	// reference-count shortfalls, refcount corruption).
+	// simulations whose reference count fell short of the trace they
+	// replayed (engine.stream.integrity).
 	CacheRejected   int64
 	IntegrityFaults int64
 	// SimsRemote counts simulations whose results a Remote executor
@@ -369,9 +325,6 @@ func (e *Engine) Stats() Stats {
 		SimsRun:         e.simsRun.Value(),
 		RefsSimulated:   e.refsSimulated.Value(),
 		TracesGenerated: e.tracesGenerated.Value(),
-		TracesStreamed:  e.tracesStreamed.Value(),
-		StreamChunks:    e.streamChunks.Value(),
-		StreamStalls:    e.streamStalls.Value(),
 		JobPanics:       e.jobPanics.Value(),
 		JobRetries:      e.jobRetries.Value(),
 		JobTimeouts:     e.jobTimeouts.Value(),
@@ -388,7 +341,7 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // BatchRefs returns the resolved simulation batch size: Options.BatchRefs,
-// or the chunk size when that was left zero.
+// or sim.DefaultBatchRefs when that was left zero.
 func (e *Engine) BatchRefs() int { return e.batchRefs }
 
 // Job is one node of an execution DAG. Jobs are single-use: build a fresh
@@ -443,21 +396,20 @@ type Executor interface {
 	// Name identifies the strategy in reports and flags.
 	Name() string
 	workerCount(engineDefault int) int
-	streams() bool
 }
 
 // Sequential executes jobs one at a time in deterministic dependency
-// order with materialized traces — the reference path used to assert
-// that concurrency does not change results.
+// order — the reference path used to assert that concurrency does not
+// change results.
 type Sequential struct{}
 
 // Name returns "sequential".
 func (Sequential) Name() string        { return "sequential" }
 func (Sequential) workerCount(int) int { return 1 }
-func (Sequential) streams() bool       { return false }
 
-// Parallel executes ready jobs concurrently on a bounded worker pool and
-// streams uncached traces to their simulators.
+// Parallel executes the same DAG as Sequential with ready jobs running
+// concurrently on a bounded worker pool: at most Workers job bodies —
+// generations, simulations, merges — execute at once.
 type Parallel struct {
 	// Workers overrides the engine's pool size; 0 keeps the engine
 	// default (GOMAXPROCS).
@@ -472,7 +424,6 @@ func (p Parallel) workerCount(engineDefault int) int {
 	}
 	return engineDefault
 }
-func (Parallel) streams() bool { return true }
 
 // Execute runs the given jobs and all their transitive dependencies,
 // returning the first error (with remaining work cancelled). A nil

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	exectrace "dirsim/internal/obs/trace"
@@ -36,8 +38,8 @@ type flakyErr struct{ n int }
 func (e flakyErr) Error() string   { return fmt.Sprintf("transient failure %d", e.n) }
 func (e flakyErr) Retryable() bool { return true }
 
-// TestEngineTraceExport runs a real concurrent sweep — streamed
-// generation, several schemes, plus a flaky job that needs two retries —
+// TestEngineTraceExport runs a real concurrent sweep — two generations,
+// several schemes, plus a flaky job that needs two retries —
 // with the tracer on, exports the trace, and validates the Chrome
 // trace-event JSON end to end: required fields on every event, every
 // scheduled job and every retry attempt represented as spans, and child
@@ -108,11 +110,11 @@ func TestEngineTraceExport(t *testing.T) {
 	}
 
 	// Every scheduled job is represented as a span named by its ID: the
-	// stream jobs, one sim job per (scheme, workload), the merge jobs,
+	// trace jobs, one sim job per (scheme, workload), the merge jobs,
 	// and the flaky ad-hoc job.
 	var wantJobs []string
 	for _, cfg := range cfgs {
-		wantJobs = append(wantJobs, "stream:"+cfg.Name)
+		wantJobs = append(wantJobs, "trace:"+cfg.Name)
 		for _, s := range schemes {
 			wantJobs = append(wantJobs, fmt.Sprintf("sim:%s@%s", s, cfg.Name))
 		}
@@ -137,16 +139,9 @@ func TestEngineTraceExport(t *testing.T) {
 		t.Errorf("got %d retry instants, want 2", retryInstants)
 	}
 
-	// The streamed sweep's structure is visible: per-subscriber consume
-	// spans and per-simulation simulate spans.
+	// Inside each sim job's attempt, the simulation itself is a span.
 	for _, cfg := range cfgs {
-		if spanNames["produce:"+cfg.Name] == 0 {
-			t.Errorf("no producer span for %s", cfg.Name)
-		}
 		for _, s := range schemes {
-			if spanNames[fmt.Sprintf("consume:%s@%s", s, cfg.Name)] == 0 {
-				t.Errorf("no consume span for %s@%s", s, cfg.Name)
-			}
 			if spanNames[fmt.Sprintf("simulate:%s@%s", s, cfg.Name)] == 0 {
 				t.Errorf("no simulate span for %s@%s", s, cfg.Name)
 			}
@@ -190,6 +185,51 @@ func TestEngineTraceExport(t *testing.T) {
 	}
 	if snap.Counters["engine.refs.simulated"] == 0 {
 		t.Error("engine.refs.simulated not counted")
+	}
+}
+
+// TestWorkersBoundsOpenSimulations: Parallel{Workers: n} means at most n
+// job bodies run at once, simulations included — six schemes over one
+// workload on two workers never have a third simulate span open.
+func TestWorkersBoundsOpenSimulations(t *testing.T) {
+	const workers = 2
+	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB", "Dir1B"}
+	tr := exectrace.New()
+	e := New(Options{Tracer: tr})
+	cfgs := []workload.Config{workload.POPSConfig(4, 60_000)}
+	if _, err := e.Compare(context.Background(), Parallel{Workers: workers}, schemes, cfgs, false); err != nil {
+		t.Fatal(err)
+	}
+
+	// Sweep the simulate spans' endpoints in time order; an end sorts
+	// before a start at the same instant.
+	type edge struct {
+		at    int64
+		delta int
+	}
+	var edges []edge
+	for _, ev := range tr.Events() {
+		if ev.Ph == 'X' && strings.HasPrefix(ev.Name, "simulate:") {
+			edges = append(edges, edge{ev.TS, +1}, edge{ev.TS + ev.Dur, -1})
+		}
+	}
+	if len(edges) != 2*len(schemes) {
+		t.Fatalf("%d simulate spans, want %d", len(edges)/2, len(schemes))
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	open, peak := 0, 0
+	for _, ed := range edges {
+		if open += ed.delta; open > peak {
+			peak = open
+		}
+	}
+	if peak > workers {
+		t.Errorf("%d simulate spans open at once under Parallel{Workers: %d}", peak, workers)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
-	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
@@ -207,7 +206,7 @@ func TestJobTimeout(t *testing.T) {
 
 // faultMatrixSchemes/Configs are the workloads shared by the injected
 // fault tests below: small enough to keep the matrix cheap, large enough
-// to stream several chunks per trace.
+// to span several simulation batches per trace.
 var faultMatrixSchemes = []string{"Dir0B", "WTI"}
 
 func faultMatrixConfigs() []workload.Config { return workload.StandardConfigs(4, 10_000) }
@@ -216,7 +215,7 @@ func faultMatrixConfigs() []workload.Config { return workload.StandardConfigs(4,
 // judged against.
 func cleanCompare(t *testing.T, exec Executor, schemes []string, cfgs []workload.Config) map[string]*sim.Result {
 	t.Helper()
-	e := New(Options{Workers: 4, ChunkRefs: 1024})
+	e := New(Options{Workers: 4})
 	out, err := e.Compare(context.Background(), exec, schemes, cfgs, false)
 	if err != nil {
 		t.Fatalf("clean baseline failed: %v", err)
@@ -229,7 +228,7 @@ func cleanCompare(t *testing.T, exec Executor, schemes []string, cfgs []workload
 func faultyCompare(t *testing.T, exec Executor, fc faults.Config, schemes []string,
 	cfgs []workload.Config) (map[string]*sim.Result, map[string]error) {
 	t.Helper()
-	e := New(Options{Workers: 4, ChunkRefs: 1024, Retries: 1, RetryBackoff: time.Millisecond,
+	e := New(Options{Workers: 4, Retries: 1, RetryBackoff: time.Millisecond,
 		Faults: faults.New(fc)})
 	out, err := e.Compare(context.Background(), exec, schemes, cfgs, false)
 	if err == nil {
@@ -373,50 +372,14 @@ func TestPoisonedStampForcesRecompute(t *testing.T) {
 	}
 }
 
-// TestStreamChecksumCorruptionDetected: with one chunk guaranteed to be
-// corrupted after stamping, every subscriber must catch the mismatch and
-// fail its spec rather than price a damaged reference stream.
-func TestStreamChecksumCorruptionDetected(t *testing.T) {
-	cfg := workload.POPSConfig(4, 40_000)
-	e := New(Options{Workers: 4, ChunkRefs: 2048,
-		Faults: faults.New(faults.Config{Seed: 3, Corrupt: 1})})
-	out, err := e.Compare(context.Background(), Parallel{Workers: 4},
-		faultMatrixSchemes, []workload.Config{cfg}, false)
-	p, ok := AsPartial(err)
-	if !ok {
-		t.Fatalf("corrupted stream not reported as partial: %v (out=%d)", err, len(out))
-	}
-	if len(p.Failed) != len(faultMatrixSchemes) {
-		t.Errorf("failed schemes = %v, want all of %v", keysOf(p.Failed), faultMatrixSchemes)
-	}
-	for s, err := range p.Failed {
-		if !strings.Contains(err.Error(), "checksum") {
-			t.Errorf("scheme %s: failure does not name the checksum: %v", s, err)
-		}
-	}
-	if got := e.Stats().IntegrityFaults; got < int64(len(faultMatrixSchemes)) {
-		t.Errorf("IntegrityFaults = %d, want >= %d", got, len(faultMatrixSchemes))
-	}
-	// The trace captured from the stream is taken before the injected
-	// corruption: replaying it must match a clean generation.
-	captured, err := e.Trace(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := workload.MustGenerate(cfg); captured.Fingerprint() != want.Fingerprint() {
-		t.Error("retained trace was captured after corruption")
-	}
-}
-
 // TestTruncationDetected: a silently shortened reference stream must be
-// caught by reference accounting on both delivery paths — materialized
-// replay (Sequential) and chunked streaming (Parallel).
+// caught by reference accounting under both executors.
 func TestTruncationDetected(t *testing.T) {
 	cfg := workload.POPSConfig(4, 10_000)
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 4}} {
 		found := false
 		for seed := uint64(1); seed <= 20 && !found; seed++ {
-			e := New(Options{Workers: 4, ChunkRefs: 1024,
+			e := New(Options{Workers: 4,
 				Faults: faults.New(faults.Config{Seed: seed, Truncate: 1})})
 			_, err := e.Results(context.Background(), exec, []SimSpec{{Trace: cfg, Scheme: "Dir0B"}})
 			p, ok := AsPartial(err)
@@ -438,54 +401,12 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestCancellationMidStreamReleasesChunks cancels a broadcast while its
-// subscribers are mid-chunk and unevenly behind: after the drains, every
-// pooled chunk must be back (outstanding == 0) and no refcount fault
-// recorded.
-func TestCancellationMidStreamReleasesChunks(t *testing.T) {
-	cfg := workload.POPSConfig(4, 200_000)
-	b := newBroadcast(cfg, 2, 1024, 2, false)
-	ctx, cancel := context.WithCancel(context.Background())
-	prodErr := make(chan error, 1)
-	go func() {
-		_, err := b.run(ctx)
-		prodErr <- err
-	}()
-	// Leave subscriber 0 mid-chunk and subscriber 1 several chunks ahead,
-	// so the cancel lands with shares in every state: consumed, queued,
-	// and never-delivered.
-	for i := 0; i < 100; i++ {
-		if _, ok := b.subs[0].Next(); !ok {
-			break
-		}
-	}
-	buf := make([]trace.Ref, 1024)
-	for i := 0; i < 2; i++ {
-		if b.subs[1].NextBatch(buf) == 0 {
-			break
-		}
-	}
-	cancel()
-	for _, s := range b.subs {
-		s.drain()
-	}
-	if err := <-prodErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("producer error = %v, want context.Canceled", err)
-	}
-	if n := b.outstanding.Load(); n != 0 {
-		t.Errorf("%d chunks still outside the pool after cancel + drain", n)
-	}
-	if err := b.faultErr(); err != nil {
-		t.Errorf("spurious refcount fault on the cancel path: %v", err)
-	}
-}
-
-// TestCancelledCompareLeaksNothing cancels a full streamed comparison
+// TestCancelledCompareLeaksNothing cancels a full parallel comparison
 // mid-flight and asserts every goroutine the engine started exits.
 func TestCancelledCompareLeaksNothing(t *testing.T) {
 	snap := faults.Goroutines()
 	for i := 0; i < 3; i++ {
-		e := New(Options{Workers: 4, ChunkRefs: 512, ChunkWindow: 2})
+		e := New(Options{Workers: 4})
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -504,37 +425,6 @@ func TestCancelledCompareLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestRefcountUnderflowDetected: releasing a chunk past its last reader
-// must record a fault on the broadcast (discrediting the whole group)
-// instead of recycling a chunk someone may still be reading.
-func TestRefcountUnderflowDetected(t *testing.T) {
-	b := newBroadcast(workload.POPSConfig(2, 100), 1, 64, 2, false)
-	c := &refChunk{idx: 7}
-	c.live.Store(1)
-	b.outstanding.Add(1)
-	s := b.subs[0]
-	s.curRelease(c)
-	if err := b.faultErr(); err != nil {
-		t.Fatalf("legitimate release recorded a fault: %v", err)
-	}
-	if b.outstanding.Load() != 0 {
-		t.Fatalf("outstanding = %d after final release", b.outstanding.Load())
-	}
-	s.curRelease(c) // double release: the bug the refcount guard exists for
-	err := b.faultErr()
-	if err == nil {
-		t.Fatal("double release went undetected")
-	}
-	if !strings.Contains(err.Error(), "chunk 7") || !strings.Contains(err.Error(), "released") {
-		t.Errorf("fault does not identify the chunk: %v", err)
-	}
-	first := err
-	s.curRelease(c)
-	if b.faultErr() != first {
-		t.Error("later fault displaced the first recorded one")
-	}
-}
-
 // eventSink records the engine's failure-path callbacks.
 type eventSink struct {
 	mu      sync.Mutex
@@ -547,7 +437,6 @@ func (s *eventSink) JobScheduled(context.Context, string, string, string) {}
 func (s *eventSink) JobStarted(context.Context, string, string, string)   {}
 func (s *eventSink) JobFinished(context.Context, string, string, string, time.Duration, bool, error) {
 }
-func (s *eventSink) StreamEnded(context.Context, string, int64, int64) {}
 func (s *eventSink) JobRetried(_ context.Context, _ string, _ int, _ time.Duration, _ error) {
 	s.mu.Lock()
 	s.retries++
@@ -615,10 +504,8 @@ func TestFaultMatrixSoak(t *testing.T) {
 		{"panic", faults.Config{Panic: 0.2}},
 		{"spurious", faults.Config{Spurious: 0.3}},
 		{"truncate", faults.Config{Truncate: 0.5}},
-		{"corrupt", faults.Config{Corrupt: 0.5}},
-		{"slow", faults.Config{Slow: 0.2, SlowDelay: 100 * time.Microsecond}},
 		{"poison", faults.Config{Poison: 1}},
-		{"mixed", faults.Config{Panic: 0.1, Spurious: 0.2, Truncate: 0.2, Corrupt: 0.2, Poison: 0.3}},
+		{"mixed", faults.Config{Panic: 0.1, Spurious: 0.2, Truncate: 0.2, Poison: 0.3}},
 	}
 	seeds := []uint64{1, 2}
 	if os.Getenv("DIRSIM_SOAK") != "" {

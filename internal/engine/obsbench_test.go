@@ -8,8 +8,8 @@ import (
 	"dirsim/internal/workload"
 )
 
-// benchCompare measures the full streamed pipeline — generation
-// multicast to three concurrent simulators plus merges — on a fresh
+// benchCompare measures the full pipeline — three generations, each
+// replayed by three concurrent simulators, plus merges — on a fresh
 // engine every iteration, so caching never hides the work.
 func benchCompare(b *testing.B, o Observer) {
 	b.Helper()

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -25,10 +24,6 @@ type testObserver struct {
 	scheduled []jobRecord
 	started   []jobRecord
 	finished  []jobRecord
-	streams   []struct {
-		trace          string
-		chunks, stalls int64
-	}
 }
 
 func (o *testObserver) JobScheduled(_ context.Context, id, kind, key string) {
@@ -49,15 +44,6 @@ func (o *testObserver) JobFinished(_ context.Context, id, kind, key string, d ti
 	o.finished = append(o.finished, jobRecord{id: id, kind: kind, key: key, dur: d, cacheHit: cacheHit, err: err})
 }
 
-func (o *testObserver) StreamEnded(_ context.Context, trace string, chunks, stalls int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.streams = append(o.streams, struct {
-		trace          string
-		chunks, stalls int64
-	}{trace, chunks, stalls})
-}
-
 func (o *testObserver) finishedByKind() map[string][]jobRecord {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -70,31 +56,23 @@ func (o *testObserver) finishedByKind() map[string][]jobRecord {
 
 // TestObserverSeesGenerationAndSimulationSpans is the integration test of
 // the observability wiring: per uncached trace the observer must see
-// exactly one generation span (a stream job under the Parallel executor,
-// a trace job under Sequential) and exactly one simulation span per
-// scheme, none of them cache hits.
+// exactly one generation span (a trace job, under either executor) and
+// exactly one simulation span per scheme, none of them cache hits.
 func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 	schemes := []string{"Dir0B", "WTI", "Dragon"}
 	cfgs := []workload.Config{workload.POPSConfig(4, 10_000)}
 
-	for _, tc := range []struct {
-		exec    Executor
-		genKind string
-	}{
-		{Parallel{Workers: 4}, "stream"},
-		{Sequential{}, "trace"},
-	} {
-		t.Run(tc.exec.Name(), func(t *testing.T) {
+	for _, exec := range []Executor{Parallel{Workers: 4}, Sequential{}} {
+		t.Run(exec.Name(), func(t *testing.T) {
 			o := &testObserver{}
 			e := New(Options{Workers: 4, Observer: o})
-			if _, err := e.Compare(context.Background(), tc.exec, schemes, cfgs, false); err != nil {
+			if _, err := e.Compare(context.Background(), exec, schemes, cfgs, false); err != nil {
 				t.Fatal(err)
 			}
 
 			byKind := o.finishedByKind()
-			if got := len(byKind[tc.genKind]); got != 1 {
-				t.Errorf("generation (%s) spans = %d, want 1; finished: %v",
-					tc.genKind, got, byKind)
+			if got := len(byKind["trace"]); got != 1 {
+				t.Errorf("generation (trace) spans = %d, want 1; finished: %v", got, byKind)
 			}
 			sims := byKind["sim"]
 			if len(sims) != len(schemes) {
@@ -115,8 +93,8 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 				t.Errorf("merge spans = %d, want %d", len(byKind["merge"]), len(schemes))
 			}
 			// The generation span carries real wall time.
-			if len(byKind[tc.genKind]) == 1 && byKind[tc.genKind][0].dur <= 0 {
-				t.Errorf("generation span has no duration: %+v", byKind[tc.genKind][0])
+			if len(byKind["trace"]) == 1 && byKind["trace"][0].dur <= 0 {
+				t.Errorf("generation span has no duration: %+v", byKind["trace"][0])
 			}
 
 			// Every started job finishes, and nothing starts unscheduled.
@@ -130,24 +108,15 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 				t.Errorf("scheduled %d jobs but started %d", nsch, ns)
 			}
 
-			if tc.exec.streams() {
-				o.mu.Lock()
-				streams := o.streams
-				o.mu.Unlock()
-				if len(streams) != 1 || streams[0].trace != cfgs[0].Name || streams[0].chunks == 0 {
-					t.Errorf("StreamEnded notifications wrong: %+v", streams)
-				}
-			}
-
 			// A second identical batch is served from cache: no new
 			// generation, every simulation span a cache hit.
 			o2 := &testObserver{}
 			e.obs = o2
-			if _, err := e.Compare(context.Background(), tc.exec, schemes, cfgs, false); err != nil {
+			if _, err := e.Compare(context.Background(), exec, schemes, cfgs, false); err != nil {
 				t.Fatal(err)
 			}
 			byKind2 := o2.finishedByKind()
-			if n := len(byKind2["stream"]) + len(byKind2["trace"]); n != 0 {
+			if n := len(byKind2["trace"]); n != 0 {
 				t.Errorf("cached rerun regenerated the trace (%d generation spans)", n)
 			}
 			for _, r := range byKind2["sim"] {
@@ -181,68 +150,10 @@ func TestObserverCountersMatchStats(t *testing.T) {
 	}
 }
 
-// TestStreamStallAccounting forces the producer into back-pressure: a
-// one-chunk window whose only consumer drains nothing until the window
-// is full, so the producer's next send must block and be counted.
-func TestStreamStallAccounting(t *testing.T) {
-	cfg := workload.POPSConfig(2, 10_000)
-	b := newBroadcast(cfg, 1, 64, 1, false)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		b.run(context.Background())
-	}()
-
-	sub := b.subs[0]
-	// Wait for the window to fill, then give the producer time to attempt
-	// the next send and park on the full channel before draining.
-	for len(sub.ch) < cap(sub.ch) {
-		runtime.Gosched()
-	}
-	time.Sleep(20 * time.Millisecond)
-	for {
-		if _, ok := sub.Next(); !ok {
-			break
-		}
-	}
-	wg.Wait()
-
-	if b.chunks == 0 {
-		t.Fatal("no chunks counted")
-	}
-	if b.stalls == 0 {
-		t.Error("full-window send not counted as a stall")
-	}
-	if b.stalls > b.chunks {
-		t.Errorf("stalls %d exceed chunk sends %d for a single subscriber", b.stalls, b.chunks)
-	}
-}
-
-// TestStreamStallsSurfaceInStats checks the counters propagate from the
-// broadcast through the engine to the Stats snapshot.
-func TestStreamStallsSurfaceInStats(t *testing.T) {
-	e := New(Options{Workers: 4, ChunkRefs: 256, ChunkWindow: 1})
-	cfgs := []workload.Config{workload.POPSConfig(4, 20_000)}
-	if _, err := e.Compare(context.Background(), Parallel{Workers: 4},
-		[]string{"Dir0B", "WTI", "Dragon"}, cfgs, false); err != nil {
-		t.Fatal(err)
-	}
-	s := e.Stats()
-	if s.StreamChunks == 0 {
-		t.Error("StreamChunks not surfaced in Stats")
-	}
-	if s.StreamStalls < 0 || s.StreamStalls > s.StreamChunks*3 {
-		t.Errorf("StreamStalls %d out of range for %d chunks × 3 subscribers",
-			s.StreamStalls, s.StreamChunks)
-	}
-}
-
 func TestJobKind(t *testing.T) {
 	for id, want := range map[string]string{
 		"sim:Dir0B@pops": "sim",
 		"trace:pops":     "trace",
-		"stream:thor":    "stream",
 		"merge:Dir0B":    "merge",
 		"adhoc":          "",
 		":odd":           "",

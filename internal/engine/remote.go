@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
@@ -40,15 +39,14 @@ type Remote interface {
 // dispatch into a local fallback rather than a failure.
 var ErrRemoteUnavailable = errors.New("remote execution unavailable")
 
-// bindRemote gives a spec job a remote-first body: dispatch the spec to
+// remoteBody returns a spec job's remote-first body: dispatch the spec to
 // the configured Remote, and on unavailability degrade to the local
 // materialize-and-simulate path. Remote jobs take no trace dependency —
 // the worker regenerates the workload from the spec on its side — so a
 // fleet-served sweep never generates traces on the coordinator; the trace
 // is only produced here on the degraded path.
-func (e *Engine) bindRemote(j *Job, spec SimSpec) {
-	j.ID = fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name)
-	j.Run = func(ctx context.Context, _ []any) (any, error) {
+func (e *Engine) remoteBody(spec SimSpec) func(context.Context, []any) (any, error) {
+	return func(ctx context.Context, _ []any) (any, error) {
 		r, err := e.remote.SimulateRemote(ctx, spec)
 		switch {
 		case err == nil:
@@ -66,7 +64,7 @@ func (e *Engine) bindRemote(j *Job, spec SimSpec) {
 			if terr != nil {
 				return nil, terr
 			}
-			return e.simulateSource(ctx, spec, t.Iterator(), int64(len(t.Refs)))
+			return e.simulateTrace(ctx, spec, t)
 		default:
 			return nil, err
 		}

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sync"
 
 	"dirsim/internal/core"
 	"dirsim/internal/obs"
@@ -19,8 +17,8 @@ import (
 // spec — not any materialized artifact — is the unit of caching: its
 // content hash keys the result cache.
 type SimSpec struct {
-	// Trace is the workload specification; the trace is regenerated or
-	// streamed on demand, never shipped with the spec.
+	// Trace is the workload specification; the trace is regenerated on
+	// demand, never shipped with the spec.
 	Trace workload.Config
 	// Scheme is a protocol name accepted by core.NewByName
 	// (case-insensitive).
@@ -97,7 +95,7 @@ func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([
 	if exec == nil {
 		exec = Sequential{}
 	}
-	per, err := e.planSpecs(exec, specs)
+	per, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +134,7 @@ func (e *Engine) SchemeOverTraces(ctx context.Context, exec Executor, scheme str
 	for i, cfg := range cfgs {
 		specs[i] = SimSpec{Trace: cfg, Scheme: scheme, Check: check}
 	}
-	perJobs, err := e.planSpecs(exec, specs)
+	perJobs, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -170,8 +168,7 @@ func (e *Engine) SchemeOverTraces(ctx context.Context, exec Executor, scheme str
 
 // Compare runs several schemes over the same set of workloads in one
 // batch — the shape of Table 4 and Figure 2 — and returns each scheme's
-// merged result. All schemes subscribe to one generation of each
-// uncached workload, streamed concurrently under the Parallel executor.
+// merged result. All schemes replay one generation of each workload.
 func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 	cfgs []workload.Config, check bool) (map[string]*sim.Result, error) {
 	if exec == nil {
@@ -183,7 +180,7 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 			specs = append(specs, SimSpec{Trace: cfg, Scheme: s, Check: check})
 		}
 	}
-	perJobs, err := e.planSpecs(exec, specs)
+	perJobs, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -200,8 +197,8 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 	for i, s := range schemes {
 		v, err := merges[i].Output()
 		if err != nil {
-			// One scheme sinking — a panicking simulator, a poisoned
-			// stream — must not void the comparison: the other schemes'
+			// One scheme sinking — a panicking simulator, a truncated
+			// trace — must not void the comparison: the other schemes'
 			// merged results are still delivered alongside a *Partial
 			// naming the failed scheme and its cause.
 			failed[s] = err
@@ -297,29 +294,13 @@ func (e *Engine) mergeJob(id string, specs []SimSpec, deps []*Job) *Job {
 }
 
 // planSpecs builds the trace-generation → simulation stages for a batch,
-// returning one result job per spec (duplicate specs share a job).
-// Delivery of each workload's references is chosen per trace group:
-//
-//   - already materialized (or a non-streaming executor): a trace job
-//     feeds per-scheme simulation jobs that replay it;
-//   - otherwise, under a streaming executor: a stream job generates the
-//     workload once and multicasts chunks to all of the group's
-//     simulators, which run concurrently inside the job; per-spec
-//     extraction jobs then publish each result under its own cache key.
-func (e *Engine) planSpecs(exec Executor, specs []SimSpec) ([]*Job, error) {
+// returning one result job per spec (duplicate specs share a job): per
+// workload one trace job through the single-flight Engine.Trace, feeding
+// one keyed simulation job per scheme that replays it.
+func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 	per := make([]*Job, len(specs))
 	byKey := make(map[Key]*Job)
-
-	type group struct {
-		cfg     workload.Config
-		specs   []SimSpec
-		keys    []Key
-		jobs    []*Job // filled in the second pass
-		indices []int  // positions in per
-	}
-	var groups []*group
-	byTrace := make(map[Key]*group)
-
+	traceJobs := make(map[Key]*Job)
 	for i, s := range specs {
 		if err := s.Trace.Validate(); err != nil {
 			return nil, err
@@ -332,261 +313,63 @@ func (e *Engine) planSpecs(exec Executor, specs []SimSpec) ([]*Job, error) {
 			per[i] = j
 			continue
 		}
-		tk := TraceKey(s.Trace)
-		g, ok := byTrace[tk]
-		if !ok {
-			g = &group{cfg: s.Trace}
-			byTrace[tk] = g
-			groups = append(groups, g)
-		}
-		j := &Job{Key: k} // ID and Run assigned below, per delivery mode
+		j := &Job{ID: fmt.Sprintf("sim:%s@%s", s.Scheme, s.Trace.Name), Key: k}
 		byKey[k] = j
 		per[i] = j
-		g.specs = append(g.specs, s)
-		g.keys = append(g.keys, k)
-		g.jobs = append(g.jobs, j)
-	}
-
-	for _, g := range groups {
-		g := g
-		// Specs whose results are already cached (or in flight) — in
-		// memory or in the durable tier — must not force a generation:
-		// give them standalone recompute bodies that in practice resolve
-		// from a cache.
-		pending := make([]int, 0, len(g.specs))
-		for i := range g.specs {
-			if e.results.peek(g.keys[i]) ||
-				(e.tier != nil && e.tier.HasResult(g.keys[i].hex())) {
-				e.bindMaterialized(g.jobs[i], g.specs[i], nil)
-				continue
-			}
-			pending = append(pending, i)
-		}
-		traceCached := func(k Key) bool {
-			return e.traces.peek(k) || (e.tier != nil && e.tier.HasTrace(k.hex()))
-		}
 		switch {
-		case len(pending) == 0:
-			// Nothing to generate for this workload.
+		case e.results.peek(k) || (e.tier != nil && e.tier.HasResult(k.hex())):
+			// A result already cached (or in flight) — in memory or in the
+			// durable tier — must not force a generation: the standalone
+			// body in practice resolves from a cache.
+			j.Run = e.simulateBody(s)
 		case e.remote != nil:
 			// Remote-first: each uncached spec dispatches on its own — the
 			// fleet's workers regenerate the workload themselves, so no
-			// trace or stream job is planned here. The degraded path inside
-			// each body falls back to Engine.Trace, which still collapses
-			// concurrent fallbacks of one workload to a single generation.
-			for _, i := range pending {
-				e.bindRemote(g.jobs[i], g.specs[i])
-			}
-		case exec.streams() && !traceCached(TraceKey(g.cfg)):
-			reqs := make([]SimSpec, len(pending))
-			keys := make([]Key, len(pending))
-			for n, i := range pending {
-				reqs[n], keys[n] = g.specs[i], g.keys[i]
-			}
-			stream := &Job{
-				ID: fmt.Sprintf("stream:%s", g.cfg.Name),
-				Run: func(ctx context.Context, _ []any) (any, error) {
-					return e.streamGroup(ctx, g.cfg, reqs, keys)
-				},
-			}
-			for n, i := range pending {
-				k := keys[n]
-				j := g.jobs[i]
-				j.ID = fmt.Sprintf("sim:%s@%s", g.specs[i].Scheme, g.cfg.Name)
-				j.Deps = []*Job{stream}
-				j.Run = func(_ context.Context, in []any) (any, error) {
-					o, ok := in[0].(map[Key]specOutcome)[k]
-					if !ok {
-						return nil, fmt.Errorf("stream produced no result")
-					}
-					if o.err != nil {
-						return nil, o.err
-					}
-					return o.res, nil
-				}
-			}
+			// trace job is planned here. The degraded path inside the body
+			// falls back to Engine.Trace, which still collapses concurrent
+			// fallbacks of one workload to a single generation.
+			j.Run = e.remoteBody(s)
 		default:
-			tj := &Job{
-				ID: fmt.Sprintf("trace:%s", g.cfg.Name),
-				Run: func(ctx context.Context, _ []any) (any, error) {
-					return e.Trace(ctx, g.cfg)
-				},
+			cfg := s.Trace
+			tk := TraceKey(cfg)
+			tj, ok := traceJobs[tk]
+			if !ok {
+				tj = &Job{
+					ID: fmt.Sprintf("trace:%s", cfg.Name),
+					Run: func(ctx context.Context, _ []any) (any, error) {
+						return e.Trace(ctx, cfg)
+					},
+				}
+				traceJobs[tk] = tj
 			}
-			for _, i := range pending {
-				e.bindMaterialized(g.jobs[i], g.specs[i], tj)
-			}
+			j.Deps = []*Job{tj}
+			j.Run = e.simulateBody(s)
 		}
 	}
 	return per, nil
 }
 
-// bindMaterialized gives a spec job a body that simulates over the
-// materialized trace — either the trace job's output (traceJob != nil) or
-// an engine-cache lookup (the cache-hit recompute path).
-func (e *Engine) bindMaterialized(j *Job, spec SimSpec, traceJob *Job) {
-	j.ID = fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name)
-	if traceJob != nil {
-		j.Deps = []*Job{traceJob}
-		j.Run = func(ctx context.Context, in []any) (any, error) {
-			t := in[0].(*trace.Trace)
-			return e.simulateSource(ctx, spec, t.Iterator(), int64(len(t.Refs)))
+// simulateBody returns a spec job's body: simulate over the materialized
+// trace — the trace job's output when the job depends on one, otherwise an
+// engine-cache lookup (the cache-hit recompute path).
+func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, error) {
+	return func(ctx context.Context, in []any) (any, error) {
+		if len(in) > 0 {
+			return e.simulateTrace(ctx, spec, in[0].(*trace.Trace))
 		}
-		return
-	}
-	j.Run = func(ctx context.Context, _ []any) (any, error) {
 		t, err := e.Trace(ctx, spec.Trace)
 		if err != nil {
 			return nil, err
 		}
-		return e.simulateSource(ctx, spec, t.Iterator(), int64(len(t.Refs)))
+		return e.simulateTrace(ctx, spec, t)
 	}
 }
 
-// specOutcome is one spec's result or failure inside a streamed group:
-// the group job carries every outcome so one failed simulation degrades
-// the group to its survivors instead of voiding it.
-type specOutcome struct {
-	res *sim.Result
-	err error
-}
-
-// streamGroup generates one workload and streams it to all pending
-// simulators of the group, which run concurrently; it returns the
-// outcome per spec key. A simulator that fails — or whose stream fails
-// validation — sinks only its own spec: its subscriber drains the rest
-// of the stream (keeping the producer unblocked) while the others run to
-// completion. Only producer failures and refcount corruption discredit
-// the whole group. Unless the engine discards streamed traces, the
-// generated reference stream is also captured into the trace cache, so
-// later experiments needing the raw trace find it materialized.
-func (e *Engine) streamGroup(ctx context.Context, cfg workload.Config,
-	specs []SimSpec, keys []Key) (map[Key]specOutcome, error) {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The producer and every subscriber run on their own goroutines, so
-	// each acquires its own trace lane; their spans all parent to the
-	// stream job's span (carried by ctx), keeping the fan-out visible as
-	// one subtree even though it occupies several timeline rows.
-	_, jobSpan := exectrace.FromContext(ctx)
-	tracer := e.tracerFor(ctx)
-
-	b := newBroadcast(cfg, len(specs), e.chunkRefs, e.chunkWindow, !e.discard)
-	b.verify = e.verify
-	b.inj = e.faults
-	var produced *trace.Trace
-	var prodErr error
-	var pwg sync.WaitGroup
-	pwg.Add(1)
-	go func() {
-		defer pwg.Done()
-		plane := tracer.Lane()
-		var pspan *exectrace.Span
-		if plane != nil {
-			pspan = plane.Span(jobSpan, "stream", "produce:"+cfg.Name).Arg("subs", len(specs))
-			b.tlane, b.tspan = plane, pspan.ID()
-		}
-		produced, prodErr = b.run(gctx)
-		if pspan != nil {
-			pspan.Arg("chunks", b.chunks).Arg("stalls", b.stalls).End(prodErr)
-			plane.Release()
-		}
-	}()
-
-	results := make([]*sim.Result, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			slane := tracer.Lane()
-			var sspan *exectrace.Span
-			sctx := gctx
-			if slane != nil {
-				sspan = slane.Span(jobSpan, "stream",
-					fmt.Sprintf("consume:%s@%s", specs[i].Scheme, cfg.Name))
-				b.subs[i].tlane, b.subs[i].tspan = slane, sspan.ID()
-				sctx = exectrace.NewContext(gctx, slane, sspan.ID())
-				defer slane.Release()
-				defer func() { sspan.End(errs[i]) }()
-			}
-			// Deferred in reverse run order: the recover stops a panicking
-			// simulator first, then the drain releases this subscriber's
-			// remaining chunks so the producer and the chunk pool are not
-			// left hanging on a dead consumer (and the span/lane teardown
-			// above runs last, after the error is known).
-			defer b.subs[i].drain()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &panicError{val: r, stack: debug.Stack()}
-				}
-			}()
-			r, err := e.simulateSource(sctx, specs[i], b.subs[i], -1)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = r
-		}()
-	}
-	wg.Wait()
-	pwg.Wait()
-	e.tracesStreamed.Add(1)
-	e.streamChunks.Add(b.chunks)
-	e.streamStalls.Add(b.stalls)
-	if e.obs != nil {
-		e.obs.StreamEnded(ctx, cfg.Name, b.chunks, b.stalls)
-	}
-
-	if fault := b.faultErr(); fault != nil {
-		// Refcount corruption means chunks may have been recycled under
-		// live readers; no outcome of this generation is trustworthy.
-		e.integrityFaults.Add(1)
-		return nil, fault
-	}
-	if prodErr != nil {
-		// The producer aborted, so every "successful" simulation above saw
-		// a truncated stream; none of it is trustworthy.
-		return nil, prodErr
-	}
-	out := make(map[Key]specOutcome, len(specs))
-	for i, k := range keys {
-		err := errs[i]
-		if err == nil && b.subs[i].err != nil {
-			e.integrityFaults.Add(1)
-			err = b.subs[i].err
-		}
-		if err == nil && b.verify && b.subs[i].consumed != b.refsEmitted {
-			e.integrityFaults.Add(1)
-			err = fmt.Errorf("engine: %s over %s consumed %d of %d streamed refs (stream truncated)",
-				specs[i].Scheme, cfg.Name, b.subs[i].consumed, b.refsEmitted)
-		}
-		if err != nil {
-			out[k] = specOutcome{err: fmt.Errorf("%s over %s: %w", specs[i].Scheme, cfg.Name, err)}
-			continue
-		}
-		out[k] = specOutcome{res: results[i]}
-	}
-	if produced != nil {
-		k := TraceKey(cfg)
-		if f, owner := e.traces.claim(k); owner {
-			e.tracesGenerated.Add(1)
-			sum, stamped := e.stampFor(observedKey(k), produced)
-			e.traces.fulfillStamped(k, f, produced, nil, sum, stamped)
-			tierStore(ctx, e, "trace", k, produced, Tier.StoreTrace)
-		}
-	}
-	return out, nil
-}
-
-// simulateSource runs one spec's protocol over a reference source. expect
-// is the reference count the source should deliver (negative when
-// unknown, e.g. streamed sources, whose accounting the stream group
-// reconciles itself); in verification mode a shortfall is reported as a
-// truncation error instead of returning the silently partial result.
-func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Source, expect int64) (res *sim.Result, err error) {
+// simulateTrace runs one spec's protocol over its materialized trace. In
+// verification mode a simulation that saw fewer references than the trace
+// holds is reported as a truncation error instead of returning the
+// silently partial result.
+func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (res *sim.Result, err error) {
 	lane, parent := exectrace.FromContext(ctx)
 	var sp *exectrace.Span
 	if lane != nil {
@@ -602,12 +385,10 @@ func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Sou
 	if err != nil {
 		return nil, err
 	}
+	expect := int64(len(t.Refs))
+	src := trace.Source(t.Iterator())
 	if e.faults != nil {
-		approx := expect
-		if approx < 0 {
-			approx = int64(spec.Trace.Refs)
-		}
-		src = e.faults.WrapSource(fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name), src, approx)
+		src = e.faults.WrapSource(fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name), src, expect)
 	}
 	if spec.BlockBytes != 0 && spec.BlockBytes != trace.BlockBytes {
 		if src, err = trace.WithBlockSize(src, spec.BlockBytes); err != nil {
@@ -631,7 +412,7 @@ func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Sou
 		// result must not escape into the cache.
 		return nil, err
 	}
-	if e.verify && expect >= 0 && r.Counts.Total != expect {
+	if e.verify && r.Counts.Total != expect {
 		e.integrityFaults.Add(1)
 		return nil, fmt.Errorf("engine: %s over %s simulated %d of %d refs (trace truncated)",
 			spec.Scheme, spec.Trace.Name, r.Counts.Total, expect)

@@ -2,319 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"dirsim/internal/faults"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/trace"
-	"dirsim/internal/workload"
 )
-
-// refChunk is one multicast unit of a streamed generation: a fixed-size
-// block of references plus the number of subscribers still reading it.
-// Chunks are recycled through the broadcast's pool — the last subscriber
-// to finish a chunk returns it — so a steady-state stream allocates
-// nothing per chunk regardless of trace length.
-type refChunk struct {
-	refs []trace.Ref
-	// live is the number of subscribers that have not finished the chunk
-	// yet; it is set by the producer before the chunk is sent and
-	// decremented by each subscriber exactly once. A decrement below zero
-	// means a double release — a recycling bug that would hand a chunk
-	// back to the pool while another subscriber still reads it — and is
-	// reported as a detected fault rather than silently corrupting data.
-	live atomic.Int32
-	// idx is the chunk's ordinal in the stream; sum is the checksum of
-	// refs taken by the producer at send time, revalidated by subscribers
-	// in verification mode.
-	idx int64
-	sum uint64
-}
-
-// broadcast fans one generated reference stream out to several
-// simulators through bounded chunk channels: the producer goroutine runs
-// workload.StreamBatches, copies each batch into a pool-recycled chunk,
-// and sends the chunk to every subscriber. A chunk is immutable from send
-// until its last subscriber releases it, so all subscribers share the
-// same backing array; the channel capacity (chunkWindow) is the only
-// buffering, giving real back-pressure — the generator stalls when it
-// runs a window ahead of the slowest simulator.
-//
-// Subscribers must all be consuming concurrently (the stream jobs built
-// by planSpecs guarantee this); otherwise the producer would park on a
-// full channel forever. A subscriber that stops early (an error, a
-// cancelled simulation) must drain its channel for the same reason.
-type broadcast struct {
-	cfg       workload.Config
-	chunkRefs int
-	retain    bool
-	subs      []*streamSource
-	pool      sync.Pool // *refChunk, capacity chunkRefs
-
-	// verify turns on per-chunk checksums (stamped by the producer,
-	// revalidated by every subscriber) and reference accounting; inj,
-	// when non-nil, injects stream faults. Both are set before run.
-	verify bool
-	inj    *faults.Injector
-
-	// tlane/tspan, when set (by the producer goroutine before run),
-	// record a back-pressure stall instant each time a send finds a
-	// subscriber's window full. Only the producer touches them.
-	tlane *exectrace.Lane
-	tspan exectrace.SpanID
-
-	// chunks counts chunks multicast; stalls counts sends that found a
-	// subscriber's channel full and had to block — the generator waiting
-	// on the slowest simulator. Both are written only by the producer
-	// goroutine inside run, once per chunk (never per reference), and
-	// read after it returns. refsEmitted totals references multicast, the
-	// producer's side of the truncation reconciliation.
-	chunks      int64
-	stalls      int64
-	refsEmitted int64
-
-	// outstanding counts chunks currently out of the pool; it returns to
-	// zero only when every chunk has been released by its last
-	// subscriber, so tests can assert no pooled chunk is retained after a
-	// cancelled or failed stream.
-	outstanding atomic.Int64
-
-	mu    sync.Mutex
-	fault error // first refcount-corruption fault, fails the whole group
-}
-
-func newBroadcast(cfg workload.Config, nsubs, chunkRefs, window int, retain bool) *broadcast {
-	b := &broadcast{cfg: cfg, chunkRefs: chunkRefs, retain: retain}
-	b.pool.New = func() any {
-		return &refChunk{refs: make([]trace.Ref, 0, chunkRefs)}
-	}
-	b.subs = make([]*streamSource, nsubs)
-	for i := range b.subs {
-		b.subs[i] = &streamSource{cpus: cfg.CPUs, b: b, ch: make(chan *refChunk, window)}
-	}
-	return b
-}
-
-// setFault records the first integrity fault observed on the stream's
-// recycling machinery; any such fault discredits the whole group.
-func (b *broadcast) setFault(err error) {
-	b.mu.Lock()
-	if b.fault == nil {
-		b.fault = err
-	}
-	b.mu.Unlock()
-}
-
-func (b *broadcast) faultErr() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fault
-}
-
-// run generates the trace once, multicasting chunks to every subscriber,
-// and closes all subscriber channels when done. With retain set it also
-// accumulates the full reference slice and returns it as a materialized
-// trace. Cancelling ctx aborts generation; subscribers then observe a
-// truncated stream, which callers must discard (the group job does).
-func (b *broadcast) run(ctx context.Context) (*trace.Trace, error) {
-	var retained []trace.Ref
-	if b.retain {
-		retained = make([]trace.Ref, 0, b.cfg.Refs+b.cfg.Refs/8)
-	}
-	expectChunks := int64(b.cfg.Refs/b.chunkRefs) + 1
-	err := workload.StreamBatches(b.cfg, b.chunkRefs, func(batch []trace.Ref) error {
-		// The retained copy is taken from the generator's batch before any
-		// injected corruption, so the captured trace stays clean even when
-		// the multicast chunk is deliberately damaged.
-		if b.retain {
-			retained = append(retained, batch...)
-		}
-		// The generator reuses batch, so it is copied once into a chunk
-		// that stays immutable until the last subscriber releases it back
-		// to the pool.
-		c := b.pool.Get().(*refChunk)
-		b.outstanding.Add(1)
-		c.refs = append(c.refs[:0], batch...)
-		c.idx = b.chunks
-		if b.verify {
-			c.sum = trace.Checksum(c.refs)
-			// Injected corruption happens after the stamp — modelling the
-			// buffer changing between producer and consumer, exactly what
-			// the checksum defends against.
-			b.inj.CorruptChunk(b.cfg.Name, c.idx, expectChunks, c.refs)
-		}
-		if d := b.inj.ChunkDelay(b.cfg.Name, c.idx); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				c.live.Store(1)
-				b.subs[0].curRelease(c)
-				return ctx.Err()
-			}
-		}
-		c.live.Store(int32(len(b.subs)))
-		b.chunks++
-		b.refsEmitted += int64(len(c.refs))
-		for si, s := range b.subs {
-			select {
-			case s.ch <- c:
-				continue
-			default:
-				// The subscriber's window is full: the generator is about
-				// to park on it. Counted so chunk-window tuning has data.
-				b.stalls++
-				if b.tlane != nil {
-					b.tlane.Instant(b.tspan, "stream", "stall", "chunk", c.idx, "sub", si)
-				}
-			}
-			select {
-			case s.ch <- c:
-			case <-ctx.Done():
-				// Subscribers that already received the chunk release
-				// their own shares (directly or by draining); the shares
-				// of subscribers that never will are released here so the
-				// chunk's refcount still reaches zero.
-				for j := si; j < len(b.subs); j++ {
-					s.curRelease(c)
-				}
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-	for _, s := range b.subs {
-		close(s.ch)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !b.retain {
-		return nil, nil
-	}
-	t := &trace.Trace{Name: b.cfg.Name, CPUs: b.cfg.CPUs, Refs: retained}
-	return t, nil
-}
-
-// streamSource adapts one subscriber's chunk channel to trace.Source and
-// trace.BatchSource. It is used by a single simulator goroutine.
-type streamSource struct {
-	cpus int
-	b    *broadcast
-	ch   chan *refChunk
-	cur  *refChunk
-	pos  int
-	// consumed counts references delivered to the simulator — the
-	// subscriber's side of the truncation reconciliation against the
-	// producer's refsEmitted.
-	consumed int64
-	// err is set when the subscriber detects chunk corruption; the stream
-	// then ends early and the group surfaces the error for this spec.
-	err error
-	// tlane/tspan, when set (by the subscriber goroutine before it starts
-	// consuming), record a chunk-received instant per chunk. Only the
-	// consuming goroutine touches them.
-	tlane *exectrace.Lane
-	tspan exectrace.SpanID
-}
-
-// release hands the finished chunk back; the last subscriber out returns
-// it to the pool for the producer to refill. A refcount that goes
-// negative is a double release: the fault is recorded on the broadcast
-// (failing the whole group) instead of recycling a chunk someone may
-// still be reading.
-func (s *streamSource) release() {
-	c := s.cur
-	s.cur, s.pos = nil, 0
-	s.curRelease(c)
-}
-
-func (s *streamSource) curRelease(c *refChunk) {
-	if c == nil {
-		return
-	}
-	switch n := c.live.Add(-1); {
-	case n == 0:
-		s.b.outstanding.Add(-1)
-		s.b.pool.Put(c)
-	case n < 0:
-		s.b.setFault(fmt.Errorf("engine: chunk %d of %s released %d times past its last reader",
-			c.idx, s.b.cfg.Name, -n))
-	}
-}
-
-// drain releases the current chunk and everything still queued, running
-// until the producer closes the channel. A subscriber that stops
-// consuming early — its simulation failed or was cancelled — must drain:
-// it unblocks the producer (which may be parked on this subscriber's full
-// window) and releases the stranded chunks' refcounts so they return to
-// the pool.
-func (s *streamSource) drain() {
-	s.release()
-	for c := range s.ch {
-		s.curRelease(c)
-	}
-}
-
-// advance ensures s.cur holds unread references, blocking on the channel
-// when the current chunk is drained. It reports false at end of stream.
-// In verification mode each incoming chunk's checksum is revalidated; a
-// mismatch sets the subscriber's error and ends its stream.
-func (s *streamSource) advance() bool {
-	if s.err != nil {
-		return false
-	}
-	for s.cur == nil || s.pos >= len(s.cur.refs) {
-		if s.cur != nil {
-			s.release()
-		}
-		c, ok := <-s.ch
-		if !ok {
-			return false
-		}
-		if s.b.verify && trace.Checksum(c.refs) != c.sum {
-			s.err = fmt.Errorf("engine: chunk %d of %s failed checksum validation", c.idx, s.b.cfg.Name)
-			s.cur = c
-			s.release()
-			return false
-		}
-		if s.tlane != nil {
-			s.tlane.Instant(s.tspan, "stream", "chunk", "idx", c.idx, "refs", len(c.refs))
-		}
-		s.cur, s.pos = c, 0
-	}
-	return true
-}
-
-func (s *streamSource) Next() (trace.Ref, bool) {
-	if !s.advance() {
-		return trace.Ref{}, false
-	}
-	r := s.cur.refs[s.pos]
-	s.pos++
-	s.consumed++
-	return r, true
-}
-
-// NextBatch copies the remainder of the current chunk (receiving the next
-// one when drained) into buf. It never blocks while it holds undelivered
-// references, so a consumer with a batch size other than the producer's
-// chunk size still makes progress chunk by chunk.
-func (s *streamSource) NextBatch(buf []trace.Ref) int {
-	if !s.advance() {
-		return 0
-	}
-	n := copy(buf, s.cur.refs[s.pos:])
-	s.pos += n
-	s.consumed += int64(n)
-	return n
-}
-
-func (s *streamSource) CPUCount() int { return s.cpus }
 
 // cancellableSource wraps a Source so long replays of materialized traces
 // observe context cancellation; the per-reference path checks every

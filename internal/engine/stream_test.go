@@ -3,210 +3,68 @@ package engine
 import (
 	"context"
 	"reflect"
-	"sync"
 	"testing"
 
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
-// TestBroadcastDeliversExactSequence checks the streaming backbone: every
-// subscriber observes exactly the reference sequence a materialized
-// generation would produce, and the retained trace matches it too.
-func TestBroadcastDeliversExactSequence(t *testing.T) {
-	cfg := workload.POPSConfig(4, 20_000)
-	want, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const nsubs = 3
-	// A deliberately small chunk and window so chunk boundaries and
-	// back-pressure are actually exercised.
-	b := newBroadcast(cfg, nsubs, 64, 2, true)
-	var retained *trace.Trace
-	var prodErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		retained, prodErr = b.run(context.Background())
-	}()
-
-	got := make([][]trace.Ref, nsubs)
-	for i := 0; i < nsubs; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			src := b.subs[i]
-			if src.CPUCount() != cfg.CPUs {
-				t.Errorf("subscriber %d CPUCount = %d, want %d", i, src.CPUCount(), cfg.CPUs)
-			}
-			for {
-				r, ok := src.Next()
-				if !ok {
-					return
-				}
-				got[i] = append(got[i], r)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if prodErr != nil {
-		t.Fatal(prodErr)
-	}
-	for i := 0; i < nsubs; i++ {
-		if !reflect.DeepEqual(got[i], want.Refs) {
-			t.Errorf("subscriber %d saw %d refs differing from Generate's %d",
-				i, len(got[i]), len(want.Refs))
-		}
-	}
-	if retained == nil {
-		t.Fatal("retain=true returned no materialized trace")
-	}
-	if retained.Name != want.Name || retained.CPUs != want.CPUs ||
-		!reflect.DeepEqual(retained.Refs, want.Refs) {
-		t.Error("retained trace differs from Generate output")
-	}
-}
-
-func TestBroadcastDiscardReturnsNoTrace(t *testing.T) {
-	cfg := workload.POPSConfig(2, 5_000)
-	b := newBroadcast(cfg, 1, 256, 4, false)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var retained *trace.Trace
-	go func() {
-		defer wg.Done()
-		retained, _ = b.run(context.Background())
-	}()
-	for {
-		if _, ok := b.subs[0].Next(); !ok {
-			break
-		}
-	}
-	wg.Wait()
-	if retained != nil {
-		t.Error("retain=false still materialized a trace")
-	}
-}
-
-// TestStreamedBatchPopulatesTraceCache checks the retention contract at
-// the engine level: a Parallel batch streams its traces yet leaves them
-// materialized in the cache (unless DiscardStreamedTraces is set), so a
-// later Trace call costs nothing.
-func TestStreamedBatchPopulatesTraceCache(t *testing.T) {
+// TestParallelCompareCachesEachTraceOnce: a Parallel Compare generates
+// each workload once for all of its schemes and leaves the trace cached,
+// so a later Trace call costs nothing.
+func TestParallelCompareCachesEachTraceOnce(t *testing.T) {
 	ctx := context.Background()
-	cfg := workload.THORConfig(4, 20_000)
-	specs := []SimSpec{
-		{Trace: cfg, Scheme: "Dir0B"},
-		{Trace: cfg, Scheme: "WTI"},
-	}
+	cfgs := workload.StandardConfigs(4, 20_000)
 
 	e := New(Options{Workers: 4})
-	if _, err := e.Results(ctx, Parallel{}, specs); err != nil {
+	if _, err := e.Compare(ctx, Parallel{}, []string{"Dir0B", "WTI"}, cfgs, false); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.TracesStreamed != 1 {
-		t.Errorf("TracesStreamed = %d, want 1 (both schemes share one stream)", s.TracesStreamed)
+	if s.TracesGenerated != int64(len(cfgs)) {
+		t.Errorf("TracesGenerated = %d, want %d (both schemes share one generation)",
+			s.TracesGenerated, len(cfgs))
 	}
-	if s.CachedTraces != 1 {
-		t.Errorf("CachedTraces = %d, want the streamed trace captured", s.CachedTraces)
+	if s.CachedTraces != len(cfgs) {
+		t.Errorf("CachedTraces = %d, want %d", s.CachedTraces, len(cfgs))
 	}
-	gen := s.TracesGenerated
-	if _, err := e.Trace(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().TracesGenerated != gen {
-		t.Error("Trace() after a retained stream regenerated the workload")
-	}
-
-	d := New(Options{Workers: 4, DiscardStreamedTraces: true})
-	if _, err := d.Results(ctx, Parallel{}, specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().CachedTraces; got != 0 {
-		t.Errorf("DiscardStreamedTraces engine cached %d traces, want 0", got)
-	}
-}
-
-// TestBroadcastBatchedConsumption drains subscribers through NextBatch
-// with buffer sizes smaller than, equal to, and larger than the producer's
-// chunk, checking the sequence survives chunk recycling in every regime.
-// With a tiny window and concurrent consumers this also forces chunks
-// back through the pool while others are still in flight.
-func TestBroadcastBatchedConsumption(t *testing.T) {
-	cfg := workload.POPSConfig(4, 20_000)
-	want, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufSizes := []int{17, 64, 300} // chunkRefs is 64
-	b := newBroadcast(cfg, len(bufSizes), 64, 2, false)
-	var prodErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, prodErr = b.run(context.Background())
-	}()
-	got := make([][]trace.Ref, len(bufSizes))
-	for i, size := range bufSizes {
-		i, size := i, size
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]trace.Ref, size)
-			for {
-				n := b.subs[i].NextBatch(buf)
-				if n == 0 {
-					return
-				}
-				got[i] = append(got[i], buf[:n]...)
-			}
-		}()
-	}
-	wg.Wait()
-	if prodErr != nil {
-		t.Fatal(prodErr)
-	}
-	for i, size := range bufSizes {
-		if !reflect.DeepEqual(got[i], want.Refs) {
-			t.Errorf("subscriber with %d-ref buffer saw a different sequence", size)
+	for _, cfg := range cfgs {
+		if _, err := e.Trace(ctx, cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if got := e.Stats().TracesGenerated; got != s.TracesGenerated {
+		t.Errorf("Trace() after the batch regenerated a workload: %d generations, want %d",
+			got, s.TracesGenerated)
+	}
 }
 
-// TestMismatchedBatchAndChunkSizesIdentical runs the parallel executor
-// with a simulation batch size that is prime relative to the streaming
-// chunk, against a plain sequential engine — results must not notice.
-func TestMismatchedBatchAndChunkSizesIdentical(t *testing.T) {
+// TestEngineBatchSizeIndependence runs the parallel executor at
+// simulation batch sizes of one reference, a prime, the default and more
+// than a whole trace, against a plain sequential engine — results must
+// not notice.
+func TestEngineBatchSizeIndependence(t *testing.T) {
 	ctx := context.Background()
 	cfgs := workload.StandardConfigs(4, 25_000)
 
-	seq := New(Options{})
-	odd := New(Options{Workers: 4, ChunkRefs: 512, ChunkWindow: 2, BatchRefs: 97})
-	_, want, err := seq.SchemeOverTraces(ctx, Sequential{}, "Dir1NB", cfgs, false)
+	_, want, err := New(Options{}).SchemeOverTraces(ctx, Sequential{}, "Dir1NB", cfgs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := odd.SchemeOverTraces(ctx, Parallel{Workers: 4}, "Dir1NB", cfgs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("odd batch/chunk sizing changed the merged result")
-	}
-	if odd.Stats().TracesStreamed == 0 {
-		t.Error("parallel engine never streamed; the comparison did not exercise the pool")
+	for _, batch := range []int{1, 97, 4096, 1 << 20} {
+		e := New(Options{Workers: 4, BatchRefs: batch})
+		_, got, err := e.SchemeOverTraces(ctx, Parallel{Workers: 4}, "Dir1NB", cfgs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("BatchRefs %d changed the merged result", batch)
+		}
 	}
 }
 
 // TestWorkloadStreamMatchesGenerate pins the generator-level equivalence
-// the whole streaming design rests on.
+// between per-reference delivery and a materialized generation.
 func TestWorkloadStreamMatchesGenerate(t *testing.T) {
 	for _, cfg := range workload.StandardConfigs(4, 15_000) {
 		want := workload.MustGenerate(cfg)

@@ -54,9 +54,6 @@ func (s *traceSink) JobFinished(ctx context.Context, id, kind, key string, d tim
 		s.mu.Unlock()
 	}
 }
-func (s *traceSink) StreamEnded(ctx context.Context, trace string, chunks, stalls int64) {
-	s.record(ctx, "stream.end")
-}
 func (s *traceSink) TierFetched(ctx context.Context, kind, key string, hit bool, d time.Duration) {
 	s.record(ctx, "store.load")
 	if hit {

@@ -2,9 +2,8 @@
 // for the execution engine. An Injector decides — purely as a function of
 // its seed, a site name, and a per-site counter — whether a given fault
 // fires: a job body panics or fails with a retryable spurious error, a
-// simulation's reference stream is cut short, a streamed chunk is
-// corrupted after its checksum is taken, chunk delivery is delayed, or a
-// cache entry is stored with a mismatched integrity stamp.
+// simulation's reference stream is cut short, or a cache entry is stored
+// with a mismatched integrity stamp.
 //
 // Every decision is stateless (a hash of seed × site × counter), so the
 // fault schedule is reproducible from the seed alone and independent of
@@ -40,15 +39,6 @@ type Config struct {
 	// reference stream is silently cut short at a seed-chosen point
 	// (exercising the engine's reference-count integrity check).
 	Truncate float64
-	// Corrupt is the probability, per streamed generation, that one
-	// seed-chosen chunk has a reference mutated after its checksum was
-	// taken (exercising per-chunk checksum validation).
-	Corrupt float64
-	// Slow is the probability, per chunk, that delivery is delayed by
-	// SlowDelay (exercising back-pressure and deadlines).
-	Slow float64
-	// SlowDelay is the injected per-chunk delay (default 200µs).
-	SlowDelay time.Duration
 	// Poison is the probability, per cache store, that the entry is
 	// stamped with a corrupted checksum, so every subsequent hit is
 	// rejected and recomputed (exercising cache-poisoning defense).
@@ -102,8 +92,7 @@ type Config struct {
 
 // Enabled reports whether any fault class has a non-zero probability.
 func (c Config) Enabled() bool {
-	return c.Panic > 0 || c.Spurious > 0 || c.Truncate > 0 ||
-		c.Corrupt > 0 || c.Slow > 0 || c.Poison > 0 ||
+	return c.Panic > 0 || c.Spurious > 0 || c.Truncate > 0 || c.Poison > 0 ||
 		c.TransportEnabled() || c.Crash > 0
 }
 
@@ -126,9 +115,6 @@ type Injector struct {
 // convention that a nil *Injector means "faults off"; New itself always
 // returns a usable injector, even for a zero Config.
 func New(cfg Config) *Injector {
-	if cfg.SlowDelay <= 0 {
-		cfg.SlowDelay = 200 * time.Microsecond
-	}
 	if cfg.WireDelayDur <= 0 {
 		cfg.WireDelayDur = 50 * time.Millisecond
 	}
@@ -281,43 +267,6 @@ func (s *truncatedSource) NextBatch(buf []trace.Ref) int {
 }
 
 func (s *truncatedSource) CPUCount() int { return s.src.CPUCount() }
-
-// CorruptChunk mutates one reference of the chunk in place when the
-// stream's fault schedule targets chunk idx, and reports whether it did.
-// The caller computes the chunk's checksum before calling, so the
-// corruption models exactly what the checksum defends against: the
-// buffer changing between producer and consumer. expectChunks is the
-// approximate chunk count of the stream; the target chunk is uniform in
-// [0, expectChunks).
-func (i *Injector) CorruptChunk(site string, idx, expectChunks int64, refs []trace.Ref) bool {
-	if i == nil || i.cfg.Corrupt <= 0 || len(refs) == 0 {
-		return false
-	}
-	if i.roll("corrupt", site, 0) >= i.cfg.Corrupt {
-		return false
-	}
-	if expectChunks < 1 {
-		expectChunks = 1
-	}
-	if idx != int64(i.roll("corrupt.chunk", site, 1)*float64(expectChunks)) {
-		return false
-	}
-	j := int(i.roll("corrupt.ref", site, 2) * float64(len(refs)))
-	refs[j].Addr ^= 1 << 40
-	return true
-}
-
-// ChunkDelay returns the injected delay before delivering chunk idx of
-// the stream at site (zero for no delay).
-func (i *Injector) ChunkDelay(site string, idx int64) time.Duration {
-	if i == nil || i.cfg.Slow <= 0 {
-		return 0
-	}
-	if i.roll("slow", site, idx) < i.cfg.Slow {
-		return i.cfg.SlowDelay
-	}
-	return 0
-}
 
 // PoisonStamp reports whether the cache entry stored under key should be
 // stamped with a corrupted checksum. The decision is per key, so a

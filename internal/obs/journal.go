@@ -23,8 +23,6 @@ import (
 //	job.scheduled / .start / .finish
 //	                            engine job lifecycle (kind, key, dur_us,
 //	                            cache_hit)
-//	stream.end                  one per streamed generation (chunks,
-//	                            stalls)
 //	job.retry                   one per job re-attempt (attempt,
 //	                            backoff_us, error)
 //	job.panic                   one per recovered job-body panic (stack)

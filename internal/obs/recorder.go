@@ -9,8 +9,8 @@ import (
 // breakdown into one sink. Its method set structurally satisfies the
 // execution engine's Observer interface (the engine imports obs, not the
 // other way round), and the report pipeline opens experiment spans on it,
-// so one recorder sees a whole run: every engine job, every streamed
-// generation, every experiment render.
+// so one recorder sees a whole run: every engine job, every experiment
+// render.
 type Recorder struct {
 	reg    *Registry
 	jnl    *Journal
@@ -46,7 +46,7 @@ func (r *Recorder) StartSpan(phase, name string) *Span {
 // phaseOf maps an engine job kind onto the run's phase breakdown.
 func phaseOf(kind string) string {
 	switch kind {
-	case "trace", "stream":
+	case "trace":
 		return "generate"
 	case "sim", "protocol":
 		return "simulate"
@@ -85,13 +85,6 @@ func (r *Recorder) JobFinished(ctx context.Context, id, kind, key string, d time
 		return
 	}
 	r.jnl.Event("job.finish", attrs...)
-}
-
-// StreamEnded implements the engine's Observer: one call per streamed
-// generation with its chunk count and producer back-pressure stalls.
-func (r *Recorder) StreamEnded(ctx context.Context, trace string, chunks, stalls int64) {
-	r.reg.Histogram("engine.stream.chunks", []int64{16, 64, 256, 1024, 4096, 16384}).Observe(chunks)
-	r.jnl.Event("stream.end", traceAttrs(ctx, []any{"trace", trace, "chunks", chunks, "stalls", stalls})...)
 }
 
 // TierFetched implements the engine's TierObserver: one event per

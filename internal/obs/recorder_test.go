@@ -22,14 +22,13 @@ func TestRecorderJobFlow(t *testing.T) {
 	rec.JobFinished(ctx, "trace:pops", "trace", "abc123", 5*time.Millisecond, false, nil)
 	rec.JobFinished(ctx, "sim:Dir0B@pops", "sim", "def456", 7*time.Millisecond, true, nil)
 	rec.JobFinished(ctx, "merge:Dir0B", "merge", "", time.Millisecond, false, errors.New("boom"))
-	rec.StreamEnded(ctx, "pops", 12, 3)
 
 	events := decodeLines(t, buf.Bytes())
 	var msgs []string
 	for _, e := range events {
 		msgs = append(msgs, e["msg"].(string))
 	}
-	want := []string{"job.scheduled", "job.start", "job.finish", "job.finish", "job.finish", "stream.end"}
+	want := []string{"job.scheduled", "job.start", "job.finish", "job.finish", "job.finish"}
 	if len(msgs) != len(want) {
 		t.Fatalf("events = %v, want %v", msgs, want)
 	}
@@ -40,9 +39,6 @@ func TestRecorderJobFlow(t *testing.T) {
 	}
 	if events[4]["level"] != "ERROR" || events[4]["error"] != "boom" {
 		t.Errorf("failed job not journaled at error level: %v", events[4])
-	}
-	if events[5]["chunks"] != float64(12) || events[5]["stalls"] != float64(3) {
-		t.Errorf("stream.end attrs wrong: %v", events[5])
 	}
 
 	// Job kinds fold into the phase breakdown: trace → generate,
@@ -110,7 +106,6 @@ func TestRecorderConcurrentUse(t *testing.T) {
 				rec.JobStarted(ctx, id, "sim", "k")
 				rec.JobFinished(ctx, id, "sim", "k", time.Microsecond, i%2 == 0, nil)
 				rec.JobRetried(ctx, id, 1, time.Microsecond, errors.New("transient"))
-				rec.StreamEnded(ctx, "w", 4, 1)
 				sp.End(nil)
 			}
 		}()
@@ -127,9 +122,6 @@ func TestRecorderConcurrentUse(t *testing.T) {
 	}
 	if n := phases["simulate"].Count; n != goroutines*iters {
 		t.Errorf("simulate jobs = %d, want %d", n, goroutines*iters)
-	}
-	if n := rec.Registry().Histogram("engine.stream.chunks", nil).Count(); n != goroutines*iters {
-		t.Errorf("stream histogram count = %d, want %d", n, goroutines*iters)
 	}
 }
 

@@ -13,12 +13,12 @@
 //
 // A Lane is an append-only event buffer owned by exactly one goroutine at
 // a time: a worker acquires one with Tracer.Lane for the duration of a
-// job (or a stream subscription), appends events to it without any
-// locking, and returns it with Lane.Release. Released lanes are recycled
-// LIFO, so lane IDs map onto "workers" the way a profiler's threads do —
-// the trace shows pool occupancy directly. Export locks each lane
-// briefly, which is safe because the CLIs export after the run's jobs
-// have finished (and released their lanes).
+// job, appends events to it without any locking, and returns it with
+// Lane.Release. Released lanes are recycled LIFO, so lane IDs map onto
+// "workers" the way a profiler's threads do — the trace shows pool
+// occupancy directly. Export locks each lane briefly, which is safe
+// because the CLIs export after the run's jobs have finished (and
+// released their lanes).
 //
 // # Cost when disabled
 //

@@ -235,9 +235,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace exports the experiment's execution trace as Chrome
 // trace-event JSON (load it in Perfetto or chrome://tracing): the
-// request root span, its admission wait, and every engine job, stream
-// chunk, and store tier access the experiment caused. The export locks
-// the tracer's lanes, so it is only served once the experiment has
+// request root span, its admission wait, and every engine job,
+// simulation, and store tier access the experiment caused. The export
+// locks the tracer's lanes, so it is only served once the experiment has
 // reached a terminal state.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))

@@ -455,7 +455,7 @@ func IsAdmissionError(err error) bool {
 
 // router fans engine observer events out to the journals of the
 // experiments whose spec keys they concern. Events for unregistered keys
-// (other experiments' internals, unkeyed stream jobs) are dropped.
+// (other experiments' internals, unkeyed trace jobs) are dropped.
 type router struct {
 	mu    sync.Mutex
 	byKey map[string][]*obs.Journal
@@ -511,10 +511,6 @@ func (r *router) JobFinished(ctx context.Context, id, kind, key string, d time.D
 		attrs = append(attrs, "error", err.Error())
 	}
 	r.emit(key, "job.finish", attrs...)
-}
-
-func (r *router) StreamEnded(ctx context.Context, trace string, chunks, stalls int64) {
-	// Stream jobs are unkeyed; their lifecycle is engine-internal.
 }
 
 // TierFetched and TierStored route durable-store traffic for an

@@ -16,9 +16,7 @@ import (
 )
 
 // DefaultBatchRefs is the number of references Simulate pulls from the
-// source per NextBatch call when Options.BatchRefs is zero. It matches
-// the engine's default streaming chunk so a streamed simulation consumes
-// whole chunks without re-buffering.
+// source per NextBatch call when Options.BatchRefs is zero.
 const DefaultBatchRefs = 4096
 
 // Options configures a simulation run.

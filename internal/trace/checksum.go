@@ -1,16 +1,11 @@
 package trace
 
 // Checksum hashes the full content of a reference slice — every field of
-// every reference, order-sensitive — into 64 bits. It is the integrity
-// primitive behind the engine's stream defenses: the streaming producer
-// stamps each multicast chunk with the checksum of its references, and
-// subscribers revalidate it before simulating, so a recycled-buffer bug
-// (a chunk returned to the pool while a subscriber still reads it, or a
-// write racing a read) surfaces as a detected mismatch instead of a
-// silently wrong result. The hash is FNV-1a folded over 64-bit words, so
-// a multi-thousand-reference chunk costs a few multiplications per
-// reference — cheap enough for verification mode, and never on the
-// default hot path.
+// every reference, order-sensitive — into 64 bits. It is the hash under
+// Trace.Fingerprint, the stamp the engine, the store and the fleet
+// revalidate cached traces against. FNV-1a folded over 64-bit words costs
+// a few multiplications per reference — cheap enough for verification
+// mode, and never on the default hot path.
 func Checksum(refs []Ref) uint64 {
 	const (
 		offset64 = 14695981039346656037

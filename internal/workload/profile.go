@@ -153,7 +153,7 @@ func (cfg Config) Validate() error {
 
 // DefaultBatchRefs is the generator's batch granularity when a caller
 // passes a non-positive size: references are buffered and handed to sinks
-// this many at a time. It matches the engine's default streaming chunk.
+// this many at a time.
 const DefaultBatchRefs = 4096
 
 // Generate synthesizes a trace from the configuration. The result is
