@@ -227,6 +227,12 @@ func run(cfg config) error {
 	// server so in-flight responses (result fetches, closing SSE
 	// streams) complete.
 	drainErr := svc.Drain(ctx)
+	if coord != nil {
+		// Nothing is left to lease; close now (the deferred Close is then a
+		// no-op) so requests parked on the coordinator reply at once and
+		// Shutdown does not sit out the rest of their holds.
+		coord.Close()
+	}
 	if err := srv.Shutdown(ctx); err != nil && drainErr == nil {
 		drainErr = err
 	}

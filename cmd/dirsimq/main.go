@@ -675,7 +675,7 @@ func renderEvent(l line) string {
 	for _, k := range []string{"id", "tenant", "job", "kind", "key", "name",
 		"worker", "lease", "scheme", "workload", "leases", "fingerprint",
 		"discipline", "wait_us", "dur_us", "wall_us", "cache_hit", "hit",
-		"chunks", "stalls", "attempt", "specs", "state", "cause", "reason", "error"} {
+		"chunks", "stalls", "attempt", "affine", "held_us", "specs", "state", "cause", "reason", "error"} {
 		if v, ok := l.attrs[k]; ok {
 			fmt.Fprintf(&b, " %s=%v", k, v)
 		}

@@ -302,7 +302,7 @@ const journalDist = `{"time":"2026-08-08T12:00:00.000Z","level":"INFO","msg":"jo
 {"time":"2026-08-08T12:00:00.020Z","level":"INFO","msg":"job.lease","schema":2,"trace":"d1","key":"bbbb","worker":"w2","lease":"l2"}
 {"time":"2026-08-08T12:00:01.000Z","level":"INFO","msg":"job.lease.expire","schema":2,"trace":"d1","key":"aaaa","worker":"w1","lease":"l1"}
 {"time":"2026-08-08T12:00:01.001Z","level":"INFO","msg":"job.requeue","schema":2,"trace":"d1","key":"aaaa","attempt":1,"cause":"lease expired"}
-{"time":"2026-08-08T12:00:01.010Z","level":"INFO","msg":"job.lease","schema":2,"trace":"d1","key":"aaaa","worker":"w3","lease":"l3"}
+{"time":"2026-08-08T12:00:01.010Z","level":"INFO","msg":"job.lease","schema":2,"trace":"d1","key":"aaaa","worker":"w3","lease":"l3","attempt":1,"hedge":false,"affine":true,"held_us":420}
 {"time":"2026-08-08T12:00:01.200Z","level":"INFO","msg":"job.hedge","schema":2,"trace":"d1","key":"aaaa","worker":"w1","lease":"l4","leases":2}
 {"time":"2026-08-08T12:00:01.300Z","level":"INFO","msg":"result.reject","schema":2,"trace":"d1","key":"aaaa","worker":"w3","lease":"l3","cause":"fingerprint mismatch"}
 {"time":"2026-08-08T12:00:01.400Z","level":"INFO","msg":"result.accept","schema":2,"trace":"d1","key":"aaaa","worker":"w1","lease":"l4","fingerprint":"0xdead"}
@@ -345,6 +345,7 @@ func TestFollowDist(t *testing.T) {
 		"job.queue key=aaaa scheme=Dir1NB workload=pops",
 		"job.lease key=aaaa worker=w1 lease=l1",
 		"job.requeue key=aaaa attempt=1 cause=lease expired",
+		"job.lease key=aaaa worker=w3 lease=l3 attempt=1 affine=true held_us=420",
 		"job.hedge key=aaaa worker=w1 lease=l4 leases=2",
 		"result.reject key=aaaa worker=w3 lease=l3 cause=fingerprint mismatch",
 		"result.accept key=aaaa worker=w1 lease=l4 fingerprint=0xdead",

@@ -72,7 +72,7 @@ func main() {
 	var showVersion bool
 	flag.StringVar(&cfg.coordinator, "coordinator", "", "coordinator base URL (required), e.g. http://localhost:8080")
 	flag.StringVar(&cfg.name, "name", "", "worker name in leases and journals (default host-pid)")
-	flag.DurationVar(&cfg.poll, "poll", time.Second, "idle wait between lease attempts that found no work")
+	flag.DurationVar(&cfg.poll, "poll", time.Second, "longest hold / idle wait: how long the coordinator may hold a lease request that finds no work (wire field wait_ms), and the wait before asking again when it did not hold it")
 	flag.IntVar(&cfg.simWorkers, "sim-workers", 0, "engine parallelism within one job (0 = all cores)")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable result store directory, shareable with the coordinator (empty disables)")
 	flag.BoolVar(&cfg.verify, "verify", true, "revalidate store hits against content fingerprints")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -86,7 +87,9 @@ func (o Options) withDefaults() Options {
 type task struct {
 	key  string
 	spec engine.SimSpec
-	tc   obs.TraceContext
+	// trace keys the workload a worker must generate to run the spec.
+	trace engine.Key
+	tc    obs.TraceContext
 	// tracer/parent are the originating request's execution tracer and
 	// the engine job span enclosing the remote call; the task's
 	// dist:queue and dist:lease spans — and every worker span shipped
@@ -143,6 +146,8 @@ type workerState struct {
 	openUntil time.Time
 	probing   bool
 
+	lastTrace engine.Key // trace of the previous grant: its engine holds it
+
 	pid      int // process row in merged Chrome traces (2, 3, ...)
 	version  string
 	joined   time.Time
@@ -186,6 +191,12 @@ type Coordinator struct {
 	// liveness signal the degrade scan keys on.
 	lastGrant time.Time
 	closed    bool
+	// wake is closed and replaced when a task is queued or the coordinator
+	// closes: the broadcast to parked lease requests, which parked counts
+	// for Close to wait out. newTimer arms their holds (a test seam).
+	wake     chan struct{}
+	parked   sync.WaitGroup
+	newTimer func(time.Duration) *time.Timer
 
 	stop    chan struct{}
 	sweeper sync.WaitGroup
@@ -197,6 +208,7 @@ type Coordinator struct {
 	jobsRequeued  *obs.Counter
 	jobsHedged    *obs.Counter
 	leasesGranted *obs.Counter
+	leasesAffine  *obs.Counter
 	leasesRenewed *obs.Counter
 	leasesExpired *obs.Counter
 	resAccepted   *obs.Counter
@@ -226,6 +238,9 @@ func NewCoordinator(opts Options) *Coordinator {
 		workers: make(map[string]*workerState),
 		nextPID: 2,
 		stop:    make(chan struct{}),
+		wake:    make(chan struct{}),
+
+		newTimer: time.NewTimer,
 
 		jobsSubmitted: reg.Counter("dist.jobs.submitted"),
 		jobsCompleted: reg.Counter("dist.jobs.completed"),
@@ -234,6 +249,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		jobsRequeued:  reg.Counter("dist.jobs.requeued"),
 		jobsHedged:    reg.Counter("dist.jobs.hedged"),
 		leasesGranted: reg.Counter("dist.leases.granted"),
+		leasesAffine:  reg.Counter("dist.leases.affine"),
 		leasesRenewed: reg.Counter("dist.leases.renewed"),
 		leasesExpired: reg.Counter("dist.leases.expired"),
 		resAccepted:   reg.Counter("dist.results.accepted"),
@@ -264,6 +280,7 @@ type Stats struct {
 	JobsSubmitted, JobsCompleted, JobsFailed, JobsDegraded int64
 	JobsRequeued, JobsHedged                               int64
 	LeasesGranted, LeasesRenewed, LeasesExpired            int64
+	LeasesAffine                                           int64 // grants on the trace of the worker's previous one
 	ResultsAccepted, ResultsRejected, ResultsDuplicate     int64
 	WorkersJoined, WorkersBroken                           int64
 	// Workers is the federated per-worker breakdown (sorted by name):
@@ -315,6 +332,7 @@ func (c *Coordinator) Stats() Stats {
 		JobsRequeued:     c.jobsRequeued.Value(),
 		JobsHedged:       c.jobsHedged.Value(),
 		LeasesGranted:    c.leasesGranted.Value(),
+		LeasesAffine:     c.leasesAffine.Value(),
 		LeasesRenewed:    c.leasesRenewed.Value(),
 		LeasesExpired:    c.leasesExpired.Value(),
 		ResultsAccepted:  c.resAccepted.Value(),
@@ -406,6 +424,7 @@ func (c *Coordinator) SimulateRemote(ctx context.Context, spec engine.SimSpec) (
 		t = &task{
 			key:          key,
 			spec:         spec,
+			trace:        engine.TraceKey(spec.Trace),
 			leases:       make(map[string]*lease),
 			enqueuedAt:   now,
 			lastActivity: now,
@@ -443,6 +462,12 @@ func (c *Coordinator) enqueueLocked(t *task) {
 	}
 	t.queued = true
 	c.queue = append(c.queue, t)
+	c.wakeLocked()
+}
+
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // completeLocked finishes a task — exactly once — releasing its waiters
@@ -636,31 +661,77 @@ func (c *Coordinator) workerSuccessLocked(w *workerState) {
 	w.openUntil = time.Time{}
 }
 
+// maxLeaseHold caps how long one lease request is parked: several of
+// dirsimw's default polls, well inside every lease, drain and HTTP timeout.
+const maxLeaseHold = 5 * time.Second
+
 // Lease grants the next job to a pulling worker. Returns (nil, 0, nil)
 // when there is no work, and (nil, retryAfter, nil) when the worker's
 // breaker is open — the HTTP layer turns that into 429 + Retry-After.
 // version is the worker's build identity (may be empty).
 func (c *Coordinator) Lease(workerName, version string) (*JobSpec, time.Duration, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	job, retryAfter, _ := c.leaseWait(context.Background(), workerName, version, 0)
+	return job, retryAfter, nil
+}
+
+// leaseWait is Lease that, finding nothing to grant, parks for up to hold
+// (capped by the caller at maxLeaseHold) instead of sending the worker off
+// to poll: it looks again whenever a task is queued, and gives up when the
+// hold runs out, ctx ends or the coordinator closes. held is how long it
+// parked: what the worker leaves out of its skew sample and idle sleep.
+func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string, hold time.Duration) (job *JobSpec, retryAfter, held time.Duration) {
+	start := time.Now()
+	var expired <-chan time.Time
+	for ctx.Err() == nil { // a grant nobody is left to receive would only sit out its TTL
+		c.mu.Lock()
+		job, retryAfter = c.grantLocked(workerName, version, held)
+		wake := c.wake
+		park := job == nil && retryAfter == 0 && hold > 0 && !c.closed
+		if park {
+			c.parked.Add(1)
+		}
+		c.mu.Unlock()
+		if !park {
+			return job, retryAfter, held
+		}
+		if expired == nil {
+			t := c.newTimer(hold)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		case <-expired:
+			hold = 0 // one last look, then reply empty
+		}
+		c.parked.Done()
+		held = time.Since(start)
+	}
+	return nil, 0, held
+}
+
+// grantLocked is one look at the job table on a worker's behalf: a grant,
+// a breaker pushback, or nothing. held, so far, is for the journal.
+func (c *Coordinator) grantLocked(workerName, version string, held time.Duration) (*JobSpec, time.Duration) {
 	if c.closed {
-		return nil, 0, nil
+		return nil, 0
 	}
 	w := c.workerLocked(workerName, version)
 	now := c.opts.Clock()
 	if now.Before(w.openUntil) {
-		return nil, w.openUntil.Sub(now), nil
+		return nil, w.openUntil.Sub(now)
 	}
 	if w.probing {
 		// A half-open probe is already in flight; hold further grants to
 		// this worker until it resolves.
-		return nil, c.opts.SweepEvery, nil
+		return nil, c.opts.SweepEvery
 	}
 	probe := !w.openUntil.IsZero()
 
-	t, hedge := c.nextTaskLocked(workerName, now)
+	t, hedge := c.nextTaskLocked(w, now)
 	if t == nil {
-		return nil, 0, nil
+		return nil, 0
 	}
 	if probe {
 		w.probing = true
@@ -687,16 +758,21 @@ func (c *Coordinator) Lease(workerName, version string) (*JobSpec, time.Duration
 	if t.firstLeased.IsZero() {
 		t.firstLeased = now
 	}
+	affine := t.trace == w.lastTrace
+	w.lastTrace = t.trace
 	w.inflight++
 	c.workerGaugesLocked(w)
 	c.leasesGranted.Inc()
+	if affine {
+		c.leasesAffine.Inc()
+	}
 	if hedge {
 		t.hedges++
 		c.jobsHedged.Inc()
 		c.event("job.hedge", t, "worker", workerName, "lease", l.id, "leases", len(t.leases))
 	}
 	c.event("job.lease", t, "worker", workerName, "lease", l.id,
-		"attempt", t.attempts, "hedge", hedge)
+		"attempt", t.attempts, "hedge", hedge, "affine", affine, "held_us", held.Microseconds())
 	return &JobSpec{
 		Key:   t.key,
 		Spec:  t.spec,
@@ -705,21 +781,22 @@ func (c *Coordinator) Lease(workerName, version string) (*JobSpec, time.Duration
 		// The worker adopts the request's trace context with the
 		// dispatch span as its remote parent.
 		Trace: t.tc.WithParent(uint64(l.span)).String(),
-	}, 0, nil
+	}, 0
 }
 
-// nextTaskLocked pops the queue FIFO; with the queue empty it considers
-// hedging a straggler: the task whose oldest lease has run longest past
-// HedgeAfter, deterministically tie-broken by key, capped by MaxLeases
-// and never doubling a worker up on its own job.
-func (c *Coordinator) nextTaskLocked(workerName string, now time.Time) (*task, bool) {
-	for len(c.queue) > 0 {
-		t := c.queue[0]
-		c.queue = c.queue[1:]
+// nextTaskLocked takes w's pick off the queue (pickLocked); with the queue
+// empty it considers hedging a straggler: the task whose oldest lease has
+// run longest past HedgeAfter, deterministically tie-broken by key,
+// capped by MaxLeases and never doubling a worker up on its own job.
+func (c *Coordinator) nextTaskLocked(w *workerState, now time.Time) (*task, bool) {
+	// Tasks degraded while queued leave here. Delete and DeleteFunc clear
+	// the slots they vacate: no granted task stays reachable from the array.
+	c.queue = slices.DeleteFunc(c.queue, func(t *task) bool { return t.done })
+	if len(c.queue) > 0 {
+		i := c.pickLocked(w, now)
+		t := c.queue[i]
+		c.queue = slices.Delete(c.queue, i, i+1)
 		t.queued = false
-		if t.done {
-			continue
-		}
 		return t, false
 	}
 	var cands []*task
@@ -732,7 +809,7 @@ func (c *Coordinator) nextTaskLocked(workerName string, now time.Time) (*task, b
 		}
 		mine := false
 		for _, l := range t.leases {
-			if l.worker == workerName {
+			if l.worker == w.name {
 				mine = true
 				break
 			}
@@ -751,6 +828,33 @@ func (c *Coordinator) nextTaskLocked(workerName string, now time.Time) (*task, b
 		return cands[i].key < cands[j].key
 	})
 	return cands[0], true
+}
+
+// pickLocked chooses which queued task (by index; the queue is oldest
+// first and non-empty) w is granted, so that the fleet generates each
+// trace as few times as it can without idling anyone: one on the trace of
+// w's previous grant, else the oldest whose trace no other worker holds an
+// unresolved lease on, else the oldest. None is passed over past HedgeAfter.
+func (c *Coordinator) pickLocked(w *workerState, now time.Time) int {
+	if now.Sub(c.queue[0].lastActivity) >= c.opts.HedgeAfter {
+		return 0
+	}
+	claimed := make(map[engine.Key]bool)
+	for _, l := range c.leases {
+		if l.worker != w.name {
+			claimed[l.task.trace] = true
+		}
+	}
+	free := -1
+	for i, t := range c.queue {
+		if t.trace == w.lastTrace {
+			return i
+		}
+		if free < 0 && !claimed[t.trace] {
+			free = i
+		}
+	}
+	return max(free, 0)
 }
 
 // Heartbeat renews a lease; false means the lease is gone (expired,
@@ -1033,9 +1137,9 @@ func spliceJournalLine(line []byte, suffix []byte) ([]byte, bool) {
 	return out, true
 }
 
-// Close stops the sweeper and degrades every pending job, so a shutting-
+// Close stops the sweeper, degrades every pending job, so a shutting-
 // down coordinator leaves no waiter hanging: they all fall back to local
-// execution. Safe to call once.
+// execution. It returns once no lease request is parked. Safe to repeat.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -1049,7 +1153,9 @@ func (c *Coordinator) Close() {
 		}
 	}
 	c.queue = nil
+	c.wakeLocked()
 	c.mu.Unlock()
 	close(c.stop)
 	c.sweeper.Wait()
+	c.parked.Wait()
 }

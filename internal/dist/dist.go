@@ -86,19 +86,24 @@ func (j JobSpec) TTL() time.Duration { return time.Duration(j.TTLMS) * time.Mill
 
 // leaseRequest is a worker's pull for work. Version is the worker
 // binary's build identity (obs.Build), stamped into the coordinator's
-// worker.join event and per-worker stats.
+// worker.join event and per-worker stats. WaitMS (the worker's Poll) is
+// how long the coordinator may hold the request when it has nothing to
+// grant; absent — an older worker — or not positive means not at all.
 type leaseRequest struct {
 	Worker  string `json:"worker"`
 	Version string `json:"version,omitempty"`
+	WaitMS  int64  `json:"wait_ms,omitempty"`
 }
 
 // leaseResponse carries the leased job; Job is nil when the coordinator
-// has no work (the worker polls again after its idle interval).
-// NowUnixNS is the coordinator's wall clock at response time — one
-// sample for the worker's clock-skew estimator.
+// has no work (the worker idles out what is left of its Poll after
+// HeldUS, the time the request spent parked). NowUnixNS is the
+// coordinator's wall clock at response time — one sample for the worker's
+// clock-skew estimator, which leaves HeldUS out of the round trip.
 type leaseResponse struct {
 	Job       *JobSpec `json:"job,omitempty"`
 	NowUnixNS int64    `json:"now_unix_ns,omitempty"`
+	HeldUS    int64    `json:"held_us,omitempty"`
 }
 
 // heartbeatRequest renews a lease. Counters, when present, is a

@@ -36,7 +36,7 @@ func TestSkewEstimator(t *testing.T) {
 	const offset = 5 * time.Second
 	t0, t2 := base, base.Add(10*time.Millisecond)
 	server := t0.Add(5 * time.Millisecond).Add(offset)
-	e.Observe(t0, t2, server.UnixNano())
+	e.Observe(t0, t2, server.UnixNano(), 0)
 	if got, ok := e.Offset(); !ok || got != offset.Nanoseconds() {
 		t.Fatalf("Offset = %d,%v, want %d", got, ok, offset.Nanoseconds())
 	}
@@ -46,7 +46,7 @@ func TestSkewEstimator(t *testing.T) {
 
 	// A fatter round trip (a retried request) must not displace the
 	// tight sample, whatever offset it implies.
-	e.Observe(base, base.Add(2*time.Second), base.Add(time.Minute).UnixNano())
+	e.Observe(base, base.Add(2*time.Second), base.Add(time.Minute).UnixNano(), 0)
 	if got, _ := e.Offset(); got != offset.Nanoseconds() {
 		t.Errorf("fat-RTT sample displaced the estimate: %d", got)
 	}
@@ -54,7 +54,7 @@ func TestSkewEstimator(t *testing.T) {
 	// A tighter round trip wins.
 	t0, t2 = base, base.Add(2*time.Millisecond)
 	server = t0.Add(time.Millisecond).Add(offset + time.Millisecond)
-	e.Observe(t0, t2, server.UnixNano())
+	e.Observe(t0, t2, server.UnixNano(), 0)
 	if got, _ := e.Offset(); got != (offset + time.Millisecond).Nanoseconds() {
 		t.Errorf("tighter sample did not win: %d", got)
 	}
@@ -62,18 +62,30 @@ func TestSkewEstimator(t *testing.T) {
 		t.Errorf("RTT = %v, want 2ms", e.RTT())
 	}
 
-	// Pre-skew coordinators (no clock in the response) and reversed
-	// intervals contribute nothing.
+	// A request the server parked for a second and stamped on reply is
+	// as tight as its unheld part: 1ms here, so it wins, and the hold
+	// shifts nothing.
+	t0, t2 = base, base.Add(time.Second+time.Millisecond)
+	server = t2.Add(-500 * time.Microsecond).Add(offset + 2*time.Millisecond)
+	e.Observe(t0, t2, server.UnixNano(), time.Second)
+	if got, _ := e.Offset(); got != (offset+2*time.Millisecond).Nanoseconds() || e.RTT() != time.Millisecond {
+		t.Errorf("held sample: offset %d rtt %v, want %d and 1ms", got, e.RTT(), (offset + 2*time.Millisecond).Nanoseconds())
+	}
+
+	// Pre-skew coordinators (no clock in the response), reversed
+	// intervals and holds longer than the round trip contribute nothing.
 	before, _ := e.Offset()
-	e.Observe(t0, t2, 0)
-	e.Observe(t2, t0, server.UnixNano())
+	e.Observe(t0, t2, 0, 0)
+	e.Observe(t2, t0, server.UnixNano(), 0)
+	e.Observe(t0, t0.Add(time.Microsecond), server.UnixNano(), time.Second)
+	e.Observe(t0, t0.Add(time.Microsecond), server.UnixNano(), -time.Second)
 	if got, _ := e.Offset(); got != before {
 		t.Errorf("garbage samples moved the estimate: %d != %d", got, before)
 	}
 
 	// A nil estimator is inert (the no-journal worker path).
 	var nilE *skewEstimator
-	nilE.Observe(t0, t2, server.UnixNano())
+	nilE.Observe(t0, t2, server.UnixNano(), 0)
 	if _, ok := nilE.Offset(); ok || nilE.RTT() != 0 {
 		t.Error("nil estimator is not inert")
 	}

@@ -3,8 +3,10 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"dirsim/internal/obs/httpmon"
 )
@@ -15,9 +17,10 @@ const WorkerHeader = "X-Dirsim-Worker"
 
 // Register installs the coordinator's fleet API on mux:
 //
-//	POST /api/v1/dist/lease      pull a job (200 with job, 200 with
-//	                             empty body when idle, 429+Retry-After
-//	                             when the worker's breaker is open)
+//	POST /api/v1/dist/lease      pull a job (200 with job; 200 with empty
+//	                             body when idle, held up to wait_ms
+//	                             first; 429+Retry-After when the
+//	                             worker's breaker is open)
 //	POST /api/v1/dist/heartbeat  renew a lease (410 when it is gone)
 //	POST /api/v1/dist/result     push a result or structured error
 //	                             (200 accepted, 410 duplicate/late,
@@ -32,7 +35,8 @@ const WorkerHeader = "X-Dirsim-Worker"
 //
 // Every route is wrapped in httpmon.Instrument, so trace contexts
 // propagate (X-Dirsim-Trace in, echoed back out) and per-route, per-
-// worker RED metrics land on the coordinator's registry.
+// worker RED metrics land on the coordinator's registry. The dist.lease
+// route's latency now includes hold time: it reads as fleet idleness.
 func Register(mux *http.ServeMux, c *Coordinator) {
 	opts := httpmon.InstrumentOptions{
 		Registry:      c.reg,
@@ -82,11 +86,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing worker name")
 		return
 	}
-	job, retryAfter, err := c.Lease(req.Worker, req.Version)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	// Only once the body is read out does the server watch the connection
+	// for a client that went away, which a parked request must notice.
+	io.Copy(io.Discard, r.Body)
+	hold := time.Duration(min(req.WaitMS, maxLeaseHold.Milliseconds())) * time.Millisecond
+	job, retryAfter, held := c.leaseWait(r.Context(), req.Worker, req.Version, hold)
 	if retryAfter > 0 {
 		secs := int(retryAfter.Seconds())
 		if secs < 1 {
@@ -96,7 +100,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "worker %s circuit open; retry after %ds", req.Worker, secs)
 		return
 	}
-	writeJSON(w, http.StatusOK, leaseResponse{Job: job, NowUnixNS: c.opts.Clock().UnixNano()})
+	writeJSON(w, http.StatusOK, leaseResponse{Job: job, NowUnixNS: c.opts.Clock().UnixNano(),
+		HeldUS: held.Microseconds()})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -19,14 +19,16 @@ type skewEstimator struct {
 	samples  int64
 }
 
-// Observe records one round trip. serverUnixNS == 0 (a pre-skew
-// coordinator) is ignored.
-func (e *skewEstimator) Observe(t0, t2 time.Time, serverUnixNS int64) {
-	if e == nil || serverUnixNS == 0 || t2.Before(t0) {
+// Observe records one round trip. The server stamps its clock on reply,
+// so the time it held the request parked first is flight in neither
+// direction. serverUnixNS == 0 (a pre-skew coordinator) and a held the
+// round trip cannot contain are ignored.
+func (e *skewEstimator) Observe(t0, t2 time.Time, serverUnixNS int64, held time.Duration) {
+	rtt := (t2.Sub(t0) - held).Nanoseconds()
+	if e == nil || serverUnixNS == 0 || held < 0 || rtt < 0 {
 		return
 	}
-	rtt := t2.Sub(t0).Nanoseconds()
-	mid := t0.UnixNano() + rtt/2
+	mid := t2.UnixNano() - rtt/2
 	off := serverUnixNS - mid
 	e.mu.Lock()
 	if e.samples == 0 || rtt < e.rttNS {

@@ -37,8 +37,9 @@ type Worker struct {
 	Engine *engine.Engine
 	// Exec is the execution strategy per job; nil means Sequential.
 	Exec engine.Executor
-	// Poll is the idle wait between lease attempts that found no work;
-	// 0 means 100ms.
+	// Poll is how long a lease request that finds no work may take: the
+	// coordinator is asked to hold it that long (wait_ms), and the worker
+	// idles whatever part it did not before asking again. 0 means 100ms.
 	Poll time.Duration
 	// Inj, when non-nil, drives injected worker crashes (Crash class):
 	// the decision is per (worker, job key), so a fixed seed kills the
@@ -95,21 +96,15 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.event("worker.stop", obs.TraceContext{})
 			return nil
 		}
-		job, err := w.lease(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				w.event("worker.stop", obs.TraceContext{})
-				return nil
-			}
-			// Coordinator unreachable or pushing back; idle and retry.
-			if serr := w.idle(ctx); serr != nil {
-				w.event("worker.stop", obs.TraceContext{})
-				return nil
-			}
-			continue
+		job, held, err := w.lease(ctx)
+		if err != nil && ctx.Err() != nil {
+			w.event("worker.stop", obs.TraceContext{})
+			return nil
 		}
-		if job == nil {
-			if serr := w.idle(ctx); serr != nil {
+		if err != nil || job == nil {
+			// No work, or the coordinator is unreachable or pushing back
+			// (held is then 0): idle out the rest of the interval.
+			if serr := w.idle(ctx, w.poll()-held); serr != nil {
 				w.event("worker.stop", obs.TraceContext{})
 				return nil
 			}
@@ -127,8 +122,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-func (w *Worker) idle(ctx context.Context) error {
-	d := w.poll()
+func (w *Worker) idle(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
 	if w.Sleep != nil {
 		w.Sleep(d)
 		return ctx.Err()
@@ -143,18 +140,21 @@ func (w *Worker) idle(ctx context.Context) error {
 	}
 }
 
-func (w *Worker) lease(ctx context.Context) (*JobSpec, error) {
+// lease asks for a job, letting the coordinator hold the request for up
+// to Poll when it has none; held is how long it says it did.
+func (w *Worker) lease(ctx context.Context) (job *JobSpec, held time.Duration, err error) {
 	var resp leaseResponse
 	t0 := time.Now()
-	err := w.Client.Do(ctx, http.MethodPost, "/api/v1/dist/lease",
-		leaseRequest{Worker: w.Name, Version: w.Version}, &resp)
+	err = w.Client.Do(ctx, http.MethodPost, "/api/v1/dist/lease",
+		leaseRequest{Worker: w.Name, Version: w.Version, WaitMS: w.poll().Milliseconds()}, &resp)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	held = time.Duration(resp.HeldUS) * time.Microsecond
 	// The round trip may include client-side retries, inflating the
 	// apparent RTT; the estimator's min-RTT filter discards such samples.
-	w.skew.Observe(t0, time.Now(), resp.NowUnixNS)
-	return resp.Job, nil
+	w.skew.Observe(t0, time.Now(), resp.NowUnixNS, held)
+	return resp.Job, held, nil
 }
 
 // counterSnapshot is the federated metric payload for heartbeats.
@@ -228,7 +228,7 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 					heartbeatRequest{Worker: w.Name, Lease: job.Lease,
 						Counters: w.counterSnapshot()}, &hresp)
 				if err == nil {
-					w.skew.Observe(t0, time.Now(), hresp.NowUnixNS)
+					w.skew.Observe(t0, time.Now(), hresp.NowUnixNS, 0)
 				}
 				if IsStatus(err, http.StatusGone) {
 					w.event("worker.lease.lost", tc, "key", shortKey(job.Key), "lease", job.Lease)

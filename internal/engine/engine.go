@@ -366,6 +366,9 @@ type Job struct {
 	// job even when the engine allows them.
 	Retries int
 
+	// offSlot: a remote-first job, outside the pool's bound until it acquireSlots.
+	offSlot bool
+
 	out any
 	err error
 	met Metrics
@@ -408,8 +411,9 @@ func (Sequential) Name() string        { return "sequential" }
 func (Sequential) workerCount(int) int { return 1 }
 
 // Parallel executes the same DAG as Sequential with ready jobs running
-// concurrently on a bounded worker pool: at most Workers job bodies —
-// generations, simulations, merges — execute at once.
+// concurrently on a bounded worker pool: at most Workers local job bodies
+// — generations, simulations, merges — execute at once (a job waiting on
+// a Remote holds no slot: a whole batch reaches the fleet together).
 type Parallel struct {
 	// Workers overrides the engine's pool size; 0 keeps the engine
 	// default (GOMAXPROCS).
@@ -536,14 +540,21 @@ func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, fail
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
+			jctx := ctx
+			if j.offSlot {
+				jctx = context.WithValue(ctx, slotKey{}, sem)
+			} else {
+				sem <- struct{}{}
+			}
 			var err error
 			if err = ctx.Err(); err == nil {
-				err = e.runOrSkip(ctx, j, failFast)
+				err = e.runOrSkip(jctx, j, failFast)
 			} else {
 				j.err = err
 			}
-			<-sem
+			if !j.offSlot {
+				<-sem
+			}
 			if err != nil && failFast {
 				mu.Lock()
 				if firstErr == nil {
@@ -586,6 +597,20 @@ func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, fail
 		firstErr = ctx.Err()
 	}
 	return firstErr
+}
+
+// slotKey keys the pool's semaphore in an offSlot job's context.
+type slotKey struct{}
+
+// acquireSlot takes a pool slot for an offSlot job's local work and
+// returns its release; the serial executor has no pool and nothing to take.
+func acquireSlot(ctx context.Context) (release func()) {
+	sem, _ := ctx.Value(slotKey{}).(chan struct{})
+	if sem == nil {
+		return func() {}
+	}
+	sem <- struct{}{}
+	return func() { <-sem }
 }
 
 // runOrSkip runs the job, except that in keep-going mode a job whose

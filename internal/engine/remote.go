@@ -28,8 +28,11 @@ import (
 //     deterministic), so the engine surfaces it instead of burning a
 //     local retry.
 //
-// Implementations must be safe for concurrent use; under the Parallel
-// executor many specs dispatch at once.
+// Implementations must be safe for concurrent use: under the Parallel
+// executor a job blocked in SimulateRemote holds no worker slot, so every
+// uncached spec of a batch is in flight at once, for the Remote to order.
+// An attempt's JobTimeout clock therefore covers a spec's queueing in the
+// fleet as well as its execution; no binary sets both.
 type Remote interface {
 	SimulateRemote(ctx context.Context, spec SimSpec) (*sim.Result, error)
 }
@@ -41,10 +44,11 @@ var ErrRemoteUnavailable = errors.New("remote execution unavailable")
 
 // remoteBody returns a spec job's remote-first body: dispatch the spec to
 // the configured Remote, and on unavailability degrade to the local
-// materialize-and-simulate path. Remote jobs take no trace dependency —
-// the worker regenerates the workload from the spec on its side — so a
-// fleet-served sweep never generates traces on the coordinator; the trace
-// is only produced here on the degraded path.
+// materialize-and-simulate path, which takes a worker slot first so
+// Workers still bounds local CPU work. Remote jobs take no trace
+// dependency — the worker regenerates the workload from the spec on its
+// side — so a fleet-served sweep never generates traces on the
+// coordinator; the trace is only produced here on the degraded path.
 func (e *Engine) remoteBody(spec SimSpec) func(context.Context, []any) (any, error) {
 	return func(ctx context.Context, _ []any) (any, error) {
 		r, err := e.remote.SimulateRemote(ctx, spec)
@@ -60,6 +64,8 @@ func (e *Engine) remoteBody(spec SimSpec) func(context.Context, []any) (any, err
 			if lane, parent := exectrace.FromContext(ctx); lane != nil {
 				lane.Instant(parent, "engine", "remote.degrade", "error", err.Error())
 			}
+			// Local work from here on: Workers bounds it like any other job.
+			defer acquireSlot(ctx)()
 			t, terr := e.Trace(ctx, spec.Trace)
 			if terr != nil {
 				return nil, terr

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/workload"
 )
@@ -172,5 +174,113 @@ func TestRemoteExecutionErrorSurfaces(t *testing.T) {
 	}
 	if st := e.Stats(); st.RemoteDegraded != 0 {
 		t.Errorf("execution error must not degrade to local, RemoteDegraded=%d", st.RemoteDegraded)
+	}
+}
+
+// barrierRemote holds every call until want of them are in flight at
+// once, then lets each finish through then.
+type barrierRemote struct {
+	want     int64
+	inflight atomic.Int64
+	all      chan struct{}
+	then     func(context.Context, SimSpec) (*sim.Result, error)
+}
+
+func (b *barrierRemote) SimulateRemote(ctx context.Context, spec SimSpec) (*sim.Result, error) {
+	if b.inflight.Add(1) == b.want {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return b.then(ctx, spec)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestRemoteOffersWholeBatch: a job blocked in SimulateRemote holds no
+// pool slot, so the Remote sees every uncached spec of a batch at once
+// however small Workers is. This Remote answers nobody until all six are
+// in flight; with waits counted against Workers=2 it never would.
+func TestRemoteOffersWholeBatch(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	specs := remoteSpecs()
+	worker := &fakeRemote{exec: New(Options{})}
+	rem := &barrierRemote{want: int64(len(specs)), all: make(chan struct{}), then: worker.SimulateRemote}
+	e := New(Options{Remote: rem})
+	got, err := e.Results(ctx, Parallel{Workers: 2}, specs)
+	if err != nil {
+		t.Fatalf("batch was not offered whole (%d of %d calls in flight): %v",
+			rem.inflight.Load(), len(specs), err)
+	}
+	want, err := New(Options{}).Results(ctx, Sequential{}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("spec %d diverged from local run", i)
+		}
+	}
+}
+
+// TestDegradedBodiesBoundedByWorkers: the slot a remote-first job does
+// not hold while it waits, it takes before it computes. Six dispatches
+// fail over to local execution in the same instant; the spans of their
+// local bodies — store lookup and generation of the trace, then the
+// simulation — must never overlap more than Workers deep.
+func TestDegradedBodiesBoundedByWorkers(t *testing.T) {
+	const workers = 2
+	ctx := context.Background()
+	var specs []SimSpec
+	for _, cfg := range workload.StandardConfigs(4, 20_000) {
+		for _, scheme := range []string{"Dir0B", "Dir1NB"} {
+			specs = append(specs, SimSpec{Trace: cfg, Scheme: scheme})
+		}
+	}
+	rem := &barrierRemote{want: int64(len(specs)), all: make(chan struct{}),
+		then: func(context.Context, SimSpec) (*sim.Result, error) {
+			return nil, fmt.Errorf("fleet drained: %w", ErrRemoteUnavailable)
+		}}
+	tracer := exectrace.New()
+	e := New(Options{Remote: rem, Tracer: tracer, Store: openTier(t, t.TempDir())})
+	if _, err := e.Results(ctx, Parallel{Workers: workers}, specs); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.RemoteDegraded != int64(len(specs)) || st.SimsRun != int64(len(specs)) {
+		t.Fatalf("RemoteDegraded=%d SimsRun=%d, want %d local computations", st.RemoteDegraded, st.SimsRun, len(specs))
+	}
+
+	// One interval per degraded body: its spans share the attempt span as
+	// parent.
+	type interval struct{ start, end int64 }
+	bodies := make(map[uint64]*interval)
+	for _, ev := range tracer.Events() {
+		if ev.Ph != 'X' || (ev.Cat != "sim" && ev.Name != "load:trace" && ev.Name != "store:trace") {
+			continue
+		}
+		b := bodies[ev.Parent]
+		if b == nil {
+			b = &interval{start: ev.TS, end: ev.TS + ev.Dur}
+			bodies[ev.Parent] = b
+		}
+		b.start, b.end = min(b.start, ev.TS), max(b.end, ev.TS+ev.Dur)
+	}
+	if len(bodies) != len(specs) {
+		t.Fatalf("found %d local bodies in the trace, want %d", len(bodies), len(specs))
+	}
+	peak := 0
+	for _, a := range bodies {
+		depth := 0
+		for _, b := range bodies {
+			if b.start <= a.start && a.start < b.end {
+				depth++
+			}
+		}
+		peak = max(peak, depth)
+	}
+	if peak > workers {
+		t.Errorf("%d local bodies ran at once, Workers is %d", peak, workers)
 	}
 }

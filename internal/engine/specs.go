@@ -328,7 +328,7 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 			// trace job is planned here. The degraded path inside the body
 			// falls back to Engine.Trace, which still collapses concurrent
 			// fallbacks of one workload to a single generation.
-			j.Run = e.remoteBody(s)
+			j.Run, j.offSlot = e.remoteBody(s), true
 		default:
 			cfg := s.Trace
 			tk := TraceKey(cfg)
