@@ -29,12 +29,14 @@ check: build vet race shard-equiv
 # the storage and accounting oracles: the golden fingerprint table of
 # every engine, AccessBatch and AccessSparse against per-reference Access
 # (and the simulator's use of the sparse stream behind an AccessBatch-only
-# wrapper), the batched and sparse loops' zero-allocation and the block
-# table's footprint bounds.
+# wrapper, and of its bufferless fallback for engines with only Access),
+# the batched and sparse loops' zero-allocation and the block table's
+# footprint bounds — and the contention replay against its per-reference
+# oracle, float for float.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestDir1NBTable|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState' \
-		./internal/sim ./internal/core
+		-run 'TestSharded|TestShardOf|TestDir1NBTable|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestReplay' \
+		./internal/sim ./internal/core ./internal/contention
 
 # Run the fault-injection soak under the race detector: the widened
 # fixed-seed fault matrix (DIRSIM_SOAK=1) plus every fault and hardening

@@ -18,6 +18,7 @@ import (
 
 	"dirsim/internal/bus"
 	"dirsim/internal/core"
+	"dirsim/internal/event"
 	"dirsim/internal/trace"
 )
 
@@ -87,8 +88,15 @@ func (s Stats) String() string {
 		s.CPUs, s.Span, 100*s.Utilization(), s.EffectiveProcessors())
 }
 
+// batchRefs is how many references Simulate classifies per AccessBatch.
+const batchRefs = 4096
+
 // Simulate replays the trace through the protocol with the timing model.
-// The protocol engine must match the trace's CPU count (as in sim).
+// The protocol engine must match the trace's CPU count (as in sim). The
+// trace is classified a batch at a time into one reused buffer; think time
+// is still added per reference in trace order, because a float sum depends
+// on its order, but pricing and queueing run only for results that are not
+// Plain — those cost nothing under any model, so none is a transaction.
 func Simulate(t *trace.Trace, p core.Protocol, cfg Config) (Stats, int64, error) {
 	if t.CPUs > p.CPUs() {
 		return Stats{}, 0, fmt.Errorf("contention: trace has %d CPUs, engine %d", t.CPUs, p.CPUs())
@@ -96,38 +104,44 @@ func Simulate(t *trace.Trace, p core.Protocol, cfg Config) (Stats, int64, error)
 	if cfg.ThinkCycles < 0 {
 		return Stats{}, 0, fmt.Errorf("contention: negative think time")
 	}
-	stats := Stats{CPUs: t.CPUs}
+	stats := Stats{CPUs: t.CPUs, Refs: int64(len(t.Refs))}
 	clock := make([]float64, t.CPUs) // per-CPU local time
 	alone := make([]float64, t.CPUs) // per-CPU time with a private bus
 	var busFree float64              // when the bus next becomes idle
 	var transactions int64
-	for _, r := range t.Refs {
-		res := p.Access(r)
-		c := r.CPU
-		stats.Refs++
-		clock[c] += cfg.ThinkCycles
-		alone[c] += cfg.ThinkCycles
-		cost, txn := cfg.Model.Cost(res)
-		if !txn {
-			continue
+	outs := make([]event.Result, 0, min(batchRefs, len(t.Refs)))
+	for off := 0; off < len(t.Refs); off += batchRefs {
+		refs := t.Refs[off:min(off+batchRefs, len(t.Refs))]
+		for i := range refs { // a hand-built or file-loaded trace can break its header's promise
+			if c := refs[i].CPU; int(c) >= t.CPUs {
+				return Stats{}, 0, fmt.Errorf("contention: reference %d: cpu %d outside the trace's %d CPUs", off+i, c, t.CPUs)
+			}
 		}
-		transactions++
-		d := cost.Total()
-		alone[c] += d
-		req := clock[c]
-		start := req
-		if busFree > start {
-			start = busFree
+		outs = core.AccessBatch(p, refs, outs[:0])
+		for i := range outs {
+			c := refs[i].CPU
+			clock[c] += cfg.ThinkCycles
+			alone[c] += cfg.ThinkCycles
+			if outs[i].Plain() {
+				continue
+			}
+			cost, txn := cfg.Model.Cost(outs[i])
+			if !txn {
+				continue
+			}
+			transactions++
+			d := cost.Total()
+			alone[c] += d
+			req := clock[c]
+			start := max(req, busFree)
+			stats.Wait += start - req
+			clock[c] = start + d
+			busFree = start + d
+			stats.BusBusy += d
 		}
-		stats.Wait += start - req
-		clock[c] = start + d
-		busFree = start + d
-		stats.BusBusy += d
 	}
 	for c := 0; c < t.CPUs; c++ {
-		if clock[c] > stats.Span {
-			stats.Span = clock[c]
-		}
+		stats.Span = max(stats.Span, clock[c])
 		stats.AloneTime += alone[c]
 	}
 	return stats, transactions, nil

@@ -1,14 +1,164 @@
 package contention
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/core"
+	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
+
+// referenceSimulate is the replay as it was before batching, kept as the
+// oracle: one Access and one Model.Cost per reference, nothing skipped.
+func referenceSimulate(t *trace.Trace, p core.Protocol, cfg Config) (Stats, int64) {
+	stats := Stats{CPUs: t.CPUs}
+	clock := make([]float64, t.CPUs)
+	alone := make([]float64, t.CPUs)
+	var busFree float64
+	var transactions int64
+	for _, r := range t.Refs {
+		res := p.Access(r)
+		c := r.CPU
+		stats.Refs++
+		clock[c] += cfg.ThinkCycles
+		alone[c] += cfg.ThinkCycles
+		cost, txn := cfg.Model.Cost(res)
+		if !txn {
+			continue
+		}
+		transactions++
+		d := cost.Total()
+		alone[c] += d
+		req := clock[c]
+		start := req
+		if busFree > start {
+			start = busFree
+		}
+		stats.Wait += start - req
+		clock[c] = start + d
+		busFree = start + d
+		stats.BusBusy += d
+	}
+	for c := 0; c < t.CPUs; c++ {
+		if clock[c] > stats.Span {
+			stats.Span = clock[c]
+		}
+		stats.AloneTime += alone[c]
+	}
+	return stats, transactions
+}
+
+func mustScheme(t testing.TB, scheme string, cpus int) core.Protocol {
+	t.Helper()
+	p, err := core.NewByName(scheme, cpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestReplayMatchesReference holds the batched replay to the per-reference
+// oracle exactly — every float of Stats and the transaction count, no
+// tolerance — for native batchers and an Access-only engine (Berkeley),
+// over the standard workloads at two machine sizes and three think times,
+// and for traces one shorter than, equal to and one longer than a batch.
+func TestReplayMatchesReference(t *testing.T) {
+	var traces []*trace.Trace
+	for _, cpus := range []int{4, 32} {
+		for _, cfg := range workload.StandardConfigs(cpus, 3*batchRefs+777) {
+			traces = append(traces, workload.MustGenerate(cfg))
+		}
+	}
+	for _, n := range []int{batchRefs - 1, batchRefs, batchRefs + 1} {
+		tr := workload.POPS(4, 2*batchRefs)
+		tr.Refs = tr.Refs[:n]
+		tr.Name = fmt.Sprintf("pops[:%d]", n)
+		traces = append(traces, tr)
+	}
+	for _, tr := range traces {
+		for _, scheme := range []string{"Dir0B", "Dragon", "WTI", "Berkeley"} {
+			for _, think := range []float64{0, 0.3, 0.5} {
+				cfg := Config{ThinkCycles: think, Model: bus.Pipelined()}
+				want, wantTxns := referenceSimulate(tr, mustScheme(t, scheme, tr.CPUs), cfg)
+				got, gotTxns, err := Simulate(tr, mustScheme(t, scheme, tr.CPUs), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || gotTxns != wantTxns {
+					t.Errorf("%s over %s at %d CPUs, think %v:\n got %+v, %d transactions\nwant %+v, %d",
+						scheme, tr.Name, tr.CPUs, think, got, gotTxns, want, wantTxns)
+				}
+				if wantTxns == 0 || int(want.Refs) != tr.Len() {
+					t.Fatalf("%s over %s: oracle replayed %d refs, %d transactions; the case tests nothing",
+						scheme, tr.Name, want.Refs, wantTxns)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayRejectsCPUOutsideTrace: a hand-built or file-loaded trace can
+// hold a reference whose CPU the engine has but the trace's header does
+// not; the replay names it instead of indexing past its per-CPU clocks.
+func TestReplayRejectsCPUOutsideTrace(t *testing.T) {
+	tr := workload.PingPong(2 * batchRefs) // 2 CPUs
+	bad := batchRefs + 5
+	tr.Refs[bad].CPU = 3
+	p := core.NewDir0B(4)
+	_, _, err := Simulate(tr, p, PaperConfig())
+	want := fmt.Sprintf("contention: reference %d: cpu 3 outside the trace's 2 CPUs", bad)
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	// RunScheme builds its engine for the trace's own count: same error.
+	if _, _, err := RunScheme("Dir0B", tr, PaperConfig()); err == nil || err.Error() != want {
+		t.Errorf("RunScheme: err = %v, want %q", err, want)
+	}
+}
+
+// TestReplayAllocsPerBatch: the clocks and the results buffer are the
+// replay's only allocations, however many batches the trace spans.
+func TestReplayAllocsPerBatch(t *testing.T) {
+	long := workload.POPS(4, 16*batchRefs)
+	short := &trace.Trace{Name: long.Name, CPUs: long.CPUs, Refs: long.Refs[:2*batchRefs]}
+	for _, scheme := range []string{"Dir0B", "Dragon", "WTI"} {
+		p := mustScheme(t, scheme, 4)
+		replay := func(tr *trace.Trace) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, _, err := Simulate(tr, p, PaperConfig()); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		replay(long) // every page of the engine's block table exists now
+		if a, b := replay(short), replay(long); a != b {
+			t.Errorf("%s: %.0f allocations over 2 batches, %.0f over 16", scheme, a, b)
+		}
+	}
+}
+
+// BenchmarkReplay reports the replay's cost per reference.
+func BenchmarkReplay(b *testing.B) {
+	for _, cpus := range []int{4, 32} {
+		for _, cfg := range workload.StandardConfigs(cpus, 400_000) {
+			tr := workload.MustGenerate(cfg)
+			for _, scheme := range []string{"Dir0B", "Dragon", "WTI"} {
+				b.Run(fmt.Sprintf("%s/%s/%d", scheme, cfg.Name, cpus), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, _, err := RunScheme(scheme, tr, PaperConfig()); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/ref")
+				})
+			}
+		}
+	}
+}
 
 func TestSimulateValidation(t *testing.T) {
 	tr := workload.PingPong(100) // 2 CPUs

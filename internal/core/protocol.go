@@ -92,7 +92,7 @@ type Sparser interface {
 // traffic: a few per cent of a trace — is appended to out, in order, and
 // the extended slice returned. Engines that implement Sparser get their
 // own loop; every other engine, and any wrapper that only knows
-// AccessBatch, is classified densely and compacted.
+// AccessBatch, goes through sparseFromDense.
 func AccessSparse(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
 	if s, ok := p.(Sparser); ok {
 		return s.AccessSparse(refs, plain, out)
@@ -100,11 +100,24 @@ func AccessSparse(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result
 	return sparseFromDense(p, refs, plain, out)
 }
 
-// sparseFromDense is the fallback behind AccessSparse: one dense
-// AccessBatch, then the plain results counted and squeezed out in place.
+// sparseFromDense is the fallback behind AccessSparse. An engine with only
+// Access is called per reference and each result counted or appended as it
+// arrives; a Batcher (a wrapper that observes batches) still gets exactly
+// one AccessBatch, its plain results counted and squeezed out in place.
 func sparseFromDense(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	b, ok := p.(Batcher)
+	if !ok {
+		for _, r := range refs {
+			if res := p.Access(r); res.Plain() {
+				plain[res.Type]++
+			} else {
+				out = append(out, res)
+			}
+		}
+		return out
+	}
 	n := len(out)
-	out = AccessBatch(p, refs, out)
+	out = b.AccessBatch(refs, out)
 	for i := n; i < len(out); i++ {
 		if res := &out[i]; res.Plain() {
 			plain[res.Type]++

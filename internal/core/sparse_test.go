@@ -17,7 +17,8 @@ import (
 // sparseEngines names every engine the sparse entry point must serve: the
 // fixed scheme names, the parameterized pointer schemes, the Dir1NB
 // specification, and the two engines built outside NewByName (the last
-// three have only Access, so they take the dense fallback).
+// three, like Berkeley, MESI and Firefly, have only Access, so they take
+// the fallback's per-reference path).
 func sparseEngines() map[string]func(ncpu int) core.Protocol {
 	engines := map[string]func(int) core.Protocol{
 		"Dir1NBSpec": core.NewDir1NBSpec,
@@ -79,15 +80,37 @@ func plainResult(res event.Result) bool {
 	return false
 }
 
+// batchOnly is a core.Protocol wrapper that knows AccessBatch and nothing
+// newer — the shape of the benchmark's traced protocol — and logs the
+// length of every batch it is handed. Embedding the interface hides
+// whatever sparse loop the wrapped engine has.
+type batchOnly struct {
+	core.Protocol
+	batches []int
+}
+
+func (p *batchOnly) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
+	p.batches = append(p.batches, len(refs))
+	return core.AccessBatch(p.Protocol, refs, out)
+}
+
 // TestSparseMatchesAccess holds AccessSparse to per-reference Access for
 // every engine, with and without a value-coherence checker, over the
 // standard workloads and a sparse random stream, at batch sizes from one
 // reference to more than the stream: the plain counts plus the sparse
 // results reproduce the per-type counts and the exact ordered sequence of
 // results that did something, and the engine is left in the state Access
-// leaves it in.
+// leaves it in. Every engine is run bare — the six with only Access take
+// the fallback's per-reference path — and again behind an AccessBatch-only
+// wrapper, which must be handed each batch in exactly one AccessBatch call.
 func TestSparseMatchesAccess(t *testing.T) {
 	const cpus, n = 4, 12_000
+	accessOnly := fallbackEngines()
+	for _, name := range []string{"berkeley", "mesi", "firefly", "FiniteDirNNB", "DirCV", "Dir1NBSpec"} {
+		if accessOnly[name] == nil {
+			t.Errorf("%s no longer takes the fallback's per-reference path; nothing here covers it", name)
+		}
+	}
 	for stream, refs := range sparseStreams(cpus, n) {
 		for name, build := range sparseEngines() {
 			for _, checked := range []bool{false, true} {
@@ -115,18 +138,31 @@ func TestSparseMatchesAccess(t *testing.T) {
 					wantTail = append(wantTail, oracle.Access(r))
 				}
 
-				for _, batch := range []int{1, 7, 4096} {
-					label := fmt.Sprintf("%s over %s (checked=%v, batch=%d)", name, stream, checked, batch)
+				for _, batch := range []int{1, 7, 4096, -4096} {
 					p := build(cpus)
 					if checked {
 						core.Attach(p, core.NewChecker())
 					}
+					var wrapper *batchOnly
+					if batch < 0 { // behind the AccessBatch-only wrapper
+						batch = -batch
+						wrapper = &batchOnly{Protocol: p}
+						p = wrapper
+					}
+					label := fmt.Sprintf("%s over %s (checked=%v, batch=%d, wrapped=%v)",
+						name, stream, checked, batch, wrapper != nil)
 					var plain core.Plain
 					var got []event.Result
+					var handed []int
 					for rest := refs; len(rest) > 0; {
 						k := min(len(rest), batch)
 						got = core.AccessSparse(p, rest[:k], &plain, got)
+						handed = append(handed, k)
 						rest = rest[k:]
+					}
+					if wrapper != nil && !slices.Equal(wrapper.batches, handed) {
+						t.Errorf("%s: the wrapper saw AccessBatch calls of %v references, AccessSparse was handed %v",
+							label, wrapper.batches, handed)
 					}
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s: %d sparse results, Access produced %d that are not plain (or they differ)",
@@ -230,5 +266,80 @@ func TestSparseAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: steady-state sparse batch allocates %.0f times", scheme, allocs)
 		}
+	}
+}
+
+// fallbackEngines are the engines with only Access: AccessSparse serves
+// them from its fallback, one Access per reference and no dense buffer.
+func fallbackEngines() map[string]func(ncpu int) core.Protocol {
+	engines := sparseEngines()
+	for name, build := range engines {
+		p := build(4)
+		_, sparser := p.(core.Sparser)
+		_, batcher := p.(core.Batcher)
+		if sparser || batcher {
+			delete(engines, name)
+		}
+	}
+	return engines
+}
+
+// TestSparseFallbackAllocs asserts the fallback itself allocates nothing
+// per batch once the engine's tables and the results buffer have grown:
+// it allocates exactly what the same passes of bare Access calls do —
+// some engines build a holder list per invalidation — and for the engines
+// whose Access allocates nothing, nothing.
+func TestSparseFallbackAllocs(t *testing.T) {
+	refs := workload.POPS(4, 20_000).Refs
+	clean := 0
+	for name, build := range fallbackEngines() {
+		p, q := build(4), build(4)
+		var plain core.Plain
+		out := core.AccessSparse(p, refs, &plain, nil)
+		if len(out) == 0 || len(out) > len(refs)/2 {
+			t.Errorf("%s: %d of %d references in the sparse stream", name, len(out), len(refs))
+		}
+		out = slices.Grow(out[:0], len(refs))
+		got := testing.AllocsPerRun(5, func() {
+			out = core.AccessSparse(p, refs, &plain, out[:0])
+		})
+		for _, r := range refs {
+			q.Access(r)
+		}
+		want := testing.AllocsPerRun(5, func() {
+			for _, r := range refs {
+				q.Access(r)
+			}
+		})
+		if got != want {
+			t.Errorf("%s: steady-state fallback batch allocates %.0f times, its Access calls %.0f", name, got, want)
+		}
+		if want == 0 {
+			clean++
+		}
+	}
+	if clean == 0 {
+		t.Error("every engine allocates inside Access; the test bounds nothing")
+	}
+}
+
+// BenchmarkSparseFallback reports AccessSparse's cost per reference for
+// the engines with only Access, in the simulator's batches of 4096.
+func BenchmarkSparseFallback(b *testing.B) {
+	refs := workload.POPS(4, 400_000).Refs
+	for name, build := range fallbackEngines() {
+		b.Run(name, func(b *testing.B) {
+			var plain core.Plain
+			var out []event.Result
+			for i := 0; i < b.N; i++ {
+				p := build(4)
+				for rest := refs; len(rest) > 0; {
+					k := min(len(rest), 4096)
+					out = core.AccessSparse(p, rest[:k], &plain, out[:0])
+					rest = rest[k:]
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)), "ns/ref")
+		})
 	}
 }

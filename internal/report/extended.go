@@ -66,14 +66,15 @@ func runNetwork(c *Context) (string, error) {
 		}
 		tbl := newTable("scheme", names...)
 		for _, scheme := range []string{"DirNNB", "Dir2B", "Dir0B"} {
-			var merged *sim.Result
 			var results []*sim.Result
 			for _, tr := range traces {
 				p, err := core.NewByName(scheme, tr.CPUs)
 				if err != nil {
 					return "", err
 				}
-				r, err := sim.Simulate(p, tr.Iterator(), sim.Options{Topologies: sz.topos})
+				// Only NetTallies is read, and an empty Models means both
+				// default bus models: one is the fewest sim.Options allows.
+				r, err := sim.Simulate(p, tr.Iterator(), sim.Options{Models: []bus.Model{bus.Pipelined()}, Topologies: sz.topos})
 				if err != nil {
 					return "", err
 				}
@@ -120,10 +121,9 @@ func runMigration(c *Context) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		byCPU := trace.ComputeStats(tr)
-		byProc := trace.ComputeStats(trace.Collect(tr.Name, trace.ProcAsCPU(tr.Iterator())))
-		// byProc's per-process sharing comes from Proc fields either
-		// way; the interesting difference is the simulated cost.
+		// Per-process sharing is read from Proc fields, which ProcAsCPU
+		// leaves alone; the interesting difference is the simulated cost.
+		byProc := trace.ComputeStats(tr)
 		perProc, err := c.MergedScheme("Dir0B", []*trace.Trace{tr}, trace.ProcAsCPU)
 		if err != nil {
 			return "", err
@@ -134,7 +134,7 @@ func runMigration(c *Context) (string, error) {
 		}
 		tbl.row(fmt.Sprintf("%g", rate),
 			fmt.Sprintf("%d", byProc.SharedBlk),
-			fmt.Sprintf("%d", cpuSharedBlocks(byCPU, tr)),
+			fmt.Sprintf("%d", cpuSharedBlocks(tr)),
 			cyc(perProc.PerRef("pipelined")),
 			cyc(perCPU.PerRef("pipelined")))
 	}
@@ -316,7 +316,7 @@ func runBlockSize(c *Context) (string, error) {
 func runFiniteCoherence(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("finitecoh", "Coherence misses in finite caches (footnote 2)"))
-	tr := workload.POPS(c.CPUs, c.Refs)
+	tr := c.Traces()[0] // POPS
 	tbl := newTable("cache", "coherence miss %", "capacity miss %", "cycles/ref (pipelined)")
 	// An effectively infinite cache first, then smaller ones.
 	for _, kb := range []int{4096, 64, 16, 4} {
@@ -330,8 +330,7 @@ func runFiniteCoherence(c *Context) (string, error) {
 			return "", err
 		}
 		fd := p.(interface{ Counters() (cold, coh, cap int64) })
-		cold, coh, capm := fd.Counters()
-		_ = cold
+		_, coh, capm := fd.Counters()
 		total := float64(r.Counts.Total)
 		tbl.row(fmt.Sprintf("%dKB", kb),
 			fmt.Sprintf("%.3f", 100*float64(coh)/total),
@@ -348,24 +347,12 @@ func runFiniteCoherence(c *Context) (string, error) {
 
 // cpuSharedBlocks counts data blocks touched by more than one *CPU* (the
 // processor-based classification); Stats counts per process.
-func cpuSharedBlocks(_ trace.Stats, tr *trace.Trace) int {
-	cpus := map[trace.Block]map[uint8]struct{}{}
+func cpuSharedBlocks(tr *trace.Trace) int {
+	cpus := trace.Sharers{}
 	for _, r := range tr.Refs {
-		if !r.IsData() {
-			continue
-		}
-		m := cpus[r.Block()]
-		if m == nil {
-			m = map[uint8]struct{}{}
-			cpus[r.Block()] = m
-		}
-		m[r.CPU] = struct{}{}
-	}
-	n := 0
-	for _, m := range cpus {
-		if len(m) > 1 {
-			n++
+		if r.IsData() {
+			cpus.Touch(r.Block(), uint16(r.CPU))
 		}
 	}
-	return n
+	return cpus.Shared()
 }

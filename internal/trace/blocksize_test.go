@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestWithBlockSizeValidation(t *testing.T) {
 	src := mkTrace(1, Ref{Addr: 0x100, Kind: Read}).Iterator()
@@ -69,5 +72,48 @@ func TestWithBlockSizeLarge(t *testing.T) {
 	}
 	if got[8].Block() == first {
 		t.Error("0x1080 should start the next 128-byte block")
+	}
+}
+
+// TestWithBlockSizeMatchesMap holds the in-place source to the definition
+// it replaced — Map with addr >> log2(size/16) — reference for reference
+// through Next, through NextBatch at buffer sizes that do and do not
+// divide the trace, and through the generic batch adapter.
+func TestWithBlockSizeMatchesMap(t *testing.T) {
+	tr := New("x", 2)
+	for i := 0; i < 1000; i++ {
+		tr.Append(Ref{Addr: uint64(i)*0x9e3779b97f4a7c15 + 5, CPU: uint8(i % 2), Proc: uint16(i % 3),
+			Kind: Kind(i % 3), Flags: Flag(i % 5)})
+	}
+	for shift, size := range []int{16, 32, 64, 128} {
+		want := drain(Map(tr.Iterator(), func(r Ref) Ref {
+			r.Addr >>= shift
+			return r
+		}))
+		blocks := func(src Source) Source {
+			out, err := WithBlockSize(src, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.CPUCount() != 2 {
+				t.Errorf("size %d: CPUCount = %d", size, out.CPUCount())
+			}
+			return out
+		}
+		got := map[string][]Ref{
+			"Next":                drainNext(blocks(tr.Iterator())),
+			"NextBatch(7)":        drainBatch(blocks(tr.Iterator()), 7),
+			"NextBatch(250)":      drainBatch(blocks(tr.Iterator()), 250),
+			"NextBatch(4096)":     drainBatch(blocks(tr.Iterator()), 4096),
+			"NextBatch over Next": drainBatch(blocks(nextOnly{tr.Iterator()}), 64),
+		}
+		for how, refs := range got {
+			if !slices.Equal(refs, want) {
+				t.Errorf("size %d through %s differs from Map(addr >> %d)", size, how, shift)
+			}
+		}
+	}
+	if got := tr.Refs[1].Addr; got != 0x9e3779b97f4a7c15+5 {
+		t.Errorf("the shift reached the trace's own references: %#x", got)
 	}
 }

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // FilterFunc decides whether a reference is kept by a filtered Source.
 type FilterFunc func(Ref) bool
@@ -131,19 +134,35 @@ func ProcAsCPU(src Source) Source {
 // larger granularity. Offsets within a block are irrelevant to the
 // engines, so this is exact for classification purposes. The bus cost
 // models must be rebuilt for the matching word count (bus.PipelinedWords).
-// size must be a power of two, at least BlockBytes.
+// size must be a power of two, at least BlockBytes (which returns src itself).
 func WithBlockSize(src Source, size int) (Source, error) {
 	if size < BlockBytes || size&(size-1) != 0 {
 		return nil, fmt.Errorf("trace: block size %d must be a power of two >= %d", size, BlockBytes)
 	}
-	shift := 0
-	for 1<<shift*BlockBytes < size {
-		shift++
+	if size == BlockBytes {
+		return src, nil
 	}
-	return Map(src, func(r Ref) Ref {
-		r.Addr >>= shift
-		return r
-	}), nil
+	return &shiftSource{BatchSource: Batched(src), shift: bits.TrailingZeros(uint(size / BlockBytes))}, nil
+}
+
+// shiftSource shifts every address right, in the caller's buffer.
+type shiftSource struct {
+	BatchSource
+	shift int
+}
+
+func (s *shiftSource) Next() (Ref, bool) {
+	r, ok := s.BatchSource.Next()
+	r.Addr >>= s.shift
+	return r, ok
+}
+
+func (s *shiftSource) NextBatch(buf []Ref) int {
+	n := s.BatchSource.NextBatch(buf)
+	for i := range buf[:n] {
+		buf[i].Addr >>= s.shift
+	}
+	return n
 }
 
 // Limit yields at most n references from src.

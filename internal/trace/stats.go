@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -31,13 +32,53 @@ type Stats struct {
 	ProcsPerSharedBlock []int
 }
 
+// Sharers records, per block, which ids — process or CPU numbers — touched
+// it and in how many references: ids below 64 (every process of the
+// standard workloads, every CPU an engine supports) as a bit mask, the
+// rest in a map.
+type Sharers map[Block]*sharerSet
+
+type sharerSet struct {
+	mask uint64
+	more map[uint16]struct{}
+	refs int
+}
+
+func (s *sharerSet) count() int { return bits.OnesCount64(s.mask) + len(s.more) }
+
+// Touch records one reference to block b by id.
+func (s Sharers) Touch(b Block, id uint16) {
+	set := s[b]
+	if set == nil {
+		set = new(sharerSet)
+		s[b] = set
+	}
+	set.refs++
+	if id < 64 {
+		set.mask |= 1 << id
+		return
+	}
+	if set.more == nil {
+		set.more = map[uint16]struct{}{}
+	}
+	set.more[id] = struct{}{}
+}
+
+// Shared returns the number of blocks more than one id touched.
+func (s Sharers) Shared() int {
+	n := 0
+	for _, set := range s {
+		if set.count() > 1 {
+			n++
+		}
+	}
+	return n
+}
+
 // ComputeStats scans the trace once and returns its summary.
 func ComputeStats(t *Trace) Stats {
 	s := Stats{Name: t.Name, CPUs: t.CPUs}
-	type blockInfo struct {
-		procs map[uint16]struct{}
-	}
-	data := make(map[Block]*blockInfo)
+	data := Sharers{}
 	instr := make(map[Block]struct{})
 	for _, r := range t.Refs {
 		s.Refs++
@@ -62,35 +103,20 @@ func ComputeStats(t *Trace) Stats {
 				s.LockWrites++
 			}
 		}
-		b := r.Block()
-		bi := data[b]
-		if bi == nil {
-			bi = &blockInfo{procs: make(map[uint16]struct{}, 2)}
-			data[b] = bi
-		}
-		bi.procs[r.Proc] = struct{}{}
+		data.Touch(r.Block(), r.Proc)
 	}
 	s.DataBlocks = len(data)
 	s.InstrBlocks = len(instr)
-	maxProcs := 0
-	for _, bi := range data {
-		if n := len(bi.procs); n > maxProcs {
-			maxProcs = n
+	s.ProcsPerSharedBlock = make([]int, 1)
+	for _, set := range data {
+		n := set.count()
+		for len(s.ProcsPerSharedBlock) <= n {
+			s.ProcsPerSharedBlock = append(s.ProcsPerSharedBlock, 0)
 		}
-	}
-	s.ProcsPerSharedBlock = make([]int, maxProcs+1)
-	shared := make(map[Block]bool, len(data))
-	for b, bi := range data {
-		n := len(bi.procs)
 		s.ProcsPerSharedBlock[n]++
 		if n > 1 {
 			s.SharedBlk++
-			shared[b] = true
-		}
-	}
-	for _, r := range t.Refs {
-		if r.IsData() && shared[r.Block()] {
-			s.SharedRefs++
+			s.SharedRefs += set.refs
 		}
 	}
 	return s
