@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"dirsim/internal/core"
 	"dirsim/internal/trace"
@@ -46,14 +47,41 @@ func hashOf(parts ...string) Key {
 	return k
 }
 
+// maxTraceKeys bounds the TraceKey memo. A sweep names a handful of
+// workloads and a paper regeneration fifteen; a process that has seen
+// more distinct ones than this starts the memo over.
+const maxTraceKeys = 256
+
+// traceKeys memoises TraceKey: rendering a Config with %#v and hashing it
+// costs microseconds, and every layer that touches a spec (expansion,
+// planning, routing, dispatch) asks for the same few workloads' keys.
+var traceKeys = struct {
+	sync.Mutex
+	m map[workload.Config]Key
+}{m: make(map[workload.Config]Key)}
+
 // TraceKey identifies a generated trace by its full workload
 // specification — every Profile parameter, the machine size, length and
 // seed — plus the global block geometry, since a changed block size
-// changes every derived block address.
+// changes every derived block address. Configs that compare equal
+// generate the same trace, so they may share the first one's key.
 func TraceKey(cfg workload.Config) Key {
-	return hashOf("trace",
+	traceKeys.Lock()
+	k, ok := traceKeys.m[cfg]
+	traceKeys.Unlock()
+	if ok {
+		return k
+	}
+	k = hashOf("trace",
 		fmt.Sprintf("block=%d", trace.BlockBytes),
 		fmt.Sprintf("%#v", cfg))
+	traceKeys.Lock()
+	if len(traceKeys.m) >= maxTraceKeys {
+		clear(traceKeys.m)
+	}
+	traceKeys.m[cfg] = k
+	traceKeys.Unlock()
+	return k
 }
 
 // canonicalScheme maps a scheme name to the engine's canonical spelling

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"dirsim/internal/workload"
@@ -71,6 +72,101 @@ func TestTraceKeySensitivity(t *testing.T) {
 	}
 	if TraceKey(base) == TraceKey(workload.POPSConfig(16, 50_000)) {
 		t.Error("CPU-count change did not change the trace key")
+	}
+}
+
+// TestKeyGolden pins key values to what the commit before the TraceKey
+// memo computed: durable stores are indexed by these strings, so a warm
+// store keeps hitting only while they never move. Each is derived twice,
+// the second time through the memo.
+func TestKeyGolden(t *testing.T) {
+	golden := []struct {
+		cfg      workload.Config
+		trace    string
+		simDir0B string
+	}{
+		{workload.POPSConfig(4, 50_000),
+			"932feba36189eca764f10bf635cdcc0af92c957b67347afbc7df3aeb76d2bb9b",
+			"66671f5e7b0bfe0e2f0960d551a2834cedd7fcb3ca78f0957773f35b0473d8e4"},
+		{workload.THORConfig(4, 50_000),
+			"02e6b85d2bcfc8e56387b016a5601f127963c00683de92fce89f180f08ba1c4d",
+			"e3733df65aaab44586d31b66904ead27fe8ed346f9fa3641b9f5fdb185d2e96a"},
+		{workload.PEROConfig(4, 50_000),
+			"189ceef904cdc02e6ba2be4e6b0ff83740c1433667e8d08e19fad0363c9978c1",
+			"cc23c602871a08c63d16e41ca43b2cd1d4fb28647301ea9ea72cfcf6f610a0e8"},
+		{workload.POPSConfig(64, 50_000),
+			"a041eae985a1b1df275c02b988dbf8c36229f1437f753331a83f96b27a405d3f",
+			"d19842bda61184ec7068836ed5ddb33050b0356c3308338edaf4eefc4ffb298b"},
+		{workload.THORConfig(64, 50_000),
+			"87030eeb19c677393d9a0f8c6f6f68504831bc60f78dd7b3e2c125494ffec48a",
+			"c824dd7200a1c22d4ce0760ab1e72b1263c5a7d57d2e4a7fd389b837973f67db"},
+		{workload.PEROConfig(64, 50_000),
+			"c0e4c2eabf9d9e98bac37a556b26fe929726441e77e1b2e10b5c379cdd9fab42",
+			"8f121b0a90b155c0e4643a77523ca0c770e4bfd3170d744d74974c5de102d9c8"},
+	}
+	for _, g := range golden {
+		for pass := 0; pass < 2; pass++ {
+			if got := KeyHex(TraceKey(g.cfg)); got != g.trace {
+				t.Errorf("%s/%d cpus pass %d: trace key %s, want %s", g.cfg.Name, g.cfg.CPUs, pass, got, g.trace)
+			}
+			if got := KeyHex(SimSpec{Trace: g.cfg, Scheme: "Dir0B"}.Key()); got != g.simDir0B {
+				t.Errorf("%s/%d cpus pass %d: sim key %s, want %s", g.cfg.Name, g.cfg.CPUs, pass, got, g.simDir0B)
+			}
+		}
+	}
+}
+
+// TestTraceKeyConcurrent: many goroutines deriving a few workloads' keys
+// at once (run under -race) all read the value a lone caller reads.
+func TestTraceKeyConcurrent(t *testing.T) {
+	cfgs := workload.StandardConfigs(4, 70_000)
+	want := make([]Key, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = TraceKey(cfg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				cfg := cfgs[(g+i)%len(cfgs)]
+				if i%50 == 0 {
+					cfg.Seed = uint64(1000 + g*500 + i) // a fresh entry now and then
+					TraceKey(cfg)
+					continue
+				}
+				if TraceKey(cfg) != want[(g+i)%len(cfgs)] {
+					t.Errorf("goroutine %d: key of %s changed", g, cfg.Name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestTraceKeyMemoBounded: a process that keeps naming new workloads does
+// not grow the memo past its bound, and keys derived after the memo has
+// started over equal the ones derived before.
+func TestTraceKeyMemoBounded(t *testing.T) {
+	cfg := workload.POPSConfig(4, 50_000)
+	first := make([]Key, 3*maxTraceKeys)
+	for i := range first {
+		cfg.Seed = uint64(i + 1)
+		first[i] = TraceKey(cfg)
+		traceKeys.Lock()
+		n := len(traceKeys.m)
+		traceKeys.Unlock()
+		if n > maxTraceKeys {
+			t.Fatalf("memo holds %d entries after %d configs, bound is %d", n, i+1, maxTraceKeys)
+		}
+	}
+	for i := range first {
+		cfg.Seed = uint64(i + 1)
+		if TraceKey(cfg) != first[i] {
+			t.Fatalf("seed %d: key differs after the memo turned over", i+1)
+		}
 	}
 }
 

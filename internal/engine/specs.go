@@ -138,7 +138,7 @@ func (e *Engine) SchemeOverTraces(ctx context.Context, exec Executor, scheme str
 	if err != nil {
 		return nil, nil, err
 	}
-	mj := e.mergeJob(fmt.Sprintf("merge:%s", scheme), specs, perJobs)
+	mj := e.mergeJob(fmt.Sprintf("merge:%s", scheme), perJobs)
 	if err := e.ExecuteAll(ctx, exec, mj); err != nil {
 		return nil, nil, err
 	}
@@ -186,8 +186,7 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 	}
 	merges := make([]*Job, len(schemes))
 	for i, s := range schemes {
-		merges[i] = e.mergeJob(fmt.Sprintf("merge:%s", s),
-			specs[i*len(cfgs):(i+1)*len(cfgs)], perJobs[i*len(cfgs):(i+1)*len(cfgs)])
+		merges[i] = e.mergeJob(fmt.Sprintf("merge:%s", s), perJobs[i*len(cfgs):(i+1)*len(cfgs)])
 	}
 	if err := e.ExecuteAll(ctx, exec, merges...); err != nil {
 		return nil, err
@@ -273,11 +272,12 @@ func (e *Engine) RunProtocolOverTraces(ctx context.Context, exec Executor,
 }
 
 // mergeJob aggregates the per-spec results of one scheme, cached by the
-// ordered combination of the inputs' keys.
-func (e *Engine) mergeJob(id string, specs []SimSpec, deps []*Job) *Job {
-	keys := make([]Key, len(specs))
-	for i, s := range specs {
-		keys[i] = s.Key()
+// ordered combination of the inputs' keys — the spec keys planSpecs gave
+// deps.
+func (e *Engine) mergeJob(id string, deps []*Job) *Job {
+	keys := make([]Key, len(deps))
+	for i, j := range deps {
+		keys[i] = j.Key
 	}
 	return &Job{
 		ID:   id,

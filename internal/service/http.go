@@ -52,9 +52,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -115,8 +113,7 @@ func (s *Service) status(exp *Experiment, includeResults bool) ExperimentStatus 
 		for i, m := range exp.meta {
 			sr := SpecResult{SpecMeta: m}
 			if i < len(exp.results) && exp.results[i] != nil {
-				sr.Fingerprint = fmt.Sprintf("%016x", exp.results[i].Fingerprint())
-				sr.Result = exp.results[i]
+				sr.Fingerprint, sr.Result = exp.prints[i], exp.results[i]
 			}
 			st.Results[i] = sr
 		}
@@ -188,7 +185,9 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 // handleEvents streams the experiment's journal over Server-Sent Events:
 // the retained history first, then live events until the experiment
 // finishes or the client disconnects. Each journal line becomes one
-// `data:` frame.
+// `data:` frame. Frames are flushed when the subscription has nothing
+// more waiting, so a replayed history (a finished or fast experiment)
+// leaves in one write and a live event leaves the moment it arrives.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))
 	if !ok {
@@ -205,31 +204,40 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	// reportDrops tells the client, as an SSE comment, how many journal
-	// lines this subscription lost to back-pressure, so a gap in the
-	// stream is distinguishable from a quiet run.
-	reportDrops := func() {
+	// finish tells the client, as an SSE comment, how many journal lines
+	// this subscription lost to back-pressure, so a gap in the stream is
+	// distinguishable from a quiet run, then sends whatever is unsent.
+	finish := func(end string) {
 		if n := sub.Dropped(); n > 0 {
 			fmt.Fprintf(w, ": %d events dropped\n\n", n)
-			fl.Flush()
 		}
+		fmt.Fprint(w, end)
+		fl.Flush()
 	}
+	unsent := true // the response header
 	for {
+		var line []byte
+		var open bool
 		select {
-		case line, open := <-sub.C:
-			if !open {
-				reportDrops()
-				fmt.Fprint(w, "event: end\ndata: {}\n\n")
+		case line, open = <-sub.C:
+		default:
+			if unsent {
 				fl.Flush()
+				unsent = false
+			}
+			select {
+			case line, open = <-sub.C:
+			case <-r.Context().Done():
+				finish("")
 				return
 			}
-			fmt.Fprintf(w, "data: %s\n\n", line)
-			fl.Flush()
-		case <-r.Context().Done():
-			reportDrops()
+		}
+		if !open {
+			finish("event: end\ndata: {}\n\n")
 			return
 		}
+		fmt.Fprintf(w, "data: %s\n\n", line)
+		unsent = true
 	}
 }
 

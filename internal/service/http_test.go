@@ -1,0 +1,328 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dirsim/internal/engine"
+	"dirsim/internal/sim"
+)
+
+// recorder is a ResponseWriter that keeps the body, counts Flush calls,
+// and can hold the handler inside its first body Write until released —
+// a subscriber that has stopped reading.
+type recorder struct {
+	mu      sync.Mutex
+	header  http.Header
+	body    bytes.Buffer
+	flushes int
+
+	entered chan struct{} // closed when the first Write arrives
+	flushed chan struct{} // closed by the first Flush
+	release chan struct{} // nil: Writes never wait
+	once    sync.Once
+}
+
+func newRecorder(stall bool) *recorder {
+	r := &recorder{header: make(http.Header),
+		entered: make(chan struct{}), flushed: make(chan struct{})}
+	if stall {
+		r.release = make(chan struct{})
+	}
+	return r
+}
+
+func (r *recorder) Header() http.Header { return r.header }
+func (r *recorder) WriteHeader(int)     {}
+
+func (r *recorder) Write(p []byte) (int, error) {
+	r.once.Do(func() { close(r.entered) })
+	if r.release != nil {
+		<-r.release
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.body.Write(p)
+}
+
+func (r *recorder) Flush() {
+	r.mu.Lock()
+	r.flushes++
+	if r.flushes == 1 {
+		close(r.flushed)
+	}
+	r.mu.Unlock()
+}
+
+func (r *recorder) snapshot() (string, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.body.String(), r.flushes
+}
+
+// submitDirect submits spec in process and returns the experiment.
+func submitDirect(t *testing.T, svc *Service, spec Spec) *Experiment {
+	t.Helper()
+	exp, _, err := svc.Submit(context.Background(), "t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
+}
+
+// history returns every journal line the experiment's fan-out retains,
+// blocking until the experiment has finished and closed it.
+func history(exp *Experiment) []string {
+	var lines []string
+	for line := range exp.fanout.Subscribe().C {
+		lines = append(lines, string(line))
+	}
+	return lines
+}
+
+func eventsRequest(ctx context.Context, id string) *http.Request {
+	req := httptest.NewRequest("GET", "/api/v1/experiments/"+id+"/events", nil).WithContext(ctx)
+	req.SetPathValue("id", id)
+	return req
+}
+
+// TestEventsReplayFlushedOnce: a subscriber arriving after the experiment
+// finished gets every retained journal line as its own data frame, in
+// order, then the end frame — and the whole replay leaves in a couple of
+// flushes, not one per frame.
+func TestEventsReplayFlushedOnce(t *testing.T) {
+	svc := newTestService(t, Config{Verify: true})
+	svc.Start()
+	defer svc.Drain(context.Background())
+	exp := submitDirect(t, svc, smallSpec(0))
+	want := history(exp)
+	if len(want) < 8 {
+		t.Fatalf("only %d journal lines retained; the test needs a replay worth batching", len(want))
+	}
+
+	rec := newRecorder(false)
+	svc.handleEvents(rec, eventsRequest(context.Background(), exp.ID))
+	body, flushes := rec.snapshot()
+
+	frames := strings.Split(strings.TrimSuffix(body, "\n\n"), "\n\n")
+	if last := frames[len(frames)-1]; last != "event: end\ndata: {}" {
+		t.Fatalf("stream ends with %q, want the end frame", last)
+	}
+	frames = frames[:len(frames)-1]
+	if len(frames) != len(want) {
+		t.Fatalf("%d data frames, want %d (one per history line)", len(frames), len(want))
+	}
+	for i, f := range frames {
+		if f != "data: "+want[i] {
+			t.Fatalf("frame %d = %q, want history line %q", i, f, want[i])
+		}
+	}
+	if flushes < 1 || flushes > 2 {
+		t.Errorf("%d flushes for %d frames; a finished experiment's replay should leave in one or two", flushes, len(frames))
+	}
+}
+
+// TestEventsLiveFrameNotHeld: with the experiment still queued (no worker
+// running) the stream must deliver experiment.queued and flush it without
+// waiting for another event to push it out.
+func TestEventsLiveFrameNotHeld(t *testing.T) {
+	svc := newTestService(t, Config{})
+	exp := submitDirect(t, svc, smallSpec(0))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := newRecorder(false)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.handleEvents(rec, eventsRequest(ctx, exp.ID))
+	}()
+	select {
+	case <-rec.flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nothing was flushed to a subscriber of a queued experiment")
+	}
+	if body, _ := rec.snapshot(); !strings.Contains(body, `"msg":"experiment.queued"`) {
+		t.Errorf("first flush carried %q, want the experiment.queued frame", body)
+	}
+	if body, _ := rec.snapshot(); strings.Contains(body, "event: end") {
+		t.Error("stream of a queued experiment already ended")
+	}
+	cancel()
+	<-done
+	svc.Start()
+	svc.Drain(context.Background())
+}
+
+// TestEventsDropReportPrecedesEnd: a subscriber that stops reading while
+// the experiment runs past its channel depth is told how many lines it
+// lost, and told before the end frame.
+func TestEventsDropReportPrecedesEnd(t *testing.T) {
+	svc := newTestService(t, Config{EventHistory: 2})
+	exp := submitDirect(t, svc, smallSpec(0))
+
+	rec := newRecorder(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.handleEvents(rec, eventsRequest(context.Background(), exp.ID))
+	}()
+	<-rec.entered // the handler is stuck writing experiment.queued
+	svc.Start()
+	defer svc.Drain(context.Background())
+	history(exp) // returns once the experiment has finished
+	close(rec.release)
+	<-done
+
+	body, _ := rec.snapshot()
+	drop := strings.Index(body, " events dropped\n\n")
+	end := strings.Index(body, "event: end\n")
+	if drop < 0 || end < 0 || drop > end {
+		t.Fatalf("want a dropped-lines comment before the end frame, got %q", body)
+	}
+	if svc.fanDrops.Value() == 0 {
+		t.Error("fanout.dropped counter did not move")
+	}
+}
+
+// gate is an engine.Remote that holds every simulation until released and
+// then declines it, so the experiment finishes locally.
+type gate struct {
+	entered chan struct{}
+	once    sync.Once
+	release chan struct{}
+}
+
+func (g *gate) SimulateRemote(ctx context.Context, _ engine.SimSpec) (*sim.Result, error) {
+	g.once.Do(func() { close(g.entered) })
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+	}
+	return nil, engine.ErrRemoteUnavailable
+}
+
+// TestRouterKeysMatchSpecKeys: the short keys run registers with the
+// event router (cut from the hex Expand rendered) are exactly what the
+// engine reports jobs under, SimSpec.Key().String(), for every spec.
+func TestRouterKeysMatchSpecKeys(t *testing.T) {
+	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
+	svc := newTestService(t, Config{Remote: g})
+	svc.Start()
+	defer svc.Drain(context.Background())
+	spec := Spec{
+		Schemes: []string{"Dir0B", "Dir1NB", "WTI", "Dragon"},
+		Workloads: []WorkloadSpec{
+			{Name: "pops", CPUs: []int{4, 64}, Refs: 3_000},
+			{Name: "thor", CPUs: []int{4}, Refs: 3_000, Seed: 9},
+		},
+	}
+	exp := submitDirect(t, svc, spec)
+	<-g.entered // run has registered its keys and the engine is executing
+
+	var want []string
+	for _, sp := range exp.specs {
+		want = append(want, sp.Key().String())
+	}
+	sort.Strings(want)
+	svc.router.mu.Lock()
+	var got []string
+	for k := range svc.router.byKey {
+		got = append(got, k)
+	}
+	svc.router.mu.Unlock()
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("router keys %v, want %v", got, want)
+	}
+	close(g.release)
+
+	// And the events routed by those keys arrive: one job.finish per spec.
+	finished := 0
+	for _, line := range history(exp) {
+		if strings.Contains(line, `"msg":"job.finish"`) {
+			finished++
+		}
+	}
+	if finished != len(exp.specs) {
+		t.Errorf("%d job.finish events reached the journal, want %d", finished, len(exp.specs))
+	}
+}
+
+// TestBodiesAreCompactJSON: every handler answers with one line of JSON
+// that decodes to the value the indented encoding carried.
+func TestBodiesAreCompactJSON(t *testing.T) {
+	svc := newTestService(t, Config{Verify: true})
+	svc.Start()
+	defer svc.Drain(context.Background())
+	ts := startHTTP(t, svc)
+	exp := submitDirect(t, svc, smallSpec(0))
+	history(exp)
+
+	fetch := func(method, path string, body []byte) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		out := buf.Bytes()
+		if n := bytes.Count(out, []byte("\n")); n != 1 || !bytes.HasSuffix(out, []byte("\n")) {
+			t.Errorf("%s %s: body is not a single line: %.120q", method, path, out)
+		}
+		return out
+	}
+	// sameAs decodes body and the indented rendering of want — the old
+	// wire form — into untyped values and compares them.
+	sameAs := func(what string, body []byte, want any) {
+		t.Helper()
+		indented, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b any
+		if err := json.Unmarshal(body, &a); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := json.Unmarshal(indented, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: compact body decodes differently from the indented rendering", what)
+		}
+	}
+
+	st := svc.status(exp, true)
+	if len(st.Results) != 2 || st.Results[0].Result == nil || st.Results[0].Fingerprint == "" {
+		t.Fatalf("finished experiment renders without results: %+v", st)
+	}
+	spec, _ := json.Marshal(smallSpec(0))
+	sameAs("get", fetch("GET", "/api/v1/experiments/"+exp.ID, nil), st)
+	sameAs("resubmit", fetch("POST", "/api/v1/experiments", spec), st)
+	sameAs("list", fetch("GET", "/api/v1/experiments", nil), struct {
+		Experiments []ExperimentStatus `json:"experiments"`
+	}{[]ExperimentStatus{svc.status(exp, false)}})
+	sameAs("store", fetch("GET", "/api/v1/store", nil), storeStatus{})
+	sameAs("not found", fetch("GET", "/api/v1/experiments/exp-nope", nil),
+		errorBody{Error: `no experiment "exp-nope"`})
+	sameAs("bad spec", fetch("POST", "/api/v1/experiments", []byte(`{"schemes":[]}`)),
+		errorBody{Error: "spec: no schemes"})
+	var h healthStatus
+	if err := json.Unmarshal(fetch("GET", "/healthz", nil), &h); err != nil || h.Status != "ok" {
+		t.Errorf("healthz: %+v, %v", h, err)
+	}
+}

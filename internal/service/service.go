@@ -90,6 +90,9 @@ type Experiment struct {
 	specs   []engine.SimSpec
 	meta    []SpecMeta
 	results []*sim.Result // parallel to specs; nil entries failed
+	// prints holds each result's Fingerprint in the API's fixed-width hex,
+	// computed once when the experiment finishes; "" where results is nil.
+	prints []string
 
 	// fanout carries the experiment's journal lines to SSE subscribers;
 	// journal writes into it. Both are safe for concurrent use.
@@ -335,10 +338,12 @@ func (s *Service) run(exp *Experiment) {
 	adm.Arg("wait_us", wait.Microseconds()).End(nil)
 
 	// Route engine events for this experiment's keys into its journal
-	// while it runs, so SSE subscribers see job-level progress.
-	shortKeys := make([]string, len(specs))
-	for i := range specs {
-		shortKeys[i] = specs[i].Key().String()
+	// while it runs, so SSE subscribers see job-level progress. The engine
+	// reports a key by its short form, Key.String: the first six bytes of
+	// the hex Expand already rendered.
+	shortKeys := make([]string, len(meta))
+	for i := range meta {
+		shortKeys[i] = meta[i].Key[:12]
 	}
 	s.router.register(shortKeys, exp.journal)
 	defer s.router.unregister(shortKeys)
@@ -353,9 +358,15 @@ func (s *Service) run(exp *Experiment) {
 	req.End(err)
 	lane.Release()
 
+	prints := make([]string, len(results))
+	for i, r := range results {
+		if r != nil {
+			prints[i] = fmt.Sprintf("%016x", r.Fingerprint())
+		}
+	}
 	s.mu.Lock()
 	exp.Finished = time.Now()
-	exp.results = results
+	exp.results, exp.prints = results, prints
 	if err != nil {
 		exp.State = StateFailed
 		exp.Err = err.Error()
@@ -371,11 +382,10 @@ func (s *Service) run(exp *Experiment) {
 		s.log.Error("experiment failed", "id", exp.ID, "tenant", exp.Tenant, "error", err)
 	} else {
 		s.completed.Add(1)
-		for i, r := range results {
+		for i := range results {
 			exp.journal.Event("experiment.result",
 				"id", exp.ID, "scheme", meta[i].Scheme, "workload", meta[i].Workload,
-				"cpus", meta[i].CPUs, "key", meta[i].Key,
-				"fingerprint", fmt.Sprintf("%016x", r.Fingerprint()))
+				"cpus", meta[i].CPUs, "key", meta[i].Key, "fingerprint", prints[i])
 		}
 		exp.journal.Event("experiment.finish", "id", exp.ID, "dur_us", dur.Microseconds())
 		s.log.Info("experiment done", "id", exp.ID, "tenant", exp.Tenant,

@@ -149,22 +149,28 @@ func (g *generator) turn(p *proc) {
 }
 
 // emit delivers a reference from p's context, applying the system flag.
-// The reference lands directly in the batch buffer; a full buffer is
-// flushed to the sink in place, so emission costs one bounds-checked
-// append in the common case.
+// The reference is written field by field into the batch buffer's next
+// slot — built as a value and copied in, its five narrow stores are
+// reloaded as one wide move, which stalls on store forwarding — and a
+// full buffer is flushed to the sink in place. The buffer is left full
+// only by a failed flush, after which nothing more is buffered.
 func (g *generator) emit(p *proc, kind trace.Kind, addr uint64, flags trace.Flag) {
 	if p.sysLeft > 0 {
 		flags |= trace.FlagSystem
 	}
-	g.buf = append(g.buf, trace.Ref{
-		Addr:  addr,
-		Proc:  uint16(p.id),
-		CPU:   uint8(p.cpu),
-		Kind:  kind,
-		Flags: flags,
-	})
+	n := len(g.buf)
+	if n == cap(g.buf) {
+		return
+	}
+	g.buf = g.buf[:n+1]
+	r := &g.buf[n]
+	r.Addr = addr
+	r.Proc = uint16(p.id)
+	r.CPU = uint8(p.cpu)
+	r.Kind = kind
+	r.Flags = flags
 	g.n++
-	if len(g.buf) == cap(g.buf) {
+	if n+1 == cap(g.buf) {
 		g.flush()
 	}
 }

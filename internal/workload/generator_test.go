@@ -26,6 +26,31 @@ func TestGenerateValidTrace(t *testing.T) {
 	}
 }
 
+// A materialized trace is retained by whichever engine generated it, so
+// its backing array must not carry capacity the generator never fills:
+// one batch of slack at most, and never a second allocation.
+func TestGenerateCapacityIsTight(t *testing.T) {
+	for _, refs := range []int{1, 100, 4_000, 200_000} {
+		for _, cfg := range StandardConfigs(4, refs) {
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refs + min(refs/8, DefaultBatchRefs); cap(tr.Refs) > want && tr.Len() <= want {
+				t.Errorf("%s refs=%d: cap %d for %d references, want at most %d",
+					cfg.Name, refs, cap(tr.Refs), tr.Len(), want)
+			}
+		}
+	}
+	tr, err := Generate(POPSConfig(64, 200_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(tr.Refs) != 200_000+DefaultBatchRefs {
+		t.Errorf("200k-reference trace regrew or over-reserved: len %d cap %d", tr.Len(), cap(tr.Refs))
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(testConfig(42))
 	if err != nil {

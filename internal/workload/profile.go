@@ -163,7 +163,11 @@ func Generate(cfg Config) (*trace.Trace, error) {
 		return nil, err
 	}
 	t := trace.New(cfg.Name, cfg.CPUs)
-	t.Refs = make([]trace.Ref, 0, cfg.Refs+cfg.Refs/8)
+	// The generator overshoots cfg.Refs by at most the tail of one turn's
+	// burst (a dozen references for the standard profiles), so a batch of
+	// slack is ample; a trace is retained for as long as its engine lives,
+	// and an eighth of every long one was capacity nothing ever filled.
+	t.Refs = make([]trace.Ref, 0, cfg.Refs+min(cfg.Refs/8, DefaultBatchRefs))
 	g := newGenerator(cfg, DefaultBatchRefs, func(batch []trace.Ref) error {
 		t.Refs = append(t.Refs, batch...)
 		return nil
