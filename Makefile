@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-compare bench-hotpath bench-obs loc trace-demo experiments clean
+.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-compare bench-obs loc trace-demo experiments clean
 
 build:
 	$(GO) build ./...
@@ -40,12 +40,13 @@ shard-equiv:
 
 # Run the fault-injection soak under the race detector: the widened
 # fixed-seed fault matrix (DIRSIM_SOAK=1) plus every fault and hardening
-# test in the engine, faults, and CLI packages. Asserts the two fault-run
-# invariants — same seed, same failure set; survivors bit-identical to a
-# clean run — with races checked throughout.
+# test in the engine, faults, and CLI packages (truncated and cancelled
+# streams included, alone and composed: TestSourcesDeliverTrace). Asserts
+# the two fault-run invariants — same seed, same failure set; survivors
+# bit-identical to a clean run — with races checked throughout.
 soak:
 	DIRSIM_SOAK=1 $(GO) test -race -count=1 \
-		-run 'Fault|Panic|Retry|Timeout|Truncat|TierCorrupt|CorruptByte|Poison|Cancel|ExecuteAll|Leak|Spec' \
+		-run 'Fault|Panic|Retry|Timeout|Truncat|TierCorrupt|CorruptByte|Poison|Cancel|ExecuteAll|Leak|Spec|SourcesDeliverTrace' \
 		./internal/engine ./internal/faults ./cmd/experiments
 
 # Run the distributed-execution soak under the race detector: a
@@ -100,16 +101,10 @@ bench-compare:
 	done
 	$(GO) run ./bench -compare $(COMPARE_DIR)/base.jsonl $(COMPARE_DIR)/change.jsonl
 
-# Measure the batched simulation hot path against the per-reference
-# baseline at workers=1 and write BENCH_hotpath.json at the repo root.
-bench-hotpath:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteHotpathBenchJSON -v ./internal/sim
-
 # Measure the observability overhead — the hot loop with telemetry off
-# (the default nil path, must stay within noise of BENCH_hotpath.json)
-# and on (ProtoSampler at stride 64), plus an uncached engine run without
-# and with the full tracing stack (Recorder + tracer + TraceContext) —
-# and write BENCH_obs.json.
+# (the default nil path) and on (ProtoSampler at stride 64), plus an
+# uncached engine run without and with the full tracing stack (Recorder
+# + tracer + TraceContext) — and write BENCH_obs.json.
 bench-obs:
 	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteObsBenchJSON -v .
 

@@ -205,12 +205,7 @@ func BenchmarkEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				it := tr.Iterator()
-				for {
-					r, ok := it.Next()
-					if !ok {
-						break
-					}
+				for _, r := range tr.Refs {
 					p.Access(r)
 				}
 			}

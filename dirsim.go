@@ -61,7 +61,9 @@ type (
 	Trace = trace.Trace
 	// Ref is one memory reference.
 	Ref = trace.Ref
-	// Source is a stream of references.
+	// Source is a stream of references delivered in batches (NextBatch):
+	// a Trace's Iterator, or a filter such as WithoutSpins over one. A
+	// decoded trace file is a Trace, not a Source.
 	Source = trace.Source
 	// Protocol is a coherence state machine.
 	Protocol = core.Protocol

@@ -3,11 +3,120 @@ package engine
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dirsim/internal/faults"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
+
+// TestSourcesDeliverTrace holds every Source shape in the tree, alone and
+// composed the way the engine and the studies compose them, to the
+// sequence a plain loop over the trace's references yields — at buffer
+// sizes of one reference, a prime, a few batches' worth and more than the
+// whole stream — and to an exhaustion that sticks.
+func TestSourcesDeliverTrace(t *testing.T) {
+	tr := workload.POPS(4, 5000)
+	all := tr.Len()
+	inj := faults.New(faults.Config{Seed: 1, Truncate: 1})
+	cut, ok := inj.TruncateAfter("cut", int64(all))
+	if !ok || cut <= 0 {
+		t.Fatalf("truncation at p=1 cut after %d refs (fired: %v)", cut, ok)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	dataOnly := func(r trace.Ref) bool { return r.Kind != trace.Instr }
+	noSpin := func(r trace.Ref) bool { return !r.Flags.Has(trace.FlagSpin) }
+	procToCPU := func(r trace.Ref) trace.Ref {
+		r.Proc = uint16(r.CPU)
+		return r
+	}
+	blocks := func(src trace.Source, size int) trace.Source {
+		out, err := trace.WithBlockSize(src, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// want is the plain loop: the first n references of tr.Refs that
+	// keep accepts, each passed through fn.
+	want := func(n int, fn func(trace.Ref) trace.Ref, keep func(trace.Ref) bool) []trace.Ref {
+		var out []trace.Ref
+		for _, r := range tr.Refs {
+			if len(out) == n {
+				break
+			}
+			if r = fn(r); keep(r) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	same := func(r trace.Ref) trace.Ref { return r }
+	every := func(trace.Ref) bool { return true }
+	shift := func(by int) func(trace.Ref) trace.Ref {
+		return func(r trace.Ref) trace.Ref {
+			r.Addr >>= by
+			return r
+		}
+	}
+
+	shapes := []struct {
+		name string
+		mk   func() trace.Source
+		want []trace.Ref
+	}{
+		{"slice", func() trace.Source { return tr.Iterator() }, want(all, same, every)},
+		{"filter", func() trace.Source { return trace.Filtered(tr.Iterator(), dataOnly) }, want(all, same, dataOnly)},
+		{"map", func() trace.Source { return trace.Map(tr.Iterator(), procToCPU) }, want(all, procToCPU, every)},
+		{"shift 32", func() trace.Source { return blocks(tr.Iterator(), 32) }, want(all, shift(1), every)},
+		{"shift 128", func() trace.Source { return blocks(tr.Iterator(), 128) }, want(all, shift(3), every)},
+		{"limit", func() trace.Source { return trace.Limit(tr.Iterator(), 1234) }, want(1234, same, every)},
+		{"cancellable", func() trace.Source { return cancellable(context.Background(), tr.Iterator()) }, want(all, same, every)},
+		{"cancellable, cancelled", func() trace.Source { return cancellable(cancelled, tr.Iterator()) }, nil},
+		{"truncated", func() trace.Source { return inj.WrapSource("cut", tr.Iterator(), int64(all)) }, want(int(cut), same, every)},
+		// simulateTrace's chain: faults, then block size, then cancellation.
+		{"cancellable(shift 64(truncated))", func() trace.Source {
+			return cancellable(context.Background(), blocks(inj.WrapSource("cut", tr.Iterator(), int64(all)), 64))
+		}, want(int(cut), shift(2), every)},
+		// A study's filtered replay, cut short.
+		{"limit(filter(map))", func() trace.Source {
+			return trace.Limit(trace.WithoutSpins(trace.Map(tr.Iterator(), procToCPU)), 2000)
+		}, want(2000, procToCPU, noSpin)},
+	}
+	for _, sh := range shapes {
+		for _, size := range []int{1, 7, 64, 2048, all + 1} {
+			src := sh.mk()
+			if src.CPUCount() != tr.CPUs {
+				t.Errorf("%s: CPUCount = %d, want %d", sh.name, src.CPUCount(), tr.CPUs)
+			}
+			buf := make([]trace.Ref, size)
+			var got []trace.Ref
+			for {
+				n := src.NextBatch(buf)
+				if n == 0 {
+					break
+				}
+				got = append(got, buf[:n]...)
+			}
+			if !slices.Equal(got, sh.want) {
+				t.Errorf("%s, buffer %d: delivered %d refs, want %d (or they differ)",
+					sh.name, size, len(got), len(sh.want))
+			}
+			for range 2 {
+				if n := src.NextBatch(buf); n != 0 {
+					t.Errorf("%s, buffer %d: NextBatch returned %d after exhaustion", sh.name, size, n)
+				}
+			}
+		}
+		// The bench-frozen trace.Batched must stay the identity.
+		if src := sh.mk(); trace.Batched(src) != src {
+			t.Errorf("%s: trace.Batched wrapped its argument", sh.name)
+		}
+	}
+}
 
 // TestParallelCompareCachesEachTraceOnce: a Parallel Compare generates
 // each workload once for all of its schemes and leaves the trace cached,

@@ -225,48 +225,16 @@ func (i *Injector) TruncateAfter(site string, limit int64) (int64, bool) {
 
 // WrapSource applies the site's stream faults to src: when the truncation
 // schedule targets this site, the returned source ends the stream early
-// at the seed-chosen point. Otherwise src is returned unchanged.
-// approxLen is the expected stream length (a workload's configured
-// reference count).
+// at the seed-chosen point, reporting a clean end-of-stream — the
+// signature of a silently truncated trace. Otherwise src is returned
+// unchanged. approxLen is the expected stream length (a workload's
+// configured reference count).
 func (i *Injector) WrapSource(site string, src trace.Source, approxLen int64) trace.Source {
 	if n, ok := i.TruncateAfter(site, approxLen); ok {
-		return &truncatedSource{src: trace.Batched(src), left: n}
+		return trace.Limit(src, int(n))
 	}
 	return src
 }
-
-// truncatedSource delivers at most the first `left` references of the
-// underlying stream, then reports clean end-of-stream — the signature of
-// a silently truncated trace.
-type truncatedSource struct {
-	src  trace.BatchSource
-	left int64
-}
-
-func (s *truncatedSource) Next() (trace.Ref, bool) {
-	if s.left <= 0 {
-		return trace.Ref{}, false
-	}
-	r, ok := s.src.Next()
-	if ok {
-		s.left--
-	}
-	return r, ok
-}
-
-func (s *truncatedSource) NextBatch(buf []trace.Ref) int {
-	if s.left <= 0 {
-		return 0
-	}
-	if int64(len(buf)) > s.left {
-		buf = buf[:s.left]
-	}
-	n := s.src.NextBatch(buf)
-	s.left -= int64(n)
-	return n
-}
-
-func (s *truncatedSource) CPUCount() int { return s.src.CPUCount() }
 
 // PoisonStamp reports whether the cache entry stored under key should be
 // stamped with a corrupted checksum. The decision is per key, so a

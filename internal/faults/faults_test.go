@@ -119,7 +119,7 @@ func TestJobFaultRates(t *testing.T) {
 }
 
 // TestTruncatedSource checks the wrapper cuts the stream at the scheduled
-// point under both scalar and batched reads.
+// point.
 func TestTruncatedSource(t *testing.T) {
 	inj := New(Config{Seed: 1, Truncate: 1})
 	n, ok := inj.TruncateAfter("cut", 5000)
@@ -131,11 +131,10 @@ func TestTruncatedSource(t *testing.T) {
 	}
 
 	count := func(src trace.Source) int64 {
-		b := trace.Batched(src)
 		buf := make([]trace.Ref, 512)
 		var total int64
 		for {
-			got := b.NextBatch(buf)
+			got := src.NextBatch(buf)
 			if got == 0 {
 				return total
 			}
@@ -144,18 +143,7 @@ func TestTruncatedSource(t *testing.T) {
 	}
 	tr := workload.POPS(4, 5000)
 	if got := count(inj.WrapSource("cut", tr.Iterator(), 5000)); got != n {
-		t.Errorf("batched read delivered %d refs, want %d", got, n)
-	}
-	scalar := inj.WrapSource("cut", tr.Iterator(), 5000)
-	var total int64
-	for {
-		if _, ok := scalar.Next(); !ok {
-			break
-		}
-		total++
-	}
-	if total != n {
-		t.Errorf("scalar read delivered %d refs, want %d", total, n)
+		t.Errorf("read delivered %d refs, want %d", got, n)
 	}
 	if got := count(inj.WrapSource("clean", workload.POPS(4, 1000).Iterator(), 0)); got != 1000 {
 		t.Errorf("zero-length hint must disable truncation, got %d refs", got)

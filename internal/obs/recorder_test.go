@@ -145,13 +145,6 @@ func (b *syncBuffer) Bytes() []byte {
 	return b.buf.Bytes()
 }
 
-func TestFreestandingSpan(t *testing.T) {
-	sp := StartSpan("x", "y")
-	if d := sp.End(nil); d < 0 {
-		t.Errorf("duration negative: %v", d)
-	}
-}
-
 func TestHitRatio(t *testing.T) {
 	if got := HitRatio(0, 0); got != 0 {
 		t.Errorf("HitRatio(0,0) = %v", got)

@@ -56,8 +56,8 @@ func (p *Phases) Stats() []PhaseStat {
 	return out
 }
 
-// Span is one timed region of a run, opened by Recorder.StartSpan (or
-// StartSpan for a free-standing measurement) and closed by End.
+// Span is one timed region of a run, opened by Recorder.StartSpan and
+// closed by End.
 type Span struct {
 	// Phase groups the span into the per-phase breakdown; Name
 	// identifies the specific region ("table4", "sim:Dir0B@pops").
@@ -66,12 +66,6 @@ type Span struct {
 	start  time.Time
 	phases *Phases
 	jnl    *Journal
-}
-
-// StartSpan opens a free-standing span with no recorder attached; End
-// still returns the measured duration.
-func StartSpan(phase, name string) *Span {
-	return &Span{Phase: phase, Name: name, start: time.Now()}
 }
 
 // End closes the span, records its duration into the attached phase

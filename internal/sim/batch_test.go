@@ -15,10 +15,11 @@ import (
 )
 
 // referenceSimulate is the seed's per-reference simulation loop, kept
-// verbatim as the oracle for the batched hot path: one Next call per
-// reference and map iteration over the tallies in record. Any divergence
-// between this and Simulate is a correctness bug, not a tuning artifact.
-// opts.Telemetry, when set, sees every coherence signal in stream order.
+// as the oracle for the batched hot path: it reads one-reference batches,
+// so no batch boundary can hide anything, and iterates the tally maps in
+// record. Any divergence between this and Simulate is a correctness bug,
+// not a tuning artifact. opts.Telemetry, when set, sees every coherence
+// signal in stream order.
 func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) {
 	if src.CPUCount() > p.CPUs() {
 		return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
@@ -37,12 +38,9 @@ func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (*Result
 			res.NetTallies[topo.Name] = network.NewTally(topo)
 		}
 	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		out := p.Access(r)
+	one := make([]trace.Ref, 1)
+	for src.NextBatch(one) == 1 {
+		out := p.Access(one[0])
 		if opts.Telemetry != nil && out.CoherenceSignal() {
 			opts.Telemetry.Coherence(out)
 		}

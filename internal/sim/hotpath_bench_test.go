@@ -1,21 +1,9 @@
-// Benchmarks and the machine-readable report for the simulation hot
-// path: the batched Simulate loop against the seed's per-reference loop
-// (referenceSimulate in batch_test.go, the bit-identity oracle).
-//
-//	DIRSIM_BENCH_JSON=1 go test -run TestWriteHotpathBenchJSON ./internal/sim
-//
-// writes BENCH_hotpath.json at the repo root — one record per loop
-// variant with throughput and the speedup over the per-reference
-// baseline. Gated like the engine benchmark because it runs real
-// measurements, not assertions.
+// Benchmarks for the simulation hot path: the batched Simulate loop over
+// the three standard traces, one goroutine, no engine.
 package sim
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"dirsim/internal/core"
 	"dirsim/internal/trace"
@@ -23,7 +11,7 @@ import (
 )
 
 // hotpathWorkloads materializes the three standard traces once per
-// process; both loop variants replay the identical references.
+// process; every benchmark iteration replays the identical references.
 func hotpathWorkloads(b testing.TB, refs int) []*trace.Trace {
 	cfgs := workload.StandardConfigs(4, refs)
 	traces := make([]*trace.Trace, len(cfgs))
@@ -37,26 +25,16 @@ func hotpathWorkloads(b testing.TB, refs int) []*trace.Trace {
 	return traces
 }
 
-// runLoop simulates one scheme over every trace with the given loop.
-func runLoop(b testing.TB, scheme string, traces []*trace.Trace,
-	loop func(core.Protocol, trace.Source, Options) (*Result, error), opts Options) {
+// runLoop simulates one scheme over every trace.
+func runLoop(b testing.TB, scheme string, traces []*trace.Trace, opts Options) {
 	for _, t := range traces {
 		p, err := core.NewByName(scheme, t.CPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := loop(p, t.Iterator(), opts); err != nil {
+		if _, err := Simulate(p, t.Iterator(), opts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkHotpathPerRef(b *testing.B) {
-	traces := hotpathWorkloads(b, 100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runLoop(b, "Dir1NB", traces, referenceSimulate, Options{})
 	}
 }
 
@@ -65,108 +43,6 @@ func BenchmarkHotpathBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runLoop(b, "Dir1NB", traces, Simulate, Options{})
+		runLoop(b, "Dir1NB", traces, Options{})
 	}
-}
-
-// hotpathBenchRecord is one measured loop variant.
-type hotpathBenchRecord struct {
-	Path         string  `json:"path"`
-	Scheme       string  `json:"scheme"`
-	BatchRefs    int     `json:"batch_refs,omitempty"`
-	Traces       int     `json:"traces"`
-	RefsEach     int     `json:"refs_per_trace"`
-	Iters        int     `json:"iterations"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	RefsPerS     float64 `json:"refs_per_second"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	Speedup      float64 `json:"speedup_vs_per_ref"`
-	BitIdentical bool    `json:"bit_identical_to_per_ref"`
-}
-
-type hotpathBenchReport struct {
-	Date       string               `json:"date"`
-	GoMaxProcs int                  `json:"gomaxprocs"`
-	GoVersion  string               `json:"go_version"`
-	Note       string               `json:"note"`
-	Results    []hotpathBenchRecord `json:"results"`
-}
-
-// TestWriteHotpathBenchJSON measures the per-reference baseline against
-// the batched hot path at workers=1 (one simulation goroutine, no
-// engine) and writes BENCH_hotpath.json at the repo root. Skipped unless
-// DIRSIM_BENCH_JSON is set.
-func TestWriteHotpathBenchJSON(t *testing.T) {
-	if os.Getenv("DIRSIM_BENCH_JSON") == "" {
-		t.Skip("set DIRSIM_BENCH_JSON=1 to run the hot-path benchmark and write BENCH_hotpath.json")
-	}
-
-	const refs = 200_000
-	const scheme = "Dir1NB"
-	traces := hotpathWorkloads(t, refs)
-	totalRefs := 0
-	for _, tr := range traces {
-		totalRefs += tr.Len()
-	}
-
-	variants := []struct {
-		path  string
-		batch int
-		loop  func(core.Protocol, trace.Source, Options) (*Result, error)
-	}{
-		{"per-ref", 0, referenceSimulate},
-		{"batched", DefaultBatchRefs, Simulate},
-	}
-
-	report := hotpathBenchReport{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Note: "single-goroutine replay of the three standard traces under " + scheme +
-			"; per-ref is the seed's loop (Next per reference, map-iterated tallies), " +
-			"batched is sim.Simulate's NextBatch loop with pre-resolved tally slices. " +
-			"Identical Results are asserted by TestBatchedEquivalence, not here",
-	}
-	var baseline float64
-	for _, v := range variants {
-		opts := Options{BatchRefs: v.batch}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runLoop(b, scheme, traces, v.loop, opts)
-			}
-		})
-		rec := hotpathBenchRecord{
-			Path:         v.path,
-			Scheme:       scheme,
-			BatchRefs:    v.batch,
-			Traces:       len(traces),
-			RefsEach:     refs,
-			Iters:        r.N,
-			NsPerOp:      r.NsPerOp(),
-			RefsPerS:     float64(totalRefs) / (float64(r.NsPerOp()) / 1e9),
-			AllocsPerOp:  r.AllocsPerOp(),
-			BitIdentical: true,
-		}
-		if v.path == "per-ref" {
-			baseline = float64(r.NsPerOp())
-			rec.Speedup = 1
-		} else if baseline > 0 {
-			rec.Speedup = baseline / float64(r.NsPerOp())
-		}
-		report.Results = append(report.Results, rec)
-		t.Logf("%s: %dns/op, %.0f refs/s, %d allocs/op, speedup %.2fx",
-			v.path, r.NsPerOp(), rec.RefsPerS, r.AllocsPerOp(), rec.Speedup)
-	}
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The test runs with the package directory as cwd; the report lives
-	// at the repo root next to BENCH_engine.json.
-	if err := os.WriteFile("../../BENCH_hotpath.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote BENCH_hotpath.json")
 }

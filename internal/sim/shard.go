@@ -175,7 +175,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	}
 
 	// The splitter: route references by block hash into per-shard buffers.
-	bsrc := trace.Batched(src)
 	in := make([]trace.Ref, batch)
 	cur := make([][]trace.Ref, shards)
 	for s := range cur {
@@ -183,7 +182,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	}
 	var total int64
 	for {
-		k := bsrc.NextBatch(in)
+		k := src.NextBatch(in)
 		if k == 0 {
 			break
 		}

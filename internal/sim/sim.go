@@ -161,12 +161,11 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	// References move in batches through two reusable buffers (refs in,
 	// sparse results out), so the steady-state loop allocates nothing and
 	// pays the Source interface dispatch once per batch, not per reference.
-	bsrc := trace.Batched(src)
 	buf := make([]trace.Ref, batch)
 	var sparse sparseBatch
 	var n int64
 	for {
-		k := bsrc.NextBatch(buf)
+		k := src.NextBatch(buf)
 		if k == 0 {
 			break
 		}

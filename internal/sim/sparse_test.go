@@ -29,12 +29,12 @@ func (p *batchOnly) AccessBatch(refs []trace.Ref, out []event.Result) []event.Re
 
 // countedSource counts the batches a simulation pulls.
 type countedSource struct {
-	trace.BatchSource
+	trace.Source
 	batches int
 }
 
 func (s *countedSource) NextBatch(buf []trace.Ref) int {
-	n := s.BatchSource.NextBatch(buf)
+	n := s.Source.NextBatch(buf)
 	if n > 0 {
 		s.batches++
 	}
@@ -71,7 +71,7 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 		opts.BatchRefs = batch
 		opts.Telemetry = &signals
 		p := &batchOnly{Protocol: build()}
-		src := &countedSource{BatchSource: trace.Batched(tr.Iterator())}
+		src := &countedSource{Source: tr.Iterator()}
 		got, err := Simulate(p, src, opts)
 		if err != nil {
 			t.Fatal(err)

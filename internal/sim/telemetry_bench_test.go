@@ -20,7 +20,7 @@ func BenchmarkHotpathTelemetryOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runLoop(b, "Dir1NB", traces, Simulate, Options{})
+		runLoop(b, "Dir1NB", traces, Options{})
 	}
 }
 
@@ -30,7 +30,7 @@ func BenchmarkHotpathTelemetryOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runLoop(b, "Dir1NB", traces, Simulate,
+		runLoop(b, "Dir1NB", traces,
 			Options{Telemetry: obs.NewProtoSampler(reg, "Dir1NB", 64, nil, 0)})
 	}
 }

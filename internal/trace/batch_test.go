@@ -20,26 +20,13 @@ func testTrace(n int) *Trace {
 	return t
 }
 
-// drainNext collects a source one reference at a time.
-func drainNext(src Source) []Ref {
-	var out []Ref
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
 // drainBatch collects a source through NextBatch with the given buffer
 // size.
 func drainBatch(src Source, bufSize int) []Ref {
-	b := Batched(src)
 	buf := make([]Ref, bufSize)
 	var out []Ref
 	for {
-		n := b.NextBatch(buf)
+		n := src.NextBatch(buf)
 		if n == 0 {
 			return out
 		}
@@ -47,72 +34,19 @@ func drainBatch(src Source, bufSize int) []Ref {
 	}
 }
 
-// nextOnly hides any native NextBatch, forcing the generic adapter.
-type nextOnly struct{ src Source }
-
-func (s nextOnly) Next() (Ref, bool) { return s.src.Next() }
-func (s nextOnly) CPUCount() int     { return s.src.CPUCount() }
-
-func refsEqual(t *testing.T, name string, got, want []Ref) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d refs, want %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: ref %d: got %+v, want %+v", name, i, got[i], want[i])
-		}
-	}
-}
-
-// TestBatchedMatchesNext checks that every source shape yields an
-// identical reference sequence through NextBatch as through Next, across
-// buffer sizes including 1, a prime that never divides the length, and a
-// size larger than the whole stream.
-func TestBatchedMatchesNext(t *testing.T) {
-	tr := testTrace(1000)
-	shapes := []struct {
-		name string
-		mk   func() Source
-	}{
-		{"slice", func() Source { return tr.Iterator() }},
-		{"adapter", func() Source { return nextOnly{tr.Iterator()} }},
-		{"filter", func() Source { return DataOnly(tr.Iterator()) }},
-		{"map", func() Source { return ProcessToCPU(tr.Iterator()) }},
-		{"limit", func() Source { return Limit(tr.Iterator(), 123) }},
-		{"filter-of-map", func() Source { return DataOnly(ProcessToCPU(tr.Iterator())) }},
-	}
-	for _, sh := range shapes {
-		want := drainNext(sh.mk())
-		for _, bufSize := range []int{1, 7, 64, 2048} {
-			got := drainBatch(sh.mk(), bufSize)
-			refsEqual(t, sh.name, got, want)
-		}
-	}
-}
-
-// TestBatchedReturnsNativeImplementation checks that Batched does not
-// re-wrap a source that already supports batch delivery.
-func TestBatchedReturnsNativeImplementation(t *testing.T) {
-	src := testTrace(10).Iterator()
-	if b := Batched(src); b != src.(BatchSource) {
-		t.Error("Batched re-wrapped a native BatchSource")
-	}
-	b := Batched(nextOnly{src})
-	if b2 := Batched(b); b2 != b {
-		t.Error("Batched re-wrapped its own adapter")
-	}
-}
+// drain collects a source through a buffer small enough that every
+// test stream spans several batches.
+func drain(src Source) []Ref { return drainBatch(src, 3) }
 
 // TestBatchedExhaustionSticks checks that NextBatch keeps returning 0
-// after the stream ends, mirroring the Next contract.
+// after the stream ends.
 func TestBatchedExhaustionSticks(t *testing.T) {
 	for _, mk := range []func() Source{
 		func() Source { return testTrace(5).Iterator() },
-		func() Source { return nextOnly{testTrace(5).Iterator()} },
-		func() Source { return DataOnly(testTrace(5).Iterator()) },
+		func() Source { return Filtered(testTrace(5).Iterator(), func(r Ref) bool { return r.Kind != Instr }) },
+		func() Source { return Limit(testTrace(5).Iterator(), 3) },
 	} {
-		b := Batched(mk())
+		b := mk()
 		buf := make([]Ref, 16)
 		for b.NextBatch(buf) != 0 {
 		}
@@ -120,30 +54,4 @@ func TestBatchedExhaustionSticks(t *testing.T) {
 			t.Errorf("NextBatch returned %d after exhaustion", n)
 		}
 	}
-}
-
-// TestInterleavedNextAndBatch checks the two views drain one stream
-// consistently.
-func TestInterleavedNextAndBatch(t *testing.T) {
-	tr := testTrace(100)
-	want := tr.Refs
-	b := Batched(tr.Iterator())
-	var got []Ref
-	buf := make([]Ref, 9)
-	for i := 0; ; i++ {
-		if i%2 == 0 {
-			r, ok := b.Next()
-			if !ok {
-				break
-			}
-			got = append(got, r)
-			continue
-		}
-		n := b.NextBatch(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	refsEqual(t, "interleaved", got, want)
 }

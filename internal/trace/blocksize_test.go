@@ -77,8 +77,7 @@ func TestWithBlockSizeLarge(t *testing.T) {
 
 // TestWithBlockSizeMatchesMap holds the in-place source to the definition
 // it replaced — Map with addr >> log2(size/16) — reference for reference
-// through Next, through NextBatch at buffer sizes that do and do not
-// divide the trace, and through the generic batch adapter.
+// through NextBatch at buffer sizes that do and do not divide the trace.
 func TestWithBlockSizeMatchesMap(t *testing.T) {
 	tr := New("x", 2)
 	for i := 0; i < 1000; i++ {
@@ -101,11 +100,10 @@ func TestWithBlockSizeMatchesMap(t *testing.T) {
 			return out
 		}
 		got := map[string][]Ref{
-			"Next":                drainNext(blocks(tr.Iterator())),
-			"NextBatch(7)":        drainBatch(blocks(tr.Iterator()), 7),
-			"NextBatch(250)":      drainBatch(blocks(tr.Iterator()), 250),
-			"NextBatch(4096)":     drainBatch(blocks(tr.Iterator()), 4096),
-			"NextBatch over Next": drainBatch(blocks(nextOnly{tr.Iterator()}), 64),
+			"NextBatch(1)":    drainBatch(blocks(tr.Iterator()), 1),
+			"NextBatch(7)":    drainBatch(blocks(tr.Iterator()), 7),
+			"NextBatch(250)":  drainBatch(blocks(tr.Iterator()), 250),
+			"NextBatch(4096)": drainBatch(blocks(tr.Iterator()), 4096),
 		}
 		for how, refs := range got {
 			if !slices.Equal(refs, want) {

@@ -12,17 +12,6 @@ func filterInput() *Trace {
 	)
 }
 
-func drain(src Source) []Ref {
-	var out []Ref
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
 func TestWithoutSpins(t *testing.T) {
 	got := drain(WithoutSpins(filterInput().Iterator()))
 	if len(got) != 3 {
@@ -45,36 +34,20 @@ func TestWithoutSpins(t *testing.T) {
 	}
 }
 
-func TestDataOnly(t *testing.T) {
-	got := drain(DataOnly(filterInput().Iterator()))
-	if len(got) != 4 {
-		t.Fatalf("got %d refs, want 4", len(got))
-	}
-	for _, r := range got {
-		if r.Kind == Instr {
-			t.Error("instruction survived DataOnly")
-		}
-	}
-}
-
-func TestOnlyCPU(t *testing.T) {
-	got := drain(OnlyCPU(filterInput().Iterator(), 1))
-	if len(got) != 2 {
-		t.Fatalf("got %d refs, want 2", len(got))
-	}
-	for _, r := range got {
-		if r.CPU != 1 {
-			t.Errorf("wrong CPU %d", r.CPU)
-		}
-	}
-}
-
+// TestMapAndProcessToCPU maps every process id onto its CPU number.
 func TestMapAndProcessToCPU(t *testing.T) {
-	src := ProcessToCPU(filterInput().Iterator())
+	src := Map(filterInput().Iterator(), func(r Ref) Ref {
+		r.Proc = uint16(r.CPU)
+		return r
+	})
 	if src.CPUCount() != 4 {
 		t.Fatalf("CPUCount = %d", src.CPUCount())
 	}
-	for _, r := range drain(src) {
+	got := drain(src)
+	if len(got) != 5 {
+		t.Fatalf("Map yielded %d refs, want 5", len(got))
+	}
+	for _, r := range got {
 		if r.Proc != uint16(r.CPU) {
 			t.Errorf("proc %d != cpu %d after remap", r.Proc, r.CPU)
 		}
@@ -124,7 +97,8 @@ func TestFilterSourceCPUCounts(t *testing.T) {
 
 func TestFilterChain(t *testing.T) {
 	// Filters compose: data-only then CPU 3 leaves exactly one spin read.
-	got := drain(OnlyCPU(DataOnly(filterInput().Iterator()), 3))
+	dataOnly := Filtered(filterInput().Iterator(), func(r Ref) bool { return r.Kind != Instr })
+	got := drain(Filtered(dataOnly, func(r Ref) bool { return r.CPU == 3 }))
 	if len(got) != 1 || !got[0].Flags.Has(FlagSpin) {
 		t.Fatalf("chain result %v", got)
 	}

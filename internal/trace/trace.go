@@ -65,15 +65,31 @@ func (t *Trace) Clone() *Trace {
 }
 
 // Source is a stream of references, the input type accepted by the
-// simulator. It abstracts over in-memory traces, codec readers, and filter
-// chains so multi-million-reference runs need not be materialized twice.
+// simulator: a trace's Iterator, or a chain of the wrappers in filter.go
+// over one, so a filtered run need not materialize its trace twice (the
+// codecs decode into a Trace, not a Source). References move in batches
+// only: a reader pays one interface call per batch, never one per
+// reference.
 type Source interface {
-	// Next returns the next reference. ok is false when the stream is
-	// exhausted, after which Next must keep returning ok == false.
-	Next() (r Ref, ok bool)
+	// NextBatch fills buf (len(buf) > 0) from the front of the stream and
+	// returns the number of references written. It returns 0 only when
+	// the stream is exhausted (and must keep returning 0 afterwards); a
+	// short return with more data pending is allowed, so callers loop
+	// until 0. The implementation must not retain buf after returning.
+	NextBatch(buf []Ref) int
 	// CPUCount returns the number of processors in the stream.
 	CPUCount() int
 }
+
+// BatchSource is Source under its old name. The alias stays only because
+// the frozen bench/sim_replay.go embeds it; it goes with that file's next
+// revision.
+type BatchSource = Source
+
+// Batched returns src: every Source delivers batches now. The identity
+// stays only because the frozen bench/sim_replay.go calls it; it goes
+// with that file's next revision.
+func Batched(src Source) Source { return src }
 
 // Iterator returns a Source that replays the trace from the beginning.
 func (t *Trace) Iterator() Source { return &sliceSource{refs: t.Refs, cpus: t.CPUs} }
@@ -84,25 +100,12 @@ type sliceSource struct {
 	pos  int
 }
 
-func (s *sliceSource) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
+// NextBatch copies up to len(buf) references out of the trace slice — a
+// straight memmove, the fastest path into the simulator.
+func (s *sliceSource) NextBatch(buf []Ref) int {
+	n := copy(buf, s.refs[s.pos:])
+	s.pos += n
+	return n
 }
 
 func (s *sliceSource) CPUCount() int { return s.cpus }
-
-// Collect drains a Source into an in-memory trace with the given name.
-func Collect(name string, src Source) *Trace {
-	t := New(name, src.CPUCount())
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return t
-		}
-		t.Append(r)
-	}
-}

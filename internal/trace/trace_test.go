@@ -57,50 +57,30 @@ func TestIteratorReplaysInOrder(t *testing.T) {
 	if it.CPUCount() != 2 {
 		t.Fatalf("CPUCount = %d, want 2", it.CPUCount())
 	}
-	var got []Ref
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
+	got := drainBatch(it, 1)
 	if len(got) != 2 || got[0].Addr != 0x10 || got[1].Addr != 0x20 {
 		t.Fatalf("iterator replay mismatch: %v", got)
 	}
-	// Exhausted iterators keep returning ok == false.
-	if _, ok := it.Next(); ok {
-		t.Error("exhausted iterator returned a reference")
-	}
-}
-
-func TestCollect(t *testing.T) {
-	tr := mkTrace(3,
-		Ref{Addr: 0x10, CPU: 2, Kind: Read},
-		Ref{Addr: 0x20, CPU: 0, Kind: Instr},
-	)
-	got := Collect("copy", tr.Iterator())
-	if got.Name != "copy" || got.CPUs != 3 || got.Len() != 2 {
-		t.Fatalf("Collect produced %q cpus=%d len=%d", got.Name, got.CPUs, got.Len())
-	}
-	if got.Refs[0] != tr.Refs[0] || got.Refs[1] != tr.Refs[1] {
-		t.Error("Collect altered references")
+	// Exhausted iterators keep returning 0.
+	if n := it.NextBatch(make([]Ref, 4)); n != 0 {
+		t.Errorf("exhausted iterator returned %d references", n)
 	}
 }
 
 func TestIteratorIndependence(t *testing.T) {
 	tr := mkTrace(1, Ref{Addr: 1, Kind: Read}, Ref{Addr: 2, Kind: Read})
 	a, b := tr.Iterator(), tr.Iterator()
-	ra, _ := a.Next()
-	rb, _ := b.Next()
-	if ra != rb {
+	ra, rb := make([]Ref, 1), make([]Ref, 1)
+	a.NextBatch(ra)
+	b.NextBatch(rb)
+	if ra[0] != rb[0] {
 		t.Error("fresh iterators should start at the same position")
 	}
-	a.Next()
-	if _, ok := a.Next(); ok {
+	a.NextBatch(ra)
+	if a.NextBatch(ra) != 0 {
 		t.Error("iterator a should be exhausted")
 	}
-	if _, ok := b.Next(); !ok {
+	if b.NextBatch(rb) != 1 {
 		t.Error("iterator b should still have a reference")
 	}
 }

@@ -95,17 +95,11 @@ type obsBenchRecord struct {
 }
 
 type obsBenchReport struct {
-	Date       string `json:"date"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	Note       string `json:"note"`
-	// HotpathBaselineRefsPerS is BENCH_hotpath.json's batched
-	// refs/second, copied in for the cross-file comparison; DeltaPct is
-	// the telemetry-off variant's delta against it (noise plus whatever
-	// the nil-telemetry check costs — must stay within noise).
-	HotpathBaselineRefsPerS float64          `json:"hotpath_baseline_refs_per_second,omitempty"`
-	DeltaPctVsHotpath       float64          `json:"delta_pct_vs_hotpath_baseline,omitempty"`
-	Results                 []obsBenchRecord `json:"results"`
+	Date       string           `json:"date"`
+	GoMaxProcs int              `json:"gomaxprocs"`
+	GoVersion  string           `json:"go_version"`
+	Note       string           `json:"note"`
+	Results    []obsBenchRecord `json:"results"`
 }
 
 // TestWriteObsBenchJSON measures the telemetry and tracing variants and
@@ -263,25 +257,6 @@ func TestWriteObsBenchJSON(t *testing.T) {
 	for _, rec := range report.Results {
 		if rec.Path == "engine-shipped" && rec.OverheadPct >= 3.0 {
 			t.Errorf("engine-shipped overhead vs engine-traced = %.2f%%, gate is <3%%", rec.OverheadPct)
-		}
-	}
-
-	// Compare the telemetry-off variant against the recorded hot-path
-	// baseline, when it exists; the delta should be run-to-run noise.
-	if data, err := os.ReadFile("BENCH_hotpath.json"); err == nil {
-		var hp struct {
-			Results []struct {
-				Path     string  `json:"path"`
-				RefsPerS float64 `json:"refs_per_second"`
-			} `json:"results"`
-		}
-		if json.Unmarshal(data, &hp) == nil {
-			for _, r := range hp.Results {
-				if r.Path == "batched" && r.RefsPerS > 0 {
-					report.HotpathBaselineRefsPerS = r.RefsPerS
-					report.DeltaPctVsHotpath = 100 * (report.Results[0].RefsPerS - r.RefsPerS) / r.RefsPerS
-				}
-			}
 		}
 	}
 
