@@ -65,11 +65,14 @@ soak-dist:
 		./internal/dist ./cmd/dirsimd ./internal/store
 
 # Smoke the experiment service end to end under the race detector: the
-# durable store and admission/service unit suites, plus the real-process
-# dirsimd tests — two processes sharing one store directory (second run
-# bit-identical, zero simulations) and per-tenant quota 429s. The drain
-# test asserts no goroutines leak across a full serve/drain cycle.
+# binary form the store keeps results in (round trip, golden encoding,
+# decoder fuzz seeds), the durable store and admission/service unit
+# suites, plus the real-process dirsimd tests — two processes sharing one
+# store directory (second run bit-identical, zero simulations) and
+# per-tenant quota 429s. The drain test asserts no goroutines leak across
+# a full serve/drain cycle.
 service-smoke:
+	$(GO) test -race -count=1 -run 'ResultCodec|FuzzDecodeResult' ./internal/sim
 	$(GO) test -race -count=1 ./internal/store ./internal/service ./cmd/dirsimd
 
 bench:

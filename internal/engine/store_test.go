@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -153,6 +156,10 @@ func TestTierCorruptFileRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	payload, err := want[0].AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var corrupted int
 	err = filepath.WalkDir(filepath.Join(dir, "res"), func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -162,12 +169,15 @@ func TestTierCorruptFileRecomputed(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		i := strings.Index(string(data), `"Total":`)
-		if i < 0 {
-			t.Fatalf("%s: no Total field to corrupt", path)
+		if !strings.HasSuffix(path, ".dsr") || !bytes.HasSuffix(data, payload) {
+			t.Fatalf("%s: not a .dsr entry ending in the result's binary form", path)
 		}
-		i += len(`"Total":`)
-		data[i] = '9' + '8' - data[i] // flip the digit, keep the JSON valid
+		// Flip a bit of Counts.Total, which follows the scheme and trace
+		// names (one length byte each) and the event counts: the payload
+		// still decodes, and only the fingerprint can tell.
+		r := want[0]
+		i := len(data) - len(payload) + 1 + len(r.Scheme) + 1 + len(r.Trace) + 8*len(r.Counts.N)
+		data[i] ^= 1
 		corrupted++
 		return os.WriteFile(path, data, 0o644)
 	})
@@ -203,5 +213,61 @@ func TestTierCorruptFileRecomputed(t *testing.T) {
 	}
 	if st := again.Stats(); st.CacheRejected != 0 {
 		t.Errorf("post-eviction CacheRejected = %d, want 0 (bad entry was evicted)", st.CacheRejected)
+	}
+}
+
+// TestTierDropsSchema2Result plants a result entry as schema 2 wrote it —
+// a JSON envelope in res/<kk>/<key>.json — and opens the store over it.
+// Nothing can serve such a file any more, so Open deletes it without
+// counting a hit or a rejection, and the engine recomputes the result
+// bit-identically.
+func TestTierDropsSchema2Result(t *testing.T) {
+	ctx := context.Background()
+	spec := SimSpec{Trace: workload.POPSConfig(4, 6_000), Scheme: "Dir0B"}
+	want, err := New(Options{}).Results(ctx, Sequential{}, []SimSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	key := spec.Key().hex()
+	path := filepath.Join(dir, "res", key[:2], key+".json")
+	v2, err := json.Marshal(map[string]any{
+		"schema":      2,
+		"key":         key,
+		"fingerprint": fmt.Sprintf("%#x", want[0].Fingerprint()),
+		"written":     "2026-10-01T00:00:00Z",
+		"result":      want[0],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tier := openTier(t, dir)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("schema-2 entry survived Open: %v", err)
+	}
+	if tier.HasResult(key) {
+		t.Fatal("HasResult reports a schema-2 entry")
+	}
+	e := New(Options{Verify: true, Store: tier})
+	got, err := e.Results(ctx, Sequential{}, []SimSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0], want[0]) {
+		t.Error("result recomputed over a schema-2 store differs from a clean run")
+	}
+	if st := e.Stats(); st.SimsRun != 1 || st.CacheRejected != 0 {
+		t.Errorf("SimsRun = %d (want 1), CacheRejected = %d (want 0)", st.SimsRun, st.CacheRejected)
+	}
+	if st := tier.Stats(); st.Rejected != 0 || st.Hits != 0 {
+		t.Errorf("store Rejected = %d, Hits = %d, want 0/0", st.Rejected, st.Hits)
 	}
 }

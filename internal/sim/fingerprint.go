@@ -33,12 +33,26 @@ func (h *sumHash) hist(buckets []int64) {
 	}
 }
 
-func (h *sumHash) flag(b bool) {
+// bit is a flag as a word.
+func bit(b bool) uint64 {
 	if b {
-		h.word(1)
-	} else {
-		h.word(0)
+		return 1
 	}
+	return 0
+}
+
+// count is a no-op: the hash predates the codec and never took map sizes.
+func (h *sumHash) count(int) {}
+
+// fieldSink receives a result's fields in the one order walk visits them.
+// Fingerprint hashes that order and AppendBinary encodes it, so the two
+// cannot disagree about which fields a result has.
+type fieldSink interface {
+	word(v uint64)
+	str(s string)
+	hist(buckets []int64)
+	// count announces how many entries of a map follow.
+	count(n int)
 }
 
 // Fingerprint hashes every field of the result — event counts,
@@ -58,38 +72,47 @@ func (h *sumHash) flag(b bool) {
 // depend on map iteration.
 func (r *Result) Fingerprint() uint64 {
 	h := sumHash(sumOffset)
-	h.str(r.Scheme)
-	h.str(r.Trace)
+	r.walk(&h)
+	return uint64(h)
+}
+
+// walk visits every field of the result, maps in sorted key order.
+// DecodeResult reads the fields back in this order: a field added here
+// must be added there, and store.SchemaVersion bumped.
+func (r *Result) walk(s fieldSink) {
+	s.str(r.Scheme)
+	s.str(r.Trace)
 	for _, n := range r.Counts.N {
-		h.word(uint64(n))
+		s.word(uint64(n))
 	}
-	h.word(uint64(r.Counts.Total))
-	h.hist(r.InvalClean.Buckets)
-	h.hist(r.HoldersAtInval.Buckets)
-	h.word(uint64(r.Broadcasts))
-	h.word(uint64(r.SeqInvals))
-	h.word(uint64(r.ForcedInvals))
-	h.word(uint64(r.WriteBacks))
+	s.word(uint64(r.Counts.Total))
+	s.hist(r.InvalClean.Buckets)
+	s.hist(r.HoldersAtInval.Buckets)
+	s.word(uint64(r.Broadcasts))
+	s.word(uint64(r.SeqInvals))
+	s.word(uint64(r.ForcedInvals))
+	s.word(uint64(r.WriteBacks))
 
 	names := make([]string, 0, len(r.Tallies))
 	for name := range r.Tallies {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	s.count(len(names))
 	for _, name := range names {
 		t := r.Tallies[name]
-		h.str(name)
+		s.str(name)
 		m := t.Model
-		h.str(m.Name)
+		s.str(m.Name)
 		for _, c := range [...]float64{m.MemAccess, m.CacheAccess, m.WriteBackFill,
 			m.WriteWord, m.DirCheck, m.Inval, m.BroadcastInval, m.Q} {
-			h.word(math.Float64bits(c))
+			s.word(math.Float64bits(c))
 		}
-		h.flag(m.DirCheckFree)
-		h.word(uint64(t.Refs))
-		h.word(uint64(t.Transactions))
+		s.word(bit(m.DirCheckFree))
+		s.word(uint64(t.Refs))
+		s.word(uint64(t.Transactions))
 		for _, c := range t.Cycles {
-			h.word(math.Float64bits(c))
+			s.word(math.Float64bits(c))
 		}
 	}
 
@@ -98,22 +121,22 @@ func (r *Result) Fingerprint() uint64 {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	s.count(len(names))
 	for _, name := range names {
 		t := r.NetTallies[name]
-		h.str(name)
+		s.str(name)
 		topo := t.Topo
-		h.str(topo.Name)
-		h.word(uint64(topo.Nodes))
-		h.word(math.Float64bits(topo.AvgDist))
-		h.word(uint64(topo.DistSum))
-		h.word(uint64(topo.DistPairs))
-		h.word(uint64(topo.Diameter))
-		h.flag(topo.Broadcast)
-		h.word(uint64(topo.FloodLinks))
-		h.word(uint64(t.CycleUnits))
-		h.word(uint64(t.Messages))
-		h.word(uint64(t.Floods))
-		h.word(uint64(t.Refs))
+		s.str(topo.Name)
+		s.word(uint64(topo.Nodes))
+		s.word(math.Float64bits(topo.AvgDist))
+		s.word(uint64(topo.DistSum))
+		s.word(uint64(topo.DistPairs))
+		s.word(uint64(topo.Diameter))
+		s.word(bit(topo.Broadcast))
+		s.word(uint64(topo.FloodLinks))
+		s.word(uint64(t.CycleUnits))
+		s.word(uint64(t.Messages))
+		s.word(uint64(t.Floods))
+		s.word(uint64(t.Refs))
 	}
-	return uint64(h)
 }

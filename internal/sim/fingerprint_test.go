@@ -26,10 +26,45 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		t.Fatal("identical runs produced different fingerprints")
 	}
 
-	mutations := []struct {
-		name string
-		do   func(r *Result)
-	}{
+	for _, m := range resultMutations() {
+		mut, err := SimulateTrace("Dir0B", tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.do(mut)
+		if mut.Fingerprint() == base {
+			t.Errorf("fingerprint blind to %s mutation", m.name)
+		}
+	}
+}
+
+// TestFingerprintDistinguishesSchemes checks that two different runs do
+// not collide on the obvious axis.
+func TestFingerprintDistinguishesSchemes(t *testing.T) {
+	tr := workload.POPS(4, 15_000)
+	a, err := SimulateTrace("Dir0B", tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SimulateTrace("Dragon", tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Error("different schemes share a fingerprint")
+	}
+}
+
+// resultMutation changes one field of a result.
+type resultMutation struct {
+	name string
+	do   func(r *Result)
+}
+
+// resultMutations changes the fields of a result one at a time: the
+// fingerprint and the binary form must both see every change.
+func resultMutations() []resultMutation {
+	return []resultMutation{
 		{"scheme", func(r *Result) { r.Scheme += "x" }},
 		{"trace", func(r *Result) { r.Trace += "x" }},
 		{"counts", func(r *Result) { r.Counts.N[0]++ }},
@@ -38,6 +73,19 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		{"broadcasts", func(r *Result) { r.Broadcasts++ }},
 		{"seqinvals", func(r *Result) { r.SeqInvals++ }},
 		{"writebacks", func(r *Result) { r.WriteBacks++ }},
+		{"forcedinvals", func(r *Result) { r.ForcedInvals++ }},
+		{"holders hist", func(r *Result) { r.HoldersAtInval.Observe(3) }},
+		{"tally transactions", func(r *Result) {
+			for _, tl := range r.Tallies {
+				tl.Transactions++
+				break
+			}
+		}},
+		{"net messages", func(r *Result) {
+			for _, tl := range r.NetTallies {
+				tl.Messages++
+			}
+		}},
 		{"tally refs", func(r *Result) {
 			for _, tl := range r.Tallies {
 				tl.Refs++
@@ -72,32 +120,5 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 				tl.Topo.DistSum++
 			}
 		}},
-	}
-	for _, m := range mutations {
-		mut, err := SimulateTrace("Dir0B", tr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.do(mut)
-		if mut.Fingerprint() == base {
-			t.Errorf("fingerprint blind to %s mutation", m.name)
-		}
-	}
-}
-
-// TestFingerprintDistinguishesSchemes checks that two different runs do
-// not collide on the obvious axis.
-func TestFingerprintDistinguishesSchemes(t *testing.T) {
-	tr := workload.POPS(4, 15_000)
-	a, err := SimulateTrace("Dir0B", tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateTrace("Dragon", tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("different schemes share a fingerprint")
 	}
 }

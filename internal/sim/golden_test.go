@@ -18,7 +18,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_fingerprints.txt from the current engines")
+	"rewrite testdata/golden_fingerprints.txt from the current engines, and the golden result encoding")
 
 const goldenFile = "testdata/golden_fingerprints.txt"
 

@@ -172,7 +172,8 @@ func TestStoreMultiProcessSharing(t *testing.T) {
 		t.Error("truncated entry not evicted from disk")
 	}
 
-	// Flipped byte: decodes fine, but the fingerprint no longer matches.
+	// Flipped byte: the entry must be refused whether the flip breaks
+	// decoding or only the fingerprint.
 	if err := s.StoreResult(key, c.res, c.fp); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestStoreMultiProcessSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipped := append([]byte(nil), full...)
-	// Flip inside the payload, away from the JSON envelope's framing.
+	// Flip inside the payload, well past the header.
 	flipped[len(flipped)/2] ^= 0x01
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)

@@ -9,19 +9,25 @@
 //
 // The layout under the store directory:
 //
-//	res/<kk>/<key>.json   one result per file: a JSON envelope carrying
-//	                      the key, the fingerprint, and the sim.Result
-//	trc/<kk>/<key>.dstr   one trace per file: a binary header (key,
-//	                      fingerprint) followed by the trace codec stream
+//	res/<kk>/<key>.dsr    one result per file, payload sim.Result.AppendBinary
+//	trc/<kk>/<key>.dstr   one trace per file, payload trace.WriteBinary
 //
 // where <key> is the full hex engine cache key and <kk> its first two
 // characters (a fan-out directory, so a million entries do not land in
-// one directory). Writes are crash-safe: content goes to a same-directory
-// temp file, is fsynced, and is renamed into place, so a reader sees
-// either nothing or a complete file, and concurrent writers of the same
-// key — which, being content-addressed, carry identical payloads — race
-// harmlessly. Leftover temp files from a crashed writer are swept at
-// Open.
+// one directory). Both kinds of file start with one header, written by
+// appendHeader and read by readHeader:
+//
+//	magic "DSSR" or "DSST" | schema u8 | fingerprint u64 LE |
+//	key len uvarint + key bytes | payload
+//
+// Result entries were JSON files up to schema 2; Open deletes any it
+// finds, since nothing can serve them any more.
+//
+// Writes are crash-safe: content goes to a same-directory temp file, is
+// fsynced, and is renamed into place, so a reader sees either nothing or
+// a complete file, and concurrent writers of the same key — which, being
+// content-addressed, carry identical payloads — race harmlessly.
+// Leftover temp files from a crashed writer are swept at Open.
 //
 // The store is safe for concurrent use within a process and for
 // multi-process sharing of one directory: the in-memory index is an
@@ -33,14 +39,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -51,10 +55,12 @@ import (
 )
 
 // SchemaVersion identifies the on-disk envelope format. Files written
-// with a different version are treated as absent (and evicted), never
+// with a different version are rejected as corrupt (and evicted), never
 // misread. Version 2: network tallies store exact integer CycleUnits
 // instead of a float cycle sum, and result fingerprints hash those units.
-const SchemaVersion = 2
+// Version 3: results are sim.Result's binary form behind the header trace
+// entries already had, in .dsr files; the JSON envelope is gone.
+const SchemaVersion = 3
 
 // staleTempAge is how old a temp file must be before Open's sweep treats
 // it as a crashed writer's leftover and removes it. Live writers — in
@@ -128,11 +134,13 @@ type entry struct {
 	prev, next *entry
 }
 
-const (
-	resultDir = "res"
-	traceDir  = "trc"
-	resultExt = ".json"
-	traceExt  = ".dstr"
+// namespace is one kind of entry: its id prefix in the index, its
+// directory and file extension, and the magic its header starts with.
+type namespace struct{ prefix, dir, ext, magic string }
+
+var (
+	results = namespace{"r:", "res", ".dsr", "DSSR"}
+	traces  = namespace{"t:", "trc", ".dstr", "DSST"}
 )
 
 // Open opens (creating if needed) the store rooted at dir, sweeps temp
@@ -158,8 +166,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		bytesGauge:  reg.Gauge("store.bytes"),
 		countGauge:  reg.Gauge("store.entries"),
 	}
-	for _, sub := range []string{resultDir, traceDir} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+	for _, ns := range []namespace{results, traces} {
+		if err := os.MkdirAll(filepath.Join(dir, ns.dir), 0o755); err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	}
@@ -172,9 +180,10 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// scan walks the store directory, removing stale temp files and indexing
-// complete entries oldest-first, so pre-existing files are first in line
-// for LRU eviction until they are touched.
+// scan walks the store directory, removing stale temp files and schema-2
+// result files and indexing complete entries oldest-first, so
+// pre-existing files are first in line for LRU eviction until they are
+// touched.
 func (s *Store) scan() error {
 	type found struct {
 		id    string
@@ -182,11 +191,8 @@ func (s *Store) scan() error {
 		mtime time.Time
 	}
 	var all []found
-	for _, sub := range []struct{ dir, ext, prefix string }{
-		{resultDir, resultExt, "r:"},
-		{traceDir, traceExt, "t:"},
-	} {
-		root := filepath.Join(s.dir, sub.dir)
+	for _, ns := range []namespace{results, traces} {
+		root := filepath.Join(s.dir, ns.dir)
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() {
 				return err
@@ -204,15 +210,21 @@ func (s *Store) scan() error {
 				}
 				return nil
 			}
-			if !strings.HasSuffix(name, sub.ext) {
+			if ns == results && strings.HasSuffix(name, ".json") {
+				// A schema-2 result: never servable, so neither a hit nor
+				// a rejection; the key is absent until it is recomputed.
+				os.Remove(path)
+				return nil
+			}
+			if !strings.HasSuffix(name, ns.ext) {
 				return nil
 			}
 			info, err := d.Info()
 			if err != nil {
 				return nil // raced with a concurrent eviction
 			}
-			key := strings.TrimSuffix(name, sub.ext)
-			all = append(all, found{id: sub.prefix + key, size: info.Size(), mtime: info.ModTime()})
+			key := strings.TrimSuffix(name, ns.ext)
+			all = append(all, found{id: ns.prefix + key, size: info.Size(), mtime: info.ModTime()})
 			return nil
 		})
 		if err != nil {
@@ -235,10 +247,11 @@ func (s *Store) pathFor(id string) string {
 	if len(key) >= 2 {
 		fan = key[:2]
 	}
-	if id[0] == 'r' {
-		return filepath.Join(s.dir, resultDir, fan, key+resultExt)
+	ns := results
+	if id[0] == traces.prefix[0] {
+		ns = traces
 	}
-	return filepath.Join(s.dir, traceDir, fan, key+traceExt)
+	return filepath.Join(s.dir, ns.dir, fan, key+ns.ext)
 }
 
 func shortKey(key string) string {
@@ -344,27 +357,16 @@ func (s *Store) evict(id string) {
 	os.Remove(s.pathFor(id))
 }
 
-// --- results ---
-
-// resultEnvelope is the JSON shape of one stored result. The fingerprint
-// is hex-encoded so the envelope survives JSON processors that round
-// 64-bit integers through float64.
-type resultEnvelope struct {
-	Schema      int         `json:"schema"`
-	Key         string      `json:"key"`
-	Fingerprint string      `json:"fingerprint"`
-	Written     time.Time   `json:"written"`
-	Result      *sim.Result `json:"result"`
-}
+// --- results and traces ---
 
 // HasResult reports whether a result is stored under key, consulting the
 // disk when the index misses (another process may have written it after
 // this store opened). It never reads content, so a positive answer means
 // "present", not "valid" — a later Load still revalidates.
-func (s *Store) HasResult(key string) bool { return s.has("r:" + key) }
+func (s *Store) HasResult(key string) bool { return s.has(results.prefix + key) }
 
 // HasTrace is HasResult for the trace namespace.
-func (s *Store) HasTrace(key string) bool { return s.has("t:" + key) }
+func (s *Store) HasTrace(key string) bool { return s.has(traces.prefix + key) }
 
 func (s *Store) has(id string) bool {
 	s.mu.Lock()
@@ -388,30 +390,7 @@ func (s *Store) has(id string) bool {
 // failed revalidation and has been evicted; other errors are I/O
 // failures.
 func (s *Store) LoadResult(key string) (*sim.Result, bool, error) {
-	id := "r:" + key
-	data, ok, err := s.read(id)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	var env resultEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false, s.reject(id, fmt.Errorf("decode: %w", err))
-	}
-	if env.Schema != SchemaVersion {
-		return nil, false, s.reject(id, fmt.Errorf("schema %d, want %d", env.Schema, SchemaVersion))
-	}
-	if env.Key != key {
-		return nil, false, s.reject(id, fmt.Errorf("envelope names key %s", shortKey(env.Key)))
-	}
-	want, err := strconv.ParseUint(env.Fingerprint, 0, 64)
-	if err != nil || env.Result == nil {
-		return nil, false, s.reject(id, fmt.Errorf("bad envelope"))
-	}
-	if got := env.Result.Fingerprint(); got != want {
-		return nil, false, s.reject(id, fmt.Errorf("fingerprint %#x, stamped %#x", got, want))
-	}
-	s.hit(id)
-	return env.Result, true, nil
+	return load(s, results, key, sim.DecodeResult)
 }
 
 // StoreResult persists r under key with the given fingerprint stamp. The
@@ -420,77 +399,93 @@ func (s *Store) LoadResult(key string) (*sim.Result, bool, error) {
 // recomputes — the durable tier degrades to a recompute, never to
 // serving bad data.
 func (s *Store) StoreResult(key string, r *sim.Result, fingerprint uint64) error {
-	env := resultEnvelope{
-		Schema:      SchemaVersion,
-		Key:         key,
-		Fingerprint: "0x" + strconv.FormatUint(fingerprint, 16),
-		Written:     time.Now().UTC(),
-		Result:      r,
-	}
-	data, err := json.Marshal(&env)
-	if err != nil {
-		s.writeErrors.Inc()
-		return fmt.Errorf("store: encode result %s: %w", shortKey(key), err)
-	}
-	return s.write("r:"+key, data)
+	return s.put(results, key, fingerprint, r.AppendBinary)
 }
-
-// --- traces ---
-
-// Trace files carry a small binary header before the trace codec stream:
-//
-//	magic "DSST" | version u8 | fingerprint u64 LE |
-//	key len uvarint + key bytes | trace.WriteBinary payload
-const traceMagic = "DSST"
 
 // LoadTrace loads the trace stored under key; semantics match LoadResult.
 func (s *Store) LoadTrace(key string) (*trace.Trace, bool, error) {
-	id := "t:" + key
-	data, ok, err := s.read(id)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	if len(data) < len(traceMagic)+1+8 || string(data[:4]) != traceMagic {
-		return nil, false, s.reject(id, fmt.Errorf("bad trace header"))
-	}
-	if data[4] != SchemaVersion {
-		return nil, false, s.reject(id, fmt.Errorf("trace schema %d, want %d", data[4], SchemaVersion))
-	}
-	want := binary.LittleEndian.Uint64(data[5:13])
-	rest := data[13:]
-	keyLen, n := binary.Uvarint(rest)
-	if n <= 0 || keyLen > uint64(len(rest)-n) {
-		return nil, false, s.reject(id, fmt.Errorf("bad trace header"))
-	}
-	if string(rest[n:n+int(keyLen)]) != key {
-		return nil, false, s.reject(id, fmt.Errorf("envelope names another key"))
-	}
-	t, err := trace.ReadBinary(bytes.NewReader(rest[n+int(keyLen):]))
-	if err != nil {
-		return nil, false, s.reject(id, fmt.Errorf("decode: %w", err))
-	}
-	if got := t.Fingerprint(); got != want {
-		return nil, false, s.reject(id, fmt.Errorf("fingerprint %#x, stamped %#x", got, want))
-	}
-	s.hit(id)
-	return t, true, nil
+	return load(s, traces, key, func(b []byte) (*trace.Trace, error) {
+		return trace.ReadBinary(bytes.NewReader(b))
+	})
 }
 
 // StoreTrace persists t under key with the given fingerprint stamp.
 func (s *Store) StoreTrace(key string, t *trace.Trace, fingerprint uint64) error {
-	var b bytes.Buffer
-	b.WriteString(traceMagic)
-	b.WriteByte(SchemaVersion)
-	var hdr [8 + binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint64(hdr[:8], fingerprint)
-	n := binary.PutUvarint(hdr[8:], uint64(len(key)))
-	b.Write(hdr[:8+n])
-	b.WriteString(key)
-	if err := trace.WriteBinary(&b, t); err != nil {
-		s.writeErrors.Inc()
-		return fmt.Errorf("store: encode trace %s: %w", shortKey(key), err)
+	return s.put(traces, key, fingerprint, func(b []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(b)
+		err := trace.WriteBinary(buf, t)
+		return buf.Bytes(), err
+	})
+}
+
+// headerFixed is the header's fixed-width part: magic, schema, fingerprint.
+const headerFixed = 4 + 1 + 8
+
+// appendHeader appends an entry's header to b (see the package comment).
+func appendHeader(b []byte, magic, key string, fingerprint uint64) []byte {
+	b = append(b, magic...)
+	b = append(b, SchemaVersion)
+	b = binary.LittleEndian.AppendUint64(b, fingerprint)
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	return append(b, key...)
+}
+
+// readHeader checks an entry's header against magic, this schema and key,
+// and returns the stamped fingerprint and the payload that follows.
+func readHeader(data []byte, magic, key string) (uint64, []byte, error) {
+	if len(data) < headerFixed || string(data[:4]) != magic {
+		return 0, nil, errors.New("bad header")
 	}
-	return s.write("t:"+key, b.Bytes())
+	if data[4] != SchemaVersion {
+		return 0, nil, fmt.Errorf("schema %d, want %d", data[4], SchemaVersion)
+	}
+	stamp := binary.LittleEndian.Uint64(data[5:headerFixed])
+	rest := data[headerFixed:]
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n > uint64(len(rest)-w) {
+		return 0, nil, errors.New("bad header")
+	}
+	if string(rest[w:w+int(n)]) != key {
+		return 0, nil, errors.New("envelope names another key")
+	}
+	return stamp, rest[w+int(n):], nil
+}
+
+// load reads the entry stored under key in ns, checks its header, decodes
+// the payload and revalidates the decoded value's fingerprint against the
+// stamp. Any failure after the read rejects the entry.
+func load[T interface{ Fingerprint() uint64 }](s *Store, ns namespace, key string,
+	decode func([]byte) (T, error)) (T, bool, error) {
+	var v T
+	id := ns.prefix + key
+	data, ok, err := s.read(id)
+	if !ok || err != nil {
+		return v, false, err
+	}
+	stamp, payload, err := readHeader(data, ns.magic, key)
+	if err == nil {
+		v, err = decode(payload)
+	}
+	if err == nil && v.Fingerprint() != stamp {
+		err = fmt.Errorf("fingerprint %#x, stamped %#x", v.Fingerprint(), stamp)
+	}
+	if err != nil {
+		return *new(T), false, s.reject(id, err)
+	}
+	s.hit(id)
+	return v, true, nil
+}
+
+// put writes the entry under key in ns: a header stamped with
+// fingerprint, then the payload encode appends to it.
+func (s *Store) put(ns namespace, key string, fingerprint uint64,
+	encode func([]byte) ([]byte, error)) error {
+	data, err := encode(appendHeader(nil, ns.magic, key, fingerprint))
+	if err != nil {
+		s.writeErrors.Inc()
+		return fmt.Errorf("store: encode %s: %w", shortKey(key), err)
+	}
+	return s.write(ns.prefix+key, data)
 }
 
 // --- shared read/write machinery ---

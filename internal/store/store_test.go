@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -99,19 +100,18 @@ func TestCorruptResultRejected(t *testing.T) {
 	if err := s.StoreResult(key, r, r.Fingerprint()); err != nil {
 		t.Fatalf("StoreResult: %v", err)
 	}
-	path := filepath.Join(dir, "res", key[:2], key+".json")
+	path := filepath.Join(dir, "res", key[:2], key+".dsr")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read stored file: %v", err)
 	}
-	// Flip a digit inside a counted field so the payload decodes but the
-	// content no longer matches the stamp.
-	i := strings.Index(string(data), `"Total":`) + len(`"Total":`)
-	if data[i] == '9' {
-		data[i] = '1'
-	} else {
-		data[i]++
+	// Flip a bit of Counts.Total inside the payload, so the payload still
+	// decodes but the content no longer matches the stamp.
+	payload, err := r.AppendBinary(nil)
+	if err != nil || !bytes.HasSuffix(data, payload) {
+		t.Fatalf("stored entry does not end in the result's binary form (err %v)", err)
 	}
+	data[totalOffset(r, len(data)-len(payload))] ^= 1
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("corrupt file: %v", err)
 	}
@@ -119,8 +119,8 @@ func TestCorruptResultRejected(t *testing.T) {
 	if ok {
 		t.Fatalf("corrupted entry served")
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("want ErrCorrupt from the fingerprint check, got %v", err)
 	}
 	var c interface{ Corrupt() bool }
 	if !errors.As(err, &c) || !c.Corrupt() {
@@ -138,7 +138,15 @@ func TestCorruptResultRejected(t *testing.T) {
 	}
 }
 
-// TestUndecodableResultRejected corrupts the JSON syntax itself.
+// totalOffset is where Counts.Total's low byte sits in the stored entry of
+// r whose payload starts at start: after the scheme and trace strings
+// (one length byte each, for names this short) and the event counts.
+func totalOffset(r *sim.Result, start int) int {
+	return start + 1 + len(r.Scheme) + 1 + len(r.Trace) + 8*len(r.Counts.N)
+}
+
+// TestUndecodableResultRejected keeps a valid header and cuts the payload
+// short, so the entry fails to decode at all.
 func TestUndecodableResultRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
@@ -147,8 +155,9 @@ func TestUndecodableResultRejected(t *testing.T) {
 	if err := s.StoreResult(key, r, r.Fingerprint()); err != nil {
 		t.Fatalf("StoreResult: %v", err)
 	}
-	path := filepath.Join(dir, "res", key[:2], key+".json")
-	if err := os.WriteFile(path, []byte(`{"schema":1,"key":"`+key+`","garbage`), 0o644); err != nil {
+	path := filepath.Join(dir, "res", key[:2], key+".dsr")
+	garbage := append(appendHeader(nil, results.magic, key, r.Fingerprint()), "\x05Dir"...)
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
 		t.Fatalf("corrupt file: %v", err)
 	}
 	if _, ok, err := s.LoadResult(key); ok || !errors.Is(err, ErrCorrupt) {
@@ -220,7 +229,7 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(sub, strings.Repeat("ee", 32)+".json.tmp12345")
+	stale := filepath.Join(sub, strings.Repeat("ee", 32)+".dsr.tmp12345")
 	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +237,7 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
-	fresh := filepath.Join(sub, strings.Repeat("ef", 32)+".json.tmp67890")
+	fresh := filepath.Join(sub, strings.Repeat("ef", 32)+".dsr.tmp67890")
 	if err := os.WriteFile(fresh, []byte("in flight"), 0o644); err != nil {
 		t.Fatal(err)
 	}
