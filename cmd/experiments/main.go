@@ -72,7 +72,6 @@ type config struct {
 	check     bool
 	list      bool
 	parallel  int
-	batch     int
 	journal   string
 	metrics   string
 	pprofDir  string
@@ -99,7 +98,6 @@ func main() {
 	flag.BoolVar(&cfg.check, "check", false, "enable coherence checking (slower)")
 	flag.BoolVar(&cfg.list, "list", false, "list experiment IDs and exit")
 	flag.IntVar(&cfg.parallel, "parallel", 1, "simulation worker pool size; >1 runs experiments concurrently, 0 means all cores")
-	flag.IntVar(&cfg.batch, "batch", 0, "simulation batch size in references; 0 means 4096 (results never depend on it)")
 	flag.StringVar(&cfg.journal, "journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
 	flag.StringVar(&cfg.metrics, "metrics", "", "write the metric registry's text exposition to this file after the run ('-' for stdout)")
 	flag.StringVar(&cfg.pprofDir, "pprof", "", "capture cpu.pprof and heap.pprof into this directory")
@@ -197,9 +195,8 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		jnl = raw.WithTrace(runTC)
 	}
 	var rec *obs.Recorder
-	opts := engine.Options{Workers: parallel, BatchRefs: cfg.batch,
-		Metrics: reg, Verify: cfg.verify, Retries: cfg.retries, JobTimeout: cfg.timeout,
-		Tracer: tr, ProtoSample: protoSample}
+	opts := engine.Options{Metrics: reg, Verify: cfg.verify, Retries: cfg.retries,
+		JobTimeout: cfg.timeout, Tracer: tr, ProtoSample: protoSample}
 	var st *store.Store
 	if cfg.store != "" {
 		var err error
@@ -389,7 +386,6 @@ func buildManifest(cfg config, ctx *report.Context, exec engine.Executor, parall
 			CPUs:        ctx.CPUs,
 			Check:       ctx.Check,
 			Parallel:    parallel,
-			Batch:       ctx.Engine().BatchRefs(),
 			Executor:    exec.Name(),
 			Seeds:       seeds,
 			Trace:       cfg.trace,

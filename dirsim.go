@@ -288,8 +288,8 @@ func NewExperimentContext(refs, cpus int) *ExperimentContext {
 type (
 	// Engine schedules simulation jobs and owns the result caches.
 	Engine = engine.Engine
-	// EngineOptions configures a new engine (worker pool size, retries,
-	// observers, cache tiers).
+	// EngineOptions configures a new engine (retries, observers, cache
+	// tiers); the pool size belongs to the executor.
 	EngineOptions = engine.Options
 	// EngineStats snapshots an engine's cache and execution counters.
 	EngineStats = engine.Stats
@@ -300,8 +300,7 @@ type (
 	SimSpec = engine.SimSpec
 )
 
-// NewEngine builds an execution engine; the zero options give a
-// GOMAXPROCS-sized worker pool.
+// NewEngine builds an execution engine; the zero options are ready to use.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // SequentialExecutor runs jobs one at a time in deterministic order —
@@ -309,7 +308,7 @@ func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 func SequentialExecutor() Executor { return engine.Sequential{} }
 
 // ParallelExecutor runs jobs concurrently on a worker pool of the given
-// size (0 = the engine default).
+// size (0 = all cores).
 func ParallelExecutor(workers int) Executor { return engine.Parallel{Workers: workers} }
 
 // RunSchemes simulates several schemes over one workload configuration,
@@ -329,7 +328,7 @@ func RunSchemes(schemes []string, cfg WorkloadConfig) (map[string]*Result, error
 // parallel while producing results identical to the serial context.
 func NewParallelExperimentContext(refs, cpus, workers int) *ExperimentContext {
 	return report.NewContextWith(refs, cpus,
-		engine.New(engine.Options{Workers: workers}), engine.Parallel{Workers: workers})
+		engine.New(engine.Options{}), engine.Parallel{Workers: workers})
 }
 
 // WithoutSpins filters lock-test spin reads out of a source, the

@@ -27,7 +27,7 @@ func TestExecutorsProduceIdenticalResults(t *testing.T) {
 	// Separate engines so the parallel run cannot borrow the sequential
 	// run's cache (which would make the comparison vacuous).
 	seq := New(Options{})
-	par := New(Options{Workers: 8})
+	par := New(Options{})
 
 	for _, scheme := range paperSchemes {
 		sPer, sMerged, err := seq.SchemeOverTraces(ctx, Sequential{}, scheme, cfgs, false)
@@ -131,12 +131,12 @@ func TestCheckedRunsIdentical(t *testing.T) {
 	cfgs := []workload.Config{workload.POPSConfig(4, 25_000)}
 
 	seq := New(Options{})
-	par := New(Options{Workers: 4})
+	par := New(Options{})
 	_, sMerged, err := seq.SchemeOverTraces(ctx, Sequential{}, "Dir0B", cfgs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pMerged, err := par.SchemeOverTraces(ctx, Parallel{}, "Dir0B", cfgs, true)
+	_, pMerged, err := par.SchemeOverTraces(ctx, Parallel{Workers: 4}, "Dir0B", cfgs, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,6 @@ import (
 
 // Options configures an Engine. The zero value is ready to use.
 type Options struct {
-	// Workers bounds the number of jobs executing concurrently under the
-	// Parallel executor; 0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// BatchRefs is the simulation hot-loop batch size handed to
-	// sim.Options.BatchRefs: how many references each simulator pulls
-	// from its source per call. 0 means sim.DefaultBatchRefs (4096).
-	// Results never depend on it.
-	BatchRefs int
 	// Metrics is the registry the engine's lifetime counters live on,
 	// shared with whatever else the caller instruments; nil means a
 	// private registry (reachable via Engine.Metrics).
@@ -70,12 +62,11 @@ type Options struct {
 	ProtoSample int
 
 	// JobTimeout bounds each job-body attempt; 0 means no per-job
-	// deadline. A per-Job Timeout overrides it.
+	// deadline.
 	JobTimeout time.Duration
 	// Retries is how many additional attempts a job body gets when it
 	// fails with a retryable error (one with Retryable() true, or a
-	// per-attempt deadline expiry). 0 means fail on the first error. A
-	// per-Job Retries overrides it.
+	// per-attempt deadline expiry). 0 means fail on the first error.
 	Retries int
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt (default 10ms when Retries > 0).
@@ -91,12 +82,13 @@ type Options struct {
 	Verify bool
 
 	// Store, when non-nil, is a durable second tier behind the in-memory
-	// caches: computed results and generated traces are written through
-	// to it, and a memory miss consults it before computing, so
-	// warm-start runs and concurrent processes sharing one store serve
-	// each other's work. Entries it returns are fingerprint-validated by
-	// the tier itself; a corrupt entry surfaces as a Corrupt() error,
-	// counts as a cache rejection, and is recomputed.
+	// result cache: computed results are written through to it, and a
+	// memory miss consults it before computing, so warm-start runs and
+	// concurrent processes sharing one store serve each other's work.
+	// Entries it returns are fingerprint-validated by the tier itself; a
+	// corrupt entry surfaces as a Corrupt() error, counts as a cache
+	// rejection, and is recomputed. Traces never reach it: regenerating
+	// one is faster than reading it back.
 	Store Tier
 
 	// Remote, when non-nil, is offered every simulation spec that missed
@@ -108,22 +100,19 @@ type Options struct {
 	Remote Remote
 }
 
-// Tier is the contract of a durable second-tier content-addressed cache
-// (internal/store satisfies it). Keys are the full hex form of the
-// engine's content hashes. Load methods return ok == false on a clean
+// Tier is the contract of a durable second-tier content-addressed result
+// cache (internal/store satisfies it). Keys are the full hex form of the
+// engine's content hashes. LoadResult returns ok == false on a clean
 // miss; an error whose chain reports Corrupt() true means the entry
 // existed, failed integrity revalidation, and has been evicted — the
-// engine counts it on engine.cache.rejected and recomputes. Store
-// methods receive the content fingerprint to stamp the entry with
-// (normally the value's own fingerprint; fault injection may poison it).
+// engine counts it on engine.cache.rejected and recomputes. StoreResult
+// receives the content fingerprint to stamp the entry with (normally the
+// result's own fingerprint; fault injection may poison it).
 // Implementations must be safe for concurrent use.
 type Tier interface {
 	HasResult(key string) bool
 	LoadResult(key string) (*sim.Result, bool, error)
 	StoreResult(key string, r *sim.Result, fingerprint uint64) error
-	HasTrace(key string) bool
-	LoadTrace(key string) (*trace.Trace, bool, error)
-	StoreTrace(key string, t *trace.Trace, fingerprint uint64) error
 }
 
 // Observer receives the engine's execution events: one JobScheduled per
@@ -160,13 +149,13 @@ type FaultObserver interface {
 }
 
 // TierObserver extends Observer with durable-tier (Options.Store)
-// traffic: one TierFetched per lookup the tier answered (hit true) or
-// cleanly missed, one TierStored per write-through. Like FaultObserver
-// it is optional and type-asserted once at construction. kind is
-// "result" or "trace"; key is the short content hash.
+// traffic: one TierFetched per result lookup the tier answered (hit
+// true) or cleanly missed, one TierStored per write-through. Like
+// FaultObserver it is optional and type-asserted once at construction.
+// key is the short content hash.
 type TierObserver interface {
-	TierFetched(ctx context.Context, kind, key string, hit bool, d time.Duration)
-	TierStored(ctx context.Context, kind, key string, d time.Duration)
+	TierFetched(ctx context.Context, key string, hit bool, d time.Duration)
+	TierStored(ctx context.Context, key string, d time.Duration)
 }
 
 // JobKind classifies a job by its ID prefix — "trace", "sim", "merge",
@@ -182,9 +171,6 @@ func JobKind(id string) string {
 // is safe for concurrent use by multiple goroutines; all submissions
 // share its caches and its worker bound.
 type Engine struct {
-	workers   int
-	batchRefs int
-
 	jobTimeout time.Duration
 	retries    int
 	backoff    time.Duration
@@ -223,14 +209,6 @@ type Engine struct {
 
 // New builds an engine with the given options.
 func New(opts Options) *Engine {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	br := opts.BatchRefs
-	if br <= 0 {
-		br = sim.DefaultBatchRefs
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -242,8 +220,6 @@ func New(opts Options) *Engine {
 	fobs, _ := opts.Observer.(FaultObserver)
 	tobs, _ := opts.Observer.(TierObserver)
 	return &Engine{
-		workers:         w,
-		batchRefs:       br,
 		jobTimeout:      opts.JobTimeout,
 		retries:         opts.Retries,
 		backoff:         bo,
@@ -340,10 +316,6 @@ func (e *Engine) Stats() Stats {
 // Metrics returns the registry the engine's counters live on.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// BatchRefs returns the resolved simulation batch size: Options.BatchRefs,
-// or sim.DefaultBatchRefs when that was left zero.
-func (e *Engine) BatchRefs() int { return e.batchRefs }
-
 // Job is one node of an execution DAG. Jobs are single-use: build a fresh
 // graph per Execute call (cached work is cheap to re-plan).
 type Job struct {
@@ -358,13 +330,6 @@ type Job struct {
 	Deps []*Job
 	// Run computes the output. It must honour ctx for long work.
 	Run func(ctx context.Context, in []any) (any, error)
-	// Timeout bounds each attempt of this job's body, overriding the
-	// engine's JobTimeout; 0 inherits the engine default.
-	Timeout time.Duration
-	// Retries overrides the engine's retry budget for this job; 0
-	// inherits the engine's Retries, negative disables retries for this
-	// job even when the engine allows them.
-	Retries int
 
 	// offSlot: a remote-first job, outside the pool's bound until it acquireSlots.
 	offSlot bool
@@ -398,7 +363,7 @@ func (j *Job) Metrics() Metrics { return j.met }
 type Executor interface {
 	// Name identifies the strategy in reports and flags.
 	Name() string
-	workerCount(engineDefault int) int
+	workerCount() int
 }
 
 // Sequential executes jobs one at a time in deterministic dependency
@@ -407,26 +372,25 @@ type Executor interface {
 type Sequential struct{}
 
 // Name returns "sequential".
-func (Sequential) Name() string        { return "sequential" }
-func (Sequential) workerCount(int) int { return 1 }
+func (Sequential) Name() string     { return "sequential" }
+func (Sequential) workerCount() int { return 1 }
 
 // Parallel executes the same DAG as Sequential with ready jobs running
 // concurrently on a bounded worker pool: at most Workers local job bodies
 // — generations, simulations, merges — execute at once (a job waiting on
 // a Remote holds no slot: a whole batch reaches the fleet together).
 type Parallel struct {
-	// Workers overrides the engine's pool size; 0 keeps the engine
-	// default (GOMAXPROCS).
+	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 }
 
 // Name returns "parallel".
 func (Parallel) Name() string { return "parallel" }
-func (p Parallel) workerCount(engineDefault int) int {
+func (p Parallel) workerCount() int {
 	if p.Workers > 0 {
 		return p.Workers
 	}
-	return engineDefault
+	return runtime.GOMAXPROCS(0)
 }
 
 // Execute runs the given jobs and all their transitive dependencies,
@@ -461,7 +425,7 @@ func (e *Engine) execute(ctx context.Context, exec Executor, roots []*Job, failF
 			e.obs.JobScheduled(ctx, j.ID, JobKind(j.ID), observedKey(j.Key))
 		}
 	}
-	if w := exec.workerCount(e.workers); w > 1 {
+	if w := exec.workerCount(); w > 1 {
 		return e.executePool(ctx, jobs, w, failFast)
 	}
 	return e.executeSerial(ctx, jobs, failFast)
@@ -730,7 +694,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 			// a fingerprint-validated entry written by an earlier run (or
 			// another process sharing the store) is a cache hit without a
 			// simulation.
-			if out, sum, ok := tierLoad(ctx, e, "result", j.Key, Tier.LoadResult); ok {
+			if out, sum, ok := e.tierLoad(ctx, j.Key); ok {
 				e.results.fulfillStamped(j.Key, f, out, nil, sum, e.verify)
 				j.met.CacheHit = true
 				j.out, j.err = out, nil
@@ -740,7 +704,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 			sum, stamped := e.stampFor(observedKey(j.Key), out)
 			e.results.fulfillStamped(j.Key, f, out, err, sum, stamped)
 			if r, ok := out.(*sim.Result); ok && err == nil {
-				tierStore(ctx, e, "result", j.Key, r, Tier.StoreResult)
+				e.tierStore(ctx, j.Key, r)
 			}
 			j.out, j.err = out, err
 			return err
@@ -766,12 +730,6 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 // runBody executes a job's body with panic isolation, a per-attempt
 // deadline, and bounded retry-with-backoff for retryable failures.
 func (e *Engine) runBody(ctx context.Context, j *Job) (any, error) {
-	retries := e.retries
-	if j.Retries > 0 {
-		retries = j.Retries
-	} else if j.Retries < 0 {
-		retries = 0
-	}
 	backoff := e.backoff
 	for attempt := 0; ; attempt++ {
 		out, err := e.attempt(ctx, j, attempt)
@@ -794,7 +752,7 @@ func (e *Engine) runBody(ctx context.Context, j *Job) (any, error) {
 		case errors.As(err, &te):
 			je.Timeout, je.Err = true, te.cause
 		}
-		if attempt >= retries || ctx.Err() != nil || !je.Retryable() {
+		if attempt >= e.retries || ctx.Err() != nil || !je.Retryable() {
 			return nil, je
 		}
 		e.jobRetries.Add(1)
@@ -836,14 +794,10 @@ func (t *timeoutError) Unwrap() error { return t.cause }
 // fault injection when configured, and with panics recovered into a
 // *panicError rather than unwinding through the worker pool.
 func (e *Engine) attempt(ctx context.Context, j *Job, attempt int) (out any, err error) {
-	timeout := j.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
-	}
 	attemptCtx := ctx
 	var cancel context.CancelFunc
-	if timeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, timeout)
+	if e.jobTimeout > 0 {
+		attemptCtx, cancel = context.WithTimeout(ctx, e.jobTimeout)
 		defer cancel()
 	}
 	// The attempt span is registered before the recover defer below, so it
@@ -899,35 +853,25 @@ func (e *Engine) stampFor(key string, v any) (uint64, bool) {
 	return sum, true
 }
 
-// fingerprinted is what the durable tier holds: *sim.Result and
-// *trace.Trace, each validated by its own content fingerprint.
-type fingerprinted interface {
-	comparable
-	Fingerprint() uint64
-}
-
-// tierLoad consults the durable second tier for the value under k; kind is
-// "result" or "trace" and load the matching Tier method. A validated hit
-// returns the value and its fingerprint (which becomes the in-memory
-// stamp, so later memory hits revalidate against the same sum). A corrupt
-// entry has already been evicted by the store; the engine counts it like
-// any other integrity rejection and recomputes. The lookup is spanned on
-// the caller's trace lane and reported to the tier observer, so store
-// traffic shows up both on the request's timeline and in its journal.
-func tierLoad[T fingerprinted](ctx context.Context, e *Engine, kind string, k Key,
-	load func(Tier, string) (T, bool, error)) (T, uint64, bool) {
-	var zero T
+// tierLoad consults the durable second tier for the result under k. A
+// validated hit returns the result and its fingerprint (which becomes the
+// in-memory stamp, so later memory hits revalidate against the same sum).
+// A corrupt entry has already been evicted by the store; the engine counts
+// it like any other integrity rejection and recomputes. The lookup is
+// spanned on the caller's trace lane and reported to the tier observer, so
+// store traffic shows up both on the request's timeline and in its journal.
+func (e *Engine) tierLoad(ctx context.Context, k Key) (*sim.Result, uint64, bool) {
 	if e.tier == nil {
-		return zero, 0, false
+		return nil, 0, false
 	}
 	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "load:"+kind).Arg("key", observedKey(k))
+	sp := lane.Span(parent, "store", "load:result").Arg("key", observedKey(k))
 	start := time.Now()
-	v, ok, err := load(e.tier, k.hex())
-	hit := err == nil && ok && v != zero
+	r, ok, err := e.tier.LoadResult(k.hex())
+	hit := err == nil && ok && r != nil
 	sp.Arg("hit", hit).End(err)
 	if e.tobs != nil {
-		e.tobs.TierFetched(ctx, kind, observedKey(k), hit, time.Since(start))
+		e.tobs.TierFetched(ctx, observedKey(k), hit, time.Since(start))
 	}
 	if isCorrupt(err) {
 		e.cacheRejected.Add(1)
@@ -936,34 +880,32 @@ func tierLoad[T fingerprinted](ctx context.Context, e *Engine, kind string, k Ke
 		}
 	}
 	if !hit {
-		return zero, 0, false
+		return nil, 0, false
 	}
-	return v, v.Fingerprint(), true
+	return r, r.Fingerprint(), true
 }
 
-// tierStore writes a freshly computed value through to the durable tier,
+// tierStore writes a freshly computed result through to the durable tier,
 // best-effort: the store accounts its own write failures and a broken disk
 // must not fail the work that just succeeded. In fault mode the persisted
 // stamp may be deliberately poisoned — the same mechanism stampFor uses —
 // so injected corruption exercises the store's load-time revalidation end
 // to end.
-func tierStore[T fingerprinted](ctx context.Context, e *Engine, kind string, k Key, v T,
-	store func(Tier, string, T, uint64) error) {
-	var zero T
-	if e.tier == nil || v == zero {
+func (e *Engine) tierStore(ctx context.Context, k Key, r *sim.Result) {
+	if e.tier == nil || r == nil {
 		return
 	}
-	sum := v.Fingerprint()
+	sum := r.Fingerprint()
 	if e.faults.PoisonStamp(observedKey(k)) {
 		sum = ^sum
 	}
 	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "store:"+kind).Arg("key", observedKey(k))
+	sp := lane.Span(parent, "store", "store:result").Arg("key", observedKey(k))
 	start := time.Now()
-	err := store(e.tier, k.hex(), v, sum)
+	err := e.tier.StoreResult(k.hex(), r, sum)
 	sp.End(err)
 	if e.tobs != nil {
-		e.tobs.TierStored(ctx, kind, observedKey(k), time.Since(start))
+		e.tobs.TierStored(ctx, observedKey(k), time.Since(start))
 	}
 }
 

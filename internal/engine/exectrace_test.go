@@ -46,12 +46,12 @@ func (e flakyErr) Retryable() bool { return true }
 // spans contained within their parents' intervals.
 func TestEngineTraceExport(t *testing.T) {
 	tr := exectrace.New()
-	e := New(Options{Workers: 4, Tracer: tr, ProtoSample: 64, Retries: 2, RetryBackoff: 1})
+	e := New(Options{Tracer: tr, ProtoSample: 64, Retries: 2, RetryBackoff: 1})
 
 	cfgs := workload.StandardConfigs(4, 20_000)[:2]
 	schemes := []string{"Dir0B", "Dir4NB", "WTI"}
 	ctx := context.Background()
-	if _, err := e.Compare(ctx, Parallel{}, schemes, cfgs, false); err != nil {
+	if _, err := e.Compare(ctx, Parallel{Workers: 4}, schemes, cfgs, false); err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
 
@@ -241,13 +241,13 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	schemes := []string{"Dir1B", "Dragon"}
 	ctx := context.Background()
 
-	plain := New(Options{Workers: 4})
-	want, err := plain.Compare(ctx, Parallel{}, schemes, cfgs, false)
+	plain := New(Options{})
+	want, err := plain.Compare(ctx, Parallel{Workers: 4}, schemes, cfgs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := New(Options{Workers: 4, Tracer: exectrace.New(), ProtoSample: 16})
-	got, err := traced.Compare(ctx, Parallel{}, schemes, cfgs, false)
+	traced := New(Options{Tracer: exectrace.New(), ProtoSample: 16})
+	got, err := traced.Compare(ctx, Parallel{Workers: 4}, schemes, cfgs, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,12 @@ import (
 	"dirsim/internal/workload"
 )
 
-// The run recorder must receive the engine's failure-path events.
-var _ FaultObserver = (*obs.Recorder)(nil)
+// The run recorder must receive the engine's failure-path and
+// durable-tier events.
+var (
+	_ FaultObserver = (*obs.Recorder)(nil)
+	_ TierObserver  = (*obs.Recorder)(nil)
+)
 
 // transientErr is a self-declared retryable failure for the retry tests.
 type transientErr struct{}
@@ -156,23 +160,6 @@ func TestPlainErrorsNotRetried(t *testing.T) {
 	}
 }
 
-// TestPerJobRetryOverride: Job.Retries overrides the engine budget in
-// both directions — more attempts, or none at all.
-func TestPerJobRetryOverride(t *testing.T) {
-	e := New(Options{Retries: 5, RetryBackoff: time.Millisecond})
-	calls := 0
-	noRetry := &Job{ID: "noretry", Retries: -1, Run: func(context.Context, []any) (any, error) {
-		calls++
-		return nil, transientErr{}
-	}}
-	if err := e.Execute(context.Background(), Sequential{}, noRetry); err == nil {
-		t.Fatal("failure swallowed")
-	}
-	if calls != 1 {
-		t.Errorf("Retries<0 job ran %d times, want 1", calls)
-	}
-}
-
 // TestJobTimeout: a body exceeding its per-job deadline fails with a
 // structured timeout while the run itself stays alive — and the expiry
 // is retryable, so a budget grants it another attempt.
@@ -215,7 +202,7 @@ func faultMatrixConfigs() []workload.Config { return workload.StandardConfigs(4,
 // judged against.
 func cleanCompare(t *testing.T, exec Executor, schemes []string, cfgs []workload.Config) map[string]*sim.Result {
 	t.Helper()
-	e := New(Options{Workers: 4})
+	e := New(Options{})
 	out, err := e.Compare(context.Background(), exec, schemes, cfgs, false)
 	if err != nil {
 		t.Fatalf("clean baseline failed: %v", err)
@@ -228,7 +215,7 @@ func cleanCompare(t *testing.T, exec Executor, schemes []string, cfgs []workload
 func faultyCompare(t *testing.T, exec Executor, fc faults.Config, schemes []string,
 	cfgs []workload.Config) (map[string]*sim.Result, map[string]error) {
 	t.Helper()
-	e := New(Options{Workers: 4, Retries: 1, RetryBackoff: time.Millisecond,
+	e := New(Options{Retries: 1, RetryBackoff: time.Millisecond,
 		Faults: faults.New(fc)})
 	out, err := e.Compare(context.Background(), exec, schemes, cfgs, false)
 	if err == nil {
@@ -379,8 +366,7 @@ func TestTruncationDetected(t *testing.T) {
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 4}} {
 		found := false
 		for seed := uint64(1); seed <= 20 && !found; seed++ {
-			e := New(Options{Workers: 4,
-				Faults: faults.New(faults.Config{Seed: seed, Truncate: 1})})
+			e := New(Options{Faults: faults.New(faults.Config{Seed: seed, Truncate: 1})})
 			_, err := e.Results(context.Background(), exec, []SimSpec{{Trace: cfg, Scheme: "Dir0B"}})
 			p, ok := AsPartial(err)
 			if !ok {
@@ -406,7 +392,7 @@ func TestTruncationDetected(t *testing.T) {
 func TestCancelledCompareLeaksNothing(t *testing.T) {
 	snap := faults.Goroutines()
 	for i := 0; i < 3; i++ {
-		e := New(Options{Workers: 4})
+		e := New(Options{})
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -467,7 +453,7 @@ func TestFaultObserverEvents(t *testing.T) {
 		}
 		return "ok", nil
 	}}
-	boom := &Job{ID: "boom", Retries: -1, Run: func(context.Context, []any) (any, error) {
+	boom := &Job{ID: "boom", Run: func(context.Context, []any) (any, error) {
 		panic("observed")
 	}}
 	if err := e.ExecuteAll(ctx, Sequential{}, flaky, boom); err != nil {

@@ -18,7 +18,7 @@ func benchCompare(b *testing.B, o Observer) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := New(Options{Workers: 4, Observer: o})
+		e := New(Options{Observer: o})
 		if _, err := e.Compare(context.Background(), Parallel{Workers: 4}, schemes, cfgs, false); err != nil {
 			b.Fatal(err)
 		}

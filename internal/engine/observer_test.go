@@ -65,7 +65,7 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 	for _, exec := range []Executor{Parallel{Workers: 4}, Sequential{}} {
 		t.Run(exec.Name(), func(t *testing.T) {
 			o := &testObserver{}
-			e := New(Options{Workers: 4, Observer: o})
+			e := New(Options{Observer: o})
 			if _, err := e.Compare(context.Background(), exec, schemes, cfgs, false); err != nil {
 				t.Fatal(err)
 			}

@@ -41,9 +41,11 @@ func (s SimSpec) Key() Key {
 }
 
 // Trace returns the materialized trace for cfg, generating it at most
-// once per engine (concurrent callers share one generation). In
+// once per engine (concurrent callers share one generation). A memory
+// miss always generates: the durable tier holds results only, because
+// generating a trace is faster than reading one back from disk. In
 // verification mode every hit revalidates the trace against the
-// fingerprint recorded when it was stored; a mismatch evicts the entry
+// fingerprint recorded when it was cached; a mismatch evicts the entry
 // and regenerates instead of serving the corrupted trace.
 func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, error) {
 	k := TraceKey(cfg)
@@ -51,14 +53,9 @@ func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, 
 		f, owner := e.traces.claim(k)
 		if owner {
 			e.cacheMisses.Add(1)
-			if t, sum, ok := tierLoad(ctx, e, "trace", k, Tier.LoadTrace); ok {
-				e.traces.fulfillStamped(k, f, t, nil, sum, e.verify)
-				return t, nil
-			}
 			t, err := workload.Generate(cfg)
 			if err == nil {
 				e.tracesGenerated.Add(1)
-				tierStore(ctx, e, "trace", k, t, Tier.StoreTrace)
 			}
 			sum, stamped := e.stampFor(observedKey(k), t)
 			e.traces.fulfillStamped(k, f, t, err, sum, stamped)
@@ -395,7 +392,7 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 			return nil, err
 		}
 	}
-	opts := sim.Options{Check: spec.Check, BatchRefs: e.batchRefs}
+	opts := sim.Options{Check: spec.Check}
 	if e.protoSample > 0 {
 		// The sampler is per-simulation (its instants land on this
 		// goroutine's lane, under the simulate span) but its instruments

@@ -73,37 +73,73 @@ func TestTierWarmStartServesFromStore(t *testing.T) {
 	}
 }
 
-// TestTierServesTraceForNewScheme: a warm store holds the trace even when
-// the requested scheme was never simulated, so a new scheme over a known
-// workload reuses the stored trace instead of regenerating it.
-func TestTierServesTraceForNewScheme(t *testing.T) {
+// TestTierStoresResultsOnly: the durable tier holds results, never
+// traces. A cold Results over a store leaves one .dsr file per spec and
+// no trc/ directory, and a warm engine asked for a scheme the store has
+// not seen regenerates every workload, bit-identical to an engine with no
+// store at all.
+func TestTierStoresResultsOnly(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	cfg := workload.POPSConfig(4, 6_000)
+	cfgs := workload.StandardConfigs(4, 6_000)
+	specsFor := func(scheme string) []SimSpec {
+		specs := make([]SimSpec, len(cfgs))
+		for i, cfg := range cfgs {
+			specs[i] = SimSpec{Trace: cfg, Scheme: scheme}
+		}
+		return specs
+	}
 
 	cold := New(Options{Verify: true, Store: openTier(t, dir)})
-	if _, err := cold.Results(ctx, Sequential{}, []SimSpec{{Trace: cfg, Scheme: "Dir0B"}}); err != nil {
+	if _, err := cold.Results(ctx, Sequential{}, specsFor("Dir0B")); err != nil {
 		t.Fatal(err)
+	}
+	results := 0
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "trc":
+			t.Errorf("%s: the store holds a trace namespace", path)
+		case !d.IsDir() && !strings.HasSuffix(path, ".dsr"):
+			t.Errorf("%s: not a result entry", path)
+		case !d.IsDir():
+			results++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results != len(cfgs) {
+		t.Errorf("%d result files, want %d", results, len(cfgs))
 	}
 
-	warm := New(Options{Verify: true, Store: openTier(t, dir)})
-	if _, err := warm.Results(ctx, Sequential{}, []SimSpec{{Trace: cfg, Scheme: "Dir1B"}}); err != nil {
+	want, err := New(Options{}).Results(ctx, Sequential{}, specsFor("Dir1B"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := warm.Stats()
-	if st.SimsRun != 1 {
-		t.Errorf("SimsRun = %d, want 1 (new scheme must simulate)", st.SimsRun)
+	warm := New(Options{Verify: true, Store: openTier(t, dir)})
+	got, err := warm.Results(ctx, Sequential{}, specsFor("Dir1B"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.TracesGenerated != 0 {
-		t.Errorf("TracesGenerated = %d, want 0 (trace must come from the store)", st.TracesGenerated)
+	if st := warm.Stats(); st.SimsRun != int64(len(cfgs)) || st.TracesGenerated != int64(len(cfgs)) {
+		t.Errorf("SimsRun = %d, TracesGenerated = %d, want %d each (a new scheme regenerates its traces)",
+			st.SimsRun, st.TracesGenerated, len(cfgs))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) || got[i].Fingerprint() != want[i].Fingerprint() {
+			t.Errorf("%s: result over a warm store differs from a storeless engine's", cfgs[i].Name)
+		}
 	}
 }
 
 // TestTierPoisonedStampRejected reuses the fault injector's poisoned-stamp
 // machinery against the durable tier: an engine whose stores are all
 // poisoned persists corrupt stamps, and a clean engine sharing the
-// directory must reject every load, recompute, and still return results
-// identical to a never-cached run.
+// directory must reject every load, recompute over a regenerated trace,
+// and still return results identical to a never-cached run.
 func TestTierPoisonedStampRejected(t *testing.T) {
 	ctx := context.Background()
 	spec := SimSpec{Trace: workload.POPSConfig(4, 6_000), Scheme: "Dir0B"}
@@ -202,7 +238,7 @@ func TestTierCorruptFileRecomputed(t *testing.T) {
 	}
 
 	// The corrupt file was evicted, so a further engine recomputes cleanly
-	// from the trace (still stored) and repopulates the result.
+	// from a regenerated trace and repopulates the result.
 	again := New(Options{Verify: true, Store: openTier(t, dir)})
 	got2, err := again.Results(ctx, Sequential{}, []SimSpec{spec})
 	if err != nil {

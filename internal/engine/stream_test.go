@@ -125,8 +125,8 @@ func TestParallelCompareCachesEachTraceOnce(t *testing.T) {
 	ctx := context.Background()
 	cfgs := workload.StandardConfigs(4, 20_000)
 
-	e := New(Options{Workers: 4})
-	if _, err := e.Compare(ctx, Parallel{}, []string{"Dir0B", "WTI"}, cfgs, false); err != nil {
+	e := New(Options{})
+	if _, err := e.Compare(ctx, Parallel{Workers: 4}, []string{"Dir0B", "WTI"}, cfgs, false); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -145,30 +145,6 @@ func TestParallelCompareCachesEachTraceOnce(t *testing.T) {
 	if got := e.Stats().TracesGenerated; got != s.TracesGenerated {
 		t.Errorf("Trace() after the batch regenerated a workload: %d generations, want %d",
 			got, s.TracesGenerated)
-	}
-}
-
-// TestEngineBatchSizeIndependence runs the parallel executor at
-// simulation batch sizes of one reference, a prime, the default and more
-// than a whole trace, against a plain sequential engine — results must
-// not notice.
-func TestEngineBatchSizeIndependence(t *testing.T) {
-	ctx := context.Background()
-	cfgs := workload.StandardConfigs(4, 25_000)
-
-	_, want, err := New(Options{}).SchemeOverTraces(ctx, Sequential{}, "Dir1NB", cfgs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 97, 4096, 1 << 20} {
-		e := New(Options{Workers: 4, BatchRefs: batch})
-		_, got, err := e.SchemeOverTraces(ctx, Parallel{Workers: 4}, "Dir1NB", cfgs, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("BatchRefs %d changed the merged result", batch)
-		}
 	}
 }
 

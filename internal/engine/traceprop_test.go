@@ -24,6 +24,8 @@ type traceSink struct {
 	spans map[string]int
 	// hits counts cache-hit JobFinished and hit TierFetched callbacks.
 	cacheHits, tierHits int
+	// tierKeys lists the key of every TierFetched and TierStored callback.
+	tierKeys []string
 }
 
 func newTraceSink() *traceSink {
@@ -54,16 +56,20 @@ func (s *traceSink) JobFinished(ctx context.Context, id, kind, key string, d tim
 		s.mu.Unlock()
 	}
 }
-func (s *traceSink) TierFetched(ctx context.Context, kind, key string, hit bool, d time.Duration) {
+func (s *traceSink) TierFetched(ctx context.Context, key string, hit bool, d time.Duration) {
 	s.record(ctx, "store.load")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tierKeys = append(s.tierKeys, key)
 	if hit {
-		s.mu.Lock()
 		s.tierHits++
-		s.mu.Unlock()
 	}
 }
-func (s *traceSink) TierStored(ctx context.Context, kind, key string, d time.Duration) {
+func (s *traceSink) TierStored(ctx context.Context, key string, d time.Duration) {
 	s.record(ctx, "store.store")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tierKeys = append(s.tierKeys, key)
 }
 func (s *traceSink) JobRetried(ctx context.Context, id string, attempt int, backoff time.Duration, err error) {
 	s.record(ctx, "job.retry")
@@ -74,6 +80,12 @@ func (s *traceSink) JobPanicked(ctx context.Context, id string, stack []byte) {
 func (s *traceSink) CacheRejected(ctx context.Context, key string) {
 	s.record(ctx, "cache.reject")
 }
+
+// The sink must receive every observer event the engine offers.
+var (
+	_ FaultObserver = (*traceSink)(nil)
+	_ TierObserver  = (*traceSink)(nil)
+)
 
 // requireAll asserts every recorded trace for event equals want and that
 // the event fired at all.
@@ -132,13 +144,33 @@ func TestTracePropagationThroughJobsAndCache(t *testing.T) {
 // TestTracePropagationThroughStoreTiers: durable-store loads and stores
 // fire TierObserver callbacks carrying the requesting submission's
 // trace — a cold engine's write-throughs carry the cold trace, and a
-// second engine warm-starting from the same store carries its own.
+// second engine warm-starting from the same store carries its own. Every
+// callback is for a result: per-spec or merged, never a trace.
 func TestTracePropagationThroughStoreTiers(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := tracePropConfigs()
+	results := map[string]bool{}
+	var specKeys []Key
+	for _, cfg := range cfgs {
+		k := SimSpec{Trace: cfg, Scheme: "Dir0B"}.Key()
+		specKeys = append(specKeys, k)
+		results[k.String()] = true
+	}
+	results[mergeKey(specKeys).String()] = true
+	requireResults := func(s *traceSink) {
+		t.Helper()
+		if len(s.tierKeys) == 0 {
+			t.Fatal("no tier callbacks recorded")
+		}
+		for _, k := range s.tierKeys {
+			if !results[k] {
+				t.Errorf("tier callback for %s, which is not a result key", k)
+			}
+		}
+	}
 
 	cold := newTraceSink()
 	e1 := New(Options{Observer: cold, Store: st})
@@ -148,6 +180,7 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 	}
 	cold.requireAll(t, "store.store", "cold")
 	cold.requireAll(t, "store.load", "cold") // misses still fire, tagged
+	requireResults(cold)
 
 	warm := newTraceSink()
 	e2 := New(Options{Observer: warm, Store: st})
@@ -156,6 +189,7 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.requireAll(t, "store.load", "warm")
+	requireResults(warm)
 	if warm.tierHits == 0 {
 		t.Error("warm engine recorded no store tier hits")
 	}

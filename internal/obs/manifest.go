@@ -50,14 +50,11 @@ type ManifestStore struct {
 
 // ManifestConfig is the run's input configuration.
 type ManifestConfig struct {
-	Run      string `json:"run"`
-	Refs     int    `json:"refs"`
-	CPUs     int    `json:"cpus"`
-	Check    bool   `json:"check"`
-	Parallel int    `json:"parallel"`
-	// Batch is the resolved simulation batch size in references; it
-	// tunes throughput only, never results.
-	Batch    int               `json:"batch"`
+	Run      string            `json:"run"`
+	Refs     int               `json:"refs"`
+	CPUs     int               `json:"cpus"`
+	Check    bool              `json:"check"`
+	Parallel int               `json:"parallel"`
 	Executor string            `json:"executor"`
 	Seeds    map[string]uint64 `json:"seeds,omitempty"`
 	// Faults is the fault-injection spec the run was executed under and

@@ -88,17 +88,19 @@ func (r *Recorder) JobFinished(ctx context.Context, id, kind, key string, d time
 }
 
 // TierFetched implements the engine's TierObserver: one event per
-// durable-store lookup, hit or clean miss. Counting stays with the store
-// itself (store.* counters); this is the journal's causal record.
-func (r *Recorder) TierFetched(ctx context.Context, kind, key string, hit bool, d time.Duration) {
-	r.jnl.Event("store.load", traceAttrs(ctx, []any{"kind", kind, "key", key,
+// durable-store result lookup, hit or clean miss. Counting stays with the
+// store itself (store.* counters); this is the journal's causal record.
+// The tier holds results only; the "kind" field stays in the journal
+// schema for its readers.
+func (r *Recorder) TierFetched(ctx context.Context, key string, hit bool, d time.Duration) {
+	r.jnl.Event("store.load", traceAttrs(ctx, []any{"kind", "result", "key", key,
 		"hit", hit, "dur_us", d.Microseconds()})...)
 }
 
 // TierStored implements the engine's TierObserver: one event per
 // write-through to the durable store.
-func (r *Recorder) TierStored(ctx context.Context, kind, key string, d time.Duration) {
-	r.jnl.Event("store.store", traceAttrs(ctx, []any{"kind", kind, "key", key,
+func (r *Recorder) TierStored(ctx context.Context, key string, d time.Duration) {
+	r.jnl.Event("store.store", traceAttrs(ctx, []any{"kind", "result", "key", key,
 		"dur_us", d.Microseconds()})...)
 }
 

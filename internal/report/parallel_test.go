@@ -14,7 +14,7 @@ func TestParallelContextRendersIdentically(t *testing.T) {
 	const refs = 30_000
 	serial := NewContext(refs, 4)
 	parallel := NewContextWith(refs, 4,
-		engine.New(engine.Options{Workers: 8}), engine.Parallel{Workers: 8})
+		engine.New(engine.Options{}), engine.Parallel{Workers: 8})
 
 	for _, id := range []string{"table4", "fig1", "fig2"} {
 		exps, err := Lookup(id)

@@ -526,13 +526,13 @@ func (r *router) JobFinished(ctx context.Context, id, kind, key string, d time.D
 // TierFetched and TierStored route durable-store traffic for an
 // experiment's result keys into its journal, so a warm-start hit is as
 // visible to SSE subscribers as a simulation would have been.
-func (r *router) TierFetched(ctx context.Context, kind, key string, hit bool, d time.Duration) {
-	r.emit(key, "store.load", "kind", kind, "key", key,
+func (r *router) TierFetched(ctx context.Context, key string, hit bool, d time.Duration) {
+	r.emit(key, "store.load", "kind", "result", "key", key,
 		"hit", hit, "dur_us", d.Microseconds())
 }
 
-func (r *router) TierStored(ctx context.Context, kind, key string, d time.Duration) {
-	r.emit(key, "store.store", "kind", kind, "key", key, "dur_us", d.Microseconds())
+func (r *router) TierStored(ctx context.Context, key string, d time.Duration) {
+	r.emit(key, "store.store", "kind", "result", "key", key, "dur_us", d.Microseconds())
 }
 
 func (r *router) CacheRejected(ctx context.Context, key string) {

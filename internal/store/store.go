@@ -1,16 +1,16 @@
 // Package store is the durable second tier behind the execution engine's
-// in-memory content-addressed caches: simulation results and generated
-// traces persisted on disk under their engine cache key, each stamped
-// with the content fingerprint recorded at store time and revalidated on
-// every load. A warm-start process — or a second process sharing the
-// directory — finds yesterday's sweep already computed; a corrupted file
-// (a flipped byte, a poisoned stamp, a torn write) is detected, evicted,
-// and recomputed rather than served.
+// in-memory result cache: simulation results persisted on disk under
+// their engine cache key, each stamped with the content fingerprint
+// recorded at store time and revalidated on every load. A warm-start
+// process — or a second process sharing the directory — finds
+// yesterday's sweep already computed; a corrupted file (a flipped byte,
+// a poisoned stamp, a torn write) is detected, evicted, and recomputed
+// rather than served.
 //
 // The layout under the store directory:
 //
 //	res/<kk>/<key>.dsr    one result per file, payload sim.Result.AppendBinary
-//	trc/<kk>/<key>.dstr   one trace per file, payload trace.WriteBinary
+//	trc/<kk>/<key>.dstr   one trace per file (bench/ only), payload trace.WriteBinary
 //
 // where <key> is the full hex engine cache key and <kk> its first two
 // characters (a fan-out directory, so a million entries do not land in
@@ -166,10 +166,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		bytesGauge:  reg.Gauge("store.bytes"),
 		countGauge:  reg.Gauge("store.entries"),
 	}
-	for _, ns := range []namespace{results, traces} {
-		if err := os.MkdirAll(filepath.Join(dir, ns.dir), 0o755); err != nil {
-			return nil, fmt.Errorf("store: open: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, results.dir), 0o755); err != nil {
+		return nil, fmt.Errorf("store: open: %w", err)
 	}
 	if err := s.scan(); err != nil {
 		return nil, err
@@ -227,7 +225,7 @@ func (s *Store) scan() error {
 			all = append(all, found{id: ns.prefix + key, size: info.Size(), mtime: info.ModTime()})
 			return nil
 		})
-		if err != nil {
+		if err != nil && !errors.Is(err, fs.ErrNotExist) { // trc/ exists once a trace is stored
 			return fmt.Errorf("store: scan: %w", err)
 		}
 	}
@@ -365,7 +363,7 @@ func (s *Store) evict(id string) {
 // "present", not "valid" — a later Load still revalidates.
 func (s *Store) HasResult(key string) bool { return s.has(results.prefix + key) }
 
-// HasTrace is HasResult for the trace namespace.
+// HasTrace is HasResult for the trace namespace, which only bench/ uses.
 func (s *Store) HasTrace(key string) bool { return s.has(traces.prefix + key) }
 
 func (s *Store) has(id string) bool {
@@ -409,7 +407,8 @@ func (s *Store) LoadTrace(key string) (*trace.Trace, bool, error) {
 	})
 }
 
-// StoreTrace persists t under key with the given fingerprint stamp.
+// StoreTrace persists t under key with the given fingerprint stamp. Only
+// bench/ calls it: the engine regenerates traces instead of storing them.
 func (s *Store) StoreTrace(key string, t *trace.Trace, fingerprint uint64) error {
 	return s.put(traces, key, fingerprint, func(b []byte) ([]byte, error) {
 		buf := bytes.NewBuffer(b)
