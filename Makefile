@@ -106,8 +106,9 @@ bench-compare:
 
 # Measure the observability overhead — the hot loop with telemetry off
 # (the default nil path) and on (ProtoSampler at stride 64), plus an
-# uncached engine run without and with the full tracing stack (Recorder
-# + tracer + TraceContext) — and write BENCH_obs.json.
+# uncached engine run without and with the full tracing stack (tracer,
+# plus a TraceContext and a journal on the context) — and write
+# BENCH_obs.json.
 bench-obs:
 	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteObsBenchJSON -v .
 

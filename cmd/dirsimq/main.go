@@ -233,7 +233,7 @@ func (m *matcher) match(l line) bool {
 	return true
 }
 
-// phaseOf mirrors the recorder's job-kind → phase folding.
+// phaseOf mirrors the engine's job-kind → phase folding (engine.job.<phase>.us).
 func phaseOf(kind string) string {
 	switch kind {
 	case "trace", "stream":

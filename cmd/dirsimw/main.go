@@ -200,13 +200,13 @@ func run(cfg config) error {
 	}
 	w.Journal = journal
 
-	// The recorder journals the engine job lifecycle worker-side, so a
-	// shipped journal carries the execution story, not just leases.
+	// The worker puts its journal on every job's context, so the engine
+	// journals the job lifecycle worker-side and a shipped journal
+	// carries the execution story, not just leases.
 	eng := engine.New(engine.Options{
-		Metrics:  reg,
-		Store:    tier,
-		Verify:   cfg.verify,
-		Observer: obs.NewRecorder(reg, journal),
+		Metrics: reg,
+		Store:   tier,
+		Verify:  cfg.verify,
 	})
 	w.Engine = eng
 	w.Exec = engine.Parallel{Workers: cfg.simWorkers}

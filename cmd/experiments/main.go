@@ -194,7 +194,6 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		defer raw.Close()
 		jnl = raw.WithTrace(runTC)
 	}
-	var rec *obs.Recorder
 	opts := engine.Options{Metrics: reg, Verify: cfg.verify, Retries: cfg.retries,
 		JobTimeout: cfg.timeout, Tracer: tr, ProtoSample: protoSample}
 	var st *store.Store
@@ -214,10 +213,6 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 			opts.Faults = faults.New(fcfg)
 		}
 	}
-	if observing {
-		rec = obs.NewRecorder(reg, jnl)
-		opts.Observer = rec
-	}
 	var prof *obs.Profiler
 	if cfg.pprofDir != "" {
 		var err error
@@ -229,8 +224,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	eng := engine.New(opts)
 	ctx := report.NewContextWith(cfg.refs, cfg.cpus, eng, exec)
 	ctx.Check = cfg.check
-	ctx.Observe(rec)
-	ctx.WithBase(obs.WithTrace(context.Background(), runTC))
+	ctx.WithBase(obs.WithJournal(obs.WithTrace(context.Background(), runTC), jnl))
 
 	status := obs.NewRunStatus()
 	ctx.Track(status)
@@ -331,15 +325,20 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 			errs = append(errs, err)
 		}
 	}
+	exp := obs.PhaseStat{Phase: "experiment", Count: int64(len(outs))}
+	for _, o := range outs {
+		exp.Total += o.dur
+	}
+	ph := obs.PhaseBreakdown(reg, exp)
 	if cfg.manifest != "" {
 		cfg.protoSample = protoSample // record the resolved stride, not the flag
-		m := buildManifest(cfg, ctx, exec, parallel, exps, outs, stats, rec, st, start, wall)
+		m := buildManifest(cfg, ctx, exec, parallel, exps, outs, stats, ph, st, start, wall)
 		if err := m.Write(cfg.manifest); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	if observing {
-		printSummary(ew, rec, stats, st, wall, exps, outs)
+		printSummary(ew, ph, stats, st, wall, exps, outs)
 	}
 	return errors.Join(errs...)
 }
@@ -362,7 +361,7 @@ func writeMetrics(w io.Writer, reg *obs.Registry, path string) error {
 // per-experiment outcomes, engine counters, cache hit ratio, phases.
 func buildManifest(cfg config, ctx *report.Context, exec engine.Executor, parallel int,
 	exps []report.Experiment, outs []rendered, stats engine.Stats,
-	rec *obs.Recorder, st *store.Store, start time.Time, wall time.Duration) *obs.RunManifest {
+	ph []obs.PhaseStat, st *store.Store, start time.Time, wall time.Duration) *obs.RunManifest {
 	seeds := make(map[string]uint64)
 	for _, wc := range workload.StandardConfigs(ctx.CPUs, ctx.Refs) {
 		seeds[wc.Name] = wc.Seed
@@ -395,13 +394,11 @@ func buildManifest(cfg config, ctx *report.Context, exec engine.Executor, parall
 		Experiments:   runs,
 		Engine:        ctx.Engine().Metrics().Snapshot().Counters,
 		CacheHitRatio: obs.HitRatio(stats.CacheHits, stats.CacheMisses),
+		Phases:        ph,
 	}
 	if cfg.faults != "" {
 		m.Config.Faults = cfg.faults
 		m.Config.FaultSeed = cfg.faultSeed
-	}
-	if rec != nil {
-		m.Phases = rec.Phases()
 	}
 	if st != nil {
 		ss := st.Stats()
@@ -422,7 +419,7 @@ func buildManifest(cfg config, ctx *report.Context, exec engine.Executor, parall
 // printSummary renders the human-readable wrap-up: wall time, cache
 // economics, engine counters, and the per-phase and per-experiment time
 // breakdowns.
-func printSummary(ew io.Writer, rec *obs.Recorder, stats engine.Stats, st *store.Store,
+func printSummary(ew io.Writer, ph []obs.PhaseStat, stats engine.Stats, st *store.Store,
 	wall time.Duration, exps []report.Experiment, outs []rendered) {
 	fmt.Fprintf(ew, "\n== run summary ==\n")
 	fmt.Fprintf(ew, "wall time    %s\n", wall.Round(time.Millisecond))
@@ -438,7 +435,7 @@ func printSummary(ew io.Writer, rec *obs.Recorder, stats engine.Stats, st *store
 	fmt.Fprintf(ew, "engine       %d jobs, %d sims, %d traces generated\n",
 		stats.JobsRun, stats.SimsRun, stats.TracesGenerated)
 	fmt.Fprintf(ew, "phases:\n")
-	for _, p := range rec.Phases() {
+	for _, p := range ph {
 		fmt.Fprintf(ew, "  %-12s %5d spans  %s\n", p.Phase, p.Count, p.Total.Round(time.Millisecond))
 	}
 	fmt.Fprintf(ew, "experiments:\n")

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"dirsim/internal/obs"
 	"dirsim/internal/report"
 )
 
@@ -228,6 +229,9 @@ func readJournal(t *testing.T, path string) []map[string]any {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
+		if k, err := obs.RepeatedKey(sc.Bytes()); err != nil || k != "" {
+			t.Fatalf("journal line %d repeats %q (%v): %s", len(out)+1, k, err, sc.Text())
+		}
 		var m map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 			t.Fatalf("journal line %d not valid JSON: %v\n%s", len(out)+1, err, sc.Text())
@@ -264,8 +268,12 @@ func TestJournalAndSummary(t *testing.T) {
 	if seen["job.finish"] == 0 || seen["job.scheduled"] == 0 {
 		t.Errorf("engine job events missing: %v", seen)
 	}
-	// Every job.finish carries its span fields.
+	// Every line carries the run's trace, and every job.finish its span
+	// fields.
 	for _, e := range events {
+		if e["trace"] != events[0]["trace"] || e["trace"] == nil {
+			t.Fatalf("line outside the run's trace %v: %v", events[0]["trace"], e)
+		}
 		if e["msg"] != "job.finish" {
 			continue
 		}
@@ -278,7 +286,8 @@ func TestJournalAndSummary(t *testing.T) {
 	}
 
 	s := summary.String()
-	for _, want := range []string{"run summary", "hit rate", "traces generated\n", "phases:", "experiments:", "table3"} {
+	for _, want := range []string{"run summary", "hit rate", "traces generated\n", "phases:",
+		"experiment       2 spans", "generate ", "simulate ", "experiments:", "table3"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
@@ -310,6 +319,7 @@ func TestManifestFlag(t *testing.T) {
 		} `json:"experiments"`
 		Engine        map[string]int64 `json:"engine_counters"`
 		CacheHitRatio float64          `json:"cache_hit_ratio"`
+		Phases        []obs.PhaseStat  `json:"phases"`
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("manifest not valid JSON: %v", err)
@@ -327,7 +337,12 @@ func TestManifestFlag(t *testing.T) {
 	if m.Engine["engine.traces.generated"] == 0 {
 		t.Errorf("manifest engine counters wrong: %v", m.Engine)
 	}
-	// The engine's thirteen counters, with nothing left of streamed
+	// table3 reads its traces straight from the engine, so its one
+	// experiment is its only phase: no engine job ran.
+	if len(m.Phases) != 1 || m.Phases[0].Phase != "experiment" || m.Phases[0].Count != 1 {
+		t.Errorf("manifest phases wrong: %+v", m.Phases)
+	}
+	// The engine's fourteen counters, with nothing left of streamed
 	// generation among them.
 	for _, gone := range []string{"engine.traces.streamed", "engine.stream.chunks", "engine.stream.stalls"} {
 		if _, ok := m.Engine[gone]; ok {
@@ -340,8 +355,8 @@ func TestManifestFlag(t *testing.T) {
 			n++
 		}
 	}
-	if n != 13 {
-		t.Errorf("manifest carries %d engine.* counters, want 13: %v", n, m.Engine)
+	if n != 14 {
+		t.Errorf("manifest carries %d engine.* counters, want 14: %v", n, m.Engine)
 	}
 }
 

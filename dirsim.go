@@ -288,7 +288,7 @@ func NewExperimentContext(refs, cpus int) *ExperimentContext {
 type (
 	// Engine schedules simulation jobs and owns the result caches.
 	Engine = engine.Engine
-	// EngineOptions configures a new engine (retries, observers, cache
+	// EngineOptions configures a new engine (retries, tracing, cache
 	// tiers); the pool size belongs to the executor.
 	EngineOptions = engine.Options
 	// EngineStats snapshots an engine's cache and execution counters.

@@ -480,7 +480,26 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 		}
 	}
 
-	// --- the shipped journal ---
+	// --- the worker and shipped journals ---
+	// The worker's engine journals each job under the job's trace and
+	// remote parent, and no worker journal line repeats a key.
+	for _, line := range bytes.Split(bytes.TrimSpace(w1Log.Bytes()), []byte("\n")) {
+		if k, err := obs.RepeatedKey(line); err != nil || k != "" {
+			t.Fatalf("worker journal line repeats %q (%v): %s", k, err, line)
+		}
+	}
+	finishes := 0
+	for _, line := range strings.Split(w1Log.String(), "\n") {
+		if strings.Contains(line, `"msg":"job.finish"`) {
+			finishes++
+			if !strings.Contains(line, `"trace":"feedface01"`) || !strings.Contains(line, `"pspan":"`) {
+				t.Errorf("worker job.finish without the job's trace and remote parent: %s", line)
+			}
+		}
+	}
+	if finishes < len(specs) {
+		t.Errorf("w1 journaled %d job.finish lines, want >= %d", finishes, len(specs))
+	}
 	out := coordLog.String()
 	if !strings.Contains(out, `"worker":"w1","skew_ns":`) {
 		t.Error("fleet journal has no skew-stamped shipped lines")

@@ -45,7 +45,7 @@ type Worker struct {
 	// the decision is per (worker, job key), so a fixed seed kills the
 	// same worker on the same job every run.
 	Inj *faults.Injector
-	// Journal receives worker.* events; nil disables them.
+	// Journal receives worker.* events and the engine's job lines; nil disables them.
 	Journal *obs.Journal
 	// Metrics, when non-nil, is snapshotted (counters) onto every
 	// heartbeat — the metric-federation path to the coordinator.
@@ -170,7 +170,7 @@ func (w *Worker) counterSnapshot() map[string]int64 {
 // push the result (or the structured error) back.
 func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 	tc, _ := obs.ParseTraceContext(job.Trace)
-	jctx := obs.WithTrace(ctx, tc)
+	jctx := obs.WithJournal(obs.WithTrace(ctx, tc), w.Journal.WithTrace(tc))
 
 	// A non-zero remote parent means the coordinator is tracing this
 	// job: record the engine's spans on a per-job tracer and ship them

@@ -43,11 +43,10 @@ type Options struct {
 	// shared with whatever else the caller instruments; nil means a
 	// private registry (reachable via Engine.Metrics).
 	Metrics *obs.Registry
-	// Observer receives job lifecycle notifications. nil (the
-	// default) disables observation entirely; the only cost left on the
-	// hot path is a nil check. An Observer that also implements
-	// FaultObserver additionally receives retry, panic, and
-	// cache-rejection events.
+	// Observer receives job lifecycle callbacks. nil (the default)
+	// disables them; the only cost left on the hot path is a nil check.
+	// Journaling does not go through it: the engine writes its own lines
+	// to the journal each submission's context carries (obs.WithJournal).
 	Observer Observer
 	// Tracer, when non-nil, records the run's execution timeline: a span
 	// per job, attempt, and simulation, plus an instant per retry,
@@ -115,47 +114,18 @@ type Tier interface {
 	StoreResult(key string, r *sim.Result, fingerprint uint64) error
 }
 
-// Observer receives the engine's execution events: one JobScheduled per
-// DAG node at submission, a JobStarted/JobFinished span around every job
+// Observer is the engine's one callback interface: one JobScheduled per
+// DAG node at submission, a JobStarted/JobFinished pair around every job
 // body (cache hits included, flagged as such). Every method receives the
 // context the work ran under, which carries the originating request's
-// obs.TraceContext when there is one — observers attribute events to
-// requests by reading it (obs.TraceFrom), never by guessing. kind
-// classifies the job (see JobKind); key is the short content hash of
-// keyed jobs, empty otherwise. Implementations must be safe for
-// concurrent use — under the Parallel executor, jobs finish on many
-// goroutines at once. obs.Recorder satisfies this interface.
+// obs.TraceContext when there is one. kind classifies the job (see
+// JobKind); key is the short content hash of keyed jobs, empty otherwise.
+// Implementations must be safe for concurrent use — under the Parallel
+// executor, jobs finish on many goroutines at once.
 type Observer interface {
 	JobScheduled(ctx context.Context, id, kind, key string)
 	JobStarted(ctx context.Context, id, kind, key string)
 	JobFinished(ctx context.Context, id, kind, key string, d time.Duration, cacheHit bool, err error)
-}
-
-// FaultObserver extends Observer with the engine's failure-path events.
-// It is optional: the engine type-asserts the configured Observer once at
-// construction, so existing Observer implementations keep working
-// unchanged. Implementations must be safe for concurrent use.
-type FaultObserver interface {
-	// JobRetried fires before each retry sleep: the attempt that failed
-	// (0-based), the backoff about to be taken, and the error that
-	// triggered it.
-	JobRetried(ctx context.Context, id string, attempt int, backoff time.Duration, err error)
-	// JobPanicked fires when a job body's panic is recovered, with the
-	// stack captured at the recovery site.
-	JobPanicked(ctx context.Context, id string, stack []byte)
-	// CacheRejected fires when a cached entry failed integrity
-	// revalidation and was evicted for recompute.
-	CacheRejected(ctx context.Context, key string)
-}
-
-// TierObserver extends Observer with durable-tier (Options.Store)
-// traffic: one TierFetched per result lookup the tier answered (hit
-// true) or cleanly missed, one TierStored per write-through. Like
-// FaultObserver it is optional and type-asserted once at construction.
-// key is the short content hash.
-type TierObserver interface {
-	TierFetched(ctx context.Context, key string, hit bool, d time.Duration)
-	TierStored(ctx context.Context, key string, d time.Duration)
 }
 
 // JobKind classifies a job by its ID prefix — "trace", "sim", "merge",
@@ -183,9 +153,7 @@ type Engine struct {
 	remote  Remote       // remote executor for uncached specs; nil disables it
 
 	reg    *obs.Registry     // metrics registry the counters below live on
-	obs    Observer          // nil disables observation
-	fobs   FaultObserver     // obs narrowed to failure events, nil when not implemented
-	tobs   TierObserver      // obs narrowed to durable-tier events, nil when not implemented
+	obs    Observer          // nil disables the lifecycle callbacks
 	tracer *exectrace.Tracer // nil disables execution tracing
 	// protoSample is the coherence-telemetry stride; 0 disables it.
 	protoSample int
@@ -205,6 +173,10 @@ type Engine struct {
 	integrityFaults *obs.Counter
 	simsRemote      *obs.Counter
 	remoteDegraded  *obs.Counter
+	jobsScheduled   *obs.Counter
+	// phaseUS maps a job kind to its phase's duration histogram,
+	// engine.job.<phase>.us; kinds it lacks fold into "other" under "".
+	phaseUS map[string]*obs.Histogram
 }
 
 // New builds an engine with the given options.
@@ -217,8 +189,11 @@ func New(opts Options) *Engine {
 	if bo <= 0 {
 		bo = 10 * time.Millisecond
 	}
-	fobs, _ := opts.Observer.(FaultObserver)
-	tobs, _ := opts.Observer.(TierObserver)
+	phaseUS := make(map[string]*obs.Histogram)
+	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate",
+		"protocol": "simulate", "merge": "merge", "": "other"} {
+		phaseUS[kind] = reg.Histogram("engine.job."+phase+".us", obs.DurationBucketsUS)
+	}
 	return &Engine{
 		jobTimeout:      opts.JobTimeout,
 		retries:         opts.Retries,
@@ -231,8 +206,6 @@ func New(opts Options) *Engine {
 		remote:          opts.Remote,
 		reg:             reg,
 		obs:             opts.Observer,
-		fobs:            fobs,
-		tobs:            tobs,
 		tracer:          opts.Tracer,
 		protoSample:     opts.ProtoSample,
 		jobsRun:         reg.Counter("engine.jobs.run"),
@@ -248,6 +221,8 @@ func New(opts Options) *Engine {
 		integrityFaults: reg.Counter("engine.stream.integrity"),
 		simsRemote:      reg.Counter("engine.sims.remote"),
 		remoteDegraded:  reg.Counter("engine.remote.degraded"),
+		jobsScheduled:   reg.Counter("engine.jobs.scheduled"),
+		phaseUS:         phaseUS,
 	}
 }
 
@@ -420,10 +395,10 @@ func (e *Engine) execute(ctx context.Context, exec Executor, roots []*Job, failF
 	if err != nil {
 		return err
 	}
-	if e.obs != nil {
-		for _, j := range jobs {
-			e.obs.JobScheduled(ctx, j.ID, JobKind(j.ID), observedKey(j.Key))
-		}
+	jnl := obs.JournalFrom(ctx)
+	for _, j := range jobs {
+		e.jobsScheduled.Inc()
+		e.jobEvent(ctx, jnl, "job.scheduled", j)
 	}
 	if w := exec.workerCount(); w > 1 {
 		return e.executePool(ctx, jobs, w, failFast)
@@ -592,12 +567,11 @@ func (e *Engine) runOrSkip(ctx context.Context, j *Job, failFast bool) error {
 }
 
 // skipJob marks j failed because dependency d failed, emitting the usual
-// observer span (and a short trace span) so traces show the skip.
+// start/finish events (and a short trace span) so traces show the skip.
 func (e *Engine) skipJob(ctx context.Context, j, d *Job) error {
 	j.met.Started = time.Now()
-	if e.obs != nil {
-		e.obs.JobStarted(ctx, j.ID, JobKind(j.ID), observedKey(j.Key))
-	}
+	jnl := obs.JournalFrom(ctx)
+	e.jobEvent(ctx, jnl, "job.start", j)
 	_, parent := exectrace.FromContext(ctx)
 	lane := e.tracerFor(ctx).Lane()
 	span := lane.Span(parent, "job", j.ID).Arg("kind", JobKind(j.ID)).Arg("skipped", true)
@@ -610,11 +584,58 @@ func (e *Engine) skipJob(ctx context.Context, j, d *Job) error {
 	span.End(j.err)
 	lane.Release()
 	j.met.Finished = time.Now()
-	if e.obs != nil {
-		e.obs.JobFinished(ctx, j.ID, JobKind(j.ID), observedKey(j.Key),
-			j.met.Duration(), false, j.err)
-	}
+	e.jobEvent(ctx, jnl, "job.finish", j)
 	return j.err
+}
+
+// jobEvent reports one lifecycle event of j — msg is "job.scheduled",
+// "job.start" or "job.finish" — to the Observer and as a line to jnl, the
+// journal the job's context carries. A finish also lands in the job's
+// phase histogram. With neither sink attached nothing is rendered or
+// allocated.
+func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *Job) {
+	kind, done := JobKind(j.ID), msg == "job.finish"
+	if done {
+		h, ok := e.phaseUS[kind]
+		if !ok {
+			h = e.phaseUS[""]
+		}
+		h.ObserveDuration(j.met.Duration())
+	}
+	if e.obs == nil && jnl == nil {
+		return
+	}
+	key := observedKey(j.Key)
+	switch {
+	case e.obs == nil:
+	case msg == "job.scheduled":
+		e.obs.JobScheduled(ctx, j.ID, kind, key)
+	case !done:
+		e.obs.JobStarted(ctx, j.ID, kind, key)
+	default:
+		e.obs.JobFinished(ctx, j.ID, kind, key, j.met.Duration(), j.met.CacheHit, j.err)
+	}
+	if jnl == nil {
+		return
+	}
+	attrs := []any{"job", j.ID, "kind", kind, "key", key}
+	if done {
+		attrs = append(attrs, "dur_us", j.met.Duration().Microseconds(), "cache_hit", j.met.CacheHit)
+	}
+	if attrs = obs.SpanAttrs(ctx, attrs); done && j.err != nil {
+		jnl.Error(msg, j.err, attrs...)
+		return
+	}
+	jnl.Event(msg, attrs...)
+}
+
+// reject counts a cached entry that failed integrity revalidation and
+// journals it as cache.reject.
+func (e *Engine) reject(ctx context.Context, k Key) {
+	e.cacheRejected.Add(1)
+	if jnl := obs.JournalFrom(ctx); jnl != nil {
+		jnl.Event("cache.reject", obs.SpanAttrs(ctx, []any{"key", observedKey(k)})...)
+	}
 }
 
 // tracerFor resolves the execution tracer for work running under ctx: the
@@ -644,9 +665,8 @@ func observedKey(k Key) string {
 // recomputed rather than served.
 func (e *Engine) runJob(ctx context.Context, j *Job) error {
 	j.met.Started = time.Now()
-	if e.obs != nil {
-		e.obs.JobStarted(ctx, j.ID, JobKind(j.ID), observedKey(j.Key))
-	}
+	jnl := obs.JournalFrom(ctx)
+	e.jobEvent(ctx, jnl, "job.start", j)
 	// The job's root span lives on a lane owned by this worker goroutine
 	// for the job's whole duration; the lane+span travel down through the
 	// context so attempts and simulations parent correctly. The span
@@ -676,10 +696,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 			span.Arg("cache_hit", j.met.CacheHit).End(j.err)
 			lane.Release()
 		}
-		if e.obs != nil {
-			e.obs.JobFinished(ctx, j.ID, JobKind(j.ID), observedKey(j.Key),
-				j.met.Duration(), j.met.CacheHit, j.err)
-		}
+		e.jobEvent(ctx, jnl, "job.finish", j)
 	}()
 
 	if j.Key.IsZero() {
@@ -712,10 +729,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 		out, err := f.wait(ctx)
 		if err == nil && e.verify && f.stamped {
 			if sum, ok := fingerprintOf(out); ok && sum != f.sum {
-				e.cacheRejected.Add(1)
-				if e.fobs != nil {
-					e.fobs.CacheRejected(ctx, observedKey(j.Key))
-				}
+				e.reject(ctx, j.Key)
 				e.results.evict(j.Key, f)
 				continue
 			}
@@ -756,8 +770,9 @@ func (e *Engine) runBody(ctx context.Context, j *Job) (any, error) {
 			return nil, je
 		}
 		e.jobRetries.Add(1)
-		if e.fobs != nil {
-			e.fobs.JobRetried(ctx, j.ID, attempt, backoff, je.Err)
+		if jnl := obs.JournalFrom(ctx); jnl != nil {
+			jnl.Error("job.retry", je.Err, obs.SpanAttrs(ctx, []any{"job", j.ID,
+				"attempt", attempt, "backoff_us", backoff.Microseconds()})...)
 		}
 		if lane, parent := exectrace.FromContext(ctx); lane != nil {
 			lane.Instant(parent, "engine", "retry",
@@ -813,8 +828,8 @@ func (e *Engine) attempt(ctx context.Context, j *Job, attempt int) (out any, err
 		if r := recover(); r != nil {
 			stack := debug.Stack()
 			e.jobPanics.Add(1)
-			if e.fobs != nil {
-				e.fobs.JobPanicked(ctx, j.ID, stack)
+			if jnl := obs.JournalFrom(ctx); jnl != nil {
+				jnl.Event("job.panic", obs.SpanAttrs(ctx, []any{"job", j.ID, "stack", string(stack)})...)
 			}
 			out, err = nil, &panicError{val: r, stack: stack}
 		}
@@ -858,8 +873,8 @@ func (e *Engine) stampFor(key string, v any) (uint64, bool) {
 // in-memory stamp, so later memory hits revalidate against the same sum).
 // A corrupt entry has already been evicted by the store; the engine counts
 // it like any other integrity rejection and recomputes. The lookup is
-// spanned on the caller's trace lane and reported to the tier observer, so
-// store traffic shows up both on the request's timeline and in its journal.
+// spanned on the caller's trace lane and journaled as store.load, so store
+// traffic shows up both on the request's timeline and in its journal.
 func (e *Engine) tierLoad(ctx context.Context, k Key) (*sim.Result, uint64, bool) {
 	if e.tier == nil {
 		return nil, 0, false
@@ -870,14 +885,12 @@ func (e *Engine) tierLoad(ctx context.Context, k Key) (*sim.Result, uint64, bool
 	r, ok, err := e.tier.LoadResult(k.hex())
 	hit := err == nil && ok && r != nil
 	sp.Arg("hit", hit).End(err)
-	if e.tobs != nil {
-		e.tobs.TierFetched(ctx, observedKey(k), hit, time.Since(start))
+	if jnl := obs.JournalFrom(ctx); jnl != nil {
+		jnl.Event("store.load", obs.SpanAttrs(ctx, []any{"kind", "result", "key", observedKey(k),
+			"hit", hit, "dur_us", time.Since(start).Microseconds()})...)
 	}
 	if isCorrupt(err) {
-		e.cacheRejected.Add(1)
-		if e.fobs != nil {
-			e.fobs.CacheRejected(ctx, observedKey(k))
-		}
+		e.reject(ctx, k)
 	}
 	if !hit {
 		return nil, 0, false
@@ -904,8 +917,9 @@ func (e *Engine) tierStore(ctx context.Context, k Key, r *sim.Result) {
 	start := time.Now()
 	err := e.tier.StoreResult(k.hex(), r, sum)
 	sp.End(err)
-	if e.tobs != nil {
-		e.tobs.TierStored(ctx, observedKey(k), time.Since(start))
+	if jnl := obs.JournalFrom(ctx); jnl != nil {
+		jnl.Event("store.store", obs.SpanAttrs(ctx, []any{"kind", "result", "key", observedKey(k),
+			"dur_us", time.Since(start).Microseconds()})...)
 	}
 }
 

@@ -1,27 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"dirsim/internal/faults"
-	"dirsim/internal/obs"
 	"dirsim/internal/sim"
 	"dirsim/internal/workload"
-)
-
-// The run recorder must receive the engine's failure-path and
-// durable-tier events.
-var (
-	_ FaultObserver = (*obs.Recorder)(nil)
-	_ TierObserver  = (*obs.Recorder)(nil)
 )
 
 // transientErr is a self-declared retryable failure for the retry tests.
@@ -411,40 +403,14 @@ func TestCancelledCompareLeaksNothing(t *testing.T) {
 	}
 }
 
-// eventSink records the engine's failure-path callbacks.
-type eventSink struct {
-	mu      sync.Mutex
-	retries int
-	panics  int
-	rejects int
-}
-
-func (s *eventSink) JobScheduled(context.Context, string, string, string) {}
-func (s *eventSink) JobStarted(context.Context, string, string, string)   {}
-func (s *eventSink) JobFinished(context.Context, string, string, string, time.Duration, bool, error) {
-}
-func (s *eventSink) JobRetried(_ context.Context, _ string, _ int, _ time.Duration, _ error) {
-	s.mu.Lock()
-	s.retries++
-	s.mu.Unlock()
-}
-func (s *eventSink) JobPanicked(_ context.Context, _ string, _ []byte) {
-	s.mu.Lock()
-	s.panics++
-	s.mu.Unlock()
-}
-func (s *eventSink) CacheRejected(_ context.Context, _ string) {
-	s.mu.Lock()
-	s.rejects++
-	s.mu.Unlock()
-}
-
-// TestFaultObserverEvents: an Observer that also implements
-// FaultObserver receives retry, panic, and cache-rejection events.
-func TestFaultObserverEvents(t *testing.T) {
-	ctx := context.Background()
-	sink := &eventSink{}
-	e := New(Options{Observer: sink, Verify: true, Retries: 1, RetryBackoff: time.Millisecond})
+// TestFaultEventsJournaled: the engine journals its failure path — a
+// retry at error level with its attempt, backoff and cause, a recovered
+// panic with its stack, and a cache.reject for a corrupted cached result
+// and for a corrupted cached trace — into the journal the context carries.
+func TestFaultEventsJournaled(t *testing.T) {
+	var buf bytes.Buffer
+	ctx := journaled(&buf, "faulty")
+	e := New(Options{Verify: true, Retries: 1, RetryBackoff: time.Millisecond})
 
 	calls := 0
 	flaky := &Job{ID: "flaky", Run: func(context.Context, []any) (any, error) {
@@ -459,20 +425,49 @@ func TestFaultObserverEvents(t *testing.T) {
 	if err := e.ExecuteAll(ctx, Sequential{}, flaky, boom); err != nil {
 		t.Fatal(err)
 	}
+	lines := journalLines(t, buf.Bytes())
+	retries := withMsg(lines, "job.retry")
+	if len(retries) != 1 || retries[0]["job"] != "flaky" || retries[0]["level"] != "ERROR" ||
+		retries[0]["error"] != "transient blip" || retries[0]["attempt"] != 0.0 ||
+		retries[0]["backoff_us"] != 1000.0 {
+		t.Errorf("job.retry lines = %v", retries)
+	}
+	panics := withMsg(lines, "job.panic")
+	if len(panics) != 1 || panics[0]["job"] != "boom" ||
+		!strings.Contains(panics[0]["stack"].(string), "faults_test") {
+		t.Errorf("job.panic lines = %v", panics)
+	}
 
 	spec := SimSpec{Trace: workload.POPSConfig(4, 5_000), Scheme: "Dir0B"}
 	res, err := e.Results(ctx, Sequential{}, []SimSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res[0].Counts.Total++ // corrupt the cached entry
+	res[0].Counts.Total++ // corrupt the cached result
 	if _, err := e.Results(ctx, Sequential{}, []SimSpec{spec}); err != nil {
 		t.Fatal(err)
 	}
-
-	if sink.retries != 1 || sink.panics != 1 || sink.rejects < 1 {
-		t.Errorf("events = %d retries, %d panics, %d rejects; want 1, 1, >=1",
-			sink.retries, sink.panics, sink.rejects)
+	tr, err := e.Trace(ctx, spec.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Refs[0].Addr ^= 1 // corrupt the cached trace
+	if _, err := e.Trace(ctx, spec.Trace); err != nil {
+		t.Fatal(err)
+	}
+	rejected := map[any]bool{}
+	for _, l := range withMsg(journalLines(t, buf.Bytes()), "cache.reject") {
+		rejected[l["key"]] = true
+		if l["trace"] != "faulty" {
+			t.Errorf("cache.reject outside its submission's trace: %v", l)
+		}
+	}
+	if !rejected[spec.Key().String()] || !rejected[TraceKey(spec.Trace).String()] {
+		t.Errorf("cache.reject keys = %v, want the result %s and the trace %s",
+			rejected, spec.Key(), TraceKey(spec.Trace))
+	}
+	if got := e.Stats().CacheRejected; got != int64(len(rejected)) {
+		t.Errorf("CacheRejected = %d, journaled %d", got, len(rejected))
 	}
 }
 

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -161,5 +163,45 @@ func TestJobKind(t *testing.T) {
 		if got := JobKind(id); got != want {
 			t.Errorf("JobKind(%q) = %q, want %q", id, got, want)
 		}
+	}
+}
+
+// TestJobPhaseHistograms: every finished job lands in its phase's
+// engine.job.<phase>.us histogram and every scheduled one in
+// engine.jobs.scheduled, journal or not; a failed job's job.finish is
+// journaled at error level with its cause.
+func TestJobPhaseHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := New(Options{Metrics: reg})
+	cfgs := []workload.Config{workload.POPSConfig(4, 5_000)}
+	if _, err := e.Compare(context.Background(), Parallel{Workers: 2},
+		[]string{"Dir0B", "WTI", "Dragon"}, cfgs, false); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	bad := &Job{ID: "adhoc", Run: func(context.Context, []any) (any, error) {
+		return nil, errors.New("boom")
+	}}
+	if err := e.ExecuteAll(journaled(&buf, ""), Sequential{}, bad); err != nil {
+		t.Fatal(err)
+	}
+	for phase, want := range map[string]int64{"generate": 1, "simulate": 3, "merge": 3, "other": 1} {
+		if got := reg.Histogram("engine.job."+phase+".us", nil).Count(); got != want {
+			t.Errorf("engine.job.%s.us count = %d, want %d", phase, got, want)
+		}
+	}
+	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 8 {
+		t.Errorf("engine.jobs.scheduled = %d, want 8", got)
+	}
+	lines := journalLines(t, buf.Bytes())
+	var msgs []any
+	for _, l := range lines {
+		msgs = append(msgs, l["msg"])
+	}
+	if len(lines) != 3 || msgs[0] != "job.scheduled" || msgs[1] != "job.start" || msgs[2] != "job.finish" {
+		t.Fatalf("journal = %v", msgs)
+	}
+	if lines[2]["level"] != "ERROR" || lines[2]["error"] != "job adhoc failed: boom" || lines[2]["kind"] != "" {
+		t.Errorf("failed job.finish = %v", lines[2])
 	}
 }

@@ -67,10 +67,7 @@ func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, 
 		}
 		t := v.(*trace.Trace)
 		if e.verify && f.stamped && t.Fingerprint() != f.sum {
-			e.cacheRejected.Add(1)
-			if e.fobs != nil {
-				e.fobs.CacheRejected(ctx, observedKey(k))
-			}
+			e.reject(ctx, k)
 			e.traces.evict(k, f)
 			continue
 		}

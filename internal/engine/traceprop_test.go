@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"sync"
+	"encoding/json"
+	"strconv"
 	"testing"
 	"time"
 
@@ -13,139 +16,124 @@ import (
 	"dirsim/internal/workload"
 )
 
-// traceSink records, for every observer callback, which trace ID the
-// callback's context carried — the property the journal's causal chain
-// rests on.
-type traceSink struct {
-	mu sync.Mutex
-	// traces maps callback name → trace IDs seen ("" = untraced ctx).
-	traces map[string][]string
-	// spans counts callbacks whose ctx carried a non-zero span ID.
-	spans map[string]int
-	// hits counts cache-hit JobFinished and hit TierFetched callbacks.
-	cacheHits, tierHits int
-	// tierKeys lists the key of every TierFetched and TierStored callback.
-	tierKeys []string
-}
-
-func newTraceSink() *traceSink {
-	return &traceSink{traces: map[string][]string{}, spans: map[string]int{}}
-}
-
-func (s *traceSink) record(ctx context.Context, event string) {
-	tc, _ := obs.TraceFrom(ctx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traces[event] = append(s.traces[event], tc.Trace)
-	if tc.Span != 0 {
-		s.spans[event]++
+// journaled returns a context carrying a journal that writes into buf.
+// A non-empty trace also puts that trace on the context and tags the
+// journal with it, the way every binary pairs the two.
+func journaled(buf *bytes.Buffer, trace string) context.Context {
+	jnl := obs.NewJournal(buf)
+	ctx := context.Background()
+	if trace != "" {
+		tc := obs.TraceContext{Trace: trace}
+		ctx = obs.WithTrace(ctx, tc)
+		jnl = jnl.WithTrace(tc)
 	}
+	return obs.WithJournal(ctx, jnl)
 }
 
-func (s *traceSink) JobScheduled(ctx context.Context, id, kind, key string) {
-	s.record(ctx, "job.scheduled")
-}
-func (s *traceSink) JobStarted(ctx context.Context, id, kind, key string) {
-	s.record(ctx, "job.start")
-}
-func (s *traceSink) JobFinished(ctx context.Context, id, kind, key string, d time.Duration, cacheHit bool, err error) {
-	s.record(ctx, "job.finish")
-	if cacheHit {
-		s.mu.Lock()
-		s.cacheHits++
-		s.mu.Unlock()
-	}
-}
-func (s *traceSink) TierFetched(ctx context.Context, key string, hit bool, d time.Duration) {
-	s.record(ctx, "store.load")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tierKeys = append(s.tierKeys, key)
-	if hit {
-		s.tierHits++
-	}
-}
-func (s *traceSink) TierStored(ctx context.Context, key string, d time.Duration) {
-	s.record(ctx, "store.store")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tierKeys = append(s.tierKeys, key)
-}
-func (s *traceSink) JobRetried(ctx context.Context, id string, attempt int, backoff time.Duration, err error) {
-	s.record(ctx, "job.retry")
-}
-func (s *traceSink) JobPanicked(ctx context.Context, id string, stack []byte) {
-	s.record(ctx, "job.panic")
-}
-func (s *traceSink) CacheRejected(ctx context.Context, key string) {
-	s.record(ctx, "cache.reject")
-}
-
-// The sink must receive every observer event the engine offers.
-var (
-	_ FaultObserver = (*traceSink)(nil)
-	_ TierObserver  = (*traceSink)(nil)
-)
-
-// requireAll asserts every recorded trace for event equals want and that
-// the event fired at all.
-func (s *traceSink) requireAll(t *testing.T, event, want string) {
+// journalLines decodes every line of a journal, failing the test on a
+// line that is not JSON or that repeats a key.
+func journalLines(t *testing.T, data []byte) []map[string]any {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	got := s.traces[event]
-	if len(got) == 0 {
-		t.Fatalf("no %s callbacks recorded", event)
+	var out []map[string]any
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if k, err := obs.RepeatedKey(sc.Bytes()); err != nil || k != "" {
+			t.Fatalf("journal line repeats %q (%v): %s", k, err, sc.Text())
+		}
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("journal line is not JSON: %v\n%s", err, sc.Text())
+		}
+		out = append(out, m)
 	}
-	for _, tr := range got {
-		if tr != want {
-			t.Fatalf("%s callback carried trace %q, want %q (all: %v)", event, tr, want, got)
+	return out
+}
+
+// withMsg returns the lines whose msg is msg.
+func withMsg(lines []map[string]any, msg string) []map[string]any {
+	var out []map[string]any
+	for _, l := range lines {
+		if l["msg"] == msg {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// requireTrace asserts that msg occurs and every such line carries trace.
+func requireTrace(t *testing.T, lines []map[string]any, msg, trace string) {
+	t.Helper()
+	got := withMsg(lines, msg)
+	if len(got) == 0 {
+		t.Fatalf("no %s lines journaled", msg)
+	}
+	for _, l := range got {
+		if l["trace"] != trace {
+			t.Fatalf("%s line carries trace %v, want %q: %v", msg, l["trace"], trace, l)
 		}
 	}
 }
 
 func tracePropConfigs() []workload.Config { return workload.StandardConfigs(2, 5_000) }
 
-// TestTracePropagationThroughJobsAndCache: every observer callback of a
-// traced submission carries the submitter's trace ID — including the
-// cache-hit JobFinished of a second, differently-traced submission of
-// identical work, which must carry the SECOND caller's trace (the hit
-// belongs to whoever asked).
+// TestTracePropagationThroughJobsAndCache: every engine line of a traced
+// submission lands in that submission's journal with its trace, and its
+// span is the job span of the exported execution trace. A second,
+// differently traced submission of identical work is all cache hits, and
+// its lines land in ITS journal, not the first one's (the hit belongs to
+// whoever asked).
 func TestTracePropagationThroughJobsAndCache(t *testing.T) {
-	sink := newTraceSink()
-	e := New(Options{Observer: sink, Tracer: exectrace.New()})
+	tr := exectrace.New()
+	e := New(Options{Tracer: tr})
 	cfgs := tracePropConfigs()
 
-	ctx1 := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "run-1"})
-	if _, _, err := e.SchemeOverTraces(ctx1, Sequential{}, "Dir0B", cfgs, false); err != nil {
+	var b1 bytes.Buffer
+	if _, _, err := e.SchemeOverTraces(journaled(&b1, "run-1"), Sequential{}, "Dir0B", cfgs, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range []string{"job.scheduled", "job.start", "job.finish"} {
-		sink.requireAll(t, ev, "run-1")
+	lines := journalLines(t, b1.Bytes())
+	for _, msg := range []string{"job.scheduled", "job.start", "job.finish"} {
+		requireTrace(t, lines, msg, "run-1")
 	}
-	if sink.spans["job.finish"] == 0 {
-		t.Error("no JobFinished ctx carried a span ID despite an attached tracer")
+	jobSpans := map[string]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Cat == "job" {
+			jobSpans[ev.Name+"/"+strconv.FormatUint(ev.ID, 16)] = true
+		}
+	}
+	for _, l := range withMsg(lines, "job.finish") {
+		if span, _ := l["span"].(string); !jobSpans[l["job"].(string)+"/"+span] {
+			t.Errorf("job.finish span %v is not %v's span in the exported trace", l["span"], l["job"])
+		}
 	}
 
-	// Second submission, same work, new trace: everything is a cache hit
-	// and every callback carries the new trace.
-	sink2 := newTraceSink()
-	e.obs = sink2 // same engine, fresh sink
-	ctx2 := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "run-2"})
-	if _, _, err := e.SchemeOverTraces(ctx2, Sequential{}, "Dir0B", cfgs, false); err != nil {
+	n1 := b1.Len()
+	var b2 bytes.Buffer
+	if _, _, err := e.SchemeOverTraces(journaled(&b2, "run-2"), Sequential{}, "Dir0B", cfgs, false); err != nil {
 		t.Fatal(err)
 	}
-	sink2.requireAll(t, "job.finish", "run-2")
-	if sink2.cacheHits == 0 {
-		t.Error("re-submission produced no cache-hit JobFinished callbacks")
+	if b1.Len() != n1 {
+		t.Error("the second submission wrote into the first one's journal")
+	}
+	lines2 := journalLines(t, b2.Bytes())
+	requireTrace(t, lines2, "job.finish", "run-2")
+	hits := 0
+	for _, l := range withMsg(lines2, "job.finish") {
+		if l["cache_hit"] == true {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("re-submission journaled no cache-hit job.finish lines")
 	}
 }
 
 // TestTracePropagationThroughStoreTiers: durable-store loads and stores
-// fire TierObserver callbacks carrying the requesting submission's
-// trace — a cold engine's write-throughs carry the cold trace, and a
-// second engine warm-starting from the same store carries its own. Every
-// callback is for a result: per-spec or merged, never a trace.
+// are journaled in the requesting submission's journal — a cold engine's
+// write-throughs under the cold trace, and a second engine warm-starting
+// from the same store under its own, with hit set. Every line names a
+// result key: per-spec or merged, never a trace.
 func TestTracePropagationThroughStoreTiers(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -160,61 +148,110 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 		results[k.String()] = true
 	}
 	results[mergeKey(specKeys).String()] = true
-	requireResults := func(s *traceSink) {
+	requireResults := func(lines []map[string]any) {
 		t.Helper()
-		if len(s.tierKeys) == 0 {
-			t.Fatal("no tier callbacks recorded")
-		}
-		for _, k := range s.tierKeys {
-			if !results[k] {
-				t.Errorf("tier callback for %s, which is not a result key", k)
+		for _, l := range append(withMsg(lines, "store.load"), withMsg(lines, "store.store")...) {
+			if l["kind"] != "result" || !results[l["key"].(string)] {
+				t.Errorf("store line for %v (kind %v), which is not a result key", l["key"], l["kind"])
 			}
 		}
 	}
 
-	cold := newTraceSink()
-	e1 := New(Options{Observer: cold, Store: st})
-	ctxCold := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "cold"})
-	if _, _, err := e1.SchemeOverTraces(ctxCold, Sequential{}, "Dir0B", cfgs, false); err != nil {
+	var cold bytes.Buffer
+	e1 := New(Options{Store: st})
+	if _, _, err := e1.SchemeOverTraces(journaled(&cold, "cold"), Sequential{}, "Dir0B", cfgs, false); err != nil {
 		t.Fatal(err)
 	}
-	cold.requireAll(t, "store.store", "cold")
-	cold.requireAll(t, "store.load", "cold") // misses still fire, tagged
-	requireResults(cold)
+	lines := journalLines(t, cold.Bytes())
+	requireTrace(t, lines, "store.store", "cold")
+	requireTrace(t, lines, "store.load", "cold") // misses are journaled too
+	requireResults(lines)
 
-	warm := newTraceSink()
-	e2 := New(Options{Observer: warm, Store: st})
-	ctxWarm := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "warm"})
-	if _, _, err := e2.SchemeOverTraces(ctxWarm, Sequential{}, "Dir0B", cfgs, false); err != nil {
+	var warm bytes.Buffer
+	e2 := New(Options{Store: st})
+	if _, _, err := e2.SchemeOverTraces(journaled(&warm, "warm"), Sequential{}, "Dir0B", cfgs, false); err != nil {
 		t.Fatal(err)
 	}
-	warm.requireAll(t, "store.load", "warm")
-	requireResults(warm)
-	if warm.tierHits == 0 {
-		t.Error("warm engine recorded no store tier hits")
+	lines = journalLines(t, warm.Bytes())
+	requireTrace(t, lines, "store.load", "warm")
+	requireResults(lines)
+	hits := 0
+	for _, l := range withMsg(lines, "store.load") {
+		if l["hit"] == true {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("warm engine journaled no store.load hits")
+	}
+	if n := len(withMsg(lines, "store.store")); n != 0 {
+		t.Errorf("warm engine journaled %d store.store lines, want 0", n)
 	}
 }
 
 // TestTracePropagationThroughRetries: a job that fails and re-attempts
-// keeps its submission's trace on every JobRetried callback.
+// journals every job.retry under its submission's trace.
 func TestTracePropagationThroughRetries(t *testing.T) {
-	sink := newTraceSink()
-	e := New(Options{Observer: sink, Retries: 2, RetryBackoff: time.Millisecond,
+	e := New(Options{Retries: 2, RetryBackoff: time.Millisecond,
 		Faults: faults.New(faults.Config{Seed: 1, Spurious: 1})})
-	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "retry-run"})
-	// Every attempt fails spuriously, so the run errors; the retry
-	// callbacks along the way are what we are after.
-	_, _, _ = e.SchemeOverTraces(ctx, Sequential{}, "Dir0B", tracePropConfigs(), false)
-	sink.requireAll(t, "job.retry", "retry-run")
+	var buf bytes.Buffer
+	// Every attempt fails spuriously, so the run errors; the retry lines
+	// along the way are what we are after.
+	_, _, _ = e.SchemeOverTraces(journaled(&buf, "retry-run"), Sequential{}, "Dir0B", tracePropConfigs(), false)
+	requireTrace(t, journalLines(t, buf.Bytes()), "job.retry", "retry-run")
 }
 
-// TestUntracedSubmissionStaysUntraced: without a TraceContext the
-// callbacks see an untraced context (no fabricated IDs).
+// TestUntracedSubmissionStaysUntraced: without a TraceContext the lines
+// carry no trace, span or remote parent, even with a tracer attached (no
+// fabricated IDs).
 func TestUntracedSubmissionStaysUntraced(t *testing.T) {
-	sink := newTraceSink()
-	e := New(Options{Observer: sink})
-	if _, _, err := e.SchemeOverTraces(context.Background(), Sequential{}, "Dir0B", tracePropConfigs(), false); err != nil {
+	e := New(Options{Tracer: exectrace.New()})
+	var buf bytes.Buffer
+	if _, _, err := e.SchemeOverTraces(journaled(&buf, ""), Sequential{}, "Dir0B", tracePropConfigs(), false); err != nil {
 		t.Fatal(err)
 	}
-	sink.requireAll(t, "job.finish", "")
+	lines := journalLines(t, buf.Bytes())
+	if len(withMsg(lines, "job.finish")) == 0 {
+		t.Fatal("no job.finish lines journaled")
+	}
+	for _, l := range lines {
+		for _, k := range []string{"trace", "span", "pspan"} {
+			if _, ok := l[k]; ok {
+				t.Errorf("untraced line carries %q: %v", k, l)
+			}
+		}
+	}
+}
+
+// TestRemoteParentJournaled: work running under a remote parent (a fleet
+// worker's job) journals it as pspan beside its own span.
+func TestRemoteParentJournaled(t *testing.T) {
+	e := New(Options{Tracer: exectrace.New()})
+	var buf bytes.Buffer
+	tc := obs.TraceContext{Trace: "fleet", Parent: 0xbeef}
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(&buf).WithTrace(tc))
+	if _, err := e.Results(ctx, Sequential{}, []SimSpec{{Trace: tracePropConfigs()[0], Scheme: "Dir0B"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range withMsg(journalLines(t, buf.Bytes()), "job.finish") {
+		if l["pspan"] != "beef" || l["span"] == nil || l["trace"] != "fleet" {
+			t.Errorf("job.finish under a remote parent = %v", l)
+		}
+	}
+}
+
+// TestNoJournalNoAllocs: an engine reporting to neither an Observer nor
+// a journal renders no event attributes.
+func TestNoJournalNoAllocs(t *testing.T) {
+	e := New(Options{})
+	j := &Job{ID: "sim:Dir0B@pops", Key: SimSpec{Trace: tracePropConfigs()[0], Scheme: "Dir0B"}.Key()}
+	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "t", Span: 7})
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, ev := range []string{"job.scheduled", "job.start", "job.finish"} {
+			e.jobEvent(ctx, obs.JournalFrom(ctx), ev, j)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("unjournaled job events allocate %.0f times per job", allocs)
+	}
 }

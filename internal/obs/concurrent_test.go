@@ -71,55 +71,3 @@ func TestHistogramConcurrentObserveAndQuantile(t *testing.T) {
 		t.Errorf("final quantiles wrong: p50=%v p99=%v", p50, p99)
 	}
 }
-
-// TestPhasesConcurrentRecordAndStats drives Phases.Record from many
-// goroutines (several phases each) with Stats readers interleaved; the
-// final breakdown must account for every recorded duration exactly.
-func TestPhasesConcurrentRecordAndStats(t *testing.T) {
-	var p Phases
-	const goroutines, iters = 10, 2_000
-	names := []string{"generate", "simulate", "merge"}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				p.Record(names[i%len(names)], time.Microsecond)
-				if i%500 == 0 {
-					// Concurrent reader: must observe a consistent copy.
-					for _, s := range p.Stats() {
-						if s.Count < 0 || s.Total < 0 {
-							t.Errorf("mid-flight stat negative: %+v", s)
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	stats := p.Stats()
-	if len(stats) != len(names) {
-		t.Fatalf("got %d phases, want %d: %+v", len(stats), len(names), stats)
-	}
-	var count int64
-	var total time.Duration
-	for _, s := range stats {
-		count += s.Count
-		total += s.Total
-	}
-	if want := int64(goroutines * iters); count != want {
-		t.Errorf("total count = %d, want %d", count, want)
-	}
-	if want := time.Duration(goroutines*iters) * time.Microsecond; total != want {
-		t.Errorf("total time = %v, want %v", total, want)
-	}
-
-	// Stats is a copy: mutating it must not corrupt the accumulator.
-	stats[0].Count = -1
-	if p.Stats()[0].Count == -1 {
-		t.Error("Stats returned a live reference, not a copy")
-	}
-}

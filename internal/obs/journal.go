@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,8 +30,17 @@ import (
 //	job.panic                   one per recovered job-body panic (stack)
 //	cache.reject                one per cached entry failing integrity
 //	                            revalidation (key)
+//	store.load                  one per durable-store result lookup
+//	                            (kind, key, hit, dur_us)
+//	store.store                 one per durable-store write-through
+//	                            (kind, key, dur_us)
 //	simulate.finish             one per dirsim scheme run
 //	error                       terminal failure summary
+//
+// The engine writes the job.*, cache.* and store.* lines itself, to the
+// journal its caller's context carries (WithJournal). The journal
+// supplies "trace" (WithTrace); the engine adds only "span" and "pspan"
+// (SpanAttrs).
 type Journal struct {
 	log    *slog.Logger
 	w      *lockedWriter
@@ -149,6 +160,27 @@ func (j *Journal) WithTrace(tc TraceContext) *Journal {
 	return &Journal{log: j.log.With(slog.String("trace", tc.Trace))}
 }
 
+// journalKey carries a *Journal through a context.Context.
+type journalKey struct{}
+
+// WithJournal returns a context carrying j, so work done on behalf of a
+// run or request journals into that run's journal: a shared engine
+// serving per-request sinks writes each job's lines to the journal its
+// context brings. A nil journal returns ctx unchanged.
+func WithJournal(ctx context.Context, j *Journal) context.Context {
+	if j == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, journalKey{}, j)
+}
+
+// JournalFrom returns the journal carried by ctx, or nil when there is
+// none.
+func JournalFrom(ctx context.Context) *Journal {
+	j, _ := ctx.Value(journalKey{}).(*Journal)
+	return j
+}
+
 // Event emits one informational event. Attributes follow slog's
 // alternating key/value convention. No-op on a nil journal.
 func (j *Journal) Event(name string, attrs ...any) {
@@ -174,4 +206,33 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	return j.closer.Close()
+}
+
+// RepeatedKey returns the first top-level key that occurs more than once
+// in one journal line, or "" when every key is unique. slog writes every
+// attribute it is given, so a line whose journal supplies "trace" and
+// whose emitter adds it again carries the key twice, which JSON decoders
+// resolve silently (last wins). Tests hold every journal writer to this.
+func RepeatedKey(line []byte) (string, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return "", fmt.Errorf("obs: journal line is not a JSON object: %q", line)
+	}
+	seen := make(map[string]bool)
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return "", err
+		}
+		key := tok.(string)
+		if seen[key] {
+			return key, nil
+		}
+		seen[key] = true
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return "", err
+		}
+	}
+	return "", nil
 }

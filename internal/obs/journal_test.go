@@ -3,8 +3,10 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -208,5 +210,38 @@ func TestJournalErrorLevelIsFilterable(t *testing.T) {
 	j.Error("error", errors.New("two experiments failed"))
 	if !strings.Contains(buf.String(), `"level":"ERROR"`) {
 		t.Errorf("error event not emitted at error level: %s", buf.String())
+	}
+}
+
+// TestJournalThroughContext: WithJournal/JournalFrom carry a journal the
+// way WithTrace carries a trace context; a nil journal leaves the context
+// untouched.
+func TestJournalThroughContext(t *testing.T) {
+	ctx := context.Background()
+	if JournalFrom(ctx) != nil {
+		t.Fatal("background context claims a journal")
+	}
+	if WithJournal(ctx, nil) != ctx {
+		t.Error("nil journal changed the context")
+	}
+	j := NewJournal(io.Discard)
+	if got := JournalFrom(WithJournal(ctx, j)); got != j {
+		t.Errorf("JournalFrom = %p, want %p", got, j)
+	}
+}
+
+func TestRepeatedKey(t *testing.T) {
+	for line, want := range map[string]string{
+		`{"a":1,"b":{"a":2},"c":[{"a":3}]}`: "",
+		`{"trace":"x","k":"v","trace":"x"}`: "trace",
+		`{"a":{"x":1,"x":2},"a":0}`:         "a",
+	} {
+		got, err := RepeatedKey([]byte(line))
+		if err != nil || got != want {
+			t.Errorf("RepeatedKey(%s) = %q, %v; want %q", line, got, err, want)
+		}
+	}
+	if _, err := RepeatedKey([]byte(`["a"]`)); err == nil {
+		t.Error("a non-object line was accepted")
 	}
 }

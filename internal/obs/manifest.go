@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -31,6 +34,32 @@ type RunManifest struct {
 	// Store records the durable second-tier store's activity, when the
 	// run used one (-store).
 	Store *ManifestStore `json:"store,omitempty"`
+}
+
+// PhaseStat is the accumulated time of one phase of a run: "generate",
+// "simulate", "merge" and "other" from the engine's engine.job.<phase>.us
+// histograms, "experiment" from the report pipeline's own timing.
+type PhaseStat struct {
+	Phase string        `json:"phase"`
+	Count int64         `json:"count"`
+	Total time.Duration `json:"total_ns"`
+}
+
+// PhaseBreakdown reads a run's per-phase time off reg: one PhaseStat per
+// engine.job.<phase>.us histogram that saw a job, plus extra, largest
+// total first (ties by name, so the order is deterministic).
+func PhaseBreakdown(reg *Registry, extra ...PhaseStat) []PhaseStat {
+	ps := extra
+	for name, h := range reg.Snapshot().Histograms {
+		if phase, ok := strings.CutPrefix(name, "engine.job."); ok && h.Count > 0 {
+			ps = append(ps, PhaseStat{Phase: strings.TrimSuffix(phase, ".us"),
+				Count: h.Count, Total: time.Duration(h.Sum) * time.Microsecond})
+		}
+	}
+	slices.SortFunc(ps, func(a, b PhaseStat) int {
+		return cmp.Or(cmp.Compare(b.Total, a.Total), strings.Compare(a.Phase, b.Phase))
+	})
+	return ps
 }
 
 // ManifestStore is the durable store's view of the run: how much was

@@ -1,7 +1,7 @@
 // Package obs is the repository's observability layer: typed metric
-// instruments on a Registry, a structured JSONL run journal, span-style
-// timing helpers with a per-phase breakdown, pprof capture, and the run
-// manifest written by cmd/experiments. It depends only on the standard
+// instruments on a Registry, a structured JSONL run journal that rides a
+// context.Context to whatever does the work, request trace identities,
+// pprof capture, and the run manifest written by cmd/experiments. It depends only on the standard
 // library and the leaf packages internal/event and internal/obs/trace,
 // so any package — the execution engine included — can report into it
 // without import cycles.

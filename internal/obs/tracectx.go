@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -176,22 +175,24 @@ func TraceFrom(ctx context.Context) (TraceContext, bool) {
 	return tc, ok
 }
 
-// traceAttrs appends the ctx's trace identity (and enclosing span, when
-// set) to a journal attribute list; untraced contexts leave it unchanged.
-func traceAttrs(ctx context.Context, attrs []any) []any {
+// SpanAttrs appends the enclosing span of the ctx's trace context, and
+// its remote parent, to a journal attribute list as "span" and "pspan"
+// (lowercase hex). The trace ID itself is the journal's to supply
+// (Journal.WithTrace), so no line carries it twice; untraced contexts
+// leave attrs unchanged.
+func SpanAttrs(ctx context.Context, attrs []any) []any {
 	tc, ok := TraceFrom(ctx)
 	if !ok {
 		return attrs
 	}
-	attrs = append(attrs, "trace", tc.Trace)
 	if tc.Span != 0 {
-		attrs = append(attrs, "span", fmt.Sprintf("%x", tc.Span))
+		attrs = append(attrs, "span", strconv.FormatUint(tc.Span, 16))
 	}
 	if tc.Parent != 0 {
 		// The remote parent: the upstream process's span this work nests
 		// under. dirsimq timeline uses it to stitch worker journal lines
 		// to their coordinator dispatch spans.
-		attrs = append(attrs, "pspan", fmt.Sprintf("%x", tc.Parent))
+		attrs = append(attrs, "pspan", strconv.FormatUint(tc.Parent, 16))
 	}
 	return attrs
 }

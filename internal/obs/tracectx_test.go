@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -80,20 +81,23 @@ func TestTraceContextThroughContext(t *testing.T) {
 	}
 }
 
+// TestTraceAttrs: SpanAttrs appends the trace context's span and remote
+// parent in lowercase hex; the trace ID never (the journal supplies it),
+// and an untraced context adds nothing.
 func TestTraceAttrs(t *testing.T) {
 	base := []any{"k", "v"}
-	if got := traceAttrs(context.Background(), base); len(got) != 2 {
+	if got := SpanAttrs(context.Background(), base); len(got) != 2 {
 		t.Errorf("untraced ctx grew attrs: %v", got)
 	}
 	ctx := WithTrace(context.Background(), TraceContext{Trace: "t1"})
-	got := traceAttrs(ctx, base[:2:2])
-	if len(got) != 4 || got[2] != "trace" || got[3] != "t1" {
-		t.Errorf("traced attrs = %v", got)
+	if got := SpanAttrs(ctx, base[:2:2]); len(got) != 2 {
+		t.Errorf("root trace context grew attrs: %v", got)
 	}
-	ctx = WithTrace(context.Background(), TraceContext{Trace: "t1", Span: 0xab})
-	got = traceAttrs(ctx, nil)
-	if len(got) != 4 || got[3] != "ab" {
-		t.Errorf("span attr = %v", got)
+	ctx = WithTrace(context.Background(), TraceContext{Trace: "t1", Span: 0xab, Parent: 0xcafe})
+	got := SpanAttrs(ctx, nil)
+	want := []any{"span", "ab", "pspan", "cafe"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("span attrs = %v, want %v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"dirsim/internal/core"
 	"dirsim/internal/engine"
@@ -32,7 +33,6 @@ type Context struct {
 
 	eng    *engine.Engine
 	exec   engine.Executor
-	rec    *obs.Recorder
 	status *obs.RunStatus
 	base   context.Context
 }
@@ -66,20 +66,16 @@ func NewContextWith(refs, cpus int, eng *engine.Engine, exec engine.Executor) *C
 	return &Context{Refs: refs, CPUs: cpus, eng: eng, exec: exec}
 }
 
-// Observe attaches an observability recorder: RunExperiment then wraps
-// every experiment in a span, feeding the journal and the per-phase time
-// breakdown. nil detaches.
-func (c *Context) Observe(rec *obs.Recorder) { c.rec = rec }
-
 // Track attaches a live run-status tracker: RunExperiment then reports
 // each experiment's start and outcome, which the HTTP monitor's /runz
 // endpoint serves. nil (the default) detaches.
 func (c *Context) Track(status *obs.RunStatus) { c.status = status }
 
 // WithBase sets the base context every engine submission derives from.
-// Carrying an obs.TraceContext here tags every journal event the run's
-// engine jobs emit with the run's trace ID. nil (the default) means
-// context.Background().
+// A journal carried here (obs.WithJournal) receives the experiment
+// brackets and every line the run's engine jobs write; an
+// obs.TraceContext carried here gives those jobs the run's trace. nil
+// (the default) means context.Background().
 func (c *Context) WithBase(ctx context.Context) { c.base = ctx }
 
 func (c *Context) ctx() context.Context {
@@ -89,21 +85,22 @@ func (c *Context) ctx() context.Context {
 	return context.Background()
 }
 
-// RunExperiment runs one experiment through the context. With a recorder
-// attached (see Observe) the run is bracketed by experiment.start /
-// experiment.finish journal events and its wall time lands in the
-// "experiment" phase of the breakdown; without one it is exactly e.Run.
-// A tracker attached with Track sees the run's live state either way.
+// RunExperiment runs one experiment through the context. With a journal
+// on the base context (see WithBase) the run is bracketed by
+// experiment.start / experiment.finish events; without one it is exactly
+// e.Run. A tracker attached with Track sees the run's live state either
+// way.
 func (c *Context) RunExperiment(e Experiment) (string, error) {
 	c.status.ExpStarted(e.ID, e.Title)
-	if c.rec == nil {
-		out, err := e.Run(c)
-		c.status.ExpFinished(e.ID, err)
-		return out, err
-	}
-	sp := c.rec.StartSpan("experiment", e.ID)
+	jnl := obs.JournalFrom(c.ctx())
+	jnl.Event("experiment.start", "name", e.ID)
+	start := time.Now()
 	out, err := e.Run(c)
-	sp.End(err)
+	if d := time.Since(start).Microseconds(); err != nil {
+		jnl.Error("experiment.finish", err, "name", e.ID, "dur_us", d)
+	} else {
+		jnl.Event("experiment.finish", "name", e.ID, "dur_us", d)
+	}
 	c.status.ExpFinished(e.ID, err)
 	return out, err
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -10,14 +11,12 @@ import (
 )
 
 // TestRunExperimentObserved checks the report pipeline's observability
-// wiring: with a recorder attached, RunExperiment brackets the run in
-// experiment events and contributes to the phase breakdown; without one
-// it is a plain call.
+// wiring: with a journal on the base context, RunExperiment brackets the
+// run in experiment events; without one it is a plain call.
 func TestRunExperimentObserved(t *testing.T) {
 	c := NewContext(10_000, 4)
 	var buf bytes.Buffer
-	rec := obs.NewRecorder(nil, obs.NewJournal(&buf))
-	c.Observe(rec)
+	c.WithBase(obs.WithJournal(context.Background(), obs.NewJournal(&buf)))
 
 	e := Experiment{ID: "fake", Title: "fake",
 		Run: func(*Context) (string, error) { return "rendered", nil }}
@@ -26,15 +25,9 @@ func TestRunExperimentObserved(t *testing.T) {
 		t.Fatalf("RunExperiment = %q, %v", out, err)
 	}
 	log := buf.String()
-	if !strings.Contains(log, "experiment.start") || !strings.Contains(log, "experiment.finish") {
-		t.Errorf("experiment events missing:\n%s", log)
-	}
-	if !strings.Contains(log, `"name":"fake"`) {
-		t.Errorf("events do not carry the experiment ID:\n%s", log)
-	}
-	phases := rec.Phases()
-	if len(phases) != 1 || phases[0].Phase != "experiment" || phases[0].Count != 1 {
-		t.Errorf("phase breakdown = %+v", phases)
+	if !strings.Contains(log, `"msg":"experiment.start","schema":2,"name":"fake"`) ||
+		!strings.Contains(log, `"msg":"experiment.finish","schema":2,"name":"fake","dur_us":`) {
+		t.Errorf("experiment events missing or without the experiment ID:\n%s", log)
 	}
 
 	// Failures propagate and land in the journal at error level.
@@ -48,9 +41,13 @@ func TestRunExperimentObserved(t *testing.T) {
 		t.Errorf("failed experiment not journaled at error level:\n%s", buf.String())
 	}
 
-	// Detached recorder: plain passthrough, no panic.
-	c.Observe(nil)
+	// No journal: plain passthrough, no panic.
+	buf.Reset()
+	c.WithBase(nil)
 	if out, err := c.RunExperiment(e); err != nil || out != "rendered" {
-		t.Fatalf("detached RunExperiment = %q, %v", out, err)
+		t.Fatalf("unjournaled RunExperiment = %q, %v", out, err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("unjournaled run wrote %q", buf.String())
 	}
 }

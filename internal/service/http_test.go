@@ -7,13 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dirsim/internal/engine"
+	"dirsim/internal/obs"
 	"dirsim/internal/sim"
 )
 
@@ -194,15 +194,15 @@ func TestEventsDropReportPrecedesEnd(t *testing.T) {
 }
 
 // gate is an engine.Remote that holds every simulation until released and
-// then declines it, so the experiment finishes locally.
+// then declines it, so the experiment finishes locally. entered receives
+// one value per simulation it holds.
 type gate struct {
 	entered chan struct{}
-	once    sync.Once
 	release chan struct{}
 }
 
 func (g *gate) SimulateRemote(ctx context.Context, _ engine.SimSpec) (*sim.Result, error) {
-	g.once.Do(func() { close(g.entered) })
+	g.entered <- struct{}{}
 	select {
 	case <-g.release:
 	case <-ctx.Done():
@@ -210,50 +210,53 @@ func (g *gate) SimulateRemote(ctx context.Context, _ engine.SimSpec) (*sim.Resul
 	return nil, engine.ErrRemoteUnavailable
 }
 
-// TestRouterKeysMatchSpecKeys: the short keys run registers with the
-// event router (cut from the hex Expand rendered) are exactly what the
-// engine reports jobs under, SimSpec.Key().String(), for every spec.
-func TestRouterKeysMatchSpecKeys(t *testing.T) {
-	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
-	svc := newTestService(t, Config{Remote: g})
+// TestExperimentJournalHoldsOnlyItsJobs: two experiments run at once and
+// share one spec key; the shared engine simulates it once. Each
+// experiment's history still holds exactly one job.scheduled, job.start
+// and job.finish per spec key of its own — its own run of the key or its
+// cache hit on the other's — and none for the other experiment's keys.
+// No line repeats a key.
+func TestExperimentJournalHoldsOnlyItsJobs(t *testing.T) {
+	// Three remote simulations: Dir0B once for both sweeps, Dir1NB, WTI.
+	g := &gate{entered: make(chan struct{}, 3), release: make(chan struct{})}
+	svc := newTestService(t, Config{Remote: g, MaxInflight: 2})
 	svc.Start()
 	defer svc.Drain(context.Background())
-	spec := Spec{
-		Schemes: []string{"Dir0B", "Dir1NB", "WTI", "Dragon"},
-		Workloads: []WorkloadSpec{
-			{Name: "pops", CPUs: []int{4, 64}, Refs: 3_000},
-			{Name: "thor", CPUs: []int{4}, Refs: 3_000, Seed: 9},
-		},
-	}
-	exp := submitDirect(t, svc, spec)
-	<-g.entered // run has registered its keys and the engine is executing
-
-	var want []string
-	for _, sp := range exp.specs {
-		want = append(want, sp.Key().String())
-	}
-	sort.Strings(want)
-	svc.router.mu.Lock()
-	var got []string
-	for k := range svc.router.byKey {
-		got = append(got, k)
-	}
-	svc.router.mu.Unlock()
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("router keys %v, want %v", got, want)
+	wl := []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 3_000}}
+	a := submitDirect(t, svc, Spec{Schemes: []string{"Dir0B", "Dir1NB"}, Workloads: wl})
+	b := submitDirect(t, svc, Spec{Schemes: []string{"Dir0B", "WTI"}, Workloads: wl})
+	// With all three held, both experiments are running.
+	for i := 0; i < cap(g.entered); i++ {
+		<-g.entered
 	}
 	close(g.release)
 
-	// And the events routed by those keys arrive: one job.finish per spec.
-	finished := 0
-	for _, line := range history(exp) {
-		if strings.Contains(line, `"msg":"job.finish"`) {
-			finished++
+	for _, exp := range []*Experiment{a, b} {
+		want := map[string]int{}
+		for _, sp := range exp.specs {
+			for _, msg := range []string{"job.scheduled", "job.start", "job.finish"} {
+				want[msg+" "+sp.Key().String()] = 1
+			}
 		}
-	}
-	if finished != len(exp.specs) {
-		t.Errorf("%d job.finish events reached the journal, want %d", finished, len(exp.specs))
+		got := map[string]int{}
+		for _, line := range history(exp) {
+			if k, err := obs.RepeatedKey([]byte(line)); err != nil || k != "" {
+				t.Fatalf("%s history line repeats %q (%v): %s", exp.ID, k, err, line)
+			}
+			var l struct{ Msg, Key, Trace string }
+			if err := json.Unmarshal([]byte(line), &l); err != nil {
+				t.Fatal(err)
+			}
+			if l.Trace != exp.Trace() {
+				t.Errorf("%s history line has trace %q, want %q: %s", exp.ID, l.Trace, exp.Trace(), line)
+			}
+			if strings.HasPrefix(l.Msg, "job.") && l.Key != "" {
+				got[l.Msg+" "+l.Key]++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s job lines per spec key = %v, want %v", exp.ID, got, want)
+		}
 	}
 }
 

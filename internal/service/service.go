@@ -128,8 +128,6 @@ type Service struct {
 	order    []string // submission order, for listing
 	draining bool
 
-	router *router
-
 	workers sync.WaitGroup
 	runCtx  context.Context
 	runStop context.CancelFunc
@@ -169,18 +167,16 @@ func New(cfg Config) (*Service, error) {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	rt := newRouter()
 	var tier engine.Tier
 	if cfg.Store != nil {
 		tier = cfg.Store
 	}
 	eng := engine.New(engine.Options{
-		Metrics:  reg,
-		Verify:   cfg.Verify,
-		Faults:   cfg.Faults,
-		Store:    tier,
-		Observer: rt,
-		Remote:   cfg.Remote,
+		Metrics: reg,
+		Verify:  cfg.Verify,
+		Faults:  cfg.Faults,
+		Store:   tier,
+		Remote:  cfg.Remote,
 	})
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Service{
@@ -192,7 +188,6 @@ func New(cfg Config) (*Service, error) {
 		log:     log,
 		start:   time.Now(),
 		exps:    make(map[string]*Experiment),
-		router:  rt,
 		runCtx:  ctx,
 		runStop: stop,
 
@@ -337,21 +332,14 @@ func (s *Service) run(exp *Experiment) {
 	adm := lane.SpanAt(req.ID(), "admission", "wait:"+s.adm.Discipline(), exp.Submitted)
 	adm.Arg("wait_us", wait.Microseconds()).End(nil)
 
-	// Route engine events for this experiment's keys into its journal
-	// while it runs, so SSE subscribers see job-level progress. The engine
-	// reports a key by its short form, Key.String: the first six bytes of
-	// the hex Expand already rendered.
-	shortKeys := make([]string, len(meta))
-	for i := range meta {
-		shortKeys[i] = meta[i].Key[:12]
-	}
-	s.router.register(shortKeys, exp.journal)
-	defer s.router.unregister(shortKeys)
-
 	exp.journal.Event("admission.done", "id", exp.ID,
 		"wait_us", wait.Microseconds(), "discipline", s.adm.Discipline())
 	exp.journal.Event("experiment.start", "id", exp.ID, "specs", len(specs))
+	// The experiment's journal rides the run context, so the shared
+	// engine writes exactly the jobs it runs for this experiment into it
+	// and SSE subscribers see job-level progress.
 	ctx := obs.WithTrace(s.runCtx, exp.tc.WithSpan(uint64(req.ID())))
+	ctx = obs.WithJournal(ctx, exp.journal)
 	ctx = exectrace.WithTracer(ctx, exp.tracer)
 	ctx = exectrace.NewContext(ctx, nil, req.ID())
 	results, err := s.eng.Results(ctx, engine.Parallel{Workers: s.cfg.SimWorkers}, specs)
@@ -462,83 +450,3 @@ func (s *Service) RetryAfter() int {
 func IsAdmissionError(err error) bool {
 	return errors.Is(err, ErrQuota) || errors.Is(err, ErrSaturated) || errors.Is(err, ErrDraining)
 }
-
-// router fans engine observer events out to the journals of the
-// experiments whose spec keys they concern. Events for unregistered keys
-// (other experiments' internals, unkeyed trace jobs) are dropped.
-type router struct {
-	mu    sync.Mutex
-	byKey map[string][]*obs.Journal
-}
-
-func newRouter() *router { return &router{byKey: make(map[string][]*obs.Journal)} }
-
-func (r *router) register(keys []string, j *obs.Journal) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, k := range keys {
-		r.byKey[k] = append(r.byKey[k], j)
-	}
-}
-
-func (r *router) unregister(keys []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, k := range keys {
-		delete(r.byKey, k)
-	}
-}
-
-func (r *router) emit(key, name string, attrs ...any) {
-	if key == "" {
-		return
-	}
-	r.mu.Lock()
-	js := r.byKey[key]
-	r.mu.Unlock()
-	for _, j := range js {
-		j.Event(name, attrs...)
-	}
-}
-
-// The experiment journals the router feeds are already tagged with their
-// experiment's trace ID (Journal.WithTrace), so events need no explicit
-// trace attribute; the context still disambiguates which request ran the
-// job, since each experiment's jobs execute under its own context.
-
-func (r *router) JobScheduled(ctx context.Context, id, kind, key string) {
-	r.emit(key, "job.scheduled", "job", id, "kind", kind, "key", key)
-}
-
-func (r *router) JobStarted(ctx context.Context, id, kind, key string) {
-	r.emit(key, "job.start", "job", id, "kind", kind, "key", key)
-}
-
-func (r *router) JobFinished(ctx context.Context, id, kind, key string, d time.Duration, cacheHit bool, err error) {
-	attrs := []any{"job", id, "kind", kind, "key", key,
-		"dur_us", d.Microseconds(), "cache_hit", cacheHit}
-	if err != nil {
-		attrs = append(attrs, "error", err.Error())
-	}
-	r.emit(key, "job.finish", attrs...)
-}
-
-// TierFetched and TierStored route durable-store traffic for an
-// experiment's result keys into its journal, so a warm-start hit is as
-// visible to SSE subscribers as a simulation would have been.
-func (r *router) TierFetched(ctx context.Context, key string, hit bool, d time.Duration) {
-	r.emit(key, "store.load", "kind", "result", "key", key,
-		"hit", hit, "dur_us", d.Microseconds())
-}
-
-func (r *router) TierStored(ctx context.Context, key string, d time.Duration) {
-	r.emit(key, "store.store", "kind", "result", "key", key, "dur_us", d.Microseconds())
-}
-
-func (r *router) CacheRejected(ctx context.Context, key string) {
-	r.emit(key, "cache.reject", "key", key)
-}
-
-func (r *router) JobRetried(ctx context.Context, id string, attempt int, backoff time.Duration, err error) {
-}
-func (r *router) JobPanicked(ctx context.Context, id string, stack []byte) {}

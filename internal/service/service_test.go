@@ -294,6 +294,42 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("store-served results are not bit-identical to the cold run")
 	}
+
+	// The cold sweep journals its trace job too; the warm one journals
+	// exactly four engine lines per spec, its store.load a hit.
+	engineLines := func(svc *Service, id string) map[string][]string {
+		exp, _ := svc.Get(id)
+		byKey := map[string][]string{}
+		for _, line := range history(exp) {
+			var l struct {
+				Msg, Key, Kind string
+				Hit            bool
+			}
+			json.Unmarshal([]byte(line), &l)
+			if strings.HasPrefix(l.Msg, "job.") || strings.HasPrefix(l.Msg, "store.") {
+				if l.Msg == "store.load" && !l.Hit {
+					l.Msg += ".miss"
+				}
+				if l.Key == "" { // an unkeyed trace job
+					l.Key = l.Kind
+				}
+				byKey[l.Key] = append(byKey[l.Key], l.Msg)
+			}
+		}
+		return byKey
+	}
+	if got := engineLines(svc1, st.ID)["trace"]; len(got) != 3 {
+		t.Errorf("cold sweep's trace job lines = %v, want scheduled/start/finish", got)
+	}
+	warmLines := engineLines(svc2, st2.ID)
+	if len(warmLines) != len(warm.Results) {
+		t.Errorf("warm sweep journaled jobs %v, want one per spec", warmLines)
+	}
+	for k, msgs := range warmLines {
+		if want := "job.scheduled job.start store.load job.finish"; strings.Join(msgs, " ") != want {
+			t.Errorf("warm sweep lines for %s = %v, want %s", k, msgs, want)
+		}
+	}
 }
 
 // TestEventsStreamOverSSE: the events endpoint replays the journal and

@@ -11,9 +11,9 @@
 //     ProtoSampler attached — the per-reference cost of protocol
 //     telemetry.
 //   - engine-notrace / engine-traced: an uncached engine run with no
-//     observer and no tracer against the same run with the full tracing
-//     stack this repo ships — a journaling Recorder, an execution
-//     tracer, and a TraceContext on the submitting context — the
+//     journal and no tracer against the same run with the full tracing
+//     stack this repo ships — an execution tracer, and a TraceContext
+//     plus a journal tagged with it on the submitting context — the
 //     per-request cost of end-to-end tracing.
 //   - engine-shipped: the engine-traced run with its journal teed
 //     through a long-lived JournalShipper posting to a local HTTP sink
@@ -77,6 +77,18 @@ func simLoop(tb testing.TB, scheme string, traces []*trace.Trace, opts sim.Optio
 	}
 }
 
+// tracedRun is one uncached engine run under the full tracing stack: an
+// execution tracer, and a trace context plus a journal into w tagged
+// with it on the submitting context — what every binary attaches.
+func tracedRun(tb testing.TB, w io.Writer, scheme string, cfgs []workload.Config) {
+	tc := obs.NewTraceContext()
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(w).WithTrace(tc))
+	e := engine.New(engine.Options{Tracer: exectrace.New()})
+	if _, _, err := e.SchemeOverTraces(ctx, engine.Sequential{}, scheme, cfgs, false); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // obsBenchRecord is one measured variant.
 type obsBenchRecord struct {
 	Path        string  `json:"path"`
@@ -128,8 +140,8 @@ func TestWriteObsBenchJSON(t *testing.T) {
 			"single-goroutine batched Simulate loop without and with a ProtoSampler at " +
 			"stride 64 (results bit-identical either way, TestTracedRunMatchesUntraced). " +
 			"engine-notrace/traced is a fresh uncached engine per iteration (generation " +
-			"included) without observation against the full stack: journaling Recorder " +
-			"to a discarded writer, execution tracer, and a TraceContext on the " +
+			"included) without observation against the full stack: execution tracer, " +
+			"and a TraceContext plus a journal to a discarded writer on the " +
 			"submitting context. The engine pair is this file's acceptance number: " +
 			"per-job tracing must stay within a few percent. engine-shipped adds a " +
 			"JournalShipper teed into the traced run's journal, posting batches to a " +
@@ -187,24 +199,13 @@ func TestWriteObsBenchJSON(t *testing.T) {
 		{"engine-traced", 0, "engine-notrace", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rec := obs.NewRecorder(obs.NewRegistry(), obs.NewJournal(io.Discard))
-				e := engine.New(engine.Options{Observer: rec, Tracer: exectrace.New()})
-				ctx := obs.WithTrace(context.Background(), obs.NewTraceContext())
-				if _, _, err := e.SchemeOverTraces(ctx, engine.Sequential{}, scheme, cfgs, false); err != nil {
-					b.Fatal(err)
-				}
+				tracedRun(b, io.Discard, scheme, cfgs)
 			}
 		}},
 		{"engine-shipped", 0, "engine-traced", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rec := obs.NewRecorder(obs.NewRegistry(),
-					obs.NewJournal(io.MultiWriter(io.Discard, ship)))
-				e := engine.New(engine.Options{Observer: rec, Tracer: exectrace.New()})
-				ctx := obs.WithTrace(context.Background(), obs.NewTraceContext())
-				if _, _, err := e.SchemeOverTraces(ctx, engine.Sequential{}, scheme, cfgs, false); err != nil {
-					b.Fatal(err)
-				}
+				tracedRun(b, io.MultiWriter(io.Discard, ship), scheme, cfgs)
 			}
 		}},
 	}
