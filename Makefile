@@ -24,7 +24,7 @@ check: build vet race shard-equiv
 # detector (sim.SimulateSharded is a library function the benchmark
 # measures and no binary offers): every paper scheme over the standard
 # workloads at shard counts {1,2,3,8,16} bit-identical to sequential, the
-# table-driven Dir1NB core against its executable specification, and the
+# Dir1NB engine against its executable specification, and the
 # shard fault tests (panic -> structured error, no goroutine leaks) — plus
 # the storage and accounting oracles: the golden fingerprint table of
 # every engine, AccessBatch and AccessSparse against per-reference Access
@@ -35,7 +35,7 @@ check: build vet race shard-equiv
 # oracle, float for float.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestDir1NBTable|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestReplay' \
+		-run 'TestSharded|TestShardOf|TestDir1NB(Batch|Checked)?MatchesSpec|TestDir1NBPanics|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestReplay' \
 		./internal/sim ./internal/core ./internal/contention
 
 # Run the fault-injection soak under the race detector: the widened

@@ -2,8 +2,8 @@ package core
 
 import "dirsim/internal/trace"
 
-// Pages are 512 blocks. The per-block states stored here are at most 24
-// bytes, so a touched page costs at most 12 KiB: small enough that sparse
+// Pages are 512 blocks. The per-block states stored here are at most 16
+// bytes, so a touched page costs at most 8 KiB: small enough that sparse
 // address spaces and short experiment traces stay cheap (larger pages
 // spend their time being zeroed and show up in the resident set), big
 // enough that the standard workloads live on a dozen of them.
@@ -76,17 +76,4 @@ func (t *BlockTable[T]) Each(f func(trace.Block, *T) error) error {
 		}
 	}
 	return nil
-}
-
-// seenBit is embedded in every engine's per-block state to classify
-// first-reference misses (rm-first-ref / wm-first-ref), which the paper
-// excludes from the multiprocessing overhead.
-type seenBit bool
-
-// touch records a reference to the block and reports whether it was the
-// first one.
-func (s *seenBit) touch() (first bool) {
-	first = !bool(*s)
-	*s = true
-	return first
 }

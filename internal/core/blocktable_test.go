@@ -16,7 +16,7 @@ import (
 func everyEngine(t *testing.T, ncpu int) []Protocol {
 	t.Helper()
 	var engines []Protocol
-	for _, name := range append(Schemes(), "Dir2NB", "Dir1B", "Dir2B") {
+	for _, name := range nativeSchemes {
 		p, err := NewByName(name, ncpu)
 		if err != nil {
 			t.Fatal(err)
@@ -26,9 +26,9 @@ func everyEngine(t *testing.T, ncpu int) []Protocol {
 	return append(engines, NewDir1NBSpec(ncpu), newFinite(t, ncpu, 32))
 }
 
-// paperSchemes are the six schemes of the paper's Figure 2, the ones with
-// a native batched loop.
-var paperSchemes = []string{"Dir1NB", "WTI", "Dir0B", "DirNNB", "Dir1B", "Dragon"}
+// nativeSchemes are the names every native loop must serve: each fixed
+// scheme name and the parameterized pointer schemes.
+var nativeSchemes = append(Schemes(), "Dir1B", "Dir2B", "Dir2NB")
 
 // TestBatchMatchesAccess holds AccessBatch identical to per-reference
 // Access for every engine, with and without a value-coherence checker,
@@ -69,12 +69,12 @@ func TestBatchMatchesAccess(t *testing.T) {
 	}
 }
 
-// TestBatchAllocs asserts the steady-state batched loop of every paper
-// scheme allocates nothing: once a trace's pages exist, classifying it
-// again touches only the table and the caller's result buffer.
+// TestBatchAllocs asserts the steady-state batched loop of every scheme
+// allocates nothing: once a trace's pages exist, classifying it again
+// touches only the table and the caller's result buffer.
 func TestBatchAllocs(t *testing.T) {
 	refs := workload.POPS(4, 20000).Refs
-	for _, scheme := range paperSchemes {
+	for _, scheme := range nativeSchemes {
 		p, err := NewByName(scheme, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -90,37 +90,35 @@ func TestBatchAllocs(t *testing.T) {
 }
 
 // TestBlockStateSizes pins the sizing the block table was measured with:
-// 24 bytes of state per block at most, 512 blocks per page at most,
-// nothing allocated before the first reference.
-// Larger states or pages spend the run zeroing memory and show up in the
-// resident set of every short simulation.
+// 16 bytes of state per block at most — the one state every
+// infinite-cache scheme runs on, and the finite engine and the Dir1NB
+// specification too — 512 blocks per page at most, nothing allocated
+// before the first reference. Larger states or pages spend the run
+// zeroing memory and show up in the resident set of every short
+// simulation.
 func TestBlockStateSizes(t *testing.T) {
 	if pageSize > 512 {
 		t.Errorf("pages hold %d blocks, limit 512", pageSize)
 	}
 	// The service builds engines just to validate scheme names: an
 	// untouched table must stay two words, its page cache unallocated.
-	if size := unsafe.Sizeof(BlockTable[mrswBlock]{}); size > 16 {
+	if size := unsafe.Sizeof(BlockTable[block]{}); size > 16 {
 		t.Errorf("an untouched BlockTable is %d bytes, limit 16", size)
 	}
 	for name, size := range map[string]uintptr{
-		"mrswBlock":     unsafe.Sizeof(mrswBlock{}),
-		"dragonBlock":   unsafe.Sizeof(dragonBlock{}),
-		"fireflyBlock":  unsafe.Sizeof(fireflyBlock{}),
-		"berkeleyBlock": unsafe.Sizeof(berkeleyBlock{}),
-		"mesiBlock":     unsafe.Sizeof(mesiBlock{}),
-		"dir1nbBlock":   unsafe.Sizeof(dir1nbBlock{}),
-		"lostCopies":    unsafe.Sizeof(lostCopies{}),
+		"block":       unsafe.Sizeof(block{}),
+		"dir1nbBlock": unsafe.Sizeof(dir1nbBlock{}),
+		"lostCopies":  unsafe.Sizeof(lostCopies{}),
 	} {
-		if size > 24 {
-			t.Errorf("%s is %d bytes, limit 24", name, size)
+		if size > 16 {
+			t.Errorf("%s is %d bytes, limit 16", name, size)
 		}
 	}
 }
 
 // TestBlockTableSparseFootprint touches 10 000 blocks that each sit alone
-// on a page — the worst case for a paged table — through the widest
-// state, and bounds the heap each touched page costs.
+// on a page — the worst case for a paged table — and bounds the heap each
+// touched page costs.
 func TestBlockTableSparseFootprint(t *testing.T) {
 	const blocks = 10_000
 	heap := func() int64 {
@@ -137,9 +135,9 @@ func TestBlockTableSparseFootprint(t *testing.T) {
 	}
 	perPage := float64(heap()-before) / blocks
 	runtime.KeepAlive(p)
-	// 512 states of 24 bytes are 12 KiB; the page map's entry is noise.
-	if perPage > 13<<10 {
-		t.Errorf("a touched page costs %.0f bytes of heap, limit %d", perPage, 13<<10)
+	// 512 states of 16 bytes are 8 KiB; the page map's entry is noise.
+	if perPage > 9<<10 {
+		t.Errorf("a touched page costs %.0f bytes of heap, limit %d", perPage, 9<<10)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Error(err)

@@ -143,6 +143,19 @@ func (c *Checker) Invalidate(cpu uint8, b trace.Block) {
 	delete(c.copies[b], cpu)
 }
 
+// invalidateAll models every cache in victims losing its copy of b, in
+// ascending CPU order.
+func (c *Checker) invalidateAll(victims Set, b trace.Block) {
+	if c == nil {
+		return
+	}
+	for v := uint8(0); victims != 0; v, victims = v+1, victims>>1 {
+		if victims&1 != 0 {
+			c.Invalidate(v, b)
+		}
+	}
+}
+
 // UpdateSharers models a Dragon-style update: every cache currently holding
 // b receives the latest value.
 func (c *Checker) UpdateSharers(b trace.Block) {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"dirsim/internal/event"
+	"dirsim/internal/trace"
+	"dirsim/internal/workload"
 )
 
 func TestDir1NBSingleCopySemantics(t *testing.T) {
@@ -91,12 +94,101 @@ func TestDir1NBInstr(t *testing.T) {
 	expectTypes(t, res, event.Instr, event.Instr)
 }
 
-func TestDir1NBPanicsOnBadInput(t *testing.T) {
-	p := NewDir1NB(2)
+// expectPanic fails t unless f panics.
+func expectPanic(t *testing.T, name string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for out-of-range CPU")
+			t.Errorf("%s: expected panic", name)
 		}
 	}()
-	p.Access(rd(3, 0))
+	f()
+}
+
+// TestDir1NBPanicsOnBadInput mirrors the spec engine's contract on the
+// per-reference path.
+func TestDir1NBPanicsOnBadInput(t *testing.T) {
+	p := NewDir1NB(2)
+	expectPanic(t, "cpu out of range", func() { p.Access(rd(3, 0)) })
+	expectPanic(t, "bad kind", func() {
+		p.Access(trace.Ref{Addr: 0, CPU: 0, Kind: trace.Kind(9)})
+	})
+}
+
+// TestDir1NBBatchPanicsOnBadInput holds the batched loop to the same
+// contract as the per-reference path.
+func TestDir1NBBatchPanicsOnBadInput(t *testing.T) {
+	expectPanic(t, "cpu out of range (batch)", func() {
+		AccessBatch(NewDir1NB(2), []trace.Ref{rd(3, 0)}, nil)
+	})
+	expectPanic(t, "bad kind (batch)", func() {
+		AccessBatch(NewDir1NB(2), []trace.Ref{{Addr: 0, CPU: 0, Kind: trace.Kind(9)}}, nil)
+	})
+}
+
+// TestDir1NBMatchesSpec cross-validates the Dir1NB engine against the
+// method-dispatch specification: identical event results, reference by
+// reference, over heavy random streams at several machine sizes.
+func TestDir1NBMatchesSpec(t *testing.T) {
+	for _, cpus := range []int{1, 2, 4, 8, 64} {
+		refs := randomRefs(int64(100+cpus), cpus, 512, 60000)
+		p, spec := NewDir1NB(cpus), NewDir1NBSpec(cpus)
+		if _, ok := p.(Batcher); !ok {
+			t.Fatal("the Dir1NB engine should implement Batcher")
+		}
+		for i, r := range refs {
+			got, want := p.Access(r), spec.Access(r)
+			if got != want {
+				t.Fatalf("cpus=%d ref %d %v: engine %+v, spec %+v", cpus, i, r, got, want)
+			}
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("cpus=%d: engine invariants: %v", cpus, err)
+		}
+	}
+}
+
+// TestDir1NBBatchMatchesSpec drives the engine through its batched loop
+// on the standard workloads and compares against the specification
+// engine run per reference.
+func TestDir1NBBatchMatchesSpec(t *testing.T) {
+	for _, cfg := range workload.StandardConfigs(4, 20000) {
+		tr := workload.MustGenerate(cfg)
+		p, spec := NewDir1NB(tr.CPUs), NewDir1NBSpec(tr.CPUs)
+		got := AccessBatch(p, tr.Refs, nil)
+		want := make([]event.Result, 0, len(tr.Refs))
+		for _, r := range tr.Refs {
+			want = append(want, spec.Access(r))
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s ref %d: engine %+v, spec %+v", cfg.Name, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("%s: batch results differ", cfg.Name)
+		}
+	}
+}
+
+// TestDir1NBCheckedMatchesSpec holds the two engines identical with a
+// value-coherence checker attached — the checked path goes through
+// per-reference access, and both checkers must stay clean.
+func TestDir1NBCheckedMatchesSpec(t *testing.T) {
+	refs := randomRefs(7, 8, 64, 30000)
+	p, spec := NewDir1NB(8), NewDir1NBSpec(8)
+	if !Attach(p, NewChecker()) || !Attach(spec, NewChecker()) {
+		t.Fatal("both engines should accept a checker")
+	}
+	got := AccessBatch(p, refs, nil)
+	want := AccessBatch(spec, refs, nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("checked results differ")
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("engine invariants: %v", err)
+	}
+	if err := spec.CheckInvariants(); err != nil {
+		t.Fatalf("spec invariants: %v", err)
+	}
 }

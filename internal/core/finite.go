@@ -29,7 +29,7 @@ type finiteDir struct {
 	ncpu   int
 	cfg    cache.Config
 	caches []*cache.Cache
-	blocks BlockTable[mrswBlock]
+	blocks BlockTable[block]
 	// gone records, per block, which CPUs lost their copy and why.
 	gone BlockTable[lostCopies]
 
@@ -98,7 +98,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 			p.Checker.ReadHit(c, b)
 			return event.Result{Type: event.RdHit}
 		}
-		if bl.dirty && bl.owner == c {
+		if bl.flags&fD != 0 && bl.owner == c {
 			p.Checker.Write(c, b)
 			return event.Result{Type: event.WrHitOwn}
 		}
@@ -113,15 +113,15 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		p.invalidate(others, b)
 		p.Checker.Write(c, b)
 		bl.holders = Set(0).Add(c)
-		bl.dirty = true
+		bl.flags |= fD
 		bl.owner = c
 		return res
 	}
 	// Miss. Attribute the cause before refilling.
-	first := bl.touch()
+	res := event.Result{Holders: bl.holders.Count(), Type: bl.miss(write)}
 	gone := p.gone.At(b)
 	switch {
-	case first:
+	case res.Type.IsFirstRef():
 		// First reference in the whole trace: uniprocessor cold.
 	case gone.invalidated.Has(c):
 		p.Coherence++
@@ -135,13 +135,9 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 	}
 	gone.invalidated, gone.evicted = gone.invalidated.Del(c), gone.evicted.Del(c)
 
-	var res event.Result
-	res.Holders = bl.holders.Count()
 	switch {
-	case bl.dirty:
-		res.Type = event.RdMissDirty
+	case bl.flags&fD != 0:
 		if write {
-			res.Type = event.WrMissDirty
 			res.Inval = 1
 		}
 		res.WriteBack = true
@@ -151,27 +147,14 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		if write {
 			p.invalidate(bl.holders, b)
 		}
-		bl.dirty = false
+		bl.flags &^= fD
 	case !bl.holders.Empty():
-		res.Type = event.RdMissClean
 		if write {
-			res.Type = event.WrMissClean
 			res.Inval = bl.holders.Count()
 			p.invalidate(bl.holders, b)
 		}
 		p.Checker.FillFromMemory(c, b)
 	default:
-		if first {
-			res.Type = event.RdMissFirst
-			if write {
-				res.Type = event.WrMissFirst
-			}
-		} else {
-			res.Type = event.RdMissMem
-			if write {
-				res.Type = event.WrMissMem
-			}
-		}
 		p.Checker.FillFromMemory(c, b)
 	}
 	// Fill, possibly evicting a victim.
@@ -183,7 +166,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 	if write {
 		p.Checker.Write(c, b)
 		bl.holders = Set(0).Add(c)
-		bl.dirty = true
+		bl.flags |= fD
 		bl.owner = c
 	}
 	return res
@@ -204,10 +187,10 @@ func (p *finiteDir) invalidate(victims Set, b trace.Block) {
 // clean ones notify the directory; either way the full map stays exact.
 func (p *finiteDir) evict(c uint8, victim trace.Block, res *event.Result) {
 	vbl := p.blocks.At(victim)
-	if vbl.dirty && vbl.owner == c {
+	if vbl.flags&fD != 0 && vbl.owner == c {
 		res.EvictWB = true
 		p.Checker.WriteBack(c, victim)
-		vbl.dirty = false
+		vbl.flags &^= fD
 	} else {
 		// Replacement notification to the directory.
 		res.Control++
@@ -227,7 +210,7 @@ func (p *finiteDir) Counters() (cold, coherence, capacity int64) {
 
 // CheckInvariants verifies the directory map matches cache residency.
 func (p *finiteDir) CheckInvariants() error {
-	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *mrswBlock) error {
+	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *block) error {
 		for cpu := 0; cpu < p.ncpu; cpu++ {
 			inDir := bl.holders.Has(uint8(cpu))
 			inCache := p.caches[cpu].Contains(b)
@@ -236,7 +219,7 @@ func (p *finiteDir) CheckInvariants() error {
 					b, cpu, inDir, inCache)
 			}
 		}
-		if bl.dirty && !bl.holders.Only(bl.owner) {
+		if bl.flags&fD != 0 && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("FiniteDirNNB: block %#x dirty with holders %b", b, bl.holders)
 		}
 		return nil

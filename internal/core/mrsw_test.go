@@ -150,9 +150,9 @@ func TestDiriNBLimitsCopies(t *testing.T) {
 }
 
 func TestDiriNBHolderLimitInvariant(t *testing.T) {
-	p := NewDiriNB(8, 3).(*mrsw)
+	p := NewDiriNB(8, 3).(*engine)
 	apply(t, p, randomRefs(11, 8, 24, 30000)...)
-	err := p.blocks.Each(func(b trace.Block, bl *mrswBlock) error {
+	err := p.blocks.Each(func(b trace.Block, bl *block) error {
 		if n := bl.holders.Count(); n > 3 {
 			return fmt.Errorf("block %#x has %d holders, limit 3", b, n)
 		}

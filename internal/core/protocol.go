@@ -1,7 +1,8 @@
 // Package core implements the cache-coherence protocol engines evaluated in
 // the paper: the directory schemes of the Dir_i X taxonomy (Dir1NB, DiriNB
-// including the full-map DirNNB, Dir0B, DiriB including Dir1B) and the
-// snoopy baselines (write-through-with-invalidate and Dragon).
+// including the full-map DirNNB, Dir0B, DiriB including Dir1B, Yen–Fu),
+// the snoopy baselines (write-through-with-invalidate and Dragon) and the
+// related-work comparators (Berkeley, MESI, Firefly).
 //
 // An engine is a state-change specification: fed a time-ordered reference
 // stream, it classifies every reference into the Table 4 event taxonomy and
@@ -10,9 +11,15 @@
 // timing — costs are applied afterwards by internal/bus, mirroring the
 // paper's separation between event frequencies and hardware cost models.
 //
-// All engines model the paper's infinite caches: a block leaves a cache
-// only through coherence actions, never through replacement. The finite
-// cache substrate in internal/cache is wired in by the extension studies.
+// All of those schemes model the paper's infinite caches — a block leaves
+// a cache only through coherence actions, never through replacement — and
+// run on one engine (engine.go) over one 16-byte per-block state. The
+// engine owns the loops, the hit tests and the miss classification; a
+// scheme states its plain write hit as data (the flags a sole holder's
+// block needs and the flags the write sets) and supplies one step function
+// for the few per cent of references that are not plain: their coherence
+// actions, next state and Checker calls. The finite-cache engine and the
+// Dir1NB specification keep their own Access.
 package core
 
 import (

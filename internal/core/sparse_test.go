@@ -14,11 +14,14 @@ import (
 	"dirsim/internal/workload"
 )
 
+// nativeSchemes are the names the shared engine loop must serve: every
+// fixed scheme name and the parameterized pointer schemes.
+func nativeSchemes() []string { return append(core.Schemes(), "Dir1B", "Dir2B", "Dir2NB") }
+
 // sparseEngines names every engine the sparse entry point must serve: the
-// fixed scheme names, the parameterized pointer schemes, the Dir1NB
-// specification, and the two engines built outside NewByName (the last
-// three, like Berkeley, MESI and Firefly, have only Access, so they take
-// the fallback's per-reference path).
+// native schemes, the Dir1NB specification, and the two engines built
+// outside NewByName (the last three have only Access, so they take the
+// fallback's per-reference path).
 func sparseEngines() map[string]func(ncpu int) core.Protocol {
 	engines := map[string]func(int) core.Protocol{
 		"Dir1NBSpec": core.NewDir1NBSpec,
@@ -32,7 +35,7 @@ func sparseEngines() map[string]func(ncpu int) core.Protocol {
 		},
 		"DirCV": func(ncpu int) core.Protocol { return directory.NewCoarseVector(ncpu) },
 	}
-	for _, scheme := range append(core.Schemes(), "Dir2NB", "Dir1B", "Dir2B") {
+	for _, scheme := range nativeSchemes() {
 		engines[scheme] = func(ncpu int) core.Protocol {
 			p, err := core.NewByName(scheme, ncpu)
 			if err != nil {
@@ -100,16 +103,19 @@ func (p *batchOnly) AccessBatch(refs []trace.Ref, out []event.Result) []event.Re
 // reference to more than the stream: the plain counts plus the sparse
 // results reproduce the per-type counts and the exact ordered sequence of
 // results that did something, and the engine is left in the state Access
-// leaves it in. Every engine is run bare — the six with only Access take
-// the fallback's per-reference path — and again behind an AccessBatch-only
-// wrapper, which must be handed each batch in exactly one AccessBatch call.
+// leaves it in. Every engine is run bare — the three with only Access
+// take the fallback's per-reference path — and again behind an
+// AccessBatch-only wrapper, which must be handed each batch in exactly one
+// AccessBatch call.
 func TestSparseMatchesAccess(t *testing.T) {
 	const cpus, n = 4, 12_000
-	accessOnly := fallbackEngines()
-	for _, name := range []string{"berkeley", "mesi", "firefly", "FiniteDirNNB", "DirCV", "Dir1NBSpec"} {
-		if accessOnly[name] == nil {
-			t.Errorf("%s no longer takes the fallback's per-reference path; nothing here covers it", name)
-		}
+	var accessOnly []string
+	for name := range fallbackEngines() {
+		accessOnly = append(accessOnly, name)
+	}
+	slices.Sort(accessOnly)
+	if want := []string{"Dir1NBSpec", "DirCV", "FiniteDirNNB"}; !slices.Equal(accessOnly, want) {
+		t.Errorf("the engines with only Access are %v, want %v: the fallback's per-reference path must be covered, and by nothing else", accessOnly, want)
 	}
 	for stream, refs := range sparseStreams(cpus, n) {
 		for name, build := range sparseEngines() {
@@ -242,19 +248,20 @@ func TestSparsePanicsLikeAccess(t *testing.T) {
 	}
 }
 
-// TestSparseAllocs asserts the steady-state sparse loop of every paper
-// scheme allocates nothing: once a trace's pages exist and the results
-// buffer has grown to the batch's few misses, classifying it again
-// touches only the table, the counts and that buffer.
+// TestSparseAllocs asserts every native scheme is a Sparser whose
+// steady-state sparse loop allocates nothing: once a trace's pages exist
+// and the results buffer has grown to the batch's few misses, classifying
+// it again touches only the table, the counts and that buffer.
 func TestSparseAllocs(t *testing.T) {
 	refs := workload.POPS(4, 20_000).Refs
-	for _, scheme := range []string{"Dir1NB", "WTI", "Dir0B", "DirNNB", "Dir1B", "Dragon"} {
+	for _, scheme := range nativeSchemes() {
 		p, err := core.NewByName(scheme, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := p.(core.Sparser); !ok {
 			t.Errorf("%s has no native AccessSparse", scheme)
+			continue
 		}
 		var plain core.Plain
 		out := core.AccessSparse(p, refs, &plain, nil)
@@ -323,23 +330,45 @@ func TestSparseFallbackAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSparseFallback reports AccessSparse's cost per reference for
-// the engines with only Access, in the simulator's batches of 4096.
+// BenchmarkSparse reports AccessSparse's cost per reference for every
+// native scheme (BenchmarkSparse/<name>) over 400 k POPS references at 4
+// CPUs, in the simulator's batches of 4096, a fresh engine per pass.
+func BenchmarkSparse(b *testing.B) {
+	refs := workload.POPS(4, 400_000).Refs
+	seen := map[string]bool{}
+	for _, scheme := range nativeSchemes() {
+		p, err := core.NewByName(scheme, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if name := p.Name(); !seen[name] { // illinois is MESI
+			seen[name] = true
+			b.Run(name, func(b *testing.B) {
+				benchSparse(b, refs, func() core.Protocol { p, _ := core.NewByName(scheme, 4); return p })
+			})
+		}
+	}
+}
+
+// BenchmarkSparseFallback is BenchmarkSparse for the engines with only
+// Access.
 func BenchmarkSparseFallback(b *testing.B) {
 	refs := workload.POPS(4, 400_000).Refs
 	for name, build := range fallbackEngines() {
-		b.Run(name, func(b *testing.B) {
-			var plain core.Plain
-			var out []event.Result
-			for i := 0; i < b.N; i++ {
-				p := build(4)
-				for rest := refs; len(rest) > 0; {
-					k := min(len(rest), 4096)
-					out = core.AccessSparse(p, rest[:k], &plain, out[:0])
-					rest = rest[k:]
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)), "ns/ref")
-		})
+		b.Run(name, func(b *testing.B) { benchSparse(b, refs, func() core.Protocol { return build(4) }) })
 	}
+}
+
+func benchSparse(b *testing.B, refs []trace.Ref, build func() core.Protocol) {
+	var plain core.Plain
+	var out []event.Result
+	for i := 0; i < b.N; i++ {
+		p := build()
+		for rest := refs; len(rest) > 0; {
+			k := min(len(rest), 4096)
+			out = core.AccessSparse(p, rest[:k], &plain, out[:0])
+			rest = rest[k:]
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)), "ns/ref")
 }

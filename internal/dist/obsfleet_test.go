@@ -482,10 +482,13 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 
 	// --- the worker and shipped journals ---
 	// The worker's engine journals each job under the job's trace and
-	// remote parent, and no worker journal line repeats a key.
-	for _, line := range bytes.Split(bytes.TrimSpace(w1Log.Bytes()), []byte("\n")) {
-		if k, err := obs.RepeatedKey(line); err != nil || k != "" {
-			t.Fatalf("worker journal line repeats %q (%v): %s", k, err, line)
+	// remote parent, and no line repeats a key — neither in the worker's
+	// journal nor once the coordinator has spliced it into the fleet's.
+	for name, jnl := range map[string]*bytes.Buffer{"worker": &w1Log, "fleet": &coordLog} {
+		for _, line := range bytes.Split(bytes.TrimSpace(jnl.Bytes()), []byte("\n")) {
+			if k, err := obs.RepeatedKey(line); err != nil || k != "" {
+				t.Fatalf("%s journal line repeats %q (%v): %s", name, k, err, line)
+			}
 		}
 	}
 	finishes := 0

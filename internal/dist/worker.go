@@ -45,7 +45,8 @@ type Worker struct {
 	// the decision is per (worker, job key), so a fixed seed kills the
 	// same worker on the same job every run.
 	Inj *faults.Injector
-	// Journal receives worker.* events and the engine's job lines; nil disables them.
+	// Journal receives worker.* events and the engine's job lines; nil disables
+	// them. The coordinator's splice names the worker on each shipped line.
 	Journal *obs.Journal
 	// Metrics, when non-nil, is snapshotted (counters) onto every
 	// heartbeat — the metric-federation path to the coordinator.
@@ -78,7 +79,6 @@ func (w *Worker) event(name string, tc obs.TraceContext, attrs ...any) {
 	if w.Journal == nil {
 		return
 	}
-	attrs = append(attrs, "worker", w.Name)
 	if tc.Valid() {
 		attrs = append(attrs, "trace", tc.Trace)
 	}
