@@ -31,11 +31,12 @@ check: build vet race shard-equiv
 # (and the simulator's use of the sparse stream behind an AccessBatch-only
 # wrapper, and of its bufferless fallback for engines with only Access),
 # the batched and sparse loops' zero-allocation and the block table's
-# footprint bounds — and the contention replay against its per-reference
-# oracle, float for float.
+# footprint bounds, DirCV against DirNNB's classifications and its coarse
+# code against the one the entry builds holder by holder — and the
+# contention replay against its per-reference oracle, float for float.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestDir1NB(Batch|Checked)?MatchesSpec|TestDir1NBPanics|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestReplay' \
+		-run 'TestSharded|TestShardOf|TestDir1NB(Batch|Checked)?MatchesSpec|TestDir1NBPanics|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestCoarse|TestReplay' \
 		./internal/sim ./internal/core ./internal/contention
 
 # Run the fault-injection soak under the race detector: the widened

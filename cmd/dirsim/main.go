@@ -147,13 +147,6 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 			return err
 		}
 		opts := sim.Options{Check: check}
-		var simRefs int64
-		var simTime time.Duration
-		if jnl != nil {
-			opts.Observer = func(refs int64, elapsed time.Duration) {
-				simRefs, simTime = refs, elapsed
-			}
-		}
 		lane := tr.Lane()
 		var span *exectrace.Span
 		if lane != nil {
@@ -162,7 +155,9 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		if protoN > 0 {
 			opts.Telemetry = obs.NewProtoSampler(reg, scheme, protoN, lane, span.ID())
 		}
+		start := time.Now()
 		res, err := sim.Simulate(p, src, opts)
+		elapsed := time.Since(start)
 		if span != nil {
 			span.Arg("refs", len(t.Refs)).End(err)
 			lane.Release()
@@ -173,7 +168,7 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		}
 		res.Trace = t.Name
 		jnl.Event("simulate.finish", "scheme", res.Scheme, "trace", t.Name,
-			"refs", simRefs, "dur_us", simTime.Microseconds(),
+			"refs", res.Counts.Total, "dur_us", elapsed.Microseconds(),
 			"cycles_per_ref", res.PerRef("pipelined"))
 		results = append(results, res)
 		printResult(res, events)

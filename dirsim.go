@@ -43,7 +43,6 @@ import (
 	"dirsim/internal/cache"
 	"dirsim/internal/contention"
 	"dirsim/internal/core"
-	"dirsim/internal/directory"
 	"dirsim/internal/engine"
 	"dirsim/internal/event"
 	"dirsim/internal/network"
@@ -104,9 +103,9 @@ func NewScheme(name string, ncpu int) (Protocol, error) {
 }
 
 // NewCoarseVector builds the Section 6 coarse-ternary-code directory
-// protocol.
-func NewCoarseVector(ncpu int) *directory.CoarseVector {
-	return directory.NewCoarseVector(ncpu)
+// protocol, DirCV.
+func NewCoarseVector(ncpu int) Protocol {
+	return core.NewCoarseVector(ncpu)
 }
 
 // Topology is an interconnection-network model for the Section 6

@@ -13,13 +13,13 @@ const (
 	pageMask = pageSize - 1
 )
 
-// BlockTable is the per-block state store under every protocol engine —
+// blockTable is the per-block state store under every protocol engine —
 // the paper's directory, an array in main memory with a few bits or
 // pointers per block. States live by value in fixed-size pages keyed by
 // the high block bits; the zero value of T is the state of a block that
 // has never been referenced, so fresh pages need no initialisation, and
-// the zero BlockTable is empty and ready to use.
-type BlockTable[T any] struct {
+// the zero blockTable is empty and ready to use.
+type blockTable[T any] struct {
 	pages map[uint64]*[pageSize]T
 	// recent is a direct-mapped cache over pages. Traces interleave a few
 	// regions per CPU (the standard workloads touch 13 pages at 4 CPUs,
@@ -41,7 +41,7 @@ const recentBits = 8
 
 // At returns the state slot of block b, allocating its page on first
 // touch. The pointer stays valid for the life of the table.
-func (t *BlockTable[T]) At(b trace.Block) *T {
+func (t *blockTable[T]) At(b trace.Block) *T {
 	key := uint64(b) >> pageBits
 	h := key * 0x9E3779B97F4A7C15 >> (64 - recentBits)
 	if t.recent == nil || t.recent[h].page == nil || t.recent[h].key != key {
@@ -51,7 +51,7 @@ func (t *BlockTable[T]) At(b trace.Block) *T {
 }
 
 // load brings the page with the given key into slot h of recent.
-func (t *BlockTable[T]) load(key, h uint64) {
+func (t *blockTable[T]) load(key, h uint64) {
 	if t.pages == nil {
 		t.pages = make(map[uint64]*[pageSize]T)
 		t.recent = new([1 << recentBits]recentPage[T])
@@ -67,7 +67,7 @@ func (t *BlockTable[T]) load(key, h uint64) {
 // Each calls f for every slot of every touched page, never-referenced
 // (zero) slots included, in no particular order, and stops at the first
 // error.
-func (t *BlockTable[T]) Each(f func(trace.Block, *T) error) error {
+func (t *blockTable[T]) Each(f func(trace.Block, *T) error) error {
 	for key, pg := range t.pages {
 		for i := range pg {
 			if err := f(trace.Block(key<<pageBits|uint64(i)), &pg[i]); err != nil {

@@ -10,25 +10,26 @@ import (
 	"dirsim/internal/workload"
 )
 
-// everyEngine builds one of each engine in the package: every fixed
-// scheme name, the parameterized pointer schemes, the Dir1NB
-// specification and the finite-cache engine.
-func everyEngine(t *testing.T, ncpu int) []Protocol {
+// loopEngines builds one of each engine on the shared loop: every fixed
+// scheme name, the parameterized pointer schemes and DirCV.
+func loopEngines(t *testing.T, ncpu int) []Protocol {
 	t.Helper()
 	var engines []Protocol
-	for _, name := range nativeSchemes {
+	for _, name := range append(Schemes(), "Dir1B", "Dir2B", "Dir2NB") {
 		p, err := NewByName(name, ncpu)
 		if err != nil {
 			t.Fatal(err)
 		}
 		engines = append(engines, p)
 	}
-	return append(engines, NewDir1NBSpec(ncpu), newFinite(t, ncpu, 32))
+	return append(engines, NewCoarseVector(ncpu))
 }
 
-// nativeSchemes are the names every native loop must serve: each fixed
-// scheme name and the parameterized pointer schemes.
-var nativeSchemes = append(Schemes(), "Dir1B", "Dir2B", "Dir2NB")
+// everyEngine builds one of each engine in the package: the loop engines,
+// the Dir1NB specification and the finite-cache engine.
+func everyEngine(t *testing.T, ncpu int) []Protocol {
+	return append(loopEngines(t, ncpu), NewDir1NBSpec(ncpu), newFinite(t, ncpu, 32))
+}
 
 // TestBatchMatchesAccess holds AccessBatch identical to per-reference
 // Access for every engine, with and without a value-coherence checker,
@@ -70,21 +71,18 @@ func TestBatchMatchesAccess(t *testing.T) {
 }
 
 // TestBatchAllocs asserts the steady-state batched loop of every scheme
-// allocates nothing: once a trace's pages exist, classifying it again
-// touches only the table and the caller's result buffer.
+// on the shared loop allocates nothing: once a trace's pages exist,
+// classifying it again touches only the table and the caller's result
+// buffer.
 func TestBatchAllocs(t *testing.T) {
 	refs := workload.POPS(4, 20000).Refs
-	for _, scheme := range nativeSchemes {
-		p, err := NewByName(scheme, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range loopEngines(t, 4) {
 		if _, ok := p.(Batcher); !ok {
-			t.Errorf("%s has no native AccessBatch", scheme)
+			t.Errorf("%s has no native AccessBatch", p.Name())
 		}
 		out := AccessBatch(p, refs, nil)
 		if allocs := testing.AllocsPerRun(5, func() { out = AccessBatch(p, refs, out[:0]) }); allocs != 0 {
-			t.Errorf("%s: steady-state batch allocates %.0f times", scheme, allocs)
+			t.Errorf("%s: steady-state batch allocates %.0f times", p.Name(), allocs)
 		}
 	}
 }
@@ -102,8 +100,8 @@ func TestBlockStateSizes(t *testing.T) {
 	}
 	// The service builds engines just to validate scheme names: an
 	// untouched table must stay two words, its page cache unallocated.
-	if size := unsafe.Sizeof(BlockTable[block]{}); size > 16 {
-		t.Errorf("an untouched BlockTable is %d bytes, limit 16", size)
+	if size := unsafe.Sizeof(blockTable[block]{}); size > 16 {
+		t.Errorf("an untouched blockTable is %d bytes, limit 16", size)
 	}
 	for name, size := range map[string]uintptr{
 		"block":       unsafe.Sizeof(block{}),

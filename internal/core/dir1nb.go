@@ -66,7 +66,7 @@ func dir1nbCheck(bl *block) error {
 // state of its own.
 type dir1nb struct {
 	ncpu   int
-	blocks BlockTable[dir1nbBlock]
+	blocks blockTable[dir1nbBlock]
 
 	Checker *Checker
 }

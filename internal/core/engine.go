@@ -96,7 +96,7 @@ type scheme struct {
 type engine struct {
 	scheme
 	ncpu   int
-	blocks BlockTable[block]
+	blocks blockTable[block]
 	ck     *Checker
 }
 

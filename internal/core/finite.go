@@ -29,9 +29,9 @@ type finiteDir struct {
 	ncpu   int
 	cfg    cache.Config
 	caches []*cache.Cache
-	blocks BlockTable[block]
+	blocks blockTable[block]
 	// gone records, per block, which CPUs lost their copy and why.
-	gone BlockTable[lostCopies]
+	gone blockTable[lostCopies]
 
 	// Miss-cause accounting (data misses, first references excluded
 	// from Coherence/Capacity by construction).

@@ -9,13 +9,13 @@ import (
 
 // mrsw is the multiple-readers/single-writer state-change model shared —
 // as the paper observes in Section 5 — by Dir0B, the sequential
-// invalidation schemes DiriNB/DirNNB, the limited-pointer-plus-broadcast
+// invalidation schemes DiriNB/DirNNB/DirCV, the limited-pointer-plus-broadcast
 // schemes DiriB, and the snoopy WTI protocol: a clean block may live in any
 // number of caches, a written block in exactly one. The variants differ in
 // how invalidations are delivered (directed messages, limited broadcast, or
 // full broadcast), in how much the directory knows (two state bits, i
-// pointers, a full bit map, or nothing at all for a snoopy bus), and in
-// whether writes propagate to memory (write-through for WTI).
+// pointers, a full bit map, a coarse code, or nothing at all for a snoopy
+// bus), and in whether writes propagate to memory (write-through for WTI).
 //
 // Because the state-change model is shared, all variants produce identical
 // event frequencies on a given trace (the paper's Table 4 shows one column
@@ -29,7 +29,7 @@ import (
 type mrsw struct {
 	// ptrs is the number of cache pointers a directory entry can hold:
 	// 0 for Dir0B (state bits only) and for snoopy WTI, i for
-	// DiriB/DiriNB, ncpu for the full-map DirNNB.
+	// DiriB/DiriNB, ncpu for the full-map DirNNB and for DirCV.
 	ptrs int
 	// fifo is each block's pointer fill order, the victim choice of the
 	// NB schemes with i < ncpu, whose read fill beyond i copies forcibly
@@ -46,12 +46,17 @@ type mrsw struct {
 	// to clear the previous sole holder's bit whenever a block goes
 	// from one copy to two (the extra bus bandwidth the paper notes).
 	singleBit bool
+	// coarse selects DirCV's delivery: to every cache the coarse code of
+	// the holders names. wasted and useful count the directed
+	// invalidations sent to caches without and with a copy.
+	coarse         bool
+	wasted, useful int64
 }
 
 // newMRSW builds the engine for one variant. A write to a block the
 // writer holds dirty is plain, except under write-through, where every
 // write goes on the bus.
-func newMRSW(ncpu int, name string, m *mrsw) Protocol {
+func newMRSW(ncpu int, name string, m *mrsw) *engine {
 	need := fD
 	if m.writeThrough {
 		need = fNever
@@ -115,6 +120,49 @@ func NewWTI(ncpu int) Protocol {
 	return newMRSW(ncpu, "WTI", &mrsw{writeThrough: true})
 }
 
+// NewCoarseVector returns the Section 6 coarse-vector directory, DirCV:
+// DirNNB with each entry stored as a 2·log2(n)-bit ternary-digit code, so
+// an invalidation reaches every cache the code names. Its Overshoot
+// method reports the messages wasted on caches holding no copy.
+func NewCoarseVector(ncpu int) Protocol {
+	m := &mrsw{ptrs: ncpu, coarse: true}
+	return coarseVector{newMRSW(ncpu, "DirCV", m), m}
+}
+
+// coarseVector embeds *engine, not Protocol, so AccessSparse still finds
+// the native loops.
+type coarseVector struct {
+	*engine
+	m *mrsw
+}
+
+// Overshoot returns the invalidation messages DirCV sent to caches that
+// held no copy (wasted) and to caches that did (useful).
+func (p coarseVector) Overshoot() (wasted, useful int64) { return p.m.wasted, p.m.useful }
+
+// coarseNamed returns the caches below ncpu that the coarse code of a
+// holder set names. The code is not stored: holders only grow between
+// writes, and a write resets holders and code to the writer. Its digit k
+// is "both" where the holders' index bit k differs and fixed where they
+// agree; it names every index that matches the fixed digits.
+func coarseNamed(holders Set, ncpu int) Set {
+	if holders.Empty() {
+		return 0
+	}
+	named := Set(1)<<ncpu - 1
+	// Digit k's mask d is the set of cache indices whose bit k is 1.
+	for _, d := range [...]Set{0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+		0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000} {
+		switch {
+		case holders&d == 0:
+			named &^= d
+		case holders&^d == 0:
+			named &= d
+		}
+	}
+	return named
+}
+
 func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, write bool, res *event.Result) {
 	switch {
 	case !write:
@@ -142,9 +190,8 @@ func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, write bool, 
 		// A write hit on a clean block: the directory is queried before
 		// the writer may proceed — Yen–Fu's single bit answers "am I
 		// alone?" locally, so an unshared write skips it.
-		others := bl.holders.Del(c)
-		m.invalidate(ck, bl, others, b, res)
-		res.DirCheck = !m.writeThrough && !(m.singleBit && others.Empty())
+		m.invalidate(ck, bl, c, b, res)
+		res.DirCheck = !m.writeThrough && !(m.singleBit && res.Holders == 0)
 		ck.Write(c, b)
 		m.takeExclusive(bl, c, b)
 	default:
@@ -158,11 +205,12 @@ func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, write bool, 
 				res.Broadcast = true
 			} else {
 				res.Inval = 1
+				m.useful++
 			}
 			ck.Invalidate(bl.owner, b)
 		case !bl.holders.Empty():
 			ck.FillFromMemory(c, b)
-			m.invalidate(ck, bl, bl.holders, b, res)
+			m.invalidate(ck, bl, c, b, res)
 		default:
 			ck.FillFromMemory(c, b)
 		}
@@ -219,18 +267,24 @@ func (m *mrsw) fill(ck *Checker, bl *block, c uint8, b trace.Block, res *event.R
 	}
 }
 
-// invalidate fills the Result's invalidation fields for eliminating the
-// given copies, according to the variant's delivery mechanism, and tells
-// the checker. A snooping bus, Dir0B's entry and a DiriB entry after
+// invalidate fills the Result's invalidation fields for eliminating every
+// copy but writer c's, according to the variant's delivery mechanism, and
+// tells the checker. A snooping bus, Dir0B's entry and a DiriB entry after
 // overflow cannot name the holders and broadcast; the others send one
-// directed message per copy. A sole clean copy held by the writer itself
-// needs no invalidation at all (Dir0B's clean-in-exactly-one state).
-func (m *mrsw) invalidate(ck *Checker, bl *block, victims Set, b trace.Block, res *event.Result) {
+// directed message per copy, or per cache the coarse code names. A sole
+// clean copy held by the writer itself needs no invalidation at all.
+func (m *mrsw) invalidate(ck *Checker, bl *block, c uint8, b trace.Block, res *event.Result) {
+	victims := bl.holders.Del(c)
 	if k := victims.Count(); k > 0 {
 		if m.ptrs == 0 || bl.flags&fB != 0 {
 			res.Broadcast = true
 		} else {
 			res.Inval = k
+			if m.coarse {
+				res.Inval = coarseNamed(bl.holders, m.ptrs).Del(c).Count()
+			}
+			m.useful += int64(k)
+			m.wasted += int64(res.Inval - k)
 		}
 	}
 	ck.invalidateAll(victims, b)

@@ -1,8 +1,9 @@
 // Package core implements the cache-coherence protocol engines evaluated in
 // the paper: the directory schemes of the Dir_i X taxonomy (Dir1NB, DiriNB
 // including the full-map DirNNB, Dir0B, DiriB including Dir1B, Yen–Fu),
-// the snoopy baselines (write-through-with-invalidate and Dragon) and the
-// related-work comparators (Berkeley, MESI, Firefly).
+// the Section 6 coarse-vector directory DirCV, the snoopy baselines
+// (write-through-with-invalidate and Dragon) and the related-work
+// comparators (Berkeley, MESI, Firefly).
 //
 // An engine is a state-change specification: fed a time-ordered reference
 // stream, it classifies every reference into the Table 4 event taxonomy and

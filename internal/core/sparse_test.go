@@ -8,20 +8,32 @@ import (
 
 	"dirsim/internal/cache"
 	"dirsim/internal/core"
-	"dirsim/internal/directory"
 	"dirsim/internal/event"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
-// nativeSchemes are the names the shared engine loop must serve: every
-// fixed scheme name and the parameterized pointer schemes.
-func nativeSchemes() []string { return append(core.Schemes(), "Dir1B", "Dir2B", "Dir2NB") }
+// loopSchemes are the names the shared engine loop must serve: every
+// fixed scheme name, the parameterized pointer schemes and DirCV.
+func loopSchemes() []string { return append(core.Schemes(), "Dir1B", "Dir2B", "Dir2NB", "DirCV") }
+
+// newLoopEngine builds a loop scheme by name; NewByName does not build
+// DirCV.
+func newLoopEngine(scheme string, ncpu int) core.Protocol {
+	if scheme == "DirCV" {
+		return core.NewCoarseVector(ncpu)
+	}
+	p, err := core.NewByName(scheme, ncpu)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 // sparseEngines names every engine the sparse entry point must serve: the
-// native schemes, the Dir1NB specification, and the two engines built
-// outside NewByName (the last three have only Access, so they take the
-// fallback's per-reference path).
+// loop schemes, the Dir1NB specification and the finite-cache engine (the
+// last two have only Access, so they take the fallback's per-reference
+// path).
 func sparseEngines() map[string]func(ncpu int) core.Protocol {
 	engines := map[string]func(int) core.Protocol{
 		"Dir1NBSpec": core.NewDir1NBSpec,
@@ -33,16 +45,9 @@ func sparseEngines() map[string]func(ncpu int) core.Protocol {
 			}
 			return p
 		},
-		"DirCV": func(ncpu int) core.Protocol { return directory.NewCoarseVector(ncpu) },
 	}
-	for _, scheme := range nativeSchemes() {
-		engines[scheme] = func(ncpu int) core.Protocol {
-			p, err := core.NewByName(scheme, ncpu)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}
+	for _, scheme := range loopSchemes() {
+		engines[scheme] = func(ncpu int) core.Protocol { return newLoopEngine(scheme, ncpu) }
 	}
 	return engines
 }
@@ -103,8 +108,8 @@ func (p *batchOnly) AccessBatch(refs []trace.Ref, out []event.Result) []event.Re
 // reference to more than the stream: the plain counts plus the sparse
 // results reproduce the per-type counts and the exact ordered sequence of
 // results that did something, and the engine is left in the state Access
-// leaves it in. Every engine is run bare — the three with only Access
-// take the fallback's per-reference path — and again behind an
+// leaves it in. Every engine is run bare — the two with only Access take
+// the fallback's per-reference path — and again behind an
 // AccessBatch-only wrapper, which must be handed each batch in exactly one
 // AccessBatch call.
 func TestSparseMatchesAccess(t *testing.T) {
@@ -114,7 +119,7 @@ func TestSparseMatchesAccess(t *testing.T) {
 		accessOnly = append(accessOnly, name)
 	}
 	slices.Sort(accessOnly)
-	if want := []string{"Dir1NBSpec", "DirCV", "FiniteDirNNB"}; !slices.Equal(accessOnly, want) {
+	if want := []string{"Dir1NBSpec", "FiniteDirNNB"}; !slices.Equal(accessOnly, want) {
 		t.Errorf("the engines with only Access are %v, want %v: the fallback's per-reference path must be covered, and by nothing else", accessOnly, want)
 	}
 	for stream, refs := range sparseStreams(cpus, n) {
@@ -248,17 +253,14 @@ func TestSparsePanicsLikeAccess(t *testing.T) {
 	}
 }
 
-// TestSparseAllocs asserts every native scheme is a Sparser whose
+// TestSparseAllocs asserts every loop scheme is a Sparser whose
 // steady-state sparse loop allocates nothing: once a trace's pages exist
 // and the results buffer has grown to the batch's few misses, classifying
 // it again touches only the table, the counts and that buffer.
 func TestSparseAllocs(t *testing.T) {
 	refs := workload.POPS(4, 20_000).Refs
-	for _, scheme := range nativeSchemes() {
-		p, err := core.NewByName(scheme, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, scheme := range loopSchemes() {
+		p := newLoopEngine(scheme, 4)
 		if _, ok := p.(core.Sparser); !ok {
 			t.Errorf("%s has no native AccessSparse", scheme)
 			continue
@@ -331,20 +333,16 @@ func TestSparseFallbackAllocs(t *testing.T) {
 }
 
 // BenchmarkSparse reports AccessSparse's cost per reference for every
-// native scheme (BenchmarkSparse/<name>) over 400 k POPS references at 4
+// loop scheme (BenchmarkSparse/<name>) over 400 k POPS references at 4
 // CPUs, in the simulator's batches of 4096, a fresh engine per pass.
 func BenchmarkSparse(b *testing.B) {
 	refs := workload.POPS(4, 400_000).Refs
 	seen := map[string]bool{}
-	for _, scheme := range nativeSchemes() {
-		p, err := core.NewByName(scheme, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if name := p.Name(); !seen[name] { // illinois is MESI
+	for _, scheme := range loopSchemes() {
+		if name := newLoopEngine(scheme, 4).Name(); !seen[name] { // illinois is MESI
 			seen[name] = true
 			b.Run(name, func(b *testing.B) {
-				benchSparse(b, refs, func() core.Protocol { p, _ := core.NewByName(scheme, 4); return p })
+				benchSparse(b, refs, func() core.Protocol { return newLoopEngine(scheme, 4) })
 			})
 		}
 	}

@@ -5,11 +5,9 @@
 // ternary-digit code that names a superset of holders in 2·log2(n) bits.
 //
 // The protocol engines in internal/core decide *when* invalidations
-// happen; this package answers the orthogonal questions of how many bits
-// each organization needs per block and — for the coarse code — how many
-// unnecessary invalidations its imprecision causes. CoarseVector in this
-// package is a full core.Protocol so the overshoot can be measured on real
-// traces.
+// happen and to whom — core.NewCoarseVector measures the coarse code's
+// wasted invalidations on real traces; this package answers the
+// orthogonal question of how many bits each organization needs per block.
 package directory
 
 import (

@@ -52,6 +52,15 @@ func TestCoarseCodeBits(t *testing.T) {
 	}
 }
 
+func TestLog2Ceil(t *testing.T) {
+	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 64: 6, 65: 7, 256: 8}
+	for n, want := range cases {
+		if got := log2Ceil(n); got != want {
+			t.Errorf("log2Ceil(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 func TestScalingComparison(t *testing.T) {
 	// The Section 6 point: at large n the alternatives beat the full map.
 	n := 256

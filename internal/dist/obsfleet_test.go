@@ -209,7 +209,10 @@ func TestJournalShipperRequeuesOnFailure(t *testing.T) {
 
 // TestJournalShipperOverflowDropsAndCounts: a full buffer sheds the
 // newest lines, never blocks, and the cumulative drop count rides on the
-// next successful batch — a lost batch cannot lose the loss report.
+// next successful batch — a lost batch cannot lose the loss report. The
+// ten lines arrive in one Write, which buffers them under one lock, so
+// the half-capacity flush cannot drain the buffer between them: exactly
+// four are kept and six dropped.
 func TestJournalShipperOverflowDropsAndCounts(t *testing.T) {
 	sink := &shipperSink{}
 	srv := httptest.NewServer(sink.handler())
@@ -219,26 +222,27 @@ func TestJournalShipperOverflowDropsAndCounts(t *testing.T) {
 		MaxLines:   4,
 		FlushEvery: time.Hour,
 	})
-	jnl := obs.NewJournal(s)
+	var lines bytes.Buffer
+	jnl := obs.NewJournal(&lines)
 	for i := 0; i < 10; i++ {
 		jnl.Event("e", "n", i)
 	}
-	// The half-capacity kick may or may not have flushed yet; drops are
-	// whatever exceeded the buffer at write time.
-	if s.Dropped() == 0 {
-		t.Fatal("overflow did not count drops")
+	if _, err := s.Write(lines.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Dropped(); got != 6 {
+		t.Fatalf("Dropped() = %d after 10 lines into a 4-line buffer, want 6", got)
 	}
 	s.Close(context.Background())
 
-	delivered := len(sink.lines())
-	if int64(delivered)+s.Dropped() != 10 {
-		t.Errorf("%d delivered + %d dropped != 10 written", delivered, s.Dropped())
+	if delivered := len(sink.lines()); delivered != 4 {
+		t.Errorf("%d lines delivered, want 4", delivered)
 	}
 	sink.mu.Lock()
 	last := sink.batches[len(sink.batches)-1]
 	sink.mu.Unlock()
-	if last.Dropped != s.Dropped() {
-		t.Errorf("last batch carried Dropped=%d, shipper says %d", last.Dropped, s.Dropped())
+	if last.Dropped != 6 {
+		t.Errorf("last batch carried Dropped=%d, want 6", last.Dropped)
 	}
 }
 

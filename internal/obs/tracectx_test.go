@@ -65,6 +65,35 @@ func TestParseTraceContextRejects(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceContext drives the X-Dirsim-Trace header parser, which
+// reads whatever an HTTP client sends: no input panics it, a refusal
+// returns the zero context, and an accepted value fits the length bound,
+// names a valid trace ID and re-encodes to a string that parses back to
+// the same context. The seed corpus (testdata/fuzz) holds the root, span
+// and parent forms, "<id>//<parent>" and "<id>/", an oversize value, bad
+// ID bytes and non-hex fields.
+func FuzzParseTraceContext(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceContext(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTraceContext(%q) refused with a non-zero context %+v", s, tc)
+			}
+			return
+		}
+		if len(strings.TrimSpace(s)) > maxTraceCtxLen || !validTraceID(tc.Trace) || len(tc.Trace) > maxTraceIDLen {
+			t.Fatalf("ParseTraceContext(%q) accepted %+v", s, tc)
+		}
+		enc := tc.String()
+		if len(enc) > maxTraceCtxLen {
+			t.Fatalf("ParseTraceContext(%q) = %+v, which encodes to %d bytes", s, tc, len(enc))
+		}
+		if again, ok := ParseTraceContext(enc); !ok || again != tc {
+			t.Fatalf("ParseTraceContext(%q) = %+v encodes to %q, which parses to %+v, %v", s, tc, enc, again, ok)
+		}
+	})
+}
+
 func TestTraceContextThroughContext(t *testing.T) {
 	ctx := context.Background()
 	if _, ok := TraceFrom(ctx); ok {

@@ -209,19 +209,14 @@ func runCoarse(c *Context) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		var overshoot float64
-		var wasted int64
-		cv, err := c.RunProtocol(func(ncpu int) core.Protocol {
-			p := directory.NewCoarseVector(ncpu)
-			return p
-		}, traces, nil)
+		cv, err := c.RunProtocol(core.NewCoarseVector, traces, nil)
 		if err != nil {
 			return "", err
 		}
-		// Re-run per trace to collect engine-level overshoot (the
-		// merged Result does not carry it); cheaper: derive from
-		// invalidation counts.
-		wasted = cv.SeqInvals - full.SeqInvals
+		// Both schemes change state alike, so the coarse code's extra
+		// messages are exactly the ones it wasted.
+		var overshoot float64
+		wasted := cv.SeqInvals - full.SeqInvals
 		if cv.SeqInvals > 0 {
 			overshoot = float64(wasted) / float64(cv.SeqInvals)
 		}

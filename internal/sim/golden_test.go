@@ -11,7 +11,6 @@ import (
 
 	"dirsim/internal/cache"
 	"dirsim/internal/core"
-	"dirsim/internal/directory"
 	"dirsim/internal/network"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
@@ -48,9 +47,7 @@ func goldenEngines() []goldenEngine {
 			// Small enough that the standard workloads evict.
 			return core.NewFiniteDirNNB(ncpu, cache.Config{SizeBytes: 512, Assoc: 2, HashIndex: true})
 		}},
-		goldenEngine{"DirCV", func(ncpu int) (core.Protocol, error) {
-			return directory.NewCoarseVector(ncpu), nil
-		}},
+		goldenEngine{"DirCV", func(ncpu int) (core.Protocol, error) { return core.NewCoarseVector(ncpu), nil }},
 	)
 }
 
@@ -118,8 +115,9 @@ func TestGoldenFingerprints(t *testing.T) {
 			case interface{ Counters() (int64, int64, int64) }:
 				cold, coherence, capacity := p.Counters()
 				line += fmt.Sprintf(" cold=%d coherence=%d capacity=%d", cold, coherence, capacity)
-			case *directory.CoarseVector:
-				line += fmt.Sprintf(" wasted=%d useful=%d", p.Wasted, p.Useful)
+			case interface{ Overshoot() (int64, int64) }:
+				wasted, useful := p.Overshoot()
+				line += fmt.Sprintf(" wasted=%d useful=%d", wasted, useful)
 			}
 			lines = append(lines, line)
 		}

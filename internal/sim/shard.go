@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"dirsim/internal/core"
 	"dirsim/internal/event"
@@ -140,11 +139,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	if tel != nil {
 		tel = &lockedTelemetry{tel: opts.Telemetry}
 	}
-	var start time.Time
-	if opts.Observer != nil {
-		start = time.Now()
-	}
-
 	// Per-shard bounded work queues plus one shared free list holding
 	// every reference buffer the pipeline will ever use.
 	work := make([]chan []trace.Ref, shards)
@@ -180,13 +174,11 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	for s := range cur {
 		cur[s] = <-free
 	}
-	var total int64
 	for {
 		k := src.NextBatch(in)
 		if k == 0 {
 			break
 		}
-		total += int64(k)
 		for _, r := range in[:k] {
 			s := ShardOf(r.Block(), shards)
 			buf := append(cur[s], r)
@@ -220,9 +212,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	// Shard results carry no trace names; Merge's name-joining would
 	// produce "+" separators between empty strings.
 	merged.Trace = ""
-	if opts.Observer != nil {
-		opts.Observer(total, time.Since(start))
-	}
 	return merged, nil
 }
 

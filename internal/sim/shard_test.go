@@ -134,27 +134,6 @@ func TestShardedChecked(t *testing.T) {
 	}
 }
 
-// TestShardedObserver: the completion observer fires once under the
-// sharded path too, with the full reference count the splitter routed.
-func TestShardedObserver(t *testing.T) {
-	tr, err := workload.Generate(workload.POPSConfig(4, 9_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	var total int64
-	opts := batchTestOpts()
-	opts.Shards = 5
-	opts.Observer = func(refs int64, _ time.Duration) { calls++; total = refs }
-	if _, err := SimulateSharded(shardBuild("Dragon", tr.CPUs), tr.Iterator(), opts); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 || total != int64(len(tr.Refs)) {
-		t.Errorf("observer saw %d calls totalling %d refs, want 1 call with %d",
-			calls, total, len(tr.Refs))
-	}
-}
-
 // TestShardedTelemetry: the shared, locked telemetry must see exactly the
 // sequential run's coherence-event population (order is scheduling-
 // dependent and deliberately unasserted).

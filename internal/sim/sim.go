@@ -6,7 +6,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/core"
@@ -39,13 +38,6 @@ type Options struct {
 	// InvariantEvery is how many references pass between invariant
 	// checks when Check is set (default 8192).
 	InvariantEvery int
-	// Observer, when set, receives one completion notification with the
-	// number of references simulated and the wall time — the span hook
-	// the CLIs use for per-simulation timing. Timing lives here rather
-	// than on Result so results stay pure functions of the reference
-	// sequence (the engine's executors assert bit-identity on them).
-	// nil skips the clock reads entirely.
-	Observer func(refs int64, elapsed time.Duration)
 	// Telemetry, when set, receives every coherence-relevant event (see
 	// event.Result.CoherenceSignal) as it is recorded — the protocol
 	// telemetry channel the observability layer samples into histograms
@@ -154,10 +146,6 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 		batch = DefaultBatchRefs
 	}
 	tel := opts.Telemetry
-	var start time.Time
-	if opts.Observer != nil {
-		start = time.Now()
-	}
 	// References move in batches through two reusable buffers (refs in,
 	// sparse results out), so the steady-state loop allocates nothing and
 	// pays the Source interface dispatch once per batch, not per reference.
@@ -185,7 +173,6 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			continue
 		}
 		res.simulateBatch(p, buf[:k], &sparse, busTallies, netTallies, tel)
-		n += int64(k)
 	}
 	if opts.Check {
 		if err := p.CheckInvariants(); err != nil {
@@ -194,9 +181,6 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 		if err := checker.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if opts.Observer != nil {
-		opts.Observer(n, time.Since(start))
 	}
 	return res, nil
 }

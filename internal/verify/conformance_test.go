@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dirsim/internal/core"
-	"dirsim/internal/directory"
 )
 
 // TestAllBundledSchemesPassBattery runs the full conformance battery —
@@ -35,9 +34,7 @@ func TestAllBundledSchemesPassBattery(t *testing.T) {
 	}
 	t.Run("DirCV", func(t *testing.T) {
 		t.Parallel()
-		err := Battery(func(ncpu int) core.Protocol {
-			return directory.NewCoarseVector(ncpu)
-		})
+		err := Battery(core.NewCoarseVector)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dirsim/internal/core"
-	"dirsim/internal/directory"
 	"dirsim/internal/event"
 	"dirsim/internal/trace"
 )
@@ -49,7 +48,7 @@ func TestExploreCountsSchedules(t *testing.T) {
 func TestExploreAllProtocolsExhaustively(t *testing.T) {
 	cfg := Config{CPUs: 2, Blocks: 2, Depth: 5, CheckEvery: true}
 	extra := map[string]func() core.Protocol{
-		"DirCV": func() core.Protocol { return directory.NewCoarseVector(2) },
+		"DirCV": func() core.Protocol { return core.NewCoarseVector(2) },
 		"Dir2NB-limited": func() core.Protocol {
 			return core.NewDiriNB(2, 1) // one pointer: aggressive forced eviction
 		},
