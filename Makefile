@@ -57,12 +57,16 @@ soak:
 # job panics crossing the wire as structured errors, and a total fleet
 # kill degrading to local — asserting same seed same outcome, survivors
 # bit-identical to a clean sequential run, balanced dist.* books, and no
-# goroutine leaks. Also runs the real-process fleet e2e (dirsimd -fleet
-# + two dirsimw workers, bit-identical to plain dirsimd) and the
-# multi-process store sharing race.
+# goroutine leaks. The bounded-worker soak runs ten benchmark reps of
+# sweeps through one long-lived worker: at most one trace and no result
+# held between jobs, no trace regenerated, a flat live heap, no leaked
+# goroutine; the worker trim test checks the same bound job by job.
+# Also runs the real-process fleet e2e (dirsimd -fleet + two dirsimw
+# workers, bit-identical to plain dirsimd) and the multi-process store
+# sharing race.
 soak-dist:
 	DIRSIM_SOAK=1 $(GO) test -race -count=1 \
-		-run 'TestDistSoak|TestFleet|TestStoreMultiProcess' \
+		-run 'TestDistSoak|TestFleet|TestWorkerTrim|TestStoreMultiProcess' \
 		./internal/dist ./cmd/dirsimd ./internal/store
 
 # Smoke the experiment service end to end under the race detector: the

@@ -99,6 +99,7 @@ type task struct {
 
 	attempts int // transport-class failures so far
 	hedges   int
+	waiters  int // SimulateRemote calls that have joined the task, its submitter included
 	queued   bool
 	leases   map[string]*lease
 	// history keeps every lease ever granted for the task (resolved or
@@ -442,6 +443,7 @@ func (c *Coordinator) SimulateRemote(ctx context.Context, spec engine.SimSpec) (
 		c.jobsSubmitted.Inc()
 		c.event("job.queue", t, "scheme", spec.Scheme, "workload", spec.Trace.Name)
 	}
+	t.waiters++
 	ch := t.ch
 	c.mu.Unlock()
 
@@ -1118,17 +1120,21 @@ func (c *Coordinator) AcceptJournal(b *journalBatch) int {
 	return accepted
 }
 
-// spliceJournalLine validates that line is one JSON object and replaces
-// its closing brace with the suffix (",\"worker\":...,\"skew_ns\":...}").
+// spliceJournalLine validates that line is one JSON object on one line
+// and replaces its closing brace with the suffix
+// (",\"worker\":...,\"skew_ns\":...}"). A line break between tokens is
+// valid JSON but would split the record in the fleet journal, so such a
+// line is rejected rather than re-encoded.
 func spliceJournalLine(line []byte, suffix []byte) ([]byte, bool) {
 	line = bytes.TrimSpace(line)
 	if len(line) < 2 || len(line) > maxJournalLineBytes ||
-		line[0] != '{' || line[len(line)-1] != '}' || !json.Valid(line) {
+		line[0] != '{' || line[len(line)-1] != '}' ||
+		bytes.ContainsAny(line, "\r\n") || !json.Valid(line) {
 		return nil, false
 	}
 	out := make([]byte, 0, len(line)+len(suffix))
 	out = append(out, line[:len(line)-1]...)
-	if bytes.Equal(line, []byte("{}")) {
+	if len(bytes.TrimSpace(line[1:len(line)-1])) == 0 {
 		// An empty object takes the attributes without the joining comma.
 		out = append(out, suffix[1:]...)
 	} else {

@@ -81,10 +81,28 @@ func submit(c *Coordinator, spec engine.SimSpec) chan outcome {
 // the waiters' goroutines).
 func waitSubmitted(t *testing.T, c *Coordinator, n int64) {
 	t.Helper()
+	waitFor(t, fmt.Sprintf("%d jobs submitted", n), func() bool { return c.Stats().JobsSubmitted >= n })
+}
+
+// waitJoined blocks until n SimulateRemote calls wait on spec's task.
+func waitJoined(t *testing.T, c *Coordinator, spec engine.SimSpec, n int) {
+	t.Helper()
+	key := engine.KeyHex(spec.Key())
+	waitFor(t, fmt.Sprintf("%d waiters on %s", n, shortKey(key)), func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		tk := c.tasks[key]
+		return tk != nil && tk.waiters >= n
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().JobsSubmitted < n {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d jobs submitted", c.Stats().JobsSubmitted, n)
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -163,9 +181,9 @@ func TestCoordinatorDedupsConcurrentSubmissions(t *testing.T) {
 	spec := testSpec(0)
 	res := localResult(t, spec)
 	ch0 := submit(c, spec)
-	waitSubmitted(t, c, 1)
+	waitJoined(t, c, spec, 1)
 	ch1 := submit(c, spec) // same content key: joins the existing task
-	time.Sleep(5 * time.Millisecond)
+	waitJoined(t, c, spec, 2)
 
 	job := mustLease(t, c, "w1")
 	c.Push(goodPush("w1", job, res))

@@ -7,10 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +22,7 @@ import (
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
+	"dirsim/internal/workload"
 )
 
 // soakOutcome is everything one fleet run under faults leaves behind.
@@ -353,5 +358,164 @@ func TestDistSoakKillAllWorkersMidSweep(t *testing.T) {
 	checkSoakAccounting(t, o)
 	if err := before.Leaked(2 * time.Second); err != nil {
 		t.Errorf("goroutine leak after fleet loss: %v", err)
+	}
+}
+
+// leaseOrder is a worker journal sink that counts trace switches: leases
+// whose trace differs from the previous lease's (the first one included).
+// It keeps two words, not the lines, so it adds nothing to the heap a
+// soak measures.
+type leaseOrder struct {
+	traceOf map[string]engine.Key // short job key -> trace key
+
+	mu       sync.Mutex
+	last     engine.Key
+	switches int64
+}
+
+func (o *leaseOrder) Write(p []byte) (int, error) {
+	var line struct{ Msg, Key string }
+	if json.Unmarshal(p, &line) == nil && line.Msg == "worker.job.start" {
+		tr := o.traceOf[line.Key]
+		o.mu.Lock()
+		if tr != o.last {
+			o.last = tr
+			o.switches++
+		}
+		o.mu.Unlock()
+	}
+	return len(p), nil
+}
+
+func (o *leaseOrder) count() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.switches
+}
+
+// liveHeap is the heap the last full collection found reachable.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestDistSoakBoundedWorker runs ten benchmark reps' worth of sweeps (80
+// sweeps of three traces × six schemes, at small trace sizes) through one
+// coordinator and one long-lived worker, and holds the worker to its
+// bound. Whenever it asks for work it holds at most one trace and no
+// result. It generates a trace only when a lease moves it to another one.
+// Its live heap after the last sweep is within 1.5× of the heap after the
+// first tenth, and its goroutines all exit. The coordinator's park seam
+// says when the worker is between jobs: it has pushed, trimmed and asked
+// again.
+func TestDistSoakBoundedWorker(t *testing.T) {
+	const sweeps, refs = 80, 2_000
+	schemes := []string{"Dir1NB", "WTI", "Dir0B", "DirNNB", "Dir1B", "Dragon"}
+	bySweep := make([][]engine.SimSpec, sweeps)
+	order := &leaseOrder{traceOf: make(map[string]engine.Key)}
+	for i := range bySweep {
+		for _, cfg := range workload.StandardConfigs(4, refs) {
+			cfg.Seed += uint64(i + 1)
+			for _, s := range schemes {
+				spec := engine.SimSpec{Trace: cfg, Scheme: s}
+				bySweep[i] = append(bySweep[i], spec)
+				order.traceOf[shortKey(engine.KeyHex(spec.Key()))] = engine.TraceKey(cfg)
+			}
+		}
+	}
+	before := faults.Goroutines()
+
+	coord := NewCoordinator(Options{})
+	type park struct {
+		worker    engine.Stats
+		completed int64
+	}
+	eng := engine.New(engine.Options{})
+	parks := make(chan park, 256) // a sweep parks at most once per job, plus once at its end
+	coord.newTimer = func(time.Duration) *time.Timer {
+		select {
+		case parks <- park{eng.Stats(), coord.Stats().JobsCompleted}:
+		default: // nobody drains: the test has already failed
+		}
+		return time.NewTimer(time.Hour) // a parked worker waits for the next sweep
+	}
+	mux := http.NewServeMux()
+	Register(mux, coord)
+	srv := httptest.NewServer(mux)
+	transport := &http.Transport{}
+	w := &Worker{
+		Name:    "w1",
+		Client:  &Client{Base: srv.URL, HTTP: &http.Client{Transport: transport}},
+		Engine:  eng,
+		Poll:    time.Second,
+		Journal: obs.NewJournal(order),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() { cancel(); coord.Close(); srv.Close() }) // a failed test's teardown; all three repeat safely
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(ctx) }()
+
+	var completed int64
+	var firstTenth, last uint64
+	for i, specs := range bySweep {
+		got, err := engine.New(engine.Options{Remote: coord}).Results(context.Background(), engine.Parallel{}, specs)
+		if err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+		want, err := engine.New(engine.Options{}).Results(context.Background(), engine.Sequential{}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("sweep %d: spec %d (%s@%s) diverged from a local run", i, j, specs[j].Scheme, specs[j].Trace.Name)
+			}
+		}
+		completed += int64(len(specs))
+		// The park after the sweep's last push ends the wait.
+		for waiting := true; waiting; {
+			select {
+			case p := <-parks:
+				if p.worker.CachedTraces > 1 || p.worker.CachedResults != 0 {
+					t.Fatalf("sweep %d: a worker between jobs holds %d traces and %d results, want at most 1 and 0",
+						i, p.worker.CachedTraces, p.worker.CachedResults)
+				}
+				waiting = p.completed != completed
+			case <-time.After(time.Minute):
+				t.Fatalf("sweep %d: the worker never asked for work again", i)
+			}
+		}
+		switch i + 1 {
+		case sweeps / 10:
+			firstTenth = liveHeap()
+		case sweeps:
+			last = liveHeap()
+		}
+	}
+
+	cancel()
+	if err := <-ran; err != nil {
+		t.Errorf("worker Run = %v", err)
+	}
+	coord.Close()
+	srv.Close()
+	transport.CloseIdleConnections()
+
+	st := coord.Stats()
+	if st.JobsCompleted != completed || st.JobsRequeued != 0 || st.JobsHedged != 0 || st.JobsDegraded != 0 {
+		t.Errorf("a fault-free soak requeued, hedged or degraded: %+v", st)
+	}
+	if gen, switches := eng.Stats().TracesGenerated, order.count(); gen != switches {
+		t.Errorf("worker generated %d traces over %d trace switches: a trace it kept was regenerated", gen, switches)
+	}
+	t.Logf("live heap %d B after sweep %d, %d B after sweep %d", firstTenth, sweeps/10, last, sweeps)
+	if float64(last) > 1.5*float64(firstTenth) {
+		t.Errorf("live heap grew from %d B after sweep %d to %d B after sweep %d (> 1.5×)",
+			firstTenth, sweeps/10, last, sweeps)
+	}
+	if err := before.Leaked(2 * time.Second); err != nil {
+		t.Errorf("goroutine leak after soak: %v", err)
 	}
 }

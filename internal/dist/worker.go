@@ -33,7 +33,11 @@ type Worker struct {
 	// fault injection wraps in.
 	Client *Client
 	// Engine executes the specs; a store-backed engine makes the worker
-	// serve warm results without simulating. Required.
+	// serve warm results without simulating. Required. The worker trims
+	// it to the leased job's trace before and after every job
+	// (Engine.Trim), so it should be the worker's own: an engine shared
+	// with other callers still computes correct results, but may
+	// regenerate traces and recompute results it would have kept.
 	Engine *engine.Engine
 	// Exec is the execution strategy per job; nil means Sequential.
 	Exec engine.Executor
@@ -200,6 +204,13 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 		w.event("worker.crash", tc, "key", shortKey(job.Key), "lease", job.Lease)
 		return ErrCrashed
 	}
+	// The engine holds this job's trace and nothing else: trace affinity
+	// means that when a lease moves a worker to another trace, no queued
+	// task is left on the old one (DESIGN.md, "What a worker keeps"). The
+	// result goes once it is pushed; the trace stays for the next lease,
+	// most likely on it too.
+	w.Engine.Trim(job.Spec.Trace)
+	defer w.Engine.Trim(job.Spec.Trace)
 	w.event("worker.job.start", tc, "key", shortKey(job.Key), "lease", job.Lease,
 		"scheme", job.Spec.Scheme, "workload", job.Spec.Trace.Name)
 

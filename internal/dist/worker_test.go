@@ -171,6 +171,59 @@ func TestWorkerRejectsCorruptedLease(t *testing.T) {
 	}
 }
 
+// startSnapshots records a worker engine's stats each time the worker
+// journals a job start: after the job's first trim, before it simulates.
+type startSnapshots struct {
+	eng *engine.Engine
+	got []engine.Stats
+}
+
+func (s *startSnapshots) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"msg":"worker.job.start"`)) {
+		s.got = append(s.got, s.eng.Stats())
+	}
+	return len(p), nil
+}
+
+// TestWorkerTrimsToLeasedTrace: a worker's engine holds only what its
+// current lease needs. A lease on the trace it holds keeps that trace; a
+// lease on another trace drops it before the job generates the new one,
+// so a job never runs beside a second trace; after the push the result
+// goes and the job's trace stays. A later lease back on a dropped trace
+// (what a hedge or a requeue does) regenerates it and delivers the same
+// result.
+func TestWorkerTrimsToLeasedTrace(t *testing.T) {
+	f := startFleet(t, Options{})
+	eng := engine.New(engine.Options{})
+	starts := &startSnapshots{eng: eng}
+	w := &Worker{Name: "w1", Client: &Client{Base: f.srv.URL}, Engine: eng, Journal: obs.NewJournal(starts)}
+	specs := traceSpecs(2, "Dir0B", "Dir1NB", "WTI") // a0 a1 a2 b0 b1 b2
+	for i, step := range []struct {
+		spec        int
+		heldAtStart int // traces the engine holds when the job starts
+		generated   int64
+	}{{0, 0, 1}, {1, 1, 1}, {3, 0, 2}, {2, 0, 3}} {
+		spec := specs[step.spec]
+		ch := submit(f.coord, spec)
+		waitSubmitted(t, f.coord, int64(i+1))
+		if err := w.runJob(context.Background(), mustLease(t, f.coord, "w1")); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		o := <-ch
+		if o.err != nil || !reflect.DeepEqual(o.res, localResult(t, spec)) {
+			t.Fatalf("job %d (%s@%s) diverged from a local run (err %v)", i, spec.Scheme, spec.Trace.Name, o.err)
+		}
+		if st := starts.got[i]; st.CachedTraces != step.heldAtStart || st.CachedResults != 0 {
+			t.Errorf("job %d started beside %d traces and %d results, want %d and 0",
+				i, st.CachedTraces, st.CachedResults, step.heldAtStart)
+		}
+		if st := eng.Stats(); st.CachedTraces != 1 || st.CachedResults != 0 || st.TracesGenerated != step.generated {
+			t.Errorf("after job %d the engine holds %d traces and %d results, %d generated; want 1, 0, %d",
+				i, st.CachedTraces, st.CachedResults, st.TracesGenerated, step.generated)
+		}
+	}
+}
+
 // TestFleetExecutesSweepEndToEnd drives the full stack — engine with a
 // Remote, coordinator over real HTTP, two pulling workers — and checks
 // the three cross-process contracts at once: results bit-identical to a

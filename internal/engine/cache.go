@@ -3,17 +3,26 @@ package engine
 import (
 	"context"
 	"sync"
+
+	"dirsim/internal/obs"
 )
 
 // flightCache is a keyed single-flight cache: the first claimant of a key
 // owns the computation while concurrent claimants wait for its result.
-// Fulfilled values are retained for the engine's lifetime — the working
-// sets here (a handful of traces and a few hundred merged results) are
-// small next to one materialized trace, so no eviction policy is needed
-// yet. Failed computations are evicted so a later claimant can retry.
+// Failed computations are evicted so a later claimant can retry, and so
+// is a value a verifying reader found corrupted. Fulfilled values are
+// otherwise retained until the engine's owner trims them (Engine.Trim).
+// A process that runs experiments (cmd/experiments, the service) never
+// trims: its working set is a handful of traces and a few hundred
+// results. A fleet worker trims before and after every job, down to the
+// one trace its lease names, because over its life it is leased an
+// unbounded stream of traces. n is the population gauge
+// (engine.cache.traces or engine.cache.results), moved under mu with
+// every entry added or removed, in flight or fulfilled.
 type flightCache struct {
 	mu sync.Mutex
 	m  map[Key]*flight
+	n  *obs.Gauge
 }
 
 type flight struct {
@@ -30,8 +39,8 @@ type flight struct {
 	stamped bool
 }
 
-func newFlightCache() *flightCache {
-	return &flightCache{m: make(map[Key]*flight)}
+func newFlightCache(n *obs.Gauge) *flightCache {
+	return &flightCache{m: make(map[Key]*flight), n: n}
 }
 
 // claim returns the flight for k and whether the caller owns it. An owner
@@ -44,6 +53,7 @@ func (c *flightCache) claim(k Key) (f *flight, owner bool) {
 	}
 	f = &flight{done: make(chan struct{})}
 	c.m[k] = f
+	c.n.Add(1)
 	return f, true
 }
 
@@ -65,9 +75,7 @@ func (c *flightCache) fulfill(k Key, f *flight, val any, err error) {
 // the value.
 func (c *flightCache) fulfillStamped(k Key, f *flight, val any, err error, sum uint64, stamped bool) {
 	if err != nil {
-		c.mu.Lock()
-		delete(c.m, k)
-		c.mu.Unlock()
+		c.evict(k, f)
 	}
 	f.sum, f.stamped = sum, stamped && err == nil
 	f.val, f.err = val, err
@@ -81,8 +89,27 @@ func (c *flightCache) evict(k Key, f *flight) {
 	c.mu.Lock()
 	if c.m[k] == f {
 		delete(c.m, k)
+		c.n.Add(-1)
 	}
 	c.mu.Unlock()
+}
+
+// trim removes every fulfilled entry but keep's. A flight still in
+// progress stays: its owner's fulfill and its waiters are unaffected, and
+// a waiter already holding a trimmed flight still reads its value.
+func (c *flightCache) trim(keep Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, f := range c.m {
+		select {
+		case <-f.done:
+			if k != keep {
+				delete(c.m, k)
+				c.n.Add(-1)
+			}
+		default:
+		}
+	}
 }
 
 // wait blocks until the flight is fulfilled or the context is cancelled.
@@ -93,11 +120,4 @@ func (f *flight) wait(ctx context.Context) (any, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// size returns the number of entries, fulfilled or in flight.
-func (c *flightCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

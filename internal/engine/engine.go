@@ -200,8 +200,8 @@ func New(opts Options) *Engine {
 		backoff:         bo,
 		faults:          opts.Faults,
 		verify:          opts.Verify || opts.Faults != nil,
-		results:         newFlightCache(),
-		traces:          newFlightCache(),
+		results:         newFlightCache(reg.Gauge("engine.cache.results")),
+		traces:          newFlightCache(reg.Gauge("engine.cache.traces")),
 		tier:            opts.Store,
 		remote:          opts.Remote,
 		reg:             reg,
@@ -262,7 +262,9 @@ type Stats struct {
 	// reported unavailability.
 	SimsRemote     int64
 	RemoteDegraded int64
-	// CachedResults and CachedTraces are the current cache populations.
+	// CachedResults and CachedTraces are the current cache populations,
+	// in flight or fulfilled: the engine.cache.results and
+	// engine.cache.traces gauges.
 	CachedResults int
 	CachedTraces  int
 }
@@ -283,8 +285,8 @@ func (e *Engine) Stats() Stats {
 		IntegrityFaults: e.integrityFaults.Value(),
 		SimsRemote:      e.simsRemote.Value(),
 		RemoteDegraded:  e.remoteDegraded.Value(),
-		CachedResults:   e.results.size(),
-		CachedTraces:    e.traces.size(),
+		CachedResults:   int(e.results.n.Value()),
+		CachedTraces:    int(e.traces.n.Value()),
 	}
 }
 

@@ -76,6 +76,16 @@ func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, 
 	}
 }
 
+// Trim drops every cached result and every cached trace except keep's,
+// leaving computations still in flight alone. Whatever it drops is
+// recomputed, bit-identically, when next asked for. A fleet worker calls
+// it around each job, so its engine holds the leased trace and nothing
+// more; an engine shared with other callers would only recompute more.
+func (e *Engine) Trim(keep workload.Config) {
+	e.results.trim(Key{})
+	e.traces.trim(TraceKey(keep))
+}
+
 // Results computes one *sim.Result per spec. Within the batch, specs
 // sharing a workload share one trace generation; across batches, results
 // (and materialized traces) are reused through the content-addressed
