@@ -13,26 +13,29 @@
 // simulate.finish per scheme with its wall time and headline numbers) to
 // a file or stderr.
 //
-// -tracejson exports the run's timeline — one span per simulated scheme
+// -tracejson renders the run's journal — one span per simulated scheme
 // plus sampled coherence-protocol instants (invalidations of clean
 // shared blocks, broadcasts, forced invalidations) — as Chrome
-// trace-event JSON loadable in Perfetto or chrome://tracing. (-trace is
-// the binary *input* trace; the JSON *output* trace is -tracejson.)
+// trace-event JSON loadable in Perfetto or chrome://tracing; without
+// -journal the journal is kept in memory for it. (-trace is the binary
+// *input* trace; the JSON *output* trace is -tracejson.)
 // -protosample tunes the telemetry stride: every Nth coherence event
 // becomes a trace instant (0 auto-enables 64 with -tracejson, negative
 // disables).
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"dirsim/internal/core"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 	"dirsim/internal/verify"
@@ -103,13 +106,21 @@ func runConformance(schemes string) error {
 
 func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nospins, check bool, csvOut, journal, traceJS string, protoN int) error {
 	var jnl *obs.Journal
-	if journal != "" {
+	var record bytes.Buffer
+	if journal != "" || traceJS != "" {
+		var tee []io.Writer
+		if traceJS != "" {
+			tee = append(tee, &record)
+		}
 		var err error
-		if jnl, err = obs.OpenJournal(journal); err != nil {
+		if jnl, err = obs.OpenJournal(journal, tee...); err != nil {
 			return err
 		}
 		defer jnl.Close()
 	}
+	// The run's trace context gives each simulation a span; the journal
+	// keeps its lines untagged, as before.
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), obs.NewTraceContext()), jnl)
 	// Telemetry defaults on (stride 64) when a trace export will show it,
 	// off otherwise; the nil Telemetry path costs the simulator nothing.
 	if protoN == 0 && traceJS != "" {
@@ -117,10 +128,6 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 	}
 	if protoN < 0 {
 		protoN = 0
-	}
-	var tr *exectrace.Tracer
-	if traceJS != "" {
-		tr = exectrace.New()
 	}
 	reg := obs.NewRegistry()
 	t, err := loadTrace(wl, traceIn, cpus, refs)
@@ -146,22 +153,17 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		if err != nil {
 			return err
 		}
+		// A SimSpec cannot name a trace file, a spin filter or a kernel,
+		// so the CLI simulates directly, under a span of its own.
+		sctx, _ := obs.StartSpan(ctx)
 		opts := sim.Options{Check: check}
-		lane := tr.Lane()
-		var span *exectrace.Span
-		if lane != nil {
-			span = lane.Span(0, "sim", "simulate:"+scheme+"@"+t.Name)
-		}
 		if protoN > 0 {
-			opts.Telemetry = obs.NewProtoSampler(reg, scheme, protoN, lane, span.ID())
+			opts.Telemetry = obs.NewProtoSampler(sctx, reg, scheme, protoN)
 		}
 		start := time.Now()
 		res, err := sim.Simulate(p, src, opts)
 		elapsed := time.Since(start)
-		if span != nil {
-			span.Arg("refs", len(t.Refs)).End(err)
-			lane.Release()
-		}
+		obs.EndSpan(sctx, "sim.run", start, err, "name", "simulate:"+scheme+"@"+t.Name, "refs", len(t.Refs))
 		if err != nil {
 			jnl.Error("error", err, "scheme", scheme, "trace", t.Name)
 			return err
@@ -175,7 +177,7 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 	}
 	jnl.Event("run.finish", "schemes_run", len(results))
 	if traceJS != "" {
-		if err := tr.WriteFile(traceJS); err != nil {
+		if err := obs.WriteChromeFile(traceJS, record.Bytes()); err != nil {
 			return fmt.Errorf("tracejson: %w", err)
 		}
 	}

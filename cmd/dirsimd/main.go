@@ -20,7 +20,7 @@
 //	GET  /api/v1/experiments             list experiments
 //	GET  /api/v1/experiments/{id}        status + results
 //	GET  /api/v1/experiments/{id}/events journal events over SSE
-//	GET  /api/v1/experiments/{id}/trace  Chrome trace JSON (Perfetto)
+//	GET  /api/v1/experiments/{id}/trace  the experiment's journal as Chrome trace JSON (Perfetto)
 //	GET  /api/v1/store                   durable store statistics
 //	GET  /healthz                        liveness / drain state
 //	GET  /metrics                        Prometheus text exposition

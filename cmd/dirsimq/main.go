@@ -9,6 +9,7 @@
 //	dirsimq filter [-trace ID] [-tenant T] [-kind K] [-msg M] journal.jsonl...
 //	dirsimq follow -trace ID journal.jsonl...
 //	dirsimq timeline [-strict] <traceID|jobKey|all> fleet.jsonl...
+//	dirsimq chrome <traceID|all> journal.jsonl...
 //	dirsimq diff   [-threshold 0.10] baseline.jsonl current.jsonl
 //
 // stats aggregates: events by type, engine-job latency breakdowns per
@@ -20,7 +21,8 @@
 // the same across the fleet: it merges a coordinator journal with the
 // worker lines shipped into it (-ship-journal on dirsimw), corrects
 // worker timestamps by their recorded clock-skew estimates, and checks
-// the chain's books — see -h. diff compares
+// the chain's books — see -h. chrome renders the span lines of one
+// trace, or of all, as a Perfetto-loadable Chrome trace. diff compares
 // two runs and flags latency or hit-ratio regressions beyond the
 // threshold, exiting 1 so CI can gate on it.
 //
@@ -31,14 +33,12 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"dirsim/internal/obs"
 )
@@ -64,6 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = cmdFollow(rest, stdout, stderr)
 	case "timeline":
 		code, err = cmdTimeline(rest, stdout, stderr)
+	case "chrome":
+		err = cmdChrome(rest, stdout, stderr)
 	case "diff":
 		code, err = cmdDiff(rest, stdout, stderr)
 	case "version", "-version", "--version":
@@ -91,112 +93,19 @@ func usage(w io.Writer) {
   dirsimq filter [-trace ID] [-tenant T] [-kind K] [-msg M] journal.jsonl...
   dirsimq follow -trace ID journal.jsonl...
   dirsimq timeline [-strict] <traceID|jobKey|all> fleet.jsonl...
+  dirsimq chrome <traceID|all> journal.jsonl...
   dirsimq diff   [-threshold 0.10] baseline.jsonl current.jsonl
 
 timeline merges a fleet journal (with shipped worker lines) into one
 skew-corrected causal chain — queue, leases, heartbeats, worker-side
 execution, result — and verifies it: no orphan lease references, books
-balanced (-strict exits 1 otherwise, for CI).
+balanced (-strict exits 1 otherwise, for CI). chrome renders span lines
+as Chrome trace-event JSON for Perfetto on stdout.
 
 "-" reads standard input; file journals read their whole rotated set
 (journal.jsonl.N …) when present. -msg matches the event name exactly,
 or as a prefix when it ends in '*' (e.g. -msg 'job.*').
 `)
-}
-
-// line is one parsed journal line: the slog envelope plus every other
-// attribute, with the raw bytes retained for filter's passthrough.
-type line struct {
-	Time  time.Time
-	Level string
-	Msg   string
-	Trace string
-	attrs map[string]any
-	raw   []byte
-}
-
-// str returns the named attribute as a string ("" when absent or not a
-// string).
-func (l line) str(key string) string {
-	s, _ := l.attrs[key].(string)
-	return s
-}
-
-// num returns the named attribute as an int64; JSON numbers decode as
-// float64.
-func (l line) num(key string) (int64, bool) {
-	f, ok := l.attrs[key].(float64)
-	return int64(f), ok
-}
-
-func (l line) boolean(key string) bool {
-	b, _ := l.attrs[key].(bool)
-	return b
-}
-
-// readJournal parses JSONL from r, skipping (and counting) lines that
-// are not journal JSON.
-func readJournal(r io.Reader) (lines []line, skipped int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(strings.TrimSpace(string(raw))) == 0 {
-			continue
-		}
-		var m map[string]any
-		if json.Unmarshal(raw, &m) != nil {
-			skipped++
-			continue
-		}
-		msg, _ := m["msg"].(string)
-		if msg == "" {
-			skipped++
-			continue
-		}
-		l := line{Msg: msg, attrs: m, raw: append([]byte(nil), raw...)}
-		if ts, ok := m["time"].(string); ok {
-			l.Time, _ = time.Parse(time.RFC3339Nano, ts)
-		}
-		l.Level, _ = m["level"].(string)
-		l.Trace, _ = m["trace"].(string)
-		lines = append(lines, l)
-	}
-	return lines, skipped, sc.Err()
-}
-
-// load reads and concatenates the given journals ("-" = stdin). A file
-// journal that was size-rotated (path.N siblings, see obs.SegmentPaths)
-// is read as its whole rotated set, oldest segment first, so analytics
-// over a long-running server see one continuous stream.
-func load(paths []string) ([]line, int, error) {
-	var all []line
-	skipped := 0
-	for _, p := range paths {
-		if p == "-" {
-			ls, sk, err := readJournal(os.Stdin)
-			if err != nil {
-				return nil, 0, err
-			}
-			all = append(all, ls...)
-			skipped += sk
-			continue
-		}
-		for _, seg := range obs.SegmentPaths(p) {
-			f, err := os.Open(seg)
-			if err != nil {
-				return nil, 0, err
-			}
-			ls, sk, err := readJournal(f)
-			f.Close()
-			if err != nil {
-				return nil, 0, fmt.Errorf("%s: %w", seg, err)
-			}
-			all = append(all, ls...)
-			skipped += sk
-		}
-	}
-	return all, skipped, nil
 }
 
 // matcher is the shared selection predicate behind stats and filter.
@@ -211,14 +120,14 @@ func (m *matcher) register(fs *flag.FlagSet) {
 	fs.StringVar(&m.msg, "msg", "", "select this event name (trailing '*' matches a prefix)")
 }
 
-func (m *matcher) match(l line) bool {
+func (m *matcher) match(l obs.Line) bool {
 	if m.trace != "" && l.Trace != m.trace {
 		return false
 	}
-	if m.tenant != "" && l.str("tenant") != m.tenant {
+	if m.tenant != "" && l.Str("tenant") != m.tenant {
 		return false
 	}
-	if m.kind != "" && l.str("kind") != m.kind {
+	if m.kind != "" && l.Str("kind") != m.kind {
 		return false
 	}
 	if m.msg != "" {
@@ -334,7 +243,7 @@ type workerAgg struct {
 	skewSet  bool
 }
 
-func summarize(lines []line, skipped int) *summary {
+func summarize(lines []obs.Line, skipped int) *summary {
 	s := &summary{
 		skipped:     skipped,
 		byMsg:       map[string]int{},
@@ -370,14 +279,12 @@ func summarize(lines []line, skipped int) *summary {
 		if l.Trace != "" {
 			s.traces[l.Trace] = struct{}{}
 		}
-		if t := l.str("tenant"); t != "" {
+		if t := l.Str("tenant"); t != "" {
 			s.tenants[t] = struct{}{}
 		}
-		if w := l.str("worker"); w != "" {
+		if w := l.Str("worker"); w != "" {
 			s.distWorkers[w] = struct{}{}
-			if skew, ok := l.num("skew_ns"); ok {
-				// The skew_ns stamp marks a line shipped home by the
-				// worker, tagged coordinator-side with its clock offset.
+			if skew, ok := l.Num("skew_ns"); ok { // a shipped line (obs.Line.Shipped)
 				wa := worker(w)
 				wa.shipped++
 				wa.skewNS, wa.skewSet = skew, true
@@ -385,18 +292,18 @@ func summarize(lines []line, skipped int) *summary {
 		}
 		switch l.Msg {
 		case "job.finish":
-			kind := l.str("kind")
-			if d, ok := l.num("dur_us"); ok {
+			kind := l.Str("kind")
+			if d, ok := l.Num("dur_us"); ok {
 				addDist(s.byKind, kind, d)
 				addDist(s.byPhase, phaseOf(kind), d)
 			}
-			if l.boolean("cache_hit") {
+			if l.Bool("cache_hit") {
 				s.cacheHits++
 			} else {
 				s.cacheMiss++
 			}
 		case "store.load":
-			if l.boolean("hit") {
+			if l.Bool("hit") {
 				s.storeHit++
 			} else {
 				s.storeMiss++
@@ -411,12 +318,12 @@ func summarize(lines []line, skipped int) *summary {
 			s.distQueued++
 		case "job.lease":
 			s.distLeases++
-			if w := l.str("worker"); w != "" {
+			if w := l.Str("worker"); w != "" {
 				worker(w).leases++
 			}
 		case "job.hedge":
 			s.distHedges++
-			if w := l.str("worker"); w != "" {
+			if w := l.Str("worker"); w != "" {
 				worker(w).leases++
 			}
 		case "job.requeue":
@@ -435,15 +342,15 @@ func summarize(lines []line, skipped int) *summary {
 			s.distBreaks++
 		case "worker.crash":
 			s.distCrashes++
-			if w := l.str("worker"); w != "" {
+			if w := l.Str("worker"); w != "" {
 				worker(w).crashes++
 			}
 		case "worker.job.finish":
-			if w := l.str("worker"); w != "" {
+			if w := l.Str("worker"); w != "" {
 				worker(w).finishes++
 			}
 		case "worker.job.error":
-			if w := l.str("worker"); w != "" {
+			if w := l.Str("worker"); w != "" {
 				worker(w).jobErrs++
 			}
 		}
@@ -469,11 +376,11 @@ func cmdStats(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("stats: no journal files given")
 	}
-	lines, skipped, err := load(fs.Args())
+	lines, skipped, err := obs.LoadJournals(fs.Args())
 	if err != nil {
 		return err
 	}
-	var sel []line
+	var sel []obs.Line
 	for _, l := range lines {
 		if m.match(l) {
 			sel = append(sel, l)
@@ -572,7 +479,7 @@ func cmdFilter(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("filter: no journal files given")
 	}
-	lines, _, err := load(fs.Args())
+	lines, _, err := obs.LoadJournals(fs.Args())
 	if err != nil {
 		return err
 	}
@@ -580,7 +487,7 @@ func cmdFilter(args []string, stdout, stderr io.Writer) error {
 	defer bw.Flush()
 	for _, l := range lines {
 		if m.match(l) {
-			bw.Write(l.raw)
+			bw.Write(l.Raw)
 			bw.WriteByte('\n')
 		}
 	}
@@ -600,7 +507,7 @@ func cmdFollow(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("follow: no journal files given")
 	}
-	lines, _, err := load(fs.Args())
+	lines, _, err := obs.LoadJournals(fs.Args())
 	if err != nil {
 		return err
 	}
@@ -622,7 +529,7 @@ func cmdFollow(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var sel []line
+	var sel []obs.Line
 	for _, l := range lines {
 		if l.Trace == *traceID {
 			sel = append(sel, l)
@@ -658,7 +565,7 @@ func cmdFollow(args []string, stdout, stderr io.Writer) error {
 
 // renderEvent formats one journal line for follow's listing, indenting
 // engine- and store-level events under the request-level ones.
-func renderEvent(l line) string {
+func renderEvent(l obs.Line) string {
 	var b strings.Builder
 	switch l.Msg {
 	case "job.scheduled", "job.start", "job.finish", "job.retry", "job.panic",
@@ -676,7 +583,7 @@ func renderEvent(l line) string {
 		"worker", "lease", "scheme", "workload", "leases", "fingerprint",
 		"discipline", "wait_us", "dur_us", "wall_us", "cache_hit", "hit",
 		"chunks", "stalls", "attempt", "affine", "held_us", "specs", "state", "cause", "reason", "error"} {
-		if v, ok := l.attrs[k]; ok {
+		if v, ok := l.Attrs[k]; ok {
 			fmt.Fprintf(&b, " %s=%v", k, v)
 		}
 	}
@@ -795,12 +702,12 @@ func cmdDiff(args []string, stdout, stderr io.Writer) (int, error) {
 }
 
 func loadSummary(path, traceID string) (*summary, error) {
-	lines, skipped, err := load([]string{path})
+	lines, skipped, err := obs.LoadJournals([]string{path})
 	if err != nil {
 		return nil, err
 	}
 	if traceID != "" {
-		var sel []line
+		var sel []obs.Line
 		for _, l := range lines {
 			if l.Trace == traceID {
 				sel = append(sel, l)

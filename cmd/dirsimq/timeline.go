@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"dirsim/internal/obs"
 )
 
 // cmdTimeline reconstructs the fleet-wide causal chain of one job (or
@@ -17,10 +19,10 @@ import (
 //
 // Worker-shipped lines (recognizable by the worker/skew_ns stamp the
 // coordinator splices on) carry the worker's wall clock; timeline
-// shifts them by the skew estimate so both sides of the wire order
-// correctly even when the worker's clock is off.
+// shifts them by the skew estimate (obs.Line.At) so both sides of the
+// wire order correctly even when the worker's clock is off.
 //
-// It also verifies the journal's structural consistency:
+// It also verifies the journal's consistency (obs.CheckFleet):
 //
 //   - every lease a worker references was actually granted by the
 //     coordinator (no orphan lease references), and
@@ -39,7 +41,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 		return 2, fmt.Errorf("timeline: want <traceID|jobKey|all> journal.jsonl..., got %d args", fs.NArg())
 	}
 	sel, paths := fs.Arg(0), fs.Args()[1:]
-	lines, _, err := load(paths)
+	lines, _, err := obs.LoadJournals(paths)
 	if err != nil {
 		return 2, err
 	}
@@ -53,22 +55,15 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 	// Merge onto the coordinator's clock: shipped worker lines shift by
 	// their skew estimate (coordinator minus worker, so adding converts).
 	type entry struct {
-		l      line
-		at     time.Time
-		source string
-		skewed bool
+		l  obs.Line
+		at time.Time
 	}
 	entries := make([]entry, 0, len(chain))
 	anySkewed := false
 	for _, l := range chain {
-		e := entry{l: l, at: l.Time, source: "coord"}
-		if skew, ok := l.num("skew_ns"); ok {
-			e.source = l.str("worker")
-			if !*noSkew {
-				e.at = l.Time.Add(time.Duration(skew))
-				e.skewed = true
-				anySkewed = true
-			}
+		e := entry{l: l, at: l.Time}
+		if l.Shipped() && !*noSkew {
+			e.at, anySkewed = l.At(), true
 		}
 		entries = append(entries, e)
 	}
@@ -91,9 +86,12 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 	fmt.Fprintln(stdout)
 	for _, e := range entries {
-		src := e.source
-		if e.skewed {
-			src += "*"
+		src := "coord"
+		if e.l.Shipped() {
+			src = e.l.Str("worker")
+			if !*noSkew {
+				src += "*"
+			}
 		}
 		fmt.Fprintf(stdout, "%s  %-14s %s\n", e.at.Format("15:04:05.000000"), src, renderEvent(e.l))
 	}
@@ -102,22 +100,19 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 
 	// Structural consistency over the selection.
-	orphans := orphanLeaseRefs(chain)
-	queued := int64(s.distQueued)
-	accepted, degraded, failed := s.distAccepts, s.distDegrades, int64(s.byMsg["job.remote.error"])
-	balanced := queued == accepted+degraded+failed
+	check := obs.CheckFleet(chain)
 	fmt.Fprintf(stdout, "\nbooks: %d queued = %d accepted + %d degraded + %d failed",
-		queued, accepted, degraded, failed)
-	if balanced {
+		check.Queued, check.Accepted, check.Degraded, check.Failed)
+	if check.Balanced() {
 		fmt.Fprintln(stdout, "  [balanced]")
 	} else {
 		fmt.Fprintln(stdout, "  [UNBALANCED]")
 	}
-	fmt.Fprintf(stdout, "orphan lease references: %d\n", len(orphans))
-	for _, o := range orphans {
-		fmt.Fprintf(stdout, "  %s %s lease=%s\n", o.str("worker"), o.Msg, o.str("lease"))
+	fmt.Fprintf(stdout, "orphan lease references: %d\n", len(check.Orphans))
+	for _, o := range check.Orphans {
+		fmt.Fprintf(stdout, "  %s %s lease=%s\n", o.Str("worker"), o.Msg, o.Str("lease"))
 	}
-	if *strict && (!balanced || len(orphans) > 0) {
+	if *strict && !check.OK() {
 		fmt.Fprintln(stdout, "\ntimeline: consistency checks FAILED")
 		return 1, nil
 	}
@@ -127,17 +122,17 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 // selectChain picks the causal chain: everything for "all", else lines
 // whose trace ID matches, or whose (possibly shortened) job key
 // prefix-matches the selector either way round.
-func selectChain(lines []line, sel string) []line {
+func selectChain(lines []obs.Line, sel string) []obs.Line {
 	if sel == "all" {
 		return lines
 	}
-	var out []line
+	var out []obs.Line
 	for _, l := range lines {
 		if l.Trace == sel {
 			out = append(out, l)
 			continue
 		}
-		if k := l.str("key"); k != "" &&
+		if k := l.Str("key"); k != "" &&
 			(strings.HasPrefix(k, sel) || strings.HasPrefix(sel, k)) {
 			out = append(out, l)
 		}
@@ -145,14 +140,14 @@ func selectChain(lines []line, sel string) []line {
 	return out
 }
 
-func listSelectors(lines []line, w io.Writer) {
+func listSelectors(lines []obs.Line, w io.Writer) {
 	traces := map[string]int{}
 	keys := map[string]int{}
 	for _, l := range lines {
 		if l.Trace != "" {
 			traces[l.Trace]++
 		}
-		if k := l.str("key"); k != "" {
+		if k := l.Str("key"); k != "" {
 			keys[k]++
 		}
 	}
@@ -170,31 +165,22 @@ func listSelectors(lines []line, w io.Writer) {
 	}
 }
 
-// orphanLeaseRefs finds worker-shipped lines referencing a lease the
-// coordinator never granted — the smoking gun for a corrupted merge
-// (granted leases come from job.lease / job.hedge events).
-func orphanLeaseRefs(lines []line) []line {
-	granted := map[string]struct{}{}
-	for _, l := range lines {
-		switch l.Msg {
-		case "job.lease", "job.hedge":
-			if id := l.str("lease"); id != "" {
-				granted[id] = struct{}{}
-			}
-		}
+// cmdChrome renders the span lines of a timeline selection (a trace, a
+// job key, or all) as Chrome trace-event JSON on stdout, the rendering
+// the CLIs' -trace and dirsimd's /trace give, and reports on stderr how
+// many spans name a parent the journals lack (otherData.orphans).
+func cmdChrome(args []string, stdout, stderr io.Writer) error {
+	if len(args) < 2 {
+		return fmt.Errorf("chrome: want <traceID|all> journal.jsonl..., got %d args", len(args))
 	}
-	var orphans []line
-	for _, l := range lines {
-		if _, shipped := l.attrs["skew_ns"]; !shipped {
-			continue
-		}
-		id := l.str("lease")
-		if id == "" {
-			continue
-		}
-		if _, ok := granted[id]; !ok {
-			orphans = append(orphans, l)
-		}
+	lines, _, err := obs.LoadJournals(args[1:])
+	if err != nil {
+		return err
 	}
-	return orphans
+	st, err := obs.WriteChrome(stdout, selectChain(lines, args[0]))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "chrome: %d spans, %d instants, %d orphans\n", st.Spans, st.Instants, st.Orphans)
+	return nil
 }

@@ -20,15 +20,15 @@
 // tests run under — for rehearsing fleet failure modes against a live
 // coordinator.
 //
-// Observability: the worker journals its own lease/job lifecycle and —
-// because jobs traced by the coordinator run under a per-job tracer —
-// ships its engine spans home with every result, where they nest under
-// the coordinator's dispatch span in the merged Chrome trace.
-// -ship-journal additionally streams the worker's journal lines to the
+// Observability: the worker journals its own lease/job lifecycle and
+// its engine's spans. -ship-journal streams those journal lines to the
 // coordinator's fleet journal (best-effort, bounded buffer, drops
 // counted), each line stamped coordinator-side with the worker's name
-// and clock-skew estimate so `dirsimq timeline` can merge both sides
-// onto one clock. -journal-max-bytes/-journal-keep size-rotate the
+// and clock-skew estimate so `dirsimq timeline` and `dirsimq chrome` can
+// merge both sides onto one clock; a line of a job the coordinator
+// traces also lands in the submitting request's journal, under the
+// lease's span, and the worker flushes them before it pushes the
+// result. Without -ship-journal a worker contributes no spans. -journal-max-bytes/-journal-keep size-rotate the
 // local journal file. SIGTERM or SIGINT finishes the current heartbeat
 // cycle, flushes the shipper, and exits cleanly; a lease the worker
 // abandons is reassigned when it expires.
@@ -198,7 +198,7 @@ func run(cfg config) error {
 	if rw != nil {
 		rw.OnRotate(obs.RotationMarker(cfg.journal))
 	}
-	w.Journal = journal
+	w.Journal, w.Shipper = journal, shipper
 
 	// The worker puts its journal on every job's context, so the engine
 	// journals the job lifecycle worker-side and a shipped journal

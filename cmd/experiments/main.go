@@ -23,9 +23,10 @@
 // engine counters as JSON. Any of them also prints a per-phase timing
 // and cache summary to stderr.
 //
-// -trace exports the run's execution timeline — job DAG, worker
-// occupancy, retries, sampled protocol events — as Chrome trace-event
-// JSON loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// -trace renders the run's journal — every job, attempt and simulation
+// span, retries, sampled protocol events — as Chrome trace-event JSON
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing; without
+// -journal the journal is kept in memory for it.
 // -listen starts a live HTTP monitor serving /metrics
 // (Prometheus text exposition), /runz (JSON run progress), and
 // /debug/pprof/*. Either flag auto-enables sampled coherence-protocol
@@ -43,6 +44,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -58,7 +60,6 @@ import (
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
 	"dirsim/internal/obs/httpmon"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/report"
 	"dirsim/internal/store"
 	"dirsim/internal/workload"
@@ -176,18 +177,20 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	if protoSample < 0 {
 		protoSample = 0
 	}
-	var tr *exectrace.Tracer
-	if cfg.trace != "" {
-		tr = exectrace.New()
-	}
 	// Every run gets a trace identity: the journal is tagged with it and
 	// the engine submissions carry it in their context, so dirsimq can
 	// follow this run's causal chain (and distinguish interleaved runs
-	// appending to a shared journal file).
+	// appending to a shared journal file). The -trace export is rendered
+	// from the journal, kept in memory when no -journal file is asked for.
 	runTC := obs.NewTraceContext()
 	var jnl *obs.Journal
-	if cfg.journal != "" {
-		raw, err := obs.OpenJournal(cfg.journal)
+	var record bytes.Buffer
+	if cfg.journal != "" || cfg.trace != "" {
+		var tee []io.Writer
+		if cfg.trace != "" {
+			tee = append(tee, &record)
+		}
+		raw, err := obs.OpenJournal(cfg.journal, tee...)
 		if err != nil {
 			return err
 		}
@@ -195,7 +198,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		jnl = raw.WithTrace(runTC)
 	}
 	opts := engine.Options{Metrics: reg, Verify: cfg.verify, Retries: cfg.retries,
-		JobTimeout: cfg.timeout, Tracer: tr, ProtoSample: protoSample}
+		JobTimeout: cfg.timeout, ProtoSample: protoSample}
 	var st *store.Store
 	if cfg.store != "" {
 		var err error
@@ -316,7 +319,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		"cache_hits", stats.CacheHits, "cache_misses", stats.CacheMisses)
 
 	if cfg.trace != "" {
-		if err := tr.WriteFile(cfg.trace); err != nil {
+		if err := obs.WriteChromeFile(cfg.trace, record.Bytes()); err != nil {
 			errs = append(errs, fmt.Errorf("trace: %w", err))
 		}
 	}

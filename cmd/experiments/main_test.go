@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -377,4 +378,84 @@ func TestMetricsFlag(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, data)
 		}
 	}
+}
+
+// TestTraceEdgesMatchGolden: the -trace export of a whole parallel run,
+// rendered from the run's journal, has the span and instant names and
+// the parent edges of the execution tracer's export it replaced
+// (testdata/trace_edges.golden, whose header states its one rule).
+func TestTraceEdgesMatchGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	cfg := config{sel: "all", refs: 20_000, cpus: 4, parallel: 2, trace: path}
+	if err := runExperiments(io.Discard, io.Discard, cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			ID   int            `json:"id"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &tf); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	names := map[float64]string{}
+	for _, ev := range tf.TraceEvents {
+		names[float64(ev.ID)] = ev.Name
+	}
+	got := map[string]int{}
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph != "X" && ev.Ph != "i" {
+			continue
+		}
+		parent := "-"
+		if id, ok := ev.Args["parent"].(float64); ok {
+			parent = names[id]
+		}
+		got[ev.Ph+" "+ev.Name+" "+parent]++
+	}
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "trace_edges.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		n, err := strconv.Atoi(f[3])
+		if err != nil {
+			t.Fatalf("golden line %q: %v", line, err)
+		}
+		want[strings.Join(f[:3], " ")] = n
+	}
+	for edge := range merged(got, want) {
+		g, w := got[edge], want[edge]
+		if strings.Contains(edge, " trace:") && g > 0 && w > 0 {
+			continue // counted by presence (the golden file's rule)
+		}
+		if g != w {
+			t.Errorf("edge %q: %d in the export, %d in the golden file", edge, g, w)
+		}
+	}
+}
+
+// merged returns the union of two count maps' keys.
+func merged(a, b map[string]int) map[string]bool {
+	out := map[string]bool{}
+	for k := range a {
+		out[k] = true
+	}
+	for k := range b {
+		out[k] = true
+	}
+	return out
 }

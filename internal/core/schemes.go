@@ -57,6 +57,9 @@ func Schemes() []string {
 // parameterized families "Dir<i>B" and "Dir<i>NB" (e.g. "Dir2NB",
 // "Dir4B").
 func NewByName(name string, ncpu int) (Protocol, error) {
+	if ncpu < 1 || ncpu > MaxCPUs {
+		return nil, fmt.Errorf("core: cpu count %d out of range [1,%d]", ncpu, MaxCPUs)
+	}
 	key := strings.ToLower(strings.TrimSpace(name))
 	if f, ok := factories[key]; ok {
 		return f(ncpu), nil

@@ -59,6 +59,13 @@ func TestNewByNameErrors(t *testing.T) {
 			t.Errorf("NewByName(%q) error %q", in, err)
 		}
 	}
+	// A machine size outside [1, MaxCPUs] is an error, not a panic: the
+	// service and the fleet pass sizes from their requests straight in.
+	for _, ncpu := range []int{0, -4, MaxCPUs + 1} {
+		if _, err := NewByName("Dir0B", ncpu); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("NewByName(Dir0B, %d) error = %v", ncpu, err)
+		}
+	}
 }
 
 func TestSchemesSorted(t *testing.T) {

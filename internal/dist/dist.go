@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"dirsim/internal/engine"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 )
 
@@ -75,9 +74,9 @@ type JobSpec struct {
 	TTLMS int64 `json:"ttl_ms"`
 	// Trace is the originating request's trace context in
 	// obs.TraceContext wire form. When the coordinator traces, it reads
-	// "<trace>/<span>/<parent>": parent is the coordinator's
-	// pre-allocated dispatch-span ID, which the worker echoes so its
-	// shipped spans nest under the dispatch span in the merged tree.
+	// "<trace>//<parent>": parent is the ID of the lease's dist:lease
+	// span, which the worker's job spans journal as their pspan, so its
+	// shipped lines nest under the lease in the request's record.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -124,23 +123,15 @@ type heartbeatResponse struct {
 // resultPush is a worker's completion report: exactly one of Result or
 // Error is set. Fingerprint stamps the result (hex, "0x..." form like the
 // store envelope); the coordinator recomputes it from the decoded result
-// and rejects on mismatch.
-//
-// Spans, when present, is the worker's per-job execution trace; the
-// coordinator imports it into the originating request's tracer under the
-// lease's dispatch span, shifting timestamps by SkewNS (the worker's
-// coordinator-minus-worker clock estimate; SkewOK reports whether the
-// estimator had any RTT sample to offer).
+// and rejects on mismatch. A worker's spans never ride here: they reach
+// the coordinator as shipped journal lines (journalBatch).
 type resultPush struct {
-	Worker      string               `json:"worker"`
-	Lease       string               `json:"lease"`
-	Key         string               `json:"key"`
-	Fingerprint string               `json:"fingerprint,omitempty"`
-	Result      *sim.Result          `json:"result,omitempty"`
-	Error       *WireError           `json:"error,omitempty"`
-	Spans       *exectrace.WireTrace `json:"spans,omitempty"`
-	SkewNS      int64                `json:"skew_ns,omitempty"`
-	SkewOK      bool                 `json:"skew_ok,omitempty"`
+	Worker      string      `json:"worker"`
+	Lease       string      `json:"lease"`
+	Key         string      `json:"key"`
+	Fingerprint string      `json:"fingerprint,omitempty"`
+	Result      *sim.Result `json:"result,omitempty"`
+	Error       *WireError  `json:"error,omitempty"`
 }
 
 // journalBatch is one shipment of worker journal lines to

@@ -16,7 +16,6 @@ import (
 	"dirsim/internal/engine"
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 )
 
@@ -191,7 +190,7 @@ func TestJournalShipperRequeuesOnFailure(t *testing.T) {
 		ShipperOptions{FlushEvery: time.Hour})
 	jnl := obs.NewJournal(s)
 	jnl.Event("worker.start")
-	s.flush(context.Background()) // eaten by the injected 400
+	s.Flush(context.Background()) // eaten by the injected 400
 	jnl.Event("worker.job.start")
 	s.Close(context.Background())
 
@@ -365,17 +364,113 @@ func TestCoordinatorFederatesHeartbeatCounters(t *testing.T) {
 	}
 }
 
-// TestFleetMergedTraceAndShippedJournal is the tentpole end to end in
-// one process: a traced sweep through a real HTTP fleet produces ONE
-// merged span tree — coordinator dispatch spans bridging to worker
-// engine spans, zero orphans, worker events on their own process rows —
-// while a shipper streams one worker's journal into the fleet journal
-// with worker/skew stamps, and the per-worker stats rows close.
+// lockedBuffer is a journal sink safe for concurrent writes and reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) Bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
+}
+
+// renderedEvent is one event of a rendered Chrome trace.
+type renderedEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	PID  int            `json:"pid"`
+	ID   int            `json:"id"`
+	Args map[string]any `json:"args"`
+}
+
+// renderJournal renders a journal in-process, as GET .../trace and
+// dirsimq chrome do, and returns its events and their parents by ID.
+func renderJournal(t *testing.T, journal []byte) ([]renderedEvent, map[int]renderedEvent, obs.ChromeStats) {
+	t.Helper()
+	lines, _, err := obs.ReadJournal(bytes.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	st, err := obs.WriteChrome(&out, lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []renderedEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("rendered trace is not JSON: %v", err)
+	}
+	byID := map[int]renderedEvent{}
+	for _, ev := range doc.TraceEvents {
+		if ev.ID != 0 {
+			byID[ev.ID] = ev
+		}
+	}
+	return doc.TraceEvents, byID, st
+}
+
+// checkFleetTrace holds a rendered fleet record to the merged-trace
+// contract: no orphan parent edge, one dist:queue span per spec, a
+// dist:lease span per lease (at least one per spec), and every job span
+// a worker shipped nested directly under a dist:lease span. It returns
+// how many worker job spans it saw.
+func checkFleetTrace(t *testing.T, what string, journal []byte, specs int) int {
+	t.Helper()
+	evs, byID, st := renderJournal(t, journal)
+	if st.Orphans != 0 {
+		t.Errorf("%s: %d spans name a parent the record lacks", what, st.Orphans)
+	}
+	count := map[string]int{}
+	workerJobs := 0
+	for _, ev := range evs {
+		count[ev.Name]++
+		if p, ok := ev.Args["parent"].(float64); ok {
+			if _, ok := byID[int(p)]; !ok {
+				t.Errorf("%s: %q has an orphan parent edge %v", what, ev.Name, p)
+			}
+		}
+		if _, job := ev.Args["kind"]; ev.PID == 1 || ev.Cat != "job" || !job {
+			continue
+		}
+		workerJobs++
+		p, _ := ev.Args["parent"].(float64)
+		if parent := byID[int(p)]; parent.Name != "dist:lease" || parent.PID != 1 {
+			t.Errorf("%s: worker job span %q nests under %q, want dist:lease", what, ev.Name, parent.Name)
+		}
+	}
+	if count["dist:queue"] != specs {
+		t.Errorf("%s: %d dist:queue spans, want %d", what, count["dist:queue"], specs)
+	}
+	if count["dist:lease"] < specs {
+		t.Errorf("%s: %d dist:lease spans, want >= %d", what, count["dist:lease"], specs)
+	}
+	return workerJobs
+}
+
+// TestFleetMergedTraceAndShippedJournal is the merged record end to end
+// in one process: a traced sweep through a real HTTP fleet leaves ONE
+// span tree in the request's journal — coordinator dispatch spans
+// bridging to the worker engine spans spliced in under them, zero
+// orphans, worker spans on their own process rows — while the shipper
+// streams the worker's journal into the fleet journal with worker/skew
+// stamps, and the per-worker stats rows close.
 func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 	specs := distSpecs(3_000)
 	want := localRun(t, specs)
 
-	var coordLog, w1Log bytes.Buffer
+	var coordLog lockedBuffer
+	var w1Log bytes.Buffer
 	f := startFleet(t, Options{
 		LeaseTTL: 2 * time.Second,
 		Journal:  obs.NewJournal(&coordLog),
@@ -385,12 +480,12 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 		FlushEvery: 20 * time.Millisecond,
 		Skew:       w1.SkewNS,
 	})
-	w1.Journal = obs.NewJournal(io.MultiWriter(&w1Log, ship))
+	w1.Journal, w1.Shipper = obs.NewJournal(io.MultiWriter(&w1Log, ship)), ship
 	f.launch(w1)
 
-	tracer := exectrace.New()
-	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "feedface01"})
-	ctx = exectrace.WithTracer(ctx, tracer)
+	var record lockedBuffer
+	tc := obs.TraceContext{Trace: "feedface01"}
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(&record).WithTrace(tc))
 	lead := engine.New(engine.Options{Remote: f.coord})
 	got, err := lead.Results(ctx, engine.Parallel{}, specs)
 	if err != nil {
@@ -400,6 +495,11 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("spec %d diverged from local run", i)
 		}
+	}
+	// The request's record is complete when the sweep returns: w1 flushed
+	// its shipper before every push.
+	if n := checkFleetTrace(t, "request journal", record.Bytes(), len(specs)); n < len(specs) {
+		t.Errorf("request journal holds %d worker job spans, want >= %d", n, len(specs))
 	}
 	// A second worker joins after the sweep: its lease polls register it,
 	// federating its version even though it never wins a job.
@@ -418,64 +518,12 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 	st := f.coord.Stats()
 	f.stop()
 
-	// --- the merged span tree ---
-	evs := tracer.Events()
-	if orphans := exectrace.Orphans(evs); len(orphans) != 0 {
-		t.Fatalf("merged trace has %d orphan spans: %+v", len(orphans), orphans)
-	}
-	count := func(name string) int {
-		n := 0
-		for _, ev := range evs {
-			if ev.Name == name {
-				n++
-			}
-		}
-		return n
-	}
-	if got := count("dist:queue"); got != len(specs) {
-		t.Errorf("%d dist:queue spans, want %d", got, len(specs))
-	}
-	if got := count("dist:lease"); got < len(specs) {
-		t.Errorf("%d dist:lease spans, want >= %d", got, len(specs))
-	}
-	// Worker engine spans were imported onto worker process rows and nest
-	// under dispatch spans: for every imported root, the parent is a
-	// dist:lease span recorded coordinator-side.
-	leaseIDs := map[uint64]bool{}
-	byID := map[uint64]exectrace.Event{}
-	for _, ev := range evs {
-		if ev.ID != 0 {
-			byID[ev.ID] = ev
-		}
-		if ev.Name == "dist:lease" {
-			leaseIDs[ev.ID] = true
-		}
-	}
-	var imported, bridged int
-	for _, ev := range evs {
-		if ev.PID == 0 {
-			continue
-		}
-		imported++
-		parent := byID[ev.Parent]
-		if parent.PID == 0 { // the bridge point: a worker span under a coordinator span
-			bridged++
-			if !leaseIDs[ev.Parent] {
-				t.Errorf("imported root %q parents under %q, want a dist:lease span", ev.Name, parent.Name)
-			}
-		}
-	}
-	if imported == 0 {
-		t.Fatal("no worker spans were imported into the merged trace")
-	}
-	// The worker's engine runs (at least) a trace-generation job and the
-	// simulation job per spec, both roots of the shipped tree — so every
-	// remote completion bridges one or more roots onto its dispatch span.
-	if bridged < len(specs) {
-		t.Errorf("%d imported roots bridge to dispatch spans, want >= %d", bridged, len(specs))
-	}
+	// The fleet journal is a record of its own: the dispatch spans are
+	// its roots, and every shipped worker span nests under them.
+	checkFleetTrace(t, "fleet journal", coordLog.Bytes(), len(specs))
 	var chrome bytes.Buffer
-	if err := tracer.WriteJSON(&chrome); err != nil {
+	lines, _, _ := obs.ReadJournal(bytes.NewReader(record.Bytes()))
+	if _, err := obs.WriteChrome(&chrome, lines); err != nil {
 		t.Fatal(err)
 	}
 	for _, wantStr := range []string{`"process_name"`, `"dirsimw:w1"`} {
@@ -488,8 +536,8 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 	// The worker's engine journals each job under the job's trace and
 	// remote parent, and no line repeats a key — neither in the worker's
 	// journal nor once the coordinator has spliced it into the fleet's.
-	for name, jnl := range map[string]*bytes.Buffer{"worker": &w1Log, "fleet": &coordLog} {
-		for _, line := range bytes.Split(bytes.TrimSpace(jnl.Bytes()), []byte("\n")) {
+	for name, jnl := range map[string][]byte{"worker": w1Log.Bytes(), "fleet": coordLog.Bytes(), "request": record.Bytes()} {
+		for _, line := range bytes.Split(bytes.TrimSpace(jnl), []byte("\n")) {
 			if k, err := obs.RepeatedKey(line); err != nil || k != "" {
 				t.Fatalf("%s journal line repeats %q (%v): %s", name, k, err, line)
 			}
@@ -507,7 +555,7 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 	if finishes < len(specs) {
 		t.Errorf("w1 journaled %d job.finish lines, want >= %d", finishes, len(specs))
 	}
-	out := coordLog.String()
+	out := string(coordLog.Bytes())
 	if !strings.Contains(out, `"worker":"w1","skew_ns":`) {
 		t.Error("fleet journal has no skew-stamped shipped lines")
 	}
@@ -515,11 +563,11 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 		t.Error("w1's job.finish events never reached the fleet journal")
 	}
 	if !strings.Contains(out, `"msg":"trace.import"`) {
-		t.Error("coordinator did not journal its span imports")
+		t.Error("coordinator did not journal its splices into the request's journal")
 	}
 	// Shipped lines reference the submission trace, so the fleet journal
 	// alone reconstructs the cross-process chain.
-	if !strings.Contains(out, `"trace":"feedface01","worker":"w1"`) {
+	if !strings.Contains(out, `"trace":"feedface01","lease":"`) {
 		t.Error("shipped lines lost the submission trace")
 	}
 
@@ -545,21 +593,18 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 	if !r1.SkewSet {
 		t.Error("w1 skew never reported")
 	}
-	if r1.PID == 0 || r2.PID == 0 || r1.PID == r2.PID {
-		t.Errorf("worker pids not distinct and nonzero: %d %d", r1.PID, r2.PID)
-	}
 }
 
 // TestFleetMergedTraceSurvivesFaults: under dropped requests, duplicated
 // deliveries, and a crashing worker, the sweep still completes
-// bit-identical — and the merged trace still has zero orphans, because
-// every import hangs off a dispatch span recorded at resolution time,
-// whatever the lease's fate.
+// bit-identical — and the request's record still renders with zero
+// orphans, because every lease's span is journaled when the lease
+// resolves, whatever its fate, and the workers' spans nest under it.
 func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 	specs := distSpecs(3_000)
 	want := localRun(t, specs)
 
-	var coordLog bytes.Buffer
+	var coordLog lockedBuffer
 	f := startFleet(t, Options{
 		LeaseTTL:     400 * time.Millisecond,
 		SweepEvery:   50 * time.Millisecond,
@@ -580,9 +625,9 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 		Inj:    faults.New(crashWire),
 	})
 
-	tracer := exectrace.New()
-	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "faultfeed02"})
-	ctx = exectrace.WithTracer(ctx, tracer)
+	var record lockedBuffer
+	tc := obs.TraceContext{Trace: "faultfeed02"}
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(&record).WithTrace(tc))
 	lead := engine.New(engine.Options{Remote: f.coord})
 	done := make(chan struct{})
 	var res resultsAndErr
@@ -591,13 +636,18 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 		res.rs, res.err = lead.Results(ctx, engine.Parallel{}, specs)
 	}()
 	f.waitErr("crasher")
-	for i := 0; i < 2; i++ {
-		name := []string{"w1", "w2"}[i]
+	var ships []*JournalShipper
+	for _, name := range []string{"w1", "w2"} {
 		ft := NewFaultTransport(name, faults.New(wire), nil)
+		client := &Client{Base: f.srv.URL, HTTP: &http.Client{Transport: ft}, Backoff: 5 * time.Millisecond}
+		ship := NewJournalShipper(client, name, ShipperOptions{FlushEvery: 20 * time.Millisecond})
+		ships = append(ships, ship)
 		f.launch(&Worker{
-			Name:   name,
-			Client: &Client{Base: f.srv.URL, HTTP: &http.Client{Transport: ft}, Backoff: 5 * time.Millisecond},
-			Engine: engine.New(engine.Options{}),
+			Name:    name,
+			Client:  client,
+			Engine:  engine.New(engine.Options{}),
+			Journal: obs.NewJournal(ship),
+			Shipper: ship,
 		})
 	}
 	<-done
@@ -611,36 +661,19 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 	}
 	st := f.coord.Stats()
 	f.stop()
+	for _, ship := range ships {
+		ship.Close(context.Background())
+	}
 
 	if st.JobsSubmitted != st.JobsCompleted+st.JobsDegraded+st.JobsFailed {
 		t.Errorf("books broken: %+v", st)
 	}
-	evs := tracer.Events()
-	if orphans := exectrace.Orphans(evs); len(orphans) != 0 {
-		t.Fatalf("%d orphan spans under faults: %+v", len(orphans), orphans)
+	if n := checkFleetTrace(t, "request journal", record.Bytes(), len(specs)); st.JobsCompleted > 0 && n == 0 {
+		t.Error("remote completions left no worker spans in the request's record")
 	}
-	// Every completed-remotely job imported worker spans; every import
-	// bridges onto a coordinator-side span.
-	byID := map[uint64]exectrace.Event{}
-	for _, ev := range evs {
-		if ev.ID != 0 {
-			byID[ev.ID] = ev
-		}
-	}
-	var imported int
-	for _, ev := range evs {
-		if ev.PID != 0 {
-			imported++
-			if p, ok := byID[ev.Parent]; ok && p.PID == 0 && p.Name != "dist:lease" {
-				t.Errorf("imported span %q bridges to %q, want dist:lease", ev.Name, p.Name)
-			}
-		}
-	}
-	if st.JobsCompleted > 0 && imported == 0 {
-		t.Error("remote completions imported no worker spans")
-	}
+	checkFleetTrace(t, "fleet journal", coordLog.Bytes(), len(specs))
 	// The crash is visible in the journal-side story too.
-	if !strings.Contains(coordLog.String(), `"msg":"job.lease.expire"`) {
+	if !strings.Contains(string(coordLog.Bytes()), `"msg":"job.lease.expire"`) {
 		t.Error("crashed worker's lease expiry never journaled")
 	}
 }

@@ -41,6 +41,7 @@ type JournalShipper struct {
 	opts   ShipperOptions
 
 	mu      sync.Mutex
+	flushMu sync.Mutex // one batch in flight at a time, so Flush waits out the loop's
 	pending [][]byte
 	dropped int64 // cumulative
 	closed  bool
@@ -112,19 +113,22 @@ func (s *JournalShipper) loop() {
 	for {
 		select {
 		case <-tick.C:
-			s.flush(context.Background())
+			s.Flush(context.Background())
 		case <-s.kick:
-			s.flush(context.Background())
+			s.Flush(context.Background())
 		case <-s.done:
 			return
 		}
 	}
 }
 
-// flush ships everything pending as one batch. On failure the lines
-// re-queue at the front if the buffer still has room; otherwise they
-// are dropped and counted.
-func (s *JournalShipper) flush(ctx context.Context) {
+// Flush ships everything pending as one batch, after any batch already
+// in flight, and returns once it is delivered or has failed. On failure
+// the lines re-queue at the front if the buffer still has room;
+// otherwise they are dropped and counted.
+func (s *JournalShipper) Flush(ctx context.Context) {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 	s.mu.Lock()
 	batchLines := s.pending
 	s.pending = nil
@@ -188,5 +192,5 @@ func (s *JournalShipper) Close(ctx context.Context) {
 	s.mu.Unlock()
 	close(s.done)
 	s.wg.Wait()
-	s.flush(ctx)
+	s.Flush(ctx)
 }

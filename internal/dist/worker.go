@@ -13,7 +13,6 @@ import (
 	"dirsim/internal/engine"
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 )
 
@@ -52,6 +51,9 @@ type Worker struct {
 	// Journal receives worker.* events and the engine's job lines; nil disables
 	// them. The coordinator's splice names the worker on each shipped line.
 	Journal *obs.Journal
+	// Shipper, when non-nil, is the JournalShipper teed into Journal; a
+	// job the coordinator traces flushes it before pushing its result.
+	Shipper *JournalShipper
 	// Metrics, when non-nil, is snapshotted (counters) onto every
 	// heartbeat — the metric-federation path to the coordinator.
 	Metrics *obs.Registry
@@ -62,8 +64,8 @@ type Worker struct {
 	Sleep func(time.Duration)
 
 	// skew estimates the coordinator-minus-worker clock offset from
-	// lease/heartbeat round trips; shipped spans and journal batches
-	// carry it so the coordinator can merge timelines onto its clock.
+	// lease/heartbeat round trips; journal batches carry it so readers
+	// can merge timelines onto the coordinator's clock.
 	skew skewEstimator
 }
 
@@ -174,17 +176,9 @@ func (w *Worker) counterSnapshot() map[string]int64 {
 // push the result (or the structured error) back.
 func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 	tc, _ := obs.ParseTraceContext(job.Trace)
-	jctx := obs.WithJournal(obs.WithTrace(ctx, tc), w.Journal.WithTrace(tc))
-
-	// A non-zero remote parent means the coordinator is tracing this
-	// job: record the engine's spans on a per-job tracer and ship them
-	// home with the result, where they re-parent under the dispatch
-	// span whose ID tc.Parent carries.
-	var tracer *exectrace.Tracer
-	if tc.Parent != 0 {
-		tracer = exectrace.New()
-		jctx = exectrace.WithTracer(jctx, tracer)
-	}
+	// The engine's lines name the lease, for the coordinator to splice
+	// them into the request's journal under the lease's span.
+	jctx := obs.WithJournal(obs.WithTrace(ctx, tc), w.Journal.WithTrace(tc).With("lease", job.Lease))
 
 	// End-to-end integrity on the request path: the job key IS the
 	// content hash of the spec, so recomputing it catches a lease
@@ -270,10 +264,6 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 	}
 
 	push := resultPush{Worker: w.Name, Lease: job.Lease, Key: job.Key}
-	if tracer != nil {
-		push.Spans = tracer.ExportWire()
-		push.SkewNS, push.SkewOK = w.skew.Offset()
-	}
 	if simErr != nil {
 		push.Error = EncodeError(simErr)
 		w.event("worker.job.error", tc, "key", shortKey(job.Key), "error", simErr.Error())
@@ -282,6 +272,10 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 		push.Fingerprint = "0x" + strconv.FormatUint(res.Fingerprint(), 16)
 		w.event("worker.job.finish", tc, "key", shortKey(job.Key),
 			"fingerprint", push.Fingerprint)
+	}
+	if tc.Parent != 0 && w.Shipper != nil {
+		// The coordinator is tracing the job: its spans go home first.
+		w.Shipper.Flush(ctx)
 	}
 	return w.push(jctx, tc, &push)
 }

@@ -32,7 +32,6 @@ import (
 
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 )
@@ -48,16 +47,12 @@ type Options struct {
 	// Journaling does not go through it: the engine writes its own lines
 	// to the journal each submission's context carries (obs.WithJournal).
 	Observer Observer
-	// Tracer, when non-nil, records the run's execution timeline: a span
-	// per job, attempt, and simulation, plus an instant per retry,
-	// exportable as Chrome trace-event JSON. nil (the default)
-	// disables tracing; the only cost left anywhere is a nil check.
-	Tracer *exectrace.Tracer
 	// ProtoSample, when positive, attaches sampled coherence-protocol
 	// telemetry to every simulation: per-scheme counters and the live
-	// invalidation histogram on the engine's registry, plus — when Tracer
-	// is also set — one trace instant per ProtoSample coherence events.
-	// 0 (the default) disables telemetry entirely.
+	// invalidation histogram on the engine's registry, plus — when the
+	// submission's context carries a journal — one proto.sample line per
+	// ProtoSample coherence events. 0 (the default) disables telemetry
+	// entirely.
 	ProtoSample int
 
 	// JobTimeout bounds each job-body attempt; 0 means no per-job
@@ -152,9 +147,8 @@ type Engine struct {
 	tier    Tier         // durable second tier; nil disables it
 	remote  Remote       // remote executor for uncached specs; nil disables it
 
-	reg    *obs.Registry     // metrics registry the counters below live on
-	obs    Observer          // nil disables the lifecycle callbacks
-	tracer *exectrace.Tracer // nil disables execution tracing
+	reg *obs.Registry // metrics registry the counters below live on
+	obs Observer      // nil disables the lifecycle callbacks
 	// protoSample is the coherence-telemetry stride; 0 disables it.
 	protoSample int
 
@@ -206,7 +200,6 @@ func New(opts Options) *Engine {
 		remote:          opts.Remote,
 		reg:             reg,
 		obs:             opts.Observer,
-		tracer:          opts.Tracer,
 		protoSample:     opts.ProtoSample,
 		jobsRun:         reg.Counter("engine.jobs.run"),
 		cacheHits:       reg.Counter("engine.cache.hits"),
@@ -569,30 +562,28 @@ func (e *Engine) runOrSkip(ctx context.Context, j *Job, failFast bool) error {
 }
 
 // skipJob marks j failed because dependency d failed, emitting the usual
-// start/finish events (and a short trace span) so traces show the skip.
+// start/finish events so the journal, and the timeline, show the skip.
 func (e *Engine) skipJob(ctx context.Context, j, d *Job) error {
 	j.met.Started = time.Now()
 	jnl := obs.JournalFrom(ctx)
 	e.jobEvent(ctx, jnl, "job.start", j)
-	_, parent := exectrace.FromContext(ctx)
-	lane := e.tracerFor(ctx).Lane()
-	span := lane.Span(parent, "job", j.ID).Arg("kind", JobKind(j.ID)).Arg("skipped", true)
 	j.err = &JobError{
 		ID:   j.ID,
 		Kind: JobKind(j.ID),
 		Key:  observedKey(j.Key),
 		Err:  fmt.Errorf("dependency %s failed: %w", d.ID, d.err),
 	}
-	span.End(j.err)
-	lane.Release()
 	j.met.Finished = time.Now()
+	ctx, _ = obs.StartSpan(ctx)
 	e.jobEvent(ctx, jnl, "job.finish", j)
 	return j.err
 }
 
 // jobEvent reports one lifecycle event of j — msg is "job.scheduled",
 // "job.start" or "job.finish" — to the Observer and as a line to jnl, the
-// journal the job's context carries. A finish also lands in the job's
+// journal the job's context carries. job.finish is the job's span line,
+// so its ctx is the one the job's span runs under; the other two are
+// events inside the enclosing span. A finish also lands in the job's
 // phase histogram. With neither sink attached nothing is rendered or
 // allocated.
 func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *Job) {
@@ -621,10 +612,13 @@ func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *
 		return
 	}
 	attrs := []any{"job", j.ID, "kind", kind, "key", key}
-	if done {
-		attrs = append(attrs, "dur_us", j.met.Duration().Microseconds(), "cache_hit", j.met.CacheHit)
+	if !done {
+		jnl.Event(msg, obs.ParentAttrs(ctx, attrs)...)
+		return
 	}
-	if attrs = obs.SpanAttrs(ctx, attrs); done && j.err != nil {
+	attrs = obs.SpanAttrs(ctx, append(attrs, "name", j.ID,
+		"dur_us", j.met.Duration().Microseconds(), "cache_hit", j.met.CacheHit))
+	if j.err != nil {
 		jnl.Error(msg, j.err, attrs...)
 		return
 	}
@@ -636,19 +630,8 @@ func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *
 func (e *Engine) reject(ctx context.Context, k Key) {
 	e.cacheRejected.Add(1)
 	if jnl := obs.JournalFrom(ctx); jnl != nil {
-		jnl.Event("cache.reject", obs.SpanAttrs(ctx, []any{"key", observedKey(k)})...)
+		jnl.Event("cache.reject", obs.ParentAttrs(ctx, []any{"key", observedKey(k)})...)
 	}
-}
-
-// tracerFor resolves the execution tracer for work running under ctx: the
-// engine's own (Options.Tracer, the CLI case) wins; otherwise the tracer
-// the context carries (the service case, where each request brings its
-// own timeline via exectrace.WithTracer); nil disables tracing.
-func (e *Engine) tracerFor(ctx context.Context) *exectrace.Tracer {
-	if e.tracer != nil {
-		return e.tracer
-	}
-	return exectrace.TracerFrom(ctx)
 }
 
 // observedKey renders a job key for observers: the short hex form, or
@@ -669,35 +652,13 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 	j.met.Started = time.Now()
 	jnl := obs.JournalFrom(ctx)
 	e.jobEvent(ctx, jnl, "job.start", j)
-	// The job's root span lives on a lane owned by this worker goroutine
-	// for the job's whole duration; the lane+span travel down through the
-	// context so attempts and simulations parent correctly. The span
-	// parents under whatever span the context already carried — for
-	// service work, the originating HTTP request's root span. With
-	// tracing off (nil tracer, no context tracer) every step here is a
-	// nil-check no-op and the context is left untouched.
-	_, parent := exectrace.FromContext(ctx)
-	lane := e.tracerFor(ctx).Lane()
-	var span *exectrace.Span
-	if lane != nil {
-		span = lane.Span(parent, "job", j.ID).Arg("kind", JobKind(j.ID))
-		if k := observedKey(j.Key); k != "" {
-			span.Arg("key", k)
-		}
-		if tc, ok := obs.TraceFrom(ctx); ok {
-			// The trace ID lands on the span and the span ID on the trace
-			// context, so the Chrome trace and the journal cross-reference.
-			span.Arg("trace", tc.Trace)
-			ctx = obs.WithTrace(ctx, tc.WithSpan(uint64(span.ID())))
-		}
-		ctx = exectrace.NewContext(ctx, lane, span.ID())
-	}
+	// The job is a span: its attempts, simulations and store traffic nest
+	// under it, and job.finish is its line. The span parents under
+	// whatever span the context already carried — for service work, the
+	// originating request's span.
+	ctx, _ = obs.StartSpan(ctx)
 	defer func() {
 		j.met.Finished = time.Now()
-		if span != nil {
-			span.Arg("cache_hit", j.met.CacheHit).End(j.err)
-			lane.Release()
-		}
 		e.jobEvent(ctx, jnl, "job.finish", j)
 	}()
 
@@ -772,14 +733,8 @@ func (e *Engine) runBody(ctx context.Context, j *Job) (any, error) {
 			return nil, je
 		}
 		e.jobRetries.Add(1)
-		if jnl := obs.JournalFrom(ctx); jnl != nil {
-			jnl.Error("job.retry", je.Err, obs.SpanAttrs(ctx, []any{"job", j.ID,
-				"attempt", attempt, "backoff_us", backoff.Microseconds()})...)
-		}
-		if lane, parent := exectrace.FromContext(ctx); lane != nil {
-			lane.Instant(parent, "engine", "retry",
-				"attempt", attempt, "backoff_us", backoff.Microseconds(), "error", je.Err.Error())
-		}
+		obs.Instant(ctx, "job.retry", je.Err, "job", j.ID,
+			"attempt", attempt, "backoff_us", backoff.Microseconds())
 		t := time.NewTimer(backoff)
 		select {
 		case <-t.C:
@@ -817,21 +772,24 @@ func (e *Engine) attempt(ctx context.Context, j *Job, attempt int) (out any, err
 		attemptCtx, cancel = context.WithTimeout(ctx, e.jobTimeout)
 		defer cancel()
 	}
-	// The attempt span is registered before the recover defer below, so it
-	// runs after it (LIFO) and records the error the recovery produced.
-	// The attempt's context carries the attempt span as the new parent,
-	// so simulation spans nest under the attempt that ran them.
-	if lane, parent := exectrace.FromContext(ctx); lane != nil {
-		sp := lane.Span(parent, "attempt", fmt.Sprintf("attempt:%d", attempt))
-		attemptCtx = exectrace.NewContext(attemptCtx, lane, sp.ID())
-		defer func() { sp.End(err) }()
+	// A traced attempt is a span, so simulations nest under the attempt
+	// that ran them. Its line is deferred before the recover below, so it
+	// is written after it (LIFO) and records the error the recovery
+	// produced.
+	var traced bool
+	if attemptCtx, traced = obs.StartSpan(attemptCtx); traced {
+		start := time.Now()
+		defer func() {
+			obs.EndSpan(attemptCtx, "job.attempt", start, err,
+				"name", fmt.Sprintf("attempt:%d", attempt), "job", j.ID, "attempt", attempt)
+		}()
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
 			e.jobPanics.Add(1)
 			if jnl := obs.JournalFrom(ctx); jnl != nil {
-				jnl.Event("job.panic", obs.SpanAttrs(ctx, []any{"job", j.ID, "stack", string(stack)})...)
+				jnl.Event("job.panic", obs.ParentAttrs(ctx, []any{"job", j.ID, "stack", string(stack)})...)
 			}
 			out, err = nil, &panicError{val: r, stack: stack}
 		}
@@ -874,23 +832,18 @@ func (e *Engine) stampFor(key string, v any) (uint64, bool) {
 // validated hit returns the result and its fingerprint (which becomes the
 // in-memory stamp, so later memory hits revalidate against the same sum).
 // A corrupt entry has already been evicted by the store; the engine counts
-// it like any other integrity rejection and recomputes. The lookup is
-// spanned on the caller's trace lane and journaled as store.load, so store
-// traffic shows up both on the request's timeline and in its journal.
+// it like any other integrity rejection and recomputes. The lookup is a
+// span, journaled as store.load, so store traffic shows up on the
+// request's timeline.
 func (e *Engine) tierLoad(ctx context.Context, k Key) (*sim.Result, uint64, bool) {
 	if e.tier == nil {
 		return nil, 0, false
 	}
-	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "load:result").Arg("key", observedKey(k))
 	start := time.Now()
 	r, ok, err := e.tier.LoadResult(k.hex())
 	hit := err == nil && ok && r != nil
-	sp.Arg("hit", hit).End(err)
-	if jnl := obs.JournalFrom(ctx); jnl != nil {
-		jnl.Event("store.load", obs.SpanAttrs(ctx, []any{"kind", "result", "key", observedKey(k),
-			"hit", hit, "dur_us", time.Since(start).Microseconds()})...)
-	}
+	sctx, _ := obs.StartSpan(ctx)
+	obs.EndSpan(sctx, "store.load", start, nil, "kind", "result", "key", observedKey(k), "hit", hit)
 	if isCorrupt(err) {
 		e.reject(ctx, k)
 	}
@@ -914,15 +867,10 @@ func (e *Engine) tierStore(ctx context.Context, k Key, r *sim.Result) {
 	if e.faults.PoisonStamp(observedKey(k)) {
 		sum = ^sum
 	}
-	lane, parent := exectrace.FromContext(ctx)
-	sp := lane.Span(parent, "store", "store:result").Arg("key", observedKey(k))
 	start := time.Now()
-	err := e.tier.StoreResult(k.hex(), r, sum)
-	sp.End(err)
-	if jnl := obs.JournalFrom(ctx); jnl != nil {
-		jnl.Event("store.store", obs.SpanAttrs(ctx, []any{"kind", "result", "key", observedKey(k),
-			"dur_us", time.Since(start).Microseconds()})...)
-	}
+	e.tier.StoreResult(k.hex(), r, sum) //nolint:errcheck // the store accounts its own write failures
+	sctx, _ := obs.StartSpan(ctx)
+	obs.EndSpan(sctx, "store.store", start, nil, "kind", "result", "key", observedKey(k))
 }
 
 // isCorrupt reports whether any error in the chain declares itself a

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/workload"
 )
 
 // benchCompare measures the full pipeline — three generations, each
 // replayed by three concurrent simulators, plus merges — on a fresh
 // engine every iteration, so caching never hides the work. observed
-// attaches the full tracing stack: a tracer, a trace context, and a
-// journal on the submitting context.
+// attaches the full tracing stack: a trace context and a journal on the
+// submitting context.
 func benchCompare(b *testing.B, observed bool) {
 	b.Helper()
 	cfgs := workload.StandardConfigs(4, 30_000)
@@ -26,7 +25,6 @@ func benchCompare(b *testing.B, observed bool) {
 		ctx := context.Background()
 		if observed {
 			tc := obs.NewTraceContext()
-			opts.Tracer = exectrace.New()
 			ctx = obs.WithJournal(obs.WithTrace(ctx, tc), obs.NewJournal(io.Discard).WithTrace(tc))
 		}
 		e := New(opts)
@@ -37,7 +35,7 @@ func benchCompare(b *testing.B, observed bool) {
 }
 
 // BenchmarkCompareNoObserver is the engine's baseline throughput with
-// no journal, tracer or observer: the only additions over an
+// no journal or observer: the only additions over an
 // uninstrumented engine are nil checks and atomic counter adds.
 func BenchmarkCompareNoObserver(b *testing.B) { benchCompare(b, false) }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 
-	exectrace "dirsim/internal/obs/trace"
+	"dirsim/internal/obs"
 	"dirsim/internal/sim"
 )
 
@@ -61,9 +61,7 @@ func (e *Engine) remoteBody(spec SimSpec) func(context.Context, []any) (any, err
 			return r, nil
 		case errors.Is(err, ErrRemoteUnavailable):
 			e.remoteDegraded.Add(1)
-			if lane, parent := exectrace.FromContext(ctx); lane != nil {
-				lane.Instant(parent, "engine", "remote.degrade", "error", err.Error())
-			}
+			obs.Instant(ctx, "remote.degrade", nil, "error", err.Error())
 			// Local work from here on: Workers bounds it like any other job.
 			defer acquireSlot(ctx)()
 			t, terr := e.Trace(ctx, spec.Trace)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/workload"
 )
@@ -232,7 +232,6 @@ func TestRemoteOffersWholeBatch(t *testing.T) {
 // simulation — must never overlap more than Workers deep.
 func TestDegradedBodiesBoundedByWorkers(t *testing.T) {
 	const workers = 2
-	ctx := context.Background()
 	var specs []SimSpec
 	for _, cfg := range workload.StandardConfigs(4, 20_000) {
 		for _, scheme := range []string{"Dir0B", "Dir1NB"} {
@@ -243,29 +242,30 @@ func TestDegradedBodiesBoundedByWorkers(t *testing.T) {
 		then: func(context.Context, SimSpec) (*sim.Result, error) {
 			return nil, fmt.Errorf("fleet drained: %w", ErrRemoteUnavailable)
 		}}
-	tracer := exectrace.New()
-	e := New(Options{Remote: rem, Tracer: tracer, Store: openTier(t, t.TempDir())})
-	if _, err := e.Results(ctx, Parallel{Workers: workers}, specs); err != nil {
+	var journal bytes.Buffer
+	e := New(Options{Remote: rem, Store: openTier(t, t.TempDir())})
+	if _, err := e.Results(journaled(&journal, "degraded"), Parallel{Workers: workers}, specs); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.RemoteDegraded != int64(len(specs)) || st.SimsRun != int64(len(specs)) {
 		t.Fatalf("RemoteDegraded=%d SimsRun=%d, want %d local computations", st.RemoteDegraded, st.SimsRun, len(specs))
 	}
 
-	// One interval per degraded body: its spans share the attempt span as
-	// parent.
-	type interval struct{ start, end int64 }
-	bodies := make(map[uint64]*interval)
-	for _, ev := range tracer.Events() {
-		if ev.Ph != 'X' || (ev.Cat != "sim" && ev.Name != "load:trace" && ev.Name != "store:trace") {
+	// One interval per degraded body: its simulation span, whose parent
+	// is the body's attempt span.
+	type interval struct{ start, end float64 }
+	bodies := make(map[float64]*interval)
+	for _, ev := range renderTrace(t, journal.Bytes()).TraceEvents {
+		if ev.Ph != "X" || ev.Cat != "sim" {
 			continue
 		}
-		b := bodies[ev.Parent]
+		parent, _ := ev.Args["parent"].(float64)
+		b := bodies[parent]
 		if b == nil {
-			b = &interval{start: ev.TS, end: ev.TS + ev.Dur}
-			bodies[ev.Parent] = b
+			b = &interval{start: *ev.TS, end: *ev.TS + *ev.Dur}
+			bodies[parent] = b
 		}
-		b.start, b.end = min(b.start, ev.TS), max(b.end, ev.TS+ev.Dur)
+		b.start, b.end = min(b.start, *ev.TS), max(b.end, *ev.TS+*ev.Dur)
 	}
 	if len(bodies) != len(specs) {
 		t.Fatalf("found %d local bodies in the trace, want %d", len(bodies), len(specs))

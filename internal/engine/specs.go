@@ -3,10 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"dirsim/internal/core"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
@@ -374,15 +374,18 @@ func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, e
 // holds is reported as a truncation error instead of returning the
 // silently partial result.
 func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (res *sim.Result, err error) {
-	lane, parent := exectrace.FromContext(ctx)
-	var sp *exectrace.Span
-	if lane != nil {
-		sp = lane.Span(parent, "sim", fmt.Sprintf("simulate:%s@%s", spec.Scheme, spec.Trace.Name))
+	// A traced simulation is a span, journaled as sim.run; sampled
+	// protocol events nest under it.
+	var traced bool
+	if ctx, traced = obs.StartSpan(ctx); traced {
+		start := time.Now()
 		defer func() {
+			var refs int64
 			if res != nil {
-				sp.Arg("refs", res.Counts.Total)
+				refs = res.Counts.Total
 			}
-			sp.End(err)
+			obs.EndSpan(ctx, "sim.run", start, err,
+				"name", fmt.Sprintf("simulate:%s@%s", spec.Scheme, spec.Trace.Name), "refs", refs)
 		}()
 	}
 	p, err := core.NewByName(spec.Scheme, spec.Trace.CPUs)
@@ -401,11 +404,10 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 	}
 	opts := sim.Options{Check: spec.Check}
 	if e.protoSample > 0 {
-		// The sampler is per-simulation (its instants land on this
-		// goroutine's lane, under the simulate span) but its instruments
-		// are per-scheme on the engine's registry, so concurrent runs
-		// accumulate into one family.
-		opts.Telemetry = obs.NewProtoSampler(e.reg, spec.Scheme, e.protoSample, lane, sp.ID())
+		// The sampler is per-simulation (its instants nest under the
+		// simulation's span) but its instruments are per-scheme on the
+		// engine's registry, so concurrent runs accumulate into one family.
+		opts.Telemetry = obs.NewProtoSampler(ctx, e.reg, spec.Scheme, e.protoSample)
 	}
 	r, err := sim.Simulate(p, cancellable(ctx, src), opts)
 	if err != nil {

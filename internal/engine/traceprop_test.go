@@ -5,13 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strconv"
 	"testing"
 	"time"
 
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/store"
 	"dirsim/internal/workload"
 )
@@ -78,14 +76,13 @@ func requireTrace(t *testing.T, lines []map[string]any, msg, trace string) {
 func tracePropConfigs() []workload.Config { return workload.StandardConfigs(2, 5_000) }
 
 // TestTracePropagationThroughJobsAndCache: every engine line of a traced
-// submission lands in that submission's journal with its trace, and its
-// span is the job span of the exported execution trace. A second,
+// submission lands in that submission's journal with its trace, and each
+// job.finish is its job's span on the rendered timeline. A second,
 // differently traced submission of identical work is all cache hits, and
 // its lines land in ITS journal, not the first one's (the hit belongs to
 // whoever asked).
 func TestTracePropagationThroughJobsAndCache(t *testing.T) {
-	tr := exectrace.New()
-	e := New(Options{Tracer: tr})
+	e := New(Options{})
 	cfgs := tracePropConfigs()
 
 	var b1 bytes.Buffer
@@ -96,15 +93,15 @@ func TestTracePropagationThroughJobsAndCache(t *testing.T) {
 	for _, msg := range []string{"job.scheduled", "job.start", "job.finish"} {
 		requireTrace(t, lines, msg, "run-1")
 	}
-	jobSpans := map[string]bool{}
-	for _, ev := range tr.Events() {
-		if ev.Cat == "job" {
-			jobSpans[ev.Name+"/"+strconv.FormatUint(ev.ID, 16)] = true
+	jobSpans := map[string]int{}
+	for _, ev := range renderTrace(t, b1.Bytes()).TraceEvents {
+		if _, job := ev.Args["kind"]; ev.Ph == "X" && job {
+			jobSpans[ev.Name]++
 		}
 	}
 	for _, l := range withMsg(lines, "job.finish") {
-		if span, _ := l["span"].(string); !jobSpans[l["job"].(string)+"/"+span] {
-			t.Errorf("job.finish span %v is not %v's span in the exported trace", l["span"], l["job"])
+		if _, ok := l["span"].(string); !ok || jobSpans[l["job"].(string)] == 0 {
+			t.Errorf("job.finish %v is not a span of the rendered trace", l["job"])
 		}
 	}
 
@@ -202,10 +199,9 @@ func TestTracePropagationThroughRetries(t *testing.T) {
 }
 
 // TestUntracedSubmissionStaysUntraced: without a TraceContext the lines
-// carry no trace, span or remote parent, even with a tracer attached (no
-// fabricated IDs).
+// carry no trace, span or remote parent (no fabricated IDs).
 func TestUntracedSubmissionStaysUntraced(t *testing.T) {
-	e := New(Options{Tracer: exectrace.New()})
+	e := New(Options{})
 	var buf bytes.Buffer
 	if _, _, err := e.SchemeOverTraces(journaled(&buf, ""), Sequential{}, "Dir0B", tracePropConfigs(), false); err != nil {
 		t.Fatal(err)
@@ -226,7 +222,7 @@ func TestUntracedSubmissionStaysUntraced(t *testing.T) {
 // TestRemoteParentJournaled: work running under a remote parent (a fleet
 // worker's job) journals it as pspan beside its own span.
 func TestRemoteParentJournaled(t *testing.T) {
-	e := New(Options{Tracer: exectrace.New()})
+	e := New(Options{})
 	var buf bytes.Buffer
 	tc := obs.TraceContext{Trace: "fleet", Parent: 0xbeef}
 	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(&buf).WithTrace(tc))

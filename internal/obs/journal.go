@@ -30,17 +30,25 @@ import (
 //	job.panic                   one per recovered job-body panic (stack)
 //	cache.reject                one per cached entry failing integrity
 //	                            revalidation (key)
+//	job.attempt                 one per job-body attempt (attempt)
+//	sim.run                     one per simulation (refs)
 //	store.load                  one per durable-store result lookup
 //	                            (kind, key, hit, dur_us)
 //	store.store                 one per durable-store write-through
 //	                            (kind, key, dur_us)
+//	remote.degrade              one per remote dispatch run locally
+//	proto.sample                every Nth coherence event of a
+//	                            simulation with protocol sampling on
 //	simulate.finish             one per dirsim scheme run
 //	error                       terminal failure summary
 //
-// The engine writes the job.*, cache.* and store.* lines itself, to the
-// journal its caller's context carries (WithJournal). The journal
-// supplies "trace" (WithTrace); the engine adds only "span" and "pspan"
-// (SpanAttrs).
+// The engine writes the job.*, cache.*, sim.*, store.*, remote.* and
+// proto.* lines itself, to the journal its caller's context carries
+// (WithJournal). The journal supplies "trace" (WithTrace); the engine
+// adds only the span attributes (span.go). job.finish, job.attempt,
+// sim.run and store.* are span lines; job.retry, remote.degrade and
+// proto.sample are instants; "name", where present, is the span's name
+// on the rendered timeline.
 type Journal struct {
 	log    *slog.Logger
 	w      *lockedWriter
@@ -66,7 +74,7 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 // manifest carries it as "schema", so downstream parsers can detect
 // format changes instead of guessing. Bump it whenever either format
 // changes incompatibly (see DESIGN.md for the version history).
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // NewJournal writes events to w. Writes are serialized (one whole line
 // per Write), so one journal can be shared by every goroutine of a run.
@@ -80,18 +88,27 @@ func NewJournal(w io.Writer) *Journal {
 }
 
 // OpenJournal opens a JSONL journal at path; "-" and "stderr" select
-// standard error. File journals are truncated, not appended: one file
-// describes one run.
-func OpenJournal(path string) (*Journal, error) {
-	if path == "-" || path == "stderr" {
-		return NewJournal(os.Stderr), nil
+// standard error, and "" no file at all. File journals are truncated,
+// not appended: one file describes one run. Every line also goes to
+// each tee writer — the CLIs keep a run's journal in memory that way
+// to render its -trace export from.
+func OpenJournal(path string, tee ...io.Writer) (*Journal, error) {
+	var f *os.File
+	switch path {
+	case "":
+	case "-", "stderr":
+		tee = append(tee, os.Stderr)
+	default:
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return nil, fmt.Errorf("obs: journal: %w", err)
+		}
+		tee = append(tee, f)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: journal: %w", err)
+	j := NewJournal(io.MultiWriter(tee...))
+	if f != nil {
+		j.closer = f
 	}
-	j := NewJournal(f)
-	j.closer = f
 	return j, nil
 }
 
@@ -131,8 +148,7 @@ func RotationMarker(path string) func(total int64, w io.Writer) {
 // newline) into the journal — the coordinator's path for journal lines
 // shipped home by workers, which are already slog-encoded and must not
 // be re-enveloped. The line is written atomically with respect to local
-// events. No-op on a nil journal, a journal over a borrowed logger (a
-// WithTrace derivative shares its parent's writer), or an empty line.
+// events. No-op on a nil journal or an empty line.
 func (j *Journal) Raw(line []byte) {
 	if j == nil || j.w == nil {
 		return
@@ -151,13 +167,24 @@ func (j *Journal) Raw(line []byte) {
 // identity as a "trace" attribute, so consumers (SSE subscribers,
 // dirsimq) can attribute lines to the request that caused them without
 // every emission site threading it. The derived journal shares the
-// parent's writer; Close remains the parent's job. An invalid context
+// parent's writer (Raw splices into it too); Close remains the parent's
+// job. An invalid context
 // (or nil journal) returns the journal unchanged.
 func (j *Journal) WithTrace(tc TraceContext) *Journal {
 	if j == nil || !tc.Valid() {
 		return j
 	}
-	return &Journal{log: j.log.With(slog.String("trace", tc.Trace))}
+	return j.With("trace", tc.Trace)
+}
+
+// With returns a journal whose every line carries attrs (slog's
+// alternating key/value convention), sharing the receiver's writer like
+// WithTrace. No-op on a nil journal.
+func (j *Journal) With(attrs ...any) *Journal {
+	if j == nil {
+		return nil
+	}
+	return &Journal{log: j.log.With(attrs...), w: j.w}
 }
 
 // journalKey carries a *Journal through a context.Context.

@@ -1,10 +1,10 @@
 package obs
 
 import (
+	"context"
 	"strings"
 
 	"dirsim/internal/event"
-	exectrace "dirsim/internal/obs/trace"
 )
 
 // InvalBuckets are the histogram bounds for invalidation-count
@@ -16,20 +16,18 @@ var InvalBuckets = []int64{0, 1, 2, 4, 8, 16, 32}
 // simulation when protocol sampling is on: every coherence-relevant
 // event updates per-scheme counters and the live invalidation histogram
 // (the Figure 1 distribution forming in real time on /runz and
-// /metrics), and every Nth such event additionally lands as an instant
-// on the simulation's trace lane, so Perfetto shows where in the run
-// coherence activity clusters.
+// /metrics), and every Nth such event additionally lands as a
+// proto.sample instant in the simulation's journal, under its span, so
+// Perfetto shows where in the run coherence activity clusters.
 //
-// A sampler belongs to one simulation goroutine — the lane discipline
-// and the unsynchronized stride counter both require it — but the
-// metric instruments it updates are shared per scheme across the whole
-// registry, so concurrent simulations of one scheme accumulate into one
-// family.
+// A sampler belongs to one simulation goroutine — its unsynchronized
+// stride counter requires it — but the metric instruments it updates
+// are shared per scheme across the whole registry, so concurrent
+// simulations of one scheme accumulate into one family.
 type ProtoSampler struct {
-	every  int64
-	n      int64
-	lane   *exectrace.Lane
-	parent exectrace.SpanID
+	every int64
+	n     int64
+	ctx   context.Context // the traced, journaled simulation's; nil records metrics only
 
 	cleanWrites  *Counter
 	broadcasts   *Counter
@@ -38,17 +36,20 @@ type ProtoSampler struct {
 }
 
 // NewProtoSampler builds a sampler for one simulation of scheme,
-// recording an instant every stride coherence events (stride < 1 is
-// clamped to 1) onto lane under parent; a nil lane records metrics only.
-func NewProtoSampler(reg *Registry, scheme string, stride int, lane *exectrace.Lane, parent exectrace.SpanID) *ProtoSampler {
+// journaling an instant every stride coherence events (stride < 1 is
+// clamped to 1) under the span ctx carries; without a journal and a
+// trace context on ctx it records metrics only.
+func NewProtoSampler(ctx context.Context, reg *Registry, scheme string, stride int) *ProtoSampler {
 	if stride < 1 {
 		stride = 1
 	}
 	base := "sim.proto." + strings.ToLower(scheme)
+	if _, traced := TraceFrom(ctx); !traced || JournalFrom(ctx) == nil {
+		ctx = nil
+	}
 	return &ProtoSampler{
 		every:        int64(stride),
-		lane:         lane,
-		parent:       parent,
+		ctx:          ctx,
 		cleanWrites:  reg.Counter(base + ".clean_writes"),
 		broadcasts:   reg.Counter(base + ".broadcasts"),
 		forcedInvals: reg.Counter(base + ".forced_invals"),
@@ -71,8 +72,8 @@ func (p *ProtoSampler) Coherence(out event.Result) {
 		p.forcedInvals.Add(int64(out.ForcedInval))
 	}
 	p.n++
-	if p.lane != nil && p.n%p.every == 0 {
-		p.lane.Instant(p.parent, "proto", out.Type.String(),
+	if p.ctx != nil && p.n%p.every == 0 {
+		Instant(p.ctx, "proto.sample", nil, "name", out.Type.String(),
 			"holders", out.Holders, "inval", out.Inval,
 			"broadcast", out.Broadcast, "forced_inval", out.ForcedInval)
 	}

@@ -19,18 +19,13 @@ import (
 //
 // Trace is the stable request/run identifier (16 lowercase hex digits
 // when generated here; inbound headers may carry any reasonable token).
-// Span, when non-zero, is the execution-trace span currently enclosing
-// the work (an exectrace span ID), letting journal events correlate with
-// the exported Chrome trace.
+// Span, when non-zero, is the span enclosing the work: a random ID
+// (NewSpanID) that its journal line carries as "span" (span.go).
 //
-// Parent, when non-zero, is a *remote* parent: the span ID, in the
-// originating process's tracer, under which this process's work should
-// nest. It crosses process boundaries in the X-Dirsim-Trace header (the
-// coordinator pre-allocates its dispatch span ID and sends it with the
-// lease), so a worker's engine spans — shipped home with the result —
-// re-parent under the coordinator's dispatch span and the merged Chrome
-// trace is a single tree. Span IDs are tracer-local; Parent is only
-// meaningful to the process that minted it.
+// Parent, when non-zero, is the span Span nests under, or, while Span is
+// zero, the one the first span opened here will: a coordinator sends a
+// lease's span as Parent in X-Dirsim-Trace, and the worker's job spans
+// journal it as their "pspan".
 type TraceContext struct {
 	Trace  string
 	Span   uint64
@@ -74,6 +69,23 @@ func (tc TraceContext) WithSpan(span uint64) TraceContext {
 func (tc TraceContext) WithParent(parent uint64) TraceContext {
 	tc.Parent = parent
 	return tc
+}
+
+// Child returns the context of a new span nested in this one. An
+// invalid context returns itself: untraced work mints no IDs.
+func (tc TraceContext) Child() TraceContext {
+	if !tc.Valid() {
+		return tc
+	}
+	return TraceContext{Trace: tc.Trace, Span: NewSpanID(), Parent: tc.enclosing()}
+}
+
+// enclosing is the span new work here nests under.
+func (tc TraceContext) enclosing() uint64 {
+	if tc.Span != 0 {
+		return tc.Span
+	}
+	return tc.Parent
 }
 
 // String encodes the context in the journal/Fanout/header-friendly text
@@ -175,24 +187,36 @@ func TraceFrom(ctx context.Context) (TraceContext, bool) {
 	return tc, ok
 }
 
-// SpanAttrs appends the enclosing span of the ctx's trace context, and
-// its remote parent, to a journal attribute list as "span" and "pspan"
-// (lowercase hex). The trace ID itself is the journal's to supply
-// (Journal.WithTrace), so no line carries it twice; untraced contexts
-// leave attrs unchanged.
+// SpanAttrs appends the span on ctx and its parent as "span" and "pspan"
+// (lowercase hex), the attributes of the span's own line. The trace ID
+// is the journal's to supply (Journal.WithTrace), so no line carries it
+// twice; untraced contexts leave attrs unchanged.
 func SpanAttrs(ctx context.Context, attrs []any) []any {
 	tc, ok := TraceFrom(ctx)
 	if !ok {
 		return attrs
 	}
+	return tc.Attrs(attrs)
+}
+
+// Attrs appends the context's Span and Parent to a journal attribute
+// list as "span" and "pspan": the attributes of the span's own line.
+func (tc TraceContext) Attrs(attrs []any) []any {
 	if tc.Span != 0 {
 		attrs = append(attrs, "span", strconv.FormatUint(tc.Span, 16))
 	}
 	if tc.Parent != 0 {
-		// The remote parent: the upstream process's span this work nests
-		// under. dirsimq timeline uses it to stitch worker journal lines
-		// to their coordinator dispatch spans.
 		attrs = append(attrs, "pspan", strconv.FormatUint(tc.Parent, 16))
 	}
 	return attrs
+}
+
+// ParentAttrs appends the span enclosing ctx's work as "pspan", the
+// attribute of an event line inside a span (job.start, cache.reject).
+func ParentAttrs(ctx context.Context, attrs []any) []any {
+	tc, ok := TraceFrom(ctx)
+	if !ok {
+		return attrs
+	}
+	return TraceContext{Parent: tc.enclosing()}.Attrs(attrs)
 }

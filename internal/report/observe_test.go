@@ -25,8 +25,8 @@ func TestRunExperimentObserved(t *testing.T) {
 		t.Fatalf("RunExperiment = %q, %v", out, err)
 	}
 	log := buf.String()
-	if !strings.Contains(log, `"msg":"experiment.start","schema":2,"name":"fake"`) ||
-		!strings.Contains(log, `"msg":"experiment.finish","schema":2,"name":"fake","dur_us":`) {
+	if !strings.Contains(log, `"msg":"experiment.start","schema":3,"name":"fake"`) ||
+		!strings.Contains(log, `"msg":"experiment.finish","schema":3,"name":"fake","dur_us":`) {
 		t.Errorf("experiment events missing or without the experiment ID:\n%s", log)
 	}
 

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 
+	"dirsim/internal/obs"
 	"dirsim/internal/obs/httpmon"
 	"dirsim/internal/sim"
 	"dirsim/internal/store"
@@ -121,15 +124,23 @@ func (s *Service) status(exp *Experiment, includeResults bool) ExperimentStatus 
 	return st
 }
 
+// decodeSpec reads a submitted spec: at most 1 MiB of body, and no field
+// the Spec does not know.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get(TenantHeader)
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return
 	}
@@ -241,12 +252,13 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace exports the experiment's execution trace as Chrome
-// trace-event JSON (load it in Perfetto or chrome://tracing): the
-// request root span, its admission wait, and every engine job,
-// simulation, and store tier access the experiment caused. The export
-// locks the tracer's lanes, so it is only served once the experiment has
-// reached a terminal state.
+// handleTrace renders the experiment's journal as Chrome trace-event
+// JSON (load it in Perfetto or chrome://tracing): the request span, its
+// admission wait, and every engine job, attempt, simulation and store
+// access the experiment caused — in a fleet, the coordinator's queue and
+// lease spans too, with the spans of workers that ship their journals
+// nested under them. The journal is whole once the experiment has
+// reached a terminal state, so only then is it served.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))
 	if !ok {
@@ -261,9 +273,14 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "experiment %s is %s; trace is available once it finishes", exp.ID, state)
 		return
 	}
+	lines, _, err := obs.ReadJournal(bytes.NewReader(exp.record.bytes()))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "experiment %s: journal: %v", exp.ID, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="`+exp.ID+`.trace.json"`)
-	if err := exp.tracer.WriteJSON(w); err != nil {
+	if _, err := obs.WriteChrome(w, lines); err != nil {
 		s.log.Warn("trace.export", "id", exp.ID, "error", err)
 	}
 }

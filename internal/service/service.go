@@ -9,9 +9,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -20,7 +22,6 @@ import (
 	"dirsim/internal/engine"
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/store"
 )
@@ -95,17 +96,36 @@ type Experiment struct {
 	prints []string
 
 	// fanout carries the experiment's journal lines to SSE subscribers;
-	// journal writes into it. Both are safe for concurrent use.
+	// journal writes into it and into record, the whole journal kept for
+	// GET /api/v1/experiments/{id}/trace to render once the experiment
+	// finishes. All three are safe for concurrent use.
 	fanout  *obs.Fanout
 	journal *obs.Journal
+	record  record
 
 	// tc is the trace identity of the request that created the
-	// experiment; every journal line carries it and the execution trace
-	// parents under it. tracer records the experiment's own timeline
-	// (admission wait, engine jobs, store traffic), exported by
-	// GET /api/v1/experiments/{id}/trace once the experiment finishes.
-	tc     obs.TraceContext
-	tracer *exectrace.Tracer
+	// experiment: every journal line carries it, and the experiment's
+	// request span nests under its span.
+	tc obs.TraceContext
+}
+
+// record is a byte buffer safe for concurrent use.
+type record struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (r *record) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.buf.Write(p)
+}
+
+// bytes returns a copy of everything written so far.
+func (r *record) bytes() []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return bytes.Clone(r.buf.Bytes())
 }
 
 // Trace returns the experiment's originating trace ID.
@@ -223,8 +243,8 @@ func (s *Service) Start() {
 // it was newly created (false means an identical sweep already exists —
 // the caller is not charged quota and shares its lifecycle). The
 // context's trace identity (obs.WithTrace — the HTTP middleware injects
-// it) becomes the experiment's: every journal line and execution-trace
-// span it ever produces carries that trace ID. A context without one
+// it) becomes the experiment's: every journal line it ever produces,
+// spans included, carries that trace ID. A context without one
 // gets a fresh ID. Admission failures return ErrQuota, ErrSaturated or
 // ErrDraining, or a validation error for malformed specs.
 func (s *Service) Submit(ctx context.Context, tenant string, spec Spec) (*Experiment, bool, error) {
@@ -265,10 +285,9 @@ func (s *Service) Submit(ctx context.Context, tenant string, spec Spec) (*Experi
 		specs:     specs,
 		meta:      meta,
 		fanout:    fan,
-		journal:   obs.NewJournal(fan).WithTrace(tc),
 		tc:        tc,
-		tracer:    exectrace.New(),
 	}
+	exp.journal = obs.NewJournal(io.MultiWriter(fan, &exp.record)).WithTrace(tc)
 	s.exps[id] = exp
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -321,30 +340,19 @@ func (s *Service) run(exp *Experiment) {
 	defer s.running.Add(-1)
 	s.admWait.ObserveDuration(wait)
 
-	// The request's root span is retro-dated to submission time, so the
-	// exported trace shows the whole request lifetime; the admission wait
-	// is its first child. Everything the engine does for this experiment
-	// parents under the root span: the engine pulls lanes from the
-	// context's tracer and the context's span as each job's parent.
-	lane := exp.tracer.Lane()
-	req := lane.SpanAt(0, "request", "experiment:"+exp.ID, exp.Submitted).
-		Arg("trace", exp.tc.Trace).Arg("tenant", exp.Tenant).Arg("specs", len(specs))
-	adm := lane.SpanAt(req.ID(), "admission", "wait:"+s.adm.Discipline(), exp.Submitted)
-	adm.Arg("wait_us", wait.Microseconds()).End(nil)
-
-	exp.journal.Event("admission.done", "id", exp.ID,
-		"wait_us", wait.Microseconds(), "discipline", s.adm.Discipline())
+	// The request is a span from submission to finish, journaled as
+	// experiment.finish; admission.done is the admission wait's span, its
+	// first child. Everything the engine does for this experiment nests
+	// under the request span: the shared engine writes exactly the jobs
+	// it runs for this experiment into the journal the run context
+	// carries, and SSE subscribers see job-level progress.
+	req := exp.tc.Child()
+	exp.journal.Event("admission.done", req.Child().Attrs([]any{"id", exp.ID,
+		"name", "wait:" + s.adm.Discipline(), "wait_us", wait.Microseconds(),
+		"discipline", s.adm.Discipline(), "dur_us", wait.Microseconds()})...)
 	exp.journal.Event("experiment.start", "id", exp.ID, "specs", len(specs))
-	// The experiment's journal rides the run context, so the shared
-	// engine writes exactly the jobs it runs for this experiment into it
-	// and SSE subscribers see job-level progress.
-	ctx := obs.WithTrace(s.runCtx, exp.tc.WithSpan(uint64(req.ID())))
-	ctx = obs.WithJournal(ctx, exp.journal)
-	ctx = exectrace.WithTracer(ctx, exp.tracer)
-	ctx = exectrace.NewContext(ctx, nil, req.ID())
+	ctx := obs.WithJournal(obs.WithTrace(s.runCtx, req), exp.journal)
 	results, err := s.eng.Results(ctx, engine.Parallel{Workers: s.cfg.SimWorkers}, specs)
-	req.End(err)
-	lane.Release()
 
 	prints := make([]string, len(results))
 	for i, r := range results {
@@ -352,21 +360,16 @@ func (s *Service) run(exp *Experiment) {
 			prints[i] = fmt.Sprintf("%016x", r.Fingerprint())
 		}
 	}
-	s.mu.Lock()
-	exp.Finished = time.Now()
-	exp.results, exp.prints = results, prints
-	if err != nil {
-		exp.State = StateFailed
-		exp.Err = err.Error()
-	} else {
-		exp.State = StateDone
-	}
-	dur := exp.Finished.Sub(exp.Started)
-	s.mu.Unlock()
-
+	// The experiment's record is whole before its state says it is
+	// finished: /trace renders it from then on.
+	finished := time.Now()
+	dur := finished.Sub(exp.Started)
+	spanAttrs := req.Attrs([]any{"id", exp.ID, "name", "experiment:" + exp.ID,
+		"tenant", exp.Tenant, "specs", len(specs), "run_us", dur.Microseconds(),
+		"dur_us", finished.Sub(exp.Submitted).Microseconds()})
 	if err != nil {
 		s.failed.Add(1)
-		exp.journal.Error("experiment.finish", err, "id", exp.ID, "dur_us", dur.Microseconds())
+		exp.journal.Error("experiment.finish", err, spanAttrs...)
 		s.log.Error("experiment failed", "id", exp.ID, "tenant", exp.Tenant, "error", err)
 	} else {
 		s.completed.Add(1)
@@ -375,10 +378,20 @@ func (s *Service) run(exp *Experiment) {
 				"id", exp.ID, "scheme", meta[i].Scheme, "workload", meta[i].Workload,
 				"cpus", meta[i].CPUs, "key", meta[i].Key, "fingerprint", prints[i])
 		}
-		exp.journal.Event("experiment.finish", "id", exp.ID, "dur_us", dur.Microseconds())
+		exp.journal.Event("experiment.finish", spanAttrs...)
 		s.log.Info("experiment done", "id", exp.ID, "tenant", exp.Tenant,
 			"specs", len(specs), "dur", dur)
 	}
+	s.mu.Lock()
+	exp.Finished = finished
+	exp.results, exp.prints = results, prints
+	if err != nil {
+		exp.State = StateFailed
+		exp.Err = err.Error()
+	} else {
+		exp.State = StateDone
+	}
+	s.mu.Unlock()
 	exp.fanout.Close()
 }
 
@@ -398,14 +411,11 @@ func (s *Service) Drain(ctx context.Context) error {
 		t.exp.Err = ErrDraining.Error()
 		t.exp.Finished = time.Now()
 		s.mu.Unlock()
-		// Even an aborted experiment gets a (queue-wait-only) request
+		// Even an aborted experiment's request is a (queue-wait-only)
 		// span, so its exported trace explains where the time went.
-		lane := t.exp.tracer.Lane()
-		lane.SpanAt(0, "request", "experiment:"+t.exp.ID, t.exp.Submitted).
-			Arg("trace", t.exp.tc.Trace).Arg("tenant", t.exp.Tenant).
-			Arg("aborted", true).End(ErrDraining)
-		lane.Release()
-		t.exp.journal.Event("experiment.aborted", "id", t.exp.ID, "reason", "drain")
+		t.exp.journal.Event("experiment.aborted", t.exp.tc.Child().Attrs([]any{"id", t.exp.ID,
+			"name", "experiment:" + t.exp.ID, "tenant", t.exp.Tenant, "reason", "drain",
+			"dur_us", t.exp.Finished.Sub(t.exp.Submitted).Microseconds()})...)
 		t.exp.fanout.Close()
 		s.adm.Done(t.exp.Tenant)
 	}

@@ -146,7 +146,7 @@ func TestTraceEndpointExportsHierarchy(t *testing.T) {
 	cats := map[string]int{}
 	for _, ev := range export.TraceEvents {
 		cats[ev.Cat]++
-		if ev.Cat == "request" && ev.Name == "experiment:"+sub.ID {
+		if ev.Cat == "experiment" && ev.Name == "experiment:"+sub.ID {
 			requestID = ev.ID
 			if ev.Args["trace"] != "trace-e2e" || ev.Args["tenant"] != "team-a" {
 				t.Errorf("request span args wrong: %v", ev.Args)

@@ -10,6 +10,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"dirsim/internal/obs"
@@ -31,6 +32,6 @@ func BenchmarkHotpathTelemetryOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runLoop(b, "Dir1NB", traces,
-			Options{Telemetry: obs.NewProtoSampler(reg, "Dir1NB", 64, nil, 0)})
+			Options{Telemetry: obs.NewProtoSampler(context.Background(), reg, "Dir1NB", 64)})
 	}
 }

@@ -11,9 +11,9 @@
 //     ProtoSampler attached — the per-reference cost of protocol
 //     telemetry.
 //   - engine-notrace / engine-traced: an uncached engine run with no
-//     journal and no tracer against the same run with the full tracing
-//     stack this repo ships — an execution tracer, and a TraceContext
-//     plus a journal tagged with it on the submitting context — the
+//     journal against the same run with the full tracing stack this repo
+//     ships — a TraceContext plus a journal tagged with it on the
+//     submitting context, which is every span's one record — the
 //     per-request cost of end-to-end tracing.
 //   - engine-shipped: the engine-traced run with its journal teed
 //     through a long-lived JournalShipper posting to a local HTTP sink
@@ -43,7 +43,6 @@ import (
 	"dirsim/internal/dist"
 	"dirsim/internal/engine"
 	"dirsim/internal/obs"
-	exectrace "dirsim/internal/obs/trace"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
@@ -77,13 +76,13 @@ func simLoop(tb testing.TB, scheme string, traces []*trace.Trace, opts sim.Optio
 	}
 }
 
-// tracedRun is one uncached engine run under the full tracing stack: an
-// execution tracer, and a trace context plus a journal into w tagged
-// with it on the submitting context — what every binary attaches.
+// tracedRun is one uncached engine run under the full tracing stack: a
+// trace context plus a journal into w tagged with it on the submitting
+// context — what every binary attaches, and all a span needs.
 func tracedRun(tb testing.TB, w io.Writer, scheme string, cfgs []workload.Config) {
 	tc := obs.NewTraceContext()
 	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(w).WithTrace(tc))
-	e := engine.New(engine.Options{Tracer: exectrace.New()})
+	e := engine.New(engine.Options{})
 	if _, _, err := e.SchemeOverTraces(ctx, engine.Sequential{}, scheme, cfgs, false); err != nil {
 		tb.Fatal(err)
 	}
@@ -140,9 +139,9 @@ func TestWriteObsBenchJSON(t *testing.T) {
 			"single-goroutine batched Simulate loop without and with a ProtoSampler at " +
 			"stride 64 (results bit-identical either way, TestTracedRunMatchesUntraced). " +
 			"engine-notrace/traced is a fresh uncached engine per iteration (generation " +
-			"included) without observation against the full stack: execution tracer, " +
-			"and a TraceContext plus a journal to a discarded writer on the " +
-			"submitting context. The engine pair is this file's acceptance number: " +
+			"included) without observation against the full stack: a TraceContext " +
+			"plus a journal to a discarded writer on the submitting context, the " +
+			"one record of every span. The engine pair is this file's acceptance number: " +
 			"per-job tracing must stay within a few percent. engine-shipped adds a " +
 			"JournalShipper teed into the traced run's journal, posting batches to a " +
 			"local HTTP sink (the dirsimw -ship-journal path); its overhead_pct_vs_off " +
@@ -181,7 +180,7 @@ func TestWriteObsBenchJSON(t *testing.T) {
 			}
 		}},
 		{"telemetry-on", stride, "telemetry-off", func(b *testing.B) {
-			opts := sim.Options{Telemetry: obs.NewProtoSampler(reg, scheme, stride, nil, 0)}
+			opts := sim.Options{Telemetry: obs.NewProtoSampler(context.Background(), reg, scheme, stride)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				simLoop(b, scheme, traces, opts)
