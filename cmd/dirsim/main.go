@@ -25,7 +25,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -106,7 +105,7 @@ func runConformance(schemes string) error {
 
 func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nospins, check bool, csvOut, journal, traceJS string, protoN int) error {
 	var jnl *obs.Journal
-	var record bytes.Buffer
+	var record obs.Record
 	if journal != "" || traceJS != "" {
 		var tee []io.Writer
 		if traceJS != "" {

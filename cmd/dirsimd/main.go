@@ -255,7 +255,7 @@ func run(cfg config) error {
 
 // writeManifest records the server's lifetime in the same run-manifest
 // format cmd/experiments emits: every registry counter (engine, service
-// admission/tenant, HTTP RED, fanout), the engine cache hit ratio, and
+// admission/tenant, HTTP RED), the engine cache hit ratio, and
 // the durable store's final population and traffic.
 func writeManifest(cfg config, addr string, start time.Time, reg *obs.Registry, st *store.Store) error {
 	snap := reg.Snapshot()

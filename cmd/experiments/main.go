@@ -28,10 +28,11 @@
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing; without
 // -journal the journal is kept in memory for it.
 // -listen starts a live HTTP monitor serving /metrics
-// (Prometheus text exposition), /runz (JSON run progress), and
-// /debug/pprof/*. Either flag auto-enables sampled coherence-protocol
-// telemetry; -protosample tunes its stride (every Nth coherence event
-// lands as a trace instant) or forces it on without the other flags.
+// (Prometheus text exposition), /runz (JSON run progress, computed from
+// the run's journal, which it keeps in memory), and /debug/pprof/*.
+// Either flag auto-enables sampled coherence-protocol telemetry;
+// -protosample tunes its stride (every Nth coherence event lands as a
+// trace instant) or forces it on without the other flags.
 //
 // -store points at a durable content-addressed result store directory
 // (shared with dirsimd and other runs): simulations already stored are
@@ -44,7 +45,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -180,14 +180,15 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	// Every run gets a trace identity: the journal is tagged with it and
 	// the engine submissions carry it in their context, so dirsimq can
 	// follow this run's causal chain (and distinguish interleaved runs
-	// appending to a shared journal file). The -trace export is rendered
-	// from the journal, kept in memory when no -journal file is asked for.
+	// appending to a shared journal file). The -trace export and the
+	// monitor's /runz are computed from the journal, kept in memory for
+	// them whether or not a -journal file is asked for.
 	runTC := obs.NewTraceContext()
 	var jnl *obs.Journal
-	var record bytes.Buffer
-	if cfg.journal != "" || cfg.trace != "" {
+	var record obs.Record
+	if cfg.journal != "" || cfg.trace != "" || cfg.listen != "" {
 		var tee []io.Writer
-		if cfg.trace != "" {
+		if cfg.trace != "" || cfg.listen != "" {
 			tee = append(tee, &record)
 		}
 		raw, err := obs.OpenJournal(cfg.journal, tee...)
@@ -229,12 +230,11 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	ctx.Check = cfg.check
 	ctx.WithBase(obs.WithJournal(obs.WithTrace(context.Background(), runTC), jnl))
 
-	status := obs.NewRunStatus()
-	ctx.Track(status)
 	if cfg.listen != "" {
+		up := time.Now()
 		mon, err := httpmon.Start(cfg.listen, httpmon.Options{
 			Metrics: reg,
-			Runz:    func() any { return status.Report(reg) },
+			Runz:    func() any { return obs.Runz(&record, reg, up) },
 		})
 		if err != nil {
 			return err

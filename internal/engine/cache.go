@@ -65,15 +65,10 @@ func (c *flightCache) peek(k Key) bool {
 	return ok
 }
 
-// fulfill publishes the owner's result to all waiters. Errors evict the
-// entry first, so the computation can be retried by a later claimant.
-func (c *flightCache) fulfill(k Key, f *flight, val any, err error) {
-	c.fulfillStamped(k, f, val, err, 0, false)
-}
-
-// fulfillStamped is fulfill plus an integrity stamp recorded alongside
-// the value.
-func (c *flightCache) fulfillStamped(k Key, f *flight, val any, err error, sum uint64, stamped bool) {
+// fulfill publishes the owner's result, with its integrity stamp, to all
+// waiters. Errors evict the entry first, so the computation can be
+// retried by a later claimant.
+func (c *flightCache) fulfill(k Key, f *flight, val any, err error, sum uint64, stamped bool) {
 	if err != nil {
 		c.evict(k, f)
 	}

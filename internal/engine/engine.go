@@ -643,11 +643,46 @@ func observedKey(k Key) string {
 	return k.String()
 }
 
+// lookup returns k's value from c. The first caller for k owns the
+// computation: it counts a cache miss and runs fill, which returns the
+// value, its integrity stamp and its error. Concurrent callers wait for
+// that flight, and one that receives a value counts a cache hit and
+// reports hit; one whose flight failed gets the error and is no hit. In
+// verification mode a waiter revalidates the value against its stamp; a
+// mismatch is rejected and evicted, and the lookup starts over, so a
+// corrupted cached value is recomputed rather than served.
+func (e *Engine) lookup(ctx context.Context, c *flightCache, k Key,
+	fill func() (val any, sum uint64, stamped bool, err error)) (val any, hit bool, err error) {
+	for {
+		f, owner := c.claim(k)
+		if owner {
+			e.cacheMisses.Add(1)
+			val, sum, stamped, err := fill()
+			c.fulfill(k, f, val, err, sum, stamped)
+			return val, false, err
+		}
+		val, err := f.wait(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		if e.verify && f.stamped {
+			if sum, ok := fingerprintOf(val); ok && sum != f.sum {
+				e.reject(ctx, k)
+				c.evict(k, f)
+				continue
+			}
+		}
+		e.cacheHits.Add(1)
+		return val, true, nil
+	}
+}
+
 // runJob executes one job, routing keyed jobs through the single-flight
-// result cache. In verification mode every cache hit is revalidated
-// against the integrity stamp recorded at store time; a mismatch evicts
-// the entry and loops back to re-claim, so a corrupted cached value is
-// recomputed rather than served.
+// result cache (lookup). A memory miss consults the durable tier before
+// computing: a fingerprint-validated entry written by an earlier run (or
+// another process sharing the store) is a cache hit without a
+// simulation. A computed result is written through to the tier before
+// it is published.
 func (e *Engine) runJob(ctx context.Context, j *Job) error {
 	j.met.Started = time.Now()
 	jnl := obs.JournalFrom(ctx)
@@ -666,42 +701,23 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 		j.out, j.err = e.runBody(ctx, j)
 		return j.err
 	}
-	for {
-		f, owner := e.results.claim(j.Key)
-		if owner {
-			e.cacheMisses.Add(1)
-			// A memory miss consults the durable tier before computing:
-			// a fingerprint-validated entry written by an earlier run (or
-			// another process sharing the store) is a cache hit without a
-			// simulation.
-			if out, sum, ok := e.tierLoad(ctx, j.Key); ok {
-				e.results.fulfillStamped(j.Key, f, out, nil, sum, e.verify)
-				j.met.CacheHit = true
-				j.out, j.err = out, nil
-				return nil
-			}
-			out, err := e.runBody(ctx, j)
-			sum, stamped := e.stampFor(observedKey(j.Key), out)
-			e.results.fulfillStamped(j.Key, f, out, err, sum, stamped)
-			if r, ok := out.(*sim.Result); ok && err == nil {
-				e.tierStore(ctx, j.Key, r)
-			}
-			j.out, j.err = out, err
-			return err
+	out, hit, err := e.lookup(ctx, e.results, j.Key, func() (any, uint64, bool, error) {
+		if r, sum, ok := e.tierLoad(ctx, j.Key); ok {
+			j.met.CacheHit = true
+			return r, sum, e.verify, nil
 		}
-		out, err := f.wait(ctx)
-		if err == nil && e.verify && f.stamped {
-			if sum, ok := fingerprintOf(out); ok && sum != f.sum {
-				e.reject(ctx, j.Key)
-				e.results.evict(j.Key, f)
-				continue
-			}
+		out, err := e.runBody(ctx, j)
+		sum, stamped := e.stampFor(observedKey(j.Key), out)
+		if r, ok := out.(*sim.Result); ok && err == nil {
+			e.tierStore(ctx, j.Key, r)
 		}
-		e.cacheHits.Add(1)
+		return out, sum, stamped, err
+	})
+	if hit {
 		j.met.CacheHit = true
-		j.out, j.err = out, err
-		return err
 	}
+	j.out, j.err = out, err
+	return err
 }
 
 // runBody executes a job's body with panic isolation, a per-attempt

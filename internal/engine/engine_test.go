@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dirsim/internal/workload"
 )
 
 // executors returns both strategies so DAG-mechanics tests run under each.
@@ -230,5 +232,43 @@ func TestNilExecutorDefaultsToSequential(t *testing.T) {
 	}
 	if out, _ := j.Output(); out.(int) != 7 {
 		t.Errorf("output = %v, want 7", out)
+	}
+}
+
+// TestFailedFlightWaiterIsNoHit pins the one rule both caches follow: a
+// caller that waited on another's computation and received its error is
+// not a cache hit. The flight is failed in place, without the eviction
+// fulfill does first, which is the state a waiter that claimed it before
+// the failure sees.
+func TestFailedFlightWaiterIsNoHit(t *testing.T) {
+	boom := errors.New("boom")
+	failIn := func(c *flightCache, k Key) {
+		f, _ := c.claim(k)
+		f.err = boom
+		close(f.done)
+	}
+	e := New(Options{})
+
+	k := hashOf("test", "failed-flight")
+	failIn(e.results, k)
+	j := &Job{ID: "waiter", Key: k, Run: func(context.Context, []any) (any, error) {
+		t.Error("a waiter ran the body of a claimed key")
+		return nil, nil
+	}}
+	if err := e.Execute(context.Background(), Sequential{}, j); !errors.Is(err, boom) {
+		t.Fatalf("result waiter: %v, want the flight's error", err)
+	}
+	if j.Metrics().CacheHit {
+		t.Error("result waiter on a failed flight is marked a cache hit")
+	}
+
+	cfg := workload.StandardConfigs(4, 1_000)[0]
+	failIn(e.traces, TraceKey(cfg))
+	if _, err := e.Trace(context.Background(), cfg); !errors.Is(err, boom) {
+		t.Fatalf("trace waiter: %v, want the flight's error", err)
+	}
+
+	if s := e.Stats(); s.CacheHits != 0 || s.CacheMisses != 0 {
+		t.Errorf("hits/misses = %d/%d, want 0/0: neither waiter computed or received a value", s.CacheHits, s.CacheMisses)
 	}
 }

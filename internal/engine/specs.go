@@ -49,31 +49,16 @@ func (s SimSpec) Key() Key {
 // and regenerates instead of serving the corrupted trace.
 func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, error) {
 	k := TraceKey(cfg)
-	for {
-		f, owner := e.traces.claim(k)
-		if owner {
-			e.cacheMisses.Add(1)
-			t, err := workload.Generate(cfg)
-			if err == nil {
-				e.tracesGenerated.Add(1)
-			}
-			sum, stamped := e.stampFor(observedKey(k), t)
-			e.traces.fulfillStamped(k, f, t, err, sum, stamped)
-			return t, err
+	v, _, err := e.lookup(ctx, e.traces, k, func() (any, uint64, bool, error) {
+		t, err := workload.Generate(cfg)
+		if err == nil {
+			e.tracesGenerated.Add(1)
 		}
-		v, err := f.wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		t := v.(*trace.Trace)
-		if e.verify && f.stamped && t.Fingerprint() != f.sum {
-			e.reject(ctx, k)
-			e.traces.evict(k, f)
-			continue
-		}
-		e.cacheHits.Add(1)
-		return t, nil
-	}
+		sum, stamped := e.stampFor(observedKey(k), t)
+		return t, sum, stamped, err
+	})
+	t, _ := v.(*trace.Trace)
+	return t, err
 }
 
 // Trim drops every cached result and every cached trace except keep's,

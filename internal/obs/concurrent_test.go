@@ -3,7 +3,6 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestHistogramConcurrentObserveAndQuantile hammers one histogram from
@@ -13,16 +12,16 @@ import (
 func TestHistogramConcurrentObserveAndQuantile(t *testing.T) {
 	h := NewRegistry().Histogram("test.latency.us", DurationBucketsUS)
 	const writers, perWriter = 8, 5_000
-	var wg sync.WaitGroup
+	var readers, writersWG sync.WaitGroup
 	stop := make(chan struct{})
 
 	// Readers: snapshots taken while writes are in flight must be
 	// internally consistent enough to quantile without panicking, and
 	// monotone in q.
 	for r := 0; r < 2; r++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			for {
 				select {
 				case <-stop:
@@ -40,21 +39,19 @@ func TestHistogramConcurrentObserveAndQuantile(t *testing.T) {
 	}
 	for w := 0; w < writers; w++ {
 		w := w
-		wg.Add(1)
+		writersWG.Add(1)
 		go func() {
-			defer wg.Done()
+			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
 				// Spread observations across the bucket range.
 				h.Observe(int64((w*perWriter + i) % 2_000_000))
 			}
 		}()
 	}
-	// Wait for all writers by polling the count, then stop the readers.
-	for h.Count() < writers*perWriter {
-		time.Sleep(time.Millisecond)
-	}
+	// Wait for all writers, then stop the readers.
+	writersWG.Wait()
 	close(stop)
-	wg.Wait()
+	readers.Wait()
 
 	s := h.Snapshot()
 	if s.Count != writers*perWriter {

@@ -33,7 +33,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Runz returns the current run-progress value for /runz; it is
 	// called per request and must be safe for concurrent use
-	// (obs.RunStatus.Report is).
+	// (obs.Runz is).
 	Runz func() any
 	// Index lists extra endpoints on the root index page, as
 	// path → description, for servers that add routes to the mux.
@@ -121,7 +121,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 // left and returns ctx's error. Handlers that stream indefinitely (SSE)
 // should watch their request context, which Shutdown does not cancel —
 // the serving loop must end them (internal/service does this by closing
-// its event fan-outs during drain).
+// its experiments' journal records during drain).
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.srv.Shutdown(ctx)
 	if err != nil {

@@ -170,13 +170,15 @@ func TestRunzEndpoint(t *testing.T) {
 	reg.Counter("engine.cache.hits").Add(3)
 	reg.Counter("engine.cache.misses").Add(1)
 	reg.Counter("engine.refs.simulated").Add(1_000_000)
-	st := obs.NewRunStatus()
-	st.ExpStarted("exp1", "Table 4")
-	st.ExpFinished("exp1", nil)
-	st.ExpStarted("exp2", "Figure 1")
-	st.ExpFinished("exp2", fmt.Errorf("boom"))
-	st.ExpStarted("exp3", "Figure 2")
-	srv := startTestServer(t, Options{Metrics: reg, Runz: func() any { return st.Report(reg) }})
+	start := time.Now()
+	var rec obs.Record
+	jnl := obs.NewJournal(&rec)
+	jnl.Event("experiment.start", "name", "exp1", "title", "Table 4")
+	jnl.Event("experiment.finish", "name", "exp1", "dur_us", 1200)
+	jnl.Event("experiment.start", "name", "exp2", "title", "Figure 1")
+	jnl.Error("experiment.finish", fmt.Errorf("boom"), "name", "exp2", "dur_us", 800)
+	jnl.Event("experiment.start", "name", "exp3", "title", "Figure 2")
+	srv := startTestServer(t, Options{Metrics: reg, Runz: func() any { return obs.Runz(&rec, reg, start) }})
 
 	body, resp := get(t, "http://"+srv.Addr()+"/runz")
 	if resp.StatusCode != http.StatusOK {
@@ -237,6 +239,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}()
 	<-entered
 
+	// Shutdown runs its hooks once it has closed the listeners.
+	draining := make(chan struct{})
+	srv.srv.RegisterOnShutdown(func() { close(draining) })
 	shutdownDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -246,11 +251,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 	// New connections are refused once drain begins, while the in-flight
 	// request is still being served.
-	for i := 0; i < 100; i++ {
-		if _, err := http.Get("http://" + srv.Addr() + "/"); err != nil {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	<-draining
+	if _, err := http.Get("http://" + srv.Addr() + "/"); err == nil {
+		t.Error("a new request was served after Shutdown began")
 	}
 	close(release)
 

@@ -88,7 +88,7 @@ func (tc TraceContext) enclosing() uint64 {
 	return tc.Parent
 }
 
-// String encodes the context in the journal/Fanout/header-friendly text
+// String encodes the context in the journal- and header-friendly text
 // form: "<trace>" for a root, "<trace>/<span-hex>" inside a span, and
 // "<trace>/<span-hex>/<parent-hex>" when a remote parent crosses the
 // wire (the span field is left empty — "<trace>//<parent-hex>" — when

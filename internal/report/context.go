@@ -31,10 +31,9 @@ type Context struct {
 	// Check enables coherence checking during the runs (slower).
 	Check bool
 
-	eng    *engine.Engine
-	exec   engine.Executor
-	status *obs.RunStatus
-	base   context.Context
+	eng  *engine.Engine
+	exec engine.Executor
+	base context.Context
 }
 
 // NewContext returns a context with the given trace size, backed by a
@@ -66,11 +65,6 @@ func NewContextWith(refs, cpus int, eng *engine.Engine, exec engine.Executor) *C
 	return &Context{Refs: refs, CPUs: cpus, eng: eng, exec: exec}
 }
 
-// Track attaches a live run-status tracker: RunExperiment then reports
-// each experiment's start and outcome, which the HTTP monitor's /runz
-// endpoint serves. nil (the default) detaches.
-func (c *Context) Track(status *obs.RunStatus) { c.status = status }
-
 // WithBase sets the base context every engine submission derives from.
 // A journal carried here (obs.WithJournal) receives the experiment
 // brackets and every line the run's engine jobs write; an
@@ -87,13 +81,11 @@ func (c *Context) ctx() context.Context {
 
 // RunExperiment runs one experiment through the context. With a journal
 // on the base context (see WithBase) the run is bracketed by
-// experiment.start / experiment.finish events; without one it is exactly
-// e.Run. A tracker attached with Track sees the run's live state either
-// way.
+// experiment.start / experiment.finish events, from which obs.Runz
+// derives the run's live state; without one it is exactly e.Run.
 func (c *Context) RunExperiment(e Experiment) (string, error) {
-	c.status.ExpStarted(e.ID, e.Title)
 	jnl := obs.JournalFrom(c.ctx())
-	jnl.Event("experiment.start", "name", e.ID)
+	jnl.Event("experiment.start", "name", e.ID, "title", e.Title)
 	start := time.Now()
 	out, err := e.Run(c)
 	if d := time.Since(start).Microseconds(); err != nil {
@@ -101,7 +93,6 @@ func (c *Context) RunExperiment(e Experiment) (string, error) {
 	} else {
 		jnl.Event("experiment.finish", "name", e.ID, "dur_us", d)
 	}
-	c.status.ExpFinished(e.ID, err)
 	return out, err
 }
 

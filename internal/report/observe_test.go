@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"dirsim/internal/obs"
 )
@@ -49,5 +50,38 @@ func TestRunExperimentObserved(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("unjournaled run wrote %q", buf.String())
+	}
+}
+
+// TestRunzFromRunExperiment: /runz is computed from the lines
+// RunExperiment journals. One experiment that succeeded and one that
+// failed read as one done and one failed, each with its title, and the
+// failure with its error.
+func TestRunzFromRunExperiment(t *testing.T) {
+	start := time.Now()
+	c := NewContext(10_000, 4)
+	var rec obs.Record
+	c.WithBase(obs.WithJournal(context.Background(), obs.NewJournal(&rec)))
+	c.RunExperiment(Experiment{ID: "ok", Title: "Table OK",
+		Run: func(*Context) (string, error) { return "rendered", nil }})
+	c.RunExperiment(Experiment{ID: "bad", Title: "Figure Bad",
+		Run: func(*Context) (string, error) { return "", errors.New("boom") }})
+
+	rep := obs.Runz(&rec, nil, start)
+	if rep.Done != 1 || rep.Failed != 1 || rep.Running != 0 {
+		t.Errorf("done/failed/running = %d/%d/%d, want 1/1/0", rep.Done, rep.Failed, rep.Running)
+	}
+	want := []obs.RunzExperiment{
+		{ID: "ok", Title: "Table OK", State: "done"},
+		{ID: "bad", Title: "Figure Bad", State: "failed", Error: "boom"},
+	}
+	if len(rep.Experiments) != len(want) {
+		t.Fatalf("experiments = %+v, want %+v", rep.Experiments, want)
+	}
+	for i, e := range rep.Experiments {
+		e.Seconds = 0
+		if e != want[i] {
+			t.Errorf("experiment %d = %+v, want %+v", i, e, want[i])
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func ticketExp(tenant string) *Experiment {
-	return &Experiment{Tenant: tenant, fanout: obs.NewFanout(1, 1)}
+	return &Experiment{Tenant: tenant}
 }
 
 // popAll drains the admission queue through Next, returning tenants in

@@ -194,11 +194,13 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleEvents streams the experiment's journal over Server-Sent Events:
-// the retained history first, then live events until the experiment
+// every line from the first, then live lines until the experiment
 // finishes or the client disconnects. Each journal line becomes one
-// `data:` frame. Frames are flushed when the subscription has nothing
-// more waiting, so a replayed history (a finished or fast experiment)
-// leaves in one write and a live event leaves the moment it arrives.
+// `data:` frame. The stream follows the experiment's record, so a client
+// that stops reading holds only its own place in it: it loses no line
+// and never slows the run. Frames are flushed once per burst of lines,
+// so a finished experiment's replay leaves in one write with its end
+// frame, and a live line leaves the moment it is written.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))
 	if !ok {
@@ -210,45 +212,26 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	sub := exp.fanout.Subscribe()
-	defer sub.Cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	// finish tells the client, as an SSE comment, how many journal lines
-	// this subscription lost to back-pressure, so a gap in the stream is
-	// distinguishable from a quiet run, then sends whatever is unsent.
-	finish := func(end string) {
-		if n := sub.Dropped(); n > 0 {
-			fmt.Fprintf(w, ": %d events dropped\n\n", n)
+	for sent := 0; ; {
+		lines, closed, next := exp.record.Follow(sent)
+		for _, line := range lines {
+			fmt.Fprintf(w, "data: %s\n\n", line)
 		}
-		fmt.Fprint(w, end)
-		fl.Flush()
-	}
-	unsent := true // the response header
-	for {
-		var line []byte
-		var open bool
-		select {
-		case line, open = <-sub.C:
-		default:
-			if unsent {
-				fl.Flush()
-				unsent = false
-			}
-			select {
-			case line, open = <-sub.C:
-			case <-r.Context().Done():
-				finish("")
-				return
-			}
-		}
-		if !open {
-			finish("event: end\ndata: {}\n\n")
+		sent += len(lines)
+		if closed {
+			fmt.Fprint(w, "event: end\ndata: {}\n\n")
+			fl.Flush()
 			return
 		}
-		fmt.Fprintf(w, "data: %s\n\n", line)
-		unsent = true
+		fl.Flush()
+		select {
+		case <-next:
+		case <-r.Context().Done():
+			return
+		}
 	}
 }
 
@@ -273,7 +256,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "experiment %s is %s; trace is available once it finishes", exp.ID, state)
 		return
 	}
-	lines, _, err := obs.ReadJournal(bytes.NewReader(exp.record.bytes()))
+	lines, _, err := obs.ReadJournal(bytes.NewReader(exp.record.Bytes()))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "experiment %s: journal: %v", exp.ID, err)
 		return

@@ -79,14 +79,20 @@ func submitDirect(t *testing.T, svc *Service, spec Spec) *Experiment {
 	return exp
 }
 
-// history returns every journal line the experiment's fan-out retains,
-// blocking until the experiment has finished and closed it.
+// history returns every line of the experiment's journal, blocking
+// until the experiment has finished and closed its record.
 func history(exp *Experiment) []string {
-	var lines []string
-	for line := range exp.fanout.Subscribe().C {
-		lines = append(lines, string(line))
+	for {
+		lines, closed, next := exp.record.Follow(0)
+		if closed {
+			out := make([]string, len(lines))
+			for i, l := range lines {
+				out[i] = string(l)
+			}
+			return out
+		}
+		<-next
 	}
-	return lines
 }
 
 func eventsRequest(ctx context.Context, id string) *http.Request {
@@ -96,7 +102,7 @@ func eventsRequest(ctx context.Context, id string) *http.Request {
 }
 
 // TestEventsReplayFlushedOnce: a subscriber arriving after the experiment
-// finished gets every retained journal line as its own data frame, in
+// finished gets every line of its record as its own data frame, in
 // order, then the end frame — and the whole replay leaves in a couple of
 // flushes, not one per frame.
 func TestEventsReplayFlushedOnce(t *testing.T) {
@@ -106,7 +112,7 @@ func TestEventsReplayFlushedOnce(t *testing.T) {
 	exp := submitDirect(t, svc, smallSpec(0))
 	want := history(exp)
 	if len(want) < 8 {
-		t.Fatalf("only %d journal lines retained; the test needs a replay worth batching", len(want))
+		t.Fatalf("only %d journal lines; the test needs a replay worth batching", len(want))
 	}
 
 	rec := newRecorder(false)
@@ -119,11 +125,11 @@ func TestEventsReplayFlushedOnce(t *testing.T) {
 	}
 	frames = frames[:len(frames)-1]
 	if len(frames) != len(want) {
-		t.Fatalf("%d data frames, want %d (one per history line)", len(frames), len(want))
+		t.Fatalf("%d data frames, want %d (one per record line)", len(frames), len(want))
 	}
 	for i, f := range frames {
 		if f != "data: "+want[i] {
-			t.Fatalf("frame %d = %q, want history line %q", i, f, want[i])
+			t.Fatalf("frame %d = %q, want record line %q", i, f, want[i])
 		}
 	}
 	if flushes < 1 || flushes > 2 {
@@ -162,11 +168,12 @@ func TestEventsLiveFrameNotHeld(t *testing.T) {
 	svc.Drain(context.Background())
 }
 
-// TestEventsDropReportPrecedesEnd: a subscriber that stops reading while
-// the experiment runs past its channel depth is told how many lines it
-// lost, and told before the end frame.
-func TestEventsDropReportPrecedesEnd(t *testing.T) {
-	svc := newTestService(t, Config{EventHistory: 2})
+// TestEventsStalledSubscriberLosesNothing: a subscriber whose handler is
+// stuck writing the first frame while the experiment runs to completion
+// holds back neither the run nor its own stream: once it resumes it
+// receives every line of the record, in order, then the end frame.
+func TestEventsStalledSubscriberLosesNothing(t *testing.T) {
+	svc := newTestService(t, Config{})
 	exp := submitDirect(t, svc, smallSpec(0))
 
 	rec := newRecorder(true)
@@ -178,18 +185,23 @@ func TestEventsDropReportPrecedesEnd(t *testing.T) {
 	<-rec.entered // the handler is stuck writing experiment.queued
 	svc.Start()
 	defer svc.Drain(context.Background())
-	history(exp) // returns once the experiment has finished
+	want := history(exp) // returns once the experiment has finished
 	close(rec.release)
 	<-done
 
 	body, _ := rec.snapshot()
-	drop := strings.Index(body, " events dropped\n\n")
-	end := strings.Index(body, "event: end\n")
-	if drop < 0 || end < 0 || drop > end {
-		t.Fatalf("want a dropped-lines comment before the end frame, got %q", body)
+	frames := strings.Split(strings.TrimSuffix(body, "\n\n"), "\n\n")
+	if last := frames[len(frames)-1]; last != "event: end\ndata: {}" {
+		t.Fatalf("stream ends with %q, want the end frame", last)
 	}
-	if svc.fanDrops.Value() == 0 {
-		t.Error("fanout.dropped counter did not move")
+	frames = frames[:len(frames)-1]
+	if len(frames) != len(want) {
+		t.Fatalf("%d data frames, want %d (every record line)", len(frames), len(want))
+	}
+	for i, f := range frames {
+		if f != "data: "+want[i] {
+			t.Fatalf("frame %d = %q, want record line %q", i, f, want[i])
+		}
 	}
 }
 

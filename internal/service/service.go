@@ -9,13 +9,12 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,9 +55,6 @@ type Config struct {
 	// (typically a *dist.Coordinator sharding the sweep across pull
 	// workers), and degrades to local execution when it is unavailable.
 	Remote engine.Remote
-	// EventHistory is the per-experiment journal replay depth for SSE
-	// subscribers arriving mid-run; 0 means 256 lines.
-	EventHistory int
 	// Log receives operational messages; nil discards them.
 	Log *slog.Logger
 }
@@ -95,37 +91,17 @@ type Experiment struct {
 	// computed once when the experiment finishes; "" where results is nil.
 	prints []string
 
-	// fanout carries the experiment's journal lines to SSE subscribers;
-	// journal writes into it and into record, the whole journal kept for
-	// GET /api/v1/experiments/{id}/trace to render once the experiment
-	// finishes. All three are safe for concurrent use.
-	fanout  *obs.Fanout
+	// record is the experiment's journal, the only copy: journal writes
+	// into it, SSE subscribers follow it from its first line, and GET
+	// /api/v1/experiments/{id}/trace renders it once the experiment
+	// finishes. Both are safe for concurrent use.
 	journal *obs.Journal
-	record  record
+	record  obs.Record
 
 	// tc is the trace identity of the request that created the
 	// experiment: every journal line carries it, and the experiment's
 	// request span nests under its span.
 	tc obs.TraceContext
-}
-
-// record is a byte buffer safe for concurrent use.
-type record struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (r *record) Write(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.buf.Write(p)
-}
-
-// bytes returns a copy of everything written so far.
-func (r *record) bytes() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return bytes.Clone(r.buf.Bytes())
 }
 
 // Trace returns the experiment's originating trace ID.
@@ -158,7 +134,10 @@ type Service struct {
 	failed    *obs.Counter
 	running   *obs.Gauge
 	admWait   *obs.Histogram
-	fanDrops  *obs.Counter
+
+	// beforeAdmit, when set (tests), runs between Submit's registration
+	// of a new experiment and its admission.
+	beforeAdmit func()
 }
 
 // New builds a Service. Call Start to begin executing work.
@@ -171,9 +150,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.EventHistory <= 0 {
-		cfg.EventHistory = 256
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -219,8 +195,7 @@ func New(cfg Config) (*Service, error) {
 		// Queue-wait distribution per discipline: one histogram per
 		// policy, so an FCFS deployment and a priority deployment are
 		// directly comparable on /metrics.
-		admWait:  reg.Histogram("service.admission.wait."+d.Name()+".us", obs.DurationBucketsUS),
-		fanDrops: reg.Counter("fanout.dropped"),
+		admWait: reg.Histogram("service.admission.wait."+d.Name()+".us", obs.DurationBucketsUS),
 	}
 	return s, nil
 }
@@ -273,8 +248,6 @@ func (s *Service) Submit(ctx context.Context, tenant string, spec Spec) (*Experi
 			"tenant", tenant, "attached_trace", tc.Trace)
 		return exp, false, nil
 	}
-	fan := obs.NewFanout(s.cfg.EventHistory, s.cfg.EventHistory)
-	fan.CountDrops(s.fanDrops)
 	exp := &Experiment{
 		ID:        id,
 		Tenant:    tenant,
@@ -284,20 +257,26 @@ func (s *Service) Submit(ctx context.Context, tenant string, spec Spec) (*Experi
 		Submitted: time.Now(),
 		specs:     specs,
 		meta:      meta,
-		fanout:    fan,
 		tc:        tc,
 	}
-	exp.journal = obs.NewJournal(io.MultiWriter(fan, &exp.record)).WithTrace(tc)
+	exp.journal = obs.NewJournal(&exp.record).WithTrace(tc)
 	s.exps[id] = exp
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 
+	if s.beforeAdmit != nil {
+		s.beforeAdmit()
+	}
 	if err := s.adm.Submit(exp, spec.Priority); err != nil {
+		// Other submissions may have registered since, and a duplicate
+		// may have joined this one: it leaves by its own ID, and ends
+		// failed, so whoever holds it sees why.
 		s.mu.Lock()
 		delete(s.exps, id)
-		s.order = s.order[:len(s.order)-1]
+		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
+		exp.State, exp.Err, exp.Finished = StateFailed, err.Error(), time.Now()
 		s.mu.Unlock()
-		exp.fanout.Close()
+		exp.record.Close()
 		return nil, false, err
 	}
 	s.submitted.Add(1)
@@ -392,7 +371,7 @@ func (s *Service) run(exp *Experiment) {
 		exp.State = StateDone
 	}
 	s.mu.Unlock()
-	exp.fanout.Close()
+	exp.record.Close()
 }
 
 // Drain gracefully stops the service: new submissions are refused,
@@ -416,7 +395,7 @@ func (s *Service) Drain(ctx context.Context) error {
 		t.exp.journal.Event("experiment.aborted", t.exp.tc.Child().Attrs([]any{"id", t.exp.ID,
 			"name", "experiment:" + t.exp.ID, "tenant", t.exp.Tenant, "reason", "drain",
 			"dur_us", t.exp.Finished.Sub(t.exp.Submitted).Microseconds()})...)
-		t.exp.fanout.Close()
+		t.exp.record.Close()
 		s.adm.Done(t.exp.Tenant)
 	}
 

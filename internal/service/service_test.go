@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -83,23 +85,37 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 	return resp
 }
 
-// waitDone polls the experiment until it leaves the queued/running
-// states.
+// waitDone follows the experiment's event stream to its end frame,
+// which the service sends only once the experiment is in a terminal
+// state, and then fetches that state.
 func waitDone(t *testing.T, url, id string) ExperimentStatus {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var st ExperimentStatus
-		getJSON(t, url+"/api/v1/experiments/"+id, &st)
-		switch st.State {
-		case StateDone, StateFailed, StateAborted:
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("experiment %s stuck in state %q", id, st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", url+"/api/v1/experiments/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ended := false
+	for sc := bufio.NewScanner(resp.Body); !ended && sc.Scan(); {
+		ended = sc.Text() == "event: end"
+	}
+	resp.Body.Close()
+	if !ended {
+		t.Fatalf("experiment %s: event stream closed without its end frame (%v)", id, ctx.Err())
+	}
+	var st ExperimentStatus
+	getJSON(t, url+"/api/v1/experiments/"+id, &st)
+	switch st.State {
+	case StateDone, StateFailed, StateAborted:
+	default:
+		t.Fatalf("experiment %s ended its stream in state %q", id, st.State)
+	}
+	return st
 }
 
 func TestSubmitRunAndFetch(t *testing.T) {
@@ -402,8 +418,7 @@ func TestDrainRefusesAndFinishes(t *testing.T) {
 	var st ExperimentStatus
 	json.Unmarshal(body, &st)
 
-	svc.Start()
-	time.Sleep(10 * time.Millisecond) // let the worker pick it up or not — both fine
+	svc.Start() // the worker may pick it up before Drain or not: both are fine
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -477,4 +492,56 @@ func TestHealthAndStoreEndpoints(t *testing.T) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
+}
+
+// TestRejectedSubmissionLeavesOthersAlone: while a submission waits for
+// admission, another is accepted and a duplicate joins it. When
+// admission then refuses it, only the refused experiment leaves the
+// listing, and the duplicate holds a failed experiment that says why,
+// not one that reads queued forever.
+func TestRejectedSubmissionLeavesOthersAlone(t *testing.T) {
+	svc := newTestService(t, Config{Quota: 1})
+	ts := startHTTP(t, svc)
+	ctx := context.Background()
+	first, _, err := svc.Submit(ctx, "a", smallSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var other, joined *Experiment
+	svc.beforeAdmit = func() {
+		svc.beforeAdmit = nil
+		var err error
+		if other, _, err = svc.Submit(ctx, "b", smallSpec(3)); err != nil {
+			t.Errorf("other tenant's submission: %v", err)
+		}
+		if joined, _, err = svc.Submit(ctx, "c", smallSpec(2)); err != nil {
+			t.Errorf("duplicate submission: %v", err)
+		}
+	}
+	if _, _, err := svc.Submit(ctx, "a", smallSpec(2)); !errors.Is(err, ErrQuota) {
+		t.Fatalf("over-quota submission: %v, want ErrQuota", err)
+	}
+	if other == nil || joined == nil {
+		t.Fatal("the seam did not run")
+	}
+
+	var list struct {
+		Experiments []ExperimentStatus `json:"experiments"`
+	}
+	getJSON(t, ts.URL+"/api/v1/experiments", &list)
+	var ids []string
+	for _, e := range list.Experiments {
+		ids = append(ids, e.ID)
+	}
+	if want := []string{first.ID, other.ID}; !slices.Equal(ids, want) {
+		t.Errorf("listed %v, want %v", ids, want)
+	}
+	if st := svc.status(joined, false); st.State != StateFailed || !strings.Contains(st.Error, "quota") {
+		t.Errorf("the duplicate's experiment is %s (%q), want failed by the quota", st.State, st.Error)
+	}
+	history(joined) // its record is closed
+
+	svc.Start()
+	svc.Drain(ctx)
 }
