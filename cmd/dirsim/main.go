@@ -152,8 +152,9 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		if err != nil {
 			return err
 		}
-		// A SimSpec cannot name a trace file, a spin filter or a kernel,
-		// so the CLI simulates directly, under a span of its own.
+		// A SimSpec names a spin filter (engine.FilterNoSpins) but not a
+		// trace file or a kernel, so the CLI simulates directly, under a
+		// span of its own.
 		sctx, _ := obs.StartSpan(ctx)
 		opts := sim.Options{Check: check}
 		if protoN > 0 {

@@ -312,9 +312,9 @@ func ParallelExecutor(workers int) Executor { return engine.Parallel{Workers: wo
 
 // RunSchemes simulates several schemes over one workload configuration,
 // generating the trace once and replaying it through the simulators
-// concurrently. It returns each scheme's result; use an
-// explicit Engine (NewEngine + Engine.Compare) to keep a result cache
-// across calls.
+// concurrently. It returns each scheme's result; use an explicit Engine
+// (NewEngine + Engine.Merge, one group of SimSpecs per scheme) to keep a
+// result cache across calls.
 func RunSchemes(schemes []string, cfg WorkloadConfig) (map[string]*Result, error) {
 	eng := engine.New(engine.Options{})
 	return eng.Compare(context.Background(), engine.Parallel{}, schemes,

@@ -11,7 +11,7 @@ import (
 )
 
 // loopEngines builds one of each engine on the shared loop: every fixed
-// scheme name, the parameterized pointer schemes and DirCV.
+// scheme name (DirCV among them) and the parameterized pointer schemes.
 func loopEngines(t *testing.T, ncpu int) []Protocol {
 	t.Helper()
 	var engines []Protocol
@@ -22,7 +22,7 @@ func loopEngines(t *testing.T, ncpu int) []Protocol {
 		}
 		engines = append(engines, p)
 	}
-	return append(engines, NewCoarseVector(ncpu))
+	return engines
 }
 
 // everyEngine builds one of each engine in the package: the loop engines,

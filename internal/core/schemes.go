@@ -32,6 +32,7 @@ var factories = map[string]Factory{
 	"dir1nb":   NewDir1NB,
 	"dir0b":    NewDir0B,
 	"dirnnb":   NewDirNNB,
+	"dircv":    NewCoarseVector,
 	"yenfu":    NewYenFu,
 	"wti":      NewWTI,
 	"dragon":   NewDragon,
@@ -53,9 +54,9 @@ func Schemes() []string {
 }
 
 // NewByName builds an engine from a scheme name in the paper's notation,
-// case-insensitively: "Dir1NB", "Dir0B", "DirNNB", "WTI", "Dragon", and the
-// parameterized families "Dir<i>B" and "Dir<i>NB" (e.g. "Dir2NB",
-// "Dir4B").
+// case-insensitively: "Dir1NB", "Dir0B", "DirNNB", "DirCV", "WTI",
+// "Dragon", and the parameterized families "Dir<i>B" and "Dir<i>NB" (e.g.
+// "Dir2NB", "Dir4B").
 func NewByName(name string, ncpu int) (Protocol, error) {
 	if ncpu < 1 || ncpu > MaxCPUs {
 		return nil, fmt.Errorf("core: cpu count %d out of range [1,%d]", ncpu, MaxCPUs)

@@ -14,15 +14,12 @@ import (
 )
 
 // loopSchemes are the names the shared engine loop must serve: every
-// fixed scheme name, the parameterized pointer schemes and DirCV.
-func loopSchemes() []string { return append(core.Schemes(), "Dir1B", "Dir2B", "Dir2NB", "DirCV") }
+// fixed scheme name (DirCV among them) and the parameterized pointer
+// schemes.
+func loopSchemes() []string { return append(core.Schemes(), "Dir1B", "Dir2B", "Dir2NB") }
 
-// newLoopEngine builds a loop scheme by name; NewByName does not build
-// DirCV.
+// newLoopEngine builds a loop scheme by name.
 func newLoopEngine(scheme string, ncpu int) core.Protocol {
-	if scheme == "DirCV" {
-		return core.NewCoarseVector(ncpu)
-	}
 	p, err := core.NewByName(scheme, ncpu)
 	if err != nil {
 		panic(err)

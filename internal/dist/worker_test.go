@@ -362,6 +362,33 @@ func TestFleetJobPanicSurfaces(t *testing.T) {
 	}
 }
 
+// TestFleetUnknownFilterSurfaces: a worker leased a spec whose filter it
+// does not know (a coordinator newer than the worker, say) pushes the
+// plan-time error back as a wire error. The failure is terminal at the
+// waiter: no requeue, no degrade to local execution.
+func TestFleetUnknownFilterSurfaces(t *testing.T) {
+	f := startFleet(t, Options{LeaseTTL: 2 * time.Second})
+	f.launch(&Worker{Name: "w1", Engine: engine.New(engine.Options{})})
+
+	spec := distSpecs(3_000)[0]
+	spec.Filter = "nosuchfilter"
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	r, err := f.coord.SimulateRemote(ctx, spec)
+	if err == nil || r != nil {
+		t.Fatalf("SimulateRemote = %v, %v; want the worker's error", r, err)
+	}
+	if !strings.Contains(err.Error(), `unknown filter "nosuchfilter"`) {
+		t.Errorf("error lost the worker's cause: %v", err)
+	}
+	if errors.Is(err, engine.ErrRemoteUnavailable) {
+		t.Errorf("plan-time error classified as unavailability: %v", err)
+	}
+	if st := f.coord.Stats(); st.JobsFailed != 1 || st.JobsDegraded != 0 || st.JobsRequeued != 0 {
+		t.Errorf("unknown filter must fail the job terminally: %+v", st)
+	}
+}
+
 // TestFleetCrashedWorkerReassigned: a worker that dies silently mid-job
 // (injected crash: no push, no heartbeats) loses its lease to the expiry
 // sweep and a later worker completes the job — the full reassignment

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dirsim/internal/sim"
 	"dirsim/internal/workload"
 )
 
@@ -13,6 +14,30 @@ import (
 // (report.PaperSchemes, plus DirNNB to cover the sequential-invalidation
 // path).
 var paperSchemes = []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB"}
+
+// over is the group of specs running scheme over every workload of cfgs.
+func over(scheme string, cfgs []workload.Config, check bool) []SimSpec {
+	specs := make([]SimSpec, len(cfgs))
+	for i, cfg := range cfgs {
+		specs[i] = SimSpec{Trace: cfg, Scheme: scheme, Check: check}
+	}
+	return specs
+}
+
+// perAndMerged returns the group's per-workload results and their merge.
+func perAndMerged(t *testing.T, e *Engine, ctx context.Context, exec Executor,
+	specs []SimSpec) ([]*sim.Result, *sim.Result) {
+	t.Helper()
+	per, err := e.Results(ctx, exec, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := e.Merge(ctx, exec, [][]SimSpec{specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return per, merged[0]
+}
 
 // TestExecutorsProduceIdenticalResults is the engine's acceptance test:
 // for every paper scheme over the three standard workloads, the Parallel
@@ -30,14 +55,8 @@ func TestExecutorsProduceIdenticalResults(t *testing.T) {
 	par := New(Options{})
 
 	for _, scheme := range paperSchemes {
-		sPer, sMerged, err := seq.SchemeOverTraces(ctx, Sequential{}, scheme, cfgs, false)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", scheme, err)
-		}
-		pPer, pMerged, err := par.SchemeOverTraces(ctx, Parallel{Workers: 8}, scheme, cfgs, false)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", scheme, err)
-		}
+		sPer, sMerged := perAndMerged(t, seq, ctx, Sequential{}, over(scheme, cfgs, false))
+		pPer, pMerged := perAndMerged(t, par, ctx, Parallel{Workers: 8}, over(scheme, cfgs, false))
 		for i := range sPer {
 			if !reflect.DeepEqual(sPer[i], pPer[i]) {
 				t.Errorf("%s over %s: parallel result differs from sequential",
@@ -92,35 +111,70 @@ func TestConcurrentComparesSimulateOnce(t *testing.T) {
 	}
 }
 
-// TestCompareMatchesSchemeOverTraces checks the batched multi-scheme entry
-// point against per-scheme submission, under both executors.
-func TestCompareMatchesSchemeOverTraces(t *testing.T) {
+// TestMergeMatchesResults checks the grouped merge against sim.Merge of
+// the same specs' per-workload results, and Compare against both, under
+// both executors.
+func TestMergeMatchesResults(t *testing.T) {
 	ctx := context.Background()
 	cfgs := workload.StandardConfigs(4, 30_000)
 	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon"}
 
 	ref := New(Options{})
-	want := map[string]any{}
-	for _, s := range schemes {
-		_, merged, err := ref.SchemeOverTraces(ctx, Sequential{}, s, cfgs, false)
+	groups := make([][]SimSpec, len(schemes))
+	want := make([]*sim.Result, len(schemes))
+	for i, s := range schemes {
+		groups[i] = over(s, cfgs, false)
+		per, err := ref.Results(ctx, Sequential{}, groups[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[s] = merged
+		if want[i], err = sim.Merge(per...); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 6}} {
-		e := New(Options{})
-		got, err := e.Compare(ctx, exec, schemes, cfgs, false)
+		got, err := New(Options{}).Merge(ctx, exec, groups)
 		if err != nil {
 			t.Fatalf("%s: %v", exec.Name(), err)
 		}
-		for _, s := range schemes {
-			if !reflect.DeepEqual(got[s], want[s]) {
-				t.Errorf("%s: Compare result for %s differs from SchemeOverTraces",
+		byScheme, err := New(Options{}).Compare(ctx, exec, schemes, cfgs, false)
+		if err != nil {
+			t.Fatalf("%s: %v", exec.Name(), err)
+		}
+		for i, s := range schemes {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s: Merge result for %s differs from sim.Merge of its results",
 					exec.Name(), s)
 			}
+			if !reflect.DeepEqual(byScheme[s], want[i]) {
+				t.Errorf("%s: Compare result for %s differs", exec.Name(), s)
+			}
 		}
+	}
+}
+
+// TestMergeRejectsBadGroups: a batch naming an unknown scheme, holding an
+// empty group (nothing to merge) or naming an unknown filter fails before
+// anything runs.
+func TestMergeRejectsBadGroups(t *testing.T) {
+	e := New(Options{})
+	cfg := workload.POPSConfig(4, 5_000)
+	for name, groups := range map[string][][]SimSpec{
+		"unknown scheme": {{{Trace: cfg, Scheme: "NotAScheme"}}},
+		"empty group":    {{{Trace: cfg, Scheme: "Dir0B"}}, {}},
+		"unknown filter": {{{Trace: cfg, Scheme: "Dir0B", Filter: "nosuchfilter"}}},
+	} {
+		rs, err := e.Merge(context.Background(), nil, groups)
+		if err == nil || rs != nil {
+			t.Errorf("%s: Merge = %v, %v; want a plan-time error", name, rs, err)
+		}
+		if _, ok := AsPartial(err); ok {
+			t.Errorf("%s: plan-time failure reported as a partial batch: %v", name, err)
+		}
+	}
+	if s := e.Stats(); s.JobsRun != 0 {
+		t.Errorf("rejected batches ran %d jobs", s.JobsRun)
 	}
 }
 
@@ -132,14 +186,8 @@ func TestCheckedRunsIdentical(t *testing.T) {
 
 	seq := New(Options{})
 	par := New(Options{})
-	_, sMerged, err := seq.SchemeOverTraces(ctx, Sequential{}, "Dir0B", cfgs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pMerged, err := par.SchemeOverTraces(ctx, Parallel{Workers: 4}, "Dir0B", cfgs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sMerged := perAndMerged(t, seq, ctx, Sequential{}, over("Dir0B", cfgs, true))
+	_, pMerged := perAndMerged(t, par, ctx, Parallel{Workers: 4}, over("Dir0B", cfgs, true))
 	if !reflect.DeepEqual(sMerged, pMerged) {
 		t.Error("checked parallel run differs from checked sequential run")
 	}

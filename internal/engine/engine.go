@@ -123,8 +123,8 @@ type Observer interface {
 	JobFinished(ctx context.Context, id, kind, key string, d time.Duration, cacheHit bool, err error)
 }
 
-// JobKind classifies a job by its ID prefix — "trace", "sim", "merge",
-// "protocol" — or "" for ad-hoc jobs without one.
+// JobKind classifies a job by its ID prefix — "trace", "sim", "merge" —
+// or "" for ad-hoc jobs without one.
 func JobKind(id string) string {
 	if i := strings.IndexByte(id, ':'); i > 0 {
 		return id[:i]
@@ -185,7 +185,7 @@ func New(opts Options) *Engine {
 	}
 	phaseUS := make(map[string]*obs.Histogram)
 	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate",
-		"protocol": "simulate", "merge": "merge", "": "other"} {
+		"merge": "merge", "": "other"} {
 		phaseUS[kind] = reg.Histogram("engine.job."+phase+".us", obs.DurationBucketsUS)
 	}
 	return &Engine{

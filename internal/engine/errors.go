@@ -84,10 +84,10 @@ func IsRetryable(err error) bool {
 
 // Partial reports a batch that completed with some failures: Done results
 // are valid and were delivered; Failed maps each failed unit (a job ID, a
-// trace name, a scheme name — whatever the caller batched over) to its
-// error. The batch helpers (Results, SchemeOverTraces, Compare) return a
-// *Partial instead of discarding the survivors, so one poisoned
-// simulation degrades a sweep instead of voiding it.
+// scheme name — whatever the caller batched over) to its error. The batch
+// helpers (Results, Merge) return a *Partial instead of discarding the
+// survivors, so one poisoned simulation degrades a sweep instead of
+// voiding it.
 type Partial struct {
 	// Failed maps the failed unit's name to its error (usually wrapping a
 	// *JobError).

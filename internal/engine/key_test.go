@@ -178,10 +178,7 @@ func TestCacheHitCountersAcrossBatches(t *testing.T) {
 	ctx := context.Background()
 	cfgs := workload.StandardConfigs(4, 30_000)
 
-	per1, merged1, err := e.SchemeOverTraces(ctx, Sequential{}, "Dir0B", cfgs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	per1, merged1 := perAndMerged(t, e, ctx, Sequential{}, over("Dir0B", cfgs, false))
 	first := e.Stats()
 	if first.SimsRun != int64(len(cfgs)) {
 		t.Fatalf("first batch ran %d sims, want %d", first.SimsRun, len(cfgs))
@@ -190,10 +187,7 @@ func TestCacheHitCountersAcrossBatches(t *testing.T) {
 		t.Fatalf("first batch generated %d traces, want %d", first.TracesGenerated, len(cfgs))
 	}
 
-	per2, merged2, err := e.SchemeOverTraces(ctx, Sequential{}, "Dir0B", cfgs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	per2, merged2 := perAndMerged(t, e, ctx, Sequential{}, over("Dir0B", cfgs, false))
 	second := e.Stats()
 	if second.SimsRun != first.SimsRun {
 		t.Errorf("repeat batch ran %d new sims, want 0", second.SimsRun-first.SimsRun)
@@ -220,7 +214,7 @@ func TestCacheHitCountersAcrossBatches(t *testing.T) {
 	alt := make([]workload.Config, len(cfgs))
 	copy(alt, cfgs)
 	alt[0].Seed += 1
-	if _, _, err := e.SchemeOverTraces(ctx, Sequential{}, "Dir0B", alt, false); err != nil {
+	if _, err := e.Merge(ctx, Sequential{}, [][]SimSpec{over("Dir0B", alt, false)}); err != nil {
 		t.Fatal(err)
 	}
 	third := e.Stats()

@@ -136,7 +136,7 @@ func TestObserverCountersMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Options{Metrics: reg})
 	cfgs := []workload.Config{workload.POPSConfig(4, 8_000)}
-	if _, _, err := e.SchemeOverTraces(context.Background(), Sequential{}, "Dir0B", cfgs, false); err != nil {
+	if _, err := e.Merge(context.Background(), Sequential{}, [][]SimSpec{over("Dir0B", cfgs, false)}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()

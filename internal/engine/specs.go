@@ -28,16 +28,49 @@ type SimSpec struct {
 	// BlockBytes rescales the trace to a non-standard block size before
 	// simulation; 0 means the native trace.BlockBytes.
 	BlockBytes int
+	// Filter names a transformation of the trace before simulation: ""
+	// (none), FilterNoSpins or FilterProcAsCPU.
+	Filter string `json:",omitempty"`
+}
+
+// The trace transformations a SimSpec may name.
+const (
+	// FilterNoSpins removes lock-test spin reads (trace.WithoutSpins).
+	FilterNoSpins = "nospins"
+	// FilterProcAsCPU caches per process, not per processor
+	// (trace.ProcAsCPU).
+	FilterProcAsCPU = "procascpu"
+)
+
+var filters = map[string]func(trace.Source) trace.Source{
+	"":              nil,
+	FilterNoSpins:   trace.WithoutSpins,
+	FilterProcAsCPU: trace.ProcAsCPU,
 }
 
 // Key returns the spec's content hash. Any difference that can change the
 // result — a profile knob, the seed, the CPU count, the scheme, checking,
-// block size — yields a different key.
+// block size, filter — yields a different key. An unfiltered spec hashes
+// exactly as it did before filters existed.
 func (s SimSpec) Key() Key {
-	return hashOf("sim",
+	parts := []string{"sim",
 		canonicalScheme(s.Scheme, s.Trace.CPUs),
 		fmt.Sprintf("check=%t block=%d", s.Check, s.BlockBytes),
-		TraceKey(s.Trace).hex())
+		TraceKey(s.Trace).hex()}
+	if s.Filter != "" {
+		parts = append(parts, "filter="+s.Filter)
+	}
+	return hashOf(parts...)
+}
+
+// label is the spec's scheme, with "/filter" after a filtered one. Job
+// IDs name a simulation label@workload and a merge by its first spec's
+// label.
+func (s SimSpec) label() string {
+	if s.Filter == "" {
+		return s.Scheme
+	}
+	return s.Scheme + "/" + s.Filter
 }
 
 // Trace returns the materialized trace for cfg, generating it at most
@@ -81,24 +114,59 @@ func (e *Engine) Trim(keep workload.Config) {
 // *Partial error mapping each failed job to its cause. A non-Partial
 // error means the batch could not run at all.
 func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([]*sim.Result, error) {
-	if exec == nil {
-		exec = Sequential{}
+	per, err := e.planSpecs(specs)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.ExecuteAll(ctx, exec, dedupJobs(per)...); err != nil {
+		return nil, err
+	}
+	return outputs(per, func(i int) string { return per[i].ID })
+}
+
+// Merge runs every group of specs and returns each group's
+// reference-weighted merge, in group order — the shape of Table 4, where
+// a group is one scheme over the standard workloads. All groups are one
+// batch: specs sharing a workload share one trace generation, and every
+// simulation and every merge is cached by content.
+//
+// One group failing — a panicking simulator, a truncated trace — does not
+// void the others: their merges are still returned (the failed positions
+// nil) with a *Partial naming each failed group by its first spec's
+// scheme (and filter). A non-Partial error means nothing ran.
+func (e *Engine) Merge(ctx context.Context, exec Executor, groups [][]SimSpec) ([]*sim.Result, error) {
+	var specs []SimSpec
+	for _, g := range groups {
+		if len(g) == 0 {
+			return nil, fmt.Errorf("engine: empty group (nothing to merge)")
+		}
+		specs = append(specs, g...)
 	}
 	per, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
-	roots := dedupJobs(per)
-	if err := e.ExecuteAll(ctx, exec, roots...); err != nil {
+	merges := make([]*Job, len(groups))
+	for i, g := range groups {
+		merges[i] = e.mergeJob("merge:"+g[0].label(), per[:len(g)])
+		per = per[len(g):]
+	}
+	if err := e.ExecuteAll(ctx, exec, merges...); err != nil {
 		return nil, err
 	}
-	out := make([]*sim.Result, len(per))
+	return outputs(merges, func(i int) string { return groups[i][0].label() })
+}
+
+// outputs returns the jobs' results in order, with a failed job's
+// position nil and a *Partial naming each failure by name(i).
+func outputs(jobs []*Job, name func(i int) string) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(jobs))
 	failed := make(map[string]error)
 	done := 0
-	for i, j := range per {
+	for i, j := range jobs {
 		v, err := j.Output()
 		if err != nil {
-			failed[j.ID] = err
+			failed[name(i)] = err
 			continue
 		}
 		out[i] = v.(*sim.Result)
@@ -110,157 +178,31 @@ func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([
 	return out, nil
 }
 
-// SchemeOverTraces runs one scheme over several workloads and returns the
-// per-workload results plus their reference-weighted merge — the engine
-// counterpart of sim.SchemeOverTraces, executed as a trace → simulate →
-// aggregate DAG with every stage cached.
-func (e *Engine) SchemeOverTraces(ctx context.Context, exec Executor, scheme string,
-	cfgs []workload.Config, check bool) (per []*sim.Result, merged *sim.Result, err error) {
-	if exec == nil {
-		exec = Sequential{}
-	}
-	specs := make([]SimSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = SimSpec{Trace: cfg, Scheme: scheme, Check: check}
-	}
-	perJobs, err := e.planSpecs(specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	mj := e.mergeJob(fmt.Sprintf("merge:%s", scheme), perJobs)
-	if err := e.ExecuteAll(ctx, exec, mj); err != nil {
-		return nil, nil, err
-	}
-	per = make([]*sim.Result, len(perJobs))
-	failed := make(map[string]error)
-	done := 0
-	for i, j := range perJobs {
-		v, jerr := j.Output()
-		if jerr != nil {
-			failed[specs[i].Trace.Name] = jerr
-			continue
-		}
-		per[i] = v.(*sim.Result)
-		done++
-	}
-	if len(failed) > 0 {
-		// The merge is skipped when any input failed; the surviving
-		// per-trace results are still delivered.
-		return per, nil, &Partial{Failed: failed, Done: done}
-	}
-	out, err := mj.Output()
-	if err != nil {
-		return per, nil, err
-	}
-	return per, out.(*sim.Result), nil
-}
-
-// Compare runs several schemes over the same set of workloads in one
-// batch — the shape of Table 4 and Figure 2 — and returns each scheme's
-// merged result. All schemes replay one generation of each workload.
+// Compare is Merge with one group per scheme over cfgs, keyed by scheme
+// name: the shape dirsim.RunSchemes and the frozen bench/layers.go ask
+// for.
 func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 	cfgs []workload.Config, check bool) (map[string]*sim.Result, error) {
-	if exec == nil {
-		exec = Sequential{}
-	}
-	specs := make([]SimSpec, 0, len(schemes)*len(cfgs))
-	for _, s := range schemes {
+	groups := make([][]SimSpec, len(schemes))
+	for i, s := range schemes {
 		for _, cfg := range cfgs {
-			specs = append(specs, SimSpec{Trace: cfg, Scheme: s, Check: check})
+			groups[i] = append(groups[i], SimSpec{Trace: cfg, Scheme: s, Check: check})
 		}
 	}
-	perJobs, err := e.planSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	merges := make([]*Job, len(schemes))
-	for i, s := range schemes {
-		merges[i] = e.mergeJob(fmt.Sprintf("merge:%s", s), perJobs[i*len(cfgs):(i+1)*len(cfgs)])
-	}
-	if err := e.ExecuteAll(ctx, exec, merges...); err != nil {
+	rs, err := e.Merge(ctx, exec, groups)
+	if rs == nil {
 		return nil, err
 	}
 	out := make(map[string]*sim.Result, len(schemes))
-	failed := make(map[string]error)
-	for i, s := range schemes {
-		v, err := merges[i].Output()
-		if err != nil {
-			// One scheme sinking — a panicking simulator, a truncated
-			// trace — must not void the comparison: the other schemes'
-			// merged results are still delivered alongside a *Partial
-			// naming the failed scheme and its cause.
-			failed[s] = err
-			continue
-		}
-		out[s] = v.(*sim.Result)
-	}
-	if len(failed) > 0 {
-		return out, &Partial{Failed: failed, Done: len(out)}
-	}
-	return out, nil
-}
-
-// RunProtocolOverTraces simulates engines built by build over already
-// materialized traces (optionally filtered) and merges the results. It is
-// the engine's escape hatch for non-registry protocols and filtered
-// replays; the work parallelizes across traces but is uncached, since an
-// arbitrary builder or filter has no content identity.
-func (e *Engine) RunProtocolOverTraces(ctx context.Context, exec Executor,
-	build func(ncpu int) core.Protocol, traces []*trace.Trace,
-	filter func(trace.Source) trace.Source, opts sim.Options) (*sim.Result, error) {
-	if exec == nil {
-		exec = Sequential{}
-	}
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("engine: no traces to run")
-	}
-	jobs := make([]*Job, len(traces))
-	for i, t := range traces {
-		t := t
-		jobs[i] = &Job{
-			ID: fmt.Sprintf("protocol:%s", t.Name),
-			Run: func(ctx context.Context, _ []any) (any, error) {
-				src := trace.Source(t.Iterator())
-				if filter != nil {
-					src = filter(src)
-				}
-				p := build(t.CPUs)
-				r, err := sim.Simulate(p, cancellable(ctx, src), opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s over %s: %w", p.Name(), t.Name, err)
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				e.simsRun.Add(1)
-				e.refsSimulated.Add(r.Counts.Total)
-				r.Trace = t.Name
-				return r, nil
-			},
+	for i, r := range rs {
+		if r != nil {
+			out[schemes[i]] = r
 		}
 	}
-	mj := &Job{
-		ID:   "merge:protocol",
-		Deps: jobs,
-		Run: func(_ context.Context, in []any) (any, error) {
-			rs := make([]*sim.Result, len(in))
-			for i, v := range in {
-				rs[i] = v.(*sim.Result)
-			}
-			return sim.Merge(rs...)
-		},
-	}
-	if err := e.Execute(ctx, exec, mj); err != nil {
-		return nil, err
-	}
-	out, err := mj.Output()
-	if err != nil {
-		return nil, err
-	}
-	return out.(*sim.Result), nil
+	return out, err
 }
 
-// mergeJob aggregates the per-spec results of one scheme, cached by the
+// mergeJob aggregates the per-spec results of one group, cached by the
 // ordered combination of the inputs' keys — the spec keys planSpecs gave
 // deps.
 func (e *Engine) mergeJob(id string, deps []*Job) *Job {
@@ -297,12 +239,16 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 		if _, err := core.NewByName(s.Scheme, s.Trace.CPUs); err != nil {
 			return nil, err
 		}
+		if _, ok := filters[s.Filter]; !ok {
+			return nil, fmt.Errorf("engine: unknown filter %q (want %q or %q)",
+				s.Filter, FilterNoSpins, FilterProcAsCPU)
+		}
 		k := s.Key()
 		if j, ok := byKey[k]; ok {
 			per[i] = j
 			continue
 		}
-		j := &Job{ID: fmt.Sprintf("sim:%s@%s", s.Scheme, s.Trace.Name), Key: k}
+		j := &Job{ID: "sim:" + s.label() + "@" + s.Trace.Name, Key: k}
 		byKey[k] = j
 		per[i] = j
 		switch {
@@ -370,7 +316,7 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 				refs = res.Counts.Total
 			}
 			obs.EndSpan(ctx, "sim.run", start, err,
-				"name", fmt.Sprintf("simulate:%s@%s", spec.Scheme, spec.Trace.Name), "refs", refs)
+				"name", "simulate:"+spec.label()+"@"+spec.Trace.Name, "refs", refs)
 		}()
 	}
 	p, err := core.NewByName(spec.Scheme, spec.Trace.CPUs)
@@ -380,7 +326,13 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 	expect := int64(len(t.Refs))
 	src := trace.Source(t.Iterator())
 	if e.faults != nil {
-		src = e.faults.WrapSource(fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name), src, expect)
+		src = e.faults.WrapSource("sim:"+spec.label()+"@"+spec.Trace.Name, src, expect)
+	}
+	if filter := filters[spec.Filter]; filter != nil {
+		src = filter(src)
+		if e.verify {
+			expect = kept(t, filter)
+		}
 	}
 	if spec.BlockBytes != 0 && spec.BlockBytes != trace.BlockBytes {
 		if src, err = trace.WithBlockSize(src, spec.BlockBytes); err != nil {
@@ -412,6 +364,16 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 	e.refsSimulated.Add(r.Counts.Total)
 	r.Trace = spec.Trace.Name
 	return r, nil
+}
+
+// kept counts the references of t that filter lets through.
+func kept(t *trace.Trace, filter func(trace.Source) trace.Source) int64 {
+	var n int64
+	src, buf := filter(t.Iterator()), make([]trace.Ref, 4096)
+	for k := src.NextBatch(buf); k > 0; k = src.NextBatch(buf) {
+		n += int64(k)
+	}
+	return n
 }
 
 func dedupJobs(jobs []*Job) []*Job {

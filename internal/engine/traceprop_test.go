@@ -86,7 +86,7 @@ func TestTracePropagationThroughJobsAndCache(t *testing.T) {
 	cfgs := tracePropConfigs()
 
 	var b1 bytes.Buffer
-	if _, _, err := e.SchemeOverTraces(journaled(&b1, "run-1"), Sequential{}, "Dir0B", cfgs, false); err != nil {
+	if _, err := e.Merge(journaled(&b1, "run-1"), Sequential{}, [][]SimSpec{over("Dir0B", cfgs, false)}); err != nil {
 		t.Fatal(err)
 	}
 	lines := journalLines(t, b1.Bytes())
@@ -107,7 +107,7 @@ func TestTracePropagationThroughJobsAndCache(t *testing.T) {
 
 	n1 := b1.Len()
 	var b2 bytes.Buffer
-	if _, _, err := e.SchemeOverTraces(journaled(&b2, "run-2"), Sequential{}, "Dir0B", cfgs, false); err != nil {
+	if _, err := e.Merge(journaled(&b2, "run-2"), Sequential{}, [][]SimSpec{over("Dir0B", cfgs, false)}); err != nil {
 		t.Fatal(err)
 	}
 	if b1.Len() != n1 {
@@ -156,7 +156,7 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 
 	var cold bytes.Buffer
 	e1 := New(Options{Store: st})
-	if _, _, err := e1.SchemeOverTraces(journaled(&cold, "cold"), Sequential{}, "Dir0B", cfgs, false); err != nil {
+	if _, err := e1.Merge(journaled(&cold, "cold"), Sequential{}, [][]SimSpec{over("Dir0B", cfgs, false)}); err != nil {
 		t.Fatal(err)
 	}
 	lines := journalLines(t, cold.Bytes())
@@ -166,7 +166,7 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 
 	var warm bytes.Buffer
 	e2 := New(Options{Store: st})
-	if _, _, err := e2.SchemeOverTraces(journaled(&warm, "warm"), Sequential{}, "Dir0B", cfgs, false); err != nil {
+	if _, err := e2.Merge(journaled(&warm, "warm"), Sequential{}, [][]SimSpec{over("Dir0B", cfgs, false)}); err != nil {
 		t.Fatal(err)
 	}
 	lines = journalLines(t, warm.Bytes())
@@ -194,7 +194,7 @@ func TestTracePropagationThroughRetries(t *testing.T) {
 	var buf bytes.Buffer
 	// Every attempt fails spuriously, so the run errors; the retry lines
 	// along the way are what we are after.
-	_, _, _ = e.SchemeOverTraces(journaled(&buf, "retry-run"), Sequential{}, "Dir0B", tracePropConfigs(), false)
+	_, _ = e.Merge(journaled(&buf, "retry-run"), Sequential{}, [][]SimSpec{over("Dir0B", tracePropConfigs(), false)})
 	requireTrace(t, journalLines(t, buf.Bytes()), "job.retry", "retry-run")
 }
 
@@ -203,7 +203,7 @@ func TestTracePropagationThroughRetries(t *testing.T) {
 func TestUntracedSubmissionStaysUntraced(t *testing.T) {
 	e := New(Options{})
 	var buf bytes.Buffer
-	if _, _, err := e.SchemeOverTraces(journaled(&buf, ""), Sequential{}, "Dir0B", tracePropConfigs(), false); err != nil {
+	if _, err := e.Merge(journaled(&buf, ""), Sequential{}, [][]SimSpec{over("Dir0B", tracePropConfigs(), false)}); err != nil {
 		t.Fatal(err)
 	}
 	lines := journalLines(t, buf.Bytes())

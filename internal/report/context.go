@@ -2,10 +2,8 @@ package report
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"dirsim/internal/core"
 	"dirsim/internal/engine"
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
@@ -110,73 +108,55 @@ func (c *Context) StandardConfigs(cpus int) []workload.Config {
 
 // Traces returns the standard POPS/THOR/PERO traces at the headline
 // machine size, materialized at most once per engine.
-func (c *Context) Traces() []*trace.Trace { return c.TracesAt(c.CPUs) }
+func (c *Context) Traces() ([]*trace.Trace, error) { return c.TracesAt(c.CPUs) }
 
 // TracesAt returns the standard traces regenerated for a different
-// machine size (the scaling studies).
-func (c *Context) TracesAt(cpus int) []*trace.Trace {
+// machine size (the scaling studies). It fails only when the engine does,
+// e.g. when the base context is cancelled.
+func (c *Context) TracesAt(cpus int) ([]*trace.Trace, error) {
 	cfgs := c.StandardConfigs(cpus)
 	out := make([]*trace.Trace, len(cfgs))
 	for i, cfg := range cfgs {
 		t, err := c.eng.Trace(c.ctx(), cfg)
 		if err != nil {
-			// The standard profiles are known-good; generation cannot
-			// fail for them (mirrors workload.MustGenerate).
-			panic(err)
+			return nil, err
 		}
 		out[i] = t
 	}
-	return out
+	return out, nil
 }
 
-// Merged returns the scheme's result merged over the standard traces,
-// cached across experiments.
+// specs returns one spec per standard workload at cpus: the group whose
+// merge is scheme's standard result at that machine size, with the trace
+// transformation filter (see engine.SimSpec.Filter).
+func (c *Context) specs(scheme string, cpus int, filter string) []engine.SimSpec {
+	cfgs := c.StandardConfigs(cpus)
+	specs := make([]engine.SimSpec, len(cfgs))
+	for i, cfg := range cfgs {
+		specs[i] = engine.SimSpec{Trace: cfg, Scheme: scheme, Check: c.Check, Filter: filter}
+	}
+	return specs
+}
+
+// MergedGroups returns each group's merged result, in order, running all
+// groups as one engine batch; every simulation and merge is cached
+// across experiments.
+func (c *Context) MergedGroups(groups ...[]engine.SimSpec) ([]*sim.Result, error) {
+	return c.eng.Merge(c.ctx(), c.exec, groups)
+}
+
+// Merged returns the scheme's result merged over the standard traces.
 func (c *Context) Merged(scheme string) (*sim.Result, error) {
-	_, merged, err := c.eng.SchemeOverTraces(c.ctx(), c.exec,
-		scheme, c.StandardConfigs(c.CPUs), c.Check)
-	return merged, err
+	rs, err := c.MergedGroups(c.specs(scheme, c.CPUs, ""))
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // PerTrace returns the scheme's per-trace results on the standard traces.
 func (c *Context) PerTrace(scheme string) ([]*sim.Result, error) {
-	per, _, err := c.eng.SchemeOverTraces(c.ctx(), c.exec,
-		scheme, c.StandardConfigs(c.CPUs), c.Check)
-	return per, err
-}
-
-func (c *Context) opts() sim.Options {
-	return sim.Options{Check: c.Check}
-}
-
-// RunProtocol runs engines built by build over the given traces (with an
-// optional source filter) and merges the results. It is the escape hatch
-// for experiments that need non-registry protocols (coarse vector) or
-// filtered traces (the spin-lock study); the work parallelizes across
-// traces but is not cached.
-func (c *Context) RunProtocol(build func(ncpu int) core.Protocol, traces []*trace.Trace,
-	filter func(trace.Source) trace.Source) (*sim.Result, error) {
-	r, err := c.eng.RunProtocolOverTraces(c.ctx(), c.exec,
-		build, traces, filter, c.opts())
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	return r, nil
-}
-
-// MergedScheme runs a registry scheme over arbitrary traces with an
-// optional filter (uncached; use Merged for the standard runs).
-func (c *Context) MergedScheme(scheme string, traces []*trace.Trace,
-	filter func(trace.Source) trace.Source) (*sim.Result, error) {
-	if _, err := core.NewByName(scheme, 1); err != nil {
-		return nil, err
-	}
-	return c.RunProtocol(func(ncpu int) core.Protocol {
-		p, err := core.NewByName(scheme, ncpu)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}, traces, filter)
+	return c.eng.Results(c.ctx(), c.exec, c.specs(scheme, c.CPUs, ""))
 }
 
 // Experiment reproduces one paper artifact.

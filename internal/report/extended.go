@@ -8,6 +8,7 @@ import (
 	cachepkg "dirsim/internal/cache"
 	"dirsim/internal/contention"
 	"dirsim/internal/core"
+	"dirsim/internal/engine"
 	"dirsim/internal/event"
 	"dirsim/internal/network"
 	"dirsim/internal/sim"
@@ -58,7 +59,10 @@ func runNetwork(c *Context) (string, error) {
 		{64, []network.Topology{network.Bus(64), network.Crossbar(64), network.Mesh(8, 8), network.Torus(8, 8), network.Hypercube(6)}},
 	}
 	for _, sz := range sizes {
-		traces := c.TracesAt(sz.cpus)
+		traces, err := c.TracesAt(sz.cpus)
+		if err != nil {
+			return "", err
+		}
 		b.WriteString(fmt.Sprintf("machine size %d CPUs:\n", sz.cpus))
 		names := make([]string, len(sz.topos))
 		for i, t := range sz.topos {
@@ -114,29 +118,29 @@ func runMigration(c *Context) (string, error) {
 	for _, rate := range []float64{0, 0.001, 0.01} {
 		prof := workload.POPSProfile()
 		prof.MigrationRate = rate
-		tr, err := workload.Generate(workload.Config{
+		cfg := workload.Config{
 			Name: "pops", CPUs: c.CPUs, Refs: c.Refs,
 			Seed: workload.SeedPOPS, Profile: prof,
-		})
+		}
+		tr, err := c.eng.Trace(c.ctx(), cfg)
+		if err != nil {
+			return "", err
+		}
+		perCPU := engine.SimSpec{Trace: cfg, Scheme: "Dir0B", Check: c.Check}
+		perProc := perCPU
+		perProc.Filter = engine.FilterProcAsCPU
+		rs, err := c.MergedGroups([]engine.SimSpec{perProc}, []engine.SimSpec{perCPU})
 		if err != nil {
 			return "", err
 		}
 		// Per-process sharing is read from Proc fields, which ProcAsCPU
 		// leaves alone; the interesting difference is the simulated cost.
 		byProc := trace.ComputeStats(tr)
-		perProc, err := c.MergedScheme("Dir0B", []*trace.Trace{tr}, trace.ProcAsCPU)
-		if err != nil {
-			return "", err
-		}
-		perCPU, err := c.MergedScheme("Dir0B", []*trace.Trace{tr}, nil)
-		if err != nil {
-			return "", err
-		}
 		tbl.row(fmt.Sprintf("%g", rate),
 			fmt.Sprintf("%d", byProc.SharedBlk),
 			fmt.Sprintf("%d", cpuSharedBlocks(tr)),
-			cyc(perProc.PerRef("pipelined")),
-			cyc(perCPU.PerRef("pipelined")))
+			cyc(rs[0].PerRef("pipelined")),
+			cyc(rs[1].PerRef("pipelined")))
 	}
 	b.WriteString(tbl.String())
 	b.WriteString("\nwith no migration the classifications coincide — the check the paper\n" +
@@ -187,7 +191,11 @@ func runContention(c *Context) (string, error) {
 		for _, cpus := range []int{4, 8, 16, 32} {
 			var agg contention.Stats
 			var demand, refs float64
-			for _, tr := range c.TracesAt(cpus) {
+			traces, err := c.TracesAt(cpus)
+			if err != nil {
+				return "", err
+			}
+			for _, tr := range traces {
 				s, _, err := contention.RunScheme(scheme, tr, cfg)
 				if err != nil {
 					return "", err
@@ -266,13 +274,17 @@ func runBlockSize(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("blocksize", "Block-size sensitivity (paper fixes 16 bytes)"))
 	tbl := newTable("block", "Dir0B cyc/ref", "Dir0B rd-miss %", "Dir0B inval<=1 %", "Dragon cyc/ref")
+	traces, err := c.Traces()
+	if err != nil {
+		return "", err
+	}
 	for _, size := range []int{16, 32, 64, 128} {
 		words := size / 4
 		model := bus.PipelinedWords(words)
 		row := []string{fmt.Sprintf("%dB", size)}
 		for _, scheme := range []string{"Dir0B", "Dragon"} {
 			var results []*sim.Result
-			for _, tr := range c.Traces() {
+			for _, tr := range traces {
 				p, err := core.NewByName(scheme, tr.CPUs)
 				if err != nil {
 					return "", err
@@ -316,7 +328,11 @@ func runBlockSize(c *Context) (string, error) {
 func runFiniteCoherence(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("finitecoh", "Coherence misses in finite caches (footnote 2)"))
-	tr := c.Traces()[0] // POPS
+	traces, err := c.Traces()
+	if err != nil {
+		return "", err
+	}
+	tr := traces[0] // POPS
 	tbl := newTable("cache", "coherence miss %", "capacity miss %", "cycles/ref (pipelined)")
 	// An effectively infinite cache first, then smaller ones.
 	for _, kb := range []int{4096, 64, 16, 4} {

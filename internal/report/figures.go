@@ -72,9 +72,9 @@ func runFig2(c *Context) (string, error) {
 func runFig3(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("fig3", "Bus cycles per reference, per trace (pipelined / non-pipelined)"))
-	names := make([]string, 0, 3)
-	for _, t := range c.Traces() {
-		names = append(names, t.Name)
+	var names []string
+	for _, cfg := range c.StandardConfigs(c.CPUs) {
+		names = append(names, cfg.Name)
 	}
 	tbl := newTable("scheme", names...)
 	for _, scheme := range PaperSchemes {

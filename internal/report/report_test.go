@@ -1,8 +1,12 @@
 package report
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"dirsim/internal/trace"
 )
 
 // smallContext builds a context small enough for unit tests yet large
@@ -65,19 +69,23 @@ func TestNewContextDefaults(t *testing.T) {
 
 func TestContextCachesTraces(t *testing.T) {
 	c := smallContext()
-	a := c.Traces()
-	b := c.Traces()
-	if &a[0] != &b[0] {
-		// Slices are rebuilt but the underlying traces must be shared.
-		if a[0] != b[0] {
-			t.Error("standard traces regenerated on every call")
+	traces := func(cpus int) []*trace.Trace {
+		t.Helper()
+		ts, err := c.TracesAt(cpus)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return ts
 	}
-	if len(c.TracesAt(4)) != 3 {
-		t.Error("TracesAt(headline size) should return the standard set")
+	a, err := c.Traces()
+	if err != nil {
+		t.Fatal(err)
 	}
-	w8a, w8b := c.TracesAt(8), c.TracesAt(8)
-	if w8a[0] != w8b[0] {
+	// Slices are rebuilt but the underlying traces must be shared.
+	if b := traces(4); len(b) != 3 || a[0] != b[0] {
+		t.Error("TracesAt(headline size) should return the cached standard set")
+	}
+	if w8a, w8b := traces(8), traces(8); w8a[0] != w8b[0] {
 		t.Error("scaled traces not cached")
 	}
 }
@@ -243,5 +251,31 @@ func TestRenderHelpers(t *testing.T) {
 	}
 	if strings.Contains(withPaper(0.5, 0.4, false), "paper") {
 		t.Error("withPaper without a value should not cite one")
+	}
+}
+
+// TestCancelledBaseReturnsErrors: an experiment reading traces under a
+// cancelled base context fails with the cancellation, whether the trace
+// is still to generate or already cached, and never panics.
+func TestCancelledBaseReturnsErrors(t *testing.T) {
+	c := smallContext()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.WithBase(ctx)
+	exps, err := Lookup("table3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for i := 0; i < 20; i++ {
+		if _, err := c.RunExperiment(exps[0]); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("run %d: %v, want context.Canceled", i, err)
+			}
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Error("20 runs under a cancelled context all succeeded")
 	}
 }

@@ -6,9 +6,8 @@ import (
 
 	"dirsim/internal/bus"
 	"dirsim/internal/cache"
-	"dirsim/internal/core"
 	"dirsim/internal/directory"
-	"dirsim/internal/trace"
+	"dirsim/internal/engine"
 )
 
 // runQSens reproduces the Section 5.1 analysis: adding q fixed cycles to
@@ -58,14 +57,12 @@ func runSpinlocks(c *Context) (string, error) {
 	b.WriteString(section("spinlocks", "Pipelined cycles/ref with and without lock-test spins"))
 	tbl := newTable("scheme", "with spins", "without spins", "paper")
 	for _, scheme := range []string{"Dir1NB", "Dir0B"} {
-		with, err := c.Merged(scheme)
+		rs, err := c.MergedGroups(c.specs(scheme, c.CPUs, ""),
+			c.specs(scheme, c.CPUs, engine.FilterNoSpins))
 		if err != nil {
 			return "", err
 		}
-		without, err := c.MergedScheme(scheme, c.Traces(), trace.WithoutSpins)
-		if err != nil {
-			return "", err
-		}
+		with, without := rs[0], rs[1]
 		paperCell := "~unchanged"
 		if scheme == "Dir1NB" {
 			paperCell = fmt.Sprintf("%.2f -> %.2f", PaperSpinlock.With, PaperSpinlock.Without)
@@ -171,16 +168,20 @@ func runBerkeley(c *Context) (string, error) {
 func runScaling(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("scaling", "Dir_iB and Dir_iNB across pointer counts and machine sizes"))
+	schemes := []string{"Dir0B", "Dir1B", "Dir2B", "Dir4B", "Dir1NB", "Dir2NB", "Dir4NB", "DirNNB"}
 	for _, cpus := range []int{4, 8, 16} {
-		traces := c.TracesAt(cpus)
+		groups := make([][]engine.SimSpec, len(schemes))
+		for i, scheme := range schemes {
+			groups[i] = c.specs(scheme, cpus, "")
+		}
+		rs, err := c.MergedGroups(groups...)
+		if err != nil {
+			return "", err
+		}
 		b.WriteString(fmt.Sprintf("machine size %d CPUs:\n", cpus))
 		tbl := newTable("scheme", "cycles/ref", "rd-miss %", "bcasts/1k refs", "forced-inv/1k refs", "inval<=1 %")
-		schemes := []string{"Dir0B", "Dir1B", "Dir2B", "Dir4B", "Dir1NB", "Dir2NB", "Dir4NB", "DirNNB"}
-		for _, scheme := range schemes {
-			r, err := c.MergedScheme(scheme, traces, nil)
-			if err != nil {
-				return "", err
-			}
+		for i, scheme := range schemes {
+			r := rs[i]
 			tbl.row(scheme,
 				cyc(r.PerRef("pipelined")),
 				fmt.Sprintf("%.3f", r.Counts.ReadMisses()),
@@ -204,15 +205,11 @@ func runCoarse(c *Context) (string, error) {
 	b.WriteString(section("coarse", "Coarse-code superset invalidation vs full map"))
 	tbl := newTable("cpus", "DirNNB cycles/ref", "DirCV cycles/ref", "wasted invals", "overshoot")
 	for _, cpus := range []int{4, 8, 16, 32} {
-		traces := c.TracesAt(cpus)
-		full, err := c.MergedScheme("DirNNB", traces, nil)
+		rs, err := c.MergedGroups(c.specs("DirNNB", cpus, ""), c.specs("DirCV", cpus, ""))
 		if err != nil {
 			return "", err
 		}
-		cv, err := c.RunProtocol(core.NewCoarseVector, traces, nil)
-		if err != nil {
-			return "", err
-		}
+		full, cv := rs[0], rs[1]
 		// Both schemes change state alike, so the coarse code's extra
 		// messages are exactly the ones it wasted.
 		var overshoot float64
@@ -259,13 +256,17 @@ func runFinite(c *Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	traces, err := c.Traces()
+	if err != nil {
+		return "", err
+	}
 	base := d0.PerRef("pipelined")
 	mem := bus.Pipelined().MemAccess
 	tbl := newTable("cache", "capacity miss/ref", "est. cycles/ref", "vs infinite")
 	for _, kb := range []int{4, 16, 64, 256} {
 		cfg := cache.Config{SizeBytes: kb * 1024, Assoc: 2, HashIndex: true}
 		var agg cache.FiniteStats
-		for _, t := range c.Traces() {
+		for _, t := range traces {
 			s, err := cache.SimulateFinite(t, cfg)
 			if err != nil {
 				return "", err

@@ -15,8 +15,12 @@ import (
 func runTable3(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("table3", "Trace characteristics"))
+	traces, err := c.Traces()
+	if err != nil {
+		return "", err
+	}
 	tbl := newTable("trace", "refs", "instr", "data-rd", "data-wrt", "user", "sys", "spin-rd", "shared-blk")
-	for _, t := range c.Traces() {
+	for _, t := range traces {
 		s := trace.ComputeStats(t)
 		tbl.row(s.Name,
 			fmt.Sprintf("%d", s.Refs),

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dirsim/internal/network"
-	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
@@ -84,12 +83,11 @@ func TestMergeBusModelMismatch(t *testing.T) {
 	}
 }
 
-func TestSchemeOverTracesErrors(t *testing.T) {
-	traces := []*trace.Trace{workload.PingPong(100)}
-	if _, _, err := SchemeOverTraces("NotAScheme", traces, Options{}); err == nil {
+func TestSimulateTraceAndMergeErrors(t *testing.T) {
+	if _, err := SimulateTrace("NotAScheme", workload.PingPong(100), Options{}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, _, err := SchemeOverTraces("Dir0B", nil, Options{}); err == nil {
-		t.Error("empty trace list should fail (nothing to merge)")
+	if _, err := Merge(); err == nil {
+		t.Error("empty result list should fail (nothing to merge)")
 	}
 }

@@ -223,9 +223,19 @@ func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.T
 // sparseBatch is the reusable scratch of a simulation's hot loop, what
 // core.AccessSparse fills for one batch. The results buffer starts empty
 // and grows to the few per cent of a batch that did something.
+//
+// The plain counters take a write per reference, and the batch escapes
+// to the heap, where another simulation's batch may be its neighbour.
+// The pads keep the two out of each other's cache lines, so two
+// simulations replaying on two cores never pass one line back and forth
+// on every reference. Without them, one unrelated extra allocation
+// elsewhere made parallel regenerations 50 % slower (DESIGN.md,
+// "Decision record: every report study is a keyed spec").
 type sparseBatch struct {
+	_     [64]byte
 	plain core.Plain
 	outs  []event.Result
+	_     [64]byte
 }
 
 // simulateBatch classifies one batch and accumulates it. Most of any
@@ -390,18 +400,4 @@ func Merge(results ...*Result) (*Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// SchemeOverTraces runs one scheme over several traces and returns the
-// per-trace results plus their merge.
-func SchemeOverTraces(scheme string, traces []*trace.Trace, opts Options) (per []*Result, merged *Result, err error) {
-	for _, t := range traces {
-		r, err := SimulateTrace(scheme, t, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: %s over %s: %w", scheme, t.Name, err)
-		}
-		per = append(per, r)
-	}
-	merged, err = Merge(per...)
-	return per, merged, err
 }

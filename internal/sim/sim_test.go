@@ -144,14 +144,18 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-func TestSchemeOverTraces(t *testing.T) {
-	traces := []*trace.Trace{workload.PingPong(400), workload.Migratory(2, 4, 40)}
-	per, merged, err := SchemeOverTraces("Dragon", traces, Options{Check: true})
+func TestMergeOverTraces(t *testing.T) {
+	var per []*Result
+	for _, tr := range []*trace.Trace{workload.PingPong(400), workload.Migratory(2, 4, 40)} {
+		r, err := SimulateTrace("Dragon", tr, Options{Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		per = append(per, r)
+	}
+	merged, err := Merge(per...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(per) != 2 {
-		t.Fatalf("per-trace results: %d", len(per))
 	}
 	if merged.Counts.Total != per[0].Counts.Total+per[1].Counts.Total {
 		t.Error("merge totals wrong")

@@ -9,7 +9,7 @@ import (
 
 // TestAllBundledSchemesPassBattery runs the full conformance battery —
 // model check, kernels, application trace — against every registered
-// scheme plus the coarse-vector directory.
+// scheme (the coarse-vector directory among them).
 func TestAllBundledSchemesPassBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("battery is heavy")
@@ -32,13 +32,6 @@ func TestAllBundledSchemesPassBattery(t *testing.T) {
 			}
 		})
 	}
-	t.Run("DirCV", func(t *testing.T) {
-		t.Parallel()
-		err := Battery(core.NewCoarseVector)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestBatteryRejectsBrokenProtocol confirms the battery fails fast on a

@@ -48,7 +48,6 @@ func TestExploreCountsSchedules(t *testing.T) {
 func TestExploreAllProtocolsExhaustively(t *testing.T) {
 	cfg := Config{CPUs: 2, Blocks: 2, Depth: 5, CheckEvery: true}
 	extra := map[string]func() core.Protocol{
-		"DirCV": func() core.Protocol { return core.NewCoarseVector(2) },
 		"Dir2NB-limited": func() core.Protocol {
 			return core.NewDiriNB(2, 1) // one pointer: aggressive forced eviction
 		},

@@ -83,7 +83,7 @@ func tracedRun(tb testing.TB, w io.Writer, scheme string, cfgs []workload.Config
 	tc := obs.NewTraceContext()
 	ctx := obs.WithJournal(obs.WithTrace(context.Background(), tc), obs.NewJournal(w).WithTrace(tc))
 	e := engine.New(engine.Options{})
-	if _, _, err := e.SchemeOverTraces(ctx, engine.Sequential{}, scheme, cfgs, false); err != nil {
+	if _, err := e.Compare(ctx, engine.Sequential{}, []string{scheme}, cfgs, false); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -190,7 +190,7 @@ func TestWriteObsBenchJSON(t *testing.T) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e := engine.New(engine.Options{})
-				if _, _, err := e.SchemeOverTraces(context.Background(), engine.Sequential{}, scheme, cfgs, false); err != nil {
+				if _, err := e.Compare(context.Background(), engine.Sequential{}, []string{scheme}, cfgs, false); err != nil {
 					b.Fatal(err)
 				}
 			}
