@@ -225,13 +225,10 @@ func loadTrace(wl, traceIn string, cpus, refs int) (*trace.Trace, error) {
 		defer f.Close()
 		return trace.ReadBinary(f)
 	}
+	if cfg, err := workload.Named(wl, cpus, refs); err == nil {
+		return workload.Generate(cfg)
+	}
 	switch strings.ToLower(wl) {
-	case "pops":
-		return workload.POPS(cpus, refs), nil
-	case "thor":
-		return workload.THOR(cpus, refs), nil
-	case "pero":
-		return workload.PERO(cpus, refs), nil
 	case "pingpong":
 		return workload.PingPong(refs), nil
 	case "migratory":

@@ -124,35 +124,14 @@ func run(wl string, cpus, refs int, seed uint64, out, format, inspect, convert, 
 	return nil
 }
 
+// workloadConfig is the named paper workload's configuration, with seed
+// replacing its fixed seed when non-zero.
 func workloadConfig(wl string, cpus, refs int, seed uint64) (workload.Config, error) {
-	var cfg workload.Config
-	switch wl {
-	case "pops":
-		cfg = workload.Config{Name: "pops", Profile: workload.POPSProfile()}
-	case "thor":
-		cfg = workload.Config{Name: "thor", Profile: workload.THORProfile()}
-	case "pero":
-		cfg = workload.Config{Name: "pero", Profile: workload.PEROProfile()}
-	default:
-		return cfg, fmt.Errorf("unknown workload %q", wl)
-	}
-	cfg.CPUs = cpus
-	cfg.Refs = refs
+	cfg, err := workload.Named(wl, cpus, refs)
 	if seed != 0 {
 		cfg.Seed = seed
-	} else {
-		// Regenerate with the fixed per-workload seed by round-tripping
-		// through the standard constructors' seeds.
-		switch wl {
-		case "pops":
-			cfg.Seed = workload.SeedPOPS
-		case "thor":
-			cfg.Seed = workload.SeedTHOR
-		case "pero":
-			cfg.Seed = workload.SeedPERO
-		}
 	}
-	return cfg, nil
+	return cfg, err
 }
 
 func readTrace(path string) (*trace.Trace, error) {

@@ -37,6 +37,31 @@ func TestWorkloadConfig(t *testing.T) {
 	}
 }
 
+// TestGeneratedTraceIsNamedWorkload: a trace tracegen writes is the
+// trace every other entry point means by the same name, above 4 CPUs
+// too, where the profile scales with the machine.
+func TestGeneratedTraceIsNamedWorkload(t *testing.T) {
+	dir := t.TempDir()
+	for _, wl := range []string{"pops", "thor", "pero"} {
+		path := filepath.Join(dir, wl+".trc")
+		if err := run(wl, 16, 20_000, 0, path, "binary", "", "", ""); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := workload.Named(wl, 16, 20_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := workload.MustGenerate(cfg); got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: tracegen wrote fingerprint %#x, workload.Named's trace has %#x",
+				wl, got.Fingerprint(), want.Fingerprint())
+		}
+	}
+}
+
 func TestGenerateInspectConvertRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "t.trc")

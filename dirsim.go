@@ -37,7 +37,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/cache"
@@ -141,15 +140,11 @@ func StandardTraces(cpus, refs int) []*Trace { return workload.Standard(cpus, re
 // returns an error for unknown names. For full control use
 // workload-profile configs via GenerateCustom.
 func GenerateWorkload(name string, cpus, refs int) (*Trace, error) {
-	switch strings.ToLower(name) {
-	case "pops":
-		return POPS(cpus, refs), nil
-	case "thor":
-		return THOR(cpus, refs), nil
-	case "pero":
-		return PERO(cpus, refs), nil
+	cfg, err := workload.Named(name, cpus, refs)
+	if err != nil {
+		return nil, fmt.Errorf("dirsim: %w", err)
 	}
-	return nil, fmt.Errorf("dirsim: unknown workload %q (want pops, thor, or pero)", name)
+	return workload.Generate(cfg)
 }
 
 // GenerateCustom builds a trace from an arbitrary profile configuration.

@@ -22,22 +22,23 @@ import (
 //     component is *smaller* in a finite cache, while capacity misses
 //     appear on top.
 //
-// The engine classifies each miss by why the block was absent (never
-// cached, invalidated away, or evicted away) in the Cold / Coherence /
-// Capacity counters.
+// A DirNNB engine applies every data reference; finiteDir adds what
+// replacement needs: LRU order, removal of the copies DirNNB dropped,
+// eviction after a fill, and the classification of each miss by why the
+// block was absent (never cached, invalidated away, or evicted away) in
+// the Cold / Coherence / Capacity counters.
 type finiteDir struct {
-	ncpu   int
-	cfg    cache.Config
+	dir    *engine
 	caches []*cache.Cache
-	blocks blockTable[block]
 	// gone records, per block, which CPUs lost their copy and why.
 	gone blockTable[lostCopies]
+	// res is held here because a pointer to a local would escape
+	// through the scheme's step func and allocate on every reference.
+	res event.Result
 
 	// Miss-cause accounting (data misses, first references excluded
 	// from Coherence/Capacity by construction).
 	Cold, Coherence, Capacity int64
-
-	Checker *Checker
 }
 
 // lostCopies is the set of CPUs whose copy of a block was invalidated
@@ -50,78 +51,66 @@ type lostCopies struct {
 // NewFiniteDirNNB returns a full-map directory engine over per-CPU finite
 // caches of the given configuration.
 func NewFiniteDirNNB(ncpu int, cfg cache.Config) (Protocol, error) {
-	checkCPUs(ncpu)
+	dir := newMRSW(ncpu, "FiniteDirNNB", &mrsw{ptrs: ncpu})
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &finiteDir{
-		ncpu:   ncpu,
-		cfg:    cfg,
-		caches: make([]*cache.Cache, ncpu),
-	}
+	p := &finiteDir{dir: dir, caches: make([]*cache.Cache, ncpu)}
 	for i := range p.caches {
 		p.caches[i] = cache.New(cfg)
 	}
 	return p, nil
 }
 
-func (p *finiteDir) Name() string { return "FiniteDirNNB" }
-func (p *finiteDir) CPUs() int    { return p.ncpu }
+func (p *finiteDir) Name() string { return p.dir.name }
+func (p *finiteDir) CPUs() int    { return p.dir.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
-func (p *finiteDir) SetChecker(c *Checker) { p.Checker = c }
+func (p *finiteDir) SetChecker(c *Checker) { p.dir.SetChecker(c) }
 
 func (p *finiteDir) Access(r trace.Ref) event.Result {
-	if int(r.CPU) >= p.ncpu {
-		panic(fmt.Sprintf("core: FiniteDirNNB: cpu %d out of range [0,%d)", r.CPU, p.ncpu))
-	}
-	switch r.Kind {
-	case trace.Instr:
+	switch {
+	case int(r.CPU) >= p.dir.ncpu:
+	case r.Kind == trace.Instr:
 		// Instruction traffic stays off the data caches, as in the
 		// paper's methodology.
 		return event.Result{Type: event.Instr}
-	case trace.Read:
-		return p.access(r.CPU, r.Block(), false)
-	case trace.Write:
-		return p.access(r.CPU, r.Block(), true)
+	case r.Kind == trace.Read, r.Kind == trace.Write:
+		return p.access(r.CPU, r.Block(), r.Kind == trace.Write)
 	}
-	panic(fmt.Sprintf("core: FiniteDirNNB: invalid reference kind %d", r.Kind))
+	p.dir.access(r, &p.res) // rejects the reference
+	return p.res
 }
 
 func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
-	bl := p.blocks.At(b)
-	if bl.holders.Has(c) {
-		// Residency and directory state agree by construction; touch
-		// the cache to keep LRU order honest.
-		p.caches[c].Access(b)
-		if !write {
-			p.Checker.ReadHit(c, b)
-			return event.Result{Type: event.RdHit}
-		}
-		if bl.flags&fD != 0 && bl.owner == c {
-			p.Checker.Write(c, b)
-			return event.Result{Type: event.WrHitOwn}
-		}
-		// Write hit on a clean block: directed invalidations.
-		others := bl.holders.Del(c)
-		res := event.Result{
-			Type:     event.WrHitClean,
-			Holders:  others.Count(),
-			Inval:    others.Count(),
-			DirCheck: true,
-		}
-		p.invalidate(others, b)
-		p.Checker.Write(c, b)
-		bl.holders = Set(0).Add(c)
-		bl.flags |= fD
-		bl.owner = c
-		return res
+	bl := p.dir.blocks.At(b)
+	before := bl.holders
+	if !before.Has(c) {
+		p.attribute(bl, c, b)
 	}
-	// Miss. Attribute the cause before refilling.
-	res := event.Result{Holders: bl.holders.Count(), Type: bl.miss(write)}
+	p.dir.apply(bl, c, b, write, &p.res)
+	if lost := before.Del(c) &^ bl.holders; !lost.Empty() {
+		// The copies DirNNB invalidated leave their caches.
+		gone := p.gone.At(b)
+		gone.invalidated |= lost
+		for ; !lost.Empty(); lost &= lost - 1 {
+			p.caches[lost.First()].Invalidate(b)
+		}
+	}
+	// A hit touches c's copy, keeping LRU order honest (residency and
+	// directory agree by construction); a miss fills it, possibly
+	// evicting a victim.
+	if _, victim, evicted := p.caches[c].Access(b); evicted {
+		p.evict(c, victim)
+	}
+	return p.res
+}
+
+// attribute counts c's miss on b by why the block was absent.
+func (p *finiteDir) attribute(bl *block, c uint8, b trace.Block) {
 	gone := p.gone.At(b)
 	switch {
-	case res.Type.IsFirstRef():
+	case bl.flags&fS == 0:
 		// First reference in the whole trace: uniprocessor cold.
 	case gone.invalidated.Has(c):
 		p.Coherence++
@@ -134,69 +123,22 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		p.Cold++
 	}
 	gone.invalidated, gone.evicted = gone.invalidated.Del(c), gone.evicted.Del(c)
-
-	switch {
-	case bl.flags&fD != 0:
-		if write {
-			res.Inval = 1
-		}
-		res.WriteBack = true
-		res.CacheSupply = true
-		p.Checker.WriteBack(bl.owner, b)
-		p.Checker.FillFromCache(c, bl.owner, b)
-		if write {
-			p.invalidate(bl.holders, b)
-		}
-		bl.flags &^= fD
-	case !bl.holders.Empty():
-		if write {
-			res.Inval = bl.holders.Count()
-			p.invalidate(bl.holders, b)
-		}
-		p.Checker.FillFromMemory(c, b)
-	default:
-		p.Checker.FillFromMemory(c, b)
-	}
-	// Fill, possibly evicting a victim.
-	_, victim, evicted := p.caches[c].Access(b)
-	if evicted {
-		p.evict(c, victim, &res)
-	}
-	bl.holders = bl.holders.Add(c)
-	if write {
-		p.Checker.Write(c, b)
-		bl.holders = Set(0).Add(c)
-		bl.flags |= fD
-		bl.owner = c
-	}
-	return res
-}
-
-// invalidate removes every victim's copy of b from its cache and records
-// the loss as coherence-caused.
-func (p *finiteDir) invalidate(victims Set, b trace.Block) {
-	gone := p.gone.At(b)
-	gone.invalidated |= victims
-	for _, v := range victims.Members(nil) {
-		p.caches[v].Invalidate(b)
-		p.Checker.Invalidate(v, b)
-	}
 }
 
 // evict handles a replacement victim: dirty victims flush to memory,
 // clean ones notify the directory; either way the full map stays exact.
-func (p *finiteDir) evict(c uint8, victim trace.Block, res *event.Result) {
-	vbl := p.blocks.At(victim)
+func (p *finiteDir) evict(c uint8, victim trace.Block) {
+	vbl := p.dir.blocks.At(victim)
 	if vbl.flags&fD != 0 && vbl.owner == c {
-		res.EvictWB = true
-		p.Checker.WriteBack(c, victim)
+		p.res.EvictWB = true
+		p.dir.ck.WriteBack(c, victim)
 		vbl.flags &^= fD
 	} else {
 		// Replacement notification to the directory.
-		res.Control++
+		p.res.Control++
 	}
 	vbl.holders = vbl.holders.Del(c)
-	p.Checker.Invalidate(c, victim)
+	p.dir.ck.Invalidate(c, victim)
 	gone := p.gone.At(victim)
 	gone.evicted = gone.evicted.Add(c)
 }
@@ -208,20 +150,16 @@ func (p *finiteDir) Counters() (cold, coherence, capacity int64) {
 	return p.Cold, p.Coherence, p.Capacity
 }
 
-// CheckInvariants verifies the directory map matches cache residency.
+// CheckInvariants verifies the directory map matches cache residency,
+// then DirNNB's own invariants.
 func (p *finiteDir) CheckInvariants() error {
-	return cmp.Or(p.blocks.Each(func(b trace.Block, bl *block) error {
-		for cpu := 0; cpu < p.ncpu; cpu++ {
-			inDir := bl.holders.Has(uint8(cpu))
-			inCache := p.caches[cpu].Contains(b)
-			if inDir != inCache {
+	return cmp.Or(p.dir.blocks.Each(func(b trace.Block, bl *block) error {
+		for cpu, c := range p.caches {
+			if inDir, inCache := bl.holders.Has(uint8(cpu)), c.Contains(b); inDir != inCache {
 				return fmt.Errorf("FiniteDirNNB: block %#x cpu %d: directory=%v cache=%v",
 					b, cpu, inDir, inCache)
 			}
 		}
-		if bl.flags&fD != 0 && !bl.holders.Only(bl.owner) {
-			return fmt.Errorf("FiniteDirNNB: block %#x dirty with holders %b", b, bl.holders)
-		}
 		return nil
-	}), p.Checker.Err())
+	}), p.dir.CheckInvariants())
 }

@@ -19,8 +19,10 @@
 // scheme states its plain write hit as data (the flags a sole holder's
 // block needs and the flags the write sets) and supplies one step function
 // for the few per cent of references that are not plain: their coherence
-// actions, next state and Checker calls. The finite-cache engine and the
-// Dir1NB specification keep their own Access.
+// actions, next state and Checker calls. FiniteDirNNB is DirNNB's engine
+// plus replacement; it keeps its own Access, because every hit changes
+// LRU order, so no reference is plain to the shared loops. The Dir1NB
+// specification, a test oracle, keeps its own Access too.
 package core
 
 import (

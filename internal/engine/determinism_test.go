@@ -155,8 +155,9 @@ func TestMergeMatchesResults(t *testing.T) {
 }
 
 // TestMergeRejectsBadGroups: a batch naming an unknown scheme, holding an
-// empty group (nothing to merge) or naming an unknown filter fails before
-// anything runs.
+// empty group (nothing to merge), naming an unknown filter or a block size
+// the trace cannot be rescaled to fails before anything runs or any trace
+// is generated.
 func TestMergeRejectsBadGroups(t *testing.T) {
 	e := New(Options{})
 	cfg := workload.POPSConfig(4, 5_000)
@@ -164,6 +165,8 @@ func TestMergeRejectsBadGroups(t *testing.T) {
 		"unknown scheme": {{{Trace: cfg, Scheme: "NotAScheme"}}},
 		"empty group":    {{{Trace: cfg, Scheme: "Dir0B"}}, {}},
 		"unknown filter": {{{Trace: cfg, Scheme: "Dir0B", Filter: "nosuchfilter"}}},
+		"bad block size": {{{Trace: cfg, Scheme: "Dir0B", BlockBytes: 24}}},
+		"negative block": {{{Trace: cfg, Scheme: "Dir0B", BlockBytes: -64}}},
 	} {
 		rs, err := e.Merge(context.Background(), nil, groups)
 		if err == nil || rs != nil {
@@ -173,8 +176,8 @@ func TestMergeRejectsBadGroups(t *testing.T) {
 			t.Errorf("%s: plan-time failure reported as a partial batch: %v", name, err)
 		}
 	}
-	if s := e.Stats(); s.JobsRun != 0 {
-		t.Errorf("rejected batches ran %d jobs", s.JobsRun)
+	if s := e.Stats(); s.JobsRun != 0 || s.TracesGenerated != 0 {
+		t.Errorf("rejected batches ran %d jobs, generated %d traces", s.JobsRun, s.TracesGenerated)
 	}
 }
 

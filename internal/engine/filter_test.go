@@ -12,10 +12,12 @@ import (
 	"dirsim/internal/workload"
 )
 
-// TestSimSpecKeyGolden pins the keys of unfiltered specs to the values
-// computed before SimSpec had a Filter: stores and fleet leases index
-// results by these strings. An unfiltered spec's wire form has no Filter
-// field either.
+// TestSimSpecKeyGolden pins the keys of unfiltered specs: stores and
+// fleet leases index results by these strings. Specs at the native block
+// size (BlockBytes 0 or 16) keep the keys computed before SimSpec had a
+// Filter; a rescaled spec's key changed when its fills began to be priced
+// at its block size, so no result priced at 16 bytes is served for it.
+// An unfiltered spec's wire form has no Filter field either.
 func TestSimSpecKeyGolden(t *testing.T) {
 	cfg := workload.POPSConfig(4, 50_000)
 	for _, g := range []struct {
@@ -27,10 +29,12 @@ func TestSimSpecKeyGolden(t *testing.T) {
 			"66671f5e7b0bfe0e2f0960d551a2834cedd7fcb3ca78f0957773f35b0473d8e4"},
 		{"check", SimSpec{Trace: cfg, Scheme: "Dir0B", Check: true},
 			"2d8eac14570eda651ae5e06fb3b5d747b4631bec3f0d2b5bd3f8c62e328369ff"},
+		{"native block", SimSpec{Trace: cfg, Scheme: "Dir0B", BlockBytes: 16},
+			"5187070064f3b68d4db953e8dcc40654774eaa0a100afeadfacad4b85c3df765"},
 		{"block", SimSpec{Trace: cfg, Scheme: "Dir0B", BlockBytes: 64},
-			"6ec9030ed8e763396520f826b267dbd882b7d201f4085a5fe2a73d17661fb585"},
+			"e592412b81d6af61b6e1eef8f83245c9316c6b486927da5214f5e355c5dbb2cc"},
 		{"all", SimSpec{Trace: workload.THORConfig(8, 50_000), Scheme: "DirNNB", Check: true, BlockBytes: 32},
-			"b17016ecb06ede077366062940f1c49747235a97d80e7a21d5932cd6b8446daa"},
+			"c2afabb4517129988f4a79a8eeafd60090c9ebdfb4c7653e67f0ea5e077808df"},
 	} {
 		if got := KeyHex(g.spec.Key()); got != g.key {
 			t.Errorf("%s: key %s, want %s", g.name, got, g.key)

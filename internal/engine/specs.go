@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"dirsim/internal/bus"
 	"dirsim/internal/core"
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
@@ -26,7 +27,10 @@ type SimSpec struct {
 	// Check enables value-coherence checking during the run.
 	Check bool
 	// BlockBytes rescales the trace to a non-standard block size before
-	// simulation; 0 means the native trace.BlockBytes.
+	// simulation, and fills are priced at that block size: BlockBytes/4
+	// words under bus.PipelinedWords and bus.NonPipelinedWords. 0 means
+	// the native trace.BlockBytes; any other value must pass
+	// trace.CheckBlockSize.
 	BlockBytes int
 	// Filter names a transformation of the trace before simulation: ""
 	// (none), FilterNoSpins or FilterProcAsCPU.
@@ -50,17 +54,48 @@ var filters = map[string]func(trace.Source) trace.Source{
 
 // Key returns the spec's content hash. Any difference that can change the
 // result — a profile knob, the seed, the CPU count, the scheme, checking,
-// block size, filter — yields a different key. An unfiltered spec hashes
-// exactly as it did before filters existed.
+// block size, filter — yields a different key. An unfiltered spec at the
+// native block size hashes exactly as it did before filters existed; a
+// rescaled one carries a marker, because its fills were once priced at 16
+// bytes and such a result must never be served.
 func (s SimSpec) Key() Key {
 	parts := []string{"sim",
 		canonicalScheme(s.Scheme, s.Trace.CPUs),
 		fmt.Sprintf("check=%t block=%d", s.Check, s.BlockBytes),
 		TraceKey(s.Trace).hex()}
+	if s.rescaled() {
+		parts = append(parts, "priced=block")
+	}
 	if s.Filter != "" {
 		parts = append(parts, "filter="+s.Filter)
 	}
 	return hashOf(parts...)
+}
+
+// rescaled reports whether s simulates a block size other than the
+// native one.
+func (s SimSpec) rescaled() bool {
+	return s.BlockBytes != 0 && s.BlockBytes != trace.BlockBytes
+}
+
+// Validate reports whether the engine can run s: a valid workload, a
+// scheme core.NewByName builds at its CPU count, a known filter and a
+// block size of 0 or one trace.CheckBlockSize accepts.
+func (s SimSpec) Validate() error {
+	if err := s.Trace.Validate(); err != nil {
+		return err
+	}
+	if _, err := core.NewByName(s.Scheme, s.Trace.CPUs); err != nil {
+		return err
+	}
+	if _, ok := filters[s.Filter]; !ok {
+		return fmt.Errorf("engine: unknown filter %q (want %q or %q)",
+			s.Filter, FilterNoSpins, FilterProcAsCPU)
+	}
+	if s.BlockBytes != 0 {
+		return trace.CheckBlockSize(s.BlockBytes)
+	}
+	return nil
 }
 
 // label is the spec's scheme, with "/filter" after a filtered one. Job
@@ -233,15 +268,8 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 	byKey := make(map[Key]*Job)
 	traceJobs := make(map[Key]*Job)
 	for i, s := range specs {
-		if err := s.Trace.Validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			return nil, err
-		}
-		if _, err := core.NewByName(s.Scheme, s.Trace.CPUs); err != nil {
-			return nil, err
-		}
-		if _, ok := filters[s.Filter]; !ok {
-			return nil, fmt.Errorf("engine: unknown filter %q (want %q or %q)",
-				s.Filter, FilterNoSpins, FilterProcAsCPU)
 		}
 		k := s.Key()
 		if j, ok := byKey[k]; ok {
@@ -334,12 +362,14 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 			expect = kept(t, filter)
 		}
 	}
-	if spec.BlockBytes != 0 && spec.BlockBytes != trace.BlockBytes {
+	opts := sim.Options{Check: spec.Check}
+	if spec.rescaled() {
 		if src, err = trace.WithBlockSize(src, spec.BlockBytes); err != nil {
 			return nil, err
 		}
+		words := spec.BlockBytes / 4 // 32-bit words
+		opts.Models = []bus.Model{bus.PipelinedWords(words), bus.NonPipelinedWords(words)}
 	}
-	opts := sim.Options{Check: spec.Check}
 	if e.protoSample > 0 {
 		// The sampler is per-simulation (its instants nest under the
 		// simulation's span) but its instruments are per-scheme on the

@@ -274,44 +274,31 @@ func runBlockSize(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("blocksize", "Block-size sensitivity (paper fixes 16 bytes)"))
 	tbl := newTable("block", "Dir0B cyc/ref", "Dir0B rd-miss %", "Dir0B inval<=1 %", "Dragon cyc/ref")
-	traces, err := c.Traces()
+	// The engine prices each fill at the spec's block size. The 16-byte
+	// row is the native spec (BlockBytes 0), which Table 4 already ran.
+	sizes := []int{16, 32, 64, 128}
+	var groups [][]engine.SimSpec
+	for _, size := range sizes {
+		for _, scheme := range []string{"Dir0B", "Dragon"} {
+			g := c.specs(scheme, c.CPUs, "")
+			if size != trace.BlockBytes {
+				for i := range g {
+					g[i].BlockBytes = size
+				}
+			}
+			groups = append(groups, g)
+		}
+	}
+	rs, err := c.MergedGroups(groups...)
 	if err != nil {
 		return "", err
 	}
-	for _, size := range []int{16, 32, 64, 128} {
-		words := size / 4
-		model := bus.PipelinedWords(words)
-		row := []string{fmt.Sprintf("%dB", size)}
-		for _, scheme := range []string{"Dir0B", "Dragon"} {
-			var results []*sim.Result
-			for _, tr := range traces {
-				p, err := core.NewByName(scheme, tr.CPUs)
-				if err != nil {
-					return "", err
-				}
-				src, err := trace.WithBlockSize(tr.Iterator(), size)
-				if err != nil {
-					return "", err
-				}
-				r, err := sim.Simulate(p, src, sim.Options{Models: []bus.Model{model}})
-				if err != nil {
-					return "", err
-				}
-				r.Trace = tr.Name
-				results = append(results, r)
-			}
-			merged, err := sim.Merge(results...)
-			if err != nil {
-				return "", err
-			}
-			row = append(row, cyc(merged.PerRef("pipelined")))
-			if scheme == "Dir0B" {
-				row = append(row,
-					fmt.Sprintf("%.3f", merged.Counts.ReadMisses()),
-					fmt.Sprintf("%.1f", merged.InvalClean.PctAtMost(1)))
-			}
-		}
-		tbl.row(row...)
+	for i, size := range sizes {
+		dir0b, dragon := rs[2*i], rs[2*i+1]
+		tbl.row(fmt.Sprintf("%dB", size), cyc(dir0b.PerRef("pipelined")),
+			fmt.Sprintf("%.3f", dir0b.Counts.ReadMisses()),
+			fmt.Sprintf("%.1f", dir0b.InvalClean.PctAtMost(1)),
+			cyc(dragon.PerRef("pipelined")))
 	}
 	b.WriteString(tbl.String())
 	b.WriteString("\nbigger blocks cut the cold-miss count but each fill moves more words\n" +

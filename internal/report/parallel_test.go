@@ -45,8 +45,8 @@ func TestParallelContextRendersIdentically(t *testing.T) {
 // TestRegenerationSimulatesEachSpecOnce: a whole regeneration on a fresh
 // engine runs one simulation per distinct spec, however many studies ask
 // for it — scaling's 4-CPU rows reuse the headline results, coarse's
-// DirNNB reuses scaling's, and migration's rate 0 is the standard POPS
-// workload.
+// DirNNB reuses scaling's, migration's rate 0 is the standard POPS
+// workload, and blocksize's 16-byte row is Table 4's Dir0B and Dragon.
 func TestRegenerationSimulatesEachSpecOnce(t *testing.T) {
 	for _, exec := range []engine.Executor{engine.Sequential{}, engine.Parallel{Workers: 2}} {
 		c := NewContextWith(5_000, 4, engine.New(engine.Options{}), exec)
@@ -55,8 +55,8 @@ func TestRegenerationSimulatesEachSpecOnce(t *testing.T) {
 				t.Fatalf("%s %s: %v", exec.Name(), e.ID, err)
 			}
 		}
-		if got := c.Engine().Stats().SimsRun; got != 116 {
-			t.Errorf("%s: a regeneration ran %d simulations, want 116", exec.Name(), got)
+		if got := c.Engine().Stats().SimsRun; got != 134 {
+			t.Errorf("%s: a regeneration ran %d simulations, want 134", exec.Name(), got)
 		}
 	}
 }

@@ -13,10 +13,15 @@ import (
 	"testing"
 	"time"
 
+	"dirsim/internal/bus"
+	"dirsim/internal/core"
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
 	"dirsim/internal/obs/httpmon"
+	"dirsim/internal/sim"
 	"dirsim/internal/store"
+	"dirsim/internal/trace"
+	"dirsim/internal/workload"
 )
 
 // smallSpec is a cheap two-cell sweep (one workload, one CPU count, two
@@ -180,14 +185,79 @@ func TestSubmitValidation(t *testing.T) {
 		"bad scheme":   {Schemes: []string{"NoSuch"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}},
 		"bad workload": {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "nope", CPUs: []int{4}, Refs: 100}}},
 		"no cpus":      {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", Refs: 100}}},
+		"bad block":    {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}, BlockBytes: 24},
+		"neg block":    {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}, BlockBytes: -64},
 	} {
 		resp, body := postSpec(t, ts.URL, "t", spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", name, resp.StatusCode, body)
 		}
 	}
+	if n := svc.Engine().Stats().TracesGenerated; n != 0 {
+		t.Errorf("rejected sweeps generated %d traces", n)
+	}
 	if resp := getJSON(t, ts.URL+"/api/v1/experiments/exp-nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing experiment status %d", resp.StatusCode)
+	}
+}
+
+// TestBlockBytesPricedAtBlockSize: a sweep at block_bytes 64 reads the
+// cycles/ref of the blocksize study's 64-byte row for Dir0B and Dragon —
+// each paper trace rescaled to 64-byte blocks, every fill priced at 16
+// words — not a 16-byte fill's price on 64-byte event counts.
+func TestBlockBytesPricedAtBlockSize(t *testing.T) {
+	svc := newTestService(t, Config{})
+	svc.Start()
+	defer svc.Drain(context.Background())
+	ts := startHTTP(t, svc)
+	const cpus, refs, size = 4, 20_000, 64
+	schemes := []string{"Dir0B", "Dragon"}
+	spec := Spec{Schemes: schemes, BlockBytes: size}
+	for _, name := range []string{"pops", "thor", "pero"} {
+		spec.Workloads = append(spec.Workloads, WorkloadSpec{Name: name, CPUs: []int{cpus}, Refs: refs})
+	}
+	_, body := postSpec(t, ts.URL, "t", spec)
+	var st ExperimentStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	final := waitDone(t, ts.URL, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("state %s: %s", final.State, final.Error)
+	}
+	got := map[string][]*sim.Result{}
+	for _, r := range final.Results {
+		got[r.Scheme] = append(got[r.Scheme], r.Result)
+	}
+	for _, scheme := range schemes {
+		var want []*sim.Result
+		for _, cfg := range workload.StandardConfigs(cpus, refs) {
+			p, err := core.NewByName(scheme, cpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := trace.WithBlockSize(workload.MustGenerate(cfg).Iterator(), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sim.Simulate(p, src, sim.Options{Models: []bus.Model{bus.PipelinedWords(size / 4)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+		g, err := sim.Merge(got[scheme]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sim.Merge(want...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.PerRef("pipelined") != w.PerRef("pipelined") {
+			t.Errorf("%s at %d-byte blocks: sweep reads %.4f cycles/ref, the blocksize study %.4f",
+				scheme, size, g.PerRef("pipelined"), w.PerRef("pipelined"))
+		}
 	}
 }
 

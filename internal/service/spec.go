@@ -5,9 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 
-	"dirsim/internal/core"
 	"dirsim/internal/engine"
 	"dirsim/internal/workload"
 )
@@ -24,7 +22,8 @@ type Spec struct {
 	Workloads []WorkloadSpec `json:"workloads"`
 	// Check enables the value-coherence checker on every simulation.
 	Check bool `json:"check,omitempty"`
-	// BlockBytes rescales the block size; 0 keeps the native size.
+	// BlockBytes rescales the block size, and fills are priced at it
+	// (see engine.SimSpec.BlockBytes); 0 keeps the native 16 bytes.
 	BlockBytes int `json:"block_bytes,omitempty"`
 	// Priority orders the experiment under the priority discipline
 	// (larger runs sooner); ignored under FCFS. Not part of the
@@ -49,23 +48,6 @@ type WorkloadSpec struct {
 // the service indefinitely.
 const maxSpecsPerExperiment = 256
 
-// profiles maps workload names to their config constructors.
-var profiles = map[string]func(cpus, refs int) workload.Config{
-	"pops": workload.POPSConfig,
-	"thor": workload.THORConfig,
-	"pero": workload.PEROConfig,
-}
-
-// ProfileNames lists the workload names Expand accepts, sorted.
-func ProfileNames() []string {
-	names := make([]string, 0, len(profiles))
-	for n := range profiles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SpecMeta describes one expanded simulation for API responses: enough
 // to identify the cell in the sweep and its engine cache key.
 type SpecMeta struct {
@@ -88,18 +70,10 @@ func (s Spec) Expand() ([]engine.SimSpec, []SpecMeta, error) {
 	if len(s.Workloads) == 0 {
 		return nil, nil, fmt.Errorf("spec: no workloads")
 	}
-	if s.BlockBytes < 0 {
-		return nil, nil, fmt.Errorf("spec: negative block_bytes")
-	}
 	var specs []engine.SimSpec
 	var meta []SpecMeta
 	seen := make(map[engine.Key]bool)
 	for _, w := range s.Workloads {
-		mk, ok := profiles[strings.ToLower(strings.TrimSpace(w.Name))]
-		if !ok {
-			return nil, nil, fmt.Errorf("spec: unknown workload %q (try %s)",
-				w.Name, strings.Join(ProfileNames(), ", "))
-		}
 		if len(w.CPUs) == 0 {
 			return nil, nil, fmt.Errorf("spec: workload %q has no cpus", w.Name)
 		}
@@ -107,22 +81,24 @@ func (s Spec) Expand() ([]engine.SimSpec, []SpecMeta, error) {
 			return nil, nil, fmt.Errorf("spec: workload %q has non-positive refs", w.Name)
 		}
 		for _, cpus := range w.CPUs {
-			cfg := mk(cpus, w.Refs)
+			cfg, err := workload.Named(w.Name, cpus, w.Refs)
+			if err != nil {
+				return nil, nil, fmt.Errorf("spec: %w", err)
+			}
 			if w.Seed != 0 {
 				cfg.Seed = w.Seed
 			}
-			if err := cfg.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("spec: %s at %d cpus: %w", w.Name, cpus, err)
-			}
 			for _, scheme := range s.Schemes {
-				if _, err := core.NewByName(scheme, cpus); err != nil {
-					return nil, nil, fmt.Errorf("spec: %w", err)
-				}
 				sp := engine.SimSpec{
 					Trace:      cfg,
 					Scheme:     scheme,
 					Check:      s.Check,
 					BlockBytes: s.BlockBytes,
+				}
+				// The engine's own admission test, so a spec it would
+				// reject never reaches the queue.
+				if err := sp.Validate(); err != nil {
+					return nil, nil, fmt.Errorf("spec: %s at %d cpus: %w", w.Name, cpus, err)
 				}
 				k := sp.Key()
 				if seen[k] {

@@ -86,15 +86,24 @@ func ProcAsCPU(src Source) Source {
 // larger granularity. Offsets within a block are irrelevant to the
 // engines, so this is exact for classification purposes. The bus cost
 // models must be rebuilt for the matching word count (bus.PipelinedWords).
-// size must be a power of two, at least BlockBytes (which returns src itself).
+// size must pass CheckBlockSize; BlockBytes returns src itself.
 func WithBlockSize(src Source, size int) (Source, error) {
-	if size < BlockBytes || size&(size-1) != 0 {
-		return nil, fmt.Errorf("trace: block size %d must be a power of two >= %d", size, BlockBytes)
+	if err := CheckBlockSize(size); err != nil {
+		return nil, err
 	}
 	if size == BlockBytes {
 		return src, nil
 	}
 	return &shiftSource{Source: src, shift: bits.TrailingZeros(uint(size / BlockBytes))}, nil
+}
+
+// CheckBlockSize reports whether WithBlockSize can model blocks of size
+// bytes: a power of two, at least BlockBytes.
+func CheckBlockSize(size int) error {
+	if size < BlockBytes || size&(size-1) != 0 {
+		return fmt.Errorf("trace: block size %d must be a power of two >= %d", size, BlockBytes)
+	}
+	return nil
 }
 
 // shiftSource shifts every address right, in the caller's buffer.

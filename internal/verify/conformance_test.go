@@ -9,25 +9,27 @@ import (
 
 // TestAllBundledSchemesPassBattery runs the full conformance battery —
 // model check, kernels, application trace — against every registered
-// scheme (the coarse-vector directory among them).
+// scheme (the coarse-vector directory among them) and against Dir_iNB
+// with one pointer, whose every second copy is a forced eviction. Stage 1
+// is the suite's only exhaustive exploration: every interleaving of 2
+// CPUs over 2 blocks to depth 5, for each of them.
 func TestAllBundledSchemesPassBattery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("battery is heavy")
+	battery := map[string]func(ncpu int) core.Protocol{
+		"DiriNB-one-pointer": func(ncpu int) core.Protocol { return core.NewDiriNB(ncpu, 1) },
 	}
-	names := core.Schemes()
-	names = append(names, "Dir2B", "Dir2NB", "Dir4NB")
-	for _, name := range names {
-		name := name
+	for _, name := range append(core.Schemes(), "Dir2B", "Dir2NB", "Dir4NB") {
+		battery[name] = func(ncpu int) core.Protocol {
+			p, err := core.NewByName(name, ncpu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	for name, factory := range battery {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			err := Battery(func(ncpu int) core.Protocol {
-				p, err := core.NewByName(name, ncpu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			})
-			if err != nil {
+			if err := Battery(factory); err != nil {
 				t.Fatal(err)
 			}
 		})

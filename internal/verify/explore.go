@@ -156,33 +156,3 @@ func runSchedule(factory func() core.Protocol, sched Schedule, checkEvery bool, 
 	}
 	return nil
 }
-
-// ExploreAllSchemes checks every registry scheme (plus any extra
-// factories) under the same bounds, returning the per-scheme schedule
-// counts. It stops at the first violation.
-func ExploreAllSchemes(ncpu int, cfg Config, extra map[string]func() core.Protocol) (map[string]Result, error) {
-	out := make(map[string]Result)
-	for _, name := range core.Schemes() {
-		name := name
-		factory := func() core.Protocol {
-			p, err := core.NewByName(name, ncpu)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}
-		r, err := Explore(factory, cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", name, err)
-		}
-		out[name] = r
-	}
-	for name, factory := range extra {
-		r, err := Explore(factory, cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", name, err)
-		}
-		out[name] = r
-	}
-	return out, nil
-}

@@ -41,31 +41,6 @@ func TestExploreCountsSchedules(t *testing.T) {
 	}
 }
 
-// TestExploreAllProtocolsExhaustively is the headline check: every bundled
-// protocol is value-coherent and invariant-clean on EVERY interleaving of
-// 2 CPUs x 2 blocks x depth 5 (20^... 8 ops alphabet -> 8^5 = 32768
-// schedules per scheme).
-func TestExploreAllProtocolsExhaustively(t *testing.T) {
-	cfg := Config{CPUs: 2, Blocks: 2, Depth: 5, CheckEvery: true}
-	extra := map[string]func() core.Protocol{
-		"Dir2NB-limited": func() core.Protocol {
-			return core.NewDiriNB(2, 1) // one pointer: aggressive forced eviction
-		},
-	}
-	results, err := ExploreAllSchemes(2, cfg, extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) < 10 {
-		t.Fatalf("only %d schemes explored: %v", len(results), results)
-	}
-	for name, r := range results {
-		if r.Schedules != 32768 {
-			t.Errorf("%s: %d schedules, want 32768", name, r.Schedules)
-		}
-	}
-}
-
 // TestExploreThreeCPUs widens the alphabet at reduced depth: 3 CPUs over
 // 1 block exercise every ownership-transfer interleaving.
 func TestExploreThreeCPUs(t *testing.T) {
@@ -143,13 +118,5 @@ func TestExploreFindsInjectedBug(t *testing.T) {
 	// the explored count.
 	if res.Schedules == 0 && res.Ops == 0 {
 		t.Error("no work recorded before the violation")
-	}
-}
-
-func TestExploreAllSchemesPropagatesViolation(t *testing.T) {
-	extra := map[string]func() core.Protocol{"Broken": newBroken}
-	_, err := ExploreAllSchemes(2, Config{CPUs: 2, Blocks: 1, Depth: 4}, extra)
-	if err == nil || !strings.Contains(err.Error(), "Broken") {
-		t.Errorf("violation not attributed to the broken scheme: %v", err)
 	}
 }

@@ -1,6 +1,11 @@
 package workload
 
-import "dirsim/internal/trace"
+import (
+	"fmt"
+	"strings"
+
+	"dirsim/internal/trace"
+)
 
 // The three application models below correspond to the paper's traces
 // (Table 3). Parameter values are tuned so that, at 4 CPUs, the generated
@@ -152,6 +157,23 @@ func PEROConfig(cpus, refs int) Config {
 // the given size, in paper order.
 func StandardConfigs(cpus, refs int) []Config {
 	return []Config{POPSConfig(cpus, refs), THORConfig(cpus, refs), PEROConfig(cpus, refs)}
+}
+
+// Named returns the configuration of the paper trace called name —
+// "pops", "thor" or "pero", case-insensitive — at the given size. It is
+// the one map from those names to a Config: the service, the library
+// facade and both trace-producing commands resolve a workload name here,
+// so each name means one trace everywhere.
+func Named(name string, cpus, refs int) (Config, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "pops":
+		return POPSConfig(cpus, refs), nil
+	case "thor":
+		return THORConfig(cpus, refs), nil
+	case "pero":
+		return PEROConfig(cpus, refs), nil
+	}
+	return Config{}, fmt.Errorf("unknown workload %q (want pops, thor or pero)", name)
 }
 
 // POPS generates the POPS-like trace.
