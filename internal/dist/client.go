@@ -32,17 +32,6 @@ type Client struct {
 	// HTTP performs the requests; nil means a private default client.
 	// Wrap its Transport in a FaultTransport to inject wire faults.
 	HTTP *http.Client
-	// Retries bounds re-attempts after transport-class failures (network
-	// errors, 5xx). 0 means DefaultClientRetries; negative disables.
-	Retries int
-	// Backoff is the first retry's sleep, doubling per attempt with up to
-	// 25% random jitter; 0 means DefaultClientBackoff.
-	Backoff time.Duration
-	// MaxRetryAfter caps how long a server-indicated Retry-After is
-	// honored; 0 means DefaultMaxRetryAfter.
-	MaxRetryAfter time.Duration
-	// Headers are added to every request (e.g. X-Tenant-ID).
-	Headers map[string]string
 	// Metrics, when non-nil, counts dist.client.retries (transport-class
 	// re-attempts) and dist.client.ratelimited (Retry-After waits).
 	Metrics *obs.Registry
@@ -54,9 +43,14 @@ type Client struct {
 }
 
 const (
-	DefaultClientRetries  = 4
-	DefaultClientBackoff  = 25 * time.Millisecond
-	DefaultMaxRetryAfter  = 30 * time.Second
+	// clientRetries bounds re-attempts after transport-class failures
+	// (network errors, 5xx); the first sleeps clientBackoff, doubling per
+	// attempt with up to 25% random jitter.
+	clientRetries = 4
+	clientBackoff = 25 * time.Millisecond
+	// maxRetryAfter caps how long a server-indicated Retry-After is
+	// honored.
+	maxRetryAfter         = 30 * time.Second
 	maxErrorBodyBytes     = 1 << 12
 	maxResponseBodyBytes  = 64 << 20
 	retryAfterProbeFloor  = 50 * time.Millisecond
@@ -82,30 +76,6 @@ func (e *StatusError) Error() string {
 func IsStatus(err error, status int) bool {
 	var se *StatusError
 	return errors.As(err, &se) && se.Status == status
-}
-
-func (c *Client) retries() int {
-	switch {
-	case c.Retries > 0:
-		return c.Retries
-	case c.Retries < 0:
-		return 0
-	}
-	return DefaultClientRetries
-}
-
-func (c *Client) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return DefaultClientBackoff
-}
-
-func (c *Client) maxRetryAfter() time.Duration {
-	if c.MaxRetryAfter > 0 {
-		return c.MaxRetryAfter
-	}
-	return DefaultMaxRetryAfter
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -168,8 +138,8 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("dist: encode request: %w", err)
 		}
 	}
-	backoff := c.backoff()
-	retriesLeft := c.retries()
+	backoff := clientBackoff
+	retriesLeft := clientRetries
 	// Rate-limit waits have their own budget so a saturated server cannot
 	// park a worker forever, but generous enough that honoring Retry-After
 	// never burns the transport budget.
@@ -241,9 +211,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	if tc, ok := obs.TraceFrom(ctx); ok {
 		req.Header.Set(httpmon.TraceHeader, tc.String())
 	}
-	for k, v := range c.Headers {
-		req.Header.Set(k, v)
-	}
 	return c.httpClient().Do(req)
 }
 
@@ -281,9 +248,7 @@ func (c *Client) decode(resp *http.Response, out any) (retryAfter time.Duration,
 				wait = time.Duration(secs) * time.Second
 			}
 		}
-		if max := c.maxRetryAfter(); wait > max {
-			wait = max
-		}
+		wait = min(wait, maxRetryAfter)
 		if wait <= 0 {
 			wait = retryAfterProbeFloor
 		}

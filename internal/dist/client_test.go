@@ -68,8 +68,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 }
 
 // TestClientRetryAfterSeparateBudget: server pushback does not consume
-// the transport retry budget — a client with zero transport retries still
-// outlasts many 503 waits.
+// the transport retry budget — a client outlasts more 503 waits than it
+// has transport retries.
 func TestClientRetryAfterSeparateBudget(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -83,17 +83,21 @@ func TestClientRetryAfterSeparateBudget(t *testing.T) {
 	defer srv.Close()
 
 	rec := &sleepRecorder{}
-	c := &Client{Base: srv.URL, Retries: -1, Sleep: rec.sleep}
+	reg := obs.NewRegistry()
+	c := &Client{Base: srv.URL, Metrics: reg, Sleep: rec.sleep}
 	if err := c.Do(context.Background(), http.MethodGet, "/x", nil, nil); err != nil {
 		t.Fatalf("Do = %v, want success after pushback clears", err)
 	}
-	if n := len(rec.all()); n != 6 {
-		t.Errorf("took %d waits, want 6", n)
+	if n := len(rec.all()); n != 6 || n <= clientRetries {
+		t.Errorf("took %d waits, want 6, more than the %d transport retries", n, clientRetries)
+	}
+	if got := reg.Counter("dist.client.retries").Value(); got != 0 {
+		t.Errorf("pushback burned %d transport retries, want 0", got)
 	}
 }
 
 // TestClientRetryAfterCapped: an absurd Retry-After is clamped to
-// MaxRetryAfter rather than parking the worker for an hour.
+// maxRetryAfter rather than parking the worker for an hour.
 func TestClientRetryAfterCapped(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -107,12 +111,12 @@ func TestClientRetryAfterCapped(t *testing.T) {
 	defer srv.Close()
 
 	rec := &sleepRecorder{}
-	c := &Client{Base: srv.URL, MaxRetryAfter: 5 * time.Second, Sleep: rec.sleep}
+	c := &Client{Base: srv.URL, Sleep: rec.sleep}
 	if err := c.Do(context.Background(), http.MethodGet, "/x", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if sleeps := rec.all(); len(sleeps) != 1 || sleeps[0] != 5*time.Second {
-		t.Errorf("sleeps = %v, want [5s] (capped)", sleeps)
+	if sleeps := rec.all(); len(sleeps) != 1 || sleeps[0] != 30*time.Second {
+		t.Errorf("sleeps = %v, want [30s] (capped)", sleeps)
 	}
 }
 
@@ -131,7 +135,7 @@ func TestClientTransportBackoff(t *testing.T) {
 
 	rec := &sleepRecorder{}
 	reg := obs.NewRegistry()
-	c := &Client{Base: srv.URL, Backoff: 10 * time.Millisecond, Metrics: reg, Sleep: rec.sleep}
+	c := &Client{Base: srv.URL, Metrics: reg, Sleep: rec.sleep}
 	if err := c.Do(context.Background(), http.MethodGet, "/x", nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +143,12 @@ func TestClientTransportBackoff(t *testing.T) {
 	if len(sleeps) != 2 {
 		t.Fatalf("sleeps = %v, want 2 backoffs", sleeps)
 	}
-	// Jitter adds up to 25%; the base doubles.
-	if sleeps[0] < 10*time.Millisecond || sleeps[0] > 13*time.Millisecond {
-		t.Errorf("first backoff %v outside [10ms, 12.5ms]", sleeps[0])
+	// Jitter adds up to 25%; the 25ms base doubles.
+	if sleeps[0] < 25*time.Millisecond || sleeps[0] > 31250*time.Microsecond {
+		t.Errorf("first backoff %v outside [25ms, 31.25ms]", sleeps[0])
 	}
-	if sleeps[1] < 20*time.Millisecond || sleeps[1] > 25*time.Millisecond {
-		t.Errorf("second backoff %v outside [20ms, 25ms]", sleeps[1])
+	if sleeps[1] < 50*time.Millisecond || sleeps[1] > 62500*time.Microsecond {
+		t.Errorf("second backoff %v outside [50ms, 62.5ms]", sleeps[1])
 	}
 	if got := reg.Counter("dist.client.retries").Value(); got != 2 {
 		t.Errorf("retries counter = %d, want 2", got)
@@ -160,13 +164,13 @@ func TestClientRetriesExhaust(t *testing.T) {
 	defer srv.Close()
 
 	rec := &sleepRecorder{}
-	c := &Client{Base: srv.URL, Retries: 2, Backoff: time.Millisecond, Sleep: rec.sleep}
+	c := &Client{Base: srv.URL, Sleep: rec.sleep}
 	err := c.Do(context.Background(), http.MethodGet, "/x", nil, nil)
 	if !IsStatus(err, http.StatusInternalServerError) {
 		t.Fatalf("err = %v, want terminal 500 StatusError", err)
 	}
-	if n := len(rec.all()); n != 2 {
-		t.Errorf("backed off %d times, want 2", n)
+	if n := len(rec.all()); n != clientRetries {
+		t.Errorf("backed off %d times, want %d", n, clientRetries)
 	}
 }
 
@@ -206,7 +210,7 @@ func TestClientCorruptResponseRetries(t *testing.T) {
 	defer srv.Close()
 
 	rec := &sleepRecorder{}
-	c := &Client{Base: srv.URL, Backoff: time.Millisecond, Sleep: rec.sleep}
+	c := &Client{Base: srv.URL, Sleep: rec.sleep}
 	var out struct {
 		OK bool `json:"ok"`
 	}
@@ -236,7 +240,7 @@ func TestClientTracePropagation(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{Base: srv.URL, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}
+	c := &Client{Base: srv.URL, Sleep: func(time.Duration) {}}
 	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "feedfacecafe0001"})
 	if err := c.Do(ctx, http.MethodGet, "/x", nil, nil); err != nil {
 		t.Fatal(err)

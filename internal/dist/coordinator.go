@@ -26,28 +26,16 @@ type Options struct {
 	// worker is handed a hedge lease on the same job. First valid
 	// fingerprint wins; the loser's push is discarded deterministically.
 	HedgeAfter time.Duration
-	// MaxAttempts bounds transport-class failures per job (lease
-	// expiries, rejected results); at the bound the job degrades to local
-	// execution via engine.ErrRemoteUnavailable.
-	MaxAttempts int
 	// DegradeAfter is how long a queued job may sit with the whole fleet
 	// silent (no lease granted to anyone) before it degrades to local.
 	DegradeAfter time.Duration
-	// BreakerThreshold consecutive failures open a worker's circuit
-	// breaker; BreakerCooldown is how long lease requests then get 429 +
-	// Retry-After before a half-open probe is allowed.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MaxLeases caps concurrent leases per job (the primary plus hedges).
-	MaxLeases int
-	// SweepEvery is the lease-expiry scan interval; 0 means LeaseTTL/4.
-	SweepEvery time.Duration
 	// Metrics is the registry the dist.* counters live on; nil means a
 	// private one. Journal receives the job.*, result.* and worker.*
 	// events; nil disables them.
 	Metrics *obs.Registry
 	Journal *obs.Journal
-	// Clock substitutes the real clock for tests; nil means time.Now.
+	// Clock substitutes the real clock for tests; nil means obs.Now, the
+	// journal clock, whose readings the workers' skew estimates compare.
 	Clock func() time.Time
 }
 
@@ -58,26 +46,11 @@ func (o Options) withDefaults() Options {
 	if o.HedgeAfter <= 0 {
 		o.HedgeAfter = DefaultHedgeAfter
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
 	if o.DegradeAfter <= 0 {
 		o.DegradeAfter = DefaultDegradeAfter
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if o.MaxLeases <= 0 {
-		o.MaxLeases = 2
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = o.LeaseTTL / 4
-	}
 	if o.Clock == nil {
-		o.Clock = time.Now
+		o.Clock = obs.Now
 	}
 	return o
 }
@@ -557,7 +530,7 @@ func (c *Coordinator) requeueLocked(t *task, cause string) {
 		return
 	}
 	t.attempts++
-	if t.attempts >= c.opts.MaxAttempts {
+	if t.attempts >= maxAttempts {
 		c.degradeLocked(t, fmt.Sprintf("attempts exhausted (%d): %s", t.attempts, cause))
 		return
 	}
@@ -612,15 +585,22 @@ func (c *Coordinator) workerFailureLocked(w *workerState, cause string) {
 		return
 	}
 	w.fails++
-	if w.probing || w.fails >= c.opts.BreakerThreshold {
+	if w.probing || w.fails >= breakerThreshold {
 		w.probing = false
 		w.fails = 0
-		w.openUntil = c.opts.Clock().Add(c.opts.BreakerCooldown)
+		w.openUntil = c.opts.Clock().Add(c.breakerCooldown())
 		c.workersBroken.Inc()
 		c.event("worker.break", nil, "worker", w.name, "cause", cause,
-			"cooldown_ms", c.opts.BreakerCooldown.Milliseconds())
+			"cooldown_ms", c.breakerCooldown().Milliseconds())
 	}
 }
+
+// breakerCooldown is how long an open breaker answers lease requests
+// with 429 + Retry-After before a half-open probe: 3·LeaseTTL/2.
+func (c *Coordinator) breakerCooldown() time.Duration { return 3 * c.opts.LeaseTTL / 2 }
+
+// sweepEvery is the lease-expiry scan interval: LeaseTTL/4.
+func (c *Coordinator) sweepEvery() time.Duration { return c.opts.LeaseTTL / 4 }
 
 func (c *Coordinator) workerSuccessLocked(w *workerState) {
 	if w == nil {
@@ -635,20 +615,15 @@ func (c *Coordinator) workerSuccessLocked(w *workerState) {
 // dirsimw's default polls, well inside every lease, drain and HTTP timeout.
 const maxLeaseHold = 5 * time.Second
 
-// Lease grants the next job to a pulling worker. Returns (nil, 0, nil)
-// when there is no work, and (nil, retryAfter, nil) when the worker's
-// breaker is open — the HTTP layer turns that into 429 + Retry-After.
-// version is the worker's build identity (may be empty).
-func (c *Coordinator) Lease(workerName, version string) (*JobSpec, time.Duration, error) {
-	job, retryAfter, _ := c.leaseWait(context.Background(), workerName, version, 0)
-	return job, retryAfter, nil
-}
-
-// leaseWait is Lease that, finding nothing to grant, parks for up to hold
-// (capped by the caller at maxLeaseHold) instead of sending the worker off
-// to poll: it looks again whenever a task is queued, and gives up when the
-// hold runs out, ctx ends or the coordinator closes. held is how long it
-// parked: what the worker leaves out of its skew sample and idle sleep.
+// leaseWait grants the next job to a pulling worker. It returns a nil
+// job when there is no work, and a nil job with retryAfter > 0 when the
+// worker's breaker is open — the HTTP layer turns that into 429 +
+// Retry-After. version is the worker's build identity (may be empty).
+// Finding nothing to grant, it parks for up to hold (capped by the
+// caller at maxLeaseHold) instead of sending the worker off to poll: it
+// looks again whenever a task is queued, and gives up when the hold runs
+// out, ctx ends or the coordinator closes. held is how long it parked:
+// what the worker leaves out of its skew sample and idle sleep.
 func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string, hold time.Duration) (job *JobSpec, retryAfter, held time.Duration) {
 	start := time.Now()
 	var expired <-chan time.Time
@@ -695,7 +670,7 @@ func (c *Coordinator) grantLocked(workerName, version string, held time.Duration
 	if w.probing {
 		// A half-open probe is already in flight; hold further grants to
 		// this worker until it resolves.
-		return nil, c.opts.SweepEvery
+		return nil, c.sweepEvery()
 	}
 	probe := !w.openUntil.IsZero()
 
@@ -756,7 +731,7 @@ func (c *Coordinator) grantLocked(workerName, version string, held time.Duration
 // nextTaskLocked takes w's pick off the queue (pickLocked); with the queue
 // empty it considers hedging a straggler: the task whose oldest lease has
 // run longest past HedgeAfter, deterministically tie-broken by key,
-// capped by MaxLeases and never doubling a worker up on its own job.
+// capped by maxLeases and never doubling a worker up on its own job.
 func (c *Coordinator) nextTaskLocked(w *workerState, now time.Time) (*task, bool) {
 	// Tasks degraded while queued leave here. Delete and DeleteFunc clear
 	// the slots they vacate: no granted task stays reachable from the array.
@@ -770,7 +745,7 @@ func (c *Coordinator) nextTaskLocked(w *workerState, now time.Time) (*task, bool
 	}
 	var cands []*task
 	for _, t := range c.tasks {
-		if t.done || len(t.leases) == 0 || len(t.leases) >= c.opts.MaxLeases {
+		if t.done || len(t.leases) == 0 || len(t.leases) >= maxLeases {
 			continue
 		}
 		if now.Sub(t.firstLeased) < c.opts.HedgeAfter {
@@ -949,7 +924,7 @@ func (c *Coordinator) rejectLocked(w *workerState, l *lease, cause string) PushO
 // abandoned.
 func (c *Coordinator) sweepLoop() {
 	defer c.sweeper.Done()
-	tick := time.NewTicker(c.opts.SweepEvery)
+	tick := time.NewTicker(c.sweepEvery())
 	defer tick.Stop()
 	for {
 		select {

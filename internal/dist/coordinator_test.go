@@ -108,11 +108,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// tryLease asks for a job on worker's behalf without parking.
+func tryLease(c *Coordinator, worker string) (job *JobSpec, retryAfter time.Duration) {
+	job, retryAfter, _ = c.leaseWait(context.Background(), worker, "", 0)
+	return job, retryAfter
+}
+
 func mustLease(t *testing.T, c *Coordinator, worker string) *JobSpec {
 	t.Helper()
-	job, retryAfter, err := c.Lease(worker, "")
-	if err != nil || retryAfter != 0 || job == nil {
-		t.Fatalf("Lease(%s) = %v retryAfter=%v err=%v, want a job", worker, job, retryAfter, err)
+	job, retryAfter := tryLease(c, worker)
+	if retryAfter != 0 || job == nil {
+		t.Fatalf("lease(%s) = %v retryAfter=%v, want a job", worker, job, retryAfter)
 	}
 	return job
 }
@@ -144,7 +150,7 @@ func TestCoordinatorLeaseAndComplete(t *testing.T) {
 	if j0.Key != engine.KeyHex(s0.Key()) || j1.Key != engine.KeyHex(s1.Key()) {
 		t.Fatalf("leases out of FIFO order: %s, %s", shortKey(j0.Key), shortKey(j1.Key))
 	}
-	if job, retryAfter, _ := c.Lease("w3", ""); job != nil || retryAfter != 0 {
+	if job, retryAfter := tryLease(c, "w3"); job != nil || retryAfter != 0 {
 		t.Fatalf("empty queue leased job=%v retryAfter=%v", job, retryAfter)
 	}
 
@@ -198,7 +204,7 @@ func TestCoordinatorDedupsConcurrentSubmissions(t *testing.T) {
 
 func TestCoordinatorHeartbeatAndExpiry(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, MaxAttempts: 5, Clock: clk.Now})
+	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, Clock: clk.Now})
 	defer c.Close()
 
 	spec := testSpec(0)
@@ -252,12 +258,12 @@ func TestCoordinatorHeartbeatAndExpiry(t *testing.T) {
 
 func TestCoordinatorDegradesAfterMaxAttempts(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, MaxAttempts: 2, Clock: clk.Now})
+	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, Clock: clk.Now})
 	defer c.Close()
 
 	ch := submit(c, testSpec(0))
 	waitSubmitted(t, c, 1)
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		mustLease(t, c, fmt.Sprintf("w%d", attempt))
 		clk.Advance(11 * time.Second)
 		c.Sweep()
@@ -266,7 +272,7 @@ func TestCoordinatorDegradesAfterMaxAttempts(t *testing.T) {
 	if !errors.Is(o.err, engine.ErrRemoteUnavailable) {
 		t.Fatalf("err = %v, want wrapped ErrRemoteUnavailable", o.err)
 	}
-	if st := c.Stats(); st.JobsDegraded != 1 || st.LeasesExpired != 2 {
+	if st := c.Stats(); st.JobsDegraded != 1 || st.LeasesExpired != maxAttempts {
 		t.Errorf("stats = %+v", st)
 	}
 	checkInvariant(t, c)
@@ -288,20 +294,20 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	j1 := mustLease(t, c, "w1")
 
 	// Too early to hedge, and never against the straggler itself.
-	if job, _, _ := c.Lease("w2", ""); job != nil {
+	if job, _ := tryLease(c, "w2"); job != nil {
 		t.Fatal("hedged before HedgeAfter")
 	}
 	clk.Advance(6 * time.Second)
-	if job, _, _ := c.Lease("w1", ""); job != nil {
+	if job, _ := tryLease(c, "w1"); job != nil {
 		t.Fatal("hedged a worker onto its own job")
 	}
 	j2 := mustLease(t, c, "w2")
 	if j2.Key != j1.Key || j2.Lease == j1.Lease {
 		t.Fatalf("hedge lease wrong: %+v vs %+v", j2, j1)
 	}
-	// MaxLeases (2) caps further hedging.
-	if job, _, _ := c.Lease("w3", ""); job != nil {
-		t.Fatal("hedged past MaxLeases")
+	// maxLeases (2) caps further hedging.
+	if job, _ := tryLease(c, "w3"); job != nil {
+		t.Fatal("hedged past maxLeases")
 	}
 
 	// First valid push wins; the straggler's later push is discarded.
@@ -321,20 +327,34 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	checkInvariant(t, c)
 }
 
+// submitAll submits testSpec(0..n-1), in order, and returns their
+// waiters and ground-truth results keyed by job key.
+func submitAll(t *testing.T, c *Coordinator, n int) ([]chan outcome, map[string]*sim.Result) {
+	t.Helper()
+	var chs []chan outcome
+	want := make(map[string]*sim.Result)
+	for i := 0; i < n; i++ {
+		spec := testSpec(i)
+		want[engine.KeyHex(spec.Key())] = localResult(t, spec)
+		chs = append(chs, submit(c, spec))
+		waitSubmitted(t, c, int64(i+1))
+	}
+	return chs, want
+}
+
 func TestCoordinatorRejectsInvalidResults(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Options{MaxAttempts: 10, BreakerThreshold: 100, Clock: clk.Now})
+	c := NewCoordinator(Options{Clock: clk.Now})
 	defer c.Close()
 
-	spec := testSpec(0)
-	res := localResult(t, spec)
-	ch := submit(c, spec)
-	waitSubmitted(t, c, 1)
+	// Each bad push lands on a job of its own, one failure per job and
+	// per worker, so neither a job's attempts nor a breaker runs out.
+	chs, want := submitAll(t, c, 3)
+	job0, job1, job2 := mustLease(t, c, "w1"), mustLease(t, c, "w2"), mustLease(t, c, "w3")
 
 	// A result whose recomputed fingerprint mismatches the claim — the
 	// bytes were corrupted in flight or the worker lied — is rejected.
-	job := mustLease(t, c, "w1")
-	bad := goodPush("w1", job, res)
+	bad := goodPush("w1", job0, want[job0.Key])
 	bad.Fingerprint = "0xdeadbeef"
 	if got := c.Push(bad); got != PushRejected {
 		t.Fatalf("mismatched fingerprint push = %v, want rejected", got)
@@ -343,31 +363,33 @@ func TestCoordinatorRejectsInvalidResults(t *testing.T) {
 	// In-flight corruption: the worker stamped its result honestly, the
 	// bytes changed en route, so the recomputed fingerprint disagrees
 	// with the claim.
-	job = mustLease(t, c, "w1")
-	mutated := *res
+	mutated := *want[job1.Key]
 	mutated.Counts.Total++
-	corrupt := goodPush("w1", job, &mutated)
-	corrupt.Fingerprint = "0x" + strconv.FormatUint(res.Fingerprint(), 16)
+	corrupt := goodPush("w2", job1, &mutated)
+	corrupt.Fingerprint = "0x" + strconv.FormatUint(want[job1.Key].Fingerprint(), 16)
 	if got := c.Push(corrupt); got != PushRejected {
 		t.Fatalf("corrupt result push = %v, want rejected", got)
 	}
 
 	// An empty result is malformed.
-	job = mustLease(t, c, "w1")
-	if got := c.Push(&resultPush{Worker: "w1", Lease: job.Lease, Key: job.Key}); got != PushRejected {
+	if got := c.Push(&resultPush{Worker: "w3", Lease: job2.Lease, Key: job2.Key}); got != PushRejected {
 		t.Fatalf("empty push = %v, want rejected", got)
 	}
 
-	// The job survives all three rejections and completes on a clean push.
-	job = mustLease(t, c, "w2")
-	if got := c.Push(goodPush("w2", job, res)); got != PushAccepted {
-		t.Fatalf("clean push = %v", got)
+	// Every job survives its rejection and completes on a clean push.
+	for range chs {
+		job := mustLease(t, c, "w4")
+		if got := c.Push(goodPush("w4", job, want[job.Key])); got != PushAccepted {
+			t.Fatalf("clean push = %v", got)
+		}
 	}
-	if o := <-ch; o.err != nil {
-		t.Fatal(o.err)
+	for _, ch := range chs {
+		if o := <-ch; o.err != nil {
+			t.Fatal(o.err)
+		}
 	}
 	st := c.Stats()
-	if st.ResultsRejected != 3 || st.JobsRequeued != 3 || st.JobsCompleted != 1 {
+	if st.ResultsRejected != 3 || st.JobsRequeued != 3 || st.JobsCompleted != 3 {
 		t.Errorf("stats = %+v", st)
 	}
 	checkInvariant(t, c)
@@ -375,64 +397,68 @@ func TestCoordinatorRejectsInvalidResults(t *testing.T) {
 
 func TestCoordinatorBreaker(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Options{
-		MaxAttempts:      100,
-		BreakerThreshold: 2,
-		BreakerCooldown:  15 * time.Second,
-		Clock:            clk.Now,
-	})
+	c := NewCoordinator(Options{Clock: clk.Now})
 	defer c.Close()
 
-	spec := testSpec(0)
-	res := localResult(t, spec)
-	ch := submit(c, spec)
-	waitSubmitted(t, c, 1)
-
+	// breakerThreshold consecutive rejections trip w1's breaker. Each
+	// lands on a job of its own, so none of them runs out of attempts.
+	chs, want := submitAll(t, c, breakerThreshold)
 	badPush := func(job *JobSpec) PushOutcome {
-		p := goodPush("w1", job, res)
+		p := goodPush("w1", job, want[job.Key])
 		p.Fingerprint = "0x1"
 		return c.Push(p)
 	}
-
-	// Two consecutive rejections trip the breaker.
-	for i := 0; i < 2; i++ {
-		job := mustLease(t, c, "w1")
+	var jobs []*JobSpec
+	for range chs {
+		jobs = append(jobs, mustLease(t, c, "w1"))
+	}
+	for i, job := range jobs {
 		if got := badPush(job); got != PushRejected {
 			t.Fatalf("push %d = %v", i, got)
 		}
 	}
-	_, retryAfter, err := c.Lease("w1", "")
-	if err != nil || retryAfter <= 0 {
-		t.Fatalf("open breaker: retryAfter=%v err=%v, want positive wait", retryAfter, err)
+	if _, retryAfter := tryLease(c, "w1"); retryAfter <= 0 {
+		t.Fatalf("open breaker: retryAfter=%v, want positive wait", retryAfter)
 	}
 	// Other workers are unaffected while w1 is broken.
-	probeJob := mustLease(t, c, "w2")
-	c.Push(goodPush("w2", probeJob, res))
-	if o := <-ch; o.err != nil {
-		t.Fatal(o.err)
+	for range chs {
+		job := mustLease(t, c, "w2")
+		c.Push(goodPush("w2", job, want[job.Key]))
+	}
+	for _, ch := range chs {
+		if o := <-ch; o.err != nil {
+			t.Fatal(o.err)
+		}
 	}
 
-	// After the cooldown w1 gets exactly one half-open probe; a second
-	// pull while the probe is in flight is held off.
-	ch2 := submit(c, testSpec(1))
-	waitSubmitted(t, c, 2)
-	clk.Advance(16 * time.Second)
+	// After the cooldown — 3·LeaseTTL/2, 15s at the default TTL — w1
+	// gets exactly one half-open probe; a second pull while the probe is
+	// in flight is held off.
+	spec := testSpec(breakerThreshold)
+	ch2 := submit(c, spec)
+	waitSubmitted(t, c, breakerThreshold+1)
+	clk.Advance(14 * time.Second)
+	if _, retryAfter := tryLease(c, "w1"); retryAfter <= 0 {
+		t.Fatal("breaker closed before its cooldown")
+	}
+	clk.Advance(2 * time.Second)
 	job := mustLease(t, c, "w1")
-	if _, hold, _ := c.Lease("w1", ""); hold <= 0 {
+	if _, hold := tryLease(c, "w1"); hold <= 0 {
 		t.Fatal("second pull during half-open probe not held")
 	}
 	// The probe failing reopens the breaker immediately — no threshold.
+	res1 := localResult(t, spec)
+	want[job.Key] = res1
 	if got := badPush(job); got != PushRejected {
 		t.Fatalf("probe push = %v", got)
 	}
-	if _, retryAfter, _ := c.Lease("w1", ""); retryAfter <= 0 {
+	if _, retryAfter := tryLease(c, "w1"); retryAfter <= 0 {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
 
 	// A successful probe closes it for good.
 	clk.Advance(16 * time.Second)
 	job = mustLease(t, c, "w1")
-	res1 := localResult(t, testSpec(1))
 	if got := c.Push(goodPush("w1", job, res1)); got != PushAccepted {
 		t.Fatalf("closing push = %v", got)
 	}

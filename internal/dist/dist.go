@@ -11,7 +11,7 @@
 //
 //   - requeue: the job goes back to the queue for another worker (lease
 //     expiry, rejected fingerprint, transport failure), bounded by
-//     MaxAttempts;
+//     maxAttempts;
 //   - degrade: remote execution is abandoned for this job — the
 //     coordinator's engine falls back to local computation via
 //     engine.ErrRemoteUnavailable (attempts exhausted, fleet drained or
@@ -39,23 +39,35 @@ package dist
 
 import (
 	"encoding/json"
+	"hash/fnv"
+	"strconv"
 	"time"
 
 	"dirsim/internal/engine"
 	"dirsim/internal/sim"
 )
 
-// Default tuning; all overridable via Options.
+// Default tuning, overridable via Options.
 const (
 	DefaultLeaseTTL     = 10 * time.Second
 	DefaultHedgeAfter   = 30 * time.Second
-	DefaultMaxAttempts  = 3
 	DefaultDegradeAfter = 20 * time.Second
-	// DefaultBreakerThreshold is how many consecutive failures open a
-	// worker's circuit breaker; DefaultBreakerCooldown how long it stays
-	// open before a half-open probe is allowed.
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 15 * time.Second
+)
+
+// The ladder's fixed rungs. A worker's circuit breaker stays open for
+// 3·LeaseTTL/2 (15 s at the default TTL) before a half-open probe, and
+// the lease-expiry sweep runs every LeaseTTL/4: both scale with the one
+// time scale Options sets.
+const (
+	// maxAttempts bounds transport-class failures per job (lease
+	// expiries, rejected results); at the bound the job degrades to local
+	// execution via engine.ErrRemoteUnavailable.
+	maxAttempts = 3
+	// breakerThreshold consecutive failures open a worker's breaker.
+	breakerThreshold = 3
+	// maxLeases caps concurrent leases per job: the primary plus one
+	// hedge.
+	maxLeases = 2
 )
 
 // JobSpec is one leased unit of work as it travels to a worker: the
@@ -140,11 +152,27 @@ type resultPush struct {
 // attributes into each before appending it to the fleet journal.
 // Dropped is the shipper's cumulative drop count (lines lost to a full
 // buffer), cumulative so a lost batch cannot lose the loss report too.
+// Sum is linesSum(Lines): a byte flipped in flight can leave a line valid
+// JSON — a hex digit of a span ID — so only the sum tells the
+// coordinator the batch is not what the worker sent. A batch without
+// one comes from an older worker and is accepted unchecked.
 type journalBatch struct {
 	Worker  string            `json:"worker"`
 	SkewNS  int64             `json:"skew_ns"`
 	Dropped int64             `json:"dropped,omitempty"`
 	Lines   []json.RawMessage `json:"lines"`
+	Sum     string            `json:"sum,omitempty"`
+}
+
+// linesSum is the checksum a journalBatch carries: FNV-1a over its
+// lines, each ended by a newline, in hex.
+func linesSum(lines []json.RawMessage) string {
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write(l)
+		h.Write([]byte{'\n'})
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // journalAccept acknowledges a shipped batch.

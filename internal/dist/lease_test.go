@@ -192,7 +192,7 @@ func TestParkedLeaseReleasedByCancel(t *testing.T) {
 	}))
 	tr := &http.Transport{}
 	w := &Worker{Name: "w1", Poll: time.Second,
-		Client: &Client{Base: srv.URL, HTTP: &http.Client{Transport: tr}, Retries: -1}}
+		Client: &Client{Base: srv.URL, HTTP: &http.Client{Transport: tr}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	leased := make(chan error, 1)
 	go func() {
@@ -341,7 +341,7 @@ func TestSkewSampleExcludesHold(t *testing.T) {
 
 	for _, w := range []*Worker{prompt, parkedW} {
 		est, ok := w.SkewNS()
-		rtt := w.skew.RTT()
+		rtt := time.Duration(w.skew.rttNS)
 		if !ok || rtt >= hold/2 {
 			t.Fatalf("%s: sample ok=%v rtt=%v, want an unheld round trip", w.Name, ok, rtt)
 		}
@@ -409,7 +409,7 @@ func TestAffineGrantsHalveRegeneration(t *testing.T) {
 	generated := map[string]map[engine.Key]bool{"w1": {}, "w2": {}}
 	held := map[string]*JobSpec{}
 	lease := func(w string) {
-		job, _, _ := c.Lease(w, "")
+		job, _ := tryLease(c, w)
 		if held[w] = job; job != nil {
 			generated[w][engine.TraceKey(job.Spec.Trace)] = true
 		}

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,8 +40,8 @@ func TestSkewEstimator(t *testing.T) {
 	if got, ok := e.Offset(); !ok || got != offset.Nanoseconds() {
 		t.Fatalf("Offset = %d,%v, want %d", got, ok, offset.Nanoseconds())
 	}
-	if e.RTT() != 10*time.Millisecond {
-		t.Errorf("RTT = %v, want 10ms", e.RTT())
+	if e.rttNS != (10 * time.Millisecond).Nanoseconds() {
+		t.Errorf("rtt = %dns, want 10ms", e.rttNS)
 	}
 
 	// A fatter round trip (a retried request) must not displace the
@@ -57,8 +58,8 @@ func TestSkewEstimator(t *testing.T) {
 	if got, _ := e.Offset(); got != (offset + time.Millisecond).Nanoseconds() {
 		t.Errorf("tighter sample did not win: %d", got)
 	}
-	if e.RTT() != 2*time.Millisecond {
-		t.Errorf("RTT = %v, want 2ms", e.RTT())
+	if e.rttNS != (2 * time.Millisecond).Nanoseconds() {
+		t.Errorf("rtt = %dns, want 2ms", e.rttNS)
 	}
 
 	// A request the server parked for a second and stamped on reply is
@@ -67,8 +68,8 @@ func TestSkewEstimator(t *testing.T) {
 	t0, t2 = base, base.Add(time.Second+time.Millisecond)
 	server = t2.Add(-500 * time.Microsecond).Add(offset + 2*time.Millisecond)
 	e.Observe(t0, t2, server.UnixNano(), time.Second)
-	if got, _ := e.Offset(); got != (offset+2*time.Millisecond).Nanoseconds() || e.RTT() != time.Millisecond {
-		t.Errorf("held sample: offset %d rtt %v, want %d and 1ms", got, e.RTT(), (offset + 2*time.Millisecond).Nanoseconds())
+	if got, _ := e.Offset(); got != (offset+2*time.Millisecond).Nanoseconds() || e.rttNS != time.Millisecond.Nanoseconds() {
+		t.Errorf("held sample: offset %d rtt %dns, want %d and 1ms", got, e.rttNS, (offset + 2*time.Millisecond).Nanoseconds())
 	}
 
 	// Pre-skew coordinators (no clock in the response), reversed
@@ -85,7 +86,7 @@ func TestSkewEstimator(t *testing.T) {
 	// A nil estimator is inert (the no-journal worker path).
 	var nilE *skewEstimator
 	nilE.Observe(t0, t2, server.UnixNano(), 0)
-	if _, ok := nilE.Offset(); ok || nilE.RTT() != 0 {
+	if _, ok := nilE.Offset(); ok {
 		t.Error("nil estimator is not inert")
 	}
 }
@@ -140,8 +141,7 @@ func TestJournalShipperDeliversInOrder(t *testing.T) {
 	defer srv.Close()
 
 	s := NewJournalShipper(&Client{Base: srv.URL}, "w1", ShipperOptions{
-		FlushEvery: time.Hour, // only explicit flushes: Close drives delivery
-		Skew:       func() (int64, bool) { return 1234, true },
+		Skew: func() (int64, bool) { return 1234, true },
 	})
 	jnl := obs.NewJournal(s)
 	for i := 0; i < 20; i++ {
@@ -186,8 +186,7 @@ func TestJournalShipperRequeuesOnFailure(t *testing.T) {
 	srv := httptest.NewServer(sink.handler())
 	defer srv.Close()
 
-	s := NewJournalShipper(&Client{Base: srv.URL, Retries: -1}, "w1",
-		ShipperOptions{FlushEvery: time.Hour})
+	s := NewJournalShipper(&Client{Base: srv.URL}, "w1", ShipperOptions{})
 	jnl := obs.NewJournal(s)
 	jnl.Event("worker.start")
 	s.Flush(context.Background()) // eaten by the injected 400
@@ -209,39 +208,113 @@ func TestJournalShipperRequeuesOnFailure(t *testing.T) {
 // TestJournalShipperOverflowDropsAndCounts: a full buffer sheds the
 // newest lines, never blocks, and the cumulative drop count rides on the
 // next successful batch — a lost batch cannot lose the loss report. The
-// ten lines arrive in one Write, which buffers them under one lock, so
-// the half-capacity flush cannot drain the buffer between them: exactly
-// four are kept and six dropped.
+// lines arrive in one Write, which buffers them under one lock, so
+// neither the half-capacity flush nor the background one can drain the
+// buffer between them: exactly shipMaxLines are kept and the rest
+// dropped, whenever either flush runs.
 func TestJournalShipperOverflowDropsAndCounts(t *testing.T) {
 	sink := &shipperSink{}
 	srv := httptest.NewServer(sink.handler())
 	defer srv.Close()
 
-	s := NewJournalShipper(&Client{Base: srv.URL}, "w1", ShipperOptions{
-		MaxLines:   4,
-		FlushEvery: time.Hour,
-	})
+	s := NewJournalShipper(&Client{Base: srv.URL}, "w1", ShipperOptions{})
+	const over = 6
 	var lines bytes.Buffer
 	jnl := obs.NewJournal(&lines)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < shipMaxLines+over; i++ {
 		jnl.Event("e", "n", i)
 	}
 	if _, err := s.Write(lines.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Dropped(); got != 6 {
-		t.Fatalf("Dropped() = %d after 10 lines into a 4-line buffer, want 6", got)
+	if got := s.Dropped(); got != over {
+		t.Fatalf("Dropped() = %d after %d lines into a %d-line buffer, want %d",
+			got, shipMaxLines+over, shipMaxLines, over)
 	}
 	s.Close(context.Background())
 
-	if delivered := len(sink.lines()); delivered != 4 {
-		t.Errorf("%d lines delivered, want 4", delivered)
+	if delivered := len(sink.lines()); delivered != shipMaxLines {
+		t.Errorf("%d lines delivered, want %d", delivered, shipMaxLines)
 	}
 	sink.mu.Lock()
 	last := sink.batches[len(sink.batches)-1]
 	sink.mu.Unlock()
-	if last.Dropped != 6 {
-		t.Errorf("last batch carried Dropped=%d, want 6", last.Dropped)
+	if last.Dropped != over {
+		t.Errorf("last batch carried Dropped=%d, want %d", last.Dropped, over)
+	}
+}
+
+// flipOnce flips one hex digit of the first span ID in the first
+// request body it carries — the line stays valid JSON — and passes every
+// later request through untouched.
+type flipOnce struct{ done atomic.Bool }
+
+func (f *flipOnce) RoundTrip(r *http.Request) (*http.Response, error) {
+	if f.done.CompareAndSwap(false, true) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		i := bytes.Index(body, []byte(`"span":"`)) + len(`"span":"`)
+		body[i] ^= 1 // '0'-'9' and 'a'-'f' stay hex digits
+		r = r.Clone(r.Context())
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestJournalBatchChecksum: a shipped batch whose bytes changed in
+// flight — one hex digit of a span ID, which leaves the line valid JSON
+// — is refused whole (422, its lines counted on dist.journal.rejected)
+// instead of splicing a wrong span into the record, and the shipper's
+// retry then delivers the clean bytes. A batch without a sum, from an
+// older worker, is accepted unchecked.
+func TestJournalBatchChecksum(t *testing.T) {
+	var fleet lockedBuffer
+	reg := obs.NewRegistry()
+	c := NewCoordinator(Options{Metrics: reg, Journal: obs.NewJournal(&fleet)})
+	defer c.Close()
+	mux := http.NewServeMux()
+	Register(mux, c)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var sent bytes.Buffer
+	s := NewJournalShipper(&Client{Base: srv.URL, HTTP: &http.Client{Transport: &flipOnce{}}}, "w1", ShipperOptions{})
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), obs.TraceContext{Trace: "feedface01"}),
+		obs.NewJournal(io.MultiWriter(&sent, s)))
+	sctx, _ := obs.StartSpan(ctx)
+	obs.EndSpan(sctx, "job.finish", time.Now(), nil, "name", "sim:Dir0B@pops")
+	s.Flush(context.Background()) // refused: the digit flipped on the way
+	if got := reg.Counter("dist.journal.rejected").Value(); got != 1 {
+		t.Fatalf("dist.journal.rejected = %d after a flipped batch, want its 1 line", got)
+	}
+	if len(fleet.Bytes()) != 0 {
+		t.Fatalf("a batch failing its sum reached the fleet journal: %s", fleet.Bytes())
+	}
+	s.Close(context.Background()) // the requeued lines, sent clean
+
+	var want, got struct{ Span string }
+	if err := json.Unmarshal(sent.Bytes(), &want); err != nil || want.Span == "" {
+		t.Fatalf("worker line %q: %v", sent.Bytes(), err)
+	}
+	var spliced int
+	for _, l := range bytes.Split(bytes.TrimSpace(fleet.Bytes()), []byte("\n")) {
+		if bytes.Contains(l, []byte(`"msg":"job.finish"`)) {
+			spliced++
+			if err := json.Unmarshal(l, &got); err != nil || got.Span != want.Span {
+				t.Errorf("fleet journal holds span %q, worker sent %q", got.Span, want.Span)
+			}
+		}
+	}
+	if spliced != 1 {
+		t.Errorf("fleet journal holds %d job.finish lines, want the retried one", spliced)
+	}
+
+	// An older worker's batch carries no sum and is taken as it comes.
+	old := []byte(`{"worker":"w0","skew_ns":0,"lines":[{"msg":"worker.start"}]}`)
+	if rec := postBody(c.handleJournal, "/api/v1/dist/journal", old); rec.Code != http.StatusOK {
+		t.Errorf("batch without a sum answered %d, want 200", rec.Code)
 	}
 }
 
@@ -320,9 +393,9 @@ func TestCoordinatorFederatesHeartbeatCounters(t *testing.T) {
 	spec := testSpec(0)
 	ch := submit(c, spec)
 	waitSubmitted(t, c, 1)
-	job, _, err := c.Lease("w1", "go1.x-abcdef123456")
-	if err != nil || job == nil {
-		t.Fatalf("Lease = %v, %v", job, err)
+	job, _, _ := c.leaseWait(context.Background(), "w1", "go1.x-abcdef123456", 0)
+	if job == nil {
+		t.Fatal("no job leased")
 	}
 	clk.Advance(100 * time.Millisecond)
 	if !c.Heartbeat("w1", job.Lease, map[string]int64{"engine.sims": 7, "dist.ship.lines": 40}) {
@@ -476,10 +549,7 @@ func TestFleetMergedTraceAndShippedJournal(t *testing.T) {
 		Journal:  obs.NewJournal(&coordLog),
 	})
 	w1 := &Worker{Name: "w1", Engine: engine.New(engine.Options{}), Version: "test-v1"}
-	ship := NewJournalShipper(&Client{Base: f.srv.URL}, "w1", ShipperOptions{
-		FlushEvery: 20 * time.Millisecond,
-		Skew:       w1.SkewNS,
-	})
+	ship := NewJournalShipper(&Client{Base: f.srv.URL}, "w1", ShipperOptions{Skew: w1.SkewNS})
 	w1.Journal, w1.Shipper = obs.NewJournal(io.MultiWriter(&w1Log, ship)), ship
 	f.launch(w1)
 
@@ -607,8 +677,6 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 	var coordLog lockedBuffer
 	f := startFleet(t, Options{
 		LeaseTTL:     400 * time.Millisecond,
-		SweepEvery:   50 * time.Millisecond,
-		MaxAttempts:  5,
 		DegradeAfter: 5 * time.Second,
 		Journal:      obs.NewJournal(&coordLog),
 	})
@@ -620,7 +688,7 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 	// the queue.
 	f.launch(&Worker{
 		Name:   "crasher",
-		Client: &Client{Base: f.srv.URL, Backoff: 5 * time.Millisecond},
+		Client: &Client{Base: f.srv.URL, Sleep: tenfold},
 		Engine: engine.New(engine.Options{}),
 		Inj:    faults.New(crashWire),
 	})
@@ -639,8 +707,8 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 	var ships []*JournalShipper
 	for _, name := range []string{"w1", "w2"} {
 		ft := NewFaultTransport(name, faults.New(wire), nil)
-		client := &Client{Base: f.srv.URL, HTTP: &http.Client{Transport: ft}, Backoff: 5 * time.Millisecond}
-		ship := NewJournalShipper(client, name, ShipperOptions{FlushEvery: 20 * time.Millisecond})
+		client := &Client{Base: f.srv.URL, HTTP: &http.Client{Transport: ft}, Sleep: tenfold}
+		ship := NewJournalShipper(client, name, ShipperOptions{})
 		ships = append(ships, ship)
 		f.launch(&Worker{
 			Name:    name,

@@ -11,6 +11,15 @@ import (
 	"dirsim/internal/service"
 )
 
+// tenantTransport names its tenant on every request it carries.
+type tenantTransport string
+
+func (t tenantTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Set(service.TenantHeader, string(t))
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // TestQuotaPushbackHonoredPerTenant runs the dist client against a real
 // dirsimd service with a per-tenant quota of one: the quota'd tenant's
 // client is told 429 + Retry-After and backs off exactly as told — every
@@ -46,7 +55,7 @@ func TestQuotaPushbackHonoredPerTenant(t *testing.T) {
 	recA := &sleepRecorder{}
 	clientA := &Client{
 		Base:    srv.URL,
-		Headers: map[string]string{service.TenantHeader: "team-a"},
+		HTTP:    &http.Client{Transport: tenantTransport("team-a")},
 		Metrics: regA,
 		// Record the server-indicated wait, then nap briefly so the test
 		// doesn't run in real Retry-After seconds. The client gives up
@@ -95,7 +104,7 @@ func TestQuotaPushbackHonoredPerTenant(t *testing.T) {
 	regB := obs.NewRegistry()
 	clientB := &Client{
 		Base:    srv.URL,
-		Headers: map[string]string{service.TenantHeader: "team-b"},
+		HTTP:    &http.Client{Transport: tenantTransport("team-b")},
 		Metrics: regB,
 		Sleep:   func(time.Duration) { t.Error("tenant B should not wait") },
 	}

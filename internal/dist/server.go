@@ -131,6 +131,11 @@ func (c *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing worker name")
 		return
 	}
+	if b.Sum != "" && b.Sum != linesSum(b.Lines) {
+		c.jnlRejected.Add(int64(len(b.Lines)))
+		writeError(w, http.StatusUnprocessableEntity, "journal batch from %s fails its checksum", b.Worker)
+		return
+	}
 	writeJSON(w, http.StatusOK, journalAccept{Accepted: c.AcceptJournal(&b)})
 }
 

@@ -11,15 +11,18 @@ import (
 	"dirsim/internal/obs"
 )
 
+const (
+	// shipMaxLines bounds a shipper's pending buffer; writes beyond it
+	// are dropped and counted (the count ships with every batch,
+	// cumulatively, so a lost batch cannot lose the loss report). A
+	// buffer reaching half of it flushes at once.
+	shipMaxLines = 4096
+	// shipFlushEvery is the background flush interval.
+	shipFlushEvery = 250 * time.Millisecond
+)
+
 // ShipperOptions tunes a JournalShipper.
 type ShipperOptions struct {
-	// MaxLines bounds the pending buffer; writes beyond it are dropped
-	// and counted (the count ships with every batch, cumulatively, so a
-	// lost batch cannot lose the loss report). 0 means 4096.
-	MaxLines int
-	// FlushEvery is the background flush interval; 0 means 250ms. A
-	// buffer reaching half capacity flushes immediately.
-	FlushEvery time.Duration
 	// Skew supplies the worker's current coordinator-minus-worker clock
 	// estimate for batch tagging (Worker.SkewNS); nil tags 0.
 	Skew func() (int64, bool)
@@ -53,12 +56,6 @@ type JournalShipper struct {
 
 // NewJournalShipper starts a shipper for worker, posting through client.
 func NewJournalShipper(client *Client, worker string, opts ShipperOptions) *JournalShipper {
-	if opts.MaxLines <= 0 {
-		opts.MaxLines = 4096
-	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = 250 * time.Millisecond
-	}
 	s := &JournalShipper{
 		client: client,
 		worker: worker,
@@ -89,13 +86,13 @@ func (s *JournalShipper) Write(p []byte) (int, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if len(s.pending) >= s.opts.MaxLines {
+		if len(s.pending) >= shipMaxLines {
 			s.dropped++
 			continue
 		}
 		s.pending = append(s.pending, append([]byte(nil), bytes.TrimRight(line, "\r\n")...))
 	}
-	full := len(s.pending) >= s.opts.MaxLines/2
+	full := len(s.pending) >= shipMaxLines/2
 	s.mu.Unlock()
 	if full {
 		select {
@@ -108,7 +105,7 @@ func (s *JournalShipper) Write(p []byte) (int, error) {
 
 func (s *JournalShipper) loop() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.opts.FlushEvery)
+	tick := time.NewTicker(shipFlushEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -144,13 +141,23 @@ func (s *JournalShipper) Flush(ctx context.Context) {
 	b := journalBatch{Worker: s.worker, SkewNS: skew, Dropped: dropped,
 		Lines: make([]json.RawMessage, len(batchLines))}
 	for i, l := range batchLines {
-		b.Lines[i] = json.RawMessage(l)
+		// The sum covers the bytes the coordinator will decode: encoding
+		// a line compacts it and escapes <, > and & inside its strings.
+		enc, err := json.Marshal(json.RawMessage(l))
+		if err != nil {
+			// Not JSON (a foreign writer's line): it ships as a string,
+			// which the coordinator rejects and counts like any other
+			// malformed line, instead of failing the batch every retry.
+			enc, _ = json.Marshal(string(l))
+		}
+		b.Lines[i] = enc
 	}
+	b.Sum = linesSum(b.Lines)
 	err := s.client.Do(ctx, http.MethodPost, "/api/v1/dist/journal", b, nil)
 	if err != nil {
 		s.count("dist.ship.errors", 1)
 		s.mu.Lock()
-		if room := s.opts.MaxLines - len(s.pending); room >= len(batchLines) {
+		if room := shipMaxLines - len(s.pending); room >= len(batchLines) {
 			s.pending = append(batchLines, s.pending...)
 		} else {
 			s.dropped += int64(len(batchLines))

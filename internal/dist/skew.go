@@ -48,13 +48,3 @@ func (e *skewEstimator) Offset() (ns int64, ok bool) {
 	defer e.mu.Unlock()
 	return e.offsetNS, e.samples > 0
 }
-
-// RTT returns the round-trip time of the sample backing the estimate.
-func (e *skewEstimator) RTT() time.Duration {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Duration(e.rttNS)
-}

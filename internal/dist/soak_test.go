@@ -80,7 +80,7 @@ func runSoakFleet(t *testing.T, cfg soakFleetConfig, specs []engine.SimSpec) soa
 		}
 		return &Worker{
 			Name:   name,
-			Client: &Client{Base: f.srv.URL, HTTP: &http.Client{Transport: ft}, Backoff: 5 * time.Millisecond},
+			Client: &Client{Base: f.srv.URL, HTTP: &http.Client{Transport: ft}, Sleep: tenfold},
 			Engine: eng,
 			Inj:    inj,
 		}
@@ -178,17 +178,20 @@ func soakSeeds() []uint64 {
 	return []uint64{1, 2}
 }
 
-// soakCoordOptions shrinks every timer so the full failure ladder runs in
-// test time.
+// tenfold is the faulted fleets' clock for client sleeps: ten times
+// fast, as their lease TTLs of a second or less stand for the default
+// ten, so the production backoff ladder and Retry-After waits keep their
+// proportion to the lease.
+func tenfold(d time.Duration) { time.Sleep(d / 10) }
+
+// soakCoordOptions shrinks the lease TTL — and with it the expiry sweep
+// and the breaker cooldown — and the hedge and degrade delays, so the
+// full failure ladder runs in test time.
 func soakCoordOptions() Options {
 	return Options{
-		LeaseTTL:         time.Second,
-		SweepEvery:       50 * time.Millisecond,
-		HedgeAfter:       400 * time.Millisecond,
-		MaxAttempts:      5,
-		DegradeAfter:     2 * time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  200 * time.Millisecond,
+		LeaseTTL:     300 * time.Millisecond,
+		HedgeAfter:   400 * time.Millisecond,
+		DegradeAfter: 2 * time.Second,
 	}
 }
 

@@ -18,10 +18,6 @@ import (
 // can tell them from organic failures.
 var errInjected = errors.New("injected transport fault")
 
-// IsInjected reports whether err is a fault the transport injected (as
-// opposed to a real network failure).
-func IsInjected(err error) bool { return errors.Is(err, errInjected) }
-
 // FaultTransport is an http.RoundTripper that subjects every request to
 // the injector's transport fault class: partitions, drops, duplicated
 // deliveries, in-flight byte corruption, injected latency, dropped

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -99,7 +100,7 @@ func TestFaultTransportDrop(t *testing.T) {
 	e := newEchoServer(t)
 	ft := NewFaultTransport("w1", faults.New(faults.Config{Seed: 1, Drop: 1}), nil)
 	_, err := post(t, ft, e.srv.URL, []byte(`{"x":1}`))
-	if err == nil || !IsInjected(err) {
+	if err == nil || !errors.Is(err, errInjected) {
 		t.Fatalf("want injected drop error, got %v", err)
 	}
 	if n := len(e.seen()); n != 0 {
@@ -114,7 +115,7 @@ func TestFaultTransportDropReply(t *testing.T) {
 	e := newEchoServer(t)
 	ft := NewFaultTransport("w1", faults.New(faults.Config{Seed: 1, DropReply: 1}), nil)
 	_, err := post(t, ft, e.srv.URL, []byte(`{"x":1}`))
-	if err == nil || !IsInjected(err) {
+	if err == nil || !errors.Is(err, errInjected) {
 		t.Fatalf("want injected reply-drop error, got %v", err)
 	}
 	if n := len(e.seen()); n != 1 {
@@ -180,7 +181,7 @@ func TestFaultTransportDisconnect(t *testing.T) {
 	ft := NewFaultTransport("w1", faults.New(faults.Config{Seed: 1, Disconnect: 1}), nil)
 	body := bytes.Repeat([]byte("0123456789"), 50)
 	got, err := post(t, ft, e.srv.URL, body)
-	if err == nil || !IsInjected(err) {
+	if err == nil || !errors.Is(err, errInjected) {
 		t.Fatalf("want injected disconnect while reading, got err=%v", err)
 	}
 	if len(got) >= len(body) || !bytes.HasPrefix(body, got) {
@@ -198,7 +199,7 @@ func TestFaultTransportPartition(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		_, err := post(t, ft, e.srv.URL, []byte(`{}`))
 		if err != nil {
-			if !IsInjected(err) {
+			if !errors.Is(err, errInjected) {
 				t.Fatalf("message %d: non-injected failure: %v", i, err)
 			}
 			failed++

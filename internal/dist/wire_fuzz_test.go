@@ -104,10 +104,13 @@ func FuzzHeartbeat(f *testing.F) {
 	})
 }
 
-// FuzzJournalBatch: a batch that decodes and names its worker is answered
-// 200 with the count of lines spliced into the fleet journal; anything
-// else gets a 4xx. Whatever the lines hold, the fleet journal stays
-// JSONL: every record it receives is one line holding one JSON object.
+// FuzzJournalBatch: a batch that decodes, names its worker and carries
+// no sum or its lines' own (linesSum) is answered 200 with the count of
+// lines spliced into the fleet journal; one whose sum does not match —
+// a hex digit of a span ID flipped in flight — gets 422 and journals
+// nothing; anything else gets a 4xx. Whatever the lines hold, the fleet
+// journal stays JSONL: every record it receives is one line holding one
+// JSON object.
 func FuzzJournalBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > maxJournalBatchBytes {
@@ -122,6 +125,12 @@ func FuzzJournalBatch(f *testing.F) {
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&b) != nil || b.Worker == "" {
 			if !is4xx(rec.Code) {
 				t.Fatalf("body %q answered %d, want 4xx", body, rec.Code)
+			}
+			return
+		}
+		if b.Sum != "" && b.Sum != linesSum(b.Lines) {
+			if rec.Code != http.StatusUnprocessableEntity || fleet.Len() != 0 {
+				t.Fatalf("body %q fails its sum but answered %d and journaled %q", body, rec.Code, fleet.Bytes())
 			}
 			return
 		}

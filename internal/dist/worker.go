@@ -150,7 +150,7 @@ func (w *Worker) idle(ctx context.Context, d time.Duration) error {
 // to Poll when it has none; held is how long it says it did.
 func (w *Worker) lease(ctx context.Context) (job *JobSpec, held time.Duration, err error) {
 	var resp leaseResponse
-	t0 := time.Now()
+	t0 := obs.Now()
 	err = w.Client.Do(ctx, http.MethodPost, "/api/v1/dist/lease",
 		leaseRequest{Worker: w.Name, Version: w.Version, WaitMS: w.poll().Milliseconds()}, &resp)
 	if err != nil {
@@ -159,7 +159,7 @@ func (w *Worker) lease(ctx context.Context) (job *JobSpec, held time.Duration, e
 	held = time.Duration(resp.HeldUS) * time.Microsecond
 	// The round trip may include client-side retries, inflating the
 	// apparent RTT; the estimator's min-RTT filter discards such samples.
-	w.skew.Observe(t0, time.Now(), resp.NowUnixNS, held)
+	w.skew.Observe(t0, obs.Now(), resp.NowUnixNS, held)
 	return resp.Job, held, nil
 }
 
@@ -228,12 +228,12 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 			select {
 			case <-tick.C:
 				var hresp heartbeatResponse
-				t0 := time.Now()
+				t0 := obs.Now()
 				err := w.Client.Do(hbCtx, http.MethodPost, "/api/v1/dist/heartbeat",
 					heartbeatRequest{Worker: w.Name, Lease: job.Lease,
 						Counters: w.counterSnapshot()}, &hresp)
 				if err == nil {
-					w.skew.Observe(t0, time.Now(), hresp.NowUnixNS, 0)
+					w.skew.Observe(t0, obs.Now(), hresp.NowUnixNS, 0)
 				}
 				if IsStatus(err, http.StatusGone) {
 					w.event("worker.lease.lost", tc, "key", shortKey(job.Key), "lease", job.Lease)

@@ -400,8 +400,6 @@ func TestFleetCrashedWorkerReassigned(t *testing.T) {
 	var crashLog bytes.Buffer
 	f := startFleet(t, Options{
 		LeaseTTL:     300 * time.Millisecond,
-		SweepEvery:   50 * time.Millisecond,
-		MaxAttempts:  5,
 		DegradeAfter: time.Minute, // reassignment, not degradation
 	})
 	// The only worker crashes on every job it leases, then its loop dies.
@@ -454,8 +452,8 @@ func TestFleetUnreachableDegradesToLocal(t *testing.T) {
 	want := localRun(t, specs)
 
 	f := startFleet(t, Options{
+		LeaseTTL:     200 * time.Millisecond,
 		DegradeAfter: 200 * time.Millisecond,
-		SweepEvery:   50 * time.Millisecond,
 	})
 	lead := engine.New(engine.Options{Remote: f.coord})
 	got, err := lead.Results(context.Background(), engine.Parallel{}, specs)

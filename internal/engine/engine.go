@@ -1,5 +1,5 @@
 // Package engine executes experiment workloads concurrently. Every
-// experiment is expressed as a DAG of Jobs — trace generation feeding
+// experiment is expressed as a DAG of jobs — trace generation feeding
 // per-scheme simulations feeding aggregation — run on a bounded worker
 // pool with cancellable contexts and per-job timing.
 //
@@ -60,11 +60,9 @@ type Options struct {
 	JobTimeout time.Duration
 	// Retries is how many additional attempts a job body gets when it
 	// fails with a retryable error (one with Retryable() true, or a
-	// per-attempt deadline expiry). 0 means fail on the first error.
+	// per-attempt deadline expiry), after retryBackoff doubling per
+	// attempt. 0 means fail on the first error.
 	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt (default 10ms when Retries > 0).
-	RetryBackoff time.Duration
 	// Faults, when non-nil, injects deterministic faults into job bodies,
 	// simulation sources, and cache stores, and switches Verify on. nil — the
 	// default — costs a nil check per site and nothing more.
@@ -113,8 +111,9 @@ type Tier interface {
 // DAG node at submission, a JobStarted/JobFinished pair around every job
 // body (cache hits included, flagged as such). Every method receives the
 // context the work ran under, which carries the originating request's
-// obs.TraceContext when there is one. kind classifies the job (see
-// JobKind); key is the short content hash of keyed jobs, empty otherwise.
+// obs.TraceContext when there is one. kind classifies the job: "trace",
+// "sim" or "merge"; key is the short content hash of keyed jobs, empty
+// otherwise.
 // Implementations must be safe for concurrent use — under the Parallel
 // executor, jobs finish on many goroutines at once.
 type Observer interface {
@@ -123,13 +122,14 @@ type Observer interface {
 	JobFinished(ctx context.Context, id, kind, key string, d time.Duration, cacheHit bool, err error)
 }
 
-// JobKind classifies a job by its ID prefix — "trace", "sim", "merge" —
-// or "" for ad-hoc jobs without one.
-func JobKind(id string) string {
-	if i := strings.IndexByte(id, ':'); i > 0 {
-		return id[:i]
-	}
-	return ""
+// retryBackoff is the sleep before a job body's first retry; it doubles
+// per attempt.
+const retryBackoff = 10 * time.Millisecond
+
+// jobKind classifies a job by its ID prefix: "trace", "sim" or "merge".
+func jobKind(id string) string {
+	kind, _, _ := strings.Cut(id, ":")
+	return kind
 }
 
 // Engine schedules jobs and owns the content-addressed caches. An Engine
@@ -138,7 +138,6 @@ func JobKind(id string) string {
 type Engine struct {
 	jobTimeout time.Duration
 	retries    int
-	backoff    time.Duration
 	faults     *faults.Injector // nil disables injection
 	verify     bool             // integrity validation (implied by faults)
 
@@ -169,7 +168,7 @@ type Engine struct {
 	remoteDegraded  *obs.Counter
 	jobsScheduled   *obs.Counter
 	// phaseUS maps a job kind to its phase's duration histogram,
-	// engine.job.<phase>.us; kinds it lacks fold into "other" under "".
+	// engine.job.<phase>.us.
 	phaseUS map[string]*obs.Histogram
 }
 
@@ -179,19 +178,13 @@ func New(opts Options) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	bo := opts.RetryBackoff
-	if bo <= 0 {
-		bo = 10 * time.Millisecond
-	}
 	phaseUS := make(map[string]*obs.Histogram)
-	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate",
-		"merge": "merge", "": "other"} {
+	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate", "merge": "merge"} {
 		phaseUS[kind] = reg.Histogram("engine.job."+phase+".us", obs.DurationBucketsUS)
 	}
 	return &Engine{
 		jobTimeout:      opts.JobTimeout,
 		retries:         opts.Retries,
-		backoff:         bo,
 		faults:          opts.Faults,
 		verify:          opts.Verify || opts.Faults != nil,
 		results:         newFlightCache(reg.Gauge("engine.cache.results")),
@@ -286,10 +279,11 @@ func (e *Engine) Stats() Stats {
 // Metrics returns the registry the engine's counters live on.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// Job is one node of an execution DAG. Jobs are single-use: build a fresh
-// graph per Execute call (cached work is cheap to re-plan).
-type Job struct {
-	// ID names the job in errors and metrics, e.g. "sim:Dir0B@pops".
+// job is one node of an execution DAG. Jobs are single-use: the batch
+// helpers build a fresh graph per call (cached work is cheap to re-plan).
+type job struct {
+	// ID names the job in errors and metrics, e.g. "sim:Dir0B@pops"; its
+	// prefix is the job's kind.
 	ID string
 	// Key, when non-zero, deduplicates and caches the output: the first
 	// job to claim the key runs, everyone else — in this batch, a
@@ -297,7 +291,7 @@ type Job struct {
 	Key Key
 	// Deps run before this job; their outputs arrive in Run's in slice,
 	// in order.
-	Deps []*Job
+	Deps []*job
 	// Run computes the output. It must honour ctx for long work.
 	Run func(ctx context.Context, in []any) (any, error)
 
@@ -306,28 +300,11 @@ type Job struct {
 
 	out any
 	err error
-	met Metrics
+	// started is when the job began executing (or waiting on a cache
+	// flight); cacheHit is set when the output came from a cache.
+	started  time.Time
+	cacheHit bool
 }
-
-// Metrics records one job's execution timeline.
-type Metrics struct {
-	// Started and Finished bound the job's execution (or its wait on a
-	// cache flight).
-	Started, Finished time.Time
-	// CacheHit is set when the output came from the result cache.
-	CacheHit bool
-	// Attempts is how many times the body ran (0 for cache hits).
-	Attempts int
-}
-
-// Duration returns the wall-clock time the job took.
-func (m Metrics) Duration() time.Duration { return m.Finished.Sub(m.Started) }
-
-// Output returns the job's result after Execute has returned.
-func (j *Job) Output() (any, error) { return j.out, j.err }
-
-// Metrics returns the job's timing after Execute has returned.
-func (j *Job) Metrics() Metrics { return j.met }
 
 // Executor is a DAG execution strategy.
 type Executor interface {
@@ -363,100 +340,64 @@ func (p Parallel) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Execute runs the given jobs and all their transitive dependencies,
-// returning the first error (with remaining work cancelled). A nil
-// executor means Sequential.
-func (e *Engine) Execute(ctx context.Context, exec Executor, roots ...*Job) error {
-	return e.execute(ctx, exec, roots, true)
-}
-
-// ExecuteAll runs the given jobs and all their transitive dependencies to
+// execute runs the given jobs and all their transitive dependencies to
 // completion, tolerating job failures: a failed job does not cancel its
 // siblings, only its own dependents (which fail with a *JobError wrapping
-// the dependency's failure, without running). ExecuteAll returns an error
-// only when the graph itself is unrunnable (a cycle, a missing Run
-// function) or the context dies; per-job outcomes — success or structured
-// failure — are on each Job's Output. It is the foundation of the batch
-// helpers' partial-result semantics.
-func (e *Engine) ExecuteAll(ctx context.Context, exec Executor, roots ...*Job) error {
-	return e.execute(ctx, exec, roots, false)
-}
-
-func (e *Engine) execute(ctx context.Context, exec Executor, roots []*Job, failFast bool) error {
+// the dependency's failure, without running). execute returns an error
+// only when the context dies; per-job outcomes — success or structured
+// failure — are on each job's out and err. A nil executor means
+// Sequential.
+func (e *Engine) execute(ctx context.Context, exec Executor, roots ...*job) error {
 	if exec == nil {
 		exec = Sequential{}
 	}
-	jobs, err := flatten(roots)
-	if err != nil {
-		return err
-	}
+	jobs := flatten(roots)
 	jnl := obs.JournalFrom(ctx)
 	for _, j := range jobs {
 		e.jobsScheduled.Inc()
 		e.jobEvent(ctx, jnl, "job.scheduled", j)
 	}
 	if w := exec.workerCount(); w > 1 {
-		return e.executePool(ctx, jobs, w, failFast)
+		return e.executePool(ctx, jobs, w)
 	}
-	return e.executeSerial(ctx, jobs, failFast)
+	return e.executeSerial(ctx, jobs)
 }
 
 // flatten returns the transitive closure of roots in deterministic
-// topological order (dependencies first), rejecting cycles.
-func flatten(roots []*Job) ([]*Job, error) {
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := make(map[*Job]int)
-	var order []*Job
-	var visit func(j *Job) error
-	visit = func(j *Job) error {
-		switch state[j] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("engine: dependency cycle through job %q", j.ID)
+// topological order, dependencies first.
+func flatten(roots []*job) []*job {
+	seen := make(map[*job]bool)
+	var order []*job
+	var visit func(j *job)
+	visit = func(j *job) {
+		if seen[j] {
+			return
 		}
-		if j.Run == nil {
-			return fmt.Errorf("engine: job %q has no Run function", j.ID)
-		}
-		state[j] = visiting
+		seen[j] = true
 		for _, d := range j.Deps {
-			if err := visit(d); err != nil {
-				return err
-			}
+			visit(d)
 		}
-		state[j] = done
 		order = append(order, j)
-		return nil
 	}
 	for _, r := range roots {
-		if err := visit(r); err != nil {
-			return nil, err
-		}
+		visit(r)
 	}
-	return order, nil
+	return order
 }
 
-func (e *Engine) executeSerial(ctx context.Context, jobs []*Job, failFast bool) error {
+func (e *Engine) executeSerial(ctx context.Context, jobs []*job) error {
 	for _, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := e.runOrSkip(ctx, j, failFast); err != nil && failFast {
-			return fmt.Errorf("engine: job %s: %w", j.ID, err)
-		}
+		e.runOrSkip(ctx, j)
 	}
 	return nil
 }
 
-func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, failFast bool) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	indeg := make(map[*Job]int, len(jobs))
-	children := make(map[*Job][]*Job, len(jobs))
+func (e *Engine) executePool(ctx context.Context, jobs []*job, workers int) error {
+	indeg := make(map[*job]int, len(jobs))
+	children := make(map[*job][]*job, len(jobs))
 	for _, j := range jobs {
 		indeg[j] = len(j.Deps)
 		for _, d := range j.Deps {
@@ -467,10 +408,9 @@ func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, fail
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var firstErr error
 
-	var start func(j *Job)
-	start = func(j *Job) {
+	var start func(j *job)
+	start = func(j *job) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -480,29 +420,19 @@ func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, fail
 			} else {
 				sem <- struct{}{}
 			}
-			var err error
-			if err = ctx.Err(); err == nil {
-				err = e.runOrSkip(jctx, j, failFast)
+			if err := ctx.Err(); err == nil {
+				e.runOrSkip(jctx, j)
 			} else {
 				j.err = err
 			}
 			if !j.offSlot {
 				<-sem
 			}
-			if err != nil && failFast {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("engine: job %s: %w", j.ID, err)
-				}
-				mu.Unlock()
-				cancel()
-				return
-			}
-			// In keep-going mode a failed job still releases its
-			// dependents: they observe the dependency failure and record
-			// it as their own structured error without running.
+			// A failed job still releases its dependents: they observe the
+			// dependency failure and record it as their own structured
+			// error without running.
 			mu.Lock()
-			ready := make([]*Job, 0, len(children[j]))
+			ready := make([]*job, 0, len(children[j]))
 			for _, c := range children[j] {
 				indeg[c]--
 				if indeg[c] == 0 {
@@ -517,7 +447,7 @@ func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, fail
 	}
 	// Collect the initial ready set before starting anything: completion
 	// handlers mutate indeg concurrently once the first job is running.
-	initial := make([]*Job, 0, len(jobs))
+	initial := make([]*job, 0, len(jobs))
 	for _, j := range jobs {
 		if indeg[j] == 0 {
 			initial = append(initial, j)
@@ -527,10 +457,7 @@ func (e *Engine) executePool(ctx context.Context, jobs []*Job, workers int, fail
 		start(j)
 	}
 	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
+	return ctx.Err()
 }
 
 // slotKey keys the pool's semaphore in an offSlot job's context.
@@ -547,36 +474,33 @@ func acquireSlot(ctx context.Context) (release func()) {
 	return func() { <-sem }
 }
 
-// runOrSkip runs the job, except that in keep-going mode a job whose
-// dependency failed is skipped: its body never runs and its error records
-// which dependency sank it.
-func (e *Engine) runOrSkip(ctx context.Context, j *Job, failFast bool) error {
-	if !failFast {
-		for _, d := range j.Deps {
-			if d.err != nil {
-				return e.skipJob(ctx, j, d)
-			}
+// runOrSkip runs the job, except that a job whose dependency failed is
+// skipped: its body never runs and its error records which dependency
+// sank it.
+func (e *Engine) runOrSkip(ctx context.Context, j *job) {
+	for _, d := range j.Deps {
+		if d.err != nil {
+			e.skipJob(ctx, j, d)
+			return
 		}
 	}
-	return e.runJob(ctx, j)
+	e.runJob(ctx, j)
 }
 
 // skipJob marks j failed because dependency d failed, emitting the usual
 // start/finish events so the journal, and the timeline, show the skip.
-func (e *Engine) skipJob(ctx context.Context, j, d *Job) error {
-	j.met.Started = time.Now()
+func (e *Engine) skipJob(ctx context.Context, j, d *job) {
+	j.started = time.Now()
 	jnl := obs.JournalFrom(ctx)
 	e.jobEvent(ctx, jnl, "job.start", j)
 	j.err = &JobError{
 		ID:   j.ID,
-		Kind: JobKind(j.ID),
+		Kind: jobKind(j.ID),
 		Key:  observedKey(j.Key),
 		Err:  fmt.Errorf("dependency %s failed: %w", d.ID, d.err),
 	}
-	j.met.Finished = time.Now()
 	ctx, _ = obs.StartSpan(ctx)
 	e.jobEvent(ctx, jnl, "job.finish", j)
-	return j.err
 }
 
 // jobEvent reports one lifecycle event of j — msg is "job.scheduled",
@@ -586,14 +510,12 @@ func (e *Engine) skipJob(ctx context.Context, j, d *Job) error {
 // events inside the enclosing span. A finish also lands in the job's
 // phase histogram. With neither sink attached nothing is rendered or
 // allocated.
-func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *Job) {
-	kind, done := JobKind(j.ID), msg == "job.finish"
+func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *job) {
+	kind, done := jobKind(j.ID), msg == "job.finish"
+	var dur time.Duration
 	if done {
-		h, ok := e.phaseUS[kind]
-		if !ok {
-			h = e.phaseUS[""]
-		}
-		h.ObserveDuration(j.met.Duration())
+		dur = time.Since(j.started)
+		e.phaseUS[kind].ObserveDuration(dur)
 	}
 	if e.obs == nil && jnl == nil {
 		return
@@ -606,7 +528,7 @@ func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *
 	case !done:
 		e.obs.JobStarted(ctx, j.ID, kind, key)
 	default:
-		e.obs.JobFinished(ctx, j.ID, kind, key, j.met.Duration(), j.met.CacheHit, j.err)
+		e.obs.JobFinished(ctx, j.ID, kind, key, dur, j.cacheHit, j.err)
 	}
 	if jnl == nil {
 		return
@@ -616,13 +538,7 @@ func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *
 		jnl.Event(msg, obs.ParentAttrs(ctx, attrs)...)
 		return
 	}
-	attrs = obs.SpanAttrs(ctx, append(attrs, "name", j.ID,
-		"dur_us", j.met.Duration().Microseconds(), "cache_hit", j.met.CacheHit))
-	if j.err != nil {
-		jnl.Error(msg, j.err, attrs...)
-		return
-	}
-	jnl.Event(msg, attrs...)
+	obs.EndSpan(ctx, msg, j.started, j.err, append(attrs, "name", j.ID, "cache_hit", j.cacheHit)...)
 }
 
 // reject counts a cached entry that failed integrity revalidation and
@@ -683,8 +599,8 @@ func (e *Engine) lookup(ctx context.Context, c *flightCache, k Key,
 // another process sharing the store) is a cache hit without a
 // simulation. A computed result is written through to the tier before
 // it is published.
-func (e *Engine) runJob(ctx context.Context, j *Job) error {
-	j.met.Started = time.Now()
+func (e *Engine) runJob(ctx context.Context, j *job) {
+	j.started = time.Now()
 	jnl := obs.JournalFrom(ctx)
 	e.jobEvent(ctx, jnl, "job.start", j)
 	// The job is a span: its attempts, simulations and store traffic nest
@@ -692,18 +608,15 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 	// whatever span the context already carried — for service work, the
 	// originating request's span.
 	ctx, _ = obs.StartSpan(ctx)
-	defer func() {
-		j.met.Finished = time.Now()
-		e.jobEvent(ctx, jnl, "job.finish", j)
-	}()
+	defer e.jobEvent(ctx, jnl, "job.finish", j)
 
 	if j.Key.IsZero() {
 		j.out, j.err = e.runBody(ctx, j)
-		return j.err
+		return
 	}
 	out, hit, err := e.lookup(ctx, e.results, j.Key, func() (any, uint64, bool, error) {
 		if r, sum, ok := e.tierLoad(ctx, j.Key); ok {
-			j.met.CacheHit = true
+			j.cacheHit = true
 			return r, sum, e.verify, nil
 		}
 		out, err := e.runBody(ctx, j)
@@ -714,25 +627,23 @@ func (e *Engine) runJob(ctx context.Context, j *Job) error {
 		return out, sum, stamped, err
 	})
 	if hit {
-		j.met.CacheHit = true
+		j.cacheHit = true
 	}
 	j.out, j.err = out, err
-	return err
 }
 
 // runBody executes a job's body with panic isolation, a per-attempt
 // deadline, and bounded retry-with-backoff for retryable failures.
-func (e *Engine) runBody(ctx context.Context, j *Job) (any, error) {
-	backoff := e.backoff
+func (e *Engine) runBody(ctx context.Context, j *job) (any, error) {
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		out, err := e.attempt(ctx, j, attempt)
-		j.met.Attempts = attempt + 1
 		if err == nil {
 			return out, nil
 		}
 		je := &JobError{
 			ID:       j.ID,
-			Kind:     JobKind(j.ID),
+			Kind:     jobKind(j.ID),
 			Key:      observedKey(j.Key),
 			Attempts: attempt + 1,
 			Err:      err,
@@ -781,7 +692,7 @@ func (t *timeoutError) Unwrap() error { return t.cause }
 // attempt runs the job body once: under its per-attempt deadline, with
 // fault injection when configured, and with panics recovered into a
 // *panicError rather than unwinding through the worker pool.
-func (e *Engine) attempt(ctx context.Context, j *Job, attempt int) (out any, err error) {
+func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (out any, err error) {
 	attemptCtx := ctx
 	var cancel context.CancelFunc
 	if e.jobTimeout > 0 {
@@ -913,7 +824,7 @@ func fingerprintOf(v any) (uint64, bool) {
 	return 0, false
 }
 
-func (e *Engine) inputs(j *Job) []any {
+func (e *Engine) inputs(j *job) []any {
 	if len(j.Deps) == 0 {
 		return nil
 	}

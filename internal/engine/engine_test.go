@@ -20,30 +20,28 @@ func TestExecuteDependencyOrder(t *testing.T) {
 	for _, exec := range executors() {
 		t.Run(exec.Name(), func(t *testing.T) {
 			e := New(Options{})
-			a := &Job{ID: "a", Run: func(context.Context, []any) (any, error) { return 1, nil }}
-			b := &Job{ID: "b", Run: func(context.Context, []any) (any, error) { return 2, nil }}
-			c := &Job{
-				ID:   "c",
-				Deps: []*Job{a, b},
+			a := &job{ID: "sim:a", Run: func(context.Context, []any) (any, error) { return 1, nil }}
+			b := &job{ID: "sim:b", Run: func(context.Context, []any) (any, error) { return 2, nil }}
+			c := &job{
+				ID:   "merge:c",
+				Deps: []*job{a, b},
 				Run: func(_ context.Context, in []any) (any, error) {
 					// Dependency outputs arrive in Deps order.
 					return in[0].(int)*10 + in[1].(int), nil
 				},
 			}
-			if err := e.Execute(context.Background(), exec, c); err != nil {
+			if err := e.execute(context.Background(), exec, c); err != nil {
 				t.Fatal(err)
 			}
-			out, err := c.Output()
-			if err != nil {
-				t.Fatal(err)
+			if c.err != nil {
+				t.Fatal(c.err)
 			}
-			if out.(int) != 12 {
-				t.Errorf("c output = %v, want 12", out)
+			if c.out.(int) != 12 {
+				t.Errorf("c output = %v, want 12", c.out)
 			}
-			for _, j := range []*Job{a, b, c} {
-				m := j.Metrics()
-				if m.Started.IsZero() || m.Finished.Before(m.Started) {
-					t.Errorf("job %s has unpopulated metrics: %+v", j.ID, m)
+			for _, j := range []*job{a, b, c} {
+				if j.started.IsZero() {
+					t.Errorf("job %s has no start time", j.ID)
 				}
 			}
 			if got := e.Stats().JobsRun; got != 3 {
@@ -58,15 +56,15 @@ func TestExecuteSharedDependencyRunsOnce(t *testing.T) {
 		t.Run(exec.Name(), func(t *testing.T) {
 			e := New(Options{})
 			var runs atomic.Int64
-			shared := &Job{ID: "shared", Run: func(context.Context, []any) (any, error) {
+			shared := &job{ID: "trace:shared", Run: func(context.Context, []any) (any, error) {
 				runs.Add(1)
 				return "s", nil
 			}}
-			mk := func(id string) *Job {
-				return &Job{ID: id, Deps: []*Job{shared},
+			mk := func(id string) *job {
+				return &job{ID: id, Deps: []*job{shared},
 					Run: func(_ context.Context, in []any) (any, error) { return in[0], nil }}
 			}
-			if err := e.Execute(context.Background(), exec, mk("x"), mk("y"), mk("z")); err != nil {
+			if err := e.execute(context.Background(), exec, mk("sim:x"), mk("sim:y"), mk("sim:z")); err != nil {
 				t.Fatal(err)
 			}
 			if runs.Load() != 1 {
@@ -82,14 +80,14 @@ func TestExecuteKeyedDedup(t *testing.T) {
 			e := New(Options{})
 			var runs atomic.Int64
 			k := hashOf("test", "dedup")
-			mk := func(id string) *Job {
-				return &Job{ID: id, Key: k, Run: func(context.Context, []any) (any, error) {
+			mk := func(id string) *job {
+				return &job{ID: id, Key: k, Run: func(context.Context, []any) (any, error) {
 					runs.Add(1)
 					return 42, nil
 				}}
 			}
-			jobs := []*Job{mk("j1"), mk("j2"), mk("j3")}
-			if err := e.Execute(context.Background(), exec, jobs...); err != nil {
+			jobs := []*job{mk("sim:j1"), mk("sim:j2"), mk("sim:j3")}
+			if err := e.execute(context.Background(), exec, jobs...); err != nil {
 				t.Fatal(err)
 			}
 			if runs.Load() != 1 {
@@ -97,27 +95,26 @@ func TestExecuteKeyedDedup(t *testing.T) {
 			}
 			hits := 0
 			for _, j := range jobs {
-				out, err := j.Output()
-				if err != nil || out.(int) != 42 {
-					t.Fatalf("job %s output = %v, %v", j.ID, out, err)
+				if j.err != nil || j.out.(int) != 42 {
+					t.Fatalf("job %s output = %v, %v", j.ID, j.out, j.err)
 				}
-				if j.Metrics().CacheHit {
+				if j.cacheHit {
 					hits++
 				}
 			}
 			if hits != 2 {
-				t.Errorf("cache-hit metrics on %d jobs, want 2", hits)
+				t.Errorf("cache hits on %d jobs, want 2", hits)
 			}
 			// A later batch with the same key is served entirely from cache.
-			late := mk("late")
-			if err := e.Execute(context.Background(), exec, late); err != nil {
+			late := mk("sim:late")
+			if err := e.execute(context.Background(), exec, late); err != nil {
 				t.Fatal(err)
 			}
 			if runs.Load() != 1 {
 				t.Errorf("cached key re-ran the body (total runs %d)", runs.Load())
 			}
-			if out, _ := late.Output(); out.(int) != 42 {
-				t.Errorf("late output = %v, want 42", out)
+			if late.out.(int) != 42 {
+				t.Errorf("late output = %v, want 42", late.out)
 			}
 			s := e.Stats()
 			if s.CacheHits != 3 || s.CachedResults != 1 {
@@ -127,41 +124,27 @@ func TestExecuteKeyedDedup(t *testing.T) {
 	}
 }
 
-func TestExecuteCycleRejected(t *testing.T) {
-	e := New(Options{})
-	a := &Job{ID: "a", Run: func(context.Context, []any) (any, error) { return nil, nil }}
-	b := &Job{ID: "b", Deps: []*Job{a}, Run: func(context.Context, []any) (any, error) { return nil, nil }}
-	a.Deps = []*Job{b}
-	err := e.Execute(context.Background(), Sequential{}, a)
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle not rejected: %v", err)
-	}
-}
-
-func TestExecuteNilRunRejected(t *testing.T) {
-	e := New(Options{})
-	err := e.Execute(context.Background(), Sequential{}, &Job{ID: "empty"})
-	if err == nil || !strings.Contains(err.Error(), "no Run function") {
-		t.Errorf("nil Run not rejected: %v", err)
-	}
-}
-
+// TestExecuteErrorPropagatesAndCancels: a failed job's error reaches its
+// dependent, which is cancelled — recorded as failed, its body never
+// run — under both executors.
 func TestExecuteErrorPropagatesAndCancels(t *testing.T) {
 	boom := errors.New("boom")
 	for _, exec := range executors() {
 		t.Run(exec.Name(), func(t *testing.T) {
 			e := New(Options{})
-			bad := &Job{ID: "bad", Run: func(context.Context, []any) (any, error) {
+			bad := &job{ID: "trace:bad", Run: func(context.Context, []any) (any, error) {
 				return nil, boom
 			}}
 			var depRan atomic.Bool
-			child := &Job{ID: "child", Deps: []*Job{bad},
+			child := &job{ID: "sim:child", Deps: []*job{bad},
 				Run: func(context.Context, []any) (any, error) {
 					depRan.Store(true)
 					return nil, nil
 				}}
-			err := e.Execute(context.Background(), exec, child)
-			if !errors.Is(err, boom) || !strings.Contains(err.Error(), "bad") {
+			if err := e.execute(context.Background(), exec, child); err != nil {
+				t.Fatal(err)
+			}
+			if err := child.err; !errors.Is(err, boom) || !strings.Contains(err.Error(), "trace:bad") {
 				t.Errorf("error = %v, want wrapped boom naming the job", err)
 			}
 			if depRan.Load() {
@@ -175,18 +158,18 @@ func TestExecuteContextCancellation(t *testing.T) {
 	e := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
-	first := &Job{ID: "first", Run: func(context.Context, []any) (any, error) {
+	first := &job{ID: "trace:first", Run: func(context.Context, []any) (any, error) {
 		cancel()
 		close(release)
 		return nil, nil
 	}}
 	var secondRan atomic.Bool
-	second := &Job{ID: "second", Deps: []*Job{first},
+	second := &job{ID: "sim:second", Deps: []*job{first},
 		Run: func(context.Context, []any) (any, error) {
 			secondRan.Store(true)
 			return nil, nil
 		}}
-	err := e.Execute(ctx, Sequential{}, second)
+	err := e.execute(ctx, Sequential{}, second)
 	<-release
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
@@ -200,24 +183,28 @@ func TestKeyedFailureIsRetriable(t *testing.T) {
 	e := New(Options{})
 	k := hashOf("test", "retry")
 	var attempts atomic.Int64
-	mk := func() *Job {
-		return &Job{ID: "flaky", Key: k, Run: func(context.Context, []any) (any, error) {
+	mk := func() *job {
+		return &job{ID: "sim:flaky", Key: k, Run: func(context.Context, []any) (any, error) {
 			if attempts.Add(1) == 1 {
 				return nil, fmt.Errorf("transient")
 			}
 			return "ok", nil
 		}}
 	}
-	if err := e.Execute(context.Background(), Sequential{}, mk()); err == nil {
+	first := mk()
+	if err := e.execute(context.Background(), Sequential{}, first); err != nil {
+		t.Fatal(err)
+	}
+	if first.err == nil {
 		t.Fatal("first attempt should fail")
 	}
 	// The failure must have been evicted so the key can be recomputed.
 	j := mk()
-	if err := e.Execute(context.Background(), Sequential{}, j); err != nil {
-		t.Fatalf("retry failed: %v", err)
+	if err := e.execute(context.Background(), Sequential{}, j); err != nil {
+		t.Fatal(err)
 	}
-	if out, _ := j.Output(); out.(string) != "ok" {
-		t.Errorf("retry output = %v, want ok", out)
+	if j.err != nil || j.out.(string) != "ok" {
+		t.Errorf("retry output = %v, %v, want ok", j.out, j.err)
 	}
 	if attempts.Load() != 2 {
 		t.Errorf("attempts = %d, want 2", attempts.Load())
@@ -226,12 +213,12 @@ func TestKeyedFailureIsRetriable(t *testing.T) {
 
 func TestNilExecutorDefaultsToSequential(t *testing.T) {
 	e := New(Options{})
-	j := &Job{ID: "solo", Run: func(context.Context, []any) (any, error) { return 7, nil }}
-	if err := e.Execute(context.Background(), nil, j); err != nil {
+	j := &job{ID: "sim:solo", Run: func(context.Context, []any) (any, error) { return 7, nil }}
+	if err := e.execute(context.Background(), nil, j); err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := j.Output(); out.(int) != 7 {
-		t.Errorf("output = %v, want 7", out)
+	if j.out.(int) != 7 {
+		t.Errorf("output = %v, want 7", j.out)
 	}
 }
 
@@ -251,14 +238,17 @@ func TestFailedFlightWaiterIsNoHit(t *testing.T) {
 
 	k := hashOf("test", "failed-flight")
 	failIn(e.results, k)
-	j := &Job{ID: "waiter", Key: k, Run: func(context.Context, []any) (any, error) {
+	j := &job{ID: "sim:waiter", Key: k, Run: func(context.Context, []any) (any, error) {
 		t.Error("a waiter ran the body of a claimed key")
 		return nil, nil
 	}}
-	if err := e.Execute(context.Background(), Sequential{}, j); !errors.Is(err, boom) {
-		t.Fatalf("result waiter: %v, want the flight's error", err)
+	if err := e.execute(context.Background(), Sequential{}, j); err != nil {
+		t.Fatal(err)
 	}
-	if j.Metrics().CacheHit {
+	if !errors.Is(j.err, boom) {
+		t.Fatalf("result waiter: %v, want the flight's error", j.err)
+	}
+	if j.cacheHit {
 		t.Error("result waiter on a failed flight is marked a cache hit")
 	}
 

@@ -22,25 +22,35 @@ type transientErr struct{}
 func (transientErr) Error() string   { return "transient blip" }
 func (transientErr) Retryable() bool { return true }
 
+// runJobs executes jobs through the engine's keep-going path and fails
+// the test only if the run itself died; each job's outcome is on the job.
+func runJobs(t *testing.T, e *Engine, exec Executor, jobs ...*job) {
+	t.Helper()
+	if err := e.execute(context.Background(), exec, jobs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPanicIsolation: a panicking job body must surface as a structured
 // *JobError carrying the recovered stack — never unwind through the
 // executor — under both executors.
 func TestPanicIsolation(t *testing.T) {
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 4}} {
 		e := New(Options{})
-		j := &Job{ID: "boom", Run: func(context.Context, []any) (any, error) {
+		j := &job{ID: "sim:boom", Run: func(context.Context, []any) (any, error) {
 			panic("kaboom")
 		}}
-		err := e.Execute(context.Background(), exec, j)
+		runJobs(t, e, exec, j)
+		err := j.err
 		if err == nil {
-			t.Fatalf("%s: panic did not fail the run", exec.Name())
+			t.Fatalf("%s: panic did not fail the job", exec.Name())
 		}
 		var je *JobError
 		if !errors.As(err, &je) {
 			t.Fatalf("%s: error is not a *JobError: %v", exec.Name(), err)
 		}
-		if !je.Panicked || je.ID != "boom" {
-			t.Errorf("%s: JobError = %+v, want Panicked for job boom", exec.Name(), je)
+		if !je.Panicked || je.ID != "sim:boom" {
+			t.Errorf("%s: JobError = %+v, want Panicked for job sim:boom", exec.Name(), je)
 		}
 		if !strings.Contains(string(je.Stack), "faults_test") {
 			t.Errorf("%s: stack does not point at the panic site:\n%s", exec.Name(), je.Stack)
@@ -54,38 +64,35 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestExecuteAllKeepsGoing: in keep-going mode a failed job sinks only
-// its own dependents — which record the dependency failure without
-// running — while independent jobs complete.
+// TestExecuteAllKeepsGoing: a failed job sinks only its own dependents —
+// which record the dependency failure without running — while
+// independent jobs complete.
 func TestExecuteAllKeepsGoing(t *testing.T) {
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 4}} {
 		e := New(Options{})
-		bad := &Job{ID: "bad", Run: func(context.Context, []any) (any, error) {
+		bad := &job{ID: "trace:bad", Run: func(context.Context, []any) (any, error) {
 			return nil, errors.New("broken")
 		}}
 		depRan := false
-		dep := &Job{ID: "dep", Deps: []*Job{bad}, Run: func(context.Context, []any) (any, error) {
+		dep := &job{ID: "sim:dep", Deps: []*job{bad}, Run: func(context.Context, []any) (any, error) {
 			depRan = true
 			return "never", nil
 		}}
-		good := &Job{ID: "good", Run: func(context.Context, []any) (any, error) {
+		good := &job{ID: "sim:good", Run: func(context.Context, []any) (any, error) {
 			return 42, nil
 		}}
-		if err := e.ExecuteAll(context.Background(), exec, dep, good); err != nil {
-			t.Fatalf("%s: ExecuteAll returned %v; job failures belong on Output", exec.Name(), err)
-		}
-		if v, err := good.Output(); err != nil || v != 42 {
-			t.Errorf("%s: independent job: %v, %v", exec.Name(), v, err)
+		runJobs(t, e, exec, dep, good)
+		if good.err != nil || good.out != 42 {
+			t.Errorf("%s: independent job: %v, %v", exec.Name(), good.out, good.err)
 		}
 		if depRan {
 			t.Errorf("%s: dependent body ran despite failed dependency", exec.Name())
 		}
-		_, err := dep.Output()
 		var je *JobError
-		if !errors.As(err, &je) || !strings.Contains(err.Error(), "dependency bad failed") {
-			t.Errorf("%s: dependent error = %v, want JobError naming dependency bad", exec.Name(), err)
+		if err := dep.err; !errors.As(err, &je) || !strings.Contains(err.Error(), "dependency trace:bad failed") {
+			t.Errorf("%s: dependent error = %v, want JobError naming dependency trace:bad", exec.Name(), err)
 		}
-		if _, err := bad.Output(); err == nil || !strings.Contains(err.Error(), "broken") {
+		if err := bad.err; err == nil || !strings.Contains(err.Error(), "broken") {
 			t.Errorf("%s: failing job error = %v", exec.Name(), err)
 		}
 	}
@@ -94,23 +101,24 @@ func TestExecuteAllKeepsGoing(t *testing.T) {
 // TestRetryRecoversTransient: a body failing with a retryable error is
 // re-attempted with backoff until it succeeds, within the budget.
 func TestRetryRecoversTransient(t *testing.T) {
-	e := New(Options{Retries: 3, RetryBackoff: time.Millisecond})
+	e := New(Options{Retries: 3})
 	calls := 0
-	j := &Job{ID: "flaky", Run: func(context.Context, []any) (any, error) {
+	j := &job{ID: "sim:flaky", Run: func(context.Context, []any) (any, error) {
 		calls++
 		if calls < 3 {
 			return nil, transientErr{}
 		}
 		return "ok", nil
 	}}
-	if err := e.Execute(context.Background(), Sequential{}, j); err != nil {
-		t.Fatalf("retryable failure not recovered: %v", err)
+	runJobs(t, e, Sequential{}, j)
+	if j.err != nil {
+		t.Fatalf("retryable failure not recovered: %v", j.err)
 	}
-	if v, _ := j.Output(); v != "ok" {
-		t.Errorf("output = %v", v)
+	if j.out != "ok" {
+		t.Errorf("output = %v", j.out)
 	}
-	if j.Metrics().Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", j.Metrics().Attempts)
+	if calls != 3 {
+		t.Errorf("body ran %d times, want 3", calls)
 	}
 	if got := e.Stats().JobRetries; got != 2 {
 		t.Errorf("JobRetries = %d, want 2", got)
@@ -120,17 +128,17 @@ func TestRetryRecoversTransient(t *testing.T) {
 // TestRetryBudgetExhausted: a persistently failing retryable body gives
 // up after the budget, reporting the attempt count.
 func TestRetryBudgetExhausted(t *testing.T) {
-	e := New(Options{Retries: 2, RetryBackoff: time.Millisecond})
-	j := &Job{ID: "doomed", Run: func(context.Context, []any) (any, error) {
+	e := New(Options{Retries: 2})
+	j := &job{ID: "sim:doomed", Run: func(context.Context, []any) (any, error) {
 		return nil, transientErr{}
 	}}
-	err := e.Execute(context.Background(), Sequential{}, j)
+	runJobs(t, e, Sequential{}, j)
 	var je *JobError
-	if !errors.As(err, &je) || je.Attempts != 3 {
-		t.Fatalf("error = %v, want JobError after 3 attempts", err)
+	if !errors.As(j.err, &je) || je.Attempts != 3 {
+		t.Fatalf("error = %v, want JobError after 3 attempts", j.err)
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Errorf("error does not report attempts: %v", err)
+	if !strings.Contains(j.err.Error(), "after 3 attempts") {
+		t.Errorf("error does not report attempts: %v", j.err)
 	}
 }
 
@@ -138,13 +146,14 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // retryable (or per-job deadline expiries) consume the retry budget; a
 // plain failure keeps failing fast even with retries configured.
 func TestPlainErrorsNotRetried(t *testing.T) {
-	e := New(Options{Retries: 3, RetryBackoff: time.Millisecond})
+	e := New(Options{Retries: 3})
 	calls := 0
-	j := &Job{ID: "hard", Run: func(context.Context, []any) (any, error) {
+	j := &job{ID: "sim:hard", Run: func(context.Context, []any) (any, error) {
 		calls++
 		return nil, errors.New("deterministic failure")
 	}}
-	if err := e.Execute(context.Background(), Sequential{}, j); err == nil {
+	runJobs(t, e, Sequential{}, j)
+	if j.err == nil {
 		t.Fatal("failure swallowed")
 	}
 	if calls != 1 {
@@ -156,12 +165,13 @@ func TestPlainErrorsNotRetried(t *testing.T) {
 // structured timeout while the run itself stays alive — and the expiry
 // is retryable, so a budget grants it another attempt.
 func TestJobTimeout(t *testing.T) {
-	e := New(Options{JobTimeout: 20 * time.Millisecond, Retries: 1, RetryBackoff: time.Millisecond})
-	j := &Job{ID: "stuck", Run: func(ctx context.Context, _ []any) (any, error) {
+	e := New(Options{JobTimeout: 20 * time.Millisecond, Retries: 1})
+	j := &job{ID: "sim:stuck", Run: func(ctx context.Context, _ []any) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}}
-	err := e.Execute(context.Background(), Sequential{}, j)
+	runJobs(t, e, Sequential{}, j)
+	err := j.err
 	var je *JobError
 	if !errors.As(err, &je) {
 		t.Fatalf("error = %v, want *JobError", err)
@@ -207,8 +217,7 @@ func cleanCompare(t *testing.T, exec Executor, schemes []string, cfgs []workload
 func faultyCompare(t *testing.T, exec Executor, fc faults.Config, schemes []string,
 	cfgs []workload.Config) (map[string]*sim.Result, map[string]error) {
 	t.Helper()
-	e := New(Options{Retries: 1, RetryBackoff: time.Millisecond,
-		Faults: faults.New(fc)})
+	e := New(Options{Retries: 1, Faults: faults.New(fc)})
 	out, err := e.Compare(context.Background(), exec, schemes, cfgs, false)
 	if err == nil {
 		return out, nil
@@ -410,30 +419,30 @@ func TestCancelledCompareLeaksNothing(t *testing.T) {
 func TestFaultEventsJournaled(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := journaled(&buf, "faulty")
-	e := New(Options{Verify: true, Retries: 1, RetryBackoff: time.Millisecond})
+	e := New(Options{Verify: true, Retries: 1})
 
 	calls := 0
-	flaky := &Job{ID: "flaky", Run: func(context.Context, []any) (any, error) {
+	flaky := &job{ID: "sim:flaky", Run: func(context.Context, []any) (any, error) {
 		if calls++; calls == 1 {
 			return nil, transientErr{}
 		}
 		return "ok", nil
 	}}
-	boom := &Job{ID: "boom", Run: func(context.Context, []any) (any, error) {
+	boom := &job{ID: "sim:boom", Run: func(context.Context, []any) (any, error) {
 		panic("observed")
 	}}
-	if err := e.ExecuteAll(ctx, Sequential{}, flaky, boom); err != nil {
+	if err := e.execute(ctx, Sequential{}, flaky, boom); err != nil {
 		t.Fatal(err)
 	}
 	lines := journalLines(t, buf.Bytes())
 	retries := withMsg(lines, "job.retry")
-	if len(retries) != 1 || retries[0]["job"] != "flaky" || retries[0]["level"] != "ERROR" ||
+	if len(retries) != 1 || retries[0]["job"] != "sim:flaky" || retries[0]["level"] != "ERROR" ||
 		retries[0]["error"] != "transient blip" || retries[0]["attempt"] != 0.0 ||
-		retries[0]["backoff_us"] != 1000.0 {
+		retries[0]["backoff_us"] != 10000.0 {
 		t.Errorf("job.retry lines = %v", retries)
 	}
 	panics := withMsg(lines, "job.panic")
-	if len(panics) != 1 || panics[0]["job"] != "boom" ||
+	if len(panics) != 1 || panics[0]["job"] != "sim:boom" ||
 		!strings.Contains(panics[0]["stack"].(string), "faults_test") {
 		t.Errorf("job.panic lines = %v", panics)
 	}

@@ -157,11 +157,9 @@ func TestJobKind(t *testing.T) {
 		"sim:Dir0B@pops": "sim",
 		"trace:pops":     "trace",
 		"merge:Dir0B":    "merge",
-		"adhoc":          "",
-		":odd":           "",
 	} {
-		if got := JobKind(id); got != want {
-			t.Errorf("JobKind(%q) = %q, want %q", id, got, want)
+		if got := jobKind(id); got != want {
+			t.Errorf("jobKind(%q) = %q, want %q", id, got, want)
 		}
 	}
 }
@@ -179,13 +177,13 @@ func TestJobPhaseHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	bad := &Job{ID: "adhoc", Run: func(context.Context, []any) (any, error) {
+	bad := &job{ID: "merge:bad", Run: func(context.Context, []any) (any, error) {
 		return nil, errors.New("boom")
 	}}
-	if err := e.ExecuteAll(journaled(&buf, ""), Sequential{}, bad); err != nil {
+	if err := e.execute(journaled(&buf, ""), Sequential{}, bad); err != nil {
 		t.Fatal(err)
 	}
-	for phase, want := range map[string]int64{"generate": 1, "simulate": 3, "merge": 3, "other": 1} {
+	for phase, want := range map[string]int64{"generate": 1, "simulate": 3, "merge": 4} {
 		if got := reg.Histogram("engine.job."+phase+".us", nil).Count(); got != want {
 			t.Errorf("engine.job.%s.us count = %d, want %d", phase, got, want)
 		}
@@ -201,7 +199,7 @@ func TestJobPhaseHistograms(t *testing.T) {
 	if len(lines) != 3 || msgs[0] != "job.scheduled" || msgs[1] != "job.start" || msgs[2] != "job.finish" {
 		t.Fatalf("journal = %v", msgs)
 	}
-	if lines[2]["level"] != "ERROR" || lines[2]["error"] != "job adhoc failed: boom" || lines[2]["kind"] != "" {
+	if lines[2]["level"] != "ERROR" || lines[2]["error"] != "job merge:bad failed: boom" || lines[2]["kind"] != "merge" {
 		t.Errorf("failed job.finish = %v", lines[2])
 	}
 }

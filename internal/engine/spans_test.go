@@ -67,7 +67,7 @@ func (e flakyErr) Retryable() bool { return true }
 // scheduled job and every retry attempt represented as spans, and child
 // spans contained within their parents' intervals.
 func TestEngineTraceExport(t *testing.T) {
-	e := New(Options{ProtoSample: 64, Retries: 2, RetryBackoff: 1})
+	e := New(Options{ProtoSample: 64, Retries: 2})
 
 	cfgs := workload.StandardConfigs(4, 20_000)[:2]
 	schemes := []string{"Dir0B", "Dir4NB", "WTI"}
@@ -80,7 +80,7 @@ func TestEngineTraceExport(t *testing.T) {
 	// A job that fails twice with a retryable error before succeeding:
 	// the trace must show all three attempts plus two retry instants.
 	fails := 0
-	flaky := &Job{
+	flaky := &job{
 		ID: "sim:flaky@test",
 		Run: func(context.Context, []any) (any, error) {
 			if fails < 2 {
@@ -90,8 +90,8 @@ func TestEngineTraceExport(t *testing.T) {
 			return "ok", nil
 		},
 	}
-	if err := e.Execute(ctx, Sequential{}, flaky); err != nil {
-		t.Fatalf("flaky job: %v", err)
+	if err := e.execute(ctx, Sequential{}, flaky); err != nil || flaky.err != nil {
+		t.Fatalf("flaky job: %v, %v", err, flaky.err)
 	}
 
 	tf := renderTrace(t, journal.Bytes())
@@ -275,9 +275,12 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 func TestJobErrorLandsOnSpan(t *testing.T) {
 	e := New(Options{})
 	boom := errors.New("boom")
-	j := &Job{ID: "sim:bad@x", Run: func(context.Context, []any) (any, error) { return nil, boom }}
+	j := &job{ID: "sim:bad@x", Run: func(context.Context, []any) (any, error) { return nil, boom }}
 	var journal bytes.Buffer
-	if err := e.Execute(journaled(&journal, "boom"), Sequential{}, j); err == nil {
+	if err := e.execute(journaled(&journal, "boom"), Sequential{}, j); err != nil {
+		t.Fatal(err)
+	}
+	if j.err == nil {
 		t.Fatal("job unexpectedly succeeded")
 	}
 	found := false

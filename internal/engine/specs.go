@@ -153,7 +153,7 @@ func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([
 	if err != nil {
 		return nil, err
 	}
-	if err := e.ExecuteAll(ctx, exec, dedupJobs(per)...); err != nil {
+	if err := e.execute(ctx, exec, per...); err != nil {
 		return nil, err
 	}
 	return outputs(per, func(i int) string { return per[i].ID })
@@ -181,12 +181,12 @@ func (e *Engine) Merge(ctx context.Context, exec Executor, groups [][]SimSpec) (
 	if err != nil {
 		return nil, err
 	}
-	merges := make([]*Job, len(groups))
+	merges := make([]*job, len(groups))
 	for i, g := range groups {
 		merges[i] = e.mergeJob("merge:"+g[0].label(), per[:len(g)])
 		per = per[len(g):]
 	}
-	if err := e.ExecuteAll(ctx, exec, merges...); err != nil {
+	if err := e.execute(ctx, exec, merges...); err != nil {
 		return nil, err
 	}
 	return outputs(merges, func(i int) string { return groups[i][0].label() })
@@ -194,17 +194,16 @@ func (e *Engine) Merge(ctx context.Context, exec Executor, groups [][]SimSpec) (
 
 // outputs returns the jobs' results in order, with a failed job's
 // position nil and a *Partial naming each failure by name(i).
-func outputs(jobs []*Job, name func(i int) string) ([]*sim.Result, error) {
+func outputs(jobs []*job, name func(i int) string) ([]*sim.Result, error) {
 	out := make([]*sim.Result, len(jobs))
 	failed := make(map[string]error)
 	done := 0
 	for i, j := range jobs {
-		v, err := j.Output()
-		if err != nil {
-			failed[name(i)] = err
+		if j.err != nil {
+			failed[name(i)] = j.err
 			continue
 		}
-		out[i] = v.(*sim.Result)
+		out[i] = j.out.(*sim.Result)
 		done++
 	}
 	if len(failed) > 0 {
@@ -240,12 +239,12 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 // mergeJob aggregates the per-spec results of one group, cached by the
 // ordered combination of the inputs' keys — the spec keys planSpecs gave
 // deps.
-func (e *Engine) mergeJob(id string, deps []*Job) *Job {
+func (e *Engine) mergeJob(id string, deps []*job) *job {
 	keys := make([]Key, len(deps))
 	for i, j := range deps {
 		keys[i] = j.Key
 	}
-	return &Job{
+	return &job{
 		ID:   id,
 		Key:  mergeKey(keys),
 		Deps: deps,
@@ -263,10 +262,10 @@ func (e *Engine) mergeJob(id string, deps []*Job) *Job {
 // returning one result job per spec (duplicate specs share a job): per
 // workload one trace job through the single-flight Engine.Trace, feeding
 // one keyed simulation job per scheme that replays it.
-func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
-	per := make([]*Job, len(specs))
-	byKey := make(map[Key]*Job)
-	traceJobs := make(map[Key]*Job)
+func (e *Engine) planSpecs(specs []SimSpec) ([]*job, error) {
+	per := make([]*job, len(specs))
+	byKey := make(map[Key]*job)
+	traceJobs := make(map[Key]*job)
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -276,7 +275,7 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 			per[i] = j
 			continue
 		}
-		j := &Job{ID: "sim:" + s.label() + "@" + s.Trace.Name, Key: k}
+		j := &job{ID: "sim:" + s.label() + "@" + s.Trace.Name, Key: k}
 		byKey[k] = j
 		per[i] = j
 		switch {
@@ -297,7 +296,7 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 			tk := TraceKey(cfg)
 			tj, ok := traceJobs[tk]
 			if !ok {
-				tj = &Job{
+				tj = &job{
 					ID: fmt.Sprintf("trace:%s", cfg.Name),
 					Run: func(ctx context.Context, _ []any) (any, error) {
 						return e.Trace(ctx, cfg)
@@ -305,7 +304,7 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*Job, error) {
 				}
 				traceJobs[tk] = tj
 			}
-			j.Deps = []*Job{tj}
+			j.Deps = []*job{tj}
 			j.Run = e.simulateBody(s)
 		}
 	}
@@ -404,16 +403,4 @@ func kept(t *trace.Trace, filter func(trace.Source) trace.Source) int64 {
 		n += int64(k)
 	}
 	return n
-}
-
-func dedupJobs(jobs []*Job) []*Job {
-	seen := make(map[*Job]bool, len(jobs))
-	out := make([]*Job, 0, len(jobs))
-	for _, j := range jobs {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -145,23 +144,5 @@ func TestParallelCompareCachesEachTraceOnce(t *testing.T) {
 	if got := e.Stats().TracesGenerated; got != s.TracesGenerated {
 		t.Errorf("Trace() after the batch regenerated a workload: %d generations, want %d",
 			got, s.TracesGenerated)
-	}
-}
-
-// TestWorkloadStreamMatchesGenerate pins the generator-level equivalence
-// between per-reference delivery and a materialized generation.
-func TestWorkloadStreamMatchesGenerate(t *testing.T) {
-	for _, cfg := range workload.StandardConfigs(4, 15_000) {
-		want := workload.MustGenerate(cfg)
-		var got []trace.Ref
-		if err := workload.Stream(cfg, func(r trace.Ref) error {
-			got = append(got, r)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want.Refs) {
-			t.Errorf("%s: streamed refs differ from generated refs", cfg.Name)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
@@ -189,8 +188,7 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 // TestTracePropagationThroughRetries: a job that fails and re-attempts
 // journals every job.retry under its submission's trace.
 func TestTracePropagationThroughRetries(t *testing.T) {
-	e := New(Options{Retries: 2, RetryBackoff: time.Millisecond,
-		Faults: faults.New(faults.Config{Seed: 1, Spurious: 1})})
+	e := New(Options{Retries: 2, Faults: faults.New(faults.Config{Seed: 1, Spurious: 1})})
 	var buf bytes.Buffer
 	// Every attempt fails spuriously, so the run errors; the retry lines
 	// along the way are what we are after.
@@ -240,7 +238,7 @@ func TestRemoteParentJournaled(t *testing.T) {
 // a journal renders no event attributes.
 func TestNoJournalNoAllocs(t *testing.T) {
 	e := New(Options{})
-	j := &Job{ID: "sim:Dir0B@pops", Key: SimSpec{Trace: tracePropConfigs()[0], Scheme: "Dir0B"}.Key()}
+	j := &job{ID: "sim:Dir0B@pops", Key: SimSpec{Trace: tracePropConfigs()[0], Scheme: "Dir0B"}.Key()}
 	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "t", Span: 7})
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, ev := range []string{"job.scheduled", "job.start", "job.finish"} {

@@ -47,11 +47,11 @@ func TestCacheOccupancyGauges(t *testing.T) {
 	}
 	check("one result fulfilled", 2, 1)
 
-	fail := &Job{ID: "fail", Key: hashOf("fail"), Run: func(context.Context, []any) (any, error) {
+	fail := &job{ID: "sim:fail", Key: hashOf("fail"), Run: func(context.Context, []any) (any, error) {
 		return nil, errors.New("boom")
 	}}
-	if e.Execute(ctx, nil, fail) == nil {
-		t.Fatal("failing job succeeded")
+	if err := e.execute(ctx, nil, fail); err != nil || fail.err == nil {
+		t.Fatalf("failing job: run %v, job %v", err, fail.err)
 	}
 	check("failed job evicted at fulfill", 2, 1)
 
@@ -73,13 +73,13 @@ func TestCacheOccupancyGauges(t *testing.T) {
 
 	// Trim while a keyed job is still in its body.
 	started, release := make(chan struct{}), make(chan struct{})
-	slow := &Job{ID: "slow", Key: hashOf("slow"), Run: func(context.Context, []any) (any, error) {
+	slow := &job{ID: "sim:slow", Key: hashOf("slow"), Run: func(context.Context, []any) (any, error) {
 		close(started)
 		<-release
 		return 42, nil
 	}}
 	done := make(chan error, 1)
-	go func() { done <- e.Execute(ctx, nil, slow) }()
+	go func() { done <- e.execute(ctx, nil, slow) }()
 	<-started
 	check("job in flight", 2, 2)
 	e.Trim(cfgs[0])
@@ -91,8 +91,8 @@ func TestCacheOccupancyGauges(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := slow.Output(); out != 42 {
-		t.Fatalf("in-flight job delivered %v after Trim, want 42", out)
+	if slow.err != nil || slow.out != 42 {
+		t.Fatalf("in-flight job delivered %v, %v after Trim, want 42", slow.out, slow.err)
 	}
 	check("flight fulfilled after trim", 1, 1)
 

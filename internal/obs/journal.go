@@ -76,6 +76,23 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 // changes incompatibly (see DESIGN.md for the version history).
 const SchemaVersion = 3
 
+// clockAnchor is the journal clock's wall reading, taken once per
+// process; see Now.
+var clockAnchor = time.Now()
+
+// Now returns the journal clock's current time: the process's wall
+// anchor plus the monotonic time elapsed since it was taken. Every
+// journal line is stamped on it, so a span's start — its line's time
+// minus dur_us, a monotonic duration — lies on the same clock as every
+// other line even while the wall clock is slewed or stepped. Clock
+// readings exchanged between processes (the fleet's skew estimate) come
+// from it too.
+func Now() time.Time { return onClock(time.Now()) }
+
+// onClock maps t, a reading of this process's clocks, onto the journal
+// clock.
+func onClock(t time.Time) time.Time { return clockAnchor.Add(t.Sub(clockAnchor)) }
+
 // NewJournal writes events to w. Writes are serialized (one whole line
 // per Write), so one journal can be shared by every goroutine of a run.
 // Every line carries the journal schema version.
@@ -140,7 +157,7 @@ func OpenJournalRotating(path string, maxBytes int64, keep int) (*Journal, error
 func RotationMarker(path string) func(total int64, w io.Writer) {
 	return func(total int64, w io.Writer) {
 		fmt.Fprintf(w, "{\"time\":%q,\"level\":\"INFO\",\"msg\":\"journal.rotated\",\"schema\":%d,\"segments\":%d,\"path\":%q}\n",
-			time.Now().UTC().Format(time.RFC3339Nano), SchemaVersion, total, path)
+			Now().UTC().Format(time.RFC3339Nano), SchemaVersion, total, path)
 	}
 }
 
@@ -214,7 +231,7 @@ func (j *Journal) Event(name string, attrs ...any) {
 	if j == nil {
 		return
 	}
-	j.log.Info(name, attrs...)
+	j.at(time.Now(), name, nil, attrs)
 }
 
 // Error emits one error-level event carrying err under the "error" key.
@@ -223,7 +240,22 @@ func (j *Journal) Error(name string, err error, attrs ...any) {
 	if j == nil {
 		return
 	}
-	j.log.Error(name, append([]any{slog.String("error", err.Error())}, attrs...)...)
+	j.at(time.Now(), name, err, attrs)
+}
+
+// at writes one line stamped t on the journal clock, at error level
+// carrying err under "error" when err is non-nil. A span's line is
+// stamped at the instant its dur_us runs to (EndSpan), so the span
+// renders from its true start.
+func (j *Journal) at(t time.Time, name string, err error, attrs []any) {
+	level := slog.LevelInfo
+	if err != nil {
+		level = slog.LevelError
+		attrs = append([]any{slog.String("error", err.Error())}, attrs...)
+	}
+	r := slog.NewRecord(onClock(t), level, name, 0)
+	r.Add(attrs...)
+	j.log.Handler().Handle(context.Background(), r) //nolint:errcheck // best-effort, as slog's own calls are
 }
 
 // Close releases the underlying file, if the journal owns one. No-op on

@@ -37,7 +37,7 @@ type RunManifest struct {
 }
 
 // PhaseStat is the accumulated time of one phase of a run: "generate",
-// "simulate", "merge" and "other" from the engine's engine.job.<phase>.us
+// "simulate" and "merge" from the engine's engine.job.<phase>.us
 // histograms, "experiment" from the report pipeline's own timing.
 type PhaseStat struct {
 	Phase string        `json:"phase"`

@@ -128,13 +128,6 @@ func (rw *RotatingWriter) rotateLocked() error {
 
 func seg(path string, n int) string { return path + "." + strconv.Itoa(n) }
 
-// Rotations reports how many rotations have happened.
-func (rw *RotatingWriter) Rotations() int64 {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return rw.rotations
-}
-
 // Close closes the live file.
 func (rw *RotatingWriter) Close() error {
 	rw.mu.Lock()

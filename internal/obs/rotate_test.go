@@ -31,7 +31,7 @@ func TestRotatingWriterShiftsSegments(t *testing.T) {
 	}
 	// 9 lines, 2 per full segment: 4 rotations; keep=2 retains the last
 	// two rotated segments plus the live file.
-	if got := rw.Rotations(); got != 4 {
+	if got := rw.rotations; got != 4 {
 		t.Errorf("rotations = %d, want 4", got)
 	}
 	segs := SegmentPaths(path)

@@ -47,7 +47,7 @@ var experimentMsg = []byte(`"msg":"experiment.`)
 // carries an error. Throughput and cache figures come from the engine
 // counters on reg. Safe to call while the run writes both.
 func Runz(rec *Record, reg *Registry, start time.Time) RunzReport {
-	now := time.Now()
+	now := Now()
 	rep := RunzReport{Schema: SchemaVersion, Now: now, UptimeSec: now.Sub(start).Seconds()}
 	lines, _, _ := rec.Follow(0)
 	index := make(map[string]int)

@@ -7,8 +7,9 @@ import (
 )
 
 // A span's one record is the journal line written when it ends: its ID
-// as "span", its parent's as "pspan", and "dur_us", so it started at the
-// line's time minus dur_us. An instant is a span line without dur_us.
+// as "span", its parent's as "pspan", and "dur_us", stamped at the
+// instant dur_us runs to, so it started at the line's time minus dur_us.
+// An instant is a span line without dur_us.
 
 // NewSpanID returns a random non-zero 64-bit span ID. Drawn, not
 // counted, IDs minted by a coordinator and its workers never collide.
@@ -35,20 +36,16 @@ func StartSpan(ctx context.Context) (context.Context, bool) {
 	return WithTrace(ctx, tc.Child()), true
 }
 
-// EndSpan writes the line of the span on ctx: msg with attrs, "span",
-// "pspan", and "dur_us" since start; a non-nil err writes it at error
-// level. No-op without a journal.
+// EndSpan writes the line of the span on ctx, begun at start and ending
+// now: msg with attrs, "dur_us", "span" and "pspan"; a non-nil err
+// writes it at error level. No-op without a journal.
 func EndSpan(ctx context.Context, msg string, start time.Time, err error, attrs ...any) {
 	jnl := JournalFrom(ctx)
 	if jnl == nil {
 		return
 	}
-	attrs = SpanAttrs(ctx, append(attrs, "dur_us", time.Since(start).Microseconds()))
-	if err != nil {
-		jnl.Error(msg, err, attrs...)
-		return
-	}
-	jnl.Event(msg, attrs...)
+	end := time.Now()
+	jnl.at(end, msg, err, SpanAttrs(ctx, append(attrs, "dur_us", end.Sub(start).Microseconds())))
 }
 
 // Instant journals an instant under ctx's enclosing span. A non-nil err
@@ -61,9 +58,5 @@ func Instant(ctx context.Context, msg string, err error, attrs ...any) {
 	if tc, ok := TraceFrom(ctx); ok {
 		attrs = tc.Child().Attrs(attrs)
 	}
-	if err != nil {
-		jnl.Error(msg, err, attrs...)
-		return
-	}
-	jnl.Event(msg, attrs...)
+	jnl.at(time.Now(), msg, err, attrs)
 }

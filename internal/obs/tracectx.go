@@ -59,18 +59,6 @@ func NewTraceContext() TraceContext { return TraceContext{Trace: NewTraceID()} }
 // Valid reports whether the context names a trace.
 func (tc TraceContext) Valid() bool { return tc.Trace != "" }
 
-// WithSpan returns a copy with the enclosing span replaced.
-func (tc TraceContext) WithSpan(span uint64) TraceContext {
-	tc.Span = span
-	return tc
-}
-
-// WithParent returns a copy with the remote parent span replaced.
-func (tc TraceContext) WithParent(parent uint64) TraceContext {
-	tc.Parent = parent
-	return tc
-}
-
 // Child returns the context of a new span nested in this one. An
 // invalid context returns itself: untraced work mints no IDs.
 func (tc TraceContext) Child() TraceContext {

@@ -12,7 +12,7 @@ func TestTraceContextParentRoundTrip(t *testing.T) {
 	cases := []TraceContext{
 		{Trace: "abc123", Span: 0x1f, Parent: 0xbeef},
 		{Trace: "abc123", Parent: 0xbeef}, // parent without a span
-		NewTraceContext().WithSpan(7).WithParent(9),
+		{Trace: NewTraceID(), Span: 7, Parent: 9},
 		{Trace: "abc123", Span: 0x1f}, // two-part form unchanged
 	}
 	for _, tc := range cases {

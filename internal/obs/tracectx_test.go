@@ -29,7 +29,7 @@ func TestTraceContextStringRoundTrip(t *testing.T) {
 		{Trace: "abc123"},
 		{Trace: "abc123", Span: 0x1f},
 		{Trace: "run-2026.08_x", Span: 0xdeadbeefcafe},
-		NewTraceContext().WithSpan(7),
+		{Trace: NewTraceID(), Span: 7},
 	}
 	for _, tc := range cases {
 		got, ok := ParseTraceContext(tc.String())

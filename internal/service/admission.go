@@ -161,13 +161,6 @@ func (a *Admission) Depth() int {
 	return a.d.Len()
 }
 
-// InUse reports a tenant's queued+running total.
-func (a *Admission) InUse(tenant string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inUse[tenant]
-}
-
 // Submit admits the experiment or explains why not (ErrQuota,
 // ErrSaturated, ErrDraining). On success the tenant's in-use count is
 // charged until Done.

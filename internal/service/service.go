@@ -10,7 +10,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -432,10 +431,4 @@ func (s *Service) RetryAfter() int {
 		sec = 1
 	}
 	return sec
-}
-
-// IsAdmissionError reports whether err is one of the admission rejections
-// (as opposed to a validation error).
-func IsAdmissionError(err error) bool {
-	return errors.Is(err, ErrQuota) || errors.Is(err, ErrSaturated) || errors.Is(err, ErrDraining)
 }

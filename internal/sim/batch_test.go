@@ -138,33 +138,47 @@ func runReference(scheme string, tr *trace.Trace) (*Result, error) {
 	return referenceSimulate(p, tr.Iterator(), batchTestOpts())
 }
 
-// TestBatchSizeInvariance checks that awkward batch sizes — 1, a prime
-// that never divides the trace, and sizes forcing a short final batch —
-// all produce the identical Result. The trace length is chosen so every
-// size below ends on a partial batch.
+// unevenBatches are the NextBatch sizes chunkedSource cycles through:
+// one reference, a prime that never divides the trace, one short of the
+// simulator's buffer, a full buffer, and one again.
+var unevenBatches = []int{1, 7, DefaultBatchRefs - 1, DefaultBatchRefs, 1}
+
+// chunkedSource hands out at most sizes[i] references on its i-th
+// NextBatch call, cycling through sizes, whatever buffer it is passed.
+type chunkedSource struct {
+	trace.Source
+	sizes []int
+	i     int
+}
+
+func (s *chunkedSource) NextBatch(buf []trace.Ref) int {
+	n := min(len(buf), s.sizes[s.i%len(s.sizes)])
+	s.i++
+	return s.Source.NextBatch(buf[:n])
+}
+
+// TestBatchSizeInvariance checks that batches of any size — 1, a prime,
+// a buffer less one, a full buffer — produce the identical Result for
+// every scheme. The trace length is chosen so the run ends on a partial
+// batch.
 func TestBatchSizeInvariance(t *testing.T) {
-	cfg := workload.POPSConfig(4, 10_001)
-	tr, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runReference("Dir1NB", tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 7, 1000, 4096, 1 << 20} {
-		p, err := core.NewByName("Dir1NB", tr.CPUs)
-		if err != nil {
-			t.Fatal(err)
+	tr := workload.MustGenerate(workload.POPSConfig(4, 20_001))
+	for _, scheme := range core.Schemes() {
+		run := func(src trace.Source) *Result {
+			p, err := core.NewByName(scheme, tr.CPUs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Simulate(p, src, batchTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
 		}
-		opts := batchTestOpts()
-		opts.BatchRefs = batch
-		got, err := Simulate(p, tr.Iterator(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("batch size %d: result differs from per-ref reference", batch)
+		want := run(tr.Iterator())
+		got := run(&chunkedSource{Source: tr.Iterator(), sizes: unevenBatches})
+		if got.Fingerprint() != want.Fingerprint() || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result over uneven batches differs from the trace's own iterator", scheme)
 		}
 	}
 }
@@ -187,8 +201,7 @@ func TestBatchedCheckedRun(t *testing.T) {
 	}
 	opts := batchTestOpts()
 	opts.Check = true
-	opts.BatchRefs = 513
-	got, err := Simulate(p, tr.Iterator(), opts)
+	got, err := Simulate(p, &chunkedSource{Source: tr.Iterator(), sizes: unevenBatches}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,10 +101,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	batch := opts.BatchRefs
-	if batch <= 0 {
-		batch = DefaultBatchRefs
-	}
 
 	// Build every core up front so constructor errors surface before any
 	// goroutine starts.
@@ -147,7 +143,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	}
 	free := make(chan []trace.Ref, shards*(shardWindow+1))
 	for i := 0; i < cap(free); i++ {
-		free <- make([]trace.Ref, 0, batch)
+		free <- make([]trace.Ref, 0, DefaultBatchRefs)
 	}
 
 	results := make([]*Result, shards)
@@ -169,7 +165,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	}
 
 	// The splitter: route references by block hash into per-shard buffers.
-	in := make([]trace.Ref, batch)
+	in := make([]trace.Ref, DefaultBatchRefs)
 	cur := make([][]trace.Ref, shards)
 	for s := range cur {
 		cur[s] = <-free
@@ -182,7 +178,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 		for _, r := range in[:k] {
 			s := ShardOf(r.Block(), shards)
 			buf := append(cur[s], r)
-			if len(buf) == batch {
+			if len(buf) == DefaultBatchRefs {
 				work[s] <- buf
 				cur[s] = <-free
 			} else {

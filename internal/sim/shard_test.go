@@ -83,7 +83,7 @@ func TestShardedViaSimulateTrace(t *testing.T) {
 	}
 }
 
-// TestShardedBatchSizeInvariance: awkward batch sizes exercise partial
+// TestShardedBatchSizeInvariance: uneven input batches exercise partial
 // final buffers on every shard; the result must not move.
 func TestShardedBatchSizeInvariance(t *testing.T) {
 	tr, err := workload.Generate(workload.POPSConfig(4, 10_001))
@@ -95,17 +95,15 @@ func TestShardedBatchSizeInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Trace = ""
-	for _, batch := range []int{1, 7, 513, 4096} {
-		opts := batchTestOpts()
-		opts.Shards = 3
-		opts.BatchRefs = batch
-		got, err := SimulateSharded(shardBuild("Dir1NB", tr.CPUs), tr.Iterator(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("batch size %d: sharded result differs from per-ref reference", batch)
-		}
+	opts := batchTestOpts()
+	opts.Shards = 3
+	got, err := SimulateSharded(shardBuild("Dir1NB", tr.CPUs),
+		&chunkedSource{Source: tr.Iterator(), sizes: unevenBatches}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("sharded result over uneven batches differs from per-ref reference")
 	}
 }
 
@@ -176,14 +174,14 @@ func (f telemetryFunc) Coherence(out event.Result) { f(out) }
 // shard and carrying the stack, every other shard must drain cleanly, and
 // no goroutines may leak.
 func TestShardedFaultPanic(t *testing.T) {
-	tr, err := workload.Generate(workload.POPSConfig(4, 20_000))
+	// More buffers than the pipeline holds, so back-pressure engages.
+	tr, err := workload.Generate(workload.POPSConfig(4, 300_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := faults.Goroutines()
 	opts := batchTestOpts()
 	opts.Shards = 4
-	opts.BatchRefs = 64 // many batches per shard, so back-pressure engages
 	opts.ShardFault = func(shard int) error {
 		if shard == 2 {
 			panic(fmt.Errorf("injected shard fault"))

@@ -15,7 +15,8 @@ import (
 )
 
 // DefaultBatchRefs is the number of references Simulate pulls from the
-// source per NextBatch call when Options.BatchRefs is zero.
+// source per NextBatch call. Results are bit-identical for every batch
+// size; it tunes amortization only.
 const DefaultBatchRefs = 4096
 
 // Options configures a simulation run.
@@ -23,11 +24,6 @@ type Options struct {
 	// Models are the bus cost models to price the run under. When
 	// empty, the paper's pipelined and non-pipelined models are used.
 	Models []bus.Model
-	// BatchRefs is the hot-loop batch size: how many references Simulate
-	// pulls from the source per NextBatch call (default
-	// DefaultBatchRefs). Results are bit-identical for every batch size —
-	// the knob tunes amortization only.
-	BatchRefs int
 	// Topologies additionally prices the run on interconnection
 	// networks (the Section 6 scalability analysis); results land in
 	// Result.NetTallies keyed by topology name.
@@ -141,15 +137,11 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	if every <= 0 {
 		every = 8192
 	}
-	batch := opts.BatchRefs
-	if batch <= 0 {
-		batch = DefaultBatchRefs
-	}
 	tel := opts.Telemetry
 	// References move in batches through two reusable buffers (refs in,
 	// sparse results out), so the steady-state loop allocates nothing and
 	// pays the Source interface dispatch once per batch, not per reference.
-	buf := make([]trace.Ref, batch)
+	buf := make([]trace.Ref, DefaultBatchRefs)
 	var sparse sparseBatch
 	var n int64
 	for {

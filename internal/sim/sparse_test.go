@@ -48,7 +48,6 @@ func (s *countedSource) NextBatch(buf []trace.Ref) int {
 // bare engine yields, and an attached Telemetry sees the per-reference
 // loop's coherence signals in the per-reference loop's order.
 func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
-	const batch = 1000
 	tr := workload.MustGenerate(workload.POPSConfig(4, 30_500))
 	for _, scheme := range []string{"Dir1NB", "Dir0B", "YenFu", "Dragon", "Berkeley"} {
 		build := func() core.Protocol {
@@ -68,10 +67,9 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 
 		var signals signalLog
 		opts = batchTestOpts()
-		opts.BatchRefs = batch
 		opts.Telemetry = &signals
 		p := &batchOnly{Protocol: build()}
-		src := &countedSource{Source: tr.Iterator()}
+		src := &countedSource{Source: &chunkedSource{Source: tr.Iterator(), sizes: unevenBatches}}
 		got, err := Simulate(p, src, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -88,8 +86,8 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 				scheme, len(signals), len(wantSignals))
 		}
 
-		// Sharded: worker s receives its shard's references in buffers
-		// of batch, the last one short.
+		// Sharded: worker s receives its shard's references in full
+		// buffers, the last one short.
 		const shards = 3
 		var perShard [shards]int
 		for _, r := range tr.Refs {
@@ -97,7 +95,6 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 		}
 		var wrappers []*batchOnly
 		opts = batchTestOpts()
-		opts.BatchRefs = batch
 		opts.Shards = shards
 		sharded, err := SimulateSharded(func() (core.Protocol, error) {
 			w := &batchOnly{Protocol: build()}
@@ -108,7 +105,7 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, w := range wrappers {
-			if wantCalls := (perShard[s] + batch - 1) / batch; w.calls != wantCalls || w.refs != perShard[s] {
+			if wantCalls := (perShard[s] + DefaultBatchRefs - 1) / DefaultBatchRefs; w.calls != wantCalls || w.refs != perShard[s] {
 				t.Errorf("%s shard %d: %d AccessBatch calls over %d refs, want %d over %d",
 					scheme, s, w.calls, w.refs, wantCalls, perShard[s])
 			}
@@ -121,24 +118,24 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 
 // TestSparseResultsBufferGrowsOnDemand bounds what a simulation allocates
 // for classification results. The buffer used to be sized for a batch in
-// which every reference produced one — 56 bytes a reference, 58 MB at the
-// batch size below; a sparse stream needs room for the few per cent of a
-// batch that did something.
+// which every reference produced one — 56 bytes a reference, 229 KB at
+// the simulator's batch size; a sparse stream needs room for the few per
+// cent of a batch that did something.
 func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
-	const batch = 1 << 20
 	tr := workload.MustGenerate(workload.POPSConfig(4, 100_000))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := SimulateTrace("Dir0B", tr, Options{BatchRefs: batch}); err != nil {
+	if _, err := SimulateTrace("Dir0B", tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	// The reference buffer is sized by BatchRefs too, and is not what this
-	// test is about.
-	rest := int64(after.TotalAlloc-before.TotalAlloc) - batch*int64(unsafe.Sizeof(trace.Ref{}))
-	if rest > 1<<20 {
-		t.Errorf("%d bytes allocated besides the reference buffer, limit 1 MB", rest)
+	// The reference buffer is not what this test is about.
+	rest := int64(after.TotalAlloc-before.TotalAlloc) - DefaultBatchRefs*int64(unsafe.Sizeof(trace.Ref{}))
+	// About 110 KB of tables and tallies; a results buffer sized for the
+	// batch would add 229 KB.
+	if rest > 192<<10 {
+		t.Errorf("%d bytes allocated besides the reference buffer, limit 192 KB", rest)
 	}
 }
 
@@ -148,14 +145,22 @@ func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
 // buffer account for.
 func TestSparseLoopAllocatesPerSimulation(t *testing.T) {
 	tr := workload.MustGenerate(workload.POPSConfig(4, 100_000))
+	build := func() (core.Protocol, error) { return core.NewByName("Dir0B", tr.CPUs) }
 	for _, shards := range []int{1, 2} {
-		opts := Options{BatchRefs: 100, Shards: shards}
 		if allocs := testing.AllocsPerRun(3, func() {
-			if _, err := SimulateTrace("Dir0B", tr, opts); err != nil {
+			src := &chunkedSource{Source: tr.Iterator(), sizes: []int{100}}
+			var err error
+			if shards > 1 {
+				_, err = SimulateSharded(build, src, Options{Shards: shards})
+			} else {
+				p, _ := build()
+				_, err = Simulate(p, src, Options{})
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}); allocs > 300 {
-			t.Errorf("shards=%d: %.0f allocations for %d batches", shards, allocs, tr.Len()/opts.BatchRefs)
+			t.Errorf("shards=%d: %.0f allocations for %d batches", shards, allocs, tr.Len()/100)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -148,21 +147,4 @@ func (s Stats) String() string {
 	row("shared refs", s.SharedRefs)
 	fmt.Fprintf(&b, "  %-14s %10d (shared %d)\n", "data blocks", s.DataBlocks, s.SharedBlk)
 	return b.String()
-}
-
-// TopSharers returns the n most widely shared block process-counts in the
-// ProcsPerSharedBlock histogram, as (processCount, blocks) pairs sorted by
-// descending process count. It is a diagnostic used by workload tests.
-func (s Stats) TopSharers(n int) [][2]int {
-	var out [][2]int
-	for procs, blocks := range s.ProcsPerSharedBlock {
-		if procs > 1 && blocks > 0 {
-			out = append(out, [2]int{procs, blocks})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] > out[j][0] })
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

@@ -61,17 +61,6 @@ func TestProcsPerSharedBlock(t *testing.T) {
 	}
 }
 
-func TestTopSharers(t *testing.T) {
-	s := ComputeStats(statsInput())
-	top := s.TopSharers(10)
-	if len(top) != 1 || top[0][0] != 2 || top[0][1] != 1 {
-		t.Errorf("TopSharers = %v", top)
-	}
-	if got := s.TopSharers(0); len(got) != 0 {
-		t.Errorf("TopSharers(0) = %v", got)
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	out := ComputeStats(statsInput()).String()
 	for _, want := range []string{"refs", "spin reads", "data blocks", "test"} {

@@ -57,13 +57,6 @@ const MaxCPUs = 256
 // ErrEmpty is returned by operations that need at least one reference.
 var ErrEmpty = errors.New("trace: empty trace")
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	c := &Trace{Name: t.Name, CPUs: t.CPUs, Refs: make([]Ref, len(t.Refs))}
-	copy(c.Refs, t.Refs)
-	return c
-}
-
 // Source is a stream of references, the input type accepted by the
 // simulator: a trace's Iterator, or a chain of the wrappers in filter.go
 // over one, so a filtered run need not materialize its trace twice (the

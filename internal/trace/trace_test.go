@@ -38,16 +38,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	tr := mkTrace(1, Ref{Addr: 1, Kind: Read})
-	c := tr.Clone()
-	c.Refs[0].Addr = 99
-	c.Name = "other"
-	if tr.Refs[0].Addr != 1 || tr.Name != "test" {
-		t.Error("Clone shares state with the original")
-	}
-}
-
 func TestIteratorReplaysInOrder(t *testing.T) {
 	tr := mkTrace(2,
 		Ref{Addr: 0x10, CPU: 0, Kind: Read},

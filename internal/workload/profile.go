@@ -199,21 +199,6 @@ func StreamBatches(cfg Config, batchRefs int, emit func([]trace.Ref) error) erro
 	return g.err
 }
 
-// Stream is the per-reference form of StreamBatches, kept for consumers
-// that inspect references one at a time (analyses, codec writers).
-// Generation stops early when emit returns a non-nil error, which Stream
-// returns unchanged; emit is never called again after it fails.
-func Stream(cfg Config, emit func(trace.Ref) error) error {
-	return StreamBatches(cfg, DefaultBatchRefs, func(batch []trace.Ref) error {
-		for _, r := range batch {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // MustGenerate is Generate for known-good configurations; it panics on
 // error. The app constructors use it.
 func MustGenerate(cfg Config) *trace.Trace {

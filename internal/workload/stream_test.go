@@ -8,15 +8,16 @@ import (
 	"dirsim/internal/trace"
 )
 
-// TestStreamEquivalentToGenerate: Stream must emit exactly the reference
-// sequence Generate materializes — the execution engine's streamed and
-// materialized delivery modes rest on this.
+// TestStreamEquivalentToGenerate: StreamBatches must emit exactly the
+// reference sequence Generate materializes, for every standard workload —
+// the benchmark's streamed traces and the engine's materialized ones rest
+// on this.
 func TestStreamEquivalentToGenerate(t *testing.T) {
 	for _, cfg := range StandardConfigs(4, 20_000) {
 		want := MustGenerate(cfg)
 		var got []trace.Ref
-		if err := Stream(cfg, func(r trace.Ref) error {
-			got = append(got, r)
+		if err := StreamBatches(cfg, 0, func(b []trace.Ref) error {
+			got = append(got, b...) // copy: the slice is reused
 			return nil
 		}); err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
@@ -24,29 +25,6 @@ func TestStreamEquivalentToGenerate(t *testing.T) {
 		if !reflect.DeepEqual(got, want.Refs) {
 			t.Errorf("%s: streamed sequence differs from generated trace", cfg.Name)
 		}
-	}
-}
-
-// TestStreamEarlyStop: an emit error must stop generation promptly and
-// surface unchanged from Stream.
-func TestStreamEarlyStop(t *testing.T) {
-	stop := errors.New("enough")
-	const limit = 1000
-	n := 0
-	err := Stream(POPSConfig(4, 100_000), func(trace.Ref) error {
-		n++
-		if n >= limit {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("Stream error = %v, want the emit error", err)
-	}
-	// The generator may finish its current burst but must not run on to
-	// the configured length.
-	if n < limit || n > limit+100 {
-		t.Errorf("emitted %d refs; want to stop at ~%d", n, limit)
 	}
 }
 
@@ -99,8 +77,8 @@ func TestStreamBatchesEarlyStop(t *testing.T) {
 
 func TestStreamRejectsInvalidConfig(t *testing.T) {
 	bad := POPSConfig(0, 10_000)
-	if err := Stream(bad, func(trace.Ref) error { return nil }); err == nil {
-		t.Error("Stream accepted a zero-CPU config")
+	if err := StreamBatches(bad, 0, func([]trace.Ref) error { return nil }); err == nil {
+		t.Error("StreamBatches accepted a zero-CPU config")
 	}
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted a zero-CPU config")

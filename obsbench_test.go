@@ -160,10 +160,9 @@ func TestWriteObsBenchJSON(t *testing.T) {
 	// The shipper is long-lived and shared across iterations, as in a
 	// real worker: a per-job shipper would bill each run a synchronous
 	// shutdown flush that production pays once per process. It runs at
-	// the production flush cadence (the 250ms default), so the number is
-	// the write-path cost plus background POSTs at their real frequency.
-	ship := dist.NewJournalShipper(&dist.Client{Base: sink.URL}, "bench",
-		dist.ShipperOptions{MaxLines: 1 << 16})
+	// the production buffer size and flush cadence, so the number is the
+	// write-path cost plus background POSTs at their real frequency.
+	ship := dist.NewJournalShipper(&dist.Client{Base: sink.URL}, "bench", dist.ShipperOptions{})
 	defer ship.Close(context.Background())
 
 	reg := obs.NewRegistry()

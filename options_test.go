@@ -1,0 +1,192 @@
+package dirsim_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// settableStructs are the configuration structs the rule below covers,
+// keyed by package directory.
+var settableStructs = map[string][]string{
+	"internal/engine":      {"Options"},
+	"internal/sim":         {"Options"},
+	"internal/dist":        {"Options", "Client", "ShipperOptions", "Worker"},
+	"internal/service":     {"Config"},
+	"internal/store":       {"Options"},
+	"internal/obs/httpmon": {"Options"},
+}
+
+// optionsAllowlist names the fields no production code sets that stay
+// anyway, each with its reason. Only two reasons are allowed: the field
+// substitutes a fake clock or sleep for tests, or the frozen benchmark
+// under bench/ still sets it, until the benchmark is unfrozen.
+var optionsAllowlist = map[string]string{
+	"dist.Options.Clock":      "fake clock seam",
+	"dist.Client.Sleep":       "fake sleep seam",
+	"dist.Worker.Sleep":       "fake sleep seam",
+	"engine.Options.Observer": "held by the frozen bench/",
+	"sim.Options.Shards":      "held by the frozen bench/",
+	"sim.Options.ShardFault":  "held by the frozen bench/",
+}
+
+// TestOptionsHaveProductionSetters keeps the options rule: a field of a
+// configuration struct stays only if a program sets it — a keyed
+// composite literal of the struct, or an assignment to the field from
+// outside the struct's package (the package's own defaulting does not
+// count) — in a file that is neither a test nor under bench/ or
+// examples/. Everything else must be on optionsAllowlist with its reason.
+func TestOptionsHaveProductionSetters(t *testing.T) {
+	fset := token.NewFileSet()
+	type file struct {
+		dir string
+		f   *ast.File
+	}
+	var files []file
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch {
+			case p == "bench", p == "examples", d.Name() == "testdata",
+				p != "." && strings.HasPrefix(d.Name(), "."):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// fields maps "pkg.Struct" to its exported field names.
+	fields := make(map[string][]string)
+	for _, fl := range files {
+		for _, name := range settableStructs[fl.dir] {
+			ast.Inspect(fl.f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != name {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return false
+				}
+				q := fl.f.Name.Name + "." + name
+				for _, fd := range st.Fields.List {
+					for _, id := range fd.Names {
+						if id.IsExported() {
+							fields[q] = append(fields[q], id.Name)
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	for dir, names := range settableStructs {
+		for _, name := range names {
+			if fields[path.Base(dir)+"."+name] == nil {
+				t.Errorf("%s: struct %s not found", dir, name)
+			}
+		}
+	}
+
+	// set holds "pkg.Struct.Field" for every key of a keyed literal;
+	// assigned maps a field name to the packages that assign a field of
+	// that name, whose receiver's type the parser cannot tell.
+	set := make(map[string]bool)
+	assigned := make(map[string]map[string]bool)
+	for _, fl := range files {
+		pkg := fl.f.Name.Name
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				q := literalType(pkg, n.Type)
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok && q != "" {
+							set[q+"."+id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if assigned[sel.Sel.Name] == nil {
+							assigned[sel.Sel.Name] = make(map[string]bool)
+						}
+						assigned[sel.Sel.Name][pkg] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var missing []string
+	total := 0
+	for q, names := range fields {
+		pkg := strings.Split(q, ".")[0]
+		for _, f := range names {
+			total++
+			key := q + "." + f
+			byProgram := set[key]
+			for p := range assigned[f] {
+				byProgram = byProgram || p != pkg
+			}
+			switch {
+			case byProgram && optionsAllowlist[key] != "":
+				t.Errorf("%s is set by a program; drop it from the allowlist", key)
+			case !byProgram && optionsAllowlist[key] == "":
+				missing = append(missing, key)
+			}
+		}
+	}
+	sort.Strings(missing)
+	for _, key := range missing {
+		t.Errorf("%s: no program sets it; make it a constant, or allowlist it with a reason", key)
+	}
+	for key := range optionsAllowlist {
+		q := key[:strings.LastIndexByte(key, '.')]
+		found := false
+		for _, f := range fields[q] {
+			found = found || q+"."+f == key
+		}
+		if !found {
+			t.Errorf("allowlist names %s, which is not a field any more", key)
+		}
+	}
+	t.Logf("%d settable fields across %d structs", total, len(fields))
+}
+
+// literalType names a composite literal's struct type as "pkg.Name",
+// resolving an unqualified name to the file's own package, or "" for
+// anything else (slices, maps, anonymous structs).
+func literalType(pkg string, typ ast.Expr) string {
+	switch t := typ.(type) {
+	case *ast.Ident:
+		return pkg + "." + t.Name
+	case *ast.SelectorExpr:
+		if x, ok := t.X.(*ast.Ident); ok {
+			return x.Name + "." + t.Sel.Name
+		}
+	}
+	return ""
+}
