@@ -1,39 +1,35 @@
-// Command dirsim runs one or more coherence schemes over a workload and
-// prints event frequencies and bus-cycle costs.
+// Command dirsim runs coherence schemes over a workload or a trace file
+// and prints event frequencies and bus-cycle costs; it also writes,
+// inspects and converts trace files.
 //
 // Usage:
 //
 //	dirsim -workload pops -cpus 4 -refs 500000 -schemes Dir1NB,WTI,Dir0B,Dragon
 //	dirsim -trace trace.bin -schemes Dir0B
+//	dirsim -workload pops -schemes "" -o p.bin              # generate
+//	dirsim -trace p.bin -schemes "" -stats                  # inspect
+//	dirsim -trace p.bin -schemes "" -o p.txt -format text   # convert
 //
-// With -stats the trace characteristics (Table 3 style) are printed too;
-// -nospins removes lock-test reads first (the Section 5.2 experiment);
-// -conformance runs the correctness battery on each scheme instead of a
-// simulation; -journal streams structured JSONL events (one
-// simulate.finish per scheme with its wall time and headline numbers) to
-// a file or stderr.
-//
-// -tracejson renders the run's journal — one span per simulated scheme
-// plus sampled coherence-protocol instants (invalidations of clean
-// shared blocks, broadcasts, forced invalidations) — as Chrome
-// trace-event JSON loadable in Perfetto or chrome://tracing; without
-// -journal the journal is kept in memory for it. (-trace is the binary
-// *input* trace; the JSON *output* trace is -tracejson.)
-// -protosample tunes the telemetry stride: every Nth coherence event
-// becomes a trace instant (0 auto-enables 64 with -tracejson, negative
-// disables).
+// Every input is a spec: a workload name resolves through workload.Named,
+// a trace file is adopted by the engine (Engine.Adopt), and the schemes
+// run as one Engine.Results batch. -journal streams the run.start /
+// run.finish bracket around the engine's job lines and sim.run spans;
+// -tracejson renders that journal, with sampled coherence-protocol
+// instants (-protosample sets the stride: 0 means 64 with -tracejson,
+// negative disables), as Chrome trace-event JSON for Perfetto.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"dirsim/internal/core"
+	"dirsim/internal/engine"
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
@@ -42,46 +38,166 @@ import (
 )
 
 func main() {
-	var (
-		wl      = flag.String("workload", "pops", "workload name: pops, thor, pero, pingpong, migratory, prodcons, readshared, private, spincontend")
-		traceIn = flag.String("trace", "", "read a binary trace file instead of generating a workload")
-		cpus    = flag.Int("cpus", 4, "processor count for generated workloads")
-		refs    = flag.Int("refs", 500000, "approximate trace length for generated workloads")
-		schemes = flag.String("schemes", "Dir1NB,WTI,Dir0B,Dragon", "comma-separated scheme names")
-		stats   = flag.Bool("stats", false, "print trace characteristics")
-		events  = flag.Bool("events", false, "print the full event-frequency table per scheme")
-		nospins = flag.Bool("nospins", false, "filter lock-test spin reads out of the trace first")
-		check   = flag.Bool("check", false, "run with coherence checking enabled")
-		csvOut  = flag.String("csv", "", "additionally write results as CSV to this file ('-' for stdout)")
-		conform = flag.Bool("conformance", false, "run the full correctness battery (model check + kernels + application trace) on each scheme instead of a simulation")
-		journal = flag.String("journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
-		traceJS = flag.String("tracejson", "", "export a Chrome trace-event JSON timeline to this file ('-' for stdout; load in Perfetto or chrome://tracing)")
-		protoN  = flag.Int("protosample", 0, "coherence-telemetry stride: every Nth coherence event becomes a trace instant (0 auto-enables 64 with -tracejson, negative disables)")
-		showVer = flag.Bool("version", false, "print build version and exit")
-	)
-	flag.Parse()
-	if *showVer {
-		fmt.Println("dirsim", obs.Build())
-		return
-	}
-	if *conform {
-		if err := runConformance(*schemes); err != nil {
-			fmt.Fprintln(os.Stderr, "dirsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*wl, *traceIn, *cpus, *refs, *schemes, *stats, *events, *nospins, *check, *csvOut, *journal, *traceJS, *protoN); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "dirsim:", err)
 		os.Exit(1)
 	}
 }
 
+// run is the command, writing to stdout unless a flag names a file.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("dirsim", flag.ContinueOnError)
+	var (
+		wl      = fs.String("workload", "pops", "workload name: pops, thor, pero, pingpong, migratory, prodcons, readshared, private, spincontend")
+		traceIn = fs.String("trace", "", "read a binary trace file instead of generating a workload")
+		cpus    = fs.Int("cpus", 4, "processor count for generated workloads")
+		refs    = fs.Int("refs", 500000, "approximate trace length for generated workloads")
+		seed    = fs.Uint64("seed", 0, "override a paper workload's fixed seed (0 keeps it; kernels take none)")
+		schemes = fs.String("schemes", "Dir1NB,WTI,Dir0B,Dragon", "comma-separated scheme names ('' simulates none)")
+		stats   = fs.Bool("stats", false, "print trace characteristics")
+		events  = fs.Bool("events", false, "print the full event-frequency table per scheme")
+		nospins = fs.Bool("nospins", false, "filter lock-test spin reads out of the trace first")
+		check   = fs.Bool("check", false, "run with coherence checking enabled")
+		csvOut  = fs.String("csv", "", "additionally write results as CSV to this file ('-' for stdout)")
+		out     = fs.String("o", "", "write the input trace to this file ('-' for stdout)")
+		format  = fs.String("format", "binary", "trace format for -o: binary or text")
+		conform = fs.Bool("conformance", false, "run the full correctness battery (model check + kernels + application trace) on each scheme instead of a simulation")
+		journal = fs.String("journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
+		traceJS = fs.String("tracejson", "", "export a Chrome trace-event JSON timeline to this file ('-' for stdout; load in Perfetto or chrome://tracing)")
+		protoN  = fs.Int("protosample", 0, "coherence-telemetry stride: every Nth coherence event becomes a trace instant (0 auto-enables 64 with -tracejson, negative disables)")
+		showVer = fs.Bool("version", false, "print build version and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *showVer:
+		_, err := fmt.Fprintln(stdout, "dirsim", obs.Build())
+		return err
+	case *conform:
+		return runConformance(stdout, *schemes)
+	}
+	writeTrace := map[string]func(io.Writer, *trace.Trace) error{
+		"binary": trace.WriteBinary, "text": trace.WriteText}[*format]
+	if writeTrace == nil {
+		return fmt.Errorf("unknown format %q (want binary or text)", *format)
+	}
+
+	var jnl *obs.Journal
+	var record obs.Record
+	if *journal != "" || *traceJS != "" {
+		var tee []io.Writer
+		if *traceJS != "" {
+			tee = append(tee, &record)
+		}
+		if jnl, err = obs.OpenJournal(*journal, tee...); err != nil {
+			return err
+		}
+		defer jnl.Close()
+		defer func() {
+			if err != nil {
+				jnl.Error("error", err)
+			}
+		}()
+	}
+	// The trace context gives every engine job and simulation a span.
+	ctx := obs.WithJournal(obs.WithTrace(context.Background(), obs.NewTraceContext()), jnl)
+	if *protoN == 0 && *traceJS != "" {
+		*protoN = 64
+	}
+	eng := engine.New(engine.Options{ProtoSample: *protoN})
+
+	cfg, err := workloadConfig(*wl, *cpus, *refs, *seed)
+	if *traceIn != "" {
+		cfg, err = adopt(eng, *traceIn)
+	}
+	if err != nil {
+		return err
+	}
+	t, err := eng.Trace(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	jnl.Event("run.start", "trace", t.Name, "cpus", t.CPUs, "refs", t.Len(), "seed", cfg.Seed,
+		"schemes", *schemes, "nospins", *nospins, "check", *check)
+	if *stats {
+		fmt.Fprint(stdout, trace.ComputeStats(t))
+	}
+	if *out != "" {
+		if err := writeTo(stdout, *out, func(w io.Writer) error { return writeTrace(w, t) }); err != nil {
+			return err
+		}
+	}
+	var specs []engine.SimSpec
+	for _, scheme := range strings.Split(*schemes, ",") {
+		if scheme = strings.TrimSpace(scheme); scheme != "" {
+			spec := engine.SimSpec{Trace: cfg, Scheme: scheme, Check: *check}
+			if *nospins {
+				spec.Filter = engine.FilterNoSpins
+			}
+			specs = append(specs, spec)
+		}
+	}
+	results, err := eng.Results(ctx, engine.Sequential{}, specs)
+	if err != nil {
+		return err
+	}
+	for _, res := range results {
+		printResult(stdout, res, *events)
+	}
+	jnl.Event("run.finish", "schemes_run", len(results))
+	if *traceJS != "" {
+		if err := obs.WriteChromeFile(*traceJS, record.Bytes()); err != nil {
+			return fmt.Errorf("tracejson: %w", err)
+		}
+	}
+	if *csvOut != "" {
+		return writeTo(stdout, *csvOut, func(w io.Writer) error { return sim.WriteCSV(w, results) })
+	}
+	return nil
+}
+
+// workloadConfig is the named workload's configuration, with a non-zero
+// seed replacing its own (which a kernel's Config then fails to validate).
+func workloadConfig(wl string, cpus, refs int, seed uint64) (workload.Config, error) {
+	cfg, err := workload.Named(wl, cpus, refs)
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	return cfg, err
+}
+
+// adopt hands the engine a binary trace file and returns its Config.
+func adopt(eng *engine.Engine, path string) (workload.Config, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return workload.Config{}, err
+	}
+	defer f.Close()
+	t, err := trace.ReadBinary(f)
+	if err != nil {
+		return workload.Config{}, err
+	}
+	return eng.Adopt(t)
+}
+
+// writeTo runs write on stdout when path is "-", else on a new file at
+// path.
+func writeTo(stdout io.Writer, path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
+}
+
 // runConformance runs the verification battery for each named scheme.
-func runConformance(schemes string) error {
+func runConformance(stdout io.Writer, schemes string) error {
 	for _, scheme := range strings.Split(schemes, ",") {
-		scheme = strings.TrimSpace(scheme)
-		if scheme == "" {
+		if scheme = strings.TrimSpace(scheme); scheme == "" {
 			continue
 		}
 		// Validate the name before the battery spends time on it.
@@ -98,149 +214,27 @@ func runConformance(schemes string) error {
 		if err != nil {
 			return fmt.Errorf("%s FAILED: %w", scheme, err)
 		}
-		fmt.Printf("%-8s PASS (model check + kernels + application trace)\n", scheme)
+		fmt.Fprintf(stdout, "%-8s PASS (model check + kernels + application trace)\n", scheme)
 	}
 	return nil
 }
 
-func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nospins, check bool, csvOut, journal, traceJS string, protoN int) error {
-	var jnl *obs.Journal
-	var record obs.Record
-	if journal != "" || traceJS != "" {
-		var tee []io.Writer
-		if traceJS != "" {
-			tee = append(tee, &record)
-		}
-		var err error
-		if jnl, err = obs.OpenJournal(journal, tee...); err != nil {
-			return err
-		}
-		defer jnl.Close()
-	}
-	// The run's trace context gives each simulation a span; the journal
-	// keeps its lines untagged, as before.
-	ctx := obs.WithJournal(obs.WithTrace(context.Background(), obs.NewTraceContext()), jnl)
-	// Telemetry defaults on (stride 64) when a trace export will show it,
-	// off otherwise; the nil Telemetry path costs the simulator nothing.
-	if protoN == 0 && traceJS != "" {
-		protoN = 64
-	}
-	if protoN < 0 {
-		protoN = 0
-	}
-	reg := obs.NewRegistry()
-	t, err := loadTrace(wl, traceIn, cpus, refs)
-	if err != nil {
-		return err
-	}
-	jnl.Event("run.start", "trace", t.Name, "cpus", t.CPUs, "refs", len(t.Refs),
-		"schemes", schemes, "nospins", nospins, "check", check)
-	if stats {
-		fmt.Print(trace.ComputeStats(t))
-	}
-	var results []*sim.Result
-	for _, scheme := range strings.Split(schemes, ",") {
-		scheme = strings.TrimSpace(scheme)
-		if scheme == "" {
-			continue
-		}
-		src := trace.Source(t.Iterator())
-		if nospins {
-			src = trace.WithoutSpins(src)
-		}
-		p, err := core.NewByName(scheme, t.CPUs)
-		if err != nil {
-			return err
-		}
-		// A SimSpec names a spin filter (engine.FilterNoSpins) but not a
-		// trace file or a kernel, so the CLI simulates directly, under a
-		// span of its own.
-		sctx, _ := obs.StartSpan(ctx)
-		opts := sim.Options{Check: check}
-		if protoN > 0 {
-			opts.Telemetry = obs.NewProtoSampler(sctx, reg, scheme, protoN)
-		}
-		start := time.Now()
-		res, err := sim.Simulate(p, src, opts)
-		elapsed := time.Since(start)
-		obs.EndSpan(sctx, "sim.run", start, err, "name", "simulate:"+scheme+"@"+t.Name, "refs", len(t.Refs))
-		if err != nil {
-			jnl.Error("error", err, "scheme", scheme, "trace", t.Name)
-			return err
-		}
-		res.Trace = t.Name
-		jnl.Event("simulate.finish", "scheme", res.Scheme, "trace", t.Name,
-			"refs", res.Counts.Total, "dur_us", elapsed.Microseconds(),
-			"cycles_per_ref", res.PerRef("pipelined"))
-		results = append(results, res)
-		printResult(res, events)
-	}
-	jnl.Event("run.finish", "schemes_run", len(results))
-	if traceJS != "" {
-		if err := obs.WriteChromeFile(traceJS, record.Bytes()); err != nil {
-			return fmt.Errorf("tracejson: %w", err)
-		}
-	}
-	if csvOut != "" {
-		w := os.Stdout
-		if csvOut != "-" {
-			f, err := os.Create(csvOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return sim.WriteCSV(w, results)
-	}
-	return nil
-}
-
-func printResult(res *sim.Result, events bool) {
-	fmt.Printf("== %s over %s ==\n", res.Scheme, res.Trace)
+func printResult(w io.Writer, res *sim.Result, events bool) {
+	fmt.Fprintf(w, "== %s over %s ==\n", res.Scheme, res.Trace)
 	if events {
-		fmt.Print(res.Counts.String())
+		fmt.Fprint(w, res.Counts.String())
 	}
-	fmt.Printf("  rd-miss %.3f%%  wr-miss %.3f%%  data-miss(incl first) %.3f%%\n",
+	fmt.Fprintf(w, "  rd-miss %.3f%%  wr-miss %.3f%%  data-miss(incl first) %.3f%%\n",
 		res.Counts.ReadMisses(), res.Counts.WriteMisses(), res.Counts.DataMissRate())
 	for _, name := range []string{"pipelined", "non-pipelined"} {
 		if tl := res.Tally(name); tl != nil {
-			fmt.Printf("  %-13s %.4f cycles/ref  (%.4f txn/ref, %.2f cycles/txn)\n",
+			fmt.Fprintf(w, "  %-13s %.4f cycles/ref  (%.4f txn/ref, %.2f cycles/txn)\n",
 				name, tl.PerRef(), tl.TransactionsPerRef(), tl.PerTransaction())
 		}
 	}
 	if res.InvalClean.Total() > 0 {
-		fmt.Printf("  writes to clean blocks: %.1f%% invalidate <=1 cache (mean %.2f)\n",
+		fmt.Fprintf(w, "  writes to clean blocks: %.1f%% invalidate <=1 cache (mean %.2f)\n",
 			res.InvalClean.PctAtMost(1), res.InvalClean.Mean())
 	}
-	fmt.Println()
-}
-
-func loadTrace(wl, traceIn string, cpus, refs int) (*trace.Trace, error) {
-	if traceIn != "" {
-		f, err := os.Open(traceIn)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadBinary(f)
-	}
-	if cfg, err := workload.Named(wl, cpus, refs); err == nil {
-		return workload.Generate(cfg)
-	}
-	switch strings.ToLower(wl) {
-	case "pingpong":
-		return workload.PingPong(refs), nil
-	case "migratory":
-		return workload.Migratory(cpus, 8, refs/16), nil
-	case "prodcons":
-		return workload.ProducerConsumer(cpus, 16, refs/(16*cpus)), nil
-	case "readshared":
-		return workload.ReadShared(cpus, 64, refs/(64*cpus)), nil
-	case "private":
-		return workload.Private(cpus, 256, refs), nil
-	case "spincontend":
-		return workload.SpinContention(cpus, refs/(8*cpus), 8), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", wl)
+	fmt.Fprintln(w)
 }

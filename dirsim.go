@@ -136,9 +136,9 @@ func PERO(cpus, refs int) *Trace { return workload.PERO(cpus, refs) }
 // StandardTraces returns all three standard traces.
 func StandardTraces(cpus, refs int) []*Trace { return workload.Standard(cpus, refs) }
 
-// GenerateWorkload builds a named workload ("pops", "thor", "pero") or
-// returns an error for unknown names. For full control use
-// workload-profile configs via GenerateCustom.
+// GenerateWorkload builds the workload workload.Named resolves name to
+// (a paper trace such as "pops" or a microkernel such as "migratory"), or
+// returns an error for unknown names. For full control use GenerateCustom.
 func GenerateWorkload(name string, cpus, refs int) (*Trace, error) {
 	cfg, err := workload.Named(name, cpus, refs)
 	if err != nil {

@@ -17,6 +17,15 @@ func TestGenerateWorkload(t *testing.T) {
 			t.Errorf("%s: len=%d cpus=%d", name, tr.Len(), tr.CPUs)
 		}
 	}
+	for name, cpus := range map[string]int{"Migratory": 4, "pingpong": 2} {
+		tr, err := dirsim.GenerateWorkload(name, 4, 2_000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tr.CPUs != cpus || tr.Name != strings.ToLower(name) {
+			t.Errorf("%s: trace %q, %d cpus", name, tr.Name, tr.CPUs)
+		}
+	}
 	if _, err := dirsim.GenerateWorkload("doom", 4, 1000); err == nil {
 		t.Error("unknown workload accepted")
 	}

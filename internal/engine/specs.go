@@ -111,7 +111,8 @@ func (s SimSpec) label() string {
 // Trace returns the materialized trace for cfg, generating it at most
 // once per engine (concurrent callers share one generation). A memory
 // miss always generates: the durable tier holds results only, because
-// generating a trace is faster than reading one back from disk. In
+// generating a trace is faster than reading one back from disk. A miss
+// on an adopted trace's Config (Adopt) is workload.ErrNotGenerable. In
 // verification mode every hit revalidates the trace against the
 // fingerprint recorded when it was cached; a mismatch evicts the entry
 // and regenerates instead of serving the corrupted trace.
@@ -127,6 +128,32 @@ func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, 
 	})
 	t, _ := v.(*trace.Trace)
 	return t, err
+}
+
+// Adopt validates t, a trace no workload name generates (a trace file),
+// and caches it under the Config it returns, which a SimSpec then names
+// like any other workload: zero Profile, Seed t.Fingerprint(), Name
+// workload.AdoptedPrefix + t.Name. Adopting the same trace again returns
+// the same Config and keeps one copy. Nothing regenerates an adopted
+// trace, so once Trim drops it, specs over its Config fail with
+// workload.ErrNotGenerable until it is adopted again.
+func (e *Engine) Adopt(t *trace.Trace) (workload.Config, error) {
+	if err := t.Validate(); err != nil {
+		return workload.Config{}, err
+	}
+	cfg := workload.Config{Name: workload.AdoptedPrefix + t.Name, CPUs: t.CPUs,
+		Refs: t.Len(), Seed: t.Fingerprint()}
+	if err := cfg.Validate(); err != nil {
+		return workload.Config{}, err
+	}
+	// An entry already under k holds this very trace (the key covers its
+	// fingerprint), so only the first adoption stores it.
+	k := TraceKey(cfg)
+	if f, owner := e.traces.claim(k); owner {
+		sum, stamped := e.stampFor(observedKey(k), t)
+		e.traces.fulfill(k, f, t, nil, sum, stamped)
+	}
+	return cfg, nil
 }
 
 // Trim drops every cached result and every cached trace except keep's,
@@ -327,10 +354,11 @@ func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, e
 	}
 }
 
-// simulateTrace runs one spec's protocol over its materialized trace. In
-// verification mode a simulation that saw fewer references than the trace
-// holds is reported as a truncation error instead of returning the
-// silently partial result.
+// simulateTrace runs one spec's protocol over its materialized trace and
+// names the result after t: spec.Trace.Name for a generated trace, the
+// file's own name for an adopted one. In verification mode a simulation
+// that saw fewer references than the trace holds is reported as a
+// truncation error instead of returning the silently partial result.
 func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (res *sim.Result, err error) {
 	// A traced simulation is a span, journaled as sim.run; sampled
 	// protocol events nest under it.
@@ -391,7 +419,7 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 	}
 	e.simsRun.Add(1)
 	e.refsSimulated.Add(r.Counts.Total)
-	r.Trace = spec.Trace.Name
+	r.Trace = t.Name
 	return r, nil
 }
 

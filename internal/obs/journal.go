@@ -39,7 +39,6 @@ import (
 //	remote.degrade              one per remote dispatch run locally
 //	proto.sample                every Nth coherence event of a
 //	                            simulation with protocol sampling on
-//	simulate.finish             one per dirsim scheme run
 //	error                       terminal failure summary
 //
 // The engine writes the job.*, cache.*, sim.*, store.*, remote.* and

@@ -181,12 +181,13 @@ func TestSubmitValidation(t *testing.T) {
 	ts := startHTTP(t, svc)
 
 	for name, spec := range map[string]Spec{
-		"no schemes":   {Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}},
-		"bad scheme":   {Schemes: []string{"NoSuch"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}},
-		"bad workload": {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "nope", CPUs: []int{4}, Refs: 100}}},
-		"no cpus":      {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", Refs: 100}}},
-		"bad block":    {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}, BlockBytes: 24},
-		"neg block":    {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}, BlockBytes: -64},
+		"no schemes":    {Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}},
+		"bad scheme":    {Schemes: []string{"NoSuch"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}},
+		"bad workload":  {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "nope", CPUs: []int{4}, Refs: 100}}},
+		"no cpus":       {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", Refs: 100}}},
+		"bad block":     {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}, BlockBytes: 24},
+		"neg block":     {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 100}}, BlockBytes: -64},
+		"seeded kernel": {Schemes: []string{"Dir0B"}, Workloads: []WorkloadSpec{{Name: "pingpong", CPUs: []int{2}, Refs: 100, Seed: 3}}},
 	} {
 		resp, body := postSpec(t, ts.URL, "t", spec)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -31,16 +31,19 @@ type Spec struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// WorkloadSpec selects one of the paper's trace profiles at one or more
-// machine sizes.
+// WorkloadSpec selects one named workload (workload.Named) at one or
+// more machine sizes.
 type WorkloadSpec struct {
-	// Name is the profile: "pops", "thor" or "pero" (case-insensitive).
+	// Name is a paper trace ("pops", "thor", "pero") or a microkernel
+	// ("pingpong", "migratory", ...), case-insensitive.
 	Name string `json:"name"`
-	// CPUs lists the machine sizes to generate the trace for.
+	// CPUs lists the machine sizes to generate the trace for; pingpong
+	// has 2 CPUs at every size.
 	CPUs []int `json:"cpus"`
 	// Refs is the approximate trace length in references.
 	Refs int `json:"refs"`
-	// Seed overrides the profile's default RNG seed when non-zero.
+	// Seed overrides a paper trace's default RNG seed when non-zero; a
+	// kernel takes none.
 	Seed uint64 `json:"seed,omitempty"`
 }
 
@@ -113,7 +116,7 @@ func (s Spec) Expand() ([]engine.SimSpec, []SpecMeta, error) {
 				meta = append(meta, SpecMeta{
 					Scheme:   scheme,
 					Workload: cfg.Name,
-					CPUs:     cpus,
+					CPUs:     cfg.CPUs,
 					Refs:     w.Refs,
 					Seed:     w.Seed,
 					Key:      engine.KeyHex(k),

@@ -159,21 +159,30 @@ func StandardConfigs(cpus, refs int) []Config {
 	return []Config{POPSConfig(cpus, refs), THORConfig(cpus, refs), PEROConfig(cpus, refs)}
 }
 
-// Named returns the configuration of the paper trace called name —
-// "pops", "thor" or "pero", case-insensitive — at the given size. It is
-// the one map from those names to a Config: the service, the library
-// facade and both trace-producing commands resolve a workload name here,
-// so each name means one trace everywhere.
+// Named returns the configuration of the workload called name,
+// case-insensitive, at the given size: a paper trace ("pops", "thor",
+// "pero") or a microkernel ("pingpong", "migratory", "prodcons",
+// "readshared", "private", "spincontend"; pingpong always has 2 CPUs).
+// It is the one map from those names to a Config: the service, the
+// library facade and cmd/dirsim resolve a workload name here, so each
+// name means one trace everywhere.
 func Named(name string, cpus, refs int) (Config, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	switch key {
 	case "pops":
 		return POPSConfig(cpus, refs), nil
 	case "thor":
 		return THORConfig(cpus, refs), nil
 	case "pero":
 		return PEROConfig(cpus, refs), nil
+	case "pingpong":
+		cpus = 2
 	}
-	return Config{}, fmt.Errorf("unknown workload %q (want pops, thor or pero)", name)
+	if kernels[key] == nil {
+		return Config{}, fmt.Errorf("unknown workload %q (want pops, thor, pero, "+
+			"pingpong, migratory, prodcons, readshared, private or spincontend)", name)
+	}
+	return Config{Name: key, CPUs: cpus, Refs: refs}, nil
 }
 
 // POPS generates the POPS-like trace.

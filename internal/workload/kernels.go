@@ -6,6 +6,19 @@ import "dirsim/internal/trace"
 // behaviour. They are used by the protocol tests (where event counts can
 // be predicted in closed form) and by the ablation benchmarks.
 
+// kernels builds each microkernel that Named names from a machine size
+// and an approximate length. A kernel's Config has no Profile and no
+// Seed: its name and size are the whole trace. pingpong is a two-CPU
+// kernel whatever size is asked for (Named fixes its CPUs).
+var kernels = map[string]func(cpus, refs int) *trace.Trace{
+	"pingpong":    func(_, refs int) *trace.Trace { return PingPong(refs) },
+	"migratory":   func(cpus, refs int) *trace.Trace { return Migratory(cpus, 8, refs/16) },
+	"prodcons":    func(cpus, refs int) *trace.Trace { return ProducerConsumer(cpus, 16, refs/(16*cpus)) },
+	"readshared":  func(cpus, refs int) *trace.Trace { return ReadShared(cpus, 64, refs/(64*cpus)) },
+	"private":     func(cpus, refs int) *trace.Trace { return Private(cpus, 256, refs) },
+	"spincontend": func(cpus, refs int) *trace.Trace { return SpinContention(cpus, refs/(8*cpus), 8) },
+}
+
 // PingPong generates refs references in which two CPUs alternately read
 // and then write the same single block — the worst case for Dir1NB and the
 // textbook migratory pattern. Each "turn" is one read followed by one

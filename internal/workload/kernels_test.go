@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"dirsim/internal/trace"
@@ -118,6 +120,70 @@ func TestSpinContention(t *testing.T) {
 	for i, r := range tr.Refs {
 		if r.Flags.Has(trace.FlagSpin) && r.CPU == 0 {
 			t.Fatalf("ref %d: owner spinning", i)
+		}
+	}
+}
+
+// TestNamedKernels: each kernel name resolves to a seedless, profileless
+// Config whose trace is the kernel at the sizes its (cpus, refs) give.
+func TestNamedKernels(t *testing.T) {
+	const cpus, refs = 4, 20_000
+	for name, want := range map[string]*trace.Trace{
+		"pingpong":    PingPong(refs),
+		"migratory":   Migratory(cpus, 8, refs/16),
+		"prodcons":    ProducerConsumer(cpus, 16, refs/(16*cpus)),
+		"readshared":  ReadShared(cpus, 64, refs/(64*cpus)),
+		"private":     Private(cpus, 256, refs),
+		"spincontend": SpinContention(cpus, refs/(8*cpus), 8),
+	} {
+		cfg, err := Named(" "+strings.ToUpper(name), cpus, refs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cfg.Name != name || cfg.Seed != 0 || cfg.Profile != (Profile{}) || cfg.CPUs != want.CPUs {
+			t.Errorf("%s: Named gave %+v", name, cfg)
+		}
+		got, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Name != name || got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: Generate gave %q (fingerprint %#x), want fingerprint %#x",
+				name, got.Name, got.Fingerprint(), want.Fingerprint())
+		}
+	}
+	if _, err := Named("bogus", cpus, refs); err == nil {
+		t.Error("unknown workload accepted")
+	}
+}
+
+// TestKernelConfigRules: a kernel has one Config per size — no seed, and
+// pingpong only at 2 CPUs — and an adopted trace's Config validates but
+// is never generated or streamed.
+func TestKernelConfigRules(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"seeded kernel":         {Name: "migratory", CPUs: 4, Refs: 100, Seed: 3},
+		"4-cpu pingpong":        {Name: "pingpong", CPUs: 4, Refs: 100},
+		"no profile, no kernel": {Name: "pops", CPUs: 4, Refs: 100},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("%s: Generate accepted %+v", name, cfg)
+		}
+	}
+	adopted := Config{Name: AdoptedPrefix + "pops", CPUs: 4, Refs: 100, Seed: 0xfeed}
+	if err := adopted.Validate(); err != nil {
+		t.Errorf("adopted Config refused: %v", err)
+	}
+	if _, err := Generate(adopted); !errors.Is(err, ErrNotGenerable) {
+		t.Errorf("Generate(adopted) = %v, want ErrNotGenerable", err)
+	}
+	kernel, _ := Named("migratory", 4, 1000)
+	for _, cfg := range []Config{kernel, adopted} {
+		if err := StreamBatches(cfg, 0, func([]trace.Ref) error { return nil }); err == nil {
+			t.Errorf("StreamBatches accepted profileless %q", cfg.Name)
 		}
 	}
 }

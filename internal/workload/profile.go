@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"dirsim/internal/trace"
 )
@@ -111,8 +113,11 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Config identifies one generated trace: a named profile instantiated for
-// a machine size, length, and seed.
+// Config identifies one trace: a named profile instantiated for a
+// machine size, length, and seed; or, with a zero Profile, a microkernel
+// (Named) or a trace adopted from a file, whose Name carries
+// AdoptedPrefix and whose Seed is the trace's fingerprint. Generate
+// builds every Config but an adopted one.
 type Config struct {
 	Name    string
 	CPUs    int
@@ -120,6 +125,15 @@ type Config struct {
 	Seed    uint64
 	Profile Profile
 }
+
+// AdoptedPrefix begins the Name of an adopted trace's Config. Named never
+// returns such a name, so an adopted trace never shares a key with a
+// generated one.
+const AdoptedPrefix = "file:"
+
+// ErrNotGenerable is the error Generate wraps for an adopted trace's
+// Config: only the trace itself, not its Config, can supply it.
+var ErrNotGenerable = errors.New("workload: an adopted trace is not generable")
 
 // Address-space layout (byte addresses). Regions are spaced so they can
 // never collide for any sane parameter choice.
@@ -140,7 +154,8 @@ const (
 	osMigrateBlocks = 24
 )
 
-// Validate reports the first problem with the configuration.
+// Validate reports the first problem with the configuration. A kernel
+// takes no seed, so each kernel trace has exactly one Config.
 func (cfg Config) Validate() error {
 	if cfg.CPUs < 1 || cfg.CPUs > trace.MaxCPUs {
 		return fmt.Errorf("workload: cpu count %d out of range", cfg.CPUs)
@@ -148,7 +163,19 @@ func (cfg Config) Validate() error {
 	if cfg.Refs < 1 {
 		return fmt.Errorf("workload: non-positive trace length %d", cfg.Refs)
 	}
-	return cfg.Profile.Validate()
+	switch {
+	case cfg.Profile != (Profile{}):
+		return cfg.Profile.Validate()
+	case strings.HasPrefix(cfg.Name, AdoptedPrefix):
+		return nil
+	case kernels[cfg.Name] == nil:
+		return fmt.Errorf("workload: %q has no profile and names no kernel", cfg.Name)
+	case cfg.Seed != 0:
+		return fmt.Errorf("workload: kernel %s takes no seed (got %d)", cfg.Name, cfg.Seed)
+	case cfg.Name == "pingpong" && cfg.CPUs != 2:
+		return fmt.Errorf("workload: kernel pingpong has 2 cpus, not %d", cfg.CPUs)
+	}
+	return nil
 }
 
 // DefaultBatchRefs is the generator's batch granularity when a caller
@@ -157,10 +184,17 @@ func (cfg Config) Validate() error {
 const DefaultBatchRefs = 4096
 
 // Generate synthesizes a trace from the configuration. The result is
-// deterministic in cfg.
+// deterministic in cfg. An adopted trace's Config is refused with
+// ErrNotGenerable.
 func Generate(cfg Config) (*trace.Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Profile == (Profile{}) {
+		if kernel := kernels[cfg.Name]; kernel != nil {
+			return kernel(cfg.CPUs, cfg.Refs), nil
+		}
+		return nil, fmt.Errorf("%w: %q (adopt the trace again)", ErrNotGenerable, cfg.Name)
 	}
 	t := trace.New(cfg.Name, cfg.CPUs)
 	// The generator overshoots cfg.Refs by at most the tail of one turn's
@@ -187,9 +221,13 @@ func Generate(cfg Config) (*trace.Trace, error) {
 // slice is owned by the generator and reused between calls: emit must
 // copy or fully consume it before returning. Generation stops early when
 // emit returns a non-nil error, which StreamBatches returns unchanged.
+// Only a profile streams: a kernel or adopted Config is refused.
 func StreamBatches(cfg Config, batchRefs int, emit func([]trace.Ref) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if cfg.Profile == (Profile{}) {
+		return fmt.Errorf("workload: %q has no profile to stream", cfg.Name)
 	}
 	if batchRefs <= 0 {
 		batchRefs = DefaultBatchRefs
