@@ -40,8 +40,8 @@
 // Every response carries an X-Dirsim-Trace header naming the trace the
 // request ran under; callers may supply their own via the same header.
 // Per-route and per-tenant request/error/latency metrics appear on
-// /metrics, and -manifest writes a run manifest (counters, store
-// traffic) on shutdown.
+// /metrics, and -manifest writes the run report (obs.RunReport: every
+// counter and gauge, store traffic included) on shutdown.
 //
 // On SIGTERM or SIGINT the server drains: new work is refused (503),
 // queued-but-unstarted experiments abort, running experiments finish and
@@ -237,7 +237,14 @@ func run(cfg config) error {
 		drainErr = err
 	}
 	if cfg.manifest != "" {
-		if err := writeManifest(cfg, srv.Addr(), start, reg, st); err != nil {
+		// The run report without a journal record: every registry counter
+		// and gauge (engine, store, service admission/tenant, HTTP RED)
+		// over the server's lifetime.
+		rep := obs.Report(nil, reg, start)
+		rep.Command, rep.Build = "dirsimd", obs.Build()
+		rep.Config = obs.RunConfig{Run: "service", Parallel: cfg.maxInflight,
+			Executor: "service:" + cfg.discipline, Listen: srv.Addr(), Store: cfg.storeDir}
+		if err := rep.Write(cfg.manifest); err != nil {
 			log.Warn("manifest", "error", err)
 			if drainErr == nil {
 				drainErr = err
@@ -251,41 +258,4 @@ func run(cfg config) error {
 	}
 	log.Info("drained cleanly")
 	return nil
-}
-
-// writeManifest records the server's lifetime in the same run-manifest
-// format cmd/experiments emits: every registry counter (engine, service
-// admission/tenant, HTTP RED), the engine cache hit ratio, and
-// the durable store's final population and traffic.
-func writeManifest(cfg config, addr string, start time.Time, reg *obs.Registry, st *store.Store) error {
-	snap := reg.Snapshot()
-	m := &obs.RunManifest{
-		Schema:      obs.SchemaVersion,
-		Command:     "dirsimd",
-		Build:       obs.Build(),
-		Start:       start,
-		WallSeconds: time.Since(start).Seconds(),
-		Config: obs.ManifestConfig{
-			Run:      "service",
-			Parallel: cfg.maxInflight,
-			Executor: "service:" + cfg.discipline,
-			Listen:   addr,
-		},
-		Engine:        snap.Counters,
-		CacheHitRatio: obs.HitRatio(snap.Counters["engine.cache.hits"], snap.Counters["engine.cache.misses"]),
-	}
-	if st != nil {
-		stats := st.Stats()
-		m.Store = &obs.ManifestStore{
-			Dir:       stats.Dir,
-			Entries:   stats.Entries,
-			Bytes:     stats.Bytes,
-			Hits:      stats.Hits,
-			Misses:    stats.Misses,
-			Rejected:  stats.Rejected,
-			Writes:    stats.Writes,
-			Evictions: stats.Evictions,
-		}
-	}
-	return m.Write(cfg.manifest)
 }

@@ -197,13 +197,44 @@ func TestTwoProcessesShareOneStore(t *testing.T) {
 	bin := buildBinary(t)
 	storeDir := filepath.Join(t.TempDir(), "store")
 
-	s1 := startServer(t, bin, "-store", storeDir, "-max-inflight", "2")
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	s1 := startServer(t, bin, "-store", storeDir, "-max-inflight", "2", "-manifest", manifest)
 	id := submit(t, s1, "team-a")
 	cold := fetchDone(t, s1, id)
 	if sims, ok := metricValue(t, s1, "engine_sims_run"); !ok || sims != 3 {
 		t.Errorf("first process engine_sims_run = %v, want 3", sims)
 	}
 	s1.terminate()
+
+	// The manifest written at shutdown is the run report: the store's
+	// traffic is read off the registry's store.* instruments.
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Schema   int              `json:"schema"`
+		Command  string           `json:"command"`
+		Counters map[string]int64 `json:"engine_counters"`
+		Gauges   map[string]int64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("manifest is not JSON: %v\n%s", err, data)
+	}
+	if m.Command != "dirsimd" || m.Schema != 4 {
+		t.Errorf("manifest command %q schema %d, want dirsimd 4", m.Command, m.Schema)
+	}
+	for _, name := range []string{"store.hits", "store.misses", "store.rejected", "store.writes", "store.evictions"} {
+		if _, ok := m.Counters[name]; !ok {
+			t.Errorf("manifest lacks counter %s: %v", name, m.Counters)
+		}
+	}
+	// A cold sweep of three schemes misses the store three times and
+	// writes three results through.
+	if m.Counters["store.misses"] != 3 || m.Counters["store.writes"] != 3 ||
+		m.Gauges["store.entries"] != 3 || m.Gauges["store.bytes"] <= 0 {
+		t.Errorf("manifest store instruments: counters %v, gauges %v", m.Counters, m.Gauges)
+	}
 
 	// The store directory now holds the results; a fresh process serves
 	// them without computing.

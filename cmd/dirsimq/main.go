@@ -7,18 +7,17 @@
 //
 //	dirsimq stats  [-trace ID] [-tenant T] [-kind K] [-msg M] journal.jsonl...
 //	dirsimq filter [-trace ID] [-tenant T] [-kind K] [-msg M] journal.jsonl...
-//	dirsimq follow -trace ID journal.jsonl...
-//	dirsimq timeline [-strict] <traceID|jobKey|all> fleet.jsonl...
+//	dirsimq timeline [-strict] [<traceID|jobKey|all>] journal.jsonl...
 //	dirsimq chrome <traceID|all> journal.jsonl...
 //	dirsimq diff   [-threshold 0.10] baseline.jsonl current.jsonl
 //
 // stats aggregates: events by type, engine-job latency breakdowns per
 // kind and per phase, cache and durable-store hit ratios, and the
 // traces/tenants seen. filter re-emits matching raw JSONL lines (for
-// piping into jq or another dirsimq). follow reconstructs one request's
-// causal chain end-to-end — submission, admission wait, every engine
-// job, store access, and retry it caused — in time order. timeline does
-// the same across the fleet: it merges a coordinator journal with the
+// piping into jq or another dirsimq). timeline reconstructs one
+// request's causal chain end-to-end — submission, admission wait, every
+// engine job, store access, and retry it caused — in time order, and
+// sums it up. Across a fleet it merges a coordinator journal with the
 // worker lines shipped into it (-ship-journal on dirsimw), corrects
 // worker timestamps by their recorded clock-skew estimates, and checks
 // the chain's books — see -h. chrome renders the span lines of one
@@ -60,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = cmdStats(rest, stdout, stderr)
 	case "filter":
 		err = cmdFilter(rest, stdout, stderr)
-	case "follow":
-		err = cmdFollow(rest, stdout, stderr)
 	case "timeline":
 		code, err = cmdTimeline(rest, stdout, stderr)
 	case "chrome":
@@ -91,14 +88,15 @@ func usage(w io.Writer) {
 
   dirsimq stats  [-trace ID] [-tenant T] [-kind K] [-msg M] journal.jsonl...
   dirsimq filter [-trace ID] [-tenant T] [-kind K] [-msg M] journal.jsonl...
-  dirsimq follow -trace ID journal.jsonl...
-  dirsimq timeline [-strict] <traceID|jobKey|all> fleet.jsonl...
+  dirsimq timeline [-strict] [<traceID|jobKey|all>] journal.jsonl...
   dirsimq chrome <traceID|all> journal.jsonl...
   dirsimq diff   [-threshold 0.10] baseline.jsonl current.jsonl
 
-timeline merges a fleet journal (with shipped worker lines) into one
-skew-corrected causal chain — queue, leases, heartbeats, worker-side
-execution, result — and verifies it: no orphan lease references, books
+timeline lists one request's causal chain in time order with a
+one-line summary; given journals alone, it lists the traces and job
+keys to pick from. Over a fleet journal (with shipped worker lines) the
+chain is skew-corrected — queue, leases, heartbeats, worker-side
+execution, result — and verified: no orphan lease references, books
 balanced (-strict exits 1 otherwise, for CI). chrome renders span lines
 as Chrome trace-event JSON for Perfetto on stdout.
 
@@ -116,7 +114,7 @@ type matcher struct {
 func (m *matcher) register(fs *flag.FlagSet) {
 	fs.StringVar(&m.trace, "trace", "", "select lines of this trace ID")
 	fs.StringVar(&m.tenant, "tenant", "", "select lines of this tenant")
-	fs.StringVar(&m.kind, "kind", "", "select engine-job lines of this kind (trace, sim, protocol, merge, stream)")
+	fs.StringVar(&m.kind, "kind", "", "select engine-job lines of this kind (trace, sim, merge; legacy journals also protocol, stream)")
 	fs.StringVar(&m.msg, "msg", "", "select this event name (trailing '*' matches a prefix)")
 }
 
@@ -358,13 +356,6 @@ func summarize(lines []obs.Line, skipped int) *summary {
 	return s
 }
 
-func ratio(hit, miss int64) float64 {
-	if hit+miss == 0 {
-		return 0
-	}
-	return float64(hit) / float64(hit+miss)
-}
-
 func cmdStats(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -421,11 +412,11 @@ func writeStats(w io.Writer, s *summary) {
 
 	if s.cacheHits+s.cacheMiss > 0 {
 		fmt.Fprintf(w, "\ncache: %d hits / %d misses (ratio %.3f)\n",
-			s.cacheHits, s.cacheMiss, ratio(s.cacheHits, s.cacheMiss))
+			s.cacheHits, s.cacheMiss, obs.HitRatio(s.cacheHits, s.cacheMiss))
 	}
 	if s.storeHit+s.storeMiss+s.stores > 0 {
 		fmt.Fprintf(w, "store: %d loads (%d hits, ratio %.3f), %d stores\n",
-			s.storeHit+s.storeMiss, s.storeHit, ratio(s.storeHit, s.storeMiss), s.stores)
+			s.storeHit+s.storeMiss, s.storeHit, obs.HitRatio(s.storeHit, s.storeMiss), s.stores)
 	}
 	if s.retries+s.rejects > 0 {
 		fmt.Fprintf(w, "faults: %d retries, %d cache rejects\n", s.retries, s.rejects)
@@ -494,76 +485,7 @@ func cmdFilter(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// cmdFollow reconstructs one trace's causal chain in time order: the
-// submission, its admission wait, and every engine job, store access,
-// stream, and retry that ran under the trace ID.
-func cmdFollow(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("follow", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	traceID := fs.String("trace", "", "trace ID to follow (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("follow: no journal files given")
-	}
-	lines, _, err := obs.LoadJournals(fs.Args())
-	if err != nil {
-		return err
-	}
-	if *traceID == "" {
-		// With no -trace, list what is available instead of failing dry.
-		traces := map[string]int{}
-		for _, l := range lines {
-			if l.Trace != "" {
-				traces[l.Trace]++
-			}
-		}
-		if len(traces) == 0 {
-			return fmt.Errorf("follow: journal has no trace-tagged lines")
-		}
-		fmt.Fprintln(stdout, "traces in journal (pick one with -trace):")
-		for _, t := range sortedKeys(traces) {
-			fmt.Fprintf(stdout, "  %s  (%d events)\n", t, traces[t])
-		}
-		return nil
-	}
-
-	var sel []obs.Line
-	for _, l := range lines {
-		if l.Trace == *traceID {
-			sel = append(sel, l)
-		}
-	}
-	if len(sel) == 0 {
-		return fmt.Errorf("follow: no events for trace %q", *traceID)
-	}
-	sort.SliceStable(sel, func(i, j int) bool { return sel[i].Time.Before(sel[j].Time) })
-
-	fmt.Fprintf(stdout, "trace %s: %d events, %s → %s\n\n", *traceID, len(sel),
-		sel[0].Time.Format("15:04:05.000"), sel[len(sel)-1].Time.Format("15:04:05.000"))
-	for _, l := range sel {
-		fmt.Fprintf(stdout, "%s  %s\n", l.Time.Format("15:04:05.000000"), renderEvent(l))
-	}
-	s := summarize(sel, 0)
-	fmt.Fprintf(stdout, "\nsummary: %d events", s.events)
-	if n := s.cacheHits + s.cacheMiss; n > 0 {
-		fmt.Fprintf(stdout, ", %d jobs (%d cache hits)", n, s.cacheHits)
-	}
-	if n := s.storeHit + s.storeMiss; n > 0 {
-		fmt.Fprintf(stdout, ", %d store loads (%d hits)", n, s.storeHit)
-	}
-	if s.retries > 0 {
-		fmt.Fprintf(stdout, ", %d retries", s.retries)
-	}
-	if s.errors > 0 {
-		fmt.Fprintf(stdout, ", %d errors", s.errors)
-	}
-	fmt.Fprintln(stdout)
-	return nil
-}
-
-// renderEvent formats one journal line for follow's listing, indenting
+// renderEvent formats one journal line for timeline's listing, indenting
 // engine- and store-level events under the request-level ones.
 func renderEvent(l obs.Line) string {
 	var b strings.Builder
@@ -663,8 +585,8 @@ func cmdDiff(args []string, stdout, stderr io.Writer) (int, error) {
 		)
 	}
 	deltas = append(deltas,
-		metricDelta{"cache.hit_ratio", ratio(base.cacheHits, base.cacheMiss), ratio(cur.cacheHits, cur.cacheMiss), false},
-		metricDelta{"store.hit_ratio", ratio(base.storeHit, base.storeMiss), ratio(cur.storeHit, cur.storeMiss), false},
+		metricDelta{"cache.hit_ratio", obs.HitRatio(base.cacheHits, base.cacheMiss), obs.HitRatio(cur.cacheHits, cur.cacheMiss), false},
+		metricDelta{"store.hit_ratio", obs.HitRatio(base.storeHit, base.storeMiss), obs.HitRatio(cur.storeHit, cur.storeMiss), false},
 		metricDelta{"errors", float64(base.errors), float64(cur.errors), true},
 		metricDelta{"retries", float64(base.retries), float64(cur.retries), true},
 		// The fleet coordination tax: requeues, rejected pushes, expired

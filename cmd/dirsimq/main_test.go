@@ -105,9 +105,11 @@ func TestFilterEmitsRawLines(t *testing.T) {
 	}
 }
 
-func TestFollowReconstructsCausalChain(t *testing.T) {
+// TestTimelineReconstructsCausalChain: timeline lists one request's
+// chain in time order, leaves other traces out, and sums the chain up.
+func TestTimelineReconstructsCausalChain(t *testing.T) {
 	path := writeJournal(t, "a.jsonl", journalA)
-	code, out, errb := runCLI(t, "follow", "-trace", "abc123", path)
+	code, out, errb := runCLI(t, "timeline", "abc123", path)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
@@ -118,7 +120,7 @@ func TestFollowReconstructsCausalChain(t *testing.T) {
 	for _, ev := range order {
 		i := strings.Index(out, ev)
 		if i < 0 {
-			t.Fatalf("follow output missing %q:\n%s", ev, out)
+			t.Fatalf("timeline output missing %q:\n%s", ev, out)
 		}
 		if i < last {
 			t.Errorf("event %q out of order:\n%s", ev, out)
@@ -126,16 +128,22 @@ func TestFollowReconstructsCausalChain(t *testing.T) {
 		last = i
 	}
 	if strings.Contains(out, "zzz999") {
-		t.Errorf("follow leaked another trace's events:\n%s", out)
+		t.Errorf("timeline leaked another trace's events:\n%s", out)
 	}
 	if !strings.Contains(out, "3 jobs (0 cache hits)") || !strings.Contains(out, "1 store loads (0 hits)") {
-		t.Errorf("follow summary wrong:\n%s", out)
+		t.Errorf("timeline summary wrong:\n%s", out)
+	}
+	// The chain has no fleet line, so there are no fleet books to show.
+	if strings.Contains(out, "books:") || strings.Contains(out, "orphan") {
+		t.Errorf("timeline printed fleet books for a local chain:\n%s", out)
 	}
 }
 
-func TestFollowListsTracesWhenUnspecified(t *testing.T) {
+// TestTimelineListsTracesWhenUnspecified: given a journal alone,
+// timeline lists the traces to pick from.
+func TestTimelineListsTracesWhenUnspecified(t *testing.T) {
 	path := writeJournal(t, "a.jsonl", journalA)
-	code, out, _ := runCLI(t, "follow", path)
+	code, out, _ := runCLI(t, "timeline", path)
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -212,7 +220,7 @@ func TestUsageAndErrors(t *testing.T) {
 		t.Errorf("missing file exit = %d, stderr %q", code, errb)
 	}
 	path := writeJournal(t, "a.jsonl", journalA)
-	if code, _, _ := runCLI(t, "follow", "-trace", "nope", path); code != 2 {
+	if code, _, _ := runCLI(t, "timeline", "nope", path); code != 2 {
 		t.Errorf("unknown trace exit = %d, want 2", code)
 	}
 	if code, _, _ := runCLI(t, "diff", path); code != 2 {
@@ -333,11 +341,11 @@ func TestStatsDist(t *testing.T) {
 	}
 }
 
-// TestFollowDist: follow renders the fleet events of one trace with their
-// workers, leases, and causes.
-func TestFollowDist(t *testing.T) {
+// TestTimelineDist: timeline renders the fleet events of one trace with
+// their workers, leases, and causes.
+func TestTimelineDist(t *testing.T) {
 	path := writeJournal(t, "dist.jsonl", journalDist)
-	code, out, errb := runCLI(t, "follow", "-trace", "d1", path)
+	code, out, errb := runCLI(t, "timeline", "d1", path)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
@@ -350,9 +358,10 @@ func TestFollowDist(t *testing.T) {
 		"result.reject key=aaaa worker=w3 lease=l3 cause=fingerprint mismatch",
 		"result.accept key=aaaa worker=w1 lease=l4 fingerprint=0xdead",
 		"job.degrade key=bbbb reason=fleet silent",
+		"books: 2 queued = 1 accepted + 1 degraded + 0 failed  [balanced]",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("follow output missing %q:\n%s", want, out)
+			t.Errorf("timeline output missing %q:\n%s", want, out)
 		}
 	}
 }

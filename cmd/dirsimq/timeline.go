@@ -11,18 +11,21 @@ import (
 	"dirsim/internal/obs"
 )
 
-// cmdTimeline reconstructs the fleet-wide causal chain of one job (or
-// the whole journal) from a coordinator's fleet journal with shipped
-// worker lines merged in: queue → lease grants → heartbeats → the
-// worker's own job lifecycle → result push → accept/reject, in one
-// time-ordered listing on the coordinator's clock.
+// cmdTimeline reconstructs the causal chain of one trace or job (or the
+// whole journal) in one time-ordered listing, then sums it up: jobs and
+// their cache hits, store loads and their hits, retries, errors. Given
+// journals alone, it lists the traces and job keys to pick from.
 //
-// Worker-shipped lines (recognizable by the worker/skew_ns stamp the
+// Over a coordinator's fleet journal with shipped worker lines merged
+// in, the chain runs queue → lease grants → heartbeats → the worker's
+// own job lifecycle → result push → accept/reject on the coordinator's
+// clock. Worker-shipped lines (recognizable by the worker/skew_ns stamp the
 // coordinator splices on) carry the worker's wall clock; timeline
 // shifts them by the skew estimate (obs.Line.At) so both sides of the
 // wire order correctly even when the worker's clock is off.
 //
-// It also verifies the journal's consistency (obs.CheckFleet):
+// When the chain has fleet lines it also verifies their consistency
+// (obs.CheckFleet):
 //
 //   - every lease a worker references was actually granted by the
 //     coordinator (no orphan lease references), and
@@ -37,8 +40,17 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
+	if fs.NArg() == 1 {
+		// A journal alone: list what is available instead of failing dry.
+		lines, _, err := obs.LoadJournals(fs.Args())
+		if err != nil {
+			return 2, err
+		}
+		listSelectors(lines, stdout)
+		return 0, nil
+	}
 	if fs.NArg() < 2 {
-		return 2, fmt.Errorf("timeline: want <traceID|jobKey|all> journal.jsonl..., got %d args", fs.NArg())
+		return 2, fmt.Errorf("timeline: want [<traceID|jobKey|all>] journal.jsonl..., got %d args", fs.NArg())
 	}
 	sel, paths := fs.Arg(0), fs.Args()[1:]
 	lines, _, err := obs.LoadJournals(paths)
@@ -99,18 +111,36 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 		fmt.Fprintln(stdout, "\n(* worker line, timestamp skew-corrected onto the coordinator's clock)")
 	}
 
-	// Structural consistency over the selection.
-	check := obs.CheckFleet(chain)
-	fmt.Fprintf(stdout, "\nbooks: %d queued = %d accepted + %d degraded + %d failed",
-		check.Queued, check.Accepted, check.Degraded, check.Failed)
-	if check.Balanced() {
-		fmt.Fprintln(stdout, "  [balanced]")
-	} else {
-		fmt.Fprintln(stdout, "  [UNBALANCED]")
+	fmt.Fprintf(stdout, "\nsummary: %d events", s.events)
+	if n := s.cacheHits + s.cacheMiss; n > 0 {
+		fmt.Fprintf(stdout, ", %d jobs (%d cache hits)", n, s.cacheHits)
 	}
-	fmt.Fprintf(stdout, "orphan lease references: %d\n", len(check.Orphans))
-	for _, o := range check.Orphans {
-		fmt.Fprintf(stdout, "  %s %s lease=%s\n", o.Str("worker"), o.Msg, o.Str("lease"))
+	if n := s.storeHit + s.storeMiss; n > 0 {
+		fmt.Fprintf(stdout, ", %d store loads (%d hits)", n, s.storeHit)
+	}
+	if s.retries > 0 {
+		fmt.Fprintf(stdout, ", %d retries", s.retries)
+	}
+	if s.errors > 0 {
+		fmt.Fprintf(stdout, ", %d errors", s.errors)
+	}
+	fmt.Fprintln(stdout)
+
+	// Structural consistency over the selection's fleet lines: every one
+	// names a worker or is counted in the books.
+	check := obs.CheckFleet(chain)
+	if len(s.distWorkers) > 0 || check.Queued+check.Accepted+check.Degraded+check.Failed > 0 {
+		fmt.Fprintf(stdout, "books: %d queued = %d accepted + %d degraded + %d failed",
+			check.Queued, check.Accepted, check.Degraded, check.Failed)
+		if check.Balanced() {
+			fmt.Fprintln(stdout, "  [balanced]")
+		} else {
+			fmt.Fprintln(stdout, "  [UNBALANCED]")
+		}
+		fmt.Fprintf(stdout, "orphan lease references: %d\n", len(check.Orphans))
+		for _, o := range check.Orphans {
+			fmt.Fprintf(stdout, "  %s %s lease=%s\n", o.Str("worker"), o.Msg, o.Str("lease"))
+		}
 	}
 	if *strict && !check.OK() {
 		fmt.Fprintln(stdout, "\ntimeline: consistency checks FAILED")

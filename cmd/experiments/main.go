@@ -19,17 +19,18 @@
 // JSONL events (engine job spans, experiment brackets) to a file or
 // stderr, -metrics writes the instrument registry's text exposition
 // after the run, -pprof captures CPU and heap profiles, and -manifest
-// records the run's configuration, seeds, per-experiment wall times, and
-// engine counters as JSON. Any of them also prints a per-phase timing
-// and cache summary to stderr.
+// writes the run report (obs.RunReport: configuration, seeds,
+// per-experiment states and times, every counter and gauge, phases) as
+// JSON. Any of them also prints the same report as a per-phase timing
+// and cache summary to stderr. The report is built from the run's
+// journal, kept in memory whenever any of these flags is set.
 //
 // -trace renders the run's journal — every job, attempt and simulation
 // span, retries, sampled protocol events — as Chrome trace-event JSON
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing; without
-// -journal the journal is kept in memory for it.
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 // -listen starts a live HTTP monitor serving /metrics
-// (Prometheus text exposition), /runz (JSON run progress, computed from
-// the run's journal, which it keeps in memory), and /debug/pprof/*.
+// (Prometheus text exposition), /runz (the run report so far), and
+// /debug/pprof/*.
 // Either flag auto-enables sampled coherence-protocol telemetry;
 // -protosample tunes its stride (every Nth coherence event lands as a
 // trace instant) or forces it on without the other flags.
@@ -37,7 +38,7 @@
 // -store points at a durable content-addressed result store directory
 // (shared with dirsimd and other runs): simulations already stored are
 // served from disk, fingerprint-validated, and fresh ones are written
-// through; the manifest and summary record the store's hit/miss counts.
+// through; the report's store.* counters and gauges record its traffic.
 //
 // When experiments fail, every failure is reported (not just the first),
 // a final "error" journal event summarizes them, and the exit code is
@@ -45,6 +46,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -52,6 +54,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -146,7 +149,6 @@ func runExperiments(w, ew io.Writer, cfg config) error {
 type rendered struct {
 	out string
 	err error
-	dur time.Duration
 }
 
 // runSelected executes the experiments with the configured executor and
@@ -180,18 +182,15 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	// Every run gets a trace identity: the journal is tagged with it and
 	// the engine submissions carry it in their context, so dirsimq can
 	// follow this run's causal chain (and distinguish interleaved runs
-	// appending to a shared journal file). The -trace export and the
-	// monitor's /runz are computed from the journal, kept in memory for
-	// them whether or not a -journal file is asked for.
+	// appending to a shared journal file). The run report (/runz, the
+	// manifest, the summary) and the -trace export are computed from the
+	// journal, kept in memory for them whether or not a -journal file is
+	// asked for.
 	runTC := obs.NewTraceContext()
 	var jnl *obs.Journal
 	var record obs.Record
-	if cfg.journal != "" || cfg.trace != "" || cfg.listen != "" {
-		var tee []io.Writer
-		if cfg.trace != "" || cfg.listen != "" {
-			tee = append(tee, &record)
-		}
-		raw, err := obs.OpenJournal(cfg.journal, tee...)
+	if observing || cfg.trace != "" || cfg.listen != "" {
+		raw, err := obs.OpenJournal(cfg.journal, &record)
 		if err != nil {
 			return err
 		}
@@ -200,10 +199,9 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	}
 	opts := engine.Options{Metrics: reg, Verify: cfg.verify, Retries: cfg.retries,
 		JobTimeout: cfg.timeout, ProtoSample: protoSample}
-	var st *store.Store
 	if cfg.store != "" {
-		var err error
-		if st, err = store.Open(cfg.store, store.Options{MaxBytes: cfg.storeMax, Metrics: reg}); err != nil {
+		st, err := store.Open(cfg.store, store.Options{MaxBytes: cfg.storeMax, Metrics: reg})
+		if err != nil {
 			return err
 		}
 		opts.Store = st
@@ -230,12 +228,33 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	ctx.Check = cfg.check
 	ctx.WithBase(obs.WithJournal(obs.WithTrace(context.Background(), runTC), jnl))
 
-	if cfg.listen != "" {
-		up := time.Now()
-		mon, err := httpmon.Start(cfg.listen, httpmon.Options{
-			Metrics: reg,
-			Runz:    func() any { return obs.Runz(&record, reg, up) },
+	runCfg := obs.RunConfig{Run: cfg.sel, Refs: ctx.Refs, CPUs: ctx.CPUs, Check: ctx.Check,
+		Parallel: parallel, Executor: exec.Name(), Seeds: make(map[string]uint64),
+		Trace: cfg.trace, Listen: cfg.listen, ProtoSample: protoSample, Store: cfg.store}
+	for _, wc := range workload.StandardConfigs(ctx.CPUs, ctx.Refs) {
+		runCfg.Seeds[wc.Name] = wc.Seed
+	}
+	if cfg.faults != "" {
+		runCfg.Faults, runCfg.FaultSeed = cfg.faults, cfg.faultSeed
+	}
+	order := make(map[string]int, len(exps))
+	for i, e := range exps {
+		order[e.ID] = i
+	}
+	start := time.Now()
+	// runReport is the run's one account: /runz serves it live, and its
+	// final value is the manifest and the summary.
+	runReport := func() obs.RunReport {
+		r := obs.Report(&record, reg, start)
+		r.Command, r.Build, r.Config = "experiments", obs.Build(), runCfg
+		slices.SortStableFunc(r.Experiments, func(a, b obs.ExperimentReport) int {
+			return cmp.Compare(order[a.ID], order[b.ID])
 		})
+		return r
+	}
+
+	if cfg.listen != "" {
+		mon, err := httpmon.Start(cfg.listen, httpmon.Options{Metrics: reg, Runz: runReport})
 		if err != nil {
 			return err
 		}
@@ -243,15 +262,13 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		fmt.Fprintf(ew, "experiments: monitoring on http://%s (/metrics, /runz, /debug/pprof/)\n", mon.Addr())
 	}
 
-	start := time.Now()
 	jnl.Event("run.start", "run", cfg.sel, "refs", ctx.Refs, "cpus", ctx.CPUs,
 		"check", ctx.Check, "parallel", parallel, "executor", exec.Name())
 
 	outs := make([]rendered, len(exps))
 	runOne := func(i int) {
-		t0 := time.Now()
 		out, err := ctx.RunExperiment(exps[i])
-		outs[i] = rendered{out: out, err: err, dur: time.Since(t0)}
+		outs[i] = rendered{out: out, err: err}
 	}
 	if parallel <= 1 {
 		// Serial mode streams each success as it lands but keeps going
@@ -285,7 +302,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 			}
 		}
 	}
-	wall := time.Since(start)
+	rep := runReport()
 	if err := prof.Stop(); err != nil {
 		fmt.Fprintln(ew, "experiments: pprof:", err)
 	}
@@ -298,7 +315,6 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 			failed = append(failed, e.ID)
 		}
 	}
-	stats := eng.Stats()
 	if len(errs) > 0 {
 		jnl.Error("error", errors.Join(errs...), "failed", strings.Join(failed, ","))
 		// The per-experiment causes always reach stderr — not only under
@@ -314,9 +330,9 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 			}
 		}
 	}
-	jnl.Event("run.finish", "wall_us", wall.Microseconds(),
+	jnl.Event("run.finish", "wall_us", seconds(rep.WallSeconds).Microseconds(),
 		"experiments", len(exps), "failed", len(failed),
-		"cache_hits", stats.CacheHits, "cache_misses", stats.CacheMisses)
+		"cache_hits", rep.Counters["engine.cache.hits"], "cache_misses", rep.Counters["engine.cache.misses"])
 
 	if cfg.trace != "" {
 		if err := obs.WriteChromeFile(cfg.trace, record.Bytes()); err != nil {
@@ -328,20 +344,13 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 			errs = append(errs, err)
 		}
 	}
-	exp := obs.PhaseStat{Phase: "experiment", Count: int64(len(outs))}
-	for _, o := range outs {
-		exp.Total += o.dur
-	}
-	ph := obs.PhaseBreakdown(reg, exp)
 	if cfg.manifest != "" {
-		cfg.protoSample = protoSample // record the resolved stride, not the flag
-		m := buildManifest(cfg, ctx, exec, parallel, exps, outs, stats, ph, st, start, wall)
-		if err := m.Write(cfg.manifest); err != nil {
+		if err := rep.Write(cfg.manifest); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	if observing {
-		printSummary(ew, ph, stats, st, wall, exps, outs)
+		printSummary(ew, rep)
 	}
 	return errors.Join(errs...)
 }
@@ -360,94 +369,36 @@ func writeMetrics(w io.Writer, reg *obs.Registry, path string) error {
 	return reg.WriteText(f)
 }
 
-// buildManifest assembles the run manifest: configuration and seeds,
-// per-experiment outcomes, engine counters, cache hit ratio, phases.
-func buildManifest(cfg config, ctx *report.Context, exec engine.Executor, parallel int,
-	exps []report.Experiment, outs []rendered, stats engine.Stats,
-	ph []obs.PhaseStat, st *store.Store, start time.Time, wall time.Duration) *obs.RunManifest {
-	seeds := make(map[string]uint64)
-	for _, wc := range workload.StandardConfigs(ctx.CPUs, ctx.Refs) {
-		seeds[wc.Name] = wc.Seed
-	}
-	runs := make([]obs.ExperimentRun, len(exps))
-	for i, e := range exps {
-		runs[i] = obs.ExperimentRun{ID: e.ID, Seconds: outs[i].dur.Seconds()}
-		if outs[i].err != nil {
-			runs[i].Error = outs[i].err.Error()
-		}
-	}
-	m := &obs.RunManifest{
-		Schema:      obs.SchemaVersion,
-		Command:     "experiments",
-		Build:       obs.Build(),
-		Start:       start,
-		WallSeconds: wall.Seconds(),
-		Config: obs.ManifestConfig{
-			Run:         cfg.sel,
-			Refs:        ctx.Refs,
-			CPUs:        ctx.CPUs,
-			Check:       ctx.Check,
-			Parallel:    parallel,
-			Executor:    exec.Name(),
-			Seeds:       seeds,
-			Trace:       cfg.trace,
-			Listen:      cfg.listen,
-			ProtoSample: cfg.protoSample,
-		},
-		Experiments:   runs,
-		Engine:        ctx.Engine().Metrics().Snapshot().Counters,
-		CacheHitRatio: obs.HitRatio(stats.CacheHits, stats.CacheMisses),
-		Phases:        ph,
-	}
-	if cfg.faults != "" {
-		m.Config.Faults = cfg.faults
-		m.Config.FaultSeed = cfg.faultSeed
-	}
-	if st != nil {
-		ss := st.Stats()
-		m.Store = &obs.ManifestStore{
-			Dir:       ss.Dir,
-			Entries:   ss.Entries,
-			Bytes:     ss.Bytes,
-			Hits:      ss.Hits,
-			Misses:    ss.Misses,
-			Rejected:  ss.Rejected,
-			Writes:    ss.Writes,
-			Evictions: ss.Evictions,
-		}
-	}
-	return m
-}
+// seconds converts a report's float seconds back to a duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// printSummary renders the human-readable wrap-up: wall time, cache
+// printSummary renders the run report for a human: wall time, cache
 // economics, engine counters, and the per-phase and per-experiment time
 // breakdowns.
-func printSummary(ew io.Writer, ph []obs.PhaseStat, stats engine.Stats, st *store.Store,
-	wall time.Duration, exps []report.Experiment, outs []rendered) {
+func printSummary(ew io.Writer, rep obs.RunReport) {
+	c := rep.Counters
 	fmt.Fprintf(ew, "\n== run summary ==\n")
-	fmt.Fprintf(ew, "wall time    %s\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(ew, "wall time    %s\n", seconds(rep.WallSeconds).Round(time.Millisecond))
 	fmt.Fprintf(ew, "cache        %d hits / %d misses (%.1f%% hit rate)\n",
-		stats.CacheHits, stats.CacheMisses,
-		100*obs.HitRatio(stats.CacheHits, stats.CacheMisses))
-	if st != nil {
-		ss := st.Stats()
+		c["engine.cache.hits"], c["engine.cache.misses"], 100*rep.CacheHitRatio)
+	if rep.Config.Store != "" {
 		fmt.Fprintf(ew, "store        %d hits / %d misses, %d written, %d rejected (%d entries, %.1f MiB)\n",
-			ss.Hits, ss.Misses, ss.Writes, ss.Rejected, ss.Entries,
-			float64(ss.Bytes)/(1<<20))
+			c["store.hits"], c["store.misses"], c["store.writes"], c["store.rejected"],
+			rep.Gauges["store.entries"], float64(rep.Gauges["store.bytes"])/(1<<20))
 	}
 	fmt.Fprintf(ew, "engine       %d jobs, %d sims, %d traces generated\n",
-		stats.JobsRun, stats.SimsRun, stats.TracesGenerated)
+		c["engine.jobs.run"], c["engine.sims.run"], c["engine.traces.generated"])
 	fmt.Fprintf(ew, "phases:\n")
-	for _, p := range ph {
+	for _, p := range rep.Phases {
 		fmt.Fprintf(ew, "  %-12s %5d spans  %s\n", p.Phase, p.Count, p.Total.Round(time.Millisecond))
 	}
 	fmt.Fprintf(ew, "experiments:\n")
-	for i, e := range exps {
+	for _, e := range rep.Experiments {
 		status := ""
-		if outs[i].err != nil {
-			status = "  FAILED: " + outs[i].err.Error()
+		if e.State == "failed" {
+			status = "  FAILED: " + e.Error
 		}
-		fmt.Fprintf(ew, "  %-10s %8s%s\n", e.ID, outs[i].dur.Round(time.Millisecond), status)
+		fmt.Fprintf(ew, "  %-10s %8s%s\n", e.ID, seconds(e.Seconds).Round(time.Millisecond), status)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"dirsim/internal/obs"
 	"dirsim/internal/report"
+	"dirsim/internal/store"
 )
 
 func TestListExperiments(t *testing.T) {
@@ -358,6 +359,80 @@ func TestManifestFlag(t *testing.T) {
 	}
 	if n != 14 {
 		t.Errorf("manifest carries %d engine.* counters, want 14: %v", n, m.Engine)
+	}
+}
+
+// TestManifestIsRunReport: the manifest of a parallel run over a store
+// is the run report. It lists the experiments in selection order, each
+// done with its time, carries schema 4, and its store.* counters and
+// gauges are the store's own statistics after the run: a cold run
+// writes every result it misses, and a warm one over the same directory
+// serves every one of them.
+func TestManifestIsRunReport(t *testing.T) {
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	read := func(name string) obs.RunReport {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		cfg := config{sel: "table3,fig1", refs: 15_000, cpus: 4, parallel: 2, manifest: path, store: storeDir}
+		if err := runExperiments(io.Discard, io.Discard, cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep obs.RunReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("manifest not valid JSON: %v", err)
+		}
+		if rep.Schema != 4 || rep.Command != "experiments" || rep.Config.Store != storeDir {
+			t.Errorf("%s: schema %d, command %q, store %q", name, rep.Schema, rep.Command, rep.Config.Store)
+		}
+		var ids []string
+		for _, e := range rep.Experiments {
+			ids = append(ids, e.ID)
+			if e.State != "done" || e.Seconds <= 0 || e.Error != "" {
+				t.Errorf("%s: experiment %+v", name, e)
+			}
+		}
+		if strings.Join(ids, ",") != "table3,fig1" {
+			t.Errorf("%s: experiments %v, want table3,fig1 in selection order", name, ids)
+		}
+		return rep
+	}
+	storeStats := func() store.Stats {
+		t.Helper()
+		st, err := store.Open(storeDir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Stats()
+	}
+	check := func(name string, rep obs.RunReport, want store.Stats) {
+		t.Helper()
+		c, g := rep.Counters, rep.Gauges
+		got := store.Stats{Dir: want.Dir, Entries: int(g["store.entries"]), Bytes: g["store.bytes"],
+			Hits: c["store.hits"], Misses: c["store.misses"], Rejected: c["store.rejected"],
+			Writes: c["store.writes"], WriteErrors: c["store.write_errors"], Evictions: c["store.evictions"]}
+		if got != want {
+			t.Errorf("%s: report's store instruments %+v, store's statistics %+v", name, got, want)
+		}
+	}
+
+	cold := read("cold.json")
+	after := storeStats()
+	if after.Entries == 0 {
+		t.Fatal("cold run stored nothing")
+	}
+	after.Misses, after.Writes = int64(after.Entries), int64(after.Entries)
+	check("cold", cold, after)
+
+	warm := read("warm.json")
+	after.Hits, after.Misses, after.Writes = int64(after.Entries), 0, 0
+	check("warm", warm, after)
+	if warm.Counters["engine.sims.run"] != 0 {
+		t.Errorf("warm run simulated %d results", warm.Counters["engine.sims.run"])
 	}
 }
 

@@ -395,6 +395,63 @@ func TestCoordinatorRejectsInvalidResults(t *testing.T) {
 	checkInvariant(t, c)
 }
 
+// TestCoordinatorPushNamesItsTask: a push under a live lease that names
+// another task's key completes neither task, even when its result is
+// genuine and its fingerprint matches: the leased task stays pending
+// under its lease, and the named one stays queued and unleased. Each
+// then completes with its own result.
+func TestCoordinatorPushNamesItsTask(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Options{Clock: clk.Now})
+	defer c.Close()
+
+	chs, want := submitAll(t, c, 2)
+	a := mustLease(t, c, "w1")
+	var bKey string
+	for k := range want {
+		if k != a.Key {
+			bKey = k
+		}
+	}
+	wrong := goodPush("w1", a, want[bKey])
+	wrong.Key = bKey
+	if got := c.Push(wrong); got != PushDuplicate {
+		t.Fatalf("push under A's lease naming B's key = %v, want duplicate", got)
+	}
+	c.mu.Lock()
+	ta, tb := c.tasks[a.Key], c.tasks[bKey]
+	aPending := !ta.done && ta.leases[a.Lease] != nil
+	bUntouched := !tb.done && tb.queued && len(tb.leases) == 0
+	c.mu.Unlock()
+	if !aPending || !bUntouched {
+		t.Fatalf("A pending under its lease: %v, B queued and unleased: %v", aPending, bUntouched)
+	}
+	if st := c.Stats(); st.JobsCompleted != 0 {
+		t.Fatalf("a misdirected push completed %d jobs", st.JobsCompleted)
+	}
+
+	if got := c.Push(goodPush("w1", a, want[a.Key])); got != PushAccepted {
+		t.Fatalf("A's own push = %v", got)
+	}
+	b := mustLease(t, c, "w2")
+	if b.Key != bKey {
+		t.Fatalf("second lease is %s, want B %s", b.Key, bKey)
+	}
+	if got := c.Push(goodPush("w2", b, want[bKey])); got != PushAccepted {
+		t.Fatalf("B's own push = %v", got)
+	}
+	for i, ch := range chs {
+		o := <-ch
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if k := engine.KeyHex(testSpec(i).Key()); o.res.Fingerprint() != want[k].Fingerprint() {
+			t.Errorf("task %s completed with another task's result", shortKey(k))
+		}
+	}
+	checkInvariant(t, c)
+}
+
 func TestCoordinatorBreaker(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Options{Clock: clk.Now})

@@ -1,10 +1,10 @@
 // Package dist shards the engine's simulation work across processes,
 // engineered around failure as the common case. A Coordinator implements
 // engine.Remote: every simulation spec that misses all cache tiers is
-// queued, leased to a pulling worker (cmd/dirsimw, or dirsimd -worker)
-// over HTTP, executed there through the worker's own engine, and pushed
-// back as a fingerprint-stamped result which the coordinator revalidates
-// before accepting. A worker can crash, stall, lie, or return corrupt
+// queued, leased to a pulling worker (cmd/dirsimw) over HTTP, executed
+// there through the worker's own engine, and pushed back as a
+// fingerprint-stamped result which the coordinator revalidates before
+// accepting. A worker can crash, stall, lie, or return corrupt
 // bytes and the sweep still completes bit-identical to a purely local
 // run, because every failure converts into one of three disciplined
 // outcomes:

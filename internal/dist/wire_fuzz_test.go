@@ -41,12 +41,13 @@ func postBody(h http.HandlerFunc, path string, body []byte) *httptest.ResponseRe
 func is4xx(code int) bool { return code >= 400 && code < 500 }
 
 // FuzzResultPush: a push completes the leased task only when it decodes,
-// carries a result, and that result's recomputed fingerprint equals the
-// one it claims; every other push leaves Stats().JobsCompleted at zero.
-// A malformed body gets a 4xx.
+// names that task's key, carries a result, and that result's recomputed
+// fingerprint equals the one it claims; every other push leaves
+// Stats().JobsCompleted at zero. A push completes only the task whose
+// key it names. A malformed body gets a 4xx.
 func FuzzResultPush(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		c, _ := leasedCoordinator(t, Options{})
+		c, job := leasedCoordinator(t, Options{})
 		rec := postBody(c.handleResult, "/api/v1/dist/result", body)
 
 		var p resultPush
@@ -57,8 +58,11 @@ func FuzzResultPush(f *testing.F) {
 		if c.Stats().JobsCompleted == 0 {
 			return
 		}
+		if !decoded || p.Key != job.Key {
+			t.Fatalf("body %q completed task %s, not the task it names", body, shortKey(job.Key))
+		}
 		claimed, err := strconv.ParseUint(p.Fingerprint, 0, 64)
-		if !decoded || p.Result == nil || err != nil || p.Result.Fingerprint() != claimed {
+		if p.Result == nil || err != nil || p.Result.Fingerprint() != claimed {
 			t.Fatalf("body %q completed the task without a matching fingerprint", body)
 		}
 		if rec.Code != http.StatusOK {

@@ -31,10 +31,9 @@ import (
 type Options struct {
 	// Metrics is the registry /metrics exposes.
 	Metrics *obs.Registry
-	// Runz returns the current run-progress value for /runz; it is
-	// called per request and must be safe for concurrent use
-	// (obs.Runz is).
-	Runz func() any
+	// Runz returns the run's report so far for /runz; it is called per
+	// request and must be safe for concurrent use (obs.Report is).
+	Runz func() obs.RunReport
 	// Index lists extra endpoints on the root index page, as
 	// path → description, for servers that add routes to the mux.
 	Index map[string]string

@@ -178,29 +178,31 @@ func TestRunzEndpoint(t *testing.T) {
 	jnl.Event("experiment.start", "name", "exp2", "title", "Figure 1")
 	jnl.Error("experiment.finish", fmt.Errorf("boom"), "name", "exp2", "dur_us", 800)
 	jnl.Event("experiment.start", "name", "exp3", "title", "Figure 2")
-	srv := startTestServer(t, Options{Metrics: reg, Runz: func() any { return obs.Runz(&rec, reg, start) }})
+	srv := startTestServer(t, Options{Metrics: reg, Runz: func() obs.RunReport { return obs.Report(&rec, reg, start) }})
 
 	body, resp := get(t, "http://"+srv.Addr()+"/runz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/runz status %d", resp.StatusCode)
 	}
-	var rep obs.RunzReport
+	var rep obs.RunReport
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("/runz is not valid JSON: %v\n%s", err, body)
 	}
 	if rep.Schema != obs.SchemaVersion {
 		t.Errorf("schema = %d, want %d", rep.Schema, obs.SchemaVersion)
 	}
-	if rep.Done != 1 || rep.Failed != 1 || rep.Running != 1 {
-		t.Errorf("done/failed/running = %d/%d/%d, want 1/1/1", rep.Done, rep.Failed, rep.Running)
-	}
 	if rep.CacheHitRatio != 0.75 {
 		t.Errorf("cache hit ratio = %g, want 0.75", rep.CacheHitRatio)
 	}
-	if rep.RefsSimulated != 1_000_000 || rep.RefsPerSec <= 0 {
-		t.Errorf("refs = %d at %g/s", rep.RefsSimulated, rep.RefsPerSec)
+	if rep.Counters["engine.refs.simulated"] != 1_000_000 || rep.RefsPerSec <= 0 {
+		t.Errorf("refs = %d at %g/s", rep.Counters["engine.refs.simulated"], rep.RefsPerSec)
 	}
-	if len(rep.Experiments) != 3 || rep.Experiments[1].Error != "boom" {
+	var states []string
+	for _, e := range rep.Experiments {
+		states = append(states, e.State)
+	}
+	if len(rep.Experiments) != 3 || rep.Experiments[1].Error != "boom" ||
+		strings.Join(states, ",") != "done,failed,running" {
 		t.Errorf("experiments: %+v", rep.Experiments)
 	}
 }

@@ -69,11 +69,12 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 }
 
 // SchemaVersion identifies the shape of the observability outputs: the
-// journal's event envelope and the run manifest. Every journal line and
-// manifest carries it as "schema", so downstream parsers can detect
-// format changes instead of guessing. Bump it whenever either format
-// changes incompatibly (see DESIGN.md for the version history).
-const SchemaVersion = 3
+// journal's event envelope and the run report (RunReport), which /runz
+// serves and -manifest writes. Every journal line and report carries it
+// as "schema", so downstream parsers can detect format changes instead
+// of guessing. Bump it whenever either format changes incompatibly (see
+// DESIGN.md for the version history).
+const SchemaVersion = 4
 
 // clockAnchor is the journal clock's wall reading, taken once per
 // process; see Now.

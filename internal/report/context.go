@@ -79,8 +79,8 @@ func (c *Context) ctx() context.Context {
 
 // RunExperiment runs one experiment through the context. With a journal
 // on the base context (see WithBase) the run is bracketed by
-// experiment.start / experiment.finish events, from which obs.Runz
-// derives the run's live state; without one it is exactly e.Run.
+// experiment.start / experiment.finish events, from which obs.Report
+// takes its state and time; without one it is exactly e.Run.
 func (c *Context) RunExperiment(e Experiment) (string, error) {
 	jnl := obs.JournalFrom(c.ctx())
 	jnl.Event("experiment.start", "name", e.ID, "title", e.Title)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -26,8 +27,9 @@ func TestRunExperimentObserved(t *testing.T) {
 		t.Fatalf("RunExperiment = %q, %v", out, err)
 	}
 	log := buf.String()
-	if !strings.Contains(log, `"msg":"experiment.start","schema":3,"name":"fake"`) ||
-		!strings.Contains(log, `"msg":"experiment.finish","schema":3,"name":"fake","dur_us":`) {
+	schema := fmt.Sprintf(`"schema":%d`, obs.SchemaVersion)
+	if !strings.Contains(log, `"msg":"experiment.start",`+schema+`,"name":"fake"`) ||
+		!strings.Contains(log, `"msg":"experiment.finish",`+schema+`,"name":"fake","dur_us":`) {
 		t.Errorf("experiment events missing or without the experiment ID:\n%s", log)
 	}
 
@@ -53,10 +55,10 @@ func TestRunExperimentObserved(t *testing.T) {
 	}
 }
 
-// TestRunzFromRunExperiment: /runz is computed from the lines
-// RunExperiment journals. One experiment that succeeded and one that
-// failed read as one done and one failed, each with its title, and the
-// failure with its error.
+// TestRunzFromRunExperiment: /runz is the run report, whose experiments
+// come from the lines RunExperiment journals. One experiment that
+// succeeded and one that failed read as one done and one failed, each
+// with its title, and the failure with its error.
 func TestRunzFromRunExperiment(t *testing.T) {
 	start := time.Now()
 	c := NewContext(10_000, 4)
@@ -67,11 +69,8 @@ func TestRunzFromRunExperiment(t *testing.T) {
 	c.RunExperiment(Experiment{ID: "bad", Title: "Figure Bad",
 		Run: func(*Context) (string, error) { return "", errors.New("boom") }})
 
-	rep := obs.Runz(&rec, nil, start)
-	if rep.Done != 1 || rep.Failed != 1 || rep.Running != 0 {
-		t.Errorf("done/failed/running = %d/%d/%d, want 1/1/0", rep.Done, rep.Failed, rep.Running)
-	}
-	want := []obs.RunzExperiment{
+	rep := obs.Report(&rec, obs.NewRegistry(), start)
+	want := []obs.ExperimentReport{
 		{ID: "ok", Title: "Table OK", State: "done"},
 		{ID: "bad", Title: "Figure Bad", State: "failed", Error: "boom"},
 	}
