@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -49,7 +50,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("dirsim", flag.ContinueOnError)
 	var (
 		wl      = fs.String("workload", "pops", "workload name: pops, thor, pero, pingpong, migratory, prodcons, readshared, private, spincontend")
-		traceIn = fs.String("trace", "", "read a binary trace file instead of generating a workload")
+		traceIn = fs.String("trace", "", "read a trace file (binary or text) instead of generating a workload")
 		cpus    = fs.Int("cpus", 4, "processor count for generated workloads")
 		refs    = fs.Int("refs", 500000, "approximate trace length for generated workloads")
 		seed    = fs.Uint64("seed", 0, "override a paper workload's fixed seed (0 keeps it; kernels take none)")
@@ -90,7 +91,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		if *traceJS != "" {
 			tee = append(tee, &record)
 		}
-		if jnl, err = obs.OpenJournal(*journal, tee...); err != nil {
+		if jnl, err = obs.OpenJournal(*journal, 0, 0, tee...); err != nil {
 			return err
 		}
 		defer jnl.Close()
@@ -167,14 +168,21 @@ func workloadConfig(wl string, cpus, refs int, seed uint64) (workload.Config, er
 	return cfg, err
 }
 
-// adopt hands the engine a binary trace file and returns its Config.
+// adopt hands the engine a trace file and returns its Config. A file
+// that opens with the binary format's magic is read as binary, any
+// other as the text format -format text writes.
 func adopt(eng *engine.Engine, path string) (workload.Config, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return workload.Config{}, err
 	}
 	defer f.Close()
-	t, err := trace.ReadBinary(f)
+	br := bufio.NewReader(f)
+	read := trace.ReadText
+	if magic, _ := br.Peek(4); string(magic) == "DSTR" {
+		read = trace.ReadBinary
+	}
+	t, err := read(br)
 	if err != nil {
 		return workload.Config{}, err
 	}

@@ -354,6 +354,23 @@ func TestGenerateInspectConvertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTextTraceRoundTrip: a trace written with -format text reads back
+// through -trace like one written in binary — both files print exactly
+// what the generating run prints.
+func TestTextTraceRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	bin, txt := filepath.Join(dir, "pp.bin"), filepath.Join(dir, "pp.txt")
+	gen := []string{"-workload", "pingpong", "-refs", "2000", "-schemes", ""}
+	runOut(t, append(gen, "-o", bin)...)
+	runOut(t, append(gen, "-o", txt, "-format", "text")...)
+	want := runOut(t, "-workload", "pingpong", "-refs", "2000", "-stats")
+	for _, path := range []string{bin, txt} {
+		if got := runOut(t, "-trace", path, "-stats"); got != want {
+			t.Errorf("dirsim -trace %s printed\n%s\nwant\n%s", filepath.Base(path), got, want)
+		}
+	}
+}
+
 // TestGenerateWithJournal checks generating a trace file journals valid
 // JSONL bracketed by run.start, which carries the trace and its resolved
 // seed, and run.finish; and that a failed run journals its error.

@@ -148,7 +148,7 @@ func run(cfg config) error {
 		var journal *obs.Journal
 		if cfg.fleetJournal != "" {
 			var err error
-			journal, err = obs.OpenJournalRotating(cfg.fleetJournal, cfg.journalMax, cfg.journalKeep)
+			journal, err = obs.OpenJournal(cfg.fleetJournal, cfg.journalMax, cfg.journalKeep)
 			if err != nil {
 				return err
 			}

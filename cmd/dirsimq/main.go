@@ -191,12 +191,14 @@ func (d *dist) quantile(q float64) int64 {
 }
 
 // summary is everything stats prints and diff compares, aggregated from
-// one journal selection.
+// one journal selection. An event that is only counted — a retry, a
+// store write, each step of the fleet's queue/lease/result ledger — is
+// read from byMsg by its message.
 type summary struct {
 	events    int
 	skipped   int
 	errors    int
-	byMsg     map[string]int
+	byMsg     map[string]int64
 	byKind    map[string]*dist // job.finish dur_us per kind
 	byPhase   map[string]*dist
 	traces    map[string]struct{}
@@ -205,26 +207,11 @@ type summary struct {
 	cacheMiss int64
 	storeHit  int64
 	storeMiss int64
-	stores    int64
-	retries   int64
-	rejects   int64
 
-	// Distributed execution (internal/dist journal events): the
-	// coordinator's ledger of queue/lease/result traffic plus the worker
-	// names seen on either side of the wire.
-	distQueued   int64 // job.queue
-	distLeases   int64 // job.lease
-	distHedges   int64 // job.hedge
-	distRequeues int64 // job.requeue
-	distExpiries int64 // job.lease.expire
-	distDegrades int64 // job.degrade
-	distAccepts  int64 // result.accept
-	distRejects  int64 // result.reject
-	distDups     int64 // result.duplicate
-	distBreaks   int64 // worker.break
-	distCrashes  int64 // worker.crash
-	distWorkers  map[string]struct{}
-	workers      map[string]*workerAgg
+	// distWorkers holds the worker names seen on either side of the
+	// fleet's wire, workers the tallies per worker.
+	distWorkers map[string]struct{}
+	workers     map[string]*workerAgg
 }
 
 // workerAgg is one worker's slice of the fleet journal: leases the
@@ -244,7 +231,7 @@ type workerAgg struct {
 func summarize(lines []obs.Line, skipped int) *summary {
 	s := &summary{
 		skipped:     skipped,
-		byMsg:       map[string]int{},
+		byMsg:       map[string]int64{},
 		byKind:      map[string]*dist{},
 		byPhase:     map[string]*dist{},
 		traces:      map[string]struct{}{},
@@ -306,40 +293,11 @@ func summarize(lines []obs.Line, skipped int) *summary {
 			} else {
 				s.storeMiss++
 			}
-		case "store.store":
-			s.stores++
-		case "job.retry":
-			s.retries++
-		case "cache.reject":
-			s.rejects++
-		case "job.queue":
-			s.distQueued++
-		case "job.lease":
-			s.distLeases++
+		case "job.lease", "job.hedge":
 			if w := l.Str("worker"); w != "" {
 				worker(w).leases++
 			}
-		case "job.hedge":
-			s.distHedges++
-			if w := l.Str("worker"); w != "" {
-				worker(w).leases++
-			}
-		case "job.requeue":
-			s.distRequeues++
-		case "job.lease.expire":
-			s.distExpiries++
-		case "job.degrade":
-			s.distDegrades++
-		case "result.accept":
-			s.distAccepts++
-		case "result.reject":
-			s.distRejects++
-		case "result.duplicate":
-			s.distDups++
-		case "worker.break":
-			s.distBreaks++
 		case "worker.crash":
-			s.distCrashes++
 			if w := l.Str("worker"); w != "" {
 				worker(w).crashes++
 			}
@@ -414,24 +372,25 @@ func writeStats(w io.Writer, s *summary) {
 		fmt.Fprintf(w, "\ncache: %d hits / %d misses (ratio %.3f)\n",
 			s.cacheHits, s.cacheMiss, obs.HitRatio(s.cacheHits, s.cacheMiss))
 	}
-	if s.storeHit+s.storeMiss+s.stores > 0 {
+	n := s.byMsg
+	if s.storeHit+s.storeMiss+n["store.store"] > 0 {
 		fmt.Fprintf(w, "store: %d loads (%d hits, ratio %.3f), %d stores\n",
-			s.storeHit+s.storeMiss, s.storeHit, obs.HitRatio(s.storeHit, s.storeMiss), s.stores)
+			s.storeHit+s.storeMiss, s.storeHit, obs.HitRatio(s.storeHit, s.storeMiss), n["store.store"])
 	}
-	if s.retries+s.rejects > 0 {
-		fmt.Fprintf(w, "faults: %d retries, %d cache rejects\n", s.retries, s.rejects)
+	if n["job.retry"]+n["cache.reject"] > 0 {
+		fmt.Fprintf(w, "faults: %d retries, %d cache rejects\n", n["job.retry"], n["cache.reject"])
 	}
 
-	if s.distQueued+s.distLeases+s.distAccepts+s.distDegrades > 0 {
+	if n["job.queue"]+n["job.lease"]+n["result.accept"]+n["job.degrade"] > 0 {
 		fmt.Fprintln(w, "\ndistributed execution:")
 		fmt.Fprintf(w, "  jobs: %d queued, %d accepted remotely, %d degraded to local\n",
-			s.distQueued, s.distAccepts, s.distDegrades)
+			n["job.queue"], n["result.accept"], n["job.degrade"])
 		fmt.Fprintf(w, "  leases: %d granted (%d hedges), %d expired, %d requeues\n",
-			s.distLeases, s.distHedges, s.distExpiries, s.distRequeues)
+			n["job.lease"], n["job.hedge"], n["job.lease.expire"], n["job.requeue"])
 		fmt.Fprintf(w, "  results: %d rejected, %d duplicates discarded\n",
-			s.distRejects, s.distDups)
+			n["result.reject"], n["result.duplicate"])
 		fmt.Fprintf(w, "  workers: %d seen, %d circuit-broken, %d crashed\n",
-			len(s.distWorkers), s.distBreaks, s.distCrashes)
+			len(s.distWorkers), n["worker.break"], n["worker.crash"])
 	}
 
 	if len(s.workers) > 0 {
@@ -584,19 +543,22 @@ func cmdDiff(args []string, stdout, stderr io.Writer) (int, error) {
 			metricDelta{"job." + k + ".p95_us", float64(b.quantile(0.95)), float64(c.quantile(0.95)), true},
 		)
 	}
+	count := func(name, msg string) metricDelta {
+		return metricDelta{name, float64(base.byMsg[msg]), float64(cur.byMsg[msg]), true}
+	}
 	deltas = append(deltas,
 		metricDelta{"cache.hit_ratio", obs.HitRatio(base.cacheHits, base.cacheMiss), obs.HitRatio(cur.cacheHits, cur.cacheMiss), false},
 		metricDelta{"store.hit_ratio", obs.HitRatio(base.storeHit, base.storeMiss), obs.HitRatio(cur.storeHit, cur.storeMiss), false},
 		metricDelta{"errors", float64(base.errors), float64(cur.errors), true},
-		metricDelta{"retries", float64(base.retries), float64(cur.retries), true},
+		count("retries", "job.retry"),
 		// The fleet coordination tax: requeues, rejected pushes, expired
 		// leases, and local degradations are all zero on a healthy fleet,
 		// so a faulted run diffs loudly against a clean baseline. Absent
 		// entirely (both zero) for non-fleet journals.
-		metricDelta{"dist.requeues", float64(base.distRequeues), float64(cur.distRequeues), true},
-		metricDelta{"dist.rejected_pushes", float64(base.distRejects), float64(cur.distRejects), true},
-		metricDelta{"dist.expired_leases", float64(base.distExpiries), float64(cur.distExpiries), true},
-		metricDelta{"dist.degraded_jobs", float64(base.distDegrades), float64(cur.distDegrades), true},
+		count("dist.requeues", "job.requeue"),
+		count("dist.rejected_pushes", "result.reject"),
+		count("dist.expired_leases", "job.lease.expire"),
+		count("dist.degraded_jobs", "job.degrade"),
 	)
 
 	fmt.Fprintf(stdout, "baseline: %s (%d events)   current: %s (%d events)   threshold: %.0f%%\n\n",

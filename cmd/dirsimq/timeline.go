@@ -118,8 +118,8 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 	if n := s.storeHit + s.storeMiss; n > 0 {
 		fmt.Fprintf(stdout, ", %d store loads (%d hits)", n, s.storeHit)
 	}
-	if s.retries > 0 {
-		fmt.Fprintf(stdout, ", %d retries", s.retries)
+	if n := s.byMsg["job.retry"]; n > 0 {
+		fmt.Fprintf(stdout, ", %d retries", n)
 	}
 	if s.errors > 0 {
 		fmt.Fprintf(stdout, ", %d errors", s.errors)

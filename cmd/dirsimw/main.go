@@ -56,7 +56,6 @@ type config struct {
 	coordinator     string
 	name            string
 	poll            time.Duration
-	simWorkers      int
 	storeDir        string
 	verify          bool
 	faultSpec       string
@@ -73,7 +72,6 @@ func main() {
 	flag.StringVar(&cfg.coordinator, "coordinator", "", "coordinator base URL (required), e.g. http://localhost:8080")
 	flag.StringVar(&cfg.name, "name", "", "worker name in leases and journals (default host-pid)")
 	flag.DurationVar(&cfg.poll, "poll", time.Second, "longest hold / idle wait: how long the coordinator may hold a lease request that finds no work (wire field wait_ms), and the wait before asking again when it did not hold it")
-	flag.IntVar(&cfg.simWorkers, "sim-workers", 0, "engine parallelism within one job (0 = all cores)")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable result store directory, shareable with the coordinator (empty disables)")
 	flag.BoolVar(&cfg.verify, "verify", true, "revalidate store hits against content fingerprints")
 	flag.StringVar(&cfg.faultSpec, "faults", "", "inject transport faults, e.g. 'drop=0.1,dup=0.05,wiredelay=0.2,wiredelaydur=5ms'")
@@ -149,55 +147,24 @@ func run(cfg config) error {
 		Version: obs.Build(),
 	}
 
-	// The journal writer stack: an optional size-rotated local file (or
-	// stderr), optionally teed into the shipper that streams the same
-	// lines to the coordinator. Shipping without a local journal is
-	// allowed: -journal '' -ship-journal keeps only the fleet copy.
-	var (
-		jw      io.Writer
-		rw      *obs.RotatingWriter
-		shipper *dist.JournalShipper
-	)
-	switch cfg.journal {
-	case "":
-	case "-", "stderr":
-		jw = os.Stderr
-	default:
-		if cfg.journalMaxBytes > 0 {
-			var err error
-			rw, err = obs.NewRotatingWriter(cfg.journal, cfg.journalMaxBytes, cfg.journalKeep)
-			if err != nil {
-				return err
-			}
-			defer rw.Close()
-			jw = rw
-		} else {
-			jf, err := os.Create(cfg.journal)
-			if err != nil {
-				return err
-			}
-			defer jf.Close()
-			jw = jf
-		}
-	}
+	// The journal: an optional size-rotated local file (or stderr),
+	// optionally teed into the shipper that streams the same lines to
+	// the coordinator. Shipping without a local journal is allowed:
+	// -journal '' -ship-journal keeps only the fleet copy.
+	var tee []io.Writer
+	var shipper *dist.JournalShipper
 	if cfg.shipJournal {
 		shipper = dist.NewJournalShipper(client, cfg.name, dist.ShipperOptions{
 			Skew:    w.SkewNS,
 			Metrics: reg,
 		})
-		if jw != nil {
-			jw = io.MultiWriter(jw, shipper)
-		} else {
-			jw = shipper
-		}
+		tee = append(tee, shipper)
 	}
-	var journal *obs.Journal
-	if jw != nil {
-		journal = obs.NewJournal(jw)
+	journal, err := obs.OpenJournal(cfg.journal, cfg.journalMaxBytes, cfg.journalKeep, tee...)
+	if err != nil {
+		return err
 	}
-	if rw != nil {
-		rw.OnRotate(obs.RotationMarker(cfg.journal))
-	}
+	defer journal.Close()
 	w.Journal, w.Shipper = journal, shipper
 
 	// The worker puts its journal on every job's context, so the engine
@@ -209,12 +176,11 @@ func run(cfg config) error {
 		Verify:  cfg.verify,
 	})
 	w.Engine = eng
-	w.Exec = engine.Parallel{Workers: cfg.simWorkers}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	fmt.Fprintf(os.Stderr, "dirsimw: %s (%s) pulling from %s\n", cfg.name, obs.Build(), cfg.coordinator)
-	err := w.Run(ctx)
+	err = w.Run(ctx)
 	if shipper != nil {
 		// Final flush on a fresh context: ctx is already cancelled when
 		// the worker exits on a signal.

@@ -11,8 +11,8 @@
 //	experiments -list
 //
 // With -parallel N (N > 1, or 0 for all cores) the experiments run
-// concurrently on the execution engine's worker pool, sharing one
-// content-addressed cache of traces and simulation results; the rendered
+// concurrently on one engine and its cache, each engine batch on its own
+// pool of N slots (so up to experiments × N job bodies at once); the
 // report is byte-identical to the serial run, just produced faster.
 //
 // The observability flags instrument the run: -journal streams typed
@@ -101,7 +101,7 @@ func main() {
 	flag.IntVar(&cfg.cpus, "cpus", 4, "processor count for the headline experiments")
 	flag.BoolVar(&cfg.check, "check", false, "enable coherence checking (slower)")
 	flag.BoolVar(&cfg.list, "list", false, "list experiment IDs and exit")
-	flag.IntVar(&cfg.parallel, "parallel", 1, "simulation worker pool size; >1 runs experiments concurrently, 0 means all cores")
+	flag.IntVar(&cfg.parallel, "parallel", 1, "job slots per engine batch; >1 also runs experiments concurrently (up to experiments × N bodies at once), 0 means all cores")
 	flag.StringVar(&cfg.journal, "journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
 	flag.StringVar(&cfg.metrics, "metrics", "", "write the metric registry's text exposition to this file after the run ('-' for stdout)")
 	flag.StringVar(&cfg.pprofDir, "pprof", "", "capture cpu.pprof and heap.pprof into this directory")
@@ -190,7 +190,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	var jnl *obs.Journal
 	var record obs.Record
 	if observing || cfg.trace != "" || cfg.listen != "" {
-		raw, err := obs.OpenJournal(cfg.journal, &record)
+		raw, err := obs.OpenJournal(cfg.journal, 0, 0, &record)
 		if err != nil {
 			return err
 		}
@@ -282,10 +282,10 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		}
 	} else {
 		// Concurrent mode: every experiment renders into its own slot
-		// while the engine's worker pool bounds the simulation
-		// concurrency and its caches deduplicate the shared runs;
-		// outputs print in paper order afterwards, so the report is
-		// byte-identical to the serial one.
+		// while the engine's caches deduplicate the shared runs. Each
+		// Merge or Results call gets its own pool of N slots, so up to
+		// experiments × N bodies run at once. Outputs print in paper
+		// order afterwards, byte-identical to the serial report.
 		var wg sync.WaitGroup
 		for i := range exps {
 			i := i

@@ -297,8 +297,8 @@ type (
 // NewEngine builds an execution engine; the zero options are ready to use.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
-// SequentialExecutor runs jobs one at a time in deterministic order —
-// the reference path that concurrency is asserted against.
+// SequentialExecutor runs one job body at a time — the reference that
+// concurrency is asserted against.
 func SequentialExecutor() Executor { return engine.Sequential{} }
 
 // ParallelExecutor runs jobs concurrently on a worker pool of the given

@@ -14,6 +14,7 @@ import (
 	"dirsim/internal/engine"
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
+	"dirsim/internal/obs/httpmon"
 	"dirsim/internal/workload"
 )
 
@@ -286,7 +287,7 @@ func TestNewWorkerOldCoordinator(t *testing.T) {
 		mu.Lock()
 		bodies = append(bodies, req)
 		mu.Unlock()
-		writeJSON(w, http.StatusOK, struct {
+		httpmon.WriteJSON(w, http.StatusOK, struct {
 			NowUnixNS int64 `json:"now_unix_ns"`
 		}{time.Now().UnixNano()})
 	}))

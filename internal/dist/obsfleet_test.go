@@ -17,6 +17,7 @@ import (
 	"dirsim/internal/engine"
 	"dirsim/internal/faults"
 	"dirsim/internal/obs"
+	"dirsim/internal/obs/httpmon"
 	"dirsim/internal/sim"
 )
 
@@ -116,7 +117,7 @@ func (s *shipperSink) handler() http.HandlerFunc {
 			return
 		}
 		s.batches = append(s.batches, b)
-		writeJSON(w, http.StatusOK, journalAccept{Accepted: len(b.Lines)})
+		httpmon.WriteJSON(w, http.StatusOK, journalAccept{Accepted: len(b.Lines)})
 	}
 }
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -53,22 +52,10 @@ func Register(mux *http.ServeMux, c *Coordinator) {
 	route("GET /api/v1/dist/stats", "dist.stats", c.handleStats)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
 func decodeInto(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		httpmon.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return false
 	}
 	return true
@@ -83,7 +70,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		req.Worker = r.Header.Get(WorkerHeader)
 	}
 	if req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "missing worker name")
+		httpmon.WriteError(w, http.StatusBadRequest, "missing worker name")
 		return
 	}
 	// Only once the body is read out does the server watch the connection
@@ -97,10 +84,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, "worker %s circuit open; retry after %ds", req.Worker, secs)
+		httpmon.WriteError(w, http.StatusTooManyRequests, "worker %s circuit open; retry after %ds", req.Worker, secs)
 		return
 	}
-	writeJSON(w, http.StatusOK, leaseResponse{Job: job, NowUnixNS: c.opts.Clock().UnixNano(),
+	httpmon.WriteJSON(w, http.StatusOK, leaseResponse{Job: job, NowUnixNS: c.opts.Clock().UnixNano(),
 		HeldUS: held.Microseconds()})
 }
 
@@ -110,10 +97,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !c.Heartbeat(req.Worker, req.Lease, req.Counters) {
-		writeError(w, http.StatusGone, "lease %s is gone", req.Lease)
+		httpmon.WriteError(w, http.StatusGone, "lease %s is gone", req.Lease)
 		return
 	}
-	writeJSON(w, http.StatusOK, heartbeatResponse{NowUnixNS: c.opts.Clock().UnixNano()})
+	httpmon.WriteJSON(w, http.StatusOK, heartbeatResponse{NowUnixNS: c.opts.Clock().UnixNano()})
 }
 
 // maxJournalBatchBytes bounds one shipped journal batch.
@@ -128,15 +115,15 @@ func (c *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
 		b.Worker = r.Header.Get(WorkerHeader)
 	}
 	if b.Worker == "" {
-		writeError(w, http.StatusBadRequest, "missing worker name")
+		httpmon.WriteError(w, http.StatusBadRequest, "missing worker name")
 		return
 	}
 	if b.Sum != "" && b.Sum != linesSum(b.Lines) {
 		c.jnlRejected.Add(int64(len(b.Lines)))
-		writeError(w, http.StatusUnprocessableEntity, "journal batch from %s fails its checksum", b.Worker)
+		httpmon.WriteError(w, http.StatusUnprocessableEntity, "journal batch from %s fails its checksum", b.Worker)
 		return
 	}
-	writeJSON(w, http.StatusOK, journalAccept{Accepted: c.AcceptJournal(&b)})
+	httpmon.WriteJSON(w, http.StatusOK, journalAccept{Accepted: c.AcceptJournal(&b)})
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -146,14 +133,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch c.Push(&p) {
 	case PushAccepted:
-		writeJSON(w, http.StatusOK, struct{}{})
+		httpmon.WriteJSON(w, http.StatusOK, struct{}{})
 	case PushDuplicate:
-		writeError(w, http.StatusGone, "lease %s is gone; result discarded", p.Lease)
+		httpmon.WriteError(w, http.StatusGone, "lease %s is gone; result discarded", p.Lease)
 	case PushRejected:
-		writeError(w, http.StatusUnprocessableEntity, "result for %s failed revalidation", shortKey(p.Key))
+		httpmon.WriteError(w, http.StatusUnprocessableEntity, "result for %s failed revalidation", shortKey(p.Key))
 	}
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
+	httpmon.WriteJSON(w, http.StatusOK, c.Stats())
 }

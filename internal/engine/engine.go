@@ -14,10 +14,12 @@
 // Every batch is the same DAG whichever executor runs it: one
 // trace:<workload> job through the single-flight Engine.Trace, one keyed
 // sim:<scheme>@<workload> job per scheme replaying the materialized
-// trace, then a merge. Sequential runs it one job at a time and Parallel
-// on a bounded pool; they differ in worker count and nothing else, and
-// because simulations are pure functions of the reference sequence both
-// produce bit-identical results, which the tests assert.
+// trace, then a merge, on one scheduler: every job waits for its
+// dependencies and then for a slot of the batch's pool. Sequential is
+// that pool with one slot and Parallel with many; they differ in worker
+// count and nothing else, and because simulations are pure functions of
+// the reference sequence both produce bit-identical results, which the
+// tests assert.
 package engine
 
 import (
@@ -27,7 +29,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"dirsim/internal/faults"
@@ -114,8 +115,8 @@ type Tier interface {
 // obs.TraceContext when there is one. kind classifies the job: "trace",
 // "sim" or "merge"; key is the short content hash of keyed jobs, empty
 // otherwise.
-// Implementations must be safe for concurrent use — under the Parallel
-// executor, jobs finish on many goroutines at once.
+// Implementations must be safe for concurrent use — every job runs on
+// its own goroutine, and under Parallel many finish at once.
 type Observer interface {
 	JobScheduled(ctx context.Context, id, kind, key string)
 	JobStarted(ctx context.Context, id, kind, key string)
@@ -313,19 +314,20 @@ type Executor interface {
 	workerCount() int
 }
 
-// Sequential executes jobs one at a time in deterministic dependency
-// order — the reference path used to assert that concurrency does not
-// change results.
+// Sequential runs one job body at a time: the pool with one slot. Which
+// ready job takes the slot next is not fixed, so it is the reference
+// for results, not for the order of journal lines.
 type Sequential struct{}
 
 // Name returns "sequential".
 func (Sequential) Name() string     { return "sequential" }
 func (Sequential) workerCount() int { return 1 }
 
-// Parallel executes the same DAG as Sequential with ready jobs running
-// concurrently on a bounded worker pool: at most Workers local job bodies
-// — generations, simulations, merges — execute at once (a job waiting on
-// a Remote holds no slot: a whole batch reaches the fleet together).
+// Parallel runs the same DAG as Sequential on a pool of Workers slots: at
+// most Workers local job bodies — generations, simulations, merges —
+// execute at once. The pool is per batch: concurrent Merge or Results
+// calls each get their own. Under either executor a job waiting on a
+// Remote holds no slot, so a whole batch reaches the fleet together.
 type Parallel struct {
 	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -353,14 +355,39 @@ func (e *Engine) execute(ctx context.Context, exec Executor, roots ...*job) erro
 	}
 	jobs := flatten(roots)
 	jnl := obs.JournalFrom(ctx)
+	done := make(map[*job]chan struct{}, len(jobs))
 	for _, j := range jobs {
 		e.jobsScheduled.Inc()
 		e.jobEvent(ctx, jnl, "job.scheduled", j)
+		done[j] = make(chan struct{})
 	}
-	if w := exec.workerCount(); w > 1 {
-		return e.executePool(ctx, jobs, w)
+	// Every job waits on its own goroutine for its dependencies, then
+	// takes one of the pool's slots to run. An offSlot job runs without
+	// one and takes a slot only for its local work (acquireSlot).
+	ctx = context.WithValue(ctx, slotKey{}, make(chan struct{}, exec.workerCount()))
+	for _, j := range jobs {
+		go func() {
+			// A failed job still releases its dependents: they observe the
+			// dependency failure and record it as their own structured
+			// error without running.
+			defer close(done[j])
+			for _, d := range j.Deps {
+				<-done[d]
+			}
+			if !j.offSlot {
+				defer acquireSlot(ctx)()
+			}
+			if err := ctx.Err(); err != nil {
+				j.err = err
+				return
+			}
+			e.runOrSkip(ctx, j)
+		}()
 	}
-	return e.executeSerial(ctx, jobs)
+	for _, j := range jobs {
+		<-done[j]
+	}
+	return ctx.Err()
 }
 
 // flatten returns the transitive closure of roots in deterministic
@@ -385,91 +412,12 @@ func flatten(roots []*job) []*job {
 	return order
 }
 
-func (e *Engine) executeSerial(ctx context.Context, jobs []*job) error {
-	for _, j := range jobs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.runOrSkip(ctx, j)
-	}
-	return nil
-}
-
-func (e *Engine) executePool(ctx context.Context, jobs []*job, workers int) error {
-	indeg := make(map[*job]int, len(jobs))
-	children := make(map[*job][]*job, len(jobs))
-	for _, j := range jobs {
-		indeg[j] = len(j.Deps)
-		for _, d := range j.Deps {
-			children[d] = append(children[d], j)
-		}
-	}
-
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-
-	var start func(j *job)
-	start = func(j *job) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jctx := ctx
-			if j.offSlot {
-				jctx = context.WithValue(ctx, slotKey{}, sem)
-			} else {
-				sem <- struct{}{}
-			}
-			if err := ctx.Err(); err == nil {
-				e.runOrSkip(jctx, j)
-			} else {
-				j.err = err
-			}
-			if !j.offSlot {
-				<-sem
-			}
-			// A failed job still releases its dependents: they observe the
-			// dependency failure and record it as their own structured
-			// error without running.
-			mu.Lock()
-			ready := make([]*job, 0, len(children[j]))
-			for _, c := range children[j] {
-				indeg[c]--
-				if indeg[c] == 0 {
-					ready = append(ready, c)
-				}
-			}
-			mu.Unlock()
-			for _, c := range ready {
-				start(c)
-			}
-		}()
-	}
-	// Collect the initial ready set before starting anything: completion
-	// handlers mutate indeg concurrently once the first job is running.
-	initial := make([]*job, 0, len(jobs))
-	for _, j := range jobs {
-		if indeg[j] == 0 {
-			initial = append(initial, j)
-		}
-	}
-	for _, j := range initial {
-		start(j)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// slotKey keys the pool's semaphore in an offSlot job's context.
+// slotKey keys the batch's pool, a semaphore, in its jobs' context.
 type slotKey struct{}
 
-// acquireSlot takes a pool slot for an offSlot job's local work and
-// returns its release; the serial executor has no pool and nothing to take.
+// acquireSlot takes a slot of the batch's pool and returns its release.
 func acquireSlot(ctx context.Context) (release func()) {
-	sem, _ := ctx.Value(slotKey{}).(chan struct{})
-	if sem == nil {
-		return func() {}
-	}
+	sem := ctx.Value(slotKey{}).(chan struct{})
 	sem <- struct{}{}
 	return func() { <-sem }
 }

@@ -28,7 +28,7 @@ import (
 //     deterministic), so the engine surfaces it instead of burning a
 //     local retry.
 //
-// Implementations must be safe for concurrent use: under the Parallel
+// Implementations must be safe for concurrent use: under either
 // executor a job blocked in SimulateRemote holds no worker slot, so every
 // uncached spec of a batch is in flight at once, for the Remote to order.
 // An attempt's JobTimeout clock therefore covers a spec's queueing in the

@@ -200,28 +200,37 @@ func (b *barrierRemote) SimulateRemote(ctx context.Context, spec SimSpec) (*sim.
 
 // TestRemoteOffersWholeBatch: a job blocked in SimulateRemote holds no
 // pool slot, so the Remote sees every uncached spec of a batch at once
-// however small Workers is. This Remote answers nobody until all six are
-// in flight; with waits counted against Workers=2 it never would.
+// however small the pool is, one slot included. This Remote answers
+// nobody until all six are in flight; with waits counted against the
+// pool it never would, so the one-slot case gets a short deadline to
+// fail fast on.
 func TestRemoteOffersWholeBatch(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	specs := remoteSpecs()
-	worker := &fakeRemote{exec: New(Options{})}
-	rem := &barrierRemote{want: int64(len(specs)), all: make(chan struct{}), then: worker.SimulateRemote}
-	e := New(Options{Remote: rem})
-	got, err := e.Results(ctx, Parallel{Workers: 2}, specs)
-	if err != nil {
-		t.Fatalf("batch was not offered whole (%d of %d calls in flight): %v",
-			rem.inflight.Load(), len(specs), err)
-	}
-	want, err := New(Options{}).Results(ctx, Sequential{}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("spec %d diverged from local run", i)
-		}
+	for _, tc := range []struct {
+		exec     Executor
+		deadline time.Duration
+	}{{Sequential{}, 5 * time.Second}, {Parallel{Workers: 2}, 30 * time.Second}} {
+		t.Run(tc.exec.Name(), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), tc.deadline)
+			defer cancel()
+			specs := remoteSpecs()
+			worker := &fakeRemote{exec: New(Options{})}
+			rem := &barrierRemote{want: int64(len(specs)), all: make(chan struct{}), then: worker.SimulateRemote}
+			e := New(Options{Remote: rem})
+			got, err := e.Results(ctx, tc.exec, specs)
+			if err != nil {
+				t.Fatalf("batch was not offered whole (%d of %d calls in flight): %v",
+					rem.inflight.Load(), len(specs), err)
+			}
+			want, err := New(Options{}).Results(ctx, Sequential{}, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("spec %d diverged from local run", i)
+				}
+			}
+		})
 	}
 }
 
@@ -229,9 +238,16 @@ func TestRemoteOffersWholeBatch(t *testing.T) {
 // not hold while it waits, it takes before it computes. Six dispatches
 // fail over to local execution in the same instant; the spans of their
 // local bodies — store lookup and generation of the trace, then the
-// simulation — must never overlap more than Workers deep.
+// simulation — must never overlap deeper than the pool, under either
+// executor.
 func TestDegradedBodiesBoundedByWorkers(t *testing.T) {
-	const workers = 2
+	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 2}} {
+		t.Run(exec.Name(), func(t *testing.T) { testDegradedBodiesBounded(t, exec) })
+	}
+}
+
+func testDegradedBodiesBounded(t *testing.T, exec Executor) {
+	workers := exec.workerCount()
 	var specs []SimSpec
 	for _, cfg := range workload.StandardConfigs(4, 20_000) {
 		for _, scheme := range []string{"Dir0B", "Dir1NB"} {
@@ -244,8 +260,12 @@ func TestDegradedBodiesBoundedByWorkers(t *testing.T) {
 		}}
 	var journal bytes.Buffer
 	e := New(Options{Remote: rem, Store: openTier(t, t.TempDir())})
-	if _, err := e.Results(journaled(&journal, "degraded"), Parallel{Workers: workers}, specs); err != nil {
-		t.Fatal(err)
+	// A pool that counted waits would never let all six dispatches meet.
+	ctx, cancel := context.WithTimeout(journaled(&journal, "degraded"), 30*time.Second)
+	defer cancel()
+	if _, err := e.Results(ctx, exec, specs); err != nil {
+		t.Fatalf("dispatches did not all fail over (%d of %d calls in flight): %v",
+			rem.inflight.Load(), len(specs), err)
 	}
 	if st := e.Stats(); st.RemoteDegraded != int64(len(specs)) || st.SimsRun != int64(len(specs)) {
 		t.Fatalf("RemoteDegraded=%d SimsRun=%d, want %d local computations", st.RemoteDegraded, st.SimsRun, len(specs))
@@ -281,6 +301,6 @@ func TestDegradedBodiesBoundedByWorkers(t *testing.T) {
 		peak = max(peak, depth)
 	}
 	if peak > workers {
-		t.Errorf("%d local bodies ran at once, Workers is %d", peak, workers)
+		t.Errorf("%d local bodies ran at once under %s, the pool has %d slots", peak, exec.Name(), workers)
 	}
 }

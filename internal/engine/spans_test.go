@@ -199,16 +199,23 @@ func TestEngineTraceExport(t *testing.T) {
 	}
 }
 
-// TestWorkersBoundsOpenSimulations: Parallel{Workers: n} means at most n
+// TestWorkersBoundsOpenSimulations: a pool of n slots means at most n
 // job bodies run at once, simulations included — six schemes over one
-// workload on two workers never have a third simulate span open.
+// workload never have a second simulate span open under Sequential, or
+// a third under Parallel{Workers: 2}.
 func TestWorkersBoundsOpenSimulations(t *testing.T) {
-	const workers = 2
+	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 2}} {
+		t.Run(exec.Name(), func(t *testing.T) { testWorkersBound(t, exec) })
+	}
+}
+
+func testWorkersBound(t *testing.T, exec Executor) {
+	workers := exec.workerCount()
 	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB", "Dir1B"}
 	e := New(Options{})
 	cfgs := []workload.Config{workload.POPSConfig(4, 60_000)}
 	var journal bytes.Buffer
-	if _, err := e.Compare(journaled(&journal, "bound"), Parallel{Workers: workers}, schemes, cfgs, false); err != nil {
+	if _, err := e.Compare(journaled(&journal, "bound"), exec, schemes, cfgs, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -240,7 +247,7 @@ func TestWorkersBoundsOpenSimulations(t *testing.T) {
 		}
 	}
 	if peak > workers {
-		t.Errorf("%d simulate spans open at once under Parallel{Workers: %d}", peak, workers)
+		t.Errorf("%d simulate spans open at once in a pool of %d", peak, workers)
 	}
 }
 

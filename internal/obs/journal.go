@@ -106,55 +106,48 @@ func NewJournal(w io.Writer) *Journal {
 
 // OpenJournal opens a JSONL journal at path; "-" and "stderr" select
 // standard error, and "" no file at all. File journals are truncated,
-// not appended: one file describes one run. Every line also goes to
-// each tee writer — the CLIs keep a run's journal in memory that way
-// to render its -trace export from.
-func OpenJournal(path string, tee ...io.Writer) (*Journal, error) {
-	var f *os.File
+// not appended: one file describes one run. With maxBytes > 0 a file
+// journal is size-rotated: when the live file would exceed maxBytes it
+// is renamed to path.1 (older segments shifting to path.2 … path.keep,
+// the oldest beyond keep deleted) and a fresh file continues the stream,
+// opening with a journal.rotated line; dirsimq reads the rotated set
+// back as one journal. Every line also goes to each tee writer (the
+// rotation marker does not) — the CLIs keep a run's journal in memory
+// that way, and a worker ships it to its coordinator. With no file and
+// no tee the journal is nil, the no-op sink.
+func OpenJournal(path string, maxBytes int64, keep int, tee ...io.Writer) (*Journal, error) {
+	var closer io.Closer
 	switch path {
 	case "":
 	case "-", "stderr":
 		tee = append(tee, os.Stderr)
 	default:
+		var w io.WriteCloser
 		var err error
-		if f, err = os.Create(path); err != nil {
+		if maxBytes > 0 {
+			w, err = newRotatingWriter(path, maxBytes, keep, rotationMarker(path))
+		} else {
+			w, err = os.Create(path)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("obs: journal: %w", err)
 		}
-		tee = append(tee, f)
+		tee, closer = append(tee, w), w
+	}
+	if len(tee) == 0 {
+		return nil, nil
 	}
 	j := NewJournal(io.MultiWriter(tee...))
-	if f != nil {
-		j.closer = f
-	}
+	j.closer = closer
 	return j, nil
 }
 
-// OpenJournalRotating opens a size-rotated file journal: when the live
-// file would exceed maxBytes, it is renamed to path.1 (older segments
-// shifting to path.2 … path.keep, the oldest beyond keep deleted) and a
-// fresh file continues the stream, opening with a journal.rotated event.
-// dirsimq reads the rotated set back as one journal. "-"/"stderr" fall
-// back to an unrotated stderr journal.
-func OpenJournalRotating(path string, maxBytes int64, keep int) (*Journal, error) {
-	if path == "-" || path == "stderr" || maxBytes <= 0 {
-		return OpenJournal(path)
-	}
-	rw, err := NewRotatingWriter(path, maxBytes, keep)
-	if err != nil {
-		return nil, fmt.Errorf("obs: journal: %w", err)
-	}
-	j := NewJournal(rw)
-	j.closer = rw
-	rw.OnRotate(RotationMarker(path))
-	return j, nil
-}
-
-// RotationMarker returns the standard OnRotate callback: it opens every
-// fresh segment with a journal.rotated line, hand-encoded in the slog
-// line shape (the callback runs under the rotating writer's lock, so it
-// cannot go back through the journal — that would deadlock on the
+// rotationMarker is the onRotate callback of a rotated journal: it opens
+// every fresh segment with a journal.rotated line, hand-encoded in the
+// slog line shape (the callback runs under the rotating writer's lock,
+// so it cannot go back through the journal — that would deadlock on the
 // journal's line lock).
-func RotationMarker(path string) func(total int64, w io.Writer) {
+func rotationMarker(path string) func(total int64, w io.Writer) {
 	return func(total int64, w io.Writer) {
 		fmt.Fprintf(w, "{\"time\":%q,\"level\":\"INFO\",\"msg\":\"journal.rotated\",\"schema\":%d,\"segments\":%d,\"path\":%q}\n",
 			Now().UTC().Format(time.RFC3339Nano), SchemaVersion, total, path)

@@ -75,7 +75,7 @@ func TestJournalNilIsNoop(t *testing.T) {
 
 func TestJournalConcurrentWritersProduceWholeLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(path, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestJournalWritesAreLineAtomic(t *testing.T) {
 
 func TestOpenJournalStderrAliases(t *testing.T) {
 	for _, alias := range []string{"-", "stderr"} {
-		j, err := OpenJournal(alias)
+		j, err := OpenJournal(alias, 0, 0)
 		if err != nil {
 			t.Fatalf("%q: %v", alias, err)
 		}

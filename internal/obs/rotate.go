@@ -8,12 +8,12 @@ import (
 	"sync"
 )
 
-// RotatingWriter is a size-bounded file writer for long-running
+// rotatingWriter is a size-bounded file writer for long-running
 // journals: when the live file at path would grow past maxBytes, it is
 // renamed to path.1 — existing segments shift to path.2 … path.keep and
 // the oldest falls off — and writing continues into a fresh file. A
 // line (one Write call) is never split across segments.
-type RotatingWriter struct {
+type rotatingWriter struct {
 	mu        sync.Mutex
 	path      string
 	maxBytes  int64
@@ -24,9 +24,14 @@ type RotatingWriter struct {
 	onRotate  func(total int64, w io.Writer)
 }
 
-// NewRotatingWriter opens (truncating) the live file at path. keep < 1
-// keeps one rotated segment.
-func NewRotatingWriter(path string, maxBytes int64, keep int) (*RotatingWriter, error) {
+// newRotatingWriter opens (truncating) the live file at path. keep < 1
+// keeps one rotated segment. onRotate, when non-nil, fires after each
+// completed rotation with the total rotation count and a writer into the
+// fresh segment: whatever it writes lands before the line that triggered
+// the rotation. It runs with the writer's lock held, so it must write
+// only to w, never back through the journal that owns this writer (a
+// re-entrant journal write would deadlock on the journal's line lock).
+func newRotatingWriter(path string, maxBytes int64, keep int, onRotate func(total int64, w io.Writer)) (*rotatingWriter, error) {
 	if keep < 1 {
 		keep = 1
 	}
@@ -34,20 +39,7 @@ func NewRotatingWriter(path string, maxBytes int64, keep int) (*RotatingWriter, 
 	if err != nil {
 		return nil, err
 	}
-	return &RotatingWriter{path: path, maxBytes: maxBytes, keep: keep, f: f}, nil
-}
-
-// OnRotate installs a callback fired after each completed rotation with
-// the total rotation count and a writer into the fresh segment:
-// whatever fn writes lands before the line that triggered the rotation,
-// so a journal's journal.rotated marker opens every segment. fn runs
-// with the writer's lock held — it must write only to w, never back
-// through the journal that owns this writer (a re-entrant journal write
-// would deadlock on the journal's line lock).
-func (rw *RotatingWriter) OnRotate(fn func(total int64, w io.Writer)) {
-	rw.mu.Lock()
-	rw.onRotate = fn
-	rw.mu.Unlock()
+	return &rotatingWriter{path: path, maxBytes: maxBytes, keep: keep, f: f, onRotate: onRotate}, nil
 }
 
 // SegmentPaths returns the rotated-set read order for a journal at
@@ -73,7 +65,7 @@ func SegmentPaths(path string) []string {
 // Write appends p (one journal line) to the live file, rotating first
 // when it would overflow. Oversized single lines are written anyway —
 // rotation bounds growth, it never drops data.
-func (rw *RotatingWriter) Write(p []byte) (int, error) {
+func (rw *rotatingWriter) Write(p []byte) (int, error) {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
 	if rw.size > 0 && rw.size+int64(len(p)) > rw.maxBytes {
@@ -89,11 +81,11 @@ func (rw *RotatingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// segmentHead is the writer handed to OnRotate callbacks: it appends to
+// segmentHead is the writer handed to the onRotate callback: it appends to
 // the freshly opened live file under the already-held lock, keeping the
 // size accounting honest so a large marker still triggers the next
 // rotation on time.
-type segmentHead struct{ rw *RotatingWriter }
+type segmentHead struct{ rw *rotatingWriter }
 
 func (h segmentHead) Write(p []byte) (int, error) {
 	n, err := h.rw.f.Write(p)
@@ -102,7 +94,7 @@ func (h segmentHead) Write(p []byte) (int, error) {
 }
 
 // rotateLocked shifts segments and reopens the live file.
-func (rw *RotatingWriter) rotateLocked() error {
+func (rw *rotatingWriter) rotateLocked() error {
 	if err := rw.f.Close(); err != nil {
 		return err
 	}
@@ -129,7 +121,7 @@ func (rw *RotatingWriter) rotateLocked() error {
 func seg(path string, n int) string { return path + "." + strconv.Itoa(n) }
 
 // Close closes the live file.
-func (rw *RotatingWriter) Close() error {
+func (rw *rotatingWriter) Close() error {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
 	return rw.f.Close()

@@ -16,8 +16,8 @@ import (
 func TestRotatingWriterShiftsSegments(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
-	line := []byte(strings.Repeat("x", 39) + "\n") // 40 bytes
-	rw, err := NewRotatingWriter(path, 100, 2)     // 2 lines per segment
+	line := []byte(strings.Repeat("x", 39) + "\n")  // 40 bytes
+	rw, err := newRotatingWriter(path, 100, 2, nil) // 2 lines per segment
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRotatingWriterShiftsSegments(t *testing.T) {
 // written whole anyway — rotation bounds growth, it never drops data.
 func TestRotatingWriterOversizedLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	rw, err := NewRotatingWriter(path, 10, 1)
+	rw, err := newRotatingWriter(path, 10, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestRotatingWriterOversizedLine(t *testing.T) {
 	}
 }
 
-// TestJournalRotationEvent: OpenJournalRotating stamps each fresh
+// TestJournalRotationEvent: a rotated OpenJournal stamps each fresh
 // segment with a journal.rotated event (fired re-entrantly from the
 // rotation callback), and the rotated set reads back as one stream.
 func TestJournalRotationEvent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournalRotating(path, 256, 3)
+	j, err := OpenJournal(path, 256, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +121,101 @@ func TestJournalRotationEvent(t *testing.T) {
 	}
 }
 
-// TestOpenJournalRotatingFallbacks: stderr selectors and a zero byte
-// bound degrade to the plain journal path.
-func TestOpenJournalRotatingFallbacks(t *testing.T) {
-	for _, path := range []string{"-", "stderr"} {
-		j, err := OpenJournalRotating(path, 1024, 2)
+// TestOpenJournalRotatedTee: a rotated file journal with a tee — the
+// shape a shipping worker opens. The tee receives every line and no
+// rotation marker; every segment after the first opens with exactly one
+// journal.rotated line; and LoadJournals reads the set back in write
+// order.
+func TestOpenJournalRotatedTee(t *testing.T) {
+	const events = 20
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	var tee bytes.Buffer
+	j, err := OpenJournal(path, 300, events, &tee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < events; i++ {
+		j.Event("tick", "n", i)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	teed, _, err := ReadJournal(&tee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(teed) != events {
+		t.Errorf("tee holds %d lines, want %d", len(teed), events)
+	}
+	for _, l := range teed {
+		if l.Msg != "tick" {
+			t.Errorf("tee received %q", l.Msg)
+		}
+	}
+
+	segs := SegmentPaths(path)
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want the journal rotated at least twice", len(segs))
+	}
+	for i, s := range segs {
+		b, err := os.ReadFile(s)
 		if err != nil {
-			t.Fatalf("OpenJournalRotating(%q) = %v", path, err)
+			t.Fatal(err)
+		}
+		lines, _, err := ReadJournal(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		markers := 0
+		for _, l := range lines {
+			if l.Msg == "journal.rotated" {
+				markers++
+			}
+		}
+		if i == 0 && markers != 0 {
+			t.Errorf("first segment %s holds %d rotation markers, want 0", s, markers)
+		}
+		if i > 0 && (markers != 1 || lines[0].Msg != "journal.rotated") {
+			t.Errorf("segment %s holds %d markers and opens with %q, want one marker first", s, markers, lines[0].Msg)
+		}
+	}
+
+	all, _, err := LoadJournals([]string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := int64(0)
+	for _, l := range all {
+		if l.Msg != "tick" {
+			continue
+		}
+		if n, _ := l.Num("n"); n != next {
+			t.Fatalf("LoadJournals read tick %d where %d was written", n, next)
+		}
+		next++
+	}
+	if next != events {
+		t.Errorf("LoadJournals read %d ticks, want %d", next, events)
+	}
+}
+
+// TestOpenJournalRotationFallbacks: stderr selectors ignore the byte
+// bound, a zero bound opens a plain, unrotated file, and no file and no
+// tee open the nil journal.
+func TestOpenJournalRotationFallbacks(t *testing.T) {
+	if j, err := OpenJournal("", 1024, 2); j != nil || err != nil {
+		t.Errorf("OpenJournal(\"\") = %v, %v; want the nil journal", j, err)
+	}
+	for _, path := range []string{"-", "stderr"} {
+		j, err := OpenJournal(path, 1024, 2)
+		if err != nil {
+			t.Fatalf("OpenJournal(%q) = %v", path, err)
 		}
 		j.Close()
 	}
 	p := filepath.Join(t.TempDir(), "plain.jsonl")
-	j, err := OpenJournalRotating(p, 0, 2)
+	j, err := OpenJournal(p, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

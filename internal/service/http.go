@@ -47,21 +47,6 @@ func (s *Service) Register(mux *http.ServeMux) {
 	route("GET /healthz", "healthz", s.handleHealth)
 }
 
-// errorBody is every non-2xx response's shape.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
 // ExperimentStatus is the API rendering of an experiment.
 type ExperimentStatus struct {
 	ID     string `json:"id"`
@@ -141,7 +126,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := decodeSpec(w, r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
+		httpmon.WriteError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return
 	}
 	exp, created, err := s.Submit(r.Context(), tenant, spec)
@@ -149,14 +134,14 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case errors.Is(err, ErrQuota):
 		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter()))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		httpmon.WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, ErrSaturated), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter()))
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		httpmon.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpmon.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	status := http.StatusAccepted
@@ -165,16 +150,16 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	w.Header().Set("Location", "/api/v1/experiments/"+exp.ID)
-	writeJSON(w, status, s.status(exp, true))
+	httpmon.WriteJSON(w, status, s.status(exp, true))
 }
 
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no experiment %q", r.PathValue("id"))
+		httpmon.WriteError(w, http.StatusNotFound, "no experiment %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.status(exp, true))
+	httpmon.WriteJSON(w, http.StatusOK, s.status(exp, true))
 }
 
 func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -188,7 +173,7 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 			out = append(out, s.status(exp, false))
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	httpmon.WriteJSON(w, http.StatusOK, struct {
 		Experiments []ExperimentStatus `json:"experiments"`
 	}{out})
 }
@@ -204,12 +189,12 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no experiment %q", r.PathValue("id"))
+		httpmon.WriteError(w, http.StatusNotFound, "no experiment %q", r.PathValue("id"))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		httpmon.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -245,7 +230,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no experiment %q", r.PathValue("id"))
+		httpmon.WriteError(w, http.StatusNotFound, "no experiment %q", r.PathValue("id"))
 		return
 	}
 	s.mu.Lock()
@@ -253,12 +238,12 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if state == StateQueued || state == StateRunning {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "experiment %s is %s; trace is available once it finishes", exp.ID, state)
+		httpmon.WriteError(w, http.StatusConflict, "experiment %s is %s; trace is available once it finishes", exp.ID, state)
 		return
 	}
 	lines, _, err := obs.ReadJournal(bytes.NewReader(exp.record.Bytes()))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "experiment %s: journal: %v", exp.ID, err)
+		httpmon.WriteError(w, http.StatusInternalServerError, "experiment %s: journal: %v", exp.ID, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -280,7 +265,7 @@ func (s *Service) handleStore(w http.ResponseWriter, _ *http.Request) {
 		v := s.st.Stats()
 		st.Stats = &v
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpmon.WriteJSON(w, http.StatusOK, st)
 }
 
 // healthStatus is the /healthz response.
@@ -303,5 +288,5 @@ func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		h.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	httpmon.WriteJSON(w, code, h)
 }

@@ -14,6 +14,7 @@ import (
 
 	"dirsim/internal/engine"
 	"dirsim/internal/obs"
+	"dirsim/internal/obs/httpmon"
 	"dirsim/internal/sim"
 )
 
@@ -333,9 +334,9 @@ func TestBodiesAreCompactJSON(t *testing.T) {
 	}{[]ExperimentStatus{svc.status(exp, false)}})
 	sameAs("store", fetch("GET", "/api/v1/store", nil), storeStatus{})
 	sameAs("not found", fetch("GET", "/api/v1/experiments/exp-nope", nil),
-		errorBody{Error: `no experiment "exp-nope"`})
+		httpmon.ErrorBody{Error: `no experiment "exp-nope"`})
 	sameAs("bad spec", fetch("POST", "/api/v1/experiments", []byte(`{"schemes":[]}`)),
-		errorBody{Error: "spec: no schemes"})
+		httpmon.ErrorBody{Error: "spec: no schemes"})
 	var h healthStatus
 	if err := json.Unmarshal(fetch("GET", "/healthz", nil), &h); err != nil || h.Status != "ok" {
 		t.Errorf("healthz: %+v, %v", h, err)

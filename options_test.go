@@ -31,6 +31,7 @@ var optionsAllowlist = map[string]string{
 	"dist.Options.Clock":      "fake clock seam",
 	"dist.Client.Sleep":       "fake sleep seam",
 	"dist.Worker.Sleep":       "fake sleep seam",
+	"dist.Worker.Exec":        "held by the frozen bench/",
 	"engine.Options.Observer": "held by the frozen bench/",
 	"sim.Options.Shards":      "held by the frozen bench/",
 	"sim.Options.ShardFault":  "held by the frozen bench/",
