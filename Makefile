@@ -109,10 +109,9 @@ bench-compare:
 	done
 	$(GO) run ./bench -compare $(COMPARE_DIR)/base.jsonl $(COMPARE_DIR)/change.jsonl
 
-# Measure the observability overhead — the hot loop with telemetry off
-# (the default nil path) and on (ProtoSampler at stride 64), plus an
-# uncached engine run without and with the full tracing stack (tracer,
-# plus a TraceContext and a journal on the context) — and write
+# Measure the observability overhead — an uncached engine run without
+# and with the full tracing stack (a TraceContext and a journal on the
+# context), and with that journal also shipped over HTTP — and write
 # BENCH_obs.json.
 bench-obs:
 	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteObsBenchJSON -v .
@@ -126,11 +125,11 @@ loc:
 
 # Produce a sample execution trace from the POPS workload: trace-demo.json
 # is Chrome trace-event JSON — open it in Perfetto (ui.perfetto.dev) or
-# chrome://tracing to see the scheme simulations and sampled coherence
-# events (see EXPERIMENTS.md, "Reading a run trace").
+# chrome://tracing to see the trace generation and the scheme
+# simulations (see EXPERIMENTS.md, "Reading a run trace").
 trace-demo:
 	$(GO) run ./cmd/dirsim -workload pops -cpus 4 -refs 200000 \
-		-schemes Dir1NB,Dir0B,Dragon -tracejson trace-demo.json -protosample 32
+		-schemes Dir1NB,Dir0B,Dragon -tracejson trace-demo.json
 	@echo "wrote trace-demo.json — open it at https://ui.perfetto.dev"
 
 # Regenerate every table and figure concurrently on all cores.

@@ -14,9 +14,8 @@
 // a trace file is adopted by the engine (Engine.Adopt), and the schemes
 // run as one Engine.Results batch. -journal streams the run.start /
 // run.finish bracket around the engine's job lines and sim.run spans;
-// -tracejson renders that journal, with sampled coherence-protocol
-// instants (-protosample sets the stride: 0 means 64 with -tracejson,
-// negative disables), as Chrome trace-event JSON for Perfetto.
+// -tracejson renders that journal as Chrome trace-event JSON for
+// Perfetto.
 package main
 
 import (
@@ -65,7 +64,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		conform = fs.Bool("conformance", false, "run the full correctness battery (model check + kernels + application trace) on each scheme instead of a simulation")
 		journal = fs.String("journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
 		traceJS = fs.String("tracejson", "", "export a Chrome trace-event JSON timeline to this file ('-' for stdout; load in Perfetto or chrome://tracing)")
-		protoN  = fs.Int("protosample", 0, "coherence-telemetry stride: every Nth coherence event becomes a trace instant (0 auto-enables 64 with -tracejson, negative disables)")
 		showVer = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -103,10 +101,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	// The trace context gives every engine job and simulation a span.
 	ctx := obs.WithJournal(obs.WithTrace(context.Background(), obs.NewTraceContext()), jnl)
-	if *protoN == 0 && *traceJS != "" {
-		*protoN = 64
-	}
-	eng := engine.New(engine.Options{ProtoSample: *protoN})
+	eng := engine.New(engine.Options{})
 
 	cfg, err := workloadConfig(*wl, *cpus, *refs, *seed)
 	if *traceIn != "" {

@@ -17,23 +17,22 @@
 //
 // The observability flags instrument the run: -journal streams typed
 // JSONL events (engine job spans, experiment brackets) to a file or
-// stderr, -metrics writes the instrument registry's text exposition
-// after the run, -pprof captures CPU and heap profiles, and -manifest
-// writes the run report (obs.RunReport: configuration, seeds,
-// per-experiment states and times, every counter and gauge, phases) as
-// JSON. Any of them also prints the same report as a per-phase timing
-// and cache summary to stderr. The report is built from the run's
-// journal, kept in memory whenever any of these flags is set.
+// stderr, -metrics writes the instrument registry's Prometheus text
+// exposition (what -listen serves at /metrics) after the run, -pprof
+// captures CPU and heap profiles, and -manifest writes the run report
+// (obs.RunReport: configuration, seeds, per-experiment states and times,
+// every counter and gauge, phases) as JSON. Any of them also prints the
+// same report as a per-phase timing and cache summary to stderr. The
+// report is built from the run's journal, kept in memory whenever any of
+// these flags is set.
 //
 // -trace renders the run's journal — every job, attempt and simulation
-// span, retries, sampled protocol events — as Chrome trace-event JSON
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// span, and retries — as Chrome trace-event JSON loadable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing.
 // -listen starts a live HTTP monitor serving /metrics
 // (Prometheus text exposition), /runz (the run report so far), and
-// /debug/pprof/*.
-// Either flag auto-enables sampled coherence-protocol telemetry;
-// -protosample tunes its stride (every Nth coherence event lands as a
-// trace instant) or forces it on without the other flags.
+// /debug/pprof/*. Every simulation the run performs adds its coherence
+// tallies to the sim.proto.<scheme>.* metrics.
 //
 // -store points at a durable content-addressed result store directory
 // (shared with dirsimd and other runs): simulations already stored are
@@ -86,9 +85,8 @@ type config struct {
 	retries   int
 	timeout   time.Duration
 
-	trace       string
-	listen      string
-	protoSample int
+	trace  string
+	listen string
 
 	store    string
 	storeMax int64
@@ -103,7 +101,7 @@ func main() {
 	flag.BoolVar(&cfg.list, "list", false, "list experiment IDs and exit")
 	flag.IntVar(&cfg.parallel, "parallel", 1, "job slots per engine batch; >1 also runs experiments concurrently (up to experiments × N bodies at once), 0 means all cores")
 	flag.StringVar(&cfg.journal, "journal", "", "write a JSONL run journal to this file ('-' or 'stderr' for standard error)")
-	flag.StringVar(&cfg.metrics, "metrics", "", "write the metric registry's text exposition to this file after the run ('-' for stdout)")
+	flag.StringVar(&cfg.metrics, "metrics", "", "write the metric registry's Prometheus text exposition to this file after the run ('-' for stdout)")
 	flag.StringVar(&cfg.pprofDir, "pprof", "", "capture cpu.pprof and heap.pprof into this directory")
 	flag.StringVar(&cfg.manifest, "manifest", "", "write a JSON run manifest to this file after the run ('-' for stdout)")
 	flag.StringVar(&cfg.faults, "faults", "", "inject deterministic faults, e.g. 'panic=0.05,error=0.1,truncate=0.1,poison=0.05' (implies -verify)")
@@ -113,7 +111,6 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "per-job deadline (0 disables)")
 	flag.StringVar(&cfg.trace, "trace", "", "export the run's execution timeline as Chrome trace-event JSON to this file ('-' for stdout; load in Perfetto or chrome://tracing)")
 	flag.StringVar(&cfg.listen, "listen", "", "serve a live HTTP monitor on this address (e.g. ':8080'): /metrics, /runz, /debug/pprof/")
-	flag.IntVar(&cfg.protoSample, "protosample", 0, "coherence-telemetry stride: every Nth coherence event becomes a trace instant (0 auto-enables 64 with -trace or -listen, negative disables)")
 	flag.StringVar(&cfg.store, "store", "", "durable result store directory, shared with dirsimd and other runs (empty disables persistence)")
 	flag.Int64Var(&cfg.storeMax, "store-max-bytes", 0, "store size bound triggering LRU eviction (0 = unbounded)")
 	showVersion := flag.Bool("version", false, "print build version and exit")
@@ -169,16 +166,6 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	if observing || cfg.listen != "" {
 		obs.RegisterBuildInfo(reg)
 	}
-	// Protocol telemetry defaults on (stride 64) whenever someone is
-	// looking — a trace export or a live monitor — and stays off otherwise
-	// so the plain CLI path keeps its zero-cost hot loop.
-	protoSample := cfg.protoSample
-	if protoSample == 0 && (cfg.trace != "" || cfg.listen != "") {
-		protoSample = 64
-	}
-	if protoSample < 0 {
-		protoSample = 0
-	}
 	// Every run gets a trace identity: the journal is tagged with it and
 	// the engine submissions carry it in their context, so dirsimq can
 	// follow this run's causal chain (and distinguish interleaved runs
@@ -198,7 +185,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 		jnl = raw.WithTrace(runTC)
 	}
 	opts := engine.Options{Metrics: reg, Verify: cfg.verify, Retries: cfg.retries,
-		JobTimeout: cfg.timeout, ProtoSample: protoSample}
+		JobTimeout: cfg.timeout}
 	if cfg.store != "" {
 		st, err := store.Open(cfg.store, store.Options{MaxBytes: cfg.storeMax, Metrics: reg})
 		if err != nil {
@@ -230,7 +217,7 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 
 	runCfg := obs.RunConfig{Run: cfg.sel, Refs: ctx.Refs, CPUs: ctx.CPUs, Check: ctx.Check,
 		Parallel: parallel, Executor: exec.Name(), Seeds: make(map[string]uint64),
-		Trace: cfg.trace, Listen: cfg.listen, ProtoSample: protoSample, Store: cfg.store}
+		Trace: cfg.trace, Listen: cfg.listen, Store: cfg.store}
 	for _, wc := range workload.StandardConfigs(ctx.CPUs, ctx.Refs) {
 		runCfg.Seeds[wc.Name] = wc.Seed
 	}
@@ -355,18 +342,18 @@ func runSelected(w, ew io.Writer, cfg config, exps []report.Experiment) error {
 	return errors.Join(errs...)
 }
 
-// writeMetrics writes the registry's text exposition to path ("-" means
-// the report writer).
+// writeMetrics writes the registry's Prometheus text exposition to path
+// ("-" means the report writer).
 func writeMetrics(w io.Writer, reg *obs.Registry, path string) error {
 	if path == "-" {
-		return reg.WriteText(w)
+		return reg.WritePrometheus(w)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return reg.WriteText(f)
+	return reg.WritePrometheus(f)
 }
 
 // seconds converts a report's float seconds back to a duration.

@@ -436,11 +436,12 @@ func TestManifestIsRunReport(t *testing.T) {
 	}
 }
 
-// TestMetricsFlag checks the text exposition is written and readable.
+// TestMetricsFlag checks -metrics writes the Prometheus exposition with
+// the engine families and the protocol families of the simulations run.
 func TestMetricsFlag(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "metrics.txt")
 	var out bytes.Buffer
-	cfg := config{sel: "table3", refs: 15_000, cpus: 4, parallel: 1, metrics: metrics}
+	cfg := config{sel: "fig1", refs: 15_000, cpus: 4, parallel: 1, metrics: metrics}
 	if err := runExperiments(&out, io.Discard, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,8 @@ func TestMetricsFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"engine.jobs.run ", "engine.cache."} {
+	for _, want := range []string{"\nengine_jobs_run ", "\nengine_cache_", "# TYPE sim_proto_dir0b_clean_writes counter\n",
+		"\nsim_proto_dir0b_invals_clean_write_count "} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("exposition missing %q:\n%s", want, data)
 		}

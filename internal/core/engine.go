@@ -165,18 +165,22 @@ func (e *engine) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result
 	if e.ck != nil {
 		return sparseFromDense(e, refs, plain, out)
 	}
+	// Counts stay in a local until the batch ends: a heap store per
+	// reference stalled the loop's loads whenever it met one of its stack
+	// slots modulo 4 KiB, up to 1.9× slower at some stack depths.
+	n := *plain
 	for _, r := range refs {
 		if int(r.CPU) < e.ncpu {
 			switch r.Kind {
 			case trace.Instr:
-				plain[event.Instr]++
+				n[event.Instr]++
 				continue
 			case trace.Read:
 				if bl := e.blocks.At(r.Block()); !bl.holders.Has(r.CPU) {
 					out = append(out, event.Result{})
 					e.apply(bl, r.CPU, r.Block(), false, &out[len(out)-1])
 				} else {
-					plain[event.RdHit]++
+					n[event.RdHit]++
 				}
 				continue
 			case trace.Write:
@@ -184,7 +188,7 @@ func (e *engine) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result
 					out = append(out, event.Result{})
 					e.apply(bl, r.CPU, r.Block(), true, &out[len(out)-1])
 				} else {
-					plain[e.hit]++
+					n[e.hit]++
 				}
 				continue
 			}
@@ -192,6 +196,7 @@ func (e *engine) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result
 		out = append(out, event.Result{})
 		e.access(r, &out[len(out)-1])
 	}
+	*plain = n
 	return out
 }
 

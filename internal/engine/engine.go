@@ -48,14 +48,6 @@ type Options struct {
 	// Journaling does not go through it: the engine writes its own lines
 	// to the journal each submission's context carries (obs.WithJournal).
 	Observer Observer
-	// ProtoSample, when positive, attaches sampled coherence-protocol
-	// telemetry to every simulation: per-scheme counters and the live
-	// invalidation histogram on the engine's registry, plus — when the
-	// submission's context carries a journal — one proto.sample line per
-	// ProtoSample coherence events. 0 (the default) disables telemetry
-	// entirely.
-	ProtoSample int
-
 	// JobTimeout bounds each job-body attempt; 0 means no per-job
 	// deadline.
 	JobTimeout time.Duration
@@ -149,8 +141,6 @@ type Engine struct {
 
 	reg *obs.Registry // metrics registry the counters below live on
 	obs Observer      // nil disables the lifecycle callbacks
-	// protoSample is the coherence-telemetry stride; 0 disables it.
-	protoSample int
 
 	// Lifetime counters, resolved from the registry once at construction
 	// so every update is a single atomic add.
@@ -194,7 +184,6 @@ func New(opts Options) *Engine {
 		remote:          opts.Remote,
 		reg:             reg,
 		obs:             opts.Observer,
-		protoSample:     opts.ProtoSample,
 		jobsRun:         reg.Counter("engine.jobs.run"),
 		cacheHits:       reg.Counter("engine.cache.hits"),
 		cacheMisses:     reg.Counter("engine.cache.misses"),

@@ -67,7 +67,7 @@ func (e flakyErr) Retryable() bool { return true }
 // scheduled job and every retry attempt represented as spans, and child
 // spans contained within their parents' intervals.
 func TestEngineTraceExport(t *testing.T) {
-	e := New(Options{ProtoSample: 64, Retries: 2})
+	e := New(Options{Retries: 2})
 
 	cfgs := workload.StandardConfigs(4, 20_000)[:2]
 	schemes := []string{"Dir0B", "Dir4NB", "WTI"}
@@ -186,13 +186,13 @@ func TestEngineTraceExport(t *testing.T) {
 		t.Error("no same-row parent/child span pairs found — nesting unverified")
 	}
 
-	// Sampled protocol telemetry landed on the engine registry.
+	// The simulations' coherence tallies landed on the engine registry.
 	snap := e.Metrics().Snapshot()
 	if snap.Counters["sim.proto.dir0b.clean_writes"] == 0 {
-		t.Error("protocol telemetry counters absent with ProtoSample on")
+		t.Error("protocol counters absent after a traced sweep")
 	}
 	if h := snap.Histograms["sim.proto.dir0b.invals_clean_write"]; h.Count == 0 {
-		t.Error("invalidation histogram empty with ProtoSample on")
+		t.Error("invalidation histogram empty after a traced sweep")
 	}
 	if snap.Counters["engine.refs.simulated"] == 0 {
 		t.Error("engine.refs.simulated not counted")
@@ -252,8 +252,8 @@ func testWorkersBound(t *testing.T, exec Executor) {
 }
 
 // TestTracedRunMatchesUntraced pins the zero-interference property: the
-// same sweep with tracing and telemetry on produces bit-identical
-// results to an untraced run.
+// same sweep with tracing on produces bit-identical results to an
+// untraced run.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	cfgs := workload.StandardConfigs(4, 15_000)[:2]
 	schemes := []string{"Dir1B", "Dragon"}
@@ -265,7 +265,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var journal bytes.Buffer
-	traced := New(Options{ProtoSample: 16})
+	traced := New(Options{})
 	got, err := traced.Compare(journaled(&journal, "traced"), Parallel{Workers: 4}, schemes, cfgs, false)
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/core"
+	"dirsim/internal/event"
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
@@ -360,8 +362,7 @@ func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, e
 // that saw fewer references than the trace holds is reported as a
 // truncation error instead of returning the silently partial result.
 func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (res *sim.Result, err error) {
-	// A traced simulation is a span, journaled as sim.run; sampled
-	// protocol events nest under it.
+	// A traced simulation is a span, journaled as sim.run.
 	var traced bool
 	if ctx, traced = obs.StartSpan(ctx); traced {
 		start := time.Now()
@@ -397,12 +398,6 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 		words := spec.BlockBytes / 4 // 32-bit words
 		opts.Models = []bus.Model{bus.PipelinedWords(words), bus.NonPipelinedWords(words)}
 	}
-	if e.protoSample > 0 {
-		// The sampler is per-simulation (its instants nest under the
-		// simulation's span) but its instruments are per-scheme on the
-		// engine's registry, so concurrent runs accumulate into one family.
-		opts.Telemetry = obs.NewProtoSampler(ctx, e.reg, spec.Scheme, e.protoSample)
-	}
 	r, err := sim.Simulate(p, cancellable(ctx, src), opts)
 	if err != nil {
 		return nil, err
@@ -419,8 +414,25 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 	}
 	e.simsRun.Add(1)
 	e.refsSimulated.Add(r.Counts.Total)
+	e.publishCoherence(spec.Scheme, r)
 	r.Trace = t.Name
 	return r, nil
+}
+
+// publishCoherence adds a finished simulation's coherence tallies to its
+// scheme's sim.proto.<scheme>.* instruments: the writes to clean blocks,
+// broadcasts and forced invalidations, and the Figure 1 histogram of
+// caches invalidated per clean write. Concurrent simulations of one
+// scheme accumulate into one family.
+func (e *Engine) publishCoherence(scheme string, r *sim.Result) {
+	base := "sim.proto." + strings.ToLower(scheme)
+	e.reg.Counter(base + ".clean_writes").Add(r.Counts.N[event.WrHitClean] + r.Counts.N[event.WrMissClean])
+	e.reg.Counter(base + ".broadcasts").Add(r.Broadcasts)
+	e.reg.Counter(base + ".forced_invals").Add(r.ForcedInvals)
+	invals := e.reg.Histogram(base+".invals_clean_write", obs.InvalBuckets)
+	for holders, n := range r.InvalClean.Buckets {
+		invals.ObserveN(int64(holders), n)
+	}
 }
 
 // kept counts the references of t that filter lets through.

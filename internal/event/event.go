@@ -164,21 +164,6 @@ type Result struct {
 	EvictWB bool
 }
 
-// CoherenceSignal reports whether the result is one of the
-// coherence-relevant outcomes the paper's distributional evidence is
-// built from: a write to a previously-clean shared block (the Figure 1
-// population), a broadcast invalidation, or a forced invalidation from
-// limited-pointer directory overflow. Protocol telemetry samples exactly
-// this subset; everything else is hit/miss bookkeeping the flat counters
-// already cover.
-func (r Result) CoherenceSignal() bool {
-	switch r.Type {
-	case WrHitClean, WrMissClean:
-		return true
-	}
-	return (r.Broadcast && !r.Update) || r.ForcedInval > 0
-}
-
 // Quiet reports whether the result records no coherence action at all: no
 // miss fill, no invalidation or update, no write-back, no directory query,
 // no control traffic. Quiet results — cache hits and instruction fetches,

@@ -37,17 +37,15 @@ import (
 //	store.store                 one per durable-store write-through
 //	                            (kind, key, dur_us)
 //	remote.degrade              one per remote dispatch run locally
-//	proto.sample                every Nth coherence event of a
-//	                            simulation with protocol sampling on
 //	error                       terminal failure summary
 //
-// The engine writes the job.*, cache.*, sim.*, store.*, remote.* and
-// proto.* lines itself, to the journal its caller's context carries
+// The engine writes the job.*, cache.*, sim.*, store.* and remote.*
+// lines itself, to the journal its caller's context carries
 // (WithJournal). The journal supplies "trace" (WithTrace); the engine
 // adds only the span attributes (span.go). job.finish, job.attempt,
-// sim.run and store.* are span lines; job.retry, remote.degrade and
-// proto.sample are instants; "name", where present, is the span's name
-// on the rendered timeline.
+// sim.run and store.* are span lines; job.retry and remote.degrade are
+// instants; "name", where present, is the span's name on the rendered
+// timeline.
 type Journal struct {
 	log    *slog.Logger
 	w      *lockedWriter

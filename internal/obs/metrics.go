@@ -15,9 +15,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,11 +70,15 @@ func newHistogram(bounds []int64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v at once, as n calls to
+// Observe would.
+func (h *Histogram) ObserveN(v, n int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 }
 
 // ObserveDuration records a duration in microseconds — the unit every
@@ -157,6 +159,11 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 // DurationBucketsUS is the default bound set for duration histograms, in
 // microseconds: 100µs up to 10s, one bucket per decade.
 var DurationBucketsUS = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
+
+// InvalBuckets are the histogram bounds for invalidation-count
+// distributions — the resolution of the paper's Figure 1, whose headline
+// is how much of the mass sits at 0 and 1.
+var InvalBuckets = []int64{0, 1, 2, 4, 8, 16, 32}
 
 // Registry is a namespace of instruments. Lookups get-or-create, so
 // independent packages can share instrument names without coordination;
@@ -240,47 +247,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// WriteText writes an expvar-style text exposition, one "name value"
-// line per instrument, sorted by name. Histograms expand into .count,
-// .sum, cumulative .le.<bound> lines (plus .le.inf), and estimated
-// .p50/.p95/.p99 quantile lines, the same shape Prometheus text
-// exposition uses.
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	lines := make(map[string]string, len(snap.Counters)+len(snap.Gauges)+12*len(snap.Histograms))
-	for name, v := range snap.Counters {
-		lines[name] = strconv.FormatInt(v, 10)
-	}
-	for name, v := range snap.Gauges {
-		lines[name] = strconv.FormatInt(v, 10)
-	}
-	for name, h := range snap.Histograms {
-		lines[name+".count"] = strconv.FormatInt(h.Count, 10)
-		lines[name+".sum"] = strconv.FormatInt(h.Sum, 10)
-		cum := int64(0)
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			lines[fmt.Sprintf("%s.le.%d", name, bound)] = strconv.FormatInt(cum, 10)
-		}
-		lines[name+".le.inf"] = strconv.FormatInt(cum+h.Counts[len(h.Bounds)], 10)
-		for _, q := range [...]struct {
-			suffix string
-			q      float64
-		}{{".p50", 0.5}, {".p95", 0.95}, {".p99", 0.99}} {
-			lines[name+q.suffix] = strconv.FormatFloat(h.Quantile(q.q), 'g', -1, 64)
-		}
-	}
-	names := make([]string, 0, len(lines))
-	for name := range lines {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%s %s\n", name, lines[name]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

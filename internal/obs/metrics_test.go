@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -74,37 +74,19 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 	newHistogram([]int64{10, 10})
 }
 
-func TestWriteText(t *testing.T) {
+// TestObserveN: n observations recorded at once land exactly as n
+// single observations do — bucket, count and sum.
+func TestObserveN(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.counter").Add(7)
-	r.Gauge("a.gauge").Set(-3)
-	h := r.Histogram("c.hist", []int64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(500)
-
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
+	one, many := r.Histogram("one", InvalBuckets), r.Histogram("many", InvalBuckets)
+	for _, o := range []struct{ v, n int64 }{{0, 5}, {1, 3}, {3, 2}, {40, 1}, {7, 0}} {
+		for i := int64(0); i < o.n; i++ {
+			one.Observe(o.v)
+		}
+		many.ObserveN(o.v, o.n)
 	}
-	want := strings.Join([]string{
-		"a.gauge -3",
-		"b.counter 7",
-		"c.hist.count 3",
-		"c.hist.le.10 1",
-		"c.hist.le.100 2",
-		"c.hist.le.inf 3",
-		// One observation per bucket: the median interpolates to the
-		// middle of the (10, 100] bucket; the tail quantiles land in the
-		// +Inf bucket and clamp to the largest finite bound.
-		"c.hist.p50 55",
-		"c.hist.p95 100",
-		"c.hist.p99 100",
-		"c.hist.sum 555",
-		"",
-	}, "\n")
-	if b.String() != want {
-		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", b.String(), want)
+	if got, want := many.Snapshot(), one.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ObserveN snapshot %+v, want %+v", got, want)
 	}
 }
 

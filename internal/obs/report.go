@@ -57,13 +57,11 @@ type RunConfig struct {
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// Trace is the execution-trace output path (-trace) and Listen the
-	// HTTP monitor address (-listen); empty when off. ProtoSample is the
-	// protocol-telemetry sampling stride (0 = off). Store is the durable
-	// result store's directory (-store), empty without one.
-	Trace       string `json:"trace,omitempty"`
-	Listen      string `json:"listen,omitempty"`
-	ProtoSample int    `json:"proto_sample,omitempty"`
-	Store       string `json:"store,omitempty"`
+	// HTTP monitor address (-listen); empty when off. Store is the
+	// durable result store's directory (-store), empty without one.
+	Trace  string `json:"trace,omitempty"`
+	Listen string `json:"listen,omitempty"`
+	Store  string `json:"store,omitempty"`
 }
 
 // ExperimentReport is one experiment's state: "running" with the time
@@ -108,7 +106,7 @@ func Report(rec *Record, reg *Registry, start time.Time) RunReport {
 	index := make(map[string]int)
 	for _, raw := range lines {
 		// Experiment lines are a few dozen of a run's thousands (jobs,
-		// simulations, protocol samples): only they are decoded.
+		// simulations, store traffic): only they are decoded.
 		if !bytes.Contains(raw, experimentMsg) {
 			continue
 		}

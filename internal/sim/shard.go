@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dirsim/internal/core"
-	"dirsim/internal/event"
 	"dirsim/internal/trace"
 )
 
@@ -56,20 +55,6 @@ func (e *ShardError) Error() string {
 }
 
 func (e *ShardError) Unwrap() error { return e.Err }
-
-// lockedTelemetry serializes a Telemetry shared by shard workers. The
-// mutex is per-coherence-event, not per-reference — coherence signals are
-// a small fraction of any trace, so contention stays low.
-type lockedTelemetry struct {
-	mu  sync.Mutex
-	tel Telemetry
-}
-
-func (l *lockedTelemetry) Coherence(out event.Result) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.tel.Coherence(out)
-}
 
 // SimulateSharded runs one trace through shards concurrent protocol cores
 // and merges their tallies into a single Result, bit-identical to
@@ -131,10 +116,6 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 		protos[s] = p
 	}
 
-	tel := opts.Telemetry
-	if tel != nil {
-		tel = &lockedTelemetry{tel: opts.Telemetry}
-	}
 	// Per-shard bounded work queues plus one shared free list holding
 	// every reference buffer the pipeline will ever use.
 	work := make([]chan []trace.Ref, shards)
@@ -153,7 +134,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	for s := 0; s < shards; s++ {
 		go func(s int) {
 			defer wg.Done()
-			res, err := runShard(s, protos[s], checkers[s], work[s], free, opts, tel)
+			res, err := runShard(s, protos[s], checkers[s], work[s], free, opts)
 			results[s], errs[s] = res, err
 			// A failed worker stops consuming early; drain what the
 			// splitter still sends so it never blocks on a full queue or
@@ -216,7 +197,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 // protocol bug or injected fault — is recovered into a *ShardError so the
 // other shards finish their drain undisturbed.
 func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []trace.Ref,
-	free chan<- []trace.Ref, opts Options, tel Telemetry) (res *Result, err error) {
+	free chan<- []trace.Ref, opts Options) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rerr, ok := r.(error)
@@ -244,7 +225,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			// Per-reference like the sequential checked path, so a
 			// violation is pinned to this shard's exact reference count.
 			for _, r := range buf {
-				res.record(p.Access(r), busTallies, netTallies, tel)
+				res.record(p.Access(r), busTallies, netTallies)
 				n++
 				if n%every == 0 {
 					if cerr := p.CheckInvariants(); cerr != nil {
@@ -255,7 +236,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 				}
 			}
 		} else {
-			res.simulateBatch(p, buf, &sparse, busTallies, netTallies, tel)
+			res.simulateBatch(p, buf, &sparse, busTallies, netTallies)
 			n += int64(len(buf))
 		}
 		free <- buf[:0]

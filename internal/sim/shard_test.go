@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dirsim/internal/core"
-	"dirsim/internal/event"
 	"dirsim/internal/faults"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
@@ -131,43 +130,6 @@ func TestShardedChecked(t *testing.T) {
 		t.Error("checked sharded result differs from reference")
 	}
 }
-
-// TestShardedTelemetry: the shared, locked telemetry must see exactly the
-// sequential run's coherence-event population (order is scheduling-
-// dependent and deliberately unasserted).
-func TestShardedTelemetry(t *testing.T) {
-	tr, err := workload.Generate(workload.THORConfig(4, 15_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(shards int) int64 {
-		var n int64
-		opts := batchTestOpts()
-		opts.Telemetry = telemetryFunc(func(event.Result) { n++ })
-		var res *Result
-		if shards > 1 {
-			opts.Shards = shards
-			res, err = SimulateSharded(shardBuild("Dir0B", tr.CPUs), tr.Iterator(), opts)
-		} else {
-			var p core.Protocol
-			if p, err = core.NewByName("Dir0B", tr.CPUs); err != nil {
-				t.Fatal(err)
-			}
-			res, err = Simulate(p, tr.Iterator(), opts)
-		}
-		if err != nil || res == nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if seq, shd := count(1), count(6); seq != shd || seq == 0 {
-		t.Errorf("telemetry saw %d events sharded, %d sequential", shd, seq)
-	}
-}
-
-type telemetryFunc func(event.Result)
-
-func (f telemetryFunc) Coherence(out event.Result) { f(out) }
 
 // TestShardedFaultPanic injects a panic into one shard via the ShardFault
 // hook: the failure must surface as a structured *ShardError naming that

@@ -34,15 +34,6 @@ type Options struct {
 	// InvariantEvery is how many references pass between invariant
 	// checks when Check is set (default 8192).
 	InvariantEvery int
-	// Telemetry, when set, receives every coherence-relevant event (see
-	// event.Result.CoherenceSignal) as it is recorded — the protocol
-	// telemetry channel the observability layer samples into histograms
-	// and trace instants. It is called from the simulation goroutine and
-	// never changes the Result; nil (the default) costs one nil check per
-	// reference that is not a plain hit or fetch. Under SimulateSharded the value is shared by every shard
-	// behind a mutex, so event *order* across shards is scheduling-
-	// dependent — results remain bit-identical regardless.
-	Telemetry Telemetry
 	// Shards selects intra-trace parallel simulation: when > 1,
 	// SimulateTrace partitions the trace's references by block across
 	// this many concurrent protocol cores and merges the per-shard
@@ -54,14 +45,6 @@ type Options struct {
 	// the shard fault suite uses to kill one shard and assert the others
 	// drain cleanly.
 	ShardFault func(shard int) error
-}
-
-// Telemetry receives coherence-relevant protocol events during a
-// simulation. Implementations are called synchronously from the
-// simulation hot loop and need not be safe for concurrent use: each
-// Simulate call owns its Telemetry value.
-type Telemetry interface {
-	Coherence(out event.Result)
 }
 
 func (o Options) models() []bus.Model {
@@ -137,7 +120,6 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	if every <= 0 {
 		every = 8192
 	}
-	tel := opts.Telemetry
 	// References move in batches through two reusable buffers (refs in,
 	// sparse results out), so the steady-state loop allocates nothing and
 	// pays the Source interface dispatch once per batch, not per reference.
@@ -154,7 +136,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			// violations are pinned to the exact reference count that
 			// exposed them, batch boundaries notwithstanding.
 			for _, r := range buf[:k] {
-				res.record(p.Access(r), busTallies, netTallies, tel)
+				res.record(p.Access(r), busTallies, netTallies)
 				n++
 				if n%every == 0 {
 					if err := p.CheckInvariants(); err != nil {
@@ -164,7 +146,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			}
 			continue
 		}
-		res.simulateBatch(p, buf[:k], &sparse, busTallies, netTallies, tel)
+		res.simulateBatch(p, buf[:k], &sparse, busTallies, netTallies)
 	}
 	if opts.Check {
 		if err := p.CheckInvariants(); err != nil {
@@ -216,8 +198,9 @@ func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.T
 // core.AccessSparse fills for one batch. The results buffer starts empty
 // and grows to the few per cent of a batch that did something.
 //
-// The plain counters take a write per reference, and the batch escapes
-// to the heap, where another simulation's batch may be its neighbour.
+// The plain counters take a write per reference in the dense fallback,
+// and the batch escapes to the heap, where another simulation's batch may
+// be its neighbour.
 // The pads keep the two out of each other's cache lines, so two
 // simulations replaying on two cores never pass one line back and forth
 // on every reference. Without them, one unrelated extra allocation
@@ -231,13 +214,13 @@ type sparseBatch struct {
 }
 
 // simulateBatch classifies one batch and accumulates it. Most of any
-// trace is instruction fetches and plain hits, which touch no histogram,
-// traffic counter or telemetry and price at zero under every model: the
-// core only counts those, and their number is settled here once for the
-// batch. Everything else goes through record — quiet results that are not
-// plain included (Yen–Fu's wh-blk-cln: a Figure 1 point, a coherence signal).
+// trace is instruction fetches and plain hits, which touch no histogram
+// or traffic counter and price at zero under every model: the core only
+// counts those, and their number is settled here once for the batch.
+// Everything else goes through record — quiet results that are not plain
+// included (Yen–Fu's wh-blk-cln: a Figure 1 point).
 func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch,
-	busTallies []*bus.Tally, netTallies []*network.Tally, tel Telemetry) {
+	busTallies []*bus.Tally, netTallies []*network.Tally) {
 	b.plain = core.Plain{}
 	b.outs = core.AccessSparse(p, refs, &b.plain, b.outs[:0])
 	var total int64
@@ -253,20 +236,14 @@ func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch
 		t.Refs += total
 	}
 	for i := range b.outs {
-		r.record(b.outs[i], busTallies, netTallies, tel)
+		r.record(b.outs[i], busTallies, netTallies)
 	}
 }
 
 // record accumulates one classified reference. The tally lists are the
 // pre-resolved values of r.Tallies/r.NetTallies; Simulate binds them once
-// so this stays free of map iteration. tel, when non-nil, is forwarded
-// every coherence-relevant event; it observes but never alters the
-// result, so the batched/sequential bit-identity guarantees hold with
-// telemetry on or off.
-func (r *Result) record(out event.Result, busTallies []*bus.Tally, netTallies []*network.Tally, tel Telemetry) {
-	if tel != nil && out.CoherenceSignal() {
-		tel.Coherence(out)
-	}
+// so this stays free of map iteration.
+func (r *Result) record(out event.Result, busTallies []*bus.Tally, netTallies []*network.Tally) {
 	r.Counts.Add(out.Type)
 	switch out.Type {
 	case event.WrHitClean, event.WrMissClean:

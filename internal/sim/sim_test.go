@@ -165,10 +165,10 @@ func TestMergeOverTraces(t *testing.T) {
 func TestRecordClassification(t *testing.T) {
 	var r Result
 	r.Tallies = map[string]*bus.Tally{}
-	r.record(event.Result{Type: event.WrHitClean, Holders: 2, Broadcast: true}, nil, nil, nil)
-	r.record(event.Result{Type: event.WrMissClean, Holders: 0}, nil, nil, nil)
-	r.record(event.Result{Type: event.RdMissDirty, Holders: 1, WriteBack: true}, nil, nil, nil)
-	r.record(event.Result{Type: event.WrHitShared, Holders: 3, Broadcast: true, Update: true}, nil, nil, nil)
+	r.record(event.Result{Type: event.WrHitClean, Holders: 2, Broadcast: true}, nil, nil)
+	r.record(event.Result{Type: event.WrMissClean, Holders: 0}, nil, nil)
+	r.record(event.Result{Type: event.RdMissDirty, Holders: 1, WriteBack: true}, nil, nil)
+	r.record(event.Result{Type: event.WrHitShared, Holders: 3, Broadcast: true, Update: true}, nil, nil)
 	if r.InvalClean.Total() != 2 {
 		t.Errorf("InvalClean observed %d events, want 2", r.InvalClean.Total())
 	}

@@ -44,9 +44,8 @@ func (s *countedSource) NextBatch(buf []trace.Ref) int {
 // TestSparseFallbackKeepsBatchCalls holds the simulator to the contract a
 // wrapper that only implements AccessBatch relies on: Simulate hands it
 // every batch it pulls in exactly one AccessBatch call, each shard worker
-// does the same with every buffer it is sent, the Result is the one the
-// bare engine yields, and an attached Telemetry sees the per-reference
-// loop's coherence signals in the per-reference loop's order.
+// does the same with every buffer it is sent, and the Result is the one
+// the bare engine yields.
 func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 	tr := workload.MustGenerate(workload.POPSConfig(4, 30_500))
 	for _, scheme := range []string{"Dir1NB", "Dir0B", "YenFu", "Dragon", "Berkeley"} {
@@ -57,20 +56,14 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 			}
 			return p
 		}
-		var wantSignals signalLog
-		opts := batchTestOpts()
-		opts.Telemetry = &wantSignals
-		want, err := referenceSimulate(build(), tr.Iterator(), opts)
+		want, _, err := referenceSimulate(build(), tr.Iterator(), batchTestOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		var signals signalLog
-		opts = batchTestOpts()
-		opts.Telemetry = &signals
 		p := &batchOnly{Protocol: build()}
 		src := &countedSource{Source: &chunkedSource{Source: tr.Iterator(), sizes: unevenBatches}}
-		got, err := Simulate(p, src, opts)
+		got, err := Simulate(p, src, batchTestOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,10 +74,6 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 		if got.Fingerprint() != want.Fingerprint() || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: result behind an AccessBatch-only wrapper differs from the per-ref reference", scheme)
 		}
-		if len(wantSignals) == 0 || !reflect.DeepEqual(signals, wantSignals) {
-			t.Errorf("%s: telemetry saw %d coherence signals, reference %d (or they differ)",
-				scheme, len(signals), len(wantSignals))
-		}
 
 		// Sharded: worker s receives its shard's references in full
 		// buffers, the last one short.
@@ -94,7 +83,7 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 			perShard[ShardOf(r.Block(), shards)]++
 		}
 		var wrappers []*batchOnly
-		opts = batchTestOpts()
+		opts := batchTestOpts()
 		opts.Shards = shards
 		sharded, err := SimulateSharded(func() (core.Protocol, error) {
 			w := &batchOnly{Protocol: build()}

@@ -4,12 +4,8 @@
 //
 //	DIRSIM_BENCH_JSON=1 go test -run TestWriteObsBenchJSON .
 //
-// writes BENCH_obs.json at the repo root with four variants:
+// writes BENCH_obs.json at the repo root with three variants:
 //
-//   - telemetry-off / telemetry-on: the batched Simulate hot loop with a
-//     nil Telemetry (the default) against the same loop with a sampling
-//     ProtoSampler attached — the per-reference cost of protocol
-//     telemetry.
 //   - engine-notrace / engine-traced: an uncached engine run with no
 //     journal against the same run with the full tracing stack this repo
 //     ships — a TraceContext plus a journal tagged with it on the
@@ -39,17 +35,15 @@ import (
 	"testing"
 	"time"
 
-	"dirsim/internal/core"
 	"dirsim/internal/dist"
 	"dirsim/internal/engine"
 	"dirsim/internal/obs"
-	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
-// obsBenchTraces materializes the standard traces once per process; the
-// hot-loop variants replay the identical references.
+// obsBenchTraces materializes the standard traces, whose lengths are
+// the references each engine run simulates.
 func obsBenchTraces(tb testing.TB, cfgs []workload.Config) []*trace.Trace {
 	tb.Helper()
 	traces := make([]*trace.Trace, len(cfgs))
@@ -61,19 +55,6 @@ func obsBenchTraces(tb testing.TB, cfgs []workload.Config) []*trace.Trace {
 		traces[i] = t
 	}
 	return traces
-}
-
-// simLoop replays every trace under scheme through sim.Simulate.
-func simLoop(tb testing.TB, scheme string, traces []*trace.Trace, opts sim.Options) {
-	for _, t := range traces {
-		p, err := core.NewByName(scheme, t.CPUs)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := sim.Simulate(p, t.Iterator(), opts); err != nil {
-			tb.Fatal(err)
-		}
-	}
 }
 
 // tracedRun is one uncached engine run under the full tracing stack: a
@@ -92,7 +73,6 @@ func tracedRun(tb testing.TB, w io.Writer, scheme string, cfgs []workload.Config
 type obsBenchRecord struct {
 	Path        string  `json:"path"`
 	Scheme      string  `json:"scheme"`
-	Stride      int     `json:"stride,omitempty"`
 	Traces      int     `json:"traces"`
 	RefsEach    int     `json:"refs_per_trace"`
 	Iters       int     `json:"iterations"`
@@ -100,8 +80,8 @@ type obsBenchRecord struct {
 	RefsPerS    float64 `json:"refs_per_second"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// OverheadPct is the slowdown against this run's matching baseline
-	// variant (telemetry-off for telemetry-on, engine-notrace for
-	// engine-traced) — same machine, same process, the fair comparison.
+	// variant (engine-notrace for engine-traced, engine-traced for
+	// engine-shipped) — same machine, same process, the fair comparison.
 	OverheadPct float64 `json:"overhead_pct_vs_off"`
 }
 
@@ -113,7 +93,7 @@ type obsBenchReport struct {
 	Results    []obsBenchRecord `json:"results"`
 }
 
-// TestWriteObsBenchJSON measures the telemetry and tracing variants and
+// TestWriteObsBenchJSON measures the tracing variants and
 // writes BENCH_obs.json at the repo root. Skipped unless
 // DIRSIM_BENCH_JSON is set.
 func TestWriteObsBenchJSON(t *testing.T) {
@@ -123,7 +103,6 @@ func TestWriteObsBenchJSON(t *testing.T) {
 
 	const refs = 200_000
 	const scheme = "Dir1NB"
-	const stride = 64
 	cfgs := workload.StandardConfigs(4, refs)
 	traces := obsBenchTraces(t, cfgs)
 	totalRefs := 0
@@ -135,9 +114,7 @@ func TestWriteObsBenchJSON(t *testing.T) {
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
-		Note: "three standard traces under " + scheme + ". telemetry-off/on is the " +
-			"single-goroutine batched Simulate loop without and with a ProtoSampler at " +
-			"stride 64 (results bit-identical either way, TestTracedRunMatchesUntraced). " +
+		Note: "three standard traces under " + scheme + ". " +
 			"engine-notrace/traced is a fresh uncached engine per iteration (generation " +
 			"included) without observation against the full stack: a TraceContext " +
 			"plus a journal to a discarded writer on the submitting context, the " +
@@ -165,27 +142,12 @@ func TestWriteObsBenchJSON(t *testing.T) {
 	ship := dist.NewJournalShipper(&dist.Client{Base: sink.URL}, "bench", dist.ShipperOptions{})
 	defer ship.Close(context.Background())
 
-	reg := obs.NewRegistry()
 	variants := []struct {
 		path     string
-		stride   int
 		baseline string // path of the variant this one is compared against
 		run      func(b *testing.B)
 	}{
-		{"telemetry-off", 0, "", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				simLoop(b, scheme, traces, sim.Options{})
-			}
-		}},
-		{"telemetry-on", stride, "telemetry-off", func(b *testing.B) {
-			opts := sim.Options{Telemetry: obs.NewProtoSampler(context.Background(), reg, scheme, stride)}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				simLoop(b, scheme, traces, opts)
-			}
-		}},
-		{"engine-notrace", 0, "", func(b *testing.B) {
+		{"engine-notrace", "", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e := engine.New(engine.Options{})
@@ -194,13 +156,13 @@ func TestWriteObsBenchJSON(t *testing.T) {
 				}
 			}
 		}},
-		{"engine-traced", 0, "engine-notrace", func(b *testing.B) {
+		{"engine-traced", "engine-notrace", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tracedRun(b, io.Discard, scheme, cfgs)
 			}
 		}},
-		{"engine-shipped", 0, "engine-traced", func(b *testing.B) {
+		{"engine-shipped", "engine-traced", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tracedRun(b, io.MultiWriter(io.Discard, ship), scheme, cfgs)
@@ -230,7 +192,6 @@ func TestWriteObsBenchJSON(t *testing.T) {
 		rec := obsBenchRecord{
 			Path:        v.path,
 			Scheme:      scheme,
-			Stride:      v.stride,
 			Traces:      len(traces),
 			RefsEach:    refs,
 			Iters:       r.N,
