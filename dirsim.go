@@ -14,8 +14,9 @@
 //     on a bundled mini-machine (VM, VMLockedCounter, ...)
 //   - protocols: Dir1NB, DiriNB/DirNNB, Dir0B, DiriB, YenFu, the
 //     coarse-vector directory, the finite-cache directory, and the snoopy
-//     comparators WTI, Dragon, MESI, Berkeley, Firefly (NewScheme,
-//     NewCoarseVector, NewFiniteDirNNB)
+//     comparators WTI, Dragon, MESI, Berkeley, Firefly (NewScheme, which
+//     also names the finite-cache directory, e.g. "FiniteDirNNB:64k2w",
+//     and NewCoarseVector)
 //   - simulation: event frequencies, invalidation histograms, bus cycles
 //     per reference under the paper's pipelined and non-pipelined cost
 //     models, interconnection-network pricing, and a bus-queueing timing
@@ -39,7 +40,6 @@ import (
 	"io"
 
 	"dirsim/internal/bus"
-	"dirsim/internal/cache"
 	"dirsim/internal/contention"
 	"dirsim/internal/core"
 	"dirsim/internal/engine"
@@ -96,7 +96,8 @@ func Pipelined() BusModel { return bus.Pipelined() }
 func NonPipelined() BusModel { return bus.NonPipelined() }
 
 // NewScheme builds a protocol engine by name: Dir1NB, Dir0B, DirNNB, WTI,
-// Dragon, Dir<i>B, Dir<i>NB (case-insensitive).
+// Dragon, Dir<i>B, Dir<i>NB, and DirNNB over finite caches,
+// FiniteDirNNB:<size><b|k|m><ways>w (case-insensitive).
 func NewScheme(name string, ncpu int) (Protocol, error) {
 	return core.NewByName(name, ncpu)
 }
@@ -184,16 +185,6 @@ func RunChecked(scheme string, t *Trace) (*Result, error) {
 func RunProtocol(p Protocol, src Source, opts Options) (*Result, error) {
 	return sim.Simulate(p, src, opts)
 }
-
-// NewFiniteDirNNB builds the full-map directory scheme over finite
-// per-CPU caches (the footnote 2 study); cfg is a cache configuration
-// from internal/cache re-exported as CacheConfig.
-func NewFiniteDirNNB(ncpu int, cfg CacheConfig) (Protocol, error) {
-	return core.NewFiniteDirNNB(ncpu, cfg)
-}
-
-// CacheConfig describes a finite set-associative cache.
-type CacheConfig = cache.Config
 
 // WriteResultsCSV exports results as CSV for plotting or regression
 // tracking.

@@ -54,8 +54,7 @@ func TestTopologiesViaFacade(t *testing.T) {
 }
 
 func TestFiniteDirViaFacade(t *testing.T) {
-	cfg := dirsim.CacheConfig{SizeBytes: 8 * 1024, Assoc: 2, HashIndex: true}
-	p, err := dirsim.NewFiniteDirNNB(4, cfg)
+	p, err := dirsim.NewScheme("FiniteDirNNB:8k2w", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +63,11 @@ func TestFiniteDirViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scheme != "FiniteDirNNB" {
-		t.Errorf("scheme = %q", res.Scheme)
+	if res.Scheme != "FiniteDirNNB:8k2w" || res.CapacityMisses == 0 {
+		t.Errorf("scheme = %q, %d capacity misses", res.Scheme, res.CapacityMisses)
 	}
-	if _, err := dirsim.NewFiniteDirNNB(4, dirsim.CacheConfig{}); err == nil {
-		t.Error("zero cache config accepted")
+	if _, err := dirsim.NewScheme("FiniteDirNNB:0k2w", 4); err == nil {
+		t.Error("zero cache size accepted")
 	}
 }
 

@@ -57,7 +57,9 @@ type Cache struct {
 	cfg  Config
 	mask uint64
 	// sets[s] holds the blocks of set s in LRU order: index 0 is the
-	// most recently used.
+	// most recently used. The slice is made on the first Access: a
+	// 4 MiB 2-way cache has 131072 sets, and an engine built only to
+	// validate its scheme name must not pay for them.
 	sets [][]trace.Block
 
 	// Stats.
@@ -72,12 +74,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := cfg.Sets()
-	return &Cache{
-		cfg:  cfg,
-		mask: uint64(sets - 1),
-		sets: make([][]trace.Block, sets),
-	}
+	return &Cache{cfg: cfg, mask: uint64(cfg.Sets() - 1)}
 }
 
 // Config returns the cache's configuration.
@@ -100,6 +97,9 @@ func (c *Cache) setOf(b trace.Block) uint64 {
 // an empty way was available).
 func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted bool) {
 	c.Accesses++
+	if c.sets == nil {
+		c.sets = make([][]trace.Block, c.mask+1)
+	}
 	s := c.setOf(b)
 	ways := c.sets[s]
 	for i, blk := range ways {
@@ -128,6 +128,9 @@ func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted boo
 // Contains reports whether block b is resident (without touching LRU
 // state).
 func (c *Cache) Contains(b trace.Block) bool {
+	if c.sets == nil {
+		return false
+	}
 	for _, blk := range c.sets[c.setOf(b)] {
 		if blk == b {
 			return true
@@ -138,6 +141,9 @@ func (c *Cache) Contains(b trace.Block) bool {
 
 // Invalidate removes block b if present, reporting whether it was.
 func (c *Cache) Invalidate(b trace.Block) bool {
+	if c.sets == nil {
+		return false
+	}
 	s := c.setOf(b)
 	ways := c.sets[s]
 	for i, blk := range ways {

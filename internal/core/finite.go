@@ -3,6 +3,10 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
+	"regexp"
+	"strconv"
+	"strings"
 
 	"dirsim/internal/cache"
 	"dirsim/internal/event"
@@ -37,8 +41,8 @@ type finiteDir struct {
 	res event.Result
 
 	// Miss-cause accounting (data misses, first references excluded
-	// from Coherence/Capacity by construction).
-	Cold, Coherence, Capacity int64
+	// from coherence/capacity by construction).
+	cold, coherence, capacity int64
 }
 
 // lostCopies is the set of CPUs whose copy of a block was invalidated
@@ -48,14 +52,40 @@ type lostCopies struct {
 	invalidated, evicted Set
 }
 
-// NewFiniteDirNNB returns a full-map directory engine over per-CPU finite
-// caches of the given configuration.
-func NewFiniteDirNNB(ncpu int, cfg cache.Config) (Protocol, error) {
-	dir := newMRSW(ncpu, "FiniteDirNNB", &mrsw{ptrs: ncpu})
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// A finite-cache scheme is named FiniteDirNNB:<size><unit><ways>w, e.g.
+// FiniteDirNNB:64k2w: per-CPU caches of size bytes (unit b, k or m) with
+// ways-way set associativity and a hashed set index. Both are powers of
+// two, the size at most MaxFiniteCacheBytes and the ways two digits, so a
+// name from outside cannot ask for an unbounded cache.
+const (
+	finitePrefix        = "finitedirnnb:"
+	MaxFiniteCacheBytes = 4 << 20
+)
+
+var finiteSuffix = regexp.MustCompile(`^([0-9]{1,7})([bkm])([0-9]{1,2})w$`)
+
+// newFiniteByName builds the engine a lower-case FiniteDirNNB name
+// describes, named by its canonical spelling: the size in the largest
+// unit that divides it. Its caches allocate their sets on first use, so
+// building one just to read its Name stays small at any size.
+func newFiniteByName(key string, ncpu int) (Protocol, error) {
+	m := finiteSuffix.FindStringSubmatch(key[len(finitePrefix):])
+	if m == nil {
+		return nil, fmt.Errorf("core: scheme %q is not FiniteDirNNB:<size><b|k|m><ways>w", key)
 	}
-	p := &finiteDir{dir: dir, caches: make([]*cache.Cache, ncpu)}
+	size, _ := strconv.Atoi(m[1])
+	size <<= 10 * strings.Index("bkm", m[2])
+	assoc, _ := strconv.Atoi(m[3])
+	cfg := cache.Config{SizeBytes: size, Assoc: assoc, HashIndex: true}
+	if size > MaxFiniteCacheBytes || size&(size-1) != 0 {
+		return nil, fmt.Errorf("core: %q: size is not a power of two up to %d bytes", key, MaxFiniteCacheBytes)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %q: %w", key, err)
+	}
+	unit := min(bits.TrailingZeros(uint(size))/10, 2)
+	name := fmt.Sprintf("FiniteDirNNB:%d%c%dw", size>>(10*unit), "bkm"[unit], assoc)
+	p := &finiteDir{dir: newMRSW(ncpu, name, &mrsw{ptrs: ncpu}), caches: make([]*cache.Cache, ncpu)}
 	for i := range p.caches {
 		p.caches[i] = cache.New(cfg)
 	}
@@ -113,14 +143,14 @@ func (p *finiteDir) attribute(bl *block, c uint8, b trace.Block) {
 	case bl.flags&fS == 0:
 		// First reference in the whole trace: uniprocessor cold.
 	case gone.invalidated.Has(c):
-		p.Coherence++
+		p.coherence++
 	case gone.evicted.Has(c):
-		p.Capacity++
+		p.capacity++
 	default:
 		// First touch by this CPU (the block lives elsewhere or was
 		// never here): the fetch-into-multiple-caches cost, counted
 		// as cold for this cache.
-		p.Cold++
+		p.cold++
 	}
 	gone.invalidated, gone.evicted = gone.invalidated.Del(c), gone.evicted.Del(c)
 }
@@ -143,11 +173,14 @@ func (p *finiteDir) evict(c uint8, victim trace.Block) {
 	gone.evicted = gone.evicted.Add(c)
 }
 
-// Counters returns the miss-cause accounting: per-cache cold fills,
-// coherence (invalidation-caused) misses, and capacity (eviction-caused)
-// misses. First-trace-reference misses are in none of the three.
-func (p *finiteDir) Counters() (cold, coherence, capacity int64) {
-	return p.Cold, p.Coherence, p.Capacity
+// MissCauses returns a finite-cache engine's per-cache cold fills,
+// coherence (invalidation-caused) and capacity (eviction-caused) misses;
+// first-trace-reference misses are in none. Infinite caches have none.
+func MissCauses(p Protocol) (cold, coherence, capacity int64) {
+	if f, ok := p.(*finiteDir); ok {
+		return f.cold, f.coherence, f.capacity
+	}
+	return 0, 0, 0
 }
 
 // CheckInvariants verifies the directory map matches cache residency,

@@ -1,19 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
-	"dirsim/internal/cache"
 	"dirsim/internal/event"
 )
 
-func finiteCfg(blocks int) cache.Config {
-	return cache.Config{SizeBytes: blocks * 16, Assoc: 2}
-}
-
+// newFinite builds the finite-cache engine by name: 2-way caches of the
+// given number of 16-byte blocks.
 func newFinite(t *testing.T, ncpu, blocks int) Protocol {
 	t.Helper()
-	p, err := NewFiniteDirNNB(ncpu, finiteCfg(blocks))
+	p, err := NewByName(fmt.Sprintf("FiniteDirNNB:%db2w", blocks*16), ncpu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,17 +31,57 @@ func TestFiniteDirBasicCoherence(t *testing.T) {
 }
 
 func TestFiniteDirRejectsBadConfig(t *testing.T) {
-	if _, err := NewFiniteDirNNB(4, cache.Config{SizeBytes: 0, Assoc: 1}); err == nil {
-		t.Error("bad cache config accepted")
+	for _, name := range []string{
+		"FiniteDirNNB:0b1w",    // no capacity
+		"FiniteDirNNB:8m2w",    // past MaxFiniteCacheBytes
+		"FiniteDirNNB:64k0w",   // no ways
+		"FiniteDirNNB:64k128w", // three-digit ways
+		"FiniteDirNNB:48k2w",   // size not a power of two
+		"FiniteDirNNB:64k3w",   // ways not a power of two
+		"FiniteDirNNB:16b2w",   // smaller than two blocks
+		"FiniteDirNNB:64k2wx",  // trailing garbage
+		"FiniteDirNNB:+64k2w",  // a sign is not a digit
+		"FiniteDirNNB:64K",     // no ways
+		"FiniteDirNNB",         // no geometry
+	} {
+		if p, err := NewByName(name, 4); err == nil {
+			t.Errorf("NewByName(%q) = %s, want an error", name, p.Name())
+		}
+	}
+}
+
+// TestFiniteDirNameIsCanonical: a finite-cache name is matched
+// case-insensitively in any unit that divides its size, and the engine's
+// Name is the one spelling (largest unit) that builds the same engine.
+func TestFiniteDirNameIsCanonical(t *testing.T) {
+	for in, want := range map[string]string{
+		"FiniteDirNNB:512b2w":     "FiniteDirNNB:512b2w",
+		"finitedirnnb:1024B2W":    "FiniteDirNNB:1k2w",
+		"FiniteDirNNB:64k2w":      "FiniteDirNNB:64k2w",
+		" FiniteDirNNB:0064k2w ":  "FiniteDirNNB:64k2w",
+		"FiniteDirNNB:4096k2w":    "FiniteDirNNB:4m2w",
+		"FiniteDirNNB:4194304b1w": "FiniteDirNNB:4m1w",
+		"FiniteDirNNB:32b2w":      "FiniteDirNNB:32b2w",
+		"FiniteDirNNB:4m64w":      "FiniteDirNNB:4m64w",
+	} {
+		p, err := NewByName(in, MaxCPUs)
+		if err != nil {
+			t.Errorf("NewByName(%q): %v", in, err)
+			continue
+		}
+		if p.Name() != want {
+			t.Errorf("NewByName(%q).Name() = %q, want %q", in, p.Name(), want)
+		}
+		q, err := NewByName(p.Name(), MaxCPUs)
+		if err != nil || q.Name() != p.Name() {
+			t.Errorf("NewByName(%q) = %v, %v; want the same name back", p.Name(), q, err)
+		}
 	}
 }
 
 func TestFiniteDirEvictionWriteBack(t *testing.T) {
 	// A 2-block, 1-set cache: the third distinct block evicts.
-	p, err := NewFiniteDirNNB(2, cache.Config{SizeBytes: 32, Assoc: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newFinite(t, 2, 2)
 	res := applyChecked(t, p,
 		wr(0, 1), // dirty
 		rd(0, 2),
@@ -60,11 +98,7 @@ func TestFiniteDirEvictionWriteBack(t *testing.T) {
 }
 
 func TestFiniteDirMissCauseAccounting(t *testing.T) {
-	p, err := NewFiniteDirNNB(2, cache.Config{SizeBytes: 32, Assoc: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := p.(interface{ Counters() (int64, int64, int64) })
+	p := newFinite(t, 2, 2)
 	applyChecked(t, p,
 		rd(0, 1), // trace-first: none of the three
 		rd(1, 1), // cold for cpu 1
@@ -74,7 +108,7 @@ func TestFiniteDirMissCauseAccounting(t *testing.T) {
 		rd(0, 3), // trace-first; evicts block 1 or 2 on cpu 0
 		rd(0, 1), // capacity or coherence depending on victim...
 	)
-	cold, coh, capm := fd.Counters()
+	cold, coh, capm := MissCauses(p)
 	if cold != 1 {
 		t.Errorf("cold = %d, want 1", cold)
 	}
@@ -99,8 +133,7 @@ func TestFiniteDirMatchesInfiniteWhenHuge(t *testing.T) {
 			t.Fatalf("ref %d (%+v): finite %+v, DirNNB %+v", i, refs[i], a[i], b[i])
 		}
 	}
-	fd := big.(interface{ Counters() (int64, int64, int64) })
-	_, _, capm := fd.Counters()
+	_, _, capm := MissCauses(big)
 	if capm != 0 {
 		t.Errorf("no capacity misses expected, got %d", capm)
 	}
@@ -133,7 +166,7 @@ func TestFiniteDirCoherenceMissesShrinkWithCache(t *testing.T) {
 	cohAt := func(blocks int) int64 {
 		p := newFinite(t, 4, blocks)
 		apply(t, p, refs...)
-		_, coh, _ := p.(interface{ Counters() (int64, int64, int64) }).Counters()
+		_, coh, _ := MissCauses(p)
 		return coh
 	}
 	big, small := cohAt(4096), cohAt(32)

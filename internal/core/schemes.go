@@ -27,7 +27,7 @@ func Attach(p Protocol, c *Checker) bool {
 type Factory func(ncpu int) Protocol
 
 // factories maps lower-case scheme names to constructors. Parameterized
-// names (dir<i>b, dir<i>nb) are handled by NewByName directly.
+// names (dir<i>b, dir<i>nb, finitedirnnb:...) are handled by NewByName.
 var factories = map[string]Factory{
 	"dir1nb":   NewDir1NB,
 	"dir0b":    NewDir0B,
@@ -55,8 +55,9 @@ func Schemes() []string {
 
 // NewByName builds an engine from a scheme name in the paper's notation,
 // case-insensitively: "Dir1NB", "Dir0B", "DirNNB", "DirCV", "WTI",
-// "Dragon", and the parameterized families "Dir<i>B" and "Dir<i>NB" (e.g.
-// "Dir2NB", "Dir4B").
+// "Dragon", the parameterized families "Dir<i>B" and "Dir<i>NB" (e.g.
+// "Dir2NB", "Dir4B"), and finite caches, "FiniteDirNNB:64k2w" (its Name
+// is the canonical spelling; see newFiniteByName).
 func NewByName(name string, ncpu int) (Protocol, error) {
 	if ncpu < 1 || ncpu > MaxCPUs {
 		return nil, fmt.Errorf("core: cpu count %d out of range [1,%d]", ncpu, MaxCPUs)
@@ -64,6 +65,9 @@ func NewByName(name string, ncpu int) (Protocol, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
 	if f, ok := factories[key]; ok {
 		return f(ncpu), nil
+	}
+	if strings.HasPrefix(key, finitePrefix) {
+		return newFiniteByName(key, ncpu)
 	}
 	if strings.HasPrefix(key, "dir") {
 		rest := strings.TrimPrefix(key, "dir")
@@ -83,6 +87,6 @@ func NewByName(name string, ncpu int) (Protocol, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("core: unknown scheme %q (try %s, Dir<i>B, or Dir<i>NB)",
+	return nil, fmt.Errorf("core: unknown scheme %q (try %s, Dir<i>B, Dir<i>NB, or FiniteDirNNB:<size><b|k|m><ways>w)",
 		name, strings.Join(Schemes(), ", "))
 }

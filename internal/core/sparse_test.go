@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"dirsim/internal/cache"
 	"dirsim/internal/core"
 	"dirsim/internal/event"
 	"dirsim/internal/trace"
@@ -36,7 +35,7 @@ func sparseEngines() map[string]func(ncpu int) core.Protocol {
 		"Dir1NBSpec": core.NewDir1NBSpec,
 		"FiniteDirNNB": func(ncpu int) core.Protocol {
 			// Small enough that the standard workloads evict.
-			p, err := core.NewFiniteDirNNB(ncpu, cache.Config{SizeBytes: 512, Assoc: 2, HashIndex: true})
+			p, err := core.NewByName("FiniteDirNNB:512b2w", ncpu)
 			if err != nil {
 				panic(err)
 			}

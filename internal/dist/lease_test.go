@@ -549,3 +549,45 @@ func FuzzLeaseRequest(f *testing.F) {
 		}
 	})
 }
+
+// TestSweepLeavesAQueuedTaskAlone: a lease that expires on a task already
+// queued again must not requeue it a second time, which would spend one
+// of its maxAttempts and journal a spurious job.requeue, so the job
+// could degrade to local an attempt early. No public path queues a task
+// that still holds a lease today; the test puts it in that state under
+// the coordinator's lock, on a fake clock, and drives Sweep directly.
+func TestSweepLeavesAQueuedTaskAlone(t *testing.T) {
+	clk := newFakeClock()
+	jnl := newJournalSignal("job.queue", "job.requeue", "job.lease.expire")
+	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, Clock: clk.Now, Journal: obs.NewJournal(jnl)})
+	defer c.Close()
+
+	spec := testSpec(0)
+	submitQueued(t, c, jnl, spec)
+	job := mustLease(t, c, "w1")
+	c.mu.Lock()
+	tk := c.tasks[job.Key]
+	c.enqueueLocked(tk)
+	attempts := tk.attempts
+	c.mu.Unlock()
+
+	clk.Advance(11 * time.Second)
+	c.Sweep()
+	if line := jnl.next(t); line["msg"] != "job.lease.expire" {
+		t.Fatalf("sweep journaled %v first, want the lease's expiry", line["msg"])
+	}
+	select {
+	case line := <-jnl.ch:
+		t.Errorf("sweep journaled %v after the expiry of a queued task's lease", line["msg"])
+	default:
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if tk.attempts != attempts || !tk.queued || len(c.queue) != 1 {
+		t.Errorf("attempts %d -> %d, queued %v, queue length %d; want the task queued once, attempts unchanged",
+			attempts, tk.attempts, tk.queued, len(c.queue))
+	}
+	if n := c.jobsRequeued.Value(); n != 0 {
+		t.Errorf("dist.jobs.requeued = %d, want 0", n)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dirsim/internal/core"
+	"dirsim/internal/faults"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
@@ -94,6 +95,40 @@ func TestAdoptedTraceIsNotRegenerated(t *testing.T) {
 	}
 }
 
+// TestAdoptedTraceSurvivesPoison: under fault injection every cache
+// store's stamp may be poisoned, which evicts the entry on its next hit
+// and recomputes it. An adopted trace cannot be recomputed, so its stamp
+// is never poisoned: with Poison 1, every spec over it still succeeds,
+// round after round, with the clean engine's results.
+func TestAdoptedTraceSurvivesPoison(t *testing.T) {
+	ctx := context.Background()
+	tr := workload.PingPong(2_000)
+	clean := New(Options{})
+	poisoned := New(Options{Verify: true, Faults: faults.New(faults.Config{Seed: 1, Poison: 1})})
+	var want []*sim.Result
+	for round := 0; round < 3; round++ {
+		for _, e := range []*Engine{clean, poisoned} {
+			cfg, err := e.Adopt(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := []SimSpec{{Trace: cfg, Scheme: "Dir0B"}, {Trace: cfg, Scheme: "Dragon"}}
+			got, err := e.Results(ctx, Sequential{}, specs)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if e == clean {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: results over the adopted trace differ from the clean engine's", round)
+			}
+		}
+	}
+	if n := poisoned.Stats().CacheRejected; n < 2 {
+		t.Errorf("CacheRejected = %d, want >= 2: the results' stamps must still be poisoned", n)
+	}
+}
+
 // TestAdoptedResultsMatchSimulateTrace is the reference check: for every
 // scheme, Results over an adopted trace is sim.SimulateTrace over the
 // same trace, field for field.
@@ -104,7 +139,7 @@ func TestAdoptedResultsMatchSimulateTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes := core.Schemes()
+	schemes := append(core.Schemes(), "FiniteDirNNB:512b2w")
 	specs := make([]SimSpec, len(schemes))
 	for i, s := range schemes {
 		specs[i] = SimSpec{Trace: cfg, Scheme: s}

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
+	"dirsim/internal/core"
 	"dirsim/internal/workload"
 )
 
@@ -49,6 +51,18 @@ func TestSimSpecKeySensitivity(t *testing.T) {
 	variants["profile knob"] = prof
 	other := SimSpec{Trace: workload.THORConfig(4, 50_000), Scheme: "Dir0B"}
 	variants["workload"] = other
+	finite := base
+	finite.Scheme = "FiniteDirNNB:64k2w"
+	variants["finite cache"] = finite
+	smaller := base
+	smaller.Scheme = "FiniteDirNNB:16k2w"
+	variants["cache size"] = smaller
+	ways := base
+	ways.Scheme = "FiniteDirNNB:64k4w"
+	variants["associativity"] = ways
+	if spelled := (SimSpec{Trace: base.Trace, Scheme: "finitedirnnb:65536b2w"}); spelled.Key() != finite.Key() {
+		t.Error("two spellings of one finite cache hashed differently")
+	}
 
 	seen := map[Key]string{base.Key(): "base"}
 	for name, v := range variants {
@@ -57,6 +71,26 @@ func TestSimSpecKeySensitivity(t *testing.T) {
 			t.Errorf("spec differing only in %s collides with %s", name, prev)
 		}
 		seen[k] = name
+	}
+}
+
+// TestFiniteSchemeKeyIsBounded: a scheme name is outside input (a
+// service spec, a -schemes flag), and Key and Validate build the engine
+// it names. The largest finite cache at MaxCPUs has about 8.4 M sets
+// across its caches; naming it must not allocate them.
+func TestFiniteSchemeKeyIsBounded(t *testing.T) {
+	spec := SimSpec{Trace: workload.POPSConfig(core.MaxCPUs, 1_000), Scheme: "FiniteDirNNB:4m1w"}
+	spec.Key() // warm the TraceKey memo and the regexp
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	spec.Key()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("Key and Validate of %s at %d CPUs allocated %d bytes, want <= 64 KiB",
+			spec.Scheme, core.MaxCPUs, grew)
 	}
 }
 

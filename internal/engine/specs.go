@@ -149,11 +149,11 @@ func (e *Engine) Adopt(t *trace.Trace) (workload.Config, error) {
 		return workload.Config{}, err
 	}
 	// An entry already under k holds this very trace (the key covers its
-	// fingerprint), so only the first adoption stores it.
+	// fingerprint), so only the first adoption stores it. Its stamp is
+	// never poisoned: nothing could bring an evicted adopted trace back.
 	k := TraceKey(cfg)
 	if f, owner := e.traces.claim(k); owner {
-		sum, stamped := e.stampFor(observedKey(k), t)
-		e.traces.fulfill(k, f, t, nil, sum, stamped)
+		e.traces.fulfill(k, f, t, nil, cfg.Seed, e.verify)
 	}
 	return cfg, nil
 }
@@ -414,7 +414,7 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 	}
 	e.simsRun.Add(1)
 	e.refsSimulated.Add(r.Counts.Total)
-	e.publishCoherence(spec.Scheme, r)
+	e.publishCoherence(r)
 	r.Trace = t.Name
 	return r, nil
 }
@@ -424,8 +424,8 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 // broadcasts and forced invalidations, and the Figure 1 histogram of
 // caches invalidated per clean write. Concurrent simulations of one
 // scheme accumulate into one family.
-func (e *Engine) publishCoherence(scheme string, r *sim.Result) {
-	base := "sim.proto." + strings.ToLower(scheme)
+func (e *Engine) publishCoherence(r *sim.Result) {
+	base := "sim.proto." + strings.ToLower(r.Scheme)
 	e.reg.Counter(base + ".clean_writes").Add(r.Counts.N[event.WrHitClean] + r.Counts.N[event.WrMissClean])
 	e.reg.Counter(base + ".broadcasts").Add(r.Broadcasts)
 	e.reg.Counter(base + ".forced_invals").Add(r.ForcedInvals)

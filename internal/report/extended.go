@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"dirsim/internal/bus"
-	cachepkg "dirsim/internal/cache"
 	"dirsim/internal/contention"
 	"dirsim/internal/core"
 	"dirsim/internal/engine"
@@ -315,29 +314,24 @@ func runBlockSize(c *Context) (string, error) {
 func runFiniteCoherence(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("finitecoh", "Coherence misses in finite caches (footnote 2)"))
-	traces, err := c.Traces()
+	pops := c.StandardConfigs(c.CPUs)[0]
+	// An effectively infinite cache first, then smaller ones.
+	sizes := []int{4096, 64, 16, 4}
+	specs := make([]engine.SimSpec, len(sizes))
+	for i, kb := range sizes {
+		specs[i] = engine.SimSpec{Trace: pops, Scheme: fmt.Sprintf("FiniteDirNNB:%dk2w", kb), Check: c.Check}
+	}
+	rs, err := c.eng.Results(c.ctx(), c.exec, specs)
 	if err != nil {
 		return "", err
 	}
-	tr := traces[0] // POPS
 	tbl := newTable("cache", "coherence miss %", "capacity miss %", "cycles/ref (pipelined)")
-	// An effectively infinite cache first, then smaller ones.
-	for _, kb := range []int{4096, 64, 16, 4} {
-		cfg := cachepkg.Config{SizeBytes: kb * 1024, Assoc: 2, HashIndex: true}
-		p, err := core.NewFiniteDirNNB(tr.CPUs, cfg)
-		if err != nil {
-			return "", err
-		}
-		r, err := sim.Simulate(p, tr.Iterator(), sim.Options{})
-		if err != nil {
-			return "", err
-		}
-		fd := p.(interface{ Counters() (cold, coh, cap int64) })
-		_, coh, capm := fd.Counters()
+	for i, kb := range sizes {
+		r := rs[i]
 		total := float64(r.Counts.Total)
 		tbl.row(fmt.Sprintf("%dKB", kb),
-			fmt.Sprintf("%.3f", 100*float64(coh)/total),
-			fmt.Sprintf("%.3f", 100*float64(capm)/total),
+			fmt.Sprintf("%.3f", 100*float64(r.CoherenceMisses)/total),
+			fmt.Sprintf("%.3f", 100*float64(r.CapacityMisses)/total),
 			cyc(r.PerRef("pipelined")))
 	}
 	b.WriteString(tbl.String())

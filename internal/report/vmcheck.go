@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"dirsim/internal/sim"
+	"dirsim/internal/engine"
 	"dirsim/internal/trace"
 	"dirsim/internal/vm"
 )
@@ -18,56 +18,63 @@ func runVM(c *Context) (string, error) {
 	var b strings.Builder
 	b.WriteString(section("vm", "Execution-driven traces (real programs on the mini-machine)"))
 
-	programs := []struct {
-		name string
-		mk   func(cpus int) *vm.Machine
-	}{
-		{"counter", func(cpus int) *vm.Machine {
-			progs := make([]*vm.Program, cpus)
-			p := vm.LockedCounter(400)
-			for i := range progs {
-				progs[i] = p
-			}
-			return &vm.Machine{Programs: progs, Seed: 21}
-		}},
-		{"barrier", func(cpus int) *vm.Machine {
-			progs := make([]*vm.Program, cpus)
-			p := vm.Barrier(vm.Word(cpus), 120)
-			for i := range progs {
-				progs[i] = p
-			}
-			return &vm.Machine{Programs: progs, Seed: 22}
-		}},
-		{"reduce", func(cpus int) *vm.Machine {
-			progs := make([]*vm.Program, cpus)
-			p := vm.Reduce(vm.Word(cpus), 512)
-			for i := range progs {
-				progs[i] = p
-			}
-			return &vm.Machine{Programs: progs, Seed: 23, InitMem: vm.InitReduceMemory(512)}
-		}},
-	}
 	const cpus = 4
 	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon"}
-	tbl := newTable("program", append(append([]string{}, schemes...), "refs", "spin %")...)
-	for _, prog := range programs {
-		m := prog.mk(cpus)
-		tr, _, err := m.Run()
+	lockSchemes := []string{"Dir1NB", "Dir0B", "Dragon"}
+	// The three programs, then the lock-algorithm comparison: the same
+	// counter workload under test-and-test-and-set, a ticket lock, and an
+	// Anderson array lock.
+	runs := []struct {
+		name    string
+		m       *vm.Machine
+		schemes []string
+	}{
+		{"counter", &vm.Machine{Programs: samePrograms(vm.LockedCounter(400), cpus), Seed: 21}, schemes},
+		{"barrier", &vm.Machine{Programs: samePrograms(vm.Barrier(vm.Word(cpus), 120), cpus), Seed: 22}, schemes},
+		{"reduce", &vm.Machine{Programs: samePrograms(vm.Reduce(vm.Word(cpus), 512), cpus), Seed: 23,
+			InitMem: vm.InitReduceMemory(512)}, schemes},
+		{"tas", &vm.Machine{Programs: samePrograms(vm.LockedCounter(400), cpus), Seed: 31}, lockSchemes},
+		{"ticket", &vm.Machine{Programs: samePrograms(vm.TicketCounter(400), cpus), Seed: 32}, lockSchemes},
+		{"anderson", &vm.Machine{Programs: samePrograms(vm.AndersonCounter(400, 8), cpus),
+			InitMem: vm.InitAndersonMemory(), Seed: 33}, lockSchemes},
+	}
+	// Each program's trace is adopted by the engine, so its simulations
+	// are keyed specs like any workload's: cached, stored and checked.
+	var specs []engine.SimSpec
+	var traces []*trace.Trace
+	for _, run := range runs {
+		tr, _, err := run.m.Run()
 		if err != nil {
-			return "", fmt.Errorf("vm %s: %w", prog.name, err)
+			return "", fmt.Errorf("vm %s: %w", run.name, err)
 		}
-		cells := []string{prog.name}
-		for _, scheme := range schemes {
-			r, err := sim.SimulateTrace(scheme, tr, sim.Options{})
-			if err != nil {
-				return "", err
-			}
+		tr.Name = "vm-" + run.name
+		cfg, err := c.eng.Adopt(tr)
+		if err != nil {
+			return "", err
+		}
+		for _, scheme := range run.schemes {
+			specs = append(specs, engine.SimSpec{Trace: cfg, Scheme: scheme, Check: c.Check})
+		}
+		traces = append(traces, tr)
+	}
+	rs, err := c.eng.Results(c.ctx(), c.exec, specs)
+	if err != nil {
+		return "", err
+	}
+	// row renders run's cycles per reference from the front of rs.
+	row := func(run int) []string {
+		cells := []string{runs[run].name}
+		for _, r := range rs[:len(runs[run].schemes)] {
 			cells = append(cells, cyc(r.PerRef("pipelined")))
 		}
-		s := trace.ComputeStats(tr)
-		cells = append(cells, fmt.Sprintf("%d", s.Refs),
-			fmt.Sprintf("%.1f", s.Pct(s.SpinReads)))
-		tbl.row(cells...)
+		return cells
+	}
+
+	tbl := newTable("program", append(append([]string{}, schemes...), "refs", "spin %")...)
+	for i := range 3 {
+		s := trace.ComputeStats(traces[i])
+		tbl.row(append(row(i), fmt.Sprintf("%d", s.Refs), fmt.Sprintf("%.1f", s.Pct(s.SpinReads)))...)
+		rs = rs[len(schemes):]
 	}
 	b.WriteString(tbl.String())
 	b.WriteString("\ntraces here come from programs actually executing (final memory\n" +
@@ -76,43 +83,10 @@ func runVM(c *Context) (string, error) {
 		"reproduces wherever locks dominate, while the embarrassingly\n" +
 		"parallel reduction narrows every gap.\n\n")
 
-	// Lock-algorithm comparison: the same counter workload under
-	// test-and-test-and-set, a ticket lock, and an Anderson array lock.
-	locks := []struct {
-		name string
-		mk   func() *vm.Machine
-	}{
-		{"tas", func() *vm.Machine {
-			return &vm.Machine{Programs: samePrograms(vm.LockedCounter(400), cpus), Seed: 31}
-		}},
-		{"ticket", func() *vm.Machine {
-			return &vm.Machine{Programs: samePrograms(vm.TicketCounter(400), cpus), Seed: 32}
-		}},
-		{"anderson", func() *vm.Machine {
-			return &vm.Machine{Programs: samePrograms(vm.AndersonCounter(400, 8), cpus),
-				InitMem: vm.InitAndersonMemory(), Seed: 33}
-		}},
-	}
 	ltbl := newTable("lock", "Dir1NB cyc/ref", "Dir0B cyc/ref", "Dragon cyc/ref", "Dir1NB rd-miss %")
-	for _, l := range locks {
-		tr, _, err := l.mk().Run()
-		if err != nil {
-			return "", fmt.Errorf("vm lock %s: %w", l.name, err)
-		}
-		cells := []string{l.name}
-		var d1Miss float64
-		for _, scheme := range []string{"Dir1NB", "Dir0B", "Dragon"} {
-			r, err := sim.SimulateTrace(scheme, tr, sim.Options{})
-			if err != nil {
-				return "", err
-			}
-			cells = append(cells, cyc(r.PerRef("pipelined")))
-			if scheme == "Dir1NB" {
-				d1Miss = r.Counts.ReadMisses()
-			}
-		}
-		cells = append(cells, fmt.Sprintf("%.2f", d1Miss))
-		ltbl.row(cells...)
+	for i := 3; i < len(runs); i++ {
+		ltbl.row(append(row(i), fmt.Sprintf("%.2f", rs[0].Counts.ReadMisses()))...)
+		rs = rs[len(lockSchemes):]
 	}
 	b.WriteString("same counter workload under three lock algorithms:\n")
 	b.WriteString(ltbl.String())

@@ -12,8 +12,9 @@ import (
 // FuzzSpecExpand: a submitted body goes through handleSubmit's decode
 // (1 MiB bound, no unknown fields) and Spec.Expand without a panic.
 // Every simulation a spec expands to has a machine size the simulator
-// accepts, the expansion stays within its cap, and the experiment's
-// identity survives re-encoding the spec and decoding it again.
+// accepts and a scheme whose engine name names it again, the expansion
+// stays within its cap, and the experiment's identity survives
+// re-encoding the spec and decoding it again.
 func FuzzSpecExpand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(nil, io.NopCloser(bytes.NewReader(body)))
@@ -30,6 +31,15 @@ func FuzzSpecExpand(f *testing.F) {
 		for _, sp := range specs {
 			if sp.Trace.CPUs < 1 || sp.Trace.CPUs > core.MaxCPUs {
 				t.Fatalf("spec expanded to %d CPUs, outside [1, %d]", sp.Trace.CPUs, core.MaxCPUs)
+			}
+			// The engine's name is the scheme's canonical spelling: it
+			// names the same engine again.
+			p, err := core.NewByName(sp.Scheme, sp.Trace.CPUs)
+			if err != nil {
+				t.Fatalf("expanded scheme %q does not build: %v", sp.Scheme, err)
+			}
+			if q, err := core.NewByName(p.Name(), sp.Trace.CPUs); err != nil || q.Name() != p.Name() {
+				t.Fatalf("canonical name %q does not round-trip: %v", p.Name(), err)
 			}
 		}
 		enc, err := json.Marshal(spec)

@@ -133,7 +133,8 @@ func decodeMap[V any](d *decoder, value func() V) map[string]V {
 // DecodeResult reads a result from its binary form (see AppendBinary). It
 // accepts only bytes AppendBinary can produce: truncation, trailing bytes,
 // a length that overruns the input, a non-minimal length, a flag other
-// than 0 or 1 and unsorted map keys are errors. An empty NetTallies
+// than 0 or 1, unsorted map keys and miss causes written as all zero are
+// errors. An empty NetTallies
 // decodes as nil, the shape Simulate and Merge give it.
 func DecodeResult(b []byte) (*Result, error) {
 	d := &decoder{b: b}
@@ -171,6 +172,12 @@ func DecodeResult(b []byte) (*Result, error) {
 	})
 	if len(net) > 0 {
 		r.NetTallies = net
+	}
+	if d.err == nil && len(d.b) > 0 {
+		r.ColdMisses, r.CoherenceMisses, r.CapacityMisses = d.i64(), d.i64(), d.i64()
+		if r.ColdMisses|r.CoherenceMisses|r.CapacityMisses == 0 {
+			d.fail(errors.New("miss causes written as zero"))
+		}
 	}
 	if d.err == nil && len(d.b) > 0 {
 		d.err = fmt.Errorf("%d trailing bytes", len(d.b))

@@ -56,19 +56,31 @@ func roundTrip(t *testing.T, what string, r *Result) []byte {
 }
 
 // TestResultCodecRoundTrip holds the binary form to the fields Fingerprint
-// sees: every paper scheme's result survives encode and decode intact,
-// every mutation of resultMutations changes the bytes, every strict prefix
-// of an encoding is refused, and so is a trailing byte.
+// sees: every paper scheme's result, and a finite cache's with its miss
+// causes, survives encode and decode intact, every mutation of
+// resultMutations changes the bytes, every strict prefix of an encoding
+// is refused or (the one that drops a finite result's miss causes)
+// decodes to another fingerprint, and a trailing byte is refused.
 func TestResultCodecRoundTrip(t *testing.T) {
 	tr := workload.POPS(4, 20_000)
-	for _, scheme := range codecSchemes {
+	for _, scheme := range append(codecSchemes, "FiniteDirNNB:512b2w") {
 		r, err := SimulateTrace(scheme, tr, codecOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b := roundTrip(t, scheme, r)
 		for n := range b {
-			if _, err := DecodeResult(b[:n]); err == nil {
+			got, err := DecodeResult(b[:n])
+			if err == nil && n == len(b)-24 && r.ColdMisses|r.CoherenceMisses|r.CapacityMisses != 0 {
+				// Cut exactly before the miss causes, a finite cache's
+				// encoding is an infinite one's: what it decodes to must
+				// not pass for r (the store compares fingerprints).
+				if got.Fingerprint() == r.Fingerprint() {
+					t.Fatalf("%s: dropping the miss causes kept the fingerprint", scheme)
+				}
+				continue
+			}
+			if err == nil {
 				t.Fatalf("%s: a %d-byte prefix of a %d-byte encoding decoded", scheme, n, len(b))
 			}
 		}
@@ -82,6 +94,11 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseBytes := encode(t, base)
+	// An infinite cache writes no miss causes, so three zero words after
+	// its encoding are not an encoding of anything.
+	if _, err := DecodeResult(append(baseBytes[:len(baseBytes):len(baseBytes)], make([]byte, 24)...)); err == nil {
+		t.Error("miss causes written as zero were accepted")
+	}
 	for _, m := range resultMutations() {
 		mut, err := SimulateTrace("Dir0B", tr, codecOpts)
 		if err != nil {
@@ -160,6 +177,11 @@ func FuzzDecodeResult(f *testing.F) {
 	b := encode(f, r)
 	f.Add(b)
 	f.Add(b[:len(b)/2])
+	finite, err := SimulateTrace("FiniteDirNNB:512b2w", workload.POPS(4, 2_000), codecOpts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encode(f, finite))
 	f.Add(append(b[:len(b):len(b)], 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -78,7 +78,8 @@ func (r *Result) Fingerprint() uint64 {
 
 // walk visits every field of the result, maps in sorted key order.
 // DecodeResult reads the fields back in this order: a field added here
-// must be added there, and store.SchemaVersion bumped.
+// must be added there, and store.SchemaVersion bumped unless, like the
+// miss causes, it is written only where no earlier reader looks.
 func (r *Result) walk(s fieldSink) {
 	s.str(r.Scheme)
 	s.str(r.Trace)
@@ -138,5 +139,13 @@ func (r *Result) walk(s fieldSink) {
 		s.word(uint64(t.Messages))
 		s.word(uint64(t.Floods))
 		s.word(uint64(t.Refs))
+	}
+
+	// The miss causes come last, and only when one is non-zero: infinite
+	// caches hash and encode as they did before the fields existed.
+	if r.ColdMisses|r.CoherenceMisses|r.CapacityMisses != 0 {
+		s.word(uint64(r.ColdMisses))
+		s.word(uint64(r.CoherenceMisses))
+		s.word(uint64(r.CapacityMisses))
 	}
 }

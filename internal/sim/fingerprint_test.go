@@ -74,6 +74,9 @@ func resultMutations() []resultMutation {
 		{"seqinvals", func(r *Result) { r.SeqInvals++ }},
 		{"writebacks", func(r *Result) { r.WriteBacks++ }},
 		{"forcedinvals", func(r *Result) { r.ForcedInvals++ }},
+		{"cold misses", func(r *Result) { r.ColdMisses++ }},
+		{"coherence misses", func(r *Result) { r.CoherenceMisses++ }},
+		{"capacity misses", func(r *Result) { r.CapacityMisses++ }},
 		{"holders hist", func(r *Result) { r.HoldersAtInval.Observe(3) }},
 		{"tally transactions", func(r *Result) {
 			for _, tl := range r.Tallies {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"dirsim/internal/cache"
 	"dirsim/internal/core"
 	"dirsim/internal/network"
 	"dirsim/internal/trace"
@@ -21,33 +20,11 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const goldenFile = "testdata/golden_fingerprints.txt"
 
-// goldenEngine is one protocol engine the golden table pins: every fixed
+// goldenEngines names every engine the golden table pins: every fixed
 // scheme name (DirCV among them), the parameterized pointer schemes, and
-// the finite-cache engine, the one built outside NewByName.
-type goldenEngine struct {
-	name  string
-	build func(ncpu int) (core.Protocol, error)
-}
-
-func goldenEngines() []goldenEngine {
-	byName := func(scheme string) goldenEngine {
-		return goldenEngine{scheme, func(ncpu int) (core.Protocol, error) {
-			return core.NewByName(scheme, ncpu)
-		}}
-	}
-	var engines []goldenEngine
-	for _, scheme := range core.Schemes() {
-		engines = append(engines, byName(scheme))
-	}
-	for _, scheme := range []string{"Dir2NB", "Dir1B", "Dir2B"} {
-		engines = append(engines, byName(scheme))
-	}
-	return append(engines,
-		goldenEngine{"FiniteDirNNB", func(ncpu int) (core.Protocol, error) {
-			// Small enough that the standard workloads evict.
-			return core.NewFiniteDirNNB(ncpu, cache.Config{SizeBytes: 512, Assoc: 2, HashIndex: true})
-		}},
-	)
+// a finite-cache engine small enough that the standard workloads evict.
+func goldenEngines() []string {
+	return append(core.Schemes(), "Dir2NB", "Dir1B", "Dir2B", "FiniteDirNNB:512b2w")
 }
 
 // sparseTrace is a seeded random stream over a footprint no dense table
@@ -96,24 +73,25 @@ func TestGoldenFingerprints(t *testing.T) {
 	var lines []string
 	for _, tr := range goldenTraces(t) {
 		opts := Options{Topologies: []network.Topology{network.Bus(tr.CPUs)}}
-		for _, e := range goldenEngines() {
-			p, err := e.build(tr.CPUs)
+		for _, scheme := range goldenEngines() {
+			p, err := core.NewByName(scheme, tr.CPUs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := Simulate(p, tr.Iterator(), opts)
 			if err != nil {
-				t.Fatalf("%s over %s: %v", e.name, tr.Name, err)
+				t.Fatalf("%s over %s: %v", scheme, tr.Name, err)
 			}
 			res.Trace = tr.Name
 			if err := p.CheckInvariants(); err != nil {
-				t.Errorf("%s over %s: %v", e.name, tr.Name, err)
+				t.Errorf("%s over %s: %v", scheme, tr.Name, err)
 			}
-			line := fmt.Sprintf("%s %s %016x", e.name, tr.Name, res.Fingerprint())
+			line := fmt.Sprintf("%s %s %016x", scheme, tr.Name, res.Fingerprint())
+			if res.ColdMisses|res.CoherenceMisses|res.CapacityMisses != 0 {
+				line += fmt.Sprintf(" cold=%d coherence=%d capacity=%d",
+					res.ColdMisses, res.CoherenceMisses, res.CapacityMisses)
+			}
 			switch p := p.(type) {
-			case interface{ Counters() (int64, int64, int64) }:
-				cold, coherence, capacity := p.Counters()
-				line += fmt.Sprintf(" cold=%d coherence=%d capacity=%d", cold, coherence, capacity)
 			case interface{ Overshoot() (int64, int64) }:
 				wasted, useful := p.Overshoot()
 				line += fmt.Sprintf(" wasted=%d useful=%d", wasted, useful)

@@ -249,5 +249,6 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			return nil, &ShardError{Shard: shard, Err: cerr}
 		}
 	}
+	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses = core.MissCauses(p)
 	return res, nil
 }

@@ -81,6 +81,12 @@ type Result struct {
 	ForcedInvals int64
 	WriteBacks   int64
 
+	// ColdMisses, CoherenceMisses and CapacityMisses are a finite
+	// cache's misses by cause (core.MissCauses), zero for infinite ones.
+	ColdMisses      int64 `json:",omitempty"`
+	CoherenceMisses int64 `json:",omitempty"`
+	CapacityMisses  int64 `json:",omitempty"`
+
 	// Tallies holds one bus-cycle tally per cost model, keyed by model
 	// name.
 	Tallies map[string]*bus.Tally
@@ -156,6 +162,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			return nil, err
 		}
 	}
+	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses = core.MissCauses(p)
 	return res, nil
 }
 
@@ -341,6 +348,9 @@ func Merge(results ...*Result) (*Result, error) {
 		out.SeqInvals += r.SeqInvals
 		out.ForcedInvals += r.ForcedInvals
 		out.WriteBacks += r.WriteBacks
+		out.ColdMisses += r.ColdMisses
+		out.CoherenceMisses += r.CoherenceMisses
+		out.CapacityMisses += r.CapacityMisses
 		for name, t := range r.Tallies {
 			dst := out.Tallies[name]
 			if dst == nil {
