@@ -32,12 +32,17 @@ check: build vet race shard-equiv
 # wrapper, and of its bufferless fallback for engines with only Access),
 # the batched and sparse loops' zero-allocation and the block table's
 # footprint bounds, DirCV against DirNNB's classifications and its coarse
-# code against the one the entry builds holder by holder — and the
-# contention replay against its per-reference oracle, float for float.
+# code against the one the entry builds holder by holder, the contention
+# replay against its per-reference oracle, float for float — and pricing
+# by event class against per-event pricing (every scheme, 4 and 64 CPUs,
+# every tariff kind and topology, 2 shards), its rounding rule, its
+# allocation-free table, and the integral prices it relies on in every
+# model a spec can be priced under.
 shard-equiv:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardOf|TestDir1NB(Batch|Checked)?MatchesSpec|TestDir1NBPanics|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestCoarse|TestReplay' \
+		-run 'TestSharded|TestShardOf|TestDir1NB(Batch|Checked)?MatchesSpec|TestDir1NBPanics|TestGolden|TestBatch|TestSparse|TestBlock|TestZeroState|TestCoarse|TestReplay|TestClassPricing|TestClassTable' \
 		./internal/sim ./internal/core ./internal/contention
+	$(GO) test -race -count=1 -run 'TestSpecModelsHaveIntegralPrices' ./internal/engine
 
 # Run the fault-injection soak under the race detector: the widened
 # fixed-seed fault matrix (DIRSIM_SOAK=1) plus every fault and hardening

@@ -198,20 +198,37 @@ func (b Breakdown) Scale(f float64) Breakdown {
 // misses are excluded from the multiprocessing overhead, as in the paper,
 // and cost nothing.
 func (m Model) Cost(res event.Result) (b Breakdown, transaction bool) {
+	b, n := m.CostN(res, 1)
+	return b, n == 1
+}
+
+// CostN prices n results of one event.Class at once: results that agree
+// on every field Cost reads except their unit counts. res carries the n
+// results' summed Inval, ForcedInval and Control, and either every one
+// of them has invalidation units to pay for or none has, so the n are
+// all transactions or none is. It returns the n results' summed cycles
+// by category and how many of them were transactions. With integer
+// prices (every tariff the repository builds) the sum is exactly what
+// pricing the results one by one adds up to; otherwise each category is
+// rounded once per call instead of once per result. Every field read
+// here must be part of event.Class, or results that price differently
+// would share a class.
+func (m Model) CostN(res event.Result, n int64) (b Breakdown, transactions int64) {
 	if res.Type.IsFirstRef() || res.Quiet() {
 		// Free references — hits, instruction fetches, excluded
 		// first-reference misses — skip the category arithmetic
 		// entirely. Prices are non-negative, so a quiet result could
 		// only ever have produced an all-zero breakdown; returning it
 		// without the additions below is bit-identical.
-		return b, false
+		return b, 0
 	}
+	k := float64(n)
 	// Invalidation delivery. Update protocols (Dragon, WTI) pay for the
 	// broadcast through the written word itself, so a Broadcast flag
 	// accompanied by Update is not double-charged.
 	if !res.Update {
 		if res.Broadcast {
-			b[CatInval] += m.BroadcastInval
+			b[CatInval] += k * m.BroadcastInval
 		}
 		b[CatInval] += float64(res.Inval) * m.Inval
 	}
@@ -221,30 +238,30 @@ func (m Model) Cost(res event.Result) (b Breakdown, transaction bool) {
 	if res.Type.IsMiss() {
 		switch {
 		case res.WriteBack:
-			b[CatWriteBack] += m.WriteBackFill
+			b[CatWriteBack] += k * m.WriteBackFill
 		case res.CacheSupply:
-			b[CatMemAccess] += m.CacheAccess
+			b[CatMemAccess] += k * m.CacheAccess
 		default:
-			b[CatMemAccess] += m.MemAccess
+			b[CatMemAccess] += k * m.MemAccess
 		}
 	} else if res.WriteBack {
-		b[CatWriteBack] += m.WriteBackFill
+		b[CatWriteBack] += k * m.WriteBackFill
 	}
 	// A replacement write-back rides alongside whatever else happened.
 	if res.EvictWB {
-		b[CatWriteBack] += m.WriteBackFill
+		b[CatWriteBack] += k * m.WriteBackFill
 	}
 	// Non-overlapped directory query.
 	if res.DirCheck && !m.DirCheckFree {
-		b[CatDirAccess] += m.DirCheck
+		b[CatDirAccess] += k * m.DirCheck
 	}
 	// Write-through or write update.
 	if res.Update {
-		b[CatWriteWord] += m.WriteWord
+		b[CatWriteWord] += k * m.WriteWord
 	}
 	if b.Total() == 0 {
-		return b, false
+		return b, 0
 	}
-	b[CatQ] += m.Q
-	return b, true
+	b[CatQ] += k * m.Q
+	return b, n
 }

@@ -183,11 +183,11 @@ func TestPaperArithmetic(t *testing.T) {
 		for _, entry := range m {
 			n := int(entry.freq / 100 * refs)
 			for i := 0; i < n; i++ {
-				tally.Add(entry.res)
+				tally.AddN(entry.res, 1)
 			}
 		}
 		for tally.Refs < refs {
-			tally.Add(event.Result{Type: event.RdHit})
+			tally.AddN(event.Result{Type: event.RdHit}, 1)
 		}
 		return tally.PerRef()
 	}

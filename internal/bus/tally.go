@@ -25,17 +25,18 @@ type Tally struct {
 // NewTally returns a tally pricing with the given model.
 func NewTally(m Model) *Tally { return &Tally{Model: m} }
 
-// Add prices one result and accumulates it.
-func (t *Tally) Add(res event.Result) {
-	b, txn := t.Model.Cost(res)
-	t.Refs++
-	if !txn {
+// AddN prices n results that Model.CostN can price together (res holds
+// their summed unit counts) and accumulates them; AddN(res, 1) prices one.
+func (t *Tally) AddN(res event.Result, n int64) {
+	b, txns := t.Model.CostN(res, n)
+	t.Refs += n
+	if txns == 0 {
 		// A non-transaction's breakdown is all zeros (prices are
 		// non-negative), so accumulating it would change nothing.
 		return
 	}
 	t.Cycles = t.Cycles.Add(b)
-	t.Transactions++
+	t.Transactions += txns
 }
 
 // Merge folds another tally (priced under the same model) into t.

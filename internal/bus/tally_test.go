@@ -10,9 +10,9 @@ import (
 
 func TestTallyAccumulates(t *testing.T) {
 	tl := NewTally(Pipelined())
-	tl.Add(event.Result{Type: event.RdHit})
-	tl.Add(event.Result{Type: event.RdMissMem}) // 5 cycles, 1 txn
-	tl.Add(event.Result{Type: event.WrHitShared, Update: true})
+	tl.AddN(event.Result{Type: event.RdHit}, 1)
+	tl.AddN(event.Result{Type: event.RdMissMem}, 1) // 5 cycles, 1 txn
+	tl.AddN(event.Result{Type: event.WrHitShared, Update: true}, 1)
 	if tl.Refs != 3 || tl.Transactions != 2 {
 		t.Fatalf("refs=%d txns=%d", tl.Refs, tl.Transactions)
 	}
@@ -37,9 +37,9 @@ func TestTallyEmpty(t *testing.T) {
 func TestTallyMerge(t *testing.T) {
 	a := NewTally(Pipelined())
 	b := NewTally(Pipelined())
-	a.Add(event.Result{Type: event.RdMissMem})
-	b.Add(event.Result{Type: event.RdMissMem})
-	b.Add(event.Result{Type: event.RdHit})
+	a.AddN(event.Result{Type: event.RdMissMem}, 1)
+	b.AddN(event.Result{Type: event.RdMissMem}, 1)
+	b.AddN(event.Result{Type: event.RdHit}, 1)
 	a.Merge(b)
 	if a.Refs != 3 || a.Transactions != 2 || a.Cycles.Total() != 10 {
 		t.Errorf("merge wrong: %+v", a)
@@ -48,8 +48,8 @@ func TestTallyMerge(t *testing.T) {
 
 func TestTallyBreakdownPerRef(t *testing.T) {
 	tl := NewTally(Pipelined())
-	tl.Add(event.Result{Type: event.RdMissMem}) // mem 5
-	tl.Add(event.Result{Type: event.RdHit})
+	tl.AddN(event.Result{Type: event.RdMissMem}, 1) // mem 5
+	tl.AddN(event.Result{Type: event.RdHit}, 1)
 	br := tl.PerRefBreakdown()
 	if br[CatMemAccess] != 2.5 {
 		t.Errorf("breakdown = %v", br)
@@ -62,7 +62,7 @@ func TestTallyBreakdownPerRef(t *testing.T) {
 
 func TestTallyString(t *testing.T) {
 	tl := NewTally(Pipelined())
-	tl.Add(event.Result{Type: event.RdMissMem})
+	tl.AddN(event.Result{Type: event.RdMissMem}, 1)
 	out := tl.String()
 	for _, want := range []string{"pipelined", "cycles/ref", "mem access"} {
 		if !strings.Contains(out, want) {

@@ -52,15 +52,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Set headers are made a page at a time, on first touch, so a cache's
+// memory follows the sets a trace touches rather than its size: a 4 MiB
+// direct-mapped cache has 262144 sets, 6 MiB of headers, and a 64-CPU
+// simulation builds 64 of them. With a hashed index the touched sets are
+// scattered, so pages are small: 64 headers, 1.5 KiB.
+const (
+	setPageBits = 6
+	setPageSize = 1 << setPageBits
+)
+
+type setPage [setPageSize][]trace.Block
+
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
 	cfg  Config
 	mask uint64
-	// sets[s] holds the blocks of set s in LRU order: index 0 is the
-	// most recently used. The slice is made on the first Access: a
-	// 4 MiB 2-way cache has 131072 sets, and an engine built only to
-	// validate its scheme name must not pay for them.
-	sets [][]trace.Block
+	// pages[s>>setPageBits][s&(setPageSize-1)] holds the blocks of set
+	// s in LRU order: index 0 is the most recently used. The page list
+	// is made on the first Access, so an engine built only to validate
+	// its scheme name pays for no set, and each page when one of its
+	// sets is first filled.
+	pages []*setPage
 
 	// Stats.
 	Accesses int64
@@ -92,16 +105,41 @@ func (c *Cache) setOf(b trace.Block) uint64 {
 	return v & c.mask
 }
 
+// ways returns the blocks of the set b maps to, or nil when no block of
+// its page was ever cached.
+func (c *Cache) ways(b trace.Block) []trace.Block {
+	if c.pages == nil {
+		return nil
+	}
+	s := c.setOf(b)
+	if pg := c.pages[s>>setPageBits]; pg != nil {
+		return pg[s&(setPageSize-1)]
+	}
+	return nil
+}
+
+// set returns the header of the set b maps to, making its page first if
+// needed.
+func (c *Cache) set(b trace.Block) *[]trace.Block {
+	s := c.setOf(b)
+	if c.pages == nil {
+		c.pages = make([]*setPage, (c.mask>>setPageBits)+1)
+	}
+	pg := c.pages[s>>setPageBits]
+	if pg == nil {
+		pg = new(setPage)
+		c.pages[s>>setPageBits] = pg
+	}
+	return &pg[s&(setPageSize-1)]
+}
+
 // Access touches block b, filling it on a miss. It reports whether the
 // access hit, and the victim evicted to make room (evicted is false when
 // an empty way was available).
 func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted bool) {
 	c.Accesses++
-	if c.sets == nil {
-		c.sets = make([][]trace.Block, c.mask+1)
-	}
-	s := c.setOf(b)
-	ways := c.sets[s]
+	set := c.set(b)
+	ways := *set
 	for i, blk := range ways {
 		if blk == b {
 			// Move to MRU position.
@@ -115,7 +153,7 @@ func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted boo
 		ways = append(ways, 0)
 		copy(ways[1:], ways)
 		ways[0] = b
-		c.sets[s] = ways
+		*set = ways
 		return false, 0, false
 	}
 	victim = ways[len(ways)-1]
@@ -128,10 +166,7 @@ func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted boo
 // Contains reports whether block b is resident (without touching LRU
 // state).
 func (c *Cache) Contains(b trace.Block) bool {
-	if c.sets == nil {
-		return false
-	}
-	for _, blk := range c.sets[c.setOf(b)] {
+	for _, blk := range c.ways(b) {
 		if blk == b {
 			return true
 		}
@@ -141,14 +176,10 @@ func (c *Cache) Contains(b trace.Block) bool {
 
 // Invalidate removes block b if present, reporting whether it was.
 func (c *Cache) Invalidate(b trace.Block) bool {
-	if c.sets == nil {
-		return false
-	}
-	s := c.setOf(b)
-	ways := c.sets[s]
+	ways := c.ways(b)
 	for i, blk := range ways {
 		if blk == b {
-			c.sets[s] = append(ways[:i], ways[i+1:]...)
+			*c.set(b) = append(ways[:i], ways[i+1:]...)
 			return true
 		}
 	}
@@ -158,8 +189,13 @@ func (c *Cache) Invalidate(b trace.Block) bool {
 // Resident returns the number of blocks currently cached.
 func (c *Cache) Resident() int {
 	n := 0
-	for _, ways := range c.sets {
-		n += len(ways)
+	for _, pg := range c.pages {
+		if pg == nil {
+			continue
+		}
+		for _, ways := range pg {
+			n += len(ways)
+		}
 	}
 	return n
 }

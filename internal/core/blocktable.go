@@ -2,13 +2,16 @@ package core
 
 import "dirsim/internal/trace"
 
-// Pages are 512 blocks. The per-block states stored here are at most 16
-// bytes, so a touched page costs at most 8 KiB: small enough that sparse
-// address spaces and short experiment traces stay cheap (larger pages
-// spend their time being zeroed and show up in the resident set), big
-// enough that the standard workloads live on a dozen of them.
+// Pages are 128 blocks. The per-block states stored here are at most 16
+// bytes, so a touched page costs at most 2 KiB. Traces scatter their
+// blocks, so pages are small: the standard workloads over 20 000
+// references touch 300 to 500 blocks on 11 or 12 pages at 4 CPUs, and
+// with 512-block pages they took 9 pages of 8 KiB, nine tenths zeroes,
+// which made page zeroing most of what a short simulation allocates.
+// Over 2 000 000 references they live on 28 to 39 pages at 4 CPUs and
+// 124 to 172 at 64.
 const (
-	pageBits = 9
+	pageBits = 7
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 )
@@ -22,13 +25,13 @@ const (
 type blockTable[T any] struct {
 	pages map[uint64]*[pageSize]T
 	// recent is a direct-mapped cache over pages. Traces interleave a few
-	// regions per CPU (the standard workloads touch 13 pages at 4 CPUs,
-	// 80 at 64, and leave the last-used one on every second to fourth
-	// data reference), so one remembered page is not enough; a hashed slot
-	// per page makes all but the first lookup of a page a compare instead
-	// of a map probe. 256 slots keep two hot pages from sharing one. Like
-	// pages it is allocated on first touch: engines are also built just to
-	// validate a scheme name, and those must stay a few words.
+	// regions per CPU and leave the last-used page on every second to
+	// fourth data reference, so one remembered page is not enough; a
+	// hashed slot per page makes all but the first lookup of a page a
+	// compare instead of a map probe. 512 slots keep two hot pages from
+	// sharing one even at 64 CPUs. Like pages it is allocated on first
+	// touch: engines are also built just to validate a scheme name, and
+	// those must stay a few words.
 	recent *[1 << recentBits]recentPage[T]
 }
 
@@ -37,7 +40,7 @@ type recentPage[T any] struct {
 	page *[pageSize]T
 }
 
-const recentBits = 8
+const recentBits = 9
 
 // At returns the state slot of block b, allocating its page on first
 // touch. The pointer stays valid for the life of the table.

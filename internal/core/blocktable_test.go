@@ -90,13 +90,13 @@ func TestBatchAllocs(t *testing.T) {
 // TestBlockStateSizes pins the sizing the block table was measured with:
 // 16 bytes of state per block at most — the one state every
 // infinite-cache scheme runs on, and the finite engine and the Dir1NB
-// specification too — 512 blocks per page at most, nothing allocated
+// specification too — 128 blocks per page at most, nothing allocated
 // before the first reference. Larger states or pages spend the run
 // zeroing memory and show up in the resident set of every short
 // simulation.
 func TestBlockStateSizes(t *testing.T) {
-	if pageSize > 512 {
-		t.Errorf("pages hold %d blocks, limit 512", pageSize)
+	if pageSize > 128 {
+		t.Errorf("pages hold %d blocks, limit 128", pageSize)
 	}
 	// The service builds engines just to validate scheme names: an
 	// untouched table must stay two words, its page cache unallocated.
@@ -133,9 +133,9 @@ func TestBlockTableSparseFootprint(t *testing.T) {
 	}
 	perPage := float64(heap()-before) / blocks
 	runtime.KeepAlive(p)
-	// 512 states of 16 bytes are 8 KiB; the page map's entry is noise.
-	if perPage > 9<<10 {
-		t.Errorf("a touched page costs %.0f bytes of heap, limit %d", perPage, 9<<10)
+	// 128 states of 16 bytes are 2 KiB; the page map's entry is noise.
+	if perPage > 3<<10 {
+		t.Errorf("a touched page costs %.0f bytes of heap, limit %d", perPage, 3<<10)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -144,7 +144,7 @@ func TestBlockTableSparseFootprint(t *testing.T) {
 
 // TestZeroStateInvariants checks that every engine's invariants accept
 // the never-referenced slots of a touched page: one reference allocates a
-// page whose other 511 states are zero.
+// page whose other 127 states are zero.
 func TestZeroStateInvariants(t *testing.T) {
 	for _, p := range everyEngine(t, 4) {
 		if err := p.CheckInvariants(); err != nil {

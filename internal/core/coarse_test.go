@@ -35,7 +35,7 @@ func TestCoarseVectorBasics(t *testing.T) {
 }
 
 // TestCoarseVectorZeroState checks the invariants accept never-referenced
-// entries: an untouched engine, and the 511 zero slots beside one block.
+// entries: an untouched engine, and the 127 zero slots beside one block.
 func TestCoarseVectorZeroState(t *testing.T) {
 	p := NewCoarseVector(8)
 	if err := p.CheckInvariants(); err != nil {

@@ -175,12 +175,18 @@ func (p *finiteDir) evict(c uint8, victim trace.Block) {
 
 // MissCauses returns a finite-cache engine's per-cache cold fills,
 // coherence (invalidation-caused) and capacity (eviction-caused) misses;
-// first-trace-reference misses are in none. Infinite caches have none.
-func MissCauses(p Protocol) (cold, coherence, capacity int64) {
+// first-trace-reference misses are in none. finite reports whether p is a
+// finite-cache engine at all; infinite caches have no miss causes. It is
+// also the one test for an engine whose state is not independent per
+// block: a finite cache's fill evicts another block from its set, and
+// which one depends on every block that maps there, so references to
+// disjoint sets of blocks cannot run on separate engines
+// (sim.SimulateSharded refuses it).
+func MissCauses(p Protocol) (cold, coherence, capacity int64, finite bool) {
 	if f, ok := p.(*finiteDir); ok {
-		return f.cold, f.coherence, f.capacity
+		return f.cold, f.coherence, f.capacity, true
 	}
-	return 0, 0, 0
+	return 0, 0, 0, false
 }
 
 // CheckInvariants verifies the directory map matches cache residency,

@@ -108,7 +108,10 @@ func TestFiniteDirMissCauseAccounting(t *testing.T) {
 		rd(0, 3), // trace-first; evicts block 1 or 2 on cpu 0
 		rd(0, 1), // capacity or coherence depending on victim...
 	)
-	cold, coh, capm := MissCauses(p)
+	cold, coh, capm, finite := MissCauses(p)
+	if !finite {
+		t.Error("MissCauses does not report a finite cache as finite")
+	}
 	if cold != 1 {
 		t.Errorf("cold = %d, want 1", cold)
 	}
@@ -133,7 +136,7 @@ func TestFiniteDirMatchesInfiniteWhenHuge(t *testing.T) {
 			t.Fatalf("ref %d (%+v): finite %+v, DirNNB %+v", i, refs[i], a[i], b[i])
 		}
 	}
-	_, _, capm := MissCauses(big)
+	_, _, capm, _ := MissCauses(big)
 	if capm != 0 {
 		t.Errorf("no capacity misses expected, got %d", capm)
 	}
@@ -166,7 +169,7 @@ func TestFiniteDirCoherenceMissesShrinkWithCache(t *testing.T) {
 	cohAt := func(blocks int) int64 {
 		p := newFinite(t, 4, blocks)
 		apply(t, p, refs...)
-		_, coh, _ := MissCauses(p)
+		_, coh, _, _ := MissCauses(p)
 		return coh
 	}
 	big, small := cohAt(4096), cohAt(32)

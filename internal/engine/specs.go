@@ -80,6 +80,17 @@ func (s SimSpec) rescaled() bool {
 	return s.BlockBytes != 0 && s.BlockBytes != trace.BlockBytes
 }
 
+// models returns the bus cost models s is priced under: nil, sim's
+// default pair, at the native block size, and the same two tariffs at
+// BlockBytes/4 32-bit words otherwise.
+func (s SimSpec) models() []bus.Model {
+	if !s.rescaled() {
+		return nil
+	}
+	words := s.BlockBytes / 4
+	return []bus.Model{bus.PipelinedWords(words), bus.NonPipelinedWords(words)}
+}
+
 // Validate reports whether the engine can run s: a valid workload, a
 // scheme core.NewByName builds at its CPU count, a known filter and a
 // block size of 0 or one trace.CheckBlockSize accepts.
@@ -390,15 +401,12 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 			expect = kept(t, filter)
 		}
 	}
-	opts := sim.Options{Check: spec.Check}
 	if spec.rescaled() {
 		if src, err = trace.WithBlockSize(src, spec.BlockBytes); err != nil {
 			return nil, err
 		}
-		words := spec.BlockBytes / 4 // 32-bit words
-		opts.Models = []bus.Model{bus.PipelinedWords(words), bus.NonPipelinedWords(words)}
 	}
-	r, err := sim.Simulate(p, cancellable(ctx, src), opts)
+	r, err := sim.Simulate(p, cancellable(ctx, src), sim.Options{Check: spec.Check, Models: spec.models()})
 	if err != nil {
 		return nil, err
 	}

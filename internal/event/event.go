@@ -126,17 +126,13 @@ func (t Type) IsFirstRef() bool { return t == RdMissFirst || t == WrMissFirst }
 
 // Result is the full outcome of applying one reference to a protocol
 // engine: the Table 4 classification plus the concrete coherence actions
-// taken, which the cost models and Figure 1 need.
+// taken, which the cost models and Figure 1 need. The one-byte fields come
+// first, so the struct is 40 bytes, not the 56 that interleaving them
+// with the counts pads it to: a dense AccessBatch writes one per
+// reference.
 type Result struct {
 	// Type is the Table 4 classification.
 	Type Type
-	// Holders is the number of *other* caches that held the block at the
-	// time of the reference (before any invalidation). For writes to
-	// previously-clean blocks this is the Figure 1 quantity.
-	Holders int
-	// Inval is the number of directed (sequential) invalidation messages
-	// sent. Zero when a broadcast was used instead.
-	Inval int
 	// Broadcast reports that an invalidation (or update) was performed
 	// by bus broadcast rather than directed messages.
 	Broadcast bool
@@ -151,6 +147,16 @@ type Result struct {
 	// Update reports a Dragon-style word update or a WTI write-through
 	// placed on the bus.
 	Update bool
+	// EvictWB reports that a *replacement* (not a coherence action)
+	// flushed a dirty victim to memory — finite-cache engines only.
+	EvictWB bool
+	// Holders is the number of *other* caches that held the block at the
+	// time of the reference (before any invalidation). For writes to
+	// previously-clean blocks this is the Figure 1 quantity.
+	Holders int
+	// Inval is the number of directed (sequential) invalidation messages
+	// sent. Zero when a broadcast was used instead.
+	Inval int
 	// ForcedInval is the number of copies invalidated only to make room
 	// in a limited-pointer (DiriNB) directory entry, not to satisfy the
 	// multiple-readers/single-writer invariant.
@@ -159,9 +165,6 @@ type Result struct {
 	// neither invalidations nor data: the Yen–Fu scheme's single-bit
 	// clears and finite-cache replacement notifications, for example.
 	Control int
-	// EvictWB reports that a *replacement* (not a coherence action)
-	// flushed a dirty victim to memory — finite-cache engines only.
-	EvictWB bool
 }
 
 // Quiet reports whether the result records no coherence action at all: no
@@ -175,10 +178,99 @@ func (r Result) Quiet() bool { return r.noAction() && !r.Type.IsMiss() }
 // noAction reports that no action field is set; a miss fill is an action
 // too, but one the Type records. It and Plain take a pointer because they
 // run once per reference over a dense results buffer, where copying the
-// 56-byte Result costs more than the test.
+// 40-byte Result costs more than the test.
 func (r *Result) noAction() bool {
 	return !r.Broadcast && !r.WriteBack && !r.DirCheck && !r.Update &&
 		!r.EvictWB && r.Inval == 0 && r.ForcedInval == 0 && r.Control == 0
+}
+
+// Class is the projection of a Result onto what the tariffs read
+// (bus.Model.CostN and network.Tally.AddN): whether it is a miss, its
+// action flags, and whether it carries unit counts the bus prices. The
+// counts themselves (Inval, ForcedInval, Control) are linear in both
+// tariffs, so a caller that counts results by class sums them per class;
+// the Class keeps only whether they are present, which makes the number
+// of classes independent of the CPU count. Results of one class cost the
+// same apart from their units, and are bus transactions all or none.
+// Holders and the Type beyond miss or not are left out because no tariff
+// reads them; a tariff that comes to read one must add it here.
+type Class uint8
+
+// The bits of a Class.
+const (
+	classMiss Class = 1 << iota
+	classWriteBack
+	classCacheSupply
+	classEvictWB
+	classDirCheck
+	classUpdate
+	classBroadcast
+	// classUnits marks results with unit counts a bus prices: Inval
+	// (unless the result is an update, which pays through its written
+	// word instead), ForcedInval or Control.
+	classUnits
+)
+
+// NumClasses is the number of Class values.
+const NumClasses = 1 << 8
+
+// missTypes is the set of types IsMiss reports, as a bit mask.
+const missTypes = 1<<RdMissFirst | 1<<RdMissMem | 1<<RdMissClean | 1<<RdMissDirty |
+	1<<WrMissFirst | 1<<WrMissMem | 1<<WrMissClean | 1<<WrMissDirty
+
+// Class returns r's class. First-reference misses and quiet results are
+// free under every tariff; their class is not meaningful.
+func (r *Result) Class() Class {
+	var c Class
+	if missTypes>>r.Type&1 != 0 {
+		c |= classMiss
+	}
+	if r.WriteBack {
+		c |= classWriteBack
+	}
+	if r.CacheSupply {
+		c |= classCacheSupply
+	}
+	if r.EvictWB {
+		c |= classEvictWB
+	}
+	if r.DirCheck {
+		c |= classDirCheck
+	}
+	if r.Update {
+		c |= classUpdate
+	}
+	if r.Broadcast {
+		c |= classBroadcast
+	}
+	if (r.Inval > 0 && !r.Update) || r.ForcedInval > 0 || r.Control > 0 {
+		c |= classUnits
+	}
+	return c
+}
+
+// Sum returns a result of class c that carries the given unit counts,
+// the summed counts of some results of class c: CostN and AddN price it
+// for n such results at once as they would price them one by one.
+func (c Class) Sum(inval, forcedInval, control int) Result {
+	r := Result{
+		// Any miss type that is not a first reference prices alike, as
+		// does any other non-quiet type.
+		Type:        WrHitClean,
+		WriteBack:   c&classWriteBack != 0,
+		CacheSupply: c&classCacheSupply != 0,
+		EvictWB:     c&classEvictWB != 0,
+		DirCheck:    c&classDirCheck != 0,
+		Update:      c&classUpdate != 0,
+		Broadcast:   c&classBroadcast != 0,
+		Inval:       inval,
+		ForcedInval: forcedInval,
+		Control:     control,
+	}
+	if c&classMiss != 0 {
+		r.Type = WrMissMem
+	}
+	return r
 }
 
 // plainTypes is the set of types a plain result can have, as a bit mask.

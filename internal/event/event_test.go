@@ -3,6 +3,7 @@ package event
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestTypeString(t *testing.T) {
@@ -66,6 +67,41 @@ func TestIsFirstRef(t *testing.T) {
 		want := ty == RdMissFirst || ty == WrMissFirst
 		if ty.IsFirstRef() != want {
 			t.Errorf("%v.IsFirstRef() = %v", ty, ty.IsFirstRef())
+		}
+	}
+}
+
+// TestResultSize pins the field order that keeps Result at 40 bytes: a
+// dense results buffer holds one per reference.
+func TestResultSize(t *testing.T) {
+	if n := unsafe.Sizeof(Result{}); n != 40 {
+		t.Errorf("event.Result is %d bytes, want 40", n)
+	}
+}
+
+// TestClassSumRoundTrips: the result Class.Sum builds for a class has
+// that class and is not a first reference, so the tariffs price it as
+// they price the class's results; and a result's class says miss
+// exactly when its type is one.
+func TestClassSumRoundTrips(t *testing.T) {
+	for i := range NumClasses {
+		c := Class(i)
+		control := 0
+		if c&classUnits != 0 {
+			control = 1
+		}
+		r := c.Sum(0, 0, control)
+		if got := r.Class(); got != c {
+			t.Errorf("Class(%#x).Sum has class %#x", c, got)
+		}
+		if r.Type.IsFirstRef() {
+			t.Errorf("Class(%#x).Sum is a first reference", c)
+		}
+	}
+	for ty := Type(0); ty < NumTypes; ty++ {
+		r := Result{Type: ty}
+		if miss := r.Class()&classMiss != 0; miss != ty.IsMiss() {
+			t.Errorf("%v: class says miss %v, IsMiss %v", ty, miss, ty.IsMiss())
 		}
 	}
 }

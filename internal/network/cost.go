@@ -52,15 +52,20 @@ func (t *Tally) Cycles() float64 {
 }
 
 // msg adds n directed messages of w data words each.
-func (t *Tally) msg(n, w int) {
-	t.Messages += int64(n)
-	t.CycleUnits += int64(n) * t.Topo.MsgCycleUnits(w)
+func (t *Tally) msg(n int64, w int) {
+	t.Messages += n
+	t.CycleUnits += n * t.Topo.MsgCycleUnits(w)
 }
 
-// Add prices one protocol result. First-reference misses are excluded,
+// AddN prices n protocol results of one event.Class, whose unit counts
+// (Inval, ForcedInval, Control) res carries summed; AddN(res, 1) prices
+// one result. Every term is an integer count of messages or cycle units,
+// so pricing n at once is exactly pricing them one by one. Every field
+// read here must be part of event.Class, or results that price
+// differently would share a class. First-reference misses are excluded,
 // as everywhere in the evaluation.
-func (t *Tally) Add(res event.Result) {
-	t.Refs++
+func (t *Tally) AddN(res event.Result, n int64) {
+	t.Refs += n
 	if res.Type.IsFirstRef() || res.Quiet() {
 		// Quiet results send no messages; every branch below would add
 		// zero.
@@ -70,37 +75,35 @@ func (t *Tally) Add(res event.Result) {
 		switch {
 		case res.CacheSupply:
 			// Request to home, forward to owner, data to requester.
-			t.msg(2, 0)
-			t.msg(1, blockWords)
+			t.msg(2*n, 0)
+			t.msg(n, blockWords)
 			if res.WriteBack {
-				t.msg(1, blockWords)
+				t.msg(n, blockWords)
 			}
 		default:
-			t.msg(1, 0)
-			t.msg(1, blockWords)
+			t.msg(n, 0)
+			t.msg(n, blockWords)
 		}
 	} else if res.WriteBack {
-		t.msg(1, blockWords)
+		t.msg(n, blockWords)
 	}
 	if res.DirCheck {
 		// Query and grant.
-		t.msg(2, 0)
+		t.msg(2*n, 0)
 	}
-	if res.Inval > 0 {
-		// Invalidation plus acknowledgement per victim.
-		t.msg(2*res.Inval, 0)
-	}
-	t.msg(2*res.ForcedInval, 0)
-	t.msg(res.Control, 0)
+	// Invalidation plus acknowledgement per victim.
+	t.msg(2*int64(res.Inval), 0)
+	t.msg(2*int64(res.ForcedInval), 0)
+	t.msg(int64(res.Control), 0)
 	if res.Broadcast && !res.Update {
 		if t.Topo.Broadcast {
-			t.CycleUnits += t.Topo.CycleDenom()
+			t.CycleUnits += n * t.Topo.CycleDenom()
 		} else {
 			// Flood the invalidation and collect acknowledgements
 			// from every node.
-			t.Floods++
-			t.CycleUnits += int64(t.Topo.FloodLinks) * t.Topo.CycleDenom()
-			t.msg(t.Topo.Nodes-1, 0)
+			t.Floods += n
+			t.CycleUnits += n * int64(t.Topo.FloodLinks) * t.Topo.CycleDenom()
+			t.msg(n*int64(t.Topo.Nodes-1), 0)
 		}
 	}
 	if res.Update {
@@ -108,11 +111,11 @@ func (t *Tally) Add(res event.Result) {
 		// snoopers pick it up for free, elsewhere sharers would need
 		// directed updates from a directory — priced as one flood
 		// when the protocol relied on snooping.
-		t.msg(1, 1)
+		t.msg(n, 1)
 		if res.Broadcast && !t.Topo.Broadcast {
-			t.Floods++
+			t.Floods += n
 			// A word to every node.
-			t.CycleUnits += int64(t.Topo.FloodLinks) * 2 * t.Topo.CycleDenom()
+			t.CycleUnits += n * int64(t.Topo.FloodLinks) * 2 * t.Topo.CycleDenom()
 		}
 	}
 }

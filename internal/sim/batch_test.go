@@ -15,8 +15,8 @@ import (
 
 // referenceSimulate is the seed's per-reference simulation loop, kept
 // as the oracle for the batched hot path: it reads one-reference batches,
-// so no batch boundary can hide anything, and iterates the tally maps in
-// record. Any divergence between this and Simulate is a correctness bug,
+// so no batch boundary can hide anything, and prices every result as it
+// arrives, under every tally, so it is independent of the class table. Any divergence between this and Simulate is a correctness bug,
 // not a tuning artifact. quietCleanWrites counts the writes to clean
 // blocks that needed no action (Yen–Fu's locally resolved wh-blk-cln),
 // so a test can tell that the batched path's quiet-but-not-plain case
@@ -62,12 +62,13 @@ func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (res *Re
 			res.WriteBacks++
 		}
 		for _, t := range res.Tallies {
-			t.Add(out)
+			t.AddN(out, 1)
 		}
 		for _, t := range res.NetTallies {
-			t.Add(out)
+			t.AddN(out, 1)
 		}
 	}
+	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses, _ = core.MissCauses(p)
 	return res, quietCleanWrites, nil
 }
 

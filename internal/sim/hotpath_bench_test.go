@@ -10,39 +10,33 @@ import (
 	"dirsim/internal/workload"
 )
 
-// hotpathWorkloads materializes the three standard traces once per
-// process; every benchmark iteration replays the identical references.
-func hotpathWorkloads(b testing.TB, refs int) []*trace.Trace {
-	cfgs := workload.StandardConfigs(4, refs)
+// BenchmarkSimulate replays the three standard 4-CPU traces through each
+// of the six paper schemes and reports references simulated per second,
+// so the schemes' loops can be compared with one another (go test
+// -run '^$' -bench Simulate ./internal/sim).
+func BenchmarkSimulate(b *testing.B) {
+	cfgs := workload.StandardConfigs(4, 100_000)
 	traces := make([]*trace.Trace, len(cfgs))
+	var refs int
 	for i, cfg := range cfgs {
-		t, err := workload.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		traces[i] = t
+		traces[i] = workload.MustGenerate(cfg)
+		refs += traces[i].Len()
 	}
-	return traces
-}
-
-// runLoop simulates one scheme over every trace.
-func runLoop(b testing.TB, scheme string, traces []*trace.Trace, opts Options) {
-	for _, t := range traces {
-		p, err := core.NewByName(scheme, t.CPUs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Simulate(p, t.Iterator(), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHotpathBatched(b *testing.B) {
-	traces := hotpathWorkloads(b, 100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runLoop(b, "Dir1NB", traces, Options{})
+	for _, scheme := range []string{"Dir1NB", "WTI", "Dir0B", "DirNNB", "Dir1B", "Dragon"} {
+		b.Run(scheme, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, t := range traces {
+					p, err := core.NewByName(scheme, t.CPUs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := Simulate(p, t.Iterator(), Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+		})
 	}
 }

@@ -77,6 +77,10 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // are integer-valued floats (exact in float64 far beyond any trace
 // length), so addition order cannot change a single bit.
 //
+// A finite-cache engine (core.MissCauses reports it) is refused with an
+// error: its state is not independent per block, since a fill evicts
+// across blocks, so no partition by block could reproduce its run.
+//
 // opts.Shards <= 0 resolves to runtime.GOMAXPROCS(0). Check mode attaches
 // one checker per core and keeps the per-shard invariant cadence. On a
 // shard failure the remaining shards drain cleanly (no goroutine leaks)
@@ -99,6 +103,9 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 		}
 		if s == 0 {
 			scheme = p.Name()
+			if _, _, _, finite := core.MissCauses(p); finite {
+				return nil, fmt.Errorf("sim: %s cannot be sharded: its state is not independent per block", scheme)
+			}
 			if src.CPUCount() > p.CPUs() {
 				return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
 					src.CPUCount(), p.Name(), p.CPUs())
@@ -213,19 +220,21 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			return nil, &ShardError{Shard: shard, Err: ferr}
 		}
 	}
-	res, busTallies, netTallies := newResult(p.Name(), opts)
+	res = newResult(p.Name(), opts)
 	every := int64(opts.InvariantEvery)
 	if every <= 0 {
 		every = 8192
 	}
 	var sparse sparseBatch
+	var classes classTable
 	var n int64
 	for buf := range work {
 		if opts.Check {
 			// Per-reference like the sequential checked path, so a
 			// violation is pinned to this shard's exact reference count.
 			for _, r := range buf {
-				res.record(p.Access(r), busTallies, netTallies)
+				out := p.Access(r)
+				res.record(&out, &classes)
 				n++
 				if n%every == 0 {
 					if cerr := p.CheckInvariants(); cerr != nil {
@@ -236,7 +245,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 				}
 			}
 		} else {
-			res.simulateBatch(p, buf, &sparse, busTallies, netTallies)
+			res.simulateBatch(p, buf, &sparse, &classes)
 			n += int64(len(buf))
 		}
 		free <- buf[:0]
@@ -249,6 +258,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			return nil, &ShardError{Shard: shard, Err: cerr}
 		}
 	}
-	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses = core.MissCauses(p)
+	res.price(&classes)
+	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses, _ = core.MissCauses(p)
 	return res, nil
 }

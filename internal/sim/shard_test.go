@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -248,5 +249,25 @@ func TestShardedAutoShards(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("auto-sharded result differs from reference")
+	}
+}
+
+// TestShardedRefusesFiniteCache pins the refusal of an engine whose state
+// is not independent per block. A finite cache's fill evicts another block
+// from its set, so shards partitioned by block replay different evictions:
+// two shards over 50 000 POPS references once reported 202 capacity and
+// 364 coherence misses where the sequential run has 357 and 345.
+func TestShardedRefusesFiniteCache(t *testing.T) {
+	const scheme = "FiniteDirNNB:512b2w"
+	tr := workload.MustGenerate(workload.POPSConfig(4, 20_000))
+	_, err := SimulateTrace(scheme, tr, Options{Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "cannot be sharded") {
+		t.Fatalf("sharded %s: err = %v, want a refusal", scheme, err)
+	}
+	if _, err := SimulateSharded(shardBuild(scheme, tr.CPUs), tr.Iterator(), Options{Shards: 1}); err == nil {
+		t.Errorf("%s accepted at one shard", scheme)
+	}
+	if _, err := SimulateTrace(scheme, tr, Options{}); err != nil {
+		t.Errorf("sequential %s: %v", scheme, err)
 	}
 }

@@ -114,7 +114,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 		return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
 			src.CPUCount(), p.Name(), p.CPUs())
 	}
-	res, busTallies, netTallies := newResult(p.Name(), opts)
+	res := newResult(p.Name(), opts)
 	var checker *core.Checker
 	if opts.Check {
 		checker = core.NewChecker()
@@ -129,8 +129,11 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	// References move in batches through two reusable buffers (refs in,
 	// sparse results out), so the steady-state loop allocates nothing and
 	// pays the Source interface dispatch once per batch, not per reference.
+	// Outcomes are counted by class in a table in this frame and priced
+	// once, after the loop.
 	buf := make([]trace.Ref, DefaultBatchRefs)
 	var sparse sparseBatch
+	var classes classTable
 	var n int64
 	for {
 		k := src.NextBatch(buf)
@@ -142,7 +145,8 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			// violations are pinned to the exact reference count that
 			// exposed them, batch boundaries notwithstanding.
 			for _, r := range buf[:k] {
-				res.record(p.Access(r), busTallies, netTallies)
+				out := p.Access(r)
+				res.record(&out, &classes)
 				n++
 				if n%every == 0 {
 					if err := p.CheckInvariants(); err != nil {
@@ -152,7 +156,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			}
 			continue
 		}
-		res.simulateBatch(p, buf[:k], &sparse, busTallies, netTallies)
+		res.simulateBatch(p, buf[:k], &sparse, &classes)
 	}
 	if opts.Check {
 		if err := p.CheckInvariants(); err != nil {
@@ -162,18 +166,14 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			return nil, err
 		}
 	}
-	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses = core.MissCauses(p)
+	res.price(&classes)
+	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses, _ = core.MissCauses(p)
 	return res, nil
 }
 
 // newResult builds an empty Result for one simulation (or one shard of
-// one) with its tallies instantiated from opts. The Tallies/NetTallies
-// maps are the stable public shape of the result, but iterating them per
-// reference costs more than pricing does; the returned slices are the
-// pre-resolved views the hot loop walks instead. Accumulation order
-// across tallies is irrelevant — each tally only ever adds to itself — so
-// results stay bit-identical whatever the map iteration order.
-func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.Tally) {
+// one) with its tallies instantiated from opts.
+func newResult(scheme string, opts Options) *Result {
 	res := &Result{
 		Scheme:  scheme,
 		Tallies: make(map[string]*bus.Tally),
@@ -187,18 +187,7 @@ func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.T
 			res.NetTallies[topo.Name] = network.NewTally(topo)
 		}
 	}
-	busTallies := make([]*bus.Tally, 0, len(res.Tallies))
-	for _, t := range res.Tallies {
-		busTallies = append(busTallies, t)
-	}
-	var netTallies []*network.Tally
-	if len(res.NetTallies) > 0 {
-		netTallies = make([]*network.Tally, 0, len(res.NetTallies))
-		for _, t := range res.NetTallies {
-			netTallies = append(netTallies, t)
-		}
-	}
-	return res, busTallies, netTallies
+	return res
 }
 
 // sparseBatch is the reusable scratch of a simulation's hot loop, what
@@ -226,8 +215,7 @@ type sparseBatch struct {
 // counts those, and their number is settled here once for the batch.
 // Everything else goes through record — quiet results that are not plain
 // included (Yen–Fu's wh-blk-cln: a Figure 1 point).
-func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch,
-	busTallies []*bus.Tally, netTallies []*network.Tally) {
+func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch, classes *classTable) {
 	b.plain = core.Plain{}
 	b.outs = core.AccessSparse(p, refs, &b.plain, b.outs[:0])
 	var total int64
@@ -236,21 +224,15 @@ func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch
 		total += n
 	}
 	r.Counts.Total += total
-	for _, t := range busTallies {
-		t.Refs += total
-	}
-	for _, t := range netTallies {
-		t.Refs += total
-	}
+	classes.free += total
 	for i := range b.outs {
-		r.record(b.outs[i], busTallies, netTallies)
+		r.record(&b.outs[i], classes)
 	}
 }
 
-// record accumulates one classified reference. The tally lists are the
-// pre-resolved values of r.Tallies/r.NetTallies; Simulate binds them once
-// so this stays free of map iteration.
-func (r *Result) record(out event.Result, busTallies []*bus.Tally, netTallies []*network.Tally) {
+// record accumulates one classified reference: its integer bookkeeping
+// in r, and its class, for pricing at the end, in classes.
+func (r *Result) record(out *event.Result, classes *classTable) {
 	r.Counts.Add(out.Type)
 	switch out.Type {
 	case event.WrHitClean, event.WrMissClean:
@@ -261,15 +243,8 @@ func (r *Result) record(out event.Result, busTallies []*bus.Tally, netTallies []
 	}
 	if out.Quiet() {
 		// Hits and instruction fetches — the bulk of every trace — touch
-		// no traffic counter, and every cost model prices them at zero;
-		// each tally just sees one more free reference. Checking once
-		// here spares pricing the result under every model separately.
-		for _, t := range busTallies {
-			t.Refs++
-		}
-		for _, t := range netTallies {
-			t.Refs++
-		}
+		// no traffic counter, and every cost model prices them at zero.
+		classes.free++
 		return
 	}
 	if out.Broadcast && !out.Update {
@@ -280,12 +255,13 @@ func (r *Result) record(out event.Result, busTallies []*bus.Tally, netTallies []
 	if out.WriteBack {
 		r.WriteBacks++
 	}
-	for _, t := range busTallies {
-		t.Add(out)
+	if out.Type.IsFirstRef() {
+		// First-reference misses are excluded from the multiprocessing
+		// overhead: every cost model prices them at zero too.
+		classes.free++
+		return
 	}
-	for _, t := range netTallies {
-		t.Add(out)
-	}
+	classes.add(out)
 }
 
 // SimulateTrace builds the named scheme for the trace's CPU count and runs

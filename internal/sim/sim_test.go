@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,10 +166,15 @@ func TestMergeOverTraces(t *testing.T) {
 func TestRecordClassification(t *testing.T) {
 	var r Result
 	r.Tallies = map[string]*bus.Tally{}
-	r.record(event.Result{Type: event.WrHitClean, Holders: 2, Broadcast: true}, nil, nil)
-	r.record(event.Result{Type: event.WrMissClean, Holders: 0}, nil, nil)
-	r.record(event.Result{Type: event.RdMissDirty, Holders: 1, WriteBack: true}, nil, nil)
-	r.record(event.Result{Type: event.WrHitShared, Holders: 3, Broadcast: true, Update: true}, nil, nil)
+	var classes classTable
+	for _, out := range []event.Result{
+		{Type: event.WrHitClean, Holders: 2, Broadcast: true},
+		{Type: event.WrMissClean, Holders: 0},
+		{Type: event.RdMissDirty, Holders: 1, WriteBack: true},
+		{Type: event.WrHitShared, Holders: 3, Broadcast: true, Update: true},
+	} {
+		r.record(&out, &classes)
+	}
 	if r.InvalClean.Total() != 2 {
 		t.Errorf("InvalClean observed %d events, want 2", r.InvalClean.Total())
 	}
@@ -198,3 +204,29 @@ func (stubProtocol) Name() string                  { return "stub" }
 func (stubProtocol) CPUs() int                     { return 64 }
 func (stubProtocol) Access(trace.Ref) event.Result { return event.Result{} }
 func (stubProtocol) CheckInvariants() error        { return nil }
+
+// TestFiniteCacheFootprint bounds what a large finite cache costs a
+// simulation. Its caches used to make every set header on first use:
+// about 385 MB for 64 of FiniteDirNNB:4m1w's 262144-set caches, though a
+// short trace touches a few thousand sets. Headers are paged now, so
+// memory follows the sets touched; the run must still give the parent's
+// fingerprint and miss causes.
+func TestFiniteCacheFootprint(t *testing.T) {
+	tr := workload.POPS(64, 20_000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := SimulateTrace("FiniteDirNNB:4m1w", tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 32<<20 {
+		t.Errorf("simulation allocated %d MB, limit 32 MB", grown>>20)
+	}
+	const want = 0x6cf3df7a05ceecb7
+	if fp := r.Fingerprint(); fp != want || r.ColdMisses != 167 || r.CoherenceMisses != 43 || r.CapacityMisses != 0 {
+		t.Errorf("fingerprint %016x, causes %d/%d/%d; want %016x, 167/43/0",
+			fp, r.ColdMisses, r.CoherenceMisses, r.CapacityMisses, uint64(want))
+	}
+}

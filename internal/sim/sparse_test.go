@@ -107,7 +107,7 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 
 // TestSparseResultsBufferGrowsOnDemand bounds what a simulation allocates
 // for classification results. The buffer used to be sized for a batch in
-// which every reference produced one — 56 bytes a reference, 229 KB at
+// which every reference produced one — 40 bytes a reference, 160 KB at
 // the simulator's batch size; a sparse stream needs room for the few per
 // cent of a batch that did something.
 func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
@@ -122,7 +122,7 @@ func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
 	// The reference buffer is not what this test is about.
 	rest := int64(after.TotalAlloc-before.TotalAlloc) - DefaultBatchRefs*int64(unsafe.Sizeof(trace.Ref{}))
 	// About 110 KB of tables and tallies; a results buffer sized for the
-	// batch would add 229 KB.
+	// batch would add 160 KB.
 	if rest > 192<<10 {
 		t.Errorf("%d bytes allocated besides the reference buffer, limit 192 KB", rest)
 	}
