@@ -22,7 +22,7 @@ import (
 
 const benchRefs = 60_000
 
-// runExperiment executes one paper experiment per iteration on a fresh
+// runExperiment runs and renders one paper experiment per iteration on a fresh
 // context so caching never hides the simulation cost.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
@@ -33,7 +33,7 @@ func runExperiment(b *testing.B, id string) {
 	e := exps[0]
 	for i := 0; i < b.N; i++ {
 		ctx := report.NewContext(benchRefs, 4)
-		if _, err := e.Run(ctx); err != nil {
+		if _, err := ctx.RunExperiment(e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func TestExperimentsFacade(t *testing.T) {
 		t.Fatalf("experiments: %d", len(exps))
 	}
 	ctx := dirsim.NewExperimentContext(30_000, 4)
-	out, err := exps[0].Run(ctx) // table3 is cheap
+	out, err := ctx.RunExperiment(exps[0]) // table3 is cheap
 	if err != nil {
 		t.Fatal(err)
 	}

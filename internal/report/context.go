@@ -80,12 +80,17 @@ func (c *Context) ctx() context.Context {
 // RunExperiment runs one experiment through the context. With a journal
 // on the base context (see WithBase) the run is bracketed by
 // experiment.start / experiment.finish events, from which obs.Report
-// takes its state and time; without one it is exactly e.Run.
+// takes its state and time; without one it is exactly e.Run. It returns
+// the section rendered as text.
 func (c *Context) RunExperiment(e Experiment) (string, error) {
 	jnl := obs.JournalFrom(c.ctx())
 	jnl.Event("experiment.start", "name", e.ID, "title", e.Title)
 	start := time.Now()
-	out, err := e.Run(c)
+	s, err := e.Run(c)
+	var out string
+	if err == nil {
+		out = s.String()
+	}
 	if d := time.Since(start).Microseconds(); err != nil {
 		jnl.Error("experiment.finish", err, "name", e.ID, "dur_us", d)
 	} else {
@@ -154,6 +159,19 @@ func (c *Context) Merged(scheme string) (*sim.Result, error) {
 	return rs[0], nil
 }
 
+// mergedEach returns each scheme's Merged result, in order.
+func (c *Context) mergedEach(schemes ...string) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(schemes))
+	for i, scheme := range schemes {
+		r, err := c.Merged(scheme)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
 // PerTrace returns the scheme's per-trace results on the standard traces.
 func (c *Context) PerTrace(scheme string) ([]*sim.Result, error) {
 	return c.eng.Results(c.ctx(), c.exec, c.specs(scheme, c.CPUs, ""))
@@ -165,6 +183,7 @@ type Experiment struct {
 	ID string
 	// Title describes the artifact.
 	Title string
-	// Run performs the simulations and renders the comparison.
-	Run func(c *Context) (string, error)
+	// Run performs the simulations and returns the comparison as tables
+	// and notes; Section.String renders it.
+	Run func(c *Context) (*Section, error)
 }

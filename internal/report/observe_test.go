@@ -21,9 +21,10 @@ func TestRunExperimentObserved(t *testing.T) {
 	c.WithBase(obs.WithJournal(context.Background(), obs.NewJournal(&buf)))
 
 	e := Experiment{ID: "fake", Title: "fake",
-		Run: func(*Context) (string, error) { return "rendered", nil }}
+		Run: func(*Context) (*Section, error) { return &Section{ID: "fake", Title: "rendered"}, nil }}
+	const rendered = "### fake — rendered\n\n"
 	out, err := c.RunExperiment(e)
-	if err != nil || out != "rendered" {
+	if err != nil || out != rendered {
 		t.Fatalf("RunExperiment = %q, %v", out, err)
 	}
 	log := buf.String()
@@ -36,7 +37,7 @@ func TestRunExperimentObserved(t *testing.T) {
 	// Failures propagate and land in the journal at error level.
 	buf.Reset()
 	bad := Experiment{ID: "bad", Title: "bad",
-		Run: func(*Context) (string, error) { return "", errors.New("boom") }}
+		Run: func(*Context) (*Section, error) { return nil, errors.New("boom") }}
 	if _, err := c.RunExperiment(bad); err == nil {
 		t.Fatal("failure swallowed")
 	}
@@ -47,7 +48,7 @@ func TestRunExperimentObserved(t *testing.T) {
 	// No journal: plain passthrough, no panic.
 	buf.Reset()
 	c.WithBase(nil)
-	if out, err := c.RunExperiment(e); err != nil || out != "rendered" {
+	if out, err := c.RunExperiment(e); err != nil || out != rendered {
 		t.Fatalf("unjournaled RunExperiment = %q, %v", out, err)
 	}
 	if buf.Len() != 0 {
@@ -65,9 +66,9 @@ func TestRunzFromRunExperiment(t *testing.T) {
 	var rec obs.Record
 	c.WithBase(obs.WithJournal(context.Background(), obs.NewJournal(&rec)))
 	c.RunExperiment(Experiment{ID: "ok", Title: "Table OK",
-		Run: func(*Context) (string, error) { return "rendered", nil }})
+		Run: func(*Context) (*Section, error) { return &Section{ID: "ok", Title: "Table OK"}, nil }})
 	c.RunExperiment(Experiment{ID: "bad", Title: "Figure Bad",
-		Run: func(*Context) (string, error) { return "", errors.New("boom") }})
+		Run: func(*Context) (*Section, error) { return nil, errors.New("boom") }})
 
 	rep := obs.Report(&rec, obs.NewRegistry(), start)
 	want := []obs.ExperimentReport{

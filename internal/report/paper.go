@@ -8,6 +8,14 @@ package report
 // Scheme display order used throughout the paper's tables.
 var PaperSchemes = []string{"Dir1NB", "WTI", "Dir0B", "Dragon"}
 
+// PaperTable3 holds the Table 3 reference counts the report quotes, in
+// thousands: POPS in full, THOR's and PERO's totals only.
+var PaperTable3 = map[string]struct{ Refs, Instr, Reads, Writes int }{
+	"POPS": {Refs: 3142, Instr: 1624, Reads: 1257, Writes: 261},
+	"THOR": {Refs: 3222},
+	"PERO": {Refs: 3508},
+}
+
 // PaperTable4 holds the published event frequencies (percent of all
 // references, averaged over POPS, THOR and PERO) from Table 4, keyed by
 // the paper's row labels. Missing entries were not reported for that

@@ -34,7 +34,7 @@ func TestParallelContextRendersIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
-		if got != want {
+		if got.String() != want.String() {
 			t.Errorf("%s: parallel rendering differs from serial\nserial:\n%s\nparallel:\n%s",
 				id, want, got)
 		}

@@ -5,89 +5,174 @@ import (
 	"strings"
 )
 
-// table is a tiny text-table builder: fixed label column plus value
-// columns, rendered with aligned widths.
-type table struct {
-	header []string
-	rows   [][]string
+// A Section is what an experiment returns: its banner, then its tables
+// and notes in print order. Numbers stay numbers until String renders
+// them — with Table.String and Cell.String the only code that formats
+// a value — and Value reads any of them back.
+type Section struct {
+	ID, Title string
+	Parts     []Part
 }
 
-func newTable(label string, cols ...string) *table {
-	return &table{header: append([]string{label}, cols...)}
+// A Part is a table or, when Table is nil, a note: prose printed as
+// fmt.Sprintf(Format, Args...), where a Cell prints as in a table.
+type Part struct {
+	Table  *Table
+	Format string
+	Args   []any
 }
 
-func (t *table) row(cells ...string) {
-	for len(cells) < len(t.header) {
-		cells = append(cells, "")
-	}
-	t.rows = append(t.rows, cells)
+// A Table is a label column plus value columns, printed with aligned
+// widths and a rule under the header — or, when Legend is set, the
+// legend ending the header line and no rule (the storage layout).
+type Table struct {
+	Header []string
+	Rows   []Row
+	Legend string
 }
 
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+// A Row is a row label and its value cells.
+type Row struct {
+	Label string
+	Cells []Cell
+}
+
+// A Cell is a value cell: its numbers, unformatted, and how they print.
+// Format takes one float64 verb per value (%.0f prints a count); one
+// without verbs is a fixed mark such as "-".
+type Cell struct {
+	Vals   []float64
+	Format string
+	Style  Style
+}
+
+// Style selects how a cell applies its Format.
+type Style uint8
+
+const (
+	Plain    Style = iota // fmt.Sprintf(Format, Vals...)
+	DashZero              // "-" for a zero (an event that never happens), else Plain
+	VsPaper               // "measured | paper": Vals[0] as DashZero, Vals[1] to two places
+	Bar                   // one '#' per 2% of Vals[0] (Figure 1's histogram)
+)
+
+func (c Cell) String() string {
+	switch c.Style {
+	case DashZero:
+		if c.Vals[0] == 0 {
+			return "-"
 		}
+	case VsPaper:
+		return Cell{c.Vals[:1], c.Format, DashZero}.String() + fmt.Sprintf(" | %.2f", c.Vals[1])
+	case Bar:
+		return strings.Repeat("#", int(c.Vals[0]/2))
 	}
+	args := make([]any, len(c.Vals))
+	for i, v := range c.Vals {
+		args[i] = v
+	}
+	return fmt.Sprintf(c.Format, args...)
+}
+
+// String renders the section: the banner, then every part in order.
+func (s *Section) String() string {
 	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i == 0 {
-				fmt.Fprintf(&b, "%-*s", widths[i], c)
-			} else {
-				fmt.Fprintf(&b, "  %*s", widths[i], c)
-			}
+	fmt.Fprintf(&b, "### %s — %s\n\n", s.ID, s.Title)
+	for _, p := range s.Parts {
+		if p.Table != nil {
+			b.WriteString(p.Table.String())
+		} else {
+			fmt.Fprintf(&b, p.Format, p.Args...)
 		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	total := 0
-	for _, w := range widths {
-		total += w + 2
-	}
-	b.WriteString(strings.Repeat("-", total-2))
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		writeRow(r)
 	}
 	return b.String()
 }
 
-// pct formats a percentage cell; empty for exact zero so unused events
-// don't clutter the table.
-func pct(v float64) string {
-	if v == 0 {
-		return "-"
+// Value reads back the first number of a value cell: in the section's
+// table i (from 0), the row labelled row, the column headed col.
+func (s *Section) Value(i int, row, col string) (float64, error) {
+	var tables []*Table
+	for _, p := range s.Parts {
+		if p.Table != nil {
+			tables = append(tables, p.Table)
+		}
 	}
-	return fmt.Sprintf("%.2f", v)
-}
-
-// cyc formats a cycles-per-reference value.
-func cyc(v float64) string { return fmt.Sprintf("%.4f", v) }
-
-// withPaper formats "measured (paper X)" when a published value exists.
-func withPaper(measured float64, paper float64, ok bool) string {
-	if !ok {
-		return cyc(measured)
+	if i >= 0 && i < len(tables) {
+		t := tables[i]
+		for _, r := range t.Rows {
+			for j, h := range t.Header[1:] {
+				if r.Label == row && strings.TrimSpace(h) == col && j < len(r.Cells) && len(r.Cells[j].Vals) > 0 {
+					return r.Cells[j].Vals[0], nil
+				}
+			}
+		}
 	}
-	return fmt.Sprintf("%s (paper %s)", cyc(measured), cyc(paper))
+	return 0, fmt.Errorf("report: %s has no number at table %d, row %q, column %q", s.ID, i, row, col)
 }
 
-// ratio formats a/b, guarding against division by zero.
-func ratio(a, b float64) string {
-	if b == 0 {
-		return "-"
+// table appends a table to the section and returns it for its rows.
+func (s *Section) table(label string, cols ...string) *Table {
+	t := &Table{Header: append([]string{label}, cols...)}
+	s.Parts = append(s.Parts, Part{Table: t})
+	return t
+}
+
+// note appends prose to the section.
+func (s *Section) note(format string, args ...any) {
+	s.Parts = append(s.Parts, Part{Format: format, Args: args})
+}
+
+func (t *Table) row(label string, cells ...Cell) {
+	t.Rows = append(t.Rows, Row{Label: label, Cells: cells})
+}
+
+func (t *Table) String() string {
+	text := [][]string{t.Header}
+	for _, r := range t.Rows {
+		line := []string{r.Label}
+		for _, c := range r.Cells {
+			line = append(line, c.String())
+		}
+		text = append(text, line)
 	}
-	return fmt.Sprintf("%.2f", a/b)
+	widths, total := make([]int, len(t.Header)), -2
+	for _, line := range text {
+		for i, s := range line {
+			widths[i] = max(widths[i], len(s))
+		}
+	}
+	for _, w := range widths {
+		total += w + 2
+	}
+	var b strings.Builder
+	for n, line := range text {
+		fmt.Fprintf(&b, "%-*s", widths[0], line[0])
+		for i, s := range line[1:] {
+			fmt.Fprintf(&b, "  %*s", widths[i+1], s)
+		}
+		if n == 0 && t.Legend != "" {
+			b.WriteString("  " + t.Legend)
+		}
+		b.WriteByte('\n')
+		if n == 0 && t.Legend == "" {
+			b.WriteString(strings.Repeat("-", total) + "\n")
+		}
+	}
+	return b.String()
 }
 
-// section renders an experiment banner.
-func section(id, title string) string {
-	return fmt.Sprintf("### %s — %s\n\n", id, title)
-}
+// num is a Plain cell.
+func num(format string, vals ...float64) Cell { return Cell{Vals: vals, Format: format} }
+
+// cyc is a cycles-per-reference cell.
+func cyc(v float64) Cell { return num("%.4f", v) }
+
+// count is an integer cell.
+func count[T int | int64](n T) Cell { return num("%.0f", float64(n)) }
+
+// pct is an event-frequency cell: two places, "-" for zero.
+func pct(v float64) Cell { return Cell{[]float64{v}, "%.2f", DashZero} }
+
+// none marks a cell with no value, such as a published one the paper
+// does not give.
+var none = num("-")

@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -109,7 +110,10 @@ func TestContextMergedCaches(t *testing.T) {
 }
 
 // TestEveryExperimentRuns executes each registered experiment at a small
-// size and sanity-checks its rendered output.
+// size and sanity-checks its rendered output and the numbers behind it:
+// at least one table, no empty table, and every value finite — a
+// division by zero renders as NaN or Inf text, which a snippet check
+// would let through.
 func TestEveryExperimentRuns(t *testing.T) {
 	c := smallContext()
 	wantSnippets := map[string]string{
@@ -143,10 +147,33 @@ func TestEveryExperimentRuns(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			out, err := e.Run(c)
+			sec, err := e.Run(c)
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
+			tables := 0
+			for _, p := range sec.Parts {
+				if p.Table == nil {
+					continue
+				}
+				tables++
+				if len(p.Table.Rows) == 0 {
+					t.Errorf("%s: table %q has no rows", e.ID, p.Table.Header[0])
+				}
+				for _, r := range p.Table.Rows {
+					for j, cell := range r.Cells {
+						for _, v := range cell.Vals {
+							if math.IsNaN(v) || math.IsInf(v, 0) {
+								t.Errorf("%s: row %q, column %q holds %v", e.ID, r.Label, p.Table.Header[j+1], v)
+							}
+						}
+					}
+				}
+			}
+			if tables == 0 {
+				t.Errorf("%s returned no table", e.ID)
+			}
+			out := sec.String()
 			if len(out) < 100 {
 				t.Fatalf("%s output suspiciously short:\n%s", e.ID, out)
 			}
@@ -158,17 +185,30 @@ func TestEveryExperimentRuns(t *testing.T) {
 }
 
 // TestQualitativeResultsHold asserts the paper's headline conclusions on
-// freshly simulated traces.
+// freshly simulated traces, read from the experiments' own tables: the
+// numbers the report prints are the numbers checked.
 func TestQualitativeResultsHold(t *testing.T) {
 	c := NewContext(150_000, 4)
-	perRef := func(scheme string) float64 {
-		r, err := c.Merged(scheme)
+	sections := map[string]*Section{}
+	cell := func(id, row, col string) float64 {
+		t.Helper()
+		if sections[id] == nil {
+			exps, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sections[id], err = exps[0].Run(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := sections[id].Value(0, row, col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.PerRef("pipelined")
+		return v
 	}
-	d1, wti, d0, dragon := perRef("Dir1NB"), perRef("WTI"), perRef("Dir0B"), perRef("Dragon")
+	fig2 := func(scheme string) float64 { return cell("fig2", scheme, "pipelined") }
+	d1, wti, d0, dragon := fig2("Dir1NB"), fig2("WTI"), fig2("Dir0B"), fig2("Dragon")
 	if !(d1 > wti && wti > d0 && d0 > dragon) {
 		t.Errorf("scheme ordering broken: Dir1NB %.4f, WTI %.4f, Dir0B %.4f, Dragon %.4f",
 			d1, wti, d0, dragon)
@@ -178,16 +218,14 @@ func TestQualitativeResultsHold(t *testing.T) {
 		t.Errorf("Dir0B (%.4f) not competitive with Dragon (%.4f)", d0, dragon)
 	}
 	// Figure 1: >75% of clean-block writes invalidate at most one cache
-	// (paper: >85%; leave slack for the smaller trace).
-	r, err := c.Merged("Dir0B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pct := r.InvalClean.PctAtMost(1); pct < 75 {
+	// (paper: >85%; leave slack for the smaller trace) — rows 0 and 1.
+	const share = "% of such writes"
+	if pct := cell("fig1", "0", share) + cell("fig1", "1", share); pct < 75 {
 		t.Errorf("only %.1f%% of clean writes invalidate <=1 cache", pct)
 	}
 	// DirNNB within 5% of Dir0B (paper: 1.6%).
-	dn := perRef("DirNNB")
+	const perRef = "cycles/ref (pipelined)"
+	d0, dn := cell("dirnnb", "Dir0B (broadcast)", perRef), cell("dirnnb", "DirNNB (sequential)", perRef)
 	if diff := (dn - d0) / d0; diff < 0 || diff > 0.05 {
 		t.Errorf("DirNNB premium over Dir0B = %.3f, want small and positive", diff)
 	}
@@ -224,33 +262,67 @@ func TestReportDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
+		if a.String() != b.String() {
 			t.Errorf("%s output differs between identical fresh contexts", id)
 		}
 	}
 }
 
+// TestRenderHelpers pins each way a value cell prints, one case per
+// style, then the table aligner, a note and Value around them.
 func TestRenderHelpers(t *testing.T) {
-	tbl := newTable("x", "a", "b")
-	tbl.row("r1", "1") // short row gets padded
-	out := tbl.String()
-	if !strings.Contains(out, "r1") || !strings.Contains(out, "---") {
-		t.Errorf("table render: %q", out)
+	for _, tc := range []struct {
+		name string
+		cell Cell
+		want string
+	}{
+		{"cycles", cyc(0.12344), "0.1234"},
+		{"dash for zero", pct(0), "-"},
+		{"dash style, nonzero", pct(1.5), "1.50"},
+		{"measured | paper", Cell{[]float64{4.781, 4.78}, "%.2f", VsPaper}, "4.78 | 4.78"},
+		{"unmeasured | paper", Cell{[]float64{0, 0.08}, "%.2f", VsPaper}, "- | 0.08"},
+		{"x (paper y)", num("%.4f (paper %.4f)", 0.05, 0.0491), "0.0500 (paper 0.0491)"},
+		{"a / b", num("%.4f / %.4f", 0.3, 0.45), "0.3000 / 0.4500"},
+		{"count (share)", num("%.0f (%.1f%%)", 1624, 51.68), "1624 (51.7%)"},
+		{"count", count(int64(3142)), "3142"},
+		{"no value", none, "-"},
+		{"Figure 1 bar", Cell{Vals: []float64{9.9}, Style: Bar}, "####"},
+	} {
+		if got := tc.cell.String(); got != tc.want {
+			t.Errorf("%s: %q, want %q", tc.name, got, tc.want)
+		}
 	}
-	if pct(0) != "-" || pct(1.5) != "1.50" {
-		t.Error("pct formatting")
+
+	s := &Section{ID: "x", Title: "y"}
+	tbl := s.table("x", "a", "bb")
+	tbl.row("r1", count(1), pct(0))
+	tbl.row("row2", count(22), pct(3))
+	s.note("\nratio %s, %d%%\n", num("%.2f", 0.5), 7)
+	want := "### x — y\n\n" +
+		"x      a    bb\n" +
+		"--------------\n" +
+		"r1     1     -\n" +
+		"row2  22  3.00\n" +
+		"\nratio 0.50, 7%\n"
+	if got := s.String(); got != want {
+		t.Errorf("section:\n%s\nwant:\n%s", got, want)
 	}
-	if cyc(0.12345) != "0.1234" && cyc(0.12345) != "0.1235" {
-		t.Errorf("cyc formatting: %s", cyc(0.12345))
+	if v, err := s.Value(0, "row2", "bb"); err != nil || v != 3 {
+		t.Errorf("Value(row2, bb) = %v, %v; want 3", v, err)
 	}
-	if ratio(1, 0) != "-" || ratio(3, 2) != "1.50" {
-		t.Error("ratio formatting")
+	for _, bad := range []struct {
+		table    int
+		row, col string
+	}{{1, "r1", "a"}, {0, "r3", "a"}, {0, "r1", "c"}} {
+		if _, err := s.Value(bad.table, bad.row, bad.col); err == nil {
+			t.Errorf("Value%+v found a number", bad)
+		}
 	}
-	if !strings.Contains(withPaper(0.5, 0.4, true), "paper") {
-		t.Error("withPaper should cite the paper value")
-	}
-	if strings.Contains(withPaper(0.5, 0.4, false), "paper") {
-		t.Error("withPaper without a value should not cite one")
+
+	legend := &Table{Header: []string{"org", "4"}, Legend: "(bits)"}
+	legend.row("full", count(5))
+	if got, want := legend.String(), "org   4  (bits)\nfull  5\n"; got != want {
+		t.Errorf("legend table = %q, want %q", got, want)
 	}
 }
 

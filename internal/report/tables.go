@@ -1,8 +1,7 @@
 package report
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/event"
@@ -12,31 +11,26 @@ import (
 // runTable3 reproduces Table 3: per-trace reference counts and the
 // user/system split, extended with the sharing measures the generators
 // are tuned against.
-func runTable3(c *Context) (string, error) {
-	var b strings.Builder
-	b.WriteString(section("table3", "Trace characteristics"))
+func runTable3(c *Context) (*Section, error) {
+	s := &Section{ID: "table3", Title: "Trace characteristics"}
 	traces, err := c.Traces()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	tbl := newTable("trace", "refs", "instr", "data-rd", "data-wrt", "user", "sys", "spin-rd", "shared-blk")
+	tbl := s.table("trace", "refs", "instr", "data-rd", "data-wrt", "user", "sys", "spin-rd", "shared-blk")
 	for _, t := range traces {
-		s := trace.ComputeStats(t)
-		tbl.row(s.Name,
-			fmt.Sprintf("%d", s.Refs),
-			fmt.Sprintf("%d (%.1f%%)", s.Instr, s.Pct(s.Instr)),
-			fmt.Sprintf("%d (%.1f%%)", s.Reads, s.Pct(s.Reads)),
-			fmt.Sprintf("%d (%.1f%%)", s.Writes, s.Pct(s.Writes)),
-			fmt.Sprintf("%d", s.User),
-			fmt.Sprintf("%d", s.System),
-			fmt.Sprintf("%.1f%% of reads", 100*float64(s.SpinReads)/float64(max(s.Reads, 1))),
-			fmt.Sprintf("%d of %d", s.SharedBlk, s.DataBlocks),
-		)
+		st := trace.ComputeStats(t)
+		share := func(n int) Cell { return num("%.0f (%.1f%%)", float64(n), st.Pct(n)) }
+		tbl.row(st.Name, count(st.Refs), share(st.Instr), share(st.Reads), share(st.Writes),
+			count(st.User), count(st.System),
+			num("%.1f%% of reads", 100*float64(st.SpinReads)/float64(max(st.Reads, 1))),
+			num("%.0f of %.0f", float64(st.SharedBlk), float64(st.DataBlocks)))
 	}
-	b.WriteString(tbl.String())
-	b.WriteString("\npaper: POPS 3142k refs (1624k instr, 1257k rd, 261k wrt), THOR 3222k,\n" +
-		"PERO 3508k; roughly 10% system activity; one third of POPS/THOR reads\nare lock-test spins.\n")
-	return b.String(), nil
+	p := PaperTable3
+	s.note("\npaper: POPS %dk refs (%dk instr, %dk rd, %dk wrt), THOR %dk,\n"+
+		"PERO %dk; roughly 10%% system activity; one third of POPS/THOR reads\nare lock-test spins.\n",
+		p["POPS"].Refs, p["POPS"].Instr, p["POPS"].Reads, p["POPS"].Writes, p["THOR"].Refs, p["PERO"].Refs)
+	return s, nil
 }
 
 // table4Rows defines the paper's Table 4 row structure as functions over a
@@ -71,78 +65,67 @@ var table4Rows = []struct {
 // runTable4 reproduces Table 4: measured event frequencies for the four
 // schemes, with the published value beside each cell where the paper
 // reports one.
-func runTable4(c *Context) (string, error) {
-	var b strings.Builder
-	b.WriteString(section("table4", "Event frequencies, % of all references (measured | paper)"))
-	counts := make(map[string]*event.Counts)
-	for _, scheme := range PaperSchemes {
-		r, err := c.Merged(scheme)
-		if err != nil {
-			return "", err
-		}
-		cc := r.Counts
-		counts[scheme] = &cc
+func runTable4(c *Context) (*Section, error) {
+	s := &Section{ID: "table4", Title: "Event frequencies, % of all references (measured | paper)"}
+	rs, err := c.mergedEach(PaperSchemes...)
+	if err != nil {
+		return nil, err
 	}
-	tbl := newTable("event", PaperSchemes...)
+	tbl := s.table("event", PaperSchemes...)
 	for _, row := range table4Rows {
-		cells := []string{row.label}
-		for _, scheme := range PaperSchemes {
-			m := row.value(counts[scheme])
-			cell := pct(m)
+		var cells []Cell
+		for i, scheme := range PaperSchemes {
+			cell := pct(row.value(&rs[i].Counts))
 			if p, ok := PaperTable4[scheme][row.label]; ok {
-				cell = fmt.Sprintf("%s | %.2f", pct(m), p)
+				cell.Vals, cell.Style = append(cell.Vals, p), VsPaper
 			}
 			cells = append(cells, cell)
 		}
-		tbl.row(cells...)
+		tbl.row(row.label, cells...)
 	}
-	b.WriteString(tbl.String())
-	b.WriteString("\nnote: rm/wm-blk-mem (miss, block uncached elsewhere) are rows this\n" +
+	s.note("\nnote: rm/wm-blk-mem (miss, block uncached elsewhere) are rows this\n" +
 		"simulator separates; the paper folds them into the clean cases.\n" +
 		"WTI and Dir0B share a state-change model, so their columns match —\n" +
 		"the property the paper calls out in Section 5.\n")
-	return b.String(), nil
+	return s, nil
 }
 
 // runTable5 reproduces Table 5: the per-operation breakdown of pipelined
 // bus cycles per reference for each scheme.
-func runTable5(c *Context) (string, error) {
-	var b strings.Builder
-	b.WriteString(section("table5", "Breakdown of bus cycles per reference (pipelined bus)"))
-	tbl := newTable("access type", PaperSchemes...)
-	breakdowns := make(map[string]bus.Breakdown)
-	for _, scheme := range PaperSchemes {
-		r, err := c.Merged(scheme)
-		if err != nil {
-			return "", err
-		}
-		breakdowns[scheme] = r.Tally("pipelined").PerRefBreakdown()
+func runTable5(c *Context) (*Section, error) {
+	s := &Section{ID: "table5", Title: "Breakdown of bus cycles per reference (pipelined bus)"}
+	tbl := s.table("access type", PaperSchemes...)
+	rs, err := c.mergedEach(PaperSchemes...)
+	if err != nil {
+		return nil, err
+	}
+	breakdowns := make([]bus.Breakdown, len(rs))
+	for i, r := range rs {
+		breakdowns[i] = r.Tally("pipelined").PerRefBreakdown()
 	}
 	for cat := bus.Category(0); cat < bus.NumCategories; cat++ {
-		cells := []string{cat.String()}
+		var cells []Cell
 		any := false
-		for _, scheme := range PaperSchemes {
-			v := breakdowns[scheme][cat]
-			if v != 0 {
-				any = true
-			}
-			cells = append(cells, cyc(v))
+		for _, br := range breakdowns {
+			any = any || br[cat] != 0
+			cells = append(cells, cyc(br[cat]))
 		}
 		if any {
-			tbl.row(cells...)
+			tbl.row(cat.String(), cells...)
 		}
 	}
-	cells := []string{"cumulative"}
-	for _, scheme := range PaperSchemes {
-		total := breakdowns[scheme].Total()
-		p, ok := PaperCyclesPipelined[scheme]
-		cells = append(cells, withPaper(total, p, ok))
+	var cells []Cell
+	for i, scheme := range PaperSchemes {
+		cell := cyc(breakdowns[i].Total())
+		if p, ok := PaperCyclesPipelined[scheme]; ok {
+			cell = num("%.4f (paper %.4f)", breakdowns[i].Total(), p)
+		}
+		cells = append(cells, cell)
 	}
-	tbl.row(cells...)
-	b.WriteString(tbl.String())
-	b.WriteString(fmt.Sprintf("\npaper Dir0B non-overlapped directory access: %.4f cycles/ref;\n"+
-		"measured: %s. Directory bandwidth is a small fraction of the total,\n"+
+	tbl.row("cumulative", cells...)
+	s.note("\npaper Dir0B non-overlapped directory access: %.4f cycles/ref;\n"+
+		"measured: %.4f. Directory bandwidth is a small fraction of the total,\n"+
 		"the paper's argument that the directory is not a bottleneck.\n",
-		PaperDir0BDirAccess, cyc(breakdowns["Dir0B"][bus.CatDirAccess])))
-	return b.String(), nil
+		PaperDir0BDirAccess, breakdowns[slices.Index(PaperSchemes, "Dir0B")][bus.CatDirAccess])
+	return s, nil
 }

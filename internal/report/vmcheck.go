@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"strings"
 
 	"dirsim/internal/engine"
 	"dirsim/internal/trace"
@@ -14,9 +13,8 @@ import (
 // test-and-test-and-set locks, barriers, and a parallel reduction
 // actually executing on a small machine. The scheme ordering and the
 // lock pathology must reproduce on these traces too.
-func runVM(c *Context) (string, error) {
-	var b strings.Builder
-	b.WriteString(section("vm", "Execution-driven traces (real programs on the mini-machine)"))
+func runVM(c *Context) (*Section, error) {
+	s := &Section{ID: "vm", Title: "Execution-driven traces (real programs on the mini-machine)"}
 
 	const cpus = 4
 	schemes := []string{"Dir1NB", "WTI", "Dir0B", "Dragon"}
@@ -45,12 +43,12 @@ func runVM(c *Context) (string, error) {
 	for _, run := range runs {
 		tr, _, err := run.m.Run()
 		if err != nil {
-			return "", fmt.Errorf("vm %s: %w", run.name, err)
+			return nil, fmt.Errorf("vm %s: %w", run.name, err)
 		}
 		tr.Name = "vm-" + run.name
 		cfg, err := c.eng.Adopt(tr)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		for _, scheme := range run.schemes {
 			specs = append(specs, engine.SimSpec{Trace: cfg, Scheme: scheme, Check: c.Check})
@@ -59,43 +57,41 @@ func runVM(c *Context) (string, error) {
 	}
 	rs, err := c.eng.Results(c.ctx(), c.exec, specs)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	// row renders run's cycles per reference from the front of rs.
-	row := func(run int) []string {
-		cells := []string{runs[run].name}
+	// cycles are run's cycles per reference, from the front of rs.
+	cycles := func(run int) []Cell {
+		var cells []Cell
 		for _, r := range rs[:len(runs[run].schemes)] {
 			cells = append(cells, cyc(r.PerRef("pipelined")))
 		}
 		return cells
 	}
 
-	tbl := newTable("program", append(append([]string{}, schemes...), "refs", "spin %")...)
+	tbl := s.table("program", append(append([]string{}, schemes...), "refs", "spin %")...)
 	for i := range 3 {
-		s := trace.ComputeStats(traces[i])
-		tbl.row(append(row(i), fmt.Sprintf("%d", s.Refs), fmt.Sprintf("%.1f", s.Pct(s.SpinReads)))...)
+		st := trace.ComputeStats(traces[i])
+		tbl.row(runs[i].name, append(cycles(i), count(st.Refs), num("%.1f", st.Pct(st.SpinReads)))...)
 		rs = rs[len(schemes):]
 	}
-	b.WriteString(tbl.String())
-	b.WriteString("\ntraces here come from programs actually executing (final memory\n" +
+	s.note("\ntraces here come from programs actually executing (final memory\n" +
 		"states are asserted in the test suite), not from statistical\n" +
 		"generators — and the paper's ordering Dir1NB > WTI > Dir0B > Dragon\n" +
 		"reproduces wherever locks dominate, while the embarrassingly\n" +
 		"parallel reduction narrows every gap.\n\n")
 
-	ltbl := newTable("lock", "Dir1NB cyc/ref", "Dir0B cyc/ref", "Dragon cyc/ref", "Dir1NB rd-miss %")
+	s.note("same counter workload under three lock algorithms:\n")
+	ltbl := s.table("lock", "Dir1NB cyc/ref", "Dir0B cyc/ref", "Dragon cyc/ref", "Dir1NB rd-miss %")
 	for i := 3; i < len(runs); i++ {
-		ltbl.row(append(row(i), fmt.Sprintf("%.2f", rs[0].Counts.ReadMisses()))...)
+		ltbl.row(runs[i].name, append(cycles(i), num("%.2f", rs[0].Counts.ReadMisses()))...)
 		rs = rs[len(lockSchemes):]
 	}
-	b.WriteString("same counter workload under three lock algorithms:\n")
-	b.WriteString(ltbl.String())
-	b.WriteString("\nthe paper's remedy, made concrete: waiters that spin on a shared\n" +
+	s.note("\nthe paper's remedy, made concrete: waiters that spin on a shared\n" +
 		"word (tas, ticket) bounce the block under Dir1NB, while the Anderson\n" +
 		"array lock spins on per-waiter slots and hands the lock off with one\n" +
 		"directed invalidation — 'these schemes must take special care in\n" +
 		"handling locks' (Section 5.2).\n")
-	return b.String(), nil
+	return s, nil
 }
 
 // samePrograms replicates one program across n CPUs.
