@@ -316,11 +316,12 @@ func TestNewWorkerOldCoordinator(t *testing.T) {
 	}
 }
 
-// TestSkewSampleExcludesHold: the coordinator stamps its clock when it
-// replies, so a lease that was parked must yield the same offset as one
-// answered at once. The parked worker's request is held for its whole
-// Poll; counted as flight time that hold would shift the estimate by
-// half of itself.
+// TestSkewSampleExcludesHold: a lease answered at once reports no hold, a
+// parked one reports at least its whole Poll, and each feeds its
+// worker's skew estimator a sample. What the estimator makes of the hold
+// is TestSkewEstimatorExcludesHold's arithmetic on synthetic stamps;
+// this test asserts nothing a descheduled process could break, since a
+// real round trip's duration is up to the machine.
 func TestSkewSampleExcludesHold(t *testing.T) {
 	const offset = 90 * time.Second
 	const hold = 300 * time.Millisecond
@@ -341,13 +342,8 @@ func TestSkewSampleExcludesHold(t *testing.T) {
 	}
 
 	for _, w := range []*Worker{prompt, parkedW} {
-		est, ok := w.SkewNS()
-		rtt := time.Duration(w.skew.rttNS)
-		if !ok || rtt >= hold/2 {
-			t.Fatalf("%s: sample ok=%v rtt=%v, want an unheld round trip", w.Name, ok, rtt)
-		}
-		if diff := time.Duration(est) - offset; diff.Abs() > rtt {
-			t.Errorf("%s: estimated offset off by %v, beyond its %v round trip", w.Name, diff, rtt)
+		if _, ok := w.SkewNS(); !ok {
+			t.Errorf("%s: its lease fed the skew estimator no sample", w.Name)
 		}
 	}
 	f.coord.Push(goodPush("prompt", job, localResult(t, testSpec(0))))

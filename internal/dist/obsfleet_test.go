@@ -92,6 +92,54 @@ func TestSkewEstimator(t *testing.T) {
 	}
 }
 
+// TestSkewEstimatorExcludesHold is the arithmetic behind
+// TestSkewSampleExcludesHold on synthetic stamps: a prompt and a parked
+// lease against a coordinator 90s ahead, with unequal flight times out
+// and back. The coordinator stamps its clock on reply, so the hold is
+// flight in neither direction: each sample's round trip is its unheld
+// part, each estimate is within half of that of the true offset, and of
+// several samples the tightest is kept, whatever comes after it.
+func TestSkewEstimatorExcludesHold(t *testing.T) {
+	const offset = 90 * time.Second
+	const hold = 300 * time.Millisecond
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	// observe feeds e a round trip sent at t0 that flies out, waits held
+	// at the coordinator, and flies back; the coordinator stamps its
+	// clock as it replies.
+	observe := func(e *skewEstimator, t0 time.Time, out, held, back time.Duration) {
+		reply := t0.Add(out + held)
+		e.Observe(t0, reply.Add(back), reply.Add(offset).UnixNano(), held)
+	}
+	var prompt, parked skewEstimator
+	observe(&prompt, base, 3*time.Millisecond, 0, time.Millisecond)
+	observe(&parked, base, 2*time.Millisecond, hold, time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		e    *skewEstimator
+		rtt  time.Duration
+	}{{"prompt", &prompt, 4 * time.Millisecond}, {"parked", &parked, 3 * time.Millisecond}} {
+		est, ok := tc.e.Offset()
+		if rtt := time.Duration(tc.e.rttNS); !ok || rtt != tc.rtt {
+			t.Fatalf("%s: sample ok=%v rtt=%v, want its unheld %v", tc.name, ok, rtt, tc.rtt)
+		}
+		if diff := (time.Duration(est) - offset).Abs(); diff > tc.rtt/2 {
+			t.Errorf("%s: estimate off by %v, beyond half its %v round trip", tc.name, diff, tc.rtt)
+		}
+	}
+
+	// One worker's samples in turn: the parked one is tighter than the
+	// prompt one and replaces it; a later, fatter one (a retried
+	// request, its stamp a minute out) replaces neither.
+	var w skewEstimator
+	observe(&w, base, 3*time.Millisecond, 0, time.Millisecond)
+	observe(&w, base.Add(time.Second), 2*time.Millisecond, hold, time.Millisecond)
+	want, _ := parked.Offset()
+	w.Observe(base.Add(2*time.Second), base.Add(3*time.Second), base.Add(time.Minute).UnixNano(), 0)
+	if got, _ := w.Offset(); got != want || w.rttNS != (3*time.Millisecond).Nanoseconds() {
+		t.Errorf("kept offset %d rtt %dns, want the parked sample's %d and 3ms", got, w.rttNS, want)
+	}
+}
+
 // shipperSink is an httptest handler collecting journal batches, able to
 // fail the first N requests so requeue-on-failure is exercisable.
 type shipperSink struct {
