@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-compare bench-obs loc trace-demo experiments clean
+.PHONY: build vet test race check inline-check shard-equiv soak soak-dist service-smoke bench bench-compare bench-obs loc trace-demo experiments clean
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,22 @@ race:
 # full suite under the race detector.
 check: build vet race shard-equiv
 
+# The block table's fast path (blockTable.cached, a compare and an
+# index) must stay inlined at every call site in the engine's loops: one
+# more field read in it can push it over the compiler's inlining budget
+# and put a call back on every data reference. Fails unless the compiler
+# reports "inlining call to ...cached" on every line of engine.go that
+# calls it.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	lines=$$(grep -n 'blocks\.cached(' internal/core/engine.go | cut -d: -f1); \
+	if [ -z "$$lines" ]; then echo "inline-check: engine.go never calls blocks.cached"; exit 1; fi; \
+	for n in $$lines; do \
+		echo "$$out" | grep -q "^internal/core/engine.go:$$n:[0-9]*: inlining call to .*blockTable.*)\.cached$$" || \
+			{ echo "inline-check: blockTable.cached is not inlined at internal/core/engine.go:$$n"; exit 1; }; \
+	done; \
+	echo "inline-check: blockTable.cached inlined at lines" $$lines "of internal/core/engine.go"
+
 # The sharded-simulation equivalence suite on its own under the race
 # detector (sim.SimulateSharded is a library function the benchmark
 # measures and no binary offers): every paper scheme over the standard
@@ -30,8 +46,8 @@ check: build vet race shard-equiv
 # every engine, AccessBatch and AccessSparse against per-reference Access
 # (and the simulator's use of the sparse stream behind an AccessBatch-only
 # wrapper, and of its bufferless fallback for engines with only Access),
-# the batched and sparse loops' zero-allocation and the block table's
-# footprint bounds, DirCV against DirNNB's classifications and its coarse
+# the batched and sparse loops' zero-allocation, the block table's
+# footprint bounds and its split lookup (fast path and load), DirCV against DirNNB's classifications and its coarse
 # code against the one the entry builds holder by holder, the contention
 # replay against its per-reference oracle, float for float — and pricing
 # by event class against per-event pricing (every scheme, 4 and 64 CPUs,

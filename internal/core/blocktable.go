@@ -40,21 +40,45 @@ type recentPage[T any] struct {
 	page *[pageSize]T
 }
 
-const recentBits = 9
+// recentBits is the log2 of recent's slot count; a page's slot is the
+// top recentBits bits of its key times recentHash (Fibonacci hashing).
+const (
+	recentBits = 9
+	recentHash = 0x9E3779B97F4A7C15
+)
 
 // At returns the state slot of block b, allocating its page on first
-// touch. The pointer stays valid for the life of the table.
+// touch. The pointer stays valid for the life of the table. It is cached
+// and load in one call, for the engines off the hot loop; the loop
+// spells the pair out, since At itself is over the inlining budget.
 func (t *blockTable[T]) At(b trace.Block) *T {
-	key := uint64(b) >> pageBits
-	h := key * 0x9E3779B97F4A7C15 >> (64 - recentBits)
-	if t.recent == nil || t.recent[h].page == nil || t.recent[h].key != key {
-		t.load(key, h)
+	if s := t.cached(b); s != nil {
+		return s
 	}
-	return &t.recent[h].page[uint64(b)&pageMask]
+	return t.load(b)
 }
 
-// load brings the page with the given key into slot h of recent.
-func (t *blockTable[T]) load(key, h uint64) {
+// cached returns the state slot of block b if its page sits in its slot
+// of recent, else nil. It is the compare and index of a lookup, small
+// enough to inline into the engine's loops; load is the rest.
+func (t *blockTable[T]) cached(b trace.Block) *T {
+	key := uint64(b) >> pageBits
+	if t.recent != nil {
+		if r := &t.recent[key*recentHash>>(64-recentBits)]; r.key == key && r.page != nil {
+			return &r.page[uint64(b)&pageMask]
+		}
+	}
+	return nil
+}
+
+// load brings the page of block b into its slot of recent, allocating
+// the page (and, on a table's first load, the page map and recent) if
+// it does not exist, and returns b's state slot. It is kept out of line
+// so that every loop that inlines cached stays small.
+//
+//go:noinline
+func (t *blockTable[T]) load(b trace.Block) *T {
+	key := uint64(b) >> pageBits
 	if t.pages == nil {
 		t.pages = make(map[uint64]*[pageSize]T)
 		t.recent = new([1 << recentBits]recentPage[T])
@@ -64,7 +88,8 @@ func (t *blockTable[T]) load(key, h uint64) {
 		pg = new([pageSize]T)
 		t.pages[key] = pg
 	}
-	t.recent[h] = recentPage[T]{key, pg}
+	t.recent[key*recentHash>>(64-recentBits)] = recentPage[T]{key, pg}
+	return &pg[uint64(b)&pageMask]
 }
 
 // Each calls f for every slot of every touched page, never-referenced

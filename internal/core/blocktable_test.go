@@ -156,3 +156,71 @@ func TestZeroStateInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockTableSharedSlot evicts a page from its recent slot with
+// another page that hashes to the same slot: the fast path then misses
+// the evicted page, and the load gives back the slot it had, state and
+// all.
+func TestBlockTableSharedSlot(t *testing.T) {
+	slot := func(key uint64) uint64 { return key * recentHash >> (64 - recentBits) }
+	k1 := uint64(3)
+	k2 := k1 + 1
+	for slot(k2) != slot(k1) {
+		k2++
+	}
+	b1, b2 := trace.Block(k1<<pageBits|5), trace.Block(k2<<pageBits|9)
+	var tbl blockTable[block]
+	p1 := tbl.At(b1)
+	p1.owner = 7
+	if got := tbl.cached(b1); got != p1 {
+		t.Fatalf("fast path after the load: %p, want %p", got, p1)
+	}
+	p2 := tbl.At(b2)
+	if p2 == p1 {
+		t.Fatal("two blocks share a slot")
+	}
+	if got := tbl.cached(b1); got != nil {
+		t.Fatalf("fast path found the evicted page: %p", got)
+	}
+	if got := tbl.load(b1); got != p1 || got.owner != 7 {
+		t.Fatalf("load after eviction: %p (owner %d), want %p (owner 7)", got, got.owner, p1)
+	}
+	if tbl.cached(b1) != p1 || tbl.cached(b2) != nil {
+		t.Fatal("the load did not take the slot back")
+	}
+}
+
+// TestBlockTableCachedHitAllocs holds a fast-path hit to a compare and
+// an index: no allocation.
+func TestBlockTableCachedHitAllocs(t *testing.T) {
+	var tbl blockTable[block]
+	b := trace.Block(0x1234)
+	want := tbl.load(b)
+	var got *block
+	if allocs := testing.AllocsPerRun(100, func() { got = tbl.cached(b) }); allocs != 0 {
+		t.Errorf("a fast-path hit allocates %.0f times", allocs)
+	}
+	if got != want {
+		t.Errorf("fast path: %p, want %p", got, want)
+	}
+}
+
+// TestBlockTableZeroUntilLoad: the zero table is empty, its fast path
+// misses without allocating anything, and only the first load allocates
+// the page map and the recent slots.
+func TestBlockTableZeroUntilLoad(t *testing.T) {
+	var tbl blockTable[block]
+	b := trace.Block(42)
+	if got := tbl.cached(b); got != nil {
+		t.Fatalf("zero table's fast path: %p, want nil", got)
+	}
+	if tbl.pages != nil || tbl.recent != nil {
+		t.Fatal("the fast path allocated the table")
+	}
+	if *tbl.load(b) != (block{}) || tbl.pages == nil || tbl.recent == nil {
+		t.Fatal("the first load left the table unallocated or the slot not zero")
+	}
+	if tbl.cached(b) == nil {
+		t.Error("the fast path misses the page just loaded")
+	}
+}

@@ -88,11 +88,11 @@ type scheme struct {
 // AccessSparse loops of the infinite-cache engines. Both batch loops run
 // the read hit (holders.Has(c)) and the scheme's write-hit rule ahead of
 // the scheme: a reference that passes is plain, its whole result its
-// type, and it costs one table lookup and a count (AccessSparse) or a
-// store (AccessBatch). What they let through goes to apply with the block
-// already looked up. A CPU out of range or an invalid kind skips them for
-// access to reject; with a Checker attached, hits move data too and every
-// reference goes through access.
+// type, and it costs one table lookup and a count (AccessSparse, in
+// plainRun) or a store (AccessBatch, in plainTypes). What they let
+// through goes through access to apply, as does a CPU out of range or an
+// invalid kind, for access to reject; with a Checker attached, hits move
+// data too and every reference goes through access.
 type engine struct {
 	scheme
 	ncpu   int
@@ -128,76 +128,128 @@ func (e *engine) Access(r trace.Ref) (res event.Result) {
 }
 
 // AccessBatch implements Batcher: each result is classified in place in
-// the grown slice, with no per-reference dispatch or copy.
+// the grown slice, with no per-reference dispatch or copy. plainTypes
+// writes the plain results a run at a time; the reference that ends a
+// run goes through access.
 func (e *engine) AccessBatch(refs []trace.Ref, out []event.Result) []event.Result {
 	n := len(out)
 	out = slices.Grow(out, len(refs))[:n+len(refs)]
-	for i, r := range refs {
-		res := &out[n+i]
-		if int(r.CPU) < e.ncpu && e.ck == nil {
-			switch r.Kind {
-			case trace.Instr:
-				*res = event.Result{Type: event.Instr}
-				continue
-			case trace.Read:
-				if bl := e.blocks.At(r.Block()); !bl.holders.Has(r.CPU) {
-					e.apply(bl, r.CPU, r.Block(), false, res)
-				} else {
-					*res = event.Result{Type: event.RdHit}
-				}
-				continue
-			case trace.Write:
-				if bl := e.blocks.At(r.Block()); !e.writeHit(bl, r.CPU) {
-					e.apply(bl, r.CPU, r.Block(), true, res)
-				} else {
-					*res = event.Result{Type: e.hit}
-				}
-				continue
-			}
+	res := out[n:]
+	if e.ck != nil {
+		for i := range refs {
+			e.access(refs[i], &res[i])
 		}
-		e.access(r, res)
+		return out
+	}
+	for i := 0; i < len(refs); i++ {
+		i += e.plainTypes(refs[i:], res[i:])
+		if i < len(refs) {
+			e.access(refs[i], &res[i])
+		}
 	}
 	return out
 }
 
-// AccessSparse implements Sparser.
+// AccessSparse implements Sparser. plainRun takes the plain references
+// a run at a time; a reference that ends a run because its page is not
+// in its recent slot has the page loaded and goes back to plainRun, and
+// any other goes through access.
 func (e *engine) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
 	if e.ck != nil {
 		return sparseFromDense(e, refs, plain, out)
 	}
-	// Counts stay in a local until the batch ends: a heap store per
-	// reference stalled the loop's loads whenever it met one of its stack
-	// slots modulo 4 KiB, up to 1.9× slower at some stack depths.
-	n := *plain
-	for _, r := range refs {
-		if int(r.CPU) < e.ncpu {
-			switch r.Kind {
-			case trace.Instr:
-				n[event.Instr]++
-				continue
-			case trace.Read:
-				if bl := e.blocks.At(r.Block()); !bl.holders.Has(r.CPU) {
-					out = append(out, event.Result{})
-					e.apply(bl, r.CPU, r.Block(), false, &out[len(out)-1])
-				} else {
-					n[event.RdHit]++
-				}
-				continue
-			case trace.Write:
-				if bl := e.blocks.At(r.Block()); !e.writeHit(bl, r.CPU) {
-					out = append(out, event.Result{})
-					e.apply(bl, r.CPU, r.Block(), true, &out[len(out)-1])
-				} else {
-					n[e.hit]++
-				}
-				continue
-			}
+	for {
+		k := e.plainRun(refs, plain)
+		if k == len(refs) {
+			return out
 		}
+		r := refs[k]
+		if b := r.Block(); int(r.CPU) < e.ncpu && (r.Kind == trace.Read || r.Kind == trace.Write) && e.blocks.cached(b) == nil {
+			e.blocks.load(b)
+			refs = refs[k:]
+			continue
+		}
+		refs = refs[k+1:]
 		out = append(out, event.Result{})
 		e.access(r, &out[len(out)-1])
 	}
-	*plain = n
-	return out
+}
+
+// plainRun counts the plain references at the front of refs into plain —
+// instruction fetches, read hits and the writes the scheme's write-hit
+// rule takes — and returns how many it took. It stops at the first
+// reference that needs more: a miss, a write the rule leaves to the
+// scheme, a block whose page is not in its recent slot, a CPU out of
+// range or an invalid kind. Its loop makes no call, so its state stays
+// in registers: a loop that spilled to its stack on every reference
+// stalled whenever a heap address it read met one of those stack slots
+// modulo 4 KiB, and in one build ran three times slower for it. The
+// references are read through a pointer because Ref has too many fields
+// to live in registers: a copy is a stack store.
+func (e *engine) plainRun(refs []trace.Ref, plain *Plain) int {
+	var instrs, rdHits, wrHits int64
+	i := 0
+	for ; i < len(refs); i++ {
+		r := &refs[i]
+		if int(r.CPU) >= e.ncpu {
+			break
+		}
+		if r.Kind == trace.Instr {
+			instrs++
+			continue
+		}
+		bl := e.blocks.cached(trace.BlockOf(r.Addr))
+		if bl == nil {
+			break
+		}
+		if r.Kind == trace.Read {
+			if !bl.holders.Has(r.CPU) {
+				break
+			}
+			rdHits++
+		} else if r.Kind != trace.Write || !e.writeHit(bl, r.CPU) {
+			break
+		} else {
+			wrHits++
+		}
+	}
+	plain[event.Instr] += instrs
+	plain[event.RdHit] += rdHits
+	plain[e.hit] += wrHits
+	return i
+}
+
+// plainTypes is plainRun for AccessBatch: it stops where plainRun stops,
+// and writes each plain reference's result, its type alone, into out
+// instead of counting it.
+func (e *engine) plainTypes(refs []trace.Ref, out []event.Result) int {
+	out = out[:len(refs)]
+	i := 0
+	for ; i < len(refs); i++ {
+		r := &refs[i]
+		if int(r.CPU) >= e.ncpu {
+			break
+		}
+		t := event.Instr
+		if r.Kind != trace.Instr {
+			bl := e.blocks.cached(trace.BlockOf(r.Addr))
+			if bl == nil {
+				break
+			}
+			if r.Kind == trace.Read {
+				if !bl.holders.Has(r.CPU) {
+					break
+				}
+				t = event.RdHit
+			} else if r.Kind != trace.Write || !e.writeHit(bl, r.CPU) {
+				break
+			} else {
+				t = e.hit
+			}
+		}
+		out[i] = event.Result{Type: t}
+	}
+	return i
 }
 
 // access classifies one reference into res.
@@ -209,7 +261,11 @@ func (e *engine) access(r trace.Ref, res *event.Result) {
 	case trace.Instr:
 		*res = event.Result{Type: event.Instr}
 	case trace.Read, trace.Write:
-		e.apply(e.blocks.At(r.Block()), r.CPU, r.Block(), r.Kind == trace.Write, res)
+		bl := e.blocks.cached(r.Block())
+		if bl == nil {
+			bl = e.blocks.load(r.Block())
+		}
+		e.apply(bl, r.CPU, r.Block(), r.Kind == trace.Write, res)
 	default:
 		panic(fmt.Sprintf("core: %s: invalid reference kind %d", e.name, r.Kind))
 	}

@@ -58,7 +58,9 @@ type Protocol interface {
 // Batcher is implemented by engines with a data-oriented inner loop: they
 // classify a whole batch of references without per-reference interface
 // dispatch. Semantics must be identical to calling Access on each
-// reference in order — the equivalence suites assert exactly that.
+// reference in order — the equivalence suites assert exactly that. refs
+// is read-only and must not be retained past the call: it may be a
+// window onto a trace that other simulations are reading.
 type Batcher interface {
 	AccessBatch(refs []trace.Ref, out []event.Result) []event.Result
 }
@@ -91,7 +93,8 @@ type Plain [event.NumTypes]int64
 // before classifying it: their loop counts it and moves on, and only the
 // references that did something are materialised as results. Semantics
 // must be identical to Access on each reference in order, with the plain
-// results left out — TestSparseMatchesAccess asserts exactly that.
+// results left out — TestSparseMatchesAccess asserts exactly that. As
+// for Batcher, refs is read-only and must not be retained.
 type Sparser interface {
 	AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result
 }
@@ -102,7 +105,8 @@ type Sparser interface {
 // traffic: a few per cent of a trace — is appended to out, in order, and
 // the extended slice returned. Engines that implement Sparser get their
 // own loop; every other engine, and any wrapper that only knows
-// AccessBatch, goes through sparseFromDense.
+// AccessBatch, goes through sparseFromDense. refs is read-only and is
+// not retained: sim.Simulate passes a window onto the trace itself.
 func AccessSparse(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
 	if s, ok := p.(Sparser); ok {
 		return s.AccessSparse(refs, plain, out)

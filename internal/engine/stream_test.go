@@ -109,6 +109,17 @@ func TestSourcesDeliverTrace(t *testing.T) {
 					t.Errorf("%s, buffer %d: NextBatch returned %d after exhaustion", sh.name, size, n)
 				}
 			}
+			// The simulator's reader, trace.Next: a window onto the trace
+			// for the slice shape, a copy into its buffer for the rest.
+			src, got = sh.mk(), nil
+			var nextBuf []trace.Ref
+			for w := trace.Next(src, &nextBuf, size); len(w) > 0; w = trace.Next(src, &nextBuf, size) {
+				got = append(got, w...)
+			}
+			if !slices.Equal(got, sh.want) {
+				t.Errorf("%s, batch %d: trace.Next delivered %d refs, want %d (or they differ)",
+					sh.name, size, len(got), len(sh.want))
+			}
 		}
 		// The bench-frozen trace.Batched must stay the identity.
 		if src := sh.mk(); trace.Batched(src) != src {

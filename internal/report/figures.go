@@ -39,20 +39,18 @@ func runFig2(c *Context) (*Section, error) {
 	if err != nil {
 		return nil, err
 	}
+	pipelined := map[string]float64{}
 	for i, scheme := range PaperSchemes {
 		paperCell := none
 		if p, ok := PaperCyclesPipelined[scheme]; ok {
 			paperCell = cyc(p)
 		}
-		tbl.row(scheme, cyc(rs[i].PerRef("pipelined")), cyc(rs[i].PerRef("non-pipelined")), paperCell)
-	}
-	pair, err := c.mergedEach("Dir0B", "Dragon")
-	if err != nil {
-		return nil, err
+		pipelined[scheme] = rs[i].PerRef("pipelined")
+		tbl.row(scheme, cyc(pipelined[scheme]), cyc(rs[i].PerRef("non-pipelined")), paperCell)
 	}
 	ratio := none
-	if dg := pair[1].PerRef("pipelined"); dg != 0 {
-		ratio = num("%.2f", pair[0].PerRef("pipelined")/dg)
+	if dg := pipelined["Dragon"]; dg != 0 {
+		ratio = num("%.2f", pipelined["Dir0B"]/dg)
 	}
 	s.note("\nDir0B / Dragon ratio: %s (paper %.2f). The scheme ordering\n"+
 		"Dir1NB > WTI > Dir0B > Dragon holds on both bus models, as in the paper.\n",

@@ -126,25 +126,26 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	if every <= 0 {
 		every = 8192
 	}
-	// References move in batches through two reusable buffers (refs in,
-	// sparse results out), so the steady-state loop allocates nothing and
-	// pays the Source interface dispatch once per batch, not per reference.
-	// Outcomes are counted by class in a table in this frame and priced
-	// once, after the loop.
-	buf := make([]trace.Ref, DefaultBatchRefs)
+	// References move in batches, so the steady-state loop allocates
+	// nothing and pays the Source interface dispatch once per batch, not
+	// per reference. A trace's own Iterator is read in place; any other
+	// source is copied into buf, allocated on its first batch. Sparse
+	// results go out through one reusable buffer. Outcomes are counted by
+	// class in a table in this frame and priced once, after the loop.
+	var buf []trace.Ref
 	var sparse sparseBatch
 	var classes classTable
 	var n int64
 	for {
-		k := src.NextBatch(buf)
-		if k == 0 {
+		refs := trace.Next(src, &buf, DefaultBatchRefs)
+		if len(refs) == 0 {
 			break
 		}
 		if opts.Check {
 			// The checked path stays per-reference so invariant
 			// violations are pinned to the exact reference count that
 			// exposed them, batch boundaries notwithstanding.
-			for _, r := range buf[:k] {
+			for _, r := range refs {
 				out := p.Access(r)
 				res.record(&out, &classes)
 				n++
@@ -156,7 +157,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			}
 			continue
 		}
-		res.simulateBatch(p, buf[:k], &sparse, &classes)
+		res.simulateBatch(p, refs, &sparse, &classes)
 	}
 	if opts.Check {
 		if err := p.CheckInvariants(); err != nil {

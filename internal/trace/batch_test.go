@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -53,5 +54,55 @@ func TestBatchedExhaustionSticks(t *testing.T) {
 		if n := b.NextBatch(buf); n != 0 {
 			t.Errorf("NextBatch returned %d after exhaustion", n)
 		}
+	}
+}
+
+// TestBatchedWindow checks Next over a trace's own Iterator: it yields
+// exactly the trace, each batch a window onto Refs itself with no room
+// to append into, and never allocates or touches the buffer — for an
+// empty trace, one shorter than the batch, and one that batch sizes do
+// and do not divide. Over any other source Next reads through NextBatch
+// into the buffer, allocated on first use.
+func TestBatchedWindow(t *testing.T) {
+	for _, tr := range []*Trace{testTrace(0), testTrace(5), testTrace(4099)} {
+		for _, n := range []int{1, 7, 4096, 10_000} {
+			src := tr.Iterator()
+			var buf []Ref
+			var got []Ref
+			for {
+				w := Next(src, &buf, n)
+				if len(w) == 0 {
+					break
+				}
+				if len(w) > n || cap(w) != len(w) || &w[0] != &tr.Refs[len(got)] {
+					t.Fatalf("%d refs, batch %d: window of %d (cap %d) at ref %d is not a capped view of the trace",
+						tr.Len(), n, len(w), cap(w), len(got))
+				}
+				got = append(got, w...)
+			}
+			if buf != nil {
+				t.Errorf("%d refs, batch %d: the window allocated a buffer", tr.Len(), n)
+			}
+			if !slices.Equal(got, tr.Refs) {
+				t.Errorf("%d refs, batch %d: window yielded %d refs (or they differ)", tr.Len(), n, len(got))
+			}
+			if w := Next(src, &buf, n); len(w) != 0 {
+				t.Errorf("%d refs, batch %d: Next returned %d refs after exhaustion", tr.Len(), n, len(w))
+			}
+		}
+	}
+
+	tr := testTrace(50)
+	src := Limit(tr.Iterator(), 20)
+	var buf []Ref
+	var got []Ref
+	for w := Next(src, &buf, 7); len(w) > 0; w = Next(src, &buf, 7) {
+		if &w[0] != &buf[0] {
+			t.Fatal("a wrapped source's batch is not in the buffer")
+		}
+		got = append(got, w...)
+	}
+	if len(buf) != 7 || !slices.Equal(got, tr.Refs[:20]) {
+		t.Errorf("Next over Limit: buffer of %d, %d refs delivered", len(buf), len(got))
 	}
 }

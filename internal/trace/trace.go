@@ -93,12 +93,32 @@ type sliceSource struct {
 	pos  int
 }
 
-// NextBatch copies up to len(buf) references out of the trace slice — a
-// straight memmove, the fastest path into the simulator.
+// NextBatch copies up to len(buf) references out of the trace slice. A
+// reader that only looks at a batch reads it in place through Next.
 func (s *sliceSource) NextBatch(buf []Ref) int {
 	n := copy(buf, s.refs[s.pos:])
 	s.pos += n
 	return n
+}
+
+// Next returns the next batch of src, at most n references (n > 0),
+// empty only once src is exhausted. A trace's own Iterator hands out a
+// window onto the trace itself: no copy, and *buf is not touched. Every
+// other Source fills *buf through NextBatch, allocating it with n
+// references on first use. Either way the batch is valid until the
+// next call, and it is read-only: a window aliases the trace, so a write
+// to it rewrites the trace for every later reader.
+func Next(src Source, buf *[]Ref, n int) []Ref {
+	if s, ok := src.(*sliceSource); ok {
+		w := s.refs[s.pos:]
+		w = w[:min(n, len(w)):min(n, len(w))]
+		s.pos += len(w)
+		return w
+	}
+	if len(*buf) < n {
+		*buf = make([]Ref, n)
+	}
+	return (*buf)[:src.NextBatch((*buf)[:n])]
 }
 
 func (s *sliceSource) CPUCount() int { return s.cpus }
