@@ -8,7 +8,6 @@ import (
 	"log"
 
 	"dirsim"
-	"dirsim/internal/directory"
 )
 
 func main() {
@@ -32,9 +31,19 @@ func main() {
 		fmt.Println()
 	}
 
-	fmt.Println("Directory storage per memory block (bits):")
-	fmt.Println()
-	fmt.Print(directory.StorageTable(directory.StandardSpecs(1, 2, 4), []int{4, 16, 64, 256}))
+	// The storage comparison is arithmetic: the report's storage
+	// experiment simulates nothing, whatever the context's trace length.
+	ctx := dirsim.NewExperimentContext(1000, 4)
+	for _, e := range dirsim.Experiments() {
+		if e.ID != "storage" {
+			continue
+		}
+		out, err := ctx.RunExperiment(e)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(out)
+	}
 	fmt.Println("\nA couple of pointers already capture almost every invalidation")
 	fmt.Println("directly; storage grows with log2(n) rather than n — the trade the")
 	fmt.Println("paper proposes for scaling directories past a single bus.")

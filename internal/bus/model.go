@@ -113,18 +113,6 @@ func NonPipelinedWords(words int) Model {
 	}
 }
 
-// WithQ returns a copy of the model with a per-transaction fixed cost.
-func (m Model) WithQ(q float64) Model { m.Q = q; return m }
-
-// WithBroadcastCost returns a copy with broadcast invalidations priced at b
-// cycles (the Dir1B study's parameter).
-func (m Model) WithBroadcastCost(b float64) Model { m.BroadcastInval = b; return m }
-
-// Berkeley returns a copy with directory checks priced at zero, the
-// paper's derivation of the Berkeley Ownership protocol from the Dir0B
-// event frequencies.
-func (m Model) Berkeley() Model { m.DirCheckFree = true; return m }
-
 // Category labels the operation classes of Table 5's breakdown.
 type Category uint8
 

@@ -92,7 +92,8 @@ func TestUpdateNotDoubleChargedForBroadcast(t *testing.T) {
 }
 
 func TestBroadcastCostParameter(t *testing.T) {
-	m := Pipelined().WithBroadcastCost(8)
+	m := Pipelined()
+	m.BroadcastInval = 8
 	res := event.Result{Type: event.WrHitClean, DirCheck: true, Broadcast: true}
 	if got := costOf(t, m, res); got != 9 {
 		t.Errorf("broadcast-8 cost = %v, want 9", got)
@@ -100,7 +101,8 @@ func TestBroadcastCostParameter(t *testing.T) {
 }
 
 func TestBerkeleyModel(t *testing.T) {
-	m := Pipelined().Berkeley()
+	m := Pipelined()
+	m.DirCheckFree = true
 	res := event.Result{Type: event.WrHitClean, DirCheck: true, Broadcast: true}
 	if got := costOf(t, m, res); got != 1 {
 		t.Errorf("Berkeley dir check should be free: %v", got)
@@ -108,7 +110,8 @@ func TestBerkeleyModel(t *testing.T) {
 }
 
 func TestQAppliesPerTransaction(t *testing.T) {
-	m := Pipelined().WithQ(2)
+	m := Pipelined()
+	m.Q = 2
 	// A bus-using reference pays Q once.
 	b, txn := m.Cost(event.Result{Type: event.RdMissMem})
 	if !txn || b[CatQ] != 2 || b.Total() != 7 {

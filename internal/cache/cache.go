@@ -74,11 +74,6 @@ type Cache struct {
 	// its scheme name pays for no set, and each page when one of its
 	// sets is first filled.
 	pages []*setPage
-
-	// Stats.
-	Accesses int64
-	Hits     int64
-	Evicts   int64
 }
 
 // New builds a cache; it panics on an invalid configuration (callers
@@ -89,9 +84,6 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{cfg: cfg, mask: uint64(cfg.Sets() - 1)}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // setOf returns the set index for a block.
 func (c *Cache) setOf(b trace.Block) uint64 {
@@ -137,7 +129,6 @@ func (c *Cache) set(b trace.Block) *[]trace.Block {
 // access hit, and the victim evicted to make room (evicted is false when
 // an empty way was available).
 func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted bool) {
-	c.Accesses++
 	set := c.set(b)
 	ways := *set
 	for i, blk := range ways {
@@ -145,7 +136,6 @@ func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted boo
 			// Move to MRU position.
 			copy(ways[1:i+1], ways[:i])
 			ways[0] = b
-			c.Hits++
 			return true, 0, false
 		}
 	}
@@ -159,7 +149,6 @@ func (c *Cache) Access(b trace.Block) (hit bool, victim trace.Block, evicted boo
 	victim = ways[len(ways)-1]
 	copy(ways[1:], ways[:len(ways)-1])
 	ways[0] = b
-	c.Evicts++
 	return false, victim, true
 }
 
@@ -184,26 +173,4 @@ func (c *Cache) Invalidate(b trace.Block) bool {
 		}
 	}
 	return false
-}
-
-// Resident returns the number of blocks currently cached.
-func (c *Cache) Resident() int {
-	n := 0
-	for _, pg := range c.pages {
-		if pg == nil {
-			continue
-		}
-		for _, ways := range pg {
-			n += len(ways)
-		}
-	}
-	return n
-}
-
-// MissRate returns misses per access (0 for an untouched cache).
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Accesses-c.Hits) / float64(c.Accesses)
 }

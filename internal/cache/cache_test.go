@@ -82,21 +82,32 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestStatsAndMissRate(t *testing.T) {
+func TestAccessReportsHits(t *testing.T) {
 	c := New(Config{SizeBytes: 64, Assoc: 2})
-	c.Access(1)
-	c.Access(1)
-	c.Access(2)
-	if c.Accesses != 3 || c.Hits != 1 {
-		t.Errorf("accesses=%d hits=%d", c.Accesses, c.Hits)
+	hits := 0
+	for _, b := range []trace.Block{1, 1, 2} {
+		if hit, _, evicted := c.Access(b); hit {
+			hits++
+		} else if evicted {
+			t.Errorf("access to %d evicted with a way free", b)
+		}
 	}
-	if got := c.MissRate(); got < 0.66 || got > 0.67 {
-		t.Errorf("MissRate = %v", got)
+	if hits != 1 {
+		t.Errorf("hits = %d, want 1", hits)
 	}
-	empty := New(Config{SizeBytes: 64, Assoc: 2})
-	if empty.MissRate() != 0 {
-		t.Error("empty cache miss rate should be 0")
+}
+
+// resident counts the blocks the cache holds.
+func resident(c *Cache) int {
+	n := 0
+	for _, pg := range c.pages {
+		if pg != nil {
+			for _, ways := range pg {
+				n += len(ways)
+			}
+		}
 	}
+	return n
 }
 
 func TestResidentNeverExceedsCapacity(t *testing.T) {
@@ -105,7 +116,7 @@ func TestResidentNeverExceedsCapacity(t *testing.T) {
 		for _, b := range blocks {
 			c.Access(trace.Block(b))
 		}
-		return c.Resident() <= 32
+		return resident(c) <= 32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -135,20 +146,25 @@ func TestHashIndexSpreadsAlignedRegions(t *testing.T) {
 	// eight blocks onto each plain set (four ways): constant eviction.
 	plain := New(Config{SizeBytes: 32 * 1024, Assoc: 4})
 	hashed := New(Config{SizeBytes: 32 * 1024, Assoc: 4, HashIndex: true})
+	var plainEvicts, hashedEvicts int
 	for round := 0; round < 8; round++ {
 		for off := 0; off < 128; off++ {
 			for region := 0; region < 8; region++ {
 				b := trace.Block(uint64(region)<<20 | uint64(off))
-				plain.Access(b)
-				hashed.Access(b)
+				if _, _, evicted := plain.Access(b); evicted {
+					plainEvicts++
+				}
+				if _, _, evicted := hashed.Access(b); evicted {
+					hashedEvicts++
+				}
 			}
 		}
 	}
-	if plain.Evicts == 0 {
+	if plainEvicts == 0 {
 		t.Fatal("expected the plain index to thrash on aligned regions")
 	}
-	if hashed.Evicts*4 > plain.Evicts {
-		t.Errorf("hashing did not help: plain %d evicts, hashed %d", plain.Evicts, hashed.Evicts)
+	if hashedEvicts*4 > plainEvicts {
+		t.Errorf("hashing did not help: plain %d evicts, hashed %d", plainEvicts, hashedEvicts)
 	}
 }
 

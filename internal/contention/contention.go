@@ -74,14 +74,6 @@ func (s Stats) EffectiveProcessors() float64 {
 	return s.AloneTime / s.Span
 }
 
-// WaitPerTransaction returns mean queueing delay per bus transaction.
-func (s Stats) WaitPerTransaction(transactions int64) float64 {
-	if transactions == 0 {
-		return 0
-	}
-	return s.Wait / float64(transactions)
-}
-
 // String summarizes the run.
 func (s Stats) String() string {
 	return fmt.Sprintf("%d CPUs: span %.0f cycles, bus %.1f%% busy, %.2f effective processors",

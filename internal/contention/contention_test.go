@@ -239,11 +239,8 @@ func TestUtilizationBounded(t *testing.T) {
 	if s.EffectiveProcessors() > float64(s.CPUs)+1e-9 {
 		t.Errorf("effective processors %v exceed machine size", s.EffectiveProcessors())
 	}
-	if s.WaitPerTransaction(txns) < 0 {
-		t.Error("negative wait")
-	}
-	if s.WaitPerTransaction(0) != 0 {
-		t.Error("division guard missing")
+	if s.Wait < 0 || txns <= 0 {
+		t.Errorf("wait %v over %d transactions", s.Wait, txns)
 	}
 }
 

@@ -167,16 +167,3 @@ func (c *Checker) UpdateSharers(b trace.Block) {
 		c.copies[b][cpu] = v
 	}
 }
-
-// HolderVersions returns the versions cached for block b, keyed by CPU.
-// Tests use it to cross-check engine holder sets.
-func (c *Checker) HolderVersions(b trace.Block) map[uint8]uint64 {
-	if c == nil {
-		return nil
-	}
-	out := make(map[uint8]uint64, len(c.copies[b]))
-	for cpu, v := range c.copies[b] {
-		out[cpu] = v
-	}
-	return out
-}

@@ -21,9 +21,6 @@ func TestCheckerNilIsSafe(t *testing.T) {
 	if c.Err() != nil {
 		t.Error("nil checker should have no error")
 	}
-	if c.HolderVersions(1) != nil {
-		t.Error("nil checker should report no holders")
-	}
 }
 
 func TestCheckerHappyPath(t *testing.T) {
@@ -38,8 +35,7 @@ func TestCheckerHappyPath(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("clean sequence flagged: %v", err)
 	}
-	hv := c.HolderVersions(b)
-	if len(hv) != 2 || hv[0] != hv[1] {
+	if hv := c.copies[b]; len(hv) != 2 || hv[0] != hv[1] {
 		t.Errorf("holder versions: %v", hv)
 	}
 }

@@ -5,17 +5,26 @@ import (
 	"testing/quick"
 
 	"dirsim/internal/event"
+	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
-// overshoot reads DirCV's message counters.
-func overshoot(p Protocol) (wasted, useful int64) {
-	return p.(interface{ Overshoot() (int64, int64) }).Overshoot()
+// overshoot runs refs through DirCV, checked, and through DirNNB on ncpu
+// CPUs. The two change state alike, so the directed invalidations DirCV
+// sends are DirNNB's (useful) plus those to caches holding no copy
+// (wasted).
+func overshoot(t *testing.T, ncpu int, refs ...trace.Ref) (cv []event.Result, wasted, useful int64) {
+	t.Helper()
+	cv = applyChecked(t, NewCoarseVector(ncpu), refs...)
+	for i, full := range apply(t, NewDirNNB(ncpu), refs...) {
+		useful += int64(full.Inval)
+		wasted += int64(cv[i].Inval - full.Inval)
+	}
+	return cv, wasted, useful
 }
 
 func TestCoarseVectorBasics(t *testing.T) {
-	p := NewCoarseVector(8)
-	results := applyChecked(t, p,
+	results, wasted, _ := overshoot(t, 8,
 		rd(0, 1), // first
 		rd(1, 1), // clean share: holders {0,1}, one "both" digit
 		rd(0, 1), // hit
@@ -29,7 +38,7 @@ func TestCoarseVectorBasics(t *testing.T) {
 	if results[3].Inval != 1 {
 		t.Errorf("write sent %d invals, want 1", results[3].Inval)
 	}
-	if wasted, _ := overshoot(p); wasted != 0 {
+	if wasted != 0 {
 		t.Errorf("wasted %d invals on an exact code", wasted)
 	}
 }
@@ -47,43 +56,43 @@ func TestCoarseVectorZeroState(t *testing.T) {
 	}
 }
 
+// TestCoarseVectorOvershootEmpty: references that never share a block
+// leave DirCV nothing to invalidate, so it sends no message at all.
 func TestCoarseVectorOvershootEmpty(t *testing.T) {
-	if wasted, useful := overshoot(NewCoarseVector(4)); wasted != 0 || useful != 0 {
-		t.Errorf("fresh engine counts wasted=%d useful=%d", wasted, useful)
+	_, wasted, useful := overshoot(t, 4, rd(0, 1), wr(0, 1), rd(1, 2), wr(2, 3), wr(2, 3))
+	if wasted != 0 || useful != 0 {
+		t.Errorf("unshared references counted wasted=%d useful=%d", wasted, useful)
 	}
 }
 
 func TestCoarseVectorOvershoot(t *testing.T) {
-	p := NewCoarseVector(8)
 	// Holders {0,3}: 000 and 011 differ in two digits, so the code names
 	// {0,1,2,3}.
-	res := applyChecked(t, p, rd(0, 2), rd(3, 2), wr(0, 2))[2]
-	if res.Inval != 3 {
+	results, wasted, useful := overshoot(t, 8, rd(0, 2), rd(3, 2), wr(0, 2))
+	if res := results[2]; res.Inval != 3 {
 		t.Errorf("superset invalidation sent %d messages, want 3 (caches 1,2,3)", res.Inval)
 	}
-	if wasted, useful := overshoot(p); wasted != 2 || useful != 1 {
+	if wasted != 2 || useful != 1 {
 		t.Errorf("wasted=%d useful=%d, want 2/1", wasted, useful)
 	}
 }
 
 // TestCoarseVectorMatchesFullMapEvents: the code changes only where
 // invalidations are delivered, never the state evolution, so DirCV
-// classifies every reference as DirNNB does. Its useful messages are
-// exactly DirNNB's, and every message it sends is useful or wasted.
+// classifies every reference as DirNNB does and sends at least DirNNB's
+// messages on every one; on a shared workload some go to caches holding
+// no copy.
 func TestCoarseVectorMatchesFullMapEvents(t *testing.T) {
 	refs := workload.THOR(8, 60_000).Refs
-	p := NewCoarseVector(8)
-	cv, full := applyChecked(t, p, refs...), apply(t, NewDirNNB(8), refs...)
-	var sent, exact int64
+	cv, wasted, _ := overshoot(t, 8, refs...)
+	full := apply(t, NewDirNNB(8), refs...)
 	for i := range refs {
 		if cv[i].Type != full[i].Type || cv[i].Inval < full[i].Inval {
 			t.Fatalf("ref %d %v: DirCV %+v, DirNNB %+v", i, refs[i], cv[i], full[i])
 		}
-		sent += int64(cv[i].Inval)
-		exact += int64(full[i].Inval)
 	}
-	if wasted, useful := overshoot(p); useful != exact || wasted+useful != sent || wasted == 0 {
-		t.Errorf("wasted=%d useful=%d; DirCV sent %d, DirNNB %d", wasted, useful, sent, exact)
+	if wasted == 0 {
+		t.Error("the coarse code wasted no message on THOR")
 	}
 }
 

@@ -47,10 +47,8 @@ type mrsw struct {
 	// from one copy to two (the extra bus bandwidth the paper notes).
 	singleBit bool
 	// coarse selects DirCV's delivery: to every cache the coarse code of
-	// the holders names. wasted and useful count the directed
-	// invalidations sent to caches without and with a copy.
-	coarse         bool
-	wasted, useful int64
+	// the holders names.
+	coarse bool
 }
 
 // newMRSW builds the engine for one variant. A write to a block the
@@ -122,23 +120,12 @@ func NewWTI(ncpu int) Protocol {
 
 // NewCoarseVector returns the Section 6 coarse-vector directory, DirCV:
 // DirNNB with each entry stored as a 2·log2(n)-bit ternary-digit code, so
-// an invalidation reaches every cache the code names. Its Overshoot
-// method reports the messages wasted on caches holding no copy.
+// an invalidation reaches every cache the code names. The state changes
+// as DirNNB's do, so the messages it sends beyond DirNNB's on one trace
+// are the ones wasted on caches holding no copy.
 func NewCoarseVector(ncpu int) Protocol {
-	m := &mrsw{ptrs: ncpu, coarse: true}
-	return coarseVector{newMRSW(ncpu, "DirCV", m), m}
+	return newMRSW(ncpu, "DirCV", &mrsw{ptrs: ncpu, coarse: true})
 }
-
-// coarseVector embeds *engine, not Protocol, so AccessSparse still finds
-// the native loops.
-type coarseVector struct {
-	*engine
-	m *mrsw
-}
-
-// Overshoot returns the invalidation messages DirCV sent to caches that
-// held no copy (wasted) and to caches that did (useful).
-func (p coarseVector) Overshoot() (wasted, useful int64) { return p.m.wasted, p.m.useful }
 
 // coarseNamed returns the caches below ncpu that the coarse code of a
 // holder set names. The code is not stored: holders only grow between
@@ -205,7 +192,6 @@ func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, write bool, 
 				res.Broadcast = true
 			} else {
 				res.Inval = 1
-				m.useful++
 			}
 			ck.Invalidate(bl.owner, b)
 		case !bl.holders.Empty():
@@ -283,8 +269,6 @@ func (m *mrsw) invalidate(ck *Checker, bl *block, c uint8, b trace.Block, res *e
 			if m.coarse {
 				res.Inval = coarseNamed(bl.holders, m.ptrs).Del(c).Count()
 			}
-			m.useful += int64(k)
-			m.wasted += int64(res.Inval - k)
 		}
 	}
 	ck.invalidateAll(victims, b)

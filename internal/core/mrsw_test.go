@@ -176,8 +176,7 @@ func TestDiriNBFullPointerEqualsFullMap(t *testing.T) {
 }
 
 func TestWTIWritesGoThrough(t *testing.T) {
-	p := NewWTI(2)
-	res := applyChecked(t, p,
+	refs := []trace.Ref{
 		rd(0, 1),
 		wr(0, 1), // write-through, sole holder
 		rd(1, 1), // memory is current: plain fill, no write-back
@@ -185,7 +184,8 @@ func TestWTIWritesGoThrough(t *testing.T) {
 		rd(0, 1), // re-fetch after snoop invalidation
 		wr(0, 2), // first touch of a fresh block
 		wr(1, 2), // write miss on a block exclusive elsewhere
-	)
+	}
+	res := applyChecked(t, NewWTI(2), refs...)
 	expectTypes(t, res,
 		event.RdMissFirst, event.WrHitClean, event.RdMissDirty,
 		event.WrHitClean, event.RdMissDirty,
@@ -194,7 +194,7 @@ func TestWTIWritesGoThrough(t *testing.T) {
 		if r.WriteBack {
 			t.Errorf("ref %d: WTI must never write back", i)
 		}
-		if r.Type.IsWrite() && !r.Update {
+		if refs[i].Kind == trace.Write && !r.Update {
 			t.Errorf("ref %d: WTI write did not go to memory", i)
 		}
 		if r.DirCheck {

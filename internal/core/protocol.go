@@ -179,14 +179,3 @@ func (s Set) First() uint8 {
 	}
 	return uint8(bits.TrailingZeros64(uint64(s)))
 }
-
-// Members appends the set's cache indices to dst and returns it.
-func (s Set) Members(dst []uint8) []uint8 {
-	for i := uint8(0); s != 0; i++ {
-		if s&1 != 0 {
-			dst = append(dst, i)
-		}
-		s >>= 1
-	}
-	return dst
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,17 +35,16 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
+// TestSetMembers enumerates a set as the engines read it, lowest member
+// first: First, then Del.
 func TestSetMembers(t *testing.T) {
 	s := Set(0).Add(0).Add(5).Add(63)
-	got := s.Members(nil)
-	want := []uint8{0, 5, 63}
-	if len(got) != len(want) {
-		t.Fatalf("Members = %v", got)
+	var got []uint8
+	for ; !s.Empty(); s = s.Del(s.First()) {
+		got = append(got, s.First())
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Members = %v, want %v", got, want)
-		}
+	if want := []uint8{0, 5, 63}; !slices.Equal(got, want) {
+		t.Fatalf("members = %v, want %v", got, want)
 	}
 }
 
@@ -79,12 +79,7 @@ func TestSetProperties(t *testing.T) {
 				return false
 			}
 		}
-		for _, m := range s.Members(nil) {
-			if !ref[m] {
-				return false
-			}
-		}
-		return s.Empty() == (len(ref) == 0)
+		return s.Count() == len(ref) && s.Empty() == (len(ref) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

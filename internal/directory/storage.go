@@ -5,15 +5,15 @@
 // ternary-digit code that names a superset of holders in 2·log2(n) bits.
 //
 // The protocol engines in internal/core decide *when* invalidations
-// happen and to whom — core.NewCoarseVector measures the coarse code's
-// wasted invalidations on real traces; this package answers the
-// orthogonal question of how many bits each organization needs per block.
+// happen and to whom — the coarse study measures the coarse code's wasted
+// invalidations on real traces, DirCV's messages against DirNNB's; this
+// package answers the orthogonal question of how many bits each
+// organization needs per block.
 package directory
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // log2Ceil returns ceil(log2(n)) for n >= 1.
@@ -113,22 +113,4 @@ func StandardSpecs(ptrCounts ...int) []Spec {
 		specs = append(specs, LimitedPointer(i, true), LimitedPointer(i, false))
 	}
 	return specs
-}
-
-// StorageTable renders per-entry bits for each spec across machine sizes.
-func StorageTable(specs []Spec, cpuCounts []int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "organization")
-	for _, n := range cpuCounts {
-		fmt.Fprintf(&b, " %6d", n)
-	}
-	b.WriteString("  (bits/entry by cpu count)\n")
-	for _, s := range specs {
-		fmt.Fprintf(&b, "%-14s", s.Name)
-		for _, n := range cpuCounts {
-			fmt.Fprintf(&b, " %6d", s.BitsPerEntry(n))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

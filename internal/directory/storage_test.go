@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -84,15 +85,16 @@ func TestTangBits(t *testing.T) {
 	}
 }
 
-func TestStandardSpecsAndTable(t *testing.T) {
-	specs := StandardSpecs(1, 4)
-	if len(specs) != 3+2*2 {
-		t.Fatalf("StandardSpecs produced %d entries", len(specs))
+func TestStandardSpecs(t *testing.T) {
+	var names []string
+	for _, s := range StandardSpecs(1, 4) {
+		names = append(names, s.Name)
 	}
-	out := StorageTable(specs, []int{4, 64})
-	for _, want := range []string{"full-map", "two-bit", "coarse-2logn", "ptr(1)+B", "ptr(4)", "65"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
+	want := []string{"full-map", "two-bit", "coarse-2logn", "ptr(1)+B", "ptr(1)", "ptr(4)+B", "ptr(4)"}
+	if !slices.Equal(names, want) {
+		t.Errorf("StandardSpecs(1, 4) = %v, want %v", names, want)
+	}
+	if got := StandardSpecs()[0].BitsPerEntry(64); got != 65 {
+		t.Errorf("full map at 64 CPUs = %d bits, want 65", got)
 	}
 }

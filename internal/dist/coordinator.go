@@ -231,9 +231,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	return c
 }
 
-// Metrics returns the registry the dist.* counters live on.
-func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
-
 // Stats is a snapshot of the coordinator's lifetime counters. The
 // accounting invariant every run must satisfy:
 //

@@ -436,7 +436,7 @@ func TestAffineGrantsHalveRegeneration(t *testing.T) {
 		t.Errorf("granted=%d affine=%d, want 18 grants of which 14 kept a worker on its trace",
 			st.LeasesGranted, st.LeasesAffine)
 	}
-	if got := c.Metrics().Counter("dist.leases.affine").Value(); got != st.LeasesAffine {
+	if got := c.reg.Counter("dist.leases.affine").Value(); got != st.LeasesAffine {
 		t.Errorf("registry dist.leases.affine = %d, Stats says %d", got, st.LeasesAffine)
 	}
 }

@@ -217,8 +217,8 @@ func TestJournalShipperDeliversInOrder(t *testing.T) {
 			t.Errorf("batch tag = %q/%d, want w1/1234", b.Worker, b.SkewNS)
 		}
 	}
-	if s.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", s.Dropped())
+	if n := dropped(s); n != 0 {
+		t.Errorf("dropped = %d, want 0", n)
 	}
 }
 
@@ -249,8 +249,8 @@ func TestJournalShipperRequeuesOnFailure(t *testing.T) {
 	if !strings.Contains(got[0], "worker.start") || !strings.Contains(got[1], "worker.job.start") {
 		t.Errorf("requeue broke ordering: %v", got)
 	}
-	if s.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", s.Dropped())
+	if n := dropped(s); n != 0 {
+		t.Errorf("dropped = %d, want 0", n)
 	}
 }
 
@@ -276,8 +276,8 @@ func TestJournalShipperOverflowDropsAndCounts(t *testing.T) {
 	if _, err := s.Write(lines.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Dropped(); got != over {
-		t.Fatalf("Dropped() = %d after %d lines into a %d-line buffer, want %d",
+	if got := dropped(s); got != over {
+		t.Fatalf("dropped = %d after %d lines into a %d-line buffer, want %d",
 			got, shipMaxLines+over, shipMaxLines, over)
 	}
 	s.Close(context.Background())
@@ -401,7 +401,7 @@ func TestAcceptJournalSplice(t *testing.T) {
 		t.Errorf("malformed or oversized lines leaked into the fleet journal:\n%s", out)
 	}
 
-	snap := c.Metrics().Snapshot()
+	snap := c.reg.Snapshot()
 	if got := snap.Counters["dist.journal.rejected"]; got != 3 {
 		t.Errorf("dist.journal.rejected = %d, want 3", got)
 	}
@@ -799,4 +799,12 @@ func TestFleetMergedTraceSurvivesFaults(t *testing.T) {
 type resultsAndErr struct {
 	rs  []*sim.Result
 	err error
+}
+
+// dropped reads the shipper's cumulative overflow-drop count, the one
+// every batch carries.
+func dropped(s *JournalShipper) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropped
 }

@@ -180,13 +180,6 @@ func (s *JournalShipper) count(name string, n int64) {
 	}
 }
 
-// Dropped returns the cumulative overflow-drop count.
-func (s *JournalShipper) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
 // Close performs a final synchronous flush (bounded by ctx) and stops
 // the background loop. Safe to call once.
 func (s *JournalShipper) Close(ctx context.Context) {

@@ -70,7 +70,7 @@ func TestCoherenceMetricsFromResults(t *testing.T) {
 	if all.cleanWrites == 0 || all.broadcasts == 0 || all.forced == 0 || all.sum == 0 {
 		t.Fatalf("sweep exercises too little to check: %+v", all)
 	}
-	got := protoMetrics(e.Metrics())
+	got := protoMetrics(e.reg)
 	for scheme, w := range want {
 		base := "sim.proto." + scheme
 		h := got.Histograms[base+".invals_clean_write"]
@@ -86,7 +86,7 @@ func TestCoherenceMetricsFromResults(t *testing.T) {
 	if _, err := e.Results(ctx, Parallel{Workers: 2}, specs); err != nil {
 		t.Fatal(err)
 	}
-	if again := protoMetrics(e.Metrics()); !reflect.DeepEqual(again, got) {
+	if again := protoMetrics(e.reg); !reflect.DeepEqual(again, got) {
 		t.Errorf("cache-hit sweep moved the metrics:\n%+v\nwant\n%+v", again, got)
 	}
 
@@ -103,7 +103,7 @@ func TestCoherenceMetricsFromResults(t *testing.T) {
 	if n := warm.Stats().SimsRun; n != 0 {
 		t.Fatalf("warm engine simulated %d specs, want 0", n)
 	}
-	if m := protoMetrics(warm.Metrics()); len(m.Counters)+len(m.Histograms) != 0 {
+	if m := protoMetrics(warm.reg); len(m.Counters)+len(m.Histograms) != 0 {
 		t.Errorf("store-tier hits published metrics: %+v", m)
 	}
 }

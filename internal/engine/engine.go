@@ -266,9 +266,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Metrics returns the registry the engine's counters live on.
-func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
 // job is one node of an execution DAG. Jobs are single-use: the batch
 // helpers build a fresh graph per call (cached work is cheap to re-plan).
 type job struct {

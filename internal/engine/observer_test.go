@@ -147,7 +147,7 @@ func TestObserverCountersMatchStats(t *testing.T) {
 		t.Errorf("Stats.CacheMisses %d != registry %d", s.CacheMisses,
 			reg.Counter("engine.cache.misses").Value())
 	}
-	if e.Metrics() != reg {
+	if e.reg != reg {
 		t.Error("Metrics() does not return the shared registry")
 	}
 }
@@ -184,7 +184,7 @@ func TestJobPhaseHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for phase, want := range map[string]int64{"generate": 1, "simulate": 3, "merge": 4} {
-		if got := reg.Histogram("engine.job."+phase+".us", nil).Count(); got != want {
+		if got := reg.Histogram("engine.job."+phase+".us", nil).Snapshot().Count; got != want {
 			t.Errorf("engine.job.%s.us count = %d, want %d", phase, got, want)
 		}
 	}

@@ -187,7 +187,7 @@ func TestEngineTraceExport(t *testing.T) {
 	}
 
 	// The simulations' coherence tallies landed on the engine registry.
-	snap := e.Metrics().Snapshot()
+	snap := e.reg.Snapshot()
 	if snap.Counters["sim.proto.dir0b.clean_writes"] == 0 {
 		t.Error("protocol counters absent after a traced sweep")
 	}

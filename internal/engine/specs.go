@@ -391,7 +391,7 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 		return nil, err
 	}
 	expect := int64(len(t.Refs))
-	src := trace.Source(t.Iterator())
+	src := t.IteratorContext(ctx)
 	if e.faults != nil {
 		src = e.faults.WrapSource("sim:"+spec.label()+"@"+spec.Trace.Name, src, expect)
 	}
@@ -406,7 +406,7 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 			return nil, err
 		}
 	}
-	r, err := sim.Simulate(p, cancellable(ctx, src), sim.Options{Check: spec.Check, Models: spec.models()})
+	r, err := sim.Simulate(p, src, sim.Options{Check: spec.Check, Models: spec.models()})
 	if err != nil {
 		return nil, err
 	}

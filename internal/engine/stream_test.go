@@ -2,10 +2,13 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dirsim/internal/faults"
+	"dirsim/internal/sim"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
@@ -73,13 +76,17 @@ func TestSourcesDeliverTrace(t *testing.T) {
 		{"shift 32", func() trace.Source { return blocks(tr.Iterator(), 32) }, want(all, shift(1), every)},
 		{"shift 128", func() trace.Source { return blocks(tr.Iterator(), 128) }, want(all, shift(3), every)},
 		{"limit", func() trace.Source { return trace.Limit(tr.Iterator(), 1234) }, want(1234, same, every)},
-		{"cancellable", func() trace.Source { return cancellable(context.Background(), tr.Iterator()) }, want(all, same, every)},
-		{"cancellable, cancelled", func() trace.Source { return cancellable(cancelled, tr.Iterator()) }, nil},
+		{"context", func() trace.Source { return tr.IteratorContext(context.Background()) }, want(all, same, every)},
+		{"context, cancelled", func() trace.Source { return tr.IteratorContext(cancelled) }, nil},
 		{"truncated", func() trace.Source { return inj.WrapSource("cut", tr.Iterator(), int64(all)) }, want(int(cut), same, every)},
-		// simulateTrace's chain: faults, then block size, then cancellation.
-		{"cancellable(shift 64(truncated))", func() trace.Source {
-			return cancellable(context.Background(), blocks(inj.WrapSource("cut", tr.Iterator(), int64(all)), 64))
+		// simulateTrace's chain: a replay its context may stop, then
+		// faults, then block size; cancelled, it delivers nothing.
+		{"shift 64(truncated(context))", func() trace.Source {
+			return blocks(inj.WrapSource("cut", tr.IteratorContext(context.Background()), int64(all)), 64)
 		}, want(int(cut), shift(2), every)},
+		{"shift 64(truncated(context, cancelled))", func() trace.Source {
+			return blocks(inj.WrapSource("cut", tr.IteratorContext(cancelled), int64(all)), 64)
+		}, nil},
 		// A study's filtered replay, cut short.
 		{"limit(filter(map))", func() trace.Source {
 			return trace.Limit(trace.WithoutSpins(trace.Map(tr.Iterator(), procToCPU)), 2000)
@@ -110,7 +117,8 @@ func TestSourcesDeliverTrace(t *testing.T) {
 				}
 			}
 			// The simulator's reader, trace.Next: a window onto the trace
-			// for the slice shape, a copy into its buffer for the rest.
+			// for the trace's own iterators, a copy into its buffer for
+			// the rest.
 			src, got = sh.mk(), nil
 			var nextBuf []trace.Ref
 			for w := trace.Next(src, &nextBuf, size); len(w) > 0; w = trace.Next(src, &nextBuf, size) {
@@ -155,5 +163,39 @@ func TestParallelCompareCachesEachTraceOnce(t *testing.T) {
 	if got := e.Stats().TracesGenerated; got != s.TracesGenerated {
 		t.Errorf("Trace() after the batch regenerated a workload: %d generations, want %d",
 			got, s.TracesGenerated)
+	}
+}
+
+// TestUnfilteredJobReadsTraceInPlace: an engine job over a spec with no
+// filter, fault or block size hands the simulator the trace's own
+// iterator, so the simulation reads each batch where the trace holds it
+// and allocates no buffer to copy it into. The trace is read hits on one
+// block, so the job's other allocations (the protocol engine, its one
+// block page, the result) stay well below one batch of references.
+func TestUnfilteredJobReadsTraceInPlace(t *testing.T) {
+	tr := trace.New("rereads", 2)
+	for range 4 * sim.DefaultBatchRefs {
+		tr.Append(trace.Ref{Addr: 64, Kind: trace.Read})
+	}
+	e := New(Options{})
+	cfg, err := e.Adopt(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SimSpec{Trace: cfg, Scheme: "Dir0B"}
+	ctx := context.Background()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := e.simulateTrace(ctx, spec, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	batch := uint64(sim.DefaultBatchRefs) * uint64(unsafe.Sizeof(trace.Ref{}))
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= batch/2 {
+		t.Errorf("a simulation allocated %d bytes; one batch of references is %d", per, batch)
 	}
 }

@@ -38,9 +38,6 @@ func (c *Counts) Pct(t Type) float64 {
 	return 100 * float64(c.N[t]) / float64(c.Total)
 }
 
-// Frac returns the frequency of event t as a fraction of all references.
-func (c *Counts) Frac(t Type) float64 { return c.Pct(t) / 100 }
-
 // PctSum returns the combined percentage of the given event types.
 func (c *Counts) PctSum(types ...Type) float64 {
 	var s float64

@@ -19,8 +19,8 @@ func TestCountsAddAndPct(t *testing.T) {
 	if got := c.Pct(Instr); got != 50 {
 		t.Errorf("Pct(Instr) = %v", got)
 	}
-	if got := c.Frac(RdHit); got != 0.25 {
-		t.Errorf("Frac(RdHit) = %v", got)
+	if got := c.Pct(RdHit); got != 25 {
+		t.Errorf("Pct(RdHit) = %v", got)
 	}
 	if got := c.PctSum(RdHit, WrMissClean); got != 50 {
 		t.Errorf("PctSum = %v", got)

@@ -90,25 +90,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// IsRead reports whether the event classifies a data read.
-func (t Type) IsRead() bool {
-	switch t {
-	case RdHit, RdMissFirst, RdMissMem, RdMissClean, RdMissDirty:
-		return true
-	}
-	return false
-}
-
-// IsWrite reports whether the event classifies a data write.
-func (t Type) IsWrite() bool {
-	switch t {
-	case WrHitOwn, WrHitClean, WrHitShared, WrHitLocal,
-		WrMissFirst, WrMissMem, WrMissClean, WrMissDirty:
-		return true
-	}
-	return false
-}
-
 // IsMiss reports whether the event is a cache miss (first-reference misses
 // included).
 func (t Type) IsMiss() bool {

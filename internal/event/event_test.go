@@ -28,17 +28,18 @@ func TestTypeString(t *testing.T) {
 }
 
 func TestTypeClassification(t *testing.T) {
-	// Every type must be exactly one of instr / read / write.
+	// Every type must be exactly one of instr / read / write, as the
+	// Counts rows sum them.
 	for ty := Type(0); ty < NumTypes; ty++ {
+		var c Counts
+		c.Add(ty)
 		n := 0
-		if ty == Instr {
-			n++
-		}
-		if ty.IsRead() {
-			n++
-		}
-		if ty.IsWrite() {
-			n++
+		for _, pct := range []float64{c.Pct(Instr), c.Reads(), c.Writes()} {
+			if pct == 100 {
+				n++
+			} else if pct != 0 {
+				t.Errorf("%v counted as %v%% of one row", ty, pct)
+			}
 		}
 		if n != 1 {
 			t.Errorf("%v classified into %d categories", ty, n)

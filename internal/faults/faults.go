@@ -124,14 +124,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg}
 }
 
-// Config returns the injector's configuration (zero Config when nil).
-func (i *Injector) Config() Config {
-	if i == nil {
-		return Config{}
-	}
-	return i.cfg
-}
-
 // roll returns a uniform draw in [0, 1) for the decision identified by
 // (kind, site, n). It is the package's only randomness: FNV-1a over the
 // identifying tuple, finalized with a splitmix64 mix so near-identical
@@ -268,11 +260,6 @@ type TransportDecision struct {
 	Disconnect bool
 	// Delay stalls delivery for this long before anything else happens.
 	Delay time.Duration
-}
-
-// Faulty reports whether any class fired.
-func (d TransportDecision) Faulty() bool {
-	return d.Drop || d.DropReply || d.Duplicate || d.Corrupt || d.Disconnect || d.Delay > 0
 }
 
 // TransportFault decides the fate of message n at the given transport

@@ -293,13 +293,13 @@ func TestTransportFaultDeterminism(t *testing.T) {
 	}
 
 	var nilInj *Injector
-	if d := nilInj.TransportFault("s", 0); d.Faulty() {
+	if d := nilInj.TransportFault("s", 0); d != (TransportDecision{}) {
 		t.Errorf("nil injector faults transport: %+v", d)
 	}
 	if nilInj.Partitioned("s", 0) || nilInj.WorkerCrash("s", "k") {
 		t.Error("nil injector partitions or crashes")
 	}
-	if d := New(Config{Seed: 1, Panic: 0.5}).TransportFault("s", 0); d.Faulty() {
+	if d := New(Config{Seed: 1, Panic: 0.5}).TransportFault("s", 0); d != (TransportDecision{}) {
 		t.Errorf("transport-disabled config faults transport: %+v", d)
 	}
 }
@@ -329,9 +329,6 @@ func TestTransportFaultClasses(t *testing.T) {
 	d := fired(Config{Drop: 1, WireDelay: 1, WireDelayDur: 7 * time.Millisecond})
 	if !d.Drop || d.Delay != 7*time.Millisecond {
 		t.Errorf("delay must compose with drop: %+v", d)
-	}
-	if !d.Faulty() || (TransportDecision{}).Faulty() {
-		t.Error("Faulty misclassifies")
 	}
 }
 

@@ -141,12 +141,6 @@ func Hypercube(dim int) Topology {
 	})
 }
 
-// MsgCycles returns the link-cycles one directed message of words data
-// words consumes: average-distance hops times (address flit + data flits).
-func (t Topology) MsgCycles(words int) float64 {
-	return t.AvgDist * float64(1+words)
-}
-
 // CycleDenom is the denominator of the exact link-cycle units Tally
 // accumulates in: one link-cycle equals CycleDenom units.
 func (t Topology) CycleDenom() int64 {
@@ -156,19 +150,11 @@ func (t Topology) CycleDenom() int64 {
 	return int64(t.DistPairs)
 }
 
-// MsgCycleUnits is MsgCycles in exact CycleDenom units: the numerator of
-// avg-distance hops times (1 + words) flits.
+// MsgCycleUnits returns the link-cycles one directed message of words
+// data words consumes, in exact CycleDenom units: the numerator of
+// average-distance hops times (address flit + data flits).
 func (t Topology) MsgCycleUnits(words int) int64 {
 	return int64(t.DistSum) * int64(1+words)
-}
-
-// BroadcastCycles returns the link-cycles to deliver a payload-free
-// broadcast: one transaction on a bus, a spanning-tree flood elsewhere.
-func (t Topology) BroadcastCycles() float64 {
-	if t.Broadcast {
-		return 1
-	}
-	return float64(t.FloodLinks)
 }
 
 // String summarizes the topology.

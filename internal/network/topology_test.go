@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dirsim/internal/event"
 )
 
 func TestBusTopology(t *testing.T) {
@@ -11,8 +13,10 @@ func TestBusTopology(t *testing.T) {
 	if b.AvgDist != 1 || b.Diameter != 1 || !b.Broadcast {
 		t.Errorf("bus: %+v", b)
 	}
-	if b.BroadcastCycles() != 1 {
-		t.Error("bus broadcast should cost one cycle")
+	tally := NewTally(b)
+	tally.AddN(event.Result{Type: event.WrHitClean, Broadcast: true}, 1)
+	if tally.Cycles() != 1 {
+		t.Errorf("bus broadcast costs %v cycles, want 1", tally.Cycles())
 	}
 }
 
@@ -21,8 +25,8 @@ func TestCrossbar(t *testing.T) {
 	if x.AvgDist != 1 || x.Broadcast {
 		t.Errorf("crossbar: %+v", x)
 	}
-	if x.BroadcastCycles() != 15 {
-		t.Errorf("crossbar flood = %v, want 15", x.BroadcastCycles())
+	if x.FloodLinks != 15 {
+		t.Errorf("crossbar flood = %v links, want 15", x.FloodLinks)
 	}
 }
 
@@ -73,11 +77,12 @@ func TestHypercube(t *testing.T) {
 
 func TestMsgCycles(t *testing.T) {
 	x := Crossbar(4)
-	if got := x.MsgCycles(4); got != 5 {
-		t.Errorf("4-word message on crossbar = %v, want 5", got)
+	if got, den := x.MsgCycleUnits(4), x.CycleDenom(); got != 5*den {
+		t.Errorf("4-word message on crossbar = %d/%d cycles, want 5", got, den)
 	}
 	m := Mesh(4, 4)
-	if got := m.MsgCycles(0); math.Abs(got-m.AvgDist) > 1e-9 {
+	got := float64(m.MsgCycleUnits(0)) / float64(m.CycleDenom())
+	if math.Abs(got-m.AvgDist) > 1e-9 {
 		t.Errorf("0-word message should cost one flit per hop: %v", got)
 	}
 }

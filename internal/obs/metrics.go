@@ -85,9 +85,6 @@ func (h *Histogram) ObserveN(v, n int64) {
 // duration histogram in this repository uses.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 

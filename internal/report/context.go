@@ -99,12 +99,6 @@ func (c *Context) RunExperiment(e Experiment) (string, error) {
 	return out, err
 }
 
-// Engine returns the context's execution engine (for stats inspection).
-func (c *Context) Engine() *engine.Engine { return c.eng }
-
-// Executor returns the context's execution strategy.
-func (c *Context) Executor() engine.Executor { return c.exec }
-
 // StandardConfigs returns the generation configs of the standard
 // POPS/THOR/PERO traces at the given machine size.
 func (c *Context) StandardConfigs(cpus int) []workload.Config {

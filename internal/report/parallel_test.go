@@ -40,7 +40,7 @@ func TestParallelContextRendersIdentically(t *testing.T) {
 		}
 	}
 
-	if parallel.Engine().Stats().SimsRun == 0 {
+	if parallel.eng.Stats().SimsRun == 0 {
 		t.Error("parallel context ran no simulations through its engine")
 	}
 }
@@ -61,7 +61,7 @@ func TestRegenerationSimulatesEachSpecOnce(t *testing.T) {
 				t.Fatalf("%s %s: %v", exec.Name(), e.ID, err)
 			}
 		}
-		if got := c.Engine().Stats().SimsRun; got != 159 {
+		if got := c.eng.Stats().SimsRun; got != 159 {
 			t.Errorf("%s: a regeneration ran %d simulations, want 159", exec.Name(), got)
 		}
 	}
@@ -91,7 +91,7 @@ func TestWarmStoreRunsFiniteAndVMWithoutSimulating(t *testing.T) {
 			}
 			out += s
 		}
-		return out, c.Engine().Stats()
+		return out, c.eng.Stats()
 	}
 	cold, coldStats := run()
 	if coldStats.SimsRun != 25 || coldStats.TracesGenerated != 1 {

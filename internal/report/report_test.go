@@ -310,6 +310,12 @@ func TestRenderHelpers(t *testing.T) {
 	if v, err := s.Value(0, "row2", "bb"); err != nil || v != 3 {
 		t.Errorf("Value(row2, bb) = %v, %v; want 3", v, err)
 	}
+	// A measured | paper cell reads back its measured half.
+	vs := &Section{ID: "vs"}
+	vs.table("scheme", "cycles").row("Dir0B", Cell{[]float64{4.781, 4.78}, "%.2f", VsPaper})
+	if v, err := vs.Value(0, "Dir0B", "cycles"); err != nil || v != 4.781 {
+		t.Errorf("Value(Dir0B, cycles) = %v, %v; want the measured 4.781", v, err)
+	}
 	for _, bad := range []struct {
 		table    int
 		row, col string

@@ -213,9 +213,8 @@ func runCoarse(c *Context) (*Section, error) {
 }
 
 // runStorage renders the directory storage comparison behind the Section 6
-// discussion, in directory.StorageTable's layout: a 14-wide label column
-// and 6-wide value columns one space apart, which the aligner prints from
-// labels padded to those widths.
+// discussion: a 14-wide label column and 6-wide value columns one space
+// apart, which the aligner prints from labels padded to those widths.
 func runStorage(c *Context) (*Section, error) {
 	s := &Section{ID: "storage", Title: "Directory entry storage by organization"}
 	cpus := []int{4, 16, 64, 256}

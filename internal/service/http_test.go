@@ -260,8 +260,8 @@ func TestExperimentJournalHoldsOnlyItsJobs(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &l); err != nil {
 				t.Fatal(err)
 			}
-			if l.Trace != exp.Trace() {
-				t.Errorf("%s history line has trace %q, want %q: %s", exp.ID, l.Trace, exp.Trace(), line)
+			if l.Trace != exp.tc.Trace {
+				t.Errorf("%s history line has trace %q, want %q: %s", exp.ID, l.Trace, exp.tc.Trace, line)
 			}
 			if strings.HasPrefix(l.Msg, "job.") && l.Key != "" {
 				got[l.Msg+" "+l.Key]++

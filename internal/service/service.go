@@ -103,9 +103,6 @@ type Experiment struct {
 	tc obs.TraceContext
 }
 
-// Trace returns the experiment's originating trace ID.
-func (e *Experiment) Trace() string { return e.tc.Trace }
-
 // Service executes experiments against a shared engine and serves their
 // lifecycle over HTTP. Create with New, start with Start, stop with
 // Drain.

@@ -265,8 +265,8 @@ func TestAdmissionWaitJournaled(t *testing.T) {
 	if !ok {
 		t.Fatal("experiment vanished")
 	}
-	if exp.Trace() != "adm-run" {
-		t.Errorf("Experiment.Trace() = %q", exp.Trace())
+	if exp.tc.Trace != "adm-run" {
+		t.Errorf("Experiment.Trace() = %q", exp.tc.Trace)
 	}
 	sawAdmission := false
 	for _, line := range history(exp) {

@@ -34,15 +34,21 @@ func classTestSchemes() []string {
 // gets its own.
 func classTestModels() []bus.Model {
 	named := func(m bus.Model, name string) bus.Model { m.Name = name; return m }
+	q2 := bus.NonPipelined()
+	q2.Q = 2
+	b8 := bus.Pipelined()
+	b8.BroadcastInval = 8
+	berkeley := bus.Pipelined()
+	berkeley.DirCheckFree = true
 	return []bus.Model{
 		bus.Pipelined(),
 		bus.NonPipelined(),
 		named(bus.PipelinedWords(2), "pipelined-2w"),
 		named(bus.PipelinedWords(8), "pipelined-8w"),
 		named(bus.PipelinedWords(16), "pipelined-16w"),
-		named(bus.NonPipelined().WithQ(2), "non-pipelined-q2"),
-		named(bus.Pipelined().WithBroadcastCost(8), "pipelined-b8"),
-		named(bus.Pipelined().Berkeley(), "berkeley"),
+		named(q2, "non-pipelined-q2"),
+		named(b8, "pipelined-b8"),
+		named(berkeley, "berkeley"),
 	}
 }
 
@@ -107,8 +113,8 @@ func TestClassPricingMatchesPerEvent(t *testing.T) {
 // 1e-12 of the per-event sum, which rounds once per event; counts stay
 // exact.
 func TestClassPricingRoundsOncePerClass(t *testing.T) {
-	m := bus.Pipelined().WithQ(0.1)
-	m.Name = "pipelined-q0.1"
+	m := bus.Pipelined()
+	m.Name, m.Q = "pipelined-q0.1", 0.1
 	opts := Options{Models: []bus.Model{m}}
 	tr := workload.POPS(4, 30_000)
 	for _, scheme := range []string{"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB"} {

@@ -63,16 +63,18 @@ func goldenTraces(t *testing.T) []*trace.Trace {
 	return append(traces, sparseTrace(13, 8, 96, 30_000))
 }
 
-// TestGoldenFingerprints pins Result.Fingerprint() — and the engine-side
-// counters the fingerprint does not cover — for every engine over the
-// standard workloads at two machine sizes and over a sparse random
-// stream. The table was recorded from the map-backed engines; a change of
+// TestGoldenFingerprints pins Result.Fingerprint() — with the miss split
+// and DirCV's wasted and useful invalidations, derived from DirNNB's run
+// of the same trace — for every engine over the standard workloads at two
+// machine sizes and over a sparse random stream. The table was recorded from the map-backed engines; a change of
 // per-block storage or of the accounting loop must leave every line as it
 // is. -update-golden rewrites it (only for a deliberate protocol change).
 func TestGoldenFingerprints(t *testing.T) {
 	var lines []string
 	for _, tr := range goldenTraces(t) {
 		opts := Options{Topologies: []network.Topology{network.Bus(tr.CPUs)}}
+		seqInvals := make(map[string]int64)
+		cvLine := -1
 		for _, scheme := range goldenEngines() {
 			p, err := core.NewByName(scheme, tr.CPUs)
 			if err != nil {
@@ -91,13 +93,16 @@ func TestGoldenFingerprints(t *testing.T) {
 				line += fmt.Sprintf(" cold=%d coherence=%d capacity=%d",
 					res.ColdMisses, res.CoherenceMisses, res.CapacityMisses)
 			}
-			switch p := p.(type) {
-			case interface{ Overshoot() (int64, int64) }:
-				wasted, useful := p.Overshoot()
-				line += fmt.Sprintf(" wasted=%d useful=%d", wasted, useful)
+			seqInvals[scheme] = res.SeqInvals
+			if scheme == "dircv" {
+				cvLine = len(lines)
 			}
 			lines = append(lines, line)
 		}
+		// DirCV changes state as DirNNB does: DirNNB's messages are the
+		// useful ones, and DirCV's others reach caches holding no copy.
+		useful := seqInvals["dirnnb"]
+		lines[cvLine] += fmt.Sprintf(" wasted=%d useful=%d", seqInvals["dircv"]-useful, useful)
 	}
 	sort.Strings(lines)
 	got := strings.Join(lines, "\n") + "\n"

@@ -62,8 +62,8 @@ func TestSimulateCPUCountMismatch(t *testing.T) {
 }
 
 func TestSimulateCustomModel(t *testing.T) {
-	m := bus.Pipelined().WithQ(1)
-	m.Name = "q1"
+	m := bus.Pipelined()
+	m.Name, m.Q = "q1", 1
 	res, err := SimulateTrace("Dir0B", workload.PingPong(1000), Options{Models: []bus.Model{m}})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,9 @@ func fuzzLoad[T interface {
 }
 
 // FuzzLoadTrace holds LoadTrace to fuzzLoad's promise.
-func FuzzLoadTrace(f *testing.F) { fuzzLoad(f, traces, (*Store).LoadTrace, (*Store).HasTrace) }
+func FuzzLoadTrace(f *testing.F) {
+	fuzzLoad(f, traces, (*Store).LoadTrace, func(s *Store, key string) bool { return s.has(traces.prefix + key) })
+}
 
 // FuzzLoadResult holds LoadResult to fuzzLoad's promise.
 func FuzzLoadResult(f *testing.F) { fuzzLoad(f, results, (*Store).LoadResult, (*Store).HasResult) }

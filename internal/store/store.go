@@ -363,9 +363,6 @@ func (s *Store) evict(id string) {
 // "present", not "valid" — a later Load still revalidates.
 func (s *Store) HasResult(key string) bool { return s.has(results.prefix + key) }
 
-// HasTrace is HasResult for the trace namespace, which only bench/ uses.
-func (s *Store) HasTrace(key string) bool { return s.has(traces.prefix + key) }
-
 func (s *Store) has(id string) bool {
 	s.mu.Lock()
 	_, ok := s.entries[id]

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -85,31 +86,46 @@ type BatchSource = Source
 func Batched(src Source) Source { return src }
 
 // Iterator returns a Source that replays the trace from the beginning.
-func (t *Trace) Iterator() Source { return &sliceSource{refs: t.Refs, cpus: t.CPUs} }
+func (t *Trace) Iterator() Source { return t.IteratorContext(context.Background()) }
+
+// IteratorContext is Iterator for a replay ctx may stop: once ctx is done
+// the Source is exhausted, so a reader of it, or of any chain of
+// wrappers over it, stops at its next batch.
+func (t *Trace) IteratorContext(ctx context.Context) Source {
+	return &sliceSource{refs: t.Refs, cpus: t.CPUs, ctx: ctx}
+}
 
 type sliceSource struct {
 	refs []Ref
 	cpus int
 	pos  int
+	ctx  context.Context
 }
 
 // NextBatch copies up to len(buf) references out of the trace slice. A
 // reader that only looks at a batch reads it in place through Next.
 func (s *sliceSource) NextBatch(buf []Ref) int {
+	if s.ctx.Err() != nil {
+		return 0
+	}
 	n := copy(buf, s.refs[s.pos:])
 	s.pos += n
 	return n
 }
 
 // Next returns the next batch of src, at most n references (n > 0),
-// empty only once src is exhausted. A trace's own Iterator hands out a
-// window onto the trace itself: no copy, and *buf is not touched. Every
+// empty only once src is exhausted. A trace's own Iterator or
+// IteratorContext hands out a window onto the trace itself: no copy, and
+// *buf is not touched. Every
 // other Source fills *buf through NextBatch, allocating it with n
 // references on first use. Either way the batch is valid until the
 // next call, and it is read-only: a window aliases the trace, so a write
 // to it rewrites the trace for every later reader.
 func Next(src Source, buf *[]Ref, n int) []Ref {
 	if s, ok := src.(*sliceSource); ok {
+		if s.ctx.Err() != nil {
+			return nil
+		}
 		w := s.refs[s.pos:]
 		w = w[:min(n, len(w)):min(n, len(w))]
 		s.pos += len(w)

@@ -139,8 +139,6 @@ func (m *Machine) step(c uint8, st *cpuState, mem Memory, t *trace.Trace) error 
 	switch ins.Op {
 	case OpLdi:
 		st.reg[ins.A] = ins.Imm
-	case OpMov:
-		st.reg[ins.A] = st.reg[ins.B]
 	case OpAdd:
 		st.reg[ins.A] = st.reg[ins.B] + st.reg[ins.C]
 	case OpSub:

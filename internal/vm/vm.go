@@ -28,8 +28,6 @@ type Opcode uint8
 const (
 	// OpLdi loads an immediate: r[A] = Imm.
 	OpLdi Opcode = iota
-	// OpMov copies: r[A] = r[B].
-	OpMov
 	// OpAdd: r[A] = r[B] + r[C].
 	OpAdd
 	// OpSub: r[A] = r[B] - r[C].
@@ -59,7 +57,7 @@ const (
 )
 
 var opNames = map[Opcode]string{
-	OpLdi: "ldi", OpMov: "mov", OpAdd: "add", OpSub: "sub", OpMul: "mul", OpAnd: "and",
+	OpLdi: "ldi", OpAdd: "add", OpSub: "sub", OpMul: "mul", OpAnd: "and",
 	OpLd: "ld", OpSt: "st", OpTas: "tas", OpFai: "fai",
 	OpBz: "bz", OpBnz: "bnz", OpJmp: "jmp", OpDone: "done",
 }
@@ -106,9 +104,9 @@ func (p *Program) emit(i Instr) *Program {
 	return p
 }
 
-// Ldi, Mov, Add, Sub, Ld, St, Tas append the corresponding instruction.
+// Ldi, Add, Sub, Mul, And, Ld, St, Tas and Fai append the corresponding
+// instruction.
 func (p *Program) Ldi(r uint8, v Word) *Program { return p.emit(Instr{Op: OpLdi, A: r, Imm: v}) }
-func (p *Program) Mov(dst, src uint8) *Program  { return p.emit(Instr{Op: OpMov, A: dst, B: src}) }
 func (p *Program) Add(dst, a, b uint8) *Program { return p.emit(Instr{Op: OpAdd, A: dst, B: a, C: b}) }
 func (p *Program) Sub(dst, a, b uint8) *Program { return p.emit(Instr{Op: OpSub, A: dst, B: a, C: b}) }
 func (p *Program) Mul(dst, a, b uint8) *Program { return p.emit(Instr{Op: OpMul, A: dst, B: a, C: b}) }

@@ -44,37 +44,7 @@ var optionsAllowlist = map[string]string{
 // count) — in a file that is neither a test nor under bench/ or
 // examples/. Everything else must be on optionsAllowlist with its reason.
 func TestOptionsHaveProductionSetters(t *testing.T) {
-	fset := token.NewFileSet()
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	var files []file
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch {
-			case p == "bench", p == "examples", d.Name() == "testdata",
-				p != "." && strings.HasPrefix(d.Name(), "."):
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := programFiles(t)
 
 	// fields maps "pkg.Struct" to its exported field names.
 	fields := make(map[string][]string)
@@ -175,6 +145,45 @@ func TestOptionsHaveProductionSetters(t *testing.T) {
 		}
 	}
 	t.Logf("%d settable fields across %d structs", total, len(fields))
+}
+
+// programFile is a parsed Go file of a program: neither a test nor under
+// bench/ or examples/. dir is its package directory, slash-separated.
+type programFile struct {
+	dir string
+	f   *ast.File
+}
+
+// programFiles parses every program file in the module.
+func programFiles(t *testing.T) []programFile {
+	fset := token.NewFileSet()
+	var files []programFile
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch {
+			case p == "bench", p == "examples", d.Name() == "testdata",
+				p != "." && strings.HasPrefix(d.Name(), "."):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		files = append(files, programFile{filepath.ToSlash(filepath.Dir(p)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // literalType names a composite literal's struct type as "pkg.Name",
