@@ -23,9 +23,12 @@ check: build vet race shard-equiv
 # The block table's fast path (blockTable.cached, a compare and an
 # index) must stay inlined at every call site in the engine's loops: one
 # more field read in it can push it over the compiler's inlining budget
-# and put a call back on every data reference. Fails unless the compiler
-# reports "inlining call to ...cached" on every line of engine.go that
-# calls it.
+# and put a call back on every data reference. So must the nil test of
+# the five Checker methods an unchecked miss or hit reaches (ReadHit,
+# FillFromMemory, FillFromCache, Write, WriteBack), at every call site
+# in internal/core: a body that grows back into the wrapper puts a call
+# on every miss. Fails unless the compiler reports "inlining call to ..."
+# on every line that calls one of them.
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
 	lines=$$(grep -n 'blocks\.cached(' internal/core/engine.go | cut -d: -f1); \
@@ -34,7 +37,16 @@ inline-check:
 		echo "$$out" | grep -q "^internal/core/engine.go:$$n:[0-9]*: inlining call to .*blockTable.*)\.cached$$" || \
 			{ echo "inline-check: blockTable.cached is not inlined at internal/core/engine.go:$$n"; exit 1; }; \
 	done; \
-	echo "inline-check: blockTable.cached inlined at lines" $$lines "of internal/core/engine.go"
+	echo "inline-check: blockTable.cached inlined at lines" $$lines "of internal/core/engine.go"; \
+	for m in ReadHit FillFromMemory FillFromCache Write WriteBack; do \
+		sites=$$(grep -n "\.$$m(" internal/core/*.go | grep -v '_test\.go:' | grep -v 'func (c \*Checker)' | cut -d: -f1,2); \
+		if [ -z "$$sites" ]; then echo "inline-check: internal/core never calls Checker.$$m"; exit 1; fi; \
+		for s in $$sites; do \
+			echo "$$out" | grep -q "^$$s:[0-9]*: inlining call to (\*Checker)\.$$m$$" || \
+				{ echo "inline-check: Checker.$$m is not inlined at $$s"; exit 1; }; \
+		done; \
+		echo "inline-check: Checker.$$m inlined at" $$(echo "$$sites" | wc -l) "call sites in internal/core"; \
+	done
 
 # The sharded-simulation equivalence suite on its own under the race
 # detector (sim.SimulateSharded is a library function the benchmark

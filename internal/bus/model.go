@@ -186,22 +186,22 @@ func (b Breakdown) Scale(f float64) Breakdown {
 // misses are excluded from the multiprocessing overhead, as in the paper,
 // and cost nothing.
 func (m Model) Cost(res event.Result) (b Breakdown, transaction bool) {
-	b, n := m.CostN(res, 1)
+	b, n := m.CostN(res, 1, res.Units())
 	return b, n == 1
 }
 
 // CostN prices n results of one event.Class at once: results that agree
-// on every field Cost reads except their unit counts. res carries the n
-// results' summed Inval, ForcedInval and Control, and either every one
-// of them has invalidation units to pay for or none has, so the n are
-// all transactions or none is. It returns the n results' summed cycles
-// by category and how many of them were transactions. With integer
-// prices (every tariff the repository builds) the sum is exactly what
-// pricing the results one by one adds up to; otherwise each category is
-// rounded once per call instead of once per result. Every field read
-// here must be part of event.Class, or results that price differently
-// would share a class.
-func (m Model) CostN(res event.Result, n int64) (b Breakdown, transactions int64) {
+// on every field Cost reads except their unit counts. res stands for
+// them (its own counts are not read), u is their summed unit counts, and
+// either every one of them has invalidation units to pay for or none
+// has, so the n are all transactions or none is. It returns the n
+// results' summed cycles by category and how many of them were
+// transactions. With integer prices (every tariff the repository builds)
+// the sum is exactly what pricing the results one by one adds up to;
+// otherwise each category is rounded once per call instead of once per
+// result. Every field read here must be part of event.Class, or results
+// that price differently would share a class.
+func (m Model) CostN(res event.Result, n int64, u event.Units) (b Breakdown, transactions int64) {
 	if res.Type.IsFirstRef() || res.Quiet() {
 		// Free references — hits, instruction fetches, excluded
 		// first-reference misses — skip the category arithmetic
@@ -218,10 +218,10 @@ func (m Model) CostN(res event.Result, n int64) (b Breakdown, transactions int64
 		if res.Broadcast {
 			b[CatInval] += k * m.BroadcastInval
 		}
-		b[CatInval] += float64(res.Inval) * m.Inval
+		b[CatInval] += float64(u.Inval) * m.Inval
 	}
-	b[CatInval] += float64(res.ForcedInval) * m.Inval
-	b[CatInval] += float64(res.Control) * m.Inval
+	b[CatInval] += float64(u.ForcedInval) * m.Inval
+	b[CatInval] += float64(u.Control) * m.Inval
 	// Block fill on a miss.
 	if res.Type.IsMiss() {
 		switch {

@@ -186,11 +186,11 @@ func TestPaperArithmetic(t *testing.T) {
 		for _, entry := range m {
 			n := int(entry.freq / 100 * refs)
 			for i := 0; i < n; i++ {
-				tally.AddN(entry.res, 1)
+				addOne(tally, entry.res)
 			}
 		}
 		for tally.Refs < refs {
-			tally.AddN(event.Result{Type: event.RdHit}, 1)
+			addOne(tally, event.Result{Type: event.RdHit})
 		}
 		return tally.PerRef()
 	}

@@ -25,10 +25,11 @@ type Tally struct {
 // NewTally returns a tally pricing with the given model.
 func NewTally(m Model) *Tally { return &Tally{Model: m} }
 
-// AddN prices n results that Model.CostN can price together (res holds
-// their summed unit counts) and accumulates them; AddN(res, 1) prices one.
-func (t *Tally) AddN(res event.Result, n int64) {
-	b, txns := t.Model.CostN(res, n)
+// AddN prices n results that Model.CostN can price together (res stands
+// for them, u is their summed unit counts) and accumulates them;
+// AddN(res, 1, res.Units()) prices one.
+func (t *Tally) AddN(res event.Result, n int64, u event.Units) {
+	b, txns := t.Model.CostN(res, n, u)
 	t.Refs += n
 	if txns == 0 {
 		// A non-transaction's breakdown is all zeros (prices are

@@ -8,11 +8,14 @@ import (
 	"dirsim/internal/event"
 )
 
+// addOne prices one result, whose own counts are its units.
+func addOne(t *Tally, res event.Result) { t.AddN(res, 1, res.Units()) }
+
 func TestTallyAccumulates(t *testing.T) {
 	tl := NewTally(Pipelined())
-	tl.AddN(event.Result{Type: event.RdHit}, 1)
-	tl.AddN(event.Result{Type: event.RdMissMem}, 1) // 5 cycles, 1 txn
-	tl.AddN(event.Result{Type: event.WrHitShared, Update: true}, 1)
+	addOne(tl, event.Result{Type: event.RdHit})
+	addOne(tl, event.Result{Type: event.RdMissMem}) // 5 cycles, 1 txn
+	addOne(tl, event.Result{Type: event.WrHitShared, Update: true})
 	if tl.Refs != 3 || tl.Transactions != 2 {
 		t.Fatalf("refs=%d txns=%d", tl.Refs, tl.Transactions)
 	}
@@ -37,9 +40,9 @@ func TestTallyEmpty(t *testing.T) {
 func TestTallyMerge(t *testing.T) {
 	a := NewTally(Pipelined())
 	b := NewTally(Pipelined())
-	a.AddN(event.Result{Type: event.RdMissMem}, 1)
-	b.AddN(event.Result{Type: event.RdMissMem}, 1)
-	b.AddN(event.Result{Type: event.RdHit}, 1)
+	addOne(a, event.Result{Type: event.RdMissMem})
+	addOne(b, event.Result{Type: event.RdMissMem})
+	addOne(b, event.Result{Type: event.RdHit})
 	a.Merge(b)
 	if a.Refs != 3 || a.Transactions != 2 || a.Cycles.Total() != 10 {
 		t.Errorf("merge wrong: %+v", a)
@@ -48,8 +51,8 @@ func TestTallyMerge(t *testing.T) {
 
 func TestTallyBreakdownPerRef(t *testing.T) {
 	tl := NewTally(Pipelined())
-	tl.AddN(event.Result{Type: event.RdMissMem}, 1) // mem 5
-	tl.AddN(event.Result{Type: event.RdHit}, 1)
+	addOne(tl, event.Result{Type: event.RdMissMem}) // mem 5
+	addOne(tl, event.Result{Type: event.RdHit})
 	br := tl.PerRefBreakdown()
 	if br[CatMemAccess] != 2.5 {
 		t.Errorf("breakdown = %v", br)
@@ -62,7 +65,7 @@ func TestTallyBreakdownPerRef(t *testing.T) {
 
 func TestTallyString(t *testing.T) {
 	tl := NewTally(Pipelined())
-	tl.AddN(event.Result{Type: event.RdMissMem}, 1)
+	addOne(tl, event.Result{Type: event.RdMissMem})
 	out := tl.String()
 	for _, want := range []string{"pipelined", "cycles/ref", "mem access"} {
 		if !strings.Contains(out, want) {

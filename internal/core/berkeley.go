@@ -24,7 +24,7 @@ import (
 // (bus.Model.Berkeley); this engine simulates the protocol outright so
 // the estimate can be validated against a real state machine.
 func NewBerkeley(ncpu int) Protocol {
-	return newEngine(ncpu, scheme{name: "Berkeley", need: fD, hit: event.WrHitOwn, step: berkeleyStep, sharedDirty: true})
+	return newEngine(ncpu, scheme{name: "Berkeley", need: fD, hit: event.Result{Type: event.WrHitOwn}, step: berkeleyStep, sharedDirty: true})
 }
 
 func berkeleyStep(ck *Checker, bl *block, c uint8, b trace.Block, write bool, res *event.Result) {

@@ -2,16 +2,16 @@ package core
 
 import "dirsim/internal/trace"
 
-// Pages are 128 blocks. The per-block states stored here are at most 16
-// bytes, so a touched page costs at most 2 KiB. Traces scatter their
+// Pages are 64 blocks. The per-block states stored here are at most 16
+// bytes, so a touched page costs at most 1 KiB. Traces scatter their
 // blocks, so pages are small: the standard workloads over 20 000
-// references touch 300 to 500 blocks on 11 or 12 pages at 4 CPUs, and
-// with 512-block pages they took 9 pages of 8 KiB, nine tenths zeroes,
-// which made page zeroing most of what a short simulation allocates.
-// Over 2 000 000 references they live on 28 to 39 pages at 4 CPUs and
-// 124 to 172 at 64.
+// references touch 300 to 500 blocks on 14 to 16 pages at 4 CPUs (16
+// KiB; 11 or 12 pages, 24 KiB, with 128-block pages, and 9 pages of 8
+// KiB, nine tenths zeroes, with 512-block pages), and pages are most of
+// what a short simulation allocates. Over 2 000 000 references they live
+// on 48 to 70 pages at 4 CPUs and 182 to 315 at 64.
 const (
-	pageBits = 7
+	pageBits = 6
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 )
@@ -28,8 +28,10 @@ type blockTable[T any] struct {
 	// regions per CPU and leave the last-used page on every second to
 	// fourth data reference, so one remembered page is not enough; a
 	// hashed slot per page makes all but the first lookup of a page a
-	// compare instead of a map probe. 512 slots keep two hot pages from
-	// sharing one even at 64 CPUs. Like pages it is allocated on first
+	// compare instead of a map probe. 512 slots keep hot pages mostly
+	// apart even at 64 CPUs: with 64-block pages a 64-CPU replay ran
+	// faster behind 512 slots than 128-block pages did, and slower behind
+	// 256. Like pages it is allocated on first
 	// touch: engines are also built just to validate a scheme name, and
 	// those must stay a few words.
 	recent *[1 << recentBits]recentPage[T]

@@ -14,7 +14,10 @@ import (
 // records the first violation.
 //
 // A nil *Checker is valid and all methods are no-ops on it, so engines can
-// call unconditionally.
+// call unconditionally. The five an unchecked miss or hit reaches (ReadHit,
+// FillFromMemory, FillFromCache, Write, WriteBack) are a nil test that
+// inlines into the caller and an out-of-line body, so an unchecked
+// engine pays a compare, not a call (make inline-check keeps it so).
 type Checker struct {
 	latest map[trace.Block]uint64           // version produced by the last write
 	memory map[trace.Block]uint64           // version main memory holds
@@ -56,9 +59,12 @@ func (c *Checker) blockCopies(b trace.Block) map[uint8]uint64 {
 
 // ReadHit asserts that cpu's cached copy of b carries the latest value.
 func (c *Checker) ReadHit(cpu uint8, b trace.Block) {
-	if c == nil {
-		return
+	if c != nil {
+		c.readHit(cpu, b)
 	}
+}
+
+func (c *Checker) readHit(cpu uint8, b trace.Block) {
 	v, ok := c.copies[b][cpu]
 	if !ok {
 		c.fail("read hit by cpu %d on block %#x it does not hold", cpu, b)
@@ -72,9 +78,12 @@ func (c *Checker) ReadHit(cpu uint8, b trace.Block) {
 // FillFromMemory models a miss satisfied by main memory and asserts memory
 // holds the latest value.
 func (c *Checker) FillFromMemory(cpu uint8, b trace.Block) {
-	if c == nil {
-		return
+	if c != nil {
+		c.fillFromMemory(cpu, b)
 	}
+}
+
+func (c *Checker) fillFromMemory(cpu uint8, b trace.Block) {
 	v := c.memory[b]
 	if want := c.latest[b]; v != want {
 		c.fail("memory supplied stale version %d of block %#x to cpu %d (latest %d)", v, b, cpu, want)
@@ -85,9 +94,12 @@ func (c *Checker) FillFromMemory(cpu uint8, b trace.Block) {
 // FillFromCache models a miss satisfied cache-to-cache (or via a write-back
 // the requester snarfs) and asserts the supplier holds the latest value.
 func (c *Checker) FillFromCache(cpu, supplier uint8, b trace.Block) {
-	if c == nil {
-		return
+	if c != nil {
+		c.fillFromCache(cpu, supplier, b)
 	}
+}
+
+func (c *Checker) fillFromCache(cpu, supplier uint8, b trace.Block) {
 	v, ok := c.copies[b][supplier]
 	if !ok {
 		c.fail("cpu %d supplied block %#x it does not hold", supplier, b)
@@ -103,9 +115,12 @@ func (c *Checker) FillFromCache(cpu, supplier uint8, b trace.Block) {
 // before writing); the write produces a new latest version held by the
 // writer alone unless the protocol updates sharers (see UpdateSharers).
 func (c *Checker) Write(cpu uint8, b trace.Block) {
-	if c == nil {
-		return
+	if c != nil {
+		c.write(cpu, b)
 	}
+}
+
+func (c *Checker) write(cpu uint8, b trace.Block) {
 	m := c.blockCopies(b)
 	if _, ok := m[cpu]; !ok {
 		c.fail("cpu %d wrote block %#x without holding a copy", cpu, b)
@@ -124,9 +139,12 @@ func (c *Checker) WriteThrough(cpu uint8, b trace.Block) {
 
 // WriteBack models owner flushing its copy of b to memory.
 func (c *Checker) WriteBack(owner uint8, b trace.Block) {
-	if c == nil {
-		return
+	if c != nil {
+		c.writeBack(owner, b)
 	}
+}
+
+func (c *Checker) writeBack(owner uint8, b trace.Block) {
 	v, ok := c.copies[b][owner]
 	if !ok {
 		c.fail("cpu %d wrote back block %#x it does not hold", owner, b)

@@ -24,7 +24,7 @@ import (
 // TestDir1NBMatchesSpec and its neighbours hold the engine bit-identical
 // to NewDir1NBSpec.
 func NewDir1NB(ncpu int) Protocol {
-	return newEngine(ncpu, scheme{name: "Dir1NB", set: fD, hit: event.WrHitOwn, step: dir1nbStep, check: dir1nbCheck})
+	return newEngine(ncpu, scheme{name: "Dir1NB", set: fD, hit: event.Result{Type: event.WrHitOwn}, step: dir1nbStep, check: dir1nbCheck})
 }
 
 // dir1nbStep steals the block on a miss, the only reference that reaches

@@ -18,7 +18,7 @@ import (
 // shared blocks (wh-distrib), which each cost a bus transaction. The last
 // writer owns a stale block, shared or not, and supplies it on a miss.
 func NewDragon(ncpu int) Protocol {
-	return newEngine(ncpu, scheme{name: "Dragon", set: fD, hit: event.WrHitLocal, step: dragonStep, sharedDirty: true})
+	return newEngine(ncpu, scheme{name: "Dragon", set: fD, hit: event.Result{Type: event.WrHitLocal}, ownerUpdate: true, step: dragonStep, sharedDirty: true})
 }
 
 func dragonStep(ck *Checker, bl *block, c uint8, b trace.Block, write bool, res *event.Result) {

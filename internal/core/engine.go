@@ -33,9 +33,6 @@ const (
 	// fS: the block has been referenced, so a miss on it is not a first
 	// reference (rm-first-ref / wm-first-ref).
 	fS
-	// fNever is set on no block: a write-hit rule that needs it never
-	// matches.
-	fNever
 )
 
 // miss records a reference to the block by a cache that holds no copy
@@ -60,18 +57,27 @@ func (bl *block) miss(write bool) event.Type {
 	return t
 }
 
-// A scheme is one protocol stated over the shared block state: its plain
-// write hit as data, and one function for everything else.
+// A scheme is one protocol stated over the shared block state: its write
+// hits that change no state as data, and one function for everything
+// else.
 type scheme struct {
 	name string
-	// The plain write hit: a write by c to a block whose holders are
+	// The write-hit rule: a write by c to a block whose holders are
 	// exactly {c} and whose flags include need sets set, makes c the
-	// owner and is classified hit (WrHitOwn or WrHitLocal). It takes no
-	// action, so it is plain and the loops count it in place.
+	// owner and has the outcome hit (WrHitOwn or WrHitLocal; WTI's
+	// carries Update, its write-through). Every such write has that one
+	// outcome and changes no state the next reference reads, so it is
+	// plain: the loops count it in place and the simulator prices the
+	// count.
 	need, set uint8
-	hit       event.Type
+	hit       event.Result
+	// ownerUpdate extends the rule for an update protocol (Dragon): a
+	// write by the owner of a stale block other caches hold too sends
+	// them the word and changes no state, so the loops count it as well,
+	// as ownerUpdateHit.
+	ownerUpdate bool
 	// step applies every reference that is not plain: a read miss, a
-	// write miss, or a write hit the rule did not take. The engine has
+	// write miss, or a write hit the rules did not take. The engine has
 	// classified a miss (res.Type, res.Holders) or set a write hit to
 	// WrHitClean with the other holders counted; step supplies the
 	// coherence actions, the next state and the Checker calls, and may
@@ -84,15 +90,19 @@ type scheme struct {
 	check func(bl *block) error
 }
 
+// ownerUpdateHit is the outcome of a write the ownerUpdate rule takes,
+// Holders aside: the word goes to the other holders by broadcast.
+var ownerUpdateHit = event.Result{Type: event.WrHitShared, Update: true, Broadcast: true}
+
 // engine runs any scheme: it owns the only Access, AccessBatch and
 // AccessSparse loops of the infinite-cache engines. Both batch loops run
-// the read hit (holders.Has(c)) and the scheme's write-hit rule ahead of
-// the scheme: a reference that passes is plain, its whole result its
-// type, and it costs one table lookup and a count (AccessSparse, in
-// plainRun) or a store (AccessBatch, in plainTypes). What they let
-// through goes through access to apply, as does a CPU out of range or an
-// invalid kind, for access to reject; with a Checker attached, hits move
-// data too and every reference goes through access.
+// the read hit (holders.Has(c)) and the scheme's write-hit rules ahead of
+// the scheme: a reference that passes is plain, its result the one its
+// type always has, and it costs one table lookup and a count
+// (AccessSparse, in plainRun) or a store (AccessBatch, in plainTypes).
+// What they let through goes through access to apply, as does a CPU out
+// of range or an invalid kind, for access to reject; with a Checker
+// attached, hits move data too and every reference goes through access.
 type engine struct {
 	scheme
 	ncpu   int
@@ -111,7 +121,7 @@ func (e *engine) CPUs() int    { return e.ncpu }
 // SetChecker attaches a value-coherence checker (tests only).
 func (e *engine) SetChecker(c *Checker) { e.ck = c }
 
-// writeHit applies c's write as the scheme's plain write hit, if the rule
+// writeHit applies c's write as the scheme's write-hit rule, if the rule
 // takes it.
 func (e *engine) writeHit(bl *block, c uint8) bool {
 	if !bl.holders.Only(c) || bl.flags&e.need != e.need {
@@ -122,8 +132,14 @@ func (e *engine) writeHit(bl *block, c uint8) bool {
 	return true
 }
 
+// repeatUpdate reports whether the ownerUpdate rule takes c's write, one
+// writeHit did not take: c owns the stale block, so others hold it too.
+func (e *engine) repeatUpdate(bl *block, c uint8) bool {
+	return e.ownerUpdate && bl.flags&fD != 0 && bl.owner == c
+}
+
 func (e *engine) Access(r trace.Ref) (res event.Result) {
-	e.access(r, &res)
+	e.access(&r, &res)
 	return res
 }
 
@@ -137,14 +153,14 @@ func (e *engine) AccessBatch(refs []trace.Ref, out []event.Result) []event.Resul
 	res := out[n:]
 	if e.ck != nil {
 		for i := range refs {
-			e.access(refs[i], &res[i])
+			e.access(&refs[i], &res[i])
 		}
 		return out
 	}
 	for i := 0; i < len(refs); i++ {
 		i += e.plainTypes(refs[i:], res[i:])
 		if i < len(refs) {
-			e.access(refs[i], &res[i])
+			e.access(&refs[i], &res[i])
 		}
 	}
 	return out
@@ -158,12 +174,21 @@ func (e *engine) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result
 	if e.ck != nil {
 		return sparseFromDense(e, refs, plain, out)
 	}
+	plain.Outcome = quietOutcomes
+	plain.Outcome[e.hit.Type] = e.hit
+	if e.ownerUpdate {
+		plain.Outcome[event.WrHitShared] = ownerUpdateHit
+	}
 	for {
-		k := e.plainRun(refs, plain)
+		k, instrs, wrHits, updates := e.plainRun(refs)
+		plain.N[event.Instr] += instrs
+		plain.N[event.RdHit] += int64(k) - instrs - wrHits - updates
+		plain.N[e.hit.Type] += wrHits
+		plain.N[event.WrHitShared] += updates
 		if k == len(refs) {
 			return out
 		}
-		r := refs[k]
+		r := &refs[k]
 		if b := r.Block(); int(r.CPU) < e.ncpu && (r.Kind == trace.Read || r.Kind == trace.Write) && e.blocks.cached(b) == nil {
 			e.blocks.load(b)
 			refs = refs[k:]
@@ -175,23 +200,24 @@ func (e *engine) AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result
 	}
 }
 
-// plainRun counts the plain references at the front of refs into plain —
-// instruction fetches, read hits and the writes the scheme's write-hit
-// rule takes — and returns how many it took. It stops at the first
-// reference that needs more: a miss, a write the rule leaves to the
-// scheme, a block whose page is not in its recent slot, a CPU out of
-// range or an invalid kind. Its loop makes no call, so its state stays
-// in registers: a loop that spilled to its stack on every reference
-// stalled whenever a heap address it read met one of those stack slots
-// modulo 4 KiB, and in one build ran three times slower for it. The
-// references are read through a pointer because Ref has too many fields
-// to live in registers: a copy is a stack store.
-func (e *engine) plainRun(refs []trace.Ref, plain *Plain) int {
-	var instrs, rdHits, wrHits int64
-	i := 0
+// plainRun takes the plain references at the front of refs — instruction
+// fetches, read hits and the writes the scheme's write-hit rules take —
+// and returns how many it took: instrs fetches, wrHits writes the
+// write-hit rule took, updates writes the ownerUpdate rule took, and
+// read hits for the rest. It stops at the first reference that needs
+// more: a miss, a write the rules leave to the scheme, a block whose page
+// is not in its recent slot, a CPU out of range or an invalid kind. Its
+// loop makes no call and keeps three counters and no Plain, so its state
+// stays in registers: a loop that spilled to its stack on every
+// reference stalled whenever a heap address it read met one of those
+// stack slots modulo 4 KiB, and in one build ran three times slower for
+// it. The references are read through a pointer because Ref has too
+// many fields to live in registers: a copy is a stack store.
+func (e *engine) plainRun(refs []trace.Ref) (i int, instrs, wrHits, updates int64) {
 	for ; i < len(refs); i++ {
 		r := &refs[i]
-		if int(r.CPU) >= e.ncpu {
+		c := r.CPU
+		if int(c) >= e.ncpu {
 			break
 		}
 		if r.Kind == trace.Instr {
@@ -203,25 +229,25 @@ func (e *engine) plainRun(refs []trace.Ref, plain *Plain) int {
 			break
 		}
 		if r.Kind == trace.Read {
-			if !bl.holders.Has(r.CPU) {
+			if !bl.holders.Has(c) {
 				break
 			}
-			rdHits++
-		} else if r.Kind != trace.Write || !e.writeHit(bl, r.CPU) {
+		} else if r.Kind != trace.Write {
 			break
-		} else {
+		} else if e.writeHit(bl, c) {
 			wrHits++
+		} else if e.repeatUpdate(bl, c) {
+			updates++
+		} else {
+			break
 		}
 	}
-	plain[event.Instr] += instrs
-	plain[event.RdHit] += rdHits
-	plain[e.hit] += wrHits
-	return i
+	return i, instrs, wrHits, updates
 }
 
 // plainTypes is plainRun for AccessBatch: it stops where plainRun stops,
-// and writes each plain reference's result, its type alone, into out
-// instead of counting it.
+// and writes each plain reference's whole result into out instead of
+// counting it.
 func (e *engine) plainTypes(refs []trace.Ref, out []event.Result) int {
 	out = out[:len(refs)]
 	i := 0
@@ -230,30 +256,35 @@ func (e *engine) plainTypes(refs []trace.Ref, out []event.Result) int {
 		if int(r.CPU) >= e.ncpu {
 			break
 		}
-		t := event.Instr
-		if r.Kind != trace.Instr {
-			bl := e.blocks.cached(trace.BlockOf(r.Addr))
-			if bl == nil {
-				break
-			}
-			if r.Kind == trace.Read {
-				if !bl.holders.Has(r.CPU) {
-					break
-				}
-				t = event.RdHit
-			} else if r.Kind != trace.Write || !e.writeHit(bl, r.CPU) {
-				break
-			} else {
-				t = e.hit
-			}
+		if r.Kind == trace.Instr {
+			out[i] = event.Result{Type: event.Instr}
+			continue
 		}
-		out[i] = event.Result{Type: t}
+		bl := e.blocks.cached(trace.BlockOf(r.Addr))
+		if bl == nil {
+			break
+		}
+		if r.Kind == trace.Read {
+			if !bl.holders.Has(r.CPU) {
+				break
+			}
+			out[i] = event.Result{Type: event.RdHit}
+		} else if r.Kind != trace.Write {
+			break
+		} else if e.writeHit(bl, r.CPU) {
+			out[i] = e.hit
+		} else if e.repeatUpdate(bl, r.CPU) {
+			out[i] = ownerUpdateHit
+			out[i].Holders = int16(bl.holders.Count() - 1)
+		} else {
+			break
+		}
 	}
 	return i
 }
 
 // access classifies one reference into res.
-func (e *engine) access(r trace.Ref, res *event.Result) {
+func (e *engine) access(r *trace.Ref, res *event.Result) {
 	if int(r.CPU) >= e.ncpu {
 		panic(fmt.Sprintf("core: %s: cpu %d out of range [0,%d)", e.name, r.CPU, e.ncpu))
 	}
@@ -278,19 +309,24 @@ func (e *engine) apply(bl *block, c uint8, b trace.Block, write bool, res *event
 	*res = event.Result{}
 	switch {
 	case !bl.holders.Has(c):
-		res.Holders = bl.holders.Count()
+		res.Holders = int16(bl.holders.Count())
 		res.Type = bl.miss(write)
 	case !write:
 		e.ck.ReadHit(c, b)
 		res.Type = event.RdHit
 		return
 	case e.writeHit(bl, c):
+		*res = e.hit
 		e.ck.Write(c, b)
-		res.Type = e.hit
+		if res.Update {
+			// A sole holder's update goes only to memory: WTI's
+			// write-through.
+			e.ck.WriteThrough(c, b)
+		}
 		return
 	default:
 		res.Type = event.WrHitClean
-		res.Holders = bl.holders.Del(c).Count()
+		res.Holders = int16(bl.holders.Del(c).Count())
 	}
 	e.step(e.ck, bl, c, b, write, res)
 }

@@ -108,7 +108,7 @@ func (p *finiteDir) Access(r trace.Ref) event.Result {
 	case r.Kind == trace.Read, r.Kind == trace.Write:
 		return p.access(r.CPU, r.Block(), r.Kind == trace.Write)
 	}
-	p.dir.access(r, &p.res) // rejects the reference
+	p.dir.access(&r, &p.res) // rejects the reference
 	return p.res
 }
 

@@ -12,7 +12,7 @@ import (
 // single cache holds dirty. A miss is supplied by the caches when the
 // shared line is asserted, by memory otherwise.
 func NewFirefly(ncpu int) Protocol {
-	return newEngine(ncpu, scheme{name: "Firefly", set: fD, hit: event.WrHitLocal, step: fireflyStep})
+	return newEngine(ncpu, scheme{name: "Firefly", set: fD, hit: event.Result{Type: event.WrHitLocal}, step: fireflyStep})
 }
 
 func fireflyStep(ck *Checker, bl *block, c uint8, b trace.Block, write bool, res *event.Result) {

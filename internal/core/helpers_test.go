@@ -99,7 +99,7 @@ func randomRefs(seed int64, cpus, blocks, n int) []trace.Ref {
 func countTypes(results []event.Result) event.Counts {
 	var c event.Counts
 	for _, r := range results {
-		c.Add(r.Type)
+		c.Add(r.Type, 1)
 	}
 	return c
 }

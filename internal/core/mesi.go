@@ -18,7 +18,7 @@ import (
 //
 // fX marks a sole copy in E or M, fD one in M.
 func NewMESI(ncpu int) Protocol {
-	return newEngine(ncpu, scheme{name: "MESI", need: fX, set: fD, hit: event.WrHitOwn, step: mesiStep, check: mesiCheck})
+	return newEngine(ncpu, scheme{name: "MESI", need: fX, set: fD, hit: event.Result{Type: event.WrHitOwn}, step: mesiStep, check: mesiCheck})
 }
 
 func mesiStep(ck *Checker, bl *block, c uint8, b trace.Block, write bool, res *event.Result) {

@@ -52,14 +52,11 @@ type mrsw struct {
 }
 
 // newMRSW builds the engine for one variant. A write to a block the
-// writer holds dirty is plain, except under write-through, where every
-// write goes on the bus.
+// writer holds dirty changes no state; under write-through it still goes
+// on the bus, so its outcome carries Update.
 func newMRSW(ncpu int, name string, m *mrsw) *engine {
-	need := fD
-	if m.writeThrough {
-		need = fNever
-	}
-	return newEngine(ncpu, scheme{name: name, need: need, hit: event.WrHitOwn, step: m.step, check: m.check})
+	hit := event.Result{Type: event.WrHitOwn, Update: m.writeThrough}
+	return newEngine(ncpu, scheme{name: name, need: fD, hit: hit, step: m.step, check: m.check})
 }
 
 // NewDir0B returns the Archibald–Baer scheme: a two-bit directory entry
@@ -168,11 +165,6 @@ func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, write bool, 
 		}
 		m.fill(ck, bl, c, b, res)
 		return
-	case bl.holders.Has(c) && bl.flags&fD != 0:
-		// Under write-through a write to the writer's own dirty block
-		// still goes on the bus.
-		res.Type = event.WrHitOwn
-		ck.Write(c, b)
 	case bl.holders.Has(c):
 		// A write hit on a clean block: the directory is queried before
 		// the writer may proceed — Yen–Fu's single bit answers "am I
@@ -265,9 +257,9 @@ func (m *mrsw) invalidate(ck *Checker, bl *block, c uint8, b trace.Block, res *e
 		if m.ptrs == 0 || bl.flags&fB != 0 {
 			res.Broadcast = true
 		} else {
-			res.Inval = k
+			res.Inval = int16(k)
 			if m.coarse {
-				res.Inval = coarseNamed(bl.holders, m.ptrs).Del(c).Count()
+				res.Inval = int16(coarseNamed(bl.holders, m.ptrs).Del(c).Count())
 			}
 		}
 	}

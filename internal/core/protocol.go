@@ -82,31 +82,48 @@ func AccessBatch(p Protocol, refs []trace.Ref, out []event.Result) []event.Resul
 	return out
 }
 
-// Plain counts, by event type, the references of a batch that did
-// nothing: instruction fetches, read hits and writes to a block the writer
-// already owns (event.Result.Plain). They are the bulk of any trace, they
-// touch no histogram, traffic counter or telemetry, and every cost model
-// prices them at zero, so a simulation needs their number and nothing else.
-type Plain [event.NumTypes]int64
+// Plain counts, by event type, the references of a batch that changed no
+// state: instruction fetches, read hits, the writes a scheme's write-hit
+// rule takes, and Dragon's repeat updates by a shared block's owner. They
+// are the bulk of any trace, and every reference counted under one type
+// had the same outcome, Outcome[type] — free for most, a write-through or
+// an update word for WTI's and Dragon's writes — so a simulation needs
+// their number and that outcome, and prices each type once. An outcome
+// carries no Holders, so no type Figure 1 observes is ever counted.
+type Plain struct {
+	N       [event.NumTypes]int64
+	Outcome [event.NumTypes]event.Result
+}
+
+// quietOutcomes is the Plain.Outcome of an engine whose counted results
+// take no action: each type alone.
+var quietOutcomes = func() (o [event.NumTypes]event.Result) {
+	for t := range o {
+		o[t].Type = event.Type(t)
+	}
+	return o
+}()
 
 // Sparser is implemented by engines that recognise a plain reference
 // before classifying it: their loop counts it and moves on, and only the
-// references that did something are materialised as results. Semantics
-// must be identical to Access on each reference in order, with the plain
-// results left out — TestSparseMatchesAccess asserts exactly that. As
-// for Batcher, refs is read-only and must not be retained.
+// references that changed state are materialised as results. Semantics
+// must be identical to Access on each reference in order, with the
+// counted results left out and each equal to its type's Plain.Outcome —
+// TestSparseMatchesAccess asserts exactly that. As for Batcher, refs is
+// read-only and must not be retained.
 type Sparser interface {
 	AccessSparse(refs []trace.Ref, plain *Plain, out []event.Result) []event.Result
 }
 
 // AccessSparse applies every reference in refs to p in order. Plain
-// references are added to plain by type; the result of every other
-// reference — misses, invalidations, updates, write-backs, control
-// traffic: a few per cent of a trace — is appended to out, in order, and
-// the extended slice returned. Engines that implement Sparser get their
-// own loop; every other engine, and any wrapper that only knows
-// AccessBatch, goes through sparseFromDense. refs is read-only and is
-// not retained: sim.Simulate passes a window onto the trace itself.
+// references are added to plain.N by type, and plain.Outcome set to their
+// outcomes; the result of every other reference — misses, invalidations,
+// write-backs, control traffic: a few per cent of a trace — is appended
+// to out, in order, and the extended slice returned. Engines that
+// implement Sparser get their own loop; every other engine, and any
+// wrapper that only knows AccessBatch, goes through sparseFromDense,
+// which counts only results that take no action. refs is read-only and
+// is not retained: sim.Simulate passes a window onto the trace itself.
 func AccessSparse(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
 	if s, ok := p.(Sparser); ok {
 		return s.AccessSparse(refs, plain, out)
@@ -118,12 +135,16 @@ func AccessSparse(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result
 // Access is called per reference and each result counted or appended as it
 // arrives; a Batcher (a wrapper that observes batches) still gets exactly
 // one AccessBatch, its plain results counted and squeezed out in place.
+// Either way only the results that take no action are counted: an
+// engine's other outcomes are not known here, so a WTI write hit behind a
+// wrapper travels as a result and is priced as one.
 func sparseFromDense(p Protocol, refs []trace.Ref, plain *Plain, out []event.Result) []event.Result {
+	plain.Outcome = quietOutcomes
 	b, ok := p.(Batcher)
 	if !ok {
 		for _, r := range refs {
 			if res := p.Access(r); res.Plain() {
-				plain[res.Type]++
+				plain.N[res.Type]++
 			} else {
 				out = append(out, res)
 			}
@@ -134,7 +155,7 @@ func sparseFromDense(p Protocol, refs []trace.Ref, plain *Plain, out []event.Res
 	out = b.AccessBatch(refs, out)
 	for i := n; i < len(out); i++ {
 		if res := &out[i]; res.Plain() {
-			plain[res.Type]++
+			plain.N[res.Type]++
 		} else {
 			out[n] = *res
 			n++
@@ -153,8 +174,9 @@ func checkCPUs(ncpu int) {
 // Set is a bitset of cache indices (one bit per CPU, up to MaxCPUs).
 type Set uint64
 
-// Has reports whether cpu is in the set.
-func (s Set) Has(cpu uint8) bool { return s&(1<<cpu) != 0 }
+// Has reports whether cpu, which is below MaxCPUs, is in the set. The
+// mask spares the engine's loops the test a shift by 64 or more needs.
+func (s Set) Has(cpu uint8) bool { return s&(1<<(cpu&63)) != 0 }
 
 // Add returns the set with cpu included.
 func (s Set) Add(cpu uint8) Set { return s | 1<<cpu }
@@ -168,8 +190,9 @@ func (s Set) Count() int { return bits.OnesCount64(uint64(s)) }
 // Empty reports whether the set has no members.
 func (s Set) Empty() bool { return s == 0 }
 
-// Only reports whether cpu is the sole member of the set.
-func (s Set) Only(cpu uint8) bool { return s == 1<<cpu }
+// Only reports whether cpu, which is below MaxCPUs, is the sole member
+// of the set.
+func (s Set) Only(cpu uint8) bool { return s == 1<<(cpu&63) }
 
 // First returns the lowest cache index in the set; it panics on an empty
 // set (callers check Empty first).

@@ -15,10 +15,10 @@ type Counts struct {
 	Total int64
 }
 
-// Add records one classified reference.
-func (c *Counts) Add(t Type) {
-	c.N[t]++
-	c.Total++
+// Add records n classified references of type t.
+func (c *Counts) Add(t Type, n int64) {
+	c.N[t] += n
+	c.Total += n
 }
 
 // AddCounts merges other into c (used to average across traces).

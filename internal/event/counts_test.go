@@ -9,10 +9,10 @@ import (
 
 func TestCountsAddAndPct(t *testing.T) {
 	var c Counts
-	c.Add(Instr)
-	c.Add(Instr)
-	c.Add(RdHit)
-	c.Add(WrMissClean)
+	c.Add(Instr, 1)
+	c.Add(Instr, 1)
+	c.Add(RdHit, 1)
+	c.Add(WrMissClean, 1)
 	if c.Total != 4 {
 		t.Fatalf("Total = %d", c.Total)
 	}
@@ -38,7 +38,7 @@ func TestCountsPartition(t *testing.T) {
 	// instr + reads + writes must cover every reference.
 	var c Counts
 	for ty := Type(0); ty < NumTypes; ty++ {
-		c.Add(ty)
+		c.Add(ty, 1)
 	}
 	total := c.Pct(Instr) + c.Reads() + c.Writes()
 	if math.Abs(total-100) > 1e-9 {
@@ -48,9 +48,9 @@ func TestCountsPartition(t *testing.T) {
 
 func TestCountsAddCounts(t *testing.T) {
 	var a, b Counts
-	a.Add(RdHit)
-	a.Add(Instr)
-	b.Add(RdHit)
+	a.Add(RdHit, 1)
+	a.Add(Instr, 1)
+	b.Add(RdHit, 1)
 	a.AddCounts(b)
 	if a.Total != 3 || a.N[RdHit] != 2 {
 		t.Errorf("merge wrong: %+v", a)
@@ -59,10 +59,10 @@ func TestCountsAddCounts(t *testing.T) {
 
 func TestAggregateRates(t *testing.T) {
 	var c Counts
-	c.Add(RdMissClean)
-	c.Add(RdMissFirst)
-	c.Add(WrMissDirty)
-	c.Add(RdHit)
+	c.Add(RdMissClean, 1)
+	c.Add(RdMissFirst, 1)
+	c.Add(WrMissDirty, 1)
+	c.Add(RdHit, 1)
 	if got := c.ReadMisses(); got != 25 {
 		t.Errorf("ReadMisses = %v, want 25 (first-refs excluded)", got)
 	}
@@ -76,7 +76,7 @@ func TestAggregateRates(t *testing.T) {
 
 func TestCountsString(t *testing.T) {
 	var c Counts
-	c.Add(RdHit)
+	c.Add(RdHit, 1)
 	out := c.String()
 	if !strings.Contains(out, "rd-hit") || !strings.Contains(out, "total") {
 		t.Errorf("String() = %q", out)

@@ -107,10 +107,11 @@ func (t Type) IsFirstRef() bool { return t == RdMissFirst || t == WrMissFirst }
 
 // Result is the full outcome of applying one reference to a protocol
 // engine: the Table 4 classification plus the concrete coherence actions
-// taken, which the cost models and Figure 1 need. The one-byte fields come
-// first, so the struct is 40 bytes, not the 56 that interleaving them
-// with the counts pads it to: a dense AccessBatch writes one per
-// reference.
+// taken, which the cost models and Figure 1 need. A dense AccessBatch
+// writes one per reference, so it is kept to 16 bytes: the one-byte
+// fields first, then the counts, each a count of caches or messages for
+// one reference and so at most the machine's 64 CPUs, in two bytes. A
+// sum of counts over many results, which is not so bounded, is a Units.
 type Result struct {
 	// Type is the Table 4 classification.
 	Type Type
@@ -134,18 +135,18 @@ type Result struct {
 	// Holders is the number of *other* caches that held the block at the
 	// time of the reference (before any invalidation). For writes to
 	// previously-clean blocks this is the Figure 1 quantity.
-	Holders int
+	Holders int16
 	// Inval is the number of directed (sequential) invalidation messages
 	// sent. Zero when a broadcast was used instead.
-	Inval int
+	Inval int16
 	// ForcedInval is the number of copies invalidated only to make room
 	// in a limited-pointer (DiriNB) directory entry, not to satisfy the
 	// multiple-readers/single-writer invariant.
-	ForcedInval int
+	ForcedInval int16
 	// Control counts auxiliary one-cycle control messages that are
 	// neither invalidations nor data: the Yen–Fu scheme's single-bit
 	// clears and finite-cache replacement notifications, for example.
-	Control int
+	Control int16
 }
 
 // Quiet reports whether the result records no coherence action at all: no
@@ -159,7 +160,7 @@ func (r Result) Quiet() bool { return r.noAction() && !r.Type.IsMiss() }
 // noAction reports that no action field is set; a miss fill is an action
 // too, but one the Type records. It and Plain take a pointer because they
 // run once per reference over a dense results buffer, where copying the
-// 40-byte Result costs more than the test.
+// Result costs more than the test.
 func (r *Result) noAction() bool {
 	return !r.Broadcast && !r.WriteBack && !r.DirCheck && !r.Update &&
 		!r.EvictWB && r.Inval == 0 && r.ForcedInval == 0 && r.Control == 0
@@ -230,10 +231,11 @@ func (r *Result) Class() Class {
 	return c
 }
 
-// Sum returns a result of class c that carries the given unit counts,
-// the summed counts of some results of class c: CostN and AddN price it
-// for n such results at once as they would price them one by one.
-func (c Class) Sum(inval, forcedInval, control int) Result {
+// Sum returns a result of class c that stands for some results of class
+// c: CostN and AddN price it, with those results' summed Units, for n
+// such results at once as they would price them one by one. Its own
+// counts are zero; the units travel beside it.
+func (c Class) Sum() Result {
 	r := Result{
 		// Any miss type that is not a first reference prices alike, as
 		// does any other non-quiet type.
@@ -244,9 +246,6 @@ func (c Class) Sum(inval, forcedInval, control int) Result {
 		DirCheck:    c&classDirCheck != 0,
 		Update:      c&classUpdate != 0,
 		Broadcast:   c&classBroadcast != 0,
-		Inval:       inval,
-		ForcedInval: forcedInval,
-		Control:     control,
 	}
 	if c&classMiss != 0 {
 		r.Type = WrMissMem
@@ -254,13 +253,34 @@ func (c Class) Sum(inval, forcedInval, control int) Result {
 	return r
 }
 
+// Units are the counts the tariffs price per unit — directed
+// invalidations, forced invalidations and control messages — of one
+// result or summed over several.
+type Units struct {
+	Inval, ForcedInval, Control int64
+}
+
+// Units returns r's own unit counts.
+func (r Result) Units() Units {
+	return Units{int64(r.Inval), int64(r.ForcedInval), int64(r.Control)}
+}
+
+// Add adds n results' units u to s.
+func (s *Units) Add(u Units, n int64) {
+	s.Inval += n * u.Inval
+	s.ForcedInval += n * u.ForcedInval
+	s.Control += n * u.Control
+}
+
 // plainTypes is the set of types a plain result can have, as a bit mask.
 const plainTypes = 1<<Instr | 1<<RdHit | 1<<WrHitOwn | 1<<WrHitLocal
 
 // Plain reports whether the result is an instruction fetch, a read hit or
 // a write to a block the writer already owns, and Quiet: a reference that
-// did nothing. A simulation needs only the number of these, by type.
-// Quiet results of other types are not plain — a Yen–Fu wh-blk-cln that
-// the writer's single bit resolves locally takes no action, yet it is a
-// Figure 1 observation and a coherence signal.
+// did nothing. A simulation needs only the number of these, by type; an
+// engine's own loop also counts the hits of its types whose one outcome
+// has a price (core.Plain), which this test, knowing no engine, cannot
+// tell. Quiet results of other types are not plain — a Yen–Fu wh-blk-cln
+// that the writer's single bit resolves locally takes no action, yet it
+// is a Figure 1 observation and a coherence signal.
 func (r *Result) Plain() bool { return plainTypes>>r.Type&1 != 0 && r.noAction() }

@@ -32,7 +32,7 @@ func TestTypeClassification(t *testing.T) {
 	// Counts rows sum them.
 	for ty := Type(0); ty < NumTypes; ty++ {
 		var c Counts
-		c.Add(ty)
+		c.Add(ty, 1)
 		n := 0
 		for _, pct := range []float64{c.Pct(Instr), c.Reads(), c.Writes()} {
 			if pct == 100 {
@@ -72,26 +72,29 @@ func TestIsFirstRef(t *testing.T) {
 	}
 }
 
-// TestResultSize pins the field order that keeps Result at 40 bytes: a
-// dense results buffer holds one per reference.
+// TestResultSize pins Result at 16 bytes: a dense results buffer holds
+// one per reference.
 func TestResultSize(t *testing.T) {
-	if n := unsafe.Sizeof(Result{}); n != 40 {
-		t.Errorf("event.Result is %d bytes, want 40", n)
+	if n := unsafe.Sizeof(Result{}); n != 16 {
+		t.Errorf("event.Result is %d bytes, want 16", n)
 	}
 }
 
 // TestClassSumRoundTrips: the result Class.Sum builds for a class has
-// that class and is not a first reference, so the tariffs price it as
-// they price the class's results; and a result's class says miss
-// exactly when its type is one.
+// that class once it carries the units the class says it has, and is not
+// a first reference, so the tariffs price it, with the class's summed
+// Units, as they price the class's results; and a result's class says
+// miss exactly when its type is one.
 func TestClassSumRoundTrips(t *testing.T) {
 	for i := range NumClasses {
 		c := Class(i)
-		control := 0
-		if c&classUnits != 0 {
-			control = 1
+		r := c.Sum()
+		if r.Units() != (Units{}) {
+			t.Errorf("Class(%#x).Sum carries units %+v", c, r.Units())
 		}
-		r := c.Sum(0, 0, control)
+		if c&classUnits != 0 {
+			r.Control = 1
+		}
 		if got := r.Class(); got != c {
 			t.Errorf("Class(%#x).Sum has class %#x", c, got)
 		}

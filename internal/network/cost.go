@@ -57,14 +57,14 @@ func (t *Tally) msg(n int64, w int) {
 	t.CycleUnits += n * t.Topo.MsgCycleUnits(w)
 }
 
-// AddN prices n protocol results of one event.Class, whose unit counts
-// (Inval, ForcedInval, Control) res carries summed; AddN(res, 1) prices
-// one result. Every term is an integer count of messages or cycle units,
+// AddN prices n protocol results of one event.Class, for which res
+// stands and whose summed unit counts are u; AddN(res, 1, res.Units())
+// prices one result. Every term is an integer count of messages or cycle units,
 // so pricing n at once is exactly pricing them one by one. Every field
 // read here must be part of event.Class, or results that price
 // differently would share a class. First-reference misses are excluded,
 // as everywhere in the evaluation.
-func (t *Tally) AddN(res event.Result, n int64) {
+func (t *Tally) AddN(res event.Result, n int64, u event.Units) {
 	t.Refs += n
 	if res.Type.IsFirstRef() || res.Quiet() {
 		// Quiet results send no messages; every branch below would add
@@ -92,9 +92,9 @@ func (t *Tally) AddN(res event.Result, n int64) {
 		t.msg(2*n, 0)
 	}
 	// Invalidation plus acknowledgement per victim.
-	t.msg(2*int64(res.Inval), 0)
-	t.msg(2*int64(res.ForcedInval), 0)
-	t.msg(int64(res.Control), 0)
+	t.msg(2*u.Inval, 0)
+	t.msg(2*u.ForcedInval, 0)
+	t.msg(u.Control, 0)
 	if res.Broadcast && !res.Update {
 		if t.Topo.Broadcast {
 			t.CycleUnits += n * t.Topo.CycleDenom()

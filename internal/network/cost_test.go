@@ -8,9 +8,12 @@ import (
 	"dirsim/internal/event"
 )
 
+// addOne prices one result, whose own counts are its units.
+func addOne(t *Tally, res event.Result) { t.AddN(res, 1, res.Units()) }
+
 func TestTallyFillFromMemory(t *testing.T) {
 	tl := NewTally(Crossbar(4)) // unit distance: easy arithmetic
-	tl.AddN(event.Result{Type: event.RdMissMem}, 1)
+	addOne(tl, event.Result{Type: event.RdMissMem})
 	// Request (1 flit) + reply (5 flits).
 	if tl.Cycles() != 6 || tl.Messages != 2 {
 		t.Errorf("cycles=%v msgs=%d", tl.Cycles(), tl.Messages)
@@ -19,7 +22,7 @@ func TestTallyFillFromMemory(t *testing.T) {
 
 func TestTallyCacheSupplyWithWriteBack(t *testing.T) {
 	tl := NewTally(Crossbar(4))
-	tl.AddN(event.Result{Type: event.RdMissDirty, CacheSupply: true, WriteBack: true}, 1)
+	addOne(tl, event.Result{Type: event.RdMissDirty, CacheSupply: true, WriteBack: true})
 	// req + forward (1+1) + data (5) + wb (5) = 12.
 	if tl.Cycles() != 12 || tl.Messages != 4 {
 		t.Errorf("cycles=%v msgs=%d", tl.Cycles(), tl.Messages)
@@ -28,7 +31,7 @@ func TestTallyCacheSupplyWithWriteBack(t *testing.T) {
 
 func TestTallyDirectedInvals(t *testing.T) {
 	tl := NewTally(Crossbar(4))
-	tl.AddN(event.Result{Type: event.WrHitClean, DirCheck: true, Inval: 3}, 1)
+	addOne(tl, event.Result{Type: event.WrHitClean, DirCheck: true, Inval: 3})
 	// query+grant (2) + 3 invals + 3 acks (6) = 8 messages, 8 cycles.
 	if tl.Cycles() != 8 || tl.Messages != 8 {
 		t.Errorf("cycles=%v msgs=%d", tl.Cycles(), tl.Messages)
@@ -39,8 +42,8 @@ func TestTallyBroadcastFlood(t *testing.T) {
 	bus := NewTally(Bus(16))
 	xbar := NewTally(Crossbar(16))
 	res := event.Result{Type: event.WrHitClean, DirCheck: true, Broadcast: true}
-	bus.AddN(res, 1)
-	xbar.AddN(res, 1)
+	addOne(bus, res)
+	addOne(xbar, res)
 	if bus.Floods != 0 || xbar.Floods != 1 {
 		t.Errorf("flood counting: bus %d, xbar %d", bus.Floods, xbar.Floods)
 	}
@@ -51,8 +54,8 @@ func TestTallyBroadcastFlood(t *testing.T) {
 
 func TestTallyFirstRefExcluded(t *testing.T) {
 	tl := NewTally(Mesh(4, 4))
-	tl.AddN(event.Result{Type: event.RdMissFirst}, 1)
-	tl.AddN(event.Result{Type: event.WrMissFirst, Broadcast: true}, 1)
+	addOne(tl, event.Result{Type: event.RdMissFirst})
+	addOne(tl, event.Result{Type: event.WrMissFirst, Broadcast: true})
 	if tl.Cycles() != 0 || tl.Messages != 0 {
 		t.Error("first-reference misses must be free")
 	}
@@ -63,9 +66,9 @@ func TestTallyFirstRefExcluded(t *testing.T) {
 
 func TestTallyHitsFree(t *testing.T) {
 	tl := NewTally(Mesh(4, 4))
-	tl.AddN(event.Result{Type: event.RdHit}, 1)
-	tl.AddN(event.Result{Type: event.Instr}, 1)
-	tl.AddN(event.Result{Type: event.WrHitOwn}, 1)
+	addOne(tl, event.Result{Type: event.RdHit})
+	addOne(tl, event.Result{Type: event.Instr})
+	addOne(tl, event.Result{Type: event.WrHitOwn})
 	if tl.Cycles() != 0 {
 		t.Error("hits and instructions must be free")
 	}
@@ -76,7 +79,7 @@ func TestTallyHitsFree(t *testing.T) {
 
 func TestTallyUpdate(t *testing.T) {
 	tl := NewTally(Crossbar(8))
-	tl.AddN(event.Result{Type: event.WrHitShared, Update: true, Broadcast: true}, 1)
+	addOne(tl, event.Result{Type: event.WrHitShared, Update: true, Broadcast: true})
 	// One 1-word message (2 flits) plus a word flood (2 * (n-1)).
 	if want := 2.0 + 14; tl.Cycles() != want {
 		t.Errorf("update cycles = %v, want %v", tl.Cycles(), want)
@@ -85,8 +88,8 @@ func TestTallyUpdate(t *testing.T) {
 
 func TestTallyMerge(t *testing.T) {
 	a, b := NewTally(Crossbar(4)), NewTally(Crossbar(4))
-	a.AddN(event.Result{Type: event.RdMissMem}, 1)
-	b.AddN(event.Result{Type: event.RdMissMem}, 1)
+	addOne(a, event.Result{Type: event.RdMissMem})
+	addOne(b, event.Result{Type: event.RdMissMem})
 	a.Merge(b)
 	if a.Refs != 2 || a.Cycles() != 12 {
 		t.Errorf("merge: %+v", a)
@@ -95,7 +98,7 @@ func TestTallyMerge(t *testing.T) {
 
 func TestTallyString(t *testing.T) {
 	tl := NewTally(Crossbar(16))
-	tl.AddN(event.Result{Type: event.WrMissClean, Broadcast: true}, 1)
+	addOne(tl, event.Result{Type: event.WrMissClean, Broadcast: true})
 	s := tl.String()
 	if !strings.Contains(s, "xbar16") || !strings.Contains(s, "floods") {
 		t.Errorf("String() = %q", s)

@@ -14,7 +14,7 @@ func TestBusTopology(t *testing.T) {
 		t.Errorf("bus: %+v", b)
 	}
 	tally := NewTally(b)
-	tally.AddN(event.Result{Type: event.WrHitClean, Broadcast: true}, 1)
+	addOne(tally, event.Result{Type: event.WrHitClean, Broadcast: true})
 	if tally.Cycles() != 1 {
 		t.Errorf("bus broadcast costs %v cycles, want 1", tally.Cycles())
 	}

@@ -85,9 +85,6 @@ func (h *Histogram) ObserveN(v, n int64) {
 // duration histogram in this repository uses.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 // Counts has one entry per bound plus a final +Inf entry.
 type HistogramSnapshot struct {

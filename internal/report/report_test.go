@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -356,4 +357,27 @@ func TestCancelledBaseReturnsErrors(t *testing.T) {
 	if failed == 0 {
 		t.Error("20 runs under a cancelled context all succeeded")
 	}
+}
+
+// Value reads back the first number of a value cell: in the section's
+// table i (from 0), the row labelled row, the column headed col. Only
+// tests read a number back; programs print the section.
+func (s *Section) Value(i int, row, col string) (float64, error) {
+	var tables []*Table
+	for _, p := range s.Parts {
+		if p.Table != nil {
+			tables = append(tables, p.Table)
+		}
+	}
+	if i >= 0 && i < len(tables) {
+		t := tables[i]
+		for _, r := range t.Rows {
+			for j, h := range t.Header[1:] {
+				if r.Label == row && strings.TrimSpace(h) == col && j < len(r.Cells) && len(r.Cells[j].Vals) > 0 {
+					return r.Cells[j].Vals[0], nil
+				}
+			}
+		}
+	}
+	return 0, fmt.Errorf("report: %s has no number at table %d, row %q, column %q", s.ID, i, row, col)
 }

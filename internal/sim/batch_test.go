@@ -42,16 +42,16 @@ func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (res *Re
 	one := make([]trace.Ref, 1)
 	for src.NextBatch(one) == 1 {
 		out := p.Access(one[0])
-		res.Counts.Add(out.Type)
+		res.Counts.Add(out.Type, 1)
 		switch out.Type {
 		case event.WrHitClean, event.WrMissClean:
-			res.InvalClean.Observe(out.Holders)
-			res.HoldersAtInval.Observe(out.Holders)
+			res.InvalClean.Observe(int(out.Holders))
+			res.HoldersAtInval.Observe(int(out.Holders))
 			if out.Quiet() {
 				quietCleanWrites++
 			}
 		case event.WrMissDirty, event.RdMissDirty:
-			res.HoldersAtInval.Observe(out.Holders)
+			res.HoldersAtInval.Observe(int(out.Holders))
 		}
 		if out.Broadcast && !out.Update {
 			res.Broadcasts++
@@ -62,10 +62,10 @@ func referenceSimulate(p core.Protocol, src trace.Source, opts Options) (res *Re
 			res.WriteBacks++
 		}
 		for _, t := range res.Tallies {
-			t.AddN(out, 1)
+			t.AddN(out, 1, out.Units())
 		}
 		for _, t := range res.NetTallies {
-			t.AddN(out, 1)
+			t.AddN(out, 1, out.Units())
 		}
 	}
 	res.ColdMisses, res.CoherenceMisses, res.CapacityMisses, _ = core.MissCauses(p)

@@ -5,7 +5,8 @@ import "dirsim/internal/event"
 // classTable is a simulation's event-class histogram: how many results
 // every cost model prices at zero, and how many of each event.Class there
 // were with their summed unit counts. A simulation bumps it once per
-// result that is neither plain nor quiet and prices each tally from it
+// result that is neither plain nor quiet, and once per batch for each
+// counted type whose outcome has a price, and prices each tally from it
 // once, at the end (price). It is 8 KiB, lives in the simulating
 // function's frame, and never grows.
 type classTable struct {
@@ -14,16 +15,16 @@ type classTable struct {
 }
 
 type classCount struct {
-	n, inval, forced, control int64
+	n     int64
+	units event.Units
 }
 
-// add counts one result that is neither quiet nor a first reference.
-func (t *classTable) add(out *event.Result) {
+// add counts n results alike, out, that are neither quiet nor first
+// references.
+func (t *classTable) add(out *event.Result, n int64) {
 	e := &t.class[out.Class()]
-	e.n++
-	e.inval += int64(out.Inval)
-	e.forced += int64(out.ForcedInval)
-	e.control += int64(out.Control)
+	e.n += n
+	e.units.Add(out.Units(), n)
 }
 
 // price adds the table to every tally of r: the free references, then
@@ -43,12 +44,12 @@ func (r *Result) price(t *classTable) {
 		if e.n == 0 {
 			continue
 		}
-		sum := event.Class(c).Sum(int(e.inval), int(e.forced), int(e.control))
+		sum := event.Class(c).Sum()
 		for _, tl := range r.Tallies {
-			tl.AddN(sum, e.n)
+			tl.AddN(sum, e.n, e.units)
 		}
 		for _, tl := range r.NetTallies {
-			tl.AddN(sum, e.n)
+			tl.AddN(sum, e.n, e.units)
 		}
 	}
 }

@@ -153,8 +153,8 @@ func TestClassTableRecordAllocatesNothing(t *testing.T) {
 	wide := event.Result{Type: event.WrMissClean, Holders: 63, Inval: 63}
 	narrow := event.Result{Type: event.WrMissClean, Holders: 1, Inval: 1}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		r.record(&wide, &classes)
-		r.record(&narrow, &classes)
+		r.record(&wide, 1, &classes)
+		r.record(&narrow, 1, &classes)
 	}); allocs != 0 {
 		t.Errorf("recording allocated %.1f times per run", allocs)
 	}
@@ -164,7 +164,7 @@ func TestClassTableRecordAllocatesNothing(t *testing.T) {
 			used = append(used, e)
 		}
 	}
-	if len(used) != 1 || used[0].inval != 32*used[0].n {
+	if len(used) != 1 || used[0].units.Inval != 32*used[0].n {
 		t.Errorf("classes used: %+v; want one, with 64 invalidations per two results", used)
 	}
 }

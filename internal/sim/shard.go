@@ -225,7 +225,8 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 	if every <= 0 {
 		every = 8192
 	}
-	var sparse sparseBatch
+	sparse := sparseBatches.Get().(*sparseBatch)
+	defer sparse.release()
 	var classes classTable
 	var n int64
 	for buf := range work {
@@ -234,7 +235,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			// violation is pinned to this shard's exact reference count.
 			for _, r := range buf {
 				out := p.Access(r)
-				res.record(&out, &classes)
+				res.record(&out, 1, &classes)
 				n++
 				if n%every == 0 {
 					if cerr := p.CheckInvariants(); cerr != nil {
@@ -245,7 +246,7 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 				}
 			}
 		} else {
-			res.simulateBatch(p, buf, &sparse, &classes)
+			res.simulateBatch(p, buf, sparse, &classes)
 			n += int64(len(buf))
 		}
 		free <- buf[:0]

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/core"
@@ -130,10 +131,12 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	// nothing and pays the Source interface dispatch once per batch, not
 	// per reference. A trace's own Iterator is read in place; any other
 	// source is copied into buf, allocated on its first batch. Sparse
-	// results go out through one reusable buffer. Outcomes are counted by
-	// class in a table in this frame and priced once, after the loop.
+	// results go out through one reusable buffer, grown by an earlier
+	// simulation if one left it. Outcomes are counted by class in a
+	// table in this frame and priced once, after the loop.
 	var buf []trace.Ref
-	var sparse sparseBatch
+	sparse := sparseBatches.Get().(*sparseBatch)
+	defer sparse.release()
 	var classes classTable
 	var n int64
 	for {
@@ -147,7 +150,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			// exposed them, batch boundaries notwithstanding.
 			for _, r := range refs {
 				out := p.Access(r)
-				res.record(&out, &classes)
+				res.record(&out, 1, &classes)
 				n++
 				if n%every == 0 {
 					if err := p.CheckInvariants(); err != nil {
@@ -157,7 +160,7 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 			}
 			continue
 		}
-		res.simulateBatch(p, refs, &sparse, &classes)
+		res.simulateBatch(p, refs, sparse, &classes)
 	}
 	if opts.Check {
 		if err := p.CheckInvariants(); err != nil {
@@ -192,11 +195,13 @@ func newResult(scheme string, opts Options) *Result {
 }
 
 // sparseBatch is the reusable scratch of a simulation's hot loop, what
-// core.AccessSparse fills for one batch. The results buffer starts empty
-// and grows to the few per cent of a batch that did something.
+// core.AccessSparse fills for one batch. The results buffer grows to the
+// few per cent of a batch that changed state, or to most of a batch on
+// a miss-heavy trace; the batch is kept for the next simulation, and
+// such a buffer with it (release).
 //
 // The plain counters take a write per reference in the dense fallback,
-// and the batch escapes to the heap, where another simulation's batch may
+// and the batch lives on the heap, where another simulation's batch may
 // be its neighbour.
 // The pads keep the two out of each other's cache lines, so two
 // simulations replaying on two cores never pass one line back and forth
@@ -210,59 +215,81 @@ type sparseBatch struct {
 	_     [64]byte
 }
 
-// simulateBatch classifies one batch and accumulates it. Most of any
-// trace is instruction fetches and plain hits, which touch no histogram
-// or traffic counter and price at zero under every model: the core only
-// counts those, and their number is settled here once for the batch.
-// Everything else goes through record — quiet results that are not plain
-// included (Yen–Fu's wh-blk-cln: a Figure 1 point).
-func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch, classes *classTable) {
-	b.plain = core.Plain{}
-	b.outs = core.AccessSparse(p, refs, &b.plain, b.outs[:0])
-	var total int64
-	for t, n := range b.plain {
-		r.Counts.N[t] += n
-		total += n
+// sparseBatches holds batches that finished simulations released. Every
+// one comes from its New, so every one keeps its pads.
+var sparseBatches = sync.Pool{New: func() any { return new(sparseBatch) }}
+
+// release hands b to the next simulation, with its results buffer only
+// if that grew past a quarter of a batch. Growing that much again is
+// most of what a miss-heavy simulation allocates: Dir0B over 16 384
+// pingpong references allocates 273 KB when it grows a new buffer, 13 KB
+// when it reuses one. A smaller buffer — every standard trace's — costs
+// a few KB to grow, and keeping it too took that allocation out of
+// Simulate and none out of dense classification, which turned the
+// benchmark's sim.price_ns_per_ref (their difference) negative in most
+// quick runs.
+func (b *sparseBatch) release() {
+	if cap(b.outs) < DefaultBatchRefs/4 {
+		b.outs = nil
 	}
-	r.Counts.Total += total
-	classes.free += total
+	sparseBatches.Put(b)
+}
+
+// simulateBatch classifies one batch and accumulates it. Most of any
+// trace is references that change no state — instruction fetches, hits,
+// WTI's write-throughs and Dragon's repeat updates — which touch no
+// histogram, and every one counted under a type had the same outcome:
+// the core only counts those, and each type's number is recorded here
+// once for the batch, with its outcome. Every other result is recorded
+// one by one — quiet results that are not plain included (Yen–Fu's
+// wh-blk-cln: a Figure 1 point).
+func (r *Result) simulateBatch(p core.Protocol, refs []trace.Ref, b *sparseBatch, classes *classTable) {
+	b.plain.N = [event.NumTypes]int64{}
+	b.outs = core.AccessSparse(p, refs, &b.plain, b.outs[:0])
+	for t, n := range b.plain.N {
+		if n > 0 {
+			r.record(&b.plain.Outcome[t], n, classes)
+		}
+	}
 	for i := range b.outs {
-		r.record(&b.outs[i], classes)
+		r.record(&b.outs[i], 1, classes)
 	}
 }
 
-// record accumulates one classified reference: its integer bookkeeping
-// in r, and its class, for pricing at the end, in classes.
-func (r *Result) record(out *event.Result, classes *classTable) {
-	r.Counts.Add(out.Type)
+// record accumulates n classified references alike, out: their integer
+// bookkeeping in r, and their class, for pricing at the end, in classes.
+// n is 1 for every type a histogram observes: a count carries no
+// Holders.
+func (r *Result) record(out *event.Result, n int64, classes *classTable) {
+	r.Counts.Add(out.Type, n)
 	switch out.Type {
 	case event.WrHitClean, event.WrMissClean:
-		r.InvalClean.Observe(out.Holders)
-		r.HoldersAtInval.Observe(out.Holders)
+		r.InvalClean.Observe(int(out.Holders))
+		r.HoldersAtInval.Observe(int(out.Holders))
 	case event.WrMissDirty, event.RdMissDirty:
-		r.HoldersAtInval.Observe(out.Holders)
+		r.HoldersAtInval.Observe(int(out.Holders))
 	}
 	if out.Quiet() {
 		// Hits and instruction fetches — the bulk of every trace — touch
 		// no traffic counter, and every cost model prices them at zero.
-		classes.free++
+		classes.free += n
 		return
 	}
 	if out.Broadcast && !out.Update {
-		r.Broadcasts++
+		r.Broadcasts += n
 	}
-	r.SeqInvals += int64(out.Inval)
-	r.ForcedInvals += int64(out.ForcedInval)
+	r.SeqInvals += n * int64(out.Inval)
+	r.ForcedInvals += n * int64(out.ForcedInval)
 	if out.WriteBack {
-		r.WriteBacks++
+		r.WriteBacks += n
 	}
 	if out.Type.IsFirstRef() {
 		// First-reference misses are excluded from the multiprocessing
 		// overhead: every cost model prices them at zero too.
-		classes.free++
+		classes.free += n
 		return
 	}
-	classes.add(out)
+	classes.add(out, n)
 }
 
 // SimulateTrace builds the named scheme for the trace's CPU count and runs

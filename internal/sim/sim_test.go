@@ -173,7 +173,7 @@ func TestRecordClassification(t *testing.T) {
 		{Type: event.RdMissDirty, Holders: 1, WriteBack: true},
 		{Type: event.WrHitShared, Holders: 3, Broadcast: true, Update: true},
 	} {
-		r.record(&out, &classes)
+		r.record(&out, 1, &classes)
 	}
 	if r.InvalClean.Total() != 2 {
 		t.Errorf("InvalClean observed %d events, want 2", r.InvalClean.Total())

@@ -1,13 +1,15 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"dirsim/internal/core"
 	"dirsim/internal/event"
+	"dirsim/internal/network"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
@@ -107,7 +109,7 @@ func TestSparseFallbackKeepsBatchCalls(t *testing.T) {
 
 // TestSparseResultsBufferGrowsOnDemand bounds what a simulation allocates
 // for classification results. The buffer used to be sized for a batch in
-// which every reference produced one — 40 bytes a reference, 160 KB at
+// which every reference produced one — 16 bytes a reference, 64 KB at
 // the simulator's batch size; a sparse stream needs room for the few per
 // cent of a batch that did something.
 func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
@@ -119,12 +121,11 @@ func TestSparseResultsBufferGrowsOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	// The reference buffer is not what this test is about.
-	rest := int64(after.TotalAlloc-before.TotalAlloc) - DefaultBatchRefs*int64(unsafe.Sizeof(trace.Ref{}))
-	// About 110 KB of tables and tallies; a results buffer sized for the
-	// batch would add 160 KB.
-	if rest > 192<<10 {
-		t.Errorf("%d bytes allocated besides the reference buffer, limit 192 KB", rest)
+	// The trace is read in place, so there is no reference buffer: about
+	// 45 KB of tables, tallies and results; a results buffer sized for
+	// the batch would add 64 KB.
+	if total := after.TotalAlloc - before.TotalAlloc; total > 96<<10 {
+		t.Errorf("%d bytes allocated, limit 96 KB", total)
 	}
 }
 
@@ -151,5 +152,121 @@ func TestSparseLoopAllocatesPerSimulation(t *testing.T) {
 		}); allocs > 300 {
 			t.Errorf("shards=%d: %.0f allocations for %d batches", shards, allocs, tr.Len()/100)
 		}
+	}
+}
+
+// ownerWrites is a 4-CPU stream dominated by owner write hits: each CPU
+// in turn writes a block, a neighbour reads it, and the writer writes it
+// 30 times more, between instruction fetches and reads of its own. Under
+// WTI each repeat write is a wh-blk-drty that goes through to memory;
+// under Dragon the first of them is a wh-distrib by the block's owner
+// and so is every one after it.
+func ownerWrites(blocks int) *trace.Trace {
+	t := trace.New("ownerwrites", 4)
+	for b := range blocks {
+		addr := trace.Block(b).Addr()
+		owner, reader := uint8(b%4), uint8((b+1)%4)
+		t.Append(trace.Ref{Addr: addr, CPU: owner, Proc: uint16(owner), Kind: trace.Write})
+		t.Append(trace.Ref{Addr: addr, CPU: reader, Proc: uint16(reader), Kind: trace.Read})
+		for range 30 {
+			t.Append(trace.Ref{Addr: addr, CPU: owner, Proc: uint16(owner), Kind: trace.Write})
+			t.Append(trace.Ref{Addr: addr, CPU: owner, Proc: uint16(owner), Kind: trace.Instr})
+		}
+		t.Append(trace.Ref{Addr: addr, CPU: owner, Proc: uint16(owner), Kind: trace.Read})
+	}
+	return t
+}
+
+// TestPricedHitsMatchPerResult runs WTI and Dragon over ownerWrites,
+// where most data references are write hits that change no state yet
+// cost bus cycles, under both bus models and a mesh, and holds Simulate's
+// result to pricing every Access result one by one. The hits must reach
+// the simulator as counts with a priced outcome, not as results: a
+// simulator that priced a counted hit as free would fail here.
+func TestPricedHitsMatchPerResult(t *testing.T) {
+	tr := ownerWrites(64)
+	opts := Options{Topologies: []network.Topology{network.Mesh(2, 2)}}
+	for _, scheme := range []string{"WTI", "Dragon"} {
+		build := func() core.Protocol {
+			p, err := core.NewByName(scheme, tr.CPUs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		var plain core.Plain
+		sparse := core.AccessSparse(build(), tr.Refs, &plain, nil)
+		var priced int64
+		for ty, n := range plain.N {
+			if !plain.Outcome[ty].Quiet() {
+				priced += n
+			}
+		}
+		if data := int64(tr.Len()) - plain.N[event.Instr]; priced*2 < data {
+			t.Fatalf("%s: %d of %d data references counted with a price (%d sparse results); the stream tests nothing",
+				scheme, priced, data, len(sparse))
+		}
+		want, _, err := referenceSimulate(build(), tr.Iterator(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Simulate(build(), tr.Iterator(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, w := range want.Tallies {
+			if g := got.Tallies[name]; !reflect.DeepEqual(g, w) {
+				t.Errorf("%s under %s: tally\n%v\npriced one by one\n%v", scheme, name, g, w)
+			}
+		}
+		for name, w := range want.NetTallies {
+			if g := got.NetTallies[name]; !reflect.DeepEqual(g, w) {
+				t.Errorf("%s on %s: tally\n%v\npriced one by one\n%v", scheme, name, g, w)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result differs from the per-result reference", scheme)
+		}
+	}
+}
+
+// TestSparseBufferReusedAcrossSimulations bounds what one simulation of
+// a miss-heavy trace allocates once others have run: under Dir0B every
+// pingpong reference changes state, so its results buffer grows to a
+// whole batch (160 KB), and it must be a buffer an earlier simulation
+// grew, not a new one. The pool keeps a batch per processor, and a simulation that
+// starts on a processor whose batch another one holds takes a new one, so
+// a few warm-up simulations leave one for every processor, and the least
+// of three measurements is taken.
+func TestSparseBufferReusedAcrossSimulations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops batches at random")
+	}
+	tr := workload.PingPong(16_384)
+	simulate := func() {
+		if _, err := SimulateTrace("Dir0B", tr, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A collection moves the pool's batches aside, and a second drops
+	// them; none runs from the first simulation to the last.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for range 10 {
+		simulate()
+	}
+	const sims = 20
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range sims {
+			simulate()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/sims)
+	}
+	t.Logf("%d bytes allocated per simulation", least)
+	if least > 32<<10 {
+		t.Errorf("%d bytes allocated per pingpong simulation, limit 32 KB", least)
 	}
 }

@@ -44,7 +44,7 @@ var optionsAllowlist = map[string]string{
 // count) — in a file that is neither a test nor under bench/ or
 // examples/. Everything else must be on optionsAllowlist with its reason.
 func TestOptionsHaveProductionSetters(t *testing.T) {
-	files := programFiles(t)
+	files, _ := programFiles(t)
 
 	// fields maps "pkg.Struct" to its exported field names.
 	fields := make(map[string][]string)
@@ -154,8 +154,9 @@ type programFile struct {
 	f   *ast.File
 }
 
-// programFiles parses every program file in the module.
-func programFiles(t *testing.T) []programFile {
+// programFiles parses every program file in the module, into one file
+// set.
+func programFiles(t *testing.T) ([]programFile, *token.FileSet) {
 	fset := token.NewFileSet()
 	var files []programFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -183,7 +184,7 @@ func programFiles(t *testing.T) []programFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	return files, fset
 }
 
 // literalType names a composite literal's struct type as "pkg.Name",
