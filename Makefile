@@ -52,8 +52,9 @@ inline-check:
 # detector (sim.SimulateSharded is a library function the benchmark
 # measures and no binary offers): every paper scheme over the standard
 # workloads at shard counts {1,2,3,8,16} bit-identical to sequential, the
-# Dir1NB engine against its executable specification, and the
-# shard fault tests (panic -> structured error, no goroutine leaks) — plus
+# Dir1NB engine against its executable specification, the shard fault
+# tests (a core built to panic or fail in one shard -> structured error,
+# no goroutine leaks) and the bound on a short sharded run's buffers — plus
 # the storage and accounting oracles: the golden fingerprint table of
 # every engine, AccessBatch and AccessSparse against per-reference Access
 # (and the simulator's use of the sparse stream behind an AccessBatch-only

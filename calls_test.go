@@ -61,10 +61,12 @@ const modulePath = "dirsim"
 // (fmt.Stringer, io.Reader, heap.Interface: the library calls it). An
 // interface the library asserts without naming it (errors.Unwrap's)
 // does not count. Everything else must be on callsAllowlist with its
-// reason.
+// reason, and one held for the frozen benchmark must be one a non-test
+// file under bench/ names.
 func TestNothingOnlyATestCalls(t *testing.T) {
 	files, fset := programFiles(t)
-	pkgs := checkPrograms(t, files, fset)
+	m := checkPrograms(t, files, fset)
+	pkgs := m.pkgs
 
 	// declared holds "pkg.Func" and "pkg.Recv.Method" for every exported
 	// function and method under internal/, with its receiver's type.
@@ -167,17 +169,40 @@ func TestNothingOnlyATestCalls(t *testing.T) {
 	for _, key := range missing {
 		t.Errorf("%s: no program calls it; delete it, or allowlist it with a reason", key)
 	}
+	byBench := benchNames(t, m)
 	for key, reason := range callsAllowlist {
 		if _, ok := declared[key]; !ok {
 			t.Errorf("allowlist names %s, which is not an exported function or method any more", key)
 		}
 		switch reason {
-		case heldByBench, testOracle, sharedHelper, stdlibInterface:
+		case heldByBench:
+			if !byBench[key] {
+				t.Errorf("allowlist keeps %s as %q, but no file under bench/ names it", key, reason)
+			}
+		case testOracle, sharedHelper, stdlibInterface:
 		default:
 			t.Errorf("allowlist keeps %s for %q, which is none of the four reasons", key, reason)
 		}
 	}
 	t.Logf("%d exported functions and methods under internal/", len(declared))
+}
+
+// benchNames type-checks the benchmark's non-test files against the
+// programs m checked and returns the key of every function and method
+// they name, a method keyed on its receiver's type.
+func benchNames(t *testing.T, m *moduleImporter) map[string]bool {
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	conf := types.Config{Importer: m}
+	if _, err := conf.Check(path.Join(modulePath, "bench"), m.fset, benchFiles(t, m.fset), info); err != nil {
+		t.Fatalf("type-check bench: %v", err)
+	}
+	names := make(map[string]bool)
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
+			names[funcKey(fn.Origin())] = true
+		}
+	}
+	return names
 }
 
 // funcKey names a function "pkg.Func" and a method "pkg.Recv.Method",
@@ -207,8 +232,9 @@ type checkedPackage struct {
 // first import, so every type has one identity across the module; the
 // standard library comes from the compiler's export data, which one
 // `go list -export` run locates for every package at once (checking the
-// standard library from source takes several seconds).
-func checkPrograms(t *testing.T, files []programFile, fset *token.FileSet) map[string]*checkedPackage {
+// standard library from source takes several seconds). The importer it
+// returns holds them in pkgs.
+func checkPrograms(t *testing.T, files []programFile, fset *token.FileSet) *moduleImporter {
 	out, err := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...").Output()
 	if err != nil {
 		t.Fatalf("go list -export: %v", err)
@@ -242,7 +268,7 @@ func checkPrograms(t *testing.T, files []programFile, fset *token.FileSet) map[s
 			t.Fatal(err)
 		}
 	}
-	return m.pkgs
+	return m
 }
 
 // moduleImporter checks the module's packages from source, each once,

@@ -200,9 +200,9 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 	}
 	// The engine holds this job's trace and nothing else: trace affinity
 	// means that when a lease moves a worker to another trace, no queued
-	// task is left on the old one (DESIGN.md, "What a worker keeps"). The
-	// result goes once it is pushed; the trace stays for the next lease,
-	// most likely on it too.
+	// task is left on the old one (DESIGN.md, "Decision record: what a
+	// worker keeps"). The result goes once it is pushed; the trace stays
+	// for the next lease, most likely on it too.
 	w.Engine.Trim(job.Spec.Trace)
 	defer w.Engine.Trim(job.Spec.Trace)
 	w.event("worker.job.start", tc, "key", shortKey(job.Key), "lease", job.Lease,

@@ -11,19 +11,18 @@ import (
 )
 
 // shardWindow is the depth of each shard's work queue in batches. It
-// bounds how far the splitter can run ahead of a slow shard: with the
-// shared free list sized to shards*(shardWindow+1) buffers, a full queue
-// stalls the splitter instead of growing memory, and the whole pipeline
-// holds a fixed set of reference buffers recycled for the life of the run.
+// bounds how far the splitter can run ahead of a slow shard: the pipeline
+// holds at most shards*(shardWindow+1) reference buffers, made on demand
+// and recycled through one free list for the life of the run, so a full
+// queue stalls the splitter instead of growing memory.
 const shardWindow = 8
 
 // ShardOf maps a block to its shard in [0, shards). The hash is a fixed
 // multiplicative mix (no per-run seed), so the partition is deterministic
-// across runs and processes: journal shard tags are comparable between
-// runs, and a fault injected into shard k replays against the same block
-// population. Every reference to a block lands on the same shard, which is
-// the whole trick — the paper's directory state is per-block independent,
-// so per-shard protocol cores never share state.
+// across runs and processes: a fault in shard k's core replays against
+// the same block population. Every reference to a block lands on the same
+// shard, which is the whole trick — the paper's directory state is
+// per-block independent, so per-shard protocol cores never share state.
 func ShardOf(b trace.Block, shards int) int {
 	x := uint64(b) * 0x9E3779B97F4A7C15
 	x ^= x >> 32
@@ -67,9 +66,9 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // per-block state ever crosses goroutines. A single splitter goroutine —
 // the caller's — pulls batches from src, routes references into per-shard
 // buffers, and hands full buffers to the shard's bounded work queue;
-// buffers recycle through one shared free list, so the steady-state loop
-// allocates nothing and a slow shard back-pressures the splitter instead
-// of growing memory.
+// buffers are made only when none is free and recycle through one shared
+// free list, so a short trace allocates only the buffers it fills, the
+// steady state nothing, and a slow shard back-pressures the splitter.
 //
 // Merging is deterministic: per-shard results combine in ascending shard
 // index via Merge. Counters and histograms are integer sums over disjoint
@@ -123,15 +122,22 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 		protos[s] = p
 	}
 
-	// Per-shard bounded work queues plus one shared free list holding
-	// every reference buffer the pipeline will ever use.
+	// Per-shard bounded work queues plus one shared free list with room
+	// for every buffer the pipeline may hold. take, the splitter's only
+	// source of buffers, returns a free one, else a new one while fewer
+	// than cap(free) exist, else the next one a shard hands back.
 	work := make([]chan []trace.Ref, shards)
 	for s := range work {
 		work[s] = make(chan []trace.Ref, shardWindow)
 	}
 	free := make(chan []trace.Ref, shards*(shardWindow+1))
-	for i := 0; i < cap(free); i++ {
-		free <- make([]trace.Ref, 0, DefaultBatchRefs)
+	made := 0
+	take := func() []trace.Ref {
+		if len(free) == 0 && made < cap(free) {
+			made++
+			return make([]trace.Ref, 0, DefaultBatchRefs)
+		}
+		return <-free
 	}
 
 	results := make([]*Result, shards)
@@ -156,7 +162,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	in := make([]trace.Ref, DefaultBatchRefs)
 	cur := make([][]trace.Ref, shards)
 	for s := range cur {
-		cur[s] = <-free
+		cur[s] = take()
 	}
 	for {
 		k := src.NextBatch(in)
@@ -168,7 +174,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 			buf := append(cur[s], r)
 			if len(buf) == DefaultBatchRefs {
 				work[s] <- buf
-				cur[s] = <-free
+				cur[s] = take()
 			} else {
 				cur[s] = buf
 			}
@@ -215,11 +221,6 @@ func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []t
 			err = &ShardError{Shard: shard, Panicked: true, Stack: string(debug.Stack()), Err: rerr}
 		}
 	}()
-	if opts.ShardFault != nil {
-		if ferr := opts.ShardFault(shard); ferr != nil {
-			return nil, &ShardError{Shard: shard, Err: ferr}
-		}
-	}
 	res = newResult(p.Name(), opts)
 	every := int64(opts.InvariantEvery)
 	if every <= 0 {

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dirsim/internal/core"
+	"dirsim/internal/event"
 	"dirsim/internal/faults"
 	"dirsim/internal/trace"
 	"dirsim/internal/workload"
@@ -132,10 +134,46 @@ func TestShardedChecked(t *testing.T) {
 	}
 }
 
-// TestShardedFaultPanic injects a panic into one shard via the ShardFault
-// hook: the failure must surface as a structured *ShardError naming that
-// shard and carrying the stack, every other shard must drain cleanly, and
-// no goroutines may leak.
+// faultyCore is a protocol core that fails as one shard of a sharded run.
+// It embeds only core.Protocol, so core.AccessSparse falls back to its
+// per-reference Access. With panics set, Access panics; otherwise
+// CheckInvariants fails, which a checked run reports as an error.
+type faultyCore struct {
+	core.Protocol
+	panics bool
+}
+
+func (f faultyCore) Access(r trace.Ref) event.Result {
+	if f.panics {
+		panic(fmt.Errorf("injected shard fault"))
+	}
+	return f.Protocol.Access(r)
+}
+
+func (f faultyCore) CheckInvariants() error {
+	return errors.New("injected invariant failure")
+}
+
+func (f faultyCore) SetChecker(c *core.Checker) { core.Attach(f.Protocol, c) }
+
+// faultyBuild returns a SimulateSharded builder whose i-th core (the core
+// of shard i: cores are built in shard order) is faulty when fail(i) is
+// true, and counts the cores it builds in built.
+func faultyBuild(scheme string, cpus int, panics bool, fail func(int) bool, built *atomic.Int64) func() (core.Protocol, error) {
+	return func() (core.Protocol, error) {
+		i := int(built.Add(1)) - 1
+		p, err := core.NewByName(scheme, cpus)
+		if err != nil || !fail(i) {
+			return p, err
+		}
+		return faultyCore{Protocol: p, panics: panics}, nil
+	}
+}
+
+// TestShardedFaultPanic builds one shard on a core that panics in Access:
+// the failure must surface as a structured *ShardError naming that shard
+// and carrying the stack, every other shard must drain cleanly, and no
+// goroutines may leak.
 func TestShardedFaultPanic(t *testing.T) {
 	// More buffers than the pipeline holds, so back-pressure engages.
 	tr, err := workload.Generate(workload.POPSConfig(4, 300_000))
@@ -145,13 +183,9 @@ func TestShardedFaultPanic(t *testing.T) {
 	snap := faults.Goroutines()
 	opts := batchTestOpts()
 	opts.Shards = 4
-	opts.ShardFault = func(shard int) error {
-		if shard == 2 {
-			panic(fmt.Errorf("injected shard fault"))
-		}
-		return nil
-	}
-	res, err := SimulateSharded(shardBuild("Dir1NB", tr.CPUs), tr.Iterator(), opts)
+	var built atomic.Int64
+	build := faultyBuild("Dir1NB", tr.CPUs, true, func(i int) bool { return i == 2 }, &built)
+	res, err := SimulateSharded(build, tr.Iterator(), opts)
 	if res != nil {
 		t.Error("faulted run returned a result")
 	}
@@ -168,25 +202,21 @@ func TestShardedFaultPanic(t *testing.T) {
 	}
 }
 
-// TestShardedFaultError: an error (not panic) from the hook fails the
-// shard without a panic flag, and the lowest failing shard wins so the
-// reported error is deterministic.
+// TestShardedFaultError: a shard whose core reports an error (not a
+// panic) fails without a panic flag, and the lowest failing shard wins so
+// the reported error is deterministic.
 func TestShardedFaultError(t *testing.T) {
 	tr, err := workload.Generate(workload.POPSConfig(4, 5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var calls atomic.Int64
+	snap := faults.Goroutines()
 	opts := batchTestOpts()
 	opts.Shards = 6
-	opts.ShardFault = func(shard int) error {
-		calls.Add(1)
-		if shard >= 3 {
-			return fmt.Errorf("shard %d refused", shard)
-		}
-		return nil
-	}
-	_, err = SimulateSharded(shardBuild("WTI", tr.CPUs), tr.Iterator(), opts)
+	opts.Check = true
+	var built atomic.Int64
+	build := faultyBuild("WTI", tr.CPUs, false, func(i int) bool { return i >= 3 }, &built)
+	_, err = SimulateSharded(build, tr.Iterator(), opts)
 	var serr *ShardError
 	if !errors.As(err, &serr) {
 		t.Fatalf("error %v is not a *ShardError", err)
@@ -195,8 +225,36 @@ func TestShardedFaultError(t *testing.T) {
 		t.Errorf("got shard %d (panicked=%v), want deterministic lowest failing shard 3",
 			serr.Shard, serr.Panicked)
 	}
-	if calls.Load() != 6 {
-		t.Errorf("fault hook ran %d times, want once per shard", calls.Load())
+	if built.Load() != 6 {
+		t.Errorf("built %d cores, want one per shard", built.Load())
+	}
+	if leak := snap.Leaked(5 * time.Second); leak != nil {
+		t.Error(leak)
+	}
+}
+
+// TestShardedBuffersOnDemand bounds what a short sharded run allocates:
+// the splitter makes a reference buffer only when it has none free, so
+// 20 000 references over two shards fill a few 64 KiB buffers, not the
+// 18 the pipeline may hold at most.
+func TestShardedBuffersOnDemand(t *testing.T) {
+	tr := workload.MustGenerate(workload.POPSConfig(4, 20_000))
+	run := func() {
+		if _, err := SimulateSharded(shardBuild("Dir0B", tr.CPUs), tr.Iterator(), Options{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per > 600<<10 {
+		t.Errorf("a 2-shard run over %d references allocates %d KB, want at most 600", len(tr.Refs), per>>10)
 	}
 }
 

@@ -41,11 +41,6 @@ type Options struct {
 	// tallies (see SimulateSharded) — bit-identical to the sequential
 	// path. 0 or 1 runs the single-goroutine loop above.
 	Shards int
-	// ShardFault, when set, is invoked once at each shard worker's start;
-	// a non-nil return (or a panic) fails that shard. It is the test seam
-	// the shard fault suite uses to kill one shard and assert the others
-	// drain cleanly.
-	ShardFault func(shard int) error
 }
 
 func (o Options) models() []bus.Model {
