@@ -373,8 +373,8 @@ func printSummary(ew io.Writer, rep obs.RunReport) {
 			c["store.hits"], c["store.misses"], c["store.writes"], c["store.rejected"],
 			rep.Gauges["store.entries"], float64(rep.Gauges["store.bytes"])/(1<<20))
 	}
-	fmt.Fprintf(ew, "engine       %d jobs, %d sims, %d traces generated\n",
-		c["engine.jobs.run"], c["engine.sims.run"], c["engine.traces.generated"])
+	fmt.Fprintf(ew, "engine       %d jobs, %d sims in %d walks, %d traces generated\n",
+		c["engine.jobs.run"], c["engine.sims.run"], c["engine.walks.run"], c["engine.traces.generated"])
 	fmt.Fprintf(ew, "phases:\n")
 	for _, p := range rep.Phases {
 		fmt.Fprintf(ew, "  %-12s %5d spans  %s\n", p.Phase, p.Count, p.Total.Round(time.Millisecond))

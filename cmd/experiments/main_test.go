@@ -339,7 +339,7 @@ func TestJournalAndSummary(t *testing.T) {
 	}
 
 	s := summary.String()
-	for _, want := range []string{"run summary", "hit rate", "traces generated\n", "phases:",
+	for _, want := range []string{"run summary", "hit rate", " walks, ", "traces generated\n", "phases:",
 		"experiment       2 spans", "generate ", "simulate ", "experiments:", "table3"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
@@ -395,8 +395,8 @@ func TestManifestFlag(t *testing.T) {
 	if len(m.Phases) != 1 || m.Phases[0].Phase != "experiment" || m.Phases[0].Count != 1 {
 		t.Errorf("manifest phases wrong: %+v", m.Phases)
 	}
-	// The engine's fourteen counters, with nothing left of streamed
-	// generation among them.
+	// The engine's fifteen counters (engine.walks.run the newest), with
+	// nothing left of streamed generation among them.
 	for _, gone := range []string{"engine.traces.streamed", "engine.stream.chunks", "engine.stream.stalls"} {
 		if _, ok := m.Engine[gone]; ok {
 			t.Errorf("manifest still carries %s: %v", gone, m.Engine)
@@ -408,8 +408,8 @@ func TestManifestFlag(t *testing.T) {
 			n++
 		}
 	}
-	if n != 14 {
-		t.Errorf("manifest carries %d engine.* counters, want 14: %v", n, m.Engine)
+	if n != 15 {
+		t.Errorf("manifest carries %d engine.* counters, want 15: %v", n, m.Engine)
 	}
 }
 

@@ -74,7 +74,8 @@ func TestFirstRefCountsAgreeAcrossSchemes(t *testing.T) {
 
 func TestMRSWFamilySameEventCounts(t *testing.T) {
 	// Dir0B, DirNNB, DiriB and WTI share the state-change model, so
-	// their classifications must be identical reference by reference.
+	// their event counts must be identical on a long trace (FuzzMRSWFamily
+	// holds every variant's whole result, reference by reference).
 	refs := randomRefs(77, 4, 30, 40000)
 	family := []Protocol{NewDir0B(4), NewDirNNB(4), NewDiriB(4, 1), NewDiriB(4, 3), NewWTI(4)}
 	var want event.Counts

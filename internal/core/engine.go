@@ -27,9 +27,6 @@ const (
 	fD uint8 = 1 << iota
 	// fX: MESI's sole copy is exclusive-clean or modified (E or M).
 	fX
-	// fB: the broadcast bit — Dir_iB after pointer overflow, Dir0B's
-	// clean-in-many state.
-	fB
 	// fS: the block has been referenced, so a miss on it is not a first
 	// reference (rm-first-ref / wm-first-ref).
 	fS
@@ -88,6 +85,9 @@ type scheme struct {
 	sharedDirty bool
 	// check, when non-nil, is the scheme's own invariant on one block.
 	check func(bl *block) error
+	// view is an MRSW variant's pricing when the shared walk can price
+	// it (ViewOf); nil for every other scheme.
+	view *View
 }
 
 // ownerUpdateHit is the outcome of a write the ownerUpdate rule takes,

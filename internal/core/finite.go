@@ -85,7 +85,7 @@ func newFiniteByName(key string, ncpu int) (Protocol, error) {
 	}
 	unit := min(bits.TrailingZeros(uint(size))/10, 2)
 	name := fmt.Sprintf("FiniteDirNNB:%d%c%dw", size>>(10*unit), "bkm"[unit], assoc)
-	p := &finiteDir{dir: newMRSW(ncpu, name, &mrsw{ptrs: ncpu}), caches: make([]*cache.Cache, ncpu)}
+	p := &finiteDir{dir: newMRSW(ncpu, name, &mrsw{View: View{ptrs: ncpu}}), caches: make([]*cache.Cache, ncpu)}
 	for i := range p.caches {
 		p.caches[i] = cache.New(cfg)
 	}

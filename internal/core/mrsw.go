@@ -7,56 +7,155 @@ import (
 	"dirsim/internal/trace"
 )
 
-// mrsw is the multiple-readers/single-writer state-change model shared —
-// as the paper observes in Section 5 — by Dir0B, the sequential
-// invalidation schemes DiriNB/DirNNB/DirCV, the limited-pointer-plus-broadcast
-// schemes DiriB, and the snoopy WTI protocol: a clean block may live in any
-// number of caches, a written block in exactly one. The variants differ in
-// how invalidations are delivered (directed messages, limited broadcast, or
-// full broadcast), in how much the directory knows (two state bits, i
-// pointers, a full bit map, a coarse code, or nothing at all for a snoopy
-// bus), and in whether writes propagate to memory (write-through for WTI).
-//
-// Because the state-change model is shared, all variants produce identical
-// event frequencies on a given trace (the paper's Table 4 shows one column
-// for Dir0B and WTI for this reason) — except DiriNB with i smaller than
-// the machine, whose pointer-overflow invalidations genuinely change the
-// state evolution and raise the miss rate.
-//
-// The directory's pointers are not stored: while the broadcast bit is
-// clear they name exactly the holders, and once it is set nothing reads
-// them, so an entry's state is the block's holders and fB.
-type mrsw struct {
-	// ptrs is the number of cache pointers a directory entry can hold:
-	// 0 for Dir0B (state bits only) and for snoopy WTI, i for
-	// DiriB/DiriNB, ncpu for the full-map DirNNB and for DirCV.
+// The multiple-readers/single-writer state-change model is shared — as
+// the paper observes in Section 5 — by Dir0B, the sequential
+// invalidation schemes DiriNB/DirNNB/DirCV, the limited-pointer-plus-
+// broadcast schemes DiriB, Yen–Fu and the snoopy WTI protocol: a clean
+// block may live in any number of caches, a written block in exactly
+// one. The variants differ only in how invalidations are delivered, in
+// how much the directory knows and in whether writes go through to
+// memory, so one walk serves them all. A block's holders only grow
+// between writes, and a write resets them to the writer, so a variant's
+// action on a reference is a function of its Table 4 class, the holders
+// before it and the cache that made it — a Step — and a variant is a
+// View, a pure function from a Step to its event.Result. The walk keeps
+// holders, owner, fD and fS: DiriB's broadcast bit is set exactly while
+// more than i caches hold the block, and a pointer list names exactly
+// the holders. All variants therefore produce identical event
+// frequencies on a trace (the paper's Table 4 prints one column for
+// Dir0B and WTI) — except DiriNB with i smaller than the machine, whose
+// forced invalidations change the state: it keeps each block's fill
+// order besides, and no shared walk prices it.
+
+// A Step is the walk's record of one reference that is not plain: the
+// caches that held the block before it, its Table 4 class (a miss or
+// WrHitClean), and the cache that made it.
+type Step struct {
+	Holders Set
+	Type    event.Type
+	CPU     uint8
+}
+
+// A View prices the walk's steps as one variant of the family.
+type View struct {
+	// ptrs is the number of cache pointers an entry holds; a write that
+	// finds more holders invalidates by broadcast. 0 for Dir0B and WTI,
+	// i for DiriB/DiriNB, ncpu for DirNNB, DirCV and Yen–Fu.
 	ptrs int
-	// fifo is each block's pointer fill order, the victim choice of the
-	// NB schemes with i < ncpu, whose read fill beyond i copies forcibly
-	// invalidates the oldest; nil for every other variant.
-	fifo map[trace.Block][]uint8
-	// writeThrough selects WTI: every write is transmitted to memory,
-	// memory is never stale, and invalidation happens by bus snooping
-	// (free of directory queries).
+	// writeThrough selects WTI: every write goes to memory, memory is
+	// never stale, and snooping invalidates free of directory queries.
 	writeThrough bool
-	// singleBit selects the Yen–Fu refinement of the full-map scheme:
-	// each cache keeps a "single" bit that is set while it holds the
-	// only copy, so a write hit on an unshared clean block proceeds
-	// without a directory access. The price is an extra control message
-	// to clear the previous sole holder's bit whenever a block goes
-	// from one copy to two (the extra bus bandwidth the paper notes).
+	// singleBit selects Yen–Fu: a cache's "single" bit, set while it
+	// holds the only copy, spares an unshared clean write the directory,
+	// at a control message whenever a block goes from one copy to two.
 	singleBit bool
 	// coarse selects DirCV's delivery: to every cache the coarse code of
 	// the holders names.
 	coarse bool
 }
 
+// Plain returns the outcome of a plain reference of type t: the type
+// alone, but for WTI's write to a block it holds dirty, which still goes
+// on the bus as a write-through.
+func (v *View) Plain(t event.Type) event.Result {
+	return event.Result{Type: t, Update: v.writeThrough && t == event.WrHitOwn}
+}
+
+// Result returns the outcome of step s under the variant.
+func (v *View) Result(s Step) event.Result {
+	n := s.Holders.Count()
+	res := event.Result{Type: s.Type, Holders: int16(n)}
+	if s.Type == event.RdMissDirty || s.Type == event.WrMissDirty {
+		// The owner flushes the block and the requester snarfs it off the
+		// write-back; under write-through memory, never stale, supplies it.
+		res.WriteBack, res.CacheSupply = !v.writeThrough, !v.writeThrough
+	}
+	if s.Type < event.WrHitOwn {
+		// A read miss; Yen–Fu clears a sole clean holder's single bit.
+		if v.singleBit && s.Type == event.RdMissClean && n == 1 {
+			res.Control = 1
+		}
+		return res
+	}
+	k := n // the copies to invalidate: every holder but the writer
+	if s.Type == event.WrHitClean {
+		// The directory is queried before the writer proceeds, unless Yen–Fu's
+		// single bit says it is alone; a miss's lookup overlaps memory's.
+		k--
+		res.Holders = int16(k)
+		res.DirCheck = !v.writeThrough && !(v.singleBit && k == 0)
+	}
+	// Every other copy goes: by broadcast where the entry cannot name the
+	// holders, else one message per copy, or per cache the code names.
+	switch {
+	case k == 0:
+	case n > v.ptrs:
+		res.Broadcast = true
+	case v.coarse:
+		res.Inval = int16(coarseNamed(s.Holders, v.ptrs).Del(s.CPU).Count())
+	default:
+		res.Inval = int16(k)
+	}
+	res.Update = v.writeThrough
+	return res
+}
+
+// mrsw is one variant as a protocol: the walk and its View.
+type mrsw struct {
+	View
+	// fifo is each block's fill order, DiriNB's victim choice when i <
+	// ncpu (a fill beyond i copies invalidates the oldest); else nil.
+	fifo map[trace.Block][]uint8
+}
+
 // newMRSW builds the engine for one variant. A write to a block the
-// writer holds dirty changes no state; under write-through it still goes
-// on the bus, so its outcome carries Update.
+// writer holds dirty changes no state: its outcome is the view's Plain.
 func newMRSW(ncpu int, name string, m *mrsw) *engine {
-	hit := event.Result{Type: event.WrHitOwn, Update: m.writeThrough}
-	return newEngine(ncpu, scheme{name: name, need: fD, hit: hit, step: m.step, check: m.check})
+	s := scheme{name: name, need: fD, hit: m.Plain(event.WrHitOwn), step: m.step, check: m.check}
+	if m.fifo == nil {
+		s.view = &m.View
+	}
+	return newEngine(ncpu, s)
+}
+
+// ViewOf returns p's View when p is a variant the shared walk prices:
+// every one but DiriNB with i smaller than the machine.
+func ViewOf(p Protocol) (*View, bool) {
+	e, ok := p.(*engine)
+	if !ok || e.view == nil {
+		return nil, false
+	}
+	return e.view, true
+}
+
+// Walk is the family's state walk alone: it records the steps of one
+// pass over a trace for any number of Views to price.
+type Walk struct {
+	e     *engine
+	steps []Step
+	outs  []event.Result
+}
+
+// NewWalk returns the walk over ncpu caches.
+func NewWalk(ncpu int) *Walk {
+	w, m := &Walk{}, &mrsw{}
+	w.e = newEngine(ncpu, scheme{name: "walk", need: fD, hit: m.Plain(event.WrHitOwn),
+		step: func(ck *Checker, bl *block, c uint8, b trace.Block, _ bool, res *event.Result) {
+			s := Step{Holders: bl.holders, Type: res.Type, CPU: c}
+			w.steps = append(w.steps, s)
+			m.walk(ck, bl, s, b, res)
+		}})
+	return w
+}
+
+// Next applies refs in order. Plain references are added to plain.N by
+// type, as AccessSparse adds them; every other reference is appended to
+// steps, in order, and the extended slice returned. refs is read-only
+// and is not retained.
+func (w *Walk) Next(refs []trace.Ref, plain *Plain, steps []Step) []Step {
+	w.steps = steps
+	w.outs = w.e.AccessSparse(refs, plain, w.outs[:0])
+	return w.steps
 }
 
 // NewDir0B returns the Archibald–Baer scheme: a two-bit directory entry
@@ -70,7 +169,7 @@ func NewDir0B(ncpu int) Protocol {
 // per cache in every directory entry, invalidations delivered as directed
 // sequential messages, no broadcasts ever.
 func NewDirNNB(ncpu int) Protocol {
-	return newMRSW(ncpu, "DirNNB", &mrsw{ptrs: ncpu})
+	return newMRSW(ncpu, "DirNNB", &mrsw{View: View{ptrs: ncpu}})
 }
 
 // NewDiriNB returns the limited-pointer no-broadcast scheme Dir_i NB: at
@@ -81,7 +180,7 @@ func NewDiriNB(ncpu, i int) Protocol {
 	if i < 1 {
 		panic("core: DiriNB requires at least one pointer")
 	}
-	m := &mrsw{ptrs: min(i, ncpu)}
+	m := &mrsw{View: View{ptrs: min(i, ncpu)}}
 	if i < ncpu {
 		m.fifo = map[trace.Block][]uint8{}
 	}
@@ -96,7 +195,7 @@ func NewDiriB(ncpu, i int) Protocol {
 	if i < 1 {
 		panic("core: DiriB requires at least one pointer (use NewDir0B for i=0)")
 	}
-	return newMRSW(ncpu, fmt.Sprintf("Dir%dB", i), &mrsw{ptrs: i})
+	return newMRSW(ncpu, fmt.Sprintf("Dir%dB", i), &mrsw{View: View{ptrs: i}})
 }
 
 // NewYenFu returns the Yen–Fu refinement of the Censier–Feautrier
@@ -105,14 +204,14 @@ func NewDiriB(ncpu, i int) Protocol {
 // write to an unshared clean block skip the directory query, at the cost
 // of control traffic to keep the bits current.
 func NewYenFu(ncpu int) Protocol {
-	return newMRSW(ncpu, "YenFu", &mrsw{ptrs: ncpu, singleBit: true})
+	return newMRSW(ncpu, "YenFu", &mrsw{View: View{ptrs: ncpu, singleBit: true}})
 }
 
 // NewWTI returns the write-through-with-invalidate snoopy protocol: all
 // writes go to memory, snooping caches invalidate matching blocks, memory
 // is never stale.
 func NewWTI(ncpu int) Protocol {
-	return newMRSW(ncpu, "WTI", &mrsw{writeThrough: true})
+	return newMRSW(ncpu, "WTI", &mrsw{View: View{writeThrough: true}})
 }
 
 // NewCoarseVector returns the Section 6 coarse-vector directory, DirCV:
@@ -121,7 +220,7 @@ func NewWTI(ncpu int) Protocol {
 // as DirNNB's do, so the messages it sends beyond DirNNB's on one trace
 // are the ones wasted on caches holding no copy.
 func NewCoarseVector(ncpu int) Protocol {
-	return newMRSW(ncpu, "DirCV", &mrsw{ptrs: ncpu, coarse: true})
+	return newMRSW(ncpu, "DirCV", &mrsw{View: View{ptrs: ncpu, coarse: true}})
 }
 
 // coarseNamed returns the caches below ncpu that the coarse code of a
@@ -147,91 +246,54 @@ func coarseNamed(holders Set, ncpu int) Set {
 	return named
 }
 
-func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, write bool, res *event.Result) {
+// step prices c's reference, which the engine has classified into res,
+// as the variant, then walks it.
+func (m *mrsw) step(ck *Checker, bl *block, c uint8, b trace.Block, _ bool, res *event.Result) {
+	s := Step{Holders: bl.holders, Type: res.Type, CPU: c}
+	*res = m.Result(s)
+	m.walk(ck, bl, s, b, res)
+}
+
+// walk applies step s to the block's state and tells the checker how the
+// data moved, which res, the variant's outcome, says.
+func (m *mrsw) walk(ck *Checker, bl *block, s Step, b trace.Block, res *event.Result) {
+	c := s.CPU
 	switch {
-	case !write:
-		if bl.flags&fD != 0 {
-			// The owner's copy supplies the requester; both end up
-			// clean (Dir0B/DirNNB semantics).
-			m.supply(ck, bl, c, b, res)
-			bl.flags &^= fD
-		} else {
-			if m.singleBit && bl.holders.Count() == 1 {
-				// The previous sole holder's single bit must be
-				// cleared before a second copy exists.
-				res.Control = 1
-			}
-			ck.FillFromMemory(c, b)
-		}
+	case s.Type == event.WrHitClean:
+	case res.CacheSupply:
+		ck.WriteBack(bl.owner, b)
+		ck.FillFromCache(c, bl.owner, b)
+	default:
+		ck.FillFromMemory(c, b)
+	}
+	if s.Type < event.WrHitOwn {
+		// A read fill: both copies end up clean.
+		bl.flags &^= fD
 		m.fill(ck, bl, c, b, res)
 		return
-	case bl.holders.Has(c):
-		// A write hit on a clean block: the directory is queried before
-		// the writer may proceed — Yen–Fu's single bit answers "am I
-		// alone?" locally, so an unshared write skips it.
-		m.invalidate(ck, bl, c, b, res)
-		res.DirCheck = !m.writeThrough && !(m.singleBit && res.Holders == 0)
-		ck.Write(c, b)
-		m.takeExclusive(bl, c, b)
-	default:
-		// A write miss; the directory lookup overlaps the memory access.
-		switch {
-		case bl.flags&fD != 0:
-			m.supply(ck, bl, c, b, res)
-			// Directory entries know a dirty owner exactly when they
-			// have a pointer; Dir0B must broadcast the flush request.
-			if m.ptrs == 0 {
-				res.Broadcast = true
-			} else {
-				res.Inval = 1
-			}
-			ck.Invalidate(bl.owner, b)
-		case !bl.holders.Empty():
-			ck.FillFromMemory(c, b)
-			m.invalidate(ck, bl, c, b, res)
-		default:
-			ck.FillFromMemory(c, b)
-		}
-		ck.Write(c, b)
-		m.takeExclusive(bl, c, b)
 	}
-	if m.writeThrough {
-		res.Update = true
+	ck.invalidateAll(s.Holders.Del(c), b)
+	ck.Write(c, b)
+	if res.Update {
 		ck.WriteThrough(c, b)
 	}
-}
-
-// supply fills c's copy of a dirty block: under write-through memory was
-// never stale, so straight from memory; otherwise the owner flushes the
-// block to memory and the requester snarfs the data off the write-back.
-func (m *mrsw) supply(ck *Checker, bl *block, c uint8, b trace.Block, res *event.Result) {
-	if m.writeThrough {
-		ck.FillFromMemory(c, b)
-		return
+	bl.holders, bl.owner = Set(0).Add(c), c
+	bl.flags |= fD
+	if m.fifo != nil {
+		m.fifo[b] = append(m.fifo[b][:0], c)
 	}
-	res.WriteBack = true
-	res.CacheSupply = true
-	ck.WriteBack(bl.owner, b)
-	ck.FillFromCache(c, bl.owner, b)
 }
 
-// fill adds c to the holders after a read fill and updates the directory
-// entry: Dir0B keeps only clean-in-one against clean-in-many; an entry
-// with a free pointer records c; on overflow DiriNB invalidates the
-// oldest copy to make room and DiriB sets the broadcast bit.
+// fill adds c to the holders after a read fill; beyond its i copies
+// DiriNB invalidates the oldest to make room.
 func (m *mrsw) fill(ck *Checker, bl *block, c uint8, b trace.Block, res *event.Result) {
 	n := bl.holders.Count()
 	bl.holders = bl.holders.Add(c)
 	switch {
-	case m.ptrs == 0:
-		if n > 0 {
-			bl.flags |= fB
-		}
+	case m.fifo == nil:
 	case n < m.ptrs:
-		if m.fifo != nil {
-			m.fifo[b] = append(m.fifo[b], c)
-		}
-	case m.fifo != nil:
+		m.fifo[b] = append(m.fifo[b], c)
+	default:
 		// The newcomer takes the youngest place in the (full) fill order.
 		fifo := m.fifo[b]
 		victim := fifo[0]
@@ -240,50 +302,12 @@ func (m *mrsw) fill(ck *Checker, bl *block, c uint8, b trace.Block, res *event.R
 		bl.holders = bl.holders.Del(victim)
 		ck.Invalidate(victim, b)
 		res.ForcedInval++
-	default:
-		bl.flags |= fB
-	}
-}
-
-// invalidate fills the Result's invalidation fields for eliminating every
-// copy but writer c's, according to the variant's delivery mechanism, and
-// tells the checker. A snooping bus, Dir0B's entry and a DiriB entry after
-// overflow cannot name the holders and broadcast; the others send one
-// directed message per copy, or per cache the coarse code names. A sole
-// clean copy held by the writer itself needs no invalidation at all.
-func (m *mrsw) invalidate(ck *Checker, bl *block, c uint8, b trace.Block, res *event.Result) {
-	victims := bl.holders.Del(c)
-	if k := victims.Count(); k > 0 {
-		if m.ptrs == 0 || bl.flags&fB != 0 {
-			res.Broadcast = true
-		} else {
-			res.Inval = int16(k)
-			if m.coarse {
-				res.Inval = int16(coarseNamed(bl.holders, m.ptrs).Del(c).Count())
-			}
-		}
-	}
-	ck.invalidateAll(victims, b)
-}
-
-// takeExclusive installs c as the sole (dirty) holder and resets the
-// directory entry accordingly.
-func (m *mrsw) takeExclusive(bl *block, c uint8, b trace.Block) {
-	bl.holders = Set(0).Add(c)
-	bl.owner = c
-	bl.flags = bl.flags&^fB | fD
-	if m.fifo != nil {
-		m.fifo[b] = append(m.fifo[b][:0], c)
 	}
 }
 
 func (m *mrsw) check(bl *block) error {
-	n := bl.holders.Count()
-	switch {
-	case m.fifo != nil && n > m.ptrs:
+	if n := bl.holders.Count(); m.fifo != nil && n > m.ptrs {
 		return fmt.Errorf("has %d copies, limit %d", n, m.ptrs)
-	case m.ptrs == 0 && (bl.flags&fB != 0) != (n > 1):
-		return fmt.Errorf("clean-many bit %v but %d holders", bl.flags&fB != 0, n)
 	}
 	return nil
 }

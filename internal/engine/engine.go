@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"dirsim/internal/faults"
@@ -139,6 +140,11 @@ type Engine struct {
 	tier    Tier         // durable second tier; nil disables it
 	remote  Remote       // remote executor for uncached specs; nil disables it
 
+	// wanted holds, per walk key, the family specs of planned batches
+	// whose walk jobs have not started (walkBody).
+	wantMu sync.Mutex
+	wanted map[walkKey][]*wantGroup
+
 	reg *obs.Registry // metrics registry the counters below live on
 	obs Observer      // nil disables the lifecycle callbacks
 
@@ -149,6 +155,7 @@ type Engine struct {
 	cacheMisses     *obs.Counter
 	simsRun         *obs.Counter
 	refsSimulated   *obs.Counter
+	walks           *obs.Counter
 	tracesGenerated *obs.Counter
 	jobPanics       *obs.Counter
 	jobRetries      *obs.Counter
@@ -180,6 +187,7 @@ func New(opts Options) *Engine {
 		verify:          opts.Verify || opts.Faults != nil,
 		results:         newFlightCache(reg.Gauge("engine.cache.results")),
 		traces:          newFlightCache(reg.Gauge("engine.cache.traces")),
+		wanted:          make(map[walkKey][]*wantGroup),
 		tier:            opts.Store,
 		remote:          opts.Remote,
 		reg:             reg,
@@ -189,6 +197,7 @@ func New(opts Options) *Engine {
 		cacheMisses:     reg.Counter("engine.cache.misses"),
 		simsRun:         reg.Counter("engine.sims.run"),
 		refsSimulated:   reg.Counter("engine.refs.simulated"),
+		walks:           reg.Counter("engine.walks.run"),
 		tracesGenerated: reg.Counter("engine.traces.generated"),
 		jobPanics:       reg.Counter("engine.jobs.panics"),
 		jobRetries:      reg.Counter("engine.jobs.retries"),
@@ -210,10 +219,13 @@ type Stats struct {
 	// from (or claimed into) the result and trace caches.
 	CacheHits   int64
 	CacheMisses int64
-	// SimsRun counts protocol simulations executed; RefsSimulated totals
-	// the references they processed — the numerator of refs/s.
+	// SimsRun counts simulation results computed; RefsSimulated totals
+	// their references — the numerator of refs/s. Walks counts the local
+	// passes over a trace that computed them: one per result, but one
+	// for every family group's results together (engine.walks.run).
 	SimsRun       int64
 	RefsSimulated int64
+	Walks         int64
 	// TracesGenerated counts trace generations.
 	TracesGenerated int64
 	// StreamStalls is always 0: the streamed delivery it counted is gone.
@@ -253,6 +265,7 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:     e.cacheMisses.Value(),
 		SimsRun:         e.simsRun.Value(),
 		RefsSimulated:   e.refsSimulated.Value(),
+		Walks:           e.walks.Value(),
 		TracesGenerated: e.tracesGenerated.Value(),
 		JobPanics:       e.jobPanics.Value(),
 		JobRetries:      e.jobRetries.Value(),

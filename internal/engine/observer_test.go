@@ -59,7 +59,8 @@ func (o *testObserver) finishedByKind() map[string][]jobRecord {
 // TestObserverSeesGenerationAndSimulationSpans is the integration test of
 // the observability wiring: per uncached trace the observer must see
 // exactly one generation span (a trace job, under either executor) and
-// exactly one simulation span per scheme, none of them cache hits.
+// exactly one simulation span per walk, none of them cache hits — Dir0B
+// and WTI one family walk, unkeyed, and Dragon its own keyed job.
 func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 	schemes := []string{"Dir0B", "WTI", "Dragon"}
 	cfgs := []workload.Config{workload.POPSConfig(4, 10_000)}
@@ -77,15 +78,15 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 				t.Errorf("generation (trace) spans = %d, want 1; finished: %v", got, byKind)
 			}
 			sims := byKind["sim"]
-			if len(sims) != len(schemes) {
-				t.Errorf("simulation spans = %d, want %d", len(sims), len(schemes))
+			if len(sims) != 2 {
+				t.Errorf("simulation spans = %d, want 2", len(sims))
 			}
 			for _, r := range sims {
 				if r.cacheHit {
 					t.Errorf("uncached simulation %s flagged as cache hit", r.id)
 				}
-				if r.key == "" {
-					t.Errorf("simulation %s has no key", r.id)
+				if want := r.id != "sim:Dir0B+WTI@pops"; (r.key != "") != want {
+					t.Errorf("simulation %s has key %q, want one: %t", r.id, r.key, want)
 				}
 				if r.err != nil {
 					t.Errorf("simulation %s finished with error: %v", r.id, r.err)
@@ -93,6 +94,9 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 			}
 			if len(byKind["merge"]) != len(schemes) {
 				t.Errorf("merge spans = %d, want %d", len(byKind["merge"]), len(schemes))
+			}
+			if s := e.Stats(); s.SimsRun != 3 || s.Walks != 2 {
+				t.Errorf("%d results from %d walks, want 3 from 2", s.SimsRun, s.Walks)
 			}
 			// The generation span carries real wall time.
 			if len(byKind["trace"]) == 1 && byKind["trace"][0].dur <= 0 {
@@ -183,13 +187,14 @@ func TestJobPhaseHistograms(t *testing.T) {
 	if err := e.execute(journaled(&buf, ""), Sequential{}, bad); err != nil {
 		t.Fatal(err)
 	}
-	for phase, want := range map[string]int64{"generate": 1, "simulate": 3, "merge": 4} {
+	// Dir0B and WTI are one family walk: one simulate job for the two.
+	for phase, want := range map[string]int64{"generate": 1, "simulate": 2, "merge": 4} {
 		if got := reg.Histogram("engine.job."+phase+".us", nil).Snapshot().Count; got != want {
 			t.Errorf("engine.job.%s.us count = %d, want %d", phase, got, want)
 		}
 	}
-	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 8 {
-		t.Errorf("engine.jobs.scheduled = %d, want 8", got)
+	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 7 {
+		t.Errorf("engine.jobs.scheduled = %d, want 7", got)
 	}
 	lines := journalLines(t, buf.Bytes())
 	var msgs []any

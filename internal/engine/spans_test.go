@@ -121,14 +121,13 @@ func TestEngineTraceExport(t *testing.T) {
 	}
 
 	// Every scheduled job is represented as a span named by its ID: the
-	// trace jobs, one sim job per (scheme, workload), the merge jobs,
+	// trace jobs, one sim job per workload (the three schemes are one
+	// family walk: Dir4NB at 4 CPUs is the full map), the merge jobs,
 	// and the flaky ad-hoc job.
 	var wantJobs []string
 	for _, cfg := range cfgs {
-		wantJobs = append(wantJobs, "trace:"+cfg.Name)
-		for _, s := range schemes {
-			wantJobs = append(wantJobs, fmt.Sprintf("sim:%s@%s", s, cfg.Name))
-		}
+		wantJobs = append(wantJobs, "trace:"+cfg.Name,
+			fmt.Sprintf("sim:%s@%s", strings.Join(schemes, "+"), cfg.Name))
 	}
 	for _, s := range schemes {
 		wantJobs = append(wantJobs, "merge:"+s)
@@ -201,8 +200,9 @@ func TestEngineTraceExport(t *testing.T) {
 
 // TestWorkersBoundsOpenSimulations: a pool of n slots means at most n
 // job bodies run at once, simulations included — six schemes over one
-// workload never have a second simulate span open under Sequential, or
-// a third under Parallel{Workers: 2}.
+// workload, four of them one family walk, never have a second walk open
+// under Sequential, or a third under Parallel{Workers: 2}. The simulate
+// spans of one walk share its attempt span as their parent.
 func TestWorkersBoundsOpenSimulations(t *testing.T) {
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 2}} {
 		t.Run(exec.Name(), func(t *testing.T) { testWorkersBound(t, exec) })
@@ -225,14 +225,25 @@ func testWorkersBound(t *testing.T, exec Executor) {
 		at    float64
 		delta int
 	}
-	var edges []edge
+	type span struct{ from, to float64 }
+	walks := map[any]span{}
+	n := 0
 	for _, ev := range renderTrace(t, journal.Bytes()).TraceEvents {
 		if ev.Ph == "X" && strings.HasPrefix(ev.Name, "simulate:") {
-			edges = append(edges, edge{*ev.TS, +1}, edge{*ev.TS + *ev.Dur, -1})
+			n++
+			w, ok := walks[ev.Args["parent"]]
+			if !ok {
+				w = span{*ev.TS, *ev.TS + *ev.Dur}
+			}
+			walks[ev.Args["parent"]] = span{min(w.from, *ev.TS), max(w.to, *ev.TS+*ev.Dur)}
 		}
 	}
-	if len(edges) != 2*len(schemes) {
-		t.Fatalf("%d simulate spans, want %d", len(edges)/2, len(schemes))
+	if n != len(schemes) || len(walks) != 3 {
+		t.Fatalf("%d simulate spans in %d walks, want %d in 3", n, len(walks), len(schemes))
+	}
+	var edges []edge
+	for _, w := range walks {
+		edges = append(edges, edge{w.from, +1}, edge{w.to, -1})
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].at != edges[j].at {
@@ -247,7 +258,7 @@ func testWorkersBound(t *testing.T, exec Executor) {
 		}
 	}
 	if peak > workers {
-		t.Errorf("%d simulate spans open at once in a pool of %d", peak, workers)
+		t.Errorf("%d walks open at once in a pool of %d", peak, workers)
 	}
 }
 

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -189,14 +192,15 @@ func (e *Engine) Trim(keep workload.Config) {
 // *Partial error mapping each failed job to its cause. A non-Partial
 // error means the batch could not run at all.
 func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([]*sim.Result, error) {
-	per, err := e.planSpecs(specs)
+	per, release, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.execute(ctx, exec, per...); err != nil {
+	defer release()
+	if err := e.run(ctx, exec, per); err != nil {
 		return nil, err
 	}
-	return outputs(per, func(i int) string { return per[i].ID })
+	return outputs(per, func(i int) string { return "sim:" + specs[i].label() + "@" + specs[i].Trace.Name })
 }
 
 // Merge runs every group of specs and returns each group's
@@ -217,33 +221,64 @@ func (e *Engine) Merge(ctx context.Context, exec Executor, groups [][]SimSpec) (
 		}
 		specs = append(specs, g...)
 	}
-	per, err := e.planSpecs(specs)
+	per, release, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
-	merges := make([]*job, len(groups))
+	defer release()
+	merges := make([]output, len(groups))
 	for i, g := range groups {
-		merges[i] = e.mergeJob("merge:"+g[0].label(), per[:len(g)])
+		merges[i] = output{j: e.mergeJob("merge:"+g[0].label(), per[:len(g)]), i: -1}
 		per = per[len(g):]
 	}
-	if err := e.execute(ctx, exec, merges...); err != nil {
+	if err := e.run(ctx, exec, merges); err != nil {
 		return nil, err
 	}
 	return outputs(merges, func(i int) string { return groups[i][0].label() })
 }
 
-// outputs returns the jobs' results in order, with a failed job's
-// position nil and a *Partial naming each failure by name(i).
-func outputs(jobs []*job, name func(i int) string) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(jobs))
+// An output is where one spec's result lands in a batch: the output of
+// job j, or, when j walks a family group (walkBody), its result at
+// index i; key is the spec's.
+type output struct {
+	j   *job
+	i   int
+	key Key
+}
+
+// result returns the output once its job is done.
+func (o output) result() (*sim.Result, error) {
+	switch {
+	case o.j.err != nil:
+		return nil, o.j.err
+	case o.i >= 0:
+		return o.j.out.([]*sim.Result)[o.i], nil
+	}
+	return o.j.out.(*sim.Result), nil
+}
+
+// run executes the jobs behind per and all their dependencies.
+func (e *Engine) run(ctx context.Context, exec Executor, per []output) error {
+	jobs := make([]*job, len(per))
+	for i, o := range per {
+		jobs[i] = o.j
+	}
+	return e.execute(ctx, exec, jobs...)
+}
+
+// outputs returns the results in order, with a failed one's position nil
+// and a *Partial naming each failure by name(i).
+func outputs(per []output, name func(i int) string) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(per))
 	failed := make(map[string]error)
 	done := 0
-	for i, j := range jobs {
-		if j.err != nil {
-			failed[name(i)] = j.err
+	for i, o := range per {
+		r, err := o.result()
+		if err != nil {
+			failed[name(i)] = err
 			continue
 		}
-		out[i] = j.out.(*sim.Result)
+		out[i] = r
 		done++
 	}
 	if len(failed) > 0 {
@@ -278,20 +313,21 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 
 // mergeJob aggregates the per-spec results of one group, cached by the
 // ordered combination of the inputs' keys — the spec keys planSpecs gave
-// deps.
-func (e *Engine) mergeJob(id string, deps []*job) *job {
-	keys := make([]Key, len(deps))
-	for i, j := range deps {
-		keys[i] = j.Key
+// per.
+func (e *Engine) mergeJob(id string, per []output) *job {
+	keys := make([]Key, len(per))
+	deps := make([]*job, len(per))
+	for i, o := range per {
+		keys[i], deps[i] = o.key, o.j
 	}
 	return &job{
 		ID:   id,
 		Key:  mergeKey(keys),
 		Deps: deps,
-		Run: func(_ context.Context, in []any) (any, error) {
-			rs := make([]*sim.Result, len(in))
-			for i, v := range in {
-				rs[i] = v.(*sim.Result)
+		Run: func(context.Context, []any) (any, error) {
+			rs := make([]*sim.Result, len(per))
+			for i, o := range per {
+				rs[i], _ = o.result() // a failed dependency skips the merge
 			}
 			return sim.Merge(rs...)
 		},
@@ -299,27 +335,71 @@ func (e *Engine) mergeJob(id string, deps []*job) *job {
 }
 
 // planSpecs builds the trace-generation → simulation stages for a batch,
-// returning one result job per spec (duplicate specs share a job): per
-// workload one trace job through the single-flight Engine.Trace, feeding
-// one keyed simulation job per scheme that replays it.
-func (e *Engine) planSpecs(specs []SimSpec) ([]*job, error) {
-	per := make([]*job, len(specs))
-	byKey := make(map[Key]*job)
+// returning one output per spec (duplicate specs share one): per workload
+// one trace job through the single-flight Engine.Trace, feeding one
+// simulation job per spec that replays it — a keyed job, or, for the
+// specs one family walk can price, one walk job for them all (walkBody).
+// Every spec of a family scheme goes through a walk job, alone or not,
+// so which job computes a result shared with a concurrent batch never
+// changes the job graph. release withdraws what the batch's walk jobs
+// entered as wanted and no walk took (walkBody); the caller calls it once
+// the batch has run.
+func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err error) {
+	per = make([]output, len(specs))
+	first := make(map[Key]int)
 	traceJobs := make(map[Key]*job)
+	traceJob := func(cfg workload.Config) *job {
+		tk := TraceKey(cfg)
+		tj, ok := traceJobs[tk]
+		if !ok {
+			tj = &job{
+				ID: fmt.Sprintf("trace:%s", cfg.Name),
+				Run: func(ctx context.Context, _ []any) (any, error) {
+					return e.Trace(ctx, cfg)
+				},
+			}
+			traceJobs[tk] = tj
+		}
+		return tj
+	}
+	// Each spec's first occurrence, its key, and the family group it
+	// joins, if any: grouping reads the batch, never the caches.
+	var uniq []int
+	keys := make([]Key, len(specs))
+	wks := make(map[int]walkKey)
+	groups := make(map[walkKey][]int)
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		k := s.Key()
-		if j, ok := byKey[k]; ok {
-			per[i] = j
+		keys[i] = s.Key()
+		if _, ok := first[keys[i]]; ok {
+			continue
+		}
+		first[keys[i]] = i
+		uniq = append(uniq, i)
+		if wk, ok := e.walkKey(s); ok {
+			wks[i] = wk
+			groups[wk] = append(groups[wk], i)
+		}
+	}
+	var wanted []*wantGroup
+	for _, i := range uniq {
+		s, k := specs[i], keys[i]
+		if wk, ok := wks[i]; ok {
+			if members := groups[wk]; members[0] == i {
+				j, g := e.walkJob(wk, specs, keys, members, traceJob)
+				wanted = append(wanted, g)
+				for n, m := range members {
+					per[m] = output{j: j, i: n, key: keys[m]}
+				}
+			}
 			continue
 		}
 		j := &job{ID: "sim:" + s.label() + "@" + s.Trace.Name, Key: k}
-		byKey[k] = j
-		per[i] = j
+		per[i] = output{j: j, i: -1, key: k}
 		switch {
-		case e.results.peek(k) || (e.tier != nil && e.tier.HasResult(k.hex())):
+		case e.cached(k):
 			// A result already cached (or in flight) — in memory or in the
 			// durable tier — must not force a generation: the standalone
 			// body in practice resolves from a cache.
@@ -332,23 +412,189 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*job, error) {
 			// fallbacks of one workload to a single generation.
 			j.Run, j.offSlot = e.remoteBody(s), true
 		default:
-			cfg := s.Trace
-			tk := TraceKey(cfg)
-			tj, ok := traceJobs[tk]
-			if !ok {
-				tj = &job{
-					ID: fmt.Sprintf("trace:%s", cfg.Name),
-					Run: func(ctx context.Context, _ []any) (any, error) {
-						return e.Trace(ctx, cfg)
-					},
-				}
-				traceJobs[tk] = tj
-			}
-			j.Deps = []*job{tj}
+			j.Deps = []*job{traceJob(s.Trace)}
 			j.Run = e.simulateBody(s)
 		}
 	}
-	return per, nil
+	for i := range specs {
+		per[i] = per[first[keys[i]]]
+	}
+	return per, func() { e.unwant(wanted) }, nil
+}
+
+// cached reports whether k's result is in memory (or in flight) or in
+// the durable tier.
+func (e *Engine) cached(k Key) bool {
+	return e.results.peek(k) || (e.tier != nil && e.tier.HasResult(k.hex()))
+}
+
+// walkKey names the family walk that can price s: its trace, filter and
+// block size. Only an unchecked spec of a scheme with a core.View joins
+// one, and none does on an engine that injects faults (they are keyed
+// by each spec's own job) or offers specs to a Remote first.
+type walkKey struct {
+	trace  Key
+	filter string
+	block  int
+}
+
+func (e *Engine) walkKey(s SimSpec) (walkKey, bool) {
+	if s.Check || e.faults != nil || e.remote != nil {
+		return walkKey{}, false
+	}
+	p, err := core.NewByName(s.Scheme, s.Trace.CPUs)
+	if err != nil {
+		return walkKey{}, false
+	}
+	_, ok := core.ViewOf(p)
+	return walkKey{TraceKey(s.Trace), s.Filter, s.BlockBytes}, ok
+}
+
+// walkJob returns the one job of a family group, the specs at members:
+// sim:<label>[+<label>...]@<workload>, depending on its trace's job
+// unless every member was cached when the batch was planned. The members
+// wait in Engine.wanted, as g, for the first walk job of wk to start.
+func (e *Engine) walkJob(wk walkKey, specs []SimSpec, keys []Key, members []int,
+	traceJob func(workload.Config) *job) (j *job, g *wantGroup) {
+	g = &wantGroup{wk: wk, specs: make([]SimSpec, len(members)), keys: make([]Key, len(members))}
+	labels := make([]string, len(members))
+	cached := true
+	for n, m := range members {
+		g.specs[n], g.keys[n], labels[n] = specs[m], keys[m], specs[m].label()
+		cached = cached && e.cached(keys[m])
+	}
+	j = &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name}
+	if !cached {
+		j.Deps = []*job{traceJob(specs[members[0]].Trace)}
+	}
+	e.wantMu.Lock()
+	e.wanted[wk] = append(e.wanted[wk], g)
+	e.wantMu.Unlock()
+	j.Run = e.walkBody(j, g)
+	return j, g
+}
+
+// A wantGroup is one batch's family specs for one walk key.
+type wantGroup struct {
+	wk    walkKey
+	specs []SimSpec
+	keys  []Key
+}
+
+// take returns g's specs and keys followed by those of every other group
+// waiting under g's walk key, and clears the key: the walk about to start
+// computes them all.
+func (e *Engine) take(g *wantGroup) ([]SimSpec, []Key) {
+	specs, keys := slices.Clip(g.specs), slices.Clip(g.keys)
+	e.wantMu.Lock()
+	defer e.wantMu.Unlock()
+	for _, other := range e.wanted[g.wk] {
+		for i, k := range other.keys {
+			if !slices.Contains(keys, k) {
+				specs, keys = append(specs, other.specs[i]), append(keys, k)
+			}
+		}
+	}
+	delete(e.wanted, g.wk)
+	return specs, keys
+}
+
+// unwant withdraws the groups no walk took.
+func (e *Engine) unwant(groups []*wantGroup) {
+	e.wantMu.Lock()
+	defer e.wantMu.Unlock()
+	for _, g := range groups {
+		if left := slices.DeleteFunc(e.wanted[g.wk], func(o *wantGroup) bool { return o == g }); len(left) > 0 {
+			e.wanted[g.wk] = left
+		} else {
+			delete(e.wanted, g.wk)
+		}
+	}
+}
+
+// walkBody returns a family group job's body. It takes its members and
+// those a concurrent batch planned under the same walk key whose own walk
+// job has not started (take); looks each up in memory, then in the
+// durable tier; walks the trace once for the ones it owns; stores,
+// stamps and publishes each of their results under its own key; and only
+// then waits on its members another job has in flight. Its output is its
+// members' results, in order, and the job is a cache hit when it walked
+// nothing.
+func (e *Engine) walkBody(j *job, g *wantGroup) func(context.Context, []any) (any, error) {
+	return func(ctx context.Context, in []any) (_ any, err error) {
+		specs, keys := e.take(g)
+		rs := make([]*sim.Result, len(specs))
+		flights := make([]*flight, len(specs))
+		var own []int
+		// A body that fails or panics still settles every flight it
+		// claimed and did not publish, so no waiter hangs.
+		defer func() {
+			for _, i := range own {
+				if flights[i] != nil {
+					e.results.fulfill(keys[i], flights[i], nil,
+						cmp.Or(err, fmt.Errorf("engine: %s stopped before publishing", j.ID)), 0, false)
+				}
+			}
+		}()
+		for i, k := range keys {
+			f, owner := e.results.claim(k)
+			if !owner {
+				continue
+			}
+			e.cacheMisses.Add(1)
+			if r, sum, ok := e.tierLoad(ctx, k); ok {
+				e.results.fulfill(k, f, r, nil, sum, e.verify)
+				rs[i] = r
+				continue
+			}
+			flights[i] = f
+			own = append(own, i)
+		}
+		j.cacheHit = len(own) == 0
+		if len(own) > 0 {
+			t, err := e.traceOf(ctx, specs[0].Trace, in)
+			if err != nil {
+				return nil, err
+			}
+			walk := make([]SimSpec, len(own))
+			for n, i := range own {
+				walk[n] = specs[i]
+			}
+			walked, err := e.simulate(ctx, walk, t)
+			if err != nil {
+				return nil, err
+			}
+			for n, i := range own {
+				sum, stamped := e.stampFor(observedKey(keys[i]), walked[n])
+				e.tierStore(ctx, keys[i], walked[n])
+				e.results.fulfill(keys[i], flights[i], walked[n], nil, sum, stamped)
+				rs[i], flights[i] = walked[n], nil
+			}
+		}
+		for i, k := range g.keys {
+			for rs[i] == nil {
+				v, _, err := e.lookup(ctx, e.results, k, func() (any, uint64, bool, error) {
+					// The other job's flight failed and left: compute alone.
+					r, err := e.simulateBody(specs[i])(ctx, nil)
+					sum, stamped := e.stampFor(observedKey(k), r)
+					if err == nil {
+						e.tierStore(ctx, k, r.(*sim.Result))
+					}
+					return r, sum, stamped, err
+				})
+				switch {
+				case err == nil:
+					rs[i] = v.(*sim.Result)
+				case ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
+					// The batch that walked it was cancelled, not this
+					// one: its failed flight is gone, so look again.
+				default:
+					return nil, err
+				}
+			}
+		}
+		return rs[:len(g.keys)], nil
+	}
 }
 
 // simulateBody returns a spec job's body: simulate over the materialized
@@ -356,10 +602,7 @@ func (e *Engine) planSpecs(specs []SimSpec) ([]*job, error) {
 // engine-cache lookup (the cache-hit recompute path).
 func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, error) {
 	return func(ctx context.Context, in []any) (any, error) {
-		if len(in) > 0 {
-			return e.simulateTrace(ctx, spec, in[0].(*trace.Trace))
-		}
-		t, err := e.Trace(ctx, spec.Trace)
+		t, err := e.traceOf(ctx, spec.Trace, in)
 		if err != nil {
 			return nil, err
 		}
@@ -367,28 +610,54 @@ func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, e
 	}
 }
 
-// simulateTrace runs one spec's protocol over its materialized trace and
-// names the result after t: spec.Trace.Name for a generated trace, the
-// file's own name for an adopted one. In verification mode a simulation
-// that saw fewer references than the trace holds is reported as a
-// truncation error instead of returning the silently partial result.
-func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (res *sim.Result, err error) {
-	// A traced simulation is a span, journaled as sim.run.
-	var traced bool
-	if ctx, traced = obs.StartSpan(ctx); traced {
-		start := time.Now()
-		defer func() {
-			var refs int64
-			if res != nil {
-				refs = res.Counts.Total
-			}
-			obs.EndSpan(ctx, "sim.run", start, err,
-				"name", "simulate:"+spec.label()+"@"+spec.Trace.Name, "refs", refs)
-		}()
+// traceOf returns a simulation job's trace: its trace job's output when
+// it depends on one, otherwise Engine.Trace's.
+func (e *Engine) traceOf(ctx context.Context, cfg workload.Config, in []any) (*trace.Trace, error) {
+	if len(in) > 0 {
+		return in[0].(*trace.Trace), nil
 	}
-	p, err := core.NewByName(spec.Scheme, spec.Trace.CPUs)
+	return e.Trace(ctx, cfg)
+}
+
+// simulateTrace runs one spec's protocol over its materialized trace.
+func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (*sim.Result, error) {
+	rs, err := e.simulate(ctx, []SimSpec{spec}, t)
 	if err != nil {
 		return nil, err
+	}
+	return rs[0], nil
+}
+
+// simulate runs specs, which share a trace, a filter and a block size,
+// over t in one walk — sim.Simulate for one spec, sim.SimulateFamily for
+// a family group — and names each result after t: spec.Trace.Name for a
+// generated trace, the file's own name for an adopted one. In
+// verification mode a simulation that saw fewer references than the
+// trace holds is reported as a truncation error instead of returning the
+// silently partial result.
+func (e *Engine) simulate(ctx context.Context, specs []SimSpec, t *trace.Trace) (rs []*sim.Result, err error) {
+	// Each traced simulation is a span, journaled as sim.run; the
+	// members of one walk share its start and end.
+	if _, traced := obs.StartSpan(ctx); traced {
+		start := time.Now()
+		defer func() {
+			for i, s := range specs {
+				var refs int64
+				if rs != nil {
+					refs = rs[i].Counts.Total
+				}
+				sctx, _ := obs.StartSpan(ctx)
+				obs.EndSpan(sctx, "sim.run", start, err,
+					"name", "simulate:"+s.label()+"@"+s.Trace.Name, "refs", refs)
+			}
+		}()
+	}
+	spec := specs[0]
+	ps := make([]core.Protocol, len(specs))
+	for i, s := range specs {
+		if ps[i], err = core.NewByName(s.Scheme, s.Trace.CPUs); err != nil {
+			return nil, err
+		}
 	}
 	expect := int64(len(t.Refs))
 	src := t.IteratorContext(ctx)
@@ -406,7 +675,14 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 			return nil, err
 		}
 	}
-	r, err := sim.Simulate(p, src, sim.Options{Check: spec.Check, Models: spec.models()})
+	opts := sim.Options{Check: spec.Check, Models: spec.models()}
+	if len(ps) > 1 {
+		rs, err = sim.SimulateFamily(ps, src, opts)
+	} else {
+		var r *sim.Result
+		r, err = sim.Simulate(ps[0], src, opts)
+		rs = []*sim.Result{r}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -415,16 +691,19 @@ func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace
 		// result must not escape into the cache.
 		return nil, err
 	}
-	if e.verify && r.Counts.Total != expect {
+	if got := rs[0].Counts.Total; e.verify && got != expect {
 		e.integrityFaults.Add(1)
 		return nil, fmt.Errorf("engine: %s over %s simulated %d of %d refs (trace truncated)",
-			spec.Scheme, spec.Trace.Name, r.Counts.Total, expect)
+			spec.Scheme, spec.Trace.Name, got, expect)
 	}
-	e.simsRun.Add(1)
-	e.refsSimulated.Add(r.Counts.Total)
-	e.publishCoherence(r)
-	r.Trace = t.Name
-	return r, nil
+	e.walks.Add(1)
+	for _, r := range rs {
+		e.simsRun.Add(1)
+		e.refsSimulated.Add(r.Counts.Total)
+		e.publishCoherence(r)
+		r.Trace = t.Name
+	}
+	return rs, nil
 }
 
 // publishCoherence adds a finished simulation's coherence tallies to its

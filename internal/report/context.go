@@ -153,22 +153,32 @@ func (c *Context) Merged(scheme string) (*sim.Result, error) {
 	return rs[0], nil
 }
 
-// mergedEach returns each scheme's Merged result, in order.
+// mergedEach returns each scheme's Merged result, in order, from one
+// engine batch, so the family schemes among them share walks.
 func (c *Context) mergedEach(schemes ...string) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(schemes))
+	groups := make([][]engine.SimSpec, len(schemes))
 	for i, scheme := range schemes {
-		r, err := c.Merged(scheme)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+		groups[i] = c.specs(scheme, c.CPUs, "")
 	}
-	return out, nil
+	return c.MergedGroups(groups...)
 }
 
-// PerTrace returns the scheme's per-trace results on the standard traces.
-func (c *Context) PerTrace(scheme string) ([]*sim.Result, error) {
-	return c.eng.Results(c.ctx(), c.exec, c.specs(scheme, c.CPUs, ""))
+// PerTrace returns each scheme's per-trace results on the standard
+// traces, in order, from one engine batch.
+func (c *Context) PerTrace(schemes ...string) ([][]*sim.Result, error) {
+	var specs []engine.SimSpec
+	for _, scheme := range schemes {
+		specs = append(specs, c.specs(scheme, c.CPUs, "")...)
+	}
+	rs, err := c.eng.Results(c.ctx(), c.exec, specs)
+	if err != nil {
+		return nil, err
+	}
+	per := make([][]*sim.Result, len(schemes))
+	for i, n := 0, len(rs)/len(schemes); i < len(per); i++ {
+		per[i] = rs[i*n : (i+1)*n]
+	}
+	return per, nil
 }
 
 // Experiment reproduces one paper artifact.

@@ -1,8 +1,10 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/contention"
@@ -63,23 +65,31 @@ func runNetwork(c *Context) (*Section, error) {
 			names[i] = t.Name
 		}
 		tbl := s.table("scheme", names...)
-		for _, scheme := range []string{"DirNNB", "Dir2B", "Dir0B"} {
-			var results []*sim.Result
-			for _, tr := range traces {
+		// One family walk per trace prices all three schemes.
+		schemes := []string{"DirNNB", "Dir2B", "Dir0B"}
+		perScheme := make([][]*sim.Result, len(schemes))
+		for _, tr := range traces {
+			ps := make([]core.Protocol, len(schemes))
+			for i, scheme := range schemes {
 				p, err := core.NewByName(scheme, tr.CPUs)
 				if err != nil {
 					return nil, err
 				}
-				// Only NetTallies is read, and an empty Models means both
-				// default bus models: one is the fewest sim.Options allows.
-				r, err := sim.Simulate(p, tr.Iterator(), sim.Options{Models: []bus.Model{bus.Pipelined()}, Topologies: sz.topos})
-				if err != nil {
-					return nil, err
-				}
-				r.Trace = tr.Name
-				results = append(results, r)
+				ps[i] = p
 			}
-			merged, err := sim.Merge(results...)
+			// Only NetTallies is read, and an empty Models means both
+			// default bus models: one is the fewest sim.Options allows.
+			rs, err := sim.SimulateFamily(ps, tr.Iterator(), sim.Options{Models: []bus.Model{bus.Pipelined()}, Topologies: sz.topos})
+			if err != nil {
+				return nil, err
+			}
+			for i, r := range rs {
+				r.Trace = tr.Name
+				perScheme[i] = append(perScheme[i], r)
+			}
+		}
+		for i, scheme := range schemes {
+			merged, err := sim.Merge(perScheme[i]...)
 			if err != nil {
 				return nil, err
 			}
@@ -145,12 +155,13 @@ func runMigration(c *Context) (*Section, error) {
 func runSysPerf(c *Context) (*Section, error) {
 	s := &Section{ID: "sysperf", Title: "Effective processors on one bus (Section 5)"}
 	tbl := s.table("scheme", "cycles/ref", "ns between bus cycles", "effective CPUs")
-	for _, scheme := range []string{"Dir0B", "Dragon", "WTI", "Dir1NB"} {
-		r, err := c.Merged(scheme)
-		if err != nil {
-			return nil, err
-		}
-		sp := bus.PaperSystem(r.PerRef("pipelined"))
+	schemes := []string{"Dir0B", "Dragon", "WTI", "Dir1NB"}
+	rs, err := c.mergedEach(schemes...)
+	if err != nil {
+		return nil, err
+	}
+	for i, scheme := range schemes {
+		sp := bus.PaperSystem(rs[i].PerRef("pipelined"))
 		tbl.row(scheme, cyc(sp.CyclesPerRef), num("%.0f", sp.NSBetweenBusCycles()), num("%.1f", sp.EffectiveProcessors()))
 	}
 	paper := bus.PaperSystem(0.03)
@@ -169,18 +180,24 @@ func runSysPerf(c *Context) (*Section, error) {
 func runContention(c *Context) (*Section, error) {
 	s := &Section{ID: "contention", Title: "Bus queueing vs the optimistic Section 5 bound"}
 	cfg := contention.PaperConfig()
-	for _, scheme := range []string{"Dir0B", "Dragon", "WTI"} {
-		tbl := s.table(scheme, "effective CPUs (queued)", "bus utilization", "optimistic bound")
-		for _, cpus := range []int{4, 8, 16, 32} {
-			var agg contention.Stats
+	schemes := []string{"Dir0B", "Dragon", "WTI"}
+	sizes := []int{4, 8, 16, 32}
+	aggs := make([][]contention.Stats, len(schemes))
+	errs := make([]error, len(schemes))
+	replay := func(i int) {
+		aggs[i] = make([]contention.Stats, len(sizes))
+		for k, cpus := range sizes {
 			traces, err := c.TracesAt(cpus)
 			if err != nil {
-				return nil, err
+				errs[i] = err
+				return
 			}
+			agg := &aggs[i][k]
 			for _, tr := range traces {
-				st, _, err := contention.RunScheme(scheme, tr, cfg)
+				st, _, err := contention.RunScheme(schemes[i], tr, cfg)
 				if err != nil {
-					return nil, err
+					errs[i] = err
+					return
 				}
 				agg.Span += st.Span
 				agg.BusBusy += st.BusBusy
@@ -188,6 +205,31 @@ func runContention(c *Context) (*Section, error) {
 				agg.CPUs = st.CPUs
 				agg.Refs += st.Refs
 			}
+		}
+	}
+	// The schemes' replays are independent. Under a Parallel executor
+	// they run at once: the longest study then no longer finishes alone
+	// on one core after every other study is done.
+	var wg sync.WaitGroup
+	for i := range schemes {
+		if _, par := c.exec.(engine.Parallel); !par {
+			replay(i)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replay(i)
+		}()
+	}
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	for i, scheme := range schemes {
+		tbl := s.table(scheme, "effective CPUs (queued)", "bus utilization", "optimistic bound")
+		for k, cpus := range sizes {
+			agg := aggs[i][k]
 			perRefDemand := agg.BusBusy / float64(agg.Refs)
 			bound := float64(cpus)
 			if perRefDemand > 0 {
@@ -212,11 +254,13 @@ func runContention(c *Context) (*Section, error) {
 func runDirBandwidth(c *Context) (*Section, error) {
 	s := &Section{ID: "dirbw", Title: "Directory vs memory access bandwidth"}
 	tbl := s.table("scheme", "mem ops/100 refs", "dir ops/100 refs", "dir/mem ratio")
-	for _, scheme := range []string{"Dir0B", "DirNNB", "Dir1NB"} {
-		r, err := c.Merged(scheme)
-		if err != nil {
-			return nil, err
-		}
+	schemes := []string{"Dir0B", "DirNNB", "Dir1NB"}
+	rs, err := c.mergedEach(schemes...)
+	if err != nil {
+		return nil, err
+	}
+	for i, scheme := range schemes {
+		r := rs[i]
 		cc := r.Counts
 		// Memory operations: fills served from memory plus dirty
 		// write-backs (which also involve a memory write).

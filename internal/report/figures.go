@@ -66,13 +66,13 @@ func runFig3(c *Context) (*Section, error) {
 		names = append(names, cfg.Name)
 	}
 	tbl := s.table("scheme", names...)
-	for _, scheme := range PaperSchemes {
-		per, err := c.PerTrace(scheme)
-		if err != nil {
-			return nil, err
-		}
+	perScheme, err := c.PerTrace(PaperSchemes...)
+	if err != nil {
+		return nil, err
+	}
+	for i, scheme := range PaperSchemes {
 		var cells []Cell
-		for _, r := range per {
+		for _, r := range perScheme[i] {
 			cells = append(cells, num("%.4f / %.4f", r.PerRef("pipelined"), r.PerRef("non-pipelined")))
 		}
 		tbl.row(scheme, cells...)

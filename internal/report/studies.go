@@ -157,15 +157,21 @@ func runBerkeley(c *Context) (*Section, error) {
 func runScaling(c *Context) (*Section, error) {
 	s := &Section{ID: "scaling", Title: "Dir_iB and Dir_iNB across pointer counts and machine sizes"}
 	schemes := []string{"Dir0B", "Dir1B", "Dir2B", "Dir4B", "Dir1NB", "Dir2NB", "Dir4NB", "DirNNB"}
-	for _, cpus := range []int{4, 8, 16} {
-		groups := make([][]engine.SimSpec, len(schemes))
-		for i, scheme := range schemes {
-			groups[i] = c.specs(scheme, cpus, "")
+	sizes := []int{4, 8, 16}
+	// One batch for every machine size: the sizes' traces generate and
+	// their family walks run side by side.
+	var groups [][]engine.SimSpec
+	for _, cpus := range sizes {
+		for _, scheme := range schemes {
+			groups = append(groups, c.specs(scheme, cpus, ""))
 		}
-		rs, err := c.MergedGroups(groups...)
-		if err != nil {
-			return nil, err
-		}
+	}
+	all, err := c.MergedGroups(groups...)
+	if err != nil {
+		return nil, err
+	}
+	for k, cpus := range sizes {
+		rs := all[k*len(schemes):]
 		s.note("machine size %d CPUs:\n", cpus)
 		tbl := s.table("scheme", "cycles/ref", "rd-miss %", "bcasts/1k refs", "forced-inv/1k refs", "inval<=1 %")
 		for i, scheme := range schemes {
@@ -187,12 +193,17 @@ func runScaling(c *Context) (*Section, error) {
 func runCoarse(c *Context) (*Section, error) {
 	s := &Section{ID: "coarse", Title: "Coarse-code superset invalidation vs full map"}
 	tbl := s.table("cpus", "DirNNB cycles/ref", "DirCV cycles/ref", "wasted invals", "overshoot")
-	for _, cpus := range []int{4, 8, 16, 32} {
-		rs, err := c.MergedGroups(c.specs("DirNNB", cpus, ""), c.specs("DirCV", cpus, ""))
-		if err != nil {
-			return nil, err
-		}
-		full, cv := rs[0], rs[1]
+	sizes := []int{4, 8, 16, 32}
+	var groups [][]engine.SimSpec
+	for _, cpus := range sizes {
+		groups = append(groups, c.specs("DirNNB", cpus, ""), c.specs("DirCV", cpus, ""))
+	}
+	rs, err := c.MergedGroups(groups...)
+	if err != nil {
+		return nil, err
+	}
+	for k, cpus := range sizes {
+		full, cv := rs[2*k], rs[2*k+1]
 		// Both schemes change state alike, so the coarse code's extra
 		// messages are exactly the ones it wasted.
 		var overshoot float64

@@ -382,39 +382,50 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 		t.Error("store-served results are not bit-identical to the cold run")
 	}
 
-	// The cold sweep journals its trace job too; the warm one journals
-	// exactly four engine lines per spec, its store.load a hit.
-	engineLines := func(svc *Service, id string) map[string][]string {
+	// The cold sweep journals its trace job too. The warm one journals
+	// one job per spec and no trace job — Dir1NB's keyed job, and Dir0B's
+	// family walk job of one, whose body runs and finds its result in the
+	// store — and exactly one store.load per spec, a hit.
+	engineLines := func(svc *Service, id string) (byJob, byKey map[string][]string) {
 		exp, _ := svc.Get(id)
-		byKey := map[string][]string{}
+		byJob, byKey = map[string][]string{}, map[string][]string{}
 		for _, line := range history(exp) {
 			var l struct {
-				Msg, Key, Kind string
-				Hit            bool
+				Msg, Key, Job string
+				Hit           bool
 			}
 			json.Unmarshal([]byte(line), &l)
-			if strings.HasPrefix(l.Msg, "job.") || strings.HasPrefix(l.Msg, "store.") {
+			switch {
+			case strings.HasPrefix(l.Msg, "job."):
+				byJob[l.Job] = append(byJob[l.Job], l.Msg)
+			case strings.HasPrefix(l.Msg, "store."):
 				if l.Msg == "store.load" && !l.Hit {
 					l.Msg += ".miss"
-				}
-				if l.Key == "" { // an unkeyed trace job
-					l.Key = l.Kind
 				}
 				byKey[l.Key] = append(byKey[l.Key], l.Msg)
 			}
 		}
-		return byKey
+		return byJob, byKey
 	}
-	if got := engineLines(svc1, st.ID)["trace"]; len(got) != 3 {
-		t.Errorf("cold sweep's trace job lines = %v, want scheduled/start/finish", got)
+	if got, _ := engineLines(svc1, st.ID); len(got["trace:pops"]) != 4 {
+		t.Errorf("cold sweep's trace job lines = %v, want scheduled/start/attempt/finish", got["trace:pops"])
 	}
-	warmLines := engineLines(svc2, st2.ID)
-	if len(warmLines) != len(warm.Results) {
-		t.Errorf("warm sweep journaled jobs %v, want one per spec", warmLines)
+	warmJobs, warmKeys := engineLines(svc2, st2.ID)
+	want := map[string]string{
+		"sim:Dir0B@pops":  "job.scheduled job.start job.attempt job.finish",
+		"sim:Dir1NB@pops": "job.scheduled job.start job.finish",
 	}
-	for k, msgs := range warmLines {
-		if want := "job.scheduled job.start store.load job.finish"; strings.Join(msgs, " ") != want {
-			t.Errorf("warm sweep lines for %s = %v, want %s", k, msgs, want)
+	if len(warmJobs) != len(want) || len(warmKeys) != len(warm.Results) {
+		t.Errorf("warm sweep journaled jobs %v and store keys %v, want one of each per spec", warmJobs, warmKeys)
+	}
+	for id, msgs := range warmJobs {
+		if strings.Join(msgs, " ") != want[id] {
+			t.Errorf("warm sweep lines for %s = %v, want %s", id, msgs, want[id])
+		}
+	}
+	for k, msgs := range warmKeys {
+		if strings.Join(msgs, " ") != "store.load" {
+			t.Errorf("warm sweep store lines for %s = %v, want one hit", k, msgs)
 		}
 	}
 }

@@ -170,6 +170,61 @@ func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) 
 	return res, nil
 }
 
+// SimulateFamily runs the MRSW family's shared walk (core.Walk) once over
+// the stream and prices it as each of ps, returning one Result per
+// protocol, each bit-identical to what Simulate(p, src, opts) returns:
+// the plain counts are shared, and each variant prices its own plain
+// outcomes and steps into its own class table, so WTI's write-throughs
+// stay priced. Every p must have a core.View, all at one CPU count, and
+// opts.Check must be unset: a checker follows one variant's data.
+func SimulateFamily(ps []core.Protocol, src trace.Source, opts Options) ([]*Result, error) {
+	if len(ps) == 0 || opts.Check {
+		return nil, fmt.Errorf("sim: a family walk needs protocols and no checker")
+	}
+	views := make([]*core.View, len(ps))
+	res := make([]*Result, len(ps))
+	for i, p := range ps {
+		v, ok := core.ViewOf(p)
+		if !ok || p.CPUs() != ps[0].CPUs() {
+			return nil, fmt.Errorf("sim: %s does not share %s's walk", p.Name(), ps[0].Name())
+		}
+		if src.CPUCount() > p.CPUs() {
+			return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
+				src.CPUCount(), p.Name(), p.CPUs())
+		}
+		views[i], res[i] = v, newResult(p.Name(), opts)
+	}
+	walk := core.NewWalk(ps[0].CPUs())
+	classes := make([]classTable, len(ps))
+	var buf []trace.Ref
+	var plain core.Plain
+	var steps []core.Step
+	for {
+		refs := trace.Next(src, &buf, DefaultBatchRefs)
+		if len(refs) == 0 {
+			break
+		}
+		plain.N = [event.NumTypes]int64{}
+		steps = walk.Next(refs, &plain, steps[:0])
+		for i, v := range views {
+			for t, n := range plain.N {
+				if n > 0 {
+					out := v.Plain(event.Type(t))
+					res[i].record(&out, n, &classes[i])
+				}
+			}
+			for _, s := range steps {
+				out := v.Result(s)
+				res[i].record(&out, 1, &classes[i])
+			}
+		}
+	}
+	for i, r := range res {
+		r.price(&classes[i])
+	}
+	return res, nil
+}
+
 // newResult builds an empty Result for one simulation (or one shard of
 // one) with its tallies instantiated from opts.
 func newResult(scheme string, opts Options) *Result {
