@@ -71,6 +71,11 @@ type task struct {
 	jnl   *obs.Journal
 	queue obs.TraceContext
 
+	// group is the tasks one SimulateRemote call queued together (a
+	// family walk's members), this one included. A worker that runs
+	// groups is granted the task's queued siblings with it.
+	group []*task
+
 	attempts int // transport-class failures so far
 	hedges   int
 	waiters  int // SimulateRemote calls that have joined the task, its submitter included
@@ -119,13 +124,17 @@ type workerState struct {
 	joined   time.Time
 	lastSeen time.Time
 	inflight int
-	busy     time.Duration // lease-held time over resolved leases
-	accepted int64
-	rejected int64
-	expired  int64
-	skewNS   int64
-	skewSet  bool
-	counters map[string]int64 // last heartbeat snapshot
+	// busy is the time the worker held at least one lease, up to
+	// busySince, when it last went from none to one: a group's leases
+	// overlap and count once.
+	busy      time.Duration
+	busySince time.Time
+	accepted  int64
+	rejected  int64
+	expired   int64
+	skewNS    int64
+	skewSet   bool
+	counters  map[string]int64 // last heartbeat snapshot
 
 	shippedBatches int64
 	shippedLines   int64
@@ -256,8 +265,9 @@ type WorkerStats struct {
 	Version  string    `json:"version,omitempty"`
 	Joined   time.Time `json:"joined"`
 	LastSeen time.Time `json:"last_seen"`
-	// Inflight is the worker's currently held leases; BusyMS the total
-	// lease-held time (resolved leases plus the age of in-flight ones);
+	// Inflight is the worker's currently held leases; BusyMS the time it
+	// held at least one (overlapping leases count once, the open stretch
+	// included);
 	// UtilizationPct = BusyMS over the worker's membership so far.
 	Inflight       int     `json:"inflight"`
 	BusyMS         int64   `json:"busy_ms"`
@@ -303,14 +313,6 @@ func (c *Coordinator) Stats() Stats {
 	}
 	c.mu.Lock()
 	now := c.opts.Clock()
-	// In-flight lease ages per worker, so utilization reflects jobs
-	// still running, not only resolved ones.
-	inflightAge := make(map[string]time.Duration, len(c.workers))
-	for _, l := range c.leases {
-		if age := now.Sub(l.granted); age > 0 {
-			inflightAge[l.worker] += age
-		}
-	}
 	for _, w := range c.workers {
 		ws := WorkerStats{
 			Name:           w.name,
@@ -328,7 +330,12 @@ func (c *Coordinator) Stats() Stats {
 			ShipDropped:    w.shipDropped,
 			Counters:       w.counters,
 		}
-		busy := w.busy + inflightAge[w.name]
+		// The open busy stretch counts, so utilization reflects jobs still
+		// running, not only resolved ones.
+		busy := w.busy
+		if w.inflight > 0 && now.After(w.busySince) {
+			busy += now.Sub(w.busySince)
+		}
 		ws.BusyMS = busy.Milliseconds()
 		if up := now.Sub(w.joined); up > 0 {
 			ws.UtilizationPct = 100 * float64(busy) / float64(up)
@@ -366,64 +373,86 @@ func shortKey(k string) string {
 	return k
 }
 
-// SimulateRemote implements engine.Remote: queue the spec, wait for the
-// fleet to deliver a validated result, and classify every other outcome
-// per the package ladder. An error wrapping engine.ErrRemoteUnavailable
-// tells the engine to compute locally.
-func (c *Coordinator) SimulateRemote(ctx context.Context, spec engine.SimSpec) (*sim.Result, error) {
-	key := engine.KeyHex(spec.Key())
+// SimulateRemote implements engine.Remote: queue each spec as its own
+// task — under one lock hold, with one wake for parked lease requests —
+// marking those it queues as one group, which a worker that runs groups is
+// granted together; then wait for the fleet to deliver each a validated
+// result, and classify every other outcome per the package ladder, member
+// by member. An error wrapping engine.ErrRemoteUnavailable tells the
+// engine to compute that member locally.
+func (c *Coordinator) SimulateRemote(ctx context.Context, specs []engine.SimSpec) ([]*sim.Result, []error) {
+	rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
+	tasks := make([]*task, len(specs))
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("dist: coordinator closed: %w", engine.ErrRemoteUnavailable)
+		for i := range errs {
+			errs[i] = fmt.Errorf("dist: coordinator closed: %w", engine.ErrRemoteUnavailable)
+		}
+		return rs, errs
 	}
-	t, ok := c.tasks[key]
-	if !ok {
-		now := c.opts.Clock()
-		t = &task{
-			key:          key,
-			spec:         spec,
-			trace:        engine.TraceKey(spec.Trace),
-			leases:       make(map[string]*lease),
-			enqueuedAt:   now,
-			lastActivity: now,
-			ch:           make(chan struct{}),
+	var group []*task
+	for i, spec := range specs {
+		key := engine.KeyHex(spec.Key())
+		t, ok := c.tasks[key]
+		if !ok {
+			now := c.opts.Clock()
+			t = &task{
+				key:          key,
+				spec:         spec,
+				trace:        engine.TraceKey(spec.Trace),
+				leases:       make(map[string]*lease),
+				enqueuedAt:   now,
+				lastActivity: now,
+				ch:           make(chan struct{}),
+			}
+			if tc, ok := obs.TraceFrom(ctx); ok {
+				t.tc = tc
+			}
+			// The dispatch spans nest under the span enclosing the remote
+			// call (the engine job's attempt), in the request's journal.
+			if t.jnl = obs.JournalFrom(ctx); t.jnl != nil {
+				t.queue = t.tc.Child()
+			}
+			c.tasks[key] = t
+			c.enqueueLocked(t)
+			c.jobsSubmitted.Inc()
+			c.event("job.queue", t, "scheme", spec.Scheme, "workload", spec.Trace.Name)
+			group = append(group, t)
 		}
-		if tc, ok := obs.TraceFrom(ctx); ok {
-			t.tc = tc
-		}
-		// The dispatch spans nest under the span enclosing the remote
-		// call (the engine job's attempt), in the request's journal.
-		if t.jnl = obs.JournalFrom(ctx); t.jnl != nil {
-			t.queue = t.tc.Child()
-		}
-		c.tasks[key] = t
-		c.enqueueLocked(t)
-		c.jobsSubmitted.Inc()
-		c.event("job.queue", t, "scheme", spec.Scheme, "workload", spec.Trace.Name)
+		t.waiters++
+		tasks[i] = t
 	}
-	t.waiters++
-	ch := t.ch
+	for _, t := range group {
+		t.group = group
+	}
+	if len(group) > 0 {
+		c.wakeLocked()
+	}
 	c.mu.Unlock()
 
-	select {
-	case <-ch:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	for i, t := range tasks {
+		select {
+		case <-t.ch:
+		case <-ctx.Done():
+			errs[i] = ctx.Err()
+			continue
+		}
+		c.mu.Lock()
+		rs[i], errs[i] = t.res, t.err
+		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	res, err := t.res, t.err
-	c.mu.Unlock()
-	return res, err
+	return rs, errs
 }
 
+// enqueueLocked puts t on the queue; the caller wakes the parked lease
+// requests (wakeLocked).
 func (c *Coordinator) enqueueLocked(t *task) {
 	if t.queued || t.done {
 		return
 	}
 	t.queued = true
 	c.queue = append(c.queue, t)
-	c.wakeLocked()
 }
 
 func (c *Coordinator) wakeLocked() {
@@ -474,9 +503,8 @@ func (c *Coordinator) resolveLeaseLocked(l *lease, outcome, errMsg string) {
 	delete(c.leases, l.id)
 	delete(l.task.leases, l.id)
 	if w := c.workers[l.worker]; w != nil {
-		w.inflight--
-		if tenure := ended.Sub(l.granted); tenure > 0 {
-			w.busy += tenure
+		if w.inflight--; w.inflight == 0 && ended.After(w.busySince) {
+			w.busy += ended.Sub(w.busySince)
 		}
 		c.workerGaugesLocked(w)
 	}
@@ -535,6 +563,7 @@ func (c *Coordinator) requeueLocked(t *task, cause string) {
 	c.event("job.requeue", t, "attempt", t.attempts, "cause", cause)
 	t.lastActivity = c.opts.Clock()
 	c.enqueueLocked(t)
+	c.wakeLocked()
 }
 
 // degradeLocked abandons remote execution for a task: its waiter gets
@@ -612,29 +641,30 @@ func (c *Coordinator) workerSuccessLocked(w *workerState) {
 // dirsimw's default polls, well inside every lease, drain and HTTP timeout.
 const maxLeaseHold = 5 * time.Second
 
-// leaseWait grants the next job to a pulling worker. It returns a nil
-// job when there is no work, and a nil job with retryAfter > 0 when the
-// worker's breaker is open — the HTTP layer turns that into 429 +
-// Retry-After. version is the worker's build identity (may be empty).
+// leaseWait grants the next job to a pulling worker — with its queued
+// group siblings after it when the worker runs groups. It returns no job
+// when there is no work, and none with retryAfter > 0 when the worker's
+// breaker is open — the HTTP layer turns that into 429 + Retry-After.
+// version is the worker's build identity (may be empty).
 // Finding nothing to grant, it parks for up to hold (capped by the
 // caller at maxLeaseHold) instead of sending the worker off to poll: it
 // looks again whenever a task is queued, and gives up when the hold runs
 // out, ctx ends or the coordinator closes. held is how long it parked:
 // what the worker leaves out of its skew sample and idle sleep.
-func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string, hold time.Duration) (job *JobSpec, retryAfter, held time.Duration) {
+func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string, groups bool, hold time.Duration) (jobs []*JobSpec, retryAfter, held time.Duration) {
 	start := time.Now()
 	var expired <-chan time.Time
 	for ctx.Err() == nil { // a grant nobody is left to receive would only sit out its TTL
 		c.mu.Lock()
-		job, retryAfter = c.grantLocked(workerName, version, held)
+		jobs, retryAfter = c.grantLocked(workerName, version, groups, held)
 		wake := c.wake
-		park := job == nil && retryAfter == 0 && hold > 0 && !c.closed
+		park := jobs == nil && retryAfter == 0 && hold > 0 && !c.closed
 		if park {
 			c.parked.Add(1)
 		}
 		c.mu.Unlock()
 		if !park {
-			return job, retryAfter, held
+			return jobs, retryAfter, held
 		}
 		if expired == nil {
 			t := c.newTimer(hold)
@@ -654,8 +684,10 @@ func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string,
 }
 
 // grantLocked is one look at the job table on a worker's behalf: a grant,
-// a breaker pushback, or nothing. held, so far, is for the journal.
-func (c *Coordinator) grantLocked(workerName, version string, held time.Duration) (*JobSpec, time.Duration) {
+// a breaker pushback, or nothing. A grant to a worker that runs groups
+// also leases every queued sibling of the picked task, each under its own
+// lease; a hedge goes alone. held, so far, is for the journal.
+func (c *Coordinator) grantLocked(workerName, version string, groups bool, held time.Duration) ([]*JobSpec, time.Duration) {
 	if c.closed {
 		return nil, 0
 	}
@@ -679,10 +711,32 @@ func (c *Coordinator) grantLocked(workerName, version string, held time.Duration
 		w.probing = true
 		c.event("worker.probe", t, "worker", workerName)
 	}
+	jobs := []*JobSpec{c.leaseLocked(w, t, hedge, now, held)}
+	if !groups || hedge {
+		return jobs, 0
+	}
+	var siblings []*task
+	for _, s := range t.group {
+		if s.queued && !s.done {
+			s.queued = false
+			siblings = append(siblings, s)
+		}
+	}
+	if len(siblings) > 0 {
+		c.queue = slices.DeleteFunc(c.queue, func(q *task) bool { return !q.queued })
+	}
+	for _, s := range siblings {
+		jobs = append(jobs, c.leaseLocked(w, s, false, now, held))
+	}
+	return jobs, 0
+}
+
+// leaseLocked grants w a lease on t and returns the job it travels as.
+func (c *Coordinator) leaseLocked(w *workerState, t *task, hedge bool, now time.Time, held time.Duration) *JobSpec {
 	c.seq++
 	l := &lease{
 		id:      "L" + strconv.FormatInt(c.seq, 10),
-		worker:  workerName,
+		worker:  w.name,
 		task:    t,
 		granted: now,
 		expires: now.Add(c.opts.LeaseTTL),
@@ -701,7 +755,9 @@ func (c *Coordinator) grantLocked(workerName, version string, held time.Duration
 	}
 	affine := t.trace == w.lastTrace
 	w.lastTrace = t.trace
-	w.inflight++
+	if w.inflight++; w.inflight == 1 {
+		w.busySince = now
+	}
 	c.workerGaugesLocked(w)
 	c.leasesGranted.Inc()
 	if affine {
@@ -710,9 +766,9 @@ func (c *Coordinator) grantLocked(workerName, version string, held time.Duration
 	if hedge {
 		t.hedges++
 		c.jobsHedged.Inc()
-		c.event("job.hedge", t, "worker", workerName, "lease", l.id, "leases", len(t.leases))
+		c.event("job.hedge", t, "worker", w.name, "lease", l.id, "leases", len(t.leases))
 	}
-	c.event("job.lease", t, "worker", workerName, "lease", l.id,
+	c.event("job.lease", t, "worker", w.name, "lease", l.id,
 		"attempt", t.attempts, "hedge", hedge, "affine", affine, "held_us", held.Microseconds())
 	return &JobSpec{
 		Key:   t.key,
@@ -722,7 +778,7 @@ func (c *Coordinator) grantLocked(workerName, version string, held time.Duration
 		// The worker adopts the request's trace with the lease's span as
 		// its remote parent.
 		Trace: obs.TraceContext{Trace: t.tc.Trace, Parent: l.tc.Span}.String(),
-	}, 0
+	}
 }
 
 // nextTaskLocked takes w's pick off the queue (pickLocked); with the queue

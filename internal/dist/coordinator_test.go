@@ -71,10 +71,17 @@ type outcome struct {
 func submit(c *Coordinator, spec engine.SimSpec) chan outcome {
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := c.SimulateRemote(context.Background(), spec)
+		res, err := simulateOne(context.Background(), c, spec)
 		ch <- outcome{res, err}
 	}()
 	return ch
+}
+
+// simulateOne offers the coordinator spec alone, as the engine offers a
+// keyed spec.
+func simulateOne(ctx context.Context, c *Coordinator, spec engine.SimSpec) (*sim.Result, error) {
+	rs, errs := c.SimulateRemote(ctx, []engine.SimSpec{spec})
+	return rs[0], errs[0]
 }
 
 // waitSubmitted blocks until n jobs have been queued (submission runs on
@@ -110,7 +117,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // tryLease asks for a job on worker's behalf without parking.
 func tryLease(c *Coordinator, worker string) (job *JobSpec, retryAfter time.Duration) {
-	job, retryAfter, _ = c.leaseWait(context.Background(), worker, "", 0)
+	jobs, retryAfter, _ := c.leaseWait(context.Background(), worker, "", false, 0)
+	if len(jobs) > 0 {
+		job = jobs[0]
+	}
 	return job, retryAfter
 }
 
@@ -600,7 +610,7 @@ func TestCoordinatorCloseDegradesPending(t *testing.T) {
 		t.Fatalf("err = %v, want ErrRemoteUnavailable", o.err)
 	}
 	// Submissions after close degrade immediately.
-	if _, err := c.SimulateRemote(context.Background(), testSpec(1)); !errors.Is(err, engine.ErrRemoteUnavailable) {
+	if _, err := simulateOne(context.Background(), c, testSpec(1)); !errors.Is(err, engine.ErrRemoteUnavailable) {
 		t.Fatalf("post-close err = %v", err)
 	}
 	checkInvariant(t, c)

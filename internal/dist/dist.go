@@ -100,21 +100,45 @@ func (j JobSpec) TTL() time.Duration { return time.Duration(j.TTLMS) * time.Mill
 // worker.join event and per-worker stats. WaitMS (the worker's Poll) is
 // how long the coordinator may hold the request when it has nothing to
 // grant; absent — an older worker — or not positive means not at all.
+// Groups declares that the worker runs a job's group siblings with it;
+// every current worker sends it, and one that does not (an older worker)
+// is granted one job at a time.
 type leaseRequest struct {
 	Worker  string `json:"worker"`
 	Version string `json:"version,omitempty"`
 	WaitMS  int64  `json:"wait_ms,omitempty"`
+	Groups  bool   `json:"groups,omitempty"`
 }
 
 // leaseResponse carries the leased job; Job is nil when the coordinator
 // has no work (the worker idles out what is left of its Poll after
-// HeldUS, the time the request spent parked). NowUnixNS is the
-// coordinator's wall clock at response time — one sample for the worker's
-// clock-skew estimator, which leaves HeldUS out of the round trip.
+// HeldUS, the time the request spent parked). Siblings, granted only to a
+// worker that declared Groups, are the queued tasks one engine call
+// submitted with Job's (a family walk's members), each with its own key,
+// lease and trace context; the worker runs them all as one batch. An
+// older coordinator never sends any. NowUnixNS is the coordinator's wall
+// clock at response time — one sample for the worker's clock-skew
+// estimator, which leaves HeldUS out of the round trip.
 type leaseResponse struct {
-	Job       *JobSpec `json:"job,omitempty"`
-	NowUnixNS int64    `json:"now_unix_ns,omitempty"`
-	HeldUS    int64    `json:"held_us,omitempty"`
+	Job       *JobSpec   `json:"job,omitempty"`
+	Siblings  []*JobSpec `json:"siblings,omitempty"`
+	NowUnixNS int64      `json:"now_unix_ns,omitempty"`
+	HeldUS    int64      `json:"held_us,omitempty"`
+}
+
+// jobs returns the reply's leased jobs, Job first; none without a Job,
+// and never a null sibling.
+func (r *leaseResponse) jobs() []*JobSpec {
+	if r.Job == nil {
+		return nil
+	}
+	jobs := []*JobSpec{r.Job}
+	for _, s := range r.Siblings {
+		if s != nil {
+			jobs = append(jobs, s)
+		}
+	}
+	return jobs
 }
 
 // heartbeatRequest renews a lease. Counters, when present, is a

@@ -133,7 +133,7 @@ func TestParkedLeaseGrantedOnEnqueue(t *testing.T) {
 		if hold := <-parked; hold != 2*time.Second {
 			t.Fatalf("parked with hold %v, want the worker's Poll (2s)", hold)
 		}
-		res, err := f.coord.SimulateRemote(context.Background(), spec)
+		res, err := simulateOne(context.Background(), f.coord, spec)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
@@ -331,10 +331,11 @@ func TestSkewSampleExcludesHold(t *testing.T) {
 	done := submitQueued(t, f.coord, jnl, testSpec(0))
 
 	prompt := &Worker{Name: "prompt", Client: &Client{Base: f.srv.URL}, Poll: hold}
-	job, held, err := prompt.lease(context.Background())
-	if err != nil || job == nil || held != 0 {
-		t.Fatalf("prompt lease = %v held=%v err=%v, want a job at once", job, held, err)
+	jobs, held, err := prompt.lease(context.Background())
+	if err != nil || len(jobs) != 1 || held != 0 {
+		t.Fatalf("prompt lease = %v held=%v err=%v, want a job at once", jobs, held, err)
 	}
+	job := jobs[0]
 	parkedW := &Worker{Name: "parked", Client: &Client{Base: f.srv.URL}, Poll: hold}
 	job2, held, err := parkedW.lease(context.Background())
 	if err != nil || job2 != nil || held < hold {

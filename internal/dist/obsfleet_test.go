@@ -442,10 +442,11 @@ func TestCoordinatorFederatesHeartbeatCounters(t *testing.T) {
 	spec := testSpec(0)
 	ch := submit(c, spec)
 	waitSubmitted(t, c, 1)
-	job, _, _ := c.leaseWait(context.Background(), "w1", "go1.x-abcdef123456", 0)
-	if job == nil {
+	jobs, _, _ := c.leaseWait(context.Background(), "w1", "go1.x-abcdef123456", true, 0)
+	if len(jobs) != 1 {
 		t.Fatal("no job leased")
 	}
+	job := jobs[0]
 	clk.Advance(100 * time.Millisecond)
 	if !c.Heartbeat("w1", job.Lease, map[string]int64{"engine.sims": 7, "dist.ship.lines": 40}) {
 		t.Fatal("heartbeat rejected")

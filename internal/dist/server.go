@@ -16,10 +16,12 @@ const WorkerHeader = "X-Dirsim-Worker"
 
 // Register installs the coordinator's fleet API on mux:
 //
-//	POST /api/v1/dist/lease      pull a job (200 with job; 200 with empty
-//	                             body when idle, held up to wait_ms
-//	                             first; 429+Retry-After when the
-//	                             worker's breaker is open)
+//	POST /api/v1/dist/lease      pull a job (200 with job, and its
+//	                             queued group siblings when the worker
+//	                             declares groups; 200 with empty body
+//	                             when idle, held up to wait_ms first;
+//	                             429+Retry-After when the worker's
+//	                             breaker is open)
 //	POST /api/v1/dist/heartbeat  renew a lease (410 when it is gone)
 //	POST /api/v1/dist/result     push a result or structured error
 //	                             (200 accepted, 410 duplicate/late,
@@ -77,7 +79,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// for a client that went away, which a parked request must notice.
 	io.Copy(io.Discard, r.Body)
 	hold := time.Duration(min(req.WaitMS, maxLeaseHold.Milliseconds())) * time.Millisecond
-	job, retryAfter, held := c.leaseWait(r.Context(), req.Worker, req.Version, hold)
+	jobs, retryAfter, held := c.leaseWait(r.Context(), req.Worker, req.Version, req.Groups, hold)
 	if retryAfter > 0 {
 		secs := int(retryAfter.Seconds())
 		if secs < 1 {
@@ -87,8 +89,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpmon.WriteError(w, http.StatusTooManyRequests, "worker %s circuit open; retry after %ds", req.Worker, secs)
 		return
 	}
-	httpmon.WriteJSON(w, http.StatusOK, leaseResponse{Job: job, NowUnixNS: c.opts.Clock().UnixNano(),
-		HeldUS: held.Microseconds()})
+	resp := leaseResponse{NowUnixNS: c.opts.Clock().UnixNano(), HeldUS: held.Microseconds()}
+	if len(jobs) > 0 {
+		resp.Job, resp.Siblings = jobs[0], jobs[1:]
+	}
+	httpmon.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -2,12 +2,16 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
+	"dirsim/internal/engine"
 	"dirsim/internal/obs"
 )
 
@@ -16,7 +20,8 @@ import (
 // arbitrary bytes. The seed corpora (testdata/fuzz) hold one body of each
 // kind: valid, wrong lease, wrong key, wrong fingerprint, wrong types,
 // truncated, and so on. Every handler must answer a body it cannot decode
-// with a 4xx and never panic.
+// with a 4xx and never panic. The one coordinator-to-worker body, the
+// lease reply, is driven through the worker (FuzzLeaseResponse).
 
 // leasedCoordinator returns a fresh coordinator whose one task,
 // testSpec(0), is leased to worker w1 as lease L1: the state a push or a
@@ -154,4 +159,125 @@ func FuzzJournalBatch(f *testing.F) {
 			t.Fatalf("body %q: %d lines accepted, %d records journaled beside the join", body, ack.Accepted, len(records)-1)
 		}
 	})
+}
+
+// fuzzBudget bounds what one lease reply may make the worker simulate
+// under fuzz: a reply past it is skipped, not run.
+const (
+	fuzzMaxJobs = 8
+	fuzzMaxRefs = 20_000
+)
+
+// FuzzLeaseResponse drives a worker with arbitrary lease replies from a
+// stand-in coordinator that answers every heartbeat and takes every push.
+// Whatever a reply holds — one job or a group, null, corrupt or
+// unrunnable members, siblings without a job — the worker never panics;
+// it pushes only for a member whose spec hashes to its key, under that
+// member's lease, with exactly one of a result (stamped with its own
+// fingerprint) or an error; and every such member gets its push, whatever
+// its siblings hold. The seed corpus (testdata/fuzz) holds grouped
+// replies beside single ones.
+func FuzzLeaseResponse(f *testing.F) {
+	var mu sync.Mutex
+	var reply []byte
+	var pushes []resultPush
+	coord := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/api/v1/dist/lease":
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(reply)
+		case "/api/v1/dist/result":
+			var p resultPush
+			if json.NewDecoder(r.Body).Decode(&p) != nil {
+				http.Error(w, "bad push", http.StatusBadRequest)
+				return
+			}
+			pushes = append(pushes, p)
+			w.Write([]byte("{}"))
+		default:
+			w.Write([]byte("{}"))
+		}
+	})
+	// The worker reaches the stand-in in process, with no connection or
+	// server goroutine whose timing the fuzzer would read as coverage.
+	w := &Worker{Name: "w1", Engine: engine.New(engine.Options{}),
+		Client: &Client{Base: "http://coordinator", HTTP: &http.Client{Transport: inProcess{coord}},
+			Sleep: func(time.Duration) {}}}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxResponseBodyBytes {
+			t.Skip("past the client's body limit")
+		}
+		var resp leaseResponse
+		parsed := json.Unmarshal(body, &resp) == nil
+		if parsed {
+			if len(resp.Siblings) >= fuzzMaxJobs {
+				t.Skip("past the fuzz budget")
+			}
+			for _, j := range resp.jobs() {
+				if j.Spec.Trace.Refs > fuzzMaxRefs {
+					t.Skip("past the fuzz budget")
+				}
+			}
+		}
+		mu.Lock()
+		reply, pushes = body, nil
+		mu.Unlock()
+
+		ctx := context.Background()
+		jobs, _, err := w.lease(ctx)
+		if err == nil {
+			if err := w.runJob(ctx, jobs...); err != nil {
+				t.Fatalf("reply %q: runJob = %v", body, err)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if parsed != (err == nil) {
+			t.Fatalf("reply %q: decodes %v, lease error %v", body, parsed, err)
+		}
+		if !parsed {
+			if len(pushes) > 0 {
+				t.Fatalf("reply %q does not decode, yet the worker pushed %d results", body, len(pushes))
+			}
+			return
+		}
+		runnable := map[[2]string]bool{}
+		for _, j := range resp.jobs() {
+			if engine.KeyHex(j.Spec.Key()) == j.Key {
+				runnable[[2]string{j.Lease, j.Key}] = true
+			}
+		}
+		pushed := map[[2]string]bool{}
+		for _, p := range pushes {
+			id := [2]string{p.Lease, p.Key}
+			if !runnable[id] {
+				t.Fatalf("reply %q: pushed for lease %q key %q, which no member with that spec holds", body, p.Lease, p.Key)
+			}
+			pushed[id] = true
+			switch {
+			case (p.Result == nil) == (p.Error == nil):
+				t.Fatalf("reply %q: push for %q carries a result and an error, or neither", body, p.Lease)
+			case p.Result != nil && p.Fingerprint != "0x"+strconv.FormatUint(p.Result.Fingerprint(), 16):
+				t.Fatalf("reply %q: push for %q stamps %s, not its result's fingerprint", body, p.Lease, p.Fingerprint)
+			}
+		}
+		for id := range runnable {
+			if !pushed[id] {
+				t.Fatalf("reply %q: member with lease %q key %q got no push", body, id[0], id[1])
+			}
+		}
+	})
+}
+
+// inProcess is a RoundTripper that serves every request with its handler
+// in the calling goroutine.
+type inProcess struct{ h http.Handler }
+
+func (p inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
 }

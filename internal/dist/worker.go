@@ -24,7 +24,9 @@ var ErrCrashed = errors.New("dist: worker crashed (injected)")
 // Worker pulls jobs from a coordinator and executes them through its own
 // engine. Its loop is deliberately boring: lease, heartbeat while
 // simulating, push, repeat — all the failure handling lives in the
-// coordinator and the client's retry discipline.
+// coordinator and the client's retry discipline. Every lease request
+// declares that it runs groups, so a family walk's members arrive in one
+// reply and run as one engine batch: one walk.
 type Worker struct {
 	// Name identifies the worker in leases, journals, and fault sites.
 	Name string
@@ -102,12 +104,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.event("worker.stop", obs.TraceContext{})
 			return nil
 		}
-		job, held, err := w.lease(ctx)
+		jobs, held, err := w.lease(ctx)
 		if err != nil && ctx.Err() != nil {
 			w.event("worker.stop", obs.TraceContext{})
 			return nil
 		}
-		if err != nil || job == nil {
+		if err != nil || len(jobs) == 0 {
 			// No work, or the coordinator is unreachable or pushing back
 			// (held is then 0): idle out the rest of the interval.
 			if serr := w.idle(ctx, w.poll()-held); serr != nil {
@@ -116,7 +118,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		if err := w.runJob(ctx, job); err != nil {
+		if err := w.runJob(ctx, jobs...); err != nil {
 			if errors.Is(err, ErrCrashed) {
 				return err
 			}
@@ -146,13 +148,14 @@ func (w *Worker) idle(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// lease asks for a job, letting the coordinator hold the request for up
-// to Poll when it has none; held is how long it says it did.
-func (w *Worker) lease(ctx context.Context) (job *JobSpec, held time.Duration, err error) {
+// lease asks for work, letting the coordinator hold the request for up
+// to Poll when it has none; held is how long it says it did. jobs is the
+// leased job followed by its group siblings.
+func (w *Worker) lease(ctx context.Context) (jobs []*JobSpec, held time.Duration, err error) {
 	var resp leaseResponse
 	t0 := obs.Now()
 	err = w.Client.Do(ctx, http.MethodPost, "/api/v1/dist/lease",
-		leaseRequest{Worker: w.Name, Version: w.Version, WaitMS: w.poll().Milliseconds()}, &resp)
+		leaseRequest{Worker: w.Name, Version: w.Version, WaitMS: w.poll().Milliseconds(), Groups: true}, &resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -160,7 +163,7 @@ func (w *Worker) lease(ctx context.Context) (job *JobSpec, held time.Duration, e
 	// The round trip may include client-side retries, inflating the
 	// apparent RTT; the estimator's min-RTT filter discards such samples.
 	w.skew.Observe(t0, obs.Now(), resp.NowUnixNS, held)
-	return resp.Job, held, nil
+	return resp.jobs(), held, nil
 }
 
 // counterSnapshot is the federated metric payload for heartbeats.
@@ -171,54 +174,69 @@ func (w *Worker) counterSnapshot() map[string]int64 {
 	return w.Metrics.Snapshot().Counters
 }
 
-// runJob executes one leased job: adopt the job's trace context, crash if
-// the injector says so, heartbeat at TTL/3 while the simulation runs, and
-// push the result (or the structured error) back.
-func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
-	tc, _ := obs.ParseTraceContext(job.Trace)
-	// The engine's lines name the lease, for the coordinator to splice
-	// them into the request's journal under the lease's span.
-	jctx := obs.WithJournal(obs.WithTrace(ctx, tc), w.Journal.WithTrace(tc).With("lease", job.Lease))
-
-	// End-to-end integrity on the request path: the job key IS the
-	// content hash of the spec, so recomputing it catches a lease
-	// response corrupted in flight into a different-but-parseable spec.
-	// Without this check the worker would faithfully compute a correct
-	// result for the wrong simulation — and its fingerprint, computed
-	// over that wrong result, would sail through the coordinator's
-	// revalidation. Dropping the job lets the lease expire and requeue.
-	if engine.KeyHex(job.Spec.Key()) != job.Key {
-		w.event("worker.lease.corrupt", tc, "key", shortKey(job.Key), "lease", job.Lease)
+// runJob executes the jobs of one lease reply as one engine batch: drop
+// any whose spec does not hash to its key, crash if the injector says so,
+// heartbeat every lease at TTL/3 while the batch runs, and push each job's
+// result (or structured error) back under its own lease and trace
+// context. A lease the coordinator answers 410 is lost: its job's result
+// is not pushed, and the batch is cancelled once every lease is lost.
+func (w *Worker) runJob(ctx context.Context, jobs ...*JobSpec) error {
+	var run []*JobSpec
+	var tcs []obs.TraceContext
+	for _, job := range jobs {
+		tc, _ := obs.ParseTraceContext(job.Trace)
+		// End-to-end integrity on the request path: the job key IS the
+		// content hash of the spec, so recomputing it catches a lease
+		// response corrupted in flight into a different-but-parseable
+		// spec. Without this check the worker would faithfully compute a
+		// correct result for the wrong simulation — and its fingerprint,
+		// computed over that wrong result, would sail through the
+		// coordinator's revalidation. Dropping the job lets the lease
+		// expire and requeue; its siblings run.
+		if engine.KeyHex(job.Spec.Key()) != job.Key {
+			w.event("worker.lease.corrupt", tc, "key", shortKey(job.Key), "lease", job.Lease)
+			continue
+		}
+		run, tcs = append(run, job), append(tcs, tc)
+	}
+	if len(run) == 0 {
 		return nil
 	}
-
-	if w.Inj.WorkerCrash(w.Name, job.Key) {
-		// Die silently: no push, no further heartbeats. The coordinator
-		// finds out when the lease expires.
-		w.event("worker.crash", tc, "key", shortKey(job.Key), "lease", job.Lease)
-		return ErrCrashed
+	for i, job := range run {
+		if w.Inj.WorkerCrash(w.Name, job.Key) {
+			// Die silently: no push, no further heartbeats. The coordinator
+			// finds out when the leases expire.
+			w.event("worker.crash", tcs[i], "key", shortKey(job.Key), "lease", job.Lease)
+			return ErrCrashed
+		}
 	}
-	// The engine holds this job's trace and nothing else: trace affinity
+	// The engine's lines name the first lease, for the coordinator to
+	// splice them into the request's journal under that lease's span: one
+	// walk prices the whole batch.
+	jctx := obs.WithJournal(obs.WithTrace(ctx, tcs[0]), w.Journal.WithTrace(tcs[0]).With("lease", run[0].Lease))
+	// The engine holds this batch's trace and nothing else: trace affinity
 	// means that when a lease moves a worker to another trace, no queued
 	// task is left on the old one (DESIGN.md, "Decision record: what a
-	// worker keeps"). The result goes once it is pushed; the trace stays
+	// worker keeps"). The results go once they are pushed; the trace stays
 	// for the next lease, most likely on it too.
-	w.Engine.Trim(job.Spec.Trace)
-	defer w.Engine.Trim(job.Spec.Trace)
-	w.event("worker.job.start", tc, "key", shortKey(job.Key), "lease", job.Lease,
-		"scheme", job.Spec.Scheme, "workload", job.Spec.Trace.Name)
+	keep := run[0].Spec.Trace
+	w.Engine.Trim(keep)
+	defer w.Engine.Trim(keep)
+	ttl := run[0].TTL()
+	for i, job := range run {
+		ttl = min(ttl, job.TTL())
+		w.event("worker.job.start", tcs[i], "key", shortKey(job.Key), "lease", job.Lease,
+			"scheme", job.Spec.Scheme, "workload", job.Spec.Trace.Name)
+	}
 
-	// The heartbeat goroutine renews the lease at TTL/3; a 410 means the
-	// lease is gone (expired, or a hedge twin already delivered) — the
-	// simulation is cancelled, its result would be discarded anyway.
 	hbCtx, cancelJob := context.WithCancel(jctx)
 	defer cancelJob()
-	var leaseLost atomic.Bool
+	lost := make([]atomic.Bool, len(run))
 	var hb sync.WaitGroup
 	hb.Add(1)
 	go func() {
 		defer hb.Done()
-		interval := job.TTL() / 3
+		interval := ttl / 3
 		if interval <= 0 {
 			interval = time.Second
 		}
@@ -227,57 +245,80 @@ func (w *Worker) runJob(ctx context.Context, job *JobSpec) error {
 		for {
 			select {
 			case <-tick.C:
-				var hresp heartbeatResponse
-				t0 := obs.Now()
-				err := w.Client.Do(hbCtx, http.MethodPost, "/api/v1/dist/heartbeat",
-					heartbeatRequest{Worker: w.Name, Lease: job.Lease,
-						Counters: w.counterSnapshot()}, &hresp)
-				if err == nil {
-					w.skew.Observe(t0, obs.Now(), hresp.NowUnixNS, 0)
-				}
-				if IsStatus(err, http.StatusGone) {
-					w.event("worker.lease.lost", tc, "key", shortKey(job.Key), "lease", job.Lease)
-					leaseLost.Store(true)
+				if !w.heartbeat(hbCtx, run, tcs, lost) {
 					cancelJob()
 					return
 				}
-				// Transport failures are tolerated: the client already
-				// retried, and one missed renewal inside the TTL is fine.
 			case <-hbCtx.Done():
 				return
 			}
 		}
 	}()
 
-	res, simErr := w.simulate(hbCtx, job)
+	res, simErrs := w.simulate(hbCtx, run)
 	cancelJob()
 	hb.Wait()
-	switch {
-	case leaseLost.Load():
-		// The lease was lost mid-run (expired, or a hedge twin already
-		// delivered); anything we push would be discarded.
-		return nil
-	case ctx.Err() != nil:
+	if ctx.Err() != nil {
 		// The worker itself is shutting down mid-job; a cancellation
 		// error is the shutdown's artifact, not the job's outcome.
 		return nil
 	}
+	var first error
+	flushed := false
+	for i, job := range run {
+		if lost[i].Load() {
+			// The lease was lost mid-run (expired, or a hedge twin already
+			// delivered); anything we push would be discarded.
+			continue
+		}
+		push := resultPush{Worker: w.Name, Lease: job.Lease, Key: job.Key}
+		if simErrs[i] != nil {
+			push.Error = EncodeError(simErrs[i])
+			w.event("worker.job.error", tcs[i], "key", shortKey(job.Key), "error", simErrs[i].Error())
+		} else {
+			push.Result = res[i]
+			push.Fingerprint = "0x" + strconv.FormatUint(res[i].Fingerprint(), 16)
+			w.event("worker.job.finish", tcs[i], "key", shortKey(job.Key),
+				"fingerprint", push.Fingerprint)
+		}
+		if tcs[i].Parent != 0 && w.Shipper != nil && !flushed {
+			// The coordinator is tracing the job: its spans go home first.
+			w.Shipper.Flush(ctx)
+			flushed = true
+		}
+		if err := w.push(obs.WithTrace(ctx, tcs[i]), tcs[i], &push); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
 
-	push := resultPush{Worker: w.Name, Lease: job.Lease, Key: job.Key}
-	if simErr != nil {
-		push.Error = EncodeError(simErr)
-		w.event("worker.job.error", tc, "key", shortKey(job.Key), "error", simErr.Error())
-	} else {
-		push.Result = res
-		push.Fingerprint = "0x" + strconv.FormatUint(res.Fingerprint(), 16)
-		w.event("worker.job.finish", tc, "key", shortKey(job.Key),
-			"fingerprint", push.Fingerprint)
+// heartbeat renews every lease of run not yet lost, marking one the
+// coordinator answers 410 (expired, or a hedge twin already delivered)
+// as lost. It reports whether any lease is still held. Transport
+// failures are tolerated: the client already retried, and one missed
+// renewal inside the TTL is fine.
+func (w *Worker) heartbeat(ctx context.Context, run []*JobSpec, tcs []obs.TraceContext, lost []atomic.Bool) bool {
+	held := false
+	for i, job := range run {
+		if lost[i].Load() {
+			continue
+		}
+		var hresp heartbeatResponse
+		t0 := obs.Now()
+		err := w.Client.Do(obs.WithTrace(ctx, tcs[i]), http.MethodPost, "/api/v1/dist/heartbeat",
+			heartbeatRequest{Worker: w.Name, Lease: job.Lease, Counters: w.counterSnapshot()}, &hresp)
+		if err == nil {
+			w.skew.Observe(t0, obs.Now(), hresp.NowUnixNS, 0)
+		}
+		if IsStatus(err, http.StatusGone) {
+			w.event("worker.lease.lost", tcs[i], "key", shortKey(job.Key), "lease", job.Lease)
+			lost[i].Store(true)
+			continue
+		}
+		held = true
 	}
-	if tc.Parent != 0 && w.Shipper != nil {
-		// The coordinator is tracing the job: its spans go home first.
-		w.Shipper.Flush(ctx)
-	}
-	return w.push(jctx, tc, &push)
+	return held
 }
 
 // push delivers the completion report. A 410 is success-shaped (the job
@@ -305,19 +346,35 @@ func (w *Worker) push(ctx context.Context, tc obs.TraceContext, p *resultPush) e
 	return fmt.Errorf("dist: push for %s kept failing revalidation: %w", shortKey(p.Key), last)
 }
 
-// simulate runs the job's spec through the worker's engine, unwrapping
-// the engine's one-element batch envelope to the job's own structured
-// error (a *engine.JobError — the value EncodeError ships across the
-// wire intact).
-func (w *Worker) simulate(ctx context.Context, job *JobSpec) (*sim.Result, error) {
-	rs, err := w.Engine.Results(ctx, w.Exec, []engine.SimSpec{job.Spec})
-	if err != nil {
-		if p, ok := engine.AsPartial(err); ok {
-			for _, ferr := range p.Failed {
-				return nil, ferr
-			}
+// simulate runs the jobs' specs through the worker's engine as one batch,
+// so the family members among them are priced from one walk, and returns
+// each job's result or error: a spec the engine cannot run fails alone,
+// and a failed simulation carries the error the engine's *Partial names it
+// by (a *engine.JobError — the value EncodeError ships across the wire
+// intact).
+func (w *Worker) simulate(ctx context.Context, jobs []*JobSpec) ([]*sim.Result, []error) {
+	rs, errs := make([]*sim.Result, len(jobs)), make([]error, len(jobs))
+	var specs []engine.SimSpec
+	var at []int
+	for i, job := range jobs {
+		if errs[i] = job.Spec.Validate(); errs[i] == nil {
+			specs, at = append(specs, job.Spec), append(at, i)
 		}
-		return nil, err
 	}
-	return rs[0], nil
+	if len(specs) == 0 {
+		return rs, errs
+	}
+	got, err := w.Engine.Results(ctx, w.Exec, specs)
+	p, _ := engine.AsPartial(err)
+	for n, i := range at {
+		switch {
+		case got != nil && got[n] != nil:
+			rs[i] = got[n]
+		case p != nil && p.Failed[specs[n].Name()] != nil:
+			errs[i] = p.Failed[specs[n].Name()]
+		default:
+			errs[i] = err
+		}
+	}
+	return rs, errs
 }

@@ -374,7 +374,7 @@ func TestFleetUnknownFilterSurfaces(t *testing.T) {
 	spec.Filter = "nosuchfilter"
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	r, err := f.coord.SimulateRemote(ctx, spec)
+	r, err := simulateOne(ctx, f.coord, spec)
 	if err == nil || r != nil {
 		t.Fatalf("SimulateRemote = %v, %v; want the worker's error", r, err)
 	}

@@ -295,7 +295,7 @@ type job struct {
 	// Run computes the output. It must honour ctx for long work.
 	Run func(ctx context.Context, in []any) (any, error)
 
-	// offSlot: a remote-first job, outside the pool's bound until it acquireSlots.
+	// offSlot: a sim job of an engine with a Remote, unbounded until compute acquireSlots.
 	offSlot bool
 
 	out any
@@ -510,7 +510,8 @@ func observedKey(k Key) string {
 // computation: it counts a cache miss and runs fill, which returns the
 // value, its integrity stamp and its error. Concurrent callers wait for
 // that flight, and one that receives a value counts a cache hit and
-// reports hit; one whose flight failed gets the error and is no hit. In
+// reports hit; one whose flight failed gets the error and is no hit, or,
+// when the owner was cancelled and the waiter was not, starts over. In
 // verification mode a waiter revalidates the value against its stamp; a
 // mismatch is rejected and evicted, and the lookup starts over, so a
 // corrupted cached value is recomputed rather than served.
@@ -526,6 +527,9 @@ func (e *Engine) lookup(ctx context.Context, c *flightCache, k Key,
 		}
 		val, err := f.wait(ctx)
 		if err != nil {
+			if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				continue
+			}
 			return nil, false, err
 		}
 		if e.verify && f.stamped {
@@ -672,7 +676,11 @@ func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (out any, err
 	if ferr := e.faults.JobFault(j.ID, attempt); ferr != nil {
 		return nil, ferr
 	}
-	out, err = j.Run(attemptCtx, e.inputs(j))
+	in := make([]any, len(j.Deps))
+	for i, d := range j.Deps {
+		in[i] = d.out
+	}
+	out, err = j.Run(attemptCtx, in)
 	// A deadline expiry of the attempt's own context — while the overall
 	// run is still alive — is a per-job timeout, a retryable condition
 	// distinct from the run being cancelled.
@@ -769,15 +777,4 @@ func fingerprintOf(v any) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (e *Engine) inputs(j *job) []any {
-	if len(j.Deps) == 0 {
-		return nil
-	}
-	in := make([]any, len(j.Deps))
-	for i, d := range j.Deps {
-		in[i] = d.out
-	}
-	return in
 }

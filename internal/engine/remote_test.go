@@ -16,26 +16,34 @@ import (
 
 // fakeRemote executes specs through a private local engine — the honest
 // stand-in for a worker fleet, since workers run the same code — while
-// counting dispatches. Its fail hook lets tests force unavailability or
-// structured execution failures per spec.
+// counting dispatches (calls) and the specs they carried. Its fail hook
+// lets tests force unavailability or structured execution failures per
+// spec.
 type fakeRemote struct {
 	exec  *Engine
 	calls atomic.Int64
+	specs atomic.Int64
 	fail  func(spec SimSpec) error
 }
 
-func (f *fakeRemote) SimulateRemote(ctx context.Context, spec SimSpec) (*sim.Result, error) {
+func (f *fakeRemote) SimulateRemote(ctx context.Context, specs []SimSpec) ([]*sim.Result, []error) {
 	f.calls.Add(1)
-	if f.fail != nil {
-		if err := f.fail(spec); err != nil {
-			return nil, err
+	f.specs.Add(int64(len(specs)))
+	rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
+	for i, spec := range specs {
+		if f.fail != nil {
+			if errs[i] = f.fail(spec); errs[i] != nil {
+				continue
+			}
 		}
+		r, err := f.exec.Results(ctx, Sequential{}, []SimSpec{spec})
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		rs[i] = r[0]
 	}
-	rs, err := f.exec.Results(ctx, Sequential{}, []SimSpec{spec})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
+	return rs, errs
 }
 
 func remoteSpecs() []SimSpec {
@@ -183,18 +191,22 @@ type barrierRemote struct {
 	want     int64
 	inflight atomic.Int64
 	all      chan struct{}
-	then     func(context.Context, SimSpec) (*sim.Result, error)
+	then     func(context.Context, []SimSpec) ([]*sim.Result, []error)
 }
 
-func (b *barrierRemote) SimulateRemote(ctx context.Context, spec SimSpec) (*sim.Result, error) {
+func (b *barrierRemote) SimulateRemote(ctx context.Context, specs []SimSpec) ([]*sim.Result, []error) {
 	if b.inflight.Add(1) == b.want {
 		close(b.all)
 	}
 	select {
 	case <-b.all:
-		return b.then(ctx, spec)
+		return b.then(ctx, specs)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		errs := make([]error, len(specs))
+		for i := range errs {
+			errs[i] = ctx.Err()
+		}
+		return make([]*sim.Result, len(specs)), errs
 	}
 }
 
@@ -255,8 +267,12 @@ func testDegradedBodiesBounded(t *testing.T, exec Executor) {
 		}
 	}
 	rem := &barrierRemote{want: int64(len(specs)), all: make(chan struct{}),
-		then: func(context.Context, SimSpec) (*sim.Result, error) {
-			return nil, fmt.Errorf("fleet drained: %w", ErrRemoteUnavailable)
+		then: func(_ context.Context, specs []SimSpec) ([]*sim.Result, []error) {
+			errs := make([]error, len(specs))
+			for i := range errs {
+				errs[i] = fmt.Errorf("fleet drained: %w", ErrRemoteUnavailable)
+			}
+			return make([]*sim.Result, len(specs)), errs
 		}}
 	var journal bytes.Buffer
 	e := New(Options{Remote: rem, Store: openTier(t, t.TempDir())})
@@ -302,5 +318,65 @@ func testDegradedBodiesBounded(t *testing.T, exec Executor) {
 	}
 	if peak > workers {
 		t.Errorf("%d local bodies ran at once under %s, the pool has %d slots", peak, exec.Name(), workers)
+	}
+}
+
+// TestRemoteWalksFamilyInOneCall: on an engine with a Remote the family
+// members of one trace go to it in one call, a keyed spec in a call of its
+// own, and each member keeps its own outcome. Members the Remote reports
+// unavailable are walked locally together, once; one it fails fails alone;
+// the rest stand.
+func TestRemoteWalksFamilyInOneCall(t *testing.T) {
+	ctx := context.Background()
+	cfg := workload.POPSConfig(4, 5_000)
+	var specs []SimSpec
+	for _, s := range []string{"Dir0B", "WTI", "DirNNB", "Dir1B", "Dir1NB"} {
+		specs = append(specs, SimSpec{Trace: cfg, Scheme: s})
+	}
+	want, err := New(Options{}).Results(ctx, Sequential{}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("worker failed DirNNB")
+	for _, exec := range executors() {
+		t.Run(exec.Name(), func(t *testing.T) {
+			rem := &fakeRemote{exec: New(Options{})}
+			e := New(Options{Remote: rem})
+			got, err := e.Results(ctx, exec, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("remote results diverged from the local run")
+			}
+			if c, n := rem.calls.Load(), rem.specs.Load(); c != 2 || n != 5 {
+				t.Errorf("%d calls carried %d specs, want 2 calls (the family, Dir1NB) carrying 5", c, n)
+			}
+
+			rem = &fakeRemote{exec: New(Options{}), fail: func(s SimSpec) error {
+				switch s.Scheme {
+				case "WTI", "Dir1B":
+					return fmt.Errorf("fleet drained: %w", ErrRemoteUnavailable)
+				case "DirNNB":
+					return boom
+				}
+				return nil
+			}}
+			e = New(Options{Remote: rem})
+			got, err = e.Results(ctx, exec, specs)
+			p, ok := AsPartial(err)
+			if !ok || len(p.Failed) != 1 || !errors.Is(p.Failed[specs[2].Name()], boom) {
+				t.Fatalf("want DirNNB alone failed with the Remote's error, got %v", err)
+			}
+			for i, r := range got {
+				if i != 2 && !reflect.DeepEqual(r, want[i]) {
+					t.Errorf("%s diverged beside a failed sibling", specs[i].Scheme)
+				}
+			}
+			if st := e.Stats(); st.RemoteDegraded != 2 || st.Walks != 1 || st.SimsRemote != 2 || st.SimsRun != 4 {
+				t.Errorf("degraded=%d walks=%d remote=%d sims=%d, want WTI and Dir1B walked locally once beside 2 remote results",
+					st.RemoteDegraded, st.Walks, st.SimsRemote, st.SimsRun)
+			}
+		})
 	}
 }

@@ -124,6 +124,10 @@ func (s SimSpec) label() string {
 	return s.Scheme + "/" + s.Filter
 }
 
+// Name is the spec's job ID, sim:<label>@<workload>: what a *Partial
+// from Results names the spec's failure by.
+func (s SimSpec) Name() string { return "sim:" + s.label() + "@" + s.Trace.Name }
+
 // Trace returns the materialized trace for cfg, generating it at most
 // once per engine (concurrent callers share one generation). A memory
 // miss always generates: the durable tier holds results only, because
@@ -200,7 +204,7 @@ func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([
 	if err := e.run(ctx, exec, per); err != nil {
 		return nil, err
 	}
-	return outputs(per, func(i int) string { return "sim:" + specs[i].label() + "@" + specs[i].Trace.Name })
+	return outputs(per, func(i int) string { return specs[i].Name() })
 }
 
 // Merge runs every group of specs and returns each group's
@@ -238,12 +242,18 @@ func (e *Engine) Merge(ctx context.Context, exec Executor, groups [][]SimSpec) (
 }
 
 // An output is where one spec's result lands in a batch: the output of
-// job j, or, when j walks a family group (walkBody), its result at
+// job j, or, when j walks a family group (walkBody), its member at
 // index i; key is the spec's.
 type output struct {
 	j   *job
 	i   int
 	key Key
+}
+
+// A walkOutput is a walk job's output: each member's result or error.
+type walkOutput struct {
+	rs   []*sim.Result
+	errs []error
 }
 
 // result returns the output once its job is done.
@@ -252,7 +262,8 @@ func (o output) result() (*sim.Result, error) {
 	case o.j.err != nil:
 		return nil, o.j.err
 	case o.i >= 0:
-		return o.j.out.([]*sim.Result)[o.i], nil
+		w := o.j.out.(walkOutput)
+		return w.rs[o.i], w.errs[o.i]
 	}
 	return o.j.out.(*sim.Result), nil
 }
@@ -327,7 +338,10 @@ func (e *Engine) mergeJob(id string, per []output) *job {
 		Run: func(context.Context, []any) (any, error) {
 			rs := make([]*sim.Result, len(per))
 			for i, o := range per {
-				rs[i], _ = o.result() // a failed dependency skips the merge
+				var err error // a failed job skips the merge, a failed walk member stops it
+				if rs[i], err = o.result(); err != nil {
+					return nil, fmt.Errorf("dependency %s failed: %w", o.j.ID, err)
+				}
 			}
 			return sim.Merge(rs...)
 		},
@@ -396,24 +410,16 @@ func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err e
 			}
 			continue
 		}
-		j := &job{ID: "sim:" + s.label() + "@" + s.Trace.Name, Key: k}
+		j := &job{ID: s.Name(), Key: k, offSlot: e.remote != nil, Run: func(ctx context.Context, in []any) (any, error) {
+			rs, errs := e.compute(ctx, []SimSpec{s}, in)
+			return rs[0], errs[0] // runBody drops the output of a failed attempt
+		}}
 		per[i] = output{j: j, i: -1, key: k}
-		switch {
-		case e.cached(k):
-			// A result already cached (or in flight) — in memory or in the
-			// durable tier — must not force a generation: the standalone
-			// body in practice resolves from a cache.
-			j.Run = e.simulateBody(s)
-		case e.remote != nil:
-			// Remote-first: each uncached spec dispatches on its own — the
-			// fleet's workers regenerate the workload themselves, so no
-			// trace job is planned here. The degraded path inside the body
-			// falls back to Engine.Trace, which still collapses concurrent
-			// fallbacks of one workload to a single generation.
-			j.Run, j.offSlot = e.remoteBody(s), true
-		default:
+		// A cached (or in-flight) result must not force a generation, and
+		// a Remote's workers generate their own: compute asks Engine.Trace
+		// if it must walk, which collapses concurrent asks to one.
+		if !e.cached(k) && e.remote == nil {
 			j.Deps = []*job{traceJob(s.Trace)}
-			j.Run = e.simulateBody(s)
 		}
 	}
 	for i := range specs {
@@ -431,7 +437,7 @@ func (e *Engine) cached(k Key) bool {
 // walkKey names the family walk that can price s: its trace, filter and
 // block size. Only an unchecked spec of a scheme with a core.View joins
 // one, and none does on an engine that injects faults (they are keyed
-// by each spec's own job) or offers specs to a Remote first.
+// by each spec's own job).
 type walkKey struct {
 	trace  Key
 	filter string
@@ -439,7 +445,7 @@ type walkKey struct {
 }
 
 func (e *Engine) walkKey(s SimSpec) (walkKey, bool) {
-	if s.Check || e.faults != nil || e.remote != nil {
+	if s.Check || e.faults != nil {
 		return walkKey{}, false
 	}
 	p, err := core.NewByName(s.Scheme, s.Trace.CPUs)
@@ -451,9 +457,9 @@ func (e *Engine) walkKey(s SimSpec) (walkKey, bool) {
 }
 
 // walkJob returns the one job of a family group, the specs at members:
-// sim:<label>[+<label>...]@<workload>, depending on its trace's job
-// unless every member was cached when the batch was planned. The members
-// wait in Engine.wanted, as g, for the first walk job of wk to start.
+// sim:<label>[+<label>...]@<workload>, depending on its trace's job like
+// a keyed spec's job (planSpecs). The members wait in Engine.wanted, as
+// g, for the first walk job of wk to start.
 func (e *Engine) walkJob(wk walkKey, specs []SimSpec, keys []Key, members []int,
 	traceJob func(workload.Config) *job) (j *job, g *wantGroup) {
 	g = &wantGroup{wk: wk, specs: make([]SimSpec, len(members)), keys: make([]Key, len(members))}
@@ -463,8 +469,9 @@ func (e *Engine) walkJob(wk walkKey, specs []SimSpec, keys []Key, members []int,
 		g.specs[n], g.keys[n], labels[n] = specs[m], keys[m], specs[m].label()
 		cached = cached && e.cached(keys[m])
 	}
-	j = &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name}
-	if !cached {
+	j = &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name,
+		offSlot: e.remote != nil}
+	if !cached && e.remote == nil {
 		j.Deps = []*job{traceJob(specs[members[0]].Trace)}
 	}
 	e.wantMu.Lock()
@@ -515,15 +522,15 @@ func (e *Engine) unwant(groups []*wantGroup) {
 // walkBody returns a family group job's body. It takes its members and
 // those a concurrent batch planned under the same walk key whose own walk
 // job has not started (take); looks each up in memory, then in the
-// durable tier; walks the trace once for the ones it owns; stores,
-// stamps and publishes each of their results under its own key; and only
+// durable tier; computes the ones it owns together (compute); stores,
+// stamps and publishes each of their outcomes under its own key; and only
 // then waits on its members another job has in flight. Its output is its
-// members' results, in order, and the job is a cache hit when it walked
-// nothing.
+// members' outcomes, in order, and the job is a cache hit when it
+// computed nothing.
 func (e *Engine) walkBody(j *job, g *wantGroup) func(context.Context, []any) (any, error) {
 	return func(ctx context.Context, in []any) (_ any, err error) {
 		specs, keys := e.take(g)
-		rs := make([]*sim.Result, len(specs))
+		rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
 		flights := make([]*flight, len(specs))
 		var own []int
 		// A body that fails or panics still settles every flight it
@@ -552,80 +559,47 @@ func (e *Engine) walkBody(j *job, g *wantGroup) func(context.Context, []any) (an
 		}
 		j.cacheHit = len(own) == 0
 		if len(own) > 0 {
-			t, err := e.traceOf(ctx, specs[0].Trace, in)
-			if err != nil {
-				return nil, err
-			}
 			walk := make([]SimSpec, len(own))
 			for n, i := range own {
 				walk[n] = specs[i]
 			}
-			walked, err := e.simulate(ctx, walk, t)
-			if err != nil {
-				return nil, err
+			walked, werrs := e.compute(ctx, walk, in)
+			// The end of the context, or one error every member failed with
+			// (a walk of one, a local walk), fails the job as a whole, so its
+			// retries and deadline apply as to a keyed job's.
+			if ctx.Err() != nil || !slices.ContainsFunc(werrs, func(err error) bool { return err == nil || !errors.Is(err, werrs[0]) }) {
+				return nil, cmp.Or(ctx.Err(), werrs[0])
 			}
-			for n, i := range own {
+			for n, i := range own { // a failed member's nil result is neither stamped nor stored
+				rs[i], errs[i] = walked[n], werrs[n]
 				sum, stamped := e.stampFor(observedKey(keys[i]), walked[n])
 				e.tierStore(ctx, keys[i], walked[n])
-				e.results.fulfill(keys[i], flights[i], walked[n], nil, sum, stamped)
-				rs[i], flights[i] = walked[n], nil
+				e.results.fulfill(keys[i], flights[i], walked[n], werrs[n], sum, stamped)
+				flights[i] = nil
 			}
 		}
 		for i, k := range g.keys {
-			for rs[i] == nil {
-				v, _, err := e.lookup(ctx, e.results, k, func() (any, uint64, bool, error) {
-					// The other job's flight failed and left: compute alone.
-					r, err := e.simulateBody(specs[i])(ctx, nil)
-					sum, stamped := e.stampFor(observedKey(k), r)
-					if err == nil {
-						e.tierStore(ctx, k, r.(*sim.Result))
-					}
-					return r, sum, stamped, err
-				})
-				switch {
-				case err == nil:
-					rs[i] = v.(*sim.Result)
-				case ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-					// The batch that walked it was cancelled, not this
-					// one: its failed flight is gone, so look again.
-				default:
-					return nil, err
-				}
+			if rs[i] != nil || errs[i] != nil {
+				continue
+			}
+			v, _, err := e.lookup(ctx, e.results, k, func() (any, uint64, bool, error) {
+				// The other job's flight failed and left: compute alone.
+				r, rerr := e.compute(ctx, specs[i:i+1], in)
+				sum, stamped := e.stampFor(observedKey(k), r[0])
+				e.tierStore(ctx, k, r[0])
+				return r[0], sum, stamped, rerr[0]
+			})
+			switch {
+			case err == nil:
+				rs[i] = v.(*sim.Result)
+			case ctx.Err() != nil:
+				return nil, err
+			default:
+				errs[i] = err
 			}
 		}
-		return rs[:len(g.keys)], nil
+		return walkOutput{rs: rs[:len(g.keys)], errs: errs[:len(g.keys)]}, nil
 	}
-}
-
-// simulateBody returns a spec job's body: simulate over the materialized
-// trace — the trace job's output when the job depends on one, otherwise an
-// engine-cache lookup (the cache-hit recompute path).
-func (e *Engine) simulateBody(spec SimSpec) func(context.Context, []any) (any, error) {
-	return func(ctx context.Context, in []any) (any, error) {
-		t, err := e.traceOf(ctx, spec.Trace, in)
-		if err != nil {
-			return nil, err
-		}
-		return e.simulateTrace(ctx, spec, t)
-	}
-}
-
-// traceOf returns a simulation job's trace: its trace job's output when
-// it depends on one, otherwise Engine.Trace's.
-func (e *Engine) traceOf(ctx context.Context, cfg workload.Config, in []any) (*trace.Trace, error) {
-	if len(in) > 0 {
-		return in[0].(*trace.Trace), nil
-	}
-	return e.Trace(ctx, cfg)
-}
-
-// simulateTrace runs one spec's protocol over its materialized trace.
-func (e *Engine) simulateTrace(ctx context.Context, spec SimSpec, t *trace.Trace) (*sim.Result, error) {
-	rs, err := e.simulate(ctx, []SimSpec{spec}, t)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
 }
 
 // simulate runs specs, which share a trace, a filter and a block size,

@@ -79,7 +79,7 @@ func TestSourcesDeliverTrace(t *testing.T) {
 		{"context", func() trace.Source { return tr.IteratorContext(context.Background()) }, want(all, same, every)},
 		{"context, cancelled", func() trace.Source { return tr.IteratorContext(cancelled) }, nil},
 		{"truncated", func() trace.Source { return inj.WrapSource("cut", tr.Iterator(), int64(all)) }, want(int(cut), same, every)},
-		// simulateTrace's chain: a replay its context may stop, then
+		// simulate's chain: a replay its context may stop, then
 		// faults, then block size; cancelled, it delivers nothing.
 		{"shift 64(truncated(context))", func() trace.Source {
 			return blocks(inj.WrapSource("cut", tr.IteratorContext(context.Background()), int64(all)), 64)
@@ -189,7 +189,7 @@ func TestUnfilteredJobReadsTraceInPlace(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for range runs {
-		if _, err := e.simulateTrace(ctx, spec, tr); err != nil {
+		if _, err := e.simulate(ctx, []SimSpec{spec}, tr); err != nil {
 			t.Fatal(err)
 		}
 	}

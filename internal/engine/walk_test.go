@@ -157,3 +157,45 @@ func TestWalkJobRecomputesWhenAnotherBatchIsCancelled(t *testing.T) {
 		t.Error("recomputed result differs from the result alone")
 	}
 }
+
+// startSignal reports each job a batch starts on started, for a test to
+// act once the job is waiting on a flight.
+type startSignal struct{ started chan string }
+
+func (s startSignal) JobScheduled(context.Context, string, string, string) {}
+func (s startSignal) JobStarted(_ context.Context, id, _, _ string)        { s.started <- id }
+func (s startSignal) JobFinished(context.Context, string, string, string, time.Duration, bool, error) {
+}
+
+// TestLookupLooksAgainWhenOwnerIsCancelled: a keyed job waiting on a
+// result another batch has in flight does not fail with that batch's
+// cancellation while its own context is alive; it looks again and
+// computes the result itself.
+func TestLookupLooksAgainWhenOwnerIsCancelled(t *testing.T) {
+	sig := startSignal{started: make(chan string, 8)}
+	e := New(Options{Observer: sig})
+	spec := SimSpec{Trace: workload.POPSConfig(4, 5_000), Scheme: "Dir1NB"}
+	f, _ := e.results.claim(spec.Key()) // the other batch's job, in flight
+	done := make(chan error, 1)
+	var got []*sim.Result
+	go func() {
+		var err error
+		got, err = e.Results(context.Background(), Sequential{}, []SimSpec{spec})
+		done <- err
+	}()
+	if id := <-sig.started; id != spec.Name() { // a spec in flight plans no trace job
+		t.Fatalf("first job started is %s, want %s", id, spec.Name())
+	}
+	time.Sleep(5 * time.Millisecond) // from its start into its wait on f
+	e.results.fulfill(spec.Key(), f, nil, context.Canceled, 0, false)
+	if err := <-done; err != nil {
+		t.Fatalf("the other batch's cancellation failed this one: %v", err)
+	}
+	alone, err := New(Options{}).Results(context.Background(), Sequential{}, []SimSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0], alone[0]) {
+		t.Error("recomputed result differs from the result alone")
+	}
+}

@@ -206,21 +206,25 @@ func TestEventsStalledSubscriberLosesNothing(t *testing.T) {
 	}
 }
 
-// gate is an engine.Remote that holds every simulation until released and
-// then declines it, so the experiment finishes locally. entered receives
-// one value per simulation it holds.
+// gate is an engine.Remote that holds every call until released and then
+// declines it, so the experiment finishes locally. entered receives one
+// value per call it holds.
 type gate struct {
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gate) SimulateRemote(ctx context.Context, _ engine.SimSpec) (*sim.Result, error) {
+func (g *gate) SimulateRemote(ctx context.Context, specs []engine.SimSpec) ([]*sim.Result, []error) {
 	g.entered <- struct{}{}
 	select {
 	case <-g.release:
 	case <-ctx.Done():
 	}
-	return nil, engine.ErrRemoteUnavailable
+	errs := make([]error, len(specs))
+	for i := range errs {
+		errs[i] = engine.ErrRemoteUnavailable
+	}
+	return make([]*sim.Result, len(specs)), errs
 }
 
 // TestExperimentJournalHoldsOnlyItsJobs: two experiments run at once and
@@ -228,16 +232,18 @@ func (g *gate) SimulateRemote(ctx context.Context, _ engine.SimSpec) (*sim.Resul
 // experiment's history still holds exactly one job.scheduled, job.start
 // and job.finish per spec key of its own — its own run of the key or its
 // cache hit on the other's — and none for the other experiment's keys.
-// No line repeats a key.
+// No line repeats a key. The schemes are keyed ones, outside the MRSW
+// family, so that every simulation is a job of its own key.
 func TestExperimentJournalHoldsOnlyItsJobs(t *testing.T) {
-	// Three remote simulations: Dir0B once for both sweeps, Dir1NB, WTI.
+	// Three remote simulations: Dragon once for both sweeps, Dir1NB,
+	// Berkeley.
 	g := &gate{entered: make(chan struct{}, 3), release: make(chan struct{})}
 	svc := newTestService(t, Config{Remote: g, MaxInflight: 2})
 	svc.Start()
 	defer svc.Drain(context.Background())
 	wl := []WorkloadSpec{{Name: "pops", CPUs: []int{4}, Refs: 3_000}}
-	a := submitDirect(t, svc, Spec{Schemes: []string{"Dir0B", "Dir1NB"}, Workloads: wl})
-	b := submitDirect(t, svc, Spec{Schemes: []string{"Dir0B", "WTI"}, Workloads: wl})
+	a := submitDirect(t, svc, Spec{Schemes: []string{"Dragon", "Dir1NB"}, Workloads: wl})
+	b := submitDirect(t, svc, Spec{Schemes: []string{"Dragon", "Berkeley"}, Workloads: wl})
 	// With all three held, both experiments are running.
 	for i := 0; i < cap(g.entered); i++ {
 		<-g.entered
