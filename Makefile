@@ -76,12 +76,14 @@ shard-equiv:
 # Run the fault-injection soak under the race detector: the widened
 # fixed-seed fault matrix (DIRSIM_SOAK=1) plus every fault and hardening
 # test in the engine, faults, and CLI packages (truncated and cancelled
-# streams included, alone and composed: TestSourcesDeliverTrace). Asserts
+# streams included, alone and composed: TestSourcesDeliverTrace) and the
+# walk tests (claims held across attempts, cached walks that run no
+# attempt). Asserts
 # the two fault-run invariants — same seed, same failure set; survivors
 # bit-identical to a clean run — with races checked throughout.
 soak:
 	DIRSIM_SOAK=1 $(GO) test -race -count=1 \
-		-run 'Fault|Panic|Retry|Timeout|Truncat|TierCorrupt|CorruptByte|Poison|Cancel|ExecuteAll|Leak|Spec|SourcesDeliverTrace' \
+		-run 'Fault|Panic|Retry|Timeout|Truncat|TierCorrupt|CorruptByte|Poison|Cancel|ExecuteAll|Leak|Spec|SourcesDeliverTrace|Walk' \
 		./internal/engine ./internal/faults ./cmd/experiments
 
 # Run the distributed-execution soak under the race detector: a

@@ -114,7 +114,7 @@ type matcher struct {
 func (m *matcher) register(fs *flag.FlagSet) {
 	fs.StringVar(&m.trace, "trace", "", "select lines of this trace ID")
 	fs.StringVar(&m.tenant, "tenant", "", "select lines of this tenant")
-	fs.StringVar(&m.kind, "kind", "", "select engine-job lines of this kind (trace, sim, merge; legacy journals also protocol, stream)")
+	fs.StringVar(&m.kind, "kind", "", "select engine-job lines of this kind (trace, sim)")
 	fs.StringVar(&m.msg, "msg", "", "select this event name (trailing '*' matches a prefix)")
 }
 
@@ -140,17 +140,14 @@ func (m *matcher) match(l obs.Line) bool {
 	return true
 }
 
-// phaseOf mirrors the engine's job-kind → phase folding (engine.job.<phase>.us).
+// phaseOf mirrors the engine's job-kind → phase folding
+// (engine.job.<phase>.us); any other kind is its own phase.
 func phaseOf(kind string) string {
 	switch kind {
-	case "trace", "stream":
+	case "trace":
 		return "generate"
-	case "sim", "protocol":
+	case "sim":
 		return "simulate"
-	case "merge":
-		return "merge"
-	case "":
-		return "other"
 	}
 	return kind
 }

@@ -235,8 +235,9 @@ func TestUsageAndErrors(t *testing.T) {
 // ordinary events of a type no command has a section for, so stats counts
 // them by type and prints nothing else about them. testdata/
 // legacy_stream.jsonl holds one streamed generation (the job.* lines of a
-// kind "stream" job and its stream.end): the job still folds into the
-// generate phase and -kind stream still selects it.
+// kind "stream" job and its stream.end): the job is its own phase,
+// stream, like any kind the engine no longer writes, and -kind stream
+// still selects it.
 func TestRetiredJournalEvents(t *testing.T) {
 	fleet := writeJournal(t, "fleet.jsonl", fleetJournal)
 	code, base, errb := runCLI(t, "stats", fleet)
@@ -252,7 +253,7 @@ func TestRetiredJournalEvents(t *testing.T) {
 	}{
 		{"testdata/legacy_shard.jsonl", []string{"sim.shard"}, "sim.shard",
 			[]string{"-msg", "sim.shard"}, 3},
-		{"testdata/legacy_stream.jsonl", []string{"stream.end", "stream  ", "generate"}, "",
+		{"testdata/legacy_stream.jsonl", []string{"stream.end", "stream  "}, "",
 			[]string{"-kind", "stream"}, 3},
 	} {
 		code, out, errb := runCLI(t, "stats", fleet, tc.file)

@@ -511,7 +511,8 @@ func TestMetricsFlag(t *testing.T) {
 // TestTraceEdgesMatchGolden: the -trace export of a whole parallel run,
 // rendered from the run's journal, has the span and instant names and
 // the parent edges of the execution tracer's export it replaced
-// (testdata/trace_edges.golden, whose header states its one rule).
+// (testdata/trace_edges.golden, whose header states its rules), and
+// every attempt a walk job runs walks.
 func TestTraceEdgesMatchGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	cfg := config{sel: "all", refs: 20_000, cpus: 4, parallel: 2, trace: path}
@@ -538,15 +539,30 @@ func TestTraceEdgesMatchGolden(t *testing.T) {
 		names[float64(ev.ID)] = ev.Name
 	}
 	got := map[string]int{}
+	var simAttempts []float64         // attempts of sim: jobs
+	walkParents := map[float64]bool{} // parents of simulate: spans
 	for _, ev := range tf.TraceEvents {
 		if ev.Ph != "X" && ev.Ph != "i" {
 			continue
 		}
 		parent := "-"
-		if id, ok := ev.Args["parent"].(float64); ok {
+		id, ok := ev.Args["parent"].(float64)
+		if ok {
 			parent = names[id]
 		}
+		switch {
+		case strings.HasPrefix(ev.Name, "attempt:") && strings.HasPrefix(parent, "sim:"):
+			simAttempts = append(simAttempts, float64(ev.ID))
+			continue // not listed (the golden file's rule)
+		case strings.HasPrefix(ev.Name, "simulate:"):
+			walkParents[id] = true
+		}
 		got[ev.Ph+" "+ev.Name+" "+parent]++
+	}
+	for _, id := range simAttempts {
+		if !walkParents[id] {
+			t.Errorf("%s span %v of a sim: job parents no simulate: span", names[id], id)
+		}
 	}
 
 	golden, err := os.ReadFile(filepath.Join("testdata", "trace_edges.golden"))

@@ -72,8 +72,8 @@ type task struct {
 	queue obs.TraceContext
 
 	// group is the tasks one SimulateRemote call queued together (a
-	// family walk's members), this one included. A worker that runs
-	// groups is granted the task's queued siblings with it.
+	// family walk's members), this one included. A grant of the task
+	// leases its queued siblings with it.
 	group []*task
 
 	attempts int // transport-class failures so far
@@ -375,8 +375,8 @@ func shortKey(k string) string {
 
 // SimulateRemote implements engine.Remote: queue each spec as its own
 // task — under one lock hold, with one wake for parked lease requests —
-// marking those it queues as one group, which a worker that runs groups is
-// granted together; then wait for the fleet to deliver each a validated
+// marking those it queues as one group, which a worker is granted
+// together; then wait for the fleet to deliver each a validated
 // result, and classify every other outcome per the package ladder, member
 // by member. An error wrapping engine.ErrRemoteUnavailable tells the
 // engine to compute that member locally.
@@ -641,8 +641,8 @@ func (c *Coordinator) workerSuccessLocked(w *workerState) {
 // dirsimw's default polls, well inside every lease, drain and HTTP timeout.
 const maxLeaseHold = 5 * time.Second
 
-// leaseWait grants the next job to a pulling worker — with its queued
-// group siblings after it when the worker runs groups. It returns no job
+// leaseWait grants the next job to a pulling worker, with its queued
+// group siblings after it. It returns no job
 // when there is no work, and none with retryAfter > 0 when the worker's
 // breaker is open — the HTTP layer turns that into 429 + Retry-After.
 // version is the worker's build identity (may be empty).
@@ -651,12 +651,12 @@ const maxLeaseHold = 5 * time.Second
 // looks again whenever a task is queued, and gives up when the hold runs
 // out, ctx ends or the coordinator closes. held is how long it parked:
 // what the worker leaves out of its skew sample and idle sleep.
-func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string, groups bool, hold time.Duration) (jobs []*JobSpec, retryAfter, held time.Duration) {
+func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string, hold time.Duration) (jobs []*JobSpec, retryAfter, held time.Duration) {
 	start := time.Now()
 	var expired <-chan time.Time
 	for ctx.Err() == nil { // a grant nobody is left to receive would only sit out its TTL
 		c.mu.Lock()
-		jobs, retryAfter = c.grantLocked(workerName, version, groups, held)
+		jobs, retryAfter = c.grantLocked(workerName, version, held)
 		wake := c.wake
 		park := jobs == nil && retryAfter == 0 && hold > 0 && !c.closed
 		if park {
@@ -684,10 +684,10 @@ func (c *Coordinator) leaseWait(ctx context.Context, workerName, version string,
 }
 
 // grantLocked is one look at the job table on a worker's behalf: a grant,
-// a breaker pushback, or nothing. A grant to a worker that runs groups
-// also leases every queued sibling of the picked task, each under its own
-// lease; a hedge goes alone. held, so far, is for the journal.
-func (c *Coordinator) grantLocked(workerName, version string, groups bool, held time.Duration) ([]*JobSpec, time.Duration) {
+// a breaker pushback, or nothing. A grant also leases every queued
+// sibling of the picked task, each under its own lease; a hedge goes
+// alone. held, so far, is for the journal.
+func (c *Coordinator) grantLocked(workerName, version string, held time.Duration) ([]*JobSpec, time.Duration) {
 	if c.closed {
 		return nil, 0
 	}
@@ -712,7 +712,7 @@ func (c *Coordinator) grantLocked(workerName, version string, groups bool, held 
 		c.event("worker.probe", t, "worker", workerName)
 	}
 	jobs := []*JobSpec{c.leaseLocked(w, t, hedge, now, held)}
-	if !groups || hedge {
+	if hedge {
 		return jobs, 0
 	}
 	var siblings []*task

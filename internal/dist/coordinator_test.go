@@ -117,7 +117,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // tryLease asks for a job on worker's behalf without parking.
 func tryLease(c *Coordinator, worker string) (job *JobSpec, retryAfter time.Duration) {
-	jobs, retryAfter, _ := c.leaseWait(context.Background(), worker, "", false, 0)
+	jobs, retryAfter, _ := c.leaseWait(context.Background(), worker, "", 0)
 	if len(jobs) > 0 {
 		job = jobs[0]
 	}

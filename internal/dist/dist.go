@@ -100,23 +100,19 @@ func (j JobSpec) TTL() time.Duration { return time.Duration(j.TTLMS) * time.Mill
 // worker.join event and per-worker stats. WaitMS (the worker's Poll) is
 // how long the coordinator may hold the request when it has nothing to
 // grant; absent — an older worker — or not positive means not at all.
-// Groups declares that the worker runs a job's group siblings with it;
-// every current worker sends it, and one that does not (an older worker)
-// is granted one job at a time.
 type leaseRequest struct {
 	Worker  string `json:"worker"`
 	Version string `json:"version,omitempty"`
 	WaitMS  int64  `json:"wait_ms,omitempty"`
-	Groups  bool   `json:"groups,omitempty"`
 }
 
 // leaseResponse carries the leased job; Job is nil when the coordinator
 // has no work (the worker idles out what is left of its Poll after
-// HeldUS, the time the request spent parked). Siblings, granted only to a
-// worker that declared Groups, are the queued tasks one engine call
-// submitted with Job's (a family walk's members), each with its own key,
-// lease and trace context; the worker runs them all as one batch. An
-// older coordinator never sends any. NowUnixNS is the coordinator's wall
+// HeldUS, the time the request spent parked). Siblings are the queued
+// tasks one engine call submitted with Job's (a family walk's members),
+// each with its own key, lease and trace context; the worker runs them
+// all as one batch. A hedge, and a reply from an older coordinator,
+// carries none. NowUnixNS is the coordinator's wall
 // clock at response time — one sample for the worker's clock-skew
 // estimator, which leaves HeldUS out of the round trip.
 type leaseResponse struct {
@@ -179,7 +175,7 @@ type resultPush struct {
 // Sum is linesSum(Lines): a byte flipped in flight can leave a line valid
 // JSON — a hex digit of a span ID — so only the sum tells the
 // coordinator the batch is not what the worker sent. A batch without
-// one comes from an older worker and is accepted unchecked.
+// one, like one whose sum does not match, is refused whole.
 type journalBatch struct {
 	Worker  string            `json:"worker"`
 	SkewNS  int64             `json:"skew_ns"`

@@ -24,7 +24,6 @@ type WireError struct {
 	// *engine.JobError fields.
 	JobID    string `json:"job_id,omitempty"`
 	JobKind  string `json:"job_kind,omitempty"`
-	JobKey   string `json:"job_key,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 	Timeout  bool   `json:"timeout,omitempty"`
 	Panicked bool   `json:"panicked,omitempty"`
@@ -49,7 +48,6 @@ func EncodeError(err error) *WireError {
 		Kind:     "job",
 		JobID:    je.ID,
 		JobKind:  je.Kind,
-		JobKey:   je.Key,
 		Attempts: je.Attempts,
 		Panicked: je.Panicked,
 		Timeout:  je.Timeout,
@@ -77,7 +75,6 @@ func (w *WireError) Err() error {
 		return &engine.JobError{
 			ID:       w.JobID,
 			Kind:     w.JobKind,
-			Key:      w.JobKey,
 			Attempts: w.Attempts,
 			Panicked: w.Panicked,
 			Timeout:  w.Timeout,

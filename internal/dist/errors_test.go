@@ -49,7 +49,7 @@ func sameJobLayers(want, got error) string {
 	}
 	for i, w := range wl {
 		g := gl[i]
-		if g.ID != w.ID || g.Kind != w.Kind || g.Key != w.Key || g.Attempts != w.Attempts ||
+		if g.ID != w.ID || g.Kind != w.Kind || g.Attempts != w.Attempts ||
 			g.Panicked != w.Panicked || g.Timeout != w.Timeout || string(g.Stack) != string(w.Stack) {
 			return fmt.Sprintf("job layer %d = %+v, want %+v", i, g, w)
 		}
@@ -69,7 +69,6 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	job := &engine.JobError{
 		ID:       "sim:Dir1NB@pops",
 		Kind:     "sim",
-		Key:      "a1b2c3d4e5f6",
 		Attempts: 1,
 		Panicked: true,
 		Stack:    []byte("goroutine 42 [running]:\ndirsim/internal/engine.(*Engine).attempt(...)"),
@@ -99,7 +98,7 @@ func TestWireErrorRoundTrip(t *testing.T) {
 func TestWireErrorNestedJobs(t *testing.T) {
 	dep := &engine.JobError{ID: "stream:pops", Kind: "stream", Attempts: 3, Timeout: true,
 		Err: errors.New("context deadline exceeded")}
-	job := &engine.JobError{ID: "sim:WTI@pops", Kind: "sim", Key: "0123456789ab",
+	job := &engine.JobError{ID: "sim:WTI@pops", Kind: "sim",
 		Err: fmt.Errorf("dependency stream:pops failed: %w", dep)}
 	got := wireRoundTrip(t, job)
 	if diff := sameJobLayers(job, got); diff != "" {

@@ -42,38 +42,23 @@ func submitGroup(t *testing.T, c *Coordinator, specs []engine.SimSpec) chan []ou
 	return ch
 }
 
-// TestGroupGrantedWhole: a worker that declares groups is granted the
-// task it picks and every queued sibling in one reply, each under its own
-// key, lease and trace context; a worker that does not declare it gets
-// exactly one job, and its reply carries no sibling field. The books
-// stay per task.
+// TestGroupGrantedWhole: a worker is granted the task it picks and every
+// queued sibling in one reply, each under its own key, lease and trace
+// context. The books stay per task.
 func TestGroupGrantedWhole(t *testing.T) {
 	c := NewCoordinator(Options{})
 	defer c.Close()
 	specs := familySpecs()
 	done := submitGroup(t, c, specs)
 
-	rec := postLease(c, `{"worker":"old","version":"old"}`)
-	var reply map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != http.StatusOK {
-		t.Fatalf("reply %d %q: %v", rec.Code, rec.Body, err)
-	}
-	if _, ok := reply["siblings"]; ok || reply["job"] == nil {
-		t.Fatalf("reply to a worker without groups = %s, want one job and no siblings", rec.Body)
-	}
-	var old JobSpec
-	if err := json.Unmarshal(reply["job"], &old); err != nil {
-		t.Fatal(err)
-	}
-
-	rec = postLease(c, `{"worker":"new","groups":true}`)
+	rec := postLease(c, `{"worker":"w1"}`)
 	var resp leaseResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
 		t.Fatalf("reply %d %q: %v", rec.Code, rec.Body, err)
 	}
-	jobs := append(resp.jobs(), &old)
-	if len(resp.jobs()) != len(specs)-1 {
-		t.Fatalf("worker with groups was granted %d jobs, want the %d queued siblings", len(resp.jobs()), len(specs)-1)
+	jobs := resp.jobs()
+	if len(jobs) != len(specs) {
+		t.Fatalf("granted %d jobs, want the %d queued siblings", len(jobs), len(specs))
 	}
 	keys, leases := map[string]bool{}, map[string]bool{}
 	for _, j := range jobs {
@@ -83,11 +68,7 @@ func TestGroupGrantedWhole(t *testing.T) {
 		t.Errorf("%d jobs carry %d keys and %d leases, want one each", len(jobs), len(keys), len(leases))
 	}
 	for _, j := range jobs {
-		worker := "new"
-		if j == &old {
-			worker = "old"
-		}
-		if got := c.Push(goodPush(worker, j, localResult(t, j.Spec))); got != PushAccepted {
+		if got := c.Push(goodPush("w1", j, localResult(t, j.Spec))); got != PushAccepted {
 			t.Fatalf("push of %s = %v", j.Spec.Scheme, got)
 		}
 	}
@@ -114,7 +95,7 @@ func TestGroupMemberLostLeaseDiscarded(t *testing.T) {
 	defer c.Close()
 	specs := familySpecs()
 	done := submitGroup(t, c, specs)
-	jobs, _, _ := c.leaseWait(context.Background(), "w1", "", true, 0)
+	jobs, _, _ := c.leaseWait(context.Background(), "w1", "", 0)
 	if len(jobs) != len(specs) {
 		t.Fatalf("granted %d jobs, want the whole group of %d", len(jobs), len(specs))
 	}
@@ -186,7 +167,7 @@ func TestGroupOutOfAttemptsWalksLocallyOnce(t *testing.T) {
 	waitSubmitted(t, c, int64(len(specs)))
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// A fresh worker each round: the rejections open its breaker.
-		jobs, _, _ := c.leaseWait(context.Background(), fmt.Sprintf("w%d", attempt), "", true, 0)
+		jobs, _, _ := c.leaseWait(context.Background(), fmt.Sprintf("w%d", attempt), "", 0)
 		if len(jobs) != len(specs) {
 			t.Fatalf("round %d granted %d jobs, want the whole group", attempt, len(jobs))
 		}
@@ -213,8 +194,8 @@ func TestGroupOutOfAttemptsWalksLocallyOnce(t *testing.T) {
 }
 
 // TestWorkerRunsAReplyWithoutSiblings: a coordinator that knows nothing of
-// groups replies with one job; the worker, which asked for groups, runs
-// that job and pushes its result exactly as before.
+// groups replies with one job; the worker runs that job and pushes its
+// result exactly as it would a group's.
 func TestWorkerRunsAReplyWithoutSiblings(t *testing.T) {
 	spec := familySpecs()[0]
 	job := JobSpec{Key: engine.KeyHex(spec.Key()), Spec: spec, Lease: "L1", TTLMS: 10_000}
@@ -253,9 +234,6 @@ func TestWorkerRunsAReplyWithoutSiblings(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(asked) == 0 || !asked[0].Groups {
-		t.Errorf("lease requests = %+v, want the first to declare groups", asked)
-	}
 	if len(pushes) != 1 || pushes[0].Lease != "L1" || pushes[0].Key != job.Key ||
 		!reflect.DeepEqual(pushes[0].Result, localResult(t, spec)) {
 		t.Errorf("pushes = %+v, want the one job's result under its lease", pushes)

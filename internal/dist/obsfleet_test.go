@@ -316,8 +316,8 @@ func (f *flipOnce) RoundTrip(r *http.Request) (*http.Response, error) {
 // flight — one hex digit of a span ID, which leaves the line valid JSON
 // — is refused whole (422, its lines counted on dist.journal.rejected)
 // instead of splicing a wrong span into the record, and the shipper's
-// retry then delivers the clean bytes. A batch without a sum, from an
-// older worker, is accepted unchecked.
+// retry then delivers the clean bytes. A batch without a sum is refused
+// the same way: every shipper sets one.
 func TestJournalBatchChecksum(t *testing.T) {
 	var fleet lockedBuffer
 	reg := obs.NewRegistry()
@@ -360,10 +360,15 @@ func TestJournalBatchChecksum(t *testing.T) {
 		t.Errorf("fleet journal holds %d job.finish lines, want the retried one", spliced)
 	}
 
-	// An older worker's batch carries no sum and is taken as it comes.
-	old := []byte(`{"worker":"w0","skew_ns":0,"lines":[{"msg":"worker.start"}]}`)
-	if rec := postBody(c.handleJournal, "/api/v1/dist/journal", old); rec.Code != http.StatusOK {
-		t.Errorf("batch without a sum answered %d, want 200", rec.Code)
+	unsummed := []byte(`{"worker":"w0","skew_ns":0,"lines":[{"msg":"worker.start"},{"msg":"worker.stop"}]}`)
+	if rec := postBody(c.handleJournal, "/api/v1/dist/journal", unsummed); rec.Code != http.StatusUnprocessableEntity {
+		t.Errorf("batch without a sum answered %d, want 422", rec.Code)
+	}
+	if got := reg.Counter("dist.journal.rejected").Value(); got != 3 {
+		t.Errorf("dist.journal.rejected = %d, want the flipped line and the unsummed batch's 2", got)
+	}
+	if bytes.Contains(fleet.Bytes(), []byte("worker.start")) {
+		t.Errorf("a batch without a sum reached the fleet journal: %s", fleet.Bytes())
 	}
 }
 
@@ -442,7 +447,7 @@ func TestCoordinatorFederatesHeartbeatCounters(t *testing.T) {
 	spec := testSpec(0)
 	ch := submit(c, spec)
 	waitSubmitted(t, c, 1)
-	jobs, _, _ := c.leaseWait(context.Background(), "w1", "go1.x-abcdef123456", true, 0)
+	jobs, _, _ := c.leaseWait(context.Background(), "w1", "go1.x-abcdef123456", 0)
 	if len(jobs) != 1 {
 		t.Fatal("no job leased")
 	}

@@ -16,18 +16,18 @@ const WorkerHeader = "X-Dirsim-Worker"
 
 // Register installs the coordinator's fleet API on mux:
 //
-//	POST /api/v1/dist/lease      pull a job (200 with job, and its
-//	                             queued group siblings when the worker
-//	                             declares groups; 200 with empty body
-//	                             when idle, held up to wait_ms first;
-//	                             429+Retry-After when the worker's
-//	                             breaker is open)
+//	POST /api/v1/dist/lease      pull a job (200 with job and its
+//	                             queued group siblings; 200 with empty
+//	                             body when idle, held up to wait_ms
+//	                             first; 429+Retry-After when the
+//	                             worker's breaker is open)
 //	POST /api/v1/dist/heartbeat  renew a lease (410 when it is gone)
 //	POST /api/v1/dist/result     push a result or structured error
 //	                             (200 accepted, 410 duplicate/late,
 //	                             422 failed revalidation)
 //	POST /api/v1/dist/journal    ship a batch of worker journal lines
-//	                             into the fleet journal
+//	                             into the fleet journal (422 when its
+//	                             sum is missing or wrong)
 //	GET  /api/v1/dist/stats      coordinator counters + per-worker
 //	                             breakdown
 //
@@ -79,7 +79,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// for a client that went away, which a parked request must notice.
 	io.Copy(io.Discard, r.Body)
 	hold := time.Duration(min(req.WaitMS, maxLeaseHold.Milliseconds())) * time.Millisecond
-	jobs, retryAfter, held := c.leaseWait(r.Context(), req.Worker, req.Version, req.Groups, hold)
+	jobs, retryAfter, held := c.leaseWait(r.Context(), req.Worker, req.Version, hold)
 	if retryAfter > 0 {
 		secs := int(retryAfter.Seconds())
 		if secs < 1 {
@@ -123,7 +123,7 @@ func (c *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
 		httpmon.WriteError(w, http.StatusBadRequest, "missing worker name")
 		return
 	}
-	if b.Sum != "" && b.Sum != linesSum(b.Lines) {
+	if b.Sum != linesSum(b.Lines) {
 		c.jnlRejected.Add(int64(len(b.Lines)))
 		httpmon.WriteError(w, http.StatusUnprocessableEntity, "journal batch from %s fails its checksum", b.Worker)
 		return

@@ -114,10 +114,10 @@ func FuzzHeartbeat(f *testing.F) {
 }
 
 // FuzzJournalBatch: a batch that decodes, names its worker and carries
-// no sum or its lines' own (linesSum) is answered 200 with the count of
-// lines spliced into the fleet journal; one whose sum does not match —
-// a hex digit of a span ID flipped in flight — gets 422 and journals
-// nothing; anything else gets a 4xx. Whatever the lines hold, the fleet
+// its lines' own sum (linesSum) is answered 200 with the count of lines
+// spliced into the fleet journal; one whose sum is missing or does not
+// match — a hex digit of a span ID flipped in flight — gets 422 and
+// journals nothing; anything else gets a 4xx. Whatever the lines hold, the fleet
 // journal stays JSONL: every record it receives is one line holding one
 // JSON object.
 func FuzzJournalBatch(f *testing.F) {
@@ -137,9 +137,9 @@ func FuzzJournalBatch(f *testing.F) {
 			}
 			return
 		}
-		if b.Sum != "" && b.Sum != linesSum(b.Lines) {
+		if b.Sum != linesSum(b.Lines) {
 			if rec.Code != http.StatusUnprocessableEntity || fleet.Len() != 0 {
-				t.Fatalf("body %q fails its sum but answered %d and journaled %q", body, rec.Code, fleet.Bytes())
+				t.Fatalf("body %q lacks or fails its sum but answered %d and journaled %q", body, rec.Code, fleet.Bytes())
 			}
 			return
 		}

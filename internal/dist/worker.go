@@ -24,9 +24,8 @@ var ErrCrashed = errors.New("dist: worker crashed (injected)")
 // Worker pulls jobs from a coordinator and executes them through its own
 // engine. Its loop is deliberately boring: lease, heartbeat while
 // simulating, push, repeat — all the failure handling lives in the
-// coordinator and the client's retry discipline. Every lease request
-// declares that it runs groups, so a family walk's members arrive in one
-// reply and run as one engine batch: one walk.
+// coordinator and the client's retry discipline. A family walk's members
+// arrive in one reply and run as one engine batch: one walk.
 type Worker struct {
 	// Name identifies the worker in leases, journals, and fault sites.
 	Name string
@@ -155,7 +154,7 @@ func (w *Worker) lease(ctx context.Context) (jobs []*JobSpec, held time.Duration
 	var resp leaseResponse
 	t0 := obs.Now()
 	err = w.Client.Do(ctx, http.MethodPost, "/api/v1/dist/lease",
-		leaseRequest{Worker: w.Name, Version: w.Version, WaitMS: w.poll().Milliseconds(), Groups: true}, &resp)
+		leaseRequest{Worker: w.Name, Version: w.Version, WaitMS: w.poll().Milliseconds()}, &resp)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -79,7 +79,7 @@ func TestExecutorsProduceIdenticalResults(t *testing.T) {
 
 // TestConcurrentComparesSimulateOnce: callers racing to submit the same
 // comparison to one engine share every generation and every simulation —
-// each keyed job runs in exactly one of them and the rest wait on it.
+// each result is computed in exactly one of them and the rest wait on it.
 func TestConcurrentComparesSimulateOnce(t *testing.T) {
 	schemes := append([]string{"Dir1B"}, paperSchemes...)
 	cfgs := workload.StandardConfigs(4, 30_000)

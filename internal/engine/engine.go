@@ -12,9 +12,9 @@
 // scheme priced by five figures is simulated once.
 //
 // Every batch is the same DAG whichever executor runs it: one
-// trace:<workload> job through the single-flight Engine.Trace, one keyed
-// sim:<scheme>@<workload> job per scheme replaying the materialized
-// trace, then a merge, on one scheduler: every job waits for its
+// trace:<workload> job through the single-flight Engine.Trace, feeding
+// one sim: walk job per group of specs one pass over the materialized
+// trace can price, on one scheduler: every job waits for its
 // dependencies and then for a slot of the batch's pool. Sequential is
 // that pool with one slot and Parallel with many; they differ in worker
 // count and nothing else, and because simulations are pure functions of
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -103,11 +104,13 @@ type Tier interface {
 
 // Observer is the engine's one callback interface: one JobScheduled per
 // DAG node at submission, a JobStarted/JobFinished pair around every job
-// body (cache hits included, flagged as such). Every method receives the
+// (cache hits included, flagged as such). Every method receives the
 // context the work ran under, which carries the originating request's
-// obs.TraceContext when there is one. kind classifies the job: "trace",
-// "sim" or "merge"; key is the short content hash of keyed jobs, empty
-// otherwise.
+// obs.TraceContext when there is one. kind classifies the job: "trace"
+// or "sim". key is always empty: a job computes several results, each
+// under its own key, which its spec's sim.run span and its store lines
+// carry; the parameter stays because the frozen bench/paper_regen.go
+// implements the interface.
 // Implementations must be safe for concurrent use — every job runs on
 // its own goroutine, and under Parallel many finish at once.
 type Observer interface {
@@ -120,7 +123,7 @@ type Observer interface {
 // per attempt.
 const retryBackoff = 10 * time.Millisecond
 
-// jobKind classifies a job by its ID prefix: "trace", "sim" or "merge".
+// jobKind classifies a job by its ID prefix: "trace" or "sim".
 func jobKind(id string) string {
 	kind, _, _ := strings.Cut(id, ":")
 	return kind
@@ -140,8 +143,8 @@ type Engine struct {
 	tier    Tier         // durable second tier; nil disables it
 	remote  Remote       // remote executor for uncached specs; nil disables it
 
-	// wanted holds, per walk key, the family specs of planned batches
-	// whose walk jobs have not started (walkBody).
+	// wanted holds, per walk key, the specs of planned batches whose walk
+	// jobs have not started (runWalk).
 	wantMu sync.Mutex
 	wanted map[walkKey][]*wantGroup
 
@@ -177,7 +180,7 @@ func New(opts Options) *Engine {
 		reg = obs.NewRegistry()
 	}
 	phaseUS := make(map[string]*obs.Histogram)
-	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate", "merge": "merge"} {
+	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate"} {
 		phaseUS[kind] = reg.Histogram("engine.job."+phase+".us", obs.DurationBucketsUS)
 	}
 	return &Engine{
@@ -213,7 +216,8 @@ func New(opts Options) *Engine {
 
 // Stats is a snapshot of the engine's lifetime counters.
 type Stats struct {
-	// JobsRun counts job bodies actually executed (cache hits excluded).
+	// JobsRun counts job-body attempts: a walk job whose members were all
+	// cached runs none.
 	JobsRun int64
 	// CacheHits / CacheMisses count keyed lookups that were satisfied
 	// from (or claimed into) the result and trace caches.
@@ -285,15 +289,16 @@ type job struct {
 	// ID names the job in errors and metrics, e.g. "sim:Dir0B@pops"; its
 	// prefix is the job's kind.
 	ID string
-	// Key, when non-zero, deduplicates and caches the output: the first
-	// job to claim the key runs, everyone else — in this batch, a
-	// concurrent batch, or a later one — reuses its output.
-	Key Key
 	// Deps run before this job; their outputs arrive in Run's in slice,
 	// in order.
 	Deps []*job
-	// Run computes the output. It must honour ctx for long work.
+	// Run computes the output of a job that is not a walk. It must honour
+	// ctx for long work.
 	Run func(ctx context.Context, in []any) (any, error)
+	// walk, when non-nil, makes the job a simulation job pricing walk's
+	// specs, each cached under its own key (runWalk); its output is a
+	// walkOutput.
+	walk *wantGroup
 
 	// offSlot: a sim job of an engine with a Remote, unbounded until compute acquireSlots.
 	offSlot bool
@@ -323,7 +328,7 @@ func (Sequential) Name() string     { return "sequential" }
 func (Sequential) workerCount() int { return 1 }
 
 // Parallel runs the same DAG as Sequential on a pool of Workers slots: at
-// most Workers local job bodies — generations, simulations, merges —
+// most Workers local job bodies — generations and simulations —
 // execute at once. The pool is per batch: concurrent Merge or Results
 // calls each get their own. Under either executor a job waiting on a
 // Remote holds no slot, so a whole batch reaches the fleet together.
@@ -443,7 +448,6 @@ func (e *Engine) skipJob(ctx context.Context, j, d *job) {
 	j.err = &JobError{
 		ID:   j.ID,
 		Kind: jobKind(j.ID),
-		Key:  observedKey(j.Key),
 		Err:  fmt.Errorf("dependency %s failed: %w", d.ID, d.err),
 	}
 	ctx, _ = obs.StartSpan(ctx)
@@ -467,20 +471,19 @@ func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *
 	if e.obs == nil && jnl == nil {
 		return
 	}
-	key := observedKey(j.Key)
 	switch {
 	case e.obs == nil:
 	case msg == "job.scheduled":
-		e.obs.JobScheduled(ctx, j.ID, kind, key)
+		e.obs.JobScheduled(ctx, j.ID, kind, "")
 	case !done:
-		e.obs.JobStarted(ctx, j.ID, kind, key)
+		e.obs.JobStarted(ctx, j.ID, kind, "")
 	default:
-		e.obs.JobFinished(ctx, j.ID, kind, key, dur, j.cacheHit, j.err)
+		e.obs.JobFinished(ctx, j.ID, kind, "", dur, j.cacheHit, j.err)
 	}
 	if jnl == nil {
 		return
 	}
-	attrs := []any{"job", j.ID, "kind", kind, "key", key}
+	attrs := []any{"job", j.ID, "kind", kind}
 	if !done {
 		jnl.Event(msg, obs.ParentAttrs(ctx, attrs)...)
 		return
@@ -493,17 +496,8 @@ func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *
 func (e *Engine) reject(ctx context.Context, k Key) {
 	e.cacheRejected.Add(1)
 	if jnl := obs.JournalFrom(ctx); jnl != nil {
-		jnl.Event("cache.reject", obs.ParentAttrs(ctx, []any{"key", observedKey(k)})...)
+		jnl.Event("cache.reject", obs.ParentAttrs(ctx, []any{"key", k.String()})...)
 	}
-}
-
-// observedKey renders a job key for observers: the short hex form, or
-// empty for uncached jobs.
-func observedKey(k Key) string {
-	if k.IsZero() {
-		return ""
-	}
-	return k.String()
 }
 
 // lookup returns k's value from c. The first caller for k owns the
@@ -544,12 +538,8 @@ func (e *Engine) lookup(ctx context.Context, c *flightCache, k Key,
 	}
 }
 
-// runJob executes one job, routing keyed jobs through the single-flight
-// result cache (lookup). A memory miss consults the durable tier before
-// computing: a fingerprint-validated entry written by an earlier run (or
-// another process sharing the store) is a cache hit without a
-// simulation. A computed result is written through to the tier before
-// it is published.
+// runJob executes one job: a walk job through runWalk, any other job's
+// body through runBody.
 func (e *Engine) runJob(ctx context.Context, j *job) {
 	j.started = time.Now()
 	jnl := obs.JournalFrom(ctx)
@@ -561,41 +551,29 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 	ctx, _ = obs.StartSpan(ctx)
 	defer e.jobEvent(ctx, jnl, "job.finish", j)
 
-	if j.Key.IsZero() {
-		j.out, j.err = e.runBody(ctx, j)
+	if j.walk == nil {
+		j.out, j.err = e.runBody(ctx, j, j.Run)
 		return
 	}
-	out, hit, err := e.lookup(ctx, e.results, j.Key, func() (any, uint64, bool, error) {
-		if r, sum, ok := e.tierLoad(ctx, j.Key); ok {
-			j.cacheHit = true
-			return r, sum, e.verify, nil
-		}
-		out, err := e.runBody(ctx, j)
-		sum, stamped := e.stampFor(observedKey(j.Key), out)
-		if r, ok := out.(*sim.Result); ok && err == nil {
-			e.tierStore(ctx, j.Key, r)
-		}
-		return out, sum, stamped, err
-	})
-	if hit {
-		j.cacheHit = true
+	w := e.runWalk(ctx, j)
+	j.out = w
+	if !slices.Contains(w.errs, nil) { // the job fails when each of its members did
+		j.err = w.errs[0]
 	}
-	j.out, j.err = out, err
 }
 
-// runBody executes a job's body with panic isolation, a per-attempt
+// runBody executes run, j's body, with panic isolation, a per-attempt
 // deadline, and bounded retry-with-backoff for retryable failures.
-func (e *Engine) runBody(ctx context.Context, j *job) (any, error) {
+func (e *Engine) runBody(ctx context.Context, j *job, run func(context.Context, []any) (any, error)) (any, error) {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		out, err := e.attempt(ctx, j, attempt)
+		out, err := e.attempt(ctx, j, run, attempt)
 		if err == nil {
 			return out, nil
 		}
 		je := &JobError{
 			ID:       j.ID,
 			Kind:     jobKind(j.ID),
-			Key:      observedKey(j.Key),
 			Attempts: attempt + 1,
 			Err:      err,
 		}
@@ -640,10 +618,10 @@ type timeoutError struct{ cause error }
 func (t *timeoutError) Error() string { return t.cause.Error() }
 func (t *timeoutError) Unwrap() error { return t.cause }
 
-// attempt runs the job body once: under its per-attempt deadline, with
+// attempt runs j's body once: under its per-attempt deadline, with
 // fault injection when configured, and with panics recovered into a
 // *panicError rather than unwinding through the worker pool.
-func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (out any, err error) {
+func (e *Engine) attempt(ctx context.Context, j *job, run func(context.Context, []any) (any, error), attempt int) (out any, err error) {
 	attemptCtx := ctx
 	var cancel context.CancelFunc
 	if e.jobTimeout > 0 {
@@ -680,7 +658,7 @@ func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (out any, err
 	for i, d := range j.Deps {
 		in[i] = d.out
 	}
-	out, err = j.Run(attemptCtx, in)
+	out, err = run(attemptCtx, in)
 	// A deadline expiry of the attempt's own context — while the overall
 	// run is still alive — is a per-job timeout, a retryable condition
 	// distinct from the run being cancelled.
@@ -725,7 +703,7 @@ func (e *Engine) tierLoad(ctx context.Context, k Key) (*sim.Result, uint64, bool
 	r, ok, err := e.tier.LoadResult(k.hex())
 	hit := err == nil && ok && r != nil
 	sctx, _ := obs.StartSpan(ctx)
-	obs.EndSpan(sctx, "store.load", start, nil, "kind", "result", "key", observedKey(k), "hit", hit)
+	obs.EndSpan(sctx, "store.load", start, nil, "kind", "result", "key", k.String(), "hit", hit)
 	if isCorrupt(err) {
 		e.reject(ctx, k)
 	}
@@ -746,13 +724,13 @@ func (e *Engine) tierStore(ctx context.Context, k Key, r *sim.Result) {
 		return
 	}
 	sum := r.Fingerprint()
-	if e.faults.PoisonStamp(observedKey(k)) {
+	if e.faults.PoisonStamp(k.String()) {
 		sum = ^sum
 	}
 	start := time.Now()
 	e.tier.StoreResult(k.hex(), r, sum) //nolint:errcheck // the store accounts its own write failures
 	sctx, _ := obs.StartSpan(ctx)
-	obs.EndSpan(sctx, "store.store", start, nil, "kind", "result", "key", observedKey(k))
+	obs.EndSpan(sctx, "store.store", start, nil, "kind", "result", "key", k.String())
 }
 
 // isCorrupt reports whether any error in the chain declares itself a

@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"dirsim/internal/faults"
 	"dirsim/internal/workload"
 )
 
@@ -23,7 +23,7 @@ func TestExecuteDependencyOrder(t *testing.T) {
 			a := &job{ID: "sim:a", Run: func(context.Context, []any) (any, error) { return 1, nil }}
 			b := &job{ID: "sim:b", Run: func(context.Context, []any) (any, error) { return 2, nil }}
 			c := &job{
-				ID:   "merge:c",
+				ID:   "sim:c",
 				Deps: []*job{a, b},
 				Run: func(_ context.Context, in []any) (any, error) {
 					// Dependency outputs arrive in Deps order.
@@ -74,29 +74,35 @@ func TestExecuteSharedDependencyRunsOnce(t *testing.T) {
 	}
 }
 
+// TestExecuteKeyedDedup: walk jobs of three batches over one spec,
+// run together, compute it once; the other two wait on its flight and
+// are cache hits, and a later batch is served from the cache.
 func TestExecuteKeyedDedup(t *testing.T) {
 	for _, exec := range executors() {
 		t.Run(exec.Name(), func(t *testing.T) {
 			e := New(Options{})
-			var runs atomic.Int64
-			k := hashOf("test", "dedup")
-			mk := func(id string) *job {
-				return &job{ID: id, Key: k, Run: func(context.Context, []any) (any, error) {
-					runs.Add(1)
-					return 42, nil
-				}}
+			spec := []SimSpec{{Trace: workload.POPSConfig(4, 5_000), Scheme: "Dragon"}}
+			var jobs []*job
+			for range 3 {
+				per, release, err := e.planSpecs(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+				jobs = append(jobs, per[0].j)
 			}
-			jobs := []*job{mk("sim:j1"), mk("sim:j2"), mk("sim:j3")}
 			if err := e.execute(context.Background(), exec, jobs...); err != nil {
 				t.Fatal(err)
 			}
-			if runs.Load() != 1 {
-				t.Errorf("keyed job bodies ran %d times, want 1", runs.Load())
+			if s := e.Stats(); s.SimsRun != 1 || s.JobsRun != 4 { // each batch's trace job, one walk attempt
+				t.Errorf("%d sims in %d attempts, want 1 in 4", s.SimsRun, s.JobsRun)
 			}
 			hits := 0
+			first := output{j: jobs[0]}
 			for _, j := range jobs {
-				if j.err != nil || j.out.(int) != 42 {
-					t.Fatalf("job %s output = %v, %v", j.ID, j.out, j.err)
+				r, err := output{j: j}.result()
+				if want, _ := first.result(); err != nil || r != want {
+					t.Fatalf("job %s output = %p, %v, want the one result", j.ID, r, err)
 				}
 				if j.cacheHit {
 					hits++
@@ -105,20 +111,16 @@ func TestExecuteKeyedDedup(t *testing.T) {
 			if hits != 2 {
 				t.Errorf("cache hits on %d jobs, want 2", hits)
 			}
-			// A later batch with the same key is served entirely from cache.
-			late := mk("sim:late")
-			if err := e.execute(context.Background(), exec, late); err != nil {
+			// A later batch with the same spec is served entirely from cache.
+			late, err := e.Results(context.Background(), exec, spec)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if runs.Load() != 1 {
-				t.Errorf("cached key re-ran the body (total runs %d)", runs.Load())
+			if want, _ := first.result(); late[0] != want {
+				t.Error("late batch did not get the cached result")
 			}
-			if late.out.(int) != 42 {
-				t.Errorf("late output = %v, want 42", late.out)
-			}
-			s := e.Stats()
-			if s.CacheHits != 3 || s.CachedResults != 1 {
-				t.Errorf("stats = %+v, want 3 hits and 1 cached result", s)
+			if s := e.Stats(); s.SimsRun != 1 || s.CachedResults != 1 {
+				t.Errorf("stats = %+v, want 1 sim and 1 cached result", s)
 			}
 		})
 	}
@@ -179,35 +181,21 @@ func TestExecuteContextCancellation(t *testing.T) {
 	}
 }
 
+// TestKeyedFailureIsRetriable: a failed simulation is evicted at
+// publication, so a later batch computes the spec again.
 func TestKeyedFailureIsRetriable(t *testing.T) {
-	e := New(Options{})
-	k := hashOf("test", "retry")
-	var attempts atomic.Int64
-	mk := func() *job {
-		return &job{ID: "sim:flaky", Key: k, Run: func(context.Context, []any) (any, error) {
-			if attempts.Add(1) == 1 {
-				return nil, fmt.Errorf("transient")
-			}
-			return "ok", nil
-		}}
+	e := New(Options{Faults: faults.New(faults.Config{Seed: 1, Panic: 1})})
+	spec := []SimSpec{{Trace: workload.POPSConfig(4, 5_000), Scheme: "Dir1NB"}}
+	if _, err := e.Results(context.Background(), Sequential{}, spec); err == nil {
+		t.Fatal("first batch should fail")
 	}
-	first := mk()
-	if err := e.execute(context.Background(), Sequential{}, first); err != nil {
-		t.Fatal(err)
+	e.faults = nil
+	rs, err := e.Results(context.Background(), Sequential{}, spec)
+	if err != nil || rs[0] == nil {
+		t.Fatalf("retry output = %v, %v, want a result", rs, err)
 	}
-	if first.err == nil {
-		t.Fatal("first attempt should fail")
-	}
-	// The failure must have been evicted so the key can be recomputed.
-	j := mk()
-	if err := e.execute(context.Background(), Sequential{}, j); err != nil {
-		t.Fatal(err)
-	}
-	if j.err != nil || j.out.(string) != "ok" {
-		t.Errorf("retry output = %v, %v, want ok", j.out, j.err)
-	}
-	if attempts.Load() != 2 {
-		t.Errorf("attempts = %d, want 2", attempts.Load())
+	if s := e.Stats(); s.SimsRun != 1 || s.CachedResults != 1 {
+		t.Errorf("%d sims, %d cached results, want 1 and 1", s.SimsRun, s.CachedResults)
 	}
 }
 
@@ -236,20 +224,22 @@ func TestFailedFlightWaiterIsNoHit(t *testing.T) {
 	}
 	e := New(Options{})
 
-	k := hashOf("test", "failed-flight")
-	failIn(e.results, k)
-	j := &job{ID: "sim:waiter", Key: k, Run: func(context.Context, []any) (any, error) {
-		t.Error("a waiter ran the body of a claimed key")
-		return nil, nil
-	}}
+	spec := []SimSpec{{Trace: workload.POPSConfig(4, 1_000), Scheme: "Dir1NB"}}
+	failIn(e.results, spec[0].Key())
+	per, release, err := e.planSpecs(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	j := per[0].j
 	if err := e.execute(context.Background(), Sequential{}, j); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(j.err, boom) {
 		t.Fatalf("result waiter: %v, want the flight's error", j.err)
 	}
-	if j.cacheHit {
-		t.Error("result waiter on a failed flight is marked a cache hit")
+	if j.cacheHit || e.Stats().JobsRun != 0 {
+		t.Error("result waiter on a failed flight is marked a cache hit or ran an attempt")
 	}
 
 	cfg := workload.StandardConfigs(4, 1_000)[0]

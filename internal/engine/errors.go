@@ -16,8 +16,6 @@ type JobError struct {
 	// ID and Kind identify the job ("sim:Dir0B@pops", kind "sim").
 	ID   string
 	Kind string
-	// Key is the short content hash for keyed jobs, empty otherwise.
-	Key string
 	// Attempts is how many times the body ran before the engine gave up.
 	Attempts int
 	// Panicked marks a recovered panic; Stack holds the goroutine stack

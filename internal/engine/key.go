@@ -14,15 +14,11 @@ import (
 )
 
 // Key is a content hash identifying a cacheable artifact — a generated
-// trace, a simulation result, or an aggregate. Two artifacts share a key
+// trace or a simulation result. Two artifacts share a key
 // exactly when every input that can influence their contents is equal, so
 // a key hit is always safe to reuse and a changed input (seed, CPU count,
 // profile knob, scheme, cost option, block geometry) always misses.
 type Key [sha256.Size]byte
-
-// IsZero reports whether k is the zero key; zero-keyed jobs are never
-// cached or deduplicated.
-func (k Key) IsZero() bool { return k == Key{} }
 
 // String renders a short hex prefix for logs and metrics.
 func (k Key) String() string { return hex.EncodeToString(k[:6]) }
@@ -96,15 +92,4 @@ func canonicalScheme(name string, cpus int) string {
 		return p.Name()
 	}
 	return strings.ToLower(name)
-}
-
-// mergeKey identifies the aggregate of several cached results; it is
-// order-sensitive, matching sim.Merge's order-sensitive trace naming.
-func mergeKey(keys []Key) Key {
-	parts := make([]string, 0, len(keys)+1)
-	parts = append(parts, "merge")
-	for _, k := range keys {
-		parts = append(parts, k.hex())
-	}
-	return hashOf(parts...)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -234,9 +235,10 @@ func TestCacheHitCountersAcrossBatches(t *testing.T) {
 		t.Errorf("repeat batch recorded no cache hits (%d → %d)",
 			first.CacheHits, second.CacheHits)
 	}
-	// Cached results come back as the same objects, not equal copies.
-	if merged1 != merged2 {
-		t.Error("merged result not served from cache (different pointers)")
+	// Cached results come back as the same objects, not equal copies; a
+	// merge is summed again from them.
+	if !reflect.DeepEqual(merged1, merged2) {
+		t.Error("merge of cached results differs")
 	}
 	for i := range per1 {
 		if per1[i] != per2[i] {

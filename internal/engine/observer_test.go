@@ -60,7 +60,8 @@ func (o *testObserver) finishedByKind() map[string][]jobRecord {
 // the observability wiring: per uncached trace the observer must see
 // exactly one generation span (a trace job, under either executor) and
 // exactly one simulation span per walk, none of them cache hits — Dir0B
-// and WTI one family walk, unkeyed, and Dragon its own keyed job.
+// and WTI one family walk and Dragon a walk of one — and no other job: a
+// merge is a sum in the caller. No job names a key.
 func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 	schemes := []string{"Dir0B", "WTI", "Dragon"}
 	cfgs := []workload.Config{workload.POPSConfig(4, 10_000)}
@@ -85,15 +86,15 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 				if r.cacheHit {
 					t.Errorf("uncached simulation %s flagged as cache hit", r.id)
 				}
-				if want := r.id != "sim:Dir0B+WTI@pops"; (r.key != "") != want {
-					t.Errorf("simulation %s has key %q, want one: %t", r.id, r.key, want)
+				if r.key != "" {
+					t.Errorf("simulation %s has key %q, want none", r.id, r.key)
 				}
 				if r.err != nil {
 					t.Errorf("simulation %s finished with error: %v", r.id, r.err)
 				}
 			}
-			if len(byKind["merge"]) != len(schemes) {
-				t.Errorf("merge spans = %d, want %d", len(byKind["merge"]), len(schemes))
+			if len(byKind) != 2 {
+				t.Errorf("job kinds = %v, want trace and sim", byKind)
 			}
 			if s := e.Stats(); s.SimsRun != 3 || s.Walks != 2 {
 				t.Errorf("%d results from %d walks, want 3 from 2", s.SimsRun, s.Walks)
@@ -160,7 +161,6 @@ func TestJobKind(t *testing.T) {
 	for id, want := range map[string]string{
 		"sim:Dir0B@pops": "sim",
 		"trace:pops":     "trace",
-		"merge:Dir0B":    "merge",
 	} {
 		if got := jobKind(id); got != want {
 			t.Errorf("jobKind(%q) = %q, want %q", id, got, want)
@@ -181,20 +181,20 @@ func TestJobPhaseHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	bad := &job{ID: "merge:bad", Run: func(context.Context, []any) (any, error) {
+	bad := &job{ID: "trace:bad", Run: func(context.Context, []any) (any, error) {
 		return nil, errors.New("boom")
 	}}
 	if err := e.execute(journaled(&buf, ""), Sequential{}, bad); err != nil {
 		t.Fatal(err)
 	}
 	// Dir0B and WTI are one family walk: one simulate job for the two.
-	for phase, want := range map[string]int64{"generate": 1, "simulate": 2, "merge": 4} {
+	for phase, want := range map[string]int64{"generate": 2, "simulate": 2} {
 		if got := reg.Histogram("engine.job."+phase+".us", nil).Snapshot().Count; got != want {
 			t.Errorf("engine.job.%s.us count = %d, want %d", phase, got, want)
 		}
 	}
-	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 7 {
-		t.Errorf("engine.jobs.scheduled = %d, want 7", got)
+	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 4 {
+		t.Errorf("engine.jobs.scheduled = %d, want 4", got)
 	}
 	lines := journalLines(t, buf.Bytes())
 	var msgs []any
@@ -204,7 +204,7 @@ func TestJobPhaseHistograms(t *testing.T) {
 	if len(lines) != 3 || msgs[0] != "job.scheduled" || msgs[1] != "job.start" || msgs[2] != "job.finish" {
 		t.Fatalf("journal = %v", msgs)
 	}
-	if lines[2]["level"] != "ERROR" || lines[2]["error"] != "job merge:bad failed: boom" || lines[2]["kind"] != "merge" {
+	if lines[2]["level"] != "ERROR" || lines[2]["error"] != "job trace:bad failed: boom" || lines[2]["kind"] != "trace" || lines[2]["key"] != nil {
 		t.Errorf("failed job.finish = %v", lines[2])
 	}
 }

@@ -15,7 +15,8 @@ import (
 // engine stays the single owner of caching and planning: only specs that
 // missed every cache tier are offered to the Remote, and an accepted
 // result enters the caches exactly like a locally computed one. One call
-// carries one job's specs: a keyed spec, or a family walk's members.
+// carries the specs one walk job computes: a family walk's members, or
+// the one spec no family walk prices.
 //
 // The contract is strict so the engine can trust what comes back:
 //

@@ -122,15 +122,12 @@ func TestEngineTraceExport(t *testing.T) {
 
 	// Every scheduled job is represented as a span named by its ID: the
 	// trace jobs, one sim job per workload (the three schemes are one
-	// family walk: Dir4NB at 4 CPUs is the full map), the merge jobs,
-	// and the flaky ad-hoc job.
+	// family walk: Dir4NB at 4 CPUs is the full map) and the flaky
+	// ad-hoc job.
 	var wantJobs []string
 	for _, cfg := range cfgs {
 		wantJobs = append(wantJobs, "trace:"+cfg.Name,
 			fmt.Sprintf("sim:%s@%s", strings.Join(schemes, "+"), cfg.Name))
-	}
-	for _, s := range schemes {
-		wantJobs = append(wantJobs, "merge:"+s)
 	}
 	wantJobs = append(wantJobs, "sim:flaky@test")
 	for _, id := range wantJobs {

@@ -143,7 +143,7 @@ func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, 
 		if err == nil {
 			e.tracesGenerated.Add(1)
 		}
-		sum, stamped := e.stampFor(observedKey(k), t)
+		sum, stamped := e.stampFor(k.String(), t)
 		return t, sum, stamped, err
 	})
 	t, _ := v.(*trace.Trace)
@@ -208,10 +208,11 @@ func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([
 }
 
 // Merge runs every group of specs and returns each group's
-// reference-weighted merge, in group order — the shape of Table 4, where
-// a group is one scheme over the standard workloads. All groups are one
-// batch: specs sharing a workload share one trace generation, and every
-// simulation and every merge is cached by content.
+// reference-weighted merge (sim.Merge), in group order — the shape of
+// Table 4, where a group is one scheme over the standard workloads. All
+// groups are one Results batch: specs sharing a workload share one trace
+// generation, and every simulation is cached by content. A merge is a sum
+// of cached results, so it is computed again, not cached.
 //
 // One group failing — a panicking simulator, a truncated trace — does not
 // void the others: their merges are still returned (the failed positions
@@ -225,32 +226,41 @@ func (e *Engine) Merge(ctx context.Context, exec Executor, groups [][]SimSpec) (
 		}
 		specs = append(specs, g...)
 	}
-	per, release, err := e.planSpecs(specs)
-	if err != nil {
+	rs, err := e.Results(ctx, exec, specs)
+	p, partial := AsPartial(err)
+	if err != nil && !partial {
 		return nil, err
 	}
-	defer release()
-	merges := make([]output, len(groups))
+	out := make([]*sim.Result, len(groups))
+	failed := make(map[string]error)
 	for i, g := range groups {
-		merges[i] = output{j: e.mergeJob("merge:"+g[0].label(), per[:len(g)]), i: -1}
-		per = per[len(g):]
+		members := rs[:len(g)]
+		rs = rs[len(g):]
+		var err error
+		if n := slices.Index(members, nil); n >= 0 {
+			err = p.Failed[g[n].Name()]
+		} else {
+			out[i], err = sim.Merge(members...)
+		}
+		if err != nil {
+			failed[g[0].label()] = err
+		}
 	}
-	if err := e.run(ctx, exec, merges); err != nil {
-		return nil, err
+	if len(failed) > 0 {
+		return out, &Partial{Failed: failed, Done: len(groups) - len(failed)}
 	}
-	return outputs(merges, func(i int) string { return groups[i][0].label() })
+	return out, nil
 }
 
-// An output is where one spec's result lands in a batch: the output of
-// job j, or, when j walks a family group (walkBody), its member at
-// index i; key is the spec's.
+// An output is where one spec's result lands in a batch: member i of
+// walk job j.
 type output struct {
-	j   *job
-	i   int
-	key Key
+	j *job
+	i int
 }
 
-// A walkOutput is a walk job's output: each member's result or error.
+// A walkOutput is a walk job's output: each of its batch's members'
+// result or error.
 type walkOutput struct {
 	rs   []*sim.Result
 	errs []error
@@ -258,14 +268,10 @@ type walkOutput struct {
 
 // result returns the output once its job is done.
 func (o output) result() (*sim.Result, error) {
-	switch {
-	case o.j.err != nil:
-		return nil, o.j.err
-	case o.i >= 0:
-		w := o.j.out.(walkOutput)
+	if w, ok := o.j.out.(walkOutput); ok {
 		return w.rs[o.i], w.errs[o.i]
 	}
-	return o.j.out.(*sim.Result), nil
+	return nil, o.j.err // the job never ran: its trace failed, or the run ended
 }
 
 // run executes the jobs behind per and all their dependencies.
@@ -322,42 +328,13 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 	return out, err
 }
 
-// mergeJob aggregates the per-spec results of one group, cached by the
-// ordered combination of the inputs' keys — the spec keys planSpecs gave
-// per.
-func (e *Engine) mergeJob(id string, per []output) *job {
-	keys := make([]Key, len(per))
-	deps := make([]*job, len(per))
-	for i, o := range per {
-		keys[i], deps[i] = o.key, o.j
-	}
-	return &job{
-		ID:   id,
-		Key:  mergeKey(keys),
-		Deps: deps,
-		Run: func(context.Context, []any) (any, error) {
-			rs := make([]*sim.Result, len(per))
-			for i, o := range per {
-				var err error // a failed job skips the merge, a failed walk member stops it
-				if rs[i], err = o.result(); err != nil {
-					return nil, fmt.Errorf("dependency %s failed: %w", o.j.ID, err)
-				}
-			}
-			return sim.Merge(rs...)
-		},
-	}
-}
-
 // planSpecs builds the trace-generation → simulation stages for a batch,
 // returning one output per spec (duplicate specs share one): per workload
-// one trace job through the single-flight Engine.Trace, feeding one
-// simulation job per spec that replays it — a keyed job, or, for the
-// specs one family walk can price, one walk job for them all (walkBody).
-// Every spec of a family scheme goes through a walk job, alone or not,
-// so which job computes a result shared with a concurrent batch never
-// changes the job graph. release withdraws what the batch's walk jobs
-// entered as wanted and no walk took (walkBody); the caller calls it once
-// the batch has run.
+// one trace job through the single-flight Engine.Trace, feeding one walk
+// job per group of specs one pass over it prices (walkKey). A spec no
+// family walk can price is a walk of one. release withdraws what the
+// batch's walk jobs entered as wanted and no walk took (runWalk); the
+// caller calls it once the batch has run.
 func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err error) {
 	per = make([]output, len(specs))
 	first := make(map[Key]int)
@@ -376,11 +353,11 @@ func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err e
 		}
 		return tj
 	}
-	// Each spec's first occurrence, its key, and the family group it
-	// joins, if any: grouping reads the batch, never the caches.
+	// Each spec's first occurrence, its key, and the walk it joins:
+	// grouping reads the batch, never the caches.
 	var uniq []int
 	keys := make([]Key, len(specs))
-	wks := make(map[int]walkKey)
+	wks := make([]walkKey, len(specs))
 	groups := make(map[walkKey][]int)
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -392,34 +369,17 @@ func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err e
 		}
 		first[keys[i]] = i
 		uniq = append(uniq, i)
-		if wk, ok := e.walkKey(s); ok {
-			wks[i] = wk
-			groups[wk] = append(groups[wk], i)
-		}
+		wks[i] = s.walkKey(keys[i])
+		groups[wks[i]] = append(groups[wks[i]], i)
 	}
 	var wanted []*wantGroup
 	for _, i := range uniq {
-		s, k := specs[i], keys[i]
-		if wk, ok := wks[i]; ok {
-			if members := groups[wk]; members[0] == i {
-				j, g := e.walkJob(wk, specs, keys, members, traceJob)
-				wanted = append(wanted, g)
-				for n, m := range members {
-					per[m] = output{j: j, i: n, key: keys[m]}
-				}
+		if members := groups[wks[i]]; members[0] == i {
+			j := e.walkJob(wks[i], specs, keys, members, traceJob)
+			wanted = append(wanted, j.walk)
+			for n, m := range members {
+				per[m] = output{j: j, i: n}
 			}
-			continue
-		}
-		j := &job{ID: s.Name(), Key: k, offSlot: e.remote != nil, Run: func(ctx context.Context, in []any) (any, error) {
-			rs, errs := e.compute(ctx, []SimSpec{s}, in)
-			return rs[0], errs[0] // runBody drops the output of a failed attempt
-		}}
-		per[i] = output{j: j, i: -1, key: k}
-		// A cached (or in-flight) result must not force a generation, and
-		// a Remote's workers generate their own: compute asks Engine.Trace
-		// if it must walk, which collapses concurrent asks to one.
-		if !e.cached(k) && e.remote == nil {
-			j.Deps = []*job{traceJob(s.Trace)}
 		}
 	}
 	for i := range specs {
@@ -434,54 +394,53 @@ func (e *Engine) cached(k Key) bool {
 	return e.results.peek(k) || (e.tier != nil && e.tier.HasResult(k.hex()))
 }
 
-// walkKey names the family walk that can price s: its trace, filter and
-// block size. Only an unchecked spec of a scheme with a core.View joins
-// one, and none does on an engine that injects faults (they are keyed
-// by each spec's own job).
+// walkKey names the walk that prices a spec: its trace, filter and block
+// size, and, for a spec no family walk can price, its own key. Only an
+// unchecked spec of a scheme with a core.View shares a walk.
 type walkKey struct {
 	trace  Key
 	filter string
 	block  int
+	alone  Key
 }
 
-func (e *Engine) walkKey(s SimSpec) (walkKey, bool) {
-	if s.Check || e.faults != nil {
-		return walkKey{}, false
+// walkKey returns s's walk key; k is s.Key().
+func (s SimSpec) walkKey(k Key) walkKey {
+	wk := walkKey{trace: TraceKey(s.Trace), filter: s.Filter, block: s.BlockBytes, alone: k}
+	if p, err := core.NewByName(s.Scheme, s.Trace.CPUs); err == nil && !s.Check {
+		if _, family := core.ViewOf(p); family {
+			wk.alone = Key{}
+		}
 	}
-	p, err := core.NewByName(s.Scheme, s.Trace.CPUs)
-	if err != nil {
-		return walkKey{}, false
-	}
-	_, ok := core.ViewOf(p)
-	return walkKey{TraceKey(s.Trace), s.Filter, s.BlockBytes}, ok
+	return wk
 }
 
-// walkJob returns the one job of a family group, the specs at members:
-// sim:<label>[+<label>...]@<workload>, depending on its trace's job like
-// a keyed spec's job (planSpecs). The members wait in Engine.wanted, as
-// g, for the first walk job of wk to start.
+// walkJob returns the one job of a walk group, the specs at members:
+// sim:<label>[+<label>...]@<workload>, depending on its trace's job
+// unless every member is cached already (or, with a Remote, at all: the
+// workers generate their own). The members wait in Engine.wanted, as
+// j.walk, for the first walk job of wk to start.
 func (e *Engine) walkJob(wk walkKey, specs []SimSpec, keys []Key, members []int,
-	traceJob func(workload.Config) *job) (j *job, g *wantGroup) {
-	g = &wantGroup{wk: wk, specs: make([]SimSpec, len(members)), keys: make([]Key, len(members))}
+	traceJob func(workload.Config) *job) *job {
+	g := &wantGroup{wk: wk, specs: make([]SimSpec, len(members)), keys: make([]Key, len(members))}
 	labels := make([]string, len(members))
 	cached := true
 	for n, m := range members {
 		g.specs[n], g.keys[n], labels[n] = specs[m], keys[m], specs[m].label()
 		cached = cached && e.cached(keys[m])
 	}
-	j = &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name,
-		offSlot: e.remote != nil}
+	j := &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name,
+		walk: g, offSlot: e.remote != nil}
 	if !cached && e.remote == nil {
 		j.Deps = []*job{traceJob(specs[members[0]].Trace)}
 	}
 	e.wantMu.Lock()
 	e.wanted[wk] = append(e.wanted[wk], g)
 	e.wantMu.Unlock()
-	j.Run = e.walkBody(j, g)
-	return j, g
+	return j
 }
 
-// A wantGroup is one batch's family specs for one walk key.
+// A wantGroup is one batch's specs for one walk key.
 type wantGroup struct {
 	wk    walkKey
 	specs []SimSpec
@@ -519,87 +478,98 @@ func (e *Engine) unwant(groups []*wantGroup) {
 	}
 }
 
-// walkBody returns a family group job's body. It takes its members and
-// those a concurrent batch planned under the same walk key whose own walk
-// job has not started (take); looks each up in memory, then in the
-// durable tier; computes the ones it owns together (compute); stores,
-// stamps and publishes each of their outcomes under its own key; and only
-// then waits on its members another job has in flight. Its output is its
-// members' outcomes, in order, and the job is a cache hit when it
-// computed nothing.
-func (e *Engine) walkBody(j *job, g *wantGroup) func(context.Context, []any) (any, error) {
-	return func(ctx context.Context, in []any) (_ any, err error) {
-		specs, keys := e.take(g)
-		rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
-		flights := make([]*flight, len(specs))
-		var own []int
-		// A body that fails or panics still settles every flight it
-		// claimed and did not publish, so no waiter hangs.
-		defer func() {
-			for _, i := range own {
-				if flights[i] != nil {
-					e.results.fulfill(keys[i], flights[i], nil,
-						cmp.Or(err, fmt.Errorf("engine: %s stopped before publishing", j.ID)), 0, false)
-				}
-			}
-		}()
-		for i, k := range keys {
-			f, owner := e.results.claim(k)
-			if !owner {
-				continue
-			}
-			e.cacheMisses.Add(1)
-			if r, sum, ok := e.tierLoad(ctx, k); ok {
-				e.results.fulfill(k, f, r, nil, sum, e.verify)
-				rs[i] = r
-				continue
-			}
-			flights[i] = f
-			own = append(own, i)
+// runWalk computes a walk job's output. It takes its members and those a
+// concurrent batch planned under the same walk key whose own walk job has
+// not started (take), and claims every key: a member in memory waits, a
+// member in the durable tier resolves there, and the rest are the job's
+// to compute. It computes those together under runBody's retries,
+// deadline and panic isolation (attempts), and after the last attempt
+// stamps, stores and publishes each outcome under its own key. Only then
+// does it wait, through lookup, on its members another job holds. A job
+// that computed nothing ran no attempt and is a cache hit.
+func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
+	specs, keys := e.take(j.walk)
+	n := len(j.walk.keys)
+	w := walkOutput{rs: make([]*sim.Result, n), errs: make([]error, n)}
+	var own []int
+	var flights []*flight
+	for i, k := range keys {
+		f, owner := e.results.claim(k)
+		if !owner {
+			continue
 		}
-		j.cacheHit = len(own) == 0
-		if len(own) > 0 {
-			walk := make([]SimSpec, len(own))
-			for n, i := range own {
-				walk[n] = specs[i]
+		e.cacheMisses.Add(1)
+		if r, sum, ok := e.tierLoad(ctx, k); ok {
+			e.results.fulfill(k, f, r, nil, sum, e.verify)
+			if i < n {
+				w.rs[i] = r
 			}
-			walked, werrs := e.compute(ctx, walk, in)
-			// The end of the context, or one error every member failed with
-			// (a walk of one, a local walk), fails the job as a whole, so its
-			// retries and deadline apply as to a keyed job's.
-			if ctx.Err() != nil || !slices.ContainsFunc(werrs, func(err error) bool { return err == nil || !errors.Is(err, werrs[0]) }) {
-				return nil, cmp.Or(ctx.Err(), werrs[0])
-			}
-			for n, i := range own { // a failed member's nil result is neither stamped nor stored
-				rs[i], errs[i] = walked[n], werrs[n]
-				sum, stamped := e.stampFor(observedKey(keys[i]), walked[n])
-				e.tierStore(ctx, keys[i], walked[n])
-				e.results.fulfill(keys[i], flights[i], walked[n], werrs[n], sum, stamped)
-				flights[i] = nil
-			}
+			continue
 		}
-		for i, k := range g.keys {
-			if rs[i] != nil || errs[i] != nil {
-				continue
-			}
-			v, _, err := e.lookup(ctx, e.results, k, func() (any, uint64, bool, error) {
-				// The other job's flight failed and left: compute alone.
-				r, rerr := e.compute(ctx, specs[i:i+1], in)
-				sum, stamped := e.stampFor(observedKey(k), r[0])
-				e.tierStore(ctx, k, r[0])
-				return r[0], sum, stamped, rerr[0]
-			})
-			switch {
-			case err == nil:
-				rs[i] = v.(*sim.Result)
-			case ctx.Err() != nil:
-				return nil, err
-			default:
-				errs[i] = err
-			}
-		}
-		return walkOutput{rs: rs[:len(g.keys)], errs: errs[:len(g.keys)]}, nil
+		own, flights = append(own, i), append(flights, f)
 	}
+	j.cacheHit = len(own) == 0
+	if len(own) > 0 {
+		walk := make([]SimSpec, len(own))
+		for m, i := range own {
+			walk[m] = specs[i]
+		}
+		rs, errs := e.attempts(ctx, j, walk)
+		for m, i := range own {
+			sum, stamped := e.keep(ctx, keys[i], rs[m])
+			e.results.fulfill(keys[i], flights[m], rs[m], errs[m], sum, stamped)
+			if i < n {
+				w.rs[i], w.errs[i] = rs[m], errs[m]
+			}
+		}
+	}
+	for i, k := range keys[:n] {
+		if w.rs[i] != nil || w.errs[i] != nil {
+			continue
+		}
+		v, hit, err := e.lookup(ctx, e.results, k, func() (any, uint64, bool, error) {
+			// The other job's flight was cancelled and left: compute alone.
+			rs, errs := e.attempts(ctx, j, specs[i:i+1])
+			sum, stamped := e.keep(ctx, k, rs[0])
+			return rs[0], sum, stamped, errs[0]
+		})
+		j.cacheHit = j.cacheHit && hit
+		w.rs[i], _ = v.(*sim.Result)
+		w.errs[i] = err
+	}
+	return w
+}
+
+// attempts computes specs under runBody and returns each one's result or
+// error. The end of the attempt's context, or one error every member
+// failed with (a walk of one, a local walk), fails the attempt as a
+// whole, so retries and the deadline apply to it; a member's own error (a
+// Remote's structured failure) is final. A job that runs out of attempts
+// fails every member with its *JobError.
+func (e *Engine) attempts(ctx context.Context, j *job, specs []SimSpec) ([]*sim.Result, []error) {
+	var rs []*sim.Result
+	var errs []error
+	_, err := e.runBody(ctx, j, func(ctx context.Context, in []any) (any, error) {
+		rs, errs = e.compute(ctx, specs, in)
+		if ctx.Err() != nil || !slices.ContainsFunc(errs, func(err error) bool { return err == nil || !errors.Is(err, errs[0]) }) {
+			return nil, cmp.Or(ctx.Err(), errs[0])
+		}
+		return nil, nil
+	})
+	if err != nil {
+		rs, errs = make([]*sim.Result, len(specs)), make([]error, len(specs))
+		for i := range errs {
+			errs[i] = err
+		}
+	}
+	return rs, errs
+}
+
+// keep stamps a computed result for the memory tier and writes it through
+// to the durable tier; a failed member's nil result is neither.
+func (e *Engine) keep(ctx context.Context, k Key, r *sim.Result) (sum uint64, stamped bool) {
+	e.tierStore(ctx, k, r)
+	return e.stampFor(k.String(), r)
 }
 
 // simulate runs specs, which share a trace, a filter and a block size,
@@ -610,8 +580,8 @@ func (e *Engine) walkBody(j *job, g *wantGroup) func(context.Context, []any) (an
 // trace holds is reported as a truncation error instead of returning the
 // silently partial result.
 func (e *Engine) simulate(ctx context.Context, specs []SimSpec, t *trace.Trace) (rs []*sim.Result, err error) {
-	// Each traced simulation is a span, journaled as sim.run; the
-	// members of one walk share its start and end.
+	// Each traced simulation is a span, journaled as sim.run with its
+	// spec's key; the members of one walk share its start and end.
 	if _, traced := obs.StartSpan(ctx); traced {
 		start := time.Now()
 		defer func() {
@@ -622,7 +592,7 @@ func (e *Engine) simulate(ctx context.Context, specs []SimSpec, t *trace.Trace) 
 				}
 				sctx, _ := obs.StartSpan(ctx)
 				obs.EndSpan(sctx, "sim.run", start, err,
-					"name", "simulate:"+s.label()+"@"+s.Trace.Name, "refs", refs)
+					"name", "simulate:"+s.label()+"@"+s.Trace.Name, "key", s.Key().String(), "refs", refs)
 			}
 		}()
 	}

@@ -129,7 +129,7 @@ func TestTracePropagationThroughJobsAndCache(t *testing.T) {
 // are journaled in the requesting submission's journal — a cold engine's
 // write-throughs under the cold trace, and a second engine warm-starting
 // from the same store under its own, with hit set. Every line names a
-// result key: per-spec or merged, never a trace.
+// spec's result key, never a trace.
 func TestTracePropagationThroughStoreTiers(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -137,13 +137,9 @@ func TestTracePropagationThroughStoreTiers(t *testing.T) {
 	}
 	cfgs := tracePropConfigs()
 	results := map[string]bool{}
-	var specKeys []Key
 	for _, cfg := range cfgs {
-		k := SimSpec{Trace: cfg, Scheme: "Dir0B"}.Key()
-		specKeys = append(specKeys, k)
-		results[k.String()] = true
+		results[SimSpec{Trace: cfg, Scheme: "Dir0B"}.Key().String()] = true
 	}
-	results[mergeKey(specKeys).String()] = true
 	requireResults := func(lines []map[string]any) {
 		t.Helper()
 		for _, l := range append(withMsg(lines, "store.load"), withMsg(lines, "store.store")...) {
@@ -238,7 +234,7 @@ func TestRemoteParentJournaled(t *testing.T) {
 // a journal renders no event attributes.
 func TestNoJournalNoAllocs(t *testing.T) {
 	e := New(Options{})
-	j := &job{ID: "sim:Dir0B@pops", Key: SimSpec{Trace: tracePropConfigs()[0], Scheme: "Dir0B"}.Key()}
+	j := &job{ID: "sim:Dir0B@pops"}
 	ctx := obs.WithTrace(context.Background(), obs.TraceContext{Trace: "t", Span: 7})
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, ev := range []string{"job.scheduled", "job.start", "job.finish"} {

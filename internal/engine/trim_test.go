@@ -47,13 +47,11 @@ func TestCacheOccupancyGauges(t *testing.T) {
 	}
 	check("one result fulfilled", 2, 1)
 
-	fail := &job{ID: "sim:fail", Key: hashOf("fail"), Run: func(context.Context, []any) (any, error) {
-		return nil, errors.New("boom")
-	}}
-	if err := e.execute(ctx, nil, fail); err != nil || fail.err == nil {
-		t.Fatalf("failing job: run %v, job %v", err, fail.err)
-	}
-	check("failed job evicted at fulfill", 2, 1)
+	boom := hashOf("fail")
+	f, _ := e.results.claim(boom)
+	check("flight claimed", 2, 2)
+	e.results.fulfill(boom, f, nil, errors.New("boom"), 0, false)
+	check("failed flight evicted at fulfill", 2, 1)
 
 	// A verifying reader evicts a corrupted entry and recomputes it: one
 	// out, one in.
@@ -71,28 +69,18 @@ func TestCacheOccupancyGauges(t *testing.T) {
 	}
 	check("corrupted entries evicted and recomputed", 2, 1)
 
-	// Trim while a keyed job is still in its body.
-	started, release := make(chan struct{}), make(chan struct{})
-	slow := &job{ID: "sim:slow", Key: hashOf("slow"), Run: func(context.Context, []any) (any, error) {
-		close(started)
-		<-release
-		return 42, nil
-	}}
-	done := make(chan error, 1)
-	go func() { done <- e.execute(ctx, nil, slow) }()
-	<-started
-	check("job in flight", 2, 2)
+	// Trim while a result is still in flight.
+	slow := hashOf("slow")
+	f, _ = e.results.claim(slow)
+	check("result in flight", 2, 2)
 	e.Trim(cfgs[0])
 	check("trimmed around the flight", 1, 1)
-	if !e.results.peek(slow.Key) {
+	if !e.results.peek(slow) {
 		t.Fatal("Trim removed a flight still in progress")
 	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if slow.err != nil || slow.out != 42 {
-		t.Fatalf("in-flight job delivered %v, %v after Trim, want 42", slow.out, slow.err)
+	e.results.fulfill(slow, f, 42, nil, 0, false)
+	if v, err := f.wait(ctx); err != nil || v != 42 {
+		t.Fatalf("in-flight result delivered %v, %v after Trim, want 42", v, err)
 	}
 	check("flight fulfilled after trim", 1, 1)
 

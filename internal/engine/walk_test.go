@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"dirsim/internal/faults"
 	"dirsim/internal/sim"
+	"dirsim/internal/store"
 	"dirsim/internal/workload"
 )
 
@@ -127,37 +130,6 @@ func TestWalkTakesWhatConcurrentBatchesWant(t *testing.T) {
 	}
 }
 
-// TestWalkJobRecomputesWhenAnotherBatchIsCancelled: a member whose
-// flight another batch's walk owned fails with that batch's cancellation,
-// not this one's; the walk job looks again and computes it itself.
-func TestWalkJobRecomputesWhenAnotherBatchIsCancelled(t *testing.T) {
-	e := New(Options{})
-	spec := SimSpec{Trace: workload.POPSConfig(4, 5_000), Scheme: "WTI"}
-	f, _ := e.results.claim(spec.Key()) // the other batch's walk, in flight
-	done := make(chan error, 1)
-	var got []*sim.Result
-	go func() {
-		var err error
-		got, err = e.Results(context.Background(), Sequential{}, []SimSpec{spec})
-		done <- err
-	}()
-	for e.Stats().JobsRun < 1 { // the walk job's attempt; a spec in flight plans no trace job
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond)
-	e.results.fulfill(spec.Key(), f, nil, context.Canceled, 0, false)
-	if err := <-done; err != nil {
-		t.Fatalf("the other batch's cancellation failed this one: %v", err)
-	}
-	alone, err := New(Options{}).Results(context.Background(), Sequential{}, []SimSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got[0], alone[0]) {
-		t.Error("recomputed result differs from the result alone")
-	}
-}
-
 // startSignal reports each job a batch starts on started, for a test to
 // act once the job is waiting on a flight.
 type startSignal struct{ started chan string }
@@ -167,35 +139,127 @@ func (s startSignal) JobStarted(_ context.Context, id, _, _ string)        { s.s
 func (s startSignal) JobFinished(context.Context, string, string, string, time.Duration, bool, error) {
 }
 
-// TestLookupLooksAgainWhenOwnerIsCancelled: a keyed job waiting on a
-// result another batch has in flight does not fail with that batch's
+// TestWalkLooksAgainWhenOwnerIsCancelled: a walk job waiting on a result
+// another batch has in flight does not fail with that batch's
 // cancellation while its own context is alive; it looks again and
-// computes the result itself.
-func TestLookupLooksAgainWhenOwnerIsCancelled(t *testing.T) {
+// computes the result itself — a family member (WTI) and a walk of one
+// (Dir1NB) alike.
+func TestWalkLooksAgainWhenOwnerIsCancelled(t *testing.T) {
+	for _, scheme := range []string{"WTI", "Dir1NB"} {
+		t.Run(scheme, func(t *testing.T) {
+			sig := startSignal{started: make(chan string, 8)}
+			e := New(Options{Observer: sig})
+			spec := SimSpec{Trace: workload.POPSConfig(4, 5_000), Scheme: scheme}
+			f, _ := e.results.claim(spec.Key()) // the other batch's walk, in flight
+			done := make(chan error, 1)
+			var got []*sim.Result
+			go func() {
+				var err error
+				got, err = e.Results(context.Background(), Sequential{}, []SimSpec{spec})
+				done <- err
+			}()
+			if id := <-sig.started; id != spec.Name() { // a spec in flight plans no trace job
+				t.Fatalf("first job started is %s, want %s", id, spec.Name())
+			}
+			time.Sleep(5 * time.Millisecond) // from its start into its wait on f
+			e.results.fulfill(spec.Key(), f, nil, context.Canceled, 0, false)
+			if err := <-done; err != nil {
+				t.Fatalf("the other batch's cancellation failed this one: %v", err)
+			}
+			alone, err := New(Options{}).Results(context.Background(), Sequential{}, []SimSpec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[0], alone[0]) {
+				t.Error("recomputed result differs from the result alone")
+			}
+		})
+	}
+}
+
+// TestWalkPublishesAfterItsLastAttempt: a walk claims its members before
+// its first attempt and publishes them only after its last, so a
+// concurrent batch waiting on a member gets the result of the attempt
+// that succeeded, not the retryable error of the one that failed.
+func TestWalkPublishesAfterItsLastAttempt(t *testing.T) {
 	sig := startSignal{started: make(chan string, 8)}
-	e := New(Options{Observer: sig})
-	spec := SimSpec{Trace: workload.POPSConfig(4, 5_000), Scheme: "Dir1NB"}
-	f, _ := e.results.claim(spec.Key()) // the other batch's job, in flight
-	done := make(chan error, 1)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	spurious := &faults.Spurious{Site: "sim:Dir0B+WTI@pops"} // every member's, so the attempt fails
+	rem := &fakeRemote{exec: New(Options{})}
+	rem.fail = func(SimSpec) error {
+		if rem.calls.Load() > 1 {
+			return nil
+		}
+		once.Do(func() { close(entered); <-gate })
+		return spurious
+	}
+	e := New(Options{Remote: rem, Retries: 1, Observer: sig})
+	cfg := workload.POPSConfig(4, 5_000)
+	wti := SimSpec{Trace: cfg, Scheme: "WTI"}
+	doneA := make(chan error, 1)
+	go func() {
+		_, err := e.Results(context.Background(), Sequential{}, []SimSpec{{Trace: cfg, Scheme: "Dir0B"}, wti})
+		doneA <- err
+	}()
+	<-entered // the walk has claimed both members; its first attempt is failing
+	doneB := make(chan error, 1)
 	var got []*sim.Result
 	go func() {
 		var err error
-		got, err = e.Results(context.Background(), Sequential{}, []SimSpec{spec})
-		done <- err
+		got, err = e.Results(context.Background(), Sequential{}, []SimSpec{wti})
+		doneB <- err
 	}()
-	if id := <-sig.started; id != spec.Name() { // a spec in flight plans no trace job
-		t.Fatalf("first job started is %s, want %s", id, spec.Name())
+	for id := <-sig.started; id != wti.Name(); id = <-sig.started {
 	}
-	time.Sleep(5 * time.Millisecond) // from its start into its wait on f
-	e.results.fulfill(spec.Key(), f, nil, context.Canceled, 0, false)
-	if err := <-done; err != nil {
-		t.Fatalf("the other batch's cancellation failed this one: %v", err)
+	time.Sleep(5 * time.Millisecond) // from its start into its wait on the flight
+	close(gate)
+	if err := <-doneA; err != nil {
+		t.Fatalf("the retried walk failed: %v", err)
 	}
-	alone, err := New(Options{}).Results(context.Background(), Sequential{}, []SimSpec{spec})
+	if err := <-doneB; err != nil {
+		t.Fatalf("the waiting batch got the failed attempt's error: %v", err)
+	}
+	alone, err := New(Options{}).Results(context.Background(), Sequential{}, []SimSpec{wti})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got[0], alone[0]) {
-		t.Error("recomputed result differs from the result alone")
+		t.Error("the waiting batch's result differs from the result alone")
+	}
+	if s := e.Stats(); s.JobRetries != 1 || rem.calls.Load() != 2 || s.SimsRun != 2 {
+		t.Errorf("%d retries, %d remote calls, %d sims; want 1, 2, 2", s.JobRetries, rem.calls.Load(), s.SimsRun)
+	}
+}
+
+// TestWalkOfCachedMembersRunsNoAttempt: a batch whose members are all
+// cached, in memory or in the durable tier, resolves them without an
+// attempt: Stats().JobsRun does not move.
+func TestWalkOfCachedMembersRunsNoAttempt(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.THORConfig(4, 5_000)
+	specs := []SimSpec{{Trace: cfg, Scheme: "Dir0B"}, {Trace: cfg, Scheme: "WTI"}, {Trace: cfg, Scheme: "Dir1NB"}}
+	ctx := context.Background()
+	e := New(Options{Store: st})
+	if _, err := e.Results(ctx, Parallel{}, specs); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	if _, err := e.Results(ctx, Parallel{}, specs); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.Stats(); after.JobsRun != before.JobsRun || after.CacheHits != before.CacheHits+3 {
+		t.Errorf("memory-cached batch: %d attempts, %d hits; want %d and %d",
+			after.JobsRun, after.CacheHits, before.JobsRun, before.CacheHits+3)
+	}
+	warm := New(Options{Store: st})
+	if _, err := warm.Results(ctx, Parallel{}, specs); err != nil {
+		t.Fatal(err)
+	}
+	if s := warm.Stats(); s.JobsRun != 0 || s.SimsRun != 0 || s.TracesGenerated != 0 {
+		t.Errorf("store-cached batch: %d attempts, %d sims, %d traces; want none", s.JobsRun, s.SimsRun, s.TracesGenerated)
 	}
 }

@@ -74,9 +74,9 @@ type ExperimentReport struct {
 	Error   string  `json:"error,omitempty"`
 }
 
-// PhaseStat is the accumulated time of one phase of a run: "generate",
-// "simulate" and "merge" from the engine's engine.job.<phase>.us
-// histograms, "experiment" from the record's finished experiments.
+// PhaseStat is the accumulated time of one phase of a run: "generate"
+// and "simulate" from the engine's engine.job.<phase>.us histograms,
+// "experiment" from the record's finished experiments.
 type PhaseStat struct {
 	Phase string        `json:"phase"`
 	Count int64         `json:"count"`

@@ -138,8 +138,8 @@ func (c *Context) specs(scheme string, cpus int, filter string) []engine.SimSpec
 }
 
 // MergedGroups returns each group's merged result, in order, running all
-// groups as one engine batch; every simulation and merge is cached
-// across experiments.
+// groups as one engine batch; every simulation is cached across
+// experiments, and a merge is summed from the cached results.
 func (c *Context) MergedGroups(groups ...[]engine.SimSpec) ([]*sim.Result, error) {
 	return c.eng.Merge(c.ctx(), c.exec, groups)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,6 +93,8 @@ func TestContextCachesTraces(t *testing.T) {
 	}
 }
 
+// TestContextMergedCaches: a merge asked for twice is summed twice from
+// the same cached results: the three traces are simulated once.
 func TestContextMergedCaches(t *testing.T) {
 	c := smallContext()
 	a, err := c.Merged("Dir0B")
@@ -102,8 +105,8 @@ func TestContextMergedCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("merged results not cached")
+	if !reflect.DeepEqual(a, b) || c.eng.Stats().SimsRun != 3 {
+		t.Errorf("merge not summed again from the cached results: %d sims", c.eng.Stats().SimsRun)
 	}
 	if _, err := c.Merged("NotAScheme"); err == nil {
 		t.Error("unknown scheme accepted")

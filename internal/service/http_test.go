@@ -228,12 +228,12 @@ func (g *gate) SimulateRemote(ctx context.Context, specs []engine.SimSpec) ([]*s
 }
 
 // TestExperimentJournalHoldsOnlyItsJobs: two experiments run at once and
-// share one spec key; the shared engine simulates it once. Each
-// experiment's history still holds exactly one job.scheduled, job.start
-// and job.finish per spec key of its own — its own run of the key or its
-// cache hit on the other's — and none for the other experiment's keys.
-// No line repeats a key. The schemes are keyed ones, outside the MRSW
-// family, so that every simulation is a job of its own key.
+// share one spec; the shared engine simulates it once. Each experiment's
+// history still holds exactly one job.scheduled, job.start and
+// job.finish per spec of its own — its own run of the spec or its cache
+// hit on the other's — and none for the other experiment's specs. No
+// line repeats a key. The schemes are outside the MRSW family, so that
+// every simulation is a walk job of one, named by its spec.
 func TestExperimentJournalHoldsOnlyItsJobs(t *testing.T) {
 	// Three remote simulations: Dragon once for both sweeps, Dir1NB,
 	// Berkeley.
@@ -254,7 +254,7 @@ func TestExperimentJournalHoldsOnlyItsJobs(t *testing.T) {
 		want := map[string]int{}
 		for _, sp := range exp.specs {
 			for _, msg := range []string{"job.scheduled", "job.start", "job.finish"} {
-				want[msg+" "+sp.Key().String()] = 1
+				want[msg+" "+sp.Name()] = 1
 			}
 		}
 		got := map[string]int{}
@@ -262,19 +262,19 @@ func TestExperimentJournalHoldsOnlyItsJobs(t *testing.T) {
 			if k, err := obs.RepeatedKey([]byte(line)); err != nil || k != "" {
 				t.Fatalf("%s history line repeats %q (%v): %s", exp.ID, k, err, line)
 			}
-			var l struct{ Msg, Key, Trace string }
+			var l struct{ Msg, Job, Trace string }
 			if err := json.Unmarshal([]byte(line), &l); err != nil {
 				t.Fatal(err)
 			}
 			if l.Trace != exp.tc.Trace {
 				t.Errorf("%s history line has trace %q, want %q: %s", exp.ID, l.Trace, exp.tc.Trace, line)
 			}
-			if strings.HasPrefix(l.Msg, "job.") && l.Key != "" {
-				got[l.Msg+" "+l.Key]++
+			if l.Msg != "job.attempt" && strings.HasPrefix(l.Msg, "job.") {
+				got[l.Msg+" "+l.Job]++
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s job lines per spec key = %v, want %v", exp.ID, got, want)
+			t.Errorf("%s job lines per spec = %v, want %v", exp.ID, got, want)
 		}
 	}
 }

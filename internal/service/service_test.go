@@ -383,9 +383,9 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 	}
 
 	// The cold sweep journals its trace job too. The warm one journals
-	// one job per spec and no trace job — Dir1NB's keyed job, and Dir0B's
-	// family walk job of one, whose body runs and finds its result in the
-	// store — and exactly one store.load per spec, a hit.
+	// one walk job per spec and no trace job — each finds its result in
+	// the store before any attempt — and exactly one store.load per spec,
+	// a hit.
 	engineLines := func(svc *Service, id string) (byJob, byKey map[string][]string) {
 		exp, _ := svc.Get(id)
 		byJob, byKey = map[string][]string{}, map[string][]string{}
@@ -412,7 +412,7 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 	}
 	warmJobs, warmKeys := engineLines(svc2, st2.ID)
 	want := map[string]string{
-		"sim:Dir0B@pops":  "job.scheduled job.start job.attempt job.finish",
+		"sim:Dir0B@pops":  "job.scheduled job.start job.finish",
 		"sim:Dir1NB@pops": "job.scheduled job.start job.finish",
 	}
 	if len(warmJobs) != len(want) || len(warmKeys) != len(warm.Results) {
