@@ -37,6 +37,13 @@
 //	dirsimw -coordinator http://localhost:8080 &
 //	dirsimw -coordinator http://localhost:8080 &
 //
+// Upgrade a fleet's workers before its coordinator. The coordinator
+// grants a worker every queued member of a family walk with the leased
+// job, and refuses a shipped journal batch without a checksum; a worker
+// built before either runs only the leased job, so each sibling waits out
+// its lease and is requeued (and may degrade to a local run), and its
+// shipped journal lines are dropped.
+//
 // Every response carries an X-Dirsim-Trace header naming the trace the
 // request ran under; callers may supply their own via the same header.
 // Per-route and per-tenant request/error/latency metrics appear on

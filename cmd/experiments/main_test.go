@@ -512,7 +512,7 @@ func TestMetricsFlag(t *testing.T) {
 // rendered from the run's journal, has the span and instant names and
 // the parent edges of the execution tracer's export it replaced
 // (testdata/trace_edges.golden, whose header states its rules), and
-// every attempt a walk job runs walks.
+// every sim: job runs at most one attempt, attempt:0, which walks.
 func TestTraceEdgesMatchGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	cfg := config{sel: "all", refs: 20_000, cpus: 4, parallel: 2, trace: path}
@@ -539,7 +539,8 @@ func TestTraceEdgesMatchGolden(t *testing.T) {
 		names[float64(ev.ID)] = ev.Name
 	}
 	got := map[string]int{}
-	var simAttempts []float64         // attempts of sim: jobs
+	simAttempts := map[float64]int{}  // attempt spans per sim: job
+	var walkAttempts []float64        // attempt:0 spans of sim: jobs
 	walkParents := map[float64]bool{} // parents of simulate: spans
 	for _, ev := range tf.TraceEvents {
 		if ev.Ph != "X" && ev.Ph != "i" {
@@ -552,14 +553,22 @@ func TestTraceEdgesMatchGolden(t *testing.T) {
 		}
 		switch {
 		case strings.HasPrefix(ev.Name, "attempt:") && strings.HasPrefix(parent, "sim:"):
-			simAttempts = append(simAttempts, float64(ev.ID))
+			if simAttempts[id]++; ev.Name != "attempt:0" {
+				t.Errorf("%s of %s in a run without faults", ev.Name, parent)
+			}
+			walkAttempts = append(walkAttempts, float64(ev.ID))
 			continue // not listed (the golden file's rule)
 		case strings.HasPrefix(ev.Name, "simulate:"):
 			walkParents[id] = true
 		}
 		got[ev.Ph+" "+ev.Name+" "+parent]++
 	}
-	for _, id := range simAttempts {
+	for id, n := range simAttempts {
+		if n > 1 {
+			t.Errorf("%s ran %d attempts in a run without faults", names[id], n)
+		}
+	}
+	for _, id := range walkAttempts {
 		if !walkParents[id] {
 			t.Errorf("%s span %v of a sim: job parents no simulate: span", names[id], id)
 		}

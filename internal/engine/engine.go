@@ -571,20 +571,7 @@ func (e *Engine) runBody(ctx context.Context, j *job, run func(context.Context, 
 		if err == nil {
 			return out, nil
 		}
-		je := &JobError{
-			ID:       j.ID,
-			Kind:     jobKind(j.ID),
-			Attempts: attempt + 1,
-			Err:      err,
-		}
-		var pe *panicError
-		var te *timeoutError
-		switch {
-		case errors.As(err, &pe):
-			je.Panicked, je.Stack, je.Err = true, pe.stack, pe
-		case errors.As(err, &te):
-			je.Timeout, je.Err = true, te.cause
-		}
+		je := jobError(j, attempt, err)
 		if attempt >= e.retries || ctx.Err() != nil || !je.Retryable() {
 			return nil, je
 		}
@@ -600,6 +587,32 @@ func (e *Engine) runBody(ctx context.Context, j *job, run func(context.Context, 
 		}
 		backoff *= 2
 	}
+}
+
+// jobError records err, the failure of j's attempt'th attempt, as a
+// *JobError.
+func jobError(j *job, attempt int, err error) *JobError {
+	je := &JobError{ID: j.ID, Kind: jobKind(j.ID), Attempts: attempt + 1, Err: err}
+	var pe *panicError
+	var te *timeoutError
+	switch {
+	case errors.As(err, &pe):
+		je.Panicked, je.Stack, je.Err = true, pe.stack, pe
+	case errors.As(err, &te):
+		je.Timeout, je.Err = true, te.cause
+	}
+	return je
+}
+
+// recovered turns r, a panic recovered from j's body, into a *panicError
+// with the stack, counting it and journaling it as job.panic.
+func (e *Engine) recovered(ctx context.Context, j *job, r any) error {
+	stack := debug.Stack()
+	e.jobPanics.Add(1)
+	if jnl := obs.JournalFrom(ctx); jnl != nil {
+		jnl.Event("job.panic", obs.ParentAttrs(ctx, []any{"job", j.ID, "stack", string(stack)})...)
+	}
+	return &panicError{val: r, stack: stack}
 }
 
 // panicError carries a recovered panic value and the stack captured at
@@ -642,17 +655,15 @@ func (e *Engine) attempt(ctx context.Context, j *job, run func(context.Context, 
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			stack := debug.Stack()
-			e.jobPanics.Add(1)
-			if jnl := obs.JournalFrom(ctx); jnl != nil {
-				jnl.Event("job.panic", obs.ParentAttrs(ctx, []any{"job", j.ID, "stack", string(stack)})...)
-			}
-			out, err = nil, &panicError{val: r, stack: stack}
+			out, err = nil, e.recovered(ctx, j, r)
 		}
 	}()
 	e.jobsRun.Add(1)
-	if ferr := e.faults.JobFault(j.ID, attempt); ferr != nil {
-		return nil, ferr
+	// A walk job's members draw their own faults (memberFault).
+	if j.walk == nil {
+		if ferr := e.faults.JobFault(j.ID, attempt); ferr != nil {
+			return nil, ferr
+		}
 	}
 	in := make([]any, len(j.Deps))
 	for i, d := range j.Deps {

@@ -79,10 +79,7 @@ func (e *Engine) compute(ctx context.Context, specs []SimSpec, in []any) ([]*sim
 	} else if e.remote != nil {
 		defer acquireSlot(ctx)()
 	}
-	walk := make([]SimSpec, len(local))
-	for n, i := range local {
-		walk[n] = specs[i]
-	}
+	walk := pick(specs, local)
 	t, err := e.traceOf(ctx, walk[0].Trace, in)
 	var walked []*sim.Result
 	if err == nil {

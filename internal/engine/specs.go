@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -510,11 +509,7 @@ func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
 	}
 	j.cacheHit = len(own) == 0
 	if len(own) > 0 {
-		walk := make([]SimSpec, len(own))
-		for m, i := range own {
-			walk[m] = specs[i]
-		}
-		rs, errs := e.attempts(ctx, j, walk)
+		rs, errs := e.attempts(ctx, j, pick(specs, own))
 		for m, i := range own {
 			sum, stamped := e.keep(ctx, keys[i], rs[m])
 			e.results.fulfill(keys[i], flights[m], rs[m], errs[m], sum, stamped)
@@ -540,29 +535,83 @@ func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
 	return w
 }
 
-// attempts computes specs under runBody and returns each one's result or
-// error. The end of the attempt's context, or one error every member
-// failed with (a walk of one, a local walk), fails the attempt as a
-// whole, so retries and the deadline apply to it; a member's own error (a
-// Remote's structured failure) is final. A job that runs out of attempts
-// fails every member with its *JobError.
+// attempts computes specs under runBody's retries, deadline and panic
+// isolation, and returns each one's result or error. Each attempt, every
+// member not yet settled draws its own injected faults (memberFault), and
+// the rest are computed together, so a spec's outcome never depends on
+// which walk computes it. A member's error, recorded as j's *JobError,
+// sends it into the next attempt when it is retryable and settles it
+// otherwise; a result settles it. Only the end of the attempt's context
+// fails the attempt as a whole: the members it left are retried with it,
+// or fail with the job's *JobError.
 func (e *Engine) attempts(ctx context.Context, j *job, specs []SimSpec) ([]*sim.Result, []error) {
-	var rs []*sim.Result
-	var errs []error
+	rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
+	left := make([]int, len(specs))
+	for i := range left {
+		left[i] = i
+	}
+	attempt := 0
 	_, err := e.runBody(ctx, j, func(ctx context.Context, in []any) (any, error) {
-		rs, errs = e.compute(ctx, specs, in)
-		if ctx.Err() != nil || !slices.ContainsFunc(errs, func(err error) bool { return err == nil || !errors.Is(err, errs[0]) }) {
-			return nil, cmp.Or(ctx.Err(), errs[0])
+		defer func() { attempt++ }()
+		walks := [][]int{nil}
+		for _, i := range left {
+			alone, err := e.memberFault(ctx, j, specs[i], attempt)
+			switch errs[i] = err; {
+			case err != nil:
+			case alone:
+				walks = append(walks, []int{i})
+			default:
+				walks[0] = append(walks[0], i)
+			}
+		}
+		left = slices.DeleteFunc(left, func(i int) bool { return errs[i] != nil && !IsRetryable(errs[i]) })
+		for _, walk := range slices.DeleteFunc(walks, func(w []int) bool { return len(w) == 0 }) {
+			got, gotErrs := e.compute(ctx, pick(specs, walk), in)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for n, i := range walk {
+				if rs[i] = got[n]; gotErrs[n] != nil {
+					errs[i] = jobError(j, attempt, gotErrs[n])
+				}
+			}
+		}
+		if left = slices.DeleteFunc(left, func(i int) bool { return !IsRetryable(errs[i]) }); len(left) > 0 {
+			return nil, errs[left[0]]
 		}
 		return nil, nil
 	})
-	if err != nil {
-		rs, errs = make([]*sim.Result, len(specs)), make([]error, len(specs))
-		for i := range errs {
-			errs[i] = err
-		}
+	for _, i := range left {
+		errs[i] = cmp.Or(errs[i], err)
 	}
 	return rs, errs
+}
+
+// memberFault draws s's injected faults for its attempt'th attempt at
+// s.Name(), whichever walk job computes s: a job fault, returned as j's
+// *JobError (an injected panic is recovered, and counted, here), and
+// whether the injector cuts s's stream (simulate), in which case s walks
+// alone, so the cut fails s and no sibling.
+func (e *Engine) memberFault(ctx context.Context, j *job, s SimSpec, attempt int) (alone bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = jobError(j, attempt, e.recovered(ctx, j, r))
+		}
+	}()
+	if err := e.faults.JobFault(s.Name(), attempt); err != nil {
+		return false, jobError(j, attempt, err)
+	}
+	_, alone = e.faults.TruncateAfter(s.Name(), int64(s.Trace.Refs))
+	return alone, nil
+}
+
+// pick returns the specs at the given positions.
+func pick(specs []SimSpec, at []int) []SimSpec {
+	out := make([]SimSpec, len(at))
+	for n, i := range at {
+		out[n] = specs[i]
+	}
+	return out
 }
 
 // keep stamps a computed result for the memory tier and writes it through
@@ -606,7 +655,7 @@ func (e *Engine) simulate(ctx context.Context, specs []SimSpec, t *trace.Trace) 
 	expect := int64(len(t.Refs))
 	src := t.IteratorContext(ctx)
 	if e.faults != nil {
-		src = e.faults.WrapSource("sim:"+spec.label()+"@"+spec.Trace.Name, src, expect)
+		src = e.faults.WrapSource(spec.Name(), src, expect)
 	}
 	if filter := filters[spec.Filter]; filter != nil {
 		src = filter(src)

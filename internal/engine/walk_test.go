@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -261,5 +264,73 @@ func TestWalkOfCachedMembersRunsNoAttempt(t *testing.T) {
 	}
 	if s := warm.Stats(); s.JobsRun != 0 || s.SimsRun != 0 || s.TracesGenerated != 0 {
 		t.Errorf("store-cached batch: %d attempts, %d sims, %d traces; want none", s.JobsRun, s.SimsRun, s.TracesGenerated)
+	}
+}
+
+// TestWalkFaultsFollowTheSpec: an injected fault lands on the spec it is
+// drawn for, whichever walk computes that spec. Concurrent batches group
+// a shared spec (Dir0B) with different siblings, so which walk job takes
+// it depends on timing; under every seed, on every run, the shared spec's
+// outcome in each batch is its outcome alone: the same injected cause, or
+// the clean result.
+func TestWalkFaultsFollowTheSpec(t *testing.T) {
+	ctx := context.Background()
+	cfg := workload.POPSConfig(4, 5_000)
+	shared := SimSpec{Trace: cfg, Scheme: "Dir0B"}
+	batches := [][]SimSpec{
+		{{Trace: cfg, Scheme: "WTI"}, shared},
+		{shared, {Trace: cfg, Scheme: "DirNNB"}},
+		{{Trace: cfg, Scheme: "Dir1B"}, {Trace: cfg, Scheme: "DirCV"}, shared},
+	}
+	clean, err := New(Options{}).Results(ctx, Sequential{}, []SimSpec{shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// outcome names the shared spec's fate in a batch: "ok", or the cause
+	// under every *JobError layer.
+	outcome := func(specs []SimSpec, rs []*sim.Result, err error) string {
+		i := slices.Index(specs, shared)
+		if rs != nil && rs[i] != nil {
+			if !reflect.DeepEqual(rs[i], clean[0]) {
+				return "a result that differs from the clean run"
+			}
+			return "ok"
+		}
+		if p, ok := AsPartial(err); ok {
+			err = p.Failed[shared.Name()]
+		}
+		for je := (*JobError)(nil); errors.As(err, &je); {
+			err = je.Err
+		}
+		return fmt.Sprint(err)
+	}
+	seen := map[bool]bool{}
+	for seed := uint64(1); seed <= 12; seed++ {
+		fc := faults.Config{Seed: seed, Panic: 0.2, Spurious: 0.3, Truncate: 0.2}
+		rs, err := New(Options{Retries: 1, Faults: faults.New(fc)}).Results(ctx, Sequential{}, []SimSpec{shared})
+		want := outcome([]SimSpec{shared}, rs, err)
+		seen[want == "ok"] = true
+		for run := 0; run < 4; run++ {
+			e := New(Options{Retries: 1, Faults: faults.New(fc)})
+			got := make([]string, len(batches))
+			var wg sync.WaitGroup
+			for b, specs := range batches {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rs, err := e.Results(ctx, Parallel{Workers: 4}, specs)
+					got[b] = outcome(specs, rs, err)
+				}()
+			}
+			wg.Wait()
+			for b, g := range got {
+				if g != want {
+					t.Errorf("seed %d run %d batch %d: %s is %q, alone %q", seed, run, b, shared.Name(), g, want)
+				}
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("seeds 1..12 left %s always ok or always failed (%v); retune the schedule", shared.Name(), seen)
 	}
 }
