@@ -210,14 +210,19 @@ func readJournal(t *testing.T, path string) []map[string]any {
 	return lines
 }
 
-// TestRunWithJournal checks the journal is bracketed by run.start and
-// run.finish and holds, inside the bracket, exactly one engine sim.run
-// span per scheme, named simulate:<scheme>@pingpong, with its wall time
-// and reference count.
+// TestRunWithJournal checks the journal opens with the trace's
+// generation span, generate:pingpong, run.start reporting what it made,
+// and the rest is bracketed by run.start and run.finish and holds,
+// inside the bracket, exactly one engine sim.run span per scheme, named
+// simulate:<scheme>@pingpong, with its wall time and reference count.
 func TestRunWithJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
 	runOut(t, "-workload", "pingpong", "-refs", "2000", "-schemes", "Dir0B,Dragon", "-journal", journal)
 	lines := readJournal(t, journal)
+	if g := lines[0]; g["msg"] != "trace.generate" || g["name"] != "generate:pingpong" {
+		t.Fatalf("journal does not open with the trace's generation span: %v", g)
+	}
+	lines = lines[1:]
 	if lines[0]["msg"] != "run.start" || lines[len(lines)-1]["msg"] != "run.finish" {
 		t.Fatalf("journal not bracketed by run events: first %v, last %v", lines[0], lines[len(lines)-1])
 	}
@@ -363,8 +368,9 @@ func TestTextTraceRoundTrip(t *testing.T) {
 }
 
 // TestGenerateWithJournal checks generating a trace file journals valid
-// JSONL bracketed by run.start, which carries the trace and its resolved
-// seed, and run.finish; and that a failed run journals its error.
+// JSONL: the generation span, then a bracket of run.start, which carries
+// the trace and its resolved seed, and run.finish; and that a failed run
+// journals its error.
 func TestGenerateWithJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "run.jsonl")
@@ -375,9 +381,10 @@ func TestGenerateWithJournal(t *testing.T) {
 	for _, m := range lines {
 		msgs = append(msgs, m["msg"].(string))
 	}
-	if msgs[0] != "run.start" || msgs[len(msgs)-1] != "run.finish" {
-		t.Fatalf("journal events = %v, want a run.start/run.finish bracket", msgs)
+	if msgs[0] != "trace.generate" || msgs[1] != "run.start" || msgs[len(msgs)-1] != "run.finish" {
+		t.Fatalf("journal events = %v, want the generation, then a run.start/run.finish bracket", msgs)
 	}
+	lines = lines[1:]
 	if m := lines[0]; m["trace"] != "pops" || m["refs"].(float64) <= 0 || m["seed"].(float64) != workload.SeedPOPS {
 		t.Errorf("run.start fields wrong: %v", m)
 	}

@@ -140,8 +140,12 @@ func (m *matcher) match(l obs.Line) bool {
 	return true
 }
 
-// phaseOf mirrors the engine's job-kind → phase folding
-// (engine.job.<phase>.us); any other kind is its own phase.
+// phaseOf folds a job kind into its phase, as the engine's
+// engine.job.<phase>.us histograms do: a sim job is the simulate phase.
+// The engine no longer runs trace jobs — a generation is a trace.generate
+// span, which summarize counts as the generate phase — but an older
+// journal's trace: job lines still fold into that phase. Any other kind
+// is its own phase.
 func phaseOf(kind string) string {
 	switch kind {
 	case "trace":
@@ -197,7 +201,7 @@ type summary struct {
 	errors    int
 	byMsg     map[string]int64
 	byKind    map[string]*dist // job.finish dur_us per kind
-	byPhase   map[string]*dist
+	byPhase   map[string]*dist // job.finish and trace.generate dur_us per phase
 	traces    map[string]struct{}
 	tenants   map[string]struct{}
 	cacheHits int64
@@ -284,6 +288,10 @@ func summarize(lines []obs.Line, skipped int) *summary {
 			} else {
 				s.cacheMiss++
 			}
+		case "trace.generate":
+			if d, ok := l.Num("dur_us"); ok {
+				addDist(s.byPhase, "generate", d)
+			}
 		case "store.load":
 			if l.Bool("hit") {
 				s.storeHit++
@@ -358,6 +366,8 @@ func writeStats(w io.Writer, s *summary) {
 			fmt.Fprintf(w, "  %-10s %6d %10d %10d %10d %12d\n",
 				k, d.count(), d.quantile(0.50), d.quantile(0.95), d.quantile(1), d.sum())
 		}
+	}
+	if len(s.byPhase) > 0 {
 		fmt.Fprintln(w, "\nphases (dur_us):")
 		for _, k := range sortedKeys(s.byPhase) {
 			d := s.byPhase[k]
@@ -447,7 +457,7 @@ func renderEvent(l obs.Line) string {
 	var b strings.Builder
 	switch l.Msg {
 	case "job.scheduled", "job.start", "job.finish", "job.retry", "job.panic",
-		"store.load", "store.store", "cache.reject", "stream.end",
+		"trace.generate", "store.load", "store.store", "cache.reject", "stream.end",
 		"job.lease", "job.hedge", "job.requeue", "job.lease.expire",
 		"job.remote.error", "result.accept", "result.reject", "result.duplicate",
 		"worker.probe", "worker.job.start", "worker.job.finish", "worker.job.error",

@@ -31,6 +31,47 @@ const journalB = `{"time":"2026-08-08T11:00:00.000Z","level":"INFO","msg":"job.f
 {"time":"2026-08-08T11:00:00.200Z","level":"ERROR","msg":"job.finish","schema":2,"trace":"r2","job":"merge:Dir1","kind":"merge","dur_us":100,"cache_hit":false,"error":"boom"}
 `
 
+// journalGen is a run of the engine's current shape: no trace job, the
+// generation a trace.generate span before the one walk job that needed
+// it, and a second walk over the same trace.
+const journalGen = `{"time":"2026-10-01T10:00:00.000Z","level":"INFO","msg":"job.scheduled","schema":4,"trace":"g1","job":"sim:Dir0B+WTI@pops","kind":"sim"}
+{"time":"2026-10-01T10:00:00.001Z","level":"INFO","msg":"job.scheduled","schema":4,"trace":"g1","job":"sim:Dragon@pops","kind":"sim"}
+{"time":"2026-10-01T10:00:00.300Z","level":"INFO","msg":"trace.generate","schema":4,"trace":"g1","span":"a1","name":"generate:pops","key":"k1","dur_us":2500}
+{"time":"2026-10-01T10:00:00.301Z","level":"INFO","msg":"job.start","schema":4,"trace":"g1","job":"sim:Dir0B+WTI@pops","kind":"sim"}
+{"time":"2026-10-01T10:00:00.302Z","level":"INFO","msg":"job.start","schema":4,"trace":"g1","job":"sim:Dragon@pops","kind":"sim"}
+{"time":"2026-10-01T10:00:00.400Z","level":"INFO","msg":"job.finish","schema":4,"trace":"g1","span":"a2","job":"sim:Dir0B+WTI@pops","kind":"sim","name":"sim:Dir0B+WTI@pops","dur_us":4000,"cache_hit":false}
+{"time":"2026-10-01T10:00:00.500Z","level":"INFO","msg":"job.finish","schema":4,"trace":"g1","span":"a3","job":"sim:Dragon@pops","kind":"sim","name":"sim:Dragon@pops","dur_us":6000,"cache_hit":false}
+`
+
+// TestGenerationSpansAreTheGeneratePhase: stats counts a trace.generate
+// span as the generate phase beside the walk jobs' simulate phase, and
+// lists no trace kind among the jobs; timeline counts the generations. An
+// older journal's trace: job still folds into the same phase.
+func TestGenerationSpansAreTheGeneratePhase(t *testing.T) {
+	path := writeJournal(t, "gen.jsonl", journalGen)
+	code, out, errb := runCLI(t, "stats", path)
+	if code != 0 {
+		t.Fatalf("stats exit %d, stderr: %s", code, errb)
+	}
+	for _, want := range []string{"generate        1         2500", "simulate        2        10000"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats output missing phase line %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "\n  trace ") {
+		t.Errorf("stats lists a trace job kind for a journal without trace jobs:\n%s", out)
+	}
+	_, out, _ = runCLI(t, "stats", path, writeJournal(t, "b.jsonl", journalB))
+	if !strings.Contains(out, "generate        2         4500") {
+		t.Errorf("an older journal's trace: job did not fold into the generate phase:\n%s", out)
+	}
+	code, out, errb = runCLI(t, "timeline", "g1", path)
+	if code != 0 || !strings.Contains(out, "2 jobs (0 cache hits), 1 generations") ||
+		!strings.Contains(out, "  trace.generate key=k1 name=generate:pops dur_us=2500") {
+		t.Errorf("timeline exit %d:\n%s%s", code, out, errb)
+	}
+}
+
 func writeJournal(t *testing.T, name, content string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)

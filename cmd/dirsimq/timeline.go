@@ -13,7 +13,8 @@ import (
 
 // cmdTimeline reconstructs the causal chain of one trace or job (or the
 // whole journal) in one time-ordered listing, then sums it up: jobs and
-// their cache hits, store loads and their hits, retries, errors. Given
+// their cache hits, trace generations, store loads and their hits,
+// retries, errors. Given
 // journals alone, it lists the traces and job keys to pick from.
 //
 // Over a coordinator's fleet journal with shipped worker lines merged
@@ -114,6 +115,9 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) (int, error) {
 	fmt.Fprintf(stdout, "\nsummary: %d events", s.events)
 	if n := s.cacheHits + s.cacheMiss; n > 0 {
 		fmt.Fprintf(stdout, ", %d jobs (%d cache hits)", n, s.cacheHits)
+	}
+	if d := s.byPhase["generate"]; d != nil {
+		fmt.Fprintf(stdout, ", %d generations", d.count())
 	}
 	if n := s.storeHit + s.storeMiss; n > 0 {
 		fmt.Fprintf(stdout, ", %d store loads (%d hits)", n, s.storeHit)

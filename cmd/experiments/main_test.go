@@ -390,9 +390,11 @@ func TestManifestFlag(t *testing.T) {
 	if m.Engine["engine.traces.generated"] == 0 {
 		t.Errorf("manifest engine counters wrong: %v", m.Engine)
 	}
-	// table3 reads its traces straight from the engine, so its one
-	// experiment is its only phase: no engine job ran.
-	if len(m.Phases) != 1 || m.Phases[0].Phase != "experiment" || m.Phases[0].Count != 1 {
+	// table3 reads its traces straight from the engine, so no engine job
+	// ran: its phases are its one experiment and the generation of its
+	// three traces.
+	if len(m.Phases) != 2 || m.Phases[0].Phase != "experiment" || m.Phases[0].Count != 1 ||
+		m.Phases[1].Phase != "generate" || m.Phases[1].Count != 3 {
 		t.Errorf("manifest phases wrong: %+v", m.Phases)
 	}
 	// The engine's fifteen counters (engine.walks.run the newest), with
@@ -591,11 +593,7 @@ func TestTraceEdgesMatchGolden(t *testing.T) {
 		want[strings.Join(f[:3], " ")] = n
 	}
 	for edge := range merged(got, want) {
-		g, w := got[edge], want[edge]
-		if strings.Contains(edge, " trace:") && g > 0 && w > 0 {
-			continue // counted by presence (the golden file's rule)
-		}
-		if g != w {
+		if g, w := got[edge], want[edge]; g != w {
 			t.Errorf("edge %q: %d in the export, %d in the golden file", edge, g, w)
 		}
 	}

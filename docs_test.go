@@ -265,3 +265,172 @@ func readDoc(t *testing.T, name string) string {
 	}
 	return string(b)
 }
+
+// TestRunPatternsNameTests keeps the test selections of CI and the
+// Makefile honest, so a renamed or folded test cannot leave a step
+// running nothing: every top-level alternative of every `go test -run`
+// pattern in .github/workflows/ci.yml and the Makefile must match a Test
+// or Fuzz function declared in a package the same command names. A
+// parenthesised group belongs to the alternative it sits in
+// (TestDir1NB(Batch|Checked)?MatchesSpec is one), and ^$, which selects
+// no test, is exempt.
+func TestRunPatternsNameTests(t *testing.T) {
+	funcs := make(map[string][]string) // package directory → its Test and Fuzz functions
+	for _, file := range []string{filepath.Join(".github", "workflows", "ci.yml"), "Makefile"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commands := 0
+		for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+			pattern, dirs := runSelection(line)
+			if pattern == "" || pattern == "^$" {
+				continue
+			}
+			commands++
+			var tests []string
+			for _, dir := range dirs {
+				if _, ok := funcs[dir]; !ok {
+					funcs[dir] = testFuncs(t, dir)
+				}
+				tests = append(tests, funcs[dir]...)
+			}
+			for _, alt := range topAlternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run %q: %v", file, pattern, err)
+					continue
+				}
+				if !slices.ContainsFunc(tests, re.MatchString) {
+					t.Errorf("%s: -run alternative %q matches no Test or Fuzz function in %s",
+						file, alt, strings.Join(dirs, " "))
+				}
+			}
+		}
+		if commands == 0 {
+			t.Errorf("%s: found no go test -run command", file)
+		}
+	}
+}
+
+// runSelection returns the -run pattern of the go test command on line,
+// if there is one, and the package directories it names; ./... names
+// every package of the module.
+func runSelection(line string) (pattern string, dirs []string) {
+	_, rest, ok := strings.Cut(line, "go test ")
+	if !ok {
+		if _, rest, ok = strings.Cut(line, "$(GO) test "); !ok {
+			return "", nil
+		}
+	}
+	words := shellWords(rest)
+	for i, w := range words {
+		switch {
+		case w == "|" || w == "||" || w == "&&" || w == ";" || strings.HasPrefix(w, ">"):
+			return pattern, dirs
+		case w == "-run" && i+1 < len(words):
+			pattern = words[i+1]
+		case strings.HasPrefix(w, "-run="):
+			pattern = strings.TrimPrefix(w, "-run=")
+		case w == "./...":
+			dirs = append(dirs, modulePackages()...)
+		case w == "." || strings.HasPrefix(w, "./"):
+			dirs = append(dirs, filepath.Clean(w))
+		}
+	}
+	return pattern, dirs
+}
+
+// shellWords splits s into words at blanks, as a shell does, keeping
+// what single or double quotes enclose in one word without the quotes.
+func shellWords(s string) []string {
+	var words []string
+	var w strings.Builder
+	var quote rune
+	inWord := false
+	for _, r := range s {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			if inWord {
+				words, inWord = append(words, w.String()), false
+				w.Reset()
+			}
+		default:
+			w.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, w.String())
+	}
+	return words
+}
+
+// topAlternatives splits pattern at each | outside parentheses.
+func topAlternatives(pattern string) []string {
+	var alts []string
+	depth, from := 0, 0
+	for i, r := range pattern {
+		switch r {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts, from = append(alts, pattern[from:i]), i+1
+			}
+		}
+	}
+	return append(alts, pattern[from:])
+}
+
+// modulePackages returns every directory of the module holding Go files,
+// leaving out testdata and hidden directories.
+func modulePackages() []string {
+	var dirs []string
+	filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !slices.Contains(dirs, filepath.Dir(path)) {
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return nil
+	})
+	return dirs
+}
+
+// testFuncs returns the Test and Fuzz functions the test files in dir
+// declare.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, f := range files {
+		file, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
+}

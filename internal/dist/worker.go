@@ -321,9 +321,12 @@ func (w *Worker) heartbeat(ctx context.Context, run []*JobSpec, tcs []obs.TraceC
 }
 
 // push delivers the completion report. A 410 is success-shaped (the job
-// completed elsewhere; our bytes are discarded); a 400/422 means the
-// payload was mangled in flight, worth re-marshaling and resending a
-// couple of times before letting the lease expire.
+// completed elsewhere; our bytes are discarded). A 400 means the body did
+// not decode — mangled in flight — so the coordinator never saw the push
+// and the lease is untouched: it is re-marshaled and resent a couple of
+// times before the lease is left to expire. A 422 is final: the
+// coordinator decoded the push, failed its revalidation, resolved the
+// lease and requeued the job, so a resend could only be discarded.
 func (w *Worker) push(ctx context.Context, tc obs.TraceContext, p *resultPush) error {
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -334,15 +337,16 @@ func (w *Worker) push(ctx context.Context, tc obs.TraceContext, p *resultPush) e
 		case IsStatus(err, http.StatusGone):
 			w.event("worker.push.discarded", tc, "key", shortKey(p.Key), "lease", p.Lease)
 			return nil
-		case IsStatus(err, http.StatusUnprocessableEntity), IsStatus(err, http.StatusBadRequest):
+		case IsStatus(err, http.StatusUnprocessableEntity):
 			w.event("worker.push.rejected", tc, "key", shortKey(p.Key), "attempt", attempt)
+			return fmt.Errorf("dist: push for %s failed revalidation: %w", shortKey(p.Key), err)
+		case IsStatus(err, http.StatusBadRequest):
 			last = err
-			continue
 		default:
 			return err
 		}
 	}
-	return fmt.Errorf("dist: push for %s kept failing revalidation: %w", shortKey(p.Key), last)
+	return fmt.Errorf("dist: push for %s kept failing to decode: %w", shortKey(p.Key), last)
 }
 
 // simulate runs the jobs' specs through the worker's engine as one batch,

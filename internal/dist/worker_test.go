@@ -473,3 +473,39 @@ func TestFleetUnreachableDegradesToLocal(t *testing.T) {
 		t.Errorf("engine stats = %+v, want %d local fallbacks", es, len(specs))
 	}
 }
+
+// TestPushRejectedIsSentOnce: a push the coordinator answers 422 has
+// already resolved its lease and requeued its job, so the worker sends it
+// exactly once, journals worker.push.rejected once, and reports the
+// rejection; a push answered 400 never reached the lease and is resent.
+func TestPushRejectedIsSentOnce(t *testing.T) {
+	for _, tc := range []struct {
+		status, sends int
+		event         string
+	}{
+		{http.StatusUnprocessableEntity, 1, "worker.push.rejected"},
+		{http.StatusBadRequest, 3, ""},
+	} {
+		var mu sync.Mutex
+		sends := 0
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			sends++
+			mu.Unlock()
+			httpmon.WriteError(w, tc.status, "no")
+		}))
+		var journal bytes.Buffer
+		w := &Worker{Name: "w1", Client: &Client{Base: srv.URL}, Journal: obs.NewJournal(&journal)}
+		err := w.push(context.Background(), obs.TraceContext{}, &resultPush{Worker: "w1", Lease: "l1", Key: "aaaa"})
+		srv.Close()
+		if !IsStatus(err, tc.status) {
+			t.Errorf("%d: push error = %v, want the %d", tc.status, err, tc.status)
+		}
+		if sends != tc.sends {
+			t.Errorf("%d: push sent %d times, want %d", tc.status, sends, tc.sends)
+		}
+		if n := strings.Count(journal.String(), `"msg":"worker.push.rejected"`); tc.event != "" && n != 1 {
+			t.Errorf("%d: %d worker.push.rejected lines, want 1:\n%s", tc.status, n, journal.String())
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package engine executes experiment workloads concurrently. Every
-// experiment is expressed as a DAG of jobs — trace generation feeding
-// per-scheme simulations feeding aggregation — run on a bounded worker
-// pool with cancellable contexts and per-job timing.
+// experiment is expressed as a batch of simulation jobs — each pricing,
+// in one walk, the specs one pass over a materialized trace can price —
+// run on a bounded worker pool with cancellable contexts and per-job
+// timing.
 //
 // Large sweeps are cheap because results are deduplicated and cached by a
 // content hash of everything that can influence them (workload spec
@@ -11,11 +12,11 @@
 // experiments is generated once, by whichever caller asks first, and a
 // scheme priced by five figures is simulated once.
 //
-// Every batch is the same DAG whichever executor runs it: one
-// trace:<workload> job through the single-flight Engine.Trace, feeding
-// one sim: walk job per group of specs one pass over the materialized
-// trace can price, on one scheduler: every job waits for its
-// dependencies and then for a slot of the batch's pool. Sequential is
+// Every batch is the same flat list of walk jobs whichever executor runs
+// it: one sim: job per group of specs one pass over a trace can price. A
+// job that will compute locally first gets its trace from the
+// single-flight Engine.Trace, whose generation takes one slot of the
+// batch's pool, and then takes a slot itself to simulate. Sequential is
 // that pool with one slot and Parallel with many; they differ in worker
 // count and nothing else, and because simulations are pure functions of
 // the reference sequence both produce bit-identical results, which the
@@ -103,14 +104,15 @@ type Tier interface {
 }
 
 // Observer is the engine's one callback interface: one JobScheduled per
-// DAG node at submission, a JobStarted/JobFinished pair around every job
-// (cache hits included, flagged as such). Every method receives the
-// context the work ran under, which carries the originating request's
-// obs.TraceContext when there is one. kind classifies the job: "trace"
-// or "sim". key is always empty: a job computes several results, each
-// under its own key, which its spec's sim.run span and its store lines
-// carry; the parameter stays because the frozen bench/paper_regen.go
-// implements the interface.
+// walk job at submission, a JobStarted/JobFinished pair around every job
+// that starts (cache hits included, flagged as such). Every method
+// receives the context the work ran under, which carries the originating
+// request's obs.TraceContext when there is one. kind is always "sim":
+// every job is a walk job, and a trace generation is a trace.generate
+// span of the journal, not a job. key is always empty: a job computes
+// several results, each under its own key, which its spec's sim.run span
+// and its store lines carry. Both parameters stay because the frozen
+// bench/paper_regen.go implements the interface.
 // Implementations must be safe for concurrent use — every job runs on
 // its own goroutine, and under Parallel many finish at once.
 type Observer interface {
@@ -123,7 +125,8 @@ type Observer interface {
 // per attempt.
 const retryBackoff = 10 * time.Millisecond
 
-// jobKind classifies a job by its ID prefix: "trace" or "sim".
+// jobKind classifies a job by its ID prefix: every job the engine runs is
+// a walk job, kind "sim".
 func jobKind(id string) string {
 	kind, _, _ := strings.Cut(id, ":")
 	return kind
@@ -168,9 +171,11 @@ type Engine struct {
 	simsRemote      *obs.Counter
 	remoteDegraded  *obs.Counter
 	jobsScheduled   *obs.Counter
-	// phaseUS maps a job kind to its phase's duration histogram,
-	// engine.job.<phase>.us.
-	phaseUS map[string]*obs.Histogram
+	// generateUS and simulateUS are the phases' duration histograms,
+	// engine.job.<phase>.us: one observation per trace generation
+	// (Engine.Trace) and per walk job.
+	generateUS *obs.Histogram
+	simulateUS *obs.Histogram
 }
 
 // New builds an engine with the given options.
@@ -178,10 +183,6 @@ func New(opts Options) *Engine {
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	phaseUS := make(map[string]*obs.Histogram)
-	for kind, phase := range map[string]string{"trace": "generate", "sim": "simulate"} {
-		phaseUS[kind] = reg.Histogram("engine.job."+phase+".us", obs.DurationBucketsUS)
 	}
 	return &Engine{
 		jobTimeout:      opts.JobTimeout,
@@ -210,7 +211,8 @@ func New(opts Options) *Engine {
 		simsRemote:      reg.Counter("engine.sims.remote"),
 		remoteDegraded:  reg.Counter("engine.remote.degraded"),
 		jobsScheduled:   reg.Counter("engine.jobs.scheduled"),
-		phaseUS:         phaseUS,
+		generateUS:      reg.Histogram("engine.job.generate.us", obs.DurationBucketsUS),
+		simulateUS:      reg.Histogram("engine.job.simulate.us", obs.DurationBucketsUS),
 	}
 }
 
@@ -283,27 +285,20 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// job is one node of an execution DAG. Jobs are single-use: the batch
-// helpers build a fresh graph per call (cached work is cheap to re-plan).
+// job is one walk job of a batch. Jobs are single-use: the batch helpers
+// plan fresh ones per call (cached work is cheap to re-plan).
 type job struct {
-	// ID names the job in errors and metrics, e.g. "sim:Dir0B@pops"; its
-	// prefix is the job's kind.
+	// ID names the job in errors and metrics, e.g.
+	// "sim:Dir0B+WTI@pops"; its prefix is the job's kind.
 	ID string
-	// Deps run before this job; their outputs arrive in Run's in slice,
-	// in order.
-	Deps []*job
-	// Run computes the output of a job that is not a walk. It must honour
-	// ctx for long work.
-	Run func(ctx context.Context, in []any) (any, error)
-	// walk, when non-nil, makes the job a simulation job pricing walk's
-	// specs, each cached under its own key (runWalk); its output is a
-	// walkOutput.
+	// walk holds the specs the job prices, each cached under its own key
+	// (runWalk).
 	walk *wantGroup
 
-	// offSlot: a sim job of an engine with a Remote, unbounded until compute acquireSlots.
-	offSlot bool
-
-	out any
+	// out is each of the job's members' result or error once it has run;
+	// err is set when every member failed, or when the job never ran (the
+	// run ended first).
+	out walkOutput
 	err error
 	// started is when the job began executing (or waiting on a cache
 	// flight); cacheHit is set when the output came from a cache.
@@ -311,27 +306,29 @@ type job struct {
 	cacheHit bool
 }
 
-// Executor is a DAG execution strategy.
+// Executor is a batch execution strategy.
 type Executor interface {
 	// Name identifies the strategy in reports and flags.
 	Name() string
 	workerCount() int
 }
 
-// Sequential runs one job body at a time: the pool with one slot. Which
-// ready job takes the slot next is not fixed, so it is the reference
-// for results, not for the order of journal lines.
+// Sequential runs one local job body at a time — a generation or a
+// simulation: the pool with one slot. Which ready job takes the slot next
+// is not fixed, so it is the reference for results, not for the order of
+// journal lines.
 type Sequential struct{}
 
 // Name returns "sequential".
 func (Sequential) Name() string     { return "sequential" }
 func (Sequential) workerCount() int { return 1 }
 
-// Parallel runs the same DAG as Sequential on a pool of Workers slots: at
-// most Workers local job bodies — generations and simulations —
+// Parallel runs the same jobs as Sequential on a pool of Workers slots:
+// at most Workers local job bodies — generations and simulations —
 // execute at once. The pool is per batch: concurrent Merge or Results
 // calls each get their own. Under either executor a job waiting on a
-// Remote holds no slot, so a whole batch reaches the fleet together.
+// trace another caller is generating, or on a Remote, holds no slot, so a
+// whole batch reaches the fleet together.
 type Parallel struct {
 	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -346,127 +343,66 @@ func (p Parallel) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// execute runs the given jobs and all their transitive dependencies to
-// completion, tolerating job failures: a failed job does not cancel its
-// siblings, only its own dependents (which fail with a *JobError wrapping
-// the dependency's failure, without running). execute returns an error
-// only when the context dies; per-job outcomes — success or structured
-// failure — are on each job's out and err. A nil executor means
-// Sequential.
-func (e *Engine) execute(ctx context.Context, exec Executor, roots ...*job) error {
+// execute runs the given walk jobs to completion, tolerating failures: a
+// failed job does not cancel its siblings. Each job runs on its own
+// goroutine (runJob) and takes a slot of the batch's pool only for its
+// local work. execute returns an error only when the context dies;
+// per-job outcomes — success or structured failure — are on each job's
+// out and err. A nil executor means Sequential.
+func (e *Engine) execute(ctx context.Context, exec Executor, jobs ...*job) error {
 	if exec == nil {
 		exec = Sequential{}
 	}
-	jobs := flatten(roots)
 	jnl := obs.JournalFrom(ctx)
-	done := make(map[*job]chan struct{}, len(jobs))
 	for _, j := range jobs {
 		e.jobsScheduled.Inc()
 		e.jobEvent(ctx, jnl, "job.scheduled", j)
-		done[j] = make(chan struct{})
 	}
-	// Every job waits on its own goroutine for its dependencies, then
-	// takes one of the pool's slots to run. An offSlot job runs without
-	// one and takes a slot only for its local work (acquireSlot).
-	ctx = context.WithValue(ctx, slotKey{}, make(chan struct{}, exec.workerCount()))
+	ctx = context.WithValue(ctx, poolKey{}, make(chan struct{}, exec.workerCount()))
+	var wg sync.WaitGroup
 	for _, j := range jobs {
+		wg.Add(1)
 		go func() {
-			// A failed job still releases its dependents: they observe the
-			// dependency failure and record it as their own structured
-			// error without running.
-			defer close(done[j])
-			for _, d := range j.Deps {
-				<-done[d]
-			}
-			if !j.offSlot {
-				defer acquireSlot(ctx)()
-			}
-			if err := ctx.Err(); err != nil {
-				j.err = err
-				return
-			}
-			e.runOrSkip(ctx, j)
+			defer wg.Done()
+			e.runJob(ctx, j)
 		}()
 	}
-	for _, j := range jobs {
-		<-done[j]
-	}
+	wg.Wait()
 	return ctx.Err()
 }
 
-// flatten returns the transitive closure of roots in deterministic
-// topological order, dependencies first.
-func flatten(roots []*job) []*job {
-	seen := make(map[*job]bool)
-	var order []*job
-	var visit func(j *job)
-	visit = func(j *job) {
-		if seen[j] {
-			return
-		}
-		seen[j] = true
-		for _, d := range j.Deps {
-			visit(d)
-		}
-		order = append(order, j)
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	return order
-}
+// poolKey keys the batch's pool, a semaphore, in its jobs' context;
+// heldKey marks a context whose goroutine holds one of its slots.
+type (
+	poolKey struct{}
+	heldKey struct{}
+)
 
-// slotKey keys the batch's pool, a semaphore, in its jobs' context.
-type slotKey struct{}
-
-// acquireSlot takes a slot of the batch's pool and returns its release.
-func acquireSlot(ctx context.Context) (release func()) {
-	sem := ctx.Value(slotKey{}).(chan struct{})
-	sem <- struct{}{}
-	return func() { <-sem }
-}
-
-// runOrSkip runs the job, except that a job whose dependency failed is
-// skipped: its body never runs and its error records which dependency
-// sank it.
-func (e *Engine) runOrSkip(ctx context.Context, j *job) {
-	for _, d := range j.Deps {
-		if d.err != nil {
-			e.skipJob(ctx, j, d)
-			return
-		}
+// acquireSlot takes a slot of ctx's batch pool and returns ctx marked as
+// holding it, and the slot's release. Outside a batch, or for a caller
+// that holds a slot already, it takes none and its release does nothing.
+func acquireSlot(ctx context.Context) (context.Context, func()) {
+	pool, _ := ctx.Value(poolKey{}).(chan struct{})
+	if pool == nil || ctx.Value(heldKey{}) != nil {
+		return ctx, func() {}
 	}
-	e.runJob(ctx, j)
-}
-
-// skipJob marks j failed because dependency d failed, emitting the usual
-// start/finish events so the journal, and the timeline, show the skip.
-func (e *Engine) skipJob(ctx context.Context, j, d *job) {
-	j.started = time.Now()
-	jnl := obs.JournalFrom(ctx)
-	e.jobEvent(ctx, jnl, "job.start", j)
-	j.err = &JobError{
-		ID:   j.ID,
-		Kind: jobKind(j.ID),
-		Err:  fmt.Errorf("dependency %s failed: %w", d.ID, d.err),
-	}
-	ctx, _ = obs.StartSpan(ctx)
-	e.jobEvent(ctx, jnl, "job.finish", j)
+	pool <- struct{}{}
+	return context.WithValue(ctx, heldKey{}, true), func() { <-pool }
 }
 
 // jobEvent reports one lifecycle event of j — msg is "job.scheduled",
 // "job.start" or "job.finish" — to the Observer and as a line to jnl, the
 // journal the job's context carries. job.finish is the job's span line,
 // so its ctx is the one the job's span runs under; the other two are
-// events inside the enclosing span. A finish also lands in the job's
-// phase histogram. With neither sink attached nothing is rendered or
+// events inside the enclosing span. A finish also lands in the simulate
+// phase's histogram. With neither sink attached nothing is rendered or
 // allocated.
 func (e *Engine) jobEvent(ctx context.Context, jnl *obs.Journal, msg string, j *job) {
 	kind, done := jobKind(j.ID), msg == "job.finish"
 	var dur time.Duration
 	if done {
 		dur = time.Since(j.started)
-		e.phaseUS[kind].ObserveDuration(dur)
+		e.simulateUS.ObserveDuration(dur)
 	}
 	if e.obs == nil && jnl == nil {
 		return
@@ -538,9 +474,29 @@ func (e *Engine) lookup(ctx context.Context, c *flightCache, k Key,
 	}
 }
 
-// runJob executes one job: a walk job through runWalk, any other job's
-// body through runBody.
+// runJob runs one walk job. A job that will compute locally — the
+// engine has no Remote, and not every member is in memory, in flight or
+// in the durable tier — first gets its trace from Engine.Trace, holding
+// no slot while another caller generates it, and then takes a slot of the
+// batch's pool; a job offering its members to a Remote holds none (see
+// compute). Only then does it start, as a span, and take its members
+// (runWalk). A trace that cannot be had fails every member with a
+// *JobError wrapping the cause.
 func (e *Engine) runJob(ctx context.Context, j *job) {
+	var t *trace.Trace
+	var terr error
+	if e.remote == nil {
+		if !e.cached(j.walk.keys) {
+			t, terr = e.Trace(ctx, j.walk.specs[0].Trace)
+		}
+		var release func()
+		ctx, release = acquireSlot(ctx)
+		defer release()
+	}
+	if err := ctx.Err(); err != nil {
+		j.err = err
+		return
+	}
 	j.started = time.Now()
 	jnl := obs.JournalFrom(ctx)
 	e.jobEvent(ctx, jnl, "job.start", j)
@@ -551,29 +507,29 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 	ctx, _ = obs.StartSpan(ctx)
 	defer e.jobEvent(ctx, jnl, "job.finish", j)
 
-	if j.walk == nil {
-		j.out, j.err = e.runBody(ctx, j, j.Run)
+	if terr != nil {
+		j.err = &JobError{ID: j.ID, Kind: jobKind(j.ID),
+			Err: fmt.Errorf("trace %s: %w", j.walk.specs[0].Trace.Name, terr)}
 		return
 	}
-	w := e.runWalk(ctx, j)
-	j.out = w
-	if !slices.Contains(w.errs, nil) { // the job fails when each of its members did
-		j.err = w.errs[0]
+	j.out = e.runWalk(ctx, j, t)
+	if !slices.Contains(j.out.errs, nil) { // the job fails when each of its members did
+		j.err = j.out.errs[0]
 	}
 }
 
 // runBody executes run, j's body, with panic isolation, a per-attempt
 // deadline, and bounded retry-with-backoff for retryable failures.
-func (e *Engine) runBody(ctx context.Context, j *job, run func(context.Context, []any) (any, error)) (any, error) {
+func (e *Engine) runBody(ctx context.Context, j *job, run func(context.Context) error) error {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		out, err := e.attempt(ctx, j, run, attempt)
+		err := e.attempt(ctx, j, run, attempt)
 		if err == nil {
-			return out, nil
+			return nil
 		}
 		je := jobError(j, attempt, err)
 		if attempt >= e.retries || ctx.Err() != nil || !je.Retryable() {
-			return nil, je
+			return je
 		}
 		e.jobRetries.Add(1)
 		obs.Instant(ctx, "job.retry", je.Err, "job", j.ID,
@@ -583,7 +539,7 @@ func (e *Engine) runBody(ctx context.Context, j *job, run func(context.Context, 
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return nil, je
+			return je
 		}
 		backoff *= 2
 	}
@@ -631,10 +587,11 @@ type timeoutError struct{ cause error }
 func (t *timeoutError) Error() string { return t.cause.Error() }
 func (t *timeoutError) Unwrap() error { return t.cause }
 
-// attempt runs j's body once: under its per-attempt deadline, with
-// fault injection when configured, and with panics recovered into a
-// *panicError rather than unwinding through the worker pool.
-func (e *Engine) attempt(ctx context.Context, j *job, run func(context.Context, []any) (any, error), attempt int) (out any, err error) {
+// attempt runs j's body once: under its per-attempt deadline and with
+// panics recovered into a *panicError rather than unwinding through the
+// job's goroutine. Injected faults are drawn by the body, per member
+// (memberFault).
+func (e *Engine) attempt(ctx context.Context, j *job, run func(context.Context) error, attempt int) (err error) {
 	attemptCtx := ctx
 	var cancel context.CancelFunc
 	if e.jobTimeout > 0 {
@@ -655,30 +612,20 @@ func (e *Engine) attempt(ctx context.Context, j *job, run func(context.Context, 
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, e.recovered(ctx, j, r)
+			err = e.recovered(ctx, j, r)
 		}
 	}()
 	e.jobsRun.Add(1)
-	// A walk job's members draw their own faults (memberFault).
-	if j.walk == nil {
-		if ferr := e.faults.JobFault(j.ID, attempt); ferr != nil {
-			return nil, ferr
-		}
-	}
-	in := make([]any, len(j.Deps))
-	for i, d := range j.Deps {
-		in[i] = d.out
-	}
-	out, err = run(attemptCtx, in)
+	err = run(attemptCtx)
 	// A deadline expiry of the attempt's own context — while the overall
 	// run is still alive — is a per-job timeout, a retryable condition
 	// distinct from the run being cancelled.
 	if err != nil && attemptCtx != ctx && attemptCtx.Err() != nil && ctx.Err() == nil &&
 		errors.Is(err, context.DeadlineExceeded) {
 		e.jobTimeouts.Add(1)
-		return nil, &timeoutError{cause: err}
+		return &timeoutError{cause: err}
 	}
-	return out, err
+	return err
 }
 
 // stampFor fingerprints values the engine knows how to validate —

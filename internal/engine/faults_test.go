@@ -22,35 +22,28 @@ type transientErr struct{}
 func (transientErr) Error() string   { return "transient blip" }
 func (transientErr) Retryable() bool { return true }
 
-// runJobs executes jobs through the engine's keep-going path and fails
-// the test only if the run itself died; each job's outcome is on the job.
-func runJobs(t *testing.T, e *Engine, exec Executor, jobs ...*job) {
-	t.Helper()
-	if err := e.execute(context.Background(), exec, jobs...); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPanicIsolation: a panicking job body must surface as a structured
 // *JobError carrying the recovered stack — never unwind through the
-// executor — under both executors.
+// executor — under both executors. The body is a walk job's attempt,
+// here a Remote that panics.
 func TestPanicIsolation(t *testing.T) {
+	spec := SimSpec{Trace: workload.POPSConfig(4, 1_000), Scheme: "Dragon"}
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 4}} {
-		e := New(Options{})
-		j := &job{ID: "sim:boom", Run: func(context.Context, []any) (any, error) {
+		e := New(Options{Remote: remoteFunc(func(context.Context, []SimSpec) ([]*sim.Result, []error) {
 			panic("kaboom")
-		}}
-		runJobs(t, e, exec, j)
-		err := j.err
-		if err == nil {
-			t.Fatalf("%s: panic did not fail the job", exec.Name())
+		})})
+		_, err := e.Results(context.Background(), exec, []SimSpec{spec})
+		p, ok := AsPartial(err)
+		if !ok {
+			t.Fatalf("%s: panic did not fail the job: %v", exec.Name(), err)
 		}
+		err = p.Failed[spec.Name()]
 		var je *JobError
 		if !errors.As(err, &je) {
 			t.Fatalf("%s: error is not a *JobError: %v", exec.Name(), err)
 		}
-		if !je.Panicked || je.ID != "sim:boom" {
-			t.Errorf("%s: JobError = %+v, want Panicked for job sim:boom", exec.Name(), je)
+		if !je.Panicked || je.ID != spec.Name() {
+			t.Errorf("%s: JobError = %+v, want Panicked for job %s", exec.Name(), je, spec.Name())
 		}
 		if !strings.Contains(string(je.Stack), "faults_test") {
 			t.Errorf("%s: stack does not point at the panic site:\n%s", exec.Name(), je.Stack)
@@ -64,36 +57,29 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestExecuteAllKeepsGoing: a failed job sinks only its own dependents —
-// which record the dependency failure without running — while
-// independent jobs complete.
+// TestExecuteAllKeepsGoing: a walk whose trace cannot be had fails only
+// its own members — which record the cause without an attempt — while
+// the batch's other walks complete.
 func TestExecuteAllKeepsGoing(t *testing.T) {
 	for _, exec := range []Executor{Sequential{}, Parallel{Workers: 4}} {
 		e := New(Options{})
-		bad := &job{ID: "trace:bad", Run: func(context.Context, []any) (any, error) {
-			return nil, errors.New("broken")
-		}}
-		depRan := false
-		dep := &job{ID: "sim:dep", Deps: []*job{bad}, Run: func(context.Context, []any) (any, error) {
-			depRan = true
-			return "never", nil
-		}}
-		good := &job{ID: "sim:good", Run: func(context.Context, []any) (any, error) {
-			return 42, nil
-		}}
-		runJobs(t, e, exec, dep, good)
-		if good.err != nil || good.out != 42 {
-			t.Errorf("%s: independent job: %v, %v", exec.Name(), good.out, good.err)
+		bad := SimSpec{Trace: unreachable(t, e), Scheme: "Dir1NB"}
+		good := SimSpec{Trace: workload.POPSConfig(4, 1_000), Scheme: "Dir1NB"}
+		rs, err := e.Results(context.Background(), exec, []SimSpec{bad, good})
+		p, ok := AsPartial(err)
+		if !ok || len(p.Failed) != 1 || p.Done != 1 {
+			t.Fatalf("%s: want one failure beside one result, got %v", exec.Name(), err)
 		}
-		if depRan {
-			t.Errorf("%s: dependent body ran despite failed dependency", exec.Name())
+		if rs[1] == nil {
+			t.Errorf("%s: independent job delivered nothing", exec.Name())
 		}
 		var je *JobError
-		if err := dep.err; !errors.As(err, &je) || !strings.Contains(err.Error(), "dependency trace:bad failed") {
-			t.Errorf("%s: dependent error = %v, want JobError naming dependency trace:bad", exec.Name(), err)
+		if err := p.Failed[bad.Name()]; !errors.As(err, &je) || !errors.Is(err, workload.ErrNotGenerable) ||
+			!strings.Contains(err.Error(), "trace "+bad.Trace.Name) {
+			t.Errorf("%s: dependent error = %v, want JobError naming trace %s", exec.Name(), err, bad.Trace.Name)
 		}
-		if err := bad.err; err == nil || !strings.Contains(err.Error(), "broken") {
-			t.Errorf("%s: failing job error = %v", exec.Name(), err)
+		if s := e.Stats(); s.JobsRun != 1 || s.SimsRun != 1 {
+			t.Errorf("%s: %d attempts, %d sims; want the independent job's 1 and 1", exec.Name(), s.JobsRun, s.SimsRun)
 		}
 	}
 }
@@ -103,19 +89,20 @@ func TestExecuteAllKeepsGoing(t *testing.T) {
 func TestRetryRecoversTransient(t *testing.T) {
 	e := New(Options{Retries: 3})
 	calls := 0
-	j := &job{ID: "sim:flaky", Run: func(context.Context, []any) (any, error) {
+	var out any
+	err := e.runBody(context.Background(), &job{ID: "sim:flaky"}, func(context.Context) error {
 		calls++
 		if calls < 3 {
-			return nil, transientErr{}
+			return transientErr{}
 		}
-		return "ok", nil
-	}}
-	runJobs(t, e, Sequential{}, j)
-	if j.err != nil {
-		t.Fatalf("retryable failure not recovered: %v", j.err)
+		out = "ok"
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("retryable failure not recovered: %v", err)
 	}
-	if j.out != "ok" {
-		t.Errorf("output = %v", j.out)
+	if out != "ok" {
+		t.Errorf("output = %v", out)
 	}
 	if calls != 3 {
 		t.Errorf("body ran %d times, want 3", calls)
@@ -129,16 +116,15 @@ func TestRetryRecoversTransient(t *testing.T) {
 // up after the budget, reporting the attempt count.
 func TestRetryBudgetExhausted(t *testing.T) {
 	e := New(Options{Retries: 2})
-	j := &job{ID: "sim:doomed", Run: func(context.Context, []any) (any, error) {
-		return nil, transientErr{}
-	}}
-	runJobs(t, e, Sequential{}, j)
+	err := e.runBody(context.Background(), &job{ID: "sim:doomed"}, func(context.Context) error {
+		return transientErr{}
+	})
 	var je *JobError
-	if !errors.As(j.err, &je) || je.Attempts != 3 {
-		t.Fatalf("error = %v, want JobError after 3 attempts", j.err)
+	if !errors.As(err, &je) || je.Attempts != 3 {
+		t.Fatalf("error = %v, want JobError after 3 attempts", err)
 	}
-	if !strings.Contains(j.err.Error(), "after 3 attempts") {
-		t.Errorf("error does not report attempts: %v", j.err)
+	if !strings.Contains(err.Error(), "after 3 attempts") {
+		t.Errorf("error does not report attempts: %v", err)
 	}
 }
 
@@ -148,12 +134,11 @@ func TestRetryBudgetExhausted(t *testing.T) {
 func TestPlainErrorsNotRetried(t *testing.T) {
 	e := New(Options{Retries: 3})
 	calls := 0
-	j := &job{ID: "sim:hard", Run: func(context.Context, []any) (any, error) {
+	err := e.runBody(context.Background(), &job{ID: "sim:hard"}, func(context.Context) error {
 		calls++
-		return nil, errors.New("deterministic failure")
-	}}
-	runJobs(t, e, Sequential{}, j)
-	if j.err == nil {
+		return errors.New("deterministic failure")
+	})
+	if err == nil {
 		t.Fatal("failure swallowed")
 	}
 	if calls != 1 {
@@ -166,12 +151,10 @@ func TestPlainErrorsNotRetried(t *testing.T) {
 // is retryable, so a budget grants it another attempt.
 func TestJobTimeout(t *testing.T) {
 	e := New(Options{JobTimeout: 20 * time.Millisecond, Retries: 1})
-	j := &job{ID: "sim:stuck", Run: func(ctx context.Context, _ []any) (any, error) {
+	err := e.runBody(context.Background(), &job{ID: "sim:stuck"}, func(ctx context.Context) error {
 		<-ctx.Done()
-		return nil, ctx.Err()
-	}}
-	runJobs(t, e, Sequential{}, j)
-	err := j.err
+		return ctx.Err()
+	})
 	var je *JobError
 	if !errors.As(err, &je) {
 		t.Fatalf("error = %v, want *JobError", err)
@@ -422,17 +405,18 @@ func TestFaultEventsJournaled(t *testing.T) {
 	e := New(Options{Verify: true, Retries: 1})
 
 	calls := 0
-	flaky := &job{ID: "sim:flaky", Run: func(context.Context, []any) (any, error) {
+	flaky := func(context.Context) error {
 		if calls++; calls == 1 {
-			return nil, transientErr{}
+			return transientErr{}
 		}
-		return "ok", nil
-	}}
-	boom := &job{ID: "sim:boom", Run: func(context.Context, []any) (any, error) {
-		panic("observed")
-	}}
-	if err := e.execute(ctx, Sequential{}, flaky, boom); err != nil {
+		return nil
+	}
+	if err := e.runBody(ctx, &job{ID: "sim:flaky"}, flaky); err != nil {
 		t.Fatal(err)
+	}
+	boom := func(context.Context) error { panic("observed") }
+	if err := e.runBody(ctx, &job{ID: "sim:boom"}, boom); err == nil {
+		t.Fatal("a panicking body succeeded")
 	}
 	lines := journalLines(t, buf.Bytes())
 	retries := withMsg(lines, "job.retry")

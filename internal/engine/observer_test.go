@@ -3,7 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
-	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,11 +57,12 @@ func (o *testObserver) finishedByKind() map[string][]jobRecord {
 }
 
 // TestObserverSeesGenerationAndSimulationSpans is the integration test of
-// the observability wiring: per uncached trace the observer must see
-// exactly one generation span (a trace job, under either executor) and
-// exactly one simulation span per walk, none of them cache hits — Dir0B
-// and WTI one family walk and Dragon a walk of one — and no other job: a
-// merge is a sum in the caller. No job names a key.
+// the observability wiring: per uncached trace the journal must hold
+// exactly one generation span (trace.generate, under either executor),
+// and the observer exactly one simulation span per walk, none of them
+// cache hits — Dir0B and WTI one family walk and Dragon a walk of one —
+// and no other job: a generation is no job, and a merge is a sum in the
+// caller. No job names a key.
 func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 	schemes := []string{"Dir0B", "WTI", "Dragon"}
 	cfgs := []workload.Config{workload.POPSConfig(4, 10_000)}
@@ -70,14 +71,16 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 		t.Run(exec.Name(), func(t *testing.T) {
 			o := &testObserver{}
 			e := New(Options{Observer: o})
-			if _, err := e.Compare(context.Background(), exec, schemes, cfgs, false); err != nil {
+			var buf bytes.Buffer
+			if _, err := e.Compare(journaled(&buf, ""), exec, schemes, cfgs, false); err != nil {
 				t.Fatal(err)
 			}
 
-			byKind := o.finishedByKind()
-			if got := len(byKind["trace"]); got != 1 {
-				t.Errorf("generation (trace) spans = %d, want 1; finished: %v", got, byKind)
+			gens := withMsg(journalLines(t, buf.Bytes()), "trace.generate")
+			if len(gens) != 1 || gens[0]["name"] != "generate:pops" {
+				t.Errorf("generation spans = %v, want one generate:pops", gens)
 			}
+			byKind := o.finishedByKind()
 			sims := byKind["sim"]
 			if len(sims) != 2 {
 				t.Errorf("simulation spans = %d, want 2", len(sims))
@@ -93,15 +96,17 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 					t.Errorf("simulation %s finished with error: %v", r.id, r.err)
 				}
 			}
-			if len(byKind) != 2 {
-				t.Errorf("job kinds = %v, want trace and sim", byKind)
+			if len(byKind) != 1 {
+				t.Errorf("job kinds = %v, want sim alone", byKind)
 			}
 			if s := e.Stats(); s.SimsRun != 3 || s.Walks != 2 {
 				t.Errorf("%d results from %d walks, want 3 from 2", s.SimsRun, s.Walks)
 			}
 			// The generation span carries real wall time.
-			if len(byKind["trace"]) == 1 && byKind["trace"][0].dur <= 0 {
-				t.Errorf("generation span has no duration: %+v", byKind["trace"][0])
+			for _, g := range gens {
+				if d, _ := g["dur_us"].(float64); d <= 0 {
+					t.Errorf("generation span has no duration: %v", g)
+				}
 			}
 
 			// Every started job finishes, and nothing starts unscheduled.
@@ -119,14 +124,14 @@ func TestObserverSeesGenerationAndSimulationSpans(t *testing.T) {
 			// generation, every simulation span a cache hit.
 			o2 := &testObserver{}
 			e.obs = o2
-			if _, err := e.Compare(context.Background(), exec, schemes, cfgs, false); err != nil {
+			buf.Reset()
+			if _, err := e.Compare(journaled(&buf, ""), exec, schemes, cfgs, false); err != nil {
 				t.Fatal(err)
 			}
-			byKind2 := o2.finishedByKind()
-			if n := len(byKind2["trace"]); n != 0 {
+			if n := len(withMsg(journalLines(t, buf.Bytes()), "trace.generate")); n != 0 {
 				t.Errorf("cached rerun regenerated the trace (%d generation spans)", n)
 			}
-			for _, r := range byKind2["sim"] {
+			for _, r := range o2.finishedByKind()["sim"] {
 				if !r.cacheHit {
 					t.Errorf("cached rerun simulation %s not flagged as cache hit", r.id)
 				}
@@ -168,10 +173,10 @@ func TestJobKind(t *testing.T) {
 	}
 }
 
-// TestJobPhaseHistograms: every finished job lands in its phase's
-// engine.job.<phase>.us histogram and every scheduled one in
-// engine.jobs.scheduled, journal or not; a failed job's job.finish is
-// journaled at error level with its cause.
+// TestJobPhaseHistograms: every trace generation lands in
+// engine.job.generate.us, every finished job in engine.job.simulate.us
+// and every scheduled one in engine.jobs.scheduled, journal or not; a
+// failed job's job.finish is journaled at error level with its cause.
 func TestJobPhaseHistograms(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Options{Metrics: reg})
@@ -180,31 +185,32 @@ func TestJobPhaseHistograms(t *testing.T) {
 		[]string{"Dir0B", "WTI", "Dragon"}, cfgs, false); err != nil {
 		t.Fatal(err)
 	}
+	bad := SimSpec{Trace: unreachable(t, e), Scheme: "Dragon"}
 	var buf bytes.Buffer
-	bad := &job{ID: "trace:bad", Run: func(context.Context, []any) (any, error) {
-		return nil, errors.New("boom")
-	}}
-	if err := e.execute(journaled(&buf, ""), Sequential{}, bad); err != nil {
-		t.Fatal(err)
+	if _, err := e.Results(journaled(&buf, ""), Sequential{}, []SimSpec{bad}); err == nil {
+		t.Fatal("a spec over an unreachable trace succeeded")
 	}
-	// Dir0B and WTI are one family walk: one simulate job for the two.
-	for phase, want := range map[string]int64{"generate": 2, "simulate": 2} {
+	// Dir0B and WTI are one family walk: one simulate job for the two. The
+	// failed job is a simulate job too, and its failed generation a
+	// generate span.
+	for phase, want := range map[string]int64{"generate": 2, "simulate": 3} {
 		if got := reg.Histogram("engine.job."+phase+".us", nil).Snapshot().Count; got != want {
 			t.Errorf("engine.job.%s.us count = %d, want %d", phase, got, want)
 		}
 	}
-	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 4 {
-		t.Errorf("engine.jobs.scheduled = %d, want 4", got)
+	if got := reg.Counter("engine.jobs.scheduled").Value(); got != 3 {
+		t.Errorf("engine.jobs.scheduled = %d, want 3", got)
 	}
 	lines := journalLines(t, buf.Bytes())
 	var msgs []any
 	for _, l := range lines {
 		msgs = append(msgs, l["msg"])
 	}
-	if len(lines) != 3 || msgs[0] != "job.scheduled" || msgs[1] != "job.start" || msgs[2] != "job.finish" {
+	if len(lines) != 4 || msgs[0] != "job.scheduled" || msgs[1] != "trace.generate" || msgs[2] != "job.start" || msgs[3] != "job.finish" {
 		t.Fatalf("journal = %v", msgs)
 	}
-	if lines[2]["level"] != "ERROR" || lines[2]["error"] != "job trace:bad failed: boom" || lines[2]["kind"] != "trace" || lines[2]["key"] != nil {
-		t.Errorf("failed job.finish = %v", lines[2])
+	want := "job " + bad.Name() + " failed: trace " + bad.Trace.Name + ": " + workload.ErrNotGenerable.Error()
+	if l := lines[3]; l["level"] != "ERROR" || !strings.HasPrefix(l["error"].(string), want) || l["kind"] != "sim" || l["key"] != nil {
+		t.Errorf("failed job.finish = %v, want error %q", l, want)
 	}
 }

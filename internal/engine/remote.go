@@ -7,7 +7,6 @@ import (
 	"dirsim/internal/obs"
 	"dirsim/internal/sim"
 	"dirsim/internal/trace"
-	"dirsim/internal/workload"
 )
 
 // Remote executes simulation specs somewhere else — typically a
@@ -49,11 +48,13 @@ var ErrRemoteUnavailable = errors.New("remote execution unavailable")
 
 // compute computes specs, which share a trace, a filter and a block size,
 // and returns each one's result or error. Without a Remote it walks them
-// once over the trace (traceOf). With one it offers them in one call,
-// holding no slot (workers regenerate the workload: no trace is made
-// here); members that come back unavailable are walked locally together
-// after taking a slot, so Workers still bounds local CPU work.
-func (e *Engine) compute(ctx context.Context, specs []SimSpec, in []any) ([]*sim.Result, []error) {
+// once over t, or over Engine.Trace's trace when t is nil. With one it
+// offers them in one call, holding no slot (workers regenerate the
+// workload: no trace is made here); members that come back unavailable
+// are walked locally together, over the trace Engine.Trace returns, on a
+// slot taken once the trace is had, so Workers still bounds local CPU
+// work.
+func (e *Engine) compute(ctx context.Context, specs []SimSpec, t *trace.Trace) ([]*sim.Result, []error) {
 	rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
 	if e.remote != nil {
 		rs, errs = e.remote.SimulateRemote(ctx, specs)
@@ -76,14 +77,17 @@ func (e *Engine) compute(ctx context.Context, specs []SimSpec, in []any) ([]*sim
 	}
 	if len(local) == 0 {
 		return rs, errs
-	} else if e.remote != nil {
-		defer acquireSlot(ctx)()
 	}
 	walk := pick(specs, local)
-	t, err := e.traceOf(ctx, walk[0].Trace, in)
+	var err error
+	if t == nil {
+		t, err = e.Trace(ctx, walk[0].Trace)
+	}
 	var walked []*sim.Result
 	if err == nil {
+		ctx, release := acquireSlot(ctx)
 		walked, err = e.simulate(ctx, walk, t)
+		release()
 	}
 	for n, i := range local {
 		if rs[i], errs[i] = nil, err; err == nil {
@@ -91,13 +95,4 @@ func (e *Engine) compute(ctx context.Context, specs []SimSpec, in []any) ([]*sim
 		}
 	}
 	return rs, errs
-}
-
-// traceOf returns a simulation job's trace: its trace job's output when
-// it depends on one, otherwise Engine.Trace's.
-func (e *Engine) traceOf(ctx context.Context, cfg workload.Config, in []any) (*trace.Trace, error) {
-	if len(in) > 0 {
-		return in[0].(*trace.Trace), nil
-	}
-	return e.Trace(ctx, cfg)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dirsim/internal/obs"
+	"dirsim/internal/sim"
 	"dirsim/internal/workload"
 )
 
@@ -61,11 +62,11 @@ func (e flakyErr) Error() string   { return fmt.Sprintf("transient failure %d", 
 func (e flakyErr) Retryable() bool { return true }
 
 // TestEngineTraceExport runs a real concurrent sweep — two generations,
-// several schemes, plus a flaky job that needs two retries — under a
+// several schemes, plus a flaky walk job that needs two retries — under a
 // traced journal, renders the journal, and validates the Chrome
 // trace-event JSON end to end: required fields on every event, every
-// scheduled job and every retry attempt represented as spans, and child
-// spans contained within their parents' intervals.
+// generation, every scheduled job and every retry attempt represented as
+// spans, and child spans contained within their parents' intervals.
 func TestEngineTraceExport(t *testing.T) {
 	e := New(Options{Retries: 2})
 
@@ -77,21 +78,22 @@ func TestEngineTraceExport(t *testing.T) {
 		t.Fatalf("Compare: %v", err)
 	}
 
-	// A job that fails twice with a retryable error before succeeding:
-	// the trace must show all three attempts plus two retry instants.
-	fails := 0
-	flaky := &job{
-		ID: "sim:flaky@test",
-		Run: func(context.Context, []any) (any, error) {
-			if fails < 2 {
-				fails++
-				return nil, flakyErr{n: fails}
-			}
-			return "ok", nil
-		},
-	}
-	if err := e.execute(ctx, Sequential{}, flaky); err != nil || flaky.err != nil {
-		t.Fatalf("flaky job: %v, %v", err, flaky.err)
+	// A walk job whose Remote fails twice with a retryable error before
+	// succeeding: the trace must show all three attempts plus two retry
+	// instants.
+	// The worker journals nothing of its own.
+	worker, fails := New(Options{}), 0
+	remote := remoteFunc(func(_ context.Context, specs []SimSpec) ([]*sim.Result, []error) {
+		if fails < 2 {
+			fails++
+			return make([]*sim.Result, len(specs)), []error{flakyErr{n: fails}}
+		}
+		rs, err := worker.Results(context.Background(), Sequential{}, specs)
+		return rs, []error{err}
+	})
+	flaky := SimSpec{Trace: cfgs[0], Scheme: "Dragon"}
+	if _, err := New(Options{Retries: 2, Remote: remote}).Results(ctx, Sequential{}, []SimSpec{flaky}); err != nil {
+		t.Fatalf("flaky job: %v", err)
 	}
 
 	tf := renderTrace(t, journal.Bytes())
@@ -120,16 +122,16 @@ func TestEngineTraceExport(t *testing.T) {
 		}
 	}
 
-	// Every scheduled job is represented as a span named by its ID: the
-	// trace jobs, one sim job per workload (the three schemes are one
-	// family walk: Dir4NB at 4 CPUs is the full map) and the flaky
-	// ad-hoc job.
+	// Every generation and every scheduled job is represented as a span:
+	// one generate:<workload> and one sim job per workload (the three
+	// schemes are one family walk: Dir4NB at 4 CPUs is the full map), and
+	// the flaky job.
 	var wantJobs []string
 	for _, cfg := range cfgs {
-		wantJobs = append(wantJobs, "trace:"+cfg.Name,
+		wantJobs = append(wantJobs, "generate:"+cfg.Name,
 			fmt.Sprintf("sim:%s@%s", strings.Join(schemes, "+"), cfg.Name))
 	}
-	wantJobs = append(wantJobs, "sim:flaky@test")
+	wantJobs = append(wantJobs, flaky.Name())
 	for _, id := range wantJobs {
 		if spanNames[id] == 0 {
 			t.Errorf("job %q has no span in the trace", id)
@@ -139,6 +141,11 @@ func TestEngineTraceExport(t *testing.T) {
 	// Every retry attempt is represented: the flaky job ran three
 	// attempts (attempt:0 through attempt:2) and fired two retry
 	// instants. Attempt spans also exist for every other executed job.
+	for _, n := range []string{"generate:" + cfgs[0].Name, "generate:" + cfgs[1].Name} {
+		if spanNames[n] != 1 {
+			t.Errorf("%d %s spans, want 1", spanNames[n], n)
+		}
+	}
 	if spanNames["attempt:0"] == 0 || spanNames["attempt:1"] == 0 || spanNames["attempt:2"] == 0 {
 		t.Errorf("missing attempt spans: %v", spanNames)
 	}
@@ -288,19 +295,18 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 // TestJobErrorLandsOnSpan checks failed jobs carry their error into the
 // rendered span's args.
 func TestJobErrorLandsOnSpan(t *testing.T) {
-	e := New(Options{})
 	boom := errors.New("boom")
-	j := &job{ID: "sim:bad@x", Run: func(context.Context, []any) (any, error) { return nil, boom }}
+	e := New(Options{Remote: remoteFunc(func(_ context.Context, specs []SimSpec) ([]*sim.Result, []error) {
+		return make([]*sim.Result, len(specs)), []error{boom}
+	})})
+	spec := SimSpec{Trace: workload.POPSConfig(4, 1_000), Scheme: "Dragon"}
 	var journal bytes.Buffer
-	if err := e.execute(journaled(&journal, "boom"), Sequential{}, j); err != nil {
-		t.Fatal(err)
-	}
-	if j.err == nil {
+	if _, err := e.Results(journaled(&journal, "boom"), Sequential{}, []SimSpec{spec}); err == nil {
 		t.Fatal("job unexpectedly succeeded")
 	}
 	found := false
 	for _, ev := range renderTrace(t, journal.Bytes()).TraceEvents {
-		if ev.Name == "sim:bad@x" && ev.Ph == "X" {
+		if ev.Name == spec.Name() && ev.Ph == "X" {
 			if s, _ := ev.Args["error"].(string); s == "" {
 				t.Errorf("job span has no error arg: %v", ev.Args)
 			}

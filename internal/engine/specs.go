@@ -135,13 +135,32 @@ func (s SimSpec) Name() string { return "sim:" + s.label() + "@" + s.Trace.Name 
 // verification mode every hit revalidates the trace against the
 // fingerprint recorded when it was cached; a mismatch evicts the entry
 // and regenerates instead of serving the corrupted trace.
+//
+// Inside a batch a generation takes one slot of the batch's pool, none
+// extra for a caller that holds one already; a caller that finds the
+// trace in flight waits on it and takes none. The slot is taken before
+// the generation is claimed, so no caller ever waits on a generation that
+// waits for a slot; a caller that found the trace in flight and must
+// generate it after all (that flight failed, or its trace was rejected)
+// generates on the slot it holds, if any. Each generation is a
+// trace.generate span named generate:<workload>, and its time lands in
+// engine.job.generate.us.
 func (e *Engine) Trace(ctx context.Context, cfg workload.Config) (*trace.Trace, error) {
 	k := TraceKey(cfg)
+	if !e.traces.peek(k) {
+		var release func()
+		ctx, release = acquireSlot(ctx)
+		defer release()
+	}
 	v, _, err := e.lookup(ctx, e.traces, k, func() (any, uint64, bool, error) {
+		start := time.Now()
 		t, err := workload.Generate(cfg)
 		if err == nil {
 			e.tracesGenerated.Add(1)
 		}
+		e.generateUS.ObserveDuration(time.Since(start))
+		sctx, _ := obs.StartSpan(ctx)
+		obs.EndSpan(sctx, "trace.generate", start, err, "name", "generate:"+cfg.Name, "key", k.String())
 		sum, stamped := e.stampFor(k.String(), t)
 		return t, sum, stamped, err
 	})
@@ -195,12 +214,12 @@ func (e *Engine) Trim(keep workload.Config) {
 // *Partial error mapping each failed job to its cause. A non-Partial
 // error means the batch could not run at all.
 func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([]*sim.Result, error) {
-	per, release, err := e.planSpecs(specs)
+	per, jobs, release, err := e.planSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if err := e.run(ctx, exec, per); err != nil {
+	if err := e.execute(ctx, exec, jobs...); err != nil {
 		return nil, err
 	}
 	return outputs(per, func(i int) string { return specs[i].Name() })
@@ -267,19 +286,10 @@ type walkOutput struct {
 
 // result returns the output once its job is done.
 func (o output) result() (*sim.Result, error) {
-	if w, ok := o.j.out.(walkOutput); ok {
+	if w := o.j.out; w.errs != nil {
 		return w.rs[o.i], w.errs[o.i]
 	}
-	return nil, o.j.err // the job never ran: its trace failed, or the run ended
-}
-
-// run executes the jobs behind per and all their dependencies.
-func (e *Engine) run(ctx context.Context, exec Executor, per []output) error {
-	jobs := make([]*job, len(per))
-	for i, o := range per {
-		jobs[i] = o.j
-	}
-	return e.execute(ctx, exec, jobs...)
+	return nil, o.j.err // the job never walked: its trace failed, or the run ended
 }
 
 // outputs returns the results in order, with a failed one's position nil
@@ -327,31 +337,14 @@ func (e *Engine) Compare(ctx context.Context, exec Executor, schemes []string,
 	return out, err
 }
 
-// planSpecs builds the trace-generation → simulation stages for a batch,
-// returning one output per spec (duplicate specs share one): per workload
-// one trace job through the single-flight Engine.Trace, feeding one walk
-// job per group of specs one pass over it prices (walkKey). A spec no
-// family walk can price is a walk of one. release withdraws what the
-// batch's walk jobs entered as wanted and no walk took (runWalk); the
-// caller calls it once the batch has run.
-func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err error) {
+// planSpecs plans a batch's walk jobs: one per group of specs one pass
+// over a trace prices (walkKey), a spec no family walk can price being a
+// walk of one. It returns the jobs and one output per spec (duplicate
+// specs share one). release withdraws what the jobs entered as wanted and
+// no walk took (runWalk); the caller calls it once the batch has run.
+func (e *Engine) planSpecs(specs []SimSpec) (per []output, jobs []*job, release func(), err error) {
 	per = make([]output, len(specs))
 	first := make(map[Key]int)
-	traceJobs := make(map[Key]*job)
-	traceJob := func(cfg workload.Config) *job {
-		tk := TraceKey(cfg)
-		tj, ok := traceJobs[tk]
-		if !ok {
-			tj = &job{
-				ID: fmt.Sprintf("trace:%s", cfg.Name),
-				Run: func(ctx context.Context, _ []any) (any, error) {
-					return e.Trace(ctx, cfg)
-				},
-			}
-			traceJobs[tk] = tj
-		}
-		return tj
-	}
 	// Each spec's first occurrence, its key, and the walk it joins:
 	// grouping reads the batch, never the caches.
 	var uniq []int
@@ -360,7 +353,7 @@ func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err e
 	groups := make(map[walkKey][]int)
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		keys[i] = s.Key()
 		if _, ok := first[keys[i]]; ok {
@@ -374,8 +367,8 @@ func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err e
 	var wanted []*wantGroup
 	for _, i := range uniq {
 		if members := groups[wks[i]]; members[0] == i {
-			j := e.walkJob(wks[i], specs, keys, members, traceJob)
-			wanted = append(wanted, j.walk)
+			j := e.walkJob(wks[i], specs, keys, members)
+			jobs, wanted = append(jobs, j), append(wanted, j.walk)
 			for n, m := range members {
 				per[m] = output{j: j, i: n}
 			}
@@ -384,13 +377,18 @@ func (e *Engine) planSpecs(specs []SimSpec) (per []output, release func(), err e
 	for i := range specs {
 		per[i] = per[first[keys[i]]]
 	}
-	return per, func() { e.unwant(wanted) }, nil
+	return per, jobs, func() { e.unwant(wanted) }, nil
 }
 
-// cached reports whether k's result is in memory (or in flight) or in
-// the durable tier.
-func (e *Engine) cached(k Key) bool {
-	return e.results.peek(k) || (e.tier != nil && e.tier.HasResult(k.hex()))
+// cached reports whether every one of keys' results is in memory (or in
+// flight) or in the durable tier.
+func (e *Engine) cached(keys []Key) bool {
+	for _, k := range keys {
+		if !e.results.peek(k) && (e.tier == nil || !e.tier.HasResult(k.hex())) {
+			return false
+		}
+	}
+	return true
 }
 
 // walkKey names the walk that prices a spec: its trace, filter and block
@@ -415,24 +413,15 @@ func (s SimSpec) walkKey(k Key) walkKey {
 }
 
 // walkJob returns the one job of a walk group, the specs at members:
-// sim:<label>[+<label>...]@<workload>, depending on its trace's job
-// unless every member is cached already (or, with a Remote, at all: the
-// workers generate their own). The members wait in Engine.wanted, as
-// j.walk, for the first walk job of wk to start.
-func (e *Engine) walkJob(wk walkKey, specs []SimSpec, keys []Key, members []int,
-	traceJob func(workload.Config) *job) *job {
+// sim:<label>[+<label>...]@<workload>. The members wait in Engine.wanted,
+// as j.walk, for the first walk job of wk to start.
+func (e *Engine) walkJob(wk walkKey, specs []SimSpec, keys []Key, members []int) *job {
 	g := &wantGroup{wk: wk, specs: make([]SimSpec, len(members)), keys: make([]Key, len(members))}
 	labels := make([]string, len(members))
-	cached := true
 	for n, m := range members {
 		g.specs[n], g.keys[n], labels[n] = specs[m], keys[m], specs[m].label()
-		cached = cached && e.cached(keys[m])
 	}
-	j := &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name,
-		walk: g, offSlot: e.remote != nil}
-	if !cached && e.remote == nil {
-		j.Deps = []*job{traceJob(specs[members[0]].Trace)}
-	}
+	j := &job{ID: "sim:" + strings.Join(labels, "+") + "@" + specs[members[0]].Trace.Name, walk: g}
 	e.wantMu.Lock()
 	e.wanted[wk] = append(e.wanted[wk], g)
 	e.wantMu.Unlock()
@@ -477,16 +466,18 @@ func (e *Engine) unwant(groups []*wantGroup) {
 	}
 }
 
-// runWalk computes a walk job's output. It takes its members and those a
-// concurrent batch planned under the same walk key whose own walk job has
-// not started (take), and claims every key: a member in memory waits, a
-// member in the durable tier resolves there, and the rest are the job's
-// to compute. It computes those together under runBody's retries,
-// deadline and panic isolation (attempts), and after the last attempt
-// stamps, stores and publishes each outcome under its own key. Only then
-// does it wait, through lookup, on its members another job holds. A job
-// that computed nothing ran no attempt and is a cache hit.
-func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
+// runWalk computes a walk job's output over t, the trace runJob got for
+// it (nil when it got none: Engine.Trace is asked when one is needed).
+// It takes its members and those a concurrent batch planned under the
+// same walk key whose own walk job has not started (take), and claims
+// every key: a member in memory waits, a member in the durable tier
+// resolves there, and the rest are the job's to compute. It computes
+// those together under runBody's retries, deadline and panic isolation
+// (attempts), and after the last attempt stamps, stores and publishes
+// each outcome under its own key. Only then does it wait, through lookup,
+// on its members another job holds. A job that computed nothing ran no
+// attempt and is a cache hit.
+func (e *Engine) runWalk(ctx context.Context, j *job, t *trace.Trace) walkOutput {
 	specs, keys := e.take(j.walk)
 	n := len(j.walk.keys)
 	w := walkOutput{rs: make([]*sim.Result, n), errs: make([]error, n)}
@@ -509,7 +500,7 @@ func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
 	}
 	j.cacheHit = len(own) == 0
 	if len(own) > 0 {
-		rs, errs := e.attempts(ctx, j, pick(specs, own))
+		rs, errs := e.attempts(ctx, j, pick(specs, own), t)
 		for m, i := range own {
 			sum, stamped := e.keep(ctx, keys[i], rs[m])
 			e.results.fulfill(keys[i], flights[m], rs[m], errs[m], sum, stamped)
@@ -524,7 +515,7 @@ func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
 		}
 		v, hit, err := e.lookup(ctx, e.results, k, func() (any, uint64, bool, error) {
 			// The other job's flight was cancelled and left: compute alone.
-			rs, errs := e.attempts(ctx, j, specs[i:i+1])
+			rs, errs := e.attempts(ctx, j, specs[i:i+1], t)
 			sum, stamped := e.keep(ctx, k, rs[0])
 			return rs[0], sum, stamped, errs[0]
 		})
@@ -535,8 +526,9 @@ func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
 	return w
 }
 
-// attempts computes specs under runBody's retries, deadline and panic
-// isolation, and returns each one's result or error. Each attempt, every
+// attempts computes specs over t (nil: compute asks Engine.Trace) under
+// runBody's retries, deadline and panic isolation, and returns each one's
+// result or error. Each attempt, every
 // member not yet settled draws its own injected faults (memberFault), and
 // the rest are computed together, so a spec's outcome never depends on
 // which walk computes it. A member's error, recorded as j's *JobError,
@@ -544,14 +536,14 @@ func (e *Engine) runWalk(ctx context.Context, j *job) walkOutput {
 // otherwise; a result settles it. Only the end of the attempt's context
 // fails the attempt as a whole: the members it left are retried with it,
 // or fail with the job's *JobError.
-func (e *Engine) attempts(ctx context.Context, j *job, specs []SimSpec) ([]*sim.Result, []error) {
+func (e *Engine) attempts(ctx context.Context, j *job, specs []SimSpec, t *trace.Trace) ([]*sim.Result, []error) {
 	rs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
 	left := make([]int, len(specs))
 	for i := range left {
 		left[i] = i
 	}
 	attempt := 0
-	_, err := e.runBody(ctx, j, func(ctx context.Context, in []any) (any, error) {
+	err := e.runBody(ctx, j, func(ctx context.Context) error {
 		defer func() { attempt++ }()
 		walks := [][]int{nil}
 		for _, i := range left {
@@ -566,9 +558,9 @@ func (e *Engine) attempts(ctx context.Context, j *job, specs []SimSpec) ([]*sim.
 		}
 		left = slices.DeleteFunc(left, func(i int) bool { return errs[i] != nil && !IsRetryable(errs[i]) })
 		for _, walk := range slices.DeleteFunc(walks, func(w []int) bool { return len(w) == 0 }) {
-			got, gotErrs := e.compute(ctx, pick(specs, walk), in)
+			got, gotErrs := e.compute(ctx, pick(specs, walk), t)
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			for n, i := range walk {
 				if rs[i] = got[n]; gotErrs[n] != nil {
@@ -577,9 +569,9 @@ func (e *Engine) attempts(ctx context.Context, j *job, specs []SimSpec) ([]*sim.
 			}
 		}
 		if left = slices.DeleteFunc(left, func(i int) bool { return !IsRetryable(errs[i]) }); len(left) > 0 {
-			return nil, errs[left[0]]
+			return errs[left[0]]
 		}
-		return nil, nil
+		return nil
 	})
 	for _, i := range left {
 		errs[i] = cmp.Or(errs[i], err)

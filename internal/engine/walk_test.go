@@ -89,25 +89,13 @@ func TestWalkTakesWhatConcurrentBatchesWant(t *testing.T) {
 	e := New(Options{})
 	ctx := context.Background()
 	cfg := workload.PEROConfig(4, 10_000)
-	perA, releaseA, err := e.planSpecs([]SimSpec{{Trace: cfg, Scheme: "Dir0B"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perB, releaseB, err := e.planSpecs([]SimSpec{{Trace: cfg, Scheme: "WTI"}, {Trace: cfg, Scheme: "Dir1NB"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, per := range [][]output{perA, perB} {
-		var jobs []*job
-		for _, o := range per {
-			jobs = append(jobs, o.j)
-		}
+	jobsA, _ := planJobs(t, e, []SimSpec{{Trace: cfg, Scheme: "Dir0B"}})
+	jobsB, perB := planJobs(t, e, []SimSpec{{Trace: cfg, Scheme: "WTI"}, {Trace: cfg, Scheme: "Dir1NB"}})
+	for _, jobs := range [][]*job{jobsA, jobsB} {
 		if err := e.execute(ctx, Sequential{}, jobs...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	releaseA()
-	releaseB()
 	if s := e.Stats(); s.SimsRun != 3 || s.Walks != 2 {
 		t.Errorf("%d results from %d walks, want 3 from 2: Dir0B's walk priced WTI", s.SimsRun, s.Walks)
 	}
@@ -123,7 +111,7 @@ func TestWalkTakesWhatConcurrentBatchesWant(t *testing.T) {
 		t.Error("WTI priced by another batch's walk differs from its result alone")
 	}
 	// A batch planned and never run leaves nothing wanted behind.
-	_, release, err := e.planSpecs([]SimSpec{{Trace: workload.THORConfig(4, 1_000), Scheme: "DirNNB"}})
+	_, _, release, err := e.planSpecs([]SimSpec{{Trace: workload.THORConfig(4, 1_000), Scheme: "DirNNB"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +149,7 @@ func TestWalkLooksAgainWhenOwnerIsCancelled(t *testing.T) {
 				got, err = e.Results(context.Background(), Sequential{}, []SimSpec{spec})
 				done <- err
 			}()
-			if id := <-sig.started; id != spec.Name() { // a spec in flight plans no trace job
+			if id := <-sig.started; id != spec.Name() { // a walk of a spec in flight asks for no trace
 				t.Fatalf("first job started is %s, want %s", id, spec.Name())
 			}
 			time.Sleep(5 * time.Millisecond) // from its start into its wait on f
@@ -177,6 +165,59 @@ func TestWalkLooksAgainWhenOwnerIsCancelled(t *testing.T) {
 				t.Error("recomputed result differs from the result alone")
 			}
 		})
+	}
+}
+
+// finishSignal reports each job a batch finishes on finished.
+type finishSignal struct{ finished chan string }
+
+func (s finishSignal) JobScheduled(context.Context, string, string, string) {}
+func (s finishSignal) JobStarted(context.Context, string, string, string)   {}
+func (s finishSignal) JobFinished(_ context.Context, id, _, _ string, _ time.Duration, _ bool, _ error) {
+	s.finished <- id
+}
+
+// TestWalkWaitingForItsTraceHoldsNoSlot: a walk job waiting on a trace
+// another caller is generating holds no slot of its batch's pool. On a
+// one-slot pool, the walk over Y, a trace already generated, finishes
+// while the generation of X, held by the test, is still in flight; then X
+// arrives and the batch completes. Which job reaches the pool first is
+// not fixed, so the scenario runs ten times.
+func TestWalkWaitingForItsTraceHoldsNoSlot(t *testing.T) {
+	ctx := context.Background()
+	x, y := workload.POPSConfig(4, 5_000), workload.THORConfig(4, 5_000)
+	tx, err := workload.Generate(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onX, onY := SimSpec{Trace: x, Scheme: "Dir1NB"}, SimSpec{Trace: y, Scheme: "Dir1NB"}
+	for run := range 10 {
+		sig := finishSignal{finished: make(chan string, 4)}
+		e := New(Options{Observer: sig})
+		if _, err := e.Trace(ctx, y); err != nil {
+			t.Fatal(err)
+		}
+		f, _ := e.traces.claim(TraceKey(x)) // X's generation, in flight
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.Results(ctx, Parallel{Workers: 1}, []SimSpec{onX, onY})
+			done <- err
+		}()
+		select {
+		case id := <-sig.finished:
+			if id != onY.Name() {
+				t.Errorf("run %d: %s finished while X was in flight, want %s", run, id, onY.Name())
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("run %d: the walk over Y did not finish while X's generation was in flight", run)
+		}
+		e.traces.fulfill(TraceKey(x), f, tx, nil, 0, false)
+		if err := <-done; err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if s := e.Stats(); s.SimsRun != 2 || s.TracesGenerated != 1 {
+			t.Errorf("run %d: %d sims, %d traces generated; want 2 and Y's 1", run, s.SimsRun, s.TracesGenerated)
+		}
 	}
 }
 
@@ -237,7 +278,8 @@ func TestWalkPublishesAfterItsLastAttempt(t *testing.T) {
 
 // TestWalkOfCachedMembersRunsNoAttempt: a batch whose members are all
 // cached, in memory or in the durable tier, resolves them without an
-// attempt: Stats().JobsRun does not move.
+// attempt and without a trace: Stats().JobsRun and TracesGenerated do not
+// move.
 func TestWalkOfCachedMembersRunsNoAttempt(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -254,9 +296,10 @@ func TestWalkOfCachedMembersRunsNoAttempt(t *testing.T) {
 	if _, err := e.Results(ctx, Parallel{}, specs); err != nil {
 		t.Fatal(err)
 	}
-	if after := e.Stats(); after.JobsRun != before.JobsRun || after.CacheHits != before.CacheHits+3 {
-		t.Errorf("memory-cached batch: %d attempts, %d hits; want %d and %d",
-			after.JobsRun, after.CacheHits, before.JobsRun, before.CacheHits+3)
+	if after := e.Stats(); after.JobsRun != before.JobsRun || after.CacheHits != before.CacheHits+3 ||
+		after.TracesGenerated != before.TracesGenerated {
+		t.Errorf("memory-cached batch: %d attempts, %d hits, %d traces; want %d, %d and %d",
+			after.JobsRun, after.CacheHits, after.TracesGenerated, before.JobsRun, before.CacheHits+3, before.TracesGenerated)
 	}
 	warm := New(Options{Store: st})
 	if _, err := warm.Results(ctx, Parallel{}, specs); err != nil {

@@ -373,8 +373,8 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 	if warm.State != StateDone {
 		t.Fatalf("warm run failed: %s", warm.Error)
 	}
-	if got := svc2.Engine().Stats().SimsRun; got != 0 {
-		t.Errorf("warm service simulated %d times, want 0", got)
+	if st := svc2.Engine().Stats(); st.SimsRun != 0 || st.TracesGenerated != 0 {
+		t.Errorf("warm service simulated %d times and generated %d traces, want 0 and 0", st.SimsRun, st.TracesGenerated)
 	}
 	a, _ := json.Marshal(cold.Results)
 	b, _ := json.Marshal(warm.Results)
@@ -382,10 +382,10 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 		t.Error("store-served results are not bit-identical to the cold run")
 	}
 
-	// The cold sweep journals its trace job too. The warm one journals
-	// one walk job per spec and no trace job — each finds its result in
-	// the store before any attempt — and exactly one store.load per spec,
-	// a hit.
+	// The cold sweep journals its trace's generation too. The warm one
+	// journals one walk job per spec and no generation — each finds its
+	// result in the store before any attempt — and exactly one store.load
+	// per spec, a hit.
 	engineLines := func(svc *Service, id string) (byJob, byKey map[string][]string) {
 		exp, _ := svc.Get(id)
 		byJob, byKey = map[string][]string{}, map[string][]string{}
@@ -396,6 +396,8 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 			}
 			json.Unmarshal([]byte(line), &l)
 			switch {
+			case l.Msg == "trace.generate":
+				byJob[l.Msg] = append(byJob[l.Msg], l.Key)
 			case strings.HasPrefix(l.Msg, "job."):
 				byJob[l.Job] = append(byJob[l.Job], l.Msg)
 			case strings.HasPrefix(l.Msg, "store."):
@@ -407,8 +409,8 @@ func TestSharedStoreServesSecondService(t *testing.T) {
 		}
 		return byJob, byKey
 	}
-	if got, _ := engineLines(svc1, st.ID); len(got["trace:pops"]) != 4 {
-		t.Errorf("cold sweep's trace job lines = %v, want scheduled/start/attempt/finish", got["trace:pops"])
+	if got, _ := engineLines(svc1, st.ID); len(got["trace.generate"]) != 1 {
+		t.Errorf("cold sweep's generation lines = %v, want one", got["trace.generate"])
 	}
 	warmJobs, warmKeys := engineLines(svc2, st2.ID)
 	want := map[string]string{
